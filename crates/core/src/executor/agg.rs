@@ -44,6 +44,7 @@ where
         let groups = exec::sort_group(pairs);
         let (out_pairs, _) = exec::run_reducer(reducer, &groups);
         let cache_text_bytes = mrio::kv_block_text_bytes(&out_pairs);
+        let output_records = out_pairs.len() as u64;
         // Merged partials are re-read under the mapper's key type (see
         // module docs: the reducer's output key must share its textual
         // form). When the reducer's key type *is* the mapper's — true for
@@ -77,6 +78,7 @@ where
             input_records,
             shuffle_text_bytes: bucket.text_bytes,
             cache_text_bytes,
+            output_records,
             blob,
         })
     }

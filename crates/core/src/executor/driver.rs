@@ -121,11 +121,14 @@ struct SplitMapOut<K, V> {
 /// Pure real-side output of one cache build (pane output, input cache,
 /// or pair output), produced on a worker thread. `cache_text_bytes` is
 /// the text-equivalent size the cost model charges and the registry
-/// records, independent of the stored encoding.
+/// records, independent of the stored encoding; `output_records` is the
+/// reducer's output count (0 for input caches, which run no reducer),
+/// taken at build time so no charge re-parses the blob for it.
 pub(super) struct BuiltCache {
     pub(super) input_records: u64,
     pub(super) shuffle_text_bytes: u64,
     pub(super) cache_text_bytes: u64,
+    pub(super) output_records: u64,
     pub(super) blob: bytes::Bytes,
 }
 

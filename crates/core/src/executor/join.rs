@@ -10,10 +10,15 @@
 //! charged as a cache read exactly once — in the first pair task that
 //! streams it — keeping the charged bytes linear in the inputs, as in
 //! the paper's incremental processing ("reducers only need to process
-//! the incremental inputs", §6.2.2). Proactive mode keeps the per-sub-
-//! pane input pipelining and the pair groups keyed by the later-
-//! available input. The final task concatenates every in-window pair
-//! output, gated on all pair `available_at`s.
+//! the incremental inputs", §6.2.2). The host side follows the same
+//! rule: a partition-window fetches and strictly decodes each distinct
+//! input run its outstanding pairs touch exactly once, into one
+//! decoded-inputs table every pair then borrows from — and does so
+//! before any pair output is stored, so a torn input surfaces as a typed
+//! error with no partial pair state behind it. Proactive mode keeps the
+//! per-sub-pane input pipelining and the pair groups keyed by the
+//! later-available input. The final task concatenates every in-window
+//! pair output, gated on all pair `available_at`s.
 //!
 //! Joins cannot attach shared sources, so every cache name in this
 //! module carries fingerprint 0 (the un-shared legacy namespace).
@@ -21,16 +26,22 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use bytes::Bytes;
-use redoop_dfs::{Cluster, DfsPath, NodeId};
-use redoop_mapred::{exec, io as mrio, JobMetrics, Mapper, ReduceWork, Reducer, SimTime};
+use redoop_dfs::{DfsPath, NodeId};
+use redoop_mapred::{
+    exec, io as mrio, JobMetrics, Mapper, MrError, ReduceWork, Reducer, SimTime,
+};
 
 use crate::adaptive::ExecMode;
-use crate::error::Result;
+use crate::error::{RedoopError, Result};
 use crate::pane::PaneId;
 
 use super::driver::{subpane_charges, BuiltCache, PartitionPrep, WindowCtx};
 use super::plan::{input_name, pair_name, WindowPlan};
 use super::RecurringExecutor;
+
+/// One partition-window's decoded reduce-input runs, keyed by
+/// `(source, pane)`: at most the two sources' in-window panes.
+type DecodedInputs<K, V> = HashMap<(u32, u64), mrio::GroupedBlock<K, V>>;
 
 impl<M, R> RecurringExecutor<M, R>
 where
@@ -58,45 +69,77 @@ where
             input_records,
             shuffle_text_bytes: bucket.text_bytes,
             cache_text_bytes: bucket.text_bytes,
+            output_records: 0,
             blob,
         })
     }
 
-    /// Pure compute of a pane-pair join: merge the two cached sorted
-    /// input runs (linear merge; falls back to a full sort if a stored
-    /// run is unsorted), reduce, and encode the pair output as text —
-    /// pair outputs concatenate byte-for-byte into the DFS-visible
-    /// window output, which stays in the text format.
-    fn pair_output_compute(
-        cluster: &Cluster,
+    /// Fetches and strictly decodes (every frame checksum verified) each
+    /// distinct reduce-input run the pairs in `pairs` touch — once per
+    /// run, in parallel, in first-touch order. All of them decode or the
+    /// whole stage fails with a codec error naming the damaged cache; no
+    /// executor state is touched either way.
+    fn decode_pair_inputs(
+        &self,
         node: NodeId,
-        left: PaneId,
-        right: PaneId,
         r: usize,
+        pairs: &[(PaneId, PaneId)],
+    ) -> Result<DecodedInputs<M::KOut, M::VOut>> {
+        // At most two sources x panes-per-window entries: a linear
+        // membership scan beats hashing.
+        let mut wanted: Vec<(u32, PaneId)> = Vec::new();
+        for &(p, q) in pairs {
+            for input in [(0u32, p), (1u32, q)] {
+                if !wanted.contains(&input) {
+                    wanted.push(input);
+                }
+            }
+        }
+        let decoded: Vec<Result<mrio::GroupedBlock<M::KOut, M::VOut>>> = {
+            let cluster = &self.cluster;
+            exec::parallel_map(wanted.len(), |i| {
+                let (s, pane) = wanted[i];
+                let name = input_name(0, s, pane, r).store_name();
+                Ok(cluster.get_local(node, &name).map_err(RedoopError::from).and_then(|blob| {
+                    mrio::decode_grouped_block_any(&blob).map_err(|e| {
+                        MrError::Codec(format!("input cache {name} on {node:?}: {e}")).into()
+                    })
+                }))
+            })?
+        };
+        let mut inputs = DecodedInputs::with_capacity(wanted.len());
+        for ((s, pane), block) in wanted.into_iter().zip(decoded) {
+            inputs.insert((s, pane.0), block?);
+        }
+        Ok(inputs)
+    }
+
+    /// Pure compute of a pane-pair join over two decoded input runs:
+    /// linear merge of the borrowed sorted runs (falls back to a full
+    /// sort if a stored run is unsorted), reduce, and encode the pair
+    /// output as text — pair outputs concatenate byte-for-byte into the
+    /// DFS-visible window output, which stays in the text format.
+    fn pair_output_compute(
+        lb: &mrio::GroupedBlock<M::KOut, M::VOut>,
+        rb: &mrio::GroupedBlock<M::KOut, M::VOut>,
         reducer: &R,
-    ) -> Result<BuiltCache> {
-        let lt = cluster.get_local(node, &input_name(0, 0, left, r).store_name())?;
-        let rt = cluster.get_local(node, &input_name(0, 1, right, r).store_name())?;
-        let lb: mrio::GroupedBlock<M::KOut, M::VOut> = mrio::decode_grouped_block_any(&lt)?;
-        let rb: mrio::GroupedBlock<M::KOut, M::VOut> = mrio::decode_grouped_block_any(&rt)?;
-        let input_records = lb.records + rb.records;
-        let read_text_bytes = lb.text_bytes + rb.text_bytes;
+    ) -> BuiltCache {
         let groups = if lb.sorted && rb.sorted {
-            exec::merge_sorted_groups(vec![lb.grouped, rb.grouped])
+            exec::merge_sorted_group_refs(&[&lb.grouped, &rb.grouped])
         } else {
-            let mut flat = lb.grouped.into_pairs();
-            flat.extend(rb.grouped.into_pairs());
+            let mut flat = lb.grouped.clone().into_pairs();
+            flat.extend(rb.grouped.clone().into_pairs());
             exec::sort_group(flat)
         };
         let (out_pairs, _) = exec::run_reducer(reducer, &groups);
         let text = mrio::encode_kv_block(&out_pairs);
-        let cache_text_bytes = text.len() as u64;
-        Ok(BuiltCache {
-            input_records,
-            shuffle_text_bytes: read_text_bytes,
-            cache_text_bytes,
+        BuiltCache {
+            input_records: lb.records + rb.records,
+            shuffle_text_bytes: lb.text_bytes + rb.text_bytes,
+            cache_text_bytes: text.len() as u64,
+            output_records: out_pairs.len() as u64,
             blob: Bytes::from(text),
-        })
+        }
     }
 
     /// Stores a computed reduce-input cache on `node` and records the
@@ -151,21 +194,6 @@ where
         };
         self.apply_input_cache(source, pane, r, node, &built)?;
         Ok((built.input_records, built.shuffle_text_bytes, built.cache_text_bytes))
-    }
-
-    /// Compute + apply of one pair-output cache (proactive mode).
-    /// Returns `(input_records, pair_cache_bytes, inputs_read_bytes)`.
-    fn build_pair_output_real(
-        &mut self,
-        left: PaneId,
-        right: PaneId,
-        r: usize,
-        node: NodeId,
-    ) -> Result<(u64, u64, u64)> {
-        let built =
-            Self::pair_output_compute(&self.cluster, node, left, right, r, &*self.reducer)?;
-        self.apply_pair_output(left, right, r, node, &built)?;
-        Ok((built.input_records, built.cache_text_bytes, built.shuffle_text_bytes))
     }
 
     /// One join window, one partition: build missing input caches and
@@ -261,19 +289,24 @@ where
                     prev_end = placement.end;
                 }
                 // Every input cache this window needs is now on `node`:
-                // join the outstanding pane pairs in parallel, charge
-                // each pair as its own task gated on both inputs.
-                let computed: Vec<Result<BuiltCache>> = {
-                    let cluster = &self.cluster;
+                // decode each once, join the outstanding pane pairs over
+                // the decoded runs in parallel, charge each pair as its
+                // own task gated on both inputs.
+                let inputs = self.decode_pair_inputs(node, r, &prep.todo_pairs)?;
+                let computed: Vec<BuiltCache> = {
                     let reducer = &*self.reducer;
+                    let inputs = &inputs;
                     exec::parallel_map(prep.todo_pairs.len(), |i| {
                         let (p, q) = prep.todo_pairs[i];
-                        Ok(Self::pair_output_compute(cluster, node, p, q, r, reducer))
+                        Ok(Self::pair_output_compute(
+                            &inputs[&(0, p.0)],
+                            &inputs[&(1, q.0)],
+                            reducer,
+                        ))
                     })?
                 };
                 let mut old_seen: HashSet<(u32, u64)> = HashSet::new();
                 for (&(p, q), built) in prep.todo_pairs.iter().zip(computed) {
-                    let built = built?;
                     self.apply_pair_output(p, q, r, node, &built)?;
                     let mut ready = ctx.fire.max(prev_end);
                     let mut cache_bytes = 0u64;
@@ -291,16 +324,13 @@ where
                             cache_bytes += sig.bytes;
                         }
                     }
-                    let pair_records = std::str::from_utf8(&built.blob)
-                        .map(|t| t.lines().count() as u64)
-                        .unwrap_or(0);
                     let work = ReduceWork {
                         shuffle_bytes: 0,
                         cache_bytes,
                         input_records: 0,
                         merged_records: 0,
                         aggregate_records: 0,
-                        output_records: pair_records,
+                        output_records: built.output_records,
                         hdfs_output_bytes: 0,
                         local_output_bytes: built.cache_text_bytes,
                     };
@@ -383,7 +413,9 @@ where
                     input_avail.insert((s, p.0), pane_done);
                 }
                 // Join pairs as soon as both inputs exist, grouped by the
-                // later-available input.
+                // later-available input — over the same decoded-inputs
+                // table as batch mode.
+                let inputs = self.decode_pair_inputs(node, r, &prep.todo_pairs)?;
                 let mut pair_groups: HashMap<u64, Vec<(PaneId, PaneId)>> = HashMap::new();
                 for &(p, q) in &prep.todo_pairs {
                     let tp = input_avail.get(&(0, p.0)).copied().unwrap_or(ctx.floor);
@@ -398,18 +430,15 @@ where
                     let mut group_local_out = 0u64;
                     let mut built: Vec<(crate::cache::CacheName, u64)> = Vec::new();
                     for &(p, q) in &pairs {
-                        let (_recs, bytes, _read) = self.build_pair_output_real(p, q, r, node)?;
-                        group_local_out += bytes;
-                        outs += self
-                            .cluster
-                            .get_local(node, &pair_name(0, p, q, r).store_name())
-                            .map(|b| {
-                                std::str::from_utf8(&b)
-                                    .map(|t| t.lines().count() as u64)
-                                    .unwrap_or(0)
-                            })
-                            .unwrap_or(0);
-                        built.push((pair_name(0, p, q, r), bytes));
+                        let pair = Self::pair_output_compute(
+                            &inputs[&(0, p.0)],
+                            &inputs[&(1, q.0)],
+                            &*self.reducer,
+                        );
+                        self.apply_pair_output(p, q, r, node, &pair)?;
+                        group_local_out += pair.cache_text_bytes;
+                        outs += pair.output_records;
+                        built.push((pair_name(0, p, q, r), pair.cache_text_bytes));
                     }
                     let work = ReduceWork {
                         shuffle_bytes: 0,
@@ -449,8 +478,9 @@ where
                         reused_cache_bytes += sig.bytes;
                     }
                 }
-                let data = self.cluster.get_local(node, &name.store_name())?;
-                let text = std::str::from_utf8(&data).unwrap_or("");
+                let store = name.store_name();
+                let data = self.cluster.get_local(node, &store)?;
+                let text = super::blob_text(&data, || format!("pair cache {store} on {node:?}"))?;
                 concat_records += text.lines().count() as u64;
                 out.push_str(text);
             }

@@ -55,7 +55,8 @@ use redoop_dfs::{Cluster, DfsPath, NodeId};
 use redoop_mapred::counters::names as cnames;
 use redoop_mapred::trace::{TraceEvent, TraceSink, WindowTraceStats};
 use redoop_mapred::{
-    io as mrio, ClusterSim, HashPartitioner, JobMetrics, Mapper, Reducer, SimTime, Writable,
+    io as mrio, ClusterSim, HashPartitioner, JobMetrics, Mapper, MrError, Reducer, SimTime,
+    Writable,
 };
 
 use crate::adaptive::{AdaptiveController, ExecMode};
@@ -766,6 +767,15 @@ where
     }
 }
 
+/// Views a stored text blob as UTF-8. Damaged bytes are a typed codec
+/// error naming the blob (`what`), never an empty string: a silently
+/// empty read would drop the blob's records from outputs and charges.
+fn blob_text(data: &[u8], what: impl FnOnce() -> String) -> Result<&str> {
+    std::str::from_utf8(data).map_err(|e| {
+        RedoopError::MapReduce(MrError::Codec(format!("{}: not valid UTF-8 ({e})", what())))
+    })
+}
+
 /// Reads a recurrence's output back as sorted, typed pairs — the oracle
 /// used to check Redoop against the plain recomputation baseline.
 pub fn read_window_output<K, V>(cluster: &Cluster, outputs: &[DfsPath]) -> Result<Vec<(K, V)>>
@@ -776,7 +786,8 @@ where
     let mut all: Vec<(K, V)> = Vec::new();
     for p in outputs {
         let data = cluster.read(p)?;
-        all.extend(mrio::decode_kv_block::<K, V>(std::str::from_utf8(&data).unwrap_or(""))?);
+        let text = blob_text(&data, || format!("window output {p}"))?;
+        all.extend(mrio::decode_kv_block::<K, V>(text)?);
     }
     all.sort();
     Ok(all)

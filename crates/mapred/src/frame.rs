@@ -37,11 +37,14 @@ pub const FRAME_HEADER_LEN: usize = 24;
 /// Fixed per-frame overhead: marker + header + trailing CRC32.
 pub const FRAME_OVERHEAD: usize = 4 + FRAME_HEADER_LEN + 4;
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) lookup
-/// table, built at compile time — the workspace vendors no checksum
-/// crate.
-static CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) slice-by-8
+/// lookup tables, built at compile time — the workspace vendors no
+/// checksum crate. `CRC_TABLES[0]` is the classic one-byte table;
+/// `CRC_TABLES[k][b]` is the raw CRC state after byte `b` followed by
+/// `k` zero bytes, which lets the main loop fold eight input bytes with
+/// eight independent lookups instead of eight dependent ones.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -50,17 +53,45 @@ static CRC_TABLE: [u32; 256] = {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// Folds `data` into a raw (pre-inversion) CRC state.
+/// Folds `data` into a raw (pre-inversion) CRC state: eight bytes per
+/// step through the slice-by-8 tables, then a bytewise tail. Chaining
+/// holds for any split — `crc_step(crc_step(s, a), b)` equals
+/// `crc_step(s, a ++ b)` — which `write_frame` relies on to fold header
+/// and payload without concatenating them.
 fn crc_step(state: u32, data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut s = state;
-    for &b in data {
-        s = (s >> 8) ^ CRC_TABLE[((s ^ b as u32) & 0xff) as usize];
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = s ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        s = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        s = (s >> 8) ^ t[0][((s ^ b as u32) & 0xff) as usize];
     }
     s
 }
@@ -259,6 +290,44 @@ mod tests {
             write_frame(&mut out, 9, 2, i as u32, payloads.len() as u32, p);
         }
         out
+    }
+
+    /// The pre-slice-by-8 kernel, one table lookup per byte: the
+    /// reference the production kernel is checked against.
+    fn crc_step_bytewise(state: u32, data: &[u8]) -> u32 {
+        let mut s = state;
+        for &b in data {
+            s = (s >> 8) ^ CRC_TABLES[0][((s ^ b as u32) & 0xff) as usize];
+        }
+        s
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn slice_by_8_matches_bytewise_reference_at_every_alignment(
+            buf in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..4105)
+        ) {
+            // Every start offset 0..8 into one allocation: the 8-byte main
+            // loop must not depend on where the slice begins, and lengths
+            // 0..=4096 cover empty, tail-only and many-chunk inputs.
+            for start in 0..8usize.min(buf.len() + 1) {
+                let data = &buf[start..];
+                proptest::prop_assert!(
+                    crc32(data) == crc_step_bytewise(!0, data) ^ !0,
+                    "kernels disagree at start {start}, len {}",
+                    data.len()
+                );
+            }
+        }
+
+        #[test]
+        fn crc_step_chains_across_any_split(
+            buf in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..4097),
+            cut in 0usize..4097
+        ) {
+            let (a, b) = buf.split_at(cut.min(buf.len()));
+            proptest::prop_assert_eq!(crc_step(crc_step(!0, a), b), crc_step(!0, &buf));
+        }
     }
 
     #[test]

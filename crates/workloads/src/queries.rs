@@ -132,7 +132,13 @@ impl Reducer for JoinReducer {
         speeds.sort_unstable();
         for pos in &positions {
             for spd in &speeds {
-                ctx.emit(key.clone(), format!("{pos}|{spd}"));
+                // Sized once and appended: the cross product is the join's
+                // hot loop, and `format!` pays the formatter per tuple.
+                let mut joined = String::with_capacity(pos.len() + 1 + spd.len());
+                joined.push_str(pos);
+                joined.push('|');
+                joined.push_str(spd);
+                ctx.emit(key.clone(), joined);
             }
         }
     }

@@ -266,3 +266,146 @@ fn total_cache_loss_degrades_toward_cold_start() {
         "full rebuild ({rebuilt}) should approach cold start ({cold})"
     );
 }
+
+/// The join mapper plus a one-shot saboteur: the first record mapped
+/// after arming flips bytes in one named cache blob. Map tasks run after
+/// the window's heartbeat audit and before the pair stage, so the damage
+/// lands exactly where no audit can see it and the pair stage is the
+/// blob's first reader.
+struct SabotagingJoinMapper {
+    cluster: Cluster,
+    target: std::sync::Mutex<Option<(NodeId, String)>>,
+}
+
+impl redoop_mapred::Mapper for SabotagingJoinMapper {
+    type KOut = <redoop_workloads::queries::JoinMapper as redoop_mapred::Mapper>::KOut;
+    type VOut = <redoop_workloads::queries::JoinMapper as redoop_mapred::Mapper>::VOut;
+
+    fn map(&self, line: &str, ctx: &mut redoop_mapred::MapContext<Self::KOut, Self::VOut>) {
+        if let Some((node, name)) = self.target.lock().unwrap().take() {
+            assert!(self.cluster.corrupt_local(node, &name, 40, 8).unwrap(), "target blob exists");
+        }
+        redoop_workloads::queries::JoinMapper.map(line, ctx);
+    }
+}
+
+#[test]
+fn input_torn_after_audit_fails_typed_before_any_pair_output() {
+    use redoop_mapred::MrError;
+    use redoop_workloads::ffg::Stream;
+    use redoop_workloads::queries::JoinReducer;
+
+    // Overlap .875: window 1 reuses panes 1..=7 and maps pane 8, so its
+    // outstanding pairs are (1,8) … (7,8), (8,1) … (8,8) in plan order.
+    let spec = spec_with_overlap(0.875);
+    let plan = ArrivalPlan::new(spec, 2);
+    let pos = ffg_batches(&plan, Stream::Position, 91, 1.0);
+    let spd = ffg_batches(&plan, Stream::Speed, 92, 1.0);
+    let cluster = test_cluster();
+    let mapper = Arc::new(SabotagingJoinMapper {
+        cluster: cluster.clone(),
+        target: std::sync::Mutex::new(None),
+    });
+    let source = |name: &str, root: &str| {
+        SourceConf::with_leading_ts(name, spec, redoop_dfs::DfsPath::new(root).unwrap())
+    };
+    let mut exec = RecurringExecutor::binary_join(
+        &cluster,
+        test_sim(&cluster),
+        QueryConf::new("torn", 4, redoop_dfs::DfsPath::new("/out/torn").unwrap()).unwrap(),
+        [source("ffg-pos", "/panes/torn-pos"), source("ffg-spd", "/panes/torn-spd")],
+        mapper.clone(),
+        Arc::new(JoinReducer),
+        batch_adaptive(&cluster, &spec),
+    )
+    .unwrap();
+    ingest_all(&mut exec, 0, &pos);
+    ingest_all(&mut exec, 1, &spd);
+    exec.run_window(0).unwrap();
+
+    // Partition 0's position-stream input of pane 4: the left input of
+    // the *fourth* outstanding pair, so a per-pair reader would store
+    // three pair outputs before tripping over it.
+    let victim = "ri/s0p4.0/r0";
+    let node = (0..cluster.node_count() as u32)
+        .map(NodeId)
+        .find(|n| cluster.has_local(*n, victim))
+        .expect("window 0 cached the input");
+    let pair_outputs = |cluster: &Cluster| -> Vec<String> {
+        cluster
+            .list_local(node)
+            .unwrap()
+            .into_iter()
+            .filter(|n| n.starts_with("po/") && n.ends_with("/r0"))
+            .collect()
+    };
+    let before = pair_outputs(&cluster);
+    assert_eq!(before.len(), 49, "window 0's pair outputs, less expired pane 0's, are stored");
+    *mapper.target.lock().unwrap() = Some((node, victim.to_string()));
+
+    let err = exec.run_window(1).expect_err("a torn input must fail the window");
+    assert!(mapper.target.lock().unwrap().is_none(), "the damage was injected mid-window");
+    match &err {
+        redoop_core::RedoopError::MapReduce(MrError::Codec(msg)) => {
+            assert!(msg.contains(victim), "the error names the damaged cache: {msg}")
+        }
+        other => panic!("expected a typed codec error, got {other:?}"),
+    }
+    assert_eq!(
+        pair_outputs(&cluster),
+        before,
+        "no pair output of the partition may be stored once an input fails to decode"
+    );
+    assert!(
+        !exec.controller().all_cached().iter().any(|n| {
+            n.partition == 0
+                && matches!(n.object, redoop_core::cache::CacheObject::PairOutput { right, .. } if right.0 == 8)
+        }),
+        "no pair of the failed partition-window was registered"
+    );
+}
+
+#[test]
+fn non_utf8_text_blobs_are_typed_errors_not_empty_reads() {
+    use redoop_mapred::MrError;
+    use redoop_workloads::ffg::Stream;
+
+    let spec = spec_with_overlap(0.875);
+    let plan = ArrivalPlan::new(spec, 2);
+    let pos = ffg_batches(&plan, Stream::Position, 93, 1.0);
+    let spd = ffg_batches(&plan, Stream::Speed, 94, 1.0);
+    let cluster = test_cluster();
+    let mut exec = join_executor(&cluster, spec, "badtext", batch_adaptive(&cluster, &spec));
+    ingest_all(&mut exec, 0, &pos);
+    ingest_all(&mut exec, 1, &spd);
+    let report = exec.run_window(0).unwrap();
+
+    let codec_msg = |err: redoop_core::RedoopError| match err {
+        redoop_core::RedoopError::MapReduce(MrError::Codec(msg)) => msg,
+        other => panic!("expected a typed codec error, got {other:?}"),
+    };
+
+    // A pair output is unframed text: the audit can only see that it
+    // exists, so the window concat is where flipped bytes must surface —
+    // as an error, where the old reader concatenated "" and lost the
+    // pair's tuples.
+    let victim = "po/p4x4/r0";
+    let node = (0..cluster.node_count() as u32)
+        .map(NodeId)
+        .find(|n| cluster.has_local(*n, victim))
+        .expect("window 0 cached the pair output");
+    assert!(cluster.corrupt_local(node, victim, 0, 4).unwrap());
+    let msg = codec_msg(exec.run_window(1).expect_err("a torn pair output fails the window"));
+    assert!(msg.contains(victim) && msg.contains("UTF-8"), "{msg}");
+
+    // The oracle reader, on a damaged copy of a real output part file.
+    let mut part = cluster.read(&report.outputs[0]).unwrap().to_vec();
+    part[0] = 0xFF;
+    let path = redoop_dfs::DfsPath::new("/out/badtext-copy/part-r-00000").unwrap();
+    cluster.create(&path, part.into()).unwrap();
+    let msg = codec_msg(
+        read_window_output::<String, String>(&cluster, std::slice::from_ref(&path))
+            .expect_err("a damaged part file is not an empty result"),
+    );
+    assert!(msg.contains(path.as_str()) && msg.contains("UTF-8"), "{msg}");
+}

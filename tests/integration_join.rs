@@ -158,3 +158,51 @@ fn join_output_matches_brute_force() {
     expect.sort();
     assert_eq!(got, expect);
 }
+
+/// Always-proactive FFG join (8 sub-panes per pane) fed interleaved, on
+/// the Fig. 7 overlaps with steady arrivals and on Fig. 8's 2x-spike
+/// schedule: per-window simulated responses in microseconds and the
+/// stable hash of every window's raw output part files, in order.
+fn run_proactive_join(overlap: f64, fluctuating: bool) -> (Vec<u64>, u64) {
+    const WINDOWS: u64 = 5;
+    let spec = spec_with_overlap(overlap);
+    let plan = if fluctuating {
+        ArrivalPlan::paper_fluctuation(spec, WINDOWS)
+    } else {
+        ArrivalPlan::new(spec, WINDOWS)
+    };
+    let pos = ffg_batches(&plan, Stream::Position, 2014, 1.0);
+    let spd = ffg_batches(&plan, Stream::Speed, 2015, 1.0);
+    let cluster = test_cluster();
+    let mut exec =
+        join_executor(&cluster, spec, "jgold", proactive_adaptive(&cluster, &spec, 8));
+    let reports = run_windows_interleaved(&mut exec, &[&pos, &spd], WINDOWS);
+    assert!(reports.iter().all(|r| r.mode == ExecMode::Proactive));
+    let sim = reports.iter().map(|r| r.response.0).collect();
+    let parts: Vec<Vec<u8>> = reports
+        .iter()
+        .flat_map(|r| &r.outputs)
+        .map(|p| cluster.read(p).unwrap().to_vec())
+        .collect();
+    let digest = redoop_mapred::hasher::stable_hash(&parts);
+    (sim, digest)
+}
+
+#[test]
+fn proactive_join_matches_the_per_pair_decode_tree() {
+    // Golden values recorded from the tree whose pair stage re-fetched
+    // and re-decoded both inputs for every pair (and re-read each pair
+    // blob to count its lines): sharing one decoded-inputs table with
+    // batch mode is a host-clock change only, so every simulated
+    // response and every output byte must be unchanged.
+    let golden: [(f64, bool, &[u64], u64); 3] = [
+        (0.9, false, &[86783850, 10842192, 11135908, 10953683, 10934901], 0x8bd35d641a7cbf91),
+        (0.5, false, &[16527570, 16005840, 15274448, 15710809, 15626281], 0xc40b2f00dc3929bb),
+        (0.5, true, &[16527570, 32442591, 35759941, 19739736, 32784498], 0x893e28e589c5c082),
+    ];
+    for (overlap, fluctuating, sim, digest) in golden {
+        let (got_sim, got_digest) = run_proactive_join(overlap, fluctuating);
+        assert_eq!(got_sim, sim, "overlap {overlap}, fluctuating {fluctuating}: sim series");
+        assert_eq!(got_digest, digest, "overlap {overlap}, fluctuating {fluctuating}: outputs");
+    }
+}

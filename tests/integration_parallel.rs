@@ -71,10 +71,97 @@ fn run_join(tag: &str, sink: &TraceSink) -> (Vec<String>, Vec<Vec<(String, Strin
     (reports, outputs)
 }
 
+/// The FFG join at overlap .875 (8 panes per window, 64 pairs cold)
+/// under an optional cache budget: per window the `Debug` report, plus
+/// the raw output part files, plus the uncapped run's peak per-node
+/// cache residency (the anchor capped budgets are fractioned from).
+fn run_join_budgeted(
+    budget: Option<CacheBudget>,
+    sink: &TraceSink,
+) -> (Vec<String>, Vec<Vec<Vec<u8>>>, u64) {
+    let spec = spec_with_overlap(0.875);
+    let plan = ArrivalPlan::new(spec, WINDOWS);
+    let pos = ffg_batches(&plan, Stream::Position, 23, 1.0);
+    let spd = ffg_batches(&plan, Stream::Speed, 24, 1.0);
+
+    let cluster = test_cluster();
+    let mut exec = join_executor(&cluster, spec, "par-cap", batch_adaptive(&cluster, &spec));
+    exec.set_trace_sink(sink.clone());
+    if let Some(b) = budget {
+        exec.set_cache_policy(b);
+    }
+    ingest_all(&mut exec, 0, &pos);
+    ingest_all(&mut exec, 1, &spd);
+
+    let mut files = baseline_inputs(&cluster, "/batches/par-cap-pos", &pos);
+    files.extend(baseline_inputs(&cluster, "/batches/par-cap-spd", &spd));
+    let mut base_sim = test_sim(&cluster);
+    let out_root = redoop_dfs::DfsPath::new("/out/par-cap-base").unwrap();
+
+    let (mut reports, mut outputs, mut peak) = (Vec::new(), Vec::new(), 0u64);
+    for w in 0..WINDOWS {
+        let report = exec.run_window(w).unwrap();
+        for n in 0..cluster.node_count() as u32 {
+            peak = peak.max(exec.controller().bytes_on(redoop_dfs::NodeId(n)));
+        }
+        // Plain recomputation of the same window is the oracle.
+        let baseline = run_baseline_window(
+            &cluster,
+            &mut base_sim,
+            std::sync::Arc::new(redoop_workloads::queries::JoinMapper),
+            &redoop_workloads::queries::JoinReducer,
+            leading_ts_fn(),
+            &spec,
+            w,
+            &files,
+            4,
+            &out_root,
+            None,
+        )
+        .unwrap();
+        let got: Vec<(String, String)> = read_window_output(&cluster, &report.outputs).unwrap();
+        let want: Vec<(String, String)> =
+            read_window_output(&cluster, &baseline.outputs).unwrap();
+        assert!(!got.is_empty(), "window {w}: join should produce matches");
+        assert_eq!(got, want, "window {w}: capped join must equal plain recomputation");
+        outputs.push(report.outputs.iter().map(|p| cluster.read(p).unwrap().to_vec()).collect());
+        reports.push(format!("{report:?}"));
+    }
+    (reports, outputs, peak)
+}
+
+/// Decode-once join under eviction pressure: a CostBased budget of a
+/// quarter of the uncapped peak keeps the rebuild / re-decode / pair
+/// path busy every window. Outputs must equal the uncapped run (and,
+/// inside the runner, plain recomputation) for 1, 2 and 4 host workers,
+/// and reports and journals must not depend on the worker count.
+fn capped_join_is_identical_across_worker_counts() {
+    exec::set_host_parallelism(Some(1));
+    let (_, uncapped_out, peak) = run_join_budgeted(None, &TraceSink::disabled());
+    let budget = CacheBudget::bounded(CachePolicyKind::CostBased, (peak / 4).max(1));
+    let mut runs = Vec::new();
+    for workers in [1usize, 2, 4] {
+        exec::set_host_parallelism(Some(workers));
+        let sink = TraceSink::with_capacity(1 << 18);
+        let (reports, out, _) = run_join_budgeted(Some(budget), &sink);
+        assert_eq!(out, uncapped_out, "{workers} workers: capped outputs equal uncapped");
+        runs.push((workers, reports, sink.render_json()));
+    }
+    exec::set_host_parallelism(None);
+    let (_, reports1, journal1) = &runs[0];
+    assert!(journal1.contains("\"action\":\"evict\""), "the budget must actually evict");
+    for (workers, reports, journal) in &runs[1..] {
+        assert_eq!(reports, reports1, "{workers} workers: window reports");
+        assert!(journal == journal1, "{workers} workers: journal must be byte-identical");
+    }
+}
+
 /// `set_host_parallelism` is process-global, so this binary holds its
 /// single test: everything that must run under a forced pool size.
 #[test]
 fn parallel_execution_is_bit_identical_to_single_worker() {
+    capped_join_is_identical_across_worker_counts();
+
     // Each run builds its own cluster, so the same tag (and hence the
     // same DFS paths, making reports string-comparable) is safe. Each
     // run also gets its own trace sink; the journals must render
