@@ -27,7 +27,7 @@
 //! (CI diffs the trace journal across worker counts to prove it).
 //!
 //! Pass `--trace <path>` to record the cluster's structured trace
-//! journal (placement decisions with per-node Eq. 4 scores, cache
+//! journal (placement decisions with the Eq. 4 scores compared, cache
 //! lifecycle events, per-phase task spans) and write it to `<path>` as
 //! JSON after the figures finish.
 //!

@@ -7,11 +7,12 @@
 //! purge notification is issued to the owning node's Local Cache Registry.
 //!
 //! Capacity: the controller optionally enforces a per-node byte budget
-//! through a pluggable [`CachePolicy`] — registrations and adoptions
-//! consult the policy, which may evict residents (`evict` journal
-//! events) or refuse the newcomer (`admit_reject`). The default
-//! configuration (unbounded budget, [`WindowLifespanPolicy`]) is
-//! bit-identical to the pre-policy lifecycle.
+//! through a pluggable [`CachePolicy`] — every registration and adoption
+//! goes through the one admission path, which consults the policy and
+//! may evict residents (`evict` journal events) or refuse the newcomer
+//! (`admit_reject`). Nothing exceeds an absent budget, so the default
+//! configuration (no budget, [`WindowLifespanPolicy`]) admits everything
+//! and evicts nothing — the paper's expire-only lifecycle.
 //!
 //! [`WindowLifespanPolicy`]: super::policy::WindowLifespanPolicy
 
@@ -94,13 +95,6 @@ pub struct Admission {
     pub evicted: Vec<(NodeId, CacheName)>,
 }
 
-impl Admission {
-    /// The unbounded-capacity fast path: admitted, nobody displaced.
-    fn clean() -> Self {
-        Admission { admitted: true, evicted: Vec::new() }
-    }
-}
-
 /// Per-node slice of the controller's index: the materialized caches a
 /// node holds and their byte total, so heartbeat reconciliation and
 /// capacity reporting never scan the full signature table.
@@ -124,10 +118,10 @@ pub struct CacheController {
     /// for pane-expiry sweeps. Pair outputs are not pane-keyed and stay
     /// outside this index.
     by_pane: HashMap<(u32, u64), BTreeSet<CacheName>>,
-    /// Per-node byte budget (`u64::MAX` = unbounded, the default).
-    capacity: u64,
-    /// Admission/eviction arbiter consulted when a registration or
-    /// adoption would exceed `capacity` on its node.
+    /// Per-node byte budget (`None` = unbounded, the default).
+    capacity: Option<u64>,
+    /// Admission/eviction arbiter consulted on every registration and
+    /// adoption.
     policy: Box<dyn CachePolicy>,
     trace: TraceSink,
 }
@@ -154,7 +148,7 @@ impl CacheController {
             sigs: BTreeMap::new(),
             by_node: HashMap::new(),
             by_pane: HashMap::new(),
-            capacity: u64::MAX,
+            capacity: None,
             policy: Box::new(WindowLifespanPolicy),
             trace: trace::global_sink(),
         }
@@ -172,12 +166,17 @@ impl CacheController {
 
     /// Sets the per-node byte budget (`None` = unbounded).
     pub fn set_capacity(&mut self, bytes: Option<u64>) {
-        self.capacity = bytes.unwrap_or(u64::MAX);
+        self.capacity = bytes;
     }
 
     /// The per-node byte budget, if one is enforced.
     pub fn capacity(&self) -> Option<u64> {
-        (self.capacity != u64::MAX).then_some(self.capacity)
+        self.capacity
+    }
+
+    /// Whether `bytes` on one node stay within the per-node budget.
+    fn fits(&self, bytes: u64) -> bool {
+        self.capacity.is_none_or(|cap| bytes <= cap)
     }
 
     /// Fetches (creating if absent) `name`'s signature, keeping the pane
@@ -287,19 +286,9 @@ impl CacheController {
         rebuild_bytes: u64,
         at: SimTime,
     ) -> Admission {
-        match self.make_room(&name, node, bytes, rebuild_bytes, at) {
+        match self.make_room(&name, node, bytes, rebuild_bytes, at, true) {
             Some(evicted) => {
-                let sig = Self::sig_entry(&mut self.sigs, &mut self.by_pane, name);
-                Self::unindex_holder(&mut self.by_node, &name, sig);
-                sig.node = Some(node);
-                sig.ready = Ready::CacheAvailable;
-                sig.bytes = bytes;
-                sig.rebuild_bytes = rebuild_bytes.max(bytes);
-                sig.available_at = at;
-                sig.salvaged = None;
-                sig.last_used = at;
-                self.index_holder(name, node, bytes);
-                self.policy.charge(&name, at);
+                self.materialize(name, node, bytes, rebuild_bytes, at);
                 self.trace.emit(|| TraceEvent::Cache {
                     at,
                     action: CacheAction::Register,
@@ -332,16 +321,26 @@ impl CacheController {
         rebuild_bytes: u64,
         at: SimTime,
     ) -> Admission {
-        if self.capacity != u64::MAX {
-            let held = self.held_bytes(&name, node);
-            let incoming = self.stats_for(&name, bytes, rebuild_bytes, at);
-            let fits = bytes <= self.capacity
-                && self.bytes_on(node) - held + bytes <= self.capacity
-                && self.policy.admit(&incoming);
-            if !fits {
-                return self.reject(name, node, bytes, rebuild_bytes, at);
+        match self.make_room(&name, node, bytes, rebuild_bytes, at, false) {
+            Some(evicted) => {
+                self.materialize(name, node, bytes, rebuild_bytes, at);
+                Admission { admitted: true, evicted }
             }
+            None => self.reject(name, node, bytes, rebuild_bytes, at),
         }
+    }
+
+    /// Marks an admitted cache materialized on `node` (ready = 2),
+    /// replacing whatever the signature held before, and charges the
+    /// consumption to the policy.
+    fn materialize(
+        &mut self,
+        name: CacheName,
+        node: NodeId,
+        bytes: u64,
+        rebuild_bytes: u64,
+        at: SimTime,
+    ) {
         let sig = Self::sig_entry(&mut self.sigs, &mut self.by_pane, name);
         Self::unindex_holder(&mut self.by_node, &name, sig);
         sig.node = Some(node);
@@ -353,7 +352,6 @@ impl CacheController {
         sig.last_used = at;
         self.index_holder(name, node, bytes);
         self.policy.charge(&name, at);
-        Admission::clean()
     }
 
     /// Bytes an existing same-node copy of `name` holds — freed by the
@@ -395,12 +393,14 @@ impl CacheController {
         })
     }
 
-    /// Plans and applies the evictions needed to fit `bytes` of `name`
-    /// on `node`. `Some(victims)` = admitted after evicting `victims`
-    /// (possibly none); `None` = rejected, nothing touched. Victims are
-    /// planned against a shrinking candidate list and only evicted once
-    /// the full plan fits, so a mid-plan refusal leaves every resident
-    /// in place.
+    /// The one admission path: decides whether `bytes` of `name` may
+    /// materialize on `node`, planning and applying the evictions that
+    /// takes. `Some(victims)` = admitted after evicting `victims`
+    /// (possibly none); `None` = rejected, nothing touched. With
+    /// `may_evict` off (adoptions) a cache that does not fit beside the
+    /// residents is rejected instead. Victims are planned against a
+    /// shrinking candidate list and only evicted once the full plan fits,
+    /// so a mid-plan refusal leaves every resident in place.
     fn make_room(
         &mut self,
         name: &CacheName,
@@ -408,11 +408,9 @@ impl CacheController {
         bytes: u64,
         rebuild_bytes: u64,
         at: SimTime,
+        may_evict: bool,
     ) -> Option<Vec<(NodeId, CacheName)>> {
-        if self.capacity == u64::MAX {
-            return Some(Vec::new());
-        }
-        if bytes > self.capacity {
+        if !self.fits(bytes) {
             return None;
         }
         let incoming = self.stats_for(name, bytes, rebuild_bytes, at);
@@ -420,8 +418,11 @@ impl CacheController {
             return None;
         }
         let mut used = self.bytes_on(node) - self.held_bytes(name, node);
-        if used + bytes <= self.capacity {
+        if self.fits(used + bytes) {
             return Some(Vec::new());
+        }
+        if !may_evict {
+            return None;
         }
         let mut candidates: Vec<CacheStats> = self
             .names_on(node)
@@ -430,7 +431,7 @@ impl CacheController {
             .filter_map(|n| self.stats_of(&n))
             .collect();
         let mut plan = Vec::new();
-        while used + bytes > self.capacity {
+        while !self.fits(used + bytes) {
             if candidates.is_empty() {
                 return None;
             }

@@ -17,7 +17,7 @@ use redoop_mapred::trace::TraceEvent;
 
 use super::controller::CacheController;
 use super::registry::LocalCacheRegistry;
-use super::CacheName;
+use super::{CacheName, CacheObject};
 
 /// One node's cache report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,8 +40,9 @@ pub struct RegistryHeartbeat {
 
 impl LocalCacheRegistry {
     /// Builds this node's heartbeat: every unexpired registry entry whose
-    /// file really exists in the node's local store, with framed blobs
-    /// additionally audited frame-by-frame against their checksums.
+    /// file really exists in the node's local store, with the framed
+    /// cache kinds (pane inputs, outputs and deltas) additionally audited
+    /// frame-by-frame against their checksums.
     /// Entries whose files vanished (crash, manual purge) or failed the
     /// audit are dropped from the registry as a side effect — the
     /// node-side half of recovery; audited-damaged blobs also report
@@ -81,14 +82,21 @@ impl LocalCacheRegistry {
                 held.push(name);
                 continue;
             }
-            if blob.starts_with(&frame::FRAME_MARKER) && frame::decode_frames(&blob).is_err() {
+            // Pane caches are framed by construction, so one that fails
+            // the strict decode is damaged whatever its first bytes say.
+            // The salvage scan resynchronizes past a broken marker; a
+            // blob with no recoverable frame is plainly lost, no verdict.
+            // Pair outputs are text without embedded checksums: for them
+            // existence is the whole audit.
+            let framed = !matches!(name.object, CacheObject::PairOutput { .. });
+            if framed && frame::decode_frames(&blob).is_err() {
                 let scan = frame::salvage_scan(&blob);
-                damaged.push((name, scan.intact_count() as u32, scan.total));
+                if scan.intact_count() > 0 {
+                    damaged.push((name, scan.intact_count(), scan.total));
+                }
                 lost.push(name);
                 continue;
             }
-            // Intact framed blob, or a legacy/opaque blob (no embedded
-            // checksums — existence is the whole audit, as before).
             verified.push((name, ptr, len));
             held.push(name);
         }
@@ -168,11 +176,17 @@ mod tests {
         CacheName::new(CacheObject::PaneInput { source: 0, pane: PaneId(p), sub: 0 }, 0)
     }
 
+    /// The smallest blob a pane cache can hold: one empty, intact frame.
+    fn intact_blob() -> Bytes {
+        let empty: redoop_mapred::Grouped<String, u64> = Default::default();
+        redoop_mapred::io::encode_framed_grouped_block(&empty, 0, 0).into()
+    }
+
     #[test]
     fn heartbeat_reports_only_real_files() {
         let cluster = Cluster::with_nodes(2);
         let mut reg = LocalCacheRegistry::new(NodeId(1), PurgePolicy::default());
-        cluster.put_local(NodeId(1), name(0).store_name(), Bytes::from_static(b"x")).unwrap();
+        cluster.put_local(NodeId(1), name(0).store_name(), intact_blob()).unwrap();
         reg.add_entry(name(0), 1);
         reg.add_entry(name(1), 1); // registry claims it, store lacks it
         let hb = reg.heartbeat(&cluster);
@@ -187,7 +201,7 @@ mod tests {
     fn epoch_handshake_skips_reverification_until_something_changes() {
         let cluster = Cluster::with_nodes(1);
         let mut reg = LocalCacheRegistry::new(NodeId(0), PurgePolicy::default());
-        cluster.put_local(NodeId(0), name(0).store_name(), Bytes::from_static(b"x")).unwrap();
+        cluster.put_local(NodeId(0), name(0).store_name(), intact_blob()).unwrap();
         reg.add_entry(name(0), 1);
         reg.add_entry(name(1), 1); // phantom: no backing file
         assert!(!reg.verified_clean(cluster.local_epoch(NodeId(0)).unwrap()));
@@ -222,7 +236,7 @@ mod tests {
         let cluster = Cluster::with_nodes(2);
         let mut reg = LocalCacheRegistry::new(NodeId(0), PurgePolicy::default());
         let mut ctl = CacheController::new(1);
-        cluster.put_local(NodeId(0), name(0).store_name(), Bytes::from_static(b"x")).unwrap();
+        cluster.put_local(NodeId(0), name(0).store_name(), intact_blob()).unwrap();
         reg.add_entry(name(0), 1);
         ctl.register_cache(name(0), NodeId(0), 1, SimTime::ZERO);
         cluster.kill_node(NodeId(0)).unwrap();
@@ -239,7 +253,7 @@ mod tests {
         let mut reg = LocalCacheRegistry::new(NodeId(1), PurgePolicy::default());
         let mut ctl = CacheController::new(1);
         // Two caches registered; only one file survives.
-        cluster.put_local(NodeId(1), name(0).store_name(), Bytes::from_static(b"x")).unwrap();
+        cluster.put_local(NodeId(1), name(0).store_name(), intact_blob()).unwrap();
         reg.add_entry(name(0), 1);
         reg.add_entry(name(1), 1);
         ctl.register_cache(name(0), NodeId(1), 1, SimTime::ZERO);
@@ -287,7 +301,9 @@ mod tests {
         let mut reg = LocalCacheRegistry::new(NodeId(1), PurgePolicy::default());
         let mut ctl = CacheController::new(1);
 
-        // A framed cache with several frames, plus a legacy blob.
+        // A framed cache with several frames, a pane cache holding
+        // unframed bytes, and a pair output (text by construction).
+        let pair = CacheName::new(CacheObject::PairOutput { left: PaneId(1), right: PaneId(2) }, 0);
         let mut groups: Grouped<String, u64> = Grouped::default();
         for g in 0..40u64 {
             groups.values.push(g);
@@ -298,23 +314,27 @@ mod tests {
         assert!(total >= 2, "test wants a multi-frame blob");
         cluster.put_local(NodeId(1), name(7).store_name(), blob.clone().into()).unwrap();
         cluster.put_local(NodeId(1), name(8).store_name(), Bytes::from_static(b"legacy")).unwrap();
-        reg.add_entry(name(7), 1);
-        reg.add_entry(name(8), 1);
-        ctl.register_cache(name(7), NodeId(1), 1, SimTime::ZERO);
-        ctl.register_cache(name(8), NodeId(1), 1, SimTime::ZERO);
+        cluster.put_local(NodeId(1), pair.store_name(), Bytes::from_static(b"k\tv\n")).unwrap();
+        for n in [name(7), name(8), pair] {
+            reg.add_entry(n, 1);
+            ctl.register_cache(n, NodeId(1), 1, SimTime::ZERO);
+        }
 
-        // Clean audit: both held, nothing damaged.
+        // First audit: the intact framed cache and the text pair output
+        // are held. The pane cache without a single recoverable frame is
+        // plainly lost — no salvage verdict.
         let hb = reg.heartbeat(&cluster);
-        assert_eq!(hb.held, vec![name(7), name(8)]);
+        assert_eq!(hb.held, vec![name(7), pair]);
         assert!(hb.damaged.is_empty());
-        assert!(ctl.apply_heartbeat(&hb).is_empty());
+        assert_eq!(ctl.apply_heartbeat(&hb), vec![name(8)]);
+        assert_eq!(ctl.salvaged(&name(8)), None);
 
         // Corrupt the tail of the framed blob. The audit drops the entry,
         // reports the salvage verdict, and the controller invalidates the
         // cache while recording partial recoverability.
         assert!(cluster.corrupt_local(NodeId(1), &name(7).store_name(), blob.len() - 8, 8).unwrap());
         let hb = reg.heartbeat(&cluster);
-        assert_eq!(hb.held, vec![name(8)]);
+        assert_eq!(hb.held, vec![pair]);
         assert_eq!(hb.damaged.len(), 1);
         let (dname, intact, t) = hb.damaged[0];
         assert_eq!(dname, name(7));
@@ -323,7 +343,17 @@ mod tests {
         let lost = ctl.apply_heartbeat(&hb);
         assert_eq!(lost, vec![name(7)]);
         assert_eq!(ctl.salvaged(&name(7)), Some((intact, total)));
-        assert_eq!(ctl.salvaged(&name(8)), None);
+
+        // A broken *first* byte is damage too: the scan resynchronizes on
+        // the next frame's marker instead of waving the blob through.
+        let mut head = blob.clone();
+        head[0] ^= 0xFF;
+        cluster.put_local(NodeId(1), name(7).store_name(), head.into()).unwrap();
+        reg.add_entry(name(7), 1);
+        ctl.register_cache(name(7), NodeId(1), 1, SimTime::ZERO);
+        let hb = reg.heartbeat(&cluster);
+        assert_eq!(hb.damaged, vec![(name(7), total - 1, total)]);
+        assert_eq!(ctl.apply_heartbeat(&hb), vec![name(7)]);
 
         // Re-registering the rebuilt cache clears the verdict.
         ctl.register_cache(name(7), NodeId(1), 1, SimTime::ZERO);
@@ -354,13 +384,13 @@ mod tests {
         let mut reg = LocalCacheRegistry::new(NodeId(1), PurgePolicy::default());
 
         // Materialize pane 0 on node 1: controller, registry, local file.
-        cluster.put_local(NodeId(1), name(0).store_name(), Bytes::from_static(b"aaaa")).unwrap();
+        cluster.put_local(NodeId(1), name(0).store_name(), intact_blob()).unwrap();
         ctl.register_cache(name(0), NodeId(1), 80, SimTime(1));
         reg.add_entry(name(0), 80);
 
         // A bigger registration evicts it. Driver-side reclamation flags
         // the registry entry expired; the file stays until the purge scan.
-        cluster.put_local(NodeId(1), name(1).store_name(), Bytes::from_static(b"bbbb")).unwrap();
+        cluster.put_local(NodeId(1), name(1).store_name(), intact_blob()).unwrap();
         let adm = ctl.register_cache(name(1), NodeId(1), 90, SimTime(2));
         assert_eq!(adm.evicted, vec![(NodeId(1), name(0))]);
         reg.add_entry(name(1), 90);

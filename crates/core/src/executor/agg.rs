@@ -1,26 +1,24 @@
-//! Aggregation tasks: per-pane partial-aggregate builds and the window
-//! merge (the plan's `BuildPane` / `MergePanes` nodes).
+//! Aggregation tasks: the pure per-pane partial-aggregate compute and the
+//! window merge (the plan's `BuildPane` / `MergePanes` nodes).
 //!
-//! In batch mode each missing pane is **its own reduce task** — pure
-//! compute runs on parallel host threads, then each build is charged
-//! sequentially in pane order with its own ready time (fire ∨ its map
-//! completion), so builds of different partitions overlap on the
-//! simulated timeline. Proactive mode keeps the paper's pipelining: one
-//! early micro-task per sub-pane as map output arrives. The merge task
-//! is gated on every pane partial's `available_at` (reused caches and
-//! fresh builds alike) and merges the pre-grouped sorted runs in one
+//! Building the missing pane partials is the driver's cache-build step
+//! (`build_missing`, in batch or proactive mode), parameterised here
+//! only by `pane_output_compute`. The merge
+//! task is gated on every pane partial's `available_at` (reused caches
+//! and fresh builds alike) and merges the pre-grouped sorted runs —
+//! fetched and strictly decoded by the driver's `fetch_decoded` — in one
 //! linear pass.
 
 use bytes::Bytes;
-use redoop_dfs::{DfsPath, NodeId};
-use redoop_mapred::{exec, io as mrio, JobMetrics, Mapper, ReduceWork, Reducer, SimTime, Writable};
+use redoop_dfs::DfsPath;
+use redoop_mapred::{exec, io as mrio, JobMetrics, Mapper, ReduceWork, Reducer, Writable};
 
 use crate::adaptive::ExecMode;
+use crate::cache::CacheName;
 use crate::error::Result;
-use crate::pane::PaneId;
 
-use super::driver::{subpane_charges, BuiltCache, PartitionPrep, WindowCtx};
-use super::plan::{output_name, WindowPlan};
+use super::driver::{BuiltCache, PartitionPrep, WindowCtx};
+use super::plan::{delta_name, output_name, WindowPlan};
 use super::RecurringExecutor;
 
 impl<M, R> RecurringExecutor<M, R>
@@ -83,45 +81,6 @@ where
         })
     }
 
-    /// Stores a computed pane-output cache on `node` and records the
-    /// build, real side only.
-    fn apply_pane_output(
-        &mut self,
-        source: u32,
-        pane: PaneId,
-        r: usize,
-        node: NodeId,
-        built: &BuiltCache,
-    ) -> Result<()> {
-        let name = output_name(self.active_fp(), source, pane, r);
-        let store = self.interned_store(&name);
-        self.cluster.put_local(node, &*store, built.blob.clone())?;
-        if r == self.conf.num_reducers - 1 {
-            self.matrix.mark_done(&[pane]);
-        }
-        self.built_panes.insert((source, pane.0));
-        self.window_built += 1;
-        Ok(())
-    }
-
-    /// Compute + apply of one pane-output cache (proactive mode).
-    /// Returns `(input_records, shuffle_bytes, cache_text_bytes)`.
-    fn build_pane_output_real(
-        &mut self,
-        source: u32,
-        pane: PaneId,
-        r: usize,
-        node: NodeId,
-    ) -> Result<(u64, u64, u64)> {
-        let built = {
-            let m = self.mapped.get(&(source, pane.0)).expect("pane mapped before build");
-            let raw = m.raw[r].lock().expect("raw pairs lock").clone();
-            Self::pane_output_compute(&m.buckets[r], raw, &*self.reducer, pane.0, r as u32)?
-        };
-        self.apply_pane_output(source, pane, r, node, &built)?;
-        Ok((built.input_records, built.shuffle_text_bytes, built.cache_text_bytes))
-    }
-
     /// One aggregation window, one partition: build missing pane outputs
     /// (one individually-charged reduce task per pane in batch mode;
     /// per-sub-pane early tasks in proactive mode), then merge all pane
@@ -137,129 +96,15 @@ where
         let rec = plan.recurrence;
         let panes = &plan.panes;
         let node = prep.node;
-        let missing: Vec<PaneId> = prep.missing.iter().map(|&(_, p)| p).collect();
-        let mut early_done = SimTime::ZERO;
         // In batch mode the whole partition is one reduce attempt: its
         // first charged item (build or merge) pays the task start-up,
         // follow-on items run back-to-back in the same attempt.
         let mut attempt_startup = true;
-        match ctx.mode {
-            ExecMode::Batch => {
-                // Pure per-pane compute in parallel; state-mutating apply,
-                // charging, and registration stay sequential, in pane
-                // order.
-                let computed: Vec<Result<BuiltCache>> = {
-                    let mapped = &self.mapped;
-                    let reducer = &*self.reducer;
-                    exec::parallel_map(missing.len(), |i| {
-                        let m = mapped
-                            .get(&(0, missing[i].0))
-                            .expect("pane mapped before build");
-                        let raw = m.raw[r].lock().expect("raw pairs lock").clone();
-                        Ok(Self::pane_output_compute(
-                            &m.buckets[r],
-                            raw,
-                            reducer,
-                            missing[i].0,
-                            r as u32,
-                        ))
-                    })?
-                };
-                // One reduce attempt per partition works through its pane
-                // queue sequentially (the paper's one-reduce-task-per-
-                // partition model), so builds chain within the partition;
-                // overlap happens across partitions, whose chains run on
-                // their own anchors/slots.
-                let mut prev_end = SimTime::ZERO;
-                for (&p, built) in missing.iter().zip(computed) {
-                    let built = built?;
-                    self.apply_pane_output(0, p, r, node, &built)?;
-                    let name = output_name(plan.fp, 0, p, r);
-                    // A salvage verdict from the last audit means this
-                    // pane's lost cache still holds `intact` checksummed
-                    // frames on disk: the §5 rollback classifies it as
-                    // partially recoverable and this rebuild pays only
-                    // the missing frame suffix.
-                    let salvage = self.controller.salvaged(&name);
-                    let ready = ctx
-                        .fire
-                        .max(prev_end)
-                        .max(prep.map_ready.get(&(0, p.0)).copied().unwrap_or(ctx.floor));
-                    // Field-for-field the fresh-pane share of the old
-                    // combined window task (input records, shuffle, cache
-                    // write; output_records stays 0 — pane partials count
-                    // as aggregate records at the merge, not as reduce
-                    // output), now charged as its own task.
-                    let mut work = ReduceWork {
-                        shuffle_bytes: built.shuffle_text_bytes,
-                        cache_bytes: 0,
-                        input_records: built.input_records,
-                        merged_records: 0,
-                        aggregate_records: 0,
-                        output_records: 0,
-                        hdfs_output_bytes: 0,
-                        local_output_bytes: built.cache_text_bytes,
-                    };
-                    if let Some((intact, total)) = salvage {
-                        super::driver::scale_partial_rebuild(&mut work, intact, total);
-                    }
-                    let placement = self.charge_reduce(
-                        node,
-                        ready,
-                        &work,
-                        &format!("build/w{rec}/p{}/r{r}", p.0),
-                        attempt_startup,
-                        metrics,
-                    );
-                    attempt_startup = false;
-                    self.register(name, node, built.cache_text_bytes, placement.end);
-                    if salvage.is_some_and(|(i, t)| i > 0 && i < t) {
-                        self.trace.emit(|| redoop_mapred::trace::TraceEvent::Cache {
-                            at: placement.end,
-                            action: redoop_mapred::trace::CacheAction::PartialRebuild,
-                            name: name.store_name(),
-                            node: Some(node),
-                            bytes: built.cache_text_bytes,
-                        });
-                    }
-                    prev_end = placement.end;
-                }
-            }
-            ExecMode::Proactive => {
-                // Pipelined: one small reduce task per map split (sub-pane)
-                // ready as soon as that split's map output exists — only
-                // the final split's work lands after the window closes.
-                for &p in &missing {
-                    let (_recs, _shuffled, bytes) = self.build_pane_output_real(0, p, r, node)?;
-                    let charges = subpane_charges(&self.mapped[&(0, p.0)].slices, r);
-                    let mut pane_done = SimTime::ZERO;
-                    let n = charges.len().max(1) as u64;
-                    for charge in charges {
-                        let work = ReduceWork {
-                            shuffle_bytes: charge.bytes,
-                            cache_bytes: 0,
-                            input_records: charge.records,
-                            merged_records: 0,
-                            aggregate_records: 0,
-                            output_records: charge.records,
-                            hdfs_output_bytes: 0,
-                            local_output_bytes: bytes / n,
-                        };
-                        let placement = self.charge_reduce(
-                            node,
-                            charge.ready,
-                            &work,
-                            "pane",
-                            true,
-                            metrics,
-                        );
-                        pane_done = pane_done.max(placement.end);
-                    }
-                    self.register(output_name(plan.fp, 0, p, r), node, bytes, pane_done);
-                    early_done = early_done.max(pane_done);
-                }
-            }
-        }
+        let reducer = self.reducer.clone();
+        let compute = |bucket: &mrio::ShuffleBucket, pairs, pane, partition| {
+            Self::pane_output_compute(bucket, pairs, &*reducer, pane, partition)
+        };
+        self.build_missing(rec, r, prep, ctx, &compute, &mut attempt_startup, metrics)?;
 
         // Merge every pane output (cache reads for reused panes) into the
         // window result. Cached partials are pre-grouped sorted runs, so
@@ -268,28 +113,24 @@ where
         // which case its run is flagged unsorted and we fall back).
         let mut ready = ctx.fire;
         let mut cache_bytes = 0u64;
-        let mut partial_records = 0u64;
-        let mut runs: Vec<redoop_mapred::Grouped<M::KOut, R::VOut>> =
-            Vec::with_capacity(panes.len());
-        let mut all_sorted = true;
+        let mut names: Vec<CacheName> = Vec::with_capacity(panes.len());
         for &p in panes {
             // Delta-hit panes were sealed at ingestion under the `rd/…`
             // class; everything else (fresh builds, prior-window `ro/…`
             // caches) lives under the plain output name. Both carry the
-            // same grouped-block payload.
-            let delta_hit = prep.delta_hits.contains(&p.0);
-            let name = if delta_hit {
-                super::plan::delta_name(plan.fp, 0, p, r)
+            // same framed grouped-block payload.
+            let name = if prep.delta_hits.contains(&p.0) {
+                delta_name(plan.fp, 0, p, r)
             } else {
                 output_name(plan.fp, 0, p, r)
             };
             let fresh = prep.missing_set.contains(&(0, p.0));
             if let Some(sig) = self.controller.signature(&name) {
                 // Every pane partial gates readiness: fresh builds by
-                // their build task's end, reused caches by their original
-                // registration (which can stall the merge when a previous
-                // window's processing outlasted the slide — the Fig. 8
-                // spike regime).
+                // their (last) build task's end, reused caches by their
+                // original registration (which can stall the merge when a
+                // previous window's processing outlasted the slide — the
+                // Fig. 8 spike regime).
                 ready = ready.max(sig.available_at);
                 // Batch builds just handed their output to this window's
                 // merge (their write was charged in the build task);
@@ -299,21 +140,23 @@ where
                     cache_bytes += sig.bytes;
                 }
             }
-            // Interned store name: this read runs per (pane × partition)
-            // every window — re-rendering the name each probe was pure
-            // allocation churn.
-            let store = self.interned_store(&name);
-            let data = self.cluster.get_local(node, &store)?;
-            let block: mrio::GroupedBlock<M::KOut, R::VOut> =
-                mrio::decode_grouped_block_any(&data)?;
+            names.push(name);
+        }
+        let mut partial_records = 0u64;
+        let mut runs: Vec<redoop_mapred::Grouped<M::KOut, R::VOut>> =
+            Vec::with_capacity(panes.len());
+        let mut all_sorted = true;
+        for block in self.fetch_decoded::<R::VOut>(node, &names)? {
             partial_records += block.records;
             all_sorted &= block.sorted;
             runs.push(block.grouped);
+        }
+        if r == self.conf.num_reducers - 1 {
             // A consumed delta counts as the pane's product for expiry
             // purposes — a partially-sealed pane (some partitions fell
             // back to rebuild) would otherwise never satisfy the status
             // matrix and leak its surviving `rd/…` caches.
-            if delta_hit && r == self.conf.num_reducers - 1 {
+            for &p in panes.iter().filter(|p| prep.delta_hits.contains(&p.0)) {
                 self.matrix.mark_done(&[p]);
                 self.built_panes.insert((0, p.0));
             }
@@ -357,14 +200,7 @@ where
         // attempt unless there was nothing to build.
         let merge_startup =
             attempt_startup || matches!(ctx.mode, ExecMode::Proactive);
-        let placement = self.charge_reduce(
-            node,
-            ready.max(early_done),
-            &work,
-            "merge",
-            merge_startup,
-            metrics,
-        );
+        let placement = self.charge_reduce(node, ready, &work, "merge", merge_startup, metrics);
         self.trace.emit(|| redoop_mapred::trace::TraceEvent::TaskSpan {
             phase: "merge",
             node: placement.node,

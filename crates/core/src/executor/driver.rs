@@ -9,15 +9,24 @@
 //!    their partition's finalization task — pane products must live on
 //!    the node that merges them),
 //! 2. walks the partition's build nodes once for centralized cache
-//!    hit/miss accounting and trace emission (formerly four near-
-//!    duplicate inline copies in the agg/join paths),
+//!    hit/miss accounting and trace emission,
 //! 3. runs the map stage for missing panes, and
-//! 4. hands off to the agg/join dispatcher, which charges **each build
-//!    task individually** onto the simulated timeline. Because every
-//!    build is its own reduce task with its own ready time, independent
+//! 4. hands off to the agg/join dispatcher, which calls back into the
+//!    driver's cache-build step. **Each build task is charged
+//!    individually** onto the simulated timeline: every build is its
+//!    own reduce task with its own ready time, so independent
 //!    (pane × partition) builds across all partitions overlap in
 //!    virtual time instead of serializing inside one consolidated task
 //!    per partition.
+//!
+//! Three stages exist exactly once, here, whatever the query shape:
+//! **placement** (`place`, the one Eq. 4 argmin for maps and reduces),
+//! the **cache build** (`build_missing` for pane products, in its batch
+//! and its proactive mode, over the `commit_builds` store → charge →
+//! register primitive that pair builds share) and
+//! **fetch-verify-decode** of cached runs (`fetch_decoded`). The `agg` /
+//! `join` modules own only their pure compute functions, the pair stage
+//! and the window finalization.
 //!
 //! Determinism contract: all real compute (mapping, sorting, reducing)
 //! may run on parallel host threads, but every `sim.assign` and every
@@ -29,14 +38,14 @@
 //! HDFS-available) and the post-window expiry/purge sweep live here
 //! too: they are driver concerns — bookkeeping between plan executions.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use redoop_dfs::{DfsPath, NodeId};
 use redoop_mapred::counters::names as cnames;
 use redoop_mapred::trace::{CacheAction, NodeScore, TraceEvent};
 use redoop_mapred::{
-    exec, io as mrio, JobMetrics, MapWork, Mapper, Placement, ReduceWork, Reducer, Scheduler,
-    SchedulerCtx, SimTime, TaskKind,
+    exec, io as mrio, JobMetrics, MapWork, Mapper, MrError, Placement, ReduceWork, Reducer,
+    SimTime, TaskKind, Writable,
 };
 
 use crate::adaptive::ExecMode;
@@ -67,13 +76,13 @@ pub(super) struct SliceMapInfo {
 /// Per-sub-pane aggregate of [`SliceMapInfo`]: the unit of proactive
 /// reduce pipelining (one early micro-task per *sub-pane*, not per
 /// block — a whole pane is one unit when the plan has no subdivision).
-pub(super) struct SubpaneCharge {
-    pub(super) ready: SimTime,
-    pub(super) bytes: u64,
-    pub(super) records: u64,
+struct SubpaneCharge {
+    ready: SimTime,
+    bytes: u64,
+    records: u64,
 }
 
-pub(super) fn subpane_charges(slices: &[SliceMapInfo], r: usize) -> Vec<SubpaneCharge> {
+fn subpane_charges(slices: &[SliceMapInfo], r: usize) -> Vec<SubpaneCharge> {
     let mut by_slice: std::collections::BTreeMap<usize, SubpaneCharge> =
         std::collections::BTreeMap::new();
     for si in slices {
@@ -115,7 +124,6 @@ pub(super) struct MappedPane<K, V> {
 struct SplitMapOut<K, V> {
     parts: Vec<Vec<(K, V)>>,
     work: MapWork,
-    replicas: Vec<NodeId>,
 }
 
 /// Pure real-side output of one cache build (pane output, input cache,
@@ -132,13 +140,20 @@ pub(super) struct BuiltCache {
     pub(super) blob: bytes::Bytes,
 }
 
+/// The pure compute function of one pane product — `(bucket accounting,
+/// raw pairs, pane, partition)` to the built cache — run on host worker
+/// threads: `pane_output_compute` for aggregations, `input_cache_compute`
+/// for joins.
+pub(super) type PaneCompute<'a, K, V> =
+    &'a (dyn Fn(&mrio::ShuffleBucket, Vec<(K, V)>, u64, u32) -> Result<BuiltCache> + Sync);
+
 /// Scales a rebuild's charged reduce work down to the missing frame
 /// suffix of a salvaged cache: `intact` of `total` frames survived the
 /// damaged blob's checksum audit, so the rebuild recomputes only the
 /// `(total - intact) / total` tail. The map stage and the host-side
 /// recomputation stay whole — salvage changes what the simulated reduce
 /// attempt pays, never what is produced.
-pub(super) fn scale_partial_rebuild(work: &mut ReduceWork, intact: u32, total: u32) {
+fn scale_partial_rebuild(work: &mut ReduceWork, intact: u32, total: u32) {
     if intact == 0 || total == 0 || intact >= total {
         return;
     }
@@ -161,13 +176,23 @@ pub(super) struct WindowCtx {
     pub(super) mode: ExecMode,
 }
 
-/// One partition's dispatch-time state: the Eq. 4 anchor node, which
-/// build tasks are cache misses, and per-pane map completion times.
+/// One missing pane product of a partition: the pane it covers and the
+/// cache its rebuild materializes — the name the plan node `produces`,
+/// except that a missed `FoldDelta` rebuilds the plain reduce-output
+/// cache.
+pub(super) struct MissingPane {
+    pub(super) source: u32,
+    pub(super) pane: PaneId,
+    pub(super) name: CacheName,
+}
+
+/// One partition's dispatch-time state: the Eq. 4 anchor node and which
+/// build tasks are cache misses (their panes are mapped by then).
 pub(super) struct PartitionPrep {
     /// Node every task of this partition runs on.
     pub(super) node: NodeId,
-    /// Missing pane products `(source, pane)`, in plan order.
-    pub(super) missing: Vec<(u32, PaneId)>,
+    /// Missing pane products, in plan order.
+    pub(super) missing: Vec<MissingPane>,
     /// Set twin of `missing` for O(1) membership.
     pub(super) missing_set: HashSet<(u32, u64)>,
     /// Missing pane pairs, in plan (left-major) order.
@@ -177,8 +202,6 @@ pub(super) struct PartitionPrep {
     /// Panes whose `FoldDelta` node hit a sealed delta (`rd/…`) cache on
     /// the anchor — the merge reads those under the delta name.
     pub(super) delta_hits: HashSet<u64>,
-    /// Map-stage completion per missing `(source, pane)`.
-    pub(super) map_ready: HashMap<(u32, u64), SimTime>,
 }
 
 impl<M, R> RecurringExecutor<M, R>
@@ -237,7 +260,7 @@ where
         let node =
             self.pick_reduce_node(&names, ctx.fire, &format!("w{}/{kind_label}/r{r}", plan.recurrence));
 
-        let mut missing: Vec<(u32, PaneId)> = Vec::new();
+        let mut missing: Vec<MissingPane> = Vec::new();
         let mut missing_set: HashSet<(u32, u64)> = HashSet::new();
         let mut todo_pairs: Vec<(PaneId, PaneId)> = Vec::new();
         let mut todo_set: HashSet<(u64, u64)> = HashSet::new();
@@ -249,21 +272,24 @@ where
                 | PlanTask::FoldDelta { .. } => pnode.produces[0],
                 PlanTask::MergePanes { .. } | PlanTask::FinalReduce { .. } => continue,
             };
-            // The cache the merge would read on a hit: the produced name,
-            // except a `FoldDelta` whose delta was lost can still hit the
-            // plain reduce-output cache a previous window's rebuild left.
+            // `hit_name` is the cache the merge would read on a hit and
+            // `build_name` the one a miss rebuilds: both the produced
+            // name, except for a `FoldDelta` — its lost delta can still
+            // hit the plain reduce-output cache a previous window's
+            // rebuild left, and that cache is what a miss rebuilds.
             let mut hit_name = name;
+            let mut build_name = name;
             let hit = match pnode.task {
                 PlanTask::BuildPane { .. } => self.cached_on(&name, node),
                 PlanTask::FoldDelta { source, pane, .. } => {
+                    build_name = super::plan::output_name(plan.fp, source, pane, r);
                     if self.cached_on(&name, node) {
                         delta_hits.insert(pane.0);
                         true
                     } else {
-                        let fallback = super::plan::output_name(plan.fp, source, pane, r);
-                        let fallback_hit = self.cached_on(&fallback, node);
+                        let fallback_hit = self.cached_on(&build_name, node);
                         if fallback_hit {
-                            hit_name = fallback;
+                            hit_name = build_name;
                         }
                         fallback_hit
                     }
@@ -298,7 +324,7 @@ where
                 PlanTask::BuildPane { source, pane, .. }
                 | PlanTask::FoldDelta { source, pane, .. } => {
                     if missing_set.insert((source, pane.0)) {
-                        missing.push((source, pane));
+                        missing.push(MissingPane { source, pane, name: build_name });
                     }
                 }
                 PlanTask::BuildPair { left, right, .. } => {
@@ -312,41 +338,68 @@ where
 
         // Map stage for missing panes. Membership is a set probe, not a
         // scan over the window's pane list.
-        for &(s, p) in &missing {
-            self.lists.reopen_map(MapTaskEntry { source: s, pane: p, sub: 0 });
+        for m in &missing {
+            self.lists.reopen_map(MapTaskEntry { source: m.source, pane: m.pane, sub: 0 });
         }
-        let mut map_ready: HashMap<(u32, u64), SimTime> = HashMap::new();
         while let Some(entry) = self.lists.pop_map() {
             if missing_set.contains(&(entry.source, entry.pane.0)) {
-                let t = self.ensure_pane_mapped(entry.source, entry.pane, ctx.floor, metrics)?;
-                map_ready.insert((entry.source, entry.pane.0), t);
+                self.ensure_pane_mapped(entry.source, entry.pane, ctx.floor, metrics)?;
             }
         }
-        Ok(PartitionPrep { node, missing, missing_set, todo_pairs, todo_set, delta_hits, map_ready })
+        Ok(PartitionPrep { node, missing, missing_set, todo_pairs, todo_set, delta_hits })
     }
 
     // ------------------------------------------------------------------
     // Scheduling plumbing
     // ------------------------------------------------------------------
 
-    fn alive_vec(&self) -> Vec<bool> {
-        let mut alive = vec![false; self.cluster.node_count()];
-        for id in self.cluster.alive_nodes() {
-            alive[id.index()] = true;
-        }
-        alive
+    /// The one Eq. 4 decision (paper §4.3) for a `kind` task ready at
+    /// `floor`: `argmin_i (max(Load_i, floor) + affinity(i))` over live
+    /// nodes. Loads are clamped to `floor`: a slot freeing up before the
+    /// task can start contributes no waiting time, so only *actual*
+    /// queueing competes with the affinity term.
+    ///
+    /// `favored` (sorted, distinct) are the only nodes whose affinity may
+    /// differ from the uniform price everyone else pays — cache holders
+    /// for reduces, block replicas for maps — so the argmin is taken over
+    /// them plus the load index's best uniformly-priced node instead of
+    /// scanning the cluster; the winner is provably the full scan's (see
+    /// `argmin_shortlist`). The `Placement` journal event lists exactly
+    /// the candidates compared, favored first, best other node last.
+    fn place(
+        &self,
+        kind: TaskKind,
+        favored: &[NodeId],
+        floor: SimTime,
+        label: impl FnOnce() -> String,
+        affinity: impl Fn(NodeId) -> SimTime,
+    ) -> NodeId {
+        let mut skip: Vec<usize> = favored.iter().map(|n| n.index()).collect();
+        skip.extend(self.cluster.dead_node_indexes());
+        skip.sort_unstable();
+        skip.dedup();
+        let best_other = self.sim.pick_min_clamped(kind, floor, &skip);
+        let alive = |n: NodeId| self.cluster.is_alive(n);
+        let load = |n: NodeId| self.sim.node_load(kind, n).max(floor);
+        let chosen = argmin_shortlist(favored, alive, best_other, |n| load(n) + affinity(n));
+        self.trace.emit(|| TraceEvent::Placement {
+            at: floor,
+            kind,
+            label: label(),
+            chosen,
+            scores: favored
+                .iter()
+                .chain(best_other.iter())
+                .filter(|&&n| alive(n))
+                .map(|&n| NodeScore { node: n, load: load(n), cost: affinity(n) })
+                .collect(),
+        });
+        chosen
     }
 
-    /// Picks the node for a reduce-side task ready at `floor`, per Eq. 4.
-    /// Loads are clamped to `floor`: a slot freeing up before the task
-    /// can start contributes no waiting time, so only *actual* queueing
-    /// competes with the cache-affinity term.
-    ///
-    /// Untraced runs take a candidate shortlist — the cache holders plus
-    /// the best uniformly-priced node from the load index — instead of
-    /// scanning every node's affinity; the winner is provably identical
-    /// (see `argmin_shortlist`). Traced runs keep the full scan, whose
-    /// per-node scores the `Placement` journal event records.
+    /// Picks the node for a reduce-side task ready at `floor`: Eq. 4 with
+    /// the cache-affinity term over `caches`, or — with cache-aware
+    /// scheduling off — plain Hadoop's cache-blind rotation.
     pub(super) fn pick_reduce_node(
         &mut self,
         caches: &[CacheName],
@@ -368,50 +421,15 @@ where
                 scores: Vec::new(),
             });
             node
-        } else if !self.trace.is_enabled() {
-            let cost = self.sim.cost().clone();
-            let holders = cache_holders(&self.controller, caches);
-            let mut skip: Vec<usize> = holders.iter().map(|n| n.index()).collect();
-            skip.extend(self.cluster.dead_node_indexes());
-            skip.sort_unstable();
-            skip.dedup();
-            let best_other = self.sim.pick_min_clamped(TaskKind::Reduce, floor, &skip);
-            let controller = &self.controller;
-            argmin_shortlist(
-                &holders,
-                |n| self.cluster.is_alive(n),
-                best_other,
-                |n| {
-                    self.sim.node_load(TaskKind::Reduce, n).max(floor)
-                        + cache_affinity(controller, caches, n, &cost)
-                },
-            )
         } else {
-            let loads: Vec<SimTime> =
-                self.sim.loads(TaskKind::Reduce).into_iter().map(|l| l.max(floor)).collect();
-            let alive = self.alive_vec();
-            let ctx = SchedulerCtx { loads: &loads, alive: &alive };
-            let cost = self.sim.cost().clone();
-            let controller = &self.controller;
-            let affinity = move |n: NodeId| cache_affinity(controller, caches, n, &cost);
-            let node = self.scheduler.pick_node(TaskKind::Reduce, &ctx, &affinity);
-            self.trace.emit(|| TraceEvent::Placement {
-                at: floor,
-                kind: TaskKind::Reduce,
-                label: label.to_string(),
-                chosen: node,
-                scores: loads
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| alive[i])
-                    .map(|(i, &load)| NodeScore {
-                        node: NodeId(i as u32),
-                        load,
-                        cost: affinity(NodeId(i as u32)),
-                    })
-                    .collect(),
-            });
-            node
+            let holders = cache_holders(&self.controller, caches);
+            self.place(
+                TaskKind::Reduce,
+                &holders,
+                floor,
+                || label.to_string(),
+                |n| cache_affinity(&self.controller, caches, n, self.sim.cost()),
+            )
         };
         self.win_stats.placements_total += 1;
         if caches.iter().any(|n| self.controller.location(n) == Some(node)) {
@@ -497,15 +515,15 @@ where
     /// producing its encoded shuffle buckets. `floor` is the earliest
     /// virtual time work may start (window fire time in batch mode,
     /// `ZERO` in proactive mode — slices are still gated by arrival).
-    pub(super) fn ensure_pane_mapped(
+    fn ensure_pane_mapped(
         &mut self,
         source: u32,
         pane: PaneId,
         floor: SimTime,
         metrics: &mut JobMetrics,
-    ) -> Result<SimTime> {
-        if let Some(m) = self.mapped.get(&(source, pane.0)) {
-            return Ok(m.ready);
+    ) -> Result<()> {
+        if self.mapped.contains_key(&(source, pane.0)) {
+            return Ok(());
         }
         let slices: Vec<crate::packer::PaneSlice> = self.sources[source as usize]
             .packer
@@ -520,8 +538,7 @@ where
         let mut ready = floor;
         // One map task per DFS block of each slice, like Hadoop's
         // block-aligned input splits.
-        let mut tasks: Vec<(usize, crate::packer::PaneSlice, std::ops::Range<usize>, u64)> =
-            Vec::new();
+        let mut tasks: Vec<(usize, std::ops::Range<usize>, u64)> = Vec::new();
         for (slice_idx, slice) in slices.iter().enumerate() {
             let n_tasks = ((slice.bytes as usize).div_ceil(block_size)).max(1);
             let lines = slice.lines.clone();
@@ -532,11 +549,11 @@ where
                 let end = (start + chunk).min(lines.end);
                 let frac = (end - start) as f64 / total.max(1) as f64;
                 let bytes = (slice.bytes as f64 * frac).round() as u64;
-                tasks.push((slice_idx, slice.clone(), start..end, bytes));
+                tasks.push((slice_idx, start..end, bytes));
                 start = end;
             }
             if total == 0 {
-                tasks.push((slice_idx, slice.clone(), lines, 0));
+                tasks.push((slice_idx, lines, 0));
             }
         }
         // Real execution: map every split in parallel on host threads.
@@ -558,7 +575,6 @@ where
         let slice_files: Vec<redoop_mapred::LineFile> =
             slice_files.into_iter().collect::<Result<_>>()?;
         let computed: Vec<Result<SplitMapOut<M::KOut, M::VOut>>> = {
-            let cluster = &self.cluster;
             let mapper = &*self.mapper;
             let combiner = self.combiner.as_deref();
             let partitioner = &self.partitioner;
@@ -567,7 +583,7 @@ where
                 tasks.len(),
                 redoop_mapred::MapContext::<M::KOut, M::VOut>::new,
                 |scratch, i| {
-                    let (slice_idx, slice, line_range, split_bytes) = &tasks[i];
+                    let (slice_idx, line_range, split_bytes) = &tasks[i];
                     let mut compute = || -> Result<SplitMapOut<M::KOut, M::VOut>> {
                         let file = &slice_files[*slice_idx];
                         // Partition-first: pairs are hashed once at emit time
@@ -585,13 +601,6 @@ where
                                 *b = exec::apply_combiner(std::mem::take(b), c);
                             }
                         }
-                        let replicas = cluster
-                            .namenode()
-                            .get_file(&slice.path)
-                            .map(|m| {
-                                m.blocks.first().map(|b| b.replicas.clone()).unwrap_or_default()
-                            })
-                            .unwrap_or_default();
                         // output_records/output_bytes are filled in the
                         // sequential apply loop, where the pairs are
                         // encoded once into the pane's accumulators.
@@ -601,19 +610,35 @@ where
                             output_records: 0,
                             output_bytes: 0,
                         };
-                        Ok(SplitMapOut { parts, work, replicas })
+                        Ok(SplitMapOut { parts, work })
                     };
                     Ok(compute())
                 },
             )?
         };
+        // HDFS locality favours the holders of each slice's first block:
+        // looked up once per slice, shared by all of its splits.
+        let slice_replicas: Vec<Vec<NodeId>> = slices
+            .iter()
+            .map(|slice| {
+                let mut replicas = self
+                    .cluster
+                    .namenode()
+                    .get_file(&slice.path)
+                    .ok()
+                    .and_then(|m| m.blocks.into_iter().next())
+                    .map_or_else(Vec::new, |b| b.replicas);
+                replicas.sort_unstable();
+                replicas.dedup();
+                replicas
+            })
+            .collect();
         let mut slice_infos: Vec<SliceMapInfo> = Vec::with_capacity(tasks.len());
         let mut raw: Vec<Vec<(M::KOut, M::VOut)>> =
             (0..num_reducers).map(|_| Vec::new()).collect();
-        for ((slice_idx, slice, _line_range, _split_bytes), out) in
-            tasks.iter().zip(computed)
-        {
-            let SplitMapOut { parts, mut work, replicas } = out?;
+        for ((slice_idx, ..), out) in tasks.iter().zip(computed) {
+            let SplitMapOut { parts, mut work } = out?;
+            let (slice, replicas) = (&slices[*slice_idx], &slice_replicas[*slice_idx]);
             let mut bucket_bytes = vec![0u64; num_reducers];
             let mut bucket_records = vec![0u64; num_reducers];
             for (r, part) in parts.iter().enumerate() {
@@ -628,70 +653,17 @@ where
             for (r, part) in parts.into_iter().enumerate() {
                 raw[r].extend(part);
             }
-            // Virtual: place on a map slot with HDFS locality affinity.
-            // Replicas pay nothing and everyone else pays one uniform
-            // remote-read penalty, so untraced runs shortlist the replica
-            // holders plus the load index's best other node instead of
-            // scanning the cluster (same winner; see `argmin_shortlist`).
-            let cost = self.sim.cost().clone();
+            // Virtual: place on a map slot with HDFS locality affinity —
+            // replicas pay nothing, everyone else pays one uniform
+            // remote-read penalty.
             let task_ready = floor.max(slice.ready_at);
             let bytes = work.split_bytes;
-            let node = if !self.trace.is_enabled() {
-                let mut favored = replicas.clone();
-                favored.sort_unstable();
-                favored.dedup();
-                let mut skip: Vec<usize> = favored.iter().map(|n| n.index()).collect();
-                skip.extend(self.cluster.dead_node_indexes());
-                skip.sort_unstable();
-                skip.dedup();
-                let best_other = self.sim.pick_min_clamped(TaskKind::Map, task_ready, &skip);
-                argmin_shortlist(
-                    &favored,
-                    |n| self.cluster.is_alive(n),
-                    best_other,
-                    |n| {
-                        let penalty = cost
-                            .hdfs_read(bytes, replicas.contains(&n))
-                            .saturating_sub(cost.hdfs_read(bytes, true));
-                        self.sim.node_load(TaskKind::Map, n).max(task_ready) + penalty
-                    },
-                )
-            } else {
-                let loads: Vec<SimTime> = self
-                    .sim
-                    .loads(TaskKind::Map)
-                    .into_iter()
-                    .map(|l| l.max(task_ready))
-                    .collect();
-                let alive = self.alive_vec();
-                let ctx = SchedulerCtx { loads: &loads, alive: &alive };
-                let reps = replicas.clone();
-                let node = self.scheduler.pick_node(TaskKind::Map, &ctx, &move |n| {
-                    let local = reps.contains(&n);
-                    cost.hdfs_read(bytes, local).saturating_sub(cost.hdfs_read(bytes, true))
-                });
-                self.trace.emit(|| TraceEvent::Placement {
-                    at: task_ready,
-                    kind: TaskKind::Map,
-                    label: format!("map/s{source}p{}/{slice_idx}", pane.0),
-                    chosen: node,
-                    scores: loads
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, _)| alive[i])
-                        .map(|(i, &load)| NodeScore {
-                            node: NodeId(i as u32),
-                            load,
-                            cost: self
-                                .sim
-                                .cost()
-                                .hdfs_read(bytes, replicas.contains(&NodeId(i as u32)))
-                                .saturating_sub(self.sim.cost().hdfs_read(bytes, true)),
-                        })
-                        .collect(),
-                });
-                node
-            };
+            let label = || format!("map/s{source}p{}/{slice_idx}", pane.0);
+            let node = self.place(TaskKind::Map, replicas, task_ready, label, |n| {
+                let cost = self.sim.cost();
+                cost.hdfs_read(bytes, replicas.contains(&n))
+                    .saturating_sub(cost.hdfs_read(bytes, true))
+            });
             let local = replicas.contains(&node);
             let placement = self.charge_map(node, task_ready, &work, local, metrics);
             self.trace.emit(|| TraceEvent::TaskSpan {
@@ -699,7 +671,7 @@ where
                 node: placement.node,
                 start: placement.start,
                 end: placement.end,
-                label: format!("map/s{source}p{}/{slice_idx}", pane.0),
+                label: label(),
             });
             self.win_stats.placements_total += 1;
             if local {
@@ -718,7 +690,214 @@ where
             (source, pane.0),
             MappedPane { ready, buckets, slices: slice_infos, raw },
         );
-        Ok(ready)
+        Ok(())
+    }
+
+    // ------------------------------------------------------------------
+    // Cache build
+    // ------------------------------------------------------------------
+
+    /// The cache-build step for partition `r`'s missing pane products.
+    /// Every pane's shuffle bucket and raw pairs go through `compute` on
+    /// parallel host threads, and every result is checked before the
+    /// first one is stored — a failed compute leaves no partial state.
+    /// The builds are then committed in plan order.
+    ///
+    /// In batch mode each build is **its own reduce task**, ready at
+    /// fire ∨ its map completion. One reduce attempt per partition works
+    /// through its build queue sequentially (the paper's
+    /// one-reduce-task-per-partition model), so builds chain within the
+    /// partition — the first charged item pays the task start-up
+    /// (`attempt_startup`) — and overlap happens across partitions, whose
+    /// chains run on their own anchors/slots. Proactive mode pipelines:
+    /// one small reduce task per sub-pane, ready as soon as that
+    /// sub-pane's map output exists, so only the final sub-pane's work
+    /// lands after the window closes.
+    ///
+    /// Returns when each product became available, in plan order.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn build_missing(
+        &mut self,
+        rec: u64,
+        r: usize,
+        prep: &PartitionPrep,
+        ctx: WindowCtx,
+        compute: PaneCompute<'_, M::KOut, M::VOut>,
+        attempt_startup: &mut bool,
+        metrics: &mut JobMetrics,
+    ) -> Result<Vec<SimTime>> {
+        let computed: Vec<Result<BuiltCache>> = {
+            let mapped = &self.mapped;
+            exec::parallel_map(prep.missing.len(), |i| {
+                let m = &prep.missing[i];
+                let mp = mapped.get(&(m.source, m.pane.0)).expect("pane mapped before build");
+                let raw = mp.raw[r].lock().expect("raw pairs lock").clone();
+                Ok(compute(&mp.buckets[r], raw, m.pane.0, r as u32))
+            })?
+        };
+        let computed: Vec<BuiltCache> = computed.into_iter().collect::<Result<_>>()?;
+        let mut done: Vec<SimTime> = Vec::with_capacity(computed.len());
+        for (m, built) in prep.missing.iter().zip(computed) {
+            let mp = &self.mapped[&(m.source, m.pane.0)];
+            let bytes = built.cache_text_bytes;
+            let end = match ctx.mode {
+                ExecMode::Batch => {
+                    // A salvage verdict from the last audit means this
+                    // pane's lost cache still holds `intact` checksummed
+                    // frames on disk: the §5 rollback classifies it as
+                    // partially recoverable and this rebuild pays only
+                    // the missing frame suffix.
+                    let salvage = self.controller.salvaged(&m.name);
+                    let prev_end = done.last().copied().unwrap_or(SimTime::ZERO);
+                    let ready = ctx.fire.max(prev_end).max(mp.ready);
+                    // The fresh-pane share of the partition's work:
+                    // shuffle, reduce input and the cache write.
+                    // `output_records` stays 0 — pane partials count as
+                    // aggregate records at the merge, join output is
+                    // charged by the pair tasks.
+                    let mut work = ReduceWork {
+                        shuffle_bytes: built.shuffle_text_bytes,
+                        input_records: built.input_records,
+                        local_output_bytes: bytes,
+                        ..Default::default()
+                    };
+                    if let Some((intact, total)) = salvage {
+                        scale_partial_rebuild(&mut work, intact, total);
+                    }
+                    let label = match m.name.object {
+                        CacheObject::PaneInput { .. } => {
+                            format!("build/w{rec}/s{}p{}/r{r}", m.source, m.pane.0)
+                        }
+                        _ => format!("build/w{rec}/p{}/r{r}", m.pane.0),
+                    };
+                    let end = self.commit_builds(
+                        prep.node,
+                        &[(m.name, built)],
+                        &[(ready, work)],
+                        &label,
+                        *attempt_startup,
+                        metrics,
+                    )?;
+                    *attempt_startup = false;
+                    if salvage.is_some_and(|(i, t)| i > 0 && i < t) {
+                        self.trace.emit(|| TraceEvent::Cache {
+                            at: end,
+                            action: CacheAction::PartialRebuild,
+                            name: m.name.store_name(),
+                            node: Some(prep.node),
+                            bytes,
+                        });
+                    }
+                    end
+                }
+                ExecMode::Proactive => {
+                    let subpanes = subpane_charges(&mp.slices, r);
+                    let n = subpanes.len().max(1) as u64;
+                    let charges: Vec<(SimTime, ReduceWork)> = subpanes
+                        .into_iter()
+                        .map(|c| {
+                            let work = ReduceWork {
+                                shuffle_bytes: c.bytes,
+                                input_records: c.records,
+                                output_records: c.records,
+                                local_output_bytes: bytes / n,
+                                ..Default::default()
+                            };
+                            (c.ready, work)
+                        })
+                        .collect();
+                    self.commit_builds(
+                        prep.node,
+                        &[(m.name, built)],
+                        &charges,
+                        "pane",
+                        true,
+                        metrics,
+                    )?
+                }
+            };
+            done.push(end);
+        }
+        Ok(done)
+    }
+
+    /// The store → charge → register primitive every fire-time cache
+    /// build goes through: writes each cache of `group` to `node`'s local
+    /// store and records it as built (the `CacheObject` selects the
+    /// bookkeeping), charges `charges` as reduce work on `node` in order,
+    /// then registers every cache as available from the end of the last
+    /// charge, which is returned. A batch build is one cache and one
+    /// charge; a proactive pane build one cache and a charge per
+    /// sub-pane; a proactive pair group several caches and one charge.
+    pub(super) fn commit_builds(
+        &mut self,
+        node: NodeId,
+        group: &[(CacheName, BuiltCache)],
+        charges: &[(SimTime, ReduceWork)],
+        label: &str,
+        startup: bool,
+        metrics: &mut JobMetrics,
+    ) -> Result<SimTime> {
+        for (name, built) in group {
+            self.cluster.put_local(node, name.store_name(), built.blob.clone())?;
+            match name.object {
+                CacheObject::PaneOutput { source, pane } => {
+                    if name.partition == self.conf.num_reducers - 1 {
+                        self.matrix.mark_done(&[pane]);
+                    }
+                    self.built_panes.insert((source, pane.0));
+                }
+                CacheObject::PaneInput { source, pane, .. } => {
+                    self.built_panes.insert((source, pane.0));
+                }
+                CacheObject::PairOutput { left, right } => {
+                    self.matrix.mark_done(&[left, right]);
+                    self.built_pairs.insert((left.0, right.0));
+                }
+                CacheObject::PaneDelta { .. } => {
+                    unreachable!("delta caches are sealed at ingestion, never built at fire time")
+                }
+            }
+            self.window_built += 1;
+        }
+        let mut done = SimTime::ZERO;
+        for (ready, work) in charges {
+            done = done.max(self.charge_reduce(node, *ready, work, label, startup, metrics).end);
+        }
+        for (name, built) in group {
+            self.register(*name, node, built.cache_text_bytes, done);
+        }
+        Ok(done)
+    }
+
+    // ------------------------------------------------------------------
+    // Cache fetch
+    // ------------------------------------------------------------------
+
+    /// Fetches `names` from `node`'s local store and strictly decodes
+    /// each framed run (every frame checksum verified) — once per name,
+    /// in parallel on host threads, results in `names` order. All of them
+    /// decode or the whole stage fails with a codec error naming the
+    /// damaged cache and its node; no executor state is touched either
+    /// way (the store names interned here are a host-side memo).
+    pub(super) fn fetch_decoded<V: Writable + Send>(
+        &mut self,
+        node: NodeId,
+        names: &[CacheName],
+    ) -> Result<Vec<mrio::GroupedBlock<M::KOut, V>>> {
+        let stores: Vec<std::sync::Arc<str>> =
+            names.iter().map(|n| self.interned_store(n)).collect();
+        let cluster = &self.cluster;
+        let decoded: Vec<Result<mrio::GroupedBlock<M::KOut, V>>> =
+            exec::parallel_map(stores.len(), |i| {
+                let store = &stores[i];
+                Ok(cluster.get_local(node, store).map_err(RedoopError::from).and_then(|blob| {
+                    mrio::decode_framed_grouped_block(&blob).map_err(|e| {
+                        MrError::Codec(format!("cache {store} on {node:?}: {e}")).into()
+                    })
+                }))
+            })?;
+        decoded.into_iter().collect()
     }
 
     // ------------------------------------------------------------------

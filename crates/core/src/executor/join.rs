@@ -1,18 +1,21 @@
-//! Binary-join tasks: reduce-input cache builds, pane-pair joins, and
-//! the window concatenation (the plan's `BuildPane` / `BuildPair` /
-//! `FinalReduce` nodes).
+//! Binary-join tasks: the pure reduce-input and pane-pair computes, the
+//! pair stage, and the window concatenation (the plan's `BuildPane` /
+//! `BuildPair` / `FinalReduce` nodes).
 //!
-//! In batch mode every missing input cache and every outstanding pane
-//! pair is **its own reduce task**: input builds are gated on their
-//! pane's map completion, pair joins on both inputs' `available_at`, so
-//! independent builds across partitions overlap on the simulated
-//! timeline. An old (reused) input participating in new pairs is
-//! charged as a cache read exactly once — in the first pair task that
-//! streams it — keeping the charged bytes linear in the inputs, as in
-//! the paper's incremental processing ("reducers only need to process
-//! the incremental inputs", §6.2.2). The host side follows the same
-//! rule: a partition-window fetches and strictly decodes each distinct
-//! input run its outstanding pairs touch exactly once, into one
+//! Building the missing reduce-input caches is the driver's cache-build
+//! step (`build_missing`, in batch or proactive mode), parameterised
+//! here only by `input_cache_compute`; every pair output
+//! goes through the same `commit_builds` primitive with its own
+//! `ReduceWork`. In batch mode every outstanding pane pair is **its own
+//! reduce task**, gated on both inputs' `available_at`, so independent
+//! builds across partitions overlap on the simulated timeline. An old
+//! (reused) input participating in new pairs is charged as a cache read
+//! exactly once — in the first pair task that streams it — keeping the
+//! charged bytes linear in the inputs, as in the paper's incremental
+//! processing ("reducers only need to process the incremental inputs",
+//! §6.2.2). The host side follows the same rule: a partition-window
+//! fetches and strictly decodes each distinct input run its outstanding
+//! pairs touch exactly once (the driver's `fetch_decoded`), into one
 //! decoded-inputs table every pair then borrows from — and does so
 //! before any pair output is stored, so a torn input surfaces as a typed
 //! error with no partial pair state behind it. Proactive mode keeps the
@@ -27,15 +30,14 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 
 use bytes::Bytes;
 use redoop_dfs::{DfsPath, NodeId};
-use redoop_mapred::{
-    exec, io as mrio, JobMetrics, Mapper, MrError, ReduceWork, Reducer, SimTime,
-};
+use redoop_mapred::{exec, io as mrio, JobMetrics, Mapper, ReduceWork, Reducer, SimTime};
 
 use crate::adaptive::ExecMode;
-use crate::error::{RedoopError, Result};
+use crate::cache::CacheName;
+use crate::error::Result;
 use crate::pane::PaneId;
 
-use super::driver::{subpane_charges, BuiltCache, PartitionPrep, WindowCtx};
+use super::driver::{BuiltCache, PartitionPrep, WindowCtx};
 use super::plan::{input_name, pair_name, WindowPlan};
 use super::RecurringExecutor;
 
@@ -74,13 +76,11 @@ where
         })
     }
 
-    /// Fetches and strictly decodes (every frame checksum verified) each
-    /// distinct reduce-input run the pairs in `pairs` touch — once per
-    /// run, in parallel, in first-touch order. All of them decode or the
-    /// whole stage fails with a codec error naming the damaged cache; no
-    /// executor state is touched either way.
+    /// The decoded-inputs table of one partition-window: each distinct
+    /// reduce-input run the pairs in `pairs` touch, fetched and strictly
+    /// decoded once, in first-touch order.
     fn decode_pair_inputs(
-        &self,
+        &mut self,
         node: NodeId,
         r: usize,
         pairs: &[(PaneId, PaneId)],
@@ -95,23 +95,10 @@ where
                 }
             }
         }
-        let decoded: Vec<Result<mrio::GroupedBlock<M::KOut, M::VOut>>> = {
-            let cluster = &self.cluster;
-            exec::parallel_map(wanted.len(), |i| {
-                let (s, pane) = wanted[i];
-                let name = input_name(0, s, pane, r).store_name();
-                Ok(cluster.get_local(node, &name).map_err(RedoopError::from).and_then(|blob| {
-                    mrio::decode_grouped_block_any(&blob).map_err(|e| {
-                        MrError::Codec(format!("input cache {name} on {node:?}: {e}")).into()
-                    })
-                }))
-            })?
-        };
-        let mut inputs = DecodedInputs::with_capacity(wanted.len());
-        for ((s, pane), block) in wanted.into_iter().zip(decoded) {
-            inputs.insert((s, pane.0), block?);
-        }
-        Ok(inputs)
+        let names: Vec<CacheName> =
+            wanted.iter().map(|&(s, pane)| input_name(0, s, pane, r)).collect();
+        let decoded = self.fetch_decoded::<M::VOut>(node, &names)?;
+        Ok(wanted.into_iter().map(|(s, pane)| (s, pane.0)).zip(decoded).collect())
     }
 
     /// Pure compute of a pane-pair join over two decoded input runs:
@@ -142,60 +129,6 @@ where
         }
     }
 
-    /// Stores a computed reduce-input cache on `node` and records the
-    /// build, real side only.
-    fn apply_input_cache(
-        &mut self,
-        source: u32,
-        pane: PaneId,
-        r: usize,
-        node: NodeId,
-        built: &BuiltCache,
-    ) -> Result<()> {
-        let name = input_name(0, source, pane, r);
-        self.cluster.put_local(node, name.store_name(), built.blob.clone())?;
-        self.built_panes.insert((source, pane.0));
-        self.window_built += 1;
-        Ok(())
-    }
-
-    /// Stores a computed pair-output cache on `node` and records the
-    /// build, real side only.
-    fn apply_pair_output(
-        &mut self,
-        left: PaneId,
-        right: PaneId,
-        r: usize,
-        node: NodeId,
-        built: &BuiltCache,
-    ) -> Result<()> {
-        let name = pair_name(0, left, right, r);
-        self.cluster.put_local(node, name.store_name(), built.blob.clone())?;
-        self.matrix.mark_done(&[left, right]);
-        self.built_pairs.insert((left.0, right.0));
-        self.window_built += 1;
-        Ok(())
-    }
-
-    /// Compute + apply of one reduce-input cache (proactive mode builds
-    /// panes one at a time as their data arrives). Returns
-    /// `(input_records, shuffle_bytes, cache_text_bytes)`.
-    fn build_input_cache_real(
-        &mut self,
-        source: u32,
-        pane: PaneId,
-        r: usize,
-        node: NodeId,
-    ) -> Result<(u64, u64, u64)> {
-        let built = {
-            let m = self.mapped.get(&(source, pane.0)).expect("pane mapped before build");
-            let raw = m.raw[r].lock().expect("raw pairs lock").clone();
-            Self::input_cache_compute(&m.buckets[r], raw, pane.0, r as u32)?
-        };
-        self.apply_input_cache(source, pane, r, node, &built)?;
-        Ok((built.input_records, built.shuffle_text_bytes, built.cache_text_bytes))
-    }
-
     /// One join window, one partition: build missing input caches and
     /// outstanding pane pairs (each its own charged reduce task in batch
     /// mode), then concatenate all in-window pair outputs into the final
@@ -211,7 +144,6 @@ where
         let rec = plan.recurrence;
         let panes = &plan.panes;
         let node = prep.node;
-        let mut early_done = SimTime::ZERO;
         // Cache reads the final task still owes for old inputs (proactive
         // mode charges them at the concat, as before the split).
         let mut concat_old_input_reads = 0u64;
@@ -219,75 +151,18 @@ where
         // first charged item (input build, pair, or concat) pays the task
         // start-up, follow-on items run back-to-back in the same attempt.
         let mut attempt_startup = true;
+        let compute = &Self::input_cache_compute;
         match ctx.mode {
             ExecMode::Batch => {
-                // Sort the missing panes' buckets into input caches, in
-                // parallel; apply + charge sequentially in plan order.
-                let computed: Vec<Result<BuiltCache>> = {
-                    let mapped = &self.mapped;
-                    exec::parallel_map(prep.missing.len(), |i| {
-                        let (s, p) = prep.missing[i];
-                        let m =
-                            mapped.get(&(s, p.0)).expect("pane mapped before build");
-                        let raw = m.raw[r].lock().expect("raw pairs lock").clone();
-                        Ok(Self::input_cache_compute(&m.buckets[r], raw, p.0, r as u32))
-                    })?
-                };
                 // One reduce attempt per partition works through its
                 // build queue (inputs, then pairs) sequentially — the
                 // paper's one-reduce-task-per-partition model. Overlap
                 // happens across partitions on their own anchors/slots.
-                let mut prev_end = SimTime::ZERO;
-                for (&(s, p), built) in prep.missing.iter().zip(computed) {
-                    let built = built?;
-                    self.apply_input_cache(s, p, r, node, &built)?;
-                    let name = input_name(0, s, p, r);
-                    // A salvage verdict means most of the lost input
-                    // cache's frames survive on disk: this rebuild pays
-                    // only the missing suffix (§5 partial recovery).
-                    let salvage = self.controller.salvaged(&name);
-                    let ready = ctx
-                        .fire
-                        .max(prev_end)
-                        .max(prep.map_ready.get(&(s, p.0)).copied().unwrap_or(ctx.floor));
-                    // Field-for-field the fresh-input share of the old
-                    // combined window task (shuffle, reduce input, cache
-                    // write; output_records stays 0 — join output is
-                    // charged by the pair tasks), now its own task.
-                    let mut work = ReduceWork {
-                        shuffle_bytes: built.shuffle_text_bytes,
-                        cache_bytes: 0,
-                        input_records: built.input_records,
-                        merged_records: 0,
-                        aggregate_records: 0,
-                        output_records: 0,
-                        hdfs_output_bytes: 0,
-                        local_output_bytes: built.cache_text_bytes,
-                    };
-                    if let Some((intact, total)) = salvage {
-                        super::driver::scale_partial_rebuild(&mut work, intact, total);
-                    }
-                    let placement = self.charge_reduce(
-                        node,
-                        ready,
-                        &work,
-                        &format!("build/w{rec}/s{s}p{}/r{r}", p.0),
-                        attempt_startup,
-                        metrics,
-                    );
-                    attempt_startup = false;
-                    self.register(name, node, built.cache_text_bytes, placement.end);
-                    if salvage.is_some_and(|(i, t)| i > 0 && i < t) {
-                        self.trace.emit(|| redoop_mapred::trace::TraceEvent::Cache {
-                            at: placement.end,
-                            action: redoop_mapred::trace::CacheAction::PartialRebuild,
-                            name: name.store_name(),
-                            node: Some(node),
-                            bytes: built.cache_text_bytes,
-                        });
-                    }
-                    prev_end = placement.end;
-                }
+                let mut prev_end = self
+                    .build_missing(rec, r, prep, ctx, compute, &mut attempt_startup, metrics)?
+                    .last()
+                    .copied()
+                    .unwrap_or(SimTime::ZERO);
                 // Every input cache this window needs is now on `node`:
                 // decode each once, join the outstanding pane pairs over
                 // the decoded runs in parallel, charge each pair as its
@@ -307,7 +182,6 @@ where
                 };
                 let mut old_seen: HashSet<(u32, u64)> = HashSet::new();
                 for (&(p, q), built) in prep.todo_pairs.iter().zip(computed) {
-                    self.apply_pair_output(p, q, r, node, &built)?;
                     let mut ready = ctx.fire.max(prev_end);
                     let mut cache_bytes = 0u64;
                     for (s, pane) in [(0u32, p), (1u32, q)] {
@@ -325,26 +199,20 @@ where
                         }
                     }
                     let work = ReduceWork {
-                        shuffle_bytes: 0,
                         cache_bytes,
-                        input_records: 0,
-                        merged_records: 0,
-                        aggregate_records: 0,
                         output_records: built.output_records,
-                        hdfs_output_bytes: 0,
                         local_output_bytes: built.cache_text_bytes,
+                        ..Default::default()
                     };
-                    let placement = self.charge_reduce(
+                    prev_end = self.commit_builds(
                         node,
-                        ready,
-                        &work,
+                        &[(pair_name(0, p, q, r), built)],
+                        &[(ready, work)],
                         &format!("build/w{rec}/p{}x{}/r{r}", p.0, q.0),
                         attempt_startup,
                         metrics,
-                    );
+                    )?;
                     attempt_startup = false;
-                    self.register(pair_name(0, p, q, r), node, built.cache_text_bytes, placement.end);
-                    prev_end = placement.end;
                 }
             }
             ExecMode::Proactive => {
@@ -383,34 +251,10 @@ where
                 }
                 // Build each missing input as its sub-panes arrive
                 // (pipelined per map split).
-                for &(s, p) in &prep.missing {
-                    let (_recs, _shuffled, bytes) = self.build_input_cache_real(s, p, r, node)?;
-                    let charges = subpane_charges(&self.mapped[&(s, p.0)].slices, r);
-                    let mut pane_done = SimTime::ZERO;
-                    let n = charges.len().max(1) as u64;
-                    for charge in charges {
-                        let work = ReduceWork {
-                            shuffle_bytes: charge.bytes,
-                            cache_bytes: 0,
-                            input_records: charge.records,
-                            merged_records: 0,
-                            aggregate_records: 0,
-                            output_records: charge.records,
-                            hdfs_output_bytes: 0,
-                            local_output_bytes: bytes / n,
-                        };
-                        let placement = self.charge_reduce(
-                            node,
-                            charge.ready,
-                            &work,
-                            "pane",
-                            true,
-                            metrics,
-                        );
-                        pane_done = pane_done.max(placement.end);
-                    }
-                    self.register(input_name(0, s, p, r), node, bytes, pane_done);
-                    input_avail.insert((s, p.0), pane_done);
+                let built_at =
+                    self.build_missing(rec, r, prep, ctx, compute, &mut attempt_startup, metrics)?;
+                for (m, done) in prep.missing.iter().zip(built_at) {
+                    input_avail.insert((m.source, m.pane.0), done);
                 }
                 // Join pairs as soon as both inputs exist, grouped by the
                 // later-available input — over the same decoded-inputs
@@ -425,37 +269,30 @@ where
                 let mut keys: Vec<u64> = pair_groups.keys().copied().collect();
                 keys.sort_unstable();
                 for key in keys {
-                    let pairs = pair_groups[&key].clone();
-                    let mut outs = 0u64;
-                    let mut group_local_out = 0u64;
-                    let mut built: Vec<(crate::cache::CacheName, u64)> = Vec::new();
-                    for &(p, q) in &pairs {
-                        let pair = Self::pair_output_compute(
-                            &inputs[&(0, p.0)],
-                            &inputs[&(1, q.0)],
-                            &*self.reducer,
-                        );
-                        self.apply_pair_output(p, q, r, node, &pair)?;
-                        group_local_out += pair.cache_text_bytes;
-                        outs += pair.output_records;
-                        built.push((pair_name(0, p, q, r), pair.cache_text_bytes));
-                    }
+                    let built: Vec<(CacheName, BuiltCache)> = pair_groups[&key]
+                        .iter()
+                        .map(|&(p, q)| {
+                            let pair = Self::pair_output_compute(
+                                &inputs[&(0, p.0)],
+                                &inputs[&(1, q.0)],
+                                &*self.reducer,
+                            );
+                            (pair_name(0, p, q, r), pair)
+                        })
+                        .collect();
                     let work = ReduceWork {
-                        shuffle_bytes: 0,
-                        cache_bytes: 0,
-                        input_records: 0,
-                        merged_records: 0,
-                        aggregate_records: 0,
-                        output_records: outs,
-                        hdfs_output_bytes: 0,
-                        local_output_bytes: group_local_out,
+                        output_records: built.iter().map(|(_, b)| b.output_records).sum(),
+                        local_output_bytes: built.iter().map(|(_, b)| b.cache_text_bytes).sum(),
+                        ..Default::default()
                     };
-                    let placement =
-                        self.charge_reduce(node, SimTime(key), &work, "join", true, metrics);
-                    for (name, bytes) in built {
-                        self.register(name, node, bytes, placement.end);
-                    }
-                    early_done = early_done.max(placement.end);
+                    self.commit_builds(
+                        node,
+                        &built,
+                        &[(SimTime(key), work)],
+                        "join",
+                        true,
+                        metrics,
+                    )?;
                 }
             }
         }
@@ -499,15 +336,8 @@ where
             local_output_bytes: 0,
         };
         self.cluster.create(&path, Bytes::from(out))?;
-        let placement =
-            self.charge_reduce(
-                node,
-                ready.max(early_done),
-                &work,
-                "merge",
-                attempt_startup || matches!(ctx.mode, ExecMode::Proactive),
-                metrics,
-            );
+        let merge_startup = attempt_startup || matches!(ctx.mode, ExecMode::Proactive);
+        let placement = self.charge_reduce(node, ready, &work, "merge", merge_startup, metrics);
         self.trace.emit(|| redoop_mapred::trace::TraceEvent::TaskSpan {
             phase: "merge",
             node: placement.node,

@@ -17,28 +17,11 @@
 use std::collections::{HashSet, VecDeque};
 
 use redoop_dfs::NodeId;
-use redoop_mapred::{CostModel, Scheduler, SchedulerCtx, SimTime, TaskKind};
+use redoop_mapred::{CostModel, SimTime};
 
 use crate::cache::controller::CacheController;
 use crate::cache::CacheName;
 use crate::pane::PaneId;
-
-/// Eq. 4 as a [`redoop_mapred::Scheduler`]: honours the affinity signal
-/// for both maps and reduces (unlike plain Hadoop, which ignores it for
-/// reduces).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CacheAwareScheduler;
-
-impl Scheduler for CacheAwareScheduler {
-    fn pick_node(
-        &self,
-        _kind: TaskKind,
-        ctx: &SchedulerCtx<'_>,
-        affinity: &dyn Fn(NodeId) -> SimTime,
-    ) -> NodeId {
-        ctx.argmin(affinity)
-    }
-}
 
 /// Computes `C_task,i` for a task needing `caches`: zero-ish for caches
 /// resident on `node` (a local-disk read), and the estimated rebuild
@@ -276,6 +259,7 @@ impl TaskLists {
 mod tests {
     use super::*;
     use crate::cache::CacheObject;
+    use redoop_mapred::SchedulerCtx;
 
     fn name(p: u64) -> CacheName {
         CacheName::new(CacheObject::PaneInput { source: 0, pane: PaneId(p), sub: 0 }, 0)
@@ -354,13 +338,13 @@ mod tests {
         let loads = [heavy, SimTime::ZERO];
         let alive = [true, true];
         let ctx = SchedulerCtx { loads: &loads, alive: &alive };
-        let picked = CacheAwareScheduler.pick_node(TaskKind::Reduce, &ctx, &affinity);
+        let picked = ctx.argmin(&affinity);
         assert_eq!(picked, NodeId(1), "overloaded cache holder must be bypassed");
 
         // With balanced load, the cache holder wins.
         let loads = [SimTime::ZERO, SimTime::ZERO];
         let ctx = SchedulerCtx { loads: &loads, alive: &alive };
-        let picked = CacheAwareScheduler.pick_node(TaskKind::Reduce, &ctx, &affinity);
+        let picked = ctx.argmin(&affinity);
         assert_eq!(picked, NodeId(0));
     }
 
@@ -388,7 +372,7 @@ mod tests {
         let loads = [SimTime::ZERO; 4];
         let alive = [true; 4];
         let ctx = SchedulerCtx { loads: &loads, alive: &alive };
-        let picked = CacheAwareScheduler.pick_node(TaskKind::Reduce, &ctx, &affinity);
+        let picked = ctx.argmin(&affinity);
         assert_eq!(picked, NodeId(3), "placement must anchor on the cross-query holder");
     }
 
@@ -500,7 +484,7 @@ mod tests {
         let loads = [holder_load, SimTime::ZERO];
         let alive = [true, true];
         let ctx = SchedulerCtx { loads: &loads, alive: &alive };
-        let picked = CacheAwareScheduler.pick_node(TaskKind::Reduce, &ctx, &affinity);
+        let picked = ctx.argmin(&affinity);
         assert_eq!(picked, NodeId(0), "corrected cost keeps the task on the cache holder");
     }
 

@@ -229,9 +229,10 @@ pub fn decode_kv_block<K: Writable, V: Writable>(text: &str) -> Result<Vec<(K, V
 //
 //  * **flat streams** (shuffle buckets): back-to-back `write_bin` records
 //    with no header, so buckets from different map tasks concatenate.
-//  * **grouped blocks** (cached sorted runs): framed, pre-grouped
-//    `(key, [values])` entries plus a sorted flag, so incremental merges
-//    consume runs directly without re-sorting or re-parsing.
+//  * **grouped blocks** (cached sorted runs): pre-grouped
+//    `(key, [values])` entries plus a sorted flag, stored as a sequence
+//    of checksummed frames, so incremental merges consume runs directly
+//    without re-sorting or re-parsing.
 //
 // The simulated cost model keeps charging **text-equivalent** bytes (see
 // [`Writable::text_len`]); the binary layout changes host time only.
@@ -337,9 +338,6 @@ impl ShuffleBucket {
     }
 }
 
-/// Magic + version prefix of a grouped binary block.
-const GROUPED_MAGIC: &[u8; 4] = b"RGB1";
-
 /// A decoded grouped block: a run-length [`Grouped`] run plus the
 /// bookkeeping the cost model and cache registry need.
 #[derive(Debug, Clone, PartialEq)]
@@ -355,29 +353,8 @@ pub struct GroupedBlock<K, V> {
     pub text_bytes: u64,
 }
 
-/// Encodes a grouped run as a single legacy grouped block. The byte
-/// layout is unchanged from the nested-vector era: per-group key, value
-/// count, values — the run-length representation is a host-memory
-/// layout only. New cache writes use the crash-safe framed layout
-/// ([`encode_framed_grouped_block`]); this single-block form remains
-/// both the legacy on-disk format and each frame's payload body.
-pub fn encode_grouped_block<K: Writable + Ord, V: Writable>(groups: &Grouped<K, V>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(groups.group_count() * 24 + 16);
-    out.extend_from_slice(GROUPED_MAGIC);
-    encode_grouped_body(
-        &mut out,
-        groups.is_strictly_sorted(),
-        groups.records(),
-        groups.text_bytes(),
-        groups.group_count(),
-        groups.iter(),
-    );
-    out
-}
-
-/// The grouped-block body shared by the legacy single-block layout and
-/// each frame payload of the framed layout: sorted flag, record /
-/// text-byte / group counts, then per-group key + value list.
+/// The grouped-block body each frame payload carries: sorted flag,
+/// record / text-byte / group counts, then per-group key + value list.
 fn encode_grouped_body<'g, K: Writable + 'g, V: Writable + 'g>(
     out: &mut Vec<u8>,
     sorted: bool,
@@ -399,18 +376,9 @@ fn encode_grouped_body<'g, K: Writable + 'g, V: Writable + 'g>(
     }
 }
 
-/// Decodes a legacy grouped block straight into the run-length form:
-/// one values vector sized from the record count, no per-group
-/// allocation.
-pub fn decode_grouped_block<K: Writable, V: Writable>(buf: &[u8]) -> Result<GroupedBlock<K, V>> {
-    let rest = buf
-        .strip_prefix(&GROUPED_MAGIC[..])
-        .ok_or_else(|| MrError::Codec("not a grouped block (bad magic)".into()))?;
-    decode_grouped_body(rest)
-}
-
-/// Decodes one grouped-block body (everything after the magic / frame
-/// header) strictly to the end of `buf`.
+/// Decodes one grouped-block body (a frame's payload) strictly to the
+/// end of `buf`, straight into the run-length form: one values vector
+/// sized from the record count, no per-group allocation.
 fn decode_grouped_body<K: Writable, V: Writable>(buf: &[u8]) -> Result<GroupedBlock<K, V>> {
     let (&sorted_byte, mut rest) = buf
         .split_first()
@@ -545,18 +513,6 @@ pub fn decode_framed_grouped_block<K: Writable, V: Writable>(
     Ok(block)
 }
 
-/// Decodes a cache blob in either layout: crash-safe framed blocks
-/// (frame-marker prefix) or legacy unframed grouped blocks (`RGB1`
-/// prefix) — caches written before the framed format still decode
-/// bit-identically.
-pub fn decode_grouped_block_any<K: Writable, V: Writable>(buf: &[u8]) -> Result<GroupedBlock<K, V>> {
-    if buf.starts_with(&crate::frame::FRAME_MARKER) {
-        decode_framed_grouped_block(buf)
-    } else {
-        decode_grouped_block(buf)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -639,8 +595,8 @@ mod tests {
             ("c".to_string(), 6),
         ];
         let groups = crate::grouped::sort_group(flat.clone());
-        let buf = encode_grouped_block(&groups);
-        let block: GroupedBlock<String, u64> = decode_grouped_block(&buf).unwrap();
+        let buf = encode_framed_grouped_block(&groups, 0, 0);
+        let block: GroupedBlock<String, u64> = decode_framed_grouped_block(&buf).unwrap();
         assert_eq!(block.grouped, groups);
         assert!(block.sorted);
         assert_eq!(block.records, 6);
@@ -655,18 +611,21 @@ mod tests {
             ("a".to_string(), 2),
         ]);
         let block: GroupedBlock<String, u64> =
-            decode_grouped_block(&encode_grouped_block(&groups)).unwrap();
+            decode_framed_grouped_block(&encode_framed_grouped_block(&groups, 0, 0)).unwrap();
         assert!(!block.sorted);
         assert_eq!(block.grouped, groups);
     }
 
     #[test]
     fn grouped_block_rejects_bad_magic_and_trailing_bytes() {
-        assert!(decode_grouped_block::<String, u64>(b"nope").is_err());
-        let mut buf =
-            encode_grouped_block(&crate::grouped::sort_group(vec![("a".to_string(), 1u64)]));
+        assert!(decode_framed_grouped_block::<String, u64>(b"nope").is_err());
+        let mut buf = encode_framed_grouped_block(
+            &crate::grouped::sort_group(vec![("a".to_string(), 1u64)]),
+            0,
+            0,
+        );
         buf.push(0);
-        assert!(decode_grouped_block::<String, u64>(&buf).is_err());
+        assert!(decode_framed_grouped_block::<String, u64>(&buf).is_err());
     }
 
     #[test]
@@ -687,27 +646,33 @@ mod tests {
         assert_eq!(ok.invalid_sequences(), 0);
     }
 
+    /// One intact frame around `body`: the checksum holds, so the body
+    /// decoder is the only thing standing between these bytes and a
+    /// `GroupedBlock`.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        crate::frame::write_frame(&mut buf, 0, 0, 0, 1, body);
+        buf
+    }
+
     #[test]
     fn corrupt_grouped_header_cannot_force_huge_allocation() {
-        // A hand-built block whose header claims u64::MAX records and
+        // A hand-built body whose header claims u64::MAX records and
         // groups but carries no group bytes: must error, not reserve.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(GROUPED_MAGIC);
-        buf.push(1);
-        crate::writable::write_varint(&mut buf, u64::MAX); // records
-        crate::writable::write_varint(&mut buf, 0); // text_bytes
-        crate::writable::write_varint(&mut buf, u64::MAX); // group_count
-        assert!(decode_grouped_block::<String, u64>(&buf).is_err());
+        let mut body = vec![1];
+        crate::writable::write_varint(&mut body, u64::MAX); // records
+        crate::writable::write_varint(&mut body, 0); // text_bytes
+        crate::writable::write_varint(&mut body, u64::MAX); // group_count
+        assert!(decode_framed_grouped_block::<String, u64>(&framed(&body)).is_err());
     }
 
     #[test]
     fn grouped_block_rejects_inconsistent_record_count() {
         let groups = crate::grouped::sort_group(vec![("a".to_string(), 1u64)]);
-        let mut buf = Vec::new();
-        buf.extend_from_slice(GROUPED_MAGIC);
         // Body with a lying record count (2 claimed, 1 encoded).
-        encode_grouped_body(&mut buf, true, 2, groups.text_bytes(), 1, groups.iter());
-        assert!(decode_grouped_block::<String, u64>(&buf).is_err());
+        let mut body = Vec::new();
+        encode_grouped_body(&mut body, true, 2, groups.text_bytes(), 1, groups.iter());
+        assert!(decode_framed_grouped_block::<String, u64>(&framed(&body)).is_err());
     }
 
     fn sample_groups(n: u64) -> Grouped<String, u64> {
@@ -718,18 +683,17 @@ mod tests {
 
     #[test]
     fn framed_grouped_block_roundtrips_and_matches_legacy() {
-        for n in [0u64, 1, 15, 16, 17, 100] {
+        // 0, 1, 8, 16 (exactly one full frame), 17 (one past) and 51
+        // (four frames) groups. The per-frame bookkeeping must sum to the
+        // whole-run counts a single unframed block would carry.
+        for n in [0u64, 1, 15, 31, 33, 100] {
             let groups = sample_groups(n);
-            let legacy = decode_grouped_block::<String, u64>(&encode_grouped_block(&groups));
-            let framed_buf = encode_framed_grouped_block(&groups, 7, 3);
-            let framed = decode_framed_grouped_block::<String, u64>(&framed_buf).unwrap();
-            assert_eq!(framed, legacy.unwrap(), "n={n}");
-            // The auto decoder dispatches on the prefix for both layouts.
-            assert_eq!(decode_grouped_block_any::<String, u64>(&framed_buf).unwrap(), framed);
-            assert_eq!(
-                decode_grouped_block_any::<String, u64>(&encode_grouped_block(&groups)).unwrap(),
-                framed
-            );
+            let buf = encode_framed_grouped_block(&groups, 7, 3);
+            let block = decode_framed_grouped_block::<String, u64>(&buf).unwrap();
+            assert_eq!(block.grouped, groups, "n={n}");
+            assert!(block.sorted);
+            assert_eq!(block.records, groups.records());
+            assert_eq!(block.text_bytes, groups.text_bytes());
         }
     }
 

@@ -8,8 +8,9 @@
 //!
 //! * plain Hadoop honours HDFS block locality for maps and nothing for
 //!   reduces (it is cache-blind);
-//! * Redoop's cache-aware scheduler (in `redoop-core`) supplies a cache
-//!   locality affinity for reduces too, through this same trait.
+//! * Redoop's driver (in `redoop-core`) honours a cache-locality
+//!   affinity for reduces too, deciding the same argmin over a candidate
+//!   shortlist; [`SchedulerCtx::argmin`] is its reference full scan.
 
 use redoop_dfs::NodeId;
 
@@ -80,22 +81,6 @@ impl Scheduler for DefaultScheduler {
     }
 }
 
-/// Honours the affinity signal for *both* task kinds — the generic form
-/// of Eq. 4 that `redoop-core`'s cache-aware scheduler builds on.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AffinityScheduler;
-
-impl Scheduler for AffinityScheduler {
-    fn pick_node(
-        &self,
-        _kind: TaskKind,
-        ctx: &SchedulerCtx<'_>,
-        affinity: &dyn Fn(NodeId) -> SimTime,
-    ) -> NodeId {
-        ctx.argmin(affinity)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,8 +127,6 @@ mod tests {
         assert_eq!(DefaultScheduler.pick_node(TaskKind::Reduce, &ctx, &aff), NodeId(0));
         // ...while maps do honour locality.
         assert_eq!(DefaultScheduler.pick_node(TaskKind::Map, &ctx, &aff), NodeId(1));
-        // ...and the affinity scheduler honours it for reduces too.
-        assert_eq!(AffinityScheduler.pick_node(TaskKind::Reduce, &ctx, &aff), NodeId(1));
     }
 
     #[test]

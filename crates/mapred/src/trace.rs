@@ -1,8 +1,8 @@
 //! Structured trace journal for the simulated cluster.
 //!
 //! A [`TraceSink`] records typed [`TraceEvent`]s with virtual timestamps:
-//! task placement decisions (including the per-node `Load_i + C_task,i`
-//! scores behind each Eq. 4 argmin), cache lifecycle transitions
+//! task placement decisions (including the `Load_i + C_task,i` score of
+//! every candidate each Eq. 4 argmin compared), cache lifecycle transitions
 //! (register/hit/miss/invalidate/forget/purge), heartbeat reconciliation
 //! and §5 rollbacks, pane seal/expire, incremental delta fold/seal, and
 //! per-phase task spans (map/shuffle/sort/reduce/merge/fold).
@@ -12,6 +12,9 @@
 //! * **Zero-cost when disabled.** A disabled sink holds no allocation and
 //!   [`TraceSink::emit`] never invokes its closure, so event construction
 //!   (formatting names, collecting per-node scores) is skipped entirely.
+//!   `emit` is also the *only* way to reach a sink: there is no "is a
+//!   sink installed" query, so no component can take a different code
+//!   path — and so reach a different result — when traced.
 //! * **Deterministic.** Traces are derived state: emitters fire only from
 //!   the sequential apply sections of the simulator (never from host
 //!   worker threads), and rendered journals use integer microsecond
@@ -123,7 +126,10 @@ pub enum TraceEvent {
         label: String,
         /// Winning node.
         chosen: NodeId,
-        /// Per-node `Load_i + C_task,i` breakdown (alive nodes only).
+        /// `Load_i + C_task,i` of exactly the candidates the argmin
+        /// compared — the favoured nodes (cache holders / block
+        /// replicas) that are alive, then the best uniformly-priced
+        /// other node. Empty for a cache-blind placement.
         scores: Vec<NodeScore>,
     },
     /// One task phase occupying a slot in virtual time.
@@ -464,11 +470,6 @@ impl TraceSink {
         }
     }
 
-    /// Whether events are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Records one event. The closure only runs when the sink is enabled,
     /// so building the event (formatting, score collection) costs nothing
     /// on the disabled path.
@@ -626,7 +627,6 @@ mod tests {
     fn disabled_sink_never_builds_events() {
         let sink = TraceSink::disabled();
         sink.emit(|| panic!("closure must not run on a disabled sink"));
-        assert!(!sink.is_enabled());
         assert!(sink.is_empty());
         assert_eq!(sink.render_json(), "{\"schema\":\"redoop-trace/1\",\"dropped\":0,\"events\":[]}");
     }

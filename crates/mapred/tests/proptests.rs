@@ -219,8 +219,9 @@ proptest! {
         let flat_text_bytes = io::kv_block_text_bytes(&pairs);
         let groups = exec::sort_group(pairs);
         let records: u64 = groups.records();
-        let blob = io::encode_grouped_block(&groups);
-        let block: io::GroupedBlock<String, u64> = io::decode_grouped_block(&blob).unwrap();
+        let blob = io::encode_framed_grouped_block(&groups, 3, 1);
+        let block: io::GroupedBlock<String, u64> =
+            io::decode_framed_grouped_block(&blob).unwrap();
         prop_assert_eq!(block.grouped, groups);
         prop_assert!(block.sorted, "sort_group output is a sorted run");
         prop_assert_eq!(block.records, records);
@@ -228,10 +229,12 @@ proptest! {
         prop_assert_eq!(block.text_bytes, flat_text_bytes);
     }
 
-    /// Corrupting a legacy grouped block — truncating it anywhere or
-    /// flipping any single byte — must either decode (with its
+    /// A grouped-block body that is damaged *under* an intact checksum
+    /// (an encoder bug, a collision) — truncated anywhere or with any
+    /// single byte flipped, then re-framed — must either decode (with its
     /// structural invariants intact) or return `MrError::Codec`. Never a
-    /// panic, never a huge bogus allocation.
+    /// panic, never a huge bogus allocation: the CRC is the first line of
+    /// defence, not the only one.
     #[test]
     fn corrupt_grouped_block_never_panics_or_lies(
         pairs in proptest::collection::vec((field(), any::<u64>()), 0..30),
@@ -240,16 +243,19 @@ proptest! {
         truncate in any::<bool>(),
     ) {
         let groups = exec::sort_group(pairs);
-        let blob = io::encode_grouped_block(&groups);
-        let pos = (damage % blob.len() as u64) as usize;
+        let blob = io::encode_framed_grouped_block(&groups, 3, 1);
+        let body = redoop_mapred::frame::decode_frames(&blob).unwrap()[0].payload;
+        let pos = (damage % body.len() as u64) as usize;
         let damaged: Vec<u8> = if truncate {
-            blob[..pos].to_vec()
+            body[..pos].to_vec()
         } else {
-            let mut d = blob.clone();
+            let mut d = body.to_vec();
             d[pos] ^= flip as u8;
             d
         };
-        if let Ok(block) = io::decode_grouped_block::<String, u64>(&damaged) {
+        let mut reframed = Vec::new();
+        redoop_mapred::frame::write_frame(&mut reframed, 3, 1, 0, 1, &damaged);
+        if let Ok(block) = io::decode_framed_grouped_block::<String, u64>(&reframed) {
             // Structural invariants always hold on accepted input.
             prop_assert_eq!(block.records as usize, block.grouped.values.len());
         }
@@ -268,7 +274,7 @@ proptest! {
         let groups = exec::sort_group(pairs);
         let blob = io::encode_framed_grouped_block(&groups, 3, 1);
         let clean: io::GroupedBlock<String, u64> =
-            io::decode_grouped_block_any(&blob).unwrap();
+            io::decode_framed_grouped_block(&blob).unwrap();
         prop_assert_eq!(&clean.grouped, &groups);
         let pos = (damage % blob.len() as u64) as usize;
         let damaged: Vec<u8> = if truncate {
@@ -278,7 +284,7 @@ proptest! {
             d[pos] ^= flip as u8;
             d
         };
-        match io::decode_grouped_block_any::<String, u64>(&damaged) {
+        match io::decode_framed_grouped_block::<String, u64>(&damaged) {
             Ok(block) => {
                 prop_assert_eq!(block.grouped, clean.grouped);
                 prop_assert_eq!(block.records, clean.records);

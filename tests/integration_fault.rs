@@ -267,33 +267,104 @@ fn total_cache_loss_degrades_toward_cold_start() {
     );
 }
 
-/// The join mapper plus a one-shot saboteur: the first record mapped
-/// after arming flips bytes in one named cache blob. Map tasks run after
-/// the window's heartbeat audit and before the pair stage, so the damage
-/// lands exactly where no audit can see it and the pair stage is the
-/// blob's first reader.
-struct SabotagingJoinMapper {
+#[test]
+fn head_corruption_rolls_back_instead_of_failing_the_window() {
+    use redoop_mapred::trace::{CacheAction, TraceEvent, TraceSink};
+
+    let (_, clean_out, _) = run_salvage_scenario(None, 77);
+
+    let spec = spec_with_overlap(0.875);
+    let plan = ArrivalPlan::new(spec, 2);
+    let batches = wcc_batches(&plan, 77, 1.0);
+    let cluster = test_cluster();
+    let mut exec = agg_executor(&cluster, spec, "salvage", batch_adaptive(&cluster, &spec));
+    let sink = TraceSink::with_capacity(1 << 17);
+    exec.set_trace_sink(sink.clone());
+    ingest_all(&mut exec, 0, &batches);
+    exec.run_window(0).unwrap();
+
+    // Flip the first byte of a two-frame pane output: the blob no longer
+    // *looks* framed, but it is a pane cache, so the audit must still
+    // find it damaged — frame 1 salvageable — rather than wave it through
+    // for the merge to choke on.
+    let victim = "ro/s0p3/r0";
+    let node = holder_of(&cluster, victim);
+    FailurePlan::none()
+        .at(1, FailureEvent::CorruptLocal(node, victim.to_string(), 0, 1))
+        .apply(1, &cluster)
+        .unwrap();
+    let blob = cluster.peek_local(node, victim).unwrap();
+    assert!(!blob.starts_with(&frame::FRAME_MARKER), "the marker itself is broken");
+
+    let report = exec.run_window(1).expect("a damaged cache rolls back, the window rebuilds it");
+    assert_eq!(report.trace.rollbacks, 1, "exactly the damaged cache was rolled back");
+    let events = sink.events();
+    assert!(
+        events.iter().any(|e| matches!(e,
+            TraceEvent::Salvage { name, intact: 1, total: 2, .. } if name == victim)),
+        "the audit reports 1 of 2 frames intact"
+    );
+    assert!(
+        events.iter().any(|e| matches!(e,
+            TraceEvent::Cache { action: CacheAction::PartialRebuild, name, .. } if name == victim)),
+        "the rebuild pays only the missing frame"
+    );
+    let out: Vec<(String, u64)> = read_window_output(&cluster, &report.outputs).unwrap();
+    assert_eq!(out, clean_out, "the rebuilt window equals the clean run");
+}
+
+/// A mapper plus a one-shot saboteur: the first record mapped after
+/// arming flips bytes in one named cache blob. Map tasks run after the
+/// window's heartbeat audit and before the fire path reads any cache, so
+/// the damage lands exactly where no audit can see it and the
+/// fetch-verify-decode stage is the blob's first reader.
+struct SabotagingMapper<M> {
+    inner: M,
     cluster: Cluster,
     target: std::sync::Mutex<Option<(NodeId, String)>>,
 }
 
-impl redoop_mapred::Mapper for SabotagingJoinMapper {
-    type KOut = <redoop_workloads::queries::JoinMapper as redoop_mapred::Mapper>::KOut;
-    type VOut = <redoop_workloads::queries::JoinMapper as redoop_mapred::Mapper>::VOut;
+impl<M> SabotagingMapper<M> {
+    fn new(inner: M, cluster: &Cluster) -> Arc<Self> {
+        Arc::new(SabotagingMapper {
+            inner,
+            cluster: cluster.clone(),
+            target: std::sync::Mutex::new(None),
+        })
+    }
+}
+
+impl<M: redoop_mapred::Mapper> redoop_mapred::Mapper for SabotagingMapper<M> {
+    type KOut = M::KOut;
+    type VOut = M::VOut;
 
     fn map(&self, line: &str, ctx: &mut redoop_mapred::MapContext<Self::KOut, Self::VOut>) {
         if let Some((node, name)) = self.target.lock().unwrap().take() {
             assert!(self.cluster.corrupt_local(node, &name, 40, 8).unwrap(), "target blob exists");
         }
-        redoop_workloads::queries::JoinMapper.map(line, ctx);
+        self.inner.map(line, ctx);
+    }
+}
+
+/// The node whose local store holds `name`.
+fn holder_of(cluster: &Cluster, name: &str) -> NodeId {
+    (0..cluster.node_count() as u32)
+        .map(NodeId)
+        .find(|n| cluster.has_local(*n, name))
+        .unwrap_or_else(|| panic!("no node caches {name}"))
+}
+
+fn codec_msg(err: redoop_core::RedoopError) -> String {
+    match err {
+        redoop_core::RedoopError::MapReduce(redoop_mapred::MrError::Codec(msg)) => msg,
+        other => panic!("expected a typed codec error, got {other:?}"),
     }
 }
 
 #[test]
 fn input_torn_after_audit_fails_typed_before_any_pair_output() {
-    use redoop_mapred::MrError;
     use redoop_workloads::ffg::Stream;
-    use redoop_workloads::queries::JoinReducer;
+    use redoop_workloads::queries::{JoinMapper, JoinReducer};
 
     // Overlap .875: window 1 reuses panes 1..=7 and maps pane 8, so its
     // outstanding pairs are (1,8) … (7,8), (8,1) … (8,8) in plan order.
@@ -302,10 +373,7 @@ fn input_torn_after_audit_fails_typed_before_any_pair_output() {
     let pos = ffg_batches(&plan, Stream::Position, 91, 1.0);
     let spd = ffg_batches(&plan, Stream::Speed, 92, 1.0);
     let cluster = test_cluster();
-    let mapper = Arc::new(SabotagingJoinMapper {
-        cluster: cluster.clone(),
-        target: std::sync::Mutex::new(None),
-    });
+    let mapper = SabotagingMapper::new(JoinMapper, &cluster);
     let source = |name: &str, root: &str| {
         SourceConf::with_leading_ts(name, spec, redoop_dfs::DfsPath::new(root).unwrap())
     };
@@ -327,10 +395,7 @@ fn input_torn_after_audit_fails_typed_before_any_pair_output() {
     // the *fourth* outstanding pair, so a per-pair reader would store
     // three pair outputs before tripping over it.
     let victim = "ri/s0p4.0/r0";
-    let node = (0..cluster.node_count() as u32)
-        .map(NodeId)
-        .find(|n| cluster.has_local(*n, victim))
-        .expect("window 0 cached the input");
+    let node = holder_of(&cluster, victim);
     let pair_outputs = |cluster: &Cluster| -> Vec<String> {
         cluster
             .list_local(node)
@@ -345,12 +410,8 @@ fn input_torn_after_audit_fails_typed_before_any_pair_output() {
 
     let err = exec.run_window(1).expect_err("a torn input must fail the window");
     assert!(mapper.target.lock().unwrap().is_none(), "the damage was injected mid-window");
-    match &err {
-        redoop_core::RedoopError::MapReduce(MrError::Codec(msg)) => {
-            assert!(msg.contains(victim), "the error names the damaged cache: {msg}")
-        }
-        other => panic!("expected a typed codec error, got {other:?}"),
-    }
+    let msg = codec_msg(err);
+    assert!(msg.contains(victim), "the error names the damaged cache: {msg}");
     assert_eq!(
         pair_outputs(&cluster),
         before,
@@ -367,7 +428,6 @@ fn input_torn_after_audit_fails_typed_before_any_pair_output() {
 
 #[test]
 fn non_utf8_text_blobs_are_typed_errors_not_empty_reads() {
-    use redoop_mapred::MrError;
     use redoop_workloads::ffg::Stream;
 
     let spec = spec_with_overlap(0.875);
@@ -380,20 +440,12 @@ fn non_utf8_text_blobs_are_typed_errors_not_empty_reads() {
     ingest_all(&mut exec, 1, &spd);
     let report = exec.run_window(0).unwrap();
 
-    let codec_msg = |err: redoop_core::RedoopError| match err {
-        redoop_core::RedoopError::MapReduce(MrError::Codec(msg)) => msg,
-        other => panic!("expected a typed codec error, got {other:?}"),
-    };
-
     // A pair output is unframed text: the audit can only see that it
     // exists, so the window concat is where flipped bytes must surface —
     // as an error, where the old reader concatenated "" and lost the
     // pair's tuples.
     let victim = "po/p4x4/r0";
-    let node = (0..cluster.node_count() as u32)
-        .map(NodeId)
-        .find(|n| cluster.has_local(*n, victim))
-        .expect("window 0 cached the pair output");
+    let node = holder_of(&cluster, victim);
     assert!(cluster.corrupt_local(node, victim, 0, 4).unwrap());
     let msg = codec_msg(exec.run_window(1).expect_err("a torn pair output fails the window"));
     assert!(msg.contains(victim) && msg.contains("UTF-8"), "{msg}");
@@ -408,4 +460,84 @@ fn non_utf8_text_blobs_are_typed_errors_not_empty_reads() {
             .expect_err("a damaged part file is not an empty result"),
     );
     assert!(msg.contains(path.as_str()) && msg.contains("UTF-8"), "{msg}");
+}
+
+#[test]
+fn pane_output_torn_after_audit_fails_the_merge_naming_cache_and_node() {
+    // Overlap .875: window 1 reuses panes 1..=7 and maps pane 8 — after
+    // its audit. The saboteur tears a reused pane output from inside that
+    // map stage, so the merge's fetch-verify-decode is the first reader.
+    let spec = spec_with_overlap(0.875);
+    let plan = ArrivalPlan::new(spec, 2);
+    let batches = wcc_batches(&plan, 78, 1.0);
+    let cluster = test_cluster();
+    let mapper = SabotagingMapper::new(AggMapper, &cluster);
+    let mut exec = RecurringExecutor::aggregation(
+        &cluster,
+        test_sim(&cluster),
+        QueryConf::new("torn-agg", 4, redoop_dfs::DfsPath::new("/out/torn-agg").unwrap()).unwrap(),
+        SourceConf::with_leading_ts(
+            "wcc",
+            spec,
+            redoop_dfs::DfsPath::new("/panes/torn-agg").unwrap(),
+        ),
+        mapper.clone(),
+        Arc::new(AggReducer),
+        Arc::new(SumMerger),
+        batch_adaptive(&cluster, &spec),
+    )
+    .unwrap();
+    ingest_all(&mut exec, 0, &batches);
+    exec.run_window(0).unwrap();
+
+    let victim = "ro/s0p4/r0";
+    let node = holder_of(&cluster, victim);
+    *mapper.target.lock().unwrap() = Some((node, victim.to_string()));
+    let err = exec.run_window(1).expect_err("a torn pane output must fail the merge");
+    assert!(mapper.target.lock().unwrap().is_none(), "the damage was injected mid-window");
+    let msg = codec_msg(err);
+    assert!(
+        msg.contains(victim) && msg.contains(&format!("{node:?}")),
+        "the error names the damaged cache and its node: {msg}"
+    );
+}
+
+#[test]
+fn failed_pane_compute_fails_the_window_before_any_cache_is_stored() {
+    use redoop_mapred::{ClosureMapper, ClosureReducer, MapContext, ReduceContext};
+
+    // The reducer re-keys key 9 to text that does not re-read as the
+    // mapper's `u64` key. Key 9 only occurs in pane 1, so pane 0's partial
+    // computes fine and pane 1's fails: the window must return the typed
+    // error with *neither* partial stored.
+    fn map(line: &str, ctx: &mut MapContext<u64, u64>) {
+        if let Some(k) = line.split(',').nth(1) {
+            ctx.emit(k.parse().unwrap(), 1);
+        }
+    }
+    fn reduce(k: &u64, vs: &[u64], ctx: &mut ReduceContext<String, u64>) {
+        let key = if *k == 9 { "nine".to_string() } else { k.to_string() };
+        ctx.emit(key, vs.iter().sum());
+    }
+    let spec = WindowSpec::new(200, 100).unwrap();
+    let cluster = test_cluster();
+    let mut exec = RecurringExecutor::aggregation(
+        &cluster,
+        test_sim(&cluster),
+        QueryConf::new("rekey", 1, redoop_dfs::DfsPath::new("/out/rekey").unwrap()).unwrap(),
+        SourceConf::with_leading_ts("s", spec, redoop_dfs::DfsPath::new("/panes/rekey").unwrap()),
+        Arc::new(ClosureMapper::new(map)),
+        Arc::new(ClosureReducer::new(reduce)),
+        Arc::new(SumMerger),
+        batch_adaptive(&cluster, &spec),
+    )
+    .unwrap();
+    let range = TimeRange::new(EventTime(0), EventTime(200));
+    exec.ingest(0, ["10,1", "50,2", "150,9"].into_iter(), &range).unwrap();
+    codec_msg(exec.run_window(0).expect_err("pane 1's partial cannot be re-keyed"));
+    for n in 0..cluster.node_count() as u32 {
+        let stored = cluster.list_local(NodeId(n)).unwrap();
+        assert!(stored.iter().all(|f| !f.starts_with("ro/")), "node {n} stored {stored:?}");
+    }
+    assert!(exec.controller().all_cached().is_empty(), "nothing was registered");
 }

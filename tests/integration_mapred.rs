@@ -1,6 +1,6 @@
 //! Cross-crate integration of the substrate layers: the MapReduce
 //! runtime over the simulated DFS — multi-file jobs, replica failures
-//! with re-replication, scheduler comparisons, and determinism.
+//! with re-replication, and determinism.
 
 #[path = "common/mod.rs"]
 mod common;
@@ -8,7 +8,6 @@ mod common;
 use bytes::Bytes;
 use common::test_cluster;
 use redoop_dfs::{DfsPath, NodeId};
-use redoop_mapred::scheduler::AffinityScheduler;
 use redoop_mapred::{
     ClosureMapper, ClosureReducer, ClusterSim, CostModel, JobConf, JobRunner, JobSpec,
     MapContext, ReduceContext, SimTime,
@@ -125,29 +124,6 @@ fn virtual_times_are_deterministic() {
             .response_time()
     };
     assert_eq!(run(), run(), "same input + seedless pipeline must be reproducible");
-}
-
-#[test]
-fn affinity_scheduler_is_interchangeable() {
-    let cluster = test_cluster();
-    cluster
-        .create(&DfsPath::new("/in/f").unwrap(), Bytes::from("x y z\n".repeat(100)))
-        .unwrap();
-    let (mapper, reducer) = word_count();
-    let spec = JobSpec::new(
-        "aff",
-        vec![DfsPath::new("/in/f").unwrap()],
-        DfsPath::new("/out/aff").unwrap(),
-    );
-    let mut sim = ClusterSim::paper_testbed(8, CostModel::default());
-    let scheduler = AffinityScheduler;
-    let result = JobRunner::new(&cluster, &mapper, &reducer)
-        .with_scheduler(&scheduler)
-        .run(&mut sim, &spec, &JobConf::default(), SimTime::ZERO)
-        .unwrap();
-    let counts = read_counts(&cluster, &result.outputs);
-    assert_eq!(counts.len(), 3);
-    assert!(counts.iter().all(|(_, c)| *c == 100));
 }
 
 #[test]

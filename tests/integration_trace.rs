@@ -102,6 +102,81 @@ fn failures_journal_rollback_events_and_counts() {
     assert!(!out.is_empty(), "recovery must still produce output");
 }
 
+/// The single placement path's journal contract, checked on every
+/// cache-aware `Placement` event: the scores are the candidates Eq. 4
+/// actually compared — the chosen node is listed and is their
+/// `(load + cost, node)` minimum, nobody in `dead` is listed, and the list
+/// is a shortlist of at most `max_listed` (favoured + 1) candidates,
+/// never a scan. Returns how many events were checked.
+fn assert_shortlist_placements(events: &[TraceEvent], dead: &[NodeId], max_listed: usize) -> usize {
+    let mut checked = 0;
+    for event in events {
+        let TraceEvent::Placement { label, chosen, scores, .. } = event else { continue };
+        let best = scores.iter().map(|s| (s.load + s.cost, s.node)).min();
+        assert_eq!(best.map(|b| b.1), Some(*chosen), "{label}: chosen is the listed argmin");
+        assert!(scores.iter().all(|s| !dead.contains(&s.node)), "{label}: lists a dead node");
+        assert!(
+            scores.len() <= max_listed,
+            "{label}: {} candidates listed, at most {max_listed} were favoured + 1",
+            scores.len()
+        );
+        checked += 1;
+    }
+    checked
+}
+
+#[test]
+fn placements_journal_the_shortlist_on_a_wide_cluster_with_a_dead_node() {
+    use redoop_workloads::queries::{AggMapper, AggReducer};
+    use std::sync::Arc;
+
+    // 24 nodes, 3 reduce partitions: pane caches sit on at most three
+    // holders and every pane block on three replicas, so no placement may
+    // list more than 4 of the live nodes.
+    let spec = spec_with_overlap(0.5);
+    let plan = ArrivalPlan::new(spec, 5);
+    let batches = wcc_batches(&plan, 41, 1.0);
+    let cluster = redoop_dfs::Cluster::new(redoop_dfs::ClusterConfig {
+        nodes: 24,
+        ..test_cluster().config().clone()
+    });
+    let mut exec = RecurringExecutor::aggregation(
+        &cluster,
+        test_sim(&cluster),
+        QueryConf::new("wide", 3, redoop_dfs::DfsPath::new("/out/wide").unwrap()).unwrap(),
+        SourceConf::with_leading_ts("wcc", spec, redoop_dfs::DfsPath::new("/panes/wide").unwrap()),
+        Arc::new(AggMapper),
+        Arc::new(AggReducer),
+        Arc::new(SumMerger),
+        batch_adaptive(&cluster, &spec),
+    )
+    .unwrap();
+    let sink = TraceSink::with_capacity(1 << 17);
+    exec.set_trace_sink(sink.clone());
+    ingest_all(&mut exec, 0, &batches);
+    exec.run_window(0).unwrap();
+    let holders: std::collections::BTreeSet<NodeId> = exec
+        .controller()
+        .all_cached()
+        .iter()
+        .filter_map(|n| exec.controller().location(n))
+        .collect();
+    assert!((1..=3).contains(&holders.len()), "one anchor per partition: {holders:?}");
+    assert!(assert_shortlist_placements(&sink.events(), &[], 4) > 0);
+
+    // Kill the lowest-numbered cache holder: its partition re-anchors and
+    // rebuilds, pane blocks it replicated keep it among the favoured map
+    // nodes, and the now idle node would win every load tie — but no
+    // later placement may list it.
+    let dead = *holders.iter().next().unwrap();
+    cluster.kill_node(dead).unwrap();
+    let before = sink.events().len();
+    for w in 1..5 {
+        exec.run_window(w).unwrap();
+    }
+    assert!(assert_shortlist_placements(&sink.events()[before..], &[dead], 4) > 0);
+}
+
 #[test]
 fn pane_builds_overlap_across_partitions_but_chain_within_one() {
     // The driver charges each (pane x partition) build as part of that
