@@ -5,19 +5,24 @@
 //! (`build_missing`, in batch or proactive mode), parameterised here
 //! only by `pane_output_compute`. The merge
 //! task is gated on every pane partial's `available_at` (reused caches
-//! and fresh builds alike) and merges the pre-grouped sorted runs —
-//! fetched and strictly decoded by the driver's `fetch_decoded` — in one
-//! linear pass.
+//! and fresh builds alike) and merges the pre-grouped sorted runs in one
+//! linear pass: the partials whose cache read it is charged for are
+//! fetched and strictly decoded by the driver's `fetch_decoded`, the
+//! ones a batch build just handed over are merged from memory.
+
+use std::collections::HashMap;
 
 use bytes::Bytes;
 use redoop_dfs::DfsPath;
-use redoop_mapred::{exec, io as mrio, JobMetrics, Mapper, ReduceWork, Reducer, Writable};
+use redoop_mapred::{
+    exec, io as mrio, JobMetrics, Mapper, ReduceContext, ReduceWork, Reducer, Writable,
+};
 
 use crate::adaptive::ExecMode;
 use crate::cache::CacheName;
 use crate::error::Result;
 
-use super::driver::{BuiltCache, PartitionPrep, WindowCtx};
+use super::driver::{BuiltCache, BuiltRun, PartitionPrep, WindowCtx};
 use super::plan::{delta_name, output_name, WindowPlan};
 use super::RecurringExecutor;
 
@@ -37,10 +42,12 @@ where
         reducer: &R,
         pane: u64,
         partition: u32,
-    ) -> Result<BuiltCache> {
+    ) -> Result<BuiltRun<M::KOut, R::VOut>> {
         let input_records = pairs.len() as u64;
         let groups = exec::sort_group(pairs);
-        let (out_pairs, _) = exec::run_reducer(reducer, &groups);
+        let mut ctx = ReduceContext::new();
+        exec::run_reducer(reducer, &[&groups], &mut ctx);
+        let out_pairs = ctx.into_pairs();
         let cache_text_bytes = mrio::kv_block_text_bytes(&out_pairs);
         let output_records = out_pairs.len() as u64;
         // Merged partials are re-read under the mapper's key type (see
@@ -67,18 +74,16 @@ where
         };
         // Framed self-locating encoding: a torn write to the stored blob
         // is salvageable frame-by-frame instead of losing the whole cache.
-        let blob = Bytes::from(mrio::encode_framed_grouped_block(
-            &exec::group_consecutive(rekeyed),
-            pane,
-            partition,
-        ));
-        Ok(BuiltCache {
+        let partials = exec::group_consecutive(rekeyed);
+        let blob = Bytes::from(mrio::encode_framed_grouped_block(&partials, pane, partition));
+        let built = BuiltCache {
             input_records,
             shuffle_text_bytes: bucket.text_bytes,
             cache_text_bytes,
             output_records,
             blob,
-        })
+        };
+        Ok((built, mrio::GroupedBlock::of_run(partials, cache_text_bytes)))
     }
 
     /// One aggregation window, one partition: build missing pane outputs
@@ -104,7 +109,19 @@ where
         let compute = |bucket: &mrio::ShuffleBucket, pairs, pane, partition| {
             Self::pane_output_compute(bucket, pairs, &*reducer, pane, partition)
         };
-        self.build_missing(rec, r, prep, ctx, &compute, &mut attempt_startup, metrics)?;
+        let built =
+            self.build_missing(rec, r, prep, ctx, &compute, &mut attempt_startup, metrics)?;
+        // The pane partials to merge, by pane. Batch builds just handed
+        // their output to this window's merge (their write was charged in
+        // the build task); proactive builds may be long done, so the merge
+        // pays their cache read — mirroring the pre-split accounting — and
+        // reads them back like any reused cache.
+        let mut partials: HashMap<u64, mrio::GroupedBlock<M::KOut, R::VOut>> = match ctx.mode {
+            ExecMode::Batch => {
+                prep.missing.iter().map(|m| m.pane.0).zip(built.into_iter().map(|b| b.1)).collect()
+            }
+            ExecMode::Proactive => HashMap::new(),
+        };
 
         // Merge every pane output (cache reads for reused panes) into the
         // window result. Cached partials are pre-grouped sorted runs, so
@@ -113,7 +130,9 @@ where
         // which case its run is flagged unsorted and we fall back).
         let mut ready = ctx.fire;
         let mut cache_bytes = 0u64;
+        // The caches to read back: exactly the ones whose read is charged.
         let mut names: Vec<CacheName> = Vec::with_capacity(panes.len());
+        let mut read_back: Vec<u64> = Vec::with_capacity(panes.len());
         for &p in panes {
             // Delta-hit panes were sealed at ingestion under the `rd/…`
             // class; everything else (fresh builds, prior-window `ro/…`
@@ -124,7 +143,7 @@ where
             } else {
                 output_name(plan.fp, 0, p, r)
             };
-            let fresh = prep.missing_set.contains(&(0, p.0));
+            let handed_over = partials.contains_key(&p.0);
             if let Some(sig) = self.controller.signature(&name) {
                 // Every pane partial gates readiness: fresh builds by
                 // their (last) build task's end, reused caches by their
@@ -132,21 +151,22 @@ where
                 // previous window's processing outlasted the slide — the
                 // Fig. 8 spike regime).
                 ready = ready.max(sig.available_at);
-                // Batch builds just handed their output to this window's
-                // merge (their write was charged in the build task);
-                // proactive builds may be long done, so the merge pays the
-                // cache read — mirroring the pre-split accounting.
-                if !fresh || matches!(ctx.mode, ExecMode::Proactive) {
+                if !handed_over {
                     cache_bytes += sig.bytes;
                 }
             }
-            names.push(name);
+            if !handed_over {
+                names.push(name);
+                read_back.push(p.0);
+            }
         }
+        partials.extend(read_back.into_iter().zip(self.fetch_decoded::<R::VOut>(node, &names)?));
         let mut partial_records = 0u64;
         let mut runs: Vec<redoop_mapred::Grouped<M::KOut, R::VOut>> =
             Vec::with_capacity(panes.len());
         let mut all_sorted = true;
-        for block in self.fetch_decoded::<R::VOut>(node, &names)? {
+        for p in panes {
+            let block = partials.remove(&p.0).expect("every pane partial was built or fetched");
             partial_records += block.records;
             all_sorted &= block.sorted;
             runs.push(block.grouped);

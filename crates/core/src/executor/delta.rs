@@ -285,7 +285,8 @@ where
                 let node = home.expect("valid seal has a home");
                 let mut bucket = mrio::ShuffleBucket::default();
                 bucket.account_pairs(&pairs);
-                let built = Self::pane_output_compute(&bucket, pairs, &*self.reducer, p, r as u32)?;
+                let (built, _) =
+                    Self::pane_output_compute(&bucket, pairs, &*self.reducer, p, r as u32)?;
                 let work = ReduceWork {
                     shuffle_bytes: built.shuffle_text_bytes,
                     cache_bytes: 0,

@@ -24,9 +24,11 @@
 //! the **cache build** (`build_missing` for pane products, in its batch
 //! and its proactive mode, over the `commit_builds` store → charge →
 //! register primitive that pair builds share) and
-//! **fetch-verify-decode** of cached runs (`fetch_decoded`). The `agg` /
-//! `join` modules own only their pure compute functions, the pair stage
-//! and the window finalization.
+//! **fetch-verify-decode** of cached runs (`fetch_decoded`) — of reused
+//! caches only: `build_missing` hands every run it built back to its
+//! caller, so a partition-window decodes exactly the caches whose read
+//! the cost model charges. The `agg` / `join` modules own only their
+//! pure compute functions, the pair stage and the window finalization.
 //!
 //! Determinism contract: all real compute (mapping, sorting, reducing)
 //! may run on parallel host threads, but every `sim.assign` and every
@@ -140,12 +142,18 @@ pub(super) struct BuiltCache {
     pub(super) blob: bytes::Bytes,
 }
 
+/// A pane product as its compute made it: the cache to store, and the
+/// run that cache encodes — what `fetch_decoded` would decode from the
+/// stored blob, handed over instead so the window that built a product
+/// never reads it back.
+pub(super) type BuiltRun<K, V> = (BuiltCache, mrio::GroupedBlock<K, V>);
+
 /// The pure compute function of one pane product — `(bucket accounting,
-/// raw pairs, pane, partition)` to the built cache — run on host worker
-/// threads: `pane_output_compute` for aggregations, `input_cache_compute`
-/// for joins.
-pub(super) type PaneCompute<'a, K, V> =
-    &'a (dyn Fn(&mrio::ShuffleBucket, Vec<(K, V)>, u64, u32) -> Result<BuiltCache> + Sync);
+/// raw pairs, pane, partition)` to the built cache and its run (values of
+/// type `C`) — run on host worker threads: `pane_output_compute` for
+/// aggregations, `input_cache_compute` for joins.
+pub(super) type PaneCompute<'a, K, V, C> =
+    &'a (dyn Fn(&mrio::ShuffleBucket, Vec<(K, V)>, u64, u32) -> Result<BuiltRun<K, C>> + Sync);
 
 /// Scales a rebuild's charged reduce work down to the missing frame
 /// suffix of a salvaged cache: `intact` of `total` frames survived the
@@ -714,19 +722,22 @@ where
     /// sub-pane's map output exists, so only the final sub-pane's work
     /// lands after the window closes.
     ///
-    /// Returns when each product became available, in plan order.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn build_missing(
+    /// Returns, in plan order, when each product became available and the
+    /// run it holds: the caller's finalization consumes fresh products
+    /// from memory and `fetch_decoded`s only the caches whose read the
+    /// cost model charges.
+    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
+    pub(super) fn build_missing<C: Send>(
         &mut self,
         rec: u64,
         r: usize,
         prep: &PartitionPrep,
         ctx: WindowCtx,
-        compute: PaneCompute<'_, M::KOut, M::VOut>,
+        compute: PaneCompute<'_, M::KOut, M::VOut, C>,
         attempt_startup: &mut bool,
         metrics: &mut JobMetrics,
-    ) -> Result<Vec<SimTime>> {
-        let computed: Vec<Result<BuiltCache>> = {
+    ) -> Result<Vec<(SimTime, mrio::GroupedBlock<M::KOut, C>)>> {
+        let computed: Vec<Result<BuiltRun<M::KOut, C>>> = {
             let mapped = &self.mapped;
             exec::parallel_map(prep.missing.len(), |i| {
                 let m = &prep.missing[i];
@@ -735,9 +746,10 @@ where
                 Ok(compute(&mp.buckets[r], raw, m.pane.0, r as u32))
             })?
         };
-        let computed: Vec<BuiltCache> = computed.into_iter().collect::<Result<_>>()?;
-        let mut done: Vec<SimTime> = Vec::with_capacity(computed.len());
-        for (m, built) in prep.missing.iter().zip(computed) {
+        let computed: Vec<BuiltRun<M::KOut, C>> = computed.into_iter().collect::<Result<_>>()?;
+        let mut done: Vec<(SimTime, mrio::GroupedBlock<M::KOut, C>)> =
+            Vec::with_capacity(computed.len());
+        for (m, (built, run)) in prep.missing.iter().zip(computed) {
             let mp = &self.mapped[&(m.source, m.pane.0)];
             let bytes = built.cache_text_bytes;
             let end = match ctx.mode {
@@ -748,7 +760,7 @@ where
                     // partially recoverable and this rebuild pays only
                     // the missing frame suffix.
                     let salvage = self.controller.salvaged(&m.name);
-                    let prev_end = done.last().copied().unwrap_or(SimTime::ZERO);
+                    let prev_end = done.last().map_or(SimTime::ZERO, |(end, _)| *end);
                     let ready = ctx.fire.max(prev_end).max(mp.ready);
                     // The fresh-pane share of the partition's work:
                     // shuffle, reduce input and the cache write.
@@ -816,7 +828,7 @@ where
                     )?
                 }
             };
-            done.push(end);
+            done.push((end, run));
         }
         Ok(done)
     }

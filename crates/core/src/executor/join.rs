@@ -13,15 +13,20 @@
 //! exactly once — in the first pair task that streams it — keeping the
 //! charged bytes linear in the inputs, as in the paper's incremental
 //! processing ("reducers only need to process the incremental inputs",
-//! §6.2.2). The host side follows the same rule: a partition-window
-//! fetches and strictly decodes each distinct input run its outstanding
-//! pairs touch exactly once (the driver's `fetch_decoded`), into one
-//! decoded-inputs table every pair then borrows from — and does so
-//! before any pair output is stored, so a torn input surfaces as a typed
-//! error with no partial pair state behind it. Proactive mode keeps the
-//! per-sub-pane input pipelining and the pair groups keyed by the
-//! later-available input. The final task concatenates every in-window
-//! pair output, gated on all pair `available_at`s.
+//! §6.2.2). The host side follows the same rule — host decodes per
+//! partition-window = charged cache reads: the input runs the window
+//! just built come back from `build_missing` in memory, and only the
+//! reused ones its outstanding pairs touch are fetched and strictly
+//! decoded, each exactly once (the driver's `fetch_decoded`), into one
+//! decoded-inputs table every pair then borrows from — before any pair
+//! output is stored, so a torn input surfaces as a typed error with no
+//! partial pair state behind it. A pair is then one streaming pass: the
+//! two borrowed sorted runs are merged group by group straight into the
+//! reducer (`exec::run_reducer`), whose text sink encodes each joined
+//! tuple as it is emitted — no merged run, no tuple list. Proactive mode
+//! keeps the per-sub-pane input pipelining and the pair groups keyed by
+//! the later-available input. The final task concatenates every
+//! in-window pair output, gated on all pair `available_at`s.
 //!
 //! Joins cannot attach shared sources, so every cache name in this
 //! module carries fingerprint 0 (the un-shared legacy namespace).
@@ -29,15 +34,17 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use bytes::Bytes;
-use redoop_dfs::{DfsPath, NodeId};
-use redoop_mapred::{exec, io as mrio, JobMetrics, Mapper, ReduceWork, Reducer, SimTime};
+use redoop_dfs::DfsPath;
+use redoop_mapred::{
+    exec, io as mrio, JobMetrics, Mapper, ReduceContext, ReduceWork, Reducer, SimTime,
+};
 
 use crate::adaptive::ExecMode;
 use crate::cache::CacheName;
 use crate::error::Result;
 use crate::pane::PaneId;
 
-use super::driver::{BuiltCache, PartitionPrep, WindowCtx};
+use super::driver::{BuiltCache, BuiltRun, PartitionPrep, WindowCtx};
 use super::plan::{input_name, pair_name, WindowPlan};
 use super::RecurringExecutor;
 
@@ -54,12 +61,12 @@ where
     /// shuffle bucket for one partition and encode the sorted run as a
     /// grouped block, so later incremental merges consume it without
     /// re-parsing or re-sorting. No executor state is touched.
-    fn input_cache_compute(
+    pub(super) fn input_cache_compute(
         bucket: &mrio::ShuffleBucket,
         pairs: Vec<(M::KOut, M::VOut)>,
         pane: u64,
         partition: u32,
-    ) -> Result<BuiltCache> {
+    ) -> Result<BuiltRun<M::KOut, M::VOut>> {
         let input_records = pairs.len() as u64;
         let groups = exec::sort_group(pairs);
         // Framed self-locating encoding: a torn write to the stored blob
@@ -67,64 +74,72 @@ where
         let blob = Bytes::from(mrio::encode_framed_grouped_block(&groups, pane, partition));
         // Sorting permutes lines, not bytes: the cache file's
         // text-equivalent size equals the bucket's.
-        Ok(BuiltCache {
+        let built = BuiltCache {
             input_records,
             shuffle_text_bytes: bucket.text_bytes,
             cache_text_bytes: bucket.text_bytes,
             output_records: 0,
             blob,
-        })
+        };
+        Ok((built, mrio::GroupedBlock::of_run(groups, bucket.text_bytes)))
     }
 
-    /// The decoded-inputs table of one partition-window: each distinct
-    /// reduce-input run the pairs in `pairs` touch, fetched and strictly
-    /// decoded once, in first-touch order.
+    /// The decoded-inputs table of one partition-window: every distinct
+    /// reduce-input run the pairs in `prep.todo_pairs` touch. The runs
+    /// this window just built arrive in `fresh` (in `prep.missing`
+    /// order) and are used as built; the reused ones — exactly the
+    /// inputs whose cache read the pair stage is charged for — are
+    /// fetched and strictly decoded once each, in first-touch order.
     fn decode_pair_inputs(
         &mut self,
-        node: NodeId,
         r: usize,
-        pairs: &[(PaneId, PaneId)],
+        prep: &PartitionPrep,
+        fresh: impl Iterator<Item = mrio::GroupedBlock<M::KOut, M::VOut>>,
     ) -> Result<DecodedInputs<M::KOut, M::VOut>> {
+        let mut inputs: DecodedInputs<M::KOut, M::VOut> =
+            prep.missing.iter().map(|m| (m.source, m.pane.0)).zip(fresh).collect();
         // At most two sources x panes-per-window entries: a linear
         // membership scan beats hashing.
-        let mut wanted: Vec<(u32, PaneId)> = Vec::new();
-        for &(p, q) in pairs {
-            for input in [(0u32, p), (1u32, q)] {
-                if !wanted.contains(&input) {
-                    wanted.push(input);
+        let mut reused: Vec<(u32, u64)> = Vec::new();
+        for &(p, q) in &prep.todo_pairs {
+            for input in [(0u32, p.0), (1u32, q.0)] {
+                if !inputs.contains_key(&input) && !reused.contains(&input) {
+                    reused.push(input);
                 }
             }
         }
         let names: Vec<CacheName> =
-            wanted.iter().map(|&(s, pane)| input_name(0, s, pane, r)).collect();
-        let decoded = self.fetch_decoded::<M::VOut>(node, &names)?;
-        Ok(wanted.into_iter().map(|(s, pane)| (s, pane.0)).zip(decoded).collect())
+            reused.iter().map(|&(s, pane)| input_name(0, s, PaneId(pane), r)).collect();
+        let decoded = self.fetch_decoded::<M::VOut>(prep.node, &names)?;
+        inputs.extend(reused.into_iter().zip(decoded));
+        Ok(inputs)
     }
 
-    /// Pure compute of a pane-pair join over two decoded input runs:
-    /// linear merge of the borrowed sorted runs (falls back to a full
-    /// sort if a stored run is unsorted), reduce, and encode the pair
-    /// output as text — pair outputs concatenate byte-for-byte into the
+    /// Pure compute of a pane-pair join over two decoded input runs, in
+    /// one pass: the borrowed sorted runs are merged group by group
+    /// straight into the reducer (falling back to a full sort if a stored
+    /// run is unsorted), whose text sink encodes each joined tuple as it
+    /// is emitted — pair outputs concatenate byte-for-byte into the
     /// DFS-visible window output, which stays in the text format.
     fn pair_output_compute(
         lb: &mrio::GroupedBlock<M::KOut, M::VOut>,
         rb: &mrio::GroupedBlock<M::KOut, M::VOut>,
         reducer: &R,
     ) -> BuiltCache {
-        let groups = if lb.sorted && rb.sorted {
-            exec::merge_sorted_group_refs(&[&lb.grouped, &rb.grouped])
+        let mut ctx = ReduceContext::text();
+        if lb.sorted && rb.sorted {
+            exec::run_reducer(reducer, &[&lb.grouped, &rb.grouped], &mut ctx);
         } else {
             let mut flat = lb.grouped.clone().into_pairs();
             flat.extend(rb.grouped.clone().into_pairs());
-            exec::sort_group(flat)
-        };
-        let (out_pairs, _) = exec::run_reducer(reducer, &groups);
-        let text = mrio::encode_kv_block(&out_pairs);
+            exec::run_reducer(reducer, &[&exec::sort_group(flat)], &mut ctx);
+        }
+        let (text, output_records) = ctx.into_text();
         BuiltCache {
             input_records: lb.records + rb.records,
             shuffle_text_bytes: lb.text_bytes + rb.text_bytes,
             cache_text_bytes: text.len() as u64,
-            output_records: out_pairs.len() as u64,
+            output_records,
             blob: Bytes::from(text),
         }
     }
@@ -158,16 +173,15 @@ where
                 // build queue (inputs, then pairs) sequentially — the
                 // paper's one-reduce-task-per-partition model. Overlap
                 // happens across partitions on their own anchors/slots.
-                let mut prev_end = self
-                    .build_missing(rec, r, prep, ctx, compute, &mut attempt_startup, metrics)?
-                    .last()
-                    .copied()
-                    .unwrap_or(SimTime::ZERO);
-                // Every input cache this window needs is now on `node`:
-                // decode each once, join the outstanding pane pairs over
-                // the decoded runs in parallel, charge each pair as its
-                // own task gated on both inputs.
-                let inputs = self.decode_pair_inputs(node, r, &prep.todo_pairs)?;
+                let built =
+                    self.build_missing(rec, r, prep, ctx, compute, &mut attempt_startup, metrics)?;
+                let mut prev_end = built.last().map_or(SimTime::ZERO, |(end, _)| *end);
+                // Every input run this window needs is now in memory or
+                // on `node`: decode each reused one once, join the
+                // outstanding pane pairs over the runs in parallel,
+                // charge each pair as its own task gated on both inputs.
+                let inputs =
+                    self.decode_pair_inputs(r, prep, built.into_iter().map(|(_, run)| run))?;
                 let computed: Vec<BuiltCache> = {
                     let reducer = &*self.reducer;
                     let inputs = &inputs;
@@ -251,15 +265,16 @@ where
                 }
                 // Build each missing input as its sub-panes arrive
                 // (pipelined per map split).
-                let built_at =
+                let built =
                     self.build_missing(rec, r, prep, ctx, compute, &mut attempt_startup, metrics)?;
-                for (m, done) in prep.missing.iter().zip(built_at) {
-                    input_avail.insert((m.source, m.pane.0), done);
+                for (m, (done, _)) in prep.missing.iter().zip(&built) {
+                    input_avail.insert((m.source, m.pane.0), *done);
                 }
                 // Join pairs as soon as both inputs exist, grouped by the
                 // later-available input — over the same decoded-inputs
                 // table as batch mode.
-                let inputs = self.decode_pair_inputs(node, r, &prep.todo_pairs)?;
+                let inputs =
+                    self.decode_pair_inputs(r, prep, built.into_iter().map(|(_, run)| run))?;
                 let mut pair_groups: HashMap<u64, Vec<(PaneId, PaneId)>> = HashMap::new();
                 for &(p, q) in &prep.todo_pairs {
                     let tp = input_avail.get(&(0, p.0)).copied().unwrap_or(ctx.floor);
@@ -303,24 +318,34 @@ where
         // pay the read here — fresh ones were charged in their builds.
         let mut ready = ctx.fire;
         let mut reused_cache_bytes = 0u64;
-        let mut out = String::new();
-        let mut concat_records = 0u64;
+        let mut out_bytes = 0u64;
+        let mut names: Vec<CacheName> = Vec::with_capacity(panes.len() * panes.len());
         for &p in panes {
             for &q in panes {
                 let name = pair_name(0, p, q, r);
                 let fresh = prep.todo_set.contains(&(p.0, q.0));
                 if let Some(sig) = self.controller.signature(&name) {
                     ready = ready.max(sig.available_at);
+                    out_bytes += sig.bytes;
                     if !fresh {
                         reused_cache_bytes += sig.bytes;
                     }
                 }
-                let store = name.store_name();
-                let data = self.cluster.get_local(node, &store)?;
-                let text = super::blob_text(&data, || format!("pair cache {store} on {node:?}"))?;
-                concat_records += text.lines().count() as u64;
-                out.push_str(text);
+                names.push(name);
             }
+        }
+        // Presized from the pair signatures (a pair's registered bytes are
+        // its text length), so the copy below never regrows the buffer.
+        let mut out = String::with_capacity(out_bytes as usize);
+        let mut concat_records = 0u64;
+        for name in &names {
+            let store = name.store_name();
+            let data = self.cluster.get_local(node, &store)?;
+            let text = super::blob_text(&data, || format!("pair cache {store} on {node:?}"))?;
+            // One record per line: newline bytes, plus an unterminated tail.
+            concat_records += data.iter().filter(|&&b| b == b'\n').count() as u64
+                + u64::from(data.last().is_some_and(|&b| b != b'\n'));
+            out.push_str(text);
         }
         let path = self.conf.output_part(rec, r);
         let work = ReduceWork {

@@ -1002,6 +1002,30 @@ mod tests {
     }
 
     #[test]
+    fn handed_over_runs_are_what_the_stored_blobs_decode_to() {
+        // A window consumes the products it builds from memory; every
+        // later window decodes the stored blob. Both must see one run —
+        // groups, sorted flag, record and text-byte counts alike.
+        type Exec = RecurringExecutor<TestMapper, TestReducer>;
+        let pairs: Vec<(String, u64)> =
+            ["b", "a", "c", "a", "b", "a"].iter().map(|k| (k.to_string(), 1)).collect();
+        let mut bucket = mrio::ShuffleBucket::default();
+        bucket.account_pairs(&pairs);
+
+        let (built, run) = Exec::input_cache_compute(&bucket, pairs.clone(), 3, 1).unwrap();
+        assert_eq!(mrio::decode_framed_grouped_block::<String, u64>(&built.blob).unwrap(), run);
+        assert_eq!(run.records, 6);
+
+        let (built, run) = Exec::pane_output_compute(&bucket, pairs, &*reducer(), 3, 1).unwrap();
+        assert_eq!(mrio::decode_framed_grouped_block::<String, u64>(&built.blob).unwrap(), run);
+        assert_eq!(run.grouped.to_nested(), vec![
+            ("a".to_string(), vec![3]),
+            ("b".to_string(), vec![2]),
+            ("c".to_string(), vec![1]),
+        ]);
+    }
+
+    #[test]
     fn audit_on_fresh_executor_is_clean() {
         let (cluster, sim, conf, source, adaptive, _) = fixture();
         let mut exec = RecurringExecutor::aggregation(

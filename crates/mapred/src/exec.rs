@@ -8,14 +8,19 @@
 //!
 //! Sorted records flow as [`Grouped`] runs — one shared values vector
 //! plus `(key, offset, len)` run entries — so grouping and merging
-//! allocate nothing per distinct key (see [`crate::grouped`]).
+//! allocate nothing per distinct key (see [`crate::grouped`]). The reduce
+//! side is one streaming pass, [`run_reducer`]: borrowed runs are merged
+//! group by group into the reducer, whose [`ReduceContext`] either
+//! collects pairs or encodes output text as it is emitted.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
 use crate::error::Result;
-pub use crate::grouped::{group_consecutive, merge_sorted_group_refs, merge_sorted_groups, sort_group};
+pub use crate::grouped::{
+    for_each_merged_group, group_consecutive, merge_sorted_groups, sort_group,
+};
 use crate::grouped::Grouped;
 use crate::mapper::{MapContext, Mapper};
 use crate::partitioner::Partitioner;
@@ -114,19 +119,21 @@ pub fn partition_pairs<K: 'static, V>(
     buckets
 }
 
-/// Runs `reducer` over a sorted run, returning output pairs and the
-/// number of input records (values) consumed. Each group is handed to
-/// the reducer as a slice of the run's shared values vector.
-#[allow(clippy::type_complexity)]
+/// Runs `reducer` over the k-way merge of borrowed sorted `runs` — one
+/// run is simply iterated — emitting into `ctx`, and returns the number
+/// of input records (values) consumed. The merge is streamed
+/// ([`for_each_merged_group`]): each key group goes straight to the
+/// reducer as a slice, and the sink `ctx` was built with decides whether
+/// the output is collected as pairs or encoded as text as it is emitted,
+/// so sorted runs become output text in one pass with nothing
+/// materialised in between.
 pub fn run_reducer<R: Reducer>(
     reducer: &R,
-    groups: &Grouped<R::KIn, R::VIn>,
-) -> (Vec<(R::KOut, R::VOut)>, u64) {
-    let mut ctx = ReduceContext::new();
-    for (key, values) in groups.iter() {
-        reducer.reduce(key, values, &mut ctx);
-    }
-    (ctx.into_pairs(), groups.records())
+    runs: &[&Grouped<R::KIn, R::VIn>],
+    ctx: &mut ReduceContext<R::KOut, R::VOut>,
+) -> u64 {
+    for_each_merged_group(runs, |key, values| reducer.reduce(key, values, ctx));
+    runs.iter().map(|g| g.records()).sum()
 }
 
 /// Host worker-count override: 0 means "use available parallelism".
@@ -274,9 +281,14 @@ mod tests {
             ("a".to_string(), 2),
             ("b".to_string(), 3),
         ]);
-        let (out, records) = run_reducer(&r, &groups);
-        assert_eq!(records, 3);
-        assert_eq!(out, vec![("a".to_string(), 3), ("b".to_string(), 3)]);
+        let mut ctx = ReduceContext::new();
+        assert_eq!(run_reducer(&r, &[&groups], &mut ctx), 3);
+        assert_eq!(ctx.into_pairs(), vec![("a".to_string(), 3), ("b".to_string(), 3)]);
+        // Several runs reduce as their merge, straight to text.
+        let more = sort_group(vec![("b".to_string(), 4u64), ("c".to_string(), 5)]);
+        let mut ctx = ReduceContext::text();
+        assert_eq!(run_reducer(&r, &[&groups, &more], &mut ctx), 5);
+        assert_eq!(ctx.into_text(), ("a\t3\nb\t7\nc\t5\n".to_string(), 3));
     }
 
     #[test]

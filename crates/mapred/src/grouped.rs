@@ -264,17 +264,22 @@ pub fn merge_sorted_groups<K: Ord, V>(runs: Vec<Grouped<K, V>>) -> Grouped<K, V>
     out
 }
 
-/// Like [`merge_sorted_groups`] but over borrowed runs, cloning records
-/// into the output. This is the memo-reuse path: cached runs stay
-/// resident and every recurrence merges clones instead of re-decoding.
-pub fn merge_sorted_group_refs<K, V>(runs: &[&Grouped<K, V>]) -> Grouped<K, V>
-where
-    K: Ord + Clone,
-    V: Clone,
-{
-    let total: usize = runs.iter().map(|g| g.values.len()).sum();
+/// Streams the k-way merge of borrowed runs to `f`, one `(key, values)`
+/// group at a time, without materialising the merged run: the same
+/// groups, in the same order and with the same value order, as
+/// [`merge_sorted_groups`] over owned copies of `runs`.
+///
+/// A key held by a single group of a single run is handed over as that
+/// run's own values slice; only a key held by several groups is gathered
+/// (cloned) into one scratch vector reused across the whole pass. So a
+/// reduce over cached runs allocates nothing per key and copies only the
+/// keys the runs share.
+pub fn for_each_merged_group<K: Ord, V: Clone>(
+    runs: &[&Grouped<K, V>],
+    mut f: impl FnMut(&K, &[V]),
+) {
     let mut pos: Vec<usize> = vec![0; runs.len()];
-    let mut out = Grouped { runs: Vec::new(), values: Vec::with_capacity(total) };
+    let mut gathered: Vec<V> = Vec::new();
     loop {
         // Earliest run wins ties, preserving stable-sort value order.
         let mut first: Option<usize> = None;
@@ -286,20 +291,30 @@ where
             };
         }
         let Some(first) = first else { break };
-        let key = runs[first].runs[pos[first]].0.clone();
-        let off = out.values.len() as u32;
-        out.values.extend_from_slice(runs[first].group_values(pos[first]));
+        let head = pos[first];
+        let key = &runs[first].runs[head].0;
         pos[first] += 1;
+        // Drain equal keys in index order, exactly as the owned merge
+        // does (one run may hold several consecutive equal-key groups
+        // when its input was grouped-but-unsorted).
+        let mut shared = false;
         for (i, g) in runs.iter().enumerate() {
-            while g.runs.get(pos[i]).is_some_and(|(k, _, _)| *k == key) {
-                out.values.extend_from_slice(g.group_values(pos[i]));
+            while g.runs.get(pos[i]).is_some_and(|(k, _, _)| k == key) {
+                if !shared {
+                    gathered.extend_from_slice(runs[first].group_values(head));
+                    shared = true;
+                }
+                gathered.extend_from_slice(g.group_values(pos[i]));
                 pos[i] += 1;
             }
         }
-        let len = out.values.len() as u32 - off;
-        out.runs.push((key, off, len));
+        if shared {
+            f(key, &gathered);
+            gathered.clear();
+        } else {
+            f(key, runs[first].group_values(head));
+        }
     }
-    out
 }
 
 #[cfg(test)]
@@ -367,12 +382,32 @@ mod tests {
     }
 
     #[test]
-    fn merge_refs_matches_owned_merge() {
+    fn streamed_merge_matches_owned_merge() {
         let run0 = sort_group(vec![("b".to_string(), 1u64), ("a".to_string(), 2)]);
         let run1 = sort_group(vec![("a".to_string(), 3u64), ("c".to_string(), 4)]);
-        let by_ref = merge_sorted_group_refs(&[&run0, &run1]);
-        let owned = merge_sorted_groups(vec![run0, run1]);
-        assert_eq!(by_ref, owned);
+        let mut streamed: Grouped<String, u64> = Grouped::new();
+        for_each_merged_group(&[&run0, &run1], |k, vs| {
+            streamed.push_group(k.clone(), vs.iter().copied())
+        });
+        assert_eq!(streamed, merge_sorted_groups(vec![run0, run1]));
+    }
+
+    #[test]
+    fn streamed_merge_lends_unshared_groups_and_gathers_shared_ones() {
+        let run0 = sort_group(vec![("a", 1), ("k", 2)]);
+        let run1 = sort_group(vec![("k", 3), ("z", 4)]);
+        let lent = |vs: &[i32]| {
+            [&run0, &run1].iter().any(|g| g.values.as_ptr_range().contains(&vs.as_ptr()))
+        };
+        let mut seen = Vec::new();
+        for_each_merged_group(&[&run0, &run1], |k, vs| seen.push((*k, vs.to_vec(), lent(vs))));
+        assert_eq!(
+            seen,
+            vec![("a", vec![1], true), ("k", vec![2, 3], false), ("z", vec![4], true)]
+        );
+        // No runs, and runs with no groups, call `f` never.
+        for_each_merged_group::<u32, u32>(&[], |_, _| unreachable!());
+        for_each_merged_group::<u32, u32>(&[&Grouped::new()], |_, _| unreachable!());
     }
 
     #[test]

@@ -353,6 +353,20 @@ pub struct GroupedBlock<K, V> {
     pub text_bytes: u64,
 }
 
+impl<K: Ord, V> GroupedBlock<K, V> {
+    /// The block [`decode_framed_grouped_block`] would return for the
+    /// encoding of `grouped`, without the round trip; `text_bytes` is the
+    /// run's text-equivalent size, which its builder already knows.
+    pub fn of_run(grouped: Grouped<K, V>, text_bytes: u64) -> Self {
+        GroupedBlock {
+            sorted: grouped.is_strictly_sorted(),
+            records: grouped.records(),
+            text_bytes,
+            grouped,
+        }
+    }
+}
+
 /// The grouped-block body each frame payload carries: sorted flag,
 /// record / text-byte / group counts, then per-group key + value list.
 fn encode_grouped_body<'g, K: Writable + 'g, V: Writable + 'g>(
@@ -403,14 +417,21 @@ fn decode_grouped_body<K: Writable, V: Writable>(buf: &[u8]) -> Result<GroupedBl
     for _ in 0..group_count {
         let (k, used) = K::read_bin(rest)?;
         rest = &rest[used..];
-        let nvals = varint(&mut rest)?;
+        // A group holds at least one value (`Grouped`'s invariant —
+        // reducers are never handed an empty slice) and run offsets are
+        // `u32`: a count outside that range is damage under an intact
+        // checksum, not a run.
+        let nvals = u32::try_from(varint(&mut rest)?)
+            .ok()
+            .filter(|&n| n > 0)
+            .ok_or_else(|| MrError::Codec("grouped block group has no or too many values".into()))?;
         let off = grouped.values.len() as u32;
         for _ in 0..nvals {
             let (v, used) = V::read_bin(rest)?;
             rest = &rest[used..];
             grouped.values.push(v);
         }
-        grouped.runs.push((k, off, nvals as u32));
+        grouped.runs.push((k, off, nvals));
     }
     if !rest.is_empty() {
         return Err(MrError::Codec(format!("{} trailing bytes after grouped block", rest.len())));
@@ -673,6 +694,23 @@ mod tests {
         let mut body = Vec::new();
         encode_grouped_body(&mut body, true, 2, groups.text_bytes(), 1, groups.iter());
         assert!(decode_framed_grouped_block::<String, u64>(&framed(&body)).is_err());
+    }
+
+    #[test]
+    fn grouped_block_rejects_empty_and_oversized_groups() {
+        // Both bodies are well-formed up to the value count of their only
+        // group: 0 (an empty slice for the reducer) and one past `u32`
+        // (which the run table would silently truncate).
+        for nvals in [0u64, u32::MAX as u64 + 1] {
+            let mut body = vec![1];
+            crate::writable::write_varint(&mut body, 0); // records
+            crate::writable::write_varint(&mut body, 0); // text_bytes
+            crate::writable::write_varint(&mut body, 1); // group_count
+            "a".to_string().write_bin(&mut body);
+            crate::writable::write_varint(&mut body, nvals);
+            let err = decode_framed_grouped_block::<String, u64>(&framed(&body)).unwrap_err();
+            assert!(matches!(err, MrError::Codec(_)), "nvals={nvals}: {err:?}");
+        }
     }
 
     fn sample_groups(n: u64) -> Grouped<String, u64> {

@@ -55,7 +55,7 @@ pub struct MapMemo {
     /// [`crate::grouped::Grouped`] (`MapMemo` is not generic over the
     /// job's key/value types). Reduces over a recurring window then
     /// *merge* the cached runs (exactly reproducing the stable full
-    /// sort, see [`exec::merge_sorted_groups`]) instead of re-sorting —
+    /// sort, see [`exec::for_each_merged_group`]) instead of re-sorting —
     /// or re-decoding — the whole window every recurrence.
     reduce_runs: std::collections::HashMap<
         (DfsPath, usize, usize, usize),
@@ -444,15 +444,16 @@ where
             bucket.decode_into::<M::KOut, M::VOut>(&mut pairs)?;
         }
         let groups = exec::sort_group(pairs);
-        self.finish_reduce(spec, r, shuffle_bytes, &groups)
+        self.finish_reduce(spec, r, shuffle_bytes, &[&groups])
     }
 
     /// Memoized variant of [`Self::execute_reduce`]: each reusable
     /// split's bucket is sorted once ever (cached as a resident
-    /// [`crate::grouped::Grouped`] run) and recurrences merge the sorted
-    /// runs by reference, which reproduces the stable full sort exactly
-    /// (see [`exec::merge_sorted_groups`]) without re-sorting — or even
-    /// re-decoding — the cached majority of the window.
+    /// [`crate::grouped::Grouped`] run) and recurrences stream the merge
+    /// of the borrowed sorted runs into the reducer, which reproduces the
+    /// stable full sort exactly (see [`exec::for_each_merged_group`])
+    /// without re-sorting — or even re-decoding — the cached majority of
+    /// the window.
     #[allow(clippy::too_many_arguments)]
     fn execute_reduce_memoized(
         &self,
@@ -502,31 +503,23 @@ where
             };
             runs.push(run);
         }
-        // A single run (or a window of one split) needs no merge at all.
-        let merged;
-        let groups: &crate::grouped::Grouped<M::KOut, M::VOut> = if runs.len() == 1 {
-            &runs[0]
-        } else {
-            let refs: Vec<&crate::grouped::Grouped<M::KOut, M::VOut>> =
-                runs.iter().map(|a| a.as_ref()).collect();
-            merged = exec::merge_sorted_group_refs(&refs);
-            &merged
-        };
-        self.finish_reduce(spec, r, shuffle_bytes, groups)
+        let refs: Vec<&crate::grouped::Grouped<M::KOut, M::VOut>> =
+            runs.iter().map(|a| a.as_ref()).collect();
+        self.finish_reduce(spec, r, shuffle_bytes, &refs)
     }
 
-    /// Shared tail of the reduce task: run the reducer over the sorted
-    /// groups and write the text part file.
+    /// Shared tail of the reduce task: stream the merge of the sorted
+    /// runs through the reducer straight into the text part file.
     fn finish_reduce(
         &self,
         spec: &JobSpec,
         r: usize,
         shuffle_bytes: u64,
-        groups: &crate::grouped::Grouped<M::KOut, M::VOut>,
+        runs: &[&crate::grouped::Grouped<M::KOut, M::VOut>],
     ) -> Result<ReduceWork> {
-        let (out_pairs, input_records) = exec::run_reducer(self.reducer, groups);
-        let output_records = out_pairs.len() as u64;
-        let text = io::encode_kv_block(&out_pairs);
+        let mut ctx = crate::reducer::ReduceContext::text();
+        let input_records = exec::run_reducer(self.reducer, runs, &mut ctx);
+        let (text, output_records) = ctx.into_text();
         let output_bytes = text.len() as u64;
         self.cluster.create(&spec.part_path(r), bytes::Bytes::from(text))?;
         Ok(ReduceWork {

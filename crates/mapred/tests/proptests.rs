@@ -253,12 +253,40 @@ proptest! {
             d[pos] ^= flip as u8;
             d
         };
-        let mut reframed = Vec::new();
-        redoop_mapred::frame::write_frame(&mut reframed, 3, 1, 0, 1, &damaged);
-        if let Ok(block) = io::decode_framed_grouped_block::<String, u64>(&reframed) {
+        let reframe = |body: &[u8]| {
+            let mut reframed = Vec::new();
+            redoop_mapred::frame::write_frame(&mut reframed, 3, 1, 0, 1, body);
+            reframed
+        };
+        if let Ok(block) = io::decode_framed_grouped_block::<String, u64>(&reframe(&damaged)) {
             // Structural invariants always hold on accepted input.
             prop_assert_eq!(block.records as usize, block.grouped.values.len());
+            prop_assert!(block.grouped.iter().all(|(_, vs)| !vs.is_empty()));
         }
+        // The one damage no flip is sure to produce: a group of zero
+        // values slipped between the first frame's groups, every header
+        // count still consistent. A reducer must never see it.
+        let frame_groups = groups.group_count().min(16);
+        let at = (damage % (frame_groups as u64 + 1)) as usize;
+        let mut body = vec![1u8];
+        let records: u64 = (0..frame_groups).map(|i| groups.group_values(i).len() as u64).sum();
+        redoop_mapred::writable::write_varint(&mut body, records);
+        redoop_mapred::writable::write_varint(&mut body, 0);
+        redoop_mapred::writable::write_varint(&mut body, frame_groups as u64 + 1);
+        for i in 0..=frame_groups {
+            if i == at {
+                "hollow".to_string().write_bin(&mut body);
+                redoop_mapred::writable::write_varint(&mut body, 0);
+            }
+            if i < frame_groups {
+                groups.runs[i].0.write_bin(&mut body);
+                let vs = groups.group_values(i);
+                redoop_mapred::writable::write_varint(&mut body, vs.len() as u64);
+                vs.iter().for_each(|v| v.write_bin(&mut body));
+            }
+        }
+        let err = io::decode_framed_grouped_block::<String, u64>(&reframe(&body)).unwrap_err();
+        prop_assert!(matches!(err, redoop_mapred::MrError::Codec(_)), "{:?}", err);
     }
 
     /// The framed encoding carries a CRC per frame, so its guarantee is
@@ -365,5 +393,85 @@ proptest! {
         prop_assert_eq!(scaled.reduce_task_startup, base.reduce_task_startup);
         // Aggregate-record CPU is never scaled.
         prop_assert_eq!(scaled.aggregate_cpu(records), base.aggregate_cpu(records));
+    }
+}
+
+/// One input run of the streaming merge-reduce: `(key, value count)`
+/// groups over a small key space, so runs share keys. `sorted` runs go
+/// through `sort_group`; the others keep their groups as generated —
+/// grouped but unsorted, consecutive equal-key groups included.
+fn merge_run() -> impl Strategy<Value = (Vec<(u8, usize)>, bool)> {
+    (proptest::collection::vec((0u8..6, 1usize..4), 0..8), any::<bool>())
+}
+
+/// Builds the runs; values are `run * 1000 + i`, so every value is
+/// distinct and any reordering shows.
+fn build_runs(spec: &[(Vec<(u8, usize)>, bool)]) -> Vec<redoop_mapred::Grouped<u8, u64>> {
+    spec.iter()
+        .enumerate()
+        .map(|(run, (groups, sorted))| {
+            let mut next = run as u64 * 1000;
+            let mut raw = redoop_mapred::Grouped::new();
+            for &(key, n) in groups {
+                raw.push_group(key, (0..n as u64).map(|i| next + i));
+                next += n as u64;
+            }
+            if *sorted { exec::sort_group(raw.into_pairs()) } else { raw }
+        })
+        .collect()
+}
+
+/// Emits each group whole, then once per value: the output pins group
+/// boundaries, group order and value order.
+fn spelling_reducer() -> impl redoop_mapred::Reducer<KIn = u8, VIn = u64, KOut = u8, VOut = String> {
+    redoop_mapred::ClosureReducer::new(
+        |k: &u8, vs: &[u64], ctx: &mut redoop_mapred::ReduceContext<u8, String>| {
+            ctx.emit(*k, format!("{vs:?}"));
+            for v in vs {
+                ctx.emit_ref(k, &v.to_string());
+            }
+        },
+    )
+}
+
+proptest! {
+    /// The streaming merge-reduce over borrowed runs hands the reducer
+    /// exactly the groups — boundaries, order, value order, record count —
+    /// of the materialised merge, for 0–5 runs of any shape.
+    #[test]
+    fn streamed_merge_reduce_matches_materialised_merge(
+        spec in proptest::collection::vec(merge_run(), 0..6)
+    ) {
+        use redoop_mapred::{ReduceContext, Reducer};
+        let runs = build_runs(&spec);
+        let reducer = spelling_reducer();
+        let merged = exec::merge_sorted_groups(runs.clone());
+        let mut expected = ReduceContext::new();
+        for (k, vs) in merged.iter() {
+            reducer.reduce(k, vs, &mut expected);
+        }
+        let refs: Vec<&redoop_mapred::Grouped<u8, u64>> = runs.iter().collect();
+        let mut streamed = ReduceContext::new();
+        let records = exec::run_reducer(&reducer, &refs, &mut streamed);
+        prop_assert_eq!(records, merged.records());
+        prop_assert_eq!(streamed.into_pairs(), expected.into_pairs());
+    }
+
+    /// For the same emits, the text sink holds byte for byte the text
+    /// encoding of what the collecting sink holds, and the same count.
+    #[test]
+    fn text_sink_matches_encoding_the_collected_pairs(
+        spec in proptest::collection::vec(merge_run(), 0..6)
+    ) {
+        use redoop_mapred::ReduceContext;
+        let runs = build_runs(&spec);
+        let refs: Vec<&redoop_mapred::Grouped<u8, u64>> = runs.iter().collect();
+        let reducer = spelling_reducer();
+        let (mut collected, mut text) = (ReduceContext::new(), ReduceContext::text());
+        exec::run_reducer(&reducer, &refs, &mut collected);
+        exec::run_reducer(&reducer, &refs, &mut text);
+        prop_assert_eq!(text.emitted(), collected.emitted());
+        let pairs = collected.into_pairs();
+        prop_assert_eq!(text.into_text(), (io::encode_kv_block(&pairs), pairs.len() as u64));
     }
 }

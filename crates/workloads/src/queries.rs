@@ -66,6 +66,22 @@ impl Reducer for AggReducer {
     }
 }
 
+/// Appends `v` in decimal — what `{v}` renders, without the `fmt`
+/// machinery the mapper would otherwise pay per record.
+fn push_decimal(out: &mut SmallKeyBuilder, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
 /// Mapper of the join query: self-describing FFG lines from either
 /// stream → `(player, (tag, payload))`.
 #[derive(Debug, Clone, Copy, Default)]
@@ -83,7 +99,11 @@ impl Mapper for JoinMapper {
                 _ => return, // malformed record: skip, like a Hadoop job would
             };
         let Ok(ts) = ts.parse::<u64>() else { return };
-        let key = SmallKey::from_fmt(format_args!("{player}@{}", ts / JOIN_BUCKET_MS));
+        let mut key = SmallKeyBuilder::new();
+        key.push_str(player);
+        key.push_char('@');
+        push_decimal(&mut key, ts / JOIN_BUCKET_MS);
+        let key = key.finish();
         match kind {
             "pos" => {
                 // Positions hold commas (CSV coordinates); swap them for
@@ -118,27 +138,33 @@ impl Reducer for JoinReducer {
     type VOut = String;
 
     fn reduce(&self, key: &SmallKey, values: &[JoinValue], ctx: &mut ReduceContext<SmallKey, String>) {
-        let mut positions: Vec<&str> = Vec::new();
-        let mut speeds: Vec<&str> = Vec::new();
-        for Pair(tag, payload) in values {
-            match *tag {
-                TAG_POSITION => positions.push(payload),
-                TAG_SPEED => speeds.push(payload),
-                _ => {}
-            }
+        // Most key groups hold one stream only (a pane pair off the
+        // window's diagonal shares no time bucket): nothing to join, and
+        // nothing allocated to find that out.
+        let count = |tag: u8| values.iter().filter(|v| v.0 == tag).count();
+        let (n_pos, n_spd) = (count(TAG_POSITION), count(TAG_SPEED));
+        if n_pos == 0 || n_spd == 0 {
+            return;
         }
+        let of = |tag: u8| values.iter().filter(move |v| v.0 == tag).map(|v| v.1.as_str());
+        let mut payloads: Vec<&str> = Vec::with_capacity(n_pos + n_spd);
+        payloads.extend(of(TAG_POSITION));
+        payloads.extend(of(TAG_SPEED));
+        let (positions, speeds) = payloads.split_at_mut(n_pos);
         // Deterministic output order regardless of shuffle arrival order.
         positions.sort_unstable();
         speeds.sort_unstable();
-        for pos in &positions {
-            for spd in &speeds {
-                // Sized once and appended: the cross product is the join's
-                // hot loop, and `format!` pays the formatter per tuple.
-                let mut joined = String::with_capacity(pos.len() + 1 + spd.len());
+        // The cross product is the join's hot loop: every tuple is built
+        // in one reused buffer and emitted by reference, so a text sink
+        // pays no allocation per tuple.
+        let mut joined = String::new();
+        for pos in positions.iter() {
+            for spd in speeds.iter() {
+                joined.clear();
                 joined.push_str(pos);
                 joined.push('|');
                 joined.push_str(spd);
-                ctx.emit(key.clone(), joined);
+                ctx.emit_ref(key, &joined);
             }
         }
     }
@@ -224,13 +250,66 @@ mod tests {
 
     #[test]
     fn join_reducer_no_match_emits_nothing() {
-        let mut ctx = ReduceContext::new();
-        JoinReducer.reduce(
-            &SmallKey::from("p1"),
-            &[Pair(TAG_POSITION, SmallKey::from("1;2"))],
-            &mut ctx,
-        );
-        assert_eq!(ctx.emitted(), 0);
+        for tag in [TAG_POSITION, TAG_SPEED] {
+            for mut ctx in [ReduceContext::new(), ReduceContext::text()] {
+                let one_stream =
+                    [Pair(tag, SmallKey::from("1;2")), Pair(tag, SmallKey::from("3;4"))];
+                JoinReducer.reduce(&SmallKey::from("p1"), &one_stream, &mut ctx);
+                assert_eq!(ctx.emitted(), 0);
+                assert_eq!(ctx.into_text(), (String::new(), 0));
+            }
+        }
+    }
+
+    #[test]
+    fn join_reducer_text_is_what_collecting_owned_tuples_encodes() {
+        // The reference builds every tuple as an owned `(key, String)` and
+        // encodes the collected list afterwards, as the reducer did before
+        // it emitted by reference. Payloads and keys on both sides of the
+        // inline limit, in unsorted arrival order, with an unknown tag.
+        let long = "9".repeat(SmallKey::INLINE + 7);
+        let values = vec![
+            Pair(TAG_SPEED, SmallKey::from("20")),
+            Pair(TAG_POSITION, SmallKey::from(format!("{long};{long}"))),
+            Pair(7, SmallKey::from("ignored")),
+            Pair(TAG_POSITION, SmallKey::from("1;2")),
+            Pair(TAG_SPEED, SmallKey::from(long.as_str())),
+            Pair(TAG_POSITION, SmallKey::from("1;2")),
+        ];
+        for key in [SmallKey::from("p1@7"), SmallKey::from(format!("{long}@7"))] {
+            let of = |tag: u8| {
+                let mut v: Vec<&str> =
+                    values.iter().filter(|v| v.0 == tag).map(|v| v.1.as_str()).collect();
+                v.sort_unstable();
+                v
+            };
+            let mut expected: Vec<(SmallKey, String)> = Vec::new();
+            for pos in of(TAG_POSITION) {
+                for spd in of(TAG_SPEED) {
+                    expected.push((key.clone(), format!("{pos}|{spd}")));
+                }
+            }
+            assert_eq!(expected.len(), 6, "3 positions x 2 speeds");
+            let (mut pairs, mut text) = (ReduceContext::new(), ReduceContext::text());
+            JoinReducer.reduce(&key, &values, &mut pairs);
+            JoinReducer.reduce(&key, &values, &mut text);
+            assert_eq!(
+                text.into_text(),
+                (redoop_mapred::io::encode_kv_block(&expected), expected.len() as u64)
+            );
+            assert_eq!(pairs.into_pairs(), expected);
+        }
+    }
+
+    #[test]
+    fn join_mapper_key_is_player_at_decimal_bucket() {
+        let long_player = "p".repeat(SmallKey::INLINE + 3);
+        for (ts, player) in [(0u64, "p3"), (9_999, "p3"), (u64::MAX, "p3"), (123_456_789, &long_player)] {
+            let mut ctx = MapContext::new();
+            JoinMapper.map(&format!("{ts},{player},spd,1"), &mut ctx);
+            let expected = format!("{player}@{}", ts / JOIN_BUCKET_MS);
+            assert_eq!(ctx.into_pairs()[0].0, SmallKey::from(expected));
+        }
     }
 
     #[test]

@@ -159,6 +159,62 @@ fn join_output_matches_brute_force() {
     assert_eq!(got, expect);
 }
 
+/// What the node-local stores served during `f` (`get_local` bytes), and
+/// `f`'s result.
+fn local_reads<T>(cluster: &redoop_dfs::Cluster, f: impl FnOnce() -> T) -> (u64, T) {
+    let before = cluster.io_totals().local_store_read;
+    let out = f();
+    (cluster.io_totals().local_store_read - before, out)
+}
+
+#[test]
+fn a_join_window_reads_back_only_the_inputs_it_is_charged_for() {
+    // Overlap .875, 8 panes per window: window 0 builds the inputs of
+    // panes 0..=7 and all 64 pairs per partition; window 1 reuses panes
+    // 1..=7, builds pane 8, and its outstanding pairs (1,8) … (7,8),
+    // (8,1) … (8,8) touch every reused input of both streams.
+    let spec = spec_with_overlap(0.875);
+    let plan = ArrivalPlan::new(spec, 2);
+    let pos = ffg_batches(&plan, Stream::Position, 61, 1.0);
+    let spd = ffg_batches(&plan, Stream::Speed, 62, 1.0);
+    let cluster = test_cluster();
+    let mut exec = join_executor(&cluster, spec, "readback", batch_adaptive(&cluster, &spec));
+    ingest_all(&mut exec, 0, &pos);
+    ingest_all(&mut exec, 1, &spd);
+    // The concat reads each in-window pair output once; a part file is
+    // their concatenation, so its length is what those reads sum to.
+    let concat_bytes = |report: &WindowReport| -> u64 {
+        report.outputs.iter().map(|p| cluster.read(p).unwrap().len() as u64).sum()
+    };
+
+    let (read, cold) = local_reads(&cluster, || exec.run_window(0).unwrap());
+    assert!(concat_bytes(&cold) > 0);
+    assert_eq!(
+        read,
+        concat_bytes(&cold),
+        "a cold window joins the inputs it just built from memory: no ri/ blob is read back"
+    );
+
+    let mut reused_input_bytes = 0u64;
+    for (s, p, r) in (0..2).flat_map(|s| (1..=7).flat_map(move |p| (0..4).map(move |r| (s, p, r)))) {
+        let name = format!("ri/s{s}p{p}.0/r{r}");
+        let holders: Vec<u64> = (0..cluster.node_count() as u32)
+            .filter_map(|n| cluster.peek_local(redoop_dfs::NodeId(n), &name))
+            .map(|blob| blob.len() as u64)
+            .collect();
+        assert_eq!(holders.len(), 1, "{name} is cached on exactly one node");
+        reused_input_bytes += holders[0];
+    }
+    let (read, steady) = local_reads(&cluster, || exec.run_window(1).unwrap());
+    assert_eq!(steady.trace.cache_misses, 4 * (2 + 15), "pane 8's inputs and pairs only");
+    assert_eq!(
+        read,
+        reused_input_bytes + concat_bytes(&steady),
+        "a steady window decodes each reused input its pairs touch once — the reads it is \
+         charged — and never the inputs it built"
+    );
+}
+
 /// Always-proactive FFG join (8 sub-panes per pane) fed interleaved, on
 /// the Fig. 7 overlaps with steady arrivals and on Fig. 8's 2x-spike
 /// schedule: per-window simulated responses in microseconds and the

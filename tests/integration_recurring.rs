@@ -197,3 +197,35 @@ fn map_side_combiner_shrinks_shuffle_without_changing_results() {
     );
     assert!(resp_comb < resp_plain, "less shuffle, faster windows");
 }
+
+#[test]
+fn the_merge_reads_back_only_the_partials_it_is_charged_for() {
+    // Overlap .875: window 0 builds panes 0..=7, window 1 reuses 1..=7
+    // and builds pane 8. A batch merge is charged a cache read for reused
+    // partials only — the fresh ones were handed over by their builds —
+    // and the node-local stores serve exactly those reads.
+    let spec = spec_with_overlap(0.875);
+    let plan = ArrivalPlan::new(spec, 2);
+    let batches = wcc_batches(&plan, 19, 1.0);
+    let cluster = test_cluster();
+    let mut exec = agg_executor(&cluster, spec, "readback", batch_adaptive(&cluster, &spec));
+    ingest_all(&mut exec, 0, &batches);
+    let served = || cluster.io_totals().local_store_read;
+
+    exec.run_window(0).unwrap();
+    assert_eq!(served(), 0, "a cold window merges the partials it just built from memory");
+
+    let mut reused_partial_bytes = 0u64;
+    for (p, r) in (1..=7).flat_map(|p| (0..4).map(move |r| (p, r))) {
+        let name = format!("ro/s0p{p}/r{r}");
+        let holders: Vec<u64> = (0..cluster.node_count() as u32)
+            .filter_map(|n| cluster.peek_local(redoop_dfs::NodeId(n), &name))
+            .map(|blob| blob.len() as u64)
+            .collect();
+        assert_eq!(holders.len(), 1, "{name} is cached on exactly one node");
+        reused_partial_bytes += holders[0];
+    }
+    let steady = exec.run_window(1).unwrap();
+    assert_eq!(steady.trace.cache_misses, 4, "pane 8 only, once per partition");
+    assert_eq!(served(), reused_partial_bytes, "each reused partial is decoded once");
+}
