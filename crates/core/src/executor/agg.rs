@@ -22,7 +22,7 @@ use crate::adaptive::ExecMode;
 use crate::cache::CacheName;
 use crate::error::Result;
 
-use super::driver::{BuiltCache, BuiltRun, PartitionPrep, WindowCtx};
+use super::driver::{BuiltCache, BuiltRun, MappedPanes, PartitionPrep, WindowCtx};
 use super::plan::{delta_name, output_name, WindowPlan};
 use super::RecurringExecutor;
 
@@ -37,7 +37,7 @@ where
     /// Also the delta seal's compute — sealed `rd/…` deltas share the
     /// `ro/…` payload format by construction.
     pub(super) fn pane_output_compute(
-        bucket: &mrio::ShuffleBucket,
+        shuffle_text_bytes: u64,
         pairs: Vec<(M::KOut, M::VOut)>,
         reducer: &R,
         pane: u64,
@@ -78,7 +78,7 @@ where
         let blob = Bytes::from(mrio::encode_framed_grouped_block(&partials, pane, partition));
         let built = BuiltCache {
             input_records,
-            shuffle_text_bytes: bucket.text_bytes,
+            shuffle_text_bytes,
             cache_text_bytes,
             output_records,
             blob,
@@ -96,6 +96,7 @@ where
         r: usize,
         prep: &PartitionPrep,
         ctx: WindowCtx,
+        mapped: &MappedPanes<M::KOut, M::VOut>,
         metrics: &mut JobMetrics,
     ) -> Result<DfsPath> {
         let rec = plan.recurrence;
@@ -106,11 +107,11 @@ where
         // follow-on items run back-to-back in the same attempt.
         let mut attempt_startup = true;
         let reducer = self.reducer.clone();
-        let compute = |bucket: &mrio::ShuffleBucket, pairs, pane, partition| {
-            Self::pane_output_compute(bucket, pairs, &*reducer, pane, partition)
+        let compute = |shuffle_text_bytes, pairs, pane, partition| {
+            Self::pane_output_compute(shuffle_text_bytes, pairs, &*reducer, pane, partition)
         };
         let built =
-            self.build_missing(rec, r, prep, ctx, &compute, &mut attempt_startup, metrics)?;
+            self.build_missing(rec, r, prep, ctx, mapped, &compute, &mut attempt_startup, metrics)?;
         // The pane partials to merge, by pane. Batch builds just handed
         // their output to this window's merge (their write was charged in
         // the build task); proactive builds may be long done, so the merge

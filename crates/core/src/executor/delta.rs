@@ -44,7 +44,7 @@ use std::collections::HashMap;
 use bytes::Bytes;
 use redoop_dfs::NodeId;
 use redoop_mapred::trace::TraceEvent;
-use redoop_mapred::{exec, io as mrio, MapContext, MapWork, Mapper, ReduceWork, Reducer, SimTime, TaskKind};
+use redoop_mapred::{exec, io as mrio, MapWork, Mapper, ReduceWork, Reducer, SimTime, TaskKind};
 
 use crate::cache::CacheObject;
 use crate::error::Result;
@@ -177,23 +177,21 @@ where
         let arrive = SimTime::from_millis(range.start.0);
         let num_reducers = self.conf.num_reducers;
         for (pane, idxs) in &outcome.pane_lines {
-            let mut scratch = MapContext::new();
-            let (parts, in_records) = exec::run_mapper_partitioned(
+            // Per-partition charge basis: the *incoming* pairs of this
+            // batch (the work a live combiner performs inside the
+            // ingesting map task), measured as they are emitted — before
+            // combining.
+            let (parts, incoming_bytes, in_records) = exec::run_mapper_bucketed(
                 &*self.mapper,
                 idxs.iter().map(|&i| lines[i as usize]),
                 &self.partitioner,
                 num_reducers,
-                &mut scratch,
+                None,
             );
+            let incoming: Vec<(u64, u64)> =
+                parts.iter().zip(incoming_bytes).map(|(p, bytes)| (p.len() as u64, bytes)).collect();
             let batch_bytes: u64 =
                 idxs.iter().map(|&i| lines[i as usize].len() as u64 + 1).sum();
-            // Per-partition charge basis: the *incoming* pairs of this
-            // batch (the work a live combiner performs inside the
-            // ingesting map task), measured before combining.
-            let incoming: Vec<(u64, u64)> = parts
-                .iter()
-                .map(|p| (p.len() as u64, mrio::kv_block_text_bytes(p)))
-                .collect();
             let homes: Vec<NodeId> = (0..num_reducers).map(|r| self.delta_home(r, arrive)).collect();
             let first_fold = !self.delta.open.contains_key(pane);
             let open = self.delta.open.entry(*pane).or_insert_with(|| OpenPaneDelta {
@@ -283,10 +281,13 @@ where
                     continue;
                 }
                 let node = home.expect("valid seal has a home");
-                let mut bucket = mrio::ShuffleBucket::default();
-                bucket.account_pairs(&pairs);
-                let (built, _) =
-                    Self::pane_output_compute(&bucket, pairs, &*self.reducer, p, r as u32)?;
+                let (built, _) = Self::pane_output_compute(
+                    mrio::kv_block_text_bytes(&pairs),
+                    pairs,
+                    &*self.reducer,
+                    p,
+                    r as u32,
+                )?;
                 let work = ReduceWork {
                     shuffle_bytes: built.shuffle_text_bytes,
                     cache_bytes: 0,

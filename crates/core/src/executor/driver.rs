@@ -40,7 +40,7 @@
 //! HDFS-available) and the post-window expiry/purge sweep live here
 //! too: they are driver concerns — bookkeeping between plan executions.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use redoop_dfs::{DfsPath, NodeId};
 use redoop_mapred::counters::names as cnames;
@@ -100,31 +100,37 @@ fn subpane_charges(slices: &[SliceMapInfo], r: usize) -> Vec<SubpaneCharge> {
     by_slice.into_values().collect()
 }
 
-/// One partition's decoded shuffle pairs, cloned out by every cache
-/// build that needs them.
-pub(super) type RawSlot<K, V> = std::sync::Mutex<Vec<(K, V)>>;
+/// One partition's mapped pairs, until the cache build that consumes
+/// them takes them out.
+pub(super) type RawSlot<K, V> = std::sync::Mutex<Option<Vec<(K, V)>>>;
 
-/// Transient real map output of one pane: shuffle accounting, one
-/// bucket per reduce partition, plus the virtual time each became
-/// available.
+/// Transient real map output of one pane, alive for the window that
+/// mapped it: per reduce partition the shuffle accounting and the pairs,
+/// plus the virtual time each became available.
 pub(super) struct MappedPane<K, V> {
     pub(super) ready: SimTime,
-    /// Per-partition shuffle accounting (`text_bytes`/`records`); the
-    /// binary stream stays empty — `raw` holds the live pairs, so
-    /// nothing would ever decode it.
-    pub(super) buckets: Vec<mrio::ShuffleBucket>,
+    /// Per-split shuffle accounting (text-equivalent bytes and records
+    /// per partition, summed at emit time): what the cost model charges.
     pub(super) slices: Vec<SliceMapInfo>,
-    /// Decoded shuffle pairs per partition, kept for the pane's whole
-    /// lifetime; cache builds clone them out (a flat memcpy — cheaper
-    /// than the encode/decode round-trip the binary stream used to
-    /// fund). Cleared with the pane after each window.
+    /// The mapped pairs per partition, one presized `Vec` each. A
+    /// partition's build *takes* its slot: a window builds each missing
+    /// (pane, partition) product exactly once, so nothing is cloned and
+    /// the pairs are freed as the window proceeds.
     pub(super) raw: Vec<RawSlot<K, V>>,
 }
+
+/// The panes one window has mapped so far, by `(source, pane)`. Created
+/// by `drive` and dropped when it returns — however it returns — so map
+/// output never outlives its window: a window that failed part-way leaves
+/// nothing behind for the next one to skip mapping, and charging, over.
+pub(super) type MappedPanes<K, V> = HashMap<(u32, u64), MappedPane<K, V>>;
 
 /// Pure real-side output of one map split, produced on a worker thread
 /// before any virtual-time accounting happens.
 struct SplitMapOut<K, V> {
     parts: Vec<Vec<(K, V)>>,
+    /// Text-equivalent bytes of each of `parts`.
+    bucket_bytes: Vec<u64>,
     work: MapWork,
 }
 
@@ -148,12 +154,12 @@ pub(super) struct BuiltCache {
 /// never reads it back.
 pub(super) type BuiltRun<K, V> = (BuiltCache, mrio::GroupedBlock<K, V>);
 
-/// The pure compute function of one pane product — `(bucket accounting,
+/// The pure compute function of one pane product — `(shuffle text bytes,
 /// raw pairs, pane, partition)` to the built cache and its run (values of
 /// type `C`) — run on host worker threads: `pane_output_compute` for
 /// aggregations, `input_cache_compute` for joins.
 pub(super) type PaneCompute<'a, K, V, C> =
-    &'a (dyn Fn(&mrio::ShuffleBucket, Vec<(K, V)>, u64, u32) -> Result<BuiltRun<K, C>> + Sync);
+    &'a (dyn Fn(u64, Vec<(K, V)>, u64, u32) -> Result<BuiltRun<K, C>> + Sync);
 
 /// Scales a rebuild's charged reduce work down to the missing frame
 /// suffix of a salvaged cache: `intact` of `total` frames survived the
@@ -231,14 +237,15 @@ where
         metrics: &mut JobMetrics,
     ) -> Result<Vec<DfsPath>> {
         let mut outputs = Vec::with_capacity(plan.num_reducers);
+        let mut mapped = MappedPanes::new();
         for r in 0..plan.num_reducers {
-            let prep = self.prepare_partition(plan, r, ctx, metrics)?;
+            let prep = self.prepare_partition(plan, r, ctx, &mut mapped, metrics)?;
             let path = match plan.kind {
                 PlanKind::Aggregation => {
-                    self.dispatch_partition_agg(plan, r, &prep, ctx, metrics)?
+                    self.dispatch_partition_agg(plan, r, &prep, ctx, &mapped, metrics)?
                 }
                 PlanKind::BinaryJoin => {
-                    self.dispatch_partition_join(plan, r, &prep, ctx, metrics)?
+                    self.dispatch_partition_join(plan, r, &prep, ctx, &mapped, metrics)?
                 }
             };
             outputs.push(path);
@@ -254,6 +261,7 @@ where
         plan: &WindowPlan,
         r: usize,
         ctx: WindowCtx,
+        mapped: &mut MappedPanes<M::KOut, M::VOut>,
         metrics: &mut JobMetrics,
     ) -> Result<PartitionPrep> {
         let names = plan.required_caches(r);
@@ -351,7 +359,7 @@ where
         }
         while let Some(entry) = self.lists.pop_map() {
             if missing_set.contains(&(entry.source, entry.pane.0)) {
-                self.ensure_pane_mapped(entry.source, entry.pane, ctx.floor, metrics)?;
+                self.ensure_pane_mapped(entry.source, entry.pane, ctx.floor, mapped, metrics)?;
             }
         }
         Ok(PartitionPrep { node, missing, missing_set, todo_pairs, todo_set, delta_hits })
@@ -520,17 +528,19 @@ where
     // ------------------------------------------------------------------
 
     /// Runs (for real) and charges (virtually) the map tasks of one pane,
-    /// producing its encoded shuffle buckets. `floor` is the earliest
-    /// virtual time work may start (window fire time in batch mode,
-    /// `ZERO` in proactive mode — slices are still gated by arrival).
+    /// producing its per-partition pairs and shuffle accounting. `floor`
+    /// is the earliest virtual time work may start (window fire time in
+    /// batch mode, `ZERO` in proactive mode — slices are still gated by
+    /// arrival).
     fn ensure_pane_mapped(
         &mut self,
         source: u32,
         pane: PaneId,
         floor: SimTime,
+        mapped: &mut MappedPanes<M::KOut, M::VOut>,
         metrics: &mut JobMetrics,
     ) -> Result<()> {
-        if self.mapped.contains_key(&(source, pane.0)) {
+        if mapped.contains_key(&(source, pane.0)) {
             return Ok(());
         }
         let slices: Vec<crate::packer::PaneSlice> = self.sources[source as usize]
@@ -541,8 +551,6 @@ where
             .to_vec();
         let num_reducers = self.conf.num_reducers;
         let block_size = self.cluster.config().block_size.max(1);
-        let mut buckets: Vec<mrio::ShuffleBucket> =
-            vec![mrio::ShuffleBucket::default(); num_reducers];
         let mut ready = floor;
         // One map task per DFS block of each slice, like Hadoop's
         // block-aligned input splits.
@@ -582,47 +590,32 @@ where
         };
         let slice_files: Vec<redoop_mapred::LineFile> =
             slice_files.into_iter().collect::<Result<_>>()?;
-        let computed: Vec<Result<SplitMapOut<M::KOut, M::VOut>>> = {
+        let computed: Vec<SplitMapOut<M::KOut, M::VOut>> = {
             let mapper = &*self.mapper;
             let combiner = self.combiner.as_deref();
             let partitioner = &self.partitioner;
             let slice_files = &slice_files;
-            exec::parallel_map_scratch(
-                tasks.len(),
-                redoop_mapred::MapContext::<M::KOut, M::VOut>::new,
-                |scratch, i| {
-                    let (slice_idx, line_range, split_bytes) = &tasks[i];
-                    let mut compute = || -> Result<SplitMapOut<M::KOut, M::VOut>> {
-                        let file = &slice_files[*slice_idx];
-                        // Partition-first: pairs are hashed once at emit time
-                        // into per-reducer buckets (via the worker's reused
-                        // scratch context); the combiner folds each bucket.
-                        let (mut parts, input_records) = exec::run_mapper_partitioned(
-                            mapper,
-                            file.lines(line_range.clone()),
-                            partitioner,
-                            num_reducers,
-                            scratch,
-                        );
-                        if let Some(c) = combiner {
-                            for b in parts.iter_mut() {
-                                *b = exec::apply_combiner(std::mem::take(b), c);
-                            }
-                        }
-                        // output_records/output_bytes are filled in the
-                        // sequential apply loop, where the pairs are
-                        // encoded once into the pane's accumulators.
-                        let work = MapWork {
-                            split_bytes: *split_bytes,
-                            input_records,
-                            output_records: 0,
-                            output_bytes: 0,
-                        };
-                        Ok(SplitMapOut { parts, work })
-                    };
-                    Ok(compute())
-                },
-            )?
+            exec::parallel_map(tasks.len(), |i| {
+                let (slice_idx, line_range, split_bytes) = &tasks[i];
+                // Partition-first: each pair is hashed once, as it is
+                // emitted, into its reducer's bucket, and its
+                // text-equivalent bytes are summed on the way in; the
+                // combiner folds each bucket.
+                let (parts, bucket_bytes, input_records) = exec::run_mapper_bucketed(
+                    mapper,
+                    slice_files[*slice_idx].lines(line_range.clone()),
+                    partitioner,
+                    num_reducers,
+                    combiner,
+                );
+                let work = MapWork {
+                    split_bytes: *split_bytes,
+                    input_records,
+                    output_records: parts.iter().map(|p| p.len() as u64).sum(),
+                    output_bytes: bucket_bytes.iter().sum(),
+                };
+                Ok(SplitMapOut { parts, bucket_bytes, work })
+            })?
         };
         // HDFS locality favours the holders of each slice's first block:
         // looked up once per slice, shared by all of its splits.
@@ -642,22 +635,15 @@ where
             })
             .collect();
         let mut slice_infos: Vec<SliceMapInfo> = Vec::with_capacity(tasks.len());
-        let mut raw: Vec<Vec<(M::KOut, M::VOut)>> =
-            (0..num_reducers).map(|_| Vec::new()).collect();
+        // One `Vec` per (pane, partition), sized once from the split
+        // outputs it is about to receive.
+        let mut raw: Vec<Vec<(M::KOut, M::VOut)>> = (0..num_reducers)
+            .map(|r| Vec::with_capacity(computed.iter().map(|out| out.parts[r].len()).sum()))
+            .collect();
         for ((slice_idx, ..), out) in tasks.iter().zip(computed) {
-            let SplitMapOut { parts, mut work } = out?;
+            let SplitMapOut { parts, bucket_bytes, work } = out;
             let (slice, replicas) = (&slices[*slice_idx], &slice_replicas[*slice_idx]);
-            let mut bucket_bytes = vec![0u64; num_reducers];
-            let mut bucket_records = vec![0u64; num_reducers];
-            for (r, part) in parts.iter().enumerate() {
-                // Charged bytes stay text-equivalent regardless of how
-                // the pairs are held in host memory.
-                let (text_bytes, records) = buckets[r].account_pairs(part);
-                bucket_bytes[r] = text_bytes;
-                bucket_records[r] = records;
-            }
-            work.output_records = bucket_records.iter().sum();
-            work.output_bytes = bucket_bytes.iter().sum();
+            let bucket_records: Vec<u64> = parts.iter().map(|p| p.len() as u64).collect();
             for (r, part) in parts.into_iter().enumerate() {
                 raw[r].extend(part);
             }
@@ -693,11 +679,8 @@ where
             });
             ready = ready.max(placement.end);
         }
-        let raw = raw.into_iter().map(std::sync::Mutex::new).collect();
-        self.mapped.insert(
-            (source, pane.0),
-            MappedPane { ready, buckets, slices: slice_infos, raw },
-        );
+        let raw = raw.into_iter().map(|pairs| std::sync::Mutex::new(Some(pairs))).collect();
+        mapped.insert((source, pane.0), MappedPane { ready, slices: slice_infos, raw });
         Ok(())
     }
 
@@ -733,24 +716,28 @@ where
         r: usize,
         prep: &PartitionPrep,
         ctx: WindowCtx,
+        mapped: &MappedPanes<M::KOut, M::VOut>,
         compute: PaneCompute<'_, M::KOut, M::VOut, C>,
         attempt_startup: &mut bool,
         metrics: &mut JobMetrics,
     ) -> Result<Vec<(SimTime, mrio::GroupedBlock<M::KOut, C>)>> {
-        let computed: Vec<Result<BuiltRun<M::KOut, C>>> = {
-            let mapped = &self.mapped;
+        let computed: Vec<Result<BuiltRun<M::KOut, C>>> =
             exec::parallel_map(prep.missing.len(), |i| {
                 let m = &prep.missing[i];
                 let mp = mapped.get(&(m.source, m.pane.0)).expect("pane mapped before build");
-                let raw = mp.raw[r].lock().expect("raw pairs lock").clone();
-                Ok(compute(&mp.buckets[r], raw, m.pane.0, r as u32))
-            })?
-        };
+                let raw = mp.raw[r]
+                    .lock()
+                    .expect("raw pairs lock")
+                    .take()
+                    .expect("a window builds each (pane, partition) product at most once");
+                let shuffle_text_bytes = mp.slices.iter().map(|s| s.bucket_bytes[r]).sum();
+                Ok(compute(shuffle_text_bytes, raw, m.pane.0, r as u32))
+            })?;
         let computed: Vec<BuiltRun<M::KOut, C>> = computed.into_iter().collect::<Result<_>>()?;
         let mut done: Vec<(SimTime, mrio::GroupedBlock<M::KOut, C>)> =
             Vec::with_capacity(computed.len());
         for (m, (built, run)) in prep.missing.iter().zip(computed) {
-            let mp = &self.mapped[&(m.source, m.pane.0)];
+            let mp = &mapped[&(m.source, m.pane.0)];
             let bytes = built.cache_text_bytes;
             let end = match ctx.mode {
                 ExecMode::Batch => {

@@ -44,7 +44,7 @@ use crate::cache::CacheName;
 use crate::error::Result;
 use crate::pane::PaneId;
 
-use super::driver::{BuiltCache, BuiltRun, PartitionPrep, WindowCtx};
+use super::driver::{BuiltCache, BuiltRun, MappedPanes, PartitionPrep, WindowCtx};
 use super::plan::{input_name, pair_name, WindowPlan};
 use super::RecurringExecutor;
 
@@ -57,12 +57,12 @@ where
     M: Mapper,
     R: Reducer<KIn = M::KOut, VIn = M::VOut>,
 {
-    /// Pure compute of a reduce-input cache: sort/group the pane's binary
-    /// shuffle bucket for one partition and encode the sorted run as a
+    /// Pure compute of a reduce-input cache: sort/group the pane's mapped
+    /// pairs for one partition and encode the sorted run as a
     /// grouped block, so later incremental merges consume it without
     /// re-parsing or re-sorting. No executor state is touched.
     pub(super) fn input_cache_compute(
-        bucket: &mrio::ShuffleBucket,
+        shuffle_text_bytes: u64,
         pairs: Vec<(M::KOut, M::VOut)>,
         pane: u64,
         partition: u32,
@@ -76,12 +76,12 @@ where
         // text-equivalent size equals the bucket's.
         let built = BuiltCache {
             input_records,
-            shuffle_text_bytes: bucket.text_bytes,
-            cache_text_bytes: bucket.text_bytes,
+            shuffle_text_bytes,
+            cache_text_bytes: shuffle_text_bytes,
             output_records: 0,
             blob,
         };
-        Ok((built, mrio::GroupedBlock::of_run(groups, bucket.text_bytes)))
+        Ok((built, mrio::GroupedBlock::of_run(groups, shuffle_text_bytes)))
     }
 
     /// The decoded-inputs table of one partition-window: every distinct
@@ -154,6 +154,7 @@ where
         r: usize,
         prep: &PartitionPrep,
         ctx: WindowCtx,
+        mapped: &MappedPanes<M::KOut, M::VOut>,
         metrics: &mut JobMetrics,
     ) -> Result<DfsPath> {
         let rec = plan.recurrence;
@@ -174,7 +175,7 @@ where
                 // paper's one-reduce-task-per-partition model. Overlap
                 // happens across partitions on their own anchors/slots.
                 let built =
-                    self.build_missing(rec, r, prep, ctx, compute, &mut attempt_startup, metrics)?;
+                    self.build_missing(rec, r, prep, ctx, mapped, compute, &mut attempt_startup, metrics)?;
                 let mut prev_end = built.last().map_or(SimTime::ZERO, |(end, _)| *end);
                 // Every input run this window needs is now in memory or
                 // on `node`: decode each reused one once, join the
@@ -266,7 +267,7 @@ where
                 // Build each missing input as its sub-panes arrive
                 // (pipelined per map split).
                 let built =
-                    self.build_missing(rec, r, prep, ctx, compute, &mut attempt_startup, metrics)?;
+                    self.build_missing(rec, r, prep, ctx, mapped, compute, &mut attempt_startup, metrics)?;
                 for (m, (done, _)) in prep.missing.iter().zip(&built) {
                     input_avail.insert((m.source, m.pane.0), *done);
                 }

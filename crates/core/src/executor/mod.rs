@@ -73,8 +73,6 @@ use crate::query::WindowSpec;
 use crate::scheduler::{MapTaskEntry, TaskLists};
 use crate::time::TimeRange;
 
-use self::driver::MappedPane;
-
 /// Feature switches for ablation experiments.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecutorOptions {
@@ -198,7 +196,6 @@ where
     matrix: CacheStatusMatrix,
     lists: TaskLists,
     adaptive: AdaptiveController,
-    mapped: HashMap<(u32, u64), MappedPane<M::KOut, M::VOut>>,
     share: Option<ShareBinding>,
     /// Rendered store names, interned per cache identity: lookups on the
     /// hot path (local-store reads, heartbeats, shared imports) reuse
@@ -432,7 +429,6 @@ where
             matrix: CacheStatusMatrix::new(dims, geom),
             lists: TaskLists::new(),
             adaptive,
-                    mapped: HashMap::new(),
             share,
             interned: HashMap::new(),
             delta: delta::DeltaMaintenance::new(num_reducers),
@@ -741,7 +737,6 @@ where
         // Post-window maintenance: expiration + purging.
         self.trace.set_now(metrics.finished_at);
         self.expire_and_purge(rec)?;
-        self.mapped.clear();
         #[cfg(debug_assertions)]
         self.debug_check_cache_accounting();
 
@@ -1009,14 +1004,13 @@ mod tests {
         type Exec = RecurringExecutor<TestMapper, TestReducer>;
         let pairs: Vec<(String, u64)> =
             ["b", "a", "c", "a", "b", "a"].iter().map(|k| (k.to_string(), 1)).collect();
-        let mut bucket = mrio::ShuffleBucket::default();
-        bucket.account_pairs(&pairs);
+        let text_bytes = mrio::kv_block_text_bytes(&pairs);
 
-        let (built, run) = Exec::input_cache_compute(&bucket, pairs.clone(), 3, 1).unwrap();
+        let (built, run) = Exec::input_cache_compute(text_bytes, pairs.clone(), 3, 1).unwrap();
         assert_eq!(mrio::decode_framed_grouped_block::<String, u64>(&built.blob).unwrap(), run);
         assert_eq!(run.records, 6);
 
-        let (built, run) = Exec::pane_output_compute(&bucket, pairs, &*reducer(), 3, 1).unwrap();
+        let (built, run) = Exec::pane_output_compute(text_bytes, pairs, &*reducer(), 3, 1).unwrap();
         assert_eq!(mrio::decode_framed_grouped_block::<String, u64>(&built.blob).unwrap(), run);
         assert_eq!(run.grouped.to_nested(), vec![
             ("a".to_string(), vec![3]),

@@ -146,6 +146,13 @@ proptest! {
     }
 
     #[test]
+    fn csv_field_is_split_nth(line in "[ab,,,αé€😀 ]{0,40}", idx in 0usize..9) {
+        // Arbitrary UTF-8 with empty fields and multi-byte characters on
+        // both sides of commas, across word boundaries.
+        prop_assert_eq!(redoop_core::api::csv_field(&line, idx), line.split(',').nth(idx));
+    }
+
+    #[test]
     fn status_matrix_shift_never_forgets_incomplete_work(
         marks in proptest::collection::vec((0u64..12, 0u64..12), 0..80),
         window in 0u64..6

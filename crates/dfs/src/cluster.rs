@@ -1,13 +1,11 @@
 //! The cluster facade: one namenode + `n` datanodes behind a single handle.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use bytes::{Bytes, BytesMut};
-use parking_lot::Mutex;
+use bytes::Bytes;
 
-use crate::block::{BlockId, BlockInfo};
+use crate::block::BlockInfo;
 use crate::datanode::{DataNode, IoSnapshot, NodeId};
 use crate::error::{DfsError, Result};
 use crate::namenode::{FileMeta, NameNode};
@@ -88,13 +86,6 @@ struct ClusterInner {
     /// `revive_node` / `decommission`. Lets liveness queries on a healthy
     /// cluster short-circuit without scanning every node.
     dead: AtomicUsize,
-    /// Assembled multi-block files, keyed by their first block id. Files
-    /// are write-once and block ids are never reused within a cluster,
-    /// so the key pins the exact content; repeated whole-file reads (the
-    /// recurring-query access pattern) then share one buffer instead of
-    /// re-concatenating blocks. Per-block reads still happen on every
-    /// call — only the copy into a fresh buffer is memoized.
-    assembled: Mutex<HashMap<BlockId, Bytes>>,
 }
 
 impl Cluster {
@@ -107,7 +98,6 @@ impl Cluster {
                 namenode: NameNode::new(),
                 nodes,
                 dead: AtomicUsize::new(0),
-                assembled: Mutex::new(HashMap::new()),
             }),
         }
     }
@@ -200,67 +190,38 @@ impl Cluster {
             blocks.push(BlockInfo { id, len: chunk.len(), replicas });
             offset = end;
         }
-        self.inner.namenode.commit_file(path.clone(), FileMeta { blocks, len: data.len() })
+        self.inner.namenode.commit_file(path.clone(), FileMeta { blocks, len: data.len(), data })
     }
 
     /// Reads a whole file on behalf of `reader`, preferring co-located
     /// replicas and accounting local vs. remote bytes.
+    ///
+    /// Every block is still looked up on a live replica — that walk is
+    /// what fails with [`DfsError::BlockUnavailable`] and what splits the
+    /// bytes into local and remote — but the data handed back is the
+    /// buffer the file was created from ([`FileMeta::data`]): replicas
+    /// are immutable views of it, so there is nothing to reassemble, and
+    /// its stable address lets readers memoize derived indexes per file.
     pub fn read_from(&self, path: &DfsPath, reader: NodeId) -> Result<ReadOutcome> {
-        let meta = self.inner.namenode.get_file(path)?;
-        let mut local_bytes = 0u64;
-        let mut remote_bytes = 0u64;
-        // Single-block files (most pane files: blocks are 64 MB) hand the
-        // stored `Bytes` straight back — no copy, and the stable buffer
-        // address lets readers memoize derived indexes per file version.
-        let data = if meta.blocks.len() == 1 {
-            let (data, local) = self.read_block(path, 0, &meta.blocks[0], reader)?;
-            if local {
-                local_bytes = data.len() as u64;
-            } else {
-                remote_bytes = data.len() as u64;
-            }
-            data
-        } else {
-            // Per-block reads run unconditionally: liveness errors and
-            // I/O accounting stay exactly as without the memo.
-            let mut parts = Vec::with_capacity(meta.blocks.len());
+        let outcome = self.inner.namenode.with_file(path, |meta| {
+            let mut local_bytes = 0u64;
+            let mut remote_bytes = 0u64;
             for (i, block) in meta.blocks.iter().enumerate() {
-                let (data, local) = self.read_block(path, i, block, reader)?;
-                if local {
-                    local_bytes += data.len() as u64;
+                if self.locate_block(path, i, block, reader)? {
+                    local_bytes += block.len as u64;
                 } else {
-                    remote_bytes += data.len() as u64;
+                    remote_bytes += block.len as u64;
                 }
-                parts.push(data);
             }
-            match meta.blocks.first().map(|b| b.id) {
-                Some(key) => {
-                    let mut cache = self.inner.assembled.lock();
-                    if cache.len() >= 256 {
-                        cache.clear();
-                    }
-                    cache
-                        .entry(key)
-                        .or_insert_with(|| {
-                            let mut buf = BytesMut::with_capacity(meta.len);
-                            for p in &parts {
-                                buf.extend_from_slice(p);
-                            }
-                            buf.freeze()
-                        })
-                        .clone()
-                }
-                None => Bytes::new(),
-            }
-        };
+            Ok(ReadOutcome { data: meta.data.clone(), local_bytes, remote_bytes })
+        })??;
         // Charge counters on the reading node if it exists (callers may use
         // a synthetic "client" id equal to any node).
         if let Ok(node) = self.node(reader) {
-            use std::sync::atomic::Ordering;
-            node.io.local_read.fetch_add(local_bytes, Ordering::Relaxed);
-            node.io.remote_read.fetch_add(remote_bytes, Ordering::Relaxed);
+            node.io.local_read.fetch_add(outcome.local_bytes, Ordering::Relaxed);
+            node.io.remote_read.fetch_add(outcome.remote_bytes, Ordering::Relaxed);
         }
-        Ok(ReadOutcome { data, local_bytes, remote_bytes })
+        Ok(outcome)
     }
 
     /// Reads a whole file with no locality preference (client read).
@@ -268,30 +229,22 @@ impl Cluster {
         Ok(self.read_from(path, NodeId(0))?.data)
     }
 
-    fn read_block(
+    /// Finds a live replica of `block` for `reader`, preferring one on
+    /// the reading node: `Ok(true)` when the read is local, `Ok(false)`
+    /// when it crosses the simulated network.
+    fn locate_block(
         &self,
         path: &DfsPath,
         block_index: usize,
         block: &BlockInfo,
         reader: NodeId,
-    ) -> Result<(Bytes, bool)> {
-        // Prefer a replica on the reading node.
-        if block.is_replica(reader) {
-            if let Ok(node) = self.node(reader) {
-                if let Some(data) = node.read_block(block.id) {
-                    return Ok((data, true));
-                }
-            }
+    ) -> Result<bool> {
+        let holds = |n: NodeId| self.node(n).is_ok_and(|node| node.has_block(block.id));
+        if block.is_replica(reader) && holds(reader) {
+            return Ok(true);
         }
-        for &replica in &block.replicas {
-            if replica == reader {
-                continue;
-            }
-            if let Ok(node) = self.node(replica) {
-                if let Some(data) = node.read_block(block.id) {
-                    return Ok((data, false));
-                }
-            }
+        if block.replicas.iter().any(|&r| r != reader && holds(r)) {
+            return Ok(false);
         }
         Err(DfsError::BlockUnavailable { path: path.as_str().to_string(), block_index })
     }
@@ -644,6 +597,77 @@ mod tests {
             c.read(&p("/f")),
             Err(DfsError::BlockUnavailable { .. })
         ));
+    }
+
+    #[test]
+    fn multiblock_read_returns_the_created_buffer() {
+        let c = small_cluster();
+        let data = Bytes::from_static(b"0123456789abcdefXYZ"); // 3 blocks
+        c.create(&p("/f"), data.clone()).unwrap();
+        for reader in c.alive_nodes() {
+            let out = c.read_from(&p("/f"), reader).unwrap();
+            assert_eq!(out.data.len(), data.len());
+            assert_eq!(out.data.as_ptr(), data.as_ptr(), "a read must not copy the file");
+        }
+        // Single-block and empty files take the same path.
+        let one = Bytes::from_static(b"1234");
+        c.create(&p("/one"), one.clone()).unwrap();
+        assert_eq!(c.read(&p("/one")).unwrap().as_ptr(), one.as_ptr());
+        c.create(&p("/empty"), Bytes::new()).unwrap();
+        assert!(c.read(&p("/empty")).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_dead_block_fails_the_read_while_the_buffer_is_alive() {
+        let c = small_cluster();
+        let data = Bytes::from_static(b"0123456789abcdefXYZ");
+        c.create(&p("/f"), data.clone()).unwrap();
+        // Kill both replicas of the middle block only.
+        let meta = c.namenode().get_file(&p("/f")).unwrap();
+        for &r in &meta.blocks[1].replicas {
+            c.kill_node(r).unwrap();
+        }
+        let survivor = c.alive_nodes()[0];
+        let before = c.io_snapshot(survivor).unwrap();
+        assert!(matches!(
+            c.read_from(&p("/f"), survivor),
+            Err(DfsError::BlockUnavailable { block_index: 1, .. })
+        ));
+        assert_eq!(c.io_snapshot(survivor).unwrap(), before, "a failed read charges nothing");
+        // A replica coming back makes the whole file readable again.
+        c.revive_node(meta.blocks[1].replicas[0]).unwrap();
+        assert_eq!(c.read_from(&p("/f"), survivor).unwrap().data, data);
+    }
+
+    #[test]
+    fn multiblock_read_splits_bytes_by_replica_locality() {
+        // Round-robin, replication 2 over 4 nodes: block i (ids from 0)
+        // lives on nodes {i, i+1} mod 4. 19 bytes = blocks of 8, 8, 3.
+        let c = small_cluster();
+        c.create(&p("/f"), Bytes::from_static(b"0123456789abcdefXYZ")).unwrap();
+        let meta = c.namenode().get_file(&p("/f")).unwrap();
+        for reader in c.alive_nodes() {
+            let local: u64 = meta
+                .blocks
+                .iter()
+                .filter(|b| b.is_replica(reader))
+                .map(|b| b.len as u64)
+                .sum();
+            let before = c.io_snapshot(reader).unwrap();
+            let out = c.read_from(&p("/f"), reader).unwrap();
+            assert_eq!((out.local_bytes, out.remote_bytes), (local, 19 - local), "{reader:?}");
+            let after = c.io_snapshot(reader).unwrap();
+            assert_eq!(after.local_read - before.local_read, local);
+            assert_eq!(after.remote_read - before.remote_read, 19 - local);
+        }
+        let lens: Vec<usize> = meta.blocks.iter().map(|b| b.len).collect();
+        assert_eq!(lens, vec![8, 8, 3]);
+        // A dead reader's own replicas are unreadable: its whole read is
+        // served by the surviving copies, remotely.
+        let reader = meta.blocks[0].replicas[0];
+        c.kill_node(reader).unwrap();
+        let out = c.read_from(&p("/f"), reader).unwrap();
+        assert_eq!((out.local_bytes, out.remote_bytes), (0, 19));
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use bytes::Bytes;
 use parking_lot::RwLock;
 
 use crate::block::{BlockId, BlockInfo};
@@ -16,6 +17,10 @@ pub struct FileMeta {
     pub blocks: Vec<BlockInfo>,
     /// Total file length in bytes.
     pub len: usize,
+    /// The buffer the file was created from. Every block replica is an
+    /// O(1) view of it, so holding it here costs no second copy and a
+    /// whole-file read needs no reassembly.
+    pub data: Bytes,
 }
 
 impl FileMeta {
@@ -59,10 +64,18 @@ impl NameNode {
 
     /// Looks up file metadata.
     pub fn get_file(&self, path: &DfsPath) -> Result<FileMeta> {
+        self.with_file(path, FileMeta::clone)
+    }
+
+    /// Runs `f` on the metadata of `path` in place, under the file
+    /// table's read lock: the lookup without [`NameNode::get_file`]'s
+    /// copy of every block's replica list. `f` must not call back into
+    /// the namenode.
+    pub fn with_file<R>(&self, path: &DfsPath, f: impl FnOnce(&FileMeta) -> R) -> Result<R> {
         self.files
             .read()
             .get(path)
-            .cloned()
+            .map(f)
             .ok_or_else(|| DfsError::FileNotFound(path.as_str().to_string()))
     }
 
@@ -127,6 +140,7 @@ mod tests {
         FileMeta {
             blocks: vec![BlockInfo { id: BlockId(0), len, replicas: vec![NodeId(0)] }],
             len,
+            data: Bytes::from(vec![0; len]),
         }
     }
 

@@ -27,6 +27,21 @@ use crate::partitioner::Partitioner;
 use crate::reducer::{ReduceContext, Reducer};
 use crate::writable::Writable;
 
+/// Runs `mapper` over `lines`, emitting into `ctx` — whichever sink it
+/// was built with — and returns the number of input records consumed.
+fn run_mapper_into<'a, M: Mapper>(
+    mapper: &M,
+    lines: impl Iterator<Item = &'a str>,
+    ctx: &mut MapContext<M::KOut, M::VOut>,
+) -> u64 {
+    let mut records = 0u64;
+    for line in lines {
+        mapper.map(line, ctx);
+        records += 1;
+    }
+    records
+}
+
 /// Runs `mapper` over `lines`, returning the emitted pairs and the number
 /// of input records consumed.
 #[allow(clippy::type_complexity)]
@@ -35,52 +50,62 @@ pub fn run_mapper<'a, M: Mapper>(
     lines: impl Iterator<Item = &'a str>,
 ) -> (Vec<(M::KOut, M::VOut)>, u64) {
     let mut ctx = MapContext::with_capacity(lines.size_hint().0);
-    let mut records = 0u64;
-    for line in lines {
-        mapper.map(line, &mut ctx);
-        records += 1;
-    }
+    let records = run_mapper_into(mapper, lines, &mut ctx);
     (ctx.into_pairs(), records)
 }
 
-/// Runs `mapper` over `lines`, routing each emitted pair straight into
-/// its reduce partition. Pairs are hashed exactly once, at emit time,
-/// replacing the flat-output-then-[`partition_pairs`] second pass, and
-/// each bucket is later sorted independently (narrower sorts than one
-/// global sort over the whole split).
+/// Runs `mapper` over `lines` into a partitioned [`MapContext`]: each
+/// pair is hashed exactly once, as it is emitted, straight into its
+/// reduce partition's bucket, and each bucket is later sorted
+/// independently (narrower sorts than one global sort over the whole
+/// split). Returns the buckets, the text-equivalent bytes of each (the
+/// shuffle accounting the cost model charges, summed at emit) and the
+/// number of input records consumed. Equivalent to [`run_mapper`] +
+/// [`partition_pairs`] + [`crate::io::kv_block_text_bytes`]: all pairs of
+/// a key share a partition and emit order is preserved within each
+/// bucket.
 ///
-/// `scratch` is a reusable emit buffer — typically one per host worker
-/// via [`parallel_map_scratch`] — drained after every record, so steady
-/// state allocates nothing on the emit path. Equivalent to
-/// [`run_mapper`] + [`partition_pairs`]: all pairs of a key share a
-/// partition and emit order is preserved within each bucket.
+/// A `combiner` folds each bucket independently — equivalent to
+/// combine-then-partition, for the same reason — and a folded bucket is
+/// measured again: it is what the shuffle carries and what is charged.
+#[allow(clippy::type_complexity)]
+pub fn run_mapper_bucketed<'a, M: Mapper>(
+    mapper: &M,
+    lines: impl Iterator<Item = &'a str>,
+    partitioner: &dyn Partitioner<M::KOut>,
+    num_reducers: usize,
+    combiner: Option<&dyn crate::combiner::Combiner<M::KOut, M::VOut>>,
+) -> (Vec<Vec<(M::KOut, M::VOut)>>, Vec<u64>, u64) {
+    // Seed each bucket near its expected share of one-pair-per-record
+    // output; multi-emit mappers grow past it, empty buckets waste one
+    // small reservation. Purely an allocation hint.
+    let per_bucket = lines.size_hint().0 / num_reducers + 1;
+    let mut ctx = MapContext::partitioned(partitioner, num_reducers, per_bucket);
+    let records = run_mapper_into(mapper, lines, &mut ctx);
+    let (mut buckets, mut text_bytes) = ctx.into_buckets();
+    if let Some(c) = combiner {
+        for (bucket, bytes) in buckets.iter_mut().zip(&mut text_bytes) {
+            *bucket = apply_combiner(std::mem::take(bucket), c);
+            *bytes = crate::io::kv_block_text_bytes(bucket);
+        }
+    }
+    (buckets, text_bytes, records)
+}
+
+/// [`run_mapper_bucketed`] without combiner or byte counts, under the signature
+/// the benchmark pins (`perfbench/README.md`). `_scratch` is unused:
+/// pairs go to their bucket directly, so there is no emit buffer left to
+/// recycle.
 #[allow(clippy::type_complexity)]
 pub fn run_mapper_partitioned<'a, M: Mapper>(
     mapper: &M,
     lines: impl Iterator<Item = &'a str>,
     partitioner: &dyn Partitioner<M::KOut>,
     num_reducers: usize,
-    scratch: &mut MapContext<M::KOut, M::VOut>,
+    _scratch: &mut MapContext<M::KOut, M::VOut>,
 ) -> (Vec<Vec<(M::KOut, M::VOut)>>, u64) {
-    // Seed each bucket near its expected share of one-pair-per-record
-    // output; multi-emit mappers grow past it, empty buckets waste one
-    // small reservation. Purely an allocation hint — contents and order
-    // are unchanged.
-    let per_bucket = lines.size_hint().0 / num_reducers + 1;
-    let mut buckets: Vec<Vec<(M::KOut, M::VOut)>> =
-        (0..num_reducers).map(|_| Vec::with_capacity(per_bucket)).collect();
-    let mut records = 0u64;
-    for line in lines {
-        mapper.map(line, scratch);
-        records += 1;
-        for (k, v) in scratch.drain() {
-            // A single reducer needs no hash: everything lands in bucket 0
-            // (a partitioner is a pure function of (key, R), and R == 1
-            // always yields 0).
-            let p = if num_reducers > 1 { partitioner.partition(&k, num_reducers) } else { 0 };
-            buckets[p].push((k, v));
-        }
-    }
+    let (buckets, _, records) =
+        run_mapper_bucketed(mapper, lines, partitioner, num_reducers, None);
     (buckets, records)
 }
 
@@ -165,41 +190,24 @@ where
     T: Send,
     F: Fn(usize) -> Result<T> + Send + Sync,
 {
-    parallel_map_scratch(n, || (), |_scratch, i| f(i))
-}
-
-/// Like [`parallel_map`], but each worker owns a reusable scratch value
-/// built by `init` — the per-worker arena of the partition-first map
-/// path. Scratch never crosses threads, so buffers (emit contexts, pair
-/// vectors) amortize across every task a worker executes.
-pub fn parallel_map_scratch<T, S, F, I>(n: usize, init: I, f: F) -> Result<Vec<T>>
-where
-    T: Send,
-    I: Fn() -> S + Send + Sync,
-    F: Fn(&mut S, usize) -> Result<T> + Send + Sync,
-{
     if n == 0 {
         return Ok(Vec::new());
     }
     let workers = host_parallelism().min(n);
     if workers <= 1 {
-        let mut scratch = init();
-        return (0..n).map(|i| f(&mut scratch, i)).collect();
+        return (0..n).map(f).collect();
     }
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<Option<Result<T>>>> = Mutex::new((0..n).map(|_| None).collect());
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| {
-                let mut scratch = init();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let r = f(&mut scratch, i);
-                    results.lock()[i] = Some(r);
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
                 }
+                let r = f(i);
+                results.lock()[i] = Some(r);
             });
         }
     });
@@ -251,21 +259,55 @@ mod tests {
 
     #[test]
     fn partitioned_mapper_matches_map_then_partition() {
-        let m = ClosureMapper::new(|line: &str, ctx: &mut MapContext<String, u64>| {
-            for w in line.split_whitespace() {
-                ctx.emit(w.to_string(), 1);
+        // A multi-emit mapper (one pair per word, none for a blank line)
+        // and one that emits nothing at all.
+        let words = ClosureMapper::new(|line: &str, ctx: &mut MapContext<String, u64>| {
+            for (i, w) in line.split_whitespace().enumerate() {
+                ctx.emit(w.to_string(), 10u64.pow(i as u32));
             }
         });
-        let lines = ["a b c d", "b c a", "e f a b"];
-        for r in [1usize, 3, 8] {
-            let (flat, n1) = run_mapper(&m, lines.iter().copied());
+        let silent = ClosureMapper::new(|_: &str, _: &mut MapContext<String, u64>| {});
+        let lines = ["a b c d", "", "b c a", "e f a b", "a a a"];
+        for r in [1usize, 3, 4, 8] {
+            let (flat, n1) = run_mapper(&words, lines.iter().copied());
             let expected = partition_pairs(flat, &HashPartitioner, r);
-            let mut scratch = MapContext::new();
-            let (buckets, n2) =
-                run_mapper_partitioned(&m, lines.iter().copied(), &HashPartitioner, r, &mut scratch);
+            // Same buckets, same in-bucket order, and the bytes a second
+            // walk over each bucket would count.
+            let (buckets, text_bytes, n2) =
+                run_mapper_bucketed(&words, lines.iter().copied(), &HashPartitioner, r, None);
             assert_eq!(n1, n2);
             assert_eq!(buckets, expected, "partition-first must match two-pass for R={r}");
-            assert_eq!(scratch.emitted(), 0, "scratch drained after every record");
+            let walked: Vec<u64> =
+                expected.iter().map(|b| crate::io::kv_block_text_bytes(b)).collect();
+            assert_eq!(text_bytes, walked, "R={r}");
+            // The pinned entry point is the same map, whatever it is handed.
+            let (pinned, n3) = run_mapper_partitioned(
+                &words,
+                lines.iter().copied(),
+                &HashPartitioner,
+                r,
+                &mut MapContext::new(),
+            );
+            assert_eq!((&pinned, n3), (&expected, n1));
+
+            // A combiner folds each bucket, and the fold is re-measured.
+            let (combined, text_bytes, n4) = run_mapper_bucketed(
+                &words,
+                lines.iter().copied(),
+                &HashPartitioner,
+                r,
+                Some(&SumCombiner),
+            );
+            let folded: Vec<Vec<(String, u64)>> =
+                expected.iter().map(|b| apply_combiner(b.clone(), &SumCombiner)).collect();
+            let walked: Vec<u64> =
+                folded.iter().map(|b| crate::io::kv_block_text_bytes(b)).collect();
+            assert_eq!((combined, text_bytes, n4), (folded, walked, n1));
+
+            let (buckets, text_bytes, n) =
+                run_mapper_bucketed(&silent, lines.iter().copied(), &HashPartitioner, r, None);
+            assert_eq!(buckets, vec![Vec::new(); r]);
+            assert_eq!((text_bytes, n), (vec![0; r], 5));
         }
     }
 
@@ -332,25 +374,6 @@ mod tests {
             assert!(r.is_err(), "panic must propagate (workers={forced:?})");
         }
         set_host_parallelism(None);
-    }
-
-    #[test]
-    fn parallel_map_scratch_reuses_per_worker_state() {
-        set_host_parallelism(Some(2));
-        // Each worker counts how many tasks it ran in its own scratch; the
-        // per-task results must still come back in index order.
-        let out = parallel_map_scratch(
-            40,
-            || 0usize,
-            |seen, i| {
-                *seen += 1;
-                assert!(*seen <= 40, "scratch is per-worker, not shared");
-                Ok(i)
-            },
-        )
-        .unwrap();
-        set_host_parallelism(None);
-        assert_eq!(out, (0..40).collect::<Vec<_>>());
     }
 
     #[test]

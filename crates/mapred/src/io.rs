@@ -49,6 +49,23 @@ fn sanitize_utf8(bytes: &[u8]) -> (Vec<u8>, u64) {
     (out, replaced)
 }
 
+/// Start offset of every line of `bytes`: 0 for a non-empty file, then
+/// the byte after each `\n` that is not the file's last byte. Newlines
+/// are found a word at a time ([`crate::swar`]).
+fn line_offsets(bytes: &[u8]) -> Vec<u32> {
+    let mut offsets = Vec::with_capacity(bytes.len() / 32 + 1);
+    if !bytes.is_empty() {
+        offsets.push(0);
+    }
+    crate::swar::try_each_position(bytes, b'\n', |newline| {
+        if newline + 1 < bytes.len() {
+            offsets.push((newline + 1) as u32);
+        }
+        std::ops::ControlFlow::<()>::Continue(())
+    });
+    offsets
+}
+
 impl LineFile {
     /// Indexes `data` by newline. Files larger than 4 GiB are not
     /// supported (offsets are `u32`), far beyond this simulator's scale.
@@ -68,21 +85,7 @@ impl LineFile {
             }
         };
         assert!(data.len() < u32::MAX as usize, "LineFile capped at 4 GiB");
-        let mut offsets = Vec::with_capacity(data.len() / 32 + 1);
-        let mut start = 0u32;
-        let bytes = &data[..];
-        if !bytes.is_empty() {
-            offsets.push(0);
-        }
-        for (i, &b) in bytes.iter().enumerate() {
-            if b == b'\n' {
-                start = (i + 1) as u32;
-                if (start as usize) < bytes.len() {
-                    offsets.push(start);
-                }
-            }
-        }
-        let _ = start;
+        let offsets = line_offsets(&data);
         LineFile { data: Arc::new(data), offsets: Arc::new(offsets), invalid_sequences }
     }
 
@@ -305,21 +308,6 @@ impl ShuffleBucket {
         self.data.extend_from_slice(&other.data);
         self.text_bytes += other.text_bytes;
         self.records += other.records;
-    }
-
-    /// Accounts `pairs` into this bucket's text-equivalent byte and
-    /// record counters without materialising the binary stream — for
-    /// accumulators whose decoded pairs are kept alongside for the
-    /// bucket's whole lifetime, so the stream would never be decoded.
-    /// Returns the `(text_bytes, records)` the pairs contributed.
-    pub fn account_pairs<K: Writable, V: Writable>(&mut self, pairs: &[(K, V)]) -> (u64, u64) {
-        let mut text = 0u64;
-        for (k, v) in pairs {
-            text += k.text_len() + 1 + v.text_len() + 1;
-        }
-        self.text_bytes += text;
-        self.records += pairs.len() as u64;
-        (text, pairs.len() as u64)
     }
 
     /// Decodes the bucket back into pairs.
@@ -560,6 +548,91 @@ mod tests {
         let f = LineFile::new(Bytes::new());
         assert_eq!(f.line_count(), 0);
         assert_eq!(f.byte_len_of(0..0), 0);
+    }
+
+    /// The byte-at-a-time loop `LineFile::new` ran before the word scan:
+    /// the reference the scan is held to.
+    fn line_offsets_bytewise(bytes: &[u8]) -> Vec<u32> {
+        let mut offsets = Vec::new();
+        if !bytes.is_empty() {
+            offsets.push(0);
+        }
+        for (i, &b) in bytes.iter().enumerate() {
+            if b == b'\n' && i + 1 < bytes.len() {
+                offsets.push((i + 1) as u32);
+            }
+        }
+        offsets
+    }
+
+    /// `file`'s lines must be what the reference offsets cut out of
+    /// `sanitized` (the bytes the file actually holds).
+    fn assert_indexed_like_reference(file: &LineFile, sanitized: &[u8]) {
+        let offsets = line_offsets_bytewise(sanitized);
+        assert_eq!(file.offsets.as_slice(), offsets.as_slice(), "{sanitized:?}");
+        assert_eq!(file.line_count(), offsets.len());
+        let text = std::str::from_utf8(sanitized).unwrap();
+        let expected: Vec<&str> = text.split_terminator('\n').collect();
+        assert_eq!(file.lines(0..file.line_count()).collect::<Vec<_>>(), expected);
+    }
+
+    #[test]
+    fn word_scan_matches_byte_loop_at_every_length_and_alignment() {
+        // Newlines at irregular strides, so every word sees them in
+        // different lanes; then one buffer sliced at every alignment.
+        for stride in [1usize, 2, 3, 5, 7, 8, 9, 13, 64, 1000] {
+            let backing: Vec<u8> = (0..80usize)
+                .map(|i| if i % stride == stride - 1 { b'\n' } else { b'a' + (i % 23) as u8 })
+                .collect();
+            let backing = Bytes::from(backing);
+            for align in 0..8 {
+                for len in 0..=64 {
+                    let data = backing.slice(align..align + len);
+                    assert_indexed_like_reference(&LineFile::new(data.clone()), &data);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn word_scan_edge_shapes() {
+        for text in [
+            "\n",
+            "\n\n",
+            "\n\n\n\n\n\n\n\n\n",
+            "a\n\nb",
+            "no trailing newline",
+            "1234567\n",
+            "12345678\n",
+            "1234567\n1234567\n1",
+            // Multi-byte characters on both sides of a newline, across
+            // word boundaries.
+            "é\né",
+            "€uro\n€\n😀\n",
+            "1234567€\n😀😀\nαβγδεζηθ\n",
+            // Bytes one bit away from '\n' (0x0A) must not split a line.
+            "\u{0B}\u{08}\u{0E}\u{02}\u{1A}\u{2A}\u{4A}\n\u{0B}",
+        ] {
+            assert_indexed_like_reference(&LineFile::new(Bytes::from(text.to_string())), text.as_bytes());
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_is_indexed_on_the_sanitized_bytes() {
+        // 0x8A is '\n' with bit 7 set: invalid on its own, and not a
+        // line break either before or after U+FFFD replaces it.
+        for raw in [
+            vec![b'a', 0x8A, b'b', b'\n', b'c'],
+            vec![0xFF, b'\n', 0xFF, b'\n', b'x', b'x', b'x', b'x', b'x', 0xC3, b'\n', b'y'],
+            vec![b'\n', 0xE2, 0x82],
+        ] {
+            let file = LineFile::new(Bytes::from(raw.clone()));
+            assert!(file.invalid_sequences() > 0);
+            let (sanitized, replaced) = sanitize_utf8(&raw);
+            assert_eq!(file.invalid_sequences(), replaced);
+            assert_eq!(file.byte_len(), sanitized.len());
+            assert_indexed_like_reference(&file, &sanitized);
+        }
     }
 
     #[test]

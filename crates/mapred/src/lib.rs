@@ -47,6 +47,7 @@ pub mod scheduler;
 pub mod simtime;
 pub mod speculate;
 pub mod split;
+pub mod swar;
 pub mod task;
 pub mod trace;
 pub mod tracker;

@@ -21,7 +21,10 @@ pub struct HashPartitioner;
 impl<K: Hash + Send + Sync + 'static> Partitioner<K> for HashPartitioner {
     fn partition(&self, key: &K, num_reducers: usize) -> usize {
         debug_assert!(num_reducers > 0);
-        (stable_hash(key) % num_reducers as u64) as usize
+        let (hash, n) = (stable_hash(key), num_reducers as u64);
+        // `hash % n == hash & (n - 1)` when `n` is a power of two: the
+        // usual reducer counts pay no 64-bit divide per record.
+        (if n.is_power_of_two() { hash & (n - 1) } else { hash % n }) as usize
     }
 }
 

@@ -210,11 +210,9 @@ where
                         None => miss.push(i),
                     }
                 }
-                let computed = exec::parallel_map_scratch(
-                    miss.len(),
-                    crate::mapper::MapContext::new,
-                    |scratch, j| self.execute_map(&splits[miss[j]], num_reducers, scratch),
-                )?;
+                let computed = exec::parallel_map(miss.len(), |j| {
+                    self.execute_map(&splits[miss[j]], num_reducers)
+                })?;
                 for (&i, (enc, parts, work)) in miss.iter().zip(computed) {
                     let mo = std::sync::Arc::new((enc, work));
                     let s = &splits[i];
@@ -228,11 +226,9 @@ where
                 out.into_iter().map(|o| o.expect("every split mapped")).collect()
             }
             None => {
-                let computed = exec::parallel_map_scratch(
-                    splits.len(),
-                    crate::mapper::MapContext::new,
-                    |scratch, i| self.execute_map(&splits[i], num_reducers, scratch),
-                )?;
+                let computed = exec::parallel_map(splits.len(), |i| {
+                    self.execute_map(&splits[i], num_reducers)
+                })?;
                 let mut outs = Vec::with_capacity(computed.len());
                 for (i, (enc, parts, work)) in computed.into_iter().enumerate() {
                     outs.push(std::sync::Arc::new((enc, work)));
@@ -390,38 +386,36 @@ where
     /// work stats. Work is charged in text-equivalent bytes, so
     /// simulated times do not depend on the shuffle codec.
     ///
-    /// Pairs are bucketed by partition *at emit time* (hashed once, via
-    /// the per-worker `scratch` context) and the combiner folds each
-    /// bucket independently — equivalent to the combine-then-partition
-    /// pipeline because all pairs of a key share a partition.
+    /// Pairs are bucketed by partition *at emit time* and the combiner
+    /// folds each bucket independently ([`exec::run_mapper_bucketed`],
+    /// which also hands back the text-equivalent bytes of each bucket).
     #[allow(clippy::type_complexity)]
     fn execute_map(
         &self,
         split: &InputSplit,
         num_reducers: usize,
-        scratch: &mut crate::mapper::MapContext<M::KOut, M::VOut>,
     ) -> Result<(Vec<io::ShuffleBucket>, Vec<Vec<(M::KOut, M::VOut)>>, MapWork)> {
-        let (mut buckets, input_records) = exec::run_mapper_partitioned(
+        let (buckets, text_bytes, input_records) = exec::run_mapper_bucketed(
             self.mapper,
             split.file.lines(split.lines.clone()),
             self.partitioner,
             num_reducers,
-            scratch,
+            self.combiner,
         );
-        if let Some(c) = self.combiner {
-            for b in buckets.iter_mut() {
-                *b = exec::apply_combiner(std::mem::take(b), c);
-            }
-        }
-        let output_records = buckets.iter().map(Vec::len).sum::<usize>() as u64;
-        let encoded: Vec<io::ShuffleBucket> =
-            buckets.iter().map(|b| io::ShuffleBucket::encode(b)).collect();
-        let output_bytes: u64 = encoded.iter().map(|b| b.text_bytes).sum();
+        let encoded: Vec<io::ShuffleBucket> = buckets
+            .iter()
+            .zip(&text_bytes)
+            .map(|(b, &text_bytes)| io::ShuffleBucket {
+                data: io::encode_bin_kv_block(b),
+                text_bytes,
+                records: b.len() as u64,
+            })
+            .collect();
         let work = MapWork {
             split_bytes: split.bytes,
             input_records,
-            output_records,
-            output_bytes,
+            output_records: encoded.iter().map(|b| b.records).sum(),
+            output_bytes: text_bytes.iter().sum(),
         };
         Ok((encoded, buckets, work))
     }

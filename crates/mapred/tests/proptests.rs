@@ -98,6 +98,28 @@ proptest! {
     }
 
     #[test]
+    fn hash_partitioner_is_stable_hash_modulo_reducers(
+        key in field(),
+        n in any::<u64>(),
+        r in 1usize..70,
+        shift in 0u32..20
+    ) {
+        use redoop_mapred::Partitioner;
+        // The mask a power-of-two `R` takes is the modulo every `R` is
+        // defined by: the shortcut may never move a key.
+        for r in [r, 1usize << shift] {
+            prop_assert_eq!(
+                HashPartitioner.partition(&key, r),
+                (redoop_mapred::hasher::stable_hash(&key) % r as u64) as usize
+            );
+            prop_assert_eq!(
+                HashPartitioner.partition(&n, r),
+                (redoop_mapred::hasher::stable_hash(&n) % r as u64) as usize
+            );
+        }
+    }
+
+    #[test]
     fn cluster_sim_never_overlaps_slots(
         durations in proptest::collection::vec(1u64..50, 1..60),
         nodes in 1usize..4,

@@ -541,3 +541,62 @@ fn failed_pane_compute_fails_the_window_before_any_cache_is_stored() {
     }
     assert!(exec.controller().all_cached().is_empty(), "nothing was registered");
 }
+
+#[test]
+fn a_window_after_a_failed_one_maps_and_charges_again() {
+    use redoop_mapred::{ClosureMapper, MapContext, ReduceContext, Reducer};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    // A reducer that fails exactly once: its first group is re-keyed to
+    // text that does not re-read as the mapper's `u64` key, which fails
+    // that pane's compute — and the window — with a typed codec error.
+    struct FailsOnce(AtomicBool);
+    impl Reducer for FailsOnce {
+        type KIn = u64;
+        type VIn = u64;
+        type KOut = String;
+        type VOut = u64;
+        fn reduce(&self, k: &u64, vs: &[u64], ctx: &mut ReduceContext<String, u64>) {
+            let key = if self.0.swap(false, Ordering::SeqCst) { "boom".to_string() } else { k.to_string() };
+            ctx.emit(key, vs.iter().sum());
+        }
+    }
+    fn map(line: &str, ctx: &mut MapContext<u64, u64>) {
+        if let Some(k) = line.split(',').nth(1) {
+            ctx.emit(k.parse().unwrap(), 1);
+        }
+    }
+
+    // Window 0 of a fresh executor, optionally after a first attempt at
+    // it that the reducer failed: (output, map tasks, charged map time).
+    let window_0 = |fail_first: bool| {
+        let spec = WindowSpec::new(200, 100).unwrap();
+        let cluster = test_cluster();
+        let mut exec = RecurringExecutor::aggregation(
+            &cluster,
+            test_sim(&cluster),
+            QueryConf::new("again", 2, redoop_dfs::DfsPath::new("/out/again").unwrap()).unwrap(),
+            SourceConf::with_leading_ts("s", spec, redoop_dfs::DfsPath::new("/panes/again").unwrap()),
+            Arc::new(ClosureMapper::new(map)),
+            Arc::new(FailsOnce(AtomicBool::new(fail_first))),
+            Arc::new(SumMerger),
+            batch_adaptive(&cluster, &spec),
+        )
+        .unwrap();
+        let lines: Vec<String> = (0..200u64).map(|t| format!("{t},{}", t % 7)).collect();
+        let range = TimeRange::new(EventTime(0), EventTime(200));
+        exec.ingest(0, lines.iter().map(String::as_str), &range).unwrap();
+        if fail_first {
+            codec_msg(exec.run_window(0).expect_err("the reducer fails the first attempt"));
+        }
+        let report = exec.run_window(0).unwrap();
+        let out: Vec<(String, u64)> = read_window_output(&cluster, &report.outputs).unwrap();
+        (out, report.metrics.map_tasks, report.metrics.phases.map)
+    };
+    let clean = window_0(false);
+    assert_eq!(clean.1, 2, "one map task per pane");
+    assert!(clean.2 > SimTime::ZERO);
+    // The failed attempt's map output died with it: the retry maps both
+    // panes again and is charged for it, like any window.
+    assert_eq!(window_0(true), clean);
+}
