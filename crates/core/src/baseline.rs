@@ -78,7 +78,8 @@ pub fn batches_for_window(batches: &[BatchFile], spec: &WindowSpec, rec: u64) ->
 /// output is identical in every window that contains it. Virtual-time
 /// charging is unaffected (the job still schedules and charges every
 /// split), so simulated results are bit-identical with or without the
-/// memo; only redundant host work is skipped.
+/// memo; only redundant host work is skipped. Without one the job runs
+/// on a memo of its own, dropped when it returns.
 #[allow(clippy::too_many_arguments)]
 pub fn run_baseline_window<M, R>(
     cluster: &Cluster,
@@ -108,19 +109,16 @@ where
         output_root.join(&format!("w{rec}"))?,
     );
     let conf = JobConf { num_reducers, ..Default::default() };
-    match memo {
-        Some(m) => {
-            // A batch is reusable iff the window covers its whole range.
-            let contained: std::collections::HashSet<DfsPath> = batches
-                .iter()
-                .filter(|b| window.start <= b.range.start && b.range.end <= window.end)
-                .map(|b| b.path.clone())
-                .collect();
-            let reuse = |p: &DfsPath| contained.contains(p);
-            Ok(runner.run_memoized(sim, &spec_job, &conf, fire, Some((m, &reuse)))?)
-        }
-        None => Ok(runner.run(sim, &spec_job, &conf, fire)?),
-    }
+    // A batch is reusable iff the window covers its whole range.
+    let contained: std::collections::HashSet<DfsPath> = batches
+        .iter()
+        .filter(|b| window.start <= b.range.start && b.range.end <= window.end)
+        .map(|b| b.path.clone())
+        .collect();
+    let reuse = |p: &DfsPath| contained.contains(p);
+    let mut own = MapMemo::default();
+    let memo = memo.unwrap_or(&mut own);
+    Ok(runner.run_memoized(sim, &spec_job, &conf, fire, (memo, &reuse))?)
 }
 
 #[cfg(test)]

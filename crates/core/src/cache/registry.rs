@@ -119,6 +119,9 @@ impl LocalCacheRegistry {
             Some(p) => self.live_bytes -= p.bytes,
             None => {}
         }
+        // A new entry is a new blob: whatever was verified under this
+        // name before, the next heartbeat audits what is stored now.
+        self.verified_blobs.remove(&name);
         self.live_bytes += bytes;
         self.version += 1;
         self.debug_check_counters();
@@ -144,7 +147,10 @@ impl LocalCacheRegistry {
     /// Debug-mode invariant (capacity enforcement reads `live_bytes`;
     /// silent drift here would corrupt every admission decision): the
     /// incremental counter must equal the sum of unexpired entry sizes,
-    /// and the expired working set must mirror the expiration flags.
+    /// the expired working set must mirror the expiration flags, and the
+    /// heartbeat's verified-blob memo must vouch only for current entries
+    /// (a row outliving its entry is a leak, and a stale voucher for the
+    /// next cache stored under that name).
     #[cfg(debug_assertions)]
     fn debug_check_counters(&self) {
         let live: u64 = self.entries.values().filter(|e| !e.expired).map(|e| e.bytes).sum();
@@ -158,6 +164,11 @@ impl LocalCacheRegistry {
         debug_assert!(
             self.expired.iter().eq(expired.into_iter()),
             "expired working set drifted from entry table on node {:?}",
+            self.node
+        );
+        debug_assert!(
+            self.verified_blobs.keys().all(|name| self.entries.contains_key(name)),
+            "verified-blob memo outlived its entry on node {:?}",
             self.node
         );
     }
@@ -234,6 +245,7 @@ impl LocalCacheRegistry {
             let _ = cluster.delete_local(self.node, &name.store_name())?;
             let entry = self.entries.remove(name);
             self.expired.remove(name);
+            self.verified_blobs.remove(name);
             self.version += 1;
             self.trace.emit(|| TraceEvent::Cache {
                 at: self.trace.now(),
@@ -312,6 +324,52 @@ mod tests {
         assert_eq!(purged, vec![n]);
         assert!(!cluster.has_local(NodeId(1), &n.store_name()));
         assert!(reg.is_empty());
+    }
+
+    #[test]
+    fn purged_entries_leave_no_verified_blob_behind() {
+        use redoop_mapred::grouped::sort_group;
+        use redoop_mapred::io::encode_framed_grouped_block;
+        let cluster = Cluster::with_nodes(1);
+        let mut reg = LocalCacheRegistry::new(NodeId(0), PurgePolicy::default());
+        let store = |n: CacheName| {
+            let blob = encode_framed_grouped_block(&sort_group(vec![(n.store_name(), 1u64)]), 0, 0);
+            cluster.put_local(NodeId(0), n.store_name(), Bytes::from(blob)).unwrap();
+            let stored = cluster.peek_local(NodeId(0), &n.store_name()).unwrap();
+            (stored.as_ptr() as usize, stored.len())
+        };
+        // Verify, expire, purge: the audit's voucher goes with the entry,
+        // so a cache rebuilt under this name is audited again whatever
+        // address (the recycled one included) its blob lands on.
+        let n = out_name(0);
+        let (ptr, len) = store(n);
+        reg.add_entry(n, len as u64);
+        assert_eq!(reg.heartbeat(&cluster).held, vec![n]);
+        assert!(reg.blob_verified(&n, ptr, len));
+        reg.mark_expired(&n);
+        assert!(reg.blob_verified(&n, ptr, len), "expired, not yet purged: still that blob");
+        assert_eq!(reg.purge_expired(&cluster).unwrap(), vec![n]);
+        assert!(!reg.blob_verified(&n, ptr, len));
+        // Likewise for an entry replaced in place, never purged.
+        let (ptr, len) = store(n);
+        reg.add_entry(n, len as u64);
+        reg.heartbeat(&cluster);
+        assert!(reg.blob_verified(&n, ptr, len));
+        reg.add_entry(n, len as u64);
+        assert!(!reg.blob_verified(&n, ptr, len));
+        // Thirty windows of a pane built, audited, and purged two windows
+        // later: the memo shrinks with the registry it annotates.
+        for w in 1..=30u64 {
+            let (_, len) = store(out_name(w));
+            reg.add_entry(out_name(w), len as u64);
+            reg.heartbeat(&cluster);
+            if w > 2 {
+                reg.mark_expired(&out_name(w - 2));
+                reg.purge_expired(&cluster).unwrap();
+            }
+            assert!(reg.verified_blobs.len() <= reg.len(), "window {w}");
+        }
+        assert_eq!((reg.verified_blobs.len(), reg.len()), (3, 3));
     }
 
     #[test]

@@ -44,7 +44,7 @@ use std::collections::{HashMap, HashSet};
 
 use redoop_dfs::{DfsPath, NodeId};
 use redoop_mapred::counters::names as cnames;
-use redoop_mapred::trace::{CacheAction, NodeScore, TraceEvent};
+use redoop_mapred::trace::{CacheAction, TraceEvent};
 use redoop_mapred::{
     exec, io as mrio, JobMetrics, MapWork, Mapper, MrError, Placement, ReduceWork, Reducer,
     SimTime, TaskKind, Writable,
@@ -55,9 +55,7 @@ use crate::cache::controller::PurgeNotification;
 use crate::cache::{CacheName, CacheObject};
 use crate::error::{RedoopError, Result};
 use crate::pane::PaneId;
-use crate::scheduler::{
-    argmin_shortlist, cache_affinity, cache_holders, MapTaskEntry, ReduceTaskEntry,
-};
+use crate::scheduler::{cache_affinity, cache_holders, MapTaskEntry, ReduceTaskEntry};
 
 use super::plan::{PlanKind, PlanTask, WindowPlan};
 use super::RecurringExecutor;
@@ -369,19 +367,9 @@ where
     // Scheduling plumbing
     // ------------------------------------------------------------------
 
-    /// The one Eq. 4 decision (paper §4.3) for a `kind` task ready at
-    /// `floor`: `argmin_i (max(Load_i, floor) + affinity(i))` over live
-    /// nodes. Loads are clamped to `floor`: a slot freeing up before the
-    /// task can start contributes no waiting time, so only *actual*
-    /// queueing competes with the affinity term.
-    ///
-    /// `favored` (sorted, distinct) are the only nodes whose affinity may
-    /// differ from the uniform price everyone else pays — cache holders
-    /// for reduces, block replicas for maps — so the argmin is taken over
-    /// them plus the load index's best uniformly-priced node instead of
-    /// scanning the cluster; the winner is provably the full scan's (see
-    /// `argmin_shortlist`). The `Placement` journal event lists exactly
-    /// the candidates compared, favored first, best other node last.
+    /// The Eq. 4 decision for a `kind` task ready at `floor`:
+    /// [`redoop_mapred::ClusterSim::place`] — the one definition, shared
+    /// with the plain-Hadoop `JobRunner` — over this cluster's live nodes.
     fn place(
         &self,
         kind: TaskKind,
@@ -390,27 +378,7 @@ where
         label: impl FnOnce() -> String,
         affinity: impl Fn(NodeId) -> SimTime,
     ) -> NodeId {
-        let mut skip: Vec<usize> = favored.iter().map(|n| n.index()).collect();
-        skip.extend(self.cluster.dead_node_indexes());
-        skip.sort_unstable();
-        skip.dedup();
-        let best_other = self.sim.pick_min_clamped(kind, floor, &skip);
-        let alive = |n: NodeId| self.cluster.is_alive(n);
-        let load = |n: NodeId| self.sim.node_load(kind, n).max(floor);
-        let chosen = argmin_shortlist(favored, alive, best_other, |n| load(n) + affinity(n));
-        self.trace.emit(|| TraceEvent::Placement {
-            at: floor,
-            kind,
-            label: label(),
-            chosen,
-            scores: favored
-                .iter()
-                .chain(best_other.iter())
-                .filter(|&&n| alive(n))
-                .map(|&n| NodeScore { node: n, load: load(n), cost: affinity(n) })
-                .collect(),
-        });
-        chosen
+        self.sim.place(kind, favored, &self.cluster.dead_node_indexes(), floor, label, affinity)
     }
 
     /// Picks the node for a reduce-side task ready at `floor`: Eq. 4 with

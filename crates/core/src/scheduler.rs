@@ -23,6 +23,10 @@ use crate::cache::controller::CacheController;
 use crate::cache::CacheName;
 use crate::pane::PaneId;
 
+// Defined beside the load index it queries (`ClusterSim::place` is its
+// caller); the benchmark harness pins this path.
+pub use redoop_mapred::scheduler::argmin_shortlist;
+
 /// Computes `C_task,i` for a task needing `caches`: zero-ish for caches
 /// resident on `node` (a local-disk read), and the estimated rebuild
 /// cost — remote HDFS read, shuffle transfer, and re-sort — for caches
@@ -57,36 +61,6 @@ pub fn cache_holders(controller: &CacheController, caches: &[CacheName]) -> Vec<
     holders.sort_unstable();
     holders.dedup();
     holders
-}
-
-/// Exact Eq. 4 argmin without the `O(nodes)` affinity scan, valid
-/// whenever every node *outside* `favored` pays the same affinity cost.
-///
-/// Non-favored nodes share one affinity term, so their relative order is
-/// decided by `(clamped load, id)` alone; the true argmin is therefore
-/// among `favored` plus the single best uniformly-priced node
-/// (`best_other`, e.g. from `ClusterSim::pick_min_clamped` with the
-/// favored and dead nodes skipped). `score(n)` must return the full
-/// Eq. 4 score `max(Load_n, floor) + C_task,n`. Ties break to the lowest
-/// node id, and dead favored nodes are ignored — both exactly as in
-/// `SchedulerCtx::argmin`, which also supplies the panic condition.
-pub fn argmin_shortlist(
-    favored: &[NodeId],
-    alive: impl Fn(NodeId) -> bool,
-    best_other: Option<NodeId>,
-    mut score: impl FnMut(NodeId) -> SimTime,
-) -> NodeId {
-    let mut best: Option<(SimTime, NodeId)> = None;
-    for &n in favored.iter().chain(best_other.iter()) {
-        if !alive(n) {
-            continue;
-        }
-        let s = score(n);
-        if best.is_none_or(|b| (s, n) < b) {
-            best = Some((s, n));
-        }
-    }
-    best.expect("scheduler requires at least one live node").1
 }
 
 /// Average bytes per synthetic input record, used to estimate the record

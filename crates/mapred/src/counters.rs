@@ -15,8 +15,6 @@ pub mod names {
     pub const HDFS_BYTES_READ: &str = "HDFS_BYTES_READ";
     pub const HDFS_BYTES_WRITTEN: &str = "HDFS_BYTES_WRITTEN";
     pub const FAILED_MAP_ATTEMPTS: &str = "FAILED_MAP_ATTEMPTS";
-    pub const SPECULATIVE_MAP_ATTEMPTS: &str = "SPECULATIVE_MAP_ATTEMPTS";
-    pub const SPECULATIVE_MAP_WINS: &str = "SPECULATIVE_MAP_WINS";
     pub const FAILED_REDUCE_ATTEMPTS: &str = "FAILED_REDUCE_ATTEMPTS";
 }
 

@@ -226,16 +226,13 @@ pub fn decode_kv_block<K: Writable, V: Writable>(text: &str) -> Result<Vec<(K, V
 
 // ---- Binary block codec ------------------------------------------------
 //
-// Shuffle buckets and node-local cache blocks use binary records instead
-// of `key\tvalue` text: no number formatting on write, no parsing on
-// read. Two layouts exist:
-//
-//  * **flat streams** (shuffle buckets): back-to-back `write_bin` records
-//    with no header, so buckets from different map tasks concatenate.
-//  * **grouped blocks** (cached sorted runs): pre-grouped
-//    `(key, [values])` entries plus a sorted flag, stored as a sequence
-//    of checksummed frames, so incremental merges consume runs directly
-//    without re-sorting or re-parsing.
+// Node-local cache blocks use binary records ([`Writable::write_bin`])
+// instead of `key\tvalue` text: no number formatting on write, no parsing
+// on read. A **grouped block** holds a cached sorted run — pre-grouped
+// `(key, [values])` entries plus a sorted flag, stored as a sequence of
+// checksummed frames — so incremental merges consume runs directly
+// without re-sorting or re-parsing. (Shuffle buckets are never encoded:
+// a map task's pairs stay in memory until its reduces have merged them.)
 //
 // The simulated cost model keeps charging **text-equivalent** bytes (see
 // [`Writable::text_len`]); the binary layout changes host time only.
@@ -244,86 +241,6 @@ pub fn decode_kv_block<K: Writable, V: Writable>(text: &str) -> Result<Vec<(K, V
 /// `encode_kv_block(pairs).len()`, without materialising the text.
 pub fn kv_block_text_bytes<K: Writable, V: Writable>(pairs: &[(K, V)]) -> u64 {
     pairs.iter().map(|(k, v)| k.text_len() + 1 + v.text_len() + 1).sum()
-}
-
-/// Encodes a pair list as a headerless binary record stream. Streams
-/// are concatenatable: appending two encodings yields the encoding of
-/// the concatenated pair lists.
-pub fn encode_bin_kv_block<K: Writable, V: Writable>(pairs: &[(K, V)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(pairs.len() * 16);
-    for (k, v) in pairs {
-        k.write_bin(&mut out);
-        v.write_bin(&mut out);
-    }
-    out
-}
-
-/// Decodes a headerless binary record stream.
-pub fn decode_bin_kv_block<K: Writable, V: Writable>(buf: &[u8]) -> Result<Vec<(K, V)>> {
-    let mut pairs = Vec::new();
-    decode_bin_kv_into(buf, &mut pairs)?;
-    Ok(pairs)
-}
-
-/// Decodes a headerless binary record stream, appending to `out`.
-pub fn decode_bin_kv_into<K: Writable, V: Writable>(
-    buf: &[u8],
-    out: &mut Vec<(K, V)>,
-) -> Result<()> {
-    let mut rest = buf;
-    while !rest.is_empty() {
-        let (k, used_k) = K::read_bin(rest)?;
-        rest = &rest[used_k..];
-        let (v, used_v) = V::read_bin(rest)?;
-        rest = &rest[used_v..];
-        out.push((k, v));
-    }
-    Ok(())
-}
-
-/// One shuffle bucket in binary form, carrying the text-equivalent byte
-/// count the cost model charges and the record count.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ShuffleBucket {
-    /// Headerless binary record stream (see [`encode_bin_kv_block`]).
-    pub data: Vec<u8>,
-    /// Byte length the equivalent `key\tvalue` text would have.
-    pub text_bytes: u64,
-    /// Number of key/value records.
-    pub records: u64,
-}
-
-impl ShuffleBucket {
-    /// Encodes `pairs` into a bucket.
-    pub fn encode<K: Writable, V: Writable>(pairs: &[(K, V)]) -> Self {
-        ShuffleBucket {
-            data: encode_bin_kv_block(pairs),
-            text_bytes: kv_block_text_bytes(pairs),
-            records: pairs.len() as u64,
-        }
-    }
-
-    /// Appends `other`'s records (streams concatenate).
-    pub fn extend(&mut self, other: &ShuffleBucket) {
-        self.data.extend_from_slice(&other.data);
-        self.text_bytes += other.text_bytes;
-        self.records += other.records;
-    }
-
-    /// Decodes the bucket back into pairs.
-    pub fn decode<K: Writable, V: Writable>(&self) -> Result<Vec<(K, V)>> {
-        let mut pairs = Vec::with_capacity(self.records as usize);
-        decode_bin_kv_into(&self.data, &mut pairs)?;
-        Ok(pairs)
-    }
-
-    /// Decodes the bucket's records, appending to `out` (pre-reserving
-    /// from the record count — shuffle merges decode many buckets into
-    /// one pair list).
-    pub fn decode_into<K: Writable, V: Writable>(&self, out: &mut Vec<(K, V)>) -> Result<()> {
-        out.reserve(self.records as usize);
-        decode_bin_kv_into(&self.data, out)
-    }
 }
 
 /// A decoded grouped block: a run-length [`Grouped`] run plus the
@@ -659,23 +576,10 @@ mod tests {
     }
 
     #[test]
-    fn bin_block_roundtrips_and_concatenates() {
+    fn text_equivalent_accounting_matches_the_text_codec() {
         let a = vec![("alpha".to_string(), 1u64), ("beta".to_string(), 2u64)];
-        let b = vec![("gamma".to_string(), 3u64)];
-        let mut joined = encode_bin_kv_block(&a);
-        joined.extend_from_slice(&encode_bin_kv_block(&b));
-        let decoded: Vec<(String, u64)> = decode_bin_kv_block(&joined).unwrap();
-        assert_eq!(decoded, [a.clone(), b].concat());
-        // Text-equivalent accounting matches the text codec exactly.
         assert_eq!(kv_block_text_bytes(&a), encode_kv_block(&a).len() as u64);
         assert_eq!(kv_block_text_bytes::<String, u64>(&[]), 0);
-    }
-
-    #[test]
-    fn bin_block_rejects_truncation() {
-        let pairs = vec![("k".to_string(), 9u64)];
-        let buf = encode_bin_kv_block(&pairs);
-        assert!(decode_bin_kv_block::<String, u64>(&buf[..buf.len() - 1]).is_err());
     }
 
     #[test]

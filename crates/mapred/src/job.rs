@@ -9,14 +9,11 @@ pub struct JobConf {
     pub num_reducers: usize,
     /// Maximum attempts per task before the job fails (Hadoop default 4).
     pub max_task_attempts: u32,
-    /// Launch backup attempts for map stragglers (Hadoop's speculative
-    /// execution; the paper's testbed runs with this off).
-    pub speculative: bool,
 }
 
 impl Default for JobConf {
     fn default() -> Self {
-        JobConf { num_reducers: 4, max_task_attempts: 4, speculative: false }
+        JobConf { num_reducers: 4, max_task_attempts: 4 }
     }
 }
 

@@ -5,13 +5,16 @@
 //! reproduces the architecture the paper relies on:
 //!
 //! * **Programming model** — [`Mapper`], [`Reducer`], optional
-//!   [`Combiner`], pluggable [`Partitioner`], text-line records and a
+//!   [`Combiner`], hash [`Partitioner`], text-line records and a
 //!   Hadoop-style [`Writable`] codec for keys/values.
 //! * **Job execution** — [`JobRunner`] splits DFS input files into
 //!   block-aligned input splits, runs map tasks, shuffles/sorts by key,
 //!   and runs reduce tasks, writing `part-r-NNNNN` outputs back to the DFS.
 //!   All record processing is real (parse, hash, sort, group, reduce), so
-//!   results can be checked against an oracle.
+//!   results can be checked against an oracle — and it *is* the oracle:
+//!   the runner exists as the paper's plain-Hadoop baseline and as the
+//!   recomputation every Redoop window's output is compared with, and
+//!   has the one path those two jobs run.
 //! * **Cluster model** — the paper's 30-node testbed (6 map + 2 reduce
 //!   slots per node) is reproduced as a discrete-event simulation
 //!   ([`ClusterSim`]): every task is *executed* on the host thread pool and
@@ -19,9 +22,9 @@
 //!   bandwidth, shuffle network, sort `n log n`, per-record CPU, task
 //!   start-up). Reported times are simulated milliseconds; see `DESIGN.md`
 //!   for the substitution rationale.
-//! * **Scheduling** — a [`Scheduler`] trait with Hadoop's default
-//!   (data-locality for maps, load-only for reduces). Redoop plugs in its
-//!   cache-aware scheduler through the same interface.
+//! * **Scheduling** — one Eq. 4 decision, [`ClusterSim::place`]: Hadoop's
+//!   default hands it data locality for maps and load alone for reduces;
+//!   Redoop's driver hands the same function a cache-affinity term.
 //! * **Fault tolerance** — deterministic task-failure injection with
 //!   bounded retries; failed attempts burn virtual time, exactly like a
 //!   re-executed Hadoop task attempt.
@@ -45,12 +48,10 @@ pub mod runtime;
 pub mod schedule;
 pub mod scheduler;
 pub mod simtime;
-pub mod speculate;
 pub mod split;
 pub mod swar;
 pub mod task;
 pub mod trace;
-pub mod tracker;
 pub mod writable;
 
 pub use combiner::Combiner;
@@ -67,11 +68,9 @@ pub use partitioner::{HashPartitioner, Partitioner};
 pub use reducer::{ClosureReducer, ReduceContext, Reducer};
 pub use runtime::{JobResult, JobRunner, MapMemo};
 pub use schedule::{ClusterSim, Placement, SlotKind};
-pub use scheduler::{DefaultScheduler, Scheduler, SchedulerCtx};
+pub use scheduler::SchedulerCtx;
 pub use simtime::{CostModel, SimTime};
-pub use speculate::{speculate_stragglers, SpeculationOutcome};
 pub use split::InputSplit;
 pub use task::{MapWork, ReduceWork, TaskId, TaskKind};
 pub use trace::{CacheAction, NodeScore, TraceEvent, TraceSink, WindowTraceStats};
-pub use tracker::{JobHistoryEntry, JobId, JobTracker};
 pub use writable::Writable;

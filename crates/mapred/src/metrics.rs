@@ -37,7 +37,7 @@ impl PhaseTimes {
 
 /// Everything measured about one job (or one query recurrence, when
 /// several micro-jobs are merged).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct JobMetrics {
     /// Virtual time the job was submitted.
     pub submitted_at: SimTime,

@@ -1,16 +1,23 @@
 //! The job runner: plain-Hadoop execution of one MapReduce job.
 //!
 //! This is the baseline the paper compares Redoop against ("the
-//! traditional driver approach"): every recurrence re-reads, re-shuffles,
-//! and re-reduces the full window. Execution is two-layered:
+//! traditional driver approach"), and the oracle its outputs are checked
+//! against: every recurrence re-reads, re-shuffles, and re-reduces the
+//! full window. Execution is two-layered:
 //!
-//! 1. **Real layer** — splits are mapped, combined, partitioned,
-//!    shuffled, sorted, and reduced for real on host threads, producing
-//!    actual output files and per-task work statistics.
+//! 1. **Real layer** — one path: each split is mapped into per-partition
+//!    buckets at emit, each bucket is sorted once into a run, and each
+//!    reduce streams the merge of its partition's runs through the
+//!    reducer into its part file — on host threads, producing actual
+//!    output files and per-task work statistics.
 //! 2. **Virtual layer** — each task is placed on the simulated cluster
-//!    ([`ClusterSim`]) by the configured [`Scheduler`] and charged a
-//!    duration derived from its observed work, including failed attempts
-//!    injected by a [`FaultInjector`].
+//!    by [`ClusterSim::place`] (Eq. 4: block locality for maps, load
+//!    alone for reduces) and charged a duration derived from its observed
+//!    work, including failed attempts injected by a [`FaultInjector`].
+
+use std::any::Any;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use redoop_dfs::{Cluster, DfsPath, NodeId};
 
@@ -19,17 +26,27 @@ use crate::counters::names;
 use crate::error::{MrError, Result};
 use crate::exec;
 use crate::fault::FaultInjector;
-use crate::io;
+use crate::grouped::Grouped;
 use crate::job::{JobConf, JobSpec};
 use crate::mapper::Mapper;
 use crate::metrics::JobMetrics;
-use crate::partitioner::{HashPartitioner, Partitioner};
-use crate::reducer::Reducer;
+use crate::partitioner::HashPartitioner;
+use crate::reducer::{ReduceContext, Reducer};
 use crate::schedule::{ClusterSim, Placement};
-use crate::scheduler::{DefaultScheduler, Scheduler, SchedulerCtx};
 use crate::simtime::SimTime;
-use crate::split::{plan_splits, plan_splits_file, InputSplit};
+use crate::split::{plan_splits, InputSplit, SplitPlans};
 use crate::task::{MapWork, ReduceWork, TaskKind};
+
+/// What one map task leaves for the reduces.
+struct MapOut<K, V> {
+    work: MapWork,
+    /// Text-equivalent bytes of each reduce partition's bucket: what the
+    /// shuffle is charged, whatever form the pairs are held in.
+    text_bytes: Vec<u64>,
+    /// Each partition's bucket, sorted once; every reduce over this split
+    /// merges its run.
+    runs: Vec<Grouped<K, V>>,
+}
 
 /// Host-side memo shared across the jobs of one recurring query.
 ///
@@ -40,36 +57,23 @@ use crate::task::{MapWork, ReduceWork, TaskKind};
 /// deterministic. Reusing both avoids redundant host work without
 /// touching the virtual layer: every job still schedules and charges
 /// every split exactly as if it had been computed fresh.
+///
+/// The memo is bounded by the window: a job ends by dropping everything
+/// that belongs to a file it did not read (a recurring query's windows
+/// only move forward; an out-of-order caller merely recomputes).
 #[derive(Default)]
 pub struct MapMemo {
-    splits: std::collections::HashMap<DfsPath, std::sync::Arc<Vec<InputSplit>>>,
-    /// Keyed by `(path, first line, num_reducers)` — the first line
-    /// identifies the split within its file.
-    #[allow(clippy::type_complexity)]
-    maps: std::collections::HashMap<
-        (DfsPath, usize, usize),
-        std::sync::Arc<(Vec<io::ShuffleBucket>, MapWork)>,
-    >,
-    /// Per-`(path, first line, num_reducers, partition)` sorted run of a
-    /// reusable split's shuffle bucket, kept resident as a type-erased
-    /// [`crate::grouped::Grouped`] (`MapMemo` is not generic over the
-    /// job's key/value types). Reduces over a recurring window then
-    /// *merge* the cached runs (exactly reproducing the stable full
-    /// sort, see [`exec::for_each_merged_group`]) instead of re-sorting —
-    /// or re-decoding — the whole window every recurrence.
-    reduce_runs: std::collections::HashMap<
-        (DfsPath, usize, usize, usize),
-        std::sync::Arc<dyn std::any::Any + Send + Sync>,
-    >,
+    plans: SplitPlans,
+    /// One entry per reusable split — its whole [`MapOut`], type-erased
+    /// (`MapMemo` is not generic over the job's key/value types) — keyed
+    /// by `(path, first line, num_reducers)`; the first line identifies
+    /// the split within its file.
+    splits: HashMap<(DfsPath, usize, usize), Arc<dyn Any + Send + Sync>>,
 }
 
 /// Memo handle passed to [`JobRunner::run_memoized`]: the shared memo
 /// plus the per-file reuse predicate.
 pub type MemoHandle<'m> = (&'m mut MapMemo, &'m dyn Fn(&DfsPath) -> bool);
-
-/// Per-split raw (pre-encoding) map output, one pair list per reduce
-/// partition.
-type RawParts<K, V> = Vec<Vec<(K, V)>>;
 
 /// Outcome of a job run: where the output landed plus metrics.
 #[derive(Debug, Clone)]
@@ -89,44 +93,19 @@ where
     cluster: &'a Cluster,
     mapper: &'a M,
     reducer: &'a R,
-    scheduler: &'a dyn Scheduler,
-    partitioner: &'a dyn Partitioner<M::KOut>,
     combiner: Option<&'a dyn Combiner<M::KOut, M::VOut>>,
     fault: Option<&'a FaultInjector>,
 }
-
-const DEFAULT_SCHEDULER: DefaultScheduler = DefaultScheduler;
-const HASH_PARTITIONER: HashPartitioner = HashPartitioner;
 
 impl<'a, M, R> JobRunner<'a, M, R>
 where
     M: Mapper,
     R: Reducer<KIn = M::KOut, VIn = M::VOut>,
 {
-    /// A runner with Hadoop defaults (FIFO+locality scheduler, hash
+    /// A runner with Hadoop defaults (locality-then-load placement, hash
     /// partitioner, no combiner, no fault injection).
     pub fn new(cluster: &'a Cluster, mapper: &'a M, reducer: &'a R) -> Self {
-        JobRunner {
-            cluster,
-            mapper,
-            reducer,
-            scheduler: &DEFAULT_SCHEDULER,
-            partitioner: &HASH_PARTITIONER,
-            combiner: None,
-            fault: None,
-        }
-    }
-
-    /// Overrides the scheduling policy.
-    pub fn with_scheduler(mut self, scheduler: &'a dyn Scheduler) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Overrides the shuffle partitioner.
-    pub fn with_partitioner(mut self, partitioner: &'a dyn Partitioner<M::KOut>) -> Self {
-        self.partitioner = partitioner;
-        self
+        JobRunner { cluster, mapper, reducer, combiner: None, fault: None }
     }
 
     /// Installs a map-side combiner.
@@ -141,7 +120,8 @@ where
         self
     }
 
-    /// Runs `spec` starting at virtual time `submit_at` on `sim`.
+    /// Runs `spec` starting at virtual time `submit_at` on `sim`: a
+    /// [`JobRunner::run_memoized`] that remembers nothing.
     pub fn run(
         &self,
         sim: &mut ClusterSim,
@@ -149,7 +129,7 @@ where
         conf: &JobConf,
         submit_at: SimTime,
     ) -> Result<JobResult> {
-        self.run_memoized(sim, spec, conf, submit_at, None)
+        self.run_memoized(sim, spec, conf, submit_at, (&mut MapMemo::default(), &|_| false))
     }
 
     /// Like [`JobRunner::run`], but sharing `memo` across the jobs of a
@@ -163,179 +143,77 @@ where
         spec: &JobSpec,
         conf: &JobConf,
         submit_at: SimTime,
-        mut memo: Option<MemoHandle<'_>>,
+        (memo, reuse): MemoHandle<'_>,
     ) -> Result<JobResult> {
         conf.validate()?;
         let num_reducers = conf.num_reducers;
-        let splits: Vec<InputSplit> = match &mut memo {
-            Some((m, _)) => {
-                let mut all = Vec::new();
-                for path in &spec.inputs {
-                    let planned = match m.splits.get(path) {
-                        Some(s) => s.clone(),
-                        None => {
-                            let s = std::sync::Arc::new(plan_splits_file(self.cluster, path)?);
-                            m.splits.insert(path.clone(), s.clone());
-                            s
-                        }
-                    };
-                    all.extend(planned.iter().cloned());
-                }
-                if all.is_empty() {
-                    return Err(MrError::NoInput);
-                }
-                all
-            }
-            None => plan_splits(self.cluster, &spec.inputs)?,
-        };
+        let splits = plan_splits(self.cluster, &spec.inputs, &mut memo.plans)?;
 
         // ---- Real map execution (host parallelism) -------------------
-        // Memo hits resolve instantly; misses fan out on host threads.
-        type MapOut = std::sync::Arc<(Vec<io::ShuffleBucket>, MapWork)>;
-        // Raw pre-encoding pairs of splits mapped in THIS job (memo hits
-        // have none); each (split, partition) slot is taken once by the
-        // reduce phase, which otherwise decodes the encoded bucket.
-        let mut raw_parts: Vec<Option<RawParts<M::KOut, M::VOut>>> =
-            (0..splits.len()).map(|_| None).collect();
-        let map_outs: Vec<MapOut> = match &mut memo {
-            Some((m, reuse)) => {
-                let mut out: Vec<Option<MapOut>> = (0..splits.len()).map(|_| None).collect();
-                let mut miss: Vec<usize> = Vec::new();
-                for (i, s) in splits.iter().enumerate() {
-                    let hit = reuse(&s.path)
-                        .then(|| m.maps.get(&(s.path.clone(), s.lines.start, num_reducers)))
-                        .flatten();
-                    match hit {
-                        Some(cached) => out[i] = Some(cached.clone()),
-                        None => miss.push(i),
-                    }
+        // Splits fan out on host threads; memo hits resolve instantly.
+        let memo_key = |s: &InputSplit| (s.path.clone(), s.lines.start, num_reducers);
+        let reusable: Vec<bool> = splits.iter().map(|s| reuse(&s.path)).collect();
+        let remembered = &memo.splits;
+        let map_outs = exec::parallel_map(splits.len(), |i| {
+            let split = &splits[i];
+            match reusable[i].then(|| remembered.get(&memo_key(split))).flatten() {
+                Some(cached) => {
+                    cached.clone().downcast::<MapOut<M::KOut, M::VOut>>().map_err(|_| {
+                        MrError::InvalidConf(
+                            "MapMemo shared across jobs with different key/value types".into(),
+                        )
+                    })
                 }
-                let computed = exec::parallel_map(miss.len(), |j| {
-                    self.execute_map(&splits[miss[j]], num_reducers)
-                })?;
-                for (&i, (enc, parts, work)) in miss.iter().zip(computed) {
-                    let mo = std::sync::Arc::new((enc, work));
-                    let s = &splits[i];
-                    if reuse(&s.path) {
-                        m.maps
-                            .insert((s.path.clone(), s.lines.start, num_reducers), mo.clone());
-                    }
-                    out[i] = Some(mo);
-                    raw_parts[i] = Some(parts);
-                }
-                out.into_iter().map(|o| o.expect("every split mapped")).collect()
+                None => Ok(Arc::new(self.execute_map(split, num_reducers))),
             }
-            None => {
-                let computed = exec::parallel_map(splits.len(), |i| {
-                    self.execute_map(&splits[i], num_reducers)
-                })?;
-                let mut outs = Vec::with_capacity(computed.len());
-                for (i, (enc, parts, work)) in computed.into_iter().enumerate() {
-                    outs.push(std::sync::Arc::new((enc, work)));
-                    raw_parts[i] = Some(parts);
-                }
-                outs
+        })?;
+        for (i, out) in map_outs.iter().enumerate() {
+            if reusable[i] {
+                memo.splits.entry(memo_key(&splits[i])).or_insert_with(|| out.clone());
             }
-        };
+        }
 
         let mut metrics = JobMetrics { submitted_at: submit_at, ..Default::default() };
         for mo in &map_outs {
-            let work = &mo.1;
-            metrics.counters.add(names::MAP_INPUT_RECORDS, work.input_records);
-            metrics.counters.add(names::MAP_OUTPUT_RECORDS, work.output_records);
-            metrics.counters.add(names::HDFS_BYTES_READ, work.split_bytes);
+            metrics.counters.add(names::MAP_INPUT_RECORDS, mo.work.input_records);
+            metrics.counters.add(names::MAP_OUTPUT_RECORDS, mo.work.output_records);
+            metrics.counters.add(names::HDFS_BYTES_READ, mo.work.split_bytes);
         }
 
         // ---- Virtual map scheduling -----------------------------------
-        let alive = self.alive_vec();
+        // HDFS locality: a split's replicas read it for free, everyone
+        // else pays one uniform remote-read penalty.
+        let dead = self.cluster.dead_node_indexes();
         let cost = sim.cost().clone();
         let mut map_ends: Vec<SimTime> = Vec::with_capacity(splits.len());
-        let mut map_placements: Vec<Placement> = Vec::with_capacity(splits.len());
         for (i, (split, mo)) in splits.iter().zip(&map_outs).enumerate() {
-            let work = &mo.1;
+            let work = &mo.work;
+            let remote_penalty = cost
+                .hdfs_read(work.split_bytes, false)
+                .saturating_sub(cost.hdfs_read(work.split_bytes, true));
             let placement = self.schedule_task(
                 sim,
-                &alive,
+                &dead,
                 TaskKind::Map,
                 &spec.name,
                 i,
                 submit_at,
                 conf.max_task_attempts,
                 &mut metrics,
-                |node| read_affinity(&cost, work.split_bytes, split, node),
-                |_node, start, local| {
-                    let d = work.duration(&cost, local);
-                    (start + d, d, SimTime::ZERO)
-                },
-                |node| split.is_local_to(node),
+                &split.replicas,
+                |node| if split.is_local_to(node) { SimTime::ZERO } else { remote_penalty },
+                |node, start| start + work.duration(&cost, split.is_local_to(node)),
             )?;
             metrics.phases.map += placement.duration();
             map_ends.push(placement.end);
-            map_placements.push(placement);
             metrics.map_tasks += 1;
         }
-        // Optional speculative execution: rescue map stragglers with
-        // backup attempts on other nodes.
-        if conf.speculative {
-            let placements = map_placements.clone();
-            let outcomes = crate::speculate::speculate_stragglers(
-                sim,
-                &alive,
-                self.scheduler,
-                TaskKind::Map,
-                &placements,
-                |i, node| {
-                    let (split, work) = (&splits[i], &map_outs[i].1);
-                    work.duration(&cost, split.is_local_to(node))
-                },
-            );
-            for (i, outcome) in outcomes.iter().enumerate() {
-                match outcome {
-                    crate::speculate::SpeculationOutcome::NotStraggler => {}
-                    crate::speculate::SpeculationOutcome::BackupLost { backup } => {
-                        metrics.counters.add(names::SPECULATIVE_MAP_ATTEMPTS, 1);
-                        metrics.phases.map += backup.duration();
-                    }
-                    crate::speculate::SpeculationOutcome::BackupWon { backup } => {
-                        metrics.counters.add(names::SPECULATIVE_MAP_ATTEMPTS, 1);
-                        metrics.counters.add(names::SPECULATIVE_MAP_WINS, 1);
-                        metrics.phases.map += backup.duration();
-                        map_ends[i] = backup.end;
-                    }
-                }
-            }
-        }
-
         let first_map_end = map_ends.iter().copied().min().unwrap_or(submit_at);
         let last_map_end = map_ends.iter().copied().max().unwrap_or(submit_at);
 
         // ---- Real reduce execution -------------------------------------
-        // With a memo, cached sorted runs are merged sequentially (the
-        // memo is updated in place); otherwise partitions fan out.
-        let reduce_outs = match &mut memo {
-            Some((m, reuse)) => {
-                let reuse_keys: Vec<Option<(DfsPath, usize)>> = splits
-                    .iter()
-                    .map(|s| reuse(&s.path).then(|| (s.path.clone(), s.lines.start)))
-                    .collect();
-                let mut outs = Vec::with_capacity(num_reducers);
-                for r in 0..num_reducers {
-                    outs.push(self.execute_reduce_memoized(
-                        spec,
-                        &map_outs,
-                        &mut raw_parts,
-                        r,
-                        num_reducers,
-                        m,
-                        &reuse_keys,
-                    )?);
-                }
-                outs
-            }
-            None => {
-                exec::parallel_map(num_reducers, |r| self.execute_reduce(spec, &map_outs, r))?
-            }
-        };
+        let reduce_outs =
+            exec::parallel_map(num_reducers, |r| self.execute_reduce(spec, &map_outs, r))?;
         for work in &reduce_outs {
             metrics.counters.add(names::SHUFFLE_BYTES, work.shuffle_bytes);
             metrics.counters.add(names::REDUCE_INPUT_RECORDS, work.input_records);
@@ -344,180 +222,85 @@ where
         }
 
         // ---- Virtual reduce scheduling ----------------------------------
+        // Cache-blind: no node is favoured, the least-loaded one wins.
         let mut finished_at = last_map_end;
         for (r, work) in reduce_outs.iter().enumerate() {
             let phases = work.phases(&cost);
+            // Copy cannot complete before the last map output exists.
+            let copy_done = |start: SimTime| (start + phases.copy).max(last_map_end);
             let placement = self.schedule_task(
                 sim,
-                &alive,
+                &dead,
                 TaskKind::Reduce,
                 &spec.name,
                 r,
                 first_map_end,
                 conf.max_task_attempts,
                 &mut metrics,
+                &[],
                 |_| SimTime::ZERO,
-                |_node, start, _local| {
-                    // Copy cannot complete before the last map output exists.
-                    let copy_done = (start + phases.copy).max(last_map_end);
-                    let end = copy_done + phases.sort + phases.reduce;
-                    (end, copy_done - start, phases.sort)
-                },
-                |_| false,
+                |_node, start| copy_done(start) + phases.sort + phases.reduce,
             )?;
-            // Recompute the phase split for metrics from the placement.
-            let copy_done = (placement.start + phases.copy).max(last_map_end);
-            metrics.phases.shuffle += copy_done - placement.start;
+            metrics.phases.shuffle += copy_done(placement.start) - placement.start;
             metrics.phases.sort += phases.sort;
             metrics.phases.reduce += phases.reduce;
             metrics.reduce_tasks += 1;
             finished_at = finished_at.max(placement.end);
         }
 
+        // A recurring query's windows only move forward: what this job
+        // did not read, no later job will.
+        let inputs: HashSet<&DfsPath> = spec.inputs.iter().collect();
+        memo.plans.retain(|path, _| inputs.contains(path));
+        memo.splits.retain(|(path, ..), _| inputs.contains(path));
+
         metrics.finished_at = finished_at;
         let outputs = (0..num_reducers).map(|r| spec.part_path(r)).collect();
         Ok(JobResult { outputs, metrics })
     }
 
-    /// Real execution of one map task: returns the shuffle buckets (one
-    /// binary record stream per reduce partition), the raw pre-encoding
-    /// pairs per partition (the bucket's decoded twin, handed to the
-    /// reduce phase of the same job so it can skip the decode), and the
-    /// work stats. Work is charged in text-equivalent bytes, so
-    /// simulated times do not depend on the shuffle codec.
-    ///
-    /// Pairs are bucketed by partition *at emit time* and the combiner
-    /// folds each bucket independently ([`exec::run_mapper_bucketed`],
-    /// which also hands back the text-equivalent bytes of each bucket).
-    #[allow(clippy::type_complexity)]
-    fn execute_map(
-        &self,
-        split: &InputSplit,
-        num_reducers: usize,
-    ) -> Result<(Vec<io::ShuffleBucket>, Vec<Vec<(M::KOut, M::VOut)>>, MapWork)> {
+    /// Real execution of one map task. Pairs are bucketed by partition
+    /// *at emit time* and the combiner folds each bucket independently
+    /// ([`exec::run_mapper_bucketed`], which also hands back the
+    /// text-equivalent bytes of each bucket — work is charged in those,
+    /// so simulated times do not depend on how pairs are held); each
+    /// bucket is then sorted into its run.
+    fn execute_map(&self, split: &InputSplit, num_reducers: usize) -> MapOut<M::KOut, M::VOut> {
         let (buckets, text_bytes, input_records) = exec::run_mapper_bucketed(
             self.mapper,
             split.file.lines(split.lines.clone()),
-            self.partitioner,
+            &HashPartitioner,
             num_reducers,
             self.combiner,
         );
-        let encoded: Vec<io::ShuffleBucket> = buckets
-            .iter()
-            .zip(&text_bytes)
-            .map(|(b, &text_bytes)| io::ShuffleBucket {
-                data: io::encode_bin_kv_block(b),
-                text_bytes,
-                records: b.len() as u64,
-            })
-            .collect();
         let work = MapWork {
             split_bytes: split.bytes,
             input_records,
-            output_records: encoded.iter().map(|b| b.records).sum(),
+            output_records: buckets.iter().map(|b| b.len() as u64).sum(),
             output_bytes: text_bytes.iter().sum(),
         };
-        Ok((encoded, buckets, work))
+        MapOut { work, text_bytes, runs: buckets.into_iter().map(exec::sort_group).collect() }
     }
 
-    /// Real execution of one reduce task: shuffle-in partition `r` from
-    /// every map output, sort/group, reduce, and write the part file.
-    #[allow(clippy::type_complexity)]
+    /// Real execution of one reduce task: stream the merge of partition
+    /// `r`'s sorted runs — which reproduces the stable full sort of the
+    /// shuffled pairs exactly (see [`exec::for_each_merged_group`]) —
+    /// through the reducer straight into the text part file.
     fn execute_reduce(
         &self,
         spec: &JobSpec,
-        map_outs: &[std::sync::Arc<(Vec<io::ShuffleBucket>, MapWork)>],
+        map_outs: &[Arc<MapOut<M::KOut, M::VOut>>],
         r: usize,
     ) -> Result<ReduceWork> {
-        let total: usize = map_outs.iter().map(|mo| mo.0[r].records as usize).sum();
-        let mut pairs: Vec<(M::KOut, M::VOut)> = Vec::with_capacity(total);
-        let mut shuffle_bytes = 0u64;
-        for mo in map_outs {
-            let bucket = &mo.0[r];
-            shuffle_bytes += bucket.text_bytes;
-            bucket.decode_into::<M::KOut, M::VOut>(&mut pairs)?;
-        }
-        let groups = exec::sort_group(pairs);
-        self.finish_reduce(spec, r, shuffle_bytes, &[&groups])
-    }
-
-    /// Memoized variant of [`Self::execute_reduce`]: each reusable
-    /// split's bucket is sorted once ever (cached as a resident
-    /// [`crate::grouped::Grouped`] run) and recurrences stream the merge
-    /// of the borrowed sorted runs into the reducer, which reproduces the
-    /// stable full sort exactly (see [`exec::for_each_merged_group`])
-    /// without re-sorting — or even re-decoding — the cached majority of
-    /// the window.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_reduce_memoized(
-        &self,
-        spec: &JobSpec,
-        map_outs: &[std::sync::Arc<(Vec<io::ShuffleBucket>, MapWork)>],
-        raw_parts: &mut [Option<RawParts<M::KOut, M::VOut>>],
-        r: usize,
-        num_reducers: usize,
-        memo: &mut MapMemo,
-        reuse_keys: &[Option<(DfsPath, usize)>],
-    ) -> Result<ReduceWork> {
-        type Run<K, V> = std::sync::Arc<crate::grouped::Grouped<K, V>>;
-        let mut shuffle_bytes = 0u64;
-        let mut runs: Vec<Run<M::KOut, M::VOut>> = Vec::with_capacity(map_outs.len());
-        for (i, (mo, key)) in map_outs.iter().zip(reuse_keys).enumerate() {
-            let bucket = &mo.0[r];
-            shuffle_bytes += bucket.text_bytes;
-            // This job's fresh map outputs still have their pre-encoding
-            // pairs; decode the bucket only for memo-cached outputs.
-            let mut take_pairs = || -> Result<Vec<(M::KOut, M::VOut)>> {
-                match &mut raw_parts[i] {
-                    Some(parts) => Ok(std::mem::take(&mut parts[r])),
-                    None => bucket.decode(),
-                }
-            };
-            let run = match key {
-                Some((path, start)) => {
-                    let mk = (path.clone(), *start, num_reducers, r);
-                    match memo.reduce_runs.get(&mk) {
-                        Some(cached) => cached
-                            .clone()
-                            .downcast::<crate::grouped::Grouped<M::KOut, M::VOut>>()
-                            .map_err(|_| {
-                                MrError::InvalidConf(
-                                    "MapMemo shared across jobs with different key/value types"
-                                        .into(),
-                                )
-                            })?,
-                        None => {
-                            let run = std::sync::Arc::new(exec::sort_group(take_pairs()?));
-                            memo.reduce_runs.insert(mk, run.clone());
-                            run
-                        }
-                    }
-                }
-                None => std::sync::Arc::new(exec::sort_group(take_pairs()?)),
-            };
-            runs.push(run);
-        }
-        let refs: Vec<&crate::grouped::Grouped<M::KOut, M::VOut>> =
-            runs.iter().map(|a| a.as_ref()).collect();
-        self.finish_reduce(spec, r, shuffle_bytes, &refs)
-    }
-
-    /// Shared tail of the reduce task: stream the merge of the sorted
-    /// runs through the reducer straight into the text part file.
-    fn finish_reduce(
-        &self,
-        spec: &JobSpec,
-        r: usize,
-        shuffle_bytes: u64,
-        runs: &[&crate::grouped::Grouped<M::KOut, M::VOut>],
-    ) -> Result<ReduceWork> {
-        let mut ctx = crate::reducer::ReduceContext::text();
-        let input_records = exec::run_reducer(self.reducer, runs, &mut ctx);
+        let runs: Vec<&Grouped<M::KOut, M::VOut>> =
+            map_outs.iter().map(|mo| &mo.runs[r]).collect();
+        let mut ctx = ReduceContext::text();
+        let input_records = exec::run_reducer(self.reducer, &runs, &mut ctx);
         let (text, output_records) = ctx.into_text();
         let output_bytes = text.len() as u64;
         self.cluster.create(&spec.part_path(r), bytes::Bytes::from(text))?;
         Ok(ReduceWork {
-            shuffle_bytes,
+            shuffle_bytes: map_outs.iter().map(|mo| mo.text_bytes[r]).sum(),
             cache_bytes: 0,
             input_records,
             merged_records: 0,
@@ -528,71 +311,41 @@ where
         })
     }
 
-    fn alive_vec(&self) -> Vec<bool> {
-        let alive_ids = self.cluster.alive_nodes();
-        let mut alive = vec![false; self.cluster.node_count()];
-        for id in alive_ids {
-            alive[id.index()] = true;
-        }
-        alive
-    }
-
-    /// Places one task with retry-on-injected-failure semantics. The
-    /// `duration_of(node, start, local)` closure returns `(end, copy_span,
-    /// sort_span)`; failed attempts burn their full duration on the slot
-    /// and retry from the failure time.
+    /// Places one task with retry-on-injected-failure semantics.
+    /// `favored` and `affinity` are the task's Eq. 4 terms (see
+    /// [`ClusterSim::place`]); `end_of(node, start)` is when an attempt
+    /// started there finishes. Failed attempts burn their full duration
+    /// on the slot and retry from the failure time.
     #[allow(clippy::too_many_arguments)]
     fn schedule_task(
         &self,
         sim: &mut ClusterSim,
-        alive: &[bool],
+        dead: &[usize],
         kind: TaskKind,
         job_name: &str,
         index: usize,
         ready_at: SimTime,
         max_attempts: u32,
         metrics: &mut JobMetrics,
+        favored: &[NodeId],
         affinity: impl Fn(NodeId) -> SimTime,
-        duration_of: impl Fn(NodeId, SimTime, bool) -> (SimTime, SimTime, SimTime),
-        is_local: impl Fn(NodeId) -> bool,
+        end_of: impl Fn(NodeId, SimTime) -> SimTime,
     ) -> Result<Placement> {
-        let trace = sim.trace().clone();
+        let label = || format!("{job_name}/{index}");
+        let (phase, failed_attempts) = match kind {
+            TaskKind::Map => ("map", names::FAILED_MAP_ATTEMPTS),
+            TaskKind::Reduce => ("reduce", names::FAILED_REDUCE_ATTEMPTS),
+        };
         let mut ready = ready_at;
         for attempt in 1..=max_attempts {
-            // Clamp loads to the ready time: only actual queueing beyond
-            // the task's earliest start should count against a node.
-            let loads: Vec<SimTime> =
-                sim.loads(kind).into_iter().map(|l| l.max(ready)).collect();
-            let ctx = SchedulerCtx { loads: &loads, alive };
-            let node = self.scheduler.pick_node(kind, &ctx, &|n| affinity(n));
-            trace.emit(|| crate::trace::TraceEvent::Placement {
-                at: ready,
-                kind,
-                label: format!("{job_name}/{index}"),
-                chosen: node,
-                scores: loads
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| alive[i])
-                    .map(|(i, &load)| crate::trace::NodeScore {
-                        node: NodeId(i as u32),
-                        load,
-                        cost: affinity(NodeId(i as u32)),
-                    })
-                    .collect(),
-            });
-            let local = is_local(node);
-            let placement =
-                sim.assign_dynamic(kind, node, ready, |start| duration_of(node, start, local).0);
-            trace.emit(|| crate::trace::TraceEvent::TaskSpan {
-                phase: match kind {
-                    TaskKind::Map => "map",
-                    TaskKind::Reduce => "reduce",
-                },
+            let node = sim.place(kind, favored, dead, ready, label, &affinity);
+            let placement = sim.assign_dynamic(kind, node, ready, |start| end_of(node, start));
+            sim.trace().emit(|| crate::trace::TraceEvent::TaskSpan {
+                phase,
                 node: placement.node,
                 start: placement.start,
                 end: placement.end,
-                label: format!("{job_name}/{index}"),
+                label: label(),
             });
             let failed = self
                 .fault
@@ -601,35 +354,13 @@ where
             if !failed {
                 return Ok(placement);
             }
-            let counter = match kind {
-                TaskKind::Map => names::FAILED_MAP_ATTEMPTS,
-                TaskKind::Reduce => names::FAILED_REDUCE_ATTEMPTS,
-            };
-            metrics.counters.add(counter, 1);
+            metrics.counters.add(failed_attempts, 1);
             // The wasted attempt still occupied the slot; retry once the
             // failure is observed.
             ready = placement.end;
         }
-        Err(MrError::TaskFailed {
-            kind: match kind {
-                TaskKind::Map => "map",
-                TaskKind::Reduce => "reduce",
-            },
-            index,
-            attempts: max_attempts,
-        })
+        Err(MrError::TaskFailed { kind: phase, index, attempts: max_attempts })
     }
-}
-
-fn read_affinity(
-    cost: &crate::simtime::CostModel,
-    bytes: u64,
-    split: &InputSplit,
-    node: NodeId,
-) -> SimTime {
-    let local = split.is_local_to(node);
-    // Affinity is the *extra* cost vs. the best case (a local read).
-    cost.hdfs_read(bytes, local).saturating_sub(cost.hdfs_read(bytes, true))
 }
 
 #[cfg(test)]
@@ -671,7 +402,7 @@ mod tests {
         for p in outputs {
             let data = cluster.read(p).unwrap();
             let text = std::str::from_utf8(&data).unwrap();
-            all.extend(io::decode_kv_block::<String, u64>(text).unwrap());
+            all.extend(crate::io::decode_kv_block::<String, u64>(text).unwrap());
         }
         all.sort();
         all
@@ -776,11 +507,56 @@ mod tests {
             .run(
                 &mut sim,
                 &JobSpec::new("doomed", vec![input], DfsPath::new("/out/doomed").unwrap()),
-                &JobConf { num_reducers: 1, max_task_attempts: 4, ..Default::default() },
+                &JobConf { num_reducers: 1, max_task_attempts: 4 },
                 SimTime::ZERO,
             )
             .unwrap_err();
         assert!(matches!(err, MrError::TaskFailed { attempts: 4, .. }));
+    }
+
+    #[test]
+    fn memo_holds_only_the_files_of_the_last_job() {
+        // A sliding series over six multi-split files, three per job: the
+        // memo must end every job holding exactly that job's files — what
+        // slid out is never read again — and forgetting must change
+        // nothing a job reports.
+        let (cluster, mapper, reducer) = word_count_fixture();
+        let files: Vec<DfsPath> = (0..6)
+            .map(|i| {
+                let path = DfsPath::new(format!("/in/b{i}")).unwrap();
+                let text = format!("w{i} shared w{}\n", i % 2).repeat(40);
+                cluster.create(&path, Bytes::from(text)).unwrap();
+                path
+            })
+            .collect();
+        let conf = JobConf { num_reducers: 2, ..Default::default() };
+        let runner = JobRunner::new(&cluster, &mapper, &reducer);
+        let mut memo = MapMemo::default();
+        let mut sims = [(); 2].map(|_| ClusterSim::paper_testbed(4, CostModel::default()));
+        for w in 0..4 {
+            let inputs = files[w..w + 3].to_vec();
+            let spec = |side: &str| {
+                let out = DfsPath::new(format!("/out/{side}/w{w}")).unwrap();
+                JobSpec::new(format!("w{w}"), inputs.clone(), out)
+            };
+            let at = SimTime::from_secs(100 * w as u64);
+            let shared = runner
+                .run_memoized(&mut sims[0], &spec("shared"), &conf, at, (&mut memo, &|_| true))
+                .unwrap();
+            let fresh = runner.run(&mut sims[1], &spec("fresh"), &conf, at).unwrap();
+            assert_eq!(shared.metrics, fresh.metrics, "window {w}");
+            for (a, b) in shared.outputs.iter().zip(&fresh.outputs) {
+                assert_eq!(cluster.read(a).unwrap(), cluster.read(b).unwrap(), "window {w}");
+            }
+
+            let job_files: HashSet<&DfsPath> = inputs.iter().collect();
+            assert_eq!(memo.plans.keys().collect::<HashSet<_>>(), job_files, "window {w}");
+            let remembered: HashSet<&DfsPath> = memo.splits.keys().map(|k| &k.0).collect();
+            assert_eq!(remembered, job_files, "window {w}");
+            let splits: usize = memo.plans.values().map(|p| p.len()).sum();
+            assert!(splits > inputs.len(), "files span several splits");
+            assert_eq!(memo.splits.len(), splits, "one entry per split");
+        }
     }
 
     #[test]

@@ -14,9 +14,10 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use redoop_dfs::NodeId;
 
+use crate::scheduler::argmin_shortlist;
 use crate::simtime::{CostModel, SimTime};
 use crate::task::TaskKind;
-use crate::trace::{self, TraceSink};
+use crate::trace::{self, NodeScore, TraceEvent, TraceSink};
 
 /// Map or reduce slot pools (alias of [`TaskKind`] for readability).
 pub type SlotKind = TaskKind;
@@ -342,6 +343,53 @@ impl ClusterSim {
             return Some(NodeId(i as u32));
         }
         tree.min_excluding(self.nodes, skip).map(|(_, i)| NodeId(i as u32))
+    }
+
+    /// The one Eq. 4 decision (paper §4.3) for a `kind` task ready at
+    /// `floor`: `argmin_i (max(Load_i, floor) + affinity(i))` over the
+    /// nodes not in `dead` (sorted node indexes). Loads are clamped to
+    /// `floor`: a slot freeing up before the task can start contributes
+    /// no waiting time, so only *actual* queueing competes with the
+    /// affinity term.
+    ///
+    /// `favored` (sorted, distinct) are the only nodes whose affinity may
+    /// differ from the uniform price everyone else pays — cache holders
+    /// for Redoop's reduces, block replicas for maps, nobody for plain
+    /// Hadoop's cache-blind reduces — so the argmin is taken over them
+    /// plus the load index's best uniformly-priced node instead of
+    /// scanning the cluster; the winner is provably the full scan's (see
+    /// [`argmin_shortlist`]). The `Placement` journal event lists exactly
+    /// the candidates compared, favored first, best other node last.
+    pub fn place(
+        &self,
+        kind: SlotKind,
+        favored: &[NodeId],
+        dead: &[usize],
+        floor: SimTime,
+        label: impl FnOnce() -> String,
+        affinity: impl Fn(NodeId) -> SimTime,
+    ) -> NodeId {
+        let mut skip: Vec<usize> = favored.iter().map(|n| n.index()).collect();
+        skip.extend_from_slice(dead);
+        skip.sort_unstable();
+        skip.dedup();
+        let best_other = self.pick_min_clamped(kind, floor, &skip);
+        let alive = |n: NodeId| dead.binary_search(&n.index()).is_err();
+        let load = |n: NodeId| self.node_load(kind, n).max(floor);
+        let chosen = argmin_shortlist(favored, alive, best_other, |n| load(n) + affinity(n));
+        self.trace.emit(|| TraceEvent::Placement {
+            at: floor,
+            kind,
+            label: label(),
+            chosen,
+            scores: favored
+                .iter()
+                .chain(best_other.iter())
+                .filter(|&&n| alive(n))
+                .map(|&n| NodeScore { node: n, load: load(n), cost: affinity(n) })
+                .collect(),
+        });
+        chosen
     }
 
     /// Claims the earliest-free `kind` slot on `node` for a task that is

@@ -5,7 +5,9 @@
 //! split carries the replica locations of its block so the scheduler can
 //! exploit data locality.
 
+use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::Arc;
 
 use redoop_dfs::{Cluster, DfsPath, NodeId};
 
@@ -23,7 +25,8 @@ pub struct InputSplit {
     pub lines: Range<usize>,
     /// Bytes covered (charged as the split's HDFS read).
     pub bytes: u64,
-    /// Nodes holding a replica of the backing block (data locality).
+    /// Nodes holding a replica of the backing block (data locality),
+    /// sorted by id: the favoured set of the split's Eq. 4 placement.
     pub replicas: Vec<NodeId>,
 }
 
@@ -39,16 +42,29 @@ impl InputSplit {
     }
 }
 
-/// Plans block-aligned splits for every input file.
+/// Split plans by file, each planned once: files are immutable, so a
+/// recurring query's jobs share one table (see
+/// [`crate::runtime::MapMemo`]).
+pub type SplitPlans = HashMap<DfsPath, Arc<Vec<InputSplit>>>;
+
+/// Plans block-aligned splits for every input file, planning only the
+/// files `plans` does not hold yet.
 ///
 /// Empty files contribute no splits. Returns [`MrError::NoInput`] when no
 /// file yields any split (a job must have at least one record... Hadoop
 /// actually launches 0 maps; Redoop treats it as a planning error to catch
 /// misconfigured window paths early).
-pub fn plan_splits(cluster: &Cluster, inputs: &[DfsPath]) -> Result<Vec<InputSplit>> {
+pub fn plan_splits(
+    cluster: &Cluster,
+    inputs: &[DfsPath],
+    plans: &mut SplitPlans,
+) -> Result<Vec<InputSplit>> {
     let mut splits = Vec::new();
     for path in inputs {
-        splits.extend(plan_splits_file(cluster, path)?);
+        if !plans.contains_key(path) {
+            plans.insert(path.clone(), Arc::new(plan_splits_file(cluster, path)?));
+        }
+        splits.extend(plans[path].iter().cloned());
     }
     if splits.is_empty() {
         return Err(MrError::NoInput);
@@ -56,11 +72,8 @@ pub fn plan_splits(cluster: &Cluster, inputs: &[DfsPath]) -> Result<Vec<InputSpl
     Ok(splits)
 }
 
-/// Plans the splits of a single file (empty for an empty file). Split
-/// plans of immutable files are stable, so recurring queries can plan a
-/// file once and reuse the result across jobs (see
-/// [`crate::runtime::MapMemo`]).
-pub fn plan_splits_file(cluster: &Cluster, path: &DfsPath) -> Result<Vec<InputSplit>> {
+/// Plans the splits of a single file (empty for an empty file).
+fn plan_splits_file(cluster: &Cluster, path: &DfsPath) -> Result<Vec<InputSplit>> {
     let mut splits = Vec::new();
     let block_size = cluster.config().block_size;
     let meta = cluster.namenode().get_file(path)?;
@@ -87,12 +100,14 @@ pub fn plan_splits_file(cluster: &Cluster, path: &DfsPath) -> Result<Vec<InputSp
         }
         let range = start_line..line;
         let bytes = file.byte_len_of(range.clone()) as u64;
+        let mut replicas = block.replicas.clone();
+        replicas.sort_unstable();
         splits.push(InputSplit {
             path: path.clone(),
             file: file.clone(),
             lines: range,
             bytes,
-            replicas: block.replicas.clone(),
+            replicas,
         });
     }
     debug_assert_eq!(line, n_lines, "every line must land in exactly one split");
@@ -124,7 +139,7 @@ mod tests {
         // 4 lines x 6 bytes = 24 bytes -> 3 blocks of 10/10/4.
         let data = "aaaaa\nbbbbb\nccccc\nddddd\n";
         c.create(&p("/in"), Bytes::from(data.to_string())).unwrap();
-        let splits = plan_splits(&c, &[p("/in")]).unwrap();
+        let splits = plan_splits(&c, &[p("/in")], &mut SplitPlans::new()).unwrap();
         let total_lines: usize = splits.iter().map(|s| s.record_count()).sum();
         assert_eq!(total_lines, 4);
         let total_bytes: u64 = splits.iter().map(|s| s.bytes).sum();
@@ -147,7 +162,7 @@ mod tests {
         // into block 1; it must belong to the block-0 split.
         let data = "0123456789\nab\n";
         c.create(&p("/in"), Bytes::from(data.to_string())).unwrap();
-        let splits = plan_splits(&c, &[p("/in")]).unwrap();
+        let splits = plan_splits(&c, &[p("/in")], &mut SplitPlans::new()).unwrap();
         assert_eq!(splits[0].file.line(splits[0].lines.start), "0123456789");
         let total: usize = splits.iter().map(|s| s.record_count()).sum();
         assert_eq!(total, 2);
@@ -157,8 +172,8 @@ mod tests {
     fn empty_inputs_are_rejected() {
         let c = cluster(8);
         c.create(&p("/empty"), Bytes::new()).unwrap();
-        assert!(matches!(plan_splits(&c, &[p("/empty")]), Err(MrError::NoInput)));
-        assert!(matches!(plan_splits(&c, &[]), Err(MrError::NoInput)));
+        assert!(matches!(plan_splits(&c, &[p("/empty")], &mut SplitPlans::new()), Err(MrError::NoInput)));
+        assert!(matches!(plan_splits(&c, &[], &mut SplitPlans::new()), Err(MrError::NoInput)));
     }
 
     #[test]
@@ -166,9 +181,15 @@ mod tests {
         let c = cluster(100);
         c.create(&p("/a"), Bytes::from_static(b"x\ny\n")).unwrap();
         c.create(&p("/b"), Bytes::from_static(b"z\n")).unwrap();
-        let splits = plan_splits(&c, &[p("/a"), p("/b")]).unwrap();
+        let mut plans = SplitPlans::new();
+        let splits = plan_splits(&c, &[p("/a"), p("/b")], &mut plans).unwrap();
         assert_eq!(splits.len(), 2);
         assert_eq!(splits[0].record_count(), 2);
         assert_eq!(splits[1].record_count(), 1);
+        // Each file was planned once, and a later job reuses the plan.
+        assert_eq!(plans.len(), 2);
+        let planned = plans[&p("/b")].clone();
+        plan_splits(&c, &[p("/b")], &mut plans).unwrap();
+        assert!(Arc::ptr_eq(&planned, &plans[&p("/b")]));
     }
 }

@@ -1,8 +1,9 @@
 //! Structured trace journal for the simulated cluster.
 //!
 //! A [`TraceSink`] records typed [`TraceEvent`]s with virtual timestamps:
-//! task placement decisions (including the `Load_i + C_task,i` score of
-//! every candidate each Eq. 4 argmin compared), cache lifecycle transitions
+//! task placement decisions of both engines (including the
+//! `Load_i + C_task,i` score of every candidate the Eq. 4 argmin,
+//! `ClusterSim::place`, compared), cache lifecycle transitions
 //! (register/hit/miss/invalidate/forget/purge), heartbeat reconciliation
 //! and §5 rollbacks, pane seal/expire, incremental delta fold/seal, and
 //! per-phase task spans (map/shuffle/sort/reduce/merge/fold).
@@ -230,13 +231,6 @@ pub enum TraceEvent {
         /// Expired pane.
         pane: u64,
     },
-    /// A job entered the tracker.
-    JobSubmit {
-        /// Submission time.
-        at: SimTime,
-        /// Job name.
-        name: String,
-    },
     /// A Local Cache Registry purge scan ran.
     PurgeScan {
         /// Virtual time of the scan.
@@ -390,11 +384,6 @@ impl TraceEvent {
                     "{{\"type\":\"pane_expire\",\"at_us\":{},\"source\":{},\"pane\":{}}}",
                     at.0, source, pane
                 );
-            }
-            TraceEvent::JobSubmit { at, name } => {
-                let _ = write!(out, "{{\"type\":\"job_submit\",\"at_us\":{},\"name\":\"", at.0);
-                escape_json(name, out);
-                out.push_str("\"}");
             }
             TraceEvent::PurgeScan { at, node, trigger, purged } => {
                 let _ = write!(
@@ -607,7 +596,7 @@ impl WindowTraceStats {
 static GLOBAL_SINK: Mutex<Option<TraceSink>> = Mutex::new(None);
 
 /// Installs (or clears) the process-wide default sink picked up by newly
-/// built simulators, executors, and trackers. Mirrors
+/// built simulators, controllers and registries. Mirrors
 /// `exec::set_host_parallelism`. Tests needing isolation should thread an
 /// explicit sink instead.
 pub fn set_global_sink(sink: Option<TraceSink>) {
@@ -648,7 +637,7 @@ mod tests {
     fn clones_share_the_journal() {
         let sink = TraceSink::with_capacity(8);
         let clone = sink.clone();
-        clone.emit(|| TraceEvent::JobSubmit { at: SimTime(7), name: "wc".into() });
+        clone.emit(|| TraceEvent::PaneSeal { at: SimTime(7), source: 0, pane: 3 });
         assert_eq!(sink.len(), 1);
         clone.set_now(SimTime(42));
         assert_eq!(sink.now(), SimTime(42));

@@ -158,31 +158,37 @@ proptest! {
     }
 }
 
-/// Checks every invariant tying the binary shuffle/cache codec to the
-/// text codec: exact round-trip, agreement with the text path, and the
-/// text-equivalent byte accounting the cost model charges.
+/// `x`'s binary form, after checking that `read_bin` gives `x` back and
+/// consumes exactly what `write_bin` wrote.
+fn bin_roundtrip<T: Writable + PartialEq + std::fmt::Debug>(x: &T) -> Vec<u8> {
+    let mut buf = Vec::new();
+    x.write_bin(&mut buf);
+    let (back, used) = T::read_bin(&buf).unwrap();
+    assert_eq!((&back, used), (x, buf.len()), "binary form must round-trip exactly");
+    buf
+}
+
+/// Checks every invariant tying the binary cache codec
+/// (`Writable::{write_bin, read_bin}`) to the text codec: exact
+/// round-trip, agreement with the text path, and the text-equivalent
+/// byte accounting the cost model charges.
 fn check_bin_vs_text_codec<K, V>(pairs: Vec<(K, V)>)
 where
     K: Writable + Clone + PartialEq + std::fmt::Debug,
     V: Writable + Clone + PartialEq + std::fmt::Debug,
 {
-    // Binary block round-trips exactly.
-    let bin = io::encode_bin_kv_block(&pairs);
-    let back: Vec<(K, V)> = io::decode_bin_kv_block(&bin).unwrap();
-    assert_eq!(back, pairs, "binary block must round-trip exactly");
-    // ... and agrees with the text codec on the same input.
+    for (k, v) in &pairs {
+        bin_roundtrip(k);
+        bin_roundtrip(v);
+    }
+    // The text codec round-trips to the same pairs.
     let text = io::encode_kv_block(&pairs);
     let via_text: Vec<(K, V)> = io::decode_kv_block(&text).unwrap();
-    assert_eq!(via_text, back, "binary and text codecs must agree");
-    // ShuffleBucket wraps the binary form but charges text bytes, so
-    // simulated times cannot depend on the shuffle codec.
-    let bucket = io::ShuffleBucket::encode(&pairs);
-    let decoded: Vec<(K, V)> = bucket.decode().unwrap();
-    assert_eq!(decoded, pairs, "shuffle bucket must round-trip exactly");
-    assert_eq!(bucket.records, pairs.len() as u64);
-    assert_eq!(bucket.text_bytes, io::kv_block_text_bytes(&pairs));
+    assert_eq!(via_text, pairs, "binary and text codecs must agree");
+    // Work is charged in text bytes whatever form the pairs are held
+    // in, so simulated times cannot depend on the binary codec.
     assert_eq!(
-        bucket.text_bytes,
+        io::kv_block_text_bytes(&pairs),
         text.len() as u64,
         "charged bytes must equal the real text encoding's length"
     );
@@ -375,7 +381,7 @@ proptest! {
         );
     }
 
-    /// Pushing a `SmallKey` through the shuffle codec alongside values
+    /// Pushing a `SmallKey` through the binary codec alongside values
     /// matches the `String`-keyed encoding byte for byte.
     #[test]
     fn small_key_shuffle_bucket_matches_string(
@@ -384,13 +390,12 @@ proptest! {
         use redoop_mapred::SmallKey;
         let as_small: Vec<(SmallKey, u64)> =
             pairs.iter().map(|(k, v)| (SmallKey::from(k.as_str()), *v)).collect();
-        let b_small = io::ShuffleBucket::encode(&as_small);
-        let b_string = io::ShuffleBucket::encode(&pairs);
-        prop_assert_eq!(&b_small.data, &b_string.data);
-        prop_assert_eq!(b_small.text_bytes, b_string.text_bytes);
-        prop_assert_eq!(b_small.records, b_string.records);
-        let back: Vec<(String, u64)> = b_small.decode().unwrap();
-        prop_assert_eq!(back, pairs);
+        for ((small, _), (string, _)) in as_small.iter().zip(&pairs) {
+            let bin = bin_roundtrip(small);
+            prop_assert_eq!(&bin, &bin_roundtrip(string));
+            prop_assert_eq!(&String::read_bin(&bin).unwrap().0, string);
+        }
+        prop_assert_eq!(io::kv_block_text_bytes(&as_small), io::kv_block_text_bytes(&pairs));
     }
 
     #[test]

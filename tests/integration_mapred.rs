@@ -10,7 +10,7 @@ use common::test_cluster;
 use redoop_dfs::{DfsPath, NodeId};
 use redoop_mapred::{
     ClosureMapper, ClosureReducer, ClusterSim, CostModel, JobConf, JobRunner, JobSpec,
-    MapContext, ReduceContext, SimTime,
+    MapContext, MapMemo, ReduceContext, SimTime, TraceSink,
 };
 
 type WcMapper = ClosureMapper<String, u64, fn(&str, &mut MapContext<String, u64>)>;
@@ -167,61 +167,56 @@ fn consecutive_jobs_share_the_simulated_cluster() {
 }
 
 #[test]
-fn speculative_execution_is_safe_and_counts_attempts() {
-    // A heterogeneous job: three small files plus one large one whose map
-    // finishes far behind the pack. With speculation on, a backup attempt
-    // launches for the straggler; results are identical and the response
-    // never regresses (the effective end is the min of the attempts).
+fn a_shared_memo_changes_nothing_a_job_reports() {
+    // Five jobs sliding three files at a time over seven files, each side
+    // on one ClusterSim of its own: `run` against `run_memoized` on a
+    // shared memo that may reuse every file. Part files, metrics and the
+    // journal must not tell the two apart.
     let cluster = test_cluster();
-    for i in 0..12 {
-        cluster
-            .create(
-                &DfsPath::new(format!("/spec/small{i}")).unwrap(),
-                Bytes::from("w x\n".repeat(20)),
-            )
-            .unwrap();
-    }
-    // One record-dense file that still fits one block: its single map
-    // task is CPU-bound and lags far behind the twelve quick ones.
-    cluster
-        .create(&DfsPath::new("/spec/large").unwrap(), Bytes::from("w\n".repeat(7_000)))
-        .unwrap();
-    let inputs: Vec<DfsPath> = (0..12)
-        .map(|i| DfsPath::new(format!("/spec/small{i}")).unwrap())
-        .chain([DfsPath::new("/spec/large").unwrap()])
+    let files: Vec<DfsPath> = (0..7)
+        .map(|i| {
+            let path = DfsPath::new(format!("/memo/in{i}")).unwrap();
+            let text = format!("k{i} shared k{} tail{}\n", i % 3, i % 2).repeat(1000 + 300 * i);
+            cluster.create(&path, Bytes::from(text)).unwrap();
+            path
+        })
         .collect();
-
     let (mapper, reducer) = word_count();
-    let run = |speculative: bool| {
-        let mut sim = ClusterSim::paper_testbed(8, CostModel::scaled(2_000.0));
-        let spec = JobSpec::new(
-            format!("spec-{speculative}"),
-            inputs.clone(),
-            DfsPath::new(format!("/out/spec-{speculative}")).unwrap(),
-        );
-        JobRunner::new(&cluster, &mapper, &reducer)
-            .run(
-                &mut sim,
-                &spec,
-                &JobConf { num_reducers: 2, speculative, ..Default::default() },
-                SimTime::ZERO,
-            )
-            .unwrap()
+    let runner = JobRunner::new(&cluster, &mapper, &reducer);
+    let conf = JobConf { num_reducers: 3, ..Default::default() };
+
+    let run_side = |side: &str, mut memo: Option<&mut MapMemo>| {
+        let mut sim = ClusterSim::paper_testbed(8, CostModel::default());
+        let sink = TraceSink::with_capacity(1 << 14);
+        sim.set_trace_sink(sink.clone());
+        let results: Vec<_> = (0..5)
+            .map(|w| {
+                let spec = JobSpec::new(
+                    format!("slide-w{w}"),
+                    files[w..w + 3].to_vec(),
+                    DfsPath::new(format!("/memo/out-{side}/w{w}")).unwrap(),
+                );
+                let at = SimTime::from_secs(2 * w as u64);
+                match memo.as_deref_mut() {
+                    Some(m) => runner.run_memoized(&mut sim, &spec, &conf, at, (m, &|_| true)),
+                    None => runner.run(&mut sim, &spec, &conf, at),
+                }
+                .unwrap()
+            })
+            .collect();
+        assert_eq!(sink.dropped(), 0);
+        (results, sink.render_json())
     };
-    let plain = run(false);
-    let spec = run(true);
-    assert_eq!(
-        read_counts(&cluster, &plain.outputs),
-        read_counts(&cluster, &spec.outputs),
-        "speculation must not change results"
-    );
-    assert!(
-        spec.metrics.response_time() <= plain.metrics.response_time(),
-        "backups can only help the critical path"
-    );
-    assert!(
-        spec.metrics.counters.get("SPECULATIVE_MAP_ATTEMPTS") > 0,
-        "the large file's maps lag the pack and should be speculated"
-    );
-    assert_eq!(plain.metrics.counters.get("SPECULATIVE_MAP_ATTEMPTS"), 0);
+    let (plain, plain_journal) = run_side("plain", None);
+    let (shared, shared_journal) = run_side("shared", Some(&mut MapMemo::default()));
+
+    for (w, (p, s)) in plain.iter().zip(&shared).enumerate() {
+        assert_eq!(p.metrics, s.metrics, "window {w}");
+        assert_eq!(p.outputs.len(), 3);
+        for (a, b) in p.outputs.iter().zip(&s.outputs) {
+            assert_eq!(cluster.read(a).unwrap(), cluster.read(b).unwrap(), "window {w}: {a}");
+        }
+    }
+    assert!(plain[4].metrics.map_tasks > 3, "files span several splits");
+    assert_eq!(plain_journal, shared_journal);
 }
