@@ -14,6 +14,7 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 use redoop_dfs::DfsPath;
+use redoop_mapred::grouped::RunBuilder;
 use redoop_mapred::{
     exec, io as mrio, JobMetrics, Mapper, ReduceContext, ReduceWork, Reducer, Writable,
 };
@@ -32,19 +33,20 @@ where
     R: Reducer<KIn = M::KOut, VIn = M::VOut>,
 {
     /// Pure compute of a per-pane partial aggregate (reduce-output
-    /// cache): sort/group the bucket, run the reducer, and encode the
-    /// partial result as a grouped block. No executor state is touched.
+    /// cache): finish the bucket's builder into its sorted run, run the
+    /// reducer, and encode the partial result as a grouped block. No
+    /// executor state is touched.
     /// Also the delta seal's compute — sealed `rd/…` deltas share the
     /// `ro/…` payload format by construction.
     pub(super) fn pane_output_compute(
         shuffle_text_bytes: u64,
-        pairs: Vec<(M::KOut, M::VOut)>,
+        mapped: RunBuilder<M::KOut, M::VOut>,
         reducer: &R,
         pane: u64,
         partition: u32,
     ) -> Result<BuiltRun<M::KOut, R::VOut>> {
-        let input_records = pairs.len() as u64;
-        let groups = exec::sort_group(pairs);
+        let input_records = mapped.len() as u64;
+        let groups = mapped.into_run();
         let mut ctx = ReduceContext::new();
         exec::run_reducer(reducer, &[&groups], &mut ctx);
         let out_pairs = ctx.into_pairs();
@@ -107,8 +109,8 @@ where
         // follow-on items run back-to-back in the same attempt.
         let mut attempt_startup = true;
         let reducer = self.reducer.clone();
-        let compute = |shuffle_text_bytes, pairs, pane, partition| {
-            Self::pane_output_compute(shuffle_text_bytes, pairs, &*reducer, pane, partition)
+        let compute = |shuffle_text_bytes, mapped, pane, partition| {
+            Self::pane_output_compute(shuffle_text_bytes, mapped, &*reducer, pane, partition)
         };
         let built =
             self.build_missing(rec, r, prep, ctx, mapped, &compute, &mut attempt_startup, metrics)?;

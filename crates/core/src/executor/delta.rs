@@ -44,7 +44,8 @@ use std::collections::HashMap;
 use bytes::Bytes;
 use redoop_dfs::NodeId;
 use redoop_mapred::trace::TraceEvent;
-use redoop_mapred::{exec, io as mrio, MapWork, Mapper, ReduceWork, Reducer, SimTime, TaskKind};
+use redoop_mapred::grouped::RunBuilder;
+use redoop_mapred::{exec, MapContext, MapWork, Mapper, ReduceWork, Reducer, SimTime, TaskKind};
 
 use crate::cache::CacheObject;
 use crate::error::Result;
@@ -55,11 +56,14 @@ use crate::time::TimeRange;
 use super::plan::delta_name;
 use super::RecurringExecutor;
 
-/// Unsealed, in-memory delta state of one pane: the combined pairs of
+/// Unsealed, in-memory delta state of one pane: the combined records of
 /// every batch folded so far, per reduce partition.
 pub(super) struct OpenPaneDelta<K, V> {
-    /// Folded (combined) pairs, one bucket per reduce partition.
-    pub(super) parts: Vec<Vec<(K, V)>>,
+    /// Folded (combined) records, one run builder per reduce partition —
+    /// the map sink of the next batch emits straight into it, so a
+    /// resident key is never hashed again and the seal is one
+    /// `into_run()` away.
+    pub(super) parts: Vec<RunBuilder<K, V>>,
     /// Accepted input records folded so far — compared against the pane
     /// manifest at seal time: a mismatch (e.g. the combiner was installed
     /// mid-pane) disqualifies the delta and the pane falls back to the
@@ -177,33 +181,32 @@ where
         let arrive = SimTime::from_millis(range.start.0);
         let num_reducers = self.conf.num_reducers;
         for (pane, idxs) in &outcome.pane_lines {
-            // Per-partition charge basis: the *incoming* pairs of this
-            // batch (the work a live combiner performs inside the
-            // ingesting map task), measured as they are emitted — before
-            // combining.
-            let (parts, incoming_bytes, in_records) = exec::run_mapper_bucketed(
-                &*self.mapper,
-                idxs.iter().map(|&i| lines[i as usize]),
-                &self.partitioner,
-                num_reducers,
-                None,
-            );
-            let incoming: Vec<(u64, u64)> =
-                parts.iter().zip(incoming_bytes).map(|(p, bytes)| (p.len() as u64, bytes)).collect();
-            let batch_bytes: u64 =
-                idxs.iter().map(|&i| lines[i as usize].len() as u64 + 1).sum();
             let homes: Vec<NodeId> = (0..num_reducers).map(|r| self.delta_home(r, arrive)).collect();
             let first_fold = !self.delta.open.contains_key(pane);
             let open = self.delta.open.entry(*pane).or_insert_with(|| OpenPaneDelta {
-                parts: (0..num_reducers).map(|_| Vec::new()).collect(),
+                parts: exec::fresh_builders(num_reducers),
                 records: 0,
                 ready: SimTime::ZERO,
             });
             open.records += idxs.len() as u64;
-            for (r, incoming_pairs) in parts.into_iter().enumerate() {
-                let mut cur = std::mem::take(&mut open.parts[r]);
-                cur.extend(incoming_pairs);
-                open.parts[r] = exec::apply_combiner(cur, &*combiner);
+            // The batch is mapped straight into the resident state. Per-
+            // partition charge basis: the *incoming* pairs of this batch
+            // (the work a live combiner performs inside the ingesting map
+            // task), measured as they are emitted — before combining.
+            let mut sink =
+                MapContext::partitioned(&self.partitioner, std::mem::take(&mut open.parts));
+            let batch_bytes: u64 =
+                idxs.iter().map(|&i| lines[i as usize].len() as u64 + 1).sum();
+            let (batch, incoming) = exec::map_split(
+                &*self.mapper,
+                idxs.iter().map(|&i| lines[i as usize]),
+                batch_bytes,
+                &mut sink,
+                None,
+            );
+            open.parts = sink.into_builders();
+            for part in &mut open.parts {
+                part.fold_tail(0, &*combiner);
             }
             let mut groups = 0u64;
             let mut ready = open.ready;
@@ -214,8 +217,8 @@ where
                     self.cluster.put_local(node, sentinel_name(*pane, r), Bytes::from_static(b"open"))?;
                 }
                 let work = MapWork {
-                    split_bytes: share(batch_bytes, r, num_reducers),
-                    input_records: share(in_records, r, num_reducers),
+                    split_bytes: share(batch.split_bytes, r, num_reducers),
+                    input_records: share(batch.input_records, r, num_reducers),
                     output_records: out_records,
                     output_bytes: out_bytes,
                 };
@@ -264,7 +267,7 @@ where
             let pane_close = self.sources[0].geom.pane_range(PaneId(p)).end;
             let ready_floor = open.ready.max(SimTime::from_millis(pane_close.0));
             let mut sealed_all = true;
-            for (r, pairs) in open.parts.into_iter().enumerate() {
+            for (r, folded) in open.parts.into_iter().enumerate() {
                 let sentinel = sentinel_name(p, r);
                 let home = self.delta.homes[r];
                 let valid = complete
@@ -282,8 +285,8 @@ where
                 }
                 let node = home.expect("valid seal has a home");
                 let (built, _) = Self::pane_output_compute(
-                    mrio::kv_block_text_bytes(&pairs),
-                    pairs,
+                    folded.text_bytes_since(0),
+                    folded,
                     &*self.reducer,
                     p,
                     r as u32,

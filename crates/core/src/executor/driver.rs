@@ -44,10 +44,11 @@ use std::collections::{HashMap, HashSet};
 
 use redoop_dfs::{DfsPath, NodeId};
 use redoop_mapred::counters::names as cnames;
+use redoop_mapred::grouped::RunBuilder;
 use redoop_mapred::trace::{CacheAction, TraceEvent};
 use redoop_mapred::{
-    exec, io as mrio, JobMetrics, MapWork, Mapper, MrError, Placement, ReduceWork, Reducer,
-    SimTime, TaskKind, Writable,
+    exec, io as mrio, JobMetrics, MapContext, MapWork, Mapper, MrError, Placement, ReduceWork,
+    Reducer, SimTime, TaskKind, Writable,
 };
 
 use crate::adaptive::ExecMode;
@@ -67,10 +68,10 @@ pub(super) struct SliceMapInfo {
     pub(super) slice_idx: usize,
     /// Virtual completion of this split's map task.
     pub(super) end: SimTime,
-    /// Per-partition shuffle bucket bytes produced by this split.
-    pub(super) bucket_bytes: Vec<u64>,
-    /// Per-partition shuffle bucket records produced by this split.
-    pub(super) bucket_records: Vec<u64>,
+    /// Per-partition `(records, text-equivalent bytes)` this split added
+    /// to the shuffle buckets: the sink's boundary
+    /// (`MapContext::end_split`) after the split.
+    pub(super) buckets: Vec<(u64, u64)>,
 }
 
 /// Per-sub-pane aggregate of [`SliceMapInfo`]: the unit of proactive
@@ -92,28 +93,29 @@ fn subpane_charges(slices: &[SliceMapInfo], r: usize) -> Vec<SubpaneCharge> {
             records: 0,
         });
         e.ready = e.ready.max(si.end);
-        e.bytes += si.bucket_bytes[r];
-        e.records += si.bucket_records[r];
+        e.records += si.buckets[r].0;
+        e.bytes += si.buckets[r].1;
     }
     by_slice.into_values().collect()
 }
 
-/// One partition's mapped pairs, until the cache build that consumes
-/// them takes them out.
-pub(super) type RawSlot<K, V> = std::sync::Mutex<Option<Vec<(K, V)>>>;
+/// One partition's mapped records — grouped as they were emitted, one
+/// `into_run()` short of the sorted run — until the cache build that
+/// consumes them takes them out.
+pub(super) type RawSlot<K, V> = std::sync::Mutex<Option<RunBuilder<K, V>>>;
 
 /// Transient real map output of one pane, alive for the window that
-/// mapped it: per reduce partition the shuffle accounting and the pairs,
-/// plus the virtual time each became available.
+/// mapped it: per reduce partition the shuffle accounting and the
+/// records, plus the virtual time each became available.
 pub(super) struct MappedPane<K, V> {
     pub(super) ready: SimTime,
     /// Per-split shuffle accounting (text-equivalent bytes and records
     /// per partition, summed at emit time): what the cost model charges.
     pub(super) slices: Vec<SliceMapInfo>,
-    /// The mapped pairs per partition, one presized `Vec` each. A
+    /// The mapped records per partition, one run builder each. A
     /// partition's build *takes* its slot: a window builds each missing
     /// (pane, partition) product exactly once, so nothing is cloned and
-    /// the pairs are freed as the window proceeds.
+    /// the records are freed as the window proceeds.
     pub(super) raw: Vec<RawSlot<K, V>>,
 }
 
@@ -122,15 +124,6 @@ pub(super) struct MappedPane<K, V> {
 /// output never outlives its window: a window that failed part-way leaves
 /// nothing behind for the next one to skip mapping, and charging, over.
 pub(super) type MappedPanes<K, V> = HashMap<(u32, u64), MappedPane<K, V>>;
-
-/// Pure real-side output of one map split, produced on a worker thread
-/// before any virtual-time accounting happens.
-struct SplitMapOut<K, V> {
-    parts: Vec<Vec<(K, V)>>,
-    /// Text-equivalent bytes of each of `parts`.
-    bucket_bytes: Vec<u64>,
-    work: MapWork,
-}
 
 /// Pure real-side output of one cache build (pane output, input cache,
 /// or pair output), produced on a worker thread. `cache_text_bytes` is
@@ -153,11 +146,12 @@ pub(super) struct BuiltCache {
 pub(super) type BuiltRun<K, V> = (BuiltCache, mrio::GroupedBlock<K, V>);
 
 /// The pure compute function of one pane product — `(shuffle text bytes,
-/// raw pairs, pane, partition)` to the built cache and its run (values of
-/// type `C`) — run on host worker threads: `pane_output_compute` for
-/// aggregations, `input_cache_compute` for joins.
+/// mapped records, pane, partition)` to the built cache and its run
+/// (values of type `C`) — run on host worker threads:
+/// `pane_output_compute` for aggregations, `input_cache_compute` for
+/// joins.
 pub(super) type PaneCompute<'a, K, V, C> =
-    &'a (dyn Fn(u64, Vec<(K, V)>, u64, u32) -> Result<BuiltRun<K, C>> + Sync);
+    &'a (dyn Fn(u64, RunBuilder<K, V>, u64, u32) -> Result<BuiltRun<K, C>> + Sync);
 
 /// Scales a rebuild's charged reduce work down to the missing frame
 /// suffix of a salvaged cache: `intact` of `total` frames survived the
@@ -496,10 +490,10 @@ where
     // ------------------------------------------------------------------
 
     /// Runs (for real) and charges (virtually) the map tasks of one pane,
-    /// producing its per-partition pairs and shuffle accounting. `floor`
-    /// is the earliest virtual time work may start (window fire time in
-    /// batch mode, `ZERO` in proactive mode — slices are still gated by
-    /// arrival).
+    /// producing its per-partition run builders and shuffle accounting.
+    /// `floor` is the earliest virtual time work may start (window fire
+    /// time in batch mode, `ZERO` in proactive mode — slices are still
+    /// gated by arrival).
     fn ensure_pane_mapped(
         &mut self,
         source: u32,
@@ -558,33 +552,40 @@ where
         };
         let slice_files: Vec<redoop_mapred::LineFile> =
             slice_files.into_iter().collect::<Result<_>>()?;
-        let computed: Vec<SplitMapOut<M::KOut, M::VOut>> = {
+        // One sink per host worker, over a contiguous range of the
+        // pane's splits: each pair is hashed once, as it is emitted, into
+        // its reducer's run builder, and every split ends at a boundary
+        // that folds its share through the combiner and hands back what
+        // it added to each bucket. The workers' builders are then merged
+        // in range order — split order — so the runs do not depend on how
+        // the splits were cut.
+        type SplitOut = (MapWork, Vec<(u64, u64)>);
+        let chunks = {
             let mapper = &*self.mapper;
             let combiner = self.combiner.as_deref();
             let partitioner = &self.partitioner;
-            let slice_files = &slice_files;
-            exec::parallel_map(tasks.len(), |i| {
-                let (slice_idx, line_range, split_bytes) = &tasks[i];
-                // Partition-first: each pair is hashed once, as it is
-                // emitted, into its reducer's bucket, and its
-                // text-equivalent bytes are summed on the way in; the
-                // combiner folds each bucket.
-                let (parts, bucket_bytes, input_records) = exec::run_mapper_bucketed(
-                    mapper,
-                    slice_files[*slice_idx].lines(line_range.clone()),
-                    partitioner,
-                    num_reducers,
-                    combiner,
-                );
-                let work = MapWork {
-                    split_bytes: *split_bytes,
-                    input_records,
-                    output_records: parts.iter().map(|p| p.len() as u64).sum(),
-                    output_bytes: bucket_bytes.iter().sum(),
-                };
-                Ok(SplitMapOut { parts, bucket_bytes, work })
+            let (slice_files, tasks) = (&slice_files, &tasks);
+            exec::parallel_ranges(tasks.len(), |range| {
+                let mut sink =
+                    MapContext::partitioned(partitioner, exec::fresh_builders(num_reducers));
+                let splits: Vec<SplitOut> = tasks[range]
+                    .iter()
+                    .map(|(slice_idx, line_range, split_bytes)| {
+                        let lines = slice_files[*slice_idx].lines(line_range.clone());
+                        exec::map_split(mapper, lines, *split_bytes, &mut sink, combiner)
+                    })
+                    .collect();
+                Ok((splits, sink.into_builders()))
             })?
         };
+        let mut computed: Vec<SplitOut> = Vec::with_capacity(tasks.len());
+        let mut raw: Vec<RunBuilder<M::KOut, M::VOut>> = exec::fresh_builders(num_reducers);
+        for (splits, builders) in chunks {
+            computed.extend(splits);
+            for (whole, part) in raw.iter_mut().zip(builders) {
+                whole.absorb(part);
+            }
+        }
         // HDFS locality favours the holders of each slice's first block:
         // looked up once per slice, shared by all of its splits.
         let slice_replicas: Vec<Vec<NodeId>> = slices
@@ -603,18 +604,8 @@ where
             })
             .collect();
         let mut slice_infos: Vec<SliceMapInfo> = Vec::with_capacity(tasks.len());
-        // One `Vec` per (pane, partition), sized once from the split
-        // outputs it is about to receive.
-        let mut raw: Vec<Vec<(M::KOut, M::VOut)>> = (0..num_reducers)
-            .map(|r| Vec::with_capacity(computed.iter().map(|out| out.parts[r].len()).sum()))
-            .collect();
-        for ((slice_idx, ..), out) in tasks.iter().zip(computed) {
-            let SplitMapOut { parts, bucket_bytes, work } = out;
+        for ((slice_idx, ..), (work, buckets)) in tasks.iter().zip(computed) {
             let (slice, replicas) = (&slices[*slice_idx], &slice_replicas[*slice_idx]);
-            let bucket_records: Vec<u64> = parts.iter().map(|p| p.len() as u64).collect();
-            for (r, part) in parts.into_iter().enumerate() {
-                raw[r].extend(part);
-            }
             // Virtual: place on a map slot with HDFS locality affinity —
             // replicas pay nothing, everyone else pays one uniform
             // remote-read penalty.
@@ -639,15 +630,10 @@ where
             if local {
                 self.win_stats.placements_cache_local += 1;
             }
-            slice_infos.push(SliceMapInfo {
-                slice_idx: *slice_idx,
-                end: placement.end,
-                bucket_bytes,
-                bucket_records,
-            });
+            slice_infos.push(SliceMapInfo { slice_idx: *slice_idx, end: placement.end, buckets });
             ready = ready.max(placement.end);
         }
-        let raw = raw.into_iter().map(|pairs| std::sync::Mutex::new(Some(pairs))).collect();
+        let raw = raw.into_iter().map(|run| std::sync::Mutex::new(Some(run))).collect();
         mapped.insert((source, pane.0), MappedPane { ready, slices: slice_infos, raw });
         Ok(())
     }
@@ -657,10 +643,10 @@ where
     // ------------------------------------------------------------------
 
     /// The cache-build step for partition `r`'s missing pane products.
-    /// Every pane's shuffle bucket and raw pairs go through `compute` on
-    /// parallel host threads, and every result is checked before the
-    /// first one is stored — a failed compute leaves no partial state.
-    /// The builds are then committed in plan order.
+    /// Every pane's shuffle bucket and mapped records go through
+    /// `compute` on parallel host threads, and every result is checked
+    /// before the first one is stored — a failed compute leaves no
+    /// partial state. The builds are then committed in plan order.
     ///
     /// In batch mode each build is **its own reduce task**, ready at
     /// fire ∨ its map completion. One reduce attempt per partition works
@@ -695,10 +681,10 @@ where
                 let mp = mapped.get(&(m.source, m.pane.0)).expect("pane mapped before build");
                 let raw = mp.raw[r]
                     .lock()
-                    .expect("raw pairs lock")
+                    .expect("mapped records lock")
                     .take()
                     .expect("a window builds each (pane, partition) product at most once");
-                let shuffle_text_bytes = mp.slices.iter().map(|s| s.bucket_bytes[r]).sum();
+                let shuffle_text_bytes = mp.slices.iter().map(|s| s.buckets[r].1).sum();
                 Ok(compute(shuffle_text_bytes, raw, m.pane.0, r as u32))
             })?;
         let computed: Vec<BuiltRun<M::KOut, C>> = computed.into_iter().collect::<Result<_>>()?;

@@ -35,6 +35,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 
 use bytes::Bytes;
 use redoop_dfs::DfsPath;
+use redoop_mapred::grouped::RunBuilder;
 use redoop_mapred::{
     exec, io as mrio, JobMetrics, Mapper, ReduceContext, ReduceWork, Reducer, SimTime,
 };
@@ -57,18 +58,18 @@ where
     M: Mapper,
     R: Reducer<KIn = M::KOut, VIn = M::VOut>,
 {
-    /// Pure compute of a reduce-input cache: sort/group the pane's mapped
-    /// pairs for one partition and encode the sorted run as a
-    /// grouped block, so later incremental merges consume it without
+    /// Pure compute of a reduce-input cache: finish the pane's mapped
+    /// records for one partition into their sorted run and encode it as
+    /// a grouped block, so later incremental merges consume it without
     /// re-parsing or re-sorting. No executor state is touched.
     pub(super) fn input_cache_compute(
         shuffle_text_bytes: u64,
-        pairs: Vec<(M::KOut, M::VOut)>,
+        mapped: RunBuilder<M::KOut, M::VOut>,
         pane: u64,
         partition: u32,
     ) -> Result<BuiltRun<M::KOut, M::VOut>> {
-        let input_records = pairs.len() as u64;
-        let groups = exec::sort_group(pairs);
+        let input_records = mapped.len() as u64;
+        let groups = mapped.into_run();
         // Framed self-locating encoding: a torn write to the stored blob
         // is salvageable frame-by-frame instead of losing the whole cache.
         let blob = Bytes::from(mrio::encode_framed_grouped_block(&groups, pane, partition));

@@ -1006,11 +1006,12 @@ mod tests {
             ["b", "a", "c", "a", "b", "a"].iter().map(|k| (k.to_string(), 1)).collect();
         let text_bytes = mrio::kv_block_text_bytes(&pairs);
 
-        let (built, run) = Exec::input_cache_compute(text_bytes, pairs.clone(), 3, 1).unwrap();
+        let mapped = || pairs.iter().cloned().collect::<redoop_mapred::grouped::RunBuilder<_, _>>();
+        let (built, run) = Exec::input_cache_compute(text_bytes, mapped(), 3, 1).unwrap();
         assert_eq!(mrio::decode_framed_grouped_block::<String, u64>(&built.blob).unwrap(), run);
         assert_eq!(run.records, 6);
 
-        let (built, run) = Exec::pane_output_compute(text_bytes, pairs, &*reducer(), 3, 1).unwrap();
+        let (built, run) = Exec::pane_output_compute(text_bytes, mapped(), &*reducer(), 3, 1).unwrap();
         assert_eq!(mrio::decode_framed_grouped_block::<String, u64>(&built.blob).unwrap(), run);
         assert_eq!(run.grouped.to_nested(), vec![
             ("a".to_string(), vec![3]),

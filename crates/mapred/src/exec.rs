@@ -21,11 +21,11 @@ use crate::error::Result;
 pub use crate::grouped::{
     for_each_merged_group, group_consecutive, merge_sorted_groups, sort_group,
 };
-use crate::grouped::Grouped;
+use crate::grouped::{Grouped, RunBuilder};
 use crate::mapper::{MapContext, Mapper};
 use crate::partitioner::Partitioner;
 use crate::reducer::{ReduceContext, Reducer};
-use crate::writable::Writable;
+use crate::task::MapWork;
 
 /// Runs `mapper` over `lines`, emitting into `ctx` — whichever sink it
 /// was built with — and returns the number of input records consumed.
@@ -54,48 +54,39 @@ pub fn run_mapper<'a, M: Mapper>(
     (ctx.into_pairs(), records)
 }
 
-/// Runs `mapper` over `lines` into a partitioned [`MapContext`]: each
-/// pair is hashed exactly once, as it is emitted, straight into its
-/// reduce partition's bucket, and each bucket is later sorted
-/// independently (narrower sorts than one global sort over the whole
-/// split). Returns the buckets, the text-equivalent bytes of each (the
-/// shuffle accounting the cost model charges, summed at emit) and the
-/// number of input records consumed. Equivalent to [`run_mapper`] +
-/// [`partition_pairs`] + [`crate::io::kv_block_text_bytes`]: all pairs of
-/// a key share a partition and emit order is preserved within each
-/// bucket.
-///
-/// A `combiner` folds each bucket independently — equivalent to
-/// combine-then-partition, for the same reason — and a folded bucket is
-/// measured again: it is what the shuffle carries and what is charged.
-#[allow(clippy::type_complexity)]
-pub fn run_mapper_bucketed<'a, M: Mapper>(
+/// Maps one split of `split_bytes` input bytes into the partitioned
+/// `ctx` and closes it ([`MapContext::end_split`]): each pair is hashed
+/// exactly once, as it is emitted, straight into its reduce partition's
+/// [`RunBuilder`]. Returns the map task's work and, per reduce
+/// partition, the `(records, text-equivalent bytes)` the split added —
+/// the shuffle accounting the cost model charges; with a `combiner`, of
+/// the split's folded share. Equivalent to [`run_mapper`] +
+/// [`partition_pairs`] + combine per bucket +
+/// [`crate::io::kv_block_text_bytes`]: all pairs of a key share a
+/// partition and emit order is preserved within each bucket.
+pub fn map_split<'a, M: Mapper>(
     mapper: &M,
     lines: impl Iterator<Item = &'a str>,
-    partitioner: &dyn Partitioner<M::KOut>,
-    num_reducers: usize,
+    split_bytes: u64,
+    ctx: &mut MapContext<M::KOut, M::VOut>,
     combiner: Option<&dyn crate::combiner::Combiner<M::KOut, M::VOut>>,
-) -> (Vec<Vec<(M::KOut, M::VOut)>>, Vec<u64>, u64) {
-    // Seed each bucket near its expected share of one-pair-per-record
-    // output; multi-emit mappers grow past it, empty buckets waste one
-    // small reservation. Purely an allocation hint.
-    let per_bucket = lines.size_hint().0 / num_reducers + 1;
-    let mut ctx = MapContext::partitioned(partitioner, num_reducers, per_bucket);
-    let records = run_mapper_into(mapper, lines, &mut ctx);
-    let (mut buckets, mut text_bytes) = ctx.into_buckets();
-    if let Some(c) = combiner {
-        for (bucket, bytes) in buckets.iter_mut().zip(&mut text_bytes) {
-            *bucket = apply_combiner(std::mem::take(bucket), c);
-            *bytes = crate::io::kv_block_text_bytes(bucket);
-        }
-    }
-    (buckets, text_bytes, records)
+) -> (MapWork, Vec<(u64, u64)>) {
+    let input_records = run_mapper_into(mapper, lines, ctx);
+    let added = ctx.end_split(combiner);
+    let work = MapWork {
+        split_bytes,
+        input_records,
+        output_records: added.iter().map(|a| a.0).sum(),
+        output_bytes: added.iter().map(|a| a.1).sum(),
+    };
+    (work, added)
 }
 
-/// [`run_mapper_bucketed`] without combiner or byte counts, under the signature
-/// the benchmark pins (`perfbench/README.md`). `_scratch` is unused:
-/// pairs go to their bucket directly, so there is no emit buffer left to
-/// recycle.
+/// One split through a partitioned sink of its own, expanded back to a
+/// pair list per reduce partition. Off the fire path — which keeps the
+/// sink's builders and never holds pairs — and kept because the
+/// benchmark pins this signature (`perfbench/README.md`); `_scratch` is
+/// unused.
 #[allow(clippy::type_complexity)]
 pub fn run_mapper_partitioned<'a, M: Mapper>(
     mapper: &M,
@@ -104,30 +95,15 @@ pub fn run_mapper_partitioned<'a, M: Mapper>(
     num_reducers: usize,
     _scratch: &mut MapContext<M::KOut, M::VOut>,
 ) -> (Vec<Vec<(M::KOut, M::VOut)>>, u64) {
-    let (buckets, _, records) =
-        run_mapper_bucketed(mapper, lines, partitioner, num_reducers, None);
-    (buckets, records)
+    let mut ctx = MapContext::partitioned(partitioner, fresh_builders(num_reducers));
+    let records = run_mapper_into(mapper, lines, &mut ctx);
+    (ctx.into_builders().into_iter().map(RunBuilder::into_pairs).collect(), records)
 }
 
-/// Applies a combiner to map output: group by key, fold each group.
-/// Grouping uses the run-length [`Grouped`] form, so the combine path
-/// allocates no per-key values vector.
-pub fn apply_combiner<K, V>(
-    pairs: Vec<(K, V)>,
-    combiner: &dyn crate::combiner::Combiner<K, V>,
-) -> Vec<(K, V)>
-where
-    K: Writable + Ord + std::hash::Hash,
-    V: Writable,
-{
-    let grouped = sort_group(pairs);
-    let mut out = Vec::with_capacity(grouped.group_count());
-    for (key, values) in grouped.iter() {
-        for v in combiner.combine(key, values) {
-            out.push((key.clone(), v));
-        }
-    }
-    out
+/// One empty [`RunBuilder`] per reduce partition: what a partitioned
+/// [`MapContext`] starts from.
+pub fn fresh_builders<K, V>(num_reducers: usize) -> Vec<RunBuilder<K, V>> {
+    std::iter::repeat_with(RunBuilder::new).take(num_reducers).collect()
 }
 
 /// Splits pairs into `num_reducers` shuffle partitions.
@@ -214,6 +190,20 @@ where
     results.into_inner().into_iter().map(|r| r.expect("worker filled every slot")).collect()
 }
 
+/// Executes `f` over `0..n` cut into one contiguous range per host
+/// worker — for work that keeps state across the items of a range —
+/// returning results in range order. Built on [`parallel_map`]; how `n`
+/// is cut depends on the worker count, so `f`'s results must compose to
+/// the same whole under any cut.
+pub fn parallel_ranges<T, F>(n: usize, f: F) -> Result<Vec<T>>
+where
+    T: Send,
+    F: Fn(std::ops::Range<usize>) -> Result<T> + Send + Sync,
+{
+    let chunks = host_parallelism().min(n);
+    parallel_map(chunks, |c| f(c * n / chunks..(c + 1) * n / chunks))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,10 +232,14 @@ mod tests {
 
     #[test]
     fn combiner_collapses_before_shuffle() {
-        let pairs: Vec<(String, u64)> =
-            vec![("x".into(), 1), ("y".into(), 2), ("x".into(), 3)];
-        let combined = apply_combiner(pairs, &SumCombiner);
-        assert_eq!(combined, vec![("x".to_string(), 4), ("y".to_string(), 2)]);
+        let mut bucket: RunBuilder<String, u64> =
+            [("x", 1), ("y", 2), ("x", 3)].into_iter().map(|(k, v)| (k.to_string(), v)).collect();
+        bucket.fold_tail(0, &SumCombiner);
+        assert_eq!(bucket.len(), 2);
+        assert_eq!(
+            bucket.into_run().to_nested(),
+            vec![("x".to_string(), vec![4]), ("y".to_string(), vec![2])]
+        );
     }
 
     #[test]
@@ -260,27 +254,65 @@ mod tests {
     #[test]
     fn partitioned_mapper_matches_map_then_partition() {
         // A multi-emit mapper (one pair per word, none for a blank line)
-        // and one that emits nothing at all.
+        // and one that emits nothing at all, over one sink that takes
+        // three splits in a row.
         let words = ClosureMapper::new(|line: &str, ctx: &mut MapContext<String, u64>| {
             for (i, w) in line.split_whitespace().enumerate() {
                 ctx.emit(w.to_string(), 10u64.pow(i as u32));
             }
         });
         let silent = ClosureMapper::new(|_: &str, _: &mut MapContext<String, u64>| {});
-        let lines = ["a b c d", "", "b c a", "e f a b", "a a a"];
+        let splits: [&[&str]; 3] =
+            [&["a b c d", "", "b c a"], &["e f a b", "a a a", "g"], &["", "c c b h"]];
+        let combiners: [Option<&dyn crate::combiner::Combiner<String, u64>>; 2] =
+            [None, Some(&SumCombiner)];
         for r in [1usize, 3, 4, 8] {
+            for combiner in combiners {
+                // The reference, split by split: map, partition, combine
+                // each bucket, and walk it for its bytes.
+                let mut reference: Vec<Vec<(String, u64)>> = vec![Vec::new(); r];
+                let mut sink = MapContext::partitioned(&HashPartitioner, fresh_builders(r));
+                for lines in splits {
+                    let (flat, n1) = run_mapper(&words, lines.iter().copied());
+                    let mut buckets = partition_pairs(flat, &HashPartitioner, r);
+                    if let Some(c) = combiner {
+                        for bucket in &mut buckets {
+                            let run = sort_group(std::mem::take(bucket));
+                            for (k, vs) in run.iter() {
+                                bucket.extend(c.combine(k, vs).into_iter().map(|v| (k.clone(), v)));
+                            }
+                        }
+                    }
+                    let walked: Vec<(u64, u64)> = buckets
+                        .iter()
+                        .map(|b| (b.len() as u64, crate::io::kv_block_text_bytes(b)))
+                        .collect();
+                    let (work, added) =
+                        map_split(&words, lines.iter().copied(), 7, &mut sink, combiner);
+                    let total = |f: fn(&(u64, u64)) -> u64| walked.iter().map(f).sum::<u64>();
+                    let expected_work = MapWork {
+                        split_bytes: 7,
+                        input_records: n1,
+                        output_records: total(|b| b.0),
+                        output_bytes: total(|b| b.1),
+                    };
+                    assert_eq!((work, added), (expected_work, walked), "R={r}");
+                    for (whole, bucket) in reference.iter_mut().zip(buckets) {
+                        whole.extend(bucket);
+                    }
+                }
+                // Same runs as sorting the concatenated reference buckets.
+                let runs: Vec<Grouped<String, u64>> =
+                    sink.into_builders().into_iter().map(RunBuilder::into_run).collect();
+                let expected: Vec<Grouped<String, u64>> =
+                    reference.into_iter().map(sort_group).collect();
+                assert_eq!(runs, expected, "R={r}");
+            }
+
+            // The pinned entry point is the same map of one split, as
+            // pairs, whatever it is handed.
+            let lines = splits[0];
             let (flat, n1) = run_mapper(&words, lines.iter().copied());
-            let expected = partition_pairs(flat, &HashPartitioner, r);
-            // Same buckets, same in-bucket order, and the bytes a second
-            // walk over each bucket would count.
-            let (buckets, text_bytes, n2) =
-                run_mapper_bucketed(&words, lines.iter().copied(), &HashPartitioner, r, None);
-            assert_eq!(n1, n2);
-            assert_eq!(buckets, expected, "partition-first must match two-pass for R={r}");
-            let walked: Vec<u64> =
-                expected.iter().map(|b| crate::io::kv_block_text_bytes(b)).collect();
-            assert_eq!(text_bytes, walked, "R={r}");
-            // The pinned entry point is the same map, whatever it is handed.
             let (pinned, n3) = run_mapper_partitioned(
                 &words,
                 lines.iter().copied(),
@@ -288,27 +320,27 @@ mod tests {
                 r,
                 &mut MapContext::new(),
             );
-            assert_eq!((&pinned, n3), (&expected, n1));
+            assert_eq!((pinned, n3), (partition_pairs(flat, &HashPartitioner, r), n1));
 
-            // A combiner folds each bucket, and the fold is re-measured.
-            let (combined, text_bytes, n4) = run_mapper_bucketed(
-                &words,
-                lines.iter().copied(),
-                &HashPartitioner,
-                r,
-                Some(&SumCombiner),
-            );
-            let folded: Vec<Vec<(String, u64)>> =
-                expected.iter().map(|b| apply_combiner(b.clone(), &SumCombiner)).collect();
-            let walked: Vec<u64> =
-                folded.iter().map(|b| crate::io::kv_block_text_bytes(b)).collect();
-            assert_eq!((combined, text_bytes, n4), (folded, walked, n1));
-
-            let (buckets, text_bytes, n) =
-                run_mapper_bucketed(&silent, lines.iter().copied(), &HashPartitioner, r, None);
-            assert_eq!(buckets, vec![Vec::new(); r]);
-            assert_eq!((text_bytes, n), (vec![0; r], 5));
+            let mut sink = MapContext::partitioned(&HashPartitioner, fresh_builders(r));
+            let (work, added) = map_split(&silent, lines.iter().copied(), 0, &mut sink, None);
+            assert_eq!((work.input_records, work.output_records, added), (3, 0, vec![(0, 0); r]));
+            assert!(sink.into_builders().iter().all(RunBuilder::is_empty));
         }
+    }
+
+    #[test]
+    fn parallel_ranges_cover_every_index_once_in_order() {
+        for forced in [Some(1), Some(3), Some(8), None] {
+            set_host_parallelism(forced);
+            for n in [0usize, 1, 2, 7, 8, 9] {
+                let ranges = parallel_ranges(n, Ok).unwrap();
+                assert!(ranges.iter().all(|r| !r.is_empty()), "n={n} {forced:?}");
+                let covered: Vec<usize> = ranges.into_iter().flatten().collect();
+                assert_eq!(covered, (0..n).collect::<Vec<_>>(), "n={n} {forced:?}");
+            }
+        }
+        set_host_parallelism(None);
     }
 
     #[test]

@@ -9,8 +9,27 @@
 //! The representation is purely a host-side layout change: record
 //! counts, key order, and per-record text-equivalent bytes — everything
 //! the simulated cost model charges — are identical to the nested form.
+//!
+//! Runs are built by one type, [`RunBuilder`]: a hash-group table that
+//! gives every distinct key a dense id as its pairs arrive, and a
+//! counting placement that lays the values out key by key. The
+//! partitioned map sink ([`crate::MapContext`]) feeds it the hash the
+//! partitioner computed to pick the pair's bucket, so on the fire path *a
+//! mapped pair is hashed once* — at `emit` — *and moved once per
+//! container it must live in*: into its bucket's builder, and from there
+//! into the run. [`sort_group`] is the same builder behind a pair list.
 
+use std::hash::{BuildHasher, Hash};
+
+use crate::combiner::Combiner;
+use crate::hasher::FxBuildHasher;
 use crate::writable::Writable;
+
+/// The cap on a run's records, checked: offsets and lengths are `u32`.
+fn run_len(n: usize) -> u32 {
+    assert!(n <= u32::MAX as usize, "a run is capped at u32::MAX records");
+    n as u32
+}
 
 /// A grouped run: runs of equal keys over one shared values vector.
 ///
@@ -69,9 +88,9 @@ impl<K, V> Grouped<K, V> {
     /// to hold; an empty iterator appends an empty run of length 0,
     /// which callers must avoid.
     pub fn push_group(&mut self, key: K, values: impl IntoIterator<Item = V>) {
-        let off = self.values.len() as u32;
+        let off = run_len(self.values.len());
         self.values.extend(values);
-        let len = self.values.len() as u32 - off;
+        let len = run_len(self.values.len()) - off;
         self.runs.push((key, off, len));
     }
 
@@ -126,51 +145,252 @@ impl<K, V> Grouped<K, V> {
     }
 }
 
-/// Sorts pairs by key (stable, preserving per-producer value order, like
-/// Hadoop's merge) and groups equal keys into runs.
+/// Builds one sorted run from pairs that arrive in any key order: the
+/// hash-group + counting-placement behind [`sort_group`] and behind the
+/// partitioned map sink, which are the same thing fed differently.
 ///
 /// Shuffle runs are duplicate-heavy (many records, few distinct keys),
-/// so instead of comparison-sorting all `n` records this hash-groups
-/// them in O(n), comparison-sorts only the distinct keys, and places
-/// values with a counting pass. The result is identical to a stable
-/// sort + group: keys strictly increasing, values in arrival order
-/// within each key (`K: Hash` must agree with `Eq`, which every
-/// `Mapper::KOut` already guarantees).
-pub fn sort_group<K: Ord + std::hash::Hash, V>(mut pairs: Vec<(K, V)>) -> Grouped<K, V> {
-    let n = pairs.len();
-    if n <= 32 {
-        // Tiny runs: a plain stable sort beats the hashing setup.
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        return group_consecutive(pairs);
+/// so instead of comparison-sorting all `n` records the builder gives
+/// each distinct key a dense id as its first pair arrives (an
+/// open-addressed table over `keys`, probed with a hash the caller may
+/// already hold), keeps the values tagged with their id in arrival order,
+/// and [`RunBuilder::into_run`] comparison-sorts only the distinct keys
+/// and places the values with a counting pass. The result is identical
+/// to a stable sort + group: keys strictly increasing, values in arrival
+/// order within each key.
+///
+/// **One hash function per builder.** Every pair of a builder — and of
+/// every builder [`absorb`](RunBuilder::absorb)ed into it — must come
+/// with the same pure function of its key as `hash`, or one key gets two
+/// ids and two runs. [`RunBuilder::push`] uses the internal Fx hash; the
+/// map sink uses [`crate::Partitioner::hash`]; a builder takes one or the
+/// other, never both.
+#[derive(Debug, Clone)]
+pub struct RunBuilder<K, V> {
+    /// Distinct keys in first-seen order; a key's index is its dense id.
+    keys: Vec<K>,
+    /// `hashes[id]` is the hash `keys[id]` arrived with.
+    hashes: Vec<u64>,
+    /// Open-addressed table over `keys`: 0 is empty, `id + 1` otherwise.
+    /// A power of two at least twice `keys.len()`, indexed by the hash's
+    /// *high* bits — inside one shuffle bucket the low bits are constant
+    /// (they chose the bucket) — with linear probing.
+    slots: Vec<u32>,
+    /// Every value, tagged with its key's id, in arrival order.
+    tagged: Vec<(u32, V)>,
+}
+
+impl<K, V> Default for RunBuilder<K, V> {
+    fn default() -> Self {
+        RunBuilder::new()
     }
-    // Pass 1: dense group id per distinct key, first-seen order; values
-    // tagged with their group id (keys move into the map — no clones).
-    // The hasher is purely internal here — ids are re-ranked by the key
-    // sort below — so the fast Fx table applies.
-    let mut ids: crate::hasher::FastMap<K, u32> =
-        crate::hasher::FastMap::with_capacity_and_hasher(64, Default::default());
-    let mut tagged: Vec<(u32, V)> = Vec::with_capacity(n);
-    for (k, v) in pairs {
-        let next = ids.len() as u32;
-        let gi = *ids.entry(k).or_insert(next);
-        tagged.push((gi, v));
+}
+
+impl<K, V> RunBuilder<K, V> {
+    /// An empty builder; allocates nothing until the first pair.
+    pub fn new() -> Self {
+        RunBuilder { keys: Vec::new(), hashes: Vec::new(), slots: Vec::new(), tagged: Vec::new() }
     }
-    // Pass 2: sort the distinct keys only; rank maps dense id -> sorted
-    // position.
-    let mut keys: Vec<(K, u32)> = ids.into_iter().collect();
-    keys.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    let distinct = keys.len();
-    let mut rank = vec![0u32; distinct];
-    for (pos, (_, gi)) in keys.iter().enumerate() {
-        rank[*gi as usize] = pos as u32;
+
+    /// Number of records (values) held.
+    pub fn len(&self) -> usize {
+        self.tagged.len()
     }
-    // Pass 3: counting layout — per-group offsets into one values vec,
-    // then place each value in its group slot in arrival order.
-    let mut counts = vec![0u32; distinct];
-    for (gi, _) in &tagged {
-        counts[rank[*gi as usize] as usize] += 1;
+
+    /// Whether the builder holds no records.
+    pub fn is_empty(&self) -> bool {
+        self.tagged.is_empty()
     }
-    let mut offsets = vec![0u32; distinct];
+
+    /// Flattens to the pair list in arrival order, cloning a key once per
+    /// value: for callers off the record path that still want pairs.
+    pub fn into_pairs(self) -> Vec<(K, V)>
+    where
+        K: Clone,
+    {
+        let keys = self.keys;
+        self.tagged.into_iter().map(|(id, v)| (keys[id as usize].clone(), v)).collect()
+    }
+
+    /// Text-equivalent bytes ([`crate::io::kv_block_text_bytes`]) of the
+    /// records from position `mark` on.
+    pub fn text_bytes_since(&self, mark: usize) -> u64
+    where
+        K: Writable,
+        V: Writable,
+    {
+        self.tagged[mark..]
+            .iter()
+            .map(|(id, v)| self.keys[*id as usize].text_len() + 1 + v.text_len() + 1)
+            .sum()
+    }
+
+    /// First slot of `hash`'s probe sequence in a table of `slots` slots.
+    #[inline]
+    fn home(hash: u64, slots: usize) -> usize {
+        (hash >> (64 - slots.trailing_zeros())) as usize
+    }
+
+    /// Doubles the slot table (64 slots at first) and re-seats every id
+    /// from its stored hash: no key is hashed or compared.
+    #[cold]
+    fn grow(&mut self) {
+        let len = (self.slots.len() * 2).max(64);
+        self.slots = vec![0; len];
+        for (id, &hash) in self.hashes.iter().enumerate() {
+            let mut i = Self::home(hash, len);
+            while self.slots[i] != 0 {
+                i = (i + 1) & (len - 1);
+            }
+            self.slots[i] = id as u32 + 1;
+        }
+    }
+}
+
+impl<K: Eq, V> RunBuilder<K, V> {
+    /// The dense id of `key`, which hashes to `hash`: the one it has, or
+    /// the next one.
+    #[inline]
+    fn id_of(&mut self, hash: u64, key: K) -> u32 {
+        if self.keys.len() * 2 >= self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = Self::home(hash, self.slots.len());
+        loop {
+            match self.slots[i] {
+                0 => {
+                    // A slot holds `id + 1`, so that is what must fit.
+                    let id = run_len(self.keys.len() + 1) - 1;
+                    self.slots[i] = id + 1;
+                    self.keys.push(key);
+                    self.hashes.push(hash);
+                    return id;
+                }
+                taken => {
+                    let id = (taken - 1) as usize;
+                    if self.hashes[id] == hash && self.keys[id] == key {
+                        return taken - 1;
+                    }
+                }
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Appends one pair whose key hashes to `hash` — any pure function of
+    /// the key, the same one for every pair of this builder.
+    #[inline]
+    pub fn push_hashed(&mut self, hash: u64, key: K, value: V) {
+        let id = self.id_of(hash, key);
+        self.tagged.push((id, value));
+    }
+
+    /// Appends one pair, hashing its key with the internal Fx hash.
+    #[inline]
+    pub fn push(&mut self, key: K, value: V)
+    where
+        K: Hash,
+    {
+        self.push_hashed(FxBuildHasher::default().hash_one(&key), key, value);
+    }
+
+    /// Appends everything `other` holds, after everything `self` holds:
+    /// the same builder as if `other`'s pairs had been pushed here in
+    /// their arrival order. `other`'s ids are remapped through its stored
+    /// hashes — no key is hashed again — so both must have been fed the
+    /// same hash function.
+    pub fn absorb(&mut self, other: RunBuilder<K, V>) {
+        if self.keys.is_empty() {
+            *self = other;
+            return;
+        }
+        let remap: Vec<u32> =
+            other.keys.into_iter().zip(other.hashes).map(|(k, h)| self.id_of(h, k)).collect();
+        self.tagged.extend(other.tagged.into_iter().map(|(id, v)| (remap[id as usize], v)));
+    }
+
+    /// Finishes the run: sorts the distinct keys, ranks their ids, and
+    /// places every value in its key's slot in arrival order. A key whose
+    /// every value a [`fold_tail`](RunBuilder::fold_tail) folded away
+    /// leaves no run (a stored block may not hold a hollow group).
+    pub fn into_run(self) -> Grouped<K, V>
+    where
+        K: Ord,
+    {
+        let mut keys: Vec<(K, u32)> = self.keys.into_iter().zip(0u32..).collect();
+        keys.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut rank = vec![0u32; keys.len()];
+        for (pos, (_, id)) in keys.iter().enumerate() {
+            rank[*id as usize] = pos as u32;
+        }
+        let (offsets, counts, values) =
+            place_by_group(self.tagged, keys.len(), |id| rank[id as usize] as usize);
+        let runs: Vec<(K, u32, u32)> = keys
+            .into_iter()
+            .zip(offsets.into_iter().zip(counts))
+            .filter(|(_, (_, len))| *len > 0)
+            .map(|((k, _), (off, len))| (k, off, len))
+            .collect();
+        Grouped { runs, values }
+    }
+}
+
+/// A pair list pushed in order under the internal Fx hash.
+impl<K: Eq + Hash, V> FromIterator<(K, V)> for RunBuilder<K, V> {
+    fn from_iter<I: IntoIterator<Item = (K, V)>>(pairs: I) -> Self {
+        let pairs = pairs.into_iter();
+        let mut builder = RunBuilder::new();
+        builder.tagged.reserve(pairs.size_hint().0);
+        for (k, v) in pairs {
+            builder.push(k, v);
+        }
+        builder
+    }
+}
+
+impl<K, V> RunBuilder<K, V>
+where
+    K: Writable + Ord + Hash,
+    V: Writable,
+{
+    /// Folds the records from position `mark` on through `combiner`, key
+    /// by key: each key's values (in arrival order) are replaced by what
+    /// `combine` returns for them. The folded tail is left in id order,
+    /// which nothing downstream can tell from arrival order: a run's
+    /// per-key value order is unchanged and text bytes are order-free.
+    pub fn fold_tail(&mut self, mark: usize, combiner: &dyn Combiner<K, V>) {
+        let tail = self.tagged.split_off(mark);
+        let (offsets, counts, values) =
+            place_by_group(tail, self.keys.len(), |id| id as usize);
+        for (id, (off, len)) in offsets.into_iter().zip(counts).enumerate() {
+            if len > 0 {
+                let group = &values[off as usize..(off + len) as usize];
+                let folded = combiner.combine(&self.keys[id], group);
+                self.tagged.extend(folded.into_iter().map(|v| (id as u32, v)));
+            }
+        }
+    }
+}
+
+/// Counting placement: lays `tagged` out group by group — group
+/// `slot_of(id)` of `groups` — keeping arrival order inside a group.
+/// Returns each group's offset and count, and the placed values.
+/// `slot_of` must be a pure function with values below `groups`.
+fn place_by_group<V>(
+    tagged: Vec<(u32, V)>,
+    groups: usize,
+    slot_of: impl Fn(u32) -> usize,
+) -> (Vec<u32>, Vec<u32>, Vec<V>) {
+    let n = tagged.len();
+    // Offsets and counts are `u32`: without this cap their sums would
+    // wrap and the `set_len` below would expose unwritten slots.
+    run_len(n);
+    let mut counts = vec![0u32; groups];
+    for (id, _) in &tagged {
+        counts[slot_of(*id)] += 1;
+    }
+    let mut offsets = vec![0u32; groups];
     let mut acc = 0u32;
     for (o, c) in offsets.iter_mut().zip(&counts) {
         *o = acc;
@@ -179,21 +399,34 @@ pub fn sort_group<K: Ord + std::hash::Hash, V>(mut pairs: Vec<(K, V)>) -> Groupe
     let mut next = offsets.clone();
     let mut values: Vec<V> = Vec::with_capacity(n);
     let spare = values.spare_capacity_mut();
-    for (gi, v) in tagged {
-        let slot = &mut next[rank[gi as usize] as usize];
+    for (id, v) in tagged {
+        let slot = &mut next[slot_of(id)];
         spare[*slot as usize].write(v);
         *slot += 1;
     }
-    // SAFETY: `counts` sums to `n`, `offsets` partition `0..n`, and each
-    // group's `next` cursor walks its partition linearly, so every slot
-    // in `0..n` was written exactly once above.
+    // SAFETY: `run_len(n)` above asserted `n <= u32::MAX`, so `counts`
+    // sums to `n` with no `u32` wrap-around and `offsets` partitions
+    // `0..n`; `slot_of` is pure, so each group's `next` cursor walks
+    // exactly the partition its count reserved, and every slot in `0..n`
+    // was written exactly once above.
     unsafe { values.set_len(n) };
-    let runs: Vec<(K, u32, u32)> = keys
-        .into_iter()
-        .zip(offsets.iter().zip(&counts))
-        .map(|((k, _), (off, len))| (k, *off, *len))
-        .collect();
-    Grouped { runs, values }
+    (offsets, counts, values)
+}
+
+/// Sorts pairs by key (stable, preserving per-producer value order, like
+/// Hadoop's merge) and groups equal keys into runs: a [`RunBuilder`]
+/// behind a pair list (`K: Hash` must agree with `Eq`, which every
+/// `Mapper::KOut` already guarantees). Off the fire path, which builds
+/// its runs where the pairs are bucketed; it stays for runs that arrive
+/// as pairs (the unsorted-run fallbacks, tests) and because the benchmark
+/// pins it.
+pub fn sort_group<K: Ord + Hash, V>(mut pairs: Vec<(K, V)>) -> Grouped<K, V> {
+    if pairs.len() <= 32 {
+        // Tiny runs: a plain stable sort beats the hashing setup.
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        return group_consecutive(pairs);
+    }
+    pairs.into_iter().collect::<RunBuilder<K, V>>().into_run()
 }
 
 /// Groups consecutive pairs with equal keys, preserving order. Applied
@@ -201,6 +434,7 @@ pub fn sort_group<K: Ord + std::hash::Hash, V>(mut pairs: Vec<(K, V)>) -> Groupe
 /// it never reorders records.
 pub fn group_consecutive<K: PartialEq, V>(pairs: Vec<(K, V)>) -> Grouped<K, V> {
     let n = pairs.len();
+    run_len(n);
     let mut runs: Vec<(K, u32, u32)> = Vec::new();
     let mut values: Vec<V> = Vec::with_capacity(n);
     for (k, v) in pairs {
@@ -220,6 +454,7 @@ pub fn group_consecutive<K: PartialEq, V>(pairs: Vec<(K, V)>) -> Grouped<K, V> {
 /// merge without re-sorting.
 pub fn merge_sorted_groups<K: Ord, V>(runs: Vec<Grouped<K, V>>) -> Grouped<K, V> {
     let total: usize = runs.iter().map(|g| g.values.len()).sum();
+    run_len(total);
     // Per input run: its run table reversed (consume front via pop) and a
     // draining values iterator. Values drain front-to-back because the
     // merge consumes each run's groups in order.
@@ -323,6 +558,30 @@ mod tests {
 
     // `sort_group` stability is pinned once, against the public
     // re-export, in `exec::tests::sort_group_is_stable_within_keys`.
+
+    #[test]
+    #[should_panic(expected = "a run is capped at u32::MAX records")]
+    fn a_run_past_the_u32_cap_is_refused() {
+        assert_eq!(run_len(u32::MAX as usize), u32::MAX);
+        run_len(u32::MAX as usize + 1);
+    }
+
+    #[test]
+    fn a_grown_table_keeps_every_id() {
+        // 1000 distinct keys whose hashes agree in their low 3 bits (one
+        // shuffle bucket of 8) push the slot table through four doublings.
+        let mut builder = RunBuilder::new();
+        for round in 0..3u64 {
+            for k in 0..1000u64 {
+                builder.push_hashed(k.wrapping_mul(0x9e37_79b9_7f4a_7c15) << 3 | 5, k, round);
+            }
+        }
+        assert_eq!(builder.len(), 3000);
+        let run = builder.into_run();
+        assert_eq!(run.group_count(), 1000);
+        assert!(run.is_strictly_sorted());
+        assert!(run.iter().all(|(_, vs)| vs == [0, 1, 2]));
+    }
 
     #[test]
     fn group_consecutive_preserves_order() {

@@ -1,37 +1,58 @@
 //! The map side of the programming model.
+//!
+//! A [`MapContext`] is where a mapper's pairs land. The collecting sink
+//! keeps one flat pair list. The partitioned sink *is* the first half of
+//! the shuffle sort: `emit` hashes the key once
+//! ([`Partitioner::hash`]), that hash picks the reduce partition
+//! ([`partitioner::index_of`]) and is handed to the partition's
+//! [`RunBuilder`], which groups the pair under its key's dense id on the
+//! spot. What leaves the sink is one builder per partition, a
+//! [`RunBuilder::into_run`] away from the sorted run — no pair list in
+//! between and no second hash. One sink may take many splits in a row;
+//! [`MapContext::end_split`] is the boundary at which the split's share
+//! of each bucket is combined, counted and measured.
 
-use crate::partitioner::Partitioner;
+use std::hash::Hash;
+
+use crate::combiner::Combiner;
+use crate::grouped::RunBuilder;
+use crate::partitioner::{self, Partitioner};
 use crate::writable::Writable;
+
+/// One reduce partition of a partitioned sink.
+struct Bucket<K, V> {
+    run: RunBuilder<K, V>,
+    /// Where the open split's records start in `run`.
+    mark: usize,
+    /// Text-equivalent bytes ([`crate::io::kv_block_text_bytes`]) of the
+    /// open split's records — the shuffle accounting the cost model
+    /// charges, summed while the pair is in hand instead of by a second
+    /// walk.
+    text_bytes: u64,
+}
 
 /// Where a [`MapContext`] puts what the mapper emits.
 enum Sink<'p, K, V> {
     /// One flat list, in emit order.
     Pairs(Vec<(K, V)>),
-    /// One list per reduce partition, each in emit order, plus the
-    /// text-equivalent bytes ([`crate::io::kv_block_text_bytes`]) of what
-    /// each list holds — the shuffle accounting the cost model charges,
-    /// summed while the pair is in hand instead of by a second walk.
-    Partitioned {
-        partitioner: &'p dyn Partitioner<K>,
-        buckets: Vec<Vec<(K, V)>>,
-        text_bytes: Vec<u64>,
-    },
+    /// One run builder per reduce partition, each in emit order.
+    Partitioned { partitioner: &'p dyn Partitioner<K>, buckets: Vec<Bucket<K, V>> },
 }
 
 /// Collects key/value pairs emitted by a [`Mapper`].
 ///
 /// Mirrors Hadoop's `Mapper.Context`: the framework owns the buffer and
 /// hands the mapper a context to `emit` into. How it was built chooses
-/// the sink: [`MapContext::new`] collects one flat pair list; the
-/// partitioned context [`crate::exec::run_mapper_bucketed`] builds
-/// hashes each pair once, at emit time, straight into its reduce
-/// partition's bucket — the same buckets, in the same in-bucket order,
-/// as [`crate::exec::partition_pairs`] makes of the flat list.
+/// the sink: [`MapContext::new`] collects one flat pair list;
+/// [`MapContext::partitioned`] hashes each pair once, at emit time,
+/// straight into its reduce partition's [`RunBuilder`] — the same
+/// buckets, in the same in-bucket order, as
+/// [`crate::exec::partition_pairs`] makes of the flat list.
 pub struct MapContext<'p, K, V> {
     sink: Sink<'p, K, V>,
 }
 
-impl<K, V> MapContext<'_, K, V> {
+impl<'p, K, V> MapContext<'p, K, V> {
     /// Fresh, empty collecting context.
     pub fn new() -> Self {
         MapContext { sink: Sink::Pairs(Vec::new()) }
@@ -44,11 +65,28 @@ impl<K, V> MapContext<'_, K, V> {
         MapContext { sink: Sink::Pairs(Vec::with_capacity(n)) }
     }
 
-    /// Number of pairs emitted so far.
+    /// Context routing every pair into one of `builders.len()` reduce
+    /// partitions chosen by `partitioner`. The builders may be fresh or
+    /// already hold records — pushed under `partitioner`'s hash, as
+    /// everything emitted here will be; the first split starts where they
+    /// end.
+    pub fn partitioned(
+        partitioner: &'p dyn Partitioner<K>,
+        builders: Vec<RunBuilder<K, V>>,
+    ) -> Self {
+        let buckets = builders
+            .into_iter()
+            .map(|run| Bucket { mark: run.len(), run, text_bytes: 0 })
+            .collect();
+        MapContext { sink: Sink::Partitioned { partitioner, buckets } }
+    }
+
+    /// Number of pairs held: everything emitted, less what a combiner
+    /// folded away at a split boundary.
     pub fn emitted(&self) -> usize {
         match &self.sink {
             Sink::Pairs(out) => out.len(),
-            Sink::Partitioned { buckets, .. } => buckets.iter().map(Vec::len).sum(),
+            Sink::Partitioned { buckets, .. } => buckets.iter().map(|b| b.run.len()).sum(),
         }
     }
 
@@ -63,53 +101,65 @@ impl<K, V> MapContext<'_, K, V> {
         }
     }
 
-    /// Consumes a partitioned context, returning one pair list per
-    /// reduce partition and the text-equivalent bytes of each.
+    /// Consumes a partitioned context, returning one run builder per
+    /// reduce partition.
     ///
     /// # Panics
     /// On a collecting context, which never chose partitions.
-    pub(crate) fn into_buckets(self) -> (Vec<Vec<(K, V)>>, Vec<u64>) {
+    pub fn into_builders(self) -> Vec<RunBuilder<K, V>> {
         match self.sink {
-            Sink::Partitioned { buckets, text_bytes, .. } => (buckets, text_bytes),
+            Sink::Partitioned { buckets, .. } => buckets.into_iter().map(|b| b.run).collect(),
             Sink::Pairs(_) => panic!("a collecting MapContext has no partitions"),
         }
     }
 }
 
-impl<'p, K: Writable, V: Writable> MapContext<'p, K, V> {
-    /// Fresh context routing every pair into one of `num_reducers`
-    /// buckets chosen by `partitioner`, each pre-sized for `per_bucket`
-    /// pairs (an allocation hint only).
-    pub(crate) fn partitioned(
-        partitioner: &'p dyn Partitioner<K>,
-        num_reducers: usize,
-        per_bucket: usize,
-    ) -> Self {
-        MapContext {
-            sink: Sink::Partitioned {
-                partitioner,
-                buckets: (0..num_reducers).map(|_| Vec::with_capacity(per_bucket)).collect(),
-                text_bytes: vec![0; num_reducers],
-            },
-        }
-    }
-
+impl<K: Writable + Eq, V: Writable> MapContext<'_, K, V> {
     /// Emits one intermediate pair.
     #[inline]
     pub fn emit(&mut self, key: K, value: V) {
         match &mut self.sink {
             Sink::Pairs(out) => out.push((key, value)),
-            Sink::Partitioned { partitioner, buckets, text_bytes } => {
-                // A single reducer needs no hash: a partitioner is a pure
-                // function of (key, R), and R == 1 always yields 0.
-                let p = match buckets.len() {
-                    1 => 0,
-                    n => partitioner.partition(&key, n),
-                };
-                text_bytes[p] += key.text_len() + 1 + value.text_len() + 1;
-                buckets[p].push((key, value));
+            Sink::Partitioned { partitioner, buckets } => {
+                // The one hash of this pair: it picks the bucket, and the
+                // bucket's table groups by it.
+                let hash = partitioner.hash(&key);
+                let p = partitioner::index_of(hash, buckets.len());
+                let bucket = &mut buckets[p];
+                bucket.text_bytes += key.text_len() + 1 + value.text_len() + 1;
+                bucket.run.push_hashed(hash, key, value);
             }
         }
+    }
+}
+
+impl<K: Writable + Ord + Hash, V: Writable> MapContext<'_, K, V> {
+    /// Closes the open split of a partitioned context and returns, per
+    /// reduce partition, the `(records, text-equivalent bytes)` the split
+    /// added to it. A `combiner` first folds the split's share of each
+    /// bucket — equivalent to combine-then-partition, since all pairs of
+    /// a key share a partition — and the folded share is measured again:
+    /// it is what the shuffle carries and what is charged.
+    ///
+    /// # Panics
+    /// On a collecting context, which has no partitions.
+    pub fn end_split(&mut self, combiner: Option<&dyn Combiner<K, V>>) -> Vec<(u64, u64)> {
+        let Sink::Partitioned { buckets, .. } = &mut self.sink else {
+            panic!("a collecting MapContext has no partitions")
+        };
+        buckets
+            .iter_mut()
+            .map(|b| {
+                if let Some(c) = combiner {
+                    b.run.fold_tail(b.mark, c);
+                    b.text_bytes = b.run.text_bytes_since(b.mark);
+                }
+                let added = ((b.run.len() - b.mark) as u64, b.text_bytes);
+                b.mark = b.run.len();
+                b.text_bytes = 0;
+                added
+            })
+            .collect()
     }
 }
 

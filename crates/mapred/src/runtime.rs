@@ -6,7 +6,7 @@
 //! full window. Execution is two-layered:
 //!
 //! 1. **Real layer** — one path: each split is mapped into per-partition
-//!    buckets at emit, each bucket is sorted once into a run, and each
+//!    run builders at emit, each builder is finished once into a run, and each
 //!    reduce streams the merge of its partition's runs through the
 //!    reducer into its part file — on host threads, producing actual
 //!    output files and per-task work statistics.
@@ -26,9 +26,9 @@ use crate::counters::names;
 use crate::error::{MrError, Result};
 use crate::exec;
 use crate::fault::FaultInjector;
-use crate::grouped::Grouped;
+use crate::grouped::{Grouped, RunBuilder};
 use crate::job::{JobConf, JobSpec};
-use crate::mapper::Mapper;
+use crate::mapper::{MapContext, Mapper};
 use crate::metrics::JobMetrics;
 use crate::partitioner::HashPartitioner;
 use crate::reducer::{ReduceContext, Reducer};
@@ -259,27 +259,26 @@ where
         Ok(JobResult { outputs, metrics })
     }
 
-    /// Real execution of one map task. Pairs are bucketed by partition
-    /// *at emit time* and the combiner folds each bucket independently
-    /// ([`exec::run_mapper_bucketed`], which also hands back the
+    /// Real execution of one map task. Pairs are bucketed and grouped by
+    /// partition *at emit time* and the combiner folds each bucket
+    /// independently ([`exec::map_split`], which also hands back the
     /// text-equivalent bytes of each bucket — work is charged in those,
     /// so simulated times do not depend on how pairs are held); each
-    /// bucket is then sorted into its run.
+    /// bucket's builder is then finished into its run.
     fn execute_map(&self, split: &InputSplit, num_reducers: usize) -> MapOut<M::KOut, M::VOut> {
-        let (buckets, text_bytes, input_records) = exec::run_mapper_bucketed(
+        let mut ctx = MapContext::partitioned(&HashPartitioner, exec::fresh_builders(num_reducers));
+        let (work, added) = exec::map_split(
             self.mapper,
             split.file.lines(split.lines.clone()),
-            &HashPartitioner,
-            num_reducers,
+            split.bytes,
+            &mut ctx,
             self.combiner,
         );
-        let work = MapWork {
-            split_bytes: split.bytes,
-            input_records,
-            output_records: buckets.iter().map(|b| b.len() as u64).sum(),
-            output_bytes: text_bytes.iter().sum(),
-        };
-        MapOut { work, text_bytes, runs: buckets.into_iter().map(exec::sort_group).collect() }
+        MapOut {
+            work,
+            text_bytes: added.iter().map(|a| a.1).collect(),
+            runs: ctx.into_builders().into_iter().map(RunBuilder::into_run).collect(),
+        }
     }
 
     /// Real execution of one reduce task: stream the merge of partition
@@ -366,8 +365,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapper::{ClosureMapper, MapContext};
-    use crate::reducer::{ClosureReducer, ReduceContext};
+    use crate::mapper::ClosureMapper;
+    use crate::reducer::ClosureReducer;
     use crate::simtime::CostModel;
     use bytes::Bytes;
     use redoop_dfs::{ClusterConfig, PlacementPolicy};

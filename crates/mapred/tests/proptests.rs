@@ -502,3 +502,103 @@ proptest! {
         prop_assert_eq!(text.into_text(), (io::encode_kv_block(&pairs), pairs.len() as u64));
     }
 }
+
+/// The stable sort + group a [`RunBuilder`] must reproduce.
+fn stable_sort_groups(pairs: &[(u64, u64)]) -> redoop_mapred::Grouped<u64, u64> {
+    let mut sorted = pairs.to_vec();
+    sorted.sort_by_key(|p| p.0);
+    exec::group_consecutive(sorted)
+}
+
+/// `pairs` cut at `cuts` (each taken modulo the length) into 1–7
+/// consecutive pieces, empty ones included.
+fn cut_into_pieces<'a>(pairs: &'a [(u64, u64)], cuts: &[usize]) -> Vec<&'a [(u64, u64)]> {
+    let mut at: Vec<usize> = cuts.iter().map(|c| c % (pairs.len() + 1)).collect();
+    at.extend([0, pairs.len()]);
+    at.sort_unstable();
+    at.windows(2).map(|w| &pairs[w[0]..w[1]]).collect()
+}
+
+/// Few keys, so pieces share them; up to 200 pairs, so `sort_group`'s
+/// tiny-run sort and the builder are both on.
+fn duplicate_heavy_pairs() -> impl Strategy<Value = Vec<(u64, u64)>> {
+    proptest::collection::vec((0u64..24, any::<u64>()), 0..200)
+}
+
+/// Drops every third key, sums the next, keeps first and last of the rest.
+fn uneven_combiner() -> impl redoop_mapred::Combiner<u64, u64> {
+    redoop_mapred::combiner::ClosureCombiner::new(|k: &u64, vs: &[u64]| match k % 3 {
+        0 => vec![],
+        1 => vec![vs.iter().fold(0u64, |a, v| a.wrapping_add(*v))],
+        _ => vec![vs[0], vs[vs.len() - 1]],
+    })
+}
+
+proptest! {
+    /// One builder per piece, merged in order with `absorb`, is the
+    /// stable sort of the whole — whether the pairs came with a hash
+    /// (the partitioner's) or were hashed by the builder, and that is
+    /// what `sort_group` returns too.
+    #[test]
+    fn builders_merged_with_absorb_equal_the_stable_sort(
+        pairs in duplicate_heavy_pairs(),
+        cuts in proptest::collection::vec(any::<usize>(), 0..6)
+    ) {
+        use redoop_mapred::grouped::RunBuilder;
+        use redoop_mapred::Partitioner;
+        let pieces = cut_into_pieces(&pairs, &cuts);
+        prop_assert!((1..=7).contains(&pieces.len()));
+        let mut hashed: RunBuilder<u64, u64> = RunBuilder::new();
+        let mut unhashed: RunBuilder<u64, u64> = RunBuilder::new();
+        for piece in pieces {
+            let mut part = RunBuilder::new();
+            for &(k, v) in piece {
+                part.push_hashed(Partitioner::hash(&HashPartitioner, &k), k, v);
+            }
+            hashed.absorb(part);
+            unhashed.absorb(piece.iter().copied().collect());
+        }
+        prop_assert_eq!(hashed.len(), pairs.len());
+        prop_assert_eq!(hashed.text_bytes_since(0), io::kv_block_text_bytes(&pairs));
+        let expected = stable_sort_groups(&pairs);
+        prop_assert_eq!(&hashed.into_run(), &expected);
+        prop_assert_eq!(&unhashed.into_run(), &expected);
+        prop_assert_eq!(&exec::sort_group(pairs), &expected);
+    }
+
+    /// Folding each piece's tail as it ends equals `combine` applied,
+    /// piece by piece, to the piece's stable-sort groups — records, text
+    /// bytes and the finished run — and a key whose every value was
+    /// folded away leaves no run behind for the block codec to reject.
+    #[test]
+    fn a_fold_of_each_tail_equals_combine_per_piece(
+        pairs in duplicate_heavy_pairs(),
+        cuts in proptest::collection::vec(any::<usize>(), 0..6)
+    ) {
+        use redoop_mapred::grouped::RunBuilder;
+        use redoop_mapred::Combiner;
+        let combiner = uneven_combiner();
+        let mut builder: RunBuilder<u64, u64> = RunBuilder::new();
+        let mut combined: Vec<(u64, u64)> = Vec::new();
+        for piece in cut_into_pieces(&pairs, &cuts) {
+            let (mark, before) = (builder.len(), combined.len());
+            for &(k, v) in piece {
+                builder.push(k, v);
+            }
+            builder.fold_tail(mark, &combiner);
+            for (k, vs) in stable_sort_groups(piece).iter() {
+                combined.extend(combiner.combine(k, vs).into_iter().map(|v| (*k, v)));
+            }
+            prop_assert_eq!(builder.len() - mark, combined.len() - before);
+            prop_assert_eq!(
+                builder.text_bytes_since(mark),
+                io::kv_block_text_bytes(&combined[before..])
+            );
+        }
+        let run = builder.into_run();
+        prop_assert_eq!(&run, &stable_sort_groups(&combined));
+        prop_assert!(run.runs.iter().all(|(k, _, len)| *len > 0 && k % 3 != 0));
+        let stored = io::encode_framed_grouped_block(&run, 0, 0);
+        prop_assert_eq!(io::decode_framed_grouped_block::<u64, u64>(&stored).unwrap().grouped, run);
+    }
+}

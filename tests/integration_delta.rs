@@ -268,3 +268,105 @@ fn delta_equivalence_over_random_geometry_batches_and_workers() {
         check_equivalence(ppw, pps, windows, keys, &cuts, workers, seed);
     }
 }
+
+/// Every cache blob of class `prefix` (`rd/` or `ro/`) on any node's
+/// local store, by the rest of its name (`s0p<pane>/r<partition>`).
+fn blobs_of_class(cluster: &Cluster, prefix: &str) -> std::collections::BTreeMap<String, Vec<u8>> {
+    let mut blobs = std::collections::BTreeMap::new();
+    for n in 0..cluster.node_count() as u32 {
+        let node = redoop_dfs::NodeId(n);
+        for name in cluster.list_local(node).unwrap() {
+            if let Some(rest) = name.strip_prefix(prefix).filter(|r| !r.ends_with(".open")) {
+                let blob = cluster.peek_local(node, &name).unwrap().to_vec();
+                assert!(blobs.insert(rest.to_string(), blob).is_none(), "{name} held twice");
+            }
+        }
+    }
+    blobs
+}
+
+#[test]
+fn folded_state_and_sealed_blobs_hold_over_a_long_run() {
+    // The open pane state is a run builder the next batch's map sink
+    // emits into: a key must keep one id — one group, one run — however
+    // many batches fold into its pane. 12 windows, two batches a pane.
+    let spec = spec_with_overlap(0.5);
+    let windows = 12;
+    let batches: Vec<GeneratedBatch> = wcc_batches(&ArrivalPlan::new(spec, windows), 41, 1.0)
+        .iter()
+        .flat_map(|b| {
+            let mid = (b.range.start.0 + b.range.end.0) / 2;
+            let early = |line: &&String| line.split(',').next().unwrap().parse::<u64>().unwrap() < mid;
+            let (first, second) = b.lines.iter().partition::<Vec<&String>, _>(early);
+            [(b.range.start.0, mid, first), (mid, b.range.end.0, second)].map(|(lo, hi, lines)| {
+                GeneratedBatch {
+                    lines: lines.into_iter().cloned().collect(),
+                    multiplier: b.multiplier,
+                    range: TimeRange::new(EventTime(lo), EventTime(hi)),
+                }
+            })
+        })
+        .collect();
+
+    let cluster = test_cluster();
+    let mut exec = delta_executor(&cluster, spec, "delta-long", true);
+    let sink = TraceSink::with_capacity(1 << 18);
+    exec.set_trace_sink(sink.clone());
+    ingest_all(&mut exec, 0, &batches);
+    let sealed = blobs_of_class(&cluster, "rd/");
+    assert!(sealed.len() >= 4 * (windows as usize + 1), "a blob per sealed (pane, partition)");
+
+    // A sealed delta is, byte for byte, the pane partial the fire path
+    // builds from the raw pane files.
+    let cluster_r = test_cluster();
+    let mut rebuild = delta_executor(&cluster_r, spec, "delta-long-off", false);
+    ingest_all(&mut rebuild, 0, &batches);
+    let mut built = std::collections::BTreeMap::new();
+    for w in 0..windows {
+        let delta_report = exec.run_window(w).unwrap();
+        let rebuild_report = rebuild.run_window(w).unwrap();
+        for (a, b) in delta_report.outputs.iter().zip(&rebuild_report.outputs) {
+            assert_eq!(cluster.read(a).unwrap(), cluster_r.read(b).unwrap(), "window {w}");
+        }
+        built.extend(blobs_of_class(&cluster_r, "ro/"));
+    }
+    for (name, blob) in &sealed {
+        if let Some(partial) = built.get(name) {
+            assert!(blob == partial, "rd/{name} differs from ro/{name}");
+        }
+    }
+    assert!(sealed.keys().filter(|name| built.contains_key(*name)).count() >= 4 * windows as usize);
+
+    // What ingest folded, charged and sealed, event for event, is what
+    // it was before the open state became a builder (FNV-1a over the
+    // journal's fold / seal events and the sealed blobs, recorded at the
+    // parent of that change).
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut feed = |bytes: &[u8]| {
+        for b in bytes {
+            digest = (digest ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let mut folds = 0;
+    for event in sink.events() {
+        let ingest_side = match &event {
+            TraceEvent::DeltaFold { groups, .. } => {
+                assert!(*groups > 0);
+                folds += 1;
+                true
+            }
+            TraceEvent::DeltaSeal { .. } => true,
+            TraceEvent::TaskSpan { phase, .. } => *phase == "fold",
+            _ => false,
+        };
+        if ingest_side {
+            feed(format!("{event:?}\n").as_bytes());
+        }
+    }
+    assert!(folds >= 2 * (windows + 1), "two folds a pane");
+    for (name, blob) in &sealed {
+        feed(name.as_bytes());
+        feed(blob);
+    }
+    assert_eq!(digest, 14_889_111_713_328_058_181, "ingest-side journal and sealed blobs");
+}

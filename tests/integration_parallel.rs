@@ -4,18 +4,38 @@
 //! deterministic single-threaded apply step. These tests run the same
 //! workload with the pool forced to one worker and with auto-detected
 //! parallelism and require bit-identical window reports and outputs.
+//!
+//! `set_host_parallelism` is process-global, so everything that must run
+//! under a forced pool size lives in this binary, and every test in it
+//! holds [`POOL`] while it runs.
 
 #[path = "common/mod.rs"]
 mod common;
 
+use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+
 use common::*;
 use redoop_core::prelude::*;
-use redoop_mapred::exec;
+use redoop_mapred::combiner::SumCombiner;
+use redoop_mapred::grouped::RunBuilder;
 use redoop_mapred::trace::TraceSink;
+use redoop_mapred::{exec, JobConf, JobRunner, JobSpec, MapContext, Mapper, ReduceContext, Reducer};
 use redoop_workloads::arrival::ArrivalPlan;
 use redoop_workloads::ffg::Stream;
+use redoop_workloads::queries::{AggMapper, AggReducer};
 
 const WINDOWS: u64 = 4;
+
+/// Serialises the tests of this binary: each forces the process-global
+/// pool size as it goes.
+static POOL: Mutex<()> = Mutex::new(());
+
+fn forced_pool() -> MutexGuard<'static, ()> {
+    // A test that failed while holding the lock left nothing half-done.
+    POOL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Runs the WCC aggregation for a few windows under `tag`, returning
 /// the Debug rendering of every report plus the sorted window outputs
@@ -130,37 +150,112 @@ fn run_join_budgeted(
     (reports, outputs, peak)
 }
 
-/// Decode-once join under eviction pressure: a CostBased budget of a
-/// quarter of the uncapped peak keeps the rebuild / re-decode / pair
-/// path busy every window. Outputs must equal the uncapped run (and,
-/// inside the runner, plain recomputation) for 1, 2 and 4 host workers,
-/// and reports and journals must not depend on the worker count.
-fn capped_join_is_identical_across_worker_counts() {
+/// The pool sizes a pane's splits are chunked under: one sink for all
+/// of them, counts that divide a pane's split count and counts that do
+/// not, more workers than some panes have splits, and whatever the host
+/// has (`None`).
+const CHUNKINGS: [Option<usize>; 6] = [Some(1), Some(2), Some(3), Some(4), Some(5), None];
+
+/// Runs `scenario` under every pool size of [`CHUNKINGS`] and requires
+/// what it returns, and the journal it rendered, to be what one worker
+/// gave. Returns the one-worker journal.
+fn same_under_any_chunking<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    scenario: impl Fn(&TraceSink) -> T,
+) -> String {
+    let mut single: Option<(T, String)> = None;
+    for workers in CHUNKINGS {
+        exec::set_host_parallelism(workers);
+        let sink = TraceSink::with_capacity(1 << 18);
+        let got = scenario(&sink);
+        let journal = sink.render_json();
+        match &single {
+            None => single = Some((got, journal)),
+            Some((want, want_journal)) => {
+                assert_eq!(&got, want, "{what}, {workers:?} workers: reports and part files");
+                assert!(&journal == want_journal, "{what}, {workers:?} workers: journal");
+            }
+        }
+    }
+    exec::set_host_parallelism(None);
+    single.expect("CHUNKINGS is not empty").1
+}
+
+/// Feeds `batches` to a WCC aggregation built by `build` and fires
+/// [`WINDOWS`] recurrences: per window the `Debug` report and the raw
+/// part files.
+fn run_agg_raw(
+    sink: &TraceSink,
+    rate_scale: f64,
+    build: impl Fn(&redoop_dfs::Cluster, WindowSpec) -> RecurringExecutor<AggMapper, AggReducer>,
+) -> Vec<(String, Vec<Vec<u8>>)> {
+    let spec = spec_with_overlap(0.75);
+    let batches = wcc_batches(&ArrivalPlan::new(spec, WINDOWS), 29, rate_scale);
+    let cluster = test_cluster();
+    let mut exec = build(&cluster, spec);
+    exec.set_trace_sink(sink.clone());
+    ingest_all(&mut exec, 0, &batches);
+    (0..WINDOWS)
+        .map(|w| {
+            let report = exec.run_window(w).unwrap();
+            let parts = report.outputs.iter().map(|p| cluster.read(p).unwrap().to_vec()).collect();
+            (format!("{report:?}"), parts)
+        })
+        .collect()
+}
+
+/// A pane is mapped by one sink per host worker over a contiguous range
+/// of its splits, and the workers' builders are merged in range order:
+/// however the splits are cut, the runs — and so every part file, report
+/// and journal line — must be the ones a single sink produces.
+#[test]
+fn a_pane_maps_to_the_same_runs_under_any_chunking() {
+    let _pool = forced_pool();
+
+    // Every split's share of a bucket is folded at its boundary, so the
+    // fold must not care which sink the split before it went to.
+    let journal = same_under_any_chunking("aggregation with a fire-path combiner", |sink| {
+        run_agg_raw(sink, 2.0, |cluster, spec| {
+            let mut exec =
+                agg_executor(cluster, spec, "chunk-comb", batch_adaptive(cluster, &spec));
+            exec.set_combiner(Arc::new(SumCombiner));
+            exec.set_options(ExecutorOptions { delta_maintenance: false, ..Default::default() });
+            exec
+        })
+    });
+    assert!(journal.contains("\"label\":\"build/w0/p0/r0\""), "panes are built at fire time");
+    assert!(!journal.contains("\"type\":\"delta_fold\""), "nothing is folded at ingest");
+
+    // Sub-pane files: several slices per pane, each of several splits, so
+    // a worker's range starts and ends inside slices.
+    let journal = same_under_any_chunking("adaptive sub-pane plan", |sink| {
+        run_agg_raw(sink, 4.0, |cluster, spec| {
+            agg_executor(cluster, spec, "chunk-sub", proactive_adaptive(cluster, &spec, 3))
+        })
+    });
+    for slice in 0..3 {
+        let first = format!("\"label\":\"map/s0p0/{slice}\"");
+        assert!(journal.matches(&first).count() > 2, "slice {slice} of pane 0 spans several splits");
+    }
+
+    // Decode-once join under eviction pressure: a CostBased budget of a
+    // quarter of the uncapped peak keeps the rebuild / re-decode / pair
+    // path busy every window. Outputs must equal the uncapped run (and,
+    // inside the runner, plain recomputation).
     exec::set_host_parallelism(Some(1));
     let (_, uncapped_out, peak) = run_join_budgeted(None, &TraceSink::disabled());
     let budget = CacheBudget::bounded(CachePolicyKind::CostBased, (peak / 4).max(1));
-    let mut runs = Vec::new();
-    for workers in [1usize, 2, 4] {
-        exec::set_host_parallelism(Some(workers));
-        let sink = TraceSink::with_capacity(1 << 18);
-        let (reports, out, _) = run_join_budgeted(Some(budget), &sink);
-        assert_eq!(out, uncapped_out, "{workers} workers: capped outputs equal uncapped");
-        runs.push((workers, reports, sink.render_json()));
-    }
-    exec::set_host_parallelism(None);
-    let (_, reports1, journal1) = &runs[0];
-    assert!(journal1.contains("\"action\":\"evict\""), "the budget must actually evict");
-    for (workers, reports, journal) in &runs[1..] {
-        assert_eq!(reports, reports1, "{workers} workers: window reports");
-        assert!(journal == journal1, "{workers} workers: journal must be byte-identical");
-    }
+    let journal = same_under_any_chunking("capped join", |sink| {
+        let (reports, out, _) = run_join_budgeted(Some(budget), sink);
+        assert_eq!(out, uncapped_out, "capped outputs equal uncapped");
+        (reports, out)
+    });
+    assert!(journal.contains("\"action\":\"evict\""), "the budget must actually evict");
 }
 
-/// `set_host_parallelism` is process-global, so this binary holds its
-/// single test: everything that must run under a forced pool size.
 #[test]
 fn parallel_execution_is_bit_identical_to_single_worker() {
-    capped_join_is_identical_across_worker_counts();
+    let _pool = forced_pool();
 
     // Each run builds its own cluster, so the same tag (and hence the
     // same DFS paths, making reports string-comparable) is safe. Each
@@ -226,4 +321,159 @@ fn parallel_execution_is_bit_identical_to_single_worker() {
         );
         assert_eq!(join_single.1[w], join_auto.1[w], "join window {w} outputs");
     }
+}
+
+/// Calls of `CountedKey::hash`, and pairs `CountedMapper` emitted. Process-
+/// wide, not thread-local: map tasks run on pool threads.
+static HASHED: AtomicU64 = AtomicU64::new(0);
+static EMITTED: AtomicU64 = AtomicU64::new(0);
+
+/// A string key that counts how often it is hashed.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct CountedKey(String);
+
+impl Hash for CountedKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        HASHED.fetch_add(1, Ordering::Relaxed);
+        self.0.hash(state)
+    }
+}
+
+impl redoop_mapred::Writable for CountedKey {
+    fn write(&self, out: &mut String) {
+        out.push_str(&self.0)
+    }
+    fn read(s: &str) -> redoop_mapred::Result<Self> {
+        Ok(CountedKey(s.to_string()))
+    }
+}
+
+/// WCC line → `(object, 1)` and `(client, 1)`, counting its emits.
+struct CountedMapper;
+
+impl Mapper for CountedMapper {
+    type KOut = CountedKey;
+    type VOut = u64;
+
+    fn map(&self, line: &str, ctx: &mut MapContext<CountedKey, u64>) {
+        for field in line.split(',').skip(1).take(2) {
+            EMITTED.fetch_add(1, Ordering::Relaxed);
+            ctx.emit(CountedKey(field.to_string()), 1);
+        }
+    }
+}
+
+struct CountedReducer;
+
+impl Reducer for CountedReducer {
+    type KIn = CountedKey;
+    type VIn = u64;
+    type KOut = CountedKey;
+    type VOut = u64;
+
+    fn reduce(&self, key: &CountedKey, values: &[u64], ctx: &mut ReduceContext<CountedKey, u64>) {
+        ctx.emit(key.clone(), values.iter().sum());
+    }
+}
+
+/// `(hashes, emits)` since the last call.
+fn take_counts() -> (u64, u64) {
+    (HASHED.swap(0, Ordering::Relaxed), EMITTED.swap(0, Ordering::Relaxed))
+}
+
+/// The record path's invariant: a mapped pair is hashed once — by the
+/// partitioner, at `emit` — and that hash serves the bucket choice, the
+/// group table, every merge of builders and the sorted run, all the way
+/// to the encoded cache block and the part file.
+#[test]
+fn a_mapped_pair_is_hashed_exactly_once() {
+    let _pool = forced_pool();
+    let spec = spec_with_overlap(0.75);
+    let batches = wcc_batches(&ArrivalPlan::new(spec, 3), 31, 1.0);
+
+    // The fire path, on one sink per pane and on three merged with
+    // `absorb`; then with a combiner folding at every split boundary
+    // (delta off), and with the same combiner folding at ingest.
+    for (workers, combiner, delta) in
+        [(1, false, false), (3, false, false), (1, true, false), (3, true, false), (3, true, true)]
+    {
+        exec::set_host_parallelism(Some(workers));
+        let cluster = test_cluster();
+        let tag = format!("once-{workers}-{combiner}-{delta}");
+        let source = SourceConf::with_leading_ts(
+            "wcc",
+            spec,
+            redoop_dfs::DfsPath::new(format!("/panes/{tag}")).unwrap(),
+        );
+        let out = redoop_dfs::DfsPath::new(format!("/out/{tag}")).unwrap();
+        let mut exec = RecurringExecutor::aggregation(
+            &cluster,
+            test_sim(&cluster),
+            QueryConf::new(&tag, 4, out).unwrap(),
+            source,
+            Arc::new(CountedMapper),
+            Arc::new(CountedReducer),
+            Arc::new(SumMerger),
+            batch_adaptive(&cluster, &spec),
+        )
+        .unwrap();
+        if combiner {
+            exec.set_combiner(Arc::new(SumCombiner));
+        }
+        exec.set_options(ExecutorOptions { delta_maintenance: delta, ..Default::default() });
+        take_counts();
+        ingest_all(&mut exec, 0, &batches);
+        let mut built = 0;
+        for w in 0..3 {
+            let report = exec.run_window(w).unwrap();
+            built += report.built_products;
+            let rows: Vec<(String, u64)> = read_window_output(&cluster, &report.outputs).unwrap();
+            assert!(!rows.is_empty(), "window {w} produced output");
+        }
+        let sealed = exec
+            .controller()
+            .all_cached()
+            .iter()
+            .any(|n| matches!(n.object, redoop_core::cache::CacheObject::PaneDelta { .. }));
+        assert_eq!(sealed, delta, "panes are sealed at ingest only on the delta path");
+        assert!(built > 0 || delta, "without it every pane is built at fire time");
+        let (hashed, emitted) = take_counts();
+        assert!(emitted > 0);
+        assert_eq!(hashed, emitted, "{workers} workers, combiner {combiner}, delta {delta}");
+    }
+    exec::set_host_parallelism(None);
+
+    // The plain engine shares the sink and the builder.
+    let cluster = test_cluster();
+    let files = baseline_inputs(&cluster, "/batches/once", &batches);
+    let inputs: Vec<redoop_dfs::DfsPath> = files.iter().map(|f| f.path.clone()).collect();
+    for with_combiner in [false, true] {
+        let (mapper, reducer) = (CountedMapper, CountedReducer);
+        let mut runner = JobRunner::new(&cluster, &mapper, &reducer);
+        if with_combiner {
+            runner = runner.with_combiner(&SumCombiner);
+        }
+        let out = redoop_dfs::DfsPath::new(format!("/out/once-job-{with_combiner}")).unwrap();
+        let spec = JobSpec::new("once", inputs.clone(), out);
+        let conf = JobConf { num_reducers: 4, ..Default::default() };
+        take_counts();
+        runner.run(&mut test_sim(&cluster), &spec, &conf, redoop_mapred::SimTime::ZERO).unwrap();
+        let (hashed, emitted) = take_counts();
+        assert!(emitted > 0);
+        assert_eq!(hashed, emitted, "JobRunner, combiner {with_combiner}");
+    }
+
+    // Merging builders hashes nothing: ids are remapped through the
+    // hashes the keys arrived with.
+    let parts: Vec<RunBuilder<CountedKey, u64>> = (0..5u64)
+        .map(|part| (0..40).map(|i| (CountedKey(format!("k{}", (i * 7 + part) % 13)), i)).collect())
+        .collect();
+    assert_eq!(take_counts().0, 5 * 40);
+    let mut whole = RunBuilder::new();
+    for part in parts {
+        whole.absorb(part);
+    }
+    let run = whole.into_run();
+    assert_eq!((run.group_count(), run.records()), (13, 200));
+    assert_eq!(take_counts().0, 0, "absorb and into_run hash no key");
 }
