@@ -131,7 +131,6 @@ fn pane_key(name: &CacheName) -> Option<(u32, u64)> {
     match name.object {
         CacheObject::PaneInput { source, pane, .. } => Some((source, pane.0)),
         CacheObject::PaneOutput { source, pane } => Some((source, pane.0)),
-        CacheObject::PaneDelta { source, pane } => Some((source, pane.0)),
         CacheObject::PairOutput { .. } => None,
     }
 }

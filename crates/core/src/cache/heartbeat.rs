@@ -41,7 +41,7 @@ pub struct RegistryHeartbeat {
 impl LocalCacheRegistry {
     /// Builds this node's heartbeat: every unexpired registry entry whose
     /// file really exists in the node's local store, with the framed
-    /// cache kinds (pane inputs, outputs and deltas) additionally audited
+    /// cache kinds (pane inputs and pane outputs) additionally audited
     /// frame-by-frame against their checksums.
     /// Entries whose files vanished (crash, manual purge) or failed the
     /// audit are dropped from the registry as a side effect — the

@@ -27,7 +27,9 @@ pub enum CacheObject {
         sub: u32,
     },
     /// Reduce-output cache of an aggregation: one pane's partial
-    /// aggregates.
+    /// aggregates — built at fire time from the pane files, or folded
+    /// from arriving records and sealed at ingestion (the delta path).
+    /// The name says what the cache holds, not when it was computed.
     PaneOutput {
         /// Source the pane belongs to.
         source: u32,
@@ -40,19 +42,6 @@ pub enum CacheObject {
         left: PaneId,
         /// Pane of source 1.
         right: PaneId,
-    },
-    /// Reduce-output *delta* cache: one pane's aggregates maintained
-    /// incrementally by folding arriving records at ingestion and sealed
-    /// when the pane seals. Same payload format as [`PaneOutput`] (a
-    /// sorted grouped block), but a distinct class so the planner can
-    /// tell "state already maintained online" from "built at fire time".
-    ///
-    /// [`PaneOutput`]: CacheObject::PaneOutput
-    PaneDelta {
-        /// Source the pane belongs to.
-        source: u32,
-        /// The pane.
-        pane: PaneId,
     },
 }
 
@@ -71,9 +60,9 @@ impl CacheObject {
     pub fn kind(&self) -> CacheKind {
         match self {
             CacheObject::PaneInput { .. } => CacheKind::ReduceInput,
-            CacheObject::PaneOutput { .. }
-            | CacheObject::PairOutput { .. }
-            | CacheObject::PaneDelta { .. } => CacheKind::ReduceOutput,
+            CacheObject::PaneOutput { .. } | CacheObject::PairOutput { .. } => {
+                CacheKind::ReduceOutput
+            }
         }
     }
 
@@ -90,9 +79,6 @@ impl CacheObject {
             CacheObject::PairOutput { left, right } => {
                 format!("po/p{}x{}/r{partition}", left.0, right.0)
             }
-            CacheObject::PaneDelta { source, pane } => {
-                format!("rd/s{source}p{}/r{partition}", pane.0)
-            }
         }
     }
 }
@@ -104,7 +90,7 @@ impl CacheObject {
 /// coincide compute the same fingerprint over a shared source, so their
 /// plans name — and therefore reuse — the same cache files. A
 /// fingerprint of `0` means "private, per-query-slot identity" and
-/// renders the legacy `ri|ro|po|rd/...` store names unchanged.
+/// renders the legacy `ri|ro|po/...` store names unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CacheName {
     /// The cached object.
@@ -156,10 +142,6 @@ mod tests {
         let pair = CacheObject::PairOutput { left: PaneId(3), right: PaneId(5) };
         assert_eq!(pair.store_name(1), "po/p3x5/r1");
         assert_eq!(pair.kind(), CacheKind::ReduceOutput);
-
-        let delta = CacheObject::PaneDelta { source: 0, pane: PaneId(7) };
-        assert_eq!(delta.store_name(3), "rd/s0p7/r3");
-        assert_eq!(delta.kind(), CacheKind::ReduceOutput);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use redoop_dfs::{Cluster, NodeId};
-use redoop_mapred::hasher::FastMap;
 use redoop_mapred::trace::{self, CacheAction, TraceEvent, TraceSink};
 
 use super::policy::PurgePolicy;
@@ -27,6 +26,13 @@ pub struct RegistryEntry {
     pub expired: bool,
     /// Size in bytes on the local store.
     pub bytes: u64,
+    /// `(blob ptr, blob len)` of the store blob the last heartbeat
+    /// verified intact for this entry, if any. `Bytes` blobs are
+    /// immutable once stored, so an unchanged pointer proves unchanged
+    /// content and lets the content audit skip re-checksumming —
+    /// verification stays O(changed blobs). Held in the row, the voucher
+    /// cannot outlive the entry it vouches for.
+    pub(crate) verified: Option<(usize, usize)>,
 }
 
 /// Per-node cache registry.
@@ -45,11 +51,6 @@ pub struct LocalCacheRegistry {
     /// Names of currently expired entries — the purge scan's working
     /// set, name-sorted like the full-table scan it replaces.
     expired: BTreeSet<CacheName>,
-    /// `(blob ptr, blob len)` of the last store blob verified intact per
-    /// entry. `Bytes` blobs are immutable once stored, so an unchanged
-    /// pointer proves unchanged content and lets the heartbeat's content
-    /// audit skip re-checksumming — verification stays O(changed blobs).
-    verified_blobs: FastMap<CacheName, (usize, usize)>,
     /// Running total of unexpired entry bytes.
     live_bytes: u64,
     trace: TraceSink,
@@ -66,7 +67,6 @@ impl LocalCacheRegistry {
             version: 0,
             last_verified: None,
             expired: BTreeSet::new(),
-            verified_blobs: FastMap::default(),
             live_bytes: 0,
             trace: trace::global_sink(),
         }
@@ -87,12 +87,14 @@ impl LocalCacheRegistry {
     /// Whether `(ptr, len)` matches the blob last verified intact for
     /// `name` (pointer identity: same `Bytes` allocation, same content).
     pub(crate) fn blob_verified(&self, name: &CacheName, ptr: usize, len: usize) -> bool {
-        self.verified_blobs.get(name) == Some(&(ptr, len))
+        self.entries.get(name).is_some_and(|e| e.verified == Some((ptr, len)))
     }
 
     /// Remembers `(ptr, len)` as verified intact for `name`.
     pub(crate) fn remember_verified(&mut self, name: CacheName, ptr: usize, len: usize) {
-        self.verified_blobs.insert(name, (ptr, len));
+        if let Some(e) = self.entries.get_mut(&name) {
+            e.verified = Some((ptr, len));
+        }
     }
 
     /// Routes this registry's purge events to an explicit sink.
@@ -111,7 +113,7 @@ impl LocalCacheRegistry {
         let kind = name.object.kind();
         let prev = self
             .entries
-            .insert(name, RegistryEntry { name, kind, expired: false, bytes });
+            .insert(name, RegistryEntry { name, kind, expired: false, bytes, verified: None });
         match prev {
             Some(p) if p.expired => {
                 self.expired.remove(&name);
@@ -119,9 +121,6 @@ impl LocalCacheRegistry {
             Some(p) => self.live_bytes -= p.bytes,
             None => {}
         }
-        // A new entry is a new blob: whatever was verified under this
-        // name before, the next heartbeat audits what is stored now.
-        self.verified_blobs.remove(&name);
         self.live_bytes += bytes;
         self.version += 1;
         self.debug_check_counters();
@@ -146,11 +145,8 @@ impl LocalCacheRegistry {
 
     /// Debug-mode invariant (capacity enforcement reads `live_bytes`;
     /// silent drift here would corrupt every admission decision): the
-    /// incremental counter must equal the sum of unexpired entry sizes,
-    /// the expired working set must mirror the expiration flags, and the
-    /// heartbeat's verified-blob memo must vouch only for current entries
-    /// (a row outliving its entry is a leak, and a stale voucher for the
-    /// next cache stored under that name).
+    /// incremental counter must equal the sum of unexpired entry sizes
+    /// and the expired working set must mirror the expiration flags.
     #[cfg(debug_assertions)]
     fn debug_check_counters(&self) {
         let live: u64 = self.entries.values().filter(|e| !e.expired).map(|e| e.bytes).sum();
@@ -164,11 +160,6 @@ impl LocalCacheRegistry {
         debug_assert!(
             self.expired.iter().eq(expired.into_iter()),
             "expired working set drifted from entry table on node {:?}",
-            self.node
-        );
-        debug_assert!(
-            self.verified_blobs.keys().all(|name| self.entries.contains_key(name)),
-            "verified-blob memo outlived its entry on node {:?}",
             self.node
         );
     }
@@ -196,7 +187,6 @@ impl LocalCacheRegistry {
                 } else {
                     self.live_bytes -= e.bytes;
                 }
-                self.verified_blobs.remove(name);
                 self.version += 1;
                 self.debug_check_counters();
                 true
@@ -226,7 +216,6 @@ impl LocalCacheRegistry {
         let names = self.entries.keys().copied().collect();
         self.entries.clear();
         self.expired.clear();
-        self.verified_blobs.clear();
         self.live_bytes = 0;
         self.version += 1;
         self.debug_check_counters();
@@ -245,7 +234,6 @@ impl LocalCacheRegistry {
             let _ = cluster.delete_local(self.node, &name.store_name())?;
             let entry = self.entries.remove(name);
             self.expired.remove(name);
-            self.verified_blobs.remove(name);
             self.version += 1;
             self.trace.emit(|| TraceEvent::Cache {
                 at: self.trace.now(),
@@ -367,9 +355,9 @@ mod tests {
                 reg.mark_expired(&out_name(w - 2));
                 reg.purge_expired(&cluster).unwrap();
             }
-            assert!(reg.verified_blobs.len() <= reg.len(), "window {w}");
         }
-        assert_eq!((reg.verified_blobs.len(), reg.len()), (3, 3));
+        let vouched = reg.entries.values().filter(|e| e.verified.is_some()).count();
+        assert_eq!((vouched, reg.len()), (3, 3));
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::cache::CacheName;
 use crate::error::Result;
 
 use super::driver::{BuiltCache, BuiltRun, MappedPanes, PartitionPrep, WindowCtx};
-use super::plan::{delta_name, output_name, WindowPlan};
+use super::plan::{output_name, WindowPlan};
 use super::RecurringExecutor;
 
 impl<M, R> RecurringExecutor<M, R>
@@ -36,8 +36,8 @@ where
     /// cache): finish the bucket's builder into its sorted run, run the
     /// reducer, and encode the partial result as a grouped block. No
     /// executor state is touched.
-    /// Also the delta seal's compute — sealed `rd/…` deltas share the
-    /// `ro/…` payload format by construction.
+    /// Also the delta seal's compute: what ingestion seals *is* the
+    /// pane's `ro/…` cache.
     pub(super) fn pane_output_compute(
         shuffle_text_bytes: u64,
         mapped: RunBuilder<M::KOut, M::VOut>,
@@ -137,15 +137,7 @@ where
         let mut names: Vec<CacheName> = Vec::with_capacity(panes.len());
         let mut read_back: Vec<u64> = Vec::with_capacity(panes.len());
         for &p in panes {
-            // Delta-hit panes were sealed at ingestion under the `rd/…`
-            // class; everything else (fresh builds, prior-window `ro/…`
-            // caches) lives under the plain output name. Both carry the
-            // same framed grouped-block payload.
-            let name = if prep.delta_hits.contains(&p.0) {
-                delta_name(plan.fp, 0, p, r)
-            } else {
-                output_name(plan.fp, 0, p, r)
-            };
+            let name = output_name(plan.fp, 0, p, r);
             let handed_over = partials.contains_key(&p.0);
             if let Some(sig) = self.controller.signature(&name) {
                 // Every pane partial gates readiness: fresh builds by
@@ -175,11 +167,12 @@ where
             runs.push(block.grouped);
         }
         if r == self.conf.num_reducers - 1 {
-            // A consumed delta counts as the pane's product for expiry
-            // purposes — a partially-sealed pane (some partitions fell
-            // back to rebuild) would otherwise never satisfy the status
-            // matrix and leak its surviving `rd/…` caches.
-            for &p in panes.iter().filter(|p| prep.delta_hits.contains(&p.0)) {
+            // The one rule for a pane partial's lifecycle bookkeeping:
+            // the window's last partition merging a pane marks it done
+            // and hands it to the expiry sweep — whether each partition's
+            // cache was a hit (built by an earlier window, sealed at
+            // ingestion, imported from another query) or built just now.
+            for &p in panes {
                 self.matrix.mark_done(&[p]);
                 self.built_panes.insert((0, p.0));
             }

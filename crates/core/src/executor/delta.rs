@@ -6,18 +6,19 @@
 //! a per-(pane, partition) delta state held on the partition's home node
 //! (picked by the same Eq. 4 affinity rule as reduce anchors). When the
 //! packer seals a pane, the folded state is run through the reducer and
-//! **sealed** as a reduce-output *delta* cache (`rd/…`, see
-//! [`CacheObject::PaneDelta`]) — byte-identical in format to the
-//! fire-time `ro/…` pane partials, so the window merge consumes either
-//! interchangeably.
+//! **sealed** as the pane's reduce-output cache
+//! ([`CacheObject::PaneOutput`], `ro/…`) — byte for byte the partial the
+//! fire path builds from the raw pane files, stored and registered under
+//! the same name. There is no third cache type: a sealed delta *is* the
+//! pane's `ro/…` cache, built and charged at ingestion.
 //!
-//! Firing a window over sealed deltas therefore costs only the linear
+//! Firing a window over sealed panes therefore costs only the linear
 //! k-way merge — O(panes × keys) — instead of the rebuild path's
-//! O(records) map/shuffle/sort/reduce. The plan layer encodes the choice
-//! explicitly: [`WindowPlan::aggregation_delta`] emits `FoldDelta` nodes
-//! (charge only residual fold/seal cost) while no-combiner queries keep
-//! `BuildPane` as the fallback, chosen at plan-build time from query
-//! properties (combiner + merger present, single unshared source).
+//! O(records) map/shuffle/sort/reduce. Nothing at fire time knows the
+//! difference: the plan's `BuildPane` nodes hit the sealed caches on the
+//! Eq. 4 anchor like any cache an earlier window left, and one that is
+//! missing (lost node, torn blob, combiner installed mid-pane) is rebuilt
+//! from the raw pane files like any other miss.
 //!
 //! Charging model: fold and seal work is charged when it happens — at
 //! ingestion, on the shared virtual timeline — not against the firing
@@ -36,8 +37,7 @@
 //! partition's state, and leaves the pane to the fire-time rebuild path
 //! — which reconstructs it from the raw pane files in HDFS.
 //!
-//! [`CacheObject::PaneDelta`]: crate::cache::CacheObject::PaneDelta
-//! [`WindowPlan::aggregation_delta`]: super::plan::WindowPlan::aggregation_delta
+//! [`CacheObject::PaneOutput`]: crate::cache::CacheObject::PaneOutput
 
 use std::collections::HashMap;
 
@@ -53,12 +53,12 @@ use crate::packer::IngestOutcome;
 use crate::pane::PaneId;
 use crate::time::TimeRange;
 
-use super::plan::delta_name;
+use super::plan::output_name;
 use super::RecurringExecutor;
 
 /// Unsealed, in-memory delta state of one pane: the combined records of
 /// every batch folded so far, per reduce partition.
-pub(super) struct OpenPaneDelta<K, V> {
+pub(super) struct OpenDelta<K, V> {
     /// Folded (combined) records, one run builder per reduce partition —
     /// the map sink of the next batch emits straight into it, so a
     /// resident key is never hashed again and the seal is one
@@ -80,7 +80,7 @@ pub(super) struct DeltaMaintenance<K, V> {
     /// and re-picked if the node dies before the next fold.
     pub(super) homes: Vec<Option<NodeId>>,
     /// Open pane states by pane id.
-    pub(super) open: HashMap<u64, OpenPaneDelta<K, V>>,
+    pub(super) open: HashMap<u64, OpenDelta<K, V>>,
 }
 
 impl<K, V> DeltaMaintenance<K, V> {
@@ -111,8 +111,8 @@ where
     R: Reducer<KIn = M::KOut, VIn = M::VOut>,
 {
     /// Whether the ingestion-path delta combiner maintains this query's
-    /// pane state. Decided from query properties alone (the same
-    /// predicate drives the plan choice): an algebraically-safe combiner
+    /// pane state. Decided from query properties alone: an
+    /// algebraically-safe combiner
     /// and a merger must exist, and the single source must be owned —
     /// shared packers ingest once for many queries, outside any one
     /// executor's ingest path.
@@ -126,8 +126,8 @@ where
 
     /// Home node of partition `r`'s delta state: the last pick if still
     /// alive, else a fresh Eq. 4 placement weighing the partition's
-    /// existing sealed delta caches — delta-state locality enters the
-    /// affinity term exactly like pane caches.
+    /// existing pane partials — the seals are built where the merges that
+    /// read them are anchored.
     fn delta_home(&mut self, r: usize, at: SimTime) -> NodeId {
         if let Some(n) = self.delta.homes[r] {
             if self.cluster.is_alive(n) {
@@ -136,7 +136,7 @@ where
         }
         let caches = self
             .controller
-            .names_matching(|n| n.partition == r && matches!(n.object, CacheObject::PaneDelta { .. }));
+            .names_matching(|n| n.partition == r && matches!(n.object, CacheObject::PaneOutput { .. }));
         let node = if caches.is_empty() {
             // First fold with no delta affinity yet: every partition asks
             // at the same arrival instant with identical reduce loads, so
@@ -183,7 +183,7 @@ where
         for (pane, idxs) in &outcome.pane_lines {
             let homes: Vec<NodeId> = (0..num_reducers).map(|r| self.delta_home(r, arrive)).collect();
             let first_fold = !self.delta.open.contains_key(pane);
-            let open = self.delta.open.entry(*pane).or_insert_with(|| OpenPaneDelta {
+            let open = self.delta.open.entry(*pane).or_insert_with(|| OpenDelta {
                 parts: exec::fresh_builders(num_reducers),
                 records: 0,
                 ready: SimTime::ZERO,
@@ -249,12 +249,12 @@ where
 
     /// Seals the delta state of every pane the packer just closed
     /// (`before..after`): run the reducer over each partition's folded
-    /// pairs, write the result as an `rd/…` reduce-output delta cache on
-    /// the home node, register it with the controller, and charge the
+    /// pairs, write the result as the pane's `ro/…` reduce-output cache
+    /// on the home node, register it with the controller, and charge the
     /// seal as a reduce task. Partitions whose home died mid-pane (the
     /// `.open` sentinel is gone) or whose fold is incomplete are
-    /// discarded — the fire-time planner's `FoldDelta` miss then falls
-    /// back to rebuilding that pane partition from the raw pane files.
+    /// discarded — the window's `BuildPane` then misses and rebuilds that
+    /// pane partition from the raw pane files.
     pub(super) fn delta_seal_panes(&mut self, before: u64, after: u64) -> Result<()> {
         for p in before..after {
             let Some(open) = self.delta.open.remove(&p) else { continue };
@@ -266,7 +266,6 @@ where
             // and no earlier than the last fold's completion.
             let pane_close = self.sources[0].geom.pane_range(PaneId(p)).end;
             let ready_floor = open.ready.max(SimTime::from_millis(pane_close.0));
-            let mut sealed_all = true;
             for (r, folded) in open.parts.into_iter().enumerate() {
                 let sentinel = sentinel_name(p, r);
                 let home = self.delta.homes[r];
@@ -280,7 +279,6 @@ where
                     }
                 }
                 if !valid {
-                    sealed_all = false;
                     continue;
                 }
                 let node = home.expect("valid seal has a home");
@@ -303,10 +301,7 @@ where
                 };
                 let phases = work.phases_in_attempt(self.sim.cost(), true);
                 let placement = self.sim.assign(TaskKind::Reduce, node, ready_floor, phases.total());
-                // Delta maintenance requires an owned, un-shared source
-                // (`delta_enabled`), so sealed deltas are never
-                // fingerprinted.
-                let name = delta_name(0, 0, PaneId(p), r);
+                let name = output_name(self.active_fp(), 0, PaneId(p), r);
                 self.cluster.put_local(node, name.store_name(), built.blob.clone())?;
                 self.register(name, node, built.cache_text_bytes, placement.end);
                 self.trace.emit(|| TraceEvent::TaskSpan {
@@ -324,10 +319,6 @@ where
                     node,
                     bytes: built.cache_text_bytes,
                 });
-            }
-            if sealed_all {
-                self.matrix.mark_done(&[PaneId(p)]);
-                self.built_panes.insert((0, p));
             }
         }
         Ok(())

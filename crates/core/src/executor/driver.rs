@@ -56,7 +56,7 @@ use crate::cache::controller::PurgeNotification;
 use crate::cache::{CacheName, CacheObject};
 use crate::error::{RedoopError, Result};
 use crate::pane::PaneId;
-use crate::scheduler::{cache_affinity, cache_holders, MapTaskEntry, ReduceTaskEntry};
+use crate::scheduler::{cache_affinity, cache_holders, MapTaskEntry};
 
 use super::plan::{PlanKind, PlanTask, WindowPlan};
 use super::RecurringExecutor;
@@ -183,9 +183,7 @@ pub(super) struct WindowCtx {
 }
 
 /// One missing pane product of a partition: the pane it covers and the
-/// cache its rebuild materializes — the name the plan node `produces`,
-/// except that a missed `FoldDelta` rebuilds the plain reduce-output
-/// cache.
+/// cache its rebuild materializes — the name the plan node `produces`.
 pub(super) struct MissingPane {
     pub(super) source: u32,
     pub(super) pane: PaneId,
@@ -205,9 +203,6 @@ pub(super) struct PartitionPrep {
     pub(super) todo_pairs: Vec<(PaneId, PaneId)>,
     /// Set twin of `todo_pairs`.
     pub(super) todo_set: HashSet<(u64, u64)>,
-    /// Panes whose `FoldDelta` node hit a sealed delta (`rd/…`) cache on
-    /// the anchor — the merge reads those under the delta name.
-    pub(super) delta_hits: HashSet<u64>,
 }
 
 impl<M, R> RecurringExecutor<M, R>
@@ -272,67 +267,40 @@ where
         let mut missing_set: HashSet<(u32, u64)> = HashSet::new();
         let mut todo_pairs: Vec<(PaneId, PaneId)> = Vec::new();
         let mut todo_set: HashSet<(u64, u64)> = HashSet::new();
-        let mut delta_hits: HashSet<u64> = HashSet::new();
         for pnode in plan.partition_nodes(r) {
             let name = match pnode.task {
-                PlanTask::BuildPane { .. }
-                | PlanTask::BuildPair { .. }
-                | PlanTask::FoldDelta { .. } => pnode.produces[0],
+                PlanTask::BuildPane { .. } | PlanTask::BuildPair { .. } => pnode.produces[0],
                 PlanTask::MergePanes { .. } | PlanTask::FinalReduce { .. } => continue,
             };
-            // `hit_name` is the cache the merge would read on a hit and
-            // `build_name` the one a miss rebuilds: both the produced
-            // name, except for a `FoldDelta` — its lost delta can still
-            // hit the plain reduce-output cache a previous window's
-            // rebuild left, and that cache is what a miss rebuilds.
-            let mut hit_name = name;
-            let mut build_name = name;
+            // A product is a hit iff the cache it produces is on the
+            // anchor — whenever, and by whichever path, it was built.
             let hit = match pnode.task {
-                PlanTask::BuildPane { .. } => self.cached_on(&name, node),
-                PlanTask::FoldDelta { source, pane, .. } => {
-                    build_name = super::plan::output_name(plan.fp, source, pane, r);
-                    if self.cached_on(&name, node) {
-                        delta_hits.insert(pane.0);
-                        true
-                    } else {
-                        let fallback_hit = self.cached_on(&build_name, node);
-                        if fallback_hit {
-                            hit_name = build_name;
-                        }
-                        fallback_hit
-                    }
-                }
                 PlanTask::BuildPair { left, right, .. } => {
                     self.matrix.is_done(&[left, right]) && self.cached_on(&name, node)
                 }
-                _ => unreachable!(),
+                _ => self.cached_on(&name, node),
             };
-            let bytes = self.controller.signature(&hit_name).map_or(0, |s| s.bytes);
+            let bytes = self.controller.signature(&name).map_or(0, |s| s.bytes);
             self.trace.emit(|| TraceEvent::Cache {
                 at: ctx.fire,
                 action: if hit { CacheAction::Hit } else { CacheAction::Miss },
-                name: hit_name.store_name(),
+                name: name.store_name(),
                 node: if hit { Some(node) } else { None },
                 bytes,
             });
             if hit {
                 // Recency feedback for the eviction policy (no trace
                 // event, so journals are unchanged by the stamp).
-                self.controller.touch(&hit_name, ctx.fire);
+                self.controller.touch(&name, ctx.fire);
                 self.window_reused += 1;
                 self.win_stats.cache_hits += 1;
                 continue;
             }
             self.win_stats.cache_misses += 1;
             match pnode.task {
-                // A missed fold means the pane's delta state was lost (or
-                // never maintained): fall back to rebuilding this pane
-                // partition from the raw pane files, exactly the
-                // `BuildPane` path.
-                PlanTask::BuildPane { source, pane, .. }
-                | PlanTask::FoldDelta { source, pane, .. } => {
+                PlanTask::BuildPane { source, pane, .. } => {
                     if missing_set.insert((source, pane.0)) {
-                        missing.push(MissingPane { source, pane, name: build_name });
+                        missing.push(MissingPane { source, pane, name });
                     }
                 }
                 PlanTask::BuildPair { left, right, .. } => {
@@ -354,7 +322,7 @@ where
                 self.ensure_pane_mapped(entry.source, entry.pane, ctx.floor, mapped, metrics)?;
             }
         }
-        Ok(PartitionPrep { node, missing, missing_set, todo_pairs, todo_set, delta_hits })
+        Ok(PartitionPrep { node, missing, missing_set, todo_pairs, todo_set })
     }
 
     // ------------------------------------------------------------------
@@ -539,14 +507,16 @@ where
         // combiner, partitioner); all virtual-time accounting happens in
         // the sequential apply loop below, in split order, so simulated
         // results are identical to a single-threaded run.
-        // Fetch and line-index each slice file once, up front — splits of
-        // the same slice share the index instead of re-reading the file.
+        // Fetch each slice file once, up front — the read is what fails
+        // on a lost block, every window — and view it through the line
+        // index its manifest entry owns (built by the first read of the
+        // file, whichever window or query makes it).
         let slice_files: Vec<Result<redoop_mapred::LineFile>> = {
             let cluster = &self.cluster;
             exec::parallel_map(slices.len(), |i| {
                 Ok(cluster
                     .read(&slices[i].path)
-                    .map(redoop_mapred::LineFile::index_cached)
+                    .map(|data| slices[i].line_file(data).clone())
                     .map_err(RedoopError::from))
             })?
         };
@@ -794,21 +764,15 @@ where
         for (name, built) in group {
             self.cluster.put_local(node, name.store_name(), built.blob.clone())?;
             match name.object {
-                CacheObject::PaneOutput { source, pane } => {
-                    if name.partition == self.conf.num_reducers - 1 {
-                        self.matrix.mark_done(&[pane]);
-                    }
-                    self.built_panes.insert((source, pane.0));
-                }
+                // Marked done by the merge that consumes it, hit or
+                // build alike (`dispatch_partition_agg`).
+                CacheObject::PaneOutput { .. } => {}
                 CacheObject::PaneInput { source, pane, .. } => {
                     self.built_panes.insert((source, pane.0));
                 }
                 CacheObject::PairOutput { left, right } => {
                     self.matrix.mark_done(&[left, right]);
                     self.built_pairs.insert((left.0, right.0));
-                }
-                CacheObject::PaneDelta { .. } => {
-                    unreachable!("delta caches are sealed at ingestion, never built at fire time")
                 }
             }
             self.window_built += 1;
@@ -878,7 +842,7 @@ where
             _ => return,
         };
         for name in names {
-            if name.fp == 0 || self.controller.location(name).is_some() {
+            if self.controller.location(name).is_some() {
                 continue;
             }
             let Some(entry) = dir.lock().lookup(name) else { continue };
@@ -902,20 +866,6 @@ where
                 continue;
             }
             self.registries[entry.node.index()].add_entry(*name, entry.bytes);
-            // The importer never builds this pane itself, but its expiry
-            // sweep visits only built panes the status matrix cleared —
-            // mark both as if built here, or this query would never cast
-            // its directory done-vote and the builder's deferred expiry
-            // would leak the file forever.
-            match name.object {
-                CacheObject::PaneInput { source, pane, .. }
-                | CacheObject::PaneOutput { source, pane }
-                | CacheObject::PaneDelta { source, pane } => {
-                    self.built_panes.insert((source, pane.0));
-                    self.matrix.mark_done(&[pane]);
-                }
-                CacheObject::PairOutput { .. } => {}
-            }
             self.win_stats.shared_hits += 1;
             self.trace.emit(|| TraceEvent::Cache {
                 at,
@@ -930,8 +880,8 @@ where
     pub(super) fn register(&mut self, name: CacheName, node: NodeId, bytes: u64, at: SimTime) {
         if let Some(old) = self.controller.location(&name) {
             if old != node {
-                if name.fp != 0 {
-                    // A fingerprinted file may still serve other queries
+                if self.share.is_some() {
+                    // A shared source's file may still serve other queries
                     // through the signature directory: release only this
                     // query's bookkeeping, never schedule deletion.
                     self.registries[old.index()].drop_entry(&name);
@@ -962,18 +912,17 @@ where
             return;
         }
         self.registries[node.index()].add_entry(name, bytes);
-        if name.fp != 0 && self.options.cross_query_sharing {
-            if let Some(share) = &self.share {
-                share.dir.lock().publish(
-                    name,
-                    crate::cache::share::SharedCacheEntry {
-                        node,
-                        bytes,
-                        rebuild_bytes: rebuild,
-                        available_at: at,
-                    },
-                );
-            }
+        match &self.share {
+            Some(share) if self.options.cross_query_sharing => share.dir.lock().publish(
+                name,
+                crate::cache::share::SharedCacheEntry {
+                    node,
+                    bytes,
+                    rebuild_bytes: rebuild,
+                    available_at: at,
+                },
+            ),
+            _ => {}
         }
     }
 
@@ -991,10 +940,8 @@ where
         for (vnode, vname) in evicted {
             self.win_stats.evictions += 1;
             self.registries[vnode.index()].mark_expired(vname);
-            if vname.fp != 0 {
-                if let Some(dir) = &dir {
-                    dir.lock().remove(vname);
-                }
+            if let Some(dir) = &dir {
+                dir.lock().remove(vname);
             }
         }
     }
@@ -1011,9 +958,9 @@ where
         // mid-window and at ingest-time delta seals.
         let next = self.reports.len() as u64 + 1;
         let end = match name.object {
-            CacheObject::PaneInput { pane, .. }
-            | CacheObject::PaneOutput { pane, .. }
-            | CacheObject::PaneDelta { pane, .. } => geom.windows_containing(pane).end,
+            CacheObject::PaneInput { pane, .. } | CacheObject::PaneOutput { pane, .. } => {
+                geom.windows_containing(pane).end
+            }
             CacheObject::PairOutput { left, right } => {
                 geom.windows_containing(left).end.min(geom.windows_containing(right).end)
             }
@@ -1026,8 +973,7 @@ where
         let r = self.conf.num_reducers as u64;
         match name.object {
             CacheObject::PaneInput { source, pane, .. }
-            | CacheObject::PaneOutput { source, pane }
-            | CacheObject::PaneDelta { source, pane } => {
+            | CacheObject::PaneOutput { source, pane } => {
                 self.sources[source as usize].packer.lock().manifest().pane_bytes(pane) / r
             }
             CacheObject::PairOutput { left, right } => {
@@ -1064,7 +1010,7 @@ where
             // the entry here saves every one of them the probe).
             if let Some(dir) = &dir {
                 let mut d = dir.lock();
-                for n in lost_names.iter().filter(|n| n.fp != 0) {
+                for n in &lost_names {
                     d.remove(n);
                 }
             }
@@ -1082,9 +1028,6 @@ where
     /// notify-and-purge path.
     fn defer_shared_expiry(&mut self, name: &CacheName) -> bool {
         use crate::cache::share::SharedExpiry;
-        if name.fp == 0 {
-            return false;
-        }
         let (dir, consumer) = match &self.share {
             Some(s) => match s.consumer {
                 Some(c) => (s.dir.clone(), c),
@@ -1181,9 +1124,7 @@ where
                 .collect();
             for (p, q) in expired_pairs {
                 for r in 0..self.conf.num_reducers {
-                    // Joins cannot attach shared sources, so pair caches
-                    // are always un-fingerprinted.
-                    let name = super::plan::pair_name(0, PaneId(p), PaneId(q), r);
+                    let name = super::plan::pair_name(self.active_fp(), PaneId(p), PaneId(q), r);
                     if self.controller.signature(&name).is_some() {
                         if let Some(n) = self.retire_cache(name)? {
                             notifications.push(n);
@@ -1202,18 +1143,9 @@ where
                 reg.maybe_purge(&self.cluster, rec)?;
             }
         }
-        // GC the scheduler's dedupe sets: without this, `map_seen` /
-        // `reduce_seen` grow by one entry per pane (and pane pair) for
-        // the lifetime of the stream.
-        self.lists.gc(
-            |e| geom.pane_out_of_window(e.pane, rec),
-            |e| match e {
-                ReduceTaskEntry::PaneReduce { pane, .. } => geom.pane_out_of_window(*pane, rec),
-                ReduceTaskEntry::PairJoin { left, right } => {
-                    geom.pane_out_of_window(*left, rec) || geom.pane_out_of_window(*right, rec)
-                }
-            },
-        );
+        // GC the scheduler's dedupe set: without this, `map_seen` grows
+        // by one entry per pane for the lifetime of the stream.
+        self.lists.gc(|e| geom.pane_out_of_window(e.pane, rec));
         self.matrix.shift(rec);
         Ok(())
     }

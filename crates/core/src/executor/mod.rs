@@ -454,9 +454,9 @@ where
         self.trace = sink;
     }
 
-    /// The scheduler's `(map, reduce)` dedupe-set sizes (leak detection).
-    pub fn task_seen_counts(&self) -> (usize, usize) {
-        self.lists.seen_counts()
+    /// The scheduler's map dedupe-set size (leak detection).
+    pub fn task_seen_count(&self) -> usize {
+        self.lists.seen_count()
     }
 
     /// Overrides the ablation switches. Toggling
@@ -590,7 +590,8 @@ where
     /// When the query carries an algebraically-safe combiner, the batch
     /// is additionally **folded** into per-(pane, partition) delta state
     /// as it lands, and panes the packer just sealed get their delta
-    /// state sealed as `rd/…` caches — see the [`delta`](self) module.
+    /// state sealed as their `ro/…` reduce-output caches — see the
+    /// [`delta`](self) module.
     /// The packer parses each record exactly once: the fold reuses the
     /// per-pane line index that pane assignment already produced.
     pub fn ingest<'l>(
@@ -621,7 +622,7 @@ where
                 .slices_of(PaneId(p))
                 .len()
                 .max(1) as u32;
-            let fp = if self.sources[source].shared { self.active_fp() } else { 0 };
+            let fp = self.active_fp();
             for r in 0..self.conf.num_reducers {
                 for sub in 0..subs {
                     self.controller.note_hdfs_available(CacheName::with_fp(
@@ -717,17 +718,9 @@ where
 
         // Plan, then drive: the plan enumerates every task with its cache
         // annotations; the driver decides hits vs rebuilds at dispatch.
-        // The fold-vs-rebuild choice is made here, at plan-build time,
-        // from query properties: incrementally maintained queries get
-        // `FoldDelta` nodes (charge only residual fold/seal cost), all
-        // others keep `BuildPane` as the explicit fallback.
         let fp = self.active_fp();
         let window_plan = if self.sources.len() == 1 {
-            if self.delta_enabled() {
-                plan::WindowPlan::aggregation_delta(rec, panes, self.conf.num_reducers, fp)
-            } else {
-                plan::WindowPlan::aggregation(rec, panes, self.conf.num_reducers, fp)
-            }
+            plan::WindowPlan::aggregation(rec, panes, self.conf.num_reducers, fp)
         } else {
             plan::WindowPlan::binary_join(rec, panes, self.conf.num_reducers, fp)
         };

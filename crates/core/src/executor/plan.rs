@@ -2,8 +2,7 @@
 //!
 //! [`WindowPlan`] is a small task DAG describing one recurrence of a
 //! recurring query: per reduce partition, the pane products that must
-//! exist ([`PlanTask::BuildPane`], [`PlanTask::FoldDelta`] when the
-//! pane's state is maintained incrementally at ingestion, and for joins
+//! exist ([`PlanTask::BuildPane`], and for joins
 //! [`PlanTask::BuildPair`]) and the finalization task consuming them
 //! ([`PlanTask::MergePanes`] for aggregations, [`PlanTask::FinalReduce`]
 //! for joins). Every node is
@@ -16,7 +15,10 @@
 //! Node order is the driver's dispatch order: partition-major, builds in
 //! pane order (pairs in left-major pane order), finalization last. The
 //! plan deliberately enumerates builds for *every* in-window pane — cache
-//! state is execution-time knowledge, not plan-time knowledge.
+//! state is execution-time knowledge, not plan-time knowledge. That
+//! includes *when* a cache was computed: a pane partial sealed at
+//! ingestion by the delta path carries the name its `BuildPane` produces,
+//! so the driver finds it as it finds any reused cache.
 
 use crate::cache::{CacheName, CacheObject};
 use crate::pane::PaneId;
@@ -28,19 +30,6 @@ pub enum PlanTask {
     /// aggregate (reduce-output cache) for aggregations, the sorted
     /// reduce-input cache for joins.
     BuildPane {
-        /// Source stream the pane belongs to.
-        source: u32,
-        /// The pane.
-        pane: PaneId,
-        /// Reduce partition.
-        partition: usize,
-    },
-    /// Consume one pane's incrementally maintained delta state (folded at
-    /// ingestion, sealed at pane seal). The plan charges only the
-    /// residual fold/seal cost already paid on the timeline; at dispatch
-    /// the driver falls back to a raw-pane rebuild when the sealed delta
-    /// cache is missing (lost node, combiner installed mid-pane).
-    FoldDelta {
         /// Source stream the pane belongs to.
         source: u32,
         /// The pane.
@@ -77,7 +66,6 @@ impl PlanTask {
     pub fn partition(&self) -> usize {
         match *self {
             PlanTask::BuildPane { partition, .. }
-            | PlanTask::FoldDelta { partition, .. }
             | PlanTask::BuildPair { partition, .. }
             | PlanTask::MergePanes { partition }
             | PlanTask::FinalReduce { partition } => partition,
@@ -143,11 +131,6 @@ pub(crate) fn pair_name(fp: u64, left: PaneId, right: PaneId, r: usize) -> Cache
     CacheName::with_fp(CacheObject::PairOutput { left, right }, r, fp)
 }
 
-/// Cache name of one pane's sealed incremental-delta cache.
-pub(crate) fn delta_name(fp: u64, source: u32, pane: PaneId, r: usize) -> CacheName {
-    CacheName::with_fp(CacheObject::PaneDelta { source, pane }, r, fp)
-}
-
 impl WindowPlan {
     /// Plans one aggregation window: per partition, a `BuildPane` for
     /// every in-window pane producing its partial-aggregate cache, then
@@ -171,36 +154,6 @@ impl WindowPlan {
             nodes.push(PlanNode {
                 task: PlanTask::MergePanes { partition: r },
                 requires: panes.iter().map(|&p| output_name(fp, 0, p, r)).collect(),
-                produces: Vec::new(),
-            });
-        }
-        WindowPlan { recurrence, kind: PlanKind::Aggregation, panes, num_reducers, fp, nodes }
-    }
-
-    /// Plans one aggregation window whose pane state is maintained
-    /// incrementally: per partition, a `FoldDelta` for every in-window
-    /// pane producing its sealed delta cache, then one `MergePanes`
-    /// requiring all of them. Chosen at plan-build time when the query
-    /// has an algebraically-safe combiner and delta maintenance is on;
-    /// holistic/no-combiner queries keep [`WindowPlan::aggregation`].
-    pub fn aggregation_delta(
-        recurrence: u64,
-        panes: Vec<PaneId>,
-        num_reducers: usize,
-        fp: u64,
-    ) -> WindowPlan {
-        let mut nodes = Vec::with_capacity((panes.len() + 1) * num_reducers);
-        for r in 0..num_reducers {
-            for &p in &panes {
-                nodes.push(PlanNode {
-                    task: PlanTask::FoldDelta { source: 0, pane: p, partition: r },
-                    requires: Vec::new(),
-                    produces: vec![delta_name(fp, 0, p, r)],
-                });
-            }
-            nodes.push(PlanNode {
-                task: PlanTask::MergePanes { partition: r },
-                requires: panes.iter().map(|&p| delta_name(fp, 0, p, r)).collect(),
                 produces: Vec::new(),
             });
         }
@@ -289,9 +242,6 @@ impl WindowPlan {
                 PlanTask::BuildPane { source, pane, partition } => {
                     format!("r{partition} build s{source}p{}", pane.0)
                 }
-                PlanTask::FoldDelta { source, pane, partition } => {
-                    format!("r{partition} fold s{source}p{}", pane.0)
-                }
                 PlanTask::BuildPair { left, right, partition } => {
                     format!("r{partition} pair p{}xp{}", left.0, right.0)
                 }
@@ -330,31 +280,6 @@ r1 build s0p3 <- [] -> [ro/s0p3/r1]
 r1 build s0p4 <- [] -> [ro/s0p4/r1]
 r1 build s0p5 <- [] -> [ro/s0p5/r1]
 r1 merge <- [ro/s0p2/r1 ro/s0p3/r1 ro/s0p4/r1 ro/s0p5/r1] -> []
-";
-        assert_eq!(plan.summary(), expect);
-    }
-
-    #[test]
-    fn golden_delta_aggregation_plan_snapshot() {
-        // Same shape as the rebuild snapshot above, but the pane state is
-        // maintained incrementally: builds become folds over sealed
-        // delta caches (`rd/`), and the merge consumes those.
-        let spec = crate::query::WindowSpec::new(400, 100).unwrap();
-        let geom = crate::pane::PaneGeometry::from_spec(&spec);
-        let panes: Vec<PaneId> = geom.window_panes(2).map(PaneId).collect();
-        let plan = WindowPlan::aggregation_delta(2, panes, 2, 0);
-        let expect = "\
-w2 Aggregation panes=[2,3,4,5] reducers=2
-r0 fold s0p2 <- [] -> [rd/s0p2/r0]
-r0 fold s0p3 <- [] -> [rd/s0p3/r0]
-r0 fold s0p4 <- [] -> [rd/s0p4/r0]
-r0 fold s0p5 <- [] -> [rd/s0p5/r0]
-r0 merge <- [rd/s0p2/r0 rd/s0p3/r0 rd/s0p4/r0 rd/s0p5/r0] -> []
-r1 fold s0p2 <- [] -> [rd/s0p2/r1]
-r1 fold s0p3 <- [] -> [rd/s0p3/r1]
-r1 fold s0p4 <- [] -> [rd/s0p4/r1]
-r1 fold s0p5 <- [] -> [rd/s0p5/r1]
-r1 merge <- [rd/s0p2/r1 rd/s0p3/r1 rd/s0p4/r1 rd/s0p5/r1] -> []
 ";
         assert_eq!(plan.summary(), expect);
     }
@@ -420,24 +345,6 @@ r0 concat <- [po/p0x0/r0 po/p0x1/r0 po/p1x0/r0 po/p1x1/r0] -> []
                         proptest::prop_assert_eq!(&built, &expected);
                     }
                 }
-            }
-
-            // Delta-enabled aggregation plans satisfy the same coverage
-            // property: FoldDelta tasks for each partition are exactly
-            // the window's pane range, each once.
-            let delta = WindowPlan::aggregation_delta(rec, panes.clone(), num_reducers, 0);
-            for r in 0..num_reducers {
-                let folded: Vec<u64> = delta
-                    .nodes
-                    .iter()
-                    .filter_map(|n| match n.task {
-                        PlanTask::FoldDelta { source: 0, pane, partition } if partition == r => {
-                            Some(pane.0)
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                proptest::prop_assert_eq!(&folded, &expected);
             }
         }
     }

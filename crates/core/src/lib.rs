@@ -37,10 +37,12 @@
 //!   task re-execution (§5).
 //! * **Incremental pane maintenance** — aggregation queries with an
 //!   algebraically-safe combiner fold arriving records into
-//!   per-(pane, partition) delta state at ingestion and seal it as
-//!   `rd/…` reduce-output caches when the pane closes; firing then
-//!   costs only the O(panes × keys) merge instead of an O(records)
-//!   rebuild (see DESIGN.md §Incremental pane maintenance).
+//!   per-(pane, partition) delta state at ingestion and seal it as the
+//!   pane's `ro/…` reduce-output cache when the pane closes — the same
+//!   cache a fire-time build would produce, so the paper's two cache
+//!   types (reduce input, reduce output) stay two; firing then costs
+//!   only the O(panes × keys) merge instead of an O(records) rebuild
+//!   (see DESIGN.md §Incremental pane maintenance).
 //! * **The deployment layer** ([`deployment`]) — N recurring queries
 //!   over shared arrival streams, windows interleaved in fire-time
 //!   order on one virtual clock.

@@ -1,8 +1,9 @@
 //! Cache-aware task scheduling (paper §4.3, Eq. 4, Algorithm 2).
 //!
-//! The scheduler keeps two FIFO lists — `mapTaskList` and
-//! `reduceTaskList` — fed by ready-bit transitions in the window-aware
-//! cache controller, and places each task with
+//! The scheduler keeps Algorithm 2's `mapTaskList` — a FIFO fed as panes
+//! seal, whose arrival order is the order map tasks are charged (reduce
+//! tasks are enumerated per window by the plan, in plan order) — and
+//! places each task with
 //!
 //! ```text
 //! node = argmin_i ( Load_i + C_task,i )        (Eq. 4)
@@ -101,34 +102,13 @@ pub struct MapTaskEntry {
     pub sub: u32,
 }
 
-/// One pending reduce-side task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ReduceTaskEntry {
-    /// Aggregate one pane (produce its reduce-output cache).
-    PaneReduce {
-        /// Source of the pane.
-        source: u32,
-        /// Pane to aggregate.
-        pane: PaneId,
-    },
-    /// Join one pane pair (produce its pair-output cache).
-    PairJoin {
-        /// Pane of source 0.
-        left: PaneId,
-        /// Pane of source 1.
-        right: PaneId,
-    },
-}
-
-/// The scheduler's two FIFO task lists (Algorithm 2). Entries are
+/// The scheduler's FIFO map task list (Algorithm 2). Entries are
 /// deduplicated: a pane whose data arrives in several batches is still
 /// one task.
 #[derive(Debug, Default)]
 pub struct TaskLists {
     map_list: VecDeque<MapTaskEntry>,
     map_seen: HashSet<MapTaskEntry>,
-    reduce_list: VecDeque<ReduceTaskEntry>,
-    reduce_seen: HashSet<ReduceTaskEntry>,
 }
 
 impl TaskLists {
@@ -147,45 +127,9 @@ impl TaskLists {
         }
     }
 
-    /// Enqueues a reduce task once (ready bit 2: caches available).
-    pub fn push_reduce(&mut self, entry: ReduceTaskEntry) -> bool {
-        if self.reduce_seen.insert(entry) {
-            self.reduce_list.push_back(entry);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Dequeues the next map task (FIFO, Algorithm 2 lines 6–12).
     pub fn pop_map(&mut self) -> Option<MapTaskEntry> {
         self.map_list.pop_front()
-    }
-
-    /// Dequeues the next reduce task (Algorithm 2 lines 13–18).
-    pub fn pop_reduce(&mut self) -> Option<ReduceTaskEntry> {
-        self.reduce_list.pop_front()
-    }
-
-    /// Removes queued reduce tasks that depend on any of `lost` caches
-    /// (failure rollback, paper §5 item 3). Returns removed entries.
-    pub fn remove_reduces_using(
-        &mut self,
-        involves: impl Fn(&ReduceTaskEntry) -> bool,
-    ) -> Vec<ReduceTaskEntry> {
-        let mut removed = Vec::new();
-        self.reduce_list.retain(|e| {
-            if involves(e) {
-                removed.push(*e);
-                false
-            } else {
-                true
-            }
-        });
-        for e in &removed {
-            self.reduce_seen.remove(e);
-        }
-        removed
     }
 
     /// Allows a map task to be scheduled again (after its product was
@@ -200,32 +144,20 @@ impl TaskLists {
         self.map_list.len()
     }
 
-    /// Pending reduce tasks.
-    pub fn reduce_len(&self) -> usize {
-        self.reduce_list.len()
-    }
-
     /// Retires entries whose panes slid out of every window: matching
-    /// entries leave the dedupe sets *and* any still-queued copies are
-    /// dropped. Without this the seen sets grow without bound across
-    /// recurrences. Returns `(map, reduce)` retired counts.
-    pub fn gc(
-        &mut self,
-        expired_map: impl Fn(&MapTaskEntry) -> bool,
-        expired_reduce: impl Fn(&ReduceTaskEntry) -> bool,
-    ) -> (usize, usize) {
-        let map_before = self.map_seen.len();
-        self.map_seen.retain(|e| !expired_map(e));
-        self.map_list.retain(|e| !expired_map(e));
-        let reduce_before = self.reduce_seen.len();
-        self.reduce_seen.retain(|e| !expired_reduce(e));
-        self.reduce_list.retain(|e| !expired_reduce(e));
-        (map_before - self.map_seen.len(), reduce_before - self.reduce_seen.len())
+    /// entries leave the dedupe set *and* any still-queued copies are
+    /// dropped. Without this the seen set grows without bound across
+    /// recurrences. Returns the retired count.
+    pub fn gc(&mut self, expired: impl Fn(&MapTaskEntry) -> bool) -> usize {
+        let before = self.map_seen.len();
+        self.map_seen.retain(|e| !expired(e));
+        self.map_list.retain(|e| !expired(e));
+        before - self.map_seen.len()
     }
 
-    /// Sizes of the `(map, reduce)` dedupe sets (leak detection).
-    pub fn seen_counts(&self) -> (usize, usize) {
-        (self.map_seen.len(), self.reduce_seen.len())
+    /// Size of the dedupe set (leak detection).
+    pub fn seen_count(&self) -> usize {
+        self.map_seen.len()
     }
 }
 
@@ -275,12 +207,12 @@ mod tests {
 
     #[test]
     fn affinity_weighs_delta_state_like_pane_caches() {
-        // Incremental pane maintenance registers sealed `rd/…` delta
-        // caches through the same controller, so Eq. 4's affinity term
-        // pulls fire-time anchors toward delta home nodes exactly as it
-        // does toward pane-output holders.
+        // Incremental pane maintenance registers what it seals as the
+        // pane's `ro/…` cache through the same controller, so Eq. 4's
+        // affinity term pulls fire-time anchors toward delta home nodes
+        // as toward any pane-output holder — they are the same thing.
         let delta =
-            CacheName::new(CacheObject::PaneDelta { source: 0, pane: PaneId(3) }, 2);
+            CacheName::new(CacheObject::PaneOutput { source: 0, pane: PaneId(3) }, 2);
         let mut ctl = CacheController::new(1);
         ctl.register_cache(delta, NodeId(4), 500_000, SimTime::ZERO);
         let cost = CostModel::default();
@@ -467,44 +399,25 @@ mod tests {
         let mut lists = TaskLists::new();
         for p in 0..10 {
             lists.push_map(MapTaskEntry { source: 0, pane: PaneId(p), sub: 0 });
-            lists.push_reduce(ReduceTaskEntry::PaneReduce { source: 0, pane: PaneId(p) });
         }
         while lists.pop_map().is_some() {}
-        while lists.pop_reduce().is_some() {}
-        assert_eq!(lists.seen_counts(), (10, 10));
+        assert_eq!(lists.seen_count(), 10);
 
-        let expired_map = |e: &MapTaskEntry| e.pane.0 < 4;
-        let expired_reduce = |e: &ReduceTaskEntry| {
-            matches!(e, ReduceTaskEntry::PaneReduce { pane, .. } if pane.0 < 4)
-        };
-        assert_eq!(lists.gc(expired_map, expired_reduce), (4, 4));
-        assert_eq!(lists.seen_counts(), (6, 6));
+        let expired = |e: &MapTaskEntry| e.pane.0 < 4;
+        assert_eq!(lists.gc(expired), 4);
+        assert_eq!(lists.seen_count(), 6);
 
         // A retired pane can re-enter (replay), and GC also drops queued
         // copies, not just the dedupe entries.
         assert!(lists.push_map(MapTaskEntry { source: 0, pane: PaneId(0), sub: 0 }));
-        lists.push_reduce(ReduceTaskEntry::PaneReduce { source: 0, pane: PaneId(1) });
-        assert_eq!(lists.gc(expired_map, expired_reduce), (1, 1));
+        assert_eq!(lists.gc(expired), 1);
         assert_eq!(lists.map_len(), 0);
-        assert_eq!(lists.reduce_len(), 0);
-        assert_eq!(lists.seen_counts(), (6, 6));
+        assert_eq!(lists.seen_count(), 6);
     }
 
     #[test]
-    fn rollback_removes_dependent_reduces_and_reopens_maps() {
+    fn rollback_reopens_maps() {
         let mut lists = TaskLists::new();
-        let pair = ReduceTaskEntry::PairJoin { left: PaneId(3), right: PaneId(4) };
-        let other = ReduceTaskEntry::PairJoin { left: PaneId(5), right: PaneId(6) };
-        lists.push_reduce(pair);
-        lists.push_reduce(other);
-        let removed = lists.remove_reduces_using(|e| {
-            matches!(e, ReduceTaskEntry::PairJoin { left, .. } if left.0 == 3)
-        });
-        assert_eq!(removed, vec![pair]);
-        assert_eq!(lists.reduce_len(), 1);
-        // The removed task can be re-enqueued after the cache is rebuilt.
-        assert!(lists.push_reduce(pair));
-
         let m = MapTaskEntry { source: 0, pane: PaneId(3), sub: 0 };
         lists.push_map(m);
         lists.pop_map();

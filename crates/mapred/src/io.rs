@@ -89,35 +89,6 @@ impl LineFile {
         LineFile { data: Arc::new(data), offsets: Arc::new(offsets), invalid_sequences }
     }
 
-    /// Like [`LineFile::new`], but memoized on the identity of `data`'s
-    /// backing buffer. Recurring queries re-read the same immutable pane
-    /// files every window — often sixteen concurrent queries over one
-    /// shared source — and re-indexing (plus re-validating UTF-8) the
-    /// same bytes dominated the host map path at scale. Cached entries
-    /// hold a clone of `data`, so the buffer cannot be freed (and its
-    /// address reused) while its key is live; a rewritten file arrives
-    /// in a fresh buffer and simply misses.
-    pub fn index_cached(data: Bytes) -> Self {
-        use parking_lot::Mutex;
-        use std::collections::HashMap;
-        static CACHE: Mutex<Option<HashMap<(usize, usize), LineFile>>> = Mutex::new(None);
-        /// Enough for every pane of a long scale run; past this the whole
-        /// map is dropped rather than tracking recency.
-        const CAP: usize = 256;
-        let key = (data.as_ptr() as usize, data.len());
-        let mut guard = CACHE.lock();
-        let cache = guard.get_or_insert_with(HashMap::new);
-        if let Some(f) = cache.get(&key) {
-            return f.clone();
-        }
-        let f = LineFile::new(data);
-        if cache.len() >= CAP {
-            cache.clear();
-        }
-        cache.insert(key, f.clone());
-        f
-    }
-
     /// Number of lines.
     pub fn line_count(&self) -> usize {
         self.offsets.len()

@@ -207,3 +207,11 @@ pub fn baseline_inputs(
 pub fn response(result: &redoop_mapred::JobResult) -> SimTime {
     result.metrics.response_time()
 }
+
+/// The node whose local store holds `name`.
+pub fn holder_of(cluster: &Cluster, name: &str) -> redoop_dfs::NodeId {
+    (0..cluster.node_count() as u32)
+        .map(redoop_dfs::NodeId)
+        .find(|n| cluster.has_local(*n, name))
+        .unwrap_or_else(|| panic!("no node caches {name}"))
+}

@@ -5,7 +5,10 @@
 //! randomized equivalence property over window geometry, batch
 //! boundaries, and host worker counts, and the §5 failure story — a
 //! node lost between pane seal and window fire forces a *partial*
-//! rebuild of exactly the lost delta state from the raw pane files.
+//! rebuild of exactly the lost delta state from the raw pane files, a
+//! torn sealed blob is salvaged like any other pane cache, and what a
+//! window rebuilds is what the next one reuses (a sealed delta *is* the
+//! pane's `ro/…` cache; there is no second name to lose track of).
 
 #[path = "common/mod.rs"]
 mod common;
@@ -16,7 +19,7 @@ use common::*;
 use redoop_core::prelude::*;
 use redoop_dfs::Cluster;
 use redoop_mapred::combiner::SumCombiner;
-use redoop_mapred::trace::{TraceEvent, TraceSink};
+use redoop_mapred::trace::{CacheAction, TraceEvent, TraceSink};
 use redoop_workloads::arrival::{ArrivalPlan, GeneratedBatch};
 use redoop_workloads::queries::{AggMapper, AggReducer};
 
@@ -106,7 +109,7 @@ fn delta_outputs_match_rebuild_bit_identically() {
 fn node_loss_between_seal_and_fire_rebuilds_only_lost_state() {
     // §5 rollback for delta state: ingest a full window (deltas sealed),
     // then crash-and-rejoin one home node before firing. The wiped
-    // node's `rd/…` caches roll back; the window must fall back to
+    // node's sealed `ro/…` caches roll back; the window must fall back to
     // rebuilding exactly those pane partitions from the raw pane files
     // — a *partial* rebuild, with the surviving deltas still consumed —
     // and the output must stay bit-identical to the no-failure run.
@@ -130,10 +133,10 @@ fn node_loss_between_seal_and_fire_rebuilds_only_lost_state() {
         .all_cached()
         .iter()
         .find(|n| {
-            matches!(n.object, redoop_core::cache::CacheObject::PaneDelta { .. })
+            matches!(n.object, redoop_core::cache::CacheObject::PaneOutput { .. })
         })
         .and_then(|n| exec.controller().location(n))
-        .expect("ingestion must seal delta caches");
+        .expect("ingestion must seal pane caches");
     cluster.kill_node(victim).unwrap();
     cluster.revive_node(victim).unwrap(); // rejoin with a wiped local store
 
@@ -269,8 +272,8 @@ fn delta_equivalence_over_random_geometry_batches_and_workers() {
     }
 }
 
-/// Every cache blob of class `prefix` (`rd/` or `ro/`) on any node's
-/// local store, by the rest of its name (`s0p<pane>/r<partition>`).
+/// Every cache blob of class `prefix` (`ro/`) on any node's local
+/// store, by the rest of its name (`s0p<pane>/r<partition>`).
 fn blobs_of_class(cluster: &Cluster, prefix: &str) -> std::collections::BTreeMap<String, Vec<u8>> {
     let mut blobs = std::collections::BTreeMap::new();
     for n in 0..cluster.node_count() as u32 {
@@ -313,7 +316,8 @@ fn folded_state_and_sealed_blobs_hold_over_a_long_run() {
     let sink = TraceSink::with_capacity(1 << 18);
     exec.set_trace_sink(sink.clone());
     ingest_all(&mut exec, 0, &batches);
-    let sealed = blobs_of_class(&cluster, "rd/");
+    // Nothing has fired yet: every `ro/` blob is one ingestion sealed.
+    let sealed = blobs_of_class(&cluster, "ro/");
     assert!(sealed.len() >= 4 * (windows as usize + 1), "a blob per sealed (pane, partition)");
 
     // A sealed delta is, byte for byte, the pane partial the fire path
@@ -332,7 +336,7 @@ fn folded_state_and_sealed_blobs_hold_over_a_long_run() {
     }
     for (name, blob) in &sealed {
         if let Some(partial) = built.get(name) {
-            assert!(blob == partial, "rd/{name} differs from ro/{name}");
+            assert!(blob == partial, "sealed ro/{name} differs from the one built at fire time");
         }
     }
     assert!(sealed.keys().filter(|name| built.contains_key(*name)).count() >= 4 * windows as usize);
@@ -369,4 +373,128 @@ fn folded_state_and_sealed_blobs_hold_over_a_long_run() {
         feed(blob);
     }
     assert_eq!(digest, 14_889_111_713_328_058_181, "ingest-side journal and sealed blobs");
+}
+
+#[test]
+fn torn_sealed_partial_pays_only_its_missing_frames() {
+    // Salvage x delta: a sealed pane partial torn between its seal and
+    // the window that reads it is a pane cache like any other — the audit
+    // records how many of its frames survived under the name the rebuild
+    // asks about, so the rebuild is charged the missing suffix only.
+    let spec = spec_with_overlap(0.5);
+    let batches = wcc_batches(&ArrivalPlan::new(spec, 1), 23, 1.0);
+    let victim = "ro/s0p1/r2";
+    // What happens to the victim blob between seal and fire.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Fault {
+        None,
+        Torn,
+        Gone,
+    }
+    let run = |fault: Fault| {
+        let cluster = test_cluster();
+        let mut exec = delta_executor(&cluster, spec, "delta-torn", true);
+        let sink = TraceSink::with_capacity(1 << 17);
+        exec.set_trace_sink(sink.clone());
+        ingest_all(&mut exec, 0, &batches);
+        if fault != Fault::None {
+            let node = holder_of(&cluster, victim);
+            let len = cluster.peek_local(node, victim).unwrap().len();
+            match fault {
+                Fault::Torn => {
+                    assert!(cluster.corrupt_local(node, victim, len - 8, 8).unwrap());
+                    let scan = redoop_mapred::frame::salvage_scan(
+                        &cluster.peek_local(node, victim).unwrap(),
+                    );
+                    assert!(scan.total >= 2 && scan.intact_count() == scan.total - 1);
+                }
+                _ => assert!(cluster.delete_local(node, victim).unwrap()),
+            }
+        }
+        let report = exec.run_window(0).unwrap();
+        let parts: Vec<Vec<u8>> =
+            report.outputs.iter().map(|p| cluster.read(p).unwrap().to_vec()).collect();
+        let partial_rebuilds = sink
+            .events()
+            .iter()
+            .filter(|e| matches!(e,
+                TraceEvent::Cache { action: CacheAction::PartialRebuild, name, .. } if name == victim))
+            .count();
+        (report, parts, partial_rebuilds)
+    };
+    let (clean, clean_parts, _) = run(Fault::None);
+    let (torn, torn_parts, torn_partial) = run(Fault::Torn);
+    let (gone, gone_parts, gone_partial) = run(Fault::Gone);
+
+    assert_eq!((torn.trace.rollbacks, gone.trace.rollbacks), (1, 1));
+    assert_eq!((torn.built_products, gone.built_products), (1, 1), "only the victim is rebuilt");
+    assert_eq!(torn_partial, 1, "the torn blob's rebuild is journaled as partial");
+    assert_eq!(gone_partial, 0, "a deleted blob has nothing to salvage");
+    assert!(
+        clean.response < torn.response && torn.response < gone.response,
+        "clean {} < partial rebuild {} < full rebuild {}",
+        clean.response,
+        torn.response,
+        gone.response
+    );
+
+    // All three equal recomputation from the raw pane files.
+    let cluster_r = test_cluster();
+    let mut rebuild = delta_executor(&cluster_r, spec, "delta-torn-off", false);
+    let recomputed = run_and_collect(&cluster_r, &mut rebuild, &batches, 1).remove(0).0;
+    for parts in [&clean_parts, &torn_parts, &gone_parts] {
+        assert_eq!(parts, &recomputed);
+    }
+}
+
+#[test]
+fn a_rebuilt_partial_is_next_windows_hit_on_an_anchor_that_knows_its_holder() {
+    // Fallback x Eq. 4: a partition's home is down when window 0 fires,
+    // so its panes are rebuilt on another anchor. Those rebuilds are the
+    // panes' caches: once the home is back and has sealed the next pane,
+    // window 1's placement must weigh both holders and stay with the
+    // three panes it can reuse — not see the home alone, walk back to it
+    // and rebuild them again.
+    let spec = spec_with_overlap(0.75);
+    let batches = wcc_batches(&ArrivalPlan::new(spec, 2), 29, 1.0);
+    let (first, rest): (Vec<GeneratedBatch>, Vec<GeneratedBatch>) =
+        batches.into_iter().partition(|b| b.range.end.0 <= spec.win);
+
+    let cluster = test_cluster();
+    let mut exec = delta_executor(&cluster, spec, "delta-refire", true);
+    let sink = TraceSink::with_capacity(1 << 17);
+    exec.set_trace_sink(sink.clone());
+    ingest_all(&mut exec, 0, &first);
+    let r = 1;
+    let carried = format!("ro/s0p1/r{r}"); // panes 1..=3 are in both windows
+    let home = holder_of(&cluster, &carried);
+    cluster.kill_node(home).unwrap();
+    let w0 = exec.run_window(0).unwrap();
+    assert_eq!(w0.built_products, 4, "the lost partition's four panes are rebuilt");
+    let holder = holder_of(&cluster, &carried);
+    assert_ne!(holder, home);
+
+    cluster.revive_node(home).unwrap();
+    ingest_all(&mut exec, 0, &rest);
+    assert_eq!(holder_of(&cluster, &format!("ro/s0p4/r{r}")), home, "the home seals pane 4");
+    let before = sink.events().len();
+    let w1 = exec.run_window(1).unwrap();
+    assert_eq!(w1.built_products, 1, "only pane 4's partial moves to the anchor");
+    let events = sink.events();
+    assert!(events[before..].iter().any(|e| matches!(e,
+        TraceEvent::Cache { action: CacheAction::Hit, name, node, .. }
+            if *name == carried && *node == Some(holder))));
+    let (anchor, shortlist) = events[before..]
+        .iter()
+        .find_map(|e| match e {
+            TraceEvent::Placement { label, chosen, scores, .. }
+                if *label == format!("w1/agg/r{r}") =>
+            {
+                Some((*chosen, scores.iter().map(|s| s.node).collect::<Vec<_>>()))
+            }
+            _ => None,
+        })
+        .expect("window 1 places partition r");
+    assert!(shortlist.contains(&holder) && shortlist.contains(&home), "{shortlist:?}");
+    assert_eq!(anchor, holder);
 }

@@ -346,14 +346,6 @@ impl<M: redoop_mapred::Mapper> redoop_mapred::Mapper for SabotagingMapper<M> {
     }
 }
 
-/// The node whose local store holds `name`.
-fn holder_of(cluster: &Cluster, name: &str) -> NodeId {
-    (0..cluster.node_count() as u32)
-        .map(NodeId)
-        .find(|n| cluster.has_local(*n, name))
-        .unwrap_or_else(|| panic!("no node caches {name}"))
-}
-
 fn codec_msg(err: redoop_core::RedoopError) -> String {
     match err {
         redoop_core::RedoopError::MapReduce(redoop_mapred::MrError::Codec(msg)) => msg,

@@ -253,9 +253,9 @@ fn subpane_caches_expire_with_their_pane() {
     let geom = PaneGeometry::from_spec(&spec);
     let last = windows - 1;
     let stale = exec.controller().names_matching(|n| match n.object {
-        CacheObject::PaneInput { pane, .. }
-        | CacheObject::PaneOutput { pane, .. }
-        | CacheObject::PaneDelta { pane, .. } => geom.pane_out_of_window(pane, last),
+        CacheObject::PaneInput { pane, .. } | CacheObject::PaneOutput { pane, .. } => {
+            geom.pane_out_of_window(pane, last)
+        }
         CacheObject::PairOutput { .. } => false,
     });
     assert!(
@@ -266,9 +266,9 @@ fn subpane_caches_expire_with_their_pane() {
 
 #[test]
 fn scheduler_dedupe_sets_stay_bounded() {
-    // Regression: `map_seen` / `reduce_seen` grew by one entry per pane
-    // for the stream's lifetime. With per-window GC the counts must
-    // plateau instead of scaling with the number of recurrences.
+    // Regression: `map_seen` grew by one entry per pane for the stream's
+    // lifetime. With per-window GC the count must plateau instead of
+    // scaling with the number of recurrences.
     let spec = spec_with_overlap(0.5);
     let windows = 12;
     let plan = ArrivalPlan::new(spec, windows);
@@ -280,23 +280,16 @@ fn scheduler_dedupe_sets_stay_bounded() {
     let mut counts = Vec::new();
     for w in 0..windows {
         exec.run_window(w).unwrap();
-        counts.push(exec.task_seen_counts());
+        counts.push(exec.task_seen_count());
     }
-    let cap = counts[2].0.max(counts[2].1) + 2;
-    for (w, &(m, r)) in counts.iter().enumerate().skip(3) {
-        assert!(
-            m <= cap && r <= cap,
-            "window {w}: seen sets must stay bounded (map {m}, reduce {r}, cap {cap})"
-        );
+    let cap = counts[2] + 2;
+    for (w, &m) in counts.iter().enumerate().skip(3) {
+        assert!(m <= cap, "window {w}: the seen set must stay bounded (map {m}, cap {cap})");
     }
     let panes_in_window = PaneGeometry::from_spec(&spec).window_panes(windows - 1).count();
-    let (m, r) = *counts.last().unwrap();
+    let m = *counts.last().unwrap();
     assert!(
         m <= 2 * panes_in_window + 2,
         "final map_seen ({m}) must be on the order of one window ({panes_in_window} panes)"
-    );
-    assert!(
-        r <= 2 * panes_in_window + 2,
-        "final reduce_seen ({r}) must be on the order of one window"
     );
 }
