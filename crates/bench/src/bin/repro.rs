@@ -562,8 +562,10 @@ fn main() {
     redoop_mapred::exec::set_host_parallelism(workers);
     if trace_path.is_some() {
         // Installed before any simulator is built, so every component
-        // constructed by the figures picks it up.
-        redoop_mapred::trace::set_global_sink(Some(TraceSink::with_capacity(1 << 17)));
+        // constructed by the figures picks it up. The ring holds every
+        // figure's journal whole (the largest, `capacity`, is 196 193
+        // events) and allocates as it fills, so the bound is free.
+        redoop_mapred::trace::set_global_sink(Some(TraceSink::with_capacity(1 << 18)));
     }
     let mut figures: Vec<(String, Json)> = Vec::new();
     match arg.as_str() {
@@ -617,8 +619,8 @@ fn main() {
     };
     write_report(path, &arg, figures);
     if let Some(path) = trace_path {
-        let journal = redoop_mapred::trace::global_sink().render_json();
-        match std::fs::write(&path, journal) {
+        let sink = redoop_mapred::trace::global_sink();
+        match std::fs::write(&path, sink.render_json()) {
             Ok(()) => println!("wrote trace journal to {path}"),
             Err(e) => {
                 eprintln!("error: could not write trace journal {path}: {e}");
@@ -626,5 +628,32 @@ fn main() {
             }
         }
         redoop_mapred::trace::set_global_sink(None);
+        let code = journal_exit_code(sink.dropped());
+        if code != 0 {
+            eprintln!(
+                "error: trace journal {path} is incomplete: the sink dropped {} events",
+                sink.dropped()
+            );
+            std::process::exit(code);
+        }
+    }
+}
+
+/// Exit status of a traced run, decided after its journal is written: a
+/// journal the ring dropped events from is missing its head, and a smoke
+/// that asked for a journal must not pass on part of one.
+fn journal_exit_code(dropped: u64) -> i32 {
+    i32::from(dropped > 0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_journal_that_dropped_events_fails_the_run() {
+        assert_eq!(journal_exit_code(0), 0);
+        assert_ne!(journal_exit_code(1), 0);
+        assert_ne!(journal_exit_code(65_121), 0, "`capacity` on a 1 << 17 ring");
     }
 }

@@ -14,12 +14,18 @@
 //! configuration (no budget, [`WindowLifespanPolicy`]) admits everything
 //! and evicts nothing — the paper's expire-only lifecycle.
 //!
+//! The name-sorted signature table is the record; the one index kept
+//! beside it is the per-node slice (`bytes_on` is read on every
+//! admission, `names_on` once per node per audit). What an expiry sweep
+//! asks — which panes are tracked, which names belong to one — is a
+//! filter over the table.
+//!
 //! [`WindowLifespanPolicy`]: super::policy::WindowLifespanPolicy
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use redoop_dfs::NodeId;
-use redoop_mapred::trace::{self, CacheAction, TraceEvent, TraceSink};
+use redoop_mapred::trace::{CacheAction, TraceEvent, TraceSink};
 use redoop_mapred::SimTime;
 
 use super::policy::{CachePolicy, CacheStats, WindowLifespanPolicy};
@@ -114,10 +120,6 @@ pub struct CacheController {
     sigs: BTreeMap<CacheName, CacheSignature>,
     /// Materialized (`ready == CacheAvailable`) caches per holding node.
     by_node: HashMap<NodeId, NodeCaches>,
-    /// Every tracked signature (any readiness) per `(source, pane)`,
-    /// for pane-expiry sweeps. Pair outputs are not pane-keyed and stay
-    /// outside this index.
-    by_pane: HashMap<(u32, u64), BTreeSet<CacheName>>,
     /// Per-node byte budget (`None` = unbounded, the default).
     capacity: Option<u64>,
     /// Admission/eviction arbiter consulted on every registration and
@@ -126,7 +128,8 @@ pub struct CacheController {
     trace: TraceSink,
 }
 
-/// The `(source, pane)` key of a pane-scoped cache object.
+/// The `(source, pane)` key of a pane-scoped cache object (pair outputs
+/// are not pane-keyed).
 fn pane_key(name: &CacheName) -> Option<(u32, u64)> {
     match name.object {
         CacheObject::PaneInput { source, pane, .. } => Some((source, pane.0)),
@@ -136,8 +139,9 @@ fn pane_key(name: &CacheName) -> Option<(u32, u64)> {
 }
 
 impl CacheController {
-    /// Controller for `query_count` registered queries (1..=64). Picks up
-    /// the process-wide trace sink, if one is installed.
+    /// Controller for `query_count` registered queries (1..=64),
+    /// journaling nowhere until [`CacheController::set_trace_sink`]
+    /// routes it.
     pub fn new(query_count: usize) -> Self {
         assert!((1..=64).contains(&query_count));
         let full_mask = if query_count == 64 { u64::MAX } else { (1u64 << query_count) - 1 };
@@ -146,10 +150,9 @@ impl CacheController {
             full_mask,
             sigs: BTreeMap::new(),
             by_node: HashMap::new(),
-            by_pane: HashMap::new(),
             capacity: None,
             policy: Box::new(WindowLifespanPolicy),
-            trace: trace::global_sink(),
+            trace: TraceSink::disabled(),
         }
     }
 
@@ -178,28 +181,19 @@ impl CacheController {
         self.capacity.is_none_or(|cap| bytes <= cap)
     }
 
-    /// Fetches (creating if absent) `name`'s signature, keeping the pane
-    /// index in step. All entry creation funnels through here.
-    fn sig_entry<'a>(
-        sigs: &'a mut BTreeMap<CacheName, CacheSignature>,
-        by_pane: &mut HashMap<(u32, u64), BTreeSet<CacheName>>,
-        name: CacheName,
-    ) -> &'a mut CacheSignature {
-        sigs.entry(name).or_insert_with(|| {
-            if let Some(key) = pane_key(&name) {
-                by_pane.entry(key).or_default().insert(name);
-            }
-            CacheSignature {
-                node: None,
-                ready: Ready::NotAvailable,
-                done_query_mask: 0,
-                bytes: 0,
-                rebuild_bytes: 0,
-                available_at: SimTime::ZERO,
-                salvaged: None,
-                remaining_uses: 0,
-                last_used: SimTime::ZERO,
-            }
+    /// Fetches (creating if absent) `name`'s signature. All entry
+    /// creation funnels through here.
+    fn sig_entry(&mut self, name: CacheName) -> &mut CacheSignature {
+        self.sigs.entry(name).or_insert_with(|| CacheSignature {
+            node: None,
+            ready: Ready::NotAvailable,
+            done_query_mask: 0,
+            bytes: 0,
+            rebuild_bytes: 0,
+            available_at: SimTime::ZERO,
+            salvaged: None,
+            remaining_uses: 0,
+            last_used: SimTime::ZERO,
         })
     }
 
@@ -249,7 +243,7 @@ impl CacheController {
     /// New caches start with an all-clear mask; existing entries keep
     /// their mask and only upgrade readiness if currently NotAvailable.
     pub fn note_hdfs_available(&mut self, name: CacheName) {
-        let sig = Self::sig_entry(&mut self.sigs, &mut self.by_pane, name);
+        let sig = self.sig_entry(name);
         if sig.ready == Ready::NotAvailable {
             sig.ready = Ready::HdfsAvailable;
         }
@@ -329,8 +323,31 @@ impl CacheController {
         }
     }
 
-    /// Marks an admitted cache materialized on `node` (ready = 2),
-    /// replacing whatever the signature held before, and charges the
+    /// Writes an admission's outcome over whatever `name`'s signature
+    /// held before: materialized on `holder` (ready = 2), or — refused,
+    /// no holder — HDFS-available under the fresh metadata.
+    fn settle(
+        &mut self,
+        name: CacheName,
+        holder: Option<NodeId>,
+        bytes: u64,
+        rebuild_bytes: u64,
+        at: SimTime,
+    ) {
+        if let Some(old) = self.sigs.get(&name) {
+            Self::unindex_holder(&mut self.by_node, &name, old);
+        }
+        let sig = self.sig_entry(name);
+        sig.node = holder;
+        sig.ready = if holder.is_some() { Ready::CacheAvailable } else { Ready::HdfsAvailable };
+        sig.bytes = bytes;
+        sig.rebuild_bytes = rebuild_bytes.max(bytes);
+        sig.available_at = at;
+        sig.salvaged = None;
+        sig.last_used = at;
+    }
+
+    /// Marks an admitted cache materialized on `node` and charges the
     /// consumption to the policy.
     fn materialize(
         &mut self,
@@ -340,15 +357,7 @@ impl CacheController {
         rebuild_bytes: u64,
         at: SimTime,
     ) {
-        let sig = Self::sig_entry(&mut self.sigs, &mut self.by_pane, name);
-        Self::unindex_holder(&mut self.by_node, &name, sig);
-        sig.node = Some(node);
-        sig.ready = Ready::CacheAvailable;
-        sig.bytes = bytes;
-        sig.rebuild_bytes = rebuild_bytes.max(bytes);
-        sig.available_at = at;
-        sig.salvaged = None;
-        sig.last_used = at;
+        self.settle(name, Some(node), bytes, rebuild_bytes, at);
         self.index_holder(name, node, bytes);
         self.policy.charge(&name, at);
     }
@@ -484,15 +493,7 @@ impl CacheController {
         rebuild_bytes: u64,
         at: SimTime,
     ) -> Admission {
-        let sig = Self::sig_entry(&mut self.sigs, &mut self.by_pane, name);
-        Self::unindex_holder(&mut self.by_node, &name, sig);
-        sig.node = None;
-        sig.ready = Ready::HdfsAvailable;
-        sig.bytes = bytes;
-        sig.rebuild_bytes = rebuild_bytes.max(bytes);
-        sig.available_at = at;
-        sig.salvaged = None;
-        sig.last_used = at;
+        self.settle(name, None, bytes, rebuild_bytes, at);
         self.trace.emit(|| TraceEvent::Cache {
             at,
             action: CacheAction::AdmitReject,
@@ -522,8 +523,7 @@ impl CacheController {
     /// signature if needed so the estimate is visible to the admission
     /// decision of the registration that follows.
     pub fn note_remaining_uses(&mut self, name: CacheName, uses: u32) {
-        let sig = Self::sig_entry(&mut self.sigs, &mut self.by_pane, name);
-        sig.remaining_uses = uses;
+        self.sig_entry(name).remaining_uses = uses;
     }
 
     /// Records the salvage verdict of a damaged cache: `intact` of
@@ -652,14 +652,6 @@ impl CacheController {
     pub fn forget(&mut self, name: &CacheName) {
         if let Some(sig) = self.sigs.remove(name) {
             Self::unindex_holder(&mut self.by_node, name, &sig);
-            if let Some(key) = pane_key(name) {
-                if let Some(set) = self.by_pane.get_mut(&key) {
-                    set.remove(name);
-                    if set.is_empty() {
-                        self.by_pane.remove(&key);
-                    }
-                }
-            }
             self.trace.emit(|| TraceEvent::Cache {
                 at: self.trace.now(),
                 action: CacheAction::Forget,
@@ -710,12 +702,16 @@ impl CacheController {
     }
 
     /// Names of every tracked signature (any readiness) belonging to
-    /// `(source, pane)`, name-sorted — pane-expiry sweeps read this
-    /// index instead of scanning the whole table per expired pane.
+    /// `(source, pane)`, name-sorted — sub-pane inputs and every
+    /// partition included.
     pub fn names_for_pane(&self, source: u32, pane: u64) -> Vec<CacheName> {
-        self.by_pane
-            .get(&(source, pane))
-            .map_or_else(Vec::new, |set| set.iter().copied().collect())
+        self.names_matching(|n| pane_key(n) == Some((source, pane)))
+    }
+
+    /// Every `(source, pane)` some tracked signature (any readiness)
+    /// belongs to, sorted — the pane-expiry sweep's candidates.
+    pub fn tracked_panes(&self) -> BTreeSet<(u32, u64)> {
+        self.sigs.keys().filter_map(pane_key).collect()
     }
 }
 
@@ -815,10 +811,11 @@ mod tests {
 
     #[test]
     fn indexes_mirror_the_signature_table_under_random_churn() {
-        // Every index answer (names_on, bytes_on, names_for_pane) must
-        // equal the corresponding full-table scan after any interleaving
+        // Every node-index answer (names_on, bytes_on) must equal the
+        // corresponding full-table scan — and names_for_pane list exactly
+        // its pane's signatures, every partition — after any interleaving
         // of registrations, adoptions, invalidations, rollbacks, and
-        // forgets — including re-registrations that move a cache between
+        // forgets, including re-registrations that move a cache between
         // nodes.
         let mut c = CacheController::new(1);
         let mut rng: u64 = 0xdead_beef_cafe_f00d;

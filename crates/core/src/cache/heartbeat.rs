@@ -9,6 +9,9 @@
 //! The controller reconciles: any cache it believed materialized on the
 //! node but absent from the heartbeat is rolled back to HDFS-available —
 //! the paper's §5 recovery trigger.
+//!
+//! Every heartbeat reads every unexpired entry's blob and checks it from
+//! scratch; nothing an earlier audit concluded is carried to the next.
 
 use redoop_dfs::{Cluster, NodeId};
 use redoop_mapred::frame;
@@ -42,7 +45,7 @@ impl LocalCacheRegistry {
     /// Builds this node's heartbeat: every unexpired registry entry whose
     /// file really exists in the node's local store, with the framed
     /// cache kinds (pane inputs and pane outputs) additionally audited
-    /// frame-by-frame against their checksums.
+    /// frame-by-frame against their checksums — every entry, every time.
     /// Entries whose files vanished (crash, manual purge) or failed the
     /// audit are dropped from the registry as a side effect — the
     /// node-side half of recovery; audited-damaged blobs also report
@@ -53,35 +56,14 @@ impl LocalCacheRegistry {
         if !cluster.is_alive(node) {
             return RegistryHeartbeat { node, alive: false, held: Vec::new(), damaged: Vec::new() };
         }
-        // Epoch handshake: if neither the node's local store nor this
-        // registry changed since the last fully-verified heartbeat, the
-        // previous verification still holds and the per-file probes can
-        // be skipped — the common case for idle nodes at scale.
-        let epoch = cluster.local_epoch(node).expect("registry node exists");
-        if self.verified_clean(epoch) {
-            return RegistryHeartbeat {
-                node,
-                alive: true,
-                held: self.names(),
-                damaged: Vec::new(),
-            };
-        }
         let mut held = Vec::new();
         let mut lost = Vec::new();
         let mut damaged = Vec::new();
-        let mut verified = Vec::new();
         for name in self.names() {
             let Some(blob) = cluster.peek_local(node, &name.store_name()) else {
                 lost.push(name);
                 continue;
             };
-            let (ptr, len) = (blob.as_ptr() as usize, blob.len());
-            // An unchanged blob was already audited by an earlier
-            // heartbeat; skip re-checksumming it.
-            if self.blob_verified(&name, ptr, len) {
-                held.push(name);
-                continue;
-            }
             // Pane caches are framed by construction, so one that fails
             // the strict decode is damaged whatever its first bytes say.
             // The salvage scan resynchronizes past a broken marker; a
@@ -97,19 +79,11 @@ impl LocalCacheRegistry {
                 lost.push(name);
                 continue;
             }
-            verified.push((name, ptr, len));
             held.push(name);
         }
         for name in lost {
             self.drop_entry(&name);
         }
-        for (name, ptr, len) in verified {
-            self.remember_verified(name, ptr, len);
-        }
-        // Probes are reads (store epoch unchanged) and the drops above
-        // already advanced the registry version, so recording the pair
-        // here certifies exactly the state just verified.
-        self.mark_verified(epoch);
         RegistryHeartbeat { node, alive: true, held, damaged }
     }
 }
@@ -197,38 +171,74 @@ mod tests {
         assert!(reg.get(&name(0)).is_some());
     }
 
+    /// A framed blob of several frames, for tests that tear one.
+    fn multi_frame_blob() -> Vec<u8> {
+        let mut groups: redoop_mapred::Grouped<String, u64> = Default::default();
+        for g in 0..40u64 {
+            groups.values.push(g);
+            groups.runs.push((format!("k{g:03}"), g as u32, 1));
+        }
+        let blob = redoop_mapred::io::encode_framed_grouped_block(&groups, 7, 0);
+        assert!(frame::salvage_scan(&blob).total >= 2, "test wants a multi-frame blob");
+        blob
+    }
+
     #[test]
-    fn epoch_handshake_skips_reverification_until_something_changes() {
+    fn a_cache_rebuilt_under_a_purged_name_is_audited_like_a_new_one() {
         let cluster = Cluster::with_nodes(1);
         let mut reg = LocalCacheRegistry::new(NodeId(0), PurgePolicy::default());
-        cluster.put_local(NodeId(0), name(0).store_name(), intact_blob()).unwrap();
-        reg.add_entry(name(0), 1);
-        reg.add_entry(name(1), 1); // phantom: no backing file
-        assert!(!reg.verified_clean(cluster.local_epoch(NodeId(0)).unwrap()));
+        let blob = multi_frame_blob();
+        let total = frame::salvage_scan(&blob).total;
+        let n = name(0);
+        cluster.put_local(NodeId(0), n.store_name(), blob.clone().into()).unwrap();
+        reg.add_entry(n, blob.len() as u64);
+        let hb = reg.heartbeat(&cluster);
+        assert_eq!((hb.held, hb.damaged), (vec![n], vec![]));
+        // Expired and purged: the row and the file are gone.
+        reg.mark_expired(&n);
+        assert_eq!(reg.purge_expired(&cluster).unwrap(), vec![n]);
+        assert!(!cluster.has_local(NodeId(0), &n.store_name()));
+        // A cache of the same name and length, torn in its last frame,
+        // gets no credit for the clean audit of its predecessor.
+        cluster.put_local(NodeId(0), n.store_name(), blob.clone().into()).unwrap();
+        assert!(cluster.corrupt_local(NodeId(0), &n.store_name(), blob.len() - 8, 8).unwrap());
+        reg.add_entry(n, blob.len() as u64);
+        let hb = reg.heartbeat(&cluster);
+        assert!(hb.held.is_empty());
+        assert_eq!(hb.damaged, vec![(n, total - 1, total)]);
+        assert!(reg.get(&n).is_none(), "the damaged row is dropped node-side");
+    }
 
-        // Full probe: drops the phantom, then certifies the clean pair.
-        let hb1 = reg.heartbeat(&cluster);
-        assert_eq!(hb1.held, vec![name(0)]);
-        assert!(reg.verified_clean(cluster.local_epoch(NodeId(0)).unwrap()));
-
-        // Untouched store + registry: the fast path answers identically.
-        let hb2 = reg.heartbeat(&cluster);
-        assert_eq!(hb2, hb1);
-
-        // A registry mutation dirties the handshake; the next heartbeat
-        // re-probes and drops the new phantom — proof it went the long way.
-        reg.add_entry(name(2), 1);
-        assert!(!reg.verified_clean(cluster.local_epoch(NodeId(0)).unwrap()));
-        let hb3 = reg.heartbeat(&cluster);
-        assert_eq!(hb3.held, vec![name(0)]);
-        assert!(reg.get(&name(2)).is_none());
-
-        // A store mutation (epoch bump) dirties it from the other side.
-        cluster.put_local(NodeId(0), "unrelated", Bytes::from_static(b"y")).unwrap();
-        assert!(!reg.verified_clean(cluster.local_epoch(NodeId(0)).unwrap()));
-        let hb4 = reg.heartbeat(&cluster);
-        assert_eq!(hb4.held, vec![name(0)]);
-        assert!(reg.verified_clean(cluster.local_epoch(NodeId(0)).unwrap()));
+    #[test]
+    fn the_heartbeat_is_a_function_of_rows_and_store() {
+        let cluster = Cluster::with_nodes(1);
+        let blob = multi_frame_blob();
+        for p in 0..3 {
+            cluster.put_local(NodeId(0), name(p).store_name(), blob.clone().into()).unwrap();
+        }
+        let with_rows = || {
+            let mut reg = LocalCacheRegistry::new(NodeId(0), PurgePolicy::default());
+            for p in 0..3 {
+                reg.add_entry(name(p), blob.len() as u64);
+            }
+            reg.mark_expired(&name(2));
+            reg
+        };
+        // A registry that has audited ten times and one that never has,
+        // holding the same rows over the same store, report the same.
+        let mut old = with_rows();
+        for _ in 0..10 {
+            old.heartbeat(&cluster);
+        }
+        let hb = old.heartbeat(&cluster);
+        assert_eq!(hb.held, vec![name(0), name(1)]);
+        assert_eq!(with_rows().heartbeat(&cluster), hb);
+        // ...and both see damage done behind their backs.
+        assert!(cluster.corrupt_local(NodeId(0), &name(1).store_name(), blob.len() - 8, 8).unwrap());
+        let hb = old.heartbeat(&cluster);
+        assert_eq!(hb.held, vec![name(0)]);
+        assert_eq!(hb.damaged.len(), 1);
+        assert_eq!(with_rows().heartbeat(&cluster), hb);
     }
 
     #[test]
@@ -294,9 +304,6 @@ mod tests {
 
     #[test]
     fn damaged_framed_cache_is_salvaged_not_just_lost() {
-        use redoop_mapred::io::encode_framed_grouped_block;
-        use redoop_mapred::{frame, Grouped};
-
         let cluster = Cluster::with_nodes(2);
         let mut reg = LocalCacheRegistry::new(NodeId(1), PurgePolicy::default());
         let mut ctl = CacheController::new(1);
@@ -304,14 +311,8 @@ mod tests {
         // A framed cache with several frames, a pane cache holding
         // unframed bytes, and a pair output (text by construction).
         let pair = CacheName::new(CacheObject::PairOutput { left: PaneId(1), right: PaneId(2) }, 0);
-        let mut groups: Grouped<String, u64> = Grouped::default();
-        for g in 0..40u64 {
-            groups.values.push(g);
-            groups.runs.push((format!("k{g:03}"), g as u32, 1));
-        }
-        let blob = encode_framed_grouped_block(&groups, 7, 0);
+        let blob = multi_frame_blob();
         let total = frame::salvage_scan(&blob).total;
-        assert!(total >= 2, "test wants a multi-frame blob");
         cluster.put_local(NodeId(1), name(7).store_name(), blob.clone().into()).unwrap();
         cluster.put_local(NodeId(1), name(8).store_name(), Bytes::from_static(b"legacy")).unwrap();
         cluster.put_local(NodeId(1), pair.store_name(), Bytes::from_static(b"k\tv\n")).unwrap();

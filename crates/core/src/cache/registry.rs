@@ -5,17 +5,25 @@
 //! appended when caches are created, flipped to expired when the master's
 //! purge notification arrives, and physically deleted by the periodic or
 //! on-demand purge scans.
+//!
+//! The rows are the registry's only state: the purge scan's working set
+//! is the rows flagged expired, `live_bytes` is a sum over the rest, and
+//! the heartbeat audit ([`super::heartbeat`]) is a function of the rows
+//! and the node's store. Capacity admission does not read this ledger —
+//! it reads the controller's `bytes_on`; the executor checks the two
+//! ledgers against each other after every window in debug builds.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use redoop_dfs::{Cluster, NodeId};
-use redoop_mapred::trace::{self, CacheAction, TraceEvent, TraceSink};
+use redoop_mapred::trace::{CacheAction, TraceEvent, TraceSink};
 
 use super::policy::PurgePolicy;
 use super::{CacheKind, CacheName};
 use crate::error::Result;
 
-/// One registry row (paper Table 1: pid, type, expiration).
+/// One registry row (paper Table 1: pid, type, expiration), plus the
+/// cache's size.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegistryEntry {
     /// Cache identity.
@@ -26,74 +34,27 @@ pub struct RegistryEntry {
     pub expired: bool,
     /// Size in bytes on the local store.
     pub bytes: u64,
-    /// `(blob ptr, blob len)` of the store blob the last heartbeat
-    /// verified intact for this entry, if any. `Bytes` blobs are
-    /// immutable once stored, so an unchanged pointer proves unchanged
-    /// content and lets the content audit skip re-checksumming —
-    /// verification stays O(changed blobs). Held in the row, the voucher
-    /// cannot outlive the entry it vouches for.
-    pub(crate) verified: Option<(usize, usize)>,
 }
 
-/// Per-node cache registry.
+/// Per-node cache registry: the name-sorted rows and nothing derived
+/// from them.
 #[derive(Debug)]
 pub struct LocalCacheRegistry {
     node: NodeId,
     policy: PurgePolicy,
     entries: BTreeMap<CacheName, RegistryEntry>,
-    /// Bumped on every entry-set mutation. Together with the datanode's
-    /// local-store epoch this proves "nothing changed since the last
-    /// audit", letting heartbeats skip their per-file probes.
-    version: u64,
-    /// `(store epoch, registry version)` at the last heartbeat that
-    /// verified every unexpired entry present in the node's local store.
-    last_verified: Option<(u64, u64)>,
-    /// Names of currently expired entries — the purge scan's working
-    /// set, name-sorted like the full-table scan it replaces.
-    expired: BTreeSet<CacheName>,
-    /// Running total of unexpired entry bytes.
-    live_bytes: u64,
     trace: TraceSink,
 }
 
 impl LocalCacheRegistry {
-    /// Registry for `node` under `policy`. Picks up the process-wide
-    /// trace sink, if one is installed.
+    /// Registry for `node` under `policy`, journaling nowhere until
+    /// [`LocalCacheRegistry::set_trace_sink`] routes it.
     pub fn new(node: NodeId, policy: PurgePolicy) -> Self {
         LocalCacheRegistry {
             node,
             policy,
             entries: BTreeMap::new(),
-            version: 0,
-            last_verified: None,
-            expired: BTreeSet::new(),
-            live_bytes: 0,
-            trace: trace::global_sink(),
-        }
-    }
-
-    /// Whether the registry/store pair is provably untouched since the
-    /// last fully-verified heartbeat at store epoch `epoch`.
-    pub(crate) fn verified_clean(&self, epoch: u64) -> bool {
-        self.last_verified == Some((epoch, self.version))
-    }
-
-    /// Records that every unexpired entry was just verified present in
-    /// the local store, as of store epoch `epoch`.
-    pub(crate) fn mark_verified(&mut self, epoch: u64) {
-        self.last_verified = Some((epoch, self.version));
-    }
-
-    /// Whether `(ptr, len)` matches the blob last verified intact for
-    /// `name` (pointer identity: same `Bytes` allocation, same content).
-    pub(crate) fn blob_verified(&self, name: &CacheName, ptr: usize, len: usize) -> bool {
-        self.entries.get(name).is_some_and(|e| e.verified == Some((ptr, len)))
-    }
-
-    /// Remembers `(ptr, len)` as verified intact for `name`.
-    pub(crate) fn remember_verified(&mut self, name: CacheName, ptr: usize, len: usize) {
-        if let Some(e) = self.entries.get_mut(&name) {
-            e.verified = Some((ptr, len));
+            trace: TraceSink::disabled(),
         }
     }
 
@@ -111,19 +72,7 @@ impl LocalCacheRegistry {
     /// appended ... records for existing caches do not need to change").
     pub fn add_entry(&mut self, name: CacheName, bytes: u64) {
         let kind = name.object.kind();
-        let prev = self
-            .entries
-            .insert(name, RegistryEntry { name, kind, expired: false, bytes, verified: None });
-        match prev {
-            Some(p) if p.expired => {
-                self.expired.remove(&name);
-            }
-            Some(p) => self.live_bytes -= p.bytes,
-            None => {}
-        }
-        self.live_bytes += bytes;
-        self.version += 1;
-        self.debug_check_counters();
+        self.entries.insert(name, RegistryEntry { name, kind, expired: false, bytes });
     }
 
     /// Handles a purge notification from the window-aware cache
@@ -133,39 +82,9 @@ impl LocalCacheRegistry {
     /// the file.
     pub fn mark_expired(&mut self, name: &CacheName) {
         if let Some(e) = self.entries.get_mut(name) {
-            if !e.expired {
-                e.expired = true;
-                self.expired.insert(*name);
-                self.live_bytes -= e.bytes;
-                self.version += 1;
-            }
+            e.expired = true;
         }
-        self.debug_check_counters();
     }
-
-    /// Debug-mode invariant (capacity enforcement reads `live_bytes`;
-    /// silent drift here would corrupt every admission decision): the
-    /// incremental counter must equal the sum of unexpired entry sizes
-    /// and the expired working set must mirror the expiration flags.
-    #[cfg(debug_assertions)]
-    fn debug_check_counters(&self) {
-        let live: u64 = self.entries.values().filter(|e| !e.expired).map(|e| e.bytes).sum();
-        debug_assert_eq!(
-            self.live_bytes, live,
-            "live-byte counter drifted from entry table on node {:?}",
-            self.node
-        );
-        let expired: Vec<&CacheName> =
-            self.entries.values().filter(|e| e.expired).map(|e| &e.name).collect();
-        debug_assert!(
-            self.expired.iter().eq(expired.into_iter()),
-            "expired working set drifted from entry table on node {:?}",
-            self.node
-        );
-    }
-
-    #[cfg(not(debug_assertions))]
-    fn debug_check_counters(&self) {}
 
     /// Entry lookup.
     pub fn get(&self, name: &CacheName) -> Option<&RegistryEntry> {
@@ -180,19 +99,7 @@ impl LocalCacheRegistry {
     /// Removes an entry whose backing file turned out to be gone; returns
     /// whether it existed.
     pub fn drop_entry(&mut self, name: &CacheName) -> bool {
-        match self.entries.remove(name) {
-            Some(e) => {
-                if e.expired {
-                    self.expired.remove(name);
-                } else {
-                    self.live_bytes -= e.bytes;
-                }
-                self.version += 1;
-                self.debug_check_counters();
-                true
-            }
-            None => false,
-        }
+        self.entries.remove(name).is_some()
     }
 
     /// Number of registered caches (expired or not).
@@ -207,34 +114,25 @@ impl LocalCacheRegistry {
 
     /// Live (unexpired) bytes registered on this node.
     pub fn live_bytes(&self) -> u64 {
-        self.live_bytes
+        self.entries.values().filter(|e| !e.expired).map(|e| e.bytes).sum()
     }
 
     /// All caches lost when the node dies: clears the registry and
     /// returns what was on it (used by failure recovery bookkeeping).
     pub fn on_node_failure(&mut self) -> Vec<CacheName> {
-        let names = self.entries.keys().copied().collect();
-        self.entries.clear();
-        self.expired.clear();
-        self.live_bytes = 0;
-        self.version += 1;
-        self.debug_check_counters();
-        names
+        std::mem::take(&mut self.entries).into_keys().collect()
     }
 
     /// Deletes every expired cache from the node's local store. Returns
-    /// the purged names.
+    /// the purged names, name-sorted.
     pub fn purge_expired(&mut self, cluster: &Cluster) -> Result<Vec<CacheName>> {
-        // The expired-name set is the scan's working set: a purge walks
-        // only the doomed entries, not the whole table.
-        let expired: Vec<CacheName> = self.expired.iter().copied().collect();
+        let expired: Vec<CacheName> =
+            self.entries.values().filter(|e| e.expired).map(|e| e.name).collect();
         for name in &expired {
             // The file may already be gone (node crashed and rejoined);
             // purging is idempotent.
             let _ = cluster.delete_local(self.node, &name.store_name())?;
             let entry = self.entries.remove(name);
-            self.expired.remove(name);
-            self.version += 1;
             self.trace.emit(|| TraceEvent::Cache {
                 at: self.trace.now(),
                 action: CacheAction::Purge,
@@ -243,7 +141,6 @@ impl LocalCacheRegistry {
                 bytes: entry.map_or(0, |e| e.bytes),
             });
         }
-        self.debug_check_counters();
         Ok(expired)
     }
 
@@ -315,52 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn purged_entries_leave_no_verified_blob_behind() {
-        use redoop_mapred::grouped::sort_group;
-        use redoop_mapred::io::encode_framed_grouped_block;
-        let cluster = Cluster::with_nodes(1);
-        let mut reg = LocalCacheRegistry::new(NodeId(0), PurgePolicy::default());
-        let store = |n: CacheName| {
-            let blob = encode_framed_grouped_block(&sort_group(vec![(n.store_name(), 1u64)]), 0, 0);
-            cluster.put_local(NodeId(0), n.store_name(), Bytes::from(blob)).unwrap();
-            let stored = cluster.peek_local(NodeId(0), &n.store_name()).unwrap();
-            (stored.as_ptr() as usize, stored.len())
-        };
-        // Verify, expire, purge: the audit's voucher goes with the entry,
-        // so a cache rebuilt under this name is audited again whatever
-        // address (the recycled one included) its blob lands on.
-        let n = out_name(0);
-        let (ptr, len) = store(n);
-        reg.add_entry(n, len as u64);
-        assert_eq!(reg.heartbeat(&cluster).held, vec![n]);
-        assert!(reg.blob_verified(&n, ptr, len));
-        reg.mark_expired(&n);
-        assert!(reg.blob_verified(&n, ptr, len), "expired, not yet purged: still that blob");
-        assert_eq!(reg.purge_expired(&cluster).unwrap(), vec![n]);
-        assert!(!reg.blob_verified(&n, ptr, len));
-        // Likewise for an entry replaced in place, never purged.
-        let (ptr, len) = store(n);
-        reg.add_entry(n, len as u64);
-        reg.heartbeat(&cluster);
-        assert!(reg.blob_verified(&n, ptr, len));
-        reg.add_entry(n, len as u64);
-        assert!(!reg.blob_verified(&n, ptr, len));
-        // Thirty windows of a pane built, audited, and purged two windows
-        // later: the memo shrinks with the registry it annotates.
-        for w in 1..=30u64 {
-            let (_, len) = store(out_name(w));
-            reg.add_entry(out_name(w), len as u64);
-            reg.heartbeat(&cluster);
-            if w > 2 {
-                reg.mark_expired(&out_name(w - 2));
-                reg.purge_expired(&cluster).unwrap();
-            }
-        }
-        let vouched = reg.entries.values().filter(|e| e.verified.is_some()).count();
-        assert_eq!((vouched, reg.len()), (3, 3));
-    }
-
-    #[test]
     fn on_demand_purge_fires_over_capacity() {
         let cluster = Cluster::with_nodes(1);
         let policy = PurgePolicy { periodic_cycle: 100, on_demand_capacity: 3 };
@@ -389,9 +240,9 @@ mod tests {
 
     #[test]
     fn counters_mirror_entry_churn() {
-        // The incremental live-bytes counter and expired working set must
-        // agree with brute-force recomputation under arbitrary add /
-        // expire / drop / purge / failure interleavings.
+        // Live bytes, the purge scan's set and the heartbeat payload must
+        // agree with a model of the rows under arbitrary add / expire /
+        // drop / purge / failure interleavings.
         let cluster = Cluster::with_nodes(1);
         let mut reg = LocalCacheRegistry::new(NodeId(0), PurgePolicy::default());
         let mut model: BTreeMap<CacheName, (u64, bool)> = BTreeMap::new();
@@ -447,11 +298,10 @@ mod tests {
 
     #[test]
     fn live_bytes_equal_materialized_sum_under_eviction_churn() {
-        // Capacity enforcement reads `live_bytes`; this pins the counter
-        // to a brute-force sum over the entry table across the eviction
-        // lifecycle (expire-flag reclaim, then re-admission of the same
-        // name). The debug-mode assertion additionally re-checks the
-        // invariant inside every mutation below.
+        // The executor's ledger check compares `live_bytes` with the
+        // controller's per-node total; this pins it to the unexpired rows
+        // across the eviction lifecycle (expire-flag reclaim, then
+        // re-admission of the same name).
         let mut reg = LocalCacheRegistry::new(NodeId(0), PurgePolicy::default());
         let sum_of = |reg: &LocalCacheRegistry| -> u64 {
             reg.names().iter().map(|n| reg.get(n).unwrap().bytes).sum()
@@ -460,7 +310,7 @@ mod tests {
         reg.add_entry(name(1), 200);
         assert_eq!(reg.live_bytes(), 300);
         // Eviction reclaims through the expiry flag (same path as a
-        // purge notification); the bytes leave the live counter at once
+        // purge notification); the bytes stop counting as live at once
         // even though the file survives until the next purge scan.
         reg.mark_expired(&name(0));
         assert_eq!(reg.live_bytes(), 200);

@@ -45,11 +45,6 @@ impl CacheStatusMatrix {
         CacheStatusMatrix { dims, geom, base: vec![0; dims], done: BTreeSet::new() }
     }
 
-    /// Number of dimensions.
-    pub fn dims(&self) -> usize {
-        self.dims
-    }
-
     /// First unpurged pane of dimension `d`.
     pub fn base(&self, d: usize) -> PaneId {
         PaneId(self.base[d])

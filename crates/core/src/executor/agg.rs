@@ -168,13 +168,12 @@ where
         }
         if r == self.conf.num_reducers - 1 {
             // The one rule for a pane partial's lifecycle bookkeeping:
-            // the window's last partition merging a pane marks it done
-            // and hands it to the expiry sweep — whether each partition's
-            // cache was a hit (built by an earlier window, sealed at
-            // ingestion, imported from another query) or built just now.
+            // the window's last partition merging a pane marks it done —
+            // whether each partition's cache was a hit (built by an
+            // earlier window, sealed at ingestion, imported from another
+            // query) or built just now.
             for &p in panes {
                 self.matrix.mark_done(&[p]);
-                self.built_panes.insert((0, p.0));
             }
         }
         let groups = if all_sorted {

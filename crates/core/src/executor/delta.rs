@@ -121,7 +121,7 @@ where
             && self.combiner.is_some()
             && self.merger.is_some()
             && self.sources.len() == 1
-            && !self.sources[0].shared
+            && self.share.is_none()
     }
 
     /// Home node of partition `r`'s delta state: the last pick if still

@@ -292,7 +292,6 @@ where
                 // Recency feedback for the eviction policy (no trace
                 // event, so journals are unchanged by the stamp).
                 self.controller.touch(&name, ctx.fire);
-                self.window_reused += 1;
                 self.win_stats.cache_hits += 1;
                 continue;
             }
@@ -315,7 +314,7 @@ where
         // Map stage for missing panes. Membership is a set probe, not a
         // scan over the window's pane list.
         for m in &missing {
-            self.lists.reopen_map(MapTaskEntry { source: m.source, pane: m.pane, sub: 0 });
+            self.lists.push_map(MapTaskEntry { source: m.source, pane: m.pane });
         }
         while let Some(entry) = self.lists.pop_map() {
             if missing_set.contains(&(entry.source, entry.pane.0)) {
@@ -746,8 +745,8 @@ where
 
     /// The store → charge → register primitive every fire-time cache
     /// build goes through: writes each cache of `group` to `node`'s local
-    /// store and records it as built (the `CacheObject` selects the
-    /// bookkeeping), charges `charges` as reduce work on `node` in order,
+    /// store (a pair output also marks its status-matrix cell done),
+    /// charges `charges` as reduce work on `node` in order,
     /// then registers every cache as available from the end of the last
     /// charge, which is returned. A batch build is one cache and one
     /// charge; a proactive pane build one cache and a charge per
@@ -763,17 +762,11 @@ where
     ) -> Result<SimTime> {
         for (name, built) in group {
             self.cluster.put_local(node, name.store_name(), built.blob.clone())?;
-            match name.object {
-                // Marked done by the merge that consumes it, hit or
-                // build alike (`dispatch_partition_agg`).
-                CacheObject::PaneOutput { .. } => {}
-                CacheObject::PaneInput { source, pane, .. } => {
-                    self.built_panes.insert((source, pane.0));
-                }
-                CacheObject::PairOutput { left, right } => {
-                    self.matrix.mark_done(&[left, right]);
-                    self.built_pairs.insert((left.0, right.0));
-                }
+            // A pane output is marked done by the merge that consumes it,
+            // hit or build alike (`dispatch_partition_agg`); a pane input
+            // has no cell of its own.
+            if let CacheObject::PairOutput { left, right } = name.object {
+                self.matrix.mark_done(&[left, right]);
             }
             self.window_built += 1;
         }
@@ -796,19 +789,17 @@ where
     /// in parallel on host threads, results in `names` order. All of them
     /// decode or the whole stage fails with a codec error naming the
     /// damaged cache and its node; no executor state is touched either
-    /// way (the store names interned here are a host-side memo).
+    /// way.
     pub(super) fn fetch_decoded<V: Writable + Send>(
-        &mut self,
+        &self,
         node: NodeId,
         names: &[CacheName],
     ) -> Result<Vec<mrio::GroupedBlock<M::KOut, V>>> {
-        let stores: Vec<std::sync::Arc<str>> =
-            names.iter().map(|n| self.interned_store(n)).collect();
         let cluster = &self.cluster;
         let decoded: Vec<Result<mrio::GroupedBlock<M::KOut, V>>> =
-            exec::parallel_map(stores.len(), |i| {
-                let store = &stores[i];
-                Ok(cluster.get_local(node, store).map_err(RedoopError::from).and_then(|blob| {
+            exec::parallel_map(names.len(), |i| {
+                let store = names[i].store_name();
+                Ok(cluster.get_local(node, &store).map_err(RedoopError::from).and_then(|blob| {
                     mrio::decode_framed_grouped_block(&blob).map_err(|e| {
                         MrError::Codec(format!("cache {store} on {node:?}: {e}")).into()
                     })
@@ -846,7 +837,7 @@ where
                 continue;
             }
             let Some(entry) = dir.lock().lookup(name) else { continue };
-            let store = self.interned_store(name);
+            let store = name.store_name();
             if !self.cluster.is_alive(entry.node) || !self.cluster.has_local(entry.node, &store) {
                 dir.lock().remove(name);
                 continue;
@@ -870,7 +861,7 @@ where
             self.trace.emit(|| TraceEvent::Cache {
                 at,
                 action: CacheAction::SharedHit,
-                name: store.to_string(),
+                name: store,
                 node: Some(entry.node),
                 bytes: entry.bytes,
             });
@@ -952,20 +943,25 @@ where
     /// cost-based eviction score — a Belady-style proxy the window
     /// geometry makes exact for pane lifetimes.
     fn remaining_uses_of(&self, name: &CacheName) -> u32 {
-        let geom = self.sources[0].geom;
         // The recurrence currently executing (or about to): reports are
         // pushed after each window, so `len()` is the active index both
         // mid-window and at ingest-time delta seals.
         let next = self.reports.len() as u64 + 1;
-        let end = match name.object {
+        self.lifespan_end(&name.object).saturating_sub(next).min(u32::MAX as u64) as u32
+    }
+
+    /// One past the last recurrence whose window reads `object`: the
+    /// last window containing its pane — for a pair output, both panes.
+    fn lifespan_end(&self, object: &CacheObject) -> u64 {
+        let geom = self.sources[0].geom;
+        match *object {
             CacheObject::PaneInput { pane, .. } | CacheObject::PaneOutput { pane, .. } => {
                 geom.windows_containing(pane).end
             }
             CacheObject::PairOutput { left, right } => {
                 geom.windows_containing(left).end.min(geom.windows_containing(right).end)
             }
-        };
-        end.saturating_sub(next).min(u32::MAX as u64) as u32
+        }
     }
 
     /// Per-partition source bytes behind one cache object.
@@ -1023,7 +1019,7 @@ where
     /// cache. Returns `true` when the expiry must be deferred: some
     /// *other* query sharing the signature has not finished with the
     /// pane yet, so this query releases only its own bookkeeping
-    /// (controller entry, registry row, interned name) and leaves the
+    /// (controller entry, registry row) and leaves the
     /// file alive; the last consumer's sweep takes the normal
     /// notify-and-purge path.
     fn defer_shared_expiry(&mut self, name: &CacheName) -> bool {
@@ -1042,7 +1038,6 @@ where
                     self.registries[node.index()].drop_entry(name);
                 }
                 self.controller.forget(name);
-                self.interned.remove(name);
                 self.trace.emit(|| TraceEvent::Cache {
                     at: self.trace.now(),
                     action: CacheAction::ExpireDeferred,
@@ -1069,7 +1064,6 @@ where
         }
         let notification = self.controller.mark_query_done(name, 0)?;
         self.controller.forget(&name);
-        self.interned.remove(&name);
         Ok(notification)
     }
 
@@ -1078,27 +1072,19 @@ where
     /// get their `doneQueryMask` bits set, purge notifications flow to
     /// the local registries, and registries run their purge policies.
     pub(super) fn expire_and_purge(&mut self, rec: u64) -> Result<()> {
-        let geom = self.sources[0].geom;
         let mut notifications = Vec::new();
 
-        let expired_panes: Vec<(u32, u64)> = self
-            .built_panes
-            .iter()
-            .copied()
-            .filter(|&(source, p)| {
-                let dim = if self.matrix.dims() == 1 { 0 } else { source as usize };
-                geom.pane_out_of_window(PaneId(p), rec)
-                    && self.matrix.pane_fully_processed(dim, PaneId(p))
-            })
-            .collect();
-        for (source, p) in expired_panes {
-            // Sweep every signature belonging to this (source, pane) —
-            // crucially including adaptive sub-pane inputs (`sub >= 1`),
-            // which a literal-object enumeration would miss. The
-            // controller's pane index serves exactly this set without a
-            // full-table scan per expired pane.
-            let names = self.controller.names_for_pane(source, p);
-            for name in names {
+        // The controller's table is the record of what exists: every
+        // pane it tracks a signature for — sealed, built, adopted — is a
+        // candidate, expired once it left the window and its lifespan's
+        // cells are all done.
+        for (source, p) in self.controller.tracked_panes() {
+            if !self.matrix.pane_expired(source as usize, PaneId(p), rec) {
+                continue;
+            }
+            // Every signature of the pane, adaptive sub-pane inputs
+            // (`sub >= 1`) included.
+            for name in self.controller.names_for_pane(source, p) {
                 if let Some(n) = self.retire_cache(name)? {
                     notifications.push(n);
                 }
@@ -1108,30 +1094,17 @@ where
                 source,
                 pane: p,
             });
-            self.built_panes.remove(&(source, p));
         }
 
-        if self.matrix.dims() == 2 {
-            let expired_pairs: Vec<(u64, u64)> = self
-                .built_pairs
-                .iter()
-                .copied()
-                .filter(|&(p, q)| {
-                    let wp = geom.windows_containing(PaneId(p));
-                    let wq = geom.windows_containing(PaneId(q));
-                    wp.end.min(wq.end) <= rec + 1
-                })
-                .collect();
-            for (p, q) in expired_pairs {
-                for r in 0..self.conf.num_reducers {
-                    let name = super::plan::pair_name(self.active_fp(), PaneId(p), PaneId(q), r);
-                    if self.controller.signature(&name).is_some() {
-                        if let Some(n) = self.retire_cache(name)? {
-                            notifications.push(n);
-                        }
-                    }
-                }
-                self.built_pairs.remove(&(p, q));
+        // A pair output is stale once the last window containing both of
+        // its panes has run.
+        let stale_pairs = self.controller.names_matching(|n| {
+            matches!(n.object, CacheObject::PairOutput { .. })
+                && self.lifespan_end(&n.object) <= rec + 1
+        });
+        for name in stale_pairs {
+            if let Some(n) = self.retire_cache(name)? {
+                notifications.push(n);
             }
         }
 
@@ -1143,9 +1116,6 @@ where
                 reg.maybe_purge(&self.cluster, rec)?;
             }
         }
-        // GC the scheduler's dedupe set: without this, `map_seen` grows
-        // by one entry per pane for the lifetime of the stream.
-        self.lists.gc(|e| geom.pane_out_of_window(e.pane, rec));
         self.matrix.shift(rec);
         Ok(())
     }

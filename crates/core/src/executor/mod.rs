@@ -46,7 +46,6 @@ mod delta;
 mod driver;
 mod join;
 
-use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -153,11 +152,6 @@ struct SourceState {
     conf: SourceConf,
     geom: crate::pane::PaneGeometry,
     packer: PackerHandle,
-    /// Whether the packer is shared with other queries
-    /// ([`crate::shared::SharedSource`]): shared sources ingest outside
-    /// this executor's ingest path, so delta maintenance cannot observe
-    /// their batches and stays off.
-    shared: bool,
 }
 
 /// This executor's attachment to a shared source's signature directory:
@@ -197,15 +191,8 @@ where
     lists: TaskLists,
     adaptive: AdaptiveController,
     share: Option<ShareBinding>,
-    /// Rendered store names, interned per cache identity: lookups on the
-    /// hot path (local-store reads, heartbeats, shared imports) reuse
-    /// one allocation instead of re-`format!`ing per probe.
-    interned: HashMap<CacheName, Arc<str>>,
     delta: delta::DeltaMaintenance<M::KOut, M::VOut>,
-    built_panes: BTreeSet<(u32, u64)>,
-    built_pairs: BTreeSet<(u64, u64)>,
     window_built: usize,
-    window_reused: usize,
     /// Rotation counter for cache-blind reduce placement (see
     /// [`ExecutorOptions::cache_aware_scheduling`]).
     blind_counter: u64,
@@ -383,7 +370,6 @@ where
         let mut states = Vec::with_capacity(sources.len());
         for (sid, (src, shared)) in sources.into_iter().enumerate() {
             let src_geom = geom_of(&src.spec)?;
-            let is_shared = shared.is_some();
             let packer = match shared {
                 Some(handle) => handle,
                 None => {
@@ -398,7 +384,7 @@ where
                     )))
                 }
             };
-            states.push(SourceState { geom: src_geom, conf: src, packer, shared: is_shared });
+            states.push(SourceState { geom: src_geom, conf: src, packer });
         }
         let dims = states.len();
         // One journal for the whole executor: the sim's sink (global by
@@ -430,12 +416,8 @@ where
             lists: TaskLists::new(),
             adaptive,
             share,
-            interned: HashMap::new(),
             delta: delta::DeltaMaintenance::new(num_reducers),
-            built_panes: BTreeSet::new(),
-            built_pairs: BTreeSet::new(),
             window_built: 0,
-            window_reused: 0,
             blind_counter: 0,
             trace,
             win_stats: WindowTraceStats::default(),
@@ -452,11 +434,6 @@ where
             reg.set_trace_sink(sink.clone());
         }
         self.trace = sink;
-    }
-
-    /// The scheduler's map dedupe-set size (leak detection).
-    pub fn task_seen_count(&self) -> usize {
-        self.lists.seen_count()
     }
 
     /// Overrides the ablation switches. Toggling
@@ -503,15 +480,6 @@ where
             Some(s) => s.fp_private,
             None => 0,
         }
-    }
-
-    /// The interned rendered store name of `name` (see the `interned`
-    /// field). Entries are evicted when the controller forgets the name.
-    fn interned_store(&mut self, name: &CacheName) -> Arc<str> {
-        self.interned
-            .entry(*name)
-            .or_insert_with(|| Arc::from(name.store_name()))
-            .clone()
     }
 
     /// Installs a map-side combiner: map output is pre-aggregated per key
@@ -632,7 +600,7 @@ where
                     ));
                 }
             }
-            self.lists.push_map(MapTaskEntry { source: sid, pane: PaneId(p), sub: 0 });
+            self.lists.push_map(MapTaskEntry { source: sid, pane: PaneId(p) });
             self.trace.emit(|| TraceEvent::PaneSeal {
                 at: self.trace.now(),
                 source: sid,
@@ -658,7 +626,6 @@ where
         let mut metrics =
             JobMetrics { submitted_at: fire, finished_at: fire, ..Default::default() };
         self.window_built = 0;
-        self.window_reused = 0;
         self.win_stats = WindowTraceStats::default();
         self.trace.set_now(fire);
 
@@ -745,7 +712,7 @@ where
             metrics,
             outputs,
             built_products: self.window_built,
-            reused_caches: self.window_reused,
+            reused_caches: self.win_stats.cache_hits as usize,
             trace: self.win_stats,
         };
         self.reports.push(report.clone());

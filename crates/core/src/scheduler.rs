@@ -1,9 +1,12 @@
 //! Cache-aware task scheduling (paper §4.3, Eq. 4, Algorithm 2).
 //!
 //! The scheduler keeps Algorithm 2's `mapTaskList` — a FIFO fed as panes
-//! seal, whose arrival order is the order map tasks are charged (reduce
-//! tasks are enumerated per window by the plan, in plan order) — and
-//! places each task with
+//! seal and as a window re-opens panes whose product it finds missing,
+//! whose arrival order is the order map tasks are charged (reduce tasks
+//! are enumerated per window by the plan, in plan order). It is a queue
+//! and no more: that a pane is mapped once per window is the driver's
+//! per-window map output table's doing, not a seen-set's here. Each task
+//! is placed with
 //!
 //! ```text
 //! node = argmin_i ( Load_i + C_task,i )        (Eq. 4)
@@ -15,7 +18,7 @@
 //! anywhere else. Load balancing emerges naturally: a node hoarding every
 //! cache also accumulates `Load_i`, letting other nodes win.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use redoop_dfs::NodeId;
 use redoop_mapred::{CostModel, SimTime};
@@ -91,73 +94,40 @@ pub fn rebuild_cost(bytes: u64, cost: &CostModel) -> SimTime {
         + cost.local_write(bytes)
 }
 
-/// One pending map-side task: build the reduce-input caches of a pane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// One pending map-side task: build the reduce-input caches of a pane
+/// (every sub-pane slice of it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MapTaskEntry {
     /// Source of the pane.
     pub source: u32,
     /// Pane to load/shuffle.
     pub pane: PaneId,
-    /// Sub-pane index.
-    pub sub: u32,
 }
 
-/// The scheduler's FIFO map task list (Algorithm 2). Entries are
-/// deduplicated: a pane whose data arrives in several batches is still
-/// one task.
+/// The scheduler's FIFO map task list (Algorithm 2): a plain queue. A
+/// pane may be queued more than once — sealed, then re-opened by a window
+/// that finds its product missing — and the driver, which drains the
+/// queue for every partition of every window, maps a pane at most once
+/// per window whatever the queue holds.
 #[derive(Debug, Default)]
 pub struct TaskLists {
     map_list: VecDeque<MapTaskEntry>,
-    map_seen: HashSet<MapTaskEntry>,
 }
 
 impl TaskLists {
-    /// Empty lists.
+    /// Empty list.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Enqueues a map task once (ready bit 1: data in HDFS).
-    pub fn push_map(&mut self, entry: MapTaskEntry) -> bool {
-        if self.map_seen.insert(entry) {
-            self.map_list.push_back(entry);
-            true
-        } else {
-            false
-        }
+    /// Enqueues a map task (ready bit 1: data in HDFS).
+    pub fn push_map(&mut self, entry: MapTaskEntry) {
+        self.map_list.push_back(entry);
     }
 
     /// Dequeues the next map task (FIFO, Algorithm 2 lines 6–12).
     pub fn pop_map(&mut self) -> Option<MapTaskEntry> {
         self.map_list.pop_front()
-    }
-
-    /// Allows a map task to be scheduled again (after its product was
-    /// lost to a failure).
-    pub fn reopen_map(&mut self, entry: MapTaskEntry) {
-        self.map_seen.remove(&entry);
-        self.push_map(entry);
-    }
-
-    /// Pending map tasks.
-    pub fn map_len(&self) -> usize {
-        self.map_list.len()
-    }
-
-    /// Retires entries whose panes slid out of every window: matching
-    /// entries leave the dedupe set *and* any still-queued copies are
-    /// dropped. Without this the seen set grows without bound across
-    /// recurrences. Returns the retired count.
-    pub fn gc(&mut self, expired: impl Fn(&MapTaskEntry) -> bool) -> usize {
-        let before = self.map_seen.len();
-        self.map_seen.retain(|e| !expired(e));
-        self.map_list.retain(|e| !expired(e));
-        before - self.map_seen.len()
-    }
-
-    /// Size of the dedupe set (leak detection).
-    pub fn seen_count(&self) -> usize {
-        self.map_seen.len()
     }
 }
 
@@ -345,12 +315,10 @@ mod tests {
     #[test]
     fn task_lists_fifo_and_dedupe() {
         let mut lists = TaskLists::new();
-        let a = MapTaskEntry { source: 0, pane: PaneId(0), sub: 0 };
-        let b = MapTaskEntry { source: 0, pane: PaneId(1), sub: 0 };
-        assert!(lists.push_map(a));
-        assert!(lists.push_map(b));
-        assert!(!lists.push_map(a), "duplicate rejected");
-        assert_eq!(lists.map_len(), 2);
+        let a = MapTaskEntry { source: 0, pane: PaneId(0) };
+        let b = MapTaskEntry { source: 0, pane: PaneId(1) };
+        lists.push_map(a);
+        lists.push_map(b);
         assert_eq!(lists.pop_map(), Some(a));
         assert_eq!(lists.pop_map(), Some(b));
         assert_eq!(lists.pop_map(), None);
@@ -392,36 +360,5 @@ mod tests {
         let ctx = SchedulerCtx { loads: &loads, alive: &alive };
         let picked = ctx.argmin(&affinity);
         assert_eq!(picked, NodeId(0), "corrected cost keeps the task on the cache holder");
-    }
-
-    #[test]
-    fn gc_retires_expired_entries_and_queued_copies() {
-        let mut lists = TaskLists::new();
-        for p in 0..10 {
-            lists.push_map(MapTaskEntry { source: 0, pane: PaneId(p), sub: 0 });
-        }
-        while lists.pop_map().is_some() {}
-        assert_eq!(lists.seen_count(), 10);
-
-        let expired = |e: &MapTaskEntry| e.pane.0 < 4;
-        assert_eq!(lists.gc(expired), 4);
-        assert_eq!(lists.seen_count(), 6);
-
-        // A retired pane can re-enter (replay), and GC also drops queued
-        // copies, not just the dedupe entries.
-        assert!(lists.push_map(MapTaskEntry { source: 0, pane: PaneId(0), sub: 0 }));
-        assert_eq!(lists.gc(expired), 1);
-        assert_eq!(lists.map_len(), 0);
-        assert_eq!(lists.seen_count(), 6);
-    }
-
-    #[test]
-    fn rollback_reopens_maps() {
-        let mut lists = TaskLists::new();
-        let m = MapTaskEntry { source: 0, pane: PaneId(3), sub: 0 };
-        lists.push_map(m);
-        lists.pop_map();
-        lists.reopen_map(m);
-        assert_eq!(lists.pop_map(), Some(m));
     }
 }

@@ -324,14 +324,6 @@ impl Cluster {
         Ok(self.node(node)?.local_store_bytes())
     }
 
-    /// Local-store mutation epoch of `node` (see
-    /// [`DataNode::local_epoch`]): equal readings with the node alive in
-    /// between prove its store was untouched, letting cache registries
-    /// skip per-file heartbeat verification.
-    pub fn local_epoch(&self, node: NodeId) -> Result<u64> {
-        Ok(self.node(node)?.local_epoch())
-    }
-
     // ------------------------------------------------------------------
     // Failure handling
     // ------------------------------------------------------------------

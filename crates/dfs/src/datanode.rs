@@ -76,10 +76,6 @@ pub struct DataNode {
     alive: AtomicBool,
     blocks: RwLock<HashMap<BlockId, Bytes>>,
     local: RwLock<HashMap<String, Bytes>>,
-    /// Bumped on every local-store mutation (put, delete, kill-wipe).
-    /// Cache registries compare epochs to prove a node's store is
-    /// untouched since their last audit without re-probing every file.
-    local_epoch: AtomicU64,
     /// Running total of local-store bytes, maintained under the store's
     /// write lock so capacity checks never rescan the store.
     local_bytes: AtomicU64,
@@ -95,7 +91,6 @@ impl DataNode {
             alive: AtomicBool::new(true),
             blocks: RwLock::new(HashMap::new()),
             local: RwLock::new(HashMap::new()),
-            local_epoch: AtomicU64::new(0),
             local_bytes: AtomicU64::new(0),
             io: IoCounters::default(),
         }
@@ -119,7 +114,6 @@ impl DataNode {
         let mut local = self.local.write();
         local.clear();
         self.local_bytes.store(0, Ordering::Relaxed);
-        self.local_epoch.fetch_add(1, Ordering::Release);
     }
 
     /// Marks the node alive again.
@@ -174,7 +168,6 @@ impl DataNode {
         let prev = local.insert(name.into(), data);
         let removed = prev.map_or(0, |p| p.len() as u64);
         self.local_bytes.fetch_add(added.wrapping_sub(removed), Ordering::Relaxed);
-        self.local_epoch.fetch_add(1, Ordering::Release);
         Ok(())
     }
 
@@ -212,8 +205,7 @@ impl DataNode {
     /// clamped to the object's length — the in-place damage a torn
     /// write or media corruption leaves behind, as opposed to
     /// [`DataNode::delete_local`]'s clean removal. Length-preserving,
-    /// so the store byte counter is unchanged; bumps the epoch so the
-    /// next heartbeat audit re-probes the store. Returns true if the
+    /// so the store byte counter is unchanged. Returns true if the
     /// object existed and at least one byte was flipped.
     pub fn corrupt_local(&self, name: &str, offset: usize, len: usize) -> bool {
         let mut local = self.local.write();
@@ -228,7 +220,6 @@ impl DataNode {
             *b ^= 0xFF;
         }
         *data = Bytes::from(damaged);
-        self.local_epoch.fetch_add(1, Ordering::Release);
         true
     }
 
@@ -238,7 +229,6 @@ impl DataNode {
         match local.remove(name) {
             Some(data) => {
                 self.local_bytes.fetch_sub(data.len() as u64, Ordering::Relaxed);
-                self.local_epoch.fetch_add(1, Ordering::Release);
                 true
             }
             None => false,
@@ -257,12 +247,6 @@ impl DataNode {
     /// O(1), never rescans the store.
     pub fn local_store_bytes(&self) -> usize {
         self.local_bytes.load(Ordering::Relaxed) as usize
-    }
-
-    /// Current local-store mutation epoch. Two equal readings with the
-    /// node alive in between prove the store contents were untouched.
-    pub fn local_epoch(&self) -> u64 {
-        self.local_epoch.load(Ordering::Acquire)
     }
 }
 
@@ -309,42 +293,29 @@ mod tests {
     }
 
     #[test]
-    fn local_epoch_tracks_every_store_mutation() {
+    fn local_bytes_track_every_store_mutation() {
         let node = DataNode::new(NodeId(4));
-        let e0 = node.local_epoch();
         node.put_local("a", Bytes::from_static(b"xy")).unwrap();
-        let e1 = node.local_epoch();
-        assert!(e1 > e0, "put must bump the epoch");
-        assert!(node.local_epoch() == e1, "reads must not bump the epoch");
-        node.get_local("a").unwrap();
-        node.has_local("a");
-        assert_eq!(node.local_epoch(), e1);
-        // Overwrites, deletes, and kill-wipes all count as mutations,
-        // and the byte counter tracks each exactly.
+        assert_eq!(node.local_store_bytes(), 2);
+        // Overwrites, deletes, and kill-wipes all move the byte counter
+        // exactly.
         node.put_local("a", Bytes::from_static(b"xyz")).unwrap();
         assert_eq!(node.local_store_bytes(), 3);
-        let e2 = node.local_epoch();
-        assert!(e2 > e1);
         assert!(node.delete_local("a"));
         assert_eq!(node.local_store_bytes(), 0);
         assert!(!node.delete_local("a"), "no-op delete");
-        let e3 = node.local_epoch();
-        assert!(e3 > e2);
-        assert_eq!(node.local_epoch(), e3, "failed delete must not bump");
+        assert_eq!(node.local_store_bytes(), 0);
         node.put_local("b", Bytes::from_static(b"1234")).unwrap();
         node.kill();
         assert_eq!(node.local_store_bytes(), 0, "kill wipes the counter too");
-        assert!(node.local_epoch() > e3, "kill-wipe is a mutation");
     }
 
     #[test]
     fn corrupt_local_flips_in_place_and_bumps_epoch() {
         let node = DataNode::new(NodeId(5));
         node.put_local("c", Bytes::from_static(b"abcdef")).unwrap();
-        let e = node.local_epoch();
         let reads = node.io.snapshot().local_store_read;
         assert!(node.corrupt_local("c", 2, 2));
-        assert!(node.local_epoch() > e, "corruption is a store mutation");
         assert_eq!(node.local_store_bytes(), 6, "length-preserving");
         // peek_local sees the damage without charging I/O counters.
         let damaged = node.peek_local("c").unwrap();
@@ -353,11 +324,10 @@ mod tests {
         assert_eq!(&damaged[4..], b"ef");
         assert_eq!(node.io.snapshot().local_store_read, reads, "peek is uncharged");
         // Out-of-range, empty, and missing-object corruption are no-ops.
-        let e2 = node.local_epoch();
         assert!(!node.corrupt_local("c", 100, 4));
         assert!(!node.corrupt_local("c", 0, 0));
         assert!(!node.corrupt_local("missing", 0, 4));
-        assert_eq!(node.local_epoch(), e2, "no-op corruption must not bump");
+        assert_eq!(node.peek_local("c").unwrap(), damaged);
         // A dead node's store cannot be peeked.
         node.kill();
         assert!(node.peek_local("c").is_none());

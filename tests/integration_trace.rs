@@ -2,14 +2,14 @@
 //! the paper's qualitative results (cache hit ratios track overlap,
 //! Fig. 6; rollbacks appear under failures, Fig. 9), the adaptive
 //! sub-pane expiry sweep must leave no out-of-window controller
-//! entries, and the scheduler's dedupe sets must stay bounded over a
-//! long stream.
+//! entries, and a join that lost a node mid-run must end with no stale
+//! signature and no stale cache file.
 
 #[path = "common/mod.rs"]
 mod common;
 
 use common::*;
-use redoop_core::cache::CacheObject;
+use redoop_core::cache::{CacheName, CacheObject};
 use redoop_core::prelude::*;
 use redoop_dfs::NodeId;
 use redoop_mapred::trace::{TraceEvent, TraceSink};
@@ -265,31 +265,74 @@ fn subpane_caches_expire_with_their_pane() {
 }
 
 #[test]
-fn scheduler_dedupe_sets_stay_bounded() {
-    // Regression: `map_seen` grew by one entry per pane for the stream's
-    // lifetime. With per-window GC the count must plateau instead of
-    // scaling with the number of recurrences.
-    let spec = spec_with_overlap(0.5);
-    let windows = 12;
+fn a_join_that_lost_a_node_leaves_no_stale_entries_or_files() {
+    // The expiry sweep asks the controller what exists, so whatever a
+    // run went through — here a cache-holding node dying after window 1
+    // and rejoining empty after window 3 — the last window's purge must
+    // leave no signature and no file of a pane that left the window, nor
+    // of a pair whose last common window has run.
+    let spec = spec_with_overlap(0.75);
+    let windows = 7;
     let plan = ArrivalPlan::new(spec, windows);
-    let batches = wcc_batches(&plan, 51, 0.3);
+    let pos = ffg_batches(&plan, redoop_workloads::ffg::Stream::Position, 61, 0.5);
+    let spd = ffg_batches(&plan, redoop_workloads::ffg::Stream::Speed, 62, 0.5);
     let cluster = test_cluster();
-    let mut exec = agg_executor(&cluster, spec, "trace-gc", batch_adaptive(&cluster, &spec));
-    ingest_all(&mut exec, 0, &batches);
-
-    let mut counts = Vec::new();
+    let mut exec = join_executor(&cluster, spec, "trace-jexp", batch_adaptive(&cluster, &spec));
+    ingest_all(&mut exec, 0, &pos);
+    ingest_all(&mut exec, 1, &spd);
+    let mut victim = None;
     for w in 0..windows {
         exec.run_window(w).unwrap();
-        counts.push(exec.task_seen_count());
+        if w == 1 {
+            let holder = exec
+                .controller()
+                .all_cached()
+                .iter()
+                .find_map(|n| exec.controller().location(n))
+                .expect("two windows must have materialized caches");
+            cluster.kill_node(holder).unwrap();
+            victim = Some(holder);
+        }
+        if w == 3 {
+            cluster.revive_node(victim.unwrap()).unwrap();
+        }
     }
-    let cap = counts[2] + 2;
-    for (w, &m) in counts.iter().enumerate().skip(3) {
-        assert!(m <= cap, "window {w}: the seen set must stay bounded (map {m}, cap {cap})");
+
+    let geom = PaneGeometry::from_spec(&spec);
+    let last = windows - 1;
+    let pair_stale = |left: PaneId, right: PaneId| {
+        geom.windows_containing(left).end.min(geom.windows_containing(right).end) <= last + 1
+    };
+    let stale = exec.controller().names_matching(|n| match n.object {
+        CacheObject::PaneInput { pane, .. } | CacheObject::PaneOutput { pane, .. } => {
+            geom.pane_out_of_window(pane, last)
+        }
+        CacheObject::PairOutput { left, right } => pair_stale(left, right),
+    });
+    assert!(stale.is_empty(), "controller must hold no stale entries, found {stale:?}");
+
+    let files: std::collections::BTreeSet<String> = cluster
+        .alive_nodes()
+        .into_iter()
+        .flat_map(|n| cluster.list_local(n).unwrap())
+        .collect();
+    assert!(!files.is_empty(), "the last window's own caches are still there");
+    let end = geom.window_panes(last).end;
+    let mut stale_files = Vec::new();
+    for r in 0..4 {
+        for p in (0..end).map(PaneId) {
+            if geom.pane_out_of_window(p, last) {
+                for source in 0..2 {
+                    let object = CacheObject::PaneInput { source, pane: p, sub: 0 };
+                    stale_files.push(CacheName::new(object, r).store_name());
+                }
+            }
+            for q in (0..end).map(PaneId).filter(|&q| pair_stale(p, q)) {
+                let object = CacheObject::PairOutput { left: p, right: q };
+                stale_files.push(CacheName::new(object, r).store_name());
+            }
+        }
     }
-    let panes_in_window = PaneGeometry::from_spec(&spec).window_panes(windows - 1).count();
-    let m = *counts.last().unwrap();
-    assert!(
-        m <= 2 * panes_in_window + 2,
-        "final map_seen ({m}) must be on the order of one window ({panes_in_window} panes)"
-    );
+    stale_files.retain(|f| files.contains(f));
+    assert!(stale_files.is_empty(), "live nodes must hold no stale cache file: {stale_files:?}");
 }
