@@ -307,13 +307,24 @@ fn scale(max_nodes: usize, max_queries: usize) -> Json {
     let windows = WINDOWS.min(8);
     let s = experiments::fig_scale(windows, SEED, max_nodes, max_queries);
     println!("\n=== Scale sweep: {max_nodes} nodes / {max_queries} queries headline point ===");
-    println!(" nodes | queries | makespan (s) | hit ratio | wall (s)");
-    println!(" ------+---------+--------------+-----------+---------");
+    println!(
+        " nodes | queries | makespan (s) | hit ratio | builds | off-holder | map records | wall (s)"
+    );
+    println!(
+        " ------+---------+--------------+-----------+--------+------------+-------------+---------"
+    );
     for p in &s.points {
         assert!(p.outputs_consistent, "identical queries must agree on outputs");
         println!(
-            " {:>5} | {:>7} | {:>12.1} | {:>9.2} | {:>7.2}",
-            p.nodes, p.queries, p.makespan_secs, p.hit_ratio, p.wall_clock_secs
+            " {:>5} | {:>7} | {:>12.1} | {:>9.2} | {:>6} | {:>10} | {:>11} | {:>7.2}",
+            p.nodes,
+            p.queries,
+            p.makespan_secs,
+            p.hit_ratio,
+            p.built_products,
+            p.off_holder_misses,
+            p.map_input_records,
+            p.wall_clock_secs
         );
     }
     let head = s.points.last().expect("sweep has points");
@@ -338,6 +349,9 @@ fn scale(max_nodes: usize, max_queries: usize) -> Json {
                 ("queries", Json::Num(p.queries as f64)),
                 ("makespan_secs", Json::Num(p.makespan_secs)),
                 ("hit_ratio", Json::Num(p.hit_ratio)),
+                ("built_products", Json::Num(p.built_products as f64)),
+                ("off_holder_misses", Json::Num(p.off_holder_misses as f64)),
+                ("map_input_records", Json::Num(p.map_input_records as f64)),
                 ("outputs_consistent", Json::Bool(p.outputs_consistent)),
                 ("wall_clock_secs", Json::Num(p.wall_clock_secs)),
             ])

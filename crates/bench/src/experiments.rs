@@ -12,6 +12,7 @@ use redoop_core::run_baseline_window;
 use redoop_core::SharedSource;
 use redoop_dfs::failure::FailurePlan;
 use redoop_dfs::{DfsPath, NodeId};
+use redoop_mapred::counters::names as cnames;
 use redoop_mapred::{MapMemo, PhaseTimes, SimTime};
 use redoop_workloads::arrival::{ArrivalCurves, ArrivalPlan};
 use redoop_workloads::ffg::Stream;
@@ -817,6 +818,15 @@ pub struct ScalePoint {
     pub makespan_secs: f64,
     /// Cross-query cache hit ratio (imports / (imports + builds)).
     pub hit_ratio: f64,
+    /// Pane products built fleet-wide: `panes × R` when every shared
+    /// product is built once.
+    pub built_products: u64,
+    /// Records the fleet's map tasks read: the records ingested, when
+    /// every shared pane is mapped once.
+    pub map_input_records: u64,
+    /// Misses on a cache some live node held or was building (see
+    /// `WindowTraceStats::off_holder_misses`): builds that redid work.
+    pub off_holder_misses: u64,
     /// All queries are the same aggregation, so their window outputs
     /// must agree byte-for-byte.
     pub outputs_consistent: bool,
@@ -899,6 +909,8 @@ pub fn scale_point(node_count: usize, queries: usize, windows: u64, seed: u64) -
     let mut makespan = 0.0f64;
     let mut imports = 0u64;
     let mut builds = 0u64;
+    let mut map_input_records = 0u64;
+    let mut off_holder_misses = 0u64;
     let mut outputs_consistent = true;
     let mut first: Option<Vec<Vec<u8>>> = None;
     for &q in &qids {
@@ -907,6 +919,8 @@ pub fn scale_point(node_count: usize, queries: usize, windows: u64, seed: u64) -
             makespan = makespan.max((r.fired_at + r.response).as_secs_f64());
             imports += r.trace.shared_hits;
             builds += r.built_products as u64;
+            map_input_records += r.metrics.counters.get(cnames::MAP_INPUT_RECORDS);
+            off_holder_misses += r.trace.off_holder_misses;
             for p in &r.outputs {
                 parts.push(cluster.read(p).unwrap().to_vec());
             }
@@ -923,6 +937,9 @@ pub fn scale_point(node_count: usize, queries: usize, windows: u64, seed: u64) -
         queries,
         makespan_secs: makespan,
         hit_ratio,
+        built_products: builds,
+        map_input_records,
+        off_holder_misses,
         outputs_consistent,
         wall_clock_secs: start.elapsed().as_secs_f64(),
     }
@@ -945,6 +962,7 @@ pub fn scale_point_best_of(
         let next = scale_point(node_count, queries, windows, seed);
         assert_eq!(next.makespan_secs, best.makespan_secs, "repeat changed simulated makespan");
         assert_eq!(next.hit_ratio, best.hit_ratio, "repeat changed simulated hit ratio");
+        assert_eq!(next.built_products, best.built_products, "repeat changed the build count");
         assert_eq!(next.outputs_consistent, best.outputs_consistent);
         if next.wall_clock_secs < best.wall_clock_secs {
             best = next;

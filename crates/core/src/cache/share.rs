@@ -25,6 +25,20 @@
 //! loss) on the spot. Publishing after a rebuild simply overwrites the
 //! location.
 //!
+//! An entry whose `available_at` lies in the future is a cache **being
+//! built** — published by a query that fired at this same virtual
+//! instant, or whose window outlasted the slide — not a hint to race.
+//! All queries of a shared source fire together, so this is the common
+//! case for a follower, and the driver's placement treats it as one:
+//! when the producer's node holds or is building everything a partition
+//! needs, the follower anchors there and waits (`pick_reduce_node`)
+//! instead of letting Eq. 4 weigh the wait against the same build
+//! started later on an idle node. Nodes are homogeneous, so that rebuild
+//! cannot finish first; it can only map the pane again and, by
+//! re-publishing, move this entry from under the queries behind it. The
+//! invariant that follows, on a fleet without faults: *one `publish` per
+//! name while its holder lives*.
+//!
 //! [`SharedSource`]: crate::shared::SharedSource
 //! [`CacheName`]: super::CacheName
 

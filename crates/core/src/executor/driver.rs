@@ -7,7 +7,9 @@
 //! 1. anchors the partition with one Eq. 4 placement over the plan's
 //!    required-cache set (build tasks are deliberately co-located with
 //!    their partition's finalization task — pane products must live on
-//!    the node that merges them),
+//!    the node that merges them) — or, when another query of the shared
+//!    source is building that whole set on one node right now, on that
+//!    node (`pick_reduce_node`: followers join the producer),
 //! 2. walks the partition's build nodes once for centralized cache
 //!    hit/miss accounting and trace emission,
 //! 3. runs the map stage for missing panes, and
@@ -41,11 +43,14 @@
 //! too: they are driver concerns — bookkeeping between plan executions.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use redoop_dfs::{DfsPath, NodeId};
 use redoop_mapred::counters::names as cnames;
 use redoop_mapred::grouped::RunBuilder;
-use redoop_mapred::trace::{CacheAction, TraceEvent};
+use redoop_mapred::trace::{CacheAction, NodeScore, TraceEvent};
 use redoop_mapred::{
     exec, io as mrio, JobMetrics, MapContext, MapWork, Mapper, MrError, Placement, ReduceWork,
     Reducer, SimTime, TaskKind, Writable,
@@ -53,6 +58,7 @@ use redoop_mapred::{
 
 use crate::adaptive::ExecMode;
 use crate::cache::controller::PurgeNotification;
+use crate::cache::share::SignatureDirectory;
 use crate::cache::{CacheName, CacheObject};
 use crate::error::{RedoopError, Result};
 use crate::pane::PaneId;
@@ -253,15 +259,16 @@ where
     ) -> Result<PartitionPrep> {
         let names = plan.required_caches(r);
         // Cross-query import: required caches another query already
-        // built under the same signature become local hits *before*
-        // placement, so the Eq. 4 anchor credits the remote holder.
-        self.import_shared(&names, ctx.fire);
+        // built — or is building — under the same signature become local
+        // hits *before* placement, and the producer of an in-flight one
+        // is handed to the placement, which joins it when it can.
+        let producer = self.import_shared(&names, ctx.fire);
         let kind_label = match plan.kind {
             PlanKind::Aggregation => "agg",
             PlanKind::BinaryJoin => "join",
         };
-        let node =
-            self.pick_reduce_node(&names, ctx.fire, &format!("w{}/{kind_label}/r{r}", plan.recurrence));
+        let label = format!("w{}/{kind_label}/r{r}", plan.recurrence);
+        let node = self.pick_reduce_node(&names, ctx.fire, &label, producer);
 
         let mut missing: Vec<MissingPane> = Vec::new();
         let mut missing_set: HashSet<(u32, u64)> = HashSet::new();
@@ -296,6 +303,9 @@ where
                 continue;
             }
             self.win_stats.cache_misses += 1;
+            if self.held_elsewhere(&name, node) {
+                self.win_stats.off_holder_misses += 1;
+            }
             match pnode.task {
                 PlanTask::BuildPane { source, pane, .. } => {
                     if missing_set.insert((source, pane.0)) {
@@ -345,11 +355,26 @@ where
     /// Picks the node for a reduce-side task ready at `floor`: Eq. 4 with
     /// the cache-affinity term over `caches`, or — with cache-aware
     /// scheduling off — plain Hadoop's cache-blind rotation.
+    ///
+    /// **Followers join the producer.** `producer` is the node of a cache
+    /// `import_shared` just adopted while it is still being built
+    /// (`available_at` past `floor`). When that node holds or is building
+    /// *every* cache of `caches`, the task is anchored there and Eq. 4 is
+    /// not asked: nodes are homogeneous, so a rebuild that starts now
+    /// cannot finish before a build of the same cache that started at or
+    /// before now, and on a complete holder "wait" and "rebuild elsewhere"
+    /// are the same work differing only by `rebuild_cost`'s estimate
+    /// error — one of them maps a whole pane again and moves the
+    /// directory entry, the other does nothing. The decision is journaled
+    /// as a `placement` listing that one candidate. A required set split
+    /// over nodes stays with Eq. 4, so a wider window is never dragged
+    /// off the node that holds its older panes.
     pub(super) fn pick_reduce_node(
         &mut self,
         caches: &[CacheName],
         floor: SimTime,
         label: &str,
+        producer: Option<NodeId>,
     ) -> NodeId {
         let node = if !self.options.cache_aware_scheduling {
             // Plain-Hadoop reduce placement: whichever task tracker's
@@ -364,6 +389,21 @@ where
                 label: format!("{label}/blind"),
                 chosen: node,
                 scores: Vec::new(),
+            });
+            node
+        } else if let Some(node) =
+            producer.filter(|&p| caches.iter().all(|name| self.cached_on(name, p)))
+        {
+            self.trace.emit(|| TraceEvent::Placement {
+                at: floor,
+                kind: TaskKind::Reduce,
+                label: label.to_string(),
+                chosen: node,
+                scores: vec![NodeScore {
+                    node,
+                    load: self.sim.node_load(TaskKind::Reduce, node).max(floor),
+                    cost: cache_affinity(&self.controller, caches, node, self.sim.cost()),
+                }],
             });
             node
         } else {
@@ -827,11 +867,14 @@ where
     /// journaled as a `shared_hit`. Directory entries whose backing file
     /// vanished (node loss racing the heartbeat audit) are dropped here
     /// — import-time verification is the §5 rollback backstop.
-    fn import_shared(&mut self, names: &[CacheName], at: SimTime) {
-        let dir = match &self.share {
-            Some(s) if self.options.cross_query_sharing && self.options.caching => s.dir.clone(),
-            _ => return,
-        };
+    ///
+    /// Returns the **producer**: the node of an adopted entry that is
+    /// still in flight (`available_at` past `at` — published by a query
+    /// that fired at this instant, or whose window outlasted the slide),
+    /// for `pick_reduce_node` to join.
+    fn import_shared(&mut self, names: &[CacheName], at: SimTime) -> Option<NodeId> {
+        let dir = self.shared_dir()?.clone();
+        let mut producer = None;
         for name in names {
             if self.controller.location(name).is_some() {
                 continue;
@@ -858,6 +901,9 @@ where
             }
             self.registries[entry.node.index()].add_entry(*name, entry.bytes);
             self.win_stats.shared_hits += 1;
+            if entry.available_at > at {
+                producer = Some(entry.node);
+            }
             self.trace.emit(|| TraceEvent::Cache {
                 at,
                 action: CacheAction::SharedHit,
@@ -866,6 +912,30 @@ where
                 bytes: entry.bytes,
             });
         }
+        producer
+    }
+
+    /// The signature directory this executor imports from: its shared
+    /// source's, while sharing and caching are both on.
+    fn shared_dir(&self) -> Option<&Arc<Mutex<SignatureDirectory>>> {
+        match &self.share {
+            Some(s) if self.options.cross_query_sharing && self.options.caching => Some(&s.dir),
+            _ => None,
+        }
+    }
+
+    /// Whether a live node other than `anchor` holds or is building
+    /// `name`: this query's own controller places it there, or the
+    /// directory advertises it (an adoption the budget refused leaves the
+    /// entry where it was). A miss it is true of rebuilds work whose
+    /// result exists.
+    fn held_elsewhere(&self, name: &CacheName, anchor: NodeId) -> bool {
+        self.controller.location(name).is_some_and(|n| n != anchor)
+            || self.shared_dir().is_some_and(|dir| {
+                dir.lock()
+                    .lookup(name)
+                    .is_some_and(|e| e.node != anchor && self.cluster.is_alive(e.node))
+            })
     }
 
     pub(super) fn register(&mut self, name: CacheName, node: NodeId, bytes: u64, at: SimTime) {

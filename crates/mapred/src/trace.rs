@@ -553,6 +553,10 @@ pub struct WindowTraceStats {
     pub cache_hits: u64,
     /// Caches that had to be (re)built this window.
     pub cache_misses: u64,
+    /// The `cache_misses` whose cache a live node held, or was building,
+    /// when the partition was anchored somewhere else: work whose result
+    /// already existed (the *off-holder* miss cause).
+    pub off_holder_misses: u64,
     /// Eq. 4 placement decisions taken this window.
     pub placements_total: u64,
     /// Placements that landed on a node already holding needed data

@@ -137,6 +137,64 @@ pub fn join_executor(
     .unwrap()
 }
 
+/// Builds the WCC aggregation attached to `shared` on the clock `sim` —
+/// hand every query of a fleet a clone of one sim so they contend for
+/// the same slots.
+pub fn shared_agg_executor(
+    cluster: &Cluster,
+    sim: ClusterSim,
+    shared: &redoop_core::SharedSource,
+    spec: WindowSpec,
+    name: &str,
+) -> RecurringExecutor<AggMapper, AggReducer> {
+    let conf = QueryConf::new(name, 4, DfsPath::new(format!("/out/{name}")).unwrap()).unwrap();
+    RecurringExecutor::aggregation_shared(
+        cluster,
+        sim,
+        conf,
+        shared,
+        spec,
+        Arc::new(AggMapper),
+        Arc::new(AggReducer),
+        Arc::new(SumMerger),
+        batch_adaptive(cluster, &spec),
+    )
+    .unwrap()
+}
+
+/// The oracle: every window of the WCC aggregation under `spec`
+/// recomputed from `batches` by the plain-Hadoop `JobRunner`.
+pub fn recomputed_windows(
+    cluster: &Cluster,
+    tag: &str,
+    batches: &[GeneratedBatch],
+    spec: &WindowSpec,
+    windows: u64,
+) -> Vec<Vec<(String, u64)>> {
+    let files = baseline_inputs(cluster, &format!("/batches/{tag}"), batches);
+    let mut sim = test_sim(cluster);
+    let out_root = DfsPath::new(format!("/out/{tag}-recomputed")).unwrap();
+    (0..windows)
+        .map(|w| {
+            let job = run_baseline_window(
+                cluster,
+                &mut sim,
+                Arc::new(AggMapper),
+                &AggReducer,
+                leading_ts_fn(),
+                spec,
+                w,
+                &files,
+                4,
+                &out_root,
+                None,
+            )
+            .unwrap();
+            read_window_output(cluster, &job.outputs).unwrap()
+        })
+        .collect()
+}
+
 /// Feeds every generated batch into one executor source.
 pub fn ingest_all<M, R>(
     exec: &mut RecurringExecutor<M, R>,

@@ -592,3 +592,116 @@ fn a_window_after_a_failed_one_maps_and_charges_again() {
     // panes again and is charged for it, like any window.
     assert_eq!(window_0(true), clean);
 }
+
+#[test]
+fn a_follower_whose_producer_died_falls_back_to_eq4() {
+    // Three identical queries on one shared source and one clock. The
+    // leader builds window 0 and its nodes die before the first follower
+    // fires: the advertisements it left are stale, so the follower drops
+    // them at import, has no producer to join for those partitions and
+    // lets Eq. 4 place their rebuild — which makes *it* the producer the
+    // second follower joins.
+    use redoop_mapred::trace::{CacheAction, TraceEvent, TraceSink};
+    const WINDOWS: u64 = 3;
+    const R: usize = 4;
+    let spec = spec_with_overlap(0.5);
+    let plan = ArrivalPlan::new(spec, WINDOWS);
+    let batches = wcc_batches(&plan, 57, 1.0);
+    let cluster = test_cluster();
+    let shared = redoop_core::SharedSource::new(
+        &cluster,
+        0,
+        "wcc",
+        redoop_dfs::DfsPath::new("/panes/dead-producer").unwrap(),
+        &[spec],
+        leading_ts_fn(),
+    )
+    .unwrap();
+    let clock = test_sim(&cluster);
+    let sink = TraceSink::enabled();
+    let mut execs: Vec<_> = (0..3)
+        .map(|i| {
+            let mut e =
+                shared_agg_executor(&cluster, clock.clone(), &shared, spec, &format!("dead-q{i}"));
+            e.set_trace_sink(sink.clone());
+            e
+        })
+        .collect();
+    let mut deployment = RecurringDeployment::new(clock);
+    let src = deployment.add_shared_source(shared.clone(), batches.iter().map(arrival).collect());
+    for e in execs.iter_mut() {
+        deployment.add_query(e, &[src], WINDOWS).unwrap();
+    }
+    // `(name, node)` of every `ro/` cache registered since event `from`.
+    let registered = |from: usize| -> Vec<(String, NodeId)> {
+        sink.events()[from..]
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Cache { action: CacheAction::Register, name, node, .. }
+                    if name.contains("ro/") =>
+                {
+                    Some((name.clone(), node.expect("a registration names its node")))
+                }
+                _ => None,
+            })
+            .collect()
+    };
+
+    // The leader's window 0: two panes on each of four partitions.
+    let leader = deployment.step().unwrap().unwrap();
+    assert_eq!((leader.query, leader.recurrence, leader.report.built_products), (0, 0, 2 * R));
+    let built = registered(0);
+    let victim = built[0].1;
+    let lost: Vec<&String> = built.iter().filter(|(_, n)| *n == victim).map(|(name, _)| name).collect();
+    assert!(lost.len() < built.len(), "some partition's producer survives");
+    cluster.kill_node(victim).unwrap();
+
+    // First follower: joins the producers that live, rebuilds what died.
+    let mark = sink.len();
+    let first = deployment.step().unwrap().unwrap();
+    assert_eq!((first.query, first.recurrence), (1, 0));
+    assert_eq!(first.report.built_products, lost.len(), "exactly the lost products are rebuilt");
+    assert_eq!(first.report.trace.shared_hits as usize, built.len() - lost.len());
+    let rebuilt = registered(mark);
+    assert_eq!(
+        rebuilt.iter().map(|(name, _)| name).collect::<Vec<_>>(),
+        lost,
+        "the rebuilt caches are the lost ones"
+    );
+    assert!(rebuilt.iter().all(|(_, n)| *n != victim && cluster.is_alive(*n)));
+
+    // Second follower: everything is advertised again and in flight —
+    // nothing to build, and the lost partitions are joined where the
+    // first follower is rebuilding them.
+    let mark = sink.len();
+    let second = deployment.step().unwrap().unwrap();
+    assert_eq!((second.query, second.recurrence), (2, 0));
+    assert_eq!(second.report.built_products, 0, "the second follower joins the new producer");
+    assert_eq!(second.report.trace.shared_hits as usize, built.len());
+    assert_eq!(second.report.trace.off_holder_misses, 0);
+    let anchors: Vec<NodeId> = sink.events()[mark..]
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::Placement { label, chosen, .. } if label.starts_with("w0/agg/r") => {
+                Some(*chosen)
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(anchors.len(), R);
+    assert!(rebuilt.iter().all(|(_, n)| anchors.contains(n)), "{anchors:?} vs {rebuilt:?}");
+
+    // The rest of the run: the leader's audit rolls its dead caches back
+    // and every window of every query still equals recomputation.
+    let mut outputs = vec![Vec::new(); 3];
+    for fired in [leader, first, second] {
+        outputs[fired.query].push(read_window_output(&cluster, &fired.report.outputs).unwrap());
+    }
+    while let Some(fired) = deployment.step().unwrap() {
+        outputs[fired.query].push(read_window_output(&cluster, &fired.report.outputs).unwrap());
+    }
+    let expect = recomputed_windows(&cluster, "dead-producer", &batches, &spec, WINDOWS);
+    for (q, got) in outputs.iter().enumerate() {
+        assert_eq!(got, &expect, "query {q} differs from recomputation");
+    }
+}

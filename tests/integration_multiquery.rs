@@ -23,19 +23,7 @@ fn shared_executor(
     spec: WindowSpec,
     name: &str,
 ) -> RecurringExecutor<AggMapper, AggReducer> {
-    let conf = QueryConf::new(name, 4, DfsPath::new(format!("/out/{name}")).unwrap()).unwrap();
-    RecurringExecutor::aggregation_shared(
-        cluster,
-        test_sim(cluster),
-        conf,
-        shared,
-        spec,
-        Arc::new(AggMapper),
-        Arc::new(AggReducer),
-        Arc::new(SumMerger),
-        batch_adaptive(cluster, &spec),
-    )
-    .unwrap()
+    shared_agg_executor(cluster, test_sim(cluster), shared, spec, name)
 }
 
 #[test]
@@ -474,4 +462,236 @@ fn private_fingerprints_keep_disjoint_files_when_sharing_is_off() {
         .filter(|e| matches!(e, TraceEvent::Cache { action: CacheAction::SharedHit, .. }))
         .count();
     assert_eq!(shared_hits, 0, "private-cache mode must never import");
+}
+
+// ---------------------------------------------------------------------
+// Followers join the producer: on one clock every query of a shared
+// source fires at the same virtual instant, so a follower finds the
+// leader's builds still in flight. It must wait on them where they are
+// being built — never race them with a rebuild of its own.
+// ---------------------------------------------------------------------
+
+/// One query of a shared fleet.
+#[derive(Clone, Copy)]
+struct FleetQuery {
+    spec: WindowSpec,
+    windows: u64,
+    options: ExecutorOptions,
+    budget: Option<CacheBudget>,
+}
+
+impl FleetQuery {
+    fn plain(spec: WindowSpec, windows: u64) -> Self {
+        FleetQuery { spec, windows, options: ExecutorOptions::default(), budget: None }
+    }
+}
+
+/// What a fleet run leaves behind: per query its window reports and
+/// decoded window outputs, and the one journal all queries wrote.
+struct FleetRun {
+    reports: Vec<Vec<WindowReport>>,
+    outputs: Vec<Vec<Vec<(String, u64)>>>,
+    sink: redoop_mapred::trace::TraceSink,
+}
+
+impl FleetRun {
+    fn sum(&self, f: impl Fn(&WindowReport) -> u64) -> u64 {
+        self.reports.iter().flatten().map(f).sum()
+    }
+
+    /// How often each `ro/` cache was registered — physically built.
+    fn ro_registers(&self) -> std::collections::BTreeMap<String, usize> {
+        use redoop_mapred::trace::{CacheAction, TraceEvent};
+        let mut built = std::collections::BTreeMap::new();
+        for e in self.sink.events() {
+            if let TraceEvent::Cache { action: CacheAction::Register, name, .. } = e {
+                if name.contains("ro/") {
+                    *built.entry(name).or_insert(0) += 1;
+                }
+            }
+        }
+        built
+    }
+}
+
+/// Attaches `queries`, in order, to one shared source of `batches` on one
+/// simulated clock and steps the deployment until every window has run.
+fn run_fleet(
+    cluster: &redoop_dfs::Cluster,
+    tag: &str,
+    batches: &[redoop_workloads::arrival::GeneratedBatch],
+    queries: &[FleetQuery],
+) -> FleetRun {
+    let specs: Vec<WindowSpec> = queries.iter().map(|q| q.spec).collect();
+    let shared = SharedSource::new(
+        cluster,
+        0,
+        "wcc",
+        DfsPath::new(format!("/panes/{tag}")).unwrap(),
+        &specs,
+        leading_ts_fn(),
+    )
+    .unwrap();
+    let clock = test_sim(cluster);
+    let sink = redoop_mapred::trace::TraceSink::with_capacity(1 << 20);
+    let mut execs: Vec<RecurringExecutor<AggMapper, AggReducer>> = queries
+        .iter()
+        .enumerate()
+        .map(|(i, q)| {
+            let mut e =
+                shared_agg_executor(cluster, clock.clone(), &shared, q.spec, &format!("{tag}-q{i}"));
+            e.set_options(q.options);
+            if let Some(budget) = q.budget {
+                e.set_cache_policy(budget);
+            }
+            e.set_trace_sink(sink.clone());
+            e
+        })
+        .collect();
+    let mut deployment = RecurringDeployment::new(clock);
+    let src = deployment.add_shared_source(shared.clone(), batches.iter().map(arrival).collect());
+    for (e, q) in execs.iter_mut().zip(queries) {
+        deployment.add_query(e, &[src], q.windows).unwrap();
+    }
+    let mut reports = vec![Vec::new(); queries.len()];
+    let mut outputs = vec![Vec::new(); queries.len()];
+    while let Some(fired) = deployment.step().unwrap() {
+        outputs[fired.query].push(read_window_output(cluster, &fired.report.outputs).unwrap());
+        reports[fired.query].push(fired.report);
+    }
+    assert_eq!(sink.dropped(), 0, "the journal ring must hold the whole run");
+    FleetRun { reports, outputs, sink }
+}
+
+#[test]
+fn a_fleet_builds_each_shared_product_once_at_scale() {
+    // The `repro scale` fixture — bursty, diurnal, skew-drifting arrivals
+    // at 4x the default rate — on 24 nodes: big enough that the heaviest
+    // partition's build is still running when the followers place, which
+    // is where Eq. 4 used to weigh "wait on the holder" against "the same
+    // work started later on an idle node" and rebuild.
+    use redoop_mapred::counters::names as cnames;
+    use redoop_workloads::arrival::ArrivalCurves;
+    const QUERIES: usize = 16;
+    const WINDOWS: u64 = 8;
+    const R: u64 = 4;
+    let spec = spec_with_overlap(0.5);
+    let plan = ArrivalPlan::new(spec, WINDOWS).with_curves(
+        ArrivalCurves::new(2014)
+            .bursty(0.3, 2.0)
+            .diurnal(2_500_000, 1.0)
+            .skew_drift(0.9, 1.3),
+    );
+    let mut generator = WccGenerator::new(2014, 120, 500, 0.04);
+    let batches =
+        plan.generate_shaped(|range, shape| generator.batch_skewed(range, shape.multiplier, shape.skew));
+    let ingested: u64 = batches.iter().map(|b| b.lines.len() as u64).sum();
+    let cluster = || {
+        redoop_dfs::Cluster::new(redoop_dfs::ClusterConfig { nodes: 24, ..*test_cluster().config() })
+    };
+    let fleet = vec![FleetQuery::plain(spec, WINDOWS); QUERIES];
+
+    redoop_mapred::exec::set_host_parallelism(Some(1));
+    let cluster_one = cluster();
+    let one = run_fleet(&cluster_one, "once", &batches, &fleet);
+    redoop_mapred::exec::set_host_parallelism(Some(4));
+    let four = run_fleet(&cluster(), "once", &batches, &fleet);
+    redoop_mapred::exec::set_host_parallelism(None);
+    assert_eq!(
+        one.sink.render_json(),
+        four.sink.render_json(),
+        "the journal must not depend on the host worker count"
+    );
+
+    // Overlap 0.5: two panes per window, one fresh pane per slide.
+    let panes = WINDOWS + 1;
+    assert_eq!(one.sum(|r| r.built_products as u64), panes * R, "a shared product was rebuilt");
+    assert_eq!(
+        one.sum(|r| r.metrics.counters.get(cnames::MAP_INPUT_RECORDS)),
+        ingested,
+        "every record is mapped once fleet-wide"
+    );
+    let registers = one.ro_registers();
+    assert_eq!(registers.len() as u64, panes * R);
+    assert!(registers.values().all(|&n| n == 1), "re-registered: {registers:?}");
+    assert_eq!(one.sum(|r| r.trace.off_holder_misses), 0);
+    assert_eq!(one.sum(|r| r.trace.cache_misses), panes * R, "only the leader misses");
+
+    let expect = recomputed_windows(&cluster_one, "once", &batches, &spec, WINDOWS);
+    for (q, outputs) in one.outputs.iter().enumerate() {
+        assert_eq!(outputs, &expect, "query {q} differs from recomputation");
+    }
+}
+
+#[test]
+fn a_wider_window_is_not_dragged_to_the_producer() {
+    // Two signature-equal queries on one slide, 2 and 4 panes wide. The
+    // narrow one leads and places cache-blind, so its anchors move every
+    // window: each fresh pane is in flight on a node that holds nothing
+    // else the wide query needs, while the wide query's three older panes
+    // sit on its own anchor. The producer is not a complete holder, so
+    // Eq. 4 decides — and keeps the wide query where its panes are,
+    // building the one fresh pane there. Joining the producer regardless
+    // would rebuild the three older panes beside it every window.
+    const R: usize = 4;
+    let narrow = WindowSpec::new(2_000_000, 1_000_000).unwrap();
+    let wide = WindowSpec::new(4_000_000, 1_000_000).unwrap();
+    let (narrow_windows, wide_windows) = (7, 5);
+    let plan = ArrivalPlan::new(wide, wide_windows);
+    let batches = wcc_batches(&plan, 91, 1.0);
+    let cluster = test_cluster();
+    let blind = ExecutorOptions { cache_aware_scheduling: false, ..Default::default() };
+    let run = run_fleet(
+        &cluster,
+        "wide",
+        &batches,
+        &[
+            FleetQuery { options: blind, ..FleetQuery::plain(narrow, narrow_windows) },
+            FleetQuery::plain(wide, wide_windows),
+        ],
+    );
+    let wide_reports = &run.reports[1];
+    assert!(wide_reports.iter().all(|r| r.trace.shared_hits > 0), "the wide query imports");
+    // Exactly what Eq. 4 alone builds (the numbers before the rule): a
+    // steady window builds at most the fresh pane of each partition — none
+    // where the blind producer happens to be the wide query's own anchor,
+    // a complete holder, joined. Dragged along, it builds 4, 12, 12, 12, 12.
+    let built: Vec<usize> = wide_reports.iter().map(|r| r.built_products).collect();
+    assert_eq!(built, [6, 3, 1, 3, 1], "the wide query was dragged off its panes");
+    assert!(wide_reports.iter().all(|r| r.built_products + r.reused_caches == 4 * R));
+    assert_eq!(run.outputs[0], recomputed_windows(&cluster, "wide-n", &batches, &narrow, narrow_windows));
+    assert_eq!(run.outputs[1], recomputed_windows(&cluster, "wide-w", &batches, &wide, wide_windows));
+}
+
+#[test]
+fn a_refused_adoption_is_a_plain_miss() {
+    // The follower's cost-based budget is too small to adopt anything:
+    // every import is refused, nothing is joined, Eq. 4 places as it
+    // always did and the follower builds for itself.
+    const WINDOWS: u64 = 4;
+    let spec = spec_with_overlap(0.5);
+    let plan = ArrivalPlan::new(spec, WINDOWS);
+    let batches = wcc_batches(&plan, 92, 1.0);
+    let cluster = test_cluster();
+    let tiny = CacheBudget::bounded(CachePolicyKind::CostBased, 1);
+    let run = run_fleet(
+        &cluster,
+        "refused",
+        &batches,
+        &[
+            FleetQuery::plain(spec, WINDOWS),
+            FleetQuery { budget: Some(tiny), ..FleetQuery::plain(spec, WINDOWS) },
+        ],
+    );
+    let (leader, follower) = (&run.reports[0], &run.reports[1]);
+    for (l, f) in leader.iter().zip(follower) {
+        assert_eq!(l.trace.admit_rejects, 0);
+        assert!(f.trace.admit_rejects > 0, "window {}: adoptions must be refused", f.recurrence);
+        assert_eq!(f.trace.shared_hits, 0, "window {}: nothing adopted, nothing joined", f.recurrence);
+        assert_eq!(f.reused_caches, 0);
+        assert!(f.built_products >= l.built_products);
+    }
+    let expect = recomputed_windows(&cluster, "refused", &batches, &spec, WINDOWS);
+    assert_eq!(run.outputs[0], expect);
+    assert_eq!(run.outputs[1], expect);
 }
