@@ -8,12 +8,11 @@ use std::sync::Arc;
 use redoop_core::prelude::*;
 use redoop_core::analyzer::{SemanticAnalyzer, SourceStats};
 use redoop_core::executor::ExecutorOptions;
-use redoop_core::run_baseline_window;
 use redoop_core::SharedSource;
 use redoop_dfs::failure::FailurePlan;
-use redoop_dfs::{DfsPath, NodeId};
+use redoop_dfs::{Cluster, DfsPath, NodeId};
 use redoop_mapred::counters::names as cnames;
-use redoop_mapred::{MapMemo, PhaseTimes, SimTime};
+use redoop_mapred::{MapMemo, Mapper, PhaseTimes, Reducer, SimTime, Writable};
 use redoop_workloads::arrival::{ArrivalCurves, ArrivalPlan};
 use redoop_workloads::ffg::Stream;
 use redoop_workloads::queries::{AggMapper, AggReducer, JoinMapper, JoinReducer};
@@ -62,45 +61,94 @@ pub fn fig6(overlap: f64, windows: u64, seed: u64) -> QuerySeries {
     let mut exec = agg_executor(&cluster, spec, &tag, controller_off(&cluster, &spec));
     ingest_all(&mut exec, 0, &batches);
     let files = baseline_files(&cluster, &format!("/batches/{tag}"), &batches);
-
-    let mut base_sim = sim(&cluster);
-    let mut base_memo = MapMemo::default();
-    let mapper = Arc::new(AggMapper);
-    let out_root = DfsPath::new(format!("/out/{tag}-base")).unwrap();
-
-    let mut series = QuerySeries {
-        overlap,
-        redoop: Vec::new(),
-        hadoop: Vec::new(),
-        redoop_phases: PhaseTimes::default(),
-        hadoop_phases: PhaseTimes::default(),
-        outputs_match: true,
-    };
-    for w in 0..windows {
+    let mut redoop = Windows::<String, u64>::default();
+    let hadoop = hadoop_windows(&cluster, AggMapper, &AggReducer, &spec, windows, &files, &tag, |w| {
         let report = exec.run_window(w).expect("redoop window");
+        redoop.push(&cluster, report.response, &report.metrics.phases, &report.outputs);
+    });
+    QuerySeries::of(overlap, redoop, hadoop)
+}
+
+/// One engine's run of a figure, window by window.
+#[derive(Default)]
+struct Windows<K, V> {
+    /// Per-window responses.
+    responses: Vec<SimTime>,
+    /// Phase breakdown summed across windows.
+    phases: PhaseTimes,
+    /// Every window's output, decoded.
+    outputs: Vec<Vec<(K, V)>>,
+}
+
+impl<K: Writable + Ord, V: Writable + Ord> Windows<K, V> {
+    fn push(&mut self, cluster: &Cluster, response: SimTime, phases: &PhaseTimes, outputs: &[DfsPath]) {
+        self.responses.push(response);
+        self.phases.accumulate(phases);
+        self.outputs.push(read_window_output(cluster, outputs).unwrap());
+    }
+}
+
+impl QuerySeries {
+    /// Redoop's windows against the baseline's.
+    fn of<K: PartialEq, V: PartialEq>(overlap: f64, redoop: Windows<K, V>, hadoop: Windows<K, V>) -> Self {
+        QuerySeries {
+            overlap,
+            redoop: redoop.responses,
+            hadoop: hadoop.responses,
+            redoop_phases: redoop.phases,
+            hadoop_phases: hadoop.phases,
+            outputs_match: redoop.outputs == hadoop.outputs,
+        }
+    }
+}
+
+/// Recomputes `windows` recurrences of `spec` from the raw batch `files`
+/// with the plain-Hadoop `JobRunner` (`run_baseline_window`), on a clock
+/// of its own and one map memo across windows. `before(w)` runs ahead of
+/// each baseline window, so a figure that interleaves its Redoop windows
+/// journals both engines in window order.
+#[allow(clippy::too_many_arguments)]
+fn hadoop_windows<M, R, K, V>(
+    cluster: &Cluster,
+    mapper: M,
+    reducer: &R,
+    spec: &WindowSpec,
+    windows: u64,
+    files: &[BatchFile],
+    tag: &str,
+    mut before: impl FnMut(u64),
+) -> Windows<K, V>
+where
+    M: Mapper,
+    R: Reducer<KIn = M::KOut, VIn = M::VOut>,
+    K: Writable + Ord + Default,
+    V: Writable + Ord + Default,
+{
+    let mut clock = sim(cluster);
+    let mut memo = MapMemo::default();
+    let mapper = Arc::new(mapper);
+    let out_root = DfsPath::new(format!("/out/{tag}-base")).unwrap();
+    let mut run = Windows::default();
+    for w in 0..windows {
+        before(w);
         let baseline = run_baseline_window(
-            &cluster,
-            &mut base_sim,
+            cluster,
+            &mut clock,
             mapper.clone(),
-            &AggReducer,
+            reducer,
             leading_ts_fn(),
-            &spec,
+            spec,
             w,
-            &files,
+            files,
             NUM_REDUCERS,
             &out_root,
-            Some(&mut base_memo),
+            Some(&mut memo),
         )
         .expect("baseline window");
-        let a: Vec<(String, u64)> = read_window_output(&cluster, &report.outputs).unwrap();
-        let b: Vec<(String, u64)> = read_window_output(&cluster, &baseline.outputs).unwrap();
-        series.outputs_match &= a == b;
-        series.redoop.push(report.response);
-        series.hadoop.push(baseline.metrics.response_time());
-        series.redoop_phases.accumulate(&report.metrics.phases);
-        series.hadoop_phases.accumulate(&baseline.metrics.phases);
+        let response = baseline.metrics.response_time();
+        run.push(cluster, response, &baseline.metrics.phases, &baseline.outputs);
     }
-    series
+    run
 }
 
 /// Fig. 7: the recurring binary join (FFG), `windows` recurrences at
@@ -117,48 +165,12 @@ pub fn fig7(overlap: f64, windows: u64, seed: u64) -> QuerySeries {
     ingest_all(&mut exec, 1, &spd);
     let mut files = baseline_files(&cluster, &format!("/batches/{tag}-pos"), &pos);
     files.extend(baseline_files(&cluster, &format!("/batches/{tag}-spd"), &spd));
-
-    let mut base_sim = sim(&cluster);
-    let mut base_memo = MapMemo::default();
-    let mapper = Arc::new(JoinMapper);
-    let out_root = DfsPath::new(format!("/out/{tag}-base")).unwrap();
-
-    let mut series = QuerySeries {
-        overlap,
-        redoop: Vec::new(),
-        hadoop: Vec::new(),
-        redoop_phases: PhaseTimes::default(),
-        hadoop_phases: PhaseTimes::default(),
-        outputs_match: true,
-    };
-    for w in 0..windows {
+    let mut redoop = Windows::<String, String>::default();
+    let hadoop = hadoop_windows(&cluster, JoinMapper, &JoinReducer, &spec, windows, &files, &tag, |w| {
         let report = exec.run_window(w).expect("redoop window");
-        let baseline = run_baseline_window(
-            &cluster,
-            &mut base_sim,
-            mapper.clone(),
-            &JoinReducer,
-            leading_ts_fn(),
-            &spec,
-            w,
-            &files,
-            NUM_REDUCERS,
-            &out_root,
-            Some(&mut base_memo),
-        )
-        .expect("baseline window");
-        let mut a: Vec<(String, String)> = read_window_output(&cluster, &report.outputs).unwrap();
-        let mut b: Vec<(String, String)> =
-            read_window_output(&cluster, &baseline.outputs).unwrap();
-        a.sort();
-        b.sort();
-        series.outputs_match &= a == b;
-        series.redoop.push(report.response);
-        series.hadoop.push(baseline.metrics.response_time());
-        series.redoop_phases.accumulate(&report.metrics.phases);
-        series.hadoop_phases.accumulate(&baseline.metrics.phases);
-    }
-    series
+        redoop.push(&cluster, report.response, &report.metrics.phases, &report.outputs);
+    });
+    QuerySeries::of(overlap, redoop, hadoop)
 }
 
 /// Fig. 8 series: per-window responses of the three systems under the
@@ -211,38 +223,16 @@ pub fn fig8(overlap: f64, windows: u64, seed: u64) -> AdaptiveSeries {
     let cluster = cluster();
     let tag = format!("f8h-{}-{seed}", (overlap * 100.0) as u32);
     let files = baseline_files(&cluster, &format!("/batches/{tag}"), &batches);
-    let mut base_sim = sim(&cluster);
-    let mut base_memo = MapMemo::default();
-    let mapper = Arc::new(AggMapper);
-    let out_root = DfsPath::new(format!("/out/{tag}-base")).unwrap();
-    let mut hadoop = Vec::new();
-    let mut outs_h = Vec::new();
-    for w in 0..windows {
-        let baseline = run_baseline_window(
-            &cluster,
-            &mut base_sim,
-            mapper.clone(),
-            &AggReducer,
-            leading_ts_fn(),
-            &spec,
-            w,
-            &files,
-            NUM_REDUCERS,
-            &out_root,
-            Some(&mut base_memo),
-        )
-        .expect("baseline window");
-        hadoop.push(baseline.metrics.response_time());
-        outs_h.push(read_window_output::<String, u64>(&cluster, &baseline.outputs).unwrap());
-    }
+    let hadoop: Windows<String, u64> =
+        hadoop_windows(&cluster, AggMapper, &AggReducer, &spec, windows, &files, &tag, |_| ());
 
     AdaptiveSeries {
         overlap,
-        hadoop,
+        hadoop: hadoop.responses,
         redoop,
         adaptive,
         modes,
-        outputs_match: outs_r == outs_a && outs_r == outs_h,
+        outputs_match: outs_r == outs_a && outs_r == hadoop.outputs,
     }
 }
 
@@ -298,37 +288,16 @@ pub fn fig9(windows: u64, seed: u64) -> FaultSeries {
     let (redoop_faulty, outs_faulty) = run_redoop(Some(plan_f));
 
     let cluster = cluster();
-    let files = baseline_files(&cluster, &format!("/batches/f9h-{seed}"), &batches);
-    let mut base_sim = sim(&cluster);
-    let mut base_memo = MapMemo::default();
-    let mapper = Arc::new(AggMapper);
-    let out_root = DfsPath::new(format!("/out/f9h-{seed}-base")).unwrap();
-    let mut hadoop = Vec::new();
-    let mut outs_h = Vec::new();
-    for w in 0..windows {
-        let baseline = run_baseline_window(
-            &cluster,
-            &mut base_sim,
-            mapper.clone(),
-            &AggReducer,
-            leading_ts_fn(),
-            &spec,
-            w,
-            &files,
-            NUM_REDUCERS,
-            &out_root,
-            Some(&mut base_memo),
-        )
-        .expect("baseline window");
-        hadoop.push(baseline.metrics.response_time());
-        outs_h.push(read_window_output::<String, u64>(&cluster, &baseline.outputs).unwrap());
-    }
+    let tag = format!("f9h-{seed}");
+    let files = baseline_files(&cluster, &format!("/batches/{tag}"), &batches);
+    let hadoop: Windows<String, u64> =
+        hadoop_windows(&cluster, AggMapper, &AggReducer, &spec, windows, &files, &tag, |_| ());
 
     FaultSeries {
-        hadoop,
+        hadoop: hadoop.responses,
         redoop,
         redoop_faulty,
-        outputs_match: outs_clean == outs_faulty && outs_clean == outs_h,
+        outputs_match: outs_clean == outs_faulty && outs_clean == hadoop.outputs,
     }
 }
 
@@ -415,14 +384,14 @@ pub fn fig_delta(windows: u64, seed: u64) -> DeltaSeries {
 
 /// Cross-query cache-sharing figure: fleets of identical recurring
 /// aggregations over one shared source, with signature-keyed sharing on
-/// versus off (private per-query fingerprints).
+/// versus off (a distinct share tag per query).
 #[derive(Debug, Clone)]
 pub struct ShareSeries {
     /// Fleet sizes swept (N concurrent queries over the shared source).
     pub queries: Vec<usize>,
     /// Fleet makespan (last window completion, seconds), sharing on.
     pub shared_secs: Vec<f64>,
-    /// Fleet makespan, sharing off.
+    /// Fleet makespan, sharing off (a distinct share tag per query).
     pub private_secs: Vec<f64>,
     /// Cross-query hit ratio with sharing on: signature imports over
     /// imports plus physical builds, summed across the fleet.
@@ -442,12 +411,13 @@ impl ShareSeries {
 
 /// Runs the sharing figure: for each fleet size N in 1/2/4/8, N copies
 /// of the WCC aggregation attach to one [`SharedSource`] on one virtual
-/// clock and run through the interleaved deployment driver, once with
-/// `cross_query_sharing` on and once off. With sharing on the first
-/// query to need a `(pane, partition)` product builds and publishes it;
-/// the other N-1 import it through the signature directory, so the
-/// expected hit ratio approaches `(N-1)/N`. Outputs are compared
-/// bit-for-bit between the two modes.
+/// clock and run through the interleaved deployment driver, once sharing
+/// one fingerprint and once with a distinct [`QueryConf::share_tag`] per
+/// query — N fingerprints, N private sets of caches. Sharing one, the
+/// first query to need a `(pane, partition)` product builds and
+/// publishes it; the other N-1 import it through the signature
+/// directory, so the expected hit ratio approaches `(N-1)/N`. Outputs
+/// are compared bit-for-bit between the two modes.
 pub fn fig_share(windows: u64, seed: u64) -> ShareSeries {
     let spec = spec(0.5);
     let plan = ArrivalPlan::new(spec, windows);
@@ -482,13 +452,16 @@ pub fn fig_share(windows: u64, seed: u64) -> ShareSeries {
             let clock = sim(&cluster);
             let mut execs: Vec<_> = (0..n)
                 .map(|i| {
-                    let conf = QueryConf::new(
+                    let mut conf = QueryConf::new(
                         format!("{tag}-q{i}"),
                         NUM_REDUCERS,
                         DfsPath::new(format!("/out/{tag}-q{i}")).unwrap(),
                     )
                     .unwrap();
-                    let mut e = RecurringExecutor::aggregation_shared(
+                    if !sharing {
+                        conf = conf.with_share_tag(format!("{tag}-q{i}"));
+                    }
+                    RecurringExecutor::aggregation_shared(
                         &cluster,
                         clock.clone(),
                         conf,
@@ -499,12 +472,7 @@ pub fn fig_share(windows: u64, seed: u64) -> ShareSeries {
                         Arc::new(SumMerger),
                         controller_off(&cluster, &spec),
                     )
-                    .unwrap();
-                    e.set_options(ExecutorOptions {
-                        cross_query_sharing: sharing,
-                        ..Default::default()
-                    });
-                    e
+                    .unwrap()
                 })
                 .collect();
             let mut deployment = RecurringDeployment::new(clock);
@@ -574,7 +542,7 @@ impl SalvageSeries {
 
 /// Runs the salvage figure: the aggregation at overlap 0.875 (8 panes
 /// per window, 7 reused), two windows. Window 0 builds the framed pane
-/// caches; before window 1 fires, every framed `ro/` blob is damaged —
+/// caches; before window 1 fires, every framed `…/ro/` blob is damaged —
 /// suffix-corrupted in the partial scenario (a torn write from 60% in),
 /// dropped in the full scenario. The window-start audit classifies the
 /// corrupted blobs as partially recoverable, so the partial run charges
@@ -596,7 +564,7 @@ pub fn fig_salvage(seed: u64) -> SalvageSeries {
         for n in 0..cluster.node_count() as u32 {
             let node = NodeId(n);
             for name in cluster.list_local(node).unwrap() {
-                if !name.starts_with("ro/") {
+                if name.split('/').nth(1) != Some("ro") {
                     continue;
                 }
                 let blob = cluster.peek_local(node, &name).unwrap();
@@ -851,8 +819,8 @@ pub struct ScaleSeries {
 /// single [`SharedSource`] on a `node_count`-node cluster, driven by the
 /// interleaved deployment. The arrival plan carries the bursty, diurnal,
 /// and skew-drift curves so the run exercises realistic fluctuating
-/// load, and sharing is on — the production configuration the ROADMAP
-/// targets.
+/// load, and the queries share one fingerprint — the production
+/// configuration the ROADMAP targets.
 pub fn scale_point(node_count: usize, queries: usize, windows: u64, seed: u64) -> ScalePoint {
     let start = std::time::Instant::now();
     let spec = spec(0.5);
@@ -883,7 +851,7 @@ pub fn scale_point(node_count: usize, queries: usize, windows: u64, seed: u64) -
                 DfsPath::new(format!("/out/{tag}-q{i}")).unwrap(),
             )
             .unwrap();
-            let mut e = RecurringExecutor::aggregation_shared(
+            RecurringExecutor::aggregation_shared(
                 &cluster,
                 clock.clone(),
                 conf,
@@ -894,9 +862,7 @@ pub fn scale_point(node_count: usize, queries: usize, windows: u64, seed: u64) -
                 Arc::new(SumMerger),
                 controller_off(&cluster, &spec),
             )
-            .unwrap();
-            e.set_options(ExecutorOptions { cross_query_sharing: true, ..Default::default() });
-            e
+            .unwrap()
         })
         .collect();
     let mut deployment = RecurringDeployment::new(clock);
@@ -1041,7 +1007,8 @@ pub struct AblationReport {
     pub full: f64,
     /// Caching disabled (every window rebuilds pane products).
     pub no_caching: f64,
-    /// Cache-blind reduce placement (plain-Hadoop scheduling).
+    /// Cache-blind reduce placement: Eq. 4 on load alone, as the
+    /// plain-Hadoop baseline's reduces place.
     pub no_cache_aware_scheduling: f64,
     /// Plain Hadoop reference.
     pub hadoop: f64,
@@ -1073,35 +1040,16 @@ pub fn ablations(windows: u64, seed: u64) -> AblationReport {
         run(ExecutorOptions { cache_aware_scheduling: false, ..Default::default() }, "ab-blind");
 
     let cluster = cluster();
-    let files = baseline_files(&cluster, &format!("/batches/abh-{seed}"), &batches);
-    let mut base_sim = sim(&cluster);
-    let mut base_memo = MapMemo::default();
-    let mapper = Arc::new(AggMapper);
-    let out_root = DfsPath::new(format!("/out/abh-{seed}-base")).unwrap();
-    let mut hadoop_times = Vec::new();
-    for w in 0..windows {
-        let baseline = run_baseline_window(
-            &cluster,
-            &mut base_sim,
-            mapper.clone(),
-            &AggReducer,
-            leading_ts_fn(),
-            &spec,
-            w,
-            &files,
-            NUM_REDUCERS,
-            &out_root,
-            Some(&mut base_memo),
-        )
-        .unwrap();
-        hadoop_times.push(baseline.metrics.response_time());
-    }
+    let tag = format!("abh-{seed}");
+    let files = baseline_files(&cluster, &format!("/batches/{tag}"), &batches);
+    let hadoop: Windows<String, u64> =
+        hadoop_windows(&cluster, AggMapper, &AggReducer, &spec, windows, &files, &tag, |_| ());
 
     AblationReport {
         full,
         no_caching,
         no_cache_aware_scheduling,
-        hadoop: total_secs(&hadoop_times[1..]),
+        hadoop: total_secs(&hadoop.responses[1..]),
     }
 }
 

@@ -159,14 +159,13 @@ pub struct QueryConf {
     pub num_reducers: usize,
     /// Output root; recurrence `i` writes `<root>/w{i}/part-r-*`.
     pub output_root: DfsPath,
-    /// This query's bit index in controller `doneQueryMask`s.
-    pub query_index: usize,
-    /// Disambiguator folded into the cross-query operator fingerprint.
-    /// Type identity cannot distinguish two closures carried behind the
-    /// same function-pointer type; queries whose operators *look* alike
-    /// to the type system but differ semantically must set distinct
-    /// tags, or they would wrongly share pane caches on a shared
-    /// source. `None` (the default) contributes nothing to the hash.
+    /// Disambiguator folded into the query fingerprint every cache name
+    /// carries. Queries on one shared source whose fingerprints are equal
+    /// share their pane caches, so a distinct tag is how a query opts out
+    /// of sharing. It is also how queries whose operators *look* alike to
+    /// the type system but differ semantically — two closures behind one
+    /// function-pointer type — keep apart, as they must. `None` (the
+    /// default) folds the empty tag.
     pub share_tag: Option<String>,
 }
 
@@ -180,7 +179,6 @@ impl QueryConf {
             name: name.into(),
             num_reducers,
             output_root,
-            query_index: 0,
             share_tag: None,
         })
     }

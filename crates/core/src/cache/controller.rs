@@ -722,7 +722,7 @@ mod tests {
     use crate::pane::PaneId;
 
     fn name(p: u64, r: usize) -> CacheName {
-        CacheName::new(CacheObject::PaneInput { source: 0, pane: PaneId(p), sub: 0 }, r)
+        CacheName::with_fp(CacheObject::PaneInput { source: 0, pane: PaneId(p), sub: 0 }, r, 0)
     }
 
     #[test]

@@ -147,7 +147,7 @@ mod tests {
     use redoop_mapred::SimTime;
 
     fn name(p: u64) -> CacheName {
-        CacheName::new(CacheObject::PaneInput { source: 0, pane: PaneId(p), sub: 0 }, 0)
+        CacheName::with_fp(CacheObject::PaneInput { source: 0, pane: PaneId(p), sub: 0 }, 0, 0)
     }
 
     /// The smallest blob a pane cache can hold: one empty, intact frame.
@@ -310,7 +310,7 @@ mod tests {
 
         // A framed cache with several frames, a pane cache holding
         // unframed bytes, and a pair output (text by construction).
-        let pair = CacheName::new(CacheObject::PairOutput { left: PaneId(1), right: PaneId(2) }, 0);
+        let pair = CacheName::with_fp(CacheObject::PairOutput { left: PaneId(1), right: PaneId(2) }, 0, 0);
         let blob = multi_frame_blob();
         let total = frame::salvage_scan(&blob).total;
         cluster.put_local(NodeId(1), name(7).store_name(), blob.clone().into()).unwrap();

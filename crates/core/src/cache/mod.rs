@@ -65,62 +65,49 @@ impl CacheObject {
             }
         }
     }
-
-    /// Node-local store name for this object restricted to one reduce
-    /// partition — the on-disk identity of the cache file.
-    pub fn store_name(&self, partition: usize) -> String {
-        match self {
-            CacheObject::PaneInput { source, pane, sub } => {
-                format!("ri/s{source}p{}.{sub}/r{partition}", pane.0)
-            }
-            CacheObject::PaneOutput { source, pane } => {
-                format!("ro/s{source}p{}/r{partition}", pane.0)
-            }
-            CacheObject::PairOutput { left, right } => {
-                format!("po/p{}x{}/r{partition}", left.0, right.0)
-            }
-        }
-    }
 }
 
-/// A cache identity: object + reduce partition + operator fingerprint.
+/// A cache identity: object + reduce partition + query fingerprint.
 ///
-/// The fingerprint is the cross-query sharing key: two queries whose
-/// map/reduce operators, partitioner, reducer count, and pane geometry
-/// coincide compute the same fingerprint over a shared source, so their
-/// plans name — and therefore reuse — the same cache files. A
-/// fingerprint of `0` means "private, per-query-slot identity" and
-/// renders the legacy `ri|ro|po/...` store names unchanged.
+/// The fingerprint says what the cache is made of — the query's
+/// operators, reducer count, pane length, share tag and the pane files
+/// its products are computed from (see
+/// [`RecurringExecutor`](crate::RecurringExecutor)'s fingerprint). Two
+/// queries whose caches are interchangeable compute the same fingerprint
+/// and therefore name — and reuse — the same cache files; any two that
+/// are not name disjoint files, on a shared cluster as on its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CacheName {
     /// The cached object.
     pub object: CacheObject,
     /// The reduce partition of the object held in this file.
     pub partition: usize,
-    /// Operator fingerprint (0 = private/unshared legacy identity).
+    /// Fingerprint of the query whose operators computed the object.
     pub fp: u64,
 }
 
 impl CacheName {
-    /// Constructor for a private (fingerprint-0) identity.
-    pub fn new(object: CacheObject, partition: usize) -> Self {
-        CacheName { object, partition, fp: 0 }
-    }
-
-    /// Constructor carrying an operator fingerprint. Passing `fp == 0`
-    /// is identical to [`CacheName::new`].
+    /// The identity of `object`'s partition `partition` under fingerprint
+    /// `fp`.
     pub fn with_fp(object: CacheObject, partition: usize, fp: u64) -> Self {
         CacheName { object, partition, fp }
     }
 
-    /// Node-local store name. Fingerprinted identities live under a
-    /// `q{fp:016x}/` prefix so signature-equivalent queries resolve to
-    /// the same file while private queries keep their legacy names.
+    /// Node-local store name, the on-disk identity of the cache file:
+    /// `q{fp:016x}/` then the class segment (`ri`, `ro` or `po`), then the
+    /// object within its partition.
     pub fn store_name(&self) -> String {
-        if self.fp == 0 {
-            self.object.store_name(self.partition)
-        } else {
-            format!("q{:016x}/{}", self.fp, self.object.store_name(self.partition))
+        let (fp, r) = (self.fp, self.partition);
+        match self.object {
+            CacheObject::PaneInput { source, pane, sub } => {
+                format!("q{fp:016x}/ri/s{source}p{}.{sub}/r{r}", pane.0)
+            }
+            CacheObject::PaneOutput { source, pane } => {
+                format!("q{fp:016x}/ro/s{source}p{}/r{r}", pane.0)
+            }
+            CacheObject::PairOutput { left, right } => {
+                format!("q{fp:016x}/po/p{}x{}/r{r}", left.0, right.0)
+            }
         }
     }
 }
@@ -131,33 +118,27 @@ mod tests {
 
     #[test]
     fn store_names_follow_convention() {
-        let input = CacheObject::PaneInput { source: 1, pane: PaneId(4), sub: 0 };
-        assert_eq!(input.store_name(2), "ri/s1p4.0/r2");
-        assert_eq!(input.kind(), CacheKind::ReduceInput);
+        let input = CacheName::with_fp(CacheObject::PaneInput { source: 1, pane: PaneId(4), sub: 0 }, 2, 0xabcd);
+        assert_eq!(input.store_name(), "q000000000000abcd/ri/s1p4.0/r2");
+        assert_eq!(input.object.kind(), CacheKind::ReduceInput);
 
-        let out = CacheObject::PaneOutput { source: 0, pane: PaneId(7) };
-        assert_eq!(out.store_name(0), "ro/s0p7/r0");
-        assert_eq!(out.kind(), CacheKind::ReduceOutput);
+        let out = CacheName::with_fp(CacheObject::PaneOutput { source: 0, pane: PaneId(7) }, 0, 0xabcd);
+        assert_eq!(out.store_name(), "q000000000000abcd/ro/s0p7/r0");
+        assert_eq!(out.object.kind(), CacheKind::ReduceOutput);
 
-        let pair = CacheObject::PairOutput { left: PaneId(3), right: PaneId(5) };
-        assert_eq!(pair.store_name(1), "po/p3x5/r1");
-        assert_eq!(pair.kind(), CacheKind::ReduceOutput);
+        let pair = CacheName::with_fp(CacheObject::PairOutput { left: PaneId(3), right: PaneId(5) }, 1, 0);
+        assert_eq!(pair.store_name(), "q0000000000000000/po/p3x5/r1");
+        assert_eq!(pair.object.kind(), CacheKind::ReduceOutput);
     }
 
     #[test]
     fn names_are_distinct_across_partitions_and_objects() {
-        let a = CacheName::new(CacheObject::PaneOutput { source: 0, pane: PaneId(1) }, 0);
-        let b = CacheName::new(CacheObject::PaneOutput { source: 0, pane: PaneId(1) }, 1);
-        let c = CacheName::new(CacheObject::PaneInput { source: 0, pane: PaneId(1), sub: 0 }, 0);
+        let name = |object, r| CacheName::with_fp(object, r, 7);
+        let a = name(CacheObject::PaneOutput { source: 0, pane: PaneId(1) }, 0);
+        let b = name(CacheObject::PaneOutput { source: 0, pane: PaneId(1) }, 1);
+        let c = name(CacheObject::PaneInput { source: 0, pane: PaneId(1), sub: 0 }, 0);
         assert_ne!(a.store_name(), b.store_name());
         assert_ne!(a.store_name(), c.store_name());
-    }
-
-    #[test]
-    fn fingerprint_zero_renders_legacy_names() {
-        let obj = CacheObject::PaneOutput { source: 0, pane: PaneId(2) };
-        assert_eq!(CacheName::new(obj, 0), CacheName::with_fp(obj, 0, 0));
-        assert_eq!(CacheName::with_fp(obj, 0, 0).store_name(), "ro/s0p2/r0");
     }
 
     #[test]
@@ -170,6 +151,5 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.store_name(), b.store_name());
         assert_ne!(a.store_name(), c.store_name());
-        assert_ne!(a.store_name(), CacheName::new(obj, 1).store_name());
     }
 }

@@ -336,7 +336,7 @@ mod tests {
 
     fn stats(p: u64, bytes: u64, uses: u32, used_at: u64) -> CacheStats {
         CacheStats {
-            name: CacheName::new(CacheObject::PaneOutput { source: 0, pane: PaneId(p) }, 0),
+            name: CacheName::with_fp(CacheObject::PaneOutput { source: 0, pane: PaneId(p) }, 0, 0),
             bytes,
             rebuild_bytes: bytes,
             remaining_votes: 1,

@@ -172,11 +172,11 @@ mod tests {
     use bytes::Bytes;
 
     fn name(p: u64) -> CacheName {
-        CacheName::new(CacheObject::PaneInput { source: 0, pane: PaneId(p), sub: 0 }, 0)
+        CacheName::with_fp(CacheObject::PaneInput { source: 0, pane: PaneId(p), sub: 0 }, 0, 0)
     }
 
     fn out_name(p: u64) -> CacheName {
-        CacheName::new(CacheObject::PaneOutput { source: 0, pane: PaneId(p) }, 0)
+        CacheName::with_fp(CacheObject::PaneOutput { source: 0, pane: PaneId(p) }, 0, 0)
     }
 
     #[test]

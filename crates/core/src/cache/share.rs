@@ -23,7 +23,8 @@
 //! Entries are advisory: an importer re-verifies the file on the named
 //! node before adopting, and drops stale entries (e.g. after a node
 //! loss) on the spot. Publishing after a rebuild simply overwrites the
-//! location.
+//! location, and a withdrawal names the node it speaks for: a query that
+//! lost its copy on one node never withdraws a peer's copy on another.
 //!
 //! An entry whose `available_at` lies in the future is a cache **being
 //! built** — published by a query that fired at this same virtual
@@ -98,9 +99,9 @@ impl Default for SharedCacheEntry {
 
 /// The cross-query cache directory of one shared source.
 ///
-/// Consumers are registered per fingerprint when an executor attaches
-/// (and deregistered if sharing is switched off), so lifespan extension
-/// knows the full set of queries a pane must outlive.
+/// Consumers are registered per fingerprint when an executor attaches,
+/// so lifespan extension knows the full set of queries a pane must
+/// outlive.
 #[derive(Debug, Default)]
 pub struct SignatureDirectory {
     consumers: BTreeMap<u64, BTreeSet<usize>>,
@@ -123,23 +124,6 @@ impl SignatureDirectory {
         id
     }
 
-    /// Removes a consumer (sharing turned off for that executor). Its
-    /// pending done-marks are kept so already-shared panes can still be
-    /// released by the remaining consumers.
-    pub fn deregister_consumer(&mut self, fp: u64, consumer: usize) {
-        if let Some(set) = self.consumers.get_mut(&fp) {
-            set.remove(&consumer);
-            if set.is_empty() {
-                self.consumers.remove(&fp);
-            }
-        }
-    }
-
-    /// Number of registered consumers for fingerprint `fp`.
-    pub fn consumer_count(&self, fp: u64) -> usize {
-        self.consumers.get(&fp).map_or(0, BTreeSet::len)
-    }
-
     /// Publishes (or refreshes) the location facts of a built cache.
     /// Done-marks already recorded for the name survive a re-publish
     /// (a rebuild after node loss must not resurrect the pane for
@@ -153,17 +137,14 @@ impl SignatureDirectory {
         self.entries.get(name).map(|e| e.info)
     }
 
-    /// Drops a published entry (stale location discovered at import).
-    pub fn remove(&mut self, name: &CacheName) {
-        self.entries.remove(name);
-    }
-
-    /// Drops every entry located on `node` (rollback after node loss);
-    /// returns how many were dropped.
-    pub fn invalidate_node(&mut self, node: NodeId) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|_, e| e.info.node != node);
-        before - self.entries.len()
+    /// Withdraws the advertisement of `name` on `node` — a stale location
+    /// found at import, an eviction, a loss the heartbeat audit found. An
+    /// entry that has since moved to another node is that node's and is
+    /// left in place.
+    pub fn remove(&mut self, name: &CacheName, node: NodeId) {
+        if self.entries.get(name).is_some_and(|e| e.info.node == node) {
+            self.entries.remove(name);
+        }
     }
 
     /// Consumer `consumer` is done with `name` (the pane left its
@@ -229,7 +210,10 @@ mod tests {
         dir.publish(name(1), entry(2));
         assert_eq!(dir.lookup(&name(1)), Some(entry(2)));
         assert_eq!(dir.len(), 1);
-        dir.remove(&name(1));
+        // A withdrawal for another node leaves the entry in place.
+        dir.remove(&name(1), NodeId(3));
+        assert_eq!(dir.lookup(&name(1)), Some(entry(2)));
+        dir.remove(&name(1), NodeId(2));
         assert!(dir.is_empty());
     }
 
@@ -238,7 +222,6 @@ mod tests {
         let mut dir = SignatureDirectory::new();
         let a = dir.register_consumer(0xfeed);
         let b = dir.register_consumer(0xfeed);
-        assert_eq!(dir.consumer_count(0xfeed), 2);
         dir.publish(name(1), entry(0));
         assert_eq!(dir.mark_done(&name(1), a), SharedExpiry::Deferred);
         // Re-marking is idempotent.
@@ -247,16 +230,6 @@ mod tests {
         // Entry is gone once released.
         assert_eq!(dir.lookup(&name(1)), None);
         assert_eq!(dir.mark_done(&name(1), b), SharedExpiry::Untracked);
-    }
-
-    #[test]
-    fn deregistered_consumers_no_longer_hold_panes() {
-        let mut dir = SignatureDirectory::new();
-        let a = dir.register_consumer(0xfeed);
-        let b = dir.register_consumer(0xfeed);
-        dir.publish(name(1), entry(0));
-        dir.deregister_consumer(0xfeed, b);
-        assert_eq!(dir.mark_done(&name(1), a), SharedExpiry::LastConsumer);
     }
 
     #[test]
@@ -281,7 +254,7 @@ mod tests {
         dir.publish(name(1), entry(0));
         dir.publish(name(2), entry(4));
         assert_eq!(dir.mark_done(&name(1), a), SharedExpiry::Deferred);
-        assert_eq!(dir.invalidate_node(NodeId(0)), 1);
+        dir.remove(&name(1), NodeId(0));
         assert_eq!(dir.len(), 1);
         // A rebuild republishes from scratch: everyone must mark done
         // again before the file is released.

@@ -90,11 +90,12 @@ impl<K, V> DeltaMaintenance<K, V> {
 }
 
 /// Store name of the `.open` sentinel marking unsealed delta state of
-/// `(pane, partition)` on its home node. The sentinel, not the in-memory
+/// `(pane, partition)` on its home node: the name of the `ro/…` cache
+/// the seal will store, plus `.open`. The sentinel, not the in-memory
 /// state, is what a §5 node loss destroys — its absence at seal time is
 /// the loss signal.
-fn sentinel_name(pane: u64, r: usize) -> String {
-    format!("rd/s0p{pane}/r{r}.open")
+fn sentinel_name(fp: u64, pane: u64, r: usize) -> String {
+    format!("{}.open", output_name(fp, 0, PaneId(pane), r).store_name())
 }
 
 /// Conserved integer split: partition `r`'s share of `total` spread over
@@ -214,7 +215,7 @@ where
                 groups += self.delta.open[pane].parts[r].len() as u64;
                 let node = homes[r];
                 if first_fold {
-                    self.cluster.put_local(node, sentinel_name(*pane, r), Bytes::from_static(b"open"))?;
+                    self.cluster.put_local(node, sentinel_name(self.fp, *pane, r), Bytes::from_static(b"open"))?;
                 }
                 let work = MapWork {
                     split_bytes: share(batch.split_bytes, r, num_reducers),
@@ -267,7 +268,7 @@ where
             let pane_close = self.sources[0].geom.pane_range(PaneId(p)).end;
             let ready_floor = open.ready.max(SimTime::from_millis(pane_close.0));
             for (r, folded) in open.parts.into_iter().enumerate() {
-                let sentinel = sentinel_name(p, r);
+                let sentinel = sentinel_name(self.fp, p, r);
                 let home = self.delta.homes[r];
                 let valid = complete
                     && home.is_some_and(|n| {
@@ -301,7 +302,7 @@ where
                 };
                 let phases = work.phases_in_attempt(self.sim.cost(), true);
                 let placement = self.sim.assign(TaskKind::Reduce, node, ready_floor, phases.total());
-                let name = output_name(self.active_fp(), 0, PaneId(p), r);
+                let name = output_name(self.fp, 0, PaneId(p), r);
                 self.cluster.put_local(node, name.store_name(), built.blob.clone())?;
                 self.register(name, node, built.cache_text_bytes, placement.end);
                 self.trace.emit(|| TraceEvent::TaskSpan {

@@ -43,9 +43,6 @@
 //! too: they are driver concerns — bookkeeping between plan executions.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use redoop_dfs::{DfsPath, NodeId};
 use redoop_mapred::counters::names as cnames;
@@ -58,14 +55,13 @@ use redoop_mapred::{
 
 use crate::adaptive::ExecMode;
 use crate::cache::controller::PurgeNotification;
-use crate::cache::share::SignatureDirectory;
 use crate::cache::{CacheName, CacheObject};
 use crate::error::{RedoopError, Result};
 use crate::pane::PaneId;
 use crate::scheduler::{cache_affinity, cache_holders, MapTaskEntry};
 
 use super::plan::{PlanKind, PlanTask, WindowPlan};
-use super::RecurringExecutor;
+use super::{DirHandle, RecurringExecutor};
 
 /// Per-map-task (per block split) statistics kept for proactive-mode
 /// pipelining, grouped by the sub-pane file the split came from.
@@ -354,7 +350,8 @@ where
 
     /// Picks the node for a reduce-side task ready at `floor`: Eq. 4 with
     /// the cache-affinity term over `caches`, or — with cache-aware
-    /// scheduling off — plain Hadoop's cache-blind rotation.
+    /// scheduling off — Eq. 4 with no affinity at all, the load-only
+    /// placement of the plain-Hadoop baseline's reduces.
     ///
     /// **Followers join the producer.** `producer` is the node of a cache
     /// `import_shared` just adopted while it is still being built
@@ -377,20 +374,7 @@ where
         producer: Option<NodeId>,
     ) -> NodeId {
         let node = if !self.options.cache_aware_scheduling {
-            // Plain-Hadoop reduce placement: whichever task tracker's
-            // heartbeat wins — arbitrary with respect to caches. Modeled
-            // as a rotation over live nodes.
-            let alive_ids = self.cluster.alive_nodes();
-            let node = alive_ids[(self.blind_counter as usize) % alive_ids.len()];
-            self.blind_counter += 1;
-            self.trace.emit(|| TraceEvent::Placement {
-                at: floor,
-                kind: TaskKind::Reduce,
-                label: format!("{label}/blind"),
-                chosen: node,
-                scores: Vec::new(),
-            });
-            node
+            self.place(TaskKind::Reduce, &[], floor, || label.to_string(), |_| SimTime::ZERO)
         } else if let Some(node) =
             producer.filter(|&p| caches.iter().all(|name| self.cached_on(name, p)))
         {
@@ -882,7 +866,7 @@ where
             let Some(entry) = dir.lock().lookup(name) else { continue };
             let store = name.store_name();
             if !self.cluster.is_alive(entry.node) || !self.cluster.has_local(entry.node, &store) {
-                dir.lock().remove(name);
+                dir.lock().remove(name, entry.node);
                 continue;
             }
             let admission = self.controller.adopt_remote(
@@ -916,12 +900,9 @@ where
     }
 
     /// The signature directory this executor imports from: its shared
-    /// source's, while sharing and caching are both on.
-    fn shared_dir(&self) -> Option<&Arc<Mutex<SignatureDirectory>>> {
-        match &self.share {
-            Some(s) if self.options.cross_query_sharing && self.options.caching => Some(&s.dir),
-            _ => None,
-        }
+    /// source's, while caching is on.
+    fn shared_dir(&self) -> Option<&DirHandle> {
+        self.share.as_ref().filter(|_| self.options.caching).map(|s| &s.dir)
     }
 
     /// Whether a live node other than `anchor` holds or is building
@@ -973,8 +954,8 @@ where
             return;
         }
         self.registries[node.index()].add_entry(name, bytes);
-        match &self.share {
-            Some(share) if self.options.cross_query_sharing => share.dir.lock().publish(
+        if let Some(share) = &self.share {
+            share.dir.lock().publish(
                 name,
                 crate::cache::share::SharedCacheEntry {
                     node,
@@ -982,8 +963,7 @@ where
                     rebuild_bytes: rebuild,
                     available_at: at,
                 },
-            ),
-            _ => {}
+            );
         }
     }
 
@@ -1002,7 +982,7 @@ where
             self.win_stats.evictions += 1;
             self.registries[vnode.index()].mark_expired(vname);
             if let Some(dir) = &dir {
-                dir.lock().remove(vname);
+                dir.lock().remove(vname, *vnode);
             }
         }
     }
@@ -1070,14 +1050,16 @@ where
         for reg in &mut self.registries {
             let hb = reg.heartbeat(&self.cluster);
             let lost_names = self.controller.apply_heartbeat(&hb);
-            // Keep the cross-query directory honest: advertisements for
-            // caches this audit just rolled back would send importers to
-            // files that no longer exist (they re-verify, but dropping
-            // the entry here saves every one of them the probe).
+            // Keep the cross-query directory honest: advertisements of
+            // this node's copies this audit just rolled back would send
+            // importers to files that no longer exist (they re-verify, but
+            // dropping the entry here saves every one of them the probe).
+            // An entry a peer has since re-published from another node is
+            // the peer's, and stays.
             if let Some(dir) = &dir {
                 let mut d = dir.lock();
                 for n in &lost_names {
-                    d.remove(n);
+                    d.remove(n, hb.node);
                 }
             }
             lost += lost_names.len();
@@ -1094,14 +1076,8 @@ where
     /// notify-and-purge path.
     fn defer_shared_expiry(&mut self, name: &CacheName) -> bool {
         use crate::cache::share::SharedExpiry;
-        let (dir, consumer) = match &self.share {
-            Some(s) => match s.consumer {
-                Some(c) => (s.dir.clone(), c),
-                None => return false,
-            },
-            None => return false,
-        };
-        let verdict = dir.lock().mark_done(name, consumer);
+        let Some(share) = &self.share else { return false };
+        let verdict = share.dir.lock().mark_done(name, share.consumer);
         match verdict {
             SharedExpiry::Deferred => {
                 if let Some(node) = self.controller.location(name) {

@@ -27,9 +27,6 @@
 //! keeps the per-sub-pane input pipelining and the pair groups keyed by
 //! the later-available input. The final task concatenates every
 //! in-window pair output, gated on all pair `available_at`s.
-//!
-//! Joins cannot attach shared sources, so every cache name in this
-//! module carries fingerprint 0 (the un-shared legacy namespace).
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -110,7 +107,7 @@ where
             }
         }
         let names: Vec<CacheName> =
-            reused.iter().map(|&(s, pane)| input_name(0, s, PaneId(pane), r)).collect();
+            reused.iter().map(|&(s, pane)| input_name(self.fp, s, PaneId(pane), r)).collect();
         let decoded = self.fetch_decoded::<M::VOut>(prep.node, &names)?;
         inputs.extend(reused.into_iter().zip(decoded));
         Ok(inputs)
@@ -203,7 +200,7 @@ where
                     for (s, pane) in [(0u32, p), (1u32, q)] {
                         let sig = self
                             .controller
-                            .signature(&input_name(0, s, pane, r))
+                            .signature(&input_name(self.fp, s, pane, r))
                             .expect("pair inputs exist before the join");
                         ready = ready.max(sig.available_at);
                         // An old input's pre-sorted run is streamed once;
@@ -222,7 +219,7 @@ where
                     };
                     prev_end = self.commit_builds(
                         node,
-                        &[(pair_name(0, p, q, r), built)],
+                        &[(pair_name(self.fp, p, q, r), built)],
                         &[(ready, work)],
                         &format!("build/w{rec}/p{}x{}/r{r}", p.0, q.0),
                         attempt_startup,
@@ -238,7 +235,7 @@ where
                 let mut input_avail: HashMap<(u32, u64), SimTime> = HashMap::new();
                 for s in 0..2u32 {
                     for &p in panes {
-                        let name = input_name(0, s, p, r);
+                        let name = input_name(self.fp, s, p, r);
                         if self.cached_on(&name, node) {
                             let at =
                                 self.controller.signature(&name).expect("cached").available_at;
@@ -260,7 +257,7 @@ where
                 }
                 for &(src, p) in &old_panes_touched {
                     if let Some(sig) =
-                        self.controller.signature(&input_name(0, src, PaneId(p), r))
+                        self.controller.signature(&input_name(self.fp, src, PaneId(p), r))
                     {
                         concat_old_input_reads += sig.bytes;
                     }
@@ -294,7 +291,7 @@ where
                                 &inputs[&(1, q.0)],
                                 &*self.reducer,
                             );
-                            (pair_name(0, p, q, r), pair)
+                            (pair_name(self.fp, p, q, r), pair)
                         })
                         .collect();
                     let work = ReduceWork {
@@ -324,7 +321,7 @@ where
         let mut names: Vec<CacheName> = Vec::with_capacity(panes.len() * panes.len());
         for &p in panes {
             for &q in panes {
-                let name = pair_name(0, p, q, r);
+                let name = pair_name(self.fp, p, q, r);
                 let fresh = prep.todo_set.contains(&(p.0, q.0));
                 if let Some(sig) = self.controller.signature(&name) {
                     ready = ready.max(sig.available_at);

@@ -63,6 +63,7 @@ use crate::api::{Merger, QueryConf, SourceConf};
 use crate::cache::controller::CacheController;
 use crate::cache::policy::{CacheBudget, PurgePolicy};
 use crate::cache::registry::LocalCacheRegistry;
+use crate::cache::share::SignatureDirectory;
 use crate::cache::status_matrix::CacheStatusMatrix;
 use crate::cache::{CacheName, CacheObject};
 use crate::error::{RedoopError, Result};
@@ -87,15 +88,6 @@ pub struct ExecutorOptions {
     /// close), so firing pays only the merge. When false — or when the
     /// query has no combiner — every pane product is built at fire time.
     pub delta_maintenance: bool,
-    /// Share pane caches across queries attached to one
-    /// [`crate::shared::SharedSource`]: signature-equivalent cache names
-    /// are resolved through the source's directory, so one query's
-    /// builds fire as hits in every other compatible query. When false
-    /// the executor keys its caches with a private fingerprint and
-    /// neither publishes nor imports. Must be set before the first
-    /// ingest — cache names are derived from the active fingerprint, so
-    /// flipping it mid-stream orphans already-announced names.
-    pub cross_query_sharing: bool,
 }
 
 impl Default for ExecutorOptions {
@@ -104,7 +96,6 @@ impl Default for ExecutorOptions {
             caching: true,
             cache_aware_scheduling: true,
             delta_maintenance: true,
-            cross_query_sharing: true,
         }
     }
 }
@@ -154,19 +145,14 @@ struct SourceState {
     packer: PackerHandle,
 }
 
+/// The signature directory of a shared source.
+type DirHandle = Arc<Mutex<SignatureDirectory>>;
+
 /// This executor's attachment to a shared source's signature directory:
-/// the fingerprints its cache names carry and the consumer id its
-/// lifespan votes are cast under.
+/// the directory and the consumer id its lifespan votes are cast under.
 struct ShareBinding {
-    dir: Arc<Mutex<crate::cache::share::SignatureDirectory>>,
-    /// Fingerprint shared by every signature-equivalent query.
-    fp_shared: u64,
-    /// Per-query fingerprint used when sharing is switched off, so the
-    /// executor's cache files stay disjoint from other queries' on the
-    /// common cluster.
-    fp_private: u64,
-    /// Consumer id in the directory; `None` while sharing is off.
-    consumer: Option<usize>,
+    dir: DirHandle,
+    consumer: usize,
 }
 
 /// The recurring-query executor. See module docs.
@@ -185,6 +171,9 @@ where
     combiner: Option<Arc<dyn redoop_mapred::Combiner<M::KOut, M::VOut>>>,
     partitioner: HashPartitioner,
     sources: Vec<SourceState>,
+    /// The query fingerprint every cache name of this executor carries
+    /// (`fingerprint_of`).
+    fp: u64,
     controller: CacheController,
     registries: Vec<LocalCacheRegistry>,
     matrix: CacheStatusMatrix,
@@ -193,9 +182,6 @@ where
     share: Option<ShareBinding>,
     delta: delta::DeltaMaintenance<M::KOut, M::VOut>,
     window_built: usize,
-    /// Rotation counter for cache-blind reduce placement (see
-    /// [`ExecutorOptions::cache_aware_scheduling`]).
-    blind_counter: u64,
     trace: TraceSink,
     win_stats: WindowTraceStats,
     reports: Vec<WindowReport>,
@@ -240,17 +226,16 @@ where
     /// to the source. The executor must not re-plan a shared packer, so
     /// shared deployments should use a non-adaptive controller.
     ///
-    /// Attaching also computes the query's *operator fingerprint* — a
-    /// stable hash of the mapper/reducer type identity, the partitioner,
-    /// the reducer count, the shared pane length, and the query's
-    /// [`QueryConf::share_tag`] — and registers the executor as a
-    /// consumer in the source's signature directory. Queries landing on
-    /// the same fingerprint name (and therefore share) the same pane
-    /// caches. **Caveat:** type identity cannot see through function
-    /// pointers — two `ClosureMapper<_, _, fn(..)>`s built from
-    /// *different* `fn` items share one type name. Give such queries
-    /// distinct `share_tag`s (or distinct closure types) unless they
-    /// really are the same operator.
+    /// Attaching registers the executor as a consumer of its fingerprint
+    /// in the source's signature directory. Every query of the source
+    /// reads the same pane files, so queries with equal operators,
+    /// reducer count and [`QueryConf::share_tag`] compute one fingerprint
+    /// and name — and therefore share — the same pane caches; a distinct
+    /// tag is how a query opts out. **Caveat:** type identity cannot see
+    /// through function pointers — two `ClosureMapper<_, _, fn(..)>`s
+    /// built from *different* `fn` items share one type name. Give such
+    /// queries distinct `share_tag`s (or distinct closure types) unless
+    /// they really are the same operator.
     #[allow(clippy::too_many_arguments)]
     pub fn aggregation_shared(
         cluster: &Cluster,
@@ -264,34 +249,13 @@ where
         adaptive: AdaptiveController,
     ) -> Result<Self> {
         let source = shared.conf_for(spec)?;
-        let handle = shared.packer_handle();
-        let mut fp = crate::query::FingerprintBuilder::new();
-        fp.push_str("agg")
-            .push_str(std::any::type_name::<M>())
-            .push_str(std::any::type_name::<R>())
-            .push_str("HashPartitioner")
-            .push_u64(conf.num_reducers as u64)
-            .push_u64(shared.pane_ms())
-            .push_str(conf.share_tag.as_deref().unwrap_or(""));
-        let fp_shared = fp.finish();
-        // The private fingerprint additionally folds in per-query
-        // identity so sharing-off executors keep disjoint files on the
-        // common cluster.
-        fp.push_str("private")
-            .push_str(&conf.name)
-            .push_str(conf.output_root.as_str())
-            .push_u64(conf.query_index as u64);
-        let fp_private = fp.finish();
-        let dir = shared.directory();
-        let consumer = Some(dir.lock().register_consumer(fp_shared));
-        let share = ShareBinding { dir, fp_shared, fp_private, consumer };
         Self::build(
             cluster,
             sim,
             conf,
-            vec![(source, Some(handle))],
+            vec![(source, Some(shared.packer_handle()))],
             Some(shared.pane_ms()),
-            Some(share),
+            Some(shared.directory()),
             mapper,
             reducer,
             Some(merger),
@@ -333,7 +297,7 @@ where
         conf: QueryConf,
         sources: Vec<(SourceConf, Option<PackerHandle>)>,
         pane_override_ms: Option<u64>,
-        share: Option<ShareBinding>,
+        directory: Option<DirHandle>,
         mapper: Arc<M>,
         reducer: Arc<R>,
         merger: Option<Arc<dyn Merger<M::KOut, R::VOut>>>,
@@ -387,6 +351,11 @@ where
             states.push(SourceState { geom: src_geom, conf: src, packer });
         }
         let dims = states.len();
+        let fp = Self::fingerprint_of(&conf, &states);
+        let share = directory.map(|dir| {
+            let consumer = dir.lock().register_consumer(fp);
+            ShareBinding { dir, consumer }
+        });
         // One journal for the whole executor: the sim's sink (global by
         // default) is propagated to the controller and every registry.
         let trace = sim.trace().clone();
@@ -410,6 +379,7 @@ where
             combiner: None,
             partitioner: HashPartitioner,
             sources: states,
+            fp,
             controller,
             registries,
             matrix: CacheStatusMatrix::new(dims, geom),
@@ -418,7 +388,6 @@ where
             share,
             delta: delta::DeltaMaintenance::new(num_reducers),
             window_built: 0,
-            blind_counter: 0,
             trace,
             win_stats: WindowTraceStats::default(),
             reports: Vec::new(),
@@ -436,25 +405,39 @@ where
         self.trace = sink;
     }
 
-    /// Overrides the ablation switches. Toggling
-    /// [`ExecutorOptions::cross_query_sharing`] re-registers or
-    /// withdraws this executor as a consumer in its shared source's
-    /// signature directory; do it before the first ingest (cache names
-    /// embed the active fingerprint).
-    pub fn set_options(&mut self, options: ExecutorOptions) {
-        if let Some(share) = &mut self.share {
-            match (self.options.cross_query_sharing, options.cross_query_sharing) {
-                (true, false) => {
-                    if let Some(c) = share.consumer.take() {
-                        share.dir.lock().deregister_consumer(share.fp_shared, c);
-                    }
-                }
-                (false, true) if share.consumer.is_none() => {
-                    share.consumer = Some(share.dir.lock().register_consumer(share.fp_shared));
-                }
-                _ => {}
-            }
+    /// The one fingerprint function, for owned aggregations, joins and
+    /// shared aggregations alike. It folds what the query's caches are
+    /// made of, so it prefixes every cache name: the query kind, the
+    /// mapper and reducer types, the partitioner, the reducer count, the
+    /// pane length, the [`QueryConf::share_tag`] and each source's pane
+    /// root — the pane files the products are computed from. Queries on
+    /// one [`crate::shared::SharedSource`] read the same pane files, so
+    /// equal operators coincide; an owned source's root is the query's
+    /// own, so an owned query shares with nobody. Merger and combiner are
+    /// not folded: neither changes a pane product's bytes.
+    fn fingerprint_of(conf: &QueryConf, sources: &[SourceState]) -> u64 {
+        let mut fp = crate::query::FingerprintBuilder::new();
+        fp.push_str(if sources.len() == 1 { "agg" } else { "join" })
+            .push_str(std::any::type_name::<M>())
+            .push_str(std::any::type_name::<R>())
+            .push_str(std::any::type_name::<HashPartitioner>())
+            .push_u64(conf.num_reducers as u64)
+            .push_u64(sources[0].geom.pane_ms)
+            .push_str(conf.share_tag.as_deref().unwrap_or(""));
+        for source in sources {
+            fp.push_str(source.conf.pane_root.as_str());
         }
+        fp.finish()
+    }
+
+    /// The query fingerprint every cache name of this executor carries
+    /// ([`CacheName::fp`]).
+    pub fn fingerprint(&self) -> u64 {
+        self.fp
+    }
+
+    /// Overrides the ablation switches.
+    pub fn set_options(&mut self, options: ExecutorOptions) {
         self.options = options;
     }
 
@@ -468,18 +451,6 @@ where
     pub fn set_cache_policy(&mut self, budget: CacheBudget) {
         self.controller.set_policy(budget.policy.build(self.sim.cost()));
         self.controller.set_capacity(budget.per_node_bytes);
-    }
-
-    /// The operator fingerprint this executor's cache names carry: the
-    /// shared fingerprint when attached to a shared source with sharing
-    /// on, a private per-query fingerprint when sharing is off, and 0
-    /// (legacy per-slot names) for owned sources and joins.
-    fn active_fp(&self) -> u64 {
-        match &self.share {
-            Some(s) if self.options.cross_query_sharing => s.fp_shared,
-            Some(s) => s.fp_private,
-            None => 0,
-        }
     }
 
     /// Installs a map-side combiner: map output is pre-aggregated per key
@@ -590,13 +561,12 @@ where
                 .slices_of(PaneId(p))
                 .len()
                 .max(1) as u32;
-            let fp = self.active_fp();
             for r in 0..self.conf.num_reducers {
                 for sub in 0..subs {
                     self.controller.note_hdfs_available(CacheName::with_fp(
                         CacheObject::PaneInput { source: sid, pane: PaneId(p), sub },
                         r,
-                        fp,
+                        self.fp,
                     ));
                 }
             }
@@ -685,11 +655,10 @@ where
 
         // Plan, then drive: the plan enumerates every task with its cache
         // annotations; the driver decides hits vs rebuilds at dispatch.
-        let fp = self.active_fp();
         let window_plan = if self.sources.len() == 1 {
-            plan::WindowPlan::aggregation(rec, panes, self.conf.num_reducers, fp)
+            plan::WindowPlan::aggregation(rec, panes, self.conf.num_reducers, self.fp)
         } else {
-            plan::WindowPlan::binary_join(rec, panes, self.conf.num_reducers, fp)
+            plan::WindowPlan::binary_join(rec, panes, self.conf.num_reducers, self.fp)
         };
         let ctx = driver::WindowCtx { fire, floor, mode: decision.mode };
         let outputs = self.drive(&window_plan, ctx, &mut metrics)?;

@@ -267,19 +267,19 @@ mod tests {
         let spec = crate::query::WindowSpec::new(400, 100).unwrap();
         let geom = crate::pane::PaneGeometry::from_spec(&spec);
         let panes: Vec<PaneId> = geom.window_panes(2).map(PaneId).collect();
-        let plan = WindowPlan::aggregation(2, panes, 2, 0);
+        let plan = WindowPlan::aggregation(2, panes, 2, 0xab);
         let expect = "\
 w2 Aggregation panes=[2,3,4,5] reducers=2
-r0 build s0p2 <- [] -> [ro/s0p2/r0]
-r0 build s0p3 <- [] -> [ro/s0p3/r0]
-r0 build s0p4 <- [] -> [ro/s0p4/r0]
-r0 build s0p5 <- [] -> [ro/s0p5/r0]
-r0 merge <- [ro/s0p2/r0 ro/s0p3/r0 ro/s0p4/r0 ro/s0p5/r0] -> []
-r1 build s0p2 <- [] -> [ro/s0p2/r1]
-r1 build s0p3 <- [] -> [ro/s0p3/r1]
-r1 build s0p4 <- [] -> [ro/s0p4/r1]
-r1 build s0p5 <- [] -> [ro/s0p5/r1]
-r1 merge <- [ro/s0p2/r1 ro/s0p3/r1 ro/s0p4/r1 ro/s0p5/r1] -> []
+r0 build s0p2 <- [] -> [q00000000000000ab/ro/s0p2/r0]
+r0 build s0p3 <- [] -> [q00000000000000ab/ro/s0p3/r0]
+r0 build s0p4 <- [] -> [q00000000000000ab/ro/s0p4/r0]
+r0 build s0p5 <- [] -> [q00000000000000ab/ro/s0p5/r0]
+r0 merge <- [q00000000000000ab/ro/s0p2/r0 q00000000000000ab/ro/s0p3/r0 q00000000000000ab/ro/s0p4/r0 q00000000000000ab/ro/s0p5/r0] -> []
+r1 build s0p2 <- [] -> [q00000000000000ab/ro/s0p2/r1]
+r1 build s0p3 <- [] -> [q00000000000000ab/ro/s0p3/r1]
+r1 build s0p4 <- [] -> [q00000000000000ab/ro/s0p4/r1]
+r1 build s0p5 <- [] -> [q00000000000000ab/ro/s0p5/r1]
+r1 merge <- [q00000000000000ab/ro/s0p2/r1 q00000000000000ab/ro/s0p3/r1 q00000000000000ab/ro/s0p4/r1 q00000000000000ab/ro/s0p5/r1] -> []
 ";
         assert_eq!(plan.summary(), expect);
     }
@@ -287,18 +287,18 @@ r1 merge <- [ro/s0p2/r1 ro/s0p3/r1 ro/s0p4/r1 ro/s0p5/r1] -> []
     #[test]
     fn golden_join_plan_snapshot() {
         let panes = vec![PaneId(0), PaneId(1)];
-        let plan = WindowPlan::binary_join(0, panes, 1, 0);
+        let plan = WindowPlan::binary_join(0, panes, 1, 0xab);
         let expect = "\
 w0 BinaryJoin panes=[0,1] reducers=1
-r0 build s0p0 <- [] -> [ri/s0p0.0/r0]
-r0 build s0p1 <- [] -> [ri/s0p1.0/r0]
-r0 build s1p0 <- [] -> [ri/s1p0.0/r0]
-r0 build s1p1 <- [] -> [ri/s1p1.0/r0]
-r0 pair p0xp0 <- [ri/s0p0.0/r0 ri/s1p0.0/r0] -> [po/p0x0/r0]
-r0 pair p0xp1 <- [ri/s0p0.0/r0 ri/s1p1.0/r0] -> [po/p0x1/r0]
-r0 pair p1xp0 <- [ri/s0p1.0/r0 ri/s1p0.0/r0] -> [po/p1x0/r0]
-r0 pair p1xp1 <- [ri/s0p1.0/r0 ri/s1p1.0/r0] -> [po/p1x1/r0]
-r0 concat <- [po/p0x0/r0 po/p0x1/r0 po/p1x0/r0 po/p1x1/r0] -> []
+r0 build s0p0 <- [] -> [q00000000000000ab/ri/s0p0.0/r0]
+r0 build s0p1 <- [] -> [q00000000000000ab/ri/s0p1.0/r0]
+r0 build s1p0 <- [] -> [q00000000000000ab/ri/s1p0.0/r0]
+r0 build s1p1 <- [] -> [q00000000000000ab/ri/s1p1.0/r0]
+r0 pair p0xp0 <- [q00000000000000ab/ri/s0p0.0/r0 q00000000000000ab/ri/s1p0.0/r0] -> [q00000000000000ab/po/p0x0/r0]
+r0 pair p0xp1 <- [q00000000000000ab/ri/s0p0.0/r0 q00000000000000ab/ri/s1p1.0/r0] -> [q00000000000000ab/po/p0x1/r0]
+r0 pair p1xp0 <- [q00000000000000ab/ri/s0p1.0/r0 q00000000000000ab/ri/s1p0.0/r0] -> [q00000000000000ab/po/p1x0/r0]
+r0 pair p1xp1 <- [q00000000000000ab/ri/s0p1.0/r0 q00000000000000ab/ri/s1p1.0/r0] -> [q00000000000000ab/po/p1x1/r0]
+r0 concat <- [q00000000000000ab/po/p0x0/r0 q00000000000000ab/po/p0x1/r0 q00000000000000ab/po/p1x0/r0 q00000000000000ab/po/p1x1/r0] -> []
 ";
         assert_eq!(plan.summary(), expect);
     }

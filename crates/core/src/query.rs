@@ -71,17 +71,14 @@ impl WindowSpec {
     }
 }
 
-/// Builder for a stable *operator fingerprint*: the semantic signature
-/// component that decides whether two queries' pane caches are
-/// interchangeable. Two queries attached to the same shared source
-/// share caches iff they hash identical operator identities (mapper,
-/// reducer, partitioner), the same reducer count, and the same pane
-/// geometry into the same fingerprint.
+/// Builder for a stable *query fingerprint*: the signature component
+/// of every cache name, deciding whether two queries' pane caches are
+/// interchangeable — they are iff the executor folded the same parts
+/// (see [`crate::RecurringExecutor`]'s fingerprint) into the same value.
 ///
 /// Implemented as FNV-1a over length-delimited parts so the hash is
 /// stable across runs and processes (unlike `std`'s `DefaultHasher`,
-/// which is randomly seeded). `finish` never returns 0 — fingerprint 0
-/// is reserved for "private, unshared" cache identities.
+/// which is randomly seeded).
 #[derive(Debug, Clone)]
 pub struct FingerprintBuilder {
     hash: u64,
@@ -117,13 +114,9 @@ impl FingerprintBuilder {
         self
     }
 
-    /// Final fingerprint; remapped away from the reserved value 0.
+    /// Final fingerprint.
     pub fn finish(&self) -> u64 {
-        if self.hash == 0 {
-            FNV_OFFSET
-        } else {
-            self.hash
-        }
+        self.hash
     }
 }
 
@@ -195,7 +188,5 @@ mod tests {
         assert_ne!(a, fp(&["map", "red"], &[2, 1000]), "reducer count matters");
         assert_ne!(a, fp(&["map", "red2"], &[4, 1000]), "operator matters");
         assert_ne!(a, fp(&["mapred"], &[4, 1000]), "length-delimited");
-        assert_ne!(a, 0, "0 is reserved for private identities");
-        assert_ne!(FingerprintBuilder::new().finish(), 0);
     }
 }

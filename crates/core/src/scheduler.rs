@@ -138,7 +138,7 @@ mod tests {
     use redoop_mapred::SchedulerCtx;
 
     fn name(p: u64) -> CacheName {
-        CacheName::new(CacheObject::PaneInput { source: 0, pane: PaneId(p), sub: 0 }, 0)
+        CacheName::with_fp(CacheObject::PaneInput { source: 0, pane: PaneId(p), sub: 0 }, 0, 0)
     }
 
     #[test]
@@ -182,7 +182,7 @@ mod tests {
         // affinity term pulls fire-time anchors toward delta home nodes
         // as toward any pane-output holder — they are the same thing.
         let delta =
-            CacheName::new(CacheObject::PaneOutput { source: 0, pane: PaneId(3) }, 2);
+            CacheName::with_fp(CacheObject::PaneOutput { source: 0, pane: PaneId(3) }, 2, 0);
         let mut ctl = CacheController::new(1);
         ctl.register_cache(delta, NodeId(4), 500_000, SimTime::ZERO);
         let cost = CostModel::default();

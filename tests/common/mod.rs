@@ -25,6 +25,12 @@ pub fn test_cluster() -> Cluster {
     })
 }
 
+/// The test cluster shrunk to one node: every query's caches land on
+/// the same local store.
+pub fn one_node_cluster() -> Cluster {
+    Cluster::new(ClusterConfig { nodes: 1, replication: 1, ..*test_cluster().config() })
+}
+
 /// A simulated testbed matching the cluster above. Uses the scaled cost
 /// model (1 synthetic record stands for ~2000 real ones) so task
 /// start-up constants do not dominate the MB-scale synthetic data; see
@@ -171,16 +177,35 @@ pub fn recomputed_windows(
     spec: &WindowSpec,
     windows: u64,
 ) -> Vec<Vec<(String, u64)>> {
+    recomputed_windows_of(cluster, tag, batches, spec, windows, AggMapper, &AggReducer)
+}
+
+/// [`recomputed_windows`] for any query over the WCC lines: `mapper` and
+/// `reducer` run as one plain-Hadoop job per window.
+pub fn recomputed_windows_of<M, R>(
+    cluster: &Cluster,
+    tag: &str,
+    batches: &[GeneratedBatch],
+    spec: &WindowSpec,
+    windows: u64,
+    mapper: M,
+    reducer: &R,
+) -> Vec<Vec<(String, u64)>>
+where
+    M: redoop_mapred::Mapper,
+    R: redoop_mapred::Reducer<KIn = M::KOut, VIn = M::VOut>,
+{
     let files = baseline_inputs(cluster, &format!("/batches/{tag}"), batches);
     let mut sim = test_sim(cluster);
+    let mapper = Arc::new(mapper);
     let out_root = DfsPath::new(format!("/out/{tag}-recomputed")).unwrap();
     (0..windows)
         .map(|w| {
             let job = run_baseline_window(
                 cluster,
                 &mut sim,
-                Arc::new(AggMapper),
-                &AggReducer,
+                mapper.clone(),
+                reducer,
                 leading_ts_fn(),
                 spec,
                 w,
@@ -272,4 +297,16 @@ pub fn holder_of(cluster: &Cluster, name: &str) -> redoop_dfs::NodeId {
         .map(redoop_dfs::NodeId)
         .find(|n| cluster.has_local(*n, name))
         .unwrap_or_else(|| panic!("no node caches {name}"))
+}
+
+/// The local-store name of `object` (e.g. `ro/s0p3/r0`: class, then the
+/// object within its partition) under query fingerprint `fp`.
+pub fn store_name(fp: u64, object: &str) -> String {
+    format!("q{fp:016x}/{object}")
+}
+
+/// The class segment of a local-store name — `ri`, `ro` or `po` — which
+/// follows the `q{fingerprint}/` prefix.
+pub fn cache_class(name: &str) -> &str {
+    name.split('/').nth(1).unwrap_or_default()
 }

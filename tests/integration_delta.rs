@@ -272,14 +272,16 @@ fn delta_equivalence_over_random_geometry_batches_and_workers() {
     }
 }
 
-/// Every cache blob of class `prefix` (`ro/`) on any node's local
-/// store, by the rest of its name (`s0p<pane>/r<partition>`).
-fn blobs_of_class(cluster: &Cluster, prefix: &str) -> std::collections::BTreeMap<String, Vec<u8>> {
+/// Every cache blob of class `class` (`ro`) on any node's local store,
+/// by the rest of its name (`s0p<pane>/r<partition>`) — the part two
+/// queries' names of one object share.
+fn blobs_of_class(cluster: &Cluster, class: &str) -> std::collections::BTreeMap<String, Vec<u8>> {
     let mut blobs = std::collections::BTreeMap::new();
     for n in 0..cluster.node_count() as u32 {
         let node = redoop_dfs::NodeId(n);
         for name in cluster.list_local(node).unwrap() {
-            if let Some(rest) = name.strip_prefix(prefix).filter(|r| !r.ends_with(".open")) {
+            let rest = name.splitn(3, '/').nth(2).filter(|r| !r.ends_with(".open"));
+            if let Some(rest) = rest.filter(|_| cache_class(&name) == class) {
                 let blob = cluster.peek_local(node, &name).unwrap().to_vec();
                 assert!(blobs.insert(rest.to_string(), blob).is_none(), "{name} held twice");
             }
@@ -317,7 +319,7 @@ fn folded_state_and_sealed_blobs_hold_over_a_long_run() {
     exec.set_trace_sink(sink.clone());
     ingest_all(&mut exec, 0, &batches);
     // Nothing has fired yet: every `ro/` blob is one ingestion sealed.
-    let sealed = blobs_of_class(&cluster, "ro/");
+    let sealed = blobs_of_class(&cluster, "ro");
     assert!(sealed.len() >= 4 * (windows as usize + 1), "a blob per sealed (pane, partition)");
 
     // A sealed delta is, byte for byte, the pane partial the fire path
@@ -332,7 +334,7 @@ fn folded_state_and_sealed_blobs_hold_over_a_long_run() {
         for (a, b) in delta_report.outputs.iter().zip(&rebuild_report.outputs) {
             assert_eq!(cluster.read(a).unwrap(), cluster_r.read(b).unwrap(), "window {w}");
         }
-        built.extend(blobs_of_class(&cluster_r, "ro/"));
+        built.extend(blobs_of_class(&cluster_r, "ro"));
     }
     for (name, blob) in &sealed {
         if let Some(partial) = built.get(name) {
@@ -383,7 +385,6 @@ fn torn_sealed_partial_pays_only_its_missing_frames() {
     // asks about, so the rebuild is charged the missing suffix only.
     let spec = spec_with_overlap(0.5);
     let batches = wcc_batches(&ArrivalPlan::new(spec, 1), 23, 1.0);
-    let victim = "ro/s0p1/r2";
     // What happens to the victim blob between seal and fire.
     #[derive(Clone, Copy, PartialEq)]
     enum Fault {
@@ -397,6 +398,7 @@ fn torn_sealed_partial_pays_only_its_missing_frames() {
         let sink = TraceSink::with_capacity(1 << 17);
         exec.set_trace_sink(sink.clone());
         ingest_all(&mut exec, 0, &batches);
+        let victim = &store_name(exec.fingerprint(), "ro/s0p1/r2");
         if fault != Fault::None {
             let node = holder_of(&cluster, victim);
             let len = cluster.peek_local(node, victim).unwrap().len();
@@ -466,7 +468,7 @@ fn a_rebuilt_partial_is_next_windows_hit_on_an_anchor_that_knows_its_holder() {
     exec.set_trace_sink(sink.clone());
     ingest_all(&mut exec, 0, &first);
     let r = 1;
-    let carried = format!("ro/s0p1/r{r}"); // panes 1..=3 are in both windows
+    let carried = store_name(exec.fingerprint(), &format!("ro/s0p1/r{r}")); // panes 1..=3 are in both windows
     let home = holder_of(&cluster, &carried);
     cluster.kill_node(home).unwrap();
     let w0 = exec.run_window(0).unwrap();
@@ -476,7 +478,8 @@ fn a_rebuilt_partial_is_next_windows_hit_on_an_anchor_that_knows_its_holder() {
 
     cluster.revive_node(home).unwrap();
     ingest_all(&mut exec, 0, &rest);
-    assert_eq!(holder_of(&cluster, &format!("ro/s0p4/r{r}")), home, "the home seals pane 4");
+    let pane_4 = store_name(exec.fingerprint(), &format!("ro/s0p4/r{r}"));
+    assert_eq!(holder_of(&cluster, &pane_4), home, "the home seals pane 4");
     let before = sink.events().len();
     let w1 = exec.run_window(1).unwrap();
     assert_eq!(w1.built_products, 1, "only pane 4's partial moves to the anchor");
@@ -497,4 +500,83 @@ fn a_rebuilt_partial_is_next_windows_hit_on_an_anchor_that_knows_its_holder() {
         .expect("window 1 places partition r");
     assert!(shortlist.contains(&holder) && shortlist.contains(&home), "{shortlist:?}");
     assert_eq!(anchor, holder);
+}
+
+#[test]
+fn two_owned_delta_queries_on_one_node_seal_every_pane() {
+    // Two WCC counts with delta maintenance over owned sources, on one
+    // node, stepped by one deployment. Batches straddle pane boundaries, so
+    // each step leaves a pane open — its `.open` sentinel on the node —
+    // when the other query folds the same pane. A sentinel is named after
+    // its query's pane cache, so neither query's seal deletes the other's:
+    // every pane of both is sealed at ingest and no window builds at fire.
+    const WINDOWS: u64 = 4;
+    const R: usize = 4;
+    let spec = spec_with_overlap(0.5);
+    let pane = PaneGeometry::from_spec(&spec).pane_ms;
+    let lines: Vec<String> =
+        wcc_batches(&ArrivalPlan::new(spec, WINDOWS), 43, 1.0).into_iter().flat_map(|b| b.lines).collect();
+    let ts = |line: &String| line.split(',').next().unwrap().parse::<u64>().unwrap();
+    let end = spec.fire_time(WINDOWS - 1).0;
+    let mut cuts: Vec<u64> = (0..end / pane).map(|p| p * pane + pane / 2).collect();
+    cuts.insert(0, 0);
+    cuts.push(end);
+    let batches: Vec<GeneratedBatch> = cuts
+        .windows(2)
+        .map(|c| GeneratedBatch {
+            lines: lines.iter().filter(|l| (c[0]..c[1]).contains(&ts(l))).cloned().collect(),
+            multiplier: 1.0,
+            range: TimeRange::new(EventTime(c[0]), EventTime(c[1])),
+        })
+        .collect();
+
+    let cluster = one_node_cluster();
+    let clock = test_sim(&cluster);
+    let sinks = [TraceSink::with_capacity(1 << 16), TraceSink::with_capacity(1 << 16)];
+    let mut execs: Vec<RecurringExecutor<AggMapper, AggReducer>> = sinks
+        .iter()
+        .enumerate()
+        .map(|(i, sink)| {
+            let name = format!("delta-pair-{i}");
+            let root = redoop_dfs::DfsPath::new(format!("/panes/{name}")).unwrap();
+            let out = redoop_dfs::DfsPath::new(format!("/out/{name}")).unwrap();
+            let mut exec = RecurringExecutor::aggregation(
+                &cluster,
+                clock.clone(),
+                QueryConf::new(name, R, out).unwrap(),
+                SourceConf::with_leading_ts("wcc", spec, root),
+                Arc::new(AggMapper),
+                Arc::new(AggReducer),
+                Arc::new(SumMerger),
+                batch_adaptive(&cluster, &spec),
+            )
+            .unwrap();
+            exec.set_combiner(Arc::new(SumCombiner));
+            exec.set_trace_sink(sink.clone());
+            exec
+        })
+        .collect();
+    let mut deployment = RecurringDeployment::new(clock);
+    for exec in execs.iter_mut() {
+        let src = deployment.add_source(batches.iter().map(arrival).collect());
+        deployment.add_query(exec, &[src], WINDOWS).unwrap();
+    }
+    let mut outputs = vec![Vec::new(); 2];
+    while let Some(fired) = deployment.step().unwrap() {
+        let report = &fired.report;
+        assert_eq!(
+            (report.built_products, report.metrics.map_tasks),
+            (0, 0),
+            "query {} window {} built at fire",
+            fired.query,
+            fired.recurrence
+        );
+        outputs[fired.query].push(read_window_output(&cluster, &report.outputs).unwrap());
+    }
+    let expect = recomputed_windows(&cluster, "delta-pair", &batches, &spec, WINDOWS);
+    for (sink, got) in sinks.iter().zip(&outputs) {
+        let seals = sink.events().iter().filter(|e| matches!(e, TraceEvent::DeltaSeal { .. })).count();
+        assert_eq!(seals, (WINDOWS as usize + 1) * R, "every pane partition is sealed");
+        assert_eq!(got, &expect);
+    }
 }

@@ -106,7 +106,7 @@ fn framed_output_caches(cluster: &Cluster) -> Vec<(NodeId, String, usize)> {
     for n in 0..cluster.node_count() as u32 {
         let node = NodeId(n);
         for name in cluster.list_local(node).unwrap() {
-            if !name.starts_with("ro/") {
+            if cache_class(&name) != "ro" {
                 continue;
             }
             let blob = cluster.peek_local(node, &name).unwrap();
@@ -287,7 +287,7 @@ fn head_corruption_rolls_back_instead_of_failing_the_window() {
     // *looks* framed, but it is a pane cache, so the audit must still
     // find it damaged — frame 1 salvageable — rather than wave it through
     // for the merge to choke on.
-    let victim = "ro/s0p3/r0";
+    let victim = &store_name(exec.fingerprint(), "ro/s0p3/r0");
     let node = holder_of(&cluster, victim);
     FailurePlan::none()
         .at(1, FailureEvent::CorruptLocal(node, victim.to_string(), 0, 1))
@@ -386,14 +386,14 @@ fn input_torn_after_audit_fails_typed_before_any_pair_output() {
     // Partition 0's position-stream input of pane 4: the left input of
     // the *fourth* outstanding pair, so a per-pair reader would store
     // three pair outputs before tripping over it.
-    let victim = "ri/s0p4.0/r0";
+    let victim = &store_name(exec.fingerprint(), "ri/s0p4.0/r0");
     let node = holder_of(&cluster, victim);
     let pair_outputs = |cluster: &Cluster| -> Vec<String> {
         cluster
             .list_local(node)
             .unwrap()
             .into_iter()
-            .filter(|n| n.starts_with("po/") && n.ends_with("/r0"))
+            .filter(|n| cache_class(n) == "po" && n.ends_with("/r0"))
             .collect()
     };
     let before = pair_outputs(&cluster);
@@ -436,7 +436,7 @@ fn non_utf8_text_blobs_are_typed_errors_not_empty_reads() {
     // exists, so the window concat is where flipped bytes must surface —
     // as an error, where the old reader concatenated "" and lost the
     // pair's tuples.
-    let victim = "po/p4x4/r0";
+    let victim = &store_name(exec.fingerprint(), "po/p4x4/r0");
     let node = holder_of(&cluster, victim);
     assert!(cluster.corrupt_local(node, victim, 0, 4).unwrap());
     let msg = codec_msg(exec.run_window(1).expect_err("a torn pair output fails the window"));
@@ -482,7 +482,7 @@ fn pane_output_torn_after_audit_fails_the_merge_naming_cache_and_node() {
     ingest_all(&mut exec, 0, &batches);
     exec.run_window(0).unwrap();
 
-    let victim = "ro/s0p4/r0";
+    let victim = &store_name(exec.fingerprint(), "ro/s0p4/r0");
     let node = holder_of(&cluster, victim);
     *mapper.target.lock().unwrap() = Some((node, victim.to_string()));
     let err = exec.run_window(1).expect_err("a torn pane output must fail the merge");
@@ -529,7 +529,7 @@ fn failed_pane_compute_fails_the_window_before_any_cache_is_stored() {
     codec_msg(exec.run_window(0).expect_err("pane 1's partial cannot be re-keyed"));
     for n in 0..cluster.node_count() as u32 {
         let stored = cluster.list_local(NodeId(n)).unwrap();
-        assert!(stored.iter().all(|f| !f.starts_with("ro/")), "node {n} stored {stored:?}");
+        assert!(stored.iter().all(|f| cache_class(f) != "ro"), "node {n} stored {stored:?}");
     }
     assert!(exec.controller().all_cached().is_empty(), "nothing was registered");
 }
@@ -638,7 +638,7 @@ fn a_follower_whose_producer_died_falls_back_to_eq4() {
             .iter()
             .filter_map(|e| match e {
                 TraceEvent::Cache { action: CacheAction::Register, name, node, .. }
-                    if name.contains("ro/") =>
+                    if cache_class(name) == "ro" =>
                 {
                     Some((name.clone(), node.expect("a registration names its node")))
                 }
@@ -701,6 +701,109 @@ fn a_follower_whose_producer_died_falls_back_to_eq4() {
         outputs[fired.query].push(read_window_output(&cluster, &fired.report.outputs).unwrap());
     }
     let expect = recomputed_windows(&cluster, "dead-producer", &batches, &spec, WINDOWS);
+    for (q, got) in outputs.iter().enumerate() {
+        assert_eq!(got, &expect, "query {q} differs from recomputation");
+    }
+}
+
+#[test]
+fn an_audit_leaves_a_peers_advertisement_in_place() {
+    // Three identical queries on one shared source and one clock. One of
+    // the leader's nodes dies after its window 0; the first follower
+    // rebuilds the lost products and advertises them from live nodes. The
+    // leader's next audit finds its own copies gone and withdraws the
+    // advertisements it made for the dead node — not the follower's, which
+    // now name a live one: the leader imports the rebuilt products like any
+    // follower, and no lost product is built a third time.
+    use redoop_mapred::trace::{CacheAction, TraceEvent, TraceSink};
+    const WINDOWS: u64 = 3;
+    let spec = spec_with_overlap(0.5);
+    let batches = wcc_batches(&ArrivalPlan::new(spec, WINDOWS), 58, 1.0);
+    let cluster = test_cluster();
+    let shared = redoop_core::SharedSource::new(
+        &cluster,
+        0,
+        "wcc",
+        redoop_dfs::DfsPath::new("/panes/peer-entry").unwrap(),
+        &[spec],
+        leading_ts_fn(),
+    )
+    .unwrap();
+    let clock = test_sim(&cluster);
+    let sink = TraceSink::enabled();
+    let mut execs: Vec<_> = (0..3)
+        .map(|i| {
+            let mut e =
+                shared_agg_executor(&cluster, clock.clone(), &shared, spec, &format!("peer-q{i}"));
+            e.set_trace_sink(sink.clone());
+            e
+        })
+        .collect();
+    let mut deployment = RecurringDeployment::new(clock);
+    let src = deployment.add_shared_source(shared.clone(), batches.iter().map(arrival).collect());
+    for e in execs.iter_mut() {
+        deployment.add_query(e, &[src], WINDOWS).unwrap();
+    }
+    // `(name, node)` of every `ro/` cache event of `action` since event
+    // `from`.
+    let ro_events = |from: usize, action: CacheAction| -> Vec<(String, NodeId)> {
+        sink.events()[from..]
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Cache { action: a, name, node, .. }
+                    if *a == action && cache_class(name) == "ro" =>
+                {
+                    Some((name.clone(), node.expect("the event names its node")))
+                }
+                _ => None,
+            })
+            .collect()
+    };
+
+    let mut fired = vec![deployment.step().unwrap().unwrap()];
+    let built = ro_events(0, CacheAction::Register);
+    let victim = built[0].1;
+    let lost: Vec<String> =
+        built.iter().filter(|(_, n)| *n == victim).map(|(name, _)| name.clone()).collect();
+    cluster.kill_node(victim).unwrap();
+
+    // The followers' window 0: the first rebuilds what died, the second
+    // joins it.
+    let mark = sink.len();
+    fired.push(deployment.step().unwrap().unwrap());
+    fired.push(deployment.step().unwrap().unwrap());
+    let rebuilt = ro_events(mark, CacheAction::Register);
+    assert_eq!(rebuilt.iter().map(|(name, _)| name.clone()).collect::<Vec<_>>(), lost);
+
+    // The leader's window 1: its audit rolls its dead copies back, and the
+    // products the window still reads (pane 1's) are imported from where
+    // the follower rebuilt them.
+    let mark = sink.len();
+    let next = deployment.step().unwrap().unwrap();
+    assert_eq!((next.query, next.recurrence), (0, 1));
+    assert!(next.report.trace.rollbacks > 0, "the audit finds the dead node's copies");
+    let imported = ro_events(mark, CacheAction::SharedHit);
+    let still_read: Vec<&(String, NodeId)> =
+        rebuilt.iter().filter(|(name, _)| name.contains("/ro/s0p1/")).collect();
+    assert!(!still_read.is_empty());
+    for entry in still_read {
+        assert!(imported.contains(entry), "the leader's audit withdrew {entry:?}");
+    }
+    fired.push(next);
+    while let Some(f) = deployment.step().unwrap() {
+        fired.push(f);
+    }
+
+    // Each lost product was registered exactly once more: by the follower.
+    let registers = ro_events(0, CacheAction::Register);
+    for name in &lost {
+        assert_eq!(registers.iter().filter(|(n, _)| n == name).count(), 2, "{name}");
+    }
+    let mut outputs = vec![Vec::new(); 3];
+    for f in &fired {
+        outputs[f.query].push(read_window_output(&cluster, &f.report.outputs).unwrap());
+    }
+    let expect = recomputed_windows(&cluster, "peer-entry", &batches, &spec, WINDOWS);
     for (q, got) in outputs.iter().enumerate() {
         assert_eq!(got, &expect, "query {q} differs from recomputation");
     }

@@ -195,9 +195,10 @@ fn a_join_window_reads_back_only_the_inputs_it_is_charged_for() {
         "a cold window joins the inputs it just built from memory: no ri/ blob is read back"
     );
 
+    let fp = exec.fingerprint();
     let mut reused_input_bytes = 0u64;
     for (s, p, r) in (0..2).flat_map(|s| (1..=7).flat_map(move |p| (0..4).map(move |r| (s, p, r)))) {
-        let name = format!("ri/s{s}p{p}.0/r{r}");
+        let name = store_name(fp, &format!("ri/s{s}p{p}.0/r{r}"));
         let holders: Vec<u64> = (0..cluster.node_count() as u32)
             .filter_map(|n| cluster.peek_local(redoop_dfs::NodeId(n), &name))
             .map(|blob| blob.len() as u64)

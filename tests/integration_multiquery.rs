@@ -13,6 +13,8 @@ use common::*;
 use redoop_core::prelude::*;
 use redoop_core::{RecurringExecutor, SharedSource};
 use redoop_dfs::DfsPath;
+use redoop_mapred::trace::TraceSink;
+use redoop_mapred::{MapContext, Mapper, ReduceContext, Reducer, SimTime, SmallKey};
 use redoop_workloads::arrival::ArrivalPlan;
 use redoop_workloads::queries::{AggMapper, AggReducer};
 use redoop_workloads::wcc::WccGenerator;
@@ -342,7 +344,11 @@ fn shared_pane_finer_than_either_querys_own_gcd() {
 /// Raw output bytes per query per window, plus the run's trace journal.
 type ShareRun = (Vec<Vec<Vec<u8>>>, Vec<redoop_mapred::trace::TraceEvent>);
 
-fn run_share_fleet(n: usize, windows: u64, sharing: bool, tag: &str) -> ShareRun {
+/// One identical WCC aggregation per entry of `share_tags` over one shared
+/// source, each query carrying its tag: equal tags share one fingerprint
+/// and therefore one set of pane caches, distinct tags keep disjoint ones.
+fn run_share_fleet(share_tags: &[&str], windows: u64, tag: &str) -> ShareRun {
+    let n = share_tags.len();
     let spec = WindowSpec::new(2_000_000, 1_000_000).unwrap();
     let plan = ArrivalPlan::new(spec, windows);
     let mut generator = WccGenerator::new(55, 80, 200, 0.002);
@@ -363,10 +369,26 @@ fn run_share_fleet(n: usize, windows: u64, sharing: bool, tag: &str) -> ShareRun
     }
 
     let sink = redoop_mapred::trace::TraceSink::enabled();
-    let mut execs: Vec<RecurringExecutor<AggMapper, AggReducer>> = (0..n)
-        .map(|i| {
-            let mut e = shared_executor(&cluster, &shared, spec, &format!("{tag}-q{i}"));
-            e.set_options(ExecutorOptions { cross_query_sharing: sharing, ..Default::default() });
+    let mut execs: Vec<RecurringExecutor<AggMapper, AggReducer>> = share_tags
+        .iter()
+        .enumerate()
+        .map(|(i, share_tag)| {
+            let name = format!("{tag}-q{i}");
+            let conf = QueryConf::new(&name, 4, DfsPath::new(format!("/out/{name}")).unwrap())
+                .unwrap()
+                .with_share_tag(*share_tag);
+            let mut e = RecurringExecutor::aggregation_shared(
+                &cluster,
+                test_sim(&cluster),
+                conf,
+                &shared,
+                spec,
+                Arc::new(AggMapper),
+                Arc::new(AggReducer),
+                Arc::new(SumMerger),
+                batch_adaptive(&cluster, &spec),
+            )
+            .unwrap();
             e.set_trace_sink(sink.clone());
             e
         })
@@ -392,8 +414,8 @@ fn cross_query_sharing_is_exact_and_builds_each_pane_once() {
     const N: usize = 3;
     const WINDOWS: u64 = 3;
 
-    let (shared_outs, shared_events) = run_share_fleet(N, WINDOWS, true, "share-on");
-    let (private_outs, _) = run_share_fleet(N, WINDOWS, false, "share-off");
+    let (shared_outs, shared_events) = run_share_fleet(&["fleet"; N], WINDOWS, "share-on");
+    let (private_outs, _) = run_share_fleet(&["q0", "q1", "q2"], WINDOWS, "share-off");
 
     // Bit-identical window outputs, query for query, sharing on vs off.
     assert_eq!(shared_outs, private_outs, "sharing must not change any query's output bytes");
@@ -405,7 +427,7 @@ fn cross_query_sharing_is_exact_and_builds_each_pane_once() {
         .iter()
         .filter_map(|e| match e {
             TraceEvent::Cache { action: CacheAction::Register, name, .. }
-                if name.contains("ro/") =>
+                if name.contains("/ro/") =>
             {
                 Some(name.clone())
             }
@@ -438,17 +460,18 @@ fn cross_query_sharing_is_exact_and_builds_each_pane_once() {
 }
 
 #[test]
-fn private_fingerprints_keep_disjoint_files_when_sharing_is_off() {
+fn distinct_share_tags_keep_disjoint_files() {
     use redoop_mapred::trace::{CacheAction, TraceEvent};
-    // With sharing off each query builds under its own private
-    // fingerprint: N times the physical builds, zero imports.
+    // A distinct tag is a distinct fingerprint: each query builds its own
+    // caches — N times the physical builds, under N disjoint name sets —
+    // and imports nothing.
     const N: usize = 3;
-    let (_, events) = run_share_fleet(N, 2, false, "share-priv");
+    let (_, events) = run_share_fleet(&["a", "b", "c"], 2, "share-priv");
     let registers: Vec<&String> = events
         .iter()
         .filter_map(|e| match e {
             TraceEvent::Cache { action: CacheAction::Register, name, .. }
-                if name.contains("ro/") =>
+                if name.contains("/ro/") =>
             {
                 Some(name)
             }
@@ -457,11 +480,16 @@ fn private_fingerprints_keep_disjoint_files_when_sharing_is_off() {
         .collect();
     // Windows 0..2 touch panes 0..=2 across 4 partitions, per query.
     assert_eq!(registers.len(), N * 3 * 4);
+    let distinct: std::collections::BTreeSet<&String> = registers.iter().copied().collect();
+    assert_eq!(distinct.len(), registers.len(), "two queries named one file");
+    let prefixes: std::collections::BTreeSet<&str> =
+        registers.iter().map(|name| name.split('/').next().unwrap()).collect();
+    assert_eq!(prefixes.len(), N, "one fingerprint per tag");
     let shared_hits = events
         .iter()
         .filter(|e| matches!(e, TraceEvent::Cache { action: CacheAction::SharedHit, .. }))
         .count();
-    assert_eq!(shared_hits, 0, "private-cache mode must never import");
+    assert_eq!(shared_hits, 0, "distinct tags must never import");
 }
 
 // ---------------------------------------------------------------------
@@ -505,7 +533,7 @@ impl FleetRun {
         let mut built = std::collections::BTreeMap::new();
         for e in self.sink.events() {
             if let TraceEvent::Cache { action: CacheAction::Register, name, .. } = e {
-                if name.contains("ro/") {
+                if name.contains("/ro/") {
                     *built.entry(name).or_insert(0) += 1;
                 }
             }
@@ -521,6 +549,18 @@ fn run_fleet(
     tag: &str,
     batches: &[redoop_workloads::arrival::GeneratedBatch],
     queries: &[FleetQuery],
+) -> FleetRun {
+    run_fleet_with(cluster, tag, batches, queries, |_, _| ())
+}
+
+/// [`run_fleet`], calling `before_step` with the clock and every query's
+/// reports so far ahead of each deployment step.
+fn run_fleet_with(
+    cluster: &redoop_dfs::Cluster,
+    tag: &str,
+    batches: &[redoop_workloads::arrival::GeneratedBatch],
+    queries: &[FleetQuery],
+    mut before_step: impl FnMut(&mut redoop_mapred::ClusterSim, &[Vec<WindowReport>]),
 ) -> FleetRun {
     let specs: Vec<WindowSpec> = queries.iter().map(|q| q.spec).collect();
     let shared = SharedSource::new(
@@ -548,14 +588,17 @@ fn run_fleet(
             e
         })
         .collect();
-    let mut deployment = RecurringDeployment::new(clock);
+    let mut deployment = RecurringDeployment::new(clock.clone());
     let src = deployment.add_shared_source(shared.clone(), batches.iter().map(arrival).collect());
     for (e, q) in execs.iter_mut().zip(queries) {
         deployment.add_query(e, &[src], q.windows).unwrap();
     }
     let mut reports = vec![Vec::new(); queries.len()];
     let mut outputs = vec![Vec::new(); queries.len()];
-    while let Some(fired) = deployment.step().unwrap() {
+    let mut clock = clock;
+    loop {
+        before_step(&mut clock, &reports);
+        let Some(fired) = deployment.step().unwrap() else { break };
         outputs[fired.query].push(read_window_output(cluster, &fired.report.outputs).unwrap());
         reports[fired.query].push(fired.report);
     }
@@ -626,13 +669,17 @@ fn a_fleet_builds_each_shared_product_once_at_scale() {
 #[test]
 fn a_wider_window_is_not_dragged_to_the_producer() {
     // Two signature-equal queries on one slide, 2 and 4 panes wide. The
-    // narrow one leads and places cache-blind, so its anchors move every
-    // window: each fresh pane is in flight on a node that holds nothing
-    // else the wide query needs, while the wide query's three older panes
-    // sit on its own anchor. The producer is not a complete holder, so
-    // Eq. 4 decides — and keeps the wide query where its panes are,
-    // building the one fresh pane there. Joining the producer regardless
-    // would rebuild the three older panes beside it every window.
+    // narrow one leads and places cache-blind — on the least-loaded node —
+    // and as each of its windows fires, the cluster's lower or upper half
+    // (alternately) is busy for a millisecond, so its anchors move every
+    // window — as plain Hadoop's heartbeat-order reduces do. Each fresh
+    // pane is in flight on a node that holds nothing else the wide query
+    // needs, while the wide query's three older panes sit on its own
+    // anchor. The producer is not a complete holder, so Eq. 4 decides —
+    // and keeps the wide query where its panes are, building the one
+    // fresh pane there. Joining the producer regardless would rebuild the
+    // three older panes beside it every window.
+    use redoop_mapred::TaskKind;
     const R: usize = 4;
     let narrow = WindowSpec::new(2_000_000, 1_000_000).unwrap();
     let wide = WindowSpec::new(4_000_000, 1_000_000).unwrap();
@@ -641,7 +688,7 @@ fn a_wider_window_is_not_dragged_to_the_producer() {
     let batches = wcc_batches(&plan, 91, 1.0);
     let cluster = test_cluster();
     let blind = ExecutorOptions { cache_aware_scheduling: false, ..Default::default() };
-    let run = run_fleet(
+    let run = run_fleet_with(
         &cluster,
         "wide",
         &batches,
@@ -649,9 +696,29 @@ fn a_wider_window_is_not_dragged_to_the_producer() {
             FleetQuery { options: blind, ..FleetQuery::plain(narrow, narrow_windows) },
             FleetQuery::plain(wide, wide_windows),
         ],
+        |clock, reports| {
+            let (n, m) = (reports[0].len() as u64, reports[1].len() as u64);
+            // Once per narrow window, when it is the next to fire (it
+            // registered first, so it fires first on a tie).
+            if n == narrow_windows || (m < wide_windows && wide.fire_time(m) < narrow.fire_time(n)) {
+                return;
+            }
+            let fire = SimTime::from_millis(narrow.fire_time(n).0);
+            for node in 0..4 * (n as u32 % 2) {
+                for _slot in 0..2 {
+                    clock.assign(TaskKind::Reduce, redoop_dfs::NodeId(node), fire, SimTime::from_millis(1));
+                }
+            }
+        },
     );
     let wide_reports = &run.reports[1];
     assert!(wide_reports.iter().all(|r| r.trace.shared_hits > 0), "the wide query imports");
+    // The split required set is met every steady window: what the wide
+    // query builds is the fresh pane, in flight on the producer while the
+    // wide query is anchored on its older panes.
+    assert!(wide_reports[1..]
+        .iter()
+        .all(|r| r.built_products > 0 && r.trace.off_holder_misses == r.built_products as u64));
     // Exactly what Eq. 4 alone builds (the numbers before the rule): a
     // steady window builds at most the fresh pane of each partition — none
     // where the blind producer happens to be the wide query's own anchor,
@@ -694,4 +761,165 @@ fn a_refused_adoption_is_a_plain_miss() {
     let expect = recomputed_windows(&cluster, "refused", &batches, &spec, WINDOWS);
     assert_eq!(run.outputs[0], expect);
     assert_eq!(run.outputs[1], expect);
+}
+
+// ---------------------------------------------------------------------
+// One cache-naming scheme: a cache is named by what it is made of — the
+// query's operators and the pane files its products are computed from —
+// so two queries whose caches differ never name one file, even on one
+// node, where a shared name would let one query's build overwrite the
+// other's.
+// ---------------------------------------------------------------------
+
+/// Mapper of the per-object maximum: WCC line → `(object, bytes)`.
+struct MaxBytesMapper;
+
+impl Mapper for MaxBytesMapper {
+    type KOut = SmallKey;
+    type VOut = u64;
+
+    fn map(&self, line: &str, ctx: &mut MapContext<SmallKey, u64>) {
+        // ts,client,object,region,bytes
+        let mut fields = line.split(',').skip(2);
+        if let (Some(obj), Some(bytes)) = (fields.next(), fields.nth(1)) {
+            ctx.emit(SmallKey::from(obj), bytes.parse().unwrap());
+        }
+    }
+}
+
+/// Reducer keeping each object's largest value.
+struct MaxReducer;
+
+impl Reducer for MaxReducer {
+    type KIn = SmallKey;
+    type VIn = u64;
+    type KOut = SmallKey;
+    type VOut = u64;
+
+    fn reduce(&self, key: &SmallKey, values: &[u64], ctx: &mut ReduceContext<SmallKey, u64>) {
+        ctx.emit(key.clone(), values.iter().copied().max().unwrap_or(0));
+    }
+}
+
+/// Every store name `sink`'s executor registered.
+fn registered_names(sink: &TraceSink) -> std::collections::BTreeSet<String> {
+    use redoop_mapred::trace::{CacheAction, TraceEvent};
+    sink.events()
+        .into_iter()
+        .filter_map(|e| match e {
+            TraceEvent::Cache { action: CacheAction::Register, name, .. } => Some(name),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Steps `deployment` to the end; per query, its decoded window outputs.
+fn run_to_end(
+    cluster: &redoop_dfs::Cluster,
+    mut deployment: RecurringDeployment<'_>,
+) -> Vec<Vec<Vec<(String, u64)>>> {
+    let mut outputs = vec![Vec::new(); deployment.num_queries()];
+    while let Some(fired) = deployment.step().unwrap() {
+        outputs[fired.query].push(read_window_output(cluster, &fired.report.outputs).unwrap());
+    }
+    outputs
+}
+
+#[test]
+fn owned_queries_on_one_cluster_never_share_a_file() {
+    // A count and a per-object maximum over owned sources with one window
+    // and one reducer count, on one node: every (pane, partition) product
+    // of the two lands on the same local store.
+    const WINDOWS: u64 = 4;
+    let spec = spec_with_overlap(0.5);
+    let batches = wcc_batches(&ArrivalPlan::new(spec, WINDOWS), 93, 1.0);
+    let cluster = one_node_cluster();
+    let clock = test_sim(&cluster);
+    let owned = |name: &str| {
+        let conf = QueryConf::new(name, 4, DfsPath::new(format!("/out/{name}")).unwrap()).unwrap();
+        let root = DfsPath::new(format!("/panes/{name}")).unwrap();
+        (conf, SourceConf::with_leading_ts("wcc", spec, root))
+    };
+    let (conf, source) = owned("owned-count");
+    let mut count = RecurringExecutor::aggregation(
+        &cluster,
+        clock.clone(),
+        conf,
+        source,
+        Arc::new(AggMapper),
+        Arc::new(AggReducer),
+        Arc::new(SumMerger),
+        batch_adaptive(&cluster, &spec),
+    )
+    .unwrap();
+    let (conf, source) = owned("owned-max");
+    let mut max = RecurringExecutor::aggregation(
+        &cluster,
+        clock.clone(),
+        conf,
+        source,
+        Arc::new(MaxBytesMapper),
+        Arc::new(MaxReducer),
+        Arc::new(MaxMerger),
+        batch_adaptive(&cluster, &spec),
+    )
+    .unwrap();
+    let sinks = [TraceSink::with_capacity(1 << 16), TraceSink::with_capacity(1 << 16)];
+    count.set_trace_sink(sinks[0].clone());
+    max.set_trace_sink(sinks[1].clone());
+
+    let mut deployment = RecurringDeployment::new(clock);
+    let src = deployment.add_source(batches.iter().map(arrival).collect());
+    deployment.add_query(&mut count, &[src], WINDOWS).unwrap();
+    let src = deployment.add_source(batches.iter().map(arrival).collect());
+    deployment.add_query(&mut max, &[src], WINDOWS).unwrap();
+    let outputs = run_to_end(&cluster, deployment);
+
+    let names = sinks.each_ref().map(registered_names);
+    assert!(!names[0].is_empty() && !names[1].is_empty());
+    assert!(names[0].is_disjoint(&names[1]), "both queries named {:?}", names[0].intersection(&names[1]));
+    assert_eq!(outputs[0], recomputed_windows(&cluster, "owned-count", &batches, &spec, WINDOWS));
+    let max_expect =
+        recomputed_windows_of(&cluster, "owned-max", &batches, &spec, WINDOWS, MaxBytesMapper, &MaxReducer);
+    assert_eq!(outputs[1], max_expect);
+}
+
+#[test]
+fn two_shared_sources_never_alias() {
+    // Two shared sources with one pane length, each read by one count of
+    // identical operators, on one node: same operators, different pane
+    // files — different caches, under different names.
+    const WINDOWS: u64 = 4;
+    let spec = spec_with_overlap(0.5);
+    let plan = ArrivalPlan::new(spec, WINDOWS);
+    let data = [wcc_batches(&plan, 94, 1.0), wcc_batches(&plan, 95, 1.0)];
+    let cluster = one_node_cluster();
+    let clock = test_sim(&cluster);
+    let sinks = [TraceSink::with_capacity(1 << 16), TraceSink::with_capacity(1 << 16)];
+    let mut execs: Vec<RecurringExecutor<AggMapper, AggReducer>> = Vec::new();
+    let mut sources = Vec::new();
+    for (i, sink) in sinks.iter().enumerate() {
+        let root = DfsPath::new(format!("/panes/alias-{i}")).unwrap();
+        let shared = SharedSource::new(&cluster, 0, "wcc", root, &[spec], leading_ts_fn()).unwrap();
+        let mut e = shared_agg_executor(&cluster, clock.clone(), &shared, spec, &format!("alias-q{i}"));
+        e.set_trace_sink(sink.clone());
+        execs.push(e);
+        sources.push(shared);
+    }
+    assert_eq!(sources[0].pane_ms(), sources[1].pane_ms());
+
+    let mut deployment = RecurringDeployment::new(clock);
+    for ((exec, shared), batches) in execs.iter_mut().zip(&sources).zip(&data) {
+        let src = deployment.add_shared_source(shared.clone(), batches.iter().map(arrival).collect());
+        deployment.add_query(exec, &[src], WINDOWS).unwrap();
+    }
+    let outputs = run_to_end(&cluster, deployment);
+
+    let names = sinks.each_ref().map(registered_names);
+    assert!(!names[0].is_empty() && !names[1].is_empty());
+    assert!(names[0].is_disjoint(&names[1]), "both queries named {:?}", names[0].intersection(&names[1]));
+    for (i, batches) in data.iter().enumerate() {
+        let expect = recomputed_windows(&cluster, &format!("alias-{i}"), batches, &spec, WINDOWS);
+        assert_eq!(outputs[i], expect, "query {i} differs from recomputation");
+    }
 }

@@ -217,7 +217,7 @@ fn the_merge_reads_back_only_the_partials_it_is_charged_for() {
 
     let mut reused_partial_bytes = 0u64;
     for (p, r) in (1..=7).flat_map(|p| (0..4).map(move |r| (p, r))) {
-        let name = format!("ro/s0p{p}/r{r}");
+        let name = store_name(exec.fingerprint(), &format!("ro/s0p{p}/r{r}"));
         let holders: Vec<u64> = (0..cluster.node_count() as u32)
             .filter_map(|n| cluster.peek_local(redoop_dfs::NodeId(n), &name))
             .map(|blob| blob.len() as u64)

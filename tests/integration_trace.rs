@@ -324,12 +324,12 @@ fn a_join_that_lost_a_node_leaves_no_stale_entries_or_files() {
             if geom.pane_out_of_window(p, last) {
                 for source in 0..2 {
                     let object = CacheObject::PaneInput { source, pane: p, sub: 0 };
-                    stale_files.push(CacheName::new(object, r).store_name());
+                    stale_files.push(CacheName::with_fp(object, r, exec.fingerprint()).store_name());
                 }
             }
             for q in (0..end).map(PaneId).filter(|&q| pair_stale(p, q)) {
                 let object = CacheObject::PairOutput { left: p, right: q };
-                stale_files.push(CacheName::new(object, r).store_name());
+                stale_files.push(CacheName::with_fp(object, r, exec.fingerprint()).store_name());
             }
         }
     }
