@@ -19,17 +19,19 @@
 //! sweep: makespan and host wall-clock vs node and query count) writes
 //! `BENCH_scale.json`, instead of `BENCH_repro.json`.
 //!
-//! `--nodes <n>` / `--queries <n>` re-run any figure at non-default
-//! scale: `--nodes` resizes the simulated cluster of every figure, and
-//! `--queries` sets the concurrent-query count of figures with a query
-//! axis (`share`, `scale`). `--workers <n>` pins the host thread-pool
-//! size of the pure compute stages; it never changes simulated results
-//! (CI diffs the trace journal across worker counts to prove it).
+//! `--nodes <n>` / `--queries <n>` set the run's scale, handed to every
+//! figure as one [`RunConf`]: `--nodes` sizes the simulated cluster
+//! (default 8; `scale`'s largest point, default 200), and `--queries` the
+//! largest fleet of the figures with a query axis (`share`, default 8;
+//! `scale`, default 16). `--workers <n>` pins the host thread-pool size
+//! of the pure compute stages; it never changes simulated results (CI
+//! diffs the trace journal across worker counts to prove it).
 //!
 //! Pass `--trace <path>` to record the cluster's structured trace
 //! journal (placement decisions with the Eq. 4 scores compared, cache
-//! lifecycle events, per-phase task spans) and write it to `<path>` as
-//! JSON after the figures finish.
+//! lifecycle events, per-phase task spans) into the run's sink, which
+//! every simulator and executor a figure builds writes to, and write it
+//! to `<path>` as JSON after the figures finish.
 //!
 //! Besides the human-readable tables, every run writes
 //! `BENCH_repro.json` to the working directory: the per-figure
@@ -40,6 +42,7 @@ use std::time::Instant;
 
 use redoop_bench::experiments;
 use redoop_bench::json::Json;
+use redoop_bench::setup::{self, RunConf};
 use redoop_mapred::trace::TraceSink;
 use redoop_mapred::SimTime;
 
@@ -117,10 +120,10 @@ fn fig3() -> Json {
     Json::obj(vec![("plans", Json::Arr(rows))])
 }
 
-fn fig6() -> Json {
+fn fig6(cfg: &RunConf) -> Json {
     let mut sweeps = Vec::new();
     for overlap in [0.9, 0.5, 0.1] {
-        let s = experiments::fig6(overlap, WINDOWS, SEED);
+        let s = experiments::fig6(cfg, overlap, WINDOWS, SEED);
         assert!(s.outputs_match, "outputs must match the oracle");
         print_series_table(
             &format!("Fig. 6: aggregation (WCC), overlap {overlap}"),
@@ -137,10 +140,10 @@ fn fig6() -> Json {
     Json::obj(vec![("overlaps", Json::Arr(sweeps))])
 }
 
-fn fig7() -> Json {
+fn fig7(cfg: &RunConf) -> Json {
     let mut sweeps = Vec::new();
     for overlap in [0.9, 0.5, 0.1] {
-        let s = experiments::fig7(overlap, WINDOWS.min(6), SEED);
+        let s = experiments::fig7(cfg, overlap, WINDOWS.min(6), SEED);
         assert!(s.outputs_match, "outputs must match the oracle");
         print_series_table(
             &format!("Fig. 7: binary join (FFG), overlap {overlap}"),
@@ -157,10 +160,10 @@ fn fig7() -> Json {
     Json::obj(vec![("overlaps", Json::Arr(sweeps))])
 }
 
-fn fig8() -> Json {
+fn fig8(cfg: &RunConf) -> Json {
     let mut sweeps = Vec::new();
     for overlap in [0.9, 0.5, 0.1] {
-        let s = experiments::fig8(overlap, WINDOWS, SEED);
+        let s = experiments::fig8(cfg, overlap, WINDOWS, SEED);
         assert!(s.outputs_match, "outputs must match across systems");
         println!("\n=== Fig. 8: adaptive partitioning under 2x spikes, overlap {overlap} ===");
         println!(" win | spike | hadoop (s) | redoop (s) | adaptive (s) | mode");
@@ -199,8 +202,8 @@ fn fig8() -> Json {
     Json::obj(vec![("overlaps", Json::Arr(sweeps))])
 }
 
-fn fig9() -> Json {
-    let s = experiments::fig9(WINDOWS, SEED);
+fn fig9(cfg: &RunConf) -> Json {
+    let s = experiments::fig9(cfg, WINDOWS, SEED);
     assert!(s.outputs_match, "failures must not corrupt outputs");
     println!("\n=== Fig. 9: fault tolerance (aggregation, overlap 0.5, cache loss each window) ===");
     println!(" win | hadoop (s) | redoop (s) | redoop(f) (s)");
@@ -233,8 +236,8 @@ fn fig9() -> Json {
     ])
 }
 
-fn delta() -> Json {
-    let s = experiments::fig_delta(WINDOWS.min(6), SEED);
+fn delta(cfg: &RunConf) -> Json {
+    let s = experiments::fig_delta(cfg, WINDOWS.min(6), SEED);
     assert!(s.outputs_match, "delta outputs must be bit-identical to rebuild");
     println!("\n=== Delta maintenance: steady-state firing cost vs arrival rate ===");
     println!(" rate | records | rebuild (s) | delta (s) | speedup");
@@ -264,8 +267,8 @@ fn delta() -> Json {
     ])
 }
 
-fn share() -> Json {
-    let s = experiments::fig_share(WINDOWS.min(4), SEED);
+fn share(cfg: &RunConf) -> Json {
+    let s = experiments::fig_share(cfg, WINDOWS.min(4), SEED);
     assert!(s.outputs_match, "sharing must not change any query's outputs");
     println!("\n=== Cross-query sharing: makespan vs fleet size (aggregation, overlap 0.5) ===");
     println!("   N | private (s) | shared (s) | gain  | hit ratio");
@@ -300,12 +303,13 @@ fn share() -> Json {
 }
 
 /// The scale sweep: makespan + host wall-clock vs node count and query
-/// count, with the bursty/diurnal/skew-drift arrival curves active.
-/// `max_nodes`/`max_queries` come from `--nodes`/`--queries` (defaults
+/// count, with the bursty/diurnal/skew-drift arrival curves active, up
+/// to the run's `--nodes`/`--queries` (defaults
 /// [`SCALE_NODES`]/[`SCALE_QUERIES`]).
-fn scale(max_nodes: usize, max_queries: usize) -> Json {
+fn scale(cfg: &RunConf) -> Json {
     let windows = WINDOWS.min(8);
-    let s = experiments::fig_scale(windows, SEED, max_nodes, max_queries);
+    let (max_nodes, max_queries) = (cfg.nodes, cfg.queries);
+    let s = experiments::fig_scale(cfg, windows, SEED);
     println!("\n=== Scale sweep: {max_nodes} nodes / {max_queries} queries headline point ===");
     println!(
         " nodes | queries | makespan (s) | hit ratio | builds | off-holder | map records | wall (s)"
@@ -375,8 +379,8 @@ fn scale(max_nodes: usize, max_queries: usize) -> Json {
     ])
 }
 
-fn salvage() -> Json {
-    let s = experiments::fig_salvage(SEED);
+fn salvage(cfg: &RunConf) -> Json {
+    let s = experiments::fig_salvage(cfg, SEED);
     assert!(s.outputs_match, "salvage and rebuild must reproduce the clean outputs");
     println!("\n=== Salvage: window-1 firing cost after cache damage (aggregation, overlap 0.875) ===");
     println!(" scenario          | window 1 (s)");
@@ -408,8 +412,8 @@ fn salvage() -> Json {
     ])
 }
 
-fn capacity() -> Json {
-    let s = experiments::fig_capacity(WINDOWS, SEED);
+fn capacity(cfg: &RunConf) -> Json {
+    let s = experiments::fig_capacity(cfg, WINDOWS, SEED);
     assert!(s.outputs_match, "capacity pressure must never change outputs");
     assert!(s.journal_identical, "default config must journal byte-identically to explicit baseline");
     println!("\n=== Capacity: hit ratio + makespan vs per-node cache budget (aggregation, overlap 0.875) ===");
@@ -462,8 +466,8 @@ fn capacity() -> Json {
     ])
 }
 
-fn headline() -> Json {
-    let (agg, join) = experiments::headline(WINDOWS, SEED);
+fn headline(cfg: &RunConf) -> Json {
+    let (agg, join) = experiments::headline(cfg, WINDOWS, SEED);
     println!("\n=== Headline: steady-state speedup at overlap 0.9 ===");
     println!(" aggregation (Fig. 6a): {agg:.2}x");
     println!(" binary join (Fig. 7a): {join:.2}x");
@@ -474,8 +478,8 @@ fn headline() -> Json {
     ])
 }
 
-fn ablations() -> Json {
-    let a = experiments::ablations(8, SEED);
+fn ablations(cfg: &RunConf) -> Json {
+    let a = experiments::ablations(cfg, 8, SEED);
     println!("\n=== Ablations: aggregation, overlap 0.9, steady-state cumulative (s) ===");
     println!(" full redoop                      : {:>8.1}", a.full);
     println!(" - without cache-aware scheduling : {:>8.1}", a.no_cache_aware_scheduling);
@@ -491,7 +495,7 @@ fn ablations() -> Json {
 
 /// Runs one figure, timing its host wall-clock, and appends the
 /// `{series, wall_clock_secs}` entry under `name`.
-fn run_figure(figures: &mut Vec<(String, Json)>, name: &str, f: fn() -> Json) {
+fn run_figure(figures: &mut Vec<(String, Json)>, name: &str, f: impl FnOnce() -> Json) {
     let start = Instant::now();
     let series = f();
     let wall = start.elapsed().as_secs_f64();
@@ -568,49 +572,49 @@ fn main() {
         }
     }
     let arg = subcommand.unwrap_or_else(|| "all".to_string());
-    // Every figure built after this sees the overridden scale.
-    redoop_bench::setup::set_scale(nodes, queries);
-    // Host worker-count pin: never affects simulated results (CI diffs
-    // the trace journal across worker counts to prove it), only how
-    // many host threads the pure compute stages fan out over.
+    // The scale sweep defaults to its own headline point.
+    let (default_nodes, default_queries) = match arg.as_str() {
+        "scale" => (SCALE_NODES, SCALE_QUERIES),
+        _ => (setup::NODES, setup::QUERIES),
+    };
+    let cfg = RunConf {
+        nodes: nodes.unwrap_or(default_nodes),
+        queries: queries.unwrap_or(default_queries),
+        // The ring holds every figure's journal whole (the largest,
+        // `capacity`, is 196 193 events) and allocates as it fills, so
+        // the bound is free.
+        trace: match trace_path {
+            Some(_) => TraceSink::with_capacity(1 << 18),
+            None => TraceSink::disabled(),
+        },
+    };
+    // Host worker-count pin for this thread, which runs every figure:
+    // never affects simulated results (CI diffs the trace journal across
+    // worker counts to prove it), only how many host threads the pure
+    // compute stages fan out over.
     redoop_mapred::exec::set_host_parallelism(workers);
-    if trace_path.is_some() {
-        // Installed before any simulator is built, so every component
-        // constructed by the figures picks it up. The ring holds every
-        // figure's journal whole (the largest, `capacity`, is 196 193
-        // events) and allocates as it fills, so the bound is free.
-        redoop_mapred::trace::set_global_sink(Some(TraceSink::with_capacity(1 << 18)));
-    }
     let mut figures: Vec<(String, Json)> = Vec::new();
     match arg.as_str() {
         "fig3" => run_figure(&mut figures, "fig3", fig3),
-        "fig6" => run_figure(&mut figures, "fig6", fig6),
-        "fig7" => run_figure(&mut figures, "fig7", fig7),
-        "fig8" => run_figure(&mut figures, "fig8", fig8),
-        "fig9" => run_figure(&mut figures, "fig9", fig9),
-        "delta" => run_figure(&mut figures, "delta", delta),
-        "share" => run_figure(&mut figures, "share", share),
-        "salvage" => run_figure(&mut figures, "salvage", salvage),
-        "capacity" => run_figure(&mut figures, "capacity", capacity),
-        "scale" => {
-            let start = Instant::now();
-            let series = scale(nodes.unwrap_or(SCALE_NODES), queries.unwrap_or(SCALE_QUERIES));
-            let wall = start.elapsed().as_secs_f64();
-            figures.push((
-                "scale".to_string(),
-                Json::obj(vec![("wall_clock_secs", Json::Num(wall)), ("series", series)]),
-            ));
-        }
-        "headline" => run_figure(&mut figures, "headline", headline),
-        "ablations" => run_figure(&mut figures, "ablations", ablations),
+        "fig6" => run_figure(&mut figures, "fig6", || fig6(&cfg)),
+        "fig7" => run_figure(&mut figures, "fig7", || fig7(&cfg)),
+        "fig8" => run_figure(&mut figures, "fig8", || fig8(&cfg)),
+        "fig9" => run_figure(&mut figures, "fig9", || fig9(&cfg)),
+        "delta" => run_figure(&mut figures, "delta", || delta(&cfg)),
+        "share" => run_figure(&mut figures, "share", || share(&cfg)),
+        "salvage" => run_figure(&mut figures, "salvage", || salvage(&cfg)),
+        "capacity" => run_figure(&mut figures, "capacity", || capacity(&cfg)),
+        "scale" => run_figure(&mut figures, "scale", || scale(&cfg)),
+        "headline" => run_figure(&mut figures, "headline", || headline(&cfg)),
+        "ablations" => run_figure(&mut figures, "ablations", || ablations(&cfg)),
         "all" => {
             run_figure(&mut figures, "fig3", fig3);
-            run_figure(&mut figures, "fig6", fig6);
-            run_figure(&mut figures, "fig7", fig7);
-            run_figure(&mut figures, "fig8", fig8);
-            run_figure(&mut figures, "fig9", fig9);
-            run_figure(&mut figures, "ablations", ablations);
-            run_figure(&mut figures, "headline", headline);
+            run_figure(&mut figures, "fig6", || fig6(&cfg));
+            run_figure(&mut figures, "fig7", || fig7(&cfg));
+            run_figure(&mut figures, "fig8", || fig8(&cfg));
+            run_figure(&mut figures, "fig9", || fig9(&cfg));
+            run_figure(&mut figures, "ablations", || ablations(&cfg));
+            run_figure(&mut figures, "headline", || headline(&cfg));
         }
         other => {
             eprintln!(
@@ -633,7 +637,7 @@ fn main() {
     };
     write_report(path, &arg, figures);
     if let Some(path) = trace_path {
-        let sink = redoop_mapred::trace::global_sink();
+        let sink = &cfg.trace;
         match std::fs::write(&path, sink.render_json()) {
             Ok(()) => println!("wrote trace journal to {path}"),
             Err(e) => {
@@ -641,7 +645,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        redoop_mapred::trace::set_global_sink(None);
         let code = journal_exit_code(sink.dropped());
         if code != 0 {
             eprintln!(

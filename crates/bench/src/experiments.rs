@@ -1,7 +1,8 @@
 //! The per-figure experiments. Each function runs the full scenario on
 //! the simulated cluster (real data processing + virtual-time charging),
 //! verifies Redoop's outputs against the recomputation baseline, and
-//! returns the series the paper plots.
+//! returns the series the paper plots. Each takes the run's
+//! [`RunConf`]: its cluster size, fleet size and journal.
 
 use std::sync::Arc;
 
@@ -13,7 +14,7 @@ use redoop_dfs::failure::FailurePlan;
 use redoop_dfs::{Cluster, DfsPath, NodeId};
 use redoop_mapred::counters::names as cnames;
 use redoop_mapred::{MapMemo, Mapper, PhaseTimes, Reducer, SimTime, Writable};
-use redoop_workloads::arrival::{ArrivalCurves, ArrivalPlan};
+use redoop_workloads::arrival::{ArrivalCurves, ArrivalPlan, GeneratedBatch};
 use redoop_workloads::ffg::Stream;
 use redoop_workloads::queries::{AggMapper, AggReducer, JoinMapper, JoinReducer};
 
@@ -52,17 +53,18 @@ impl QuerySeries {
 
 /// Fig. 6: the recurring aggregation (WCC), `windows` recurrences at
 /// `overlap`.
-pub fn fig6(overlap: f64, windows: u64, seed: u64) -> QuerySeries {
+pub fn fig6(cfg: &RunConf, overlap: f64, windows: u64, seed: u64) -> QuerySeries {
     let spec = spec(overlap);
     let plan = ArrivalPlan::new(spec, windows);
     let batches = wcc(&plan, seed);
-    let cluster = cluster();
+    let cluster = cfg.cluster();
     let tag = format!("f6-{}-{seed}", (overlap * 100.0) as u32);
     let mut exec = agg_executor(&cluster, spec, &tag, controller_off(&cluster, &spec));
+    exec.set_trace_sink(cfg.trace.clone());
     ingest_all(&mut exec, 0, &batches);
     let files = baseline_files(&cluster, &format!("/batches/{tag}"), &batches);
     let mut redoop = Windows::<String, u64>::default();
-    let hadoop = hadoop_windows(&cluster, AggMapper, &AggReducer, &spec, windows, &files, &tag, |w| {
+    let hadoop = hadoop_windows(cfg, &cluster, AggMapper, &AggReducer, &spec, windows, &files, &tag, |w| {
         let report = exec.run_window(w).expect("redoop window");
         redoop.push(&cluster, report.response, &report.metrics.phases, &report.outputs);
     });
@@ -109,6 +111,7 @@ impl QuerySeries {
 /// journals both engines in window order.
 #[allow(clippy::too_many_arguments)]
 fn hadoop_windows<M, R, K, V>(
+    cfg: &RunConf,
     cluster: &Cluster,
     mapper: M,
     reducer: &R,
@@ -124,7 +127,7 @@ where
     K: Writable + Ord + Default,
     V: Writable + Ord + Default,
 {
-    let mut clock = sim(cluster);
+    let mut clock = cfg.sim(cluster);
     let mut memo = MapMemo::default();
     let mapper = Arc::new(mapper);
     let out_root = DfsPath::new(format!("/out/{tag}-base")).unwrap();
@@ -153,20 +156,21 @@ where
 
 /// Fig. 7: the recurring binary join (FFG), `windows` recurrences at
 /// `overlap`.
-pub fn fig7(overlap: f64, windows: u64, seed: u64) -> QuerySeries {
+pub fn fig7(cfg: &RunConf, overlap: f64, windows: u64, seed: u64) -> QuerySeries {
     let spec = spec(overlap);
     let plan = ArrivalPlan::new(spec, windows);
     let pos = ffg(&plan, Stream::Position, seed);
     let spd = ffg(&plan, Stream::Speed, seed + 1);
-    let cluster = cluster();
+    let cluster = cfg.cluster();
     let tag = format!("f7-{}-{seed}", (overlap * 100.0) as u32);
     let mut exec = join_executor(&cluster, spec, &tag, controller_off(&cluster, &spec));
+    exec.set_trace_sink(cfg.trace.clone());
     ingest_all(&mut exec, 0, &pos);
     ingest_all(&mut exec, 1, &spd);
     let mut files = baseline_files(&cluster, &format!("/batches/{tag}-pos"), &pos);
     files.extend(baseline_files(&cluster, &format!("/batches/{tag}-spd"), &spd));
     let mut redoop = Windows::<String, String>::default();
-    let hadoop = hadoop_windows(&cluster, JoinMapper, &JoinReducer, &spec, windows, &files, &tag, |w| {
+    let hadoop = hadoop_windows(cfg, &cluster, JoinMapper, &JoinReducer, &spec, windows, &files, &tag, |w| {
         let report = exec.run_window(w).expect("redoop window");
         redoop.push(&cluster, report.response, &report.metrics.phases, &report.outputs);
     });
@@ -192,14 +196,14 @@ pub struct AdaptiveSeries {
 }
 
 /// Fig. 8: aggregation under 2× spikes on windows `w % 3 != 0`.
-pub fn fig8(overlap: f64, windows: u64, seed: u64) -> AdaptiveSeries {
+pub fn fig8(cfg: &RunConf, overlap: f64, windows: u64, seed: u64) -> AdaptiveSeries {
     let spec = spec(overlap);
     let plan = ArrivalPlan::paper_fluctuation(spec, windows);
     let batches = wcc(&plan, seed);
 
     // Redoop (non-adaptive) + adaptive Redoop, interleaved feeding.
     let run_redoop = |adaptive: bool| {
-        let cluster = cluster();
+        let cluster = cfg.cluster();
         let tag = format!("f8-{}-{}-{seed}", (overlap * 100.0) as u32, adaptive as u8);
         let controller = if adaptive {
             controller_on(&cluster, &spec)
@@ -207,6 +211,7 @@ pub fn fig8(overlap: f64, windows: u64, seed: u64) -> AdaptiveSeries {
             controller_off(&cluster, &spec)
         };
         let mut exec = agg_executor(&cluster, spec, &tag, controller);
+        exec.set_trace_sink(cfg.trace.clone());
         let reports = run_interleaved(&mut exec, &[&batches], windows);
         let outs: Vec<Vec<(String, u64)>> = reports
             .iter()
@@ -220,11 +225,11 @@ pub fn fig8(overlap: f64, windows: u64, seed: u64) -> AdaptiveSeries {
     let (adaptive, modes, outs_a) = run_redoop(true);
 
     // Hadoop baseline.
-    let cluster = cluster();
+    let cluster = cfg.cluster();
     let tag = format!("f8h-{}-{seed}", (overlap * 100.0) as u32);
     let files = baseline_files(&cluster, &format!("/batches/{tag}"), &batches);
     let hadoop: Windows<String, u64> =
-        hadoop_windows(&cluster, AggMapper, &AggReducer, &spec, windows, &files, &tag, |_| ());
+        hadoop_windows(cfg, &cluster, AggMapper, &AggReducer, &spec, windows, &files, &tag, |_| ());
 
     AdaptiveSeries {
         overlap,
@@ -252,15 +257,16 @@ pub struct FaultSeries {
 
 /// Fig. 9: aggregation at overlap 0.5 with cache removals injected at
 /// the start of every window (alternating victim nodes).
-pub fn fig9(windows: u64, seed: u64) -> FaultSeries {
+pub fn fig9(cfg: &RunConf, windows: u64, seed: u64) -> FaultSeries {
     let spec = spec(0.5);
     let plan = ArrivalPlan::new(spec, windows);
     let batches = wcc(&plan, seed);
 
     let run_redoop = |faults: Option<FailurePlan>| {
-        let cluster = cluster();
+        let cluster = cfg.cluster();
         let tag = format!("f9-{}-{seed}", faults.is_some() as u8);
         let mut exec = agg_executor(&cluster, spec, &tag, controller_off(&cluster, &spec));
+        exec.set_trace_sink(cfg.trace.clone());
         ingest_all(&mut exec, 0, &batches);
         let mut times = Vec::new();
         let mut outs = Vec::new();
@@ -281,17 +287,17 @@ pub fn fig9(windows: u64, seed: u64) -> FaultSeries {
     for w in 1..windows as usize {
         plan_f = plan_f.at(
             w,
-            redoop_dfs::failure::FailureEvent::CrashAndRejoin(NodeId((w % nodes()) as u32)),
+            redoop_dfs::failure::FailureEvent::CrashAndRejoin(NodeId((w % cfg.nodes) as u32)),
         );
     }
     let (redoop, outs_clean) = run_redoop(None);
     let (redoop_faulty, outs_faulty) = run_redoop(Some(plan_f));
 
-    let cluster = cluster();
+    let cluster = cfg.cluster();
     let tag = format!("f9h-{seed}");
     let files = baseline_files(&cluster, &format!("/batches/{tag}"), &batches);
     let hadoop: Windows<String, u64> =
-        hadoop_windows(&cluster, AggMapper, &AggReducer, &spec, windows, &files, &tag, |_| ());
+        hadoop_windows(cfg, &cluster, AggMapper, &AggReducer, &spec, windows, &files, &tag, |_| ());
 
     FaultSeries {
         hadoop: hadoop.responses,
@@ -334,7 +340,7 @@ impl DeltaSeries {
 /// batch-by-batch delivery is the regime it is built for). The rebuild
 /// run disables only `delta_maintenance`; outputs are compared
 /// bit-for-bit, window for window.
-pub fn fig_delta(windows: u64, seed: u64) -> DeltaSeries {
+pub fn fig_delta(cfg: &RunConf, windows: u64, seed: u64) -> DeltaSeries {
     use redoop_mapred::combiner::SumCombiner;
 
     let spec = spec(0.5);
@@ -351,9 +357,10 @@ pub fn fig_delta(windows: u64, seed: u64) -> DeltaSeries {
         let records: u64 = batches.iter().map(|b| b.lines.len() as u64).sum();
 
         let run = |delta_on: bool| {
-            let cluster = cluster();
+            let cluster = cfg.cluster();
             let tag = format!("fd-{i}-{}", u8::from(delta_on));
             let mut exec = agg_executor(&cluster, spec, &tag, controller_off(&cluster, &spec));
+            exec.set_trace_sink(cfg.trace.clone());
             exec.set_combiner(Arc::new(SumCombiner));
             if !delta_on {
                 exec.set_options(ExecutorOptions {
@@ -418,7 +425,7 @@ impl ShareSeries {
 /// publishes it; the other N-1 import it through the signature
 /// directory, so the expected hit ratio approaches `(N-1)/N`. Outputs
 /// are compared bit-for-bit between the two modes.
-pub fn fig_share(windows: u64, seed: u64) -> ShareSeries {
+pub fn fig_share(cfg: &RunConf, windows: u64, seed: u64) -> ShareSeries {
     let spec = spec(0.5);
     let plan = ArrivalPlan::new(spec, windows);
     let batches = wcc(&plan, seed);
@@ -429,77 +436,31 @@ pub fn fig_share(windows: u64, seed: u64) -> ShareSeries {
         hit_ratio: Vec::new(),
         outputs_match: true,
     };
-    // Doubling fleet sizes up to the (overridable) maximum: the default
-    // paper sweep is 1/2/4/8; `--queries` re-runs it to another max.
-    let max_n = queries_or(8);
+    // Doubling fleet sizes up to the run's largest fleet: the paper
+    // sweep is 1/2/4/8; `--queries` re-runs it to another max.
+    let max_n = cfg.queries;
     let mut fleet = vec![1usize];
     while *fleet.last().unwrap() < max_n {
         fleet.push((fleet.last().unwrap() * 2).min(max_n));
     }
     for n in fleet {
         let run = |sharing: bool| {
-            let cluster = cluster();
             let tag = format!("fs-{n}-{}", u8::from(sharing));
-            let shared = SharedSource::new(
-                &cluster,
-                0,
-                "wcc",
-                DfsPath::new(format!("/panes/{tag}")).unwrap(),
-                &[spec],
-                leading_ts_fn(),
-            )
-            .unwrap();
-            let clock = sim(&cluster);
-            let mut execs: Vec<_> = (0..n)
-                .map(|i| {
-                    let mut conf = QueryConf::new(
-                        format!("{tag}-q{i}"),
-                        NUM_REDUCERS,
-                        DfsPath::new(format!("/out/{tag}-q{i}")).unwrap(),
-                    )
-                    .unwrap();
-                    if !sharing {
-                        conf = conf.with_share_tag(format!("{tag}-q{i}"));
-                    }
-                    RecurringExecutor::aggregation_shared(
-                        &cluster,
-                        clock.clone(),
-                        conf,
-                        &shared,
-                        spec,
-                        Arc::new(AggMapper),
-                        Arc::new(AggReducer),
-                        Arc::new(SumMerger),
-                        controller_off(&cluster, &spec),
-                    )
-                    .unwrap()
-                })
-                .collect();
-            let mut deployment = RecurringDeployment::new(clock);
-            let src = deployment
-                .add_shared_source(shared.clone(), batches.iter().map(arrival).collect());
-            let qids: Vec<usize> = execs
-                .iter_mut()
-                .map(|e| deployment.add_query(e, &[src], windows).unwrap())
-                .collect();
-            deployment.run().expect("share fleet run");
+            let fleet = RunConf { queries: n, ..cfg.clone() };
+            let (cluster, reports) = shared_fleet(&fleet, &tag, spec, &batches, windows, !sharing);
             let mut makespan = 0.0f64;
             let mut imports = 0u64;
             let mut builds = 0u64;
             let mut parts: Vec<Vec<u8>> = Vec::new();
-            for &q in &qids {
-                for r in deployment.reports(q) {
-                    makespan = makespan.max((r.fired_at + r.response).as_secs_f64());
-                    imports += r.trace.shared_hits;
-                    builds += r.built_products as u64;
-                    for p in &r.outputs {
-                        parts.push(cluster.read(p).unwrap().to_vec());
-                    }
+            for r in reports.iter().flatten() {
+                makespan = makespan.max((r.fired_at + r.response).as_secs_f64());
+                imports += r.trace.shared_hits;
+                builds += r.built_products as u64;
+                for p in &r.outputs {
+                    parts.push(cluster.read(p).unwrap().to_vec());
                 }
             }
-            let ratio =
-                if imports + builds == 0 { 0.0 } else { imports as f64 / (imports + builds) as f64 };
-            (makespan, ratio, parts)
+            (makespan, hit_ratio(imports, builds), parts)
         };
         let (on_secs, on_ratio, on_parts) = run(true);
         let (off_secs, _, off_parts) = run(false);
@@ -510,6 +471,74 @@ pub fn fig_share(windows: u64, seed: u64) -> ShareSeries {
         series.hit_ratio.push(on_ratio);
     }
     series
+}
+
+/// The fleet of the sharing and scale figures: `cfg.queries` copies of
+/// the WCC aggregation attached to one [`SharedSource`] on a
+/// `cfg.nodes`-node cluster, on one clock, under one deployment that
+/// delivers `batches` as the windows fire. The queries share one
+/// fingerprint unless `private` gives each a [`QueryConf::share_tag`] of
+/// its own. Returns the cluster and each query's window reports.
+fn shared_fleet(
+    cfg: &RunConf,
+    tag: &str,
+    spec: WindowSpec,
+    batches: &[GeneratedBatch],
+    windows: u64,
+    private: bool,
+) -> (Cluster, Vec<Vec<WindowReport>>) {
+    let cluster = cfg.cluster();
+    let shared = SharedSource::new(
+        &cluster,
+        0,
+        "wcc",
+        DfsPath::new(format!("/panes/{tag}")).unwrap(),
+        &[spec],
+        leading_ts_fn(),
+    )
+    .unwrap();
+    let clock = cfg.sim(&cluster);
+    let mut execs: Vec<_> = (0..cfg.queries)
+        .map(|i| {
+            let name = format!("{tag}-q{i}");
+            let mut conf =
+                QueryConf::new(&name, NUM_REDUCERS, DfsPath::new(format!("/out/{name}")).unwrap())
+                    .unwrap();
+            if private {
+                conf = conf.with_share_tag(name);
+            }
+            RecurringExecutor::aggregation_shared(
+                &cluster,
+                clock.clone(),
+                conf,
+                &shared,
+                spec,
+                Arc::new(AggMapper),
+                Arc::new(AggReducer),
+                Arc::new(SumMerger),
+                controller_off(&cluster, &spec),
+            )
+            .unwrap()
+        })
+        .collect();
+    let mut deployment = RecurringDeployment::new(clock);
+    let src = deployment.add_shared_source(shared.clone(), batches.iter().map(arrival).collect());
+    let qids: Vec<usize> = execs
+        .iter_mut()
+        .map(|e| deployment.add_query(e, &[src], windows).unwrap())
+        .collect();
+    deployment.run().expect("shared fleet run");
+    let reports = qids.iter().map(|&q| deployment.reports(q).to_vec()).collect();
+    (cluster, reports)
+}
+
+/// `hits / (hits + misses)`, 0 when nothing was looked up.
+fn hit_ratio(hits: u64, misses: u64) -> f64 {
+    if hits + misses == 0 {
+        0.0
+    } else {
+        hits as f64 / (hits + misses) as f64
+    }
 }
 
 /// Salvage figure: window-1 firing cost with the reused pane caches
@@ -548,7 +577,7 @@ impl SalvageSeries {
 /// corrupted blobs as partially recoverable, so the partial run charges
 /// only the missing `(pane, partition)` suffixes while the full run
 /// rebuilds everything.
-pub fn fig_salvage(seed: u64) -> SalvageSeries {
+pub fn fig_salvage(cfg: &RunConf, seed: u64) -> SalvageSeries {
     use redoop_dfs::failure::FailureEvent;
     use redoop_mapred::frame;
 
@@ -556,8 +585,9 @@ pub fn fig_salvage(seed: u64) -> SalvageSeries {
     let run = |events: &[FailureEvent]| {
         let plan = ArrivalPlan::new(spec, 2);
         let batches = wcc(&plan, seed);
-        let cluster = cluster();
+        let cluster = cfg.cluster();
         let mut exec = agg_executor(&cluster, spec, "fsv", controller_off(&cluster, &spec));
+        exec.set_trace_sink(cfg.trace.clone());
         ingest_all(&mut exec, 0, &batches);
         exec.run_window(0).unwrap();
         let mut caches = Vec::new();
@@ -672,7 +702,7 @@ impl CapacitySeries {
 /// run doubles as the output oracle; two further unbounded runs
 /// (default configuration vs explicitly-selected baseline policy) must
 /// produce byte-identical journals.
-pub fn fig_capacity(windows: u64, seed: u64) -> CapacitySeries {
+pub fn fig_capacity(cfg: &RunConf, windows: u64, seed: u64) -> CapacitySeries {
     use redoop_mapred::trace::TraceSink;
 
     let spec = spec(0.875);
@@ -680,15 +710,14 @@ pub fn fig_capacity(windows: u64, seed: u64) -> CapacitySeries {
     let pos = ffg(&plan, Stream::Position, seed);
     let spd = ffg(&plan, Stream::Speed, seed + 1);
 
-    // One policy-configured run: returns (hit ratio, makespan, evicts,
-    // rejects, peak per-node residency, concatenated window outputs).
-    let run = |tag: &str, budget: Option<CacheBudget>, sink: Option<TraceSink>| {
-        let cluster = cluster();
+    // One policy-configured run journaling to `sink`: returns (hit
+    // ratio, makespan, evicts, rejects, peak per-node residency,
+    // concatenated window outputs).
+    let run = |tag: &str, budget: Option<CacheBudget>, sink: &TraceSink| {
+        let cluster = cfg.cluster();
         let mut exec = join_executor(&cluster, spec, tag, controller_off(&cluster, &spec));
-        if let Some(s) = &sink {
-            // Installed before ingest so pane-seal events are captured.
-            exec.set_trace_sink(s.clone());
-        }
+        // Installed before ingest so pane-seal events are captured.
+        exec.set_trace_sink(sink.clone());
         if let Some(b) = budget {
             exec.set_cache_policy(b);
         }
@@ -712,23 +741,21 @@ pub fn fig_capacity(windows: u64, seed: u64) -> CapacitySeries {
                 parts.push(cluster.read(p).unwrap().to_vec());
             }
         }
-        let ratio =
-            if hits + misses == 0 { 0.0 } else { hits as f64 / (hits + misses) as f64 };
-        (ratio, makespan, evictions, rejects, peak, parts)
+        (hit_ratio(hits, misses), makespan, evictions, rejects, peak, parts)
     };
 
     // Uncapped reference: output oracle + the peak-residency anchor.
-    let (base_ratio, base_secs, _, _, peak, oracle) = run("fcap-ref", None, None);
+    let (base_ratio, base_secs, _, _, peak, oracle) = run("fcap-ref", None, &cfg.trace);
 
     // Journal no-regression check: never configuring the policy layer
     // and explicitly selecting its defaults must journal byte-equal.
     let sink_default = TraceSink::with_capacity(1 << 17);
     let sink_explicit = TraceSink::with_capacity(1 << 17);
-    run("fcap-journal", None, Some(sink_default.clone()));
+    run("fcap-journal", None, &sink_default);
     run(
         "fcap-journal",
         Some(CacheBudget::unbounded(CachePolicyKind::WindowLifespan)),
-        Some(sink_explicit.clone()),
+        &sink_explicit,
     );
     let journal_identical = sink_default.render_json() == sink_explicit.render_json();
 
@@ -757,7 +784,7 @@ pub fn fig_capacity(windows: u64, seed: u64) -> CapacitySeries {
         for (ci, &cap) in capacity_bytes.iter().enumerate() {
             let tag = format!("fcap-{}-{ci}", policy.label());
             let (ratio, makespan, evictions, rejects, _, parts) =
-                run(&tag, Some(CacheBudget::bounded(policy, cap)), None);
+                run(&tag, Some(CacheBudget::bounded(policy, cap)), &cfg.trace);
             series.outputs_match &= parts == oracle;
             ratios.push(ratio);
             secs.push(makespan);
@@ -815,13 +842,13 @@ pub struct ScaleSeries {
     pub headline_repeats: u32,
 }
 
-/// Runs one scale point: `queries` copies of the WCC aggregation over a
-/// single [`SharedSource`] on a `node_count`-node cluster, driven by the
-/// interleaved deployment. The arrival plan carries the bursty, diurnal,
-/// and skew-drift curves so the run exercises realistic fluctuating
-/// load, and the queries share one fingerprint — the production
-/// configuration the ROADMAP targets.
-pub fn scale_point(node_count: usize, queries: usize, windows: u64, seed: u64) -> ScalePoint {
+/// Runs one scale point: `cfg.queries` copies of the WCC aggregation
+/// over a single [`SharedSource`] on a `cfg.nodes`-node cluster, driven
+/// by the interleaved deployment. The arrival plan carries the bursty,
+/// diurnal, and skew-drift curves so the run exercises realistic
+/// fluctuating load, and the queries share one fingerprint — the
+/// production configuration the ROADMAP targets.
+pub fn scale_point(cfg: &RunConf, windows: u64, seed: u64) -> ScalePoint {
     let start = std::time::Instant::now();
     let spec = spec(0.5);
     let plan = ArrivalPlan::new(spec, windows).with_curves(
@@ -831,47 +858,8 @@ pub fn scale_point(node_count: usize, queries: usize, windows: u64, seed: u64) -
             .skew_drift(0.9, 1.3),
     );
     let batches = wcc_shaped(&plan, seed, 4.0);
-    let cluster = cluster_with_nodes(node_count);
-    let tag = format!("scale-{node_count}x{queries}");
-    let shared = SharedSource::new(
-        &cluster,
-        0,
-        "wcc",
-        DfsPath::new(format!("/panes/{tag}")).unwrap(),
-        &[spec],
-        leading_ts_fn(),
-    )
-    .unwrap();
-    let clock = sim(&cluster);
-    let mut execs: Vec<_> = (0..queries)
-        .map(|i| {
-            let conf = QueryConf::new(
-                format!("{tag}-q{i}"),
-                NUM_REDUCERS,
-                DfsPath::new(format!("/out/{tag}-q{i}")).unwrap(),
-            )
-            .unwrap();
-            RecurringExecutor::aggregation_shared(
-                &cluster,
-                clock.clone(),
-                conf,
-                &shared,
-                spec,
-                Arc::new(AggMapper),
-                Arc::new(AggReducer),
-                Arc::new(SumMerger),
-                controller_off(&cluster, &spec),
-            )
-            .unwrap()
-        })
-        .collect();
-    let mut deployment = RecurringDeployment::new(clock);
-    let src = deployment.add_shared_source(shared.clone(), batches.iter().map(arrival).collect());
-    let qids: Vec<usize> = execs
-        .iter_mut()
-        .map(|e| deployment.add_query(e, &[src], windows).unwrap())
-        .collect();
-    deployment.run().expect("scale deployment run");
+    let tag = format!("scale-{}x{}", cfg.nodes, cfg.queries);
+    let (cluster, reports) = shared_fleet(cfg, &tag, spec, &batches, windows, false);
     let mut makespan = 0.0f64;
     let mut imports = 0u64;
     let mut builds = 0u64;
@@ -879,9 +867,9 @@ pub fn scale_point(node_count: usize, queries: usize, windows: u64, seed: u64) -
     let mut off_holder_misses = 0u64;
     let mut outputs_consistent = true;
     let mut first: Option<Vec<Vec<u8>>> = None;
-    for &q in &qids {
+    for query in &reports {
         let mut parts: Vec<Vec<u8>> = Vec::new();
-        for r in deployment.reports(q) {
+        for r in query {
             makespan = makespan.max((r.fired_at + r.response).as_secs_f64());
             imports += r.trace.shared_hits;
             builds += r.built_products as u64;
@@ -896,13 +884,11 @@ pub fn scale_point(node_count: usize, queries: usize, windows: u64, seed: u64) -
             Some(f) => outputs_consistent &= *f == parts,
         }
     }
-    let hit_ratio =
-        if imports + builds == 0 { 0.0 } else { imports as f64 / (imports + builds) as f64 };
     ScalePoint {
-        nodes: node_count,
-        queries,
+        nodes: cfg.nodes,
+        queries: cfg.queries,
         makespan_secs: makespan,
-        hit_ratio,
+        hit_ratio: hit_ratio(imports, builds),
         built_products: builds,
         map_input_records,
         off_holder_misses,
@@ -916,16 +902,10 @@ pub fn scale_point(node_count: usize, queries: usize, windows: u64, seed: u64) -
 /// host scheduler noise). The simulation is deterministic, so every
 /// repeat must produce identical makespan/hit-ratio/consistency —
 /// asserted here, which doubles as a free bit-identity check.
-pub fn scale_point_best_of(
-    node_count: usize,
-    queries: usize,
-    windows: u64,
-    seed: u64,
-    repeats: u32,
-) -> ScalePoint {
-    let mut best = scale_point(node_count, queries, windows, seed);
+pub fn scale_point_best_of(cfg: &RunConf, windows: u64, seed: u64, repeats: u32) -> ScalePoint {
+    let mut best = scale_point(cfg, windows, seed);
     for _ in 1..repeats {
-        let next = scale_point(node_count, queries, windows, seed);
+        let next = scale_point(cfg, windows, seed);
         assert_eq!(next.makespan_secs, best.makespan_secs, "repeat changed simulated makespan");
         assert_eq!(next.hit_ratio, best.hit_ratio, "repeat changed simulated hit ratio");
         assert_eq!(next.built_products, best.built_products, "repeat changed the build count");
@@ -937,15 +917,16 @@ pub fn scale_point_best_of(
     best
 }
 
-/// The scale sweep: a small node axis up to `max_nodes` at
-/// `max_queries` queries, plus a reduced-query point at `max_nodes`.
-/// The final point is always the full `(max_nodes, max_queries)` run —
-/// the one whose host wall-clock the scale acceptance gate tracks, so
-/// it alone is measured as the best of [`SCALE_HEADLINE_REPEATS`]
-/// repeats.
+/// How many repeats the headline scale point's wall-clock is the best of.
 pub const SCALE_HEADLINE_REPEATS: u32 = 3;
 
-pub fn fig_scale(windows: u64, seed: u64, max_nodes: usize, max_queries: usize) -> ScaleSeries {
+/// The scale sweep: a small node axis up to `cfg.nodes` at `cfg.queries`
+/// queries, plus a reduced-query point at `cfg.nodes`. The final point
+/// is always the full `(cfg.nodes, cfg.queries)` run — the one whose
+/// host wall-clock the scale acceptance gate tracks, so it alone is
+/// measured as the best of [`SCALE_HEADLINE_REPEATS`] repeats.
+pub fn fig_scale(cfg: &RunConf, windows: u64, seed: u64) -> ScaleSeries {
+    let (max_nodes, max_queries) = (cfg.nodes, cfg.queries);
     let mut node_axis = vec![NODES.min(max_nodes)];
     if max_nodes / 4 > NODES {
         node_axis.push(max_nodes / 4);
@@ -965,9 +946,10 @@ pub fn fig_scale(windows: u64, seed: u64, max_nodes: usize, max_queries: usize) 
     let points = axis
         .into_iter()
         .enumerate()
-        .map(|(i, (n, q))| {
+        .map(|(i, (nodes, queries))| {
             let repeats = if i == last_i { SCALE_HEADLINE_REPEATS } else { 1 };
-            scale_point_best_of(n, q, windows, seed, repeats)
+            let point = RunConf { nodes, queries, ..cfg.clone() };
+            scale_point_best_of(&point, windows, seed, repeats)
         })
         .collect();
     ScaleSeries { windows, points, headline_repeats: SCALE_HEADLINE_REPEATS }
@@ -992,9 +974,9 @@ pub fn fig3() -> Vec<(String, u64, u64)> {
 
 /// The paper's headline: best observed speedup across the evaluation
 /// (Fig. 6(a)/7(a) at overlap 0.9). Returns `(agg_speedup, join_speedup)`.
-pub fn headline(windows: u64, seed: u64) -> (f64, f64) {
-    let agg = fig6(0.9, windows, seed);
-    let join = fig7(0.9, windows, seed);
+pub fn headline(cfg: &RunConf, windows: u64, seed: u64) -> (f64, f64) {
+    let agg = fig6(cfg, 0.9, windows, seed);
+    let join = fig7(cfg, 0.9, windows, seed);
     assert!(agg.outputs_match && join.outputs_match);
     (agg.steady_speedup(), join.steady_speedup())
 }
@@ -1016,14 +998,15 @@ pub struct AblationReport {
 
 /// Runs the ablations (paper design choices: pane caching, cache-aware
 /// scheduling).
-pub fn ablations(windows: u64, seed: u64) -> AblationReport {
+pub fn ablations(cfg: &RunConf, windows: u64, seed: u64) -> AblationReport {
     let spec = spec(0.9);
     let plan = ArrivalPlan::new(spec, windows);
     let batches = wcc(&plan, seed);
 
     let run = |options: ExecutorOptions, tag: &str| {
-        let cluster = cluster();
+        let cluster = cfg.cluster();
         let mut exec = agg_executor(&cluster, spec, tag, controller_off(&cluster, &spec));
+        exec.set_trace_sink(cfg.trace.clone());
         exec.set_options(options);
         ingest_all(&mut exec, 0, &batches);
         let mut times = Vec::new();
@@ -1039,11 +1022,11 @@ pub fn ablations(windows: u64, seed: u64) -> AblationReport {
     let no_cache_aware_scheduling =
         run(ExecutorOptions { cache_aware_scheduling: false, ..Default::default() }, "ab-blind");
 
-    let cluster = cluster();
+    let cluster = cfg.cluster();
     let tag = format!("abh-{seed}");
     let files = baseline_files(&cluster, &format!("/batches/{tag}"), &batches);
     let hadoop: Windows<String, u64> =
-        hadoop_windows(&cluster, AggMapper, &AggReducer, &spec, windows, &files, &tag, |_| ());
+        hadoop_windows(cfg, &cluster, AggMapper, &AggReducer, &spec, windows, &files, &tag, |_| ());
 
     AblationReport {
         full,
@@ -1069,14 +1052,14 @@ mod tests {
 
     #[test]
     fn fig6_small_run_has_the_right_shape() {
-        let s = fig6(0.9, 3, 5);
+        let s = fig6(&RunConf::default(), 0.9, 3, 5);
         assert!(s.outputs_match);
         assert!(s.steady_speedup() > 2.0, "speedup {}", s.steady_speedup());
     }
 
     #[test]
     fn delta_firing_beats_rebuild_and_scales_with_state_not_records() {
-        let s = fig_delta(4, 7);
+        let s = fig_delta(&RunConf::default(), 4, 7);
         assert!(s.outputs_match, "delta and rebuild outputs must be bit-identical");
         assert!(
             s.speedup_at_top() >= 2.0,
@@ -1095,7 +1078,7 @@ mod tests {
 
     #[test]
     fn sharing_is_exact_and_wins_on_a_small_fleet() {
-        let s = fig_share(2, 11);
+        let s = fig_share(&RunConf::default(), 2, 11);
         assert!(s.outputs_match, "sharing must not change any query's outputs");
         // N=1 has nobody to import from; N=4 imports 3 of every 4 uses.
         assert_eq!(s.hit_ratio[0], 0.0, "{s:?}");
@@ -1105,7 +1088,7 @@ mod tests {
 
     #[test]
     fn ablations_order_as_expected() {
-        let a = ablations(3, 6);
+        let a = ablations(&RunConf::default(), 3, 6);
         assert!(a.full < a.no_caching, "caching must help: {a:?}");
         assert!(a.full <= a.no_cache_aware_scheduling * 1.01, "affinity must not hurt: {a:?}");
         assert!(a.no_caching <= a.hadoop * 1.5, "even uncached redoop is hadoop-like: {a:?}");

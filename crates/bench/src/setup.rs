@@ -2,12 +2,12 @@
 //! workloads, executor construction — the bench-side equivalent of the
 //! integration tests' fixtures, sized for the full evaluation sweeps.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use redoop_core::prelude::*;
 use redoop_core::{AdaptiveController, PartitionPlan, SemanticAnalyzer};
 use redoop_dfs::{Cluster, ClusterConfig, DfsPath, PlacementPolicy};
+use redoop_mapred::trace::TraceSink;
 use redoop_mapred::{ClusterSim, CostModel, SimTime};
 use redoop_workloads::arrival::{write_batches, ArrivalPlan, GeneratedBatch};
 use redoop_workloads::ffg::{FfgGenerator, Stream};
@@ -27,45 +27,45 @@ pub const WIN_MS: u64 = 2_000_000;
 /// Default simulated cluster nodes (the paper-scale testbed).
 pub const NODES: usize = 8;
 
-/// `--nodes` / `--queries` overrides (0 = use the figure's default).
-/// Process-wide for the same reason as `exec::set_host_parallelism`:
-/// the repro binary sets them once, before any figure runs.
-static NODE_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-static QUERY_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+/// Default largest fleet of a figure with a query axis.
+pub const QUERIES: usize = 8;
 
-/// Installs scale overrides: every subsequent [`cluster`] is built with
-/// `nodes` nodes, and figures with a query-count axis use `queries`
-/// concurrent queries. `None` restores the defaults.
-pub fn set_scale(nodes: Option<usize>, queries: Option<usize>) {
-    NODE_OVERRIDE.store(nodes.unwrap_or(0), Ordering::Relaxed);
-    QUERY_OVERRIDE.store(queries.unwrap_or(0), Ordering::Relaxed);
+/// What one run of the figures is handed: the cluster size, the fleet
+/// size, and the journal every simulator and executor a figure builds
+/// writes to. Nothing of it outlives the run.
+#[derive(Debug, Clone)]
+pub struct RunConf {
+    /// Simulated cluster nodes.
+    pub nodes: usize,
+    /// Largest fleet of a figure with a query axis.
+    pub queries: usize,
+    /// The run's trace journal (disabled unless asked for).
+    pub trace: TraceSink,
 }
 
-/// Effective simulated node count ([`NODES`] unless overridden).
-pub fn nodes() -> usize {
-    match NODE_OVERRIDE.load(Ordering::Relaxed) {
-        0 => NODES,
-        n => n,
+impl Default for RunConf {
+    /// The paper's testbed: [`NODES`] nodes, fleets up to [`QUERIES`],
+    /// no journal.
+    fn default() -> Self {
+        RunConf { nodes: NODES, queries: QUERIES, trace: TraceSink::disabled() }
     }
 }
 
-/// Effective concurrent-query count for figures with a query axis
-/// (`default` unless overridden).
-pub fn queries_or(default: usize) -> usize {
-    match QUERY_OVERRIDE.load(Ordering::Relaxed) {
-        0 => default,
-        n => n,
+impl RunConf {
+    /// The experiment cluster at this run's node count.
+    pub fn cluster(&self) -> Cluster {
+        cluster_with_nodes(self.nodes)
+    }
+
+    /// The simulated testbed of `cluster`, journaling to this run's sink.
+    pub fn sim(&self, cluster: &Cluster) -> ClusterSim {
+        let mut sim = sim(cluster);
+        sim.set_trace_sink(self.trace.clone());
+        sim
     }
 }
 
-/// The experiment cluster: [`nodes`] nodes, 16 KiB blocks, 3-way
-/// replication.
-pub fn cluster() -> Cluster {
-    cluster_with_nodes(nodes())
-}
-
-/// An experiment cluster at an explicit node count (the scale sweep
-/// builds several sizes in one run).
+/// An experiment cluster of `n` nodes, 16 KiB blocks, 3-way replication.
 pub fn cluster_with_nodes(n: usize) -> Cluster {
     Cluster::new(ClusterConfig {
         nodes: n,
@@ -75,7 +75,8 @@ pub fn cluster_with_nodes(n: usize) -> Cluster {
     })
 }
 
-/// The simulated testbed (6 map + 2 reduce slots per node).
+/// The simulated testbed (6 map + 2 reduce slots per node), journaling
+/// nowhere ([`RunConf::sim`] routes it).
 pub fn sim(cluster: &Cluster) -> ClusterSim {
     ClusterSim::paper_testbed(cluster.node_count(), CostModel::scaled(COST_SCALE))
 }

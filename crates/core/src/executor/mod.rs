@@ -356,8 +356,8 @@ where
             let consumer = dir.lock().register_consumer(fp);
             ShareBinding { dir, consumer }
         });
-        // One journal for the whole executor: the sim's sink (global by
-        // default) is propagated to the controller and every registry.
+        // One journal for the whole executor: the sim's sink is
+        // propagated to the controller and every registry.
         let trace = sim.trace().clone();
         let mut controller = CacheController::new(1);
         controller.set_trace_sink(trace.clone());

@@ -13,6 +13,7 @@
 //! group by group into the reducer, whose [`ReduceContext`] either
 //! collects pairs or encodes output text as it is emitted.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
@@ -137,19 +138,23 @@ pub fn run_reducer<R: Reducer>(
     runs.iter().map(|g| g.records()).sum()
 }
 
-/// Host worker-count override: 0 means "use available parallelism".
-static HOST_PARALLELISM: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// This thread's host worker count: 0 means "use available
+    /// parallelism".
+    static HOST_PARALLELISM: Cell<usize> = const { Cell::new(0) };
+}
 
-/// Forces [`parallel_map`] onto exactly `n` host threads (`None` restores
-/// auto-detection). Worker count never affects results — this exists so
-/// tests can compare parallel runs against a forced single-worker run,
-/// and so benchmarks can pin the pool size.
+/// Forces the calling thread's [`parallel_map`] calls onto exactly `n`
+/// host threads (`None` restores auto-detection); the threads a call
+/// spawns inherit the count. Worker count never affects results — this
+/// exists so tests can compare parallel runs against a forced
+/// single-worker run, and so benchmarks can pin the pool size.
 pub fn set_host_parallelism(n: Option<usize>) {
-    HOST_PARALLELISM.store(n.unwrap_or(0), Ordering::Relaxed);
+    HOST_PARALLELISM.with(|c| c.set(n.unwrap_or(0)));
 }
 
 fn host_parallelism() -> usize {
-    match HOST_PARALLELISM.load(Ordering::Relaxed) {
+    match HOST_PARALLELISM.with(Cell::get) {
         0 => std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4),
         n => n,
     }
@@ -157,7 +162,9 @@ fn host_parallelism() -> usize {
 
 /// Executes `f(i)` for `i in 0..n` on a bounded pool of host threads,
 /// returning results in index order. The virtual cluster's parallelism is
-/// simulated elsewhere; this only bounds *host* CPU usage.
+/// simulated elsewhere; this only bounds *host* CPU usage. The pool takes
+/// the calling thread's worker count, and passes it on, so a nested call
+/// runs as the outer one would.
 ///
 /// A panicking task propagates at scope join: the call panics rather than
 /// deadlocking or silently dropping results.
@@ -173,17 +180,21 @@ where
     if workers <= 1 {
         return (0..n).map(f).collect();
     }
+    let inherited = HOST_PARALLELISM.with(Cell::get);
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<Option<Result<T>>>> = Mutex::new((0..n).map(|_| None).collect());
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
+            scope.spawn(|| {
+                HOST_PARALLELISM.with(|c| c.set(inherited));
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let r = f(i);
+                    results.lock()[i] = Some(r);
                 }
-                let r = f(i);
-                results.lock()[i] = Some(r);
             });
         }
     });
@@ -333,14 +344,15 @@ mod tests {
     fn parallel_ranges_cover_every_index_once_in_order() {
         for forced in [Some(1), Some(3), Some(8), None] {
             set_host_parallelism(forced);
+            let workers = forced.unwrap_or_else(host_parallelism);
             for n in [0usize, 1, 2, 7, 8, 9] {
                 let ranges = parallel_ranges(n, Ok).unwrap();
+                assert_eq!(ranges.len(), workers.min(n), "n={n} {forced:?}");
                 assert!(ranges.iter().all(|r| !r.is_empty()), "n={n} {forced:?}");
                 let covered: Vec<usize> = ranges.into_iter().flatten().collect();
                 assert_eq!(covered, (0..n).collect::<Vec<_>>(), "n={n} {forced:?}");
             }
         }
-        set_host_parallelism(None);
     }
 
     #[test]
@@ -405,7 +417,6 @@ mod tests {
             });
             assert!(r.is_err(), "panic must propagate (workers={forced:?})");
         }
-        set_host_parallelism(None);
     }
 
     #[test]

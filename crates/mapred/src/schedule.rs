@@ -17,7 +17,7 @@ use redoop_dfs::NodeId;
 use crate::scheduler::argmin_shortlist;
 use crate::simtime::{CostModel, SimTime};
 use crate::task::TaskKind;
-use crate::trace::{self, NodeScore, TraceEvent, TraceSink};
+use crate::trace::{NodeScore, TraceEvent, TraceSink};
 
 /// Map or reduce slot pools (alias of [`TaskKind`] for readability).
 pub type SlotKind = TaskKind;
@@ -259,7 +259,8 @@ impl SlotState {
 /// same map/reduce slots on one virtual timeline — the deployment
 /// layer's shared clock. The cost model and trace sink stay per-handle
 /// (each executor may journal to its own sink). Constructing a new sim
-/// (`new` / `paper_testbed`) always starts fresh, unshared state.
+/// (`new` / `paper_testbed`) always starts fresh, unshared state and a
+/// disabled sink.
 #[derive(Debug, Clone)]
 pub struct ClusterSim {
     cost: CostModel,
@@ -269,20 +270,19 @@ pub struct ClusterSim {
 }
 
 impl ClusterSim {
-    /// A cluster of `nodes` workers with the given per-node slot counts.
-    /// Picks up the process-wide trace sink, if one is installed.
+    /// A cluster of `nodes` workers with the given per-node slot counts,
+    /// journaling nowhere until [`ClusterSim::set_trace_sink`].
     pub fn new(nodes: usize, map_slots: usize, reduce_slots: usize, cost: CostModel) -> Self {
         assert!(nodes > 0 && map_slots > 0 && reduce_slots > 0);
         ClusterSim {
             cost,
             nodes,
             state: Arc::new(Mutex::new(SlotState::new(nodes, map_slots, reduce_slots))),
-            trace: trace::global_sink(),
+            trace: TraceSink::disabled(),
         }
     }
 
-    /// Routes this simulation's journal to an explicit sink (tests thread
-    /// per-run sinks; figure runs use the global one).
+    /// Routes this handle's journal to `sink`.
     pub fn set_trace_sink(&mut self, sink: TraceSink) {
         self.trace = sink;
     }

@@ -25,11 +25,11 @@
 //!   events are evicted and counted in `dropped` so a journal can never
 //!   grow without bound on a long-running stream.
 //!
-//! The sink is threaded explicitly (`set_trace_sink` on the simulator and
-//! executor) or installed process-wide via [`set_global_sink`] — the same
-//! pattern as `exec::set_host_parallelism` — which newly built components
-//! pick up by default. The `repro` binary uses the global sink behind its
-//! `--trace <path>` flag.
+//! The sink is always threaded explicitly: a new simulator journals
+//! nowhere until `set_trace_sink` routes it, and an executor takes its
+//! simulator's sink for its controller and registries. Nothing is
+//! process-wide, so two runs in one process keep two journals. The
+//! `repro` binary hands its `--trace <path>` sink to every figure.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -595,21 +595,6 @@ impl WindowTraceStats {
             self.placements_cache_local as f64 / self.placements_total as f64
         }
     }
-}
-
-static GLOBAL_SINK: Mutex<Option<TraceSink>> = Mutex::new(None);
-
-/// Installs (or clears) the process-wide default sink picked up by newly
-/// built simulators, controllers and registries. Mirrors
-/// `exec::set_host_parallelism`. Tests needing isolation should thread an
-/// explicit sink instead.
-pub fn set_global_sink(sink: Option<TraceSink>) {
-    *GLOBAL_SINK.lock() = sink;
-}
-
-/// The process-wide default sink (disabled unless installed).
-pub fn global_sink() -> TraceSink {
-    GLOBAL_SINK.lock().clone().unwrap_or_else(TraceSink::disabled)
 }
 
 #[cfg(test)]

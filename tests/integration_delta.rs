@@ -236,7 +236,6 @@ fn check_equivalence(
     };
     let with_delta = run(true);
     let rebuild = run(false);
-    redoop_mapred::exec::set_host_parallelism(None);
     assert_eq!(
         with_delta, rebuild,
         "delta outputs diverged from rebuild (ppw={ppw} pps={pps} workers={workers} seed={seed})"

@@ -639,7 +639,6 @@ fn a_fleet_builds_each_shared_product_once_at_scale() {
     let one = run_fleet(&cluster_one, "once", &batches, &fleet);
     redoop_mapred::exec::set_host_parallelism(Some(4));
     let four = run_fleet(&cluster(), "once", &batches, &fleet);
-    redoop_mapred::exec::set_host_parallelism(None);
     assert_eq!(
         one.sink.render_json(),
         four.sink.render_json(),

@@ -5,16 +5,15 @@
 //! workload with the pool forced to one worker and with auto-detected
 //! parallelism and require bit-identical window reports and outputs.
 //!
-//! `set_host_parallelism` is process-global, so everything that must run
-//! under a forced pool size lives in this binary, and every test in it
-//! holds [`POOL`] while it runs.
+//! `set_host_parallelism` sets the calling thread's worker count, so each
+//! test forces its own pool sizes while the others run beside it.
 
 #[path = "common/mod.rs"]
 mod common;
 
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use common::*;
 use redoop_core::prelude::*;
@@ -27,15 +26,6 @@ use redoop_workloads::ffg::Stream;
 use redoop_workloads::queries::{AggMapper, AggReducer};
 
 const WINDOWS: u64 = 4;
-
-/// Serialises the tests of this binary: each forces the process-global
-/// pool size as it goes.
-static POOL: Mutex<()> = Mutex::new(());
-
-fn forced_pool() -> MutexGuard<'static, ()> {
-    // A test that failed while holding the lock left nothing half-done.
-    POOL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// Runs the WCC aggregation for a few windows under `tag`, returning
 /// the Debug rendering of every report plus the sorted window outputs
@@ -177,7 +167,6 @@ fn same_under_any_chunking<T: PartialEq + std::fmt::Debug>(
             }
         }
     }
-    exec::set_host_parallelism(None);
     single.expect("CHUNKINGS is not empty").1
 }
 
@@ -210,8 +199,6 @@ fn run_agg_raw(
 /// and journal line — must be the ones a single sink produces.
 #[test]
 fn a_pane_maps_to_the_same_runs_under_any_chunking() {
-    let _pool = forced_pool();
-
     // Every split's share of a bucket is folded at its boundary, so the
     // fold must not care which sink the split before it went to.
     let journal = same_under_any_chunking("aggregation with a fire-path combiner", |sink| {
@@ -255,8 +242,6 @@ fn a_pane_maps_to_the_same_runs_under_any_chunking() {
 
 #[test]
 fn parallel_execution_is_bit_identical_to_single_worker() {
-    let _pool = forced_pool();
-
     // Each run builds its own cluster, so the same tag (and hence the
     // same DFS paths, making reports string-comparable) is safe. Each
     // run also gets its own trace sink; the journals must render
@@ -280,7 +265,6 @@ fn parallel_execution_is_bit_identical_to_single_worker() {
     exec::set_host_parallelism(Some(3));
     let sink_agg_three = TraceSink::with_capacity(1 << 17);
     let agg_three = run_agg("par-agg", &sink_agg_three);
-    exec::set_host_parallelism(None);
 
     assert!(!sink_agg_single.is_empty(), "agg runs must journal events");
     assert!(!sink_join_single.is_empty(), "join runs must journal events");
@@ -321,6 +305,47 @@ fn parallel_execution_is_bit_identical_to_single_worker() {
         );
         assert_eq!(join_single.1[w], join_auto.1[w], "join window {w} outputs");
     }
+}
+
+/// Two threads force 1 and 4 workers at the same time: each pool runs on
+/// its own thread's count, and the threads a pool spawns inherit it.
+#[test]
+fn each_thread_maps_on_its_own_worker_count() {
+    use std::collections::HashSet;
+    use std::time::{Duration, Instant};
+
+    let both_set = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for workers in [1usize, 4] {
+            let both_set = &both_set;
+            scope.spawn(move || {
+                exec::set_host_parallelism(Some(workers));
+                both_set.wait();
+                let arrived = AtomicU64::new(0);
+                let ran = exec::parallel_map(4, |_| {
+                    // Hold each task until `workers` have started, so a
+                    // pool of four runs one task per thread.
+                    arrived.fetch_add(1, Ordering::SeqCst);
+                    let deadline = Instant::now() + Duration::from_secs(2);
+                    while arrived.load(Ordering::SeqCst) < workers as u64 && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                    let nested = exec::parallel_ranges(8, Ok)?.len();
+                    Ok((std::thread::current().id(), nested))
+                })
+                .unwrap();
+                let ids: HashSet<_> = ran.iter().map(|r| r.0).collect();
+                let me = std::thread::current().id();
+                if workers == 1 {
+                    assert_eq!(ids, HashSet::from([me]), "one worker maps inline");
+                } else {
+                    assert_eq!(ids.len(), workers, "{ran:?}");
+                    assert!(!ids.contains(&me), "{ran:?}");
+                }
+                assert!(ran.iter().all(|r| r.1 == workers), "pool threads inherit the count: {ran:?}");
+            });
+        }
+    });
 }
 
 /// Calls of `CountedKey::hash`, and pairs `CountedMapper` emitted. Process-
@@ -387,7 +412,6 @@ fn take_counts() -> (u64, u64) {
 /// to the encoded cache block and the part file.
 #[test]
 fn a_mapped_pair_is_hashed_exactly_once() {
-    let _pool = forced_pool();
     let spec = spec_with_overlap(0.75);
     let batches = wcc_batches(&ArrivalPlan::new(spec, 3), 31, 1.0);
 
@@ -437,7 +461,6 @@ fn a_mapped_pair_is_hashed_exactly_once() {
         assert!(emitted > 0);
         assert_eq!(hashed, emitted, "{workers} workers, combiner {combiner}, delta {delta}");
     }
-    exec::set_host_parallelism(None);
 
     // The plain engine shares the sink and the builder.
     let cluster = test_cluster();
