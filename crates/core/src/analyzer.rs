@@ -10,7 +10,7 @@
 //! * **Undersized** — several panes per file (`panenum =
 //!   floor(blocksize/filesize)`), avoiding the many-small-files problem.
 
-use crate::pane::{gcd, PaneGeometry};
+use crate::pane::gcd;
 use crate::query::WindowSpec;
 
 /// Observed statistics of one data source.
@@ -121,11 +121,6 @@ impl SemanticAnalyzer {
     pub fn block_size(&self) -> u64 {
         self.block_size
     }
-}
-
-/// Geometry helper: pane geometry induced by a plan for a given query.
-pub fn plan_geometry(query: &WindowSpec) -> PaneGeometry {
-    PaneGeometry::from_spec(query)
 }
 
 #[cfg(test)]

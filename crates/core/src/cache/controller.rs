@@ -6,6 +6,11 @@
 //! registered query. When every bit is set the cache is expired and a
 //! purge notification is issued to the owning node's Local Cache Registry.
 //!
+//! The per-node index of materialized caches is the one record of what
+//! a node holds: the heartbeat audit ([`super::heartbeat`]) checks it
+//! against the node's store, and the node registries keep only the files
+//! the controller has let go of.
+//!
 //! Capacity: the controller optionally enforces a per-node byte budget
 //! through a pluggable [`CachePolicy`] — every registration and adoption
 //! goes through the one admission path, which consults the policy and
@@ -84,6 +89,8 @@ pub struct PurgeNotification {
     pub node: NodeId,
     /// Cache to purge.
     pub name: CacheName,
+    /// Size of its file.
+    pub bytes: u64,
 }
 
 /// Outcome of a capacity-checked registration or adoption.
@@ -96,8 +103,8 @@ pub struct Admission {
     /// see a miss.
     pub admitted: bool,
     /// Residents evicted to make room, in eviction order. The caller
-    /// (driver) must reclaim them: mark them expired in their node
-    /// registries so the next purge scan deletes the files.
+    /// (driver) must reclaim them: queue them in their node registries so
+    /// the next purge scan deletes the files.
     pub evicted: Vec<(NodeId, CacheName)>,
 }
 
@@ -159,11 +166,6 @@ impl CacheController {
     /// Installs the capacity policy consulted on register/adopt.
     pub fn set_policy(&mut self, policy: Box<dyn CachePolicy>) {
         self.policy = policy;
-    }
-
-    /// The active policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 
     /// Sets the per-node byte budget (`None` = unbounded).
@@ -250,8 +252,8 @@ impl CacheController {
     }
 
     /// Registers a materialized cache on `node` (ready = 2), available to
-    /// consumers from virtual time `at`. The node's Local Cache Registry
-    /// synchronizes this via its heartbeat.
+    /// consumers from virtual time `at`. The heartbeat audit checks it
+    /// against the node's store from then on.
     pub fn register_cache(
         &mut self,
         name: CacheName,
@@ -460,7 +462,7 @@ impl CacheController {
     /// same miss path as a lost cache, minus any salvage credit), and an
     /// `evict` event is journaled. Metadata (bytes, availability) stays
     /// so same-window readers remain correctly gated; the file itself is
-    /// reclaimed by the owning registry's next purge scan.
+    /// reclaimed by the holding node registry's next purge scan.
     fn evict_holder(&mut self, name: &CacheName, at: SimTime) {
         let Some(sig) = self.sigs.get_mut(name) else { return };
         if sig.ready != Ready::CacheAvailable {
@@ -604,7 +606,7 @@ impl CacheController {
                 });
             }
             if let (Ready::CacheAvailable, Some(node)) = (sig.ready, sig.node) {
-                return Ok(Some(PurgeNotification { node, name }));
+                return Ok(Some(PurgeNotification { node, name, bytes: sig.bytes }));
             }
         }
         Ok(None)
@@ -751,6 +753,7 @@ mod tests {
         let purge = c.mark_query_done(n, 1).unwrap().unwrap();
         assert_eq!(purge.node, NodeId(0));
         assert_eq!(purge.name, n);
+        assert_eq!(purge.bytes, 10);
         assert!(c.is_expired(&n));
         c.forget(&n);
         assert!(c.is_empty());

@@ -1,7 +1,9 @@
-//! Window-aware caching (paper §4): cache identities, the per-node Local
-//! Cache Registry, the master-side Window-Aware Cache Controller, the
-//! per-query cache status matrix, lifecycle/purge policies ([`policy`]),
-//! and the cross-query signature directory ([`share`]).
+//! Window-aware caching (paper §4): cache identities, the master-side
+//! Window-Aware Cache Controller (the one record of what each node
+//! holds) and its heartbeat audit, the per-node Local Cache Registry (the
+//! files waiting for the purge), the per-query cache status matrix,
+//! capacity policies ([`policy`]), and the cross-query signature
+//! directory ([`share`]).
 
 pub mod controller;
 pub mod heartbeat;
@@ -43,28 +45,6 @@ pub enum CacheObject {
         /// Pane of source 1.
         right: PaneId,
     },
-}
-
-/// Cache type tag as stored in registries (paper Table 1: 1 = reduce
-/// input, 2 = reduce output).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CacheKind {
-    /// Reduce-input cache.
-    ReduceInput,
-    /// Reduce-output cache.
-    ReduceOutput,
-}
-
-impl CacheObject {
-    /// The cache stage this object belongs to.
-    pub fn kind(&self) -> CacheKind {
-        match self {
-            CacheObject::PaneInput { .. } => CacheKind::ReduceInput,
-            CacheObject::PaneOutput { .. } | CacheObject::PairOutput { .. } => {
-                CacheKind::ReduceOutput
-            }
-        }
-    }
 }
 
 /// A cache identity: object + reduce partition + query fingerprint.
@@ -120,15 +100,12 @@ mod tests {
     fn store_names_follow_convention() {
         let input = CacheName::with_fp(CacheObject::PaneInput { source: 1, pane: PaneId(4), sub: 0 }, 2, 0xabcd);
         assert_eq!(input.store_name(), "q000000000000abcd/ri/s1p4.0/r2");
-        assert_eq!(input.object.kind(), CacheKind::ReduceInput);
 
         let out = CacheName::with_fp(CacheObject::PaneOutput { source: 0, pane: PaneId(7) }, 0, 0xabcd);
         assert_eq!(out.store_name(), "q000000000000abcd/ro/s0p7/r0");
-        assert_eq!(out.object.kind(), CacheKind::ReduceOutput);
 
         let pair = CacheName::with_fp(CacheObject::PairOutput { left: PaneId(3), right: PaneId(5) }, 1, 0);
         assert_eq!(pair.store_name(), "q0000000000000000/po/p3x5/r1");
-        assert_eq!(pair.object.kind(), CacheKind::ReduceOutput);
     }
 
     #[test]

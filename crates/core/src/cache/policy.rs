@@ -1,7 +1,7 @@
 //! Pluggable cache lifecycle policies: capacity-aware admission and
-//! eviction behind the [`CachePolicy`] trait, plus the purge scheduling
-//! rules (paper §4.1) that decide *when* reclaimed bytes are physically
-//! deleted.
+//! eviction behind the [`CachePolicy`] trait. Reclaimed bytes are
+//! physically deleted by the node registries' purge scan after every
+//! window (paper §4.1, `PurgeCycle` = one slide).
 //!
 //! The paper's lifecycle is expire-only and assumes unbounded node-local
 //! storage. At production scale every node has a byte budget, so the
@@ -278,56 +278,6 @@ impl CacheBudget {
     }
 }
 
-/// When expired caches are physically deleted (paper §4.1).
-///
-/// Two light-weight mechanisms: *periodic* purging scans the registry
-/// every `PurgeCycle` windows, and *on-demand* purging fires immediately
-/// when the local file system is at risk of filling up. Eviction rides
-/// the same scans: a cache the capacity policy reclaims is marked
-/// expired in its node registry and deleted by the next purge, so there
-/// is exactly one deletion path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PurgePolicy {
-    /// Scan-and-delete every `periodic_cycle` completed recurrences.
-    /// The paper's default `PurgeCycle` is the slide of the data source,
-    /// i.e. one recurrence.
-    pub periodic_cycle: u64,
-    /// Emergency threshold: when a node's local store exceeds this many
-    /// bytes, expired caches are purged immediately.
-    pub on_demand_capacity: u64,
-}
-
-impl Default for PurgePolicy {
-    fn default() -> Self {
-        PurgePolicy { periodic_cycle: 1, on_demand_capacity: 64 * 1024 * 1024 }
-    }
-}
-
-impl PurgePolicy {
-    /// Whether a periodic purge is due after completing `recurrence`.
-    pub fn periodic_due(&self, recurrence: u64) -> bool {
-        self.periodic_cycle != 0 && (recurrence + 1).is_multiple_of(self.periodic_cycle)
-    }
-
-    /// Whether store usage triggers an emergency purge.
-    pub fn on_demand_due(&self, store_bytes: u64) -> bool {
-        store_bytes > self.on_demand_capacity
-    }
-
-    /// Which mechanism (if any) fires after completing `recurrence` with
-    /// `store_bytes` on the local store. Periodic scans take precedence
-    /// over on-demand ones; the name feeds the trace journal.
-    pub fn trigger(&self, recurrence: u64, store_bytes: u64) -> Option<&'static str> {
-        if self.periodic_due(recurrence) {
-            Some("periodic")
-        } else if self.on_demand_due(store_bytes) {
-            Some("on-demand")
-        } else {
-            None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,45 +377,5 @@ mod tests {
         assert_eq!(CachePolicyKind::CostBased.build(&cost).name(), "cost-based");
         assert_eq!(CachePolicyKind::default(), CachePolicyKind::WindowLifespan);
         assert_eq!(CacheBudget::default().per_node_bytes, None);
-    }
-
-    #[test]
-    fn default_cycle_purges_every_recurrence() {
-        let p = PurgePolicy::default();
-        for r in 0..5 {
-            assert!(p.periodic_due(r));
-        }
-    }
-
-    #[test]
-    fn longer_cycles_skip_recurrences() {
-        let p = PurgePolicy { periodic_cycle: 3, ..Default::default() };
-        assert!(!p.periodic_due(0));
-        assert!(!p.periodic_due(1));
-        assert!(p.periodic_due(2));
-        assert!(p.periodic_due(5));
-    }
-
-    #[test]
-    fn zero_cycle_disables_periodic() {
-        let p = PurgePolicy { periodic_cycle: 0, ..Default::default() };
-        assert!(!p.periodic_due(0));
-        assert!(!p.periodic_due(100));
-    }
-
-    #[test]
-    fn on_demand_threshold() {
-        let p = PurgePolicy { on_demand_capacity: 100, ..Default::default() };
-        assert!(!p.on_demand_due(100));
-        assert!(p.on_demand_due(101));
-    }
-
-    #[test]
-    fn trigger_names_the_firing_mechanism() {
-        let p = PurgePolicy { periodic_cycle: 2, on_demand_capacity: 100 };
-        assert_eq!(p.trigger(1, 0), Some("periodic"));
-        assert_eq!(p.trigger(0, 101), Some("on-demand"));
-        assert_eq!(p.trigger(1, 101), Some("periodic"), "periodic takes precedence");
-        assert_eq!(p.trigger(0, 50), None);
     }
 }

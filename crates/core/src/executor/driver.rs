@@ -54,7 +54,6 @@ use redoop_mapred::{
 };
 
 use crate::adaptive::ExecMode;
-use crate::cache::controller::PurgeNotification;
 use crate::cache::{CacheName, CacheObject};
 use crate::error::{RedoopError, Result};
 use crate::pane::PaneId;
@@ -845,7 +844,7 @@ where
     /// this query does not hold, ask the shared source's signature
     /// directory whether *another* query already built an equivalent
     /// entry, verify the file still exists on its node, and adopt it
-    /// into this query's controller/registry view. Adopted entries are
+    /// into this query's controller. Adopted entries are
     /// silent registrations (no `Register` trace event), so `Register`
     /// events keep counting physical builds; the import itself is
     /// journaled as a `shared_hit`. Directory entries whose backing file
@@ -883,7 +882,7 @@ where
                 self.win_stats.admit_rejects += 1;
                 continue;
             }
-            self.registries[entry.node.index()].add_entry(*name, entry.bytes);
+            self.registries[entry.node.index()].cancel(name);
             self.win_stats.shared_hits += 1;
             if entry.available_at > at {
                 producer = Some(entry.node);
@@ -920,18 +919,12 @@ where
     }
 
     pub(super) fn register(&mut self, name: CacheName, node: NodeId, bytes: u64, at: SimTime) {
+        // An owned query's copy migrates: the stale file on the old node
+        // is garbage. A shared source's may still serve other queries
+        // through the signature directory, so it stays.
         if let Some(old) = self.controller.location(&name) {
-            if old != node {
-                if self.share.is_some() {
-                    // A shared source's file may still serve other queries
-                    // through the signature directory: release only this
-                    // query's bookkeeping, never schedule deletion.
-                    self.registries[old.index()].drop_entry(&name);
-                } else {
-                    // The authoritative copy migrates; the stale file on
-                    // the old node is garbage — let its registry purge it.
-                    self.registries[old.index()].mark_expired(&name);
-                }
+            if old != node && self.share.is_none() {
+                self.queue_purge(old, name);
             }
         }
         // Estimate the reconstruction cost as the source pane bytes (per
@@ -945,15 +938,13 @@ where
         self.apply_evictions(&admission.evicted);
         if !admission.admitted {
             // The build already wrote the file and same-window merges may
-            // still read it, so hand it to the node's registry already
-            // flagged expired — the next purge scan reclaims it exactly
-            // like any other retired cache.
+            // still read it, so it is queued for the next purge scan,
+            // which reclaims it like any other retired cache.
             self.win_stats.admit_rejects += 1;
-            self.registries[node.index()].add_entry(name, bytes);
-            self.registries[node.index()].mark_expired(&name);
+            self.registries[node.index()].mark_expired(name, bytes);
             return;
         }
-        self.registries[node.index()].add_entry(name, bytes);
+        self.registries[node.index()].cancel(&name);
         if let Some(share) = &self.share {
             share.dir.lock().publish(
                 name,
@@ -967,8 +958,8 @@ where
         }
     }
 
-    /// Applies a policy eviction plan: each victim's registry row is
-    /// flagged expired — the node's next purge scan deletes the file, so
+    /// Applies a policy eviction plan: each victim's file is queued in its
+    /// node registry — the node's next purge scan deletes it, so
     /// eviction and lifespan expiry share one reclamation path — and any
     /// cross-query advertisement is withdrawn. Peers that already
     /// adopted the victim reconcile through their heartbeat audits once
@@ -980,11 +971,18 @@ where
         let dir = self.share.as_ref().map(|s| s.dir.clone());
         for (vnode, vname) in evicted {
             self.win_stats.evictions += 1;
-            self.registries[vnode.index()].mark_expired(vname);
+            self.queue_purge(*vnode, *vname);
             if let Some(dir) = &dir {
                 dir.lock().remove(vname, *vnode);
             }
         }
+    }
+
+    /// Queues `node`'s copy of `name` — a copy the controller no longer
+    /// tracks there, its size still on the signature — for the next purge.
+    pub(super) fn queue_purge(&mut self, node: NodeId, name: CacheName) {
+        let bytes = self.controller.signature(&name).map_or(0, |s| s.bytes);
+        self.registries[node.index()].mark_expired(name, bytes);
     }
 
     /// Window-lifespan estimate of a cache's future uses: how many
@@ -1038,18 +1036,17 @@ where
     // Recovery and maintenance
     // ------------------------------------------------------------------
 
-    /// Synchronizes every node's Local Cache Registry with the
-    /// Window-Aware Cache Controller via heartbeats (paper §2.3): caches
-    /// the controller believed materialized but missing from a node's
-    /// report are rolled back to HDFS-available (ready 2 → 1), so they
-    /// get rebuilt on demand (paper §5 failure recovery). Returns the
-    /// number of lost caches.
+    /// Runs every node's heartbeat audit (paper §2.3): caches the
+    /// Window-Aware Cache Controller lists on a node but missing or
+    /// damaged in its store, or held by a dead node, are rolled back to
+    /// HDFS-available (ready 2 → 1), so they get rebuilt on demand
+    /// (paper §5 failure recovery). Returns the number of lost caches.
     pub fn audit_caches(&mut self) -> usize {
         let mut lost = 0;
         let dir = self.share.as_ref().map(|s| s.dir.clone());
-        for reg in &mut self.registries {
-            let hb = reg.heartbeat(&self.cluster);
-            let lost_names = self.controller.apply_heartbeat(&hb);
+        for i in 0..self.cluster.node_count() as u32 {
+            let node = NodeId(i);
+            let lost_names = self.controller.audit_node(&self.cluster, node);
             // Keep the cross-query directory honest: advertisements of
             // this node's copies this audit just rolled back would send
             // importers to files that no longer exist (they re-verify, but
@@ -1059,7 +1056,7 @@ where
             if let Some(dir) = &dir {
                 let mut d = dir.lock();
                 for n in &lost_names {
-                    d.remove(n, hb.node);
+                    d.remove(n, node);
                 }
             }
             lost += lost_names.len();
@@ -1070,9 +1067,8 @@ where
     /// Consults the signature directory before expiring a fingerprinted
     /// cache. Returns `true` when the expiry must be deferred: some
     /// *other* query sharing the signature has not finished with the
-    /// pane yet, so this query releases only its own bookkeeping
-    /// (controller entry, registry row) and leaves the
-    /// file alive; the last consumer's sweep takes the normal
+    /// pane yet, so this query releases only its own controller entry and
+    /// leaves the file alive; the last consumer's sweep takes the normal
     /// notify-and-purge path.
     fn defer_shared_expiry(&mut self, name: &CacheName) -> bool {
         use crate::cache::share::SharedExpiry;
@@ -1080,9 +1076,6 @@ where
         let verdict = share.dir.lock().mark_done(name, share.consumer);
         match verdict {
             SharedExpiry::Deferred => {
-                if let Some(node) = self.controller.location(name) {
-                    self.registries[node.index()].drop_entry(name);
-                }
                 self.controller.forget(name);
                 self.trace.emit(|| TraceEvent::Cache {
                     at: self.trace.now(),
@@ -1102,24 +1095,26 @@ where
     /// funnels through here: consult the cross-query directory first (a
     /// deferred expiry releases only this query's bookkeeping and keeps
     /// the file alive), otherwise cast this query's done-vote, drop the
-    /// master-side signature, and return the purge notification for the
-    /// holding node, if any. One lifecycle path, three triggers.
-    fn retire_cache(&mut self, name: CacheName) -> Result<Option<PurgeNotification>> {
+    /// master-side signature, and queue the purge notification in the
+    /// holding node's registry, if any. One lifecycle path, three
+    /// triggers.
+    fn retire_cache(&mut self, name: CacheName) -> Result<()> {
         if self.defer_shared_expiry(&name) {
-            return Ok(None);
+            return Ok(());
         }
-        let notification = self.controller.mark_query_done(name, 0)?;
+        if let Some(n) = self.controller.mark_query_done(name, 0)? {
+            self.registries[n.node.index()].mark_expired(n.name, n.bytes);
+        }
         self.controller.forget(&name);
-        Ok(notification)
+        Ok(())
     }
 
     /// Expiration + purging after recurrence `rec` (paper §4.1/§4.2):
     /// panes and pairs that left the window and exhausted their lifespans
-    /// get their `doneQueryMask` bits set, purge notifications flow to
-    /// the local registries, and registries run their purge policies.
+    /// get their `doneQueryMask` bits set, purge notifications queue in
+    /// the node registries, and every alive node's registry runs its
+    /// purge scan (`PurgeCycle` = one slide).
     pub(super) fn expire_and_purge(&mut self, rec: u64) -> Result<()> {
-        let mut notifications = Vec::new();
-
         // The controller's table is the record of what exists: every
         // pane it tracks a signature for — sealed, built, adopted — is a
         // candidate, expired once it left the window and its lifespan's
@@ -1131,9 +1126,7 @@ where
             // Every signature of the pane, adaptive sub-pane inputs
             // (`sub >= 1`) included.
             for name in self.controller.names_for_pane(source, p) {
-                if let Some(n) = self.retire_cache(name)? {
-                    notifications.push(n);
-                }
+                self.retire_cache(name)?;
             }
             self.trace.emit(|| TraceEvent::PaneExpire {
                 at: self.trace.now(),
@@ -1149,17 +1142,12 @@ where
                 && self.lifespan_end(&n.object) <= rec + 1
         });
         for name in stale_pairs {
-            if let Some(n) = self.retire_cache(name)? {
-                notifications.push(n);
-            }
+            self.retire_cache(name)?;
         }
 
-        for n in notifications {
-            self.registries[n.node.index()].mark_expired(&n.name);
-        }
         for reg in &mut self.registries {
             if self.cluster.is_alive(reg.node()) {
-                reg.maybe_purge(&self.cluster, rec)?;
+                reg.purge(&self.cluster)?;
             }
         }
         self.matrix.shift(rec);

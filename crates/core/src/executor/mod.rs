@@ -27,7 +27,8 @@
 //! * a finalization step merges per-pane partial results into the
 //!   recurrence's output (`<output_root>/w{i}/part-r-*`),
 //! * after each recurrence, expired caches are detected through the
-//!   cache status matrix + lifespans and purged via the local registries,
+//!   cache status matrix + lifespans, queued in the node registries and
+//!   purged,
 //! * cache losses (node failures) are detected at window start and healed
 //!   by re-executing exactly the producing tasks (paper §5 recovery).
 //!
@@ -61,7 +62,7 @@ use redoop_mapred::{
 use crate::adaptive::{AdaptiveController, ExecMode};
 use crate::api::{Merger, QueryConf, SourceConf};
 use crate::cache::controller::CacheController;
-use crate::cache::policy::{CacheBudget, PurgePolicy};
+use crate::cache::policy::CacheBudget;
 use crate::cache::registry::LocalCacheRegistry;
 use crate::cache::share::SignatureDirectory;
 use crate::cache::status_matrix::CacheStatusMatrix;
@@ -363,7 +364,7 @@ where
         controller.set_trace_sink(trace.clone());
         let registries = (0..cluster.node_count() as u32)
             .map(|i| {
-                let mut reg = LocalCacheRegistry::new(NodeId(i), PurgePolicy::default());
+                let mut reg = LocalCacheRegistry::new(NodeId(i));
                 reg.set_trace_sink(trace.clone());
                 reg
             })
@@ -464,11 +465,6 @@ where
         self.combiner = Some(combiner);
     }
 
-    /// Access to the adaptive controller (e.g. to force proactive mode).
-    pub fn adaptive_mut(&mut self) -> &mut AdaptiveController {
-        &mut self.adaptive
-    }
-
     /// Reports of completed recurrences.
     pub fn reports(&self) -> &[WindowReport] {
         &self.reports
@@ -484,41 +480,10 @@ where
         &self.controller
     }
 
-    /// Debug-build invariant: on every **alive** node, the controller's
-    /// per-node byte index equals that node registry's live-byte
-    /// counter — registration, adoption, eviction, rejection, expiry,
-    /// and heartbeat rollback must all move the two ledgers in step.
-    /// Dead nodes are excluded (their registries intentionally keep
-    /// stale rows until a heartbeat can run again), as is the
-    /// caching-off ablation (it invalidates controller entries without
-    /// visiting registries).
-    #[cfg(debug_assertions)]
-    fn debug_check_cache_accounting(&self) {
-        if !self.options.caching {
-            return;
-        }
-        for reg in &self.registries {
-            if !self.cluster.is_alive(reg.node()) {
-                continue;
-            }
-            debug_assert_eq!(
-                self.controller.bytes_on(reg.node()),
-                reg.live_bytes(),
-                "cache byte ledgers diverged on node {:?}",
-                reg.node()
-            );
-        }
-    }
-
     /// The query's window constraints (identical across all sources —
     /// validated at construction).
     pub fn window_spec(&self) -> WindowSpec {
         self.sources[0].conf.spec
-    }
-
-    /// Number of attached sources (1 for aggregations, 2 for joins).
-    pub fn num_sources(&self) -> usize {
-        self.sources.len()
     }
 
     /// Ingests one arriving batch into `source`'s packer (the packer
@@ -602,7 +567,13 @@ where
         // Recovery audit: caches claimed available must still exist.
         self.win_stats.rollbacks = self.audit_caches() as u64;
         if !self.options.caching {
+            // The ablation reuses nothing: every cache is dropped, and
+            // its file queued for the purge like any other retired copy
+            // (a rebuild on the same node cancels that).
             for name in self.controller.all_cached() {
+                if let Some(node) = self.controller.location(&name) {
+                    self.queue_purge(node, name);
+                }
                 self.controller.invalidate(&name);
             }
         }
@@ -666,8 +637,6 @@ where
         // Post-window maintenance: expiration + purging.
         self.trace.set_now(metrics.finished_at);
         self.expire_and_purge(rec)?;
-        #[cfg(debug_assertions)]
-        self.debug_check_cache_accounting();
 
         let response = metrics.finished_at.saturating_sub(fire);
         let input_bytes = metrics.counters.get(cnames::HDFS_BYTES_READ);

@@ -22,11 +22,12 @@
 //! * **Adaptive/proactive execution** ([`adaptive`]) — scale-factor
 //!   driven sub-pane subdivision and early partial processing (§3.3).
 //! * **Window-aware caching** ([`cache`]) — reduce-input/output caches on
-//!   task nodes' local file systems, the per-node Local Cache Registry
-//!   (Table 1), the master's Window-Aware Cache Controller with cache
-//!   signatures and `doneQueryMask` (Table 2), the per-query cache status
-//!   matrix with lifespan-based expiration and shifting (Table 3,
-//!   Fig. 4), and periodic/on-demand purging (§4.1–4.2).
+//!   task nodes' local file systems, the master's Window-Aware Cache
+//!   Controller with cache signatures and `doneQueryMask` (Table 2), the
+//!   per-node Local Cache Registry of files waiting for the purge
+//!   (Table 1's expiration half), the per-query cache status matrix with
+//!   lifespan-based expiration and shifting (Table 3, Fig. 4), and a
+//!   purge after every window (§4.1–4.2, `PurgeCycle` = one slide).
 //! * **Cache-aware task scheduling** ([`scheduler`]) — Eq. 4
 //!   (`argmin Load_i + C_task,i`) over map/reduce task lists
 //!   (Algorithm 2).

@@ -104,11 +104,6 @@ impl PaneManifest {
         self.slices_of(p).iter().map(|s| s.bytes).sum()
     }
 
-    /// Virtual time when the whole pane is available.
-    pub fn pane_ready_at(&self, p: PaneId) -> SimTime {
-        self.slices_of(p).iter().map(|s| s.ready_at).max().unwrap_or(SimTime::ZERO)
-    }
-
     /// Highest sealed pane id, if any.
     pub fn max_sealed_pane(&self) -> Option<PaneId> {
         self.slices.keys().next_back().map(|&p| PaneId(p))

@@ -21,20 +21,14 @@ impl NodeId {
     }
 }
 
-/// Byte-level I/O counters for one node, split by locality.
-///
-/// The MapReduce cost model charges different virtual costs for local disk
-/// reads, remote (network) reads, and writes; these counters are the ground
-/// truth it consumes.
+/// Byte-level I/O counters for one node: replica writes and node-local
+/// cache-store traffic. Host-side observation only — the cost model
+/// charges virtual time from job counters, not from these.
 #[derive(Debug, Default)]
 pub struct IoCounters {
-    /// Bytes read from replicas stored on this node.
-    pub local_read: AtomicU64,
-    /// Bytes this node read from replicas on *other* nodes (network).
-    pub remote_read: AtomicU64,
     /// Bytes written into this node's replica store.
     pub written: AtomicU64,
-    /// Bytes read from / written to the node-local cache store.
+    /// Bytes read from the node-local cache store.
     pub local_store_read: AtomicU64,
     /// Bytes written to the node-local cache store.
     pub local_store_written: AtomicU64,
@@ -43,8 +37,6 @@ pub struct IoCounters {
 /// Snapshot of [`IoCounters`] at a point in time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoSnapshot {
-    pub local_read: u64,
-    pub remote_read: u64,
     pub written: u64,
     pub local_store_read: u64,
     pub local_store_written: u64,
@@ -54,8 +46,6 @@ impl IoCounters {
     /// Takes a consistent-enough snapshot (monotonic counters).
     pub fn snapshot(&self) -> IoSnapshot {
         IoSnapshot {
-            local_read: self.local_read.load(Ordering::Relaxed),
-            remote_read: self.remote_read.load(Ordering::Relaxed),
             written: self.written.load(Ordering::Relaxed),
             local_store_read: self.local_store_read.load(Ordering::Relaxed),
             local_store_written: self.local_store_written.load(Ordering::Relaxed),
@@ -76,9 +66,6 @@ pub struct DataNode {
     alive: AtomicBool,
     blocks: RwLock<HashMap<BlockId, Bytes>>,
     local: RwLock<HashMap<String, Bytes>>,
-    /// Running total of local-store bytes, maintained under the store's
-    /// write lock so capacity checks never rescan the store.
-    local_bytes: AtomicU64,
     /// I/O accounting for this node.
     pub io: IoCounters,
 }
@@ -91,7 +78,6 @@ impl DataNode {
             alive: AtomicBool::new(true),
             blocks: RwLock::new(HashMap::new()),
             local: RwLock::new(HashMap::new()),
-            local_bytes: AtomicU64::new(0),
             io: IoCounters::default(),
         }
     }
@@ -111,9 +97,7 @@ impl DataNode {
     /// rejoining with its disk intact, but they are unreadable while dead.
     pub fn kill(&self) {
         self.alive.store(false, Ordering::Release);
-        let mut local = self.local.write();
-        local.clear();
-        self.local_bytes.store(0, Ordering::Relaxed);
+        self.local.write().clear();
     }
 
     /// Marks the node alive again.
@@ -163,11 +147,7 @@ impl DataNode {
         self.io
             .local_store_written
             .fetch_add(data.len() as u64, Ordering::Relaxed);
-        let mut local = self.local.write();
-        let added = data.len() as u64;
-        let prev = local.insert(name.into(), data);
-        let removed = prev.map_or(0, |p| p.len() as u64);
-        self.local_bytes.fetch_add(added.wrapping_sub(removed), Ordering::Relaxed);
+        self.local.write().insert(name.into(), data);
         Ok(())
     }
 
@@ -204,8 +184,8 @@ impl DataNode {
     /// Flips (XOR 0xFF) the bytes of `name` in `offset..offset + len`,
     /// clamped to the object's length — the in-place damage a torn
     /// write or media corruption leaves behind, as opposed to
-    /// [`DataNode::delete_local`]'s clean removal. Length-preserving,
-    /// so the store byte counter is unchanged. Returns true if the
+    /// [`DataNode::delete_local`]'s clean removal. Length-preserving.
+    /// Returns true if the
     /// object existed and at least one byte was flipped.
     pub fn corrupt_local(&self, name: &str, offset: usize, len: usize) -> bool {
         let mut local = self.local.write();
@@ -225,14 +205,7 @@ impl DataNode {
 
     /// Removes an object from the local store; returns true if it existed.
     pub fn delete_local(&self, name: &str) -> bool {
-        let mut local = self.local.write();
-        match local.remove(name) {
-            Some(data) => {
-                self.local_bytes.fetch_sub(data.len() as u64, Ordering::Relaxed);
-                true
-            }
-            None => false,
-        }
+        self.local.write().remove(name).is_some()
     }
 
     /// Names all objects in the local store.
@@ -240,13 +213,6 @@ impl DataNode {
         let mut names: Vec<String> = self.local.read().keys().cloned().collect();
         names.sort_unstable();
         names
-    }
-
-    /// Total bytes in the node-local store (capacity pressure input for
-    /// Redoop's on-demand purging). Served from the maintained counter —
-    /// O(1), never rescans the store.
-    pub fn local_store_bytes(&self) -> usize {
-        self.local_bytes.load(Ordering::Relaxed) as usize
     }
 }
 
@@ -293,30 +259,12 @@ mod tests {
     }
 
     #[test]
-    fn local_bytes_track_every_store_mutation() {
-        let node = DataNode::new(NodeId(4));
-        node.put_local("a", Bytes::from_static(b"xy")).unwrap();
-        assert_eq!(node.local_store_bytes(), 2);
-        // Overwrites, deletes, and kill-wipes all move the byte counter
-        // exactly.
-        node.put_local("a", Bytes::from_static(b"xyz")).unwrap();
-        assert_eq!(node.local_store_bytes(), 3);
-        assert!(node.delete_local("a"));
-        assert_eq!(node.local_store_bytes(), 0);
-        assert!(!node.delete_local("a"), "no-op delete");
-        assert_eq!(node.local_store_bytes(), 0);
-        node.put_local("b", Bytes::from_static(b"1234")).unwrap();
-        node.kill();
-        assert_eq!(node.local_store_bytes(), 0, "kill wipes the counter too");
-    }
-
-    #[test]
-    fn corrupt_local_flips_in_place_and_bumps_epoch() {
+    fn corrupt_local_flips_in_place_and_peek_is_uncharged() {
         let node = DataNode::new(NodeId(5));
         node.put_local("c", Bytes::from_static(b"abcdef")).unwrap();
         let reads = node.io.snapshot().local_store_read;
         assert!(node.corrupt_local("c", 2, 2));
-        assert_eq!(node.local_store_bytes(), 6, "length-preserving");
+        assert_eq!(node.peek_local("c").unwrap().len(), 6, "length-preserving");
         // peek_local sees the damage without charging I/O counters.
         let damaged = node.peek_local("c").unwrap();
         assert_eq!(&damaged[..2], b"ab");
@@ -341,7 +289,6 @@ mod tests {
         let snap = node.io.snapshot();
         assert_eq!(snap.local_store_written, 5);
         assert_eq!(snap.local_store_read, 5);
-        assert_eq!(node.local_store_bytes(), 5);
         assert_eq!(node.list_local(), vec!["a".to_string()]);
         assert!(node.delete_local("a"));
         assert!(!node.delete_local("a"));

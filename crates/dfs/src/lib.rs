@@ -17,28 +17,26 @@
 //! * failure injection ([`Cluster::kill_node`]) that makes a node's block
 //!   replicas unavailable and *erases its local cache store*, plus
 //!   re-replication to restore the replication factor from surviving copies,
-//! * per-node I/O accounting (local vs. remote bytes) used by the MapReduce
-//!   layer's cost model.
+//! * per-node I/O counters (replica writes, local cache-store traffic)
+//!   for host-side observation.
 //!
 //! All state is in memory; "disk" and "network" costs are charged by the
-//! consumer (see `redoop-mapred::simtime`) from the byte counts this crate
-//! reports. That substitution is documented in `DESIGN.md`.
+//! MapReduce layer's cost model (see `redoop-mapred::simtime`) from its
+//! job counters. That substitution is documented in `DESIGN.md`.
 
 pub mod block;
 pub mod cluster;
 pub mod datanode;
 pub mod error;
 pub mod failure;
-pub mod file;
 pub mod namenode;
 pub mod path;
 pub mod replication;
 
 pub use block::{BlockId, BlockInfo};
-pub use cluster::{Cluster, ClusterConfig, FsckReport, ReadOutcome};
+pub use cluster::{Cluster, ClusterConfig};
 pub use datanode::{DataNode, NodeId};
 pub use error::{DfsError, Result};
-pub use file::{FileReader, FileWriter};
 pub use namenode::{FileMeta, NameNode};
 pub use path::DfsPath;
 pub use replication::PlacementPolicy;

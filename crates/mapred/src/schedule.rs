@@ -200,8 +200,8 @@ impl MinTree {
 /// The shared slot-occupancy state behind a [`ClusterSim`] handle.
 ///
 /// Alongside the raw per-slot free times, it maintains three derived
-/// structures incrementally (slots only ever change in `assign_dynamic`
-/// and `block_node_until`, both touching a single node):
+/// structures incrementally (slots only ever change in `assign_dynamic`,
+/// which touches a single node):
 ///
 /// * `min_free[kind][node]` — the node's earliest slot-free time, so
 ///   `loads()` is a clone instead of an `O(nodes * slots)` scan;
@@ -430,19 +430,6 @@ impl ClusterSim {
         Placement { node, start, end }
     }
 
-    /// Pushes every slot on `node` to at least `until` — models the node
-    /// being unavailable (dead) until that virtual time.
-    pub fn block_node_until(&mut self, node: NodeId, until: SimTime) {
-        let mut state = self.state.lock();
-        for kind in [TaskKind::Map, TaskKind::Reduce] {
-            for t in &mut state.slots_mut(kind)[node.index()] {
-                *t = (*t).max(until);
-            }
-            state.refresh_node(kind, node.index());
-        }
-        state.horizon = state.horizon.max(until);
-    }
-
     /// Latest completion time across all slots (cluster quiescent time).
     /// Maintained incrementally as tasks are assigned.
     pub fn horizon(&self) -> SimTime {
@@ -518,7 +505,7 @@ mod tests {
 
     #[test]
     fn cached_loads_match_brute_force_after_mixed_mutations() {
-        // Replay an arbitrary assign/block sequence against a shadow model
+        // Replay an arbitrary assign sequence against a shadow model
         // that recomputes everything from the raw slots; the incremental
         // caches must agree at every step.
         let nodes = 5;
@@ -533,22 +520,11 @@ mod tests {
             let node = (rng % nodes as u64) as usize;
             let dur = SimTime::from_millis(1 + rng % 977);
             let ready = SimTime::from_millis(rng % 533);
-            if step % 17 == 5 {
-                let until = SimTime::from_millis(rng % 90_000);
-                s.block_node_until(NodeId(node as u32), until);
-                for kind_slots in &mut shadow {
-                    for t in &mut kind_slots[node] {
-                        *t = (*t).max(until);
-                    }
-                }
-            } else {
-                let kind = if rng & 1 == 0 { TaskKind::Map } else { TaskKind::Reduce };
-                s.assign(kind, NodeId(node as u32), ready, dur);
-                let slots = &mut shadow[kind_ix(kind)][node];
-                let (idx, &free) =
-                    slots.iter().enumerate().min_by_key(|(_, &t)| t).unwrap();
-                slots[idx] = free.max(ready) + dur;
-            }
+            let kind = if rng & 1 == 0 { TaskKind::Map } else { TaskKind::Reduce };
+            s.assign(kind, NodeId(node as u32), ready, dur);
+            let slots = &mut shadow[kind_ix(kind)][node];
+            let (idx, &free) = slots.iter().enumerate().min_by_key(|(_, &t)| t).unwrap();
+            slots[idx] = free.max(ready) + dur;
             for kind in [TaskKind::Map, TaskKind::Reduce] {
                 let expect: Vec<SimTime> = shadow[kind_ix(kind)]
                     .iter()
@@ -595,15 +571,5 @@ mod tests {
         }
         let all: Vec<usize> = (0..nodes).collect();
         assert_eq!(s.pick_min_clamped(TaskKind::Map, SimTime::ZERO, &all), None);
-    }
-
-    #[test]
-    fn block_node_until_pushes_loads() {
-        let mut s = sim();
-        s.block_node_until(NodeId(0), SimTime::from_secs(50));
-        assert_eq!(s.node_load(TaskKind::Map, NodeId(0)), SimTime::from_secs(50));
-        assert_eq!(s.node_load(TaskKind::Reduce, NodeId(0)), SimTime::from_secs(50));
-        assert_eq!(s.node_load(TaskKind::Map, NodeId(1)), SimTime::ZERO);
-        assert_eq!(s.horizon(), SimTime::from_secs(50));
     }
 }

@@ -237,7 +237,8 @@ pub enum TraceEvent {
         at: SimTime,
         /// Scanning node.
         node: NodeId,
-        /// What fired the scan: `periodic` or `on-demand`.
+        /// What fired the scan: `periodic`, the one scan per alive node
+        /// after every window.
         trigger: &'static str,
         /// Number of cache files deleted.
         purged: usize,

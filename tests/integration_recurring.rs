@@ -229,3 +229,123 @@ fn the_merge_reads_back_only_the_partials_it_is_charged_for() {
     assert_eq!(steady.trace.cache_misses, 4, "pane 8 only, once per partition");
     assert_eq!(served(), reused_partial_bytes, "each reused partial is decoded once");
 }
+
+/// Every file in a live node's local store is a cache the controller
+/// lists on that node: what a node holds is the controller's index, and
+/// whatever the controller lets go of is purged by the window's scan.
+fn assert_stores_match_the_controller(
+    cluster: &redoop_dfs::Cluster,
+    exec: &RecurringExecutor<AggMapper, AggReducer>,
+    w: u64,
+) {
+    for node in cluster.alive_nodes() {
+        let listed: std::collections::BTreeSet<String> =
+            exec.controller().names_on(node).iter().map(|n| n.store_name()).collect();
+        for file in cluster.list_local(node).unwrap() {
+            assert!(listed.contains(&file), "window {w}: {file} on {node:?} is not listed");
+        }
+    }
+}
+
+#[test]
+fn every_stored_file_is_a_listed_cache_with_caching_on_or_off() {
+    let spec = spec_with_overlap(0.75);
+    let plan = ArrivalPlan::new(spec, 6);
+    let batches = wcc_batches(&plan, 29, 1.0);
+    for caching in [true, false] {
+        let cluster = test_cluster();
+        let tag = format!("ledger-{caching}");
+        let mut exec = agg_executor(&cluster, spec, &tag, batch_adaptive(&cluster, &spec));
+        exec.set_options(ExecutorOptions { caching, ..Default::default() });
+        ingest_all(&mut exec, 0, &batches);
+        for w in 0..6 {
+            let report = exec.run_window(w).unwrap();
+            if !caching {
+                assert_eq!(report.reused_caches, 0, "the ablation reuses nothing");
+            }
+            assert_stores_match_the_controller(&cluster, &exec, w);
+        }
+    }
+}
+
+#[test]
+fn a_name_rebuilt_where_it_was_dropped_survives_the_purge() {
+    // Delta maintenance under a tight CostBased budget: a pane's `ro/`
+    // seal is evicted or refused at ingest, and before the next purge
+    // scan the firing window rebuilds it on the same node. Registering
+    // it there cancels its pending purge: the scan leaves the file, and
+    // the next window's audit finds it and hits it.
+    use redoop_dfs::NodeId;
+    use redoop_mapred::combiner::SumCombiner;
+    use redoop_mapred::trace::{CacheAction, TraceEvent, TraceSink};
+    use std::collections::BTreeMap;
+
+    let spec = spec_with_overlap(0.75);
+    let windows = 5;
+    let batches = wcc_batches(&ArrivalPlan::new(spec, windows), 11, 1.0);
+    let run = |budget: Option<u64>| {
+        let cluster = test_cluster();
+        let mut exec = agg_executor(&cluster, spec, "cancel", batch_adaptive(&cluster, &spec));
+        exec.set_combiner(Arc::new(SumCombiner));
+        if let Some(bytes) = budget {
+            exec.set_cache_policy(CacheBudget::bounded(CachePolicyKind::CostBased, bytes));
+        }
+        let sink = TraceSink::enabled();
+        exec.set_trace_sink(sink.clone());
+        run_windows_interleaved(&mut exec, &[&batches], windows);
+        let held = cluster.alive_nodes().into_iter().map(|n| exec.controller().bytes_on(n)).max();
+        (sink, held.unwrap())
+    };
+    // A quarter of the most an uncapped run leaves on one node.
+    let (_, held) = run(None);
+    let (sink, _) = run(Some(held / 4));
+
+    // The journal's cache events, split into purge cycles: everything up
+    // to and including one window's purge scans (each node's `purge`
+    // events, then its `purge_scan`).
+    type Key = (String, Option<NodeId>);
+    let mut cycles: Vec<Vec<(CacheAction, Key)>> = vec![Vec::new()];
+    let mut scanned = false;
+    for e in sink.events() {
+        match e {
+            TraceEvent::PurgeScan { .. } => scanned = true,
+            TraceEvent::Cache { action, name, node, .. } => {
+                if scanned && action != CacheAction::Purge {
+                    cycles.push(Vec::new());
+                    scanned = false;
+                }
+                cycles.last_mut().unwrap().push((action, (name, node)));
+            }
+            _ => {}
+        }
+    }
+    let has = |cycle: &[(CacheAction, Key)], want: CacheAction, key: &Key| {
+        cycle.iter().any(|(action, k)| *action == want && k == key)
+    };
+
+    let mut rebuilt = 0;
+    for (i, cycle) in cycles.iter().enumerate() {
+        // Per (name, node) this cycle: whether it was ever evicted or
+        // refused, and its last admission-side event.
+        let mut fate: BTreeMap<&Key, (bool, CacheAction)> = BTreeMap::new();
+        for (action, key) in cycle {
+            let dropped = match action {
+                CacheAction::Evict | CacheAction::AdmitReject => true,
+                CacheAction::Register => fate.get(key).is_some_and(|f| f.0),
+                _ => continue,
+            };
+            fate.insert(key, (dropped, *action));
+        }
+        for (key, fate) in fate {
+            if fate != (true, CacheAction::Register) {
+                continue;
+            }
+            rebuilt += 1;
+            assert!(!has(cycle, CacheAction::Purge, key), "cycle {i}: purged {key:?}");
+            let next = &cycles[i + 1];
+            assert!(!has(next, CacheAction::Invalidate, key), "cycle {}: lost {key:?}", i + 1);
+            assert!(has(next, CacheAction::Hit, key), "cycle {}: {key:?} was not hit", i + 1);
+        }
+    }
+    assert!(rebuilt > 0, "the budget must drop and rebuild some name within one cycle");
+}
