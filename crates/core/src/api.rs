@@ -81,6 +81,33 @@ pub fn csv_field(line: &str, idx: usize) -> Option<&str> {
     }
 }
 
+/// Zero-copy split of a line's leading fields, the multi-field sibling
+/// of [`csv_field`]: the first `N` fields and the rest of the line after
+/// comma `N` — what `line.splitn(N + 1, ',')` yields when it yields all
+/// `N + 1` parts — or `None` when the line holds fewer than `N` commas.
+/// The commas are found a word at a time, so it agrees with `splitn` on
+/// every input for the same reason [`csv_field`] agrees with `split`.
+#[inline]
+pub fn csv_fields<const N: usize>(line: &str) -> Option<([&str; N], &str)> {
+    use std::ops::ControlFlow;
+    let mut fields = [""; N];
+    if N == 0 {
+        return Some((fields, line));
+    }
+    let (mut start, mut seen) = (0usize, 0usize);
+    let rest = redoop_mapred::swar::try_each_position(line.as_bytes(), b',', |comma| {
+        fields[seen] = &line[start..comma];
+        seen += 1;
+        start = comma + 1;
+        if seen == N {
+            ControlFlow::Break(start)
+        } else {
+            ControlFlow::Continue(())
+        }
+    })?;
+    Some((fields, &line[rest..]))
+}
+
 /// The finalization contract for aggregation queries: merges per-pane
 /// partial values of one key into the window's final value. Must be
 /// associative and commutative so pane-wise evaluation matches whole-

@@ -408,9 +408,10 @@ impl CacheController {
     /// takes. `Some(victims)` = admitted after evicting `victims`
     /// (possibly none); `None` = rejected, nothing touched. With
     /// `may_evict` off (adoptions) a cache that does not fit beside the
-    /// residents is rejected instead. Victims are planned against a
-    /// shrinking candidate list and only evicted once the full plan fits,
-    /// so a mid-plan refusal leaves every resident in place.
+    /// residents is rejected instead. The policy ranks the residents once
+    /// ([`CachePolicy::eviction_order`]); the plan is the shortest prefix
+    /// of the ranking that fits, and nothing is evicted unless one does,
+    /// so a ranking too short leaves every resident in place.
     fn make_room(
         &mut self,
         name: &CacheName,
@@ -434,22 +435,22 @@ impl CacheController {
         if !may_evict {
             return None;
         }
-        let mut candidates: Vec<CacheStats> = self
+        let candidates: Vec<CacheStats> = self
             .names_on(node)
             .into_iter()
             .filter(|n| n != name)
             .filter_map(|n| self.stats_of(&n))
             .collect();
         let mut plan = Vec::new();
-        while !self.fits(used + bytes) {
-            if candidates.is_empty() {
-                return None;
+        for i in self.policy.eviction_order(&candidates, &incoming) {
+            if self.fits(used + bytes) {
+                break;
             }
-            let victim = self.policy.victim(&candidates, &incoming)?;
-            let idx = candidates.iter().position(|s| s.name == victim)?;
-            let chosen = candidates.swap_remove(idx);
-            used -= chosen.bytes;
-            plan.push(chosen.name);
+            used -= candidates[i].bytes;
+            plan.push(candidates[i].name);
+        }
+        if !self.fits(used + bytes) {
+            return None;
         }
         for victim in &plan {
             self.evict_holder(victim, at);
@@ -941,6 +942,73 @@ mod tests {
         assert!(c.location(&name(1, 0)).is_none());
         assert_eq!(c.bytes_on(NodeId(0)), 90);
         assert_eq!(cache_events(&sink, CacheAction::Evict), vec![name(1, 0).store_name()]);
+    }
+
+    #[test]
+    fn cost_based_admissions_evict_what_the_pick_one_loop_did() {
+        // Under churn — re-registrations, hits, a spent forecast, one of
+        // two queries done — every admission evicts exactly the plan the
+        // pick-one loop would have made over the same residents, and the
+        // journal lists those `evict` events in that order.
+        use super::super::policy::tests::oracle_plan;
+        use super::super::policy::CachePolicyKind;
+        use redoop_mapred::CostModel;
+        let (kind, cost, cap) = (CachePolicyKind::CostBased, CostModel::default(), 400_000_000);
+        let sink = TraceSink::enabled();
+        let mut c = CacheController::new(2);
+        c.set_trace_sink(sink.clone());
+        c.set_policy(kind.build(&cost));
+        c.set_capacity(Some(cap));
+        let mut rng: u64 = 0x0ddb_a11c_0ffe_e000;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let sizes = [2_000_000u64, 20_000_000, 60_000_000, 200_000_000, 500_000_000];
+        let mut evicted = 0;
+        for step in 0..1500u64 {
+            let (n, at) = (name(next(24), next(2) as usize), SimTime(step));
+            let node = NodeId(next(2) as u32);
+            match next(5) {
+                0 => c.note_remaining_uses(n, next(4) as u32),
+                1 => c.touch(&n, at),
+                2 => {
+                    // Unknown names are an error; the churn ignores it.
+                    let _ = c.mark_query_done(n, next(2) as usize);
+                }
+                _ => {
+                    let bytes = sizes[next(sizes.len() as u64) as usize];
+                    let used = c.bytes_on(node) - c.held_bytes(&n, node);
+                    let expected = if bytes > cap {
+                        None
+                    } else if used + bytes <= cap {
+                        Some(Vec::new())
+                    } else {
+                        let residents: Vec<CacheStats> = c
+                            .names_on(node)
+                            .into_iter()
+                            .filter(|m| *m != n)
+                            .filter_map(|m| c.stats_of(&m))
+                            .collect();
+                        let incoming = c.stats_for(&n, bytes, bytes, at);
+                        let (plan, fits) =
+                            oracle_plan(kind, &cost, &residents, &incoming, used + bytes - cap);
+                        fits.then_some(plan)
+                    };
+                    let before = cache_events(&sink, CacheAction::Evict).len();
+                    let adm = c.register_cache(n, node, bytes, at);
+                    assert_eq!(adm.admitted, expected.is_some(), "step {step}");
+                    let plan = expected.unwrap_or_default();
+                    assert_eq!(adm.evicted, plan.iter().map(|&v| (node, v)).collect::<Vec<_>>());
+                    let journaled = cache_events(&sink, CacheAction::Evict).split_off(before);
+                    assert_eq!(journaled, plan.iter().map(|v| v.store_name()).collect::<Vec<_>>());
+                    evicted += plan.len();
+                }
+            }
+        }
+        assert!(evicted > 50, "the churn must exercise eviction: {evicted}");
     }
 
     #[test]

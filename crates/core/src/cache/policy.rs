@@ -14,15 +14,20 @@
 //!   by the controller itself);
 //! * **charge** — a consumption signal (register / hit) so recency-based
 //!   policies can rank residents;
-//! * **victim** — pick which resident to evict to make room, or refuse
-//!   (`None`), in which case the *incoming* cache is rejected instead.
+//! * **eviction order** — rank the residents the policy would evict to
+//!   make room, in the order it would evict them; residents it would
+//!   never displace for this newcomer are left out. `victim` is the
+//!   ranking's first element.
 //!
-//! Victim selection is planned before it is applied: the controller asks
-//! for victims against a shrinking candidate list until the incoming
-//! cache fits, and only then evicts the chosen set — a refusal midway
-//! rejects the newcomer without touching any resident. All three stock
-//! policies are deterministic (score ties break on the cache name), so
-//! trace journals stay byte-identical across runs.
+//! Victim selection is planned before it is applied: the controller ranks
+//! the residents once per admission, takes the shortest prefix of the
+//! ranking that lets the incoming cache fit, and only then evicts it — a
+//! ranking too short to fit rejects the newcomer without touching any
+//! resident. The ranking is exactly the sequence repeated `victim` calls
+//! over a shrinking candidate list would pick, so one admission costs
+//! one sort of the residents instead of one scoring pass per victim. All
+//! three stock policies are deterministic (score ties break on the cache
+//! name), so trace journals stay byte-identical across runs.
 //!
 //! Stock implementations:
 //!
@@ -97,10 +102,22 @@ pub trait CachePolicy: std::fmt::Debug + Send {
         let _ = (name, at);
     }
 
+    /// The residents this policy would evict to make room for
+    /// `incoming`, as indices into `residents` in eviction order: the
+    /// sequence repeated [`victim`](CachePolicy::victim) calls over a
+    /// shrinking candidate list would pick, ending where `victim` would
+    /// refuse. The controller evicts the shortest prefix that lets
+    /// `incoming` fit, and rejects `incoming` when the whole ranking
+    /// does not.
+    fn eviction_order(&mut self, residents: &[CacheStats], incoming: &CacheStats) -> Vec<usize>;
+
     /// Pick which of `residents` (non-empty) to evict so `incoming`
     /// fits, or `None` to refuse — the incoming cache is then rejected
-    /// and every resident stays.
-    fn victim(&mut self, residents: &[CacheStats], incoming: &CacheStats) -> Option<CacheName>;
+    /// and every resident stays. The first of
+    /// [`eviction_order`](CachePolicy::eviction_order).
+    fn victim(&mut self, residents: &[CacheStats], incoming: &CacheStats) -> Option<CacheName> {
+        self.eviction_order(residents, incoming).first().map(|&i| residents[i].name)
+    }
 
     /// `name` left the signature table (expired, evicted, rolled back).
     /// Default: stateless.
@@ -121,9 +138,18 @@ impl CachePolicy for WindowLifespanPolicy {
         "window-lifespan"
     }
 
-    fn victim(&mut self, _residents: &[CacheStats], _incoming: &CacheStats) -> Option<CacheName> {
-        None
+    fn eviction_order(&mut self, _residents: &[CacheStats], _incoming: &CacheStats) -> Vec<usize> {
+        Vec::new()
     }
+}
+
+/// Indices of the `residents` that `key` ranks (`Some`), ascending by
+/// key. Every stock key ends in the cache name, so no two residents tie.
+fn rank_by<K: Ord>(residents: &[CacheStats], key: impl Fn(&CacheStats) -> Option<K>) -> Vec<usize> {
+    let mut keyed: Vec<(K, usize)> =
+        residents.iter().enumerate().filter_map(|(i, s)| Some((key(s)?, i))).collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, i)| i).collect()
 }
 
 /// Least-recently-used eviction over the controller's consumption
@@ -137,8 +163,8 @@ impl CachePolicy for LruPolicy {
         "lru"
     }
 
-    fn victim(&mut self, residents: &[CacheStats], _incoming: &CacheStats) -> Option<CacheName> {
-        residents.iter().min_by_key(|s| (s.last_used, s.name)).map(|s| s.name)
+    fn eviction_order(&mut self, residents: &[CacheStats], _incoming: &CacheStats) -> Vec<usize> {
+        rank_by(residents, |s| Some((s.last_used, s.name)))
     }
 }
 
@@ -168,21 +194,15 @@ impl CostBasedPolicy {
     fn unit(&self, s: &CacheStats) -> u64 {
         rebuild_cost(s.rebuild_bytes.max(s.bytes), &self.cost).0
     }
+}
 
-    /// `unit` bucketed to its log2 magnitude. Rebuild costs are Eq. 4
-    /// *estimates*; ranking them at full precision lets caches of
-    /// near-identical worth evict each other in chains (every pair
-    /// output is a few bytes bigger or smaller than its neighbours).
-    /// Tiers keep eviction to genuinely-different cost classes.
-    fn tier(&self, s: &CacheStats) -> u32 {
-        u64::BITS - self.unit(s).leading_zeros()
-    }
-
-    /// A cache's retention value in cost-microseconds: what evicting it
-    /// is expected to cost the remaining windows.
-    fn score(&self, s: &CacheStats) -> u64 {
-        self.unit(s).saturating_mul(s.uses())
-    }
+/// A rebuild cost bucketed to its log2 magnitude. Rebuild costs are
+/// Eq. 4 *estimates*; ranking them at full precision lets caches of
+/// near-identical worth evict each other in chains (every pair output is
+/// a few bytes bigger or smaller than its neighbours). Tiers keep
+/// eviction to genuinely-different cost classes.
+fn tier(unit: u64) -> u32 {
+    u64::BITS - unit.leading_zeros()
 }
 
 impl CachePolicy for CostBasedPolicy {
@@ -190,31 +210,35 @@ impl CachePolicy for CostBasedPolicy {
         "cost-based"
     }
 
-    fn victim(&mut self, residents: &[CacheStats], incoming: &CacheStats) -> Option<CacheName> {
-        // A dead resident — no expected future reads and no sharing
-        // query still waiting on it — costs nothing to displace; it
-        // merely expires a little early. Take the cheapest one first.
-        let dead = residents
-            .iter()
-            .filter(|s| s.remaining_uses == 0 && s.remaining_votes <= 1)
-            .min_by_key(|s| (self.score(s), s.last_used, s.name));
-        if let Some(d) = dead {
-            return Some(d.name);
-        }
-        // Every live cache is read once per window, so while both stay
-        // resident the incoming and the victim each save one rebuild per
-        // window: the comparison is between per-window value *rates*
-        // (Eq. 4 unit rebuild cost, log2-bucketed), not lifetime totals.
-        // Comparing totals thrashes — a fresh cache's longer forecast
-        // outbids a half-consumed resident of the same shape every
-        // window, so each cohort evicts the previous one before it
-        // produces a hit. A rate tie favors the resident (the swap would
-        // convert its next hit into a rebuild for zero gain); remaining
-        // lifetime only breaks the tie among equal-rate victims.
-        let worst = residents
-            .iter()
-            .min_by_key(|s| (self.tier(s), self.score(s), s.last_used, s.name))?;
-        (self.tier(worst) < self.tier(incoming)).then_some(worst.name)
+    fn eviction_order(&mut self, residents: &[CacheStats], incoming: &CacheStats) -> Vec<usize> {
+        let incoming_tier = tier(self.unit(incoming));
+        rank_by(residents, |s| {
+            let unit = self.unit(s);
+            // A cache's retention value in cost-microseconds: what
+            // evicting it is expected to cost the remaining windows.
+            let score = unit.saturating_mul(s.uses());
+            // A dead resident — no expected future reads and no sharing
+            // query still waiting on it — costs nothing to displace; it
+            // merely expires a little early. Dead ones go first, the
+            // cheapest first.
+            if s.remaining_uses == 0 && s.remaining_votes <= 1 {
+                return Some((false, 0, score, s.last_used, s.name));
+            }
+            // Every live cache is read once per window, so while both
+            // stay resident the incoming and the victim each save one
+            // rebuild per window: the comparison is between per-window
+            // value *rates* (Eq. 4 unit rebuild cost, log2-bucketed), not
+            // lifetime totals. Comparing totals thrashes — a fresh
+            // cache's longer forecast outbids a half-consumed resident of
+            // the same shape every window, so each cohort evicts the
+            // previous one before it produces a hit. A rate tie favors
+            // the resident (the swap would convert its next hit into a
+            // rebuild for zero gain), so only lower tiers are ranked;
+            // remaining lifetime only breaks the tie among equal-rate
+            // victims.
+            let tier = tier(unit);
+            (tier < incoming_tier).then_some((true, tier, score, s.last_used, s.name))
+        })
     }
 }
 
@@ -279,7 +303,7 @@ impl CacheBudget {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::cache::CacheObject;
     use crate::pane::PaneId;
@@ -293,6 +317,128 @@ mod tests {
             remaining_uses: uses,
             last_used: SimTime(used_at),
         }
+    }
+
+    /// The `victim` each stock policy had before it ranked: one scan of
+    /// the whole candidate list per call, every resident re-scored.
+    fn pick_one(
+        kind: CachePolicyKind,
+        cost: &CostModel,
+        residents: &[CacheStats],
+        incoming: &CacheStats,
+    ) -> Option<CacheName> {
+        match kind {
+            CachePolicyKind::WindowLifespan => None,
+            CachePolicyKind::Lru => {
+                residents.iter().min_by_key(|s| (s.last_used, s.name)).map(|s| s.name)
+            }
+            CachePolicyKind::CostBased => {
+                let p = CostBasedPolicy::new(cost.clone());
+                let score = |s: &CacheStats| p.unit(s).saturating_mul(s.uses());
+                let dead = residents
+                    .iter()
+                    .filter(|s| s.remaining_uses == 0 && s.remaining_votes <= 1)
+                    .min_by_key(|s| (score(s), s.last_used, s.name));
+                if let Some(d) = dead {
+                    return Some(d.name);
+                }
+                let worst = residents
+                    .iter()
+                    .min_by_key(|s| (tier(p.unit(s)), score(s), s.last_used, s.name))?;
+                (tier(p.unit(worst)) < tier(p.unit(incoming))).then_some(worst.name)
+            }
+        }
+    }
+
+    /// The controller's plan before the ranking: pick a victim, drop it
+    /// from the candidates, re-score the rest, until `excess` bytes are
+    /// freed or the policy refuses. Returns the picks and whether they
+    /// freed `excess`.
+    pub(crate) fn oracle_plan(
+        kind: CachePolicyKind,
+        cost: &CostModel,
+        residents: &[CacheStats],
+        incoming: &CacheStats,
+        excess: u64,
+    ) -> (Vec<CacheName>, bool) {
+        let mut candidates = residents.to_vec();
+        let (mut freed, mut plan) = (0u64, Vec::new());
+        while freed < excess {
+            let Some(victim) = pick_one(kind, cost, &candidates, incoming) else {
+                return (plan, false);
+            };
+            let idx = candidates.iter().position(|s| s.name == victim).expect("a resident");
+            freed += candidates.swap_remove(idx).bytes;
+            plan.push(victim);
+        }
+        (plan, true)
+    }
+
+    #[test]
+    fn every_ranking_prefix_is_the_pick_one_plan() {
+        let cost = CostModel::default();
+        let mut rng: u64 = 0x5eed_0f4a_11b0_a711;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        // Sizes a log2 tier or more apart, so residents land on both
+        // sides of the incoming cache's tier, and shared often enough
+        // that scores tie.
+        let sizes = [2_000_000u64, 3_000_000, 20_000_000, 200_000_000];
+        let mut evicting_plans = 0;
+        for _ in 0..400 {
+            // Distinct names in no particular order; ties on score,
+            // `last_used` and size; dead residents (no uses left and at
+            // most one outstanding vote) mixed in.
+            let mut panes: Vec<u64> = (0..40).collect();
+            let n = next(16) as usize;
+            let residents: Vec<CacheStats> = (0..n)
+                .map(|_| {
+                    let pane = panes.swap_remove(next(panes.len() as u64) as usize);
+                    let mut s = stats(pane, sizes[next(4) as usize], next(3) as u32, next(3));
+                    s.remaining_votes = 1 + next(2) as u32;
+                    s
+                })
+                .collect();
+            let incoming = stats(99, sizes[next(4) as usize], next(4) as u32, 9);
+            let total: u64 = residents.iter().map(|s| s.bytes).sum();
+            let kinds =
+                [CachePolicyKind::WindowLifespan, CachePolicyKind::Lru, CachePolicyKind::CostBased];
+            for kind in kinds {
+                let mut policy = kind.build(&cost);
+                let order = policy.eviction_order(&residents, &incoming);
+                let ranked: Vec<CacheName> = order.iter().map(|&i| residents[i].name).collect();
+                // The ranking is the whole pick-one sequence...
+                assert_eq!(ranked, oracle_plan(kind, &cost, &residents, &incoming, u64::MAX).0);
+                assert_eq!(
+                    policy.victim(&residents, &incoming),
+                    pick_one(kind, &cost, &residents, &incoming)
+                );
+                // ...so its shortest fitting prefix is the plan for any
+                // shortfall, and a ranking too short is a refusal.
+                for excess in [0, 1, next(total + 1), total, total + 1] {
+                    let (mut prefix, mut freed) = (Vec::new(), 0u64);
+                    for &i in &order {
+                        if freed >= excess {
+                            break;
+                        }
+                        freed += residents[i].bytes;
+                        prefix.push(residents[i].name);
+                    }
+                    let fits = freed >= excess;
+                    assert_eq!(
+                        (prefix, fits),
+                        oracle_plan(kind, &cost, &residents, &incoming, excess),
+                        "{kind:?}, excess {excess}"
+                    );
+                    evicting_plans += usize::from(fits && excess > 0);
+                }
+            }
+        }
+        assert!(evicting_plans > 500, "the cases must exercise eviction: {evicting_plans}");
     }
 
     #[test]

@@ -215,7 +215,8 @@ where
         // attempt unless there was nothing to build.
         let merge_startup =
             attempt_startup || matches!(ctx.mode, ExecMode::Proactive);
-        let placement = self.charge_reduce(node, ready, &work, "merge", merge_startup, metrics);
+        let placement =
+            self.charge_reduce(node, ready, &work, || "merge".into(), merge_startup, metrics);
         self.trace.emit(|| redoop_mapred::trace::TraceEvent::TaskSpan {
             phase: "merge",
             node: placement.node,

@@ -429,13 +429,14 @@ where
     /// constant — true for the first item of a partition's reduce
     /// attempt (and for proactive micro-tasks, which each model their
     /// own early task); false for follow-on items the same attempt
-    /// works through back-to-back.
+    /// works through back-to-back. `label` names the task in the
+    /// journal and is only called when tracing is on.
     pub(super) fn charge_reduce(
         &mut self,
         node: NodeId,
         ready: SimTime,
         work: &ReduceWork,
-        label: &str,
+        label: impl Fn() -> String,
         startup: bool,
         metrics: &mut JobMetrics,
     ) -> Placement {
@@ -446,21 +447,21 @@ where
             node,
             start: placement.start,
             end: placement.start + phases.copy,
-            label: label.to_string(),
+            label: label(),
         });
         self.trace.emit(|| TraceEvent::TaskSpan {
             phase: "sort",
             node,
             start: placement.start + phases.copy,
             end: placement.start + phases.copy + phases.sort,
-            label: label.to_string(),
+            label: label(),
         });
         self.trace.emit(|| TraceEvent::TaskSpan {
             phase: "reduce",
             node,
             start: placement.start + phases.copy + phases.sort,
             end: placement.end,
-            label: label.to_string(),
+            label: label(),
         });
         metrics.phases.shuffle += phases.copy;
         metrics.phases.sort += phases.sort;
@@ -709,7 +710,7 @@ where
                     if let Some((intact, total)) = salvage {
                         scale_partial_rebuild(&mut work, intact, total);
                     }
-                    let label = match m.name.object {
+                    let label = || match m.name.object {
                         CacheObject::PaneInput { .. } => {
                             format!("build/w{rec}/s{}p{}/r{r}", m.source, m.pane.0)
                         }
@@ -719,7 +720,7 @@ where
                         prep.node,
                         &[(m.name, built)],
                         &[(ready, work)],
-                        &label,
+                        label,
                         *attempt_startup,
                         metrics,
                     )?;
@@ -755,7 +756,7 @@ where
                         prep.node,
                         &[(m.name, built)],
                         &charges,
-                        "pane",
+                        || "pane".into(),
                         true,
                         metrics,
                     )?
@@ -774,12 +775,14 @@ where
     /// charge, which is returned. A batch build is one cache and one
     /// charge; a proactive pane build one cache and a charge per
     /// sub-pane; a proactive pair group several caches and one charge.
+    /// `label` is [`charge_reduce`](Self::charge_reduce)'s, called only
+    /// when tracing is on.
     pub(super) fn commit_builds(
         &mut self,
         node: NodeId,
         group: &[(CacheName, BuiltCache)],
         charges: &[(SimTime, ReduceWork)],
-        label: &str,
+        label: impl Fn() -> String,
         startup: bool,
         metrics: &mut JobMetrics,
     ) -> Result<SimTime> {
@@ -795,7 +798,7 @@ where
         }
         let mut done = SimTime::ZERO;
         for (ready, work) in charges {
-            done = done.max(self.charge_reduce(node, *ready, work, label, startup, metrics).end);
+            done = done.max(self.charge_reduce(node, *ready, work, &label, startup, metrics).end);
         }
         for (name, built) in group {
             self.register(*name, node, built.cache_text_bytes, done);

@@ -21,18 +21,22 @@
 //! decoded-inputs table every pair then borrows from — before any pair
 //! output is stored, so a torn input surfaces as a typed error with no
 //! partial pair state behind it. A pair is then one streaming pass: the
-//! two borrowed sorted runs are merged group by group straight into the
-//! reducer (`exec::run_reducer`), whose text sink encodes each joined
-//! tuple as it is emitted — no merged run, no tuple list. Proactive mode
+//! two borrowed sorted runs are walked as an intersection and each key
+//! both hold goes straight to the reducer
+//! (`grouped::for_each_shared_group`), whose text sink encodes each
+//! joined tuple as it is emitted — no merged run, no tuple list, and no
+//! call for a key only one input holds. Proactive mode
 //! keeps the per-sub-pane input pipelining and the pair groups keyed by
 //! the later-available input. The final task concatenates every
 //! in-window pair output, gated on all pair `available_at`s.
 
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::hash::Hash;
 
 use bytes::Bytes;
 use redoop_dfs::DfsPath;
-use redoop_mapred::grouped::RunBuilder;
+use redoop_mapred::grouped::{self, Grouped, RunBuilder};
 use redoop_mapred::{
     exec, io as mrio, JobMetrics, Mapper, ReduceContext, ReduceWork, Reducer, SimTime,
 };
@@ -45,6 +49,20 @@ use crate::pane::PaneId;
 use super::driver::{BuiltCache, BuiltRun, MappedPanes, PartitionPrep, WindowCtx};
 use super::plan::{input_name, pair_name, WindowPlan};
 use super::RecurringExecutor;
+
+/// `block`'s run with its keys strictly increasing: borrowed when the
+/// stored run already is, re-sorted (stably) when it is not.
+fn sorted_run<K, V>(block: &mrio::GroupedBlock<K, V>) -> Cow<'_, Grouped<K, V>>
+where
+    K: Ord + Hash + Clone,
+    V: Clone,
+{
+    if block.sorted {
+        Cow::Borrowed(&block.grouped)
+    } else {
+        Cow::Owned(exec::sort_group(block.grouped.clone().into_pairs()))
+    }
+}
 
 /// One partition-window's decoded reduce-input runs, keyed by
 /// `(source, pane)`: at most the two sources' in-window panes.
@@ -114,24 +132,27 @@ where
     }
 
     /// Pure compute of a pane-pair join over two decoded input runs, in
-    /// one pass: the borrowed sorted runs are merged group by group
-    /// straight into the reducer (falling back to a full sort if a stored
-    /// run is unsorted), whose text sink encodes each joined tuple as it
-    /// is emitted — pair outputs concatenate byte-for-byte into the
-    /// DFS-visible window output, which stays in the text format.
+    /// one pass: the borrowed sorted runs are walked as an intersection
+    /// and only the keys both hold reach the reducer, left values then
+    /// right (a stored run that is unsorted is sorted first), whose text
+    /// sink encodes each joined tuple as it is emitted — pair outputs
+    /// concatenate byte-for-byte into the DFS-visible window output,
+    /// which stays in the text format.
+    ///
+    /// Skipping a key one input lacks is exact for every reducer the
+    /// pair decomposition is correct for: such a group would be emitted
+    /// again by every pair its pane is in, so the window would already
+    /// differ from recomputation unless the reducer emits nothing for it
+    /// (the equi-join contract of [`RecurringExecutor::binary_join`]).
     fn pair_output_compute(
         lb: &mrio::GroupedBlock<M::KOut, M::VOut>,
         rb: &mrio::GroupedBlock<M::KOut, M::VOut>,
         reducer: &R,
     ) -> BuiltCache {
         let mut ctx = ReduceContext::text();
-        if lb.sorted && rb.sorted {
-            exec::run_reducer(reducer, &[&lb.grouped, &rb.grouped], &mut ctx);
-        } else {
-            let mut flat = lb.grouped.clone().into_pairs();
-            flat.extend(rb.grouped.clone().into_pairs());
-            exec::run_reducer(reducer, &[&exec::sort_group(flat)], &mut ctx);
-        }
+        grouped::for_each_shared_group(&sorted_run(lb), &sorted_run(rb), |key, values| {
+            reducer.reduce(key, values, &mut ctx)
+        });
         let (text, output_records) = ctx.into_text();
         BuiltCache {
             input_records: lb.records + rb.records,
@@ -221,7 +242,7 @@ where
                         node,
                         &[(pair_name(self.fp, p, q, r), built)],
                         &[(ready, work)],
-                        &format!("build/w{rec}/p{}x{}/r{r}", p.0, q.0),
+                        || format!("build/w{rec}/p{}x{}/r{r}", p.0, q.0),
                         attempt_startup,
                         metrics,
                     )?;
@@ -303,7 +324,7 @@ where
                         node,
                         &built,
                         &[(SimTime(key), work)],
-                        "join",
+                        || "join".into(),
                         true,
                         metrics,
                     )?;
@@ -342,7 +363,7 @@ where
             let data = self.cluster.get_local(node, &store)?;
             let text = super::blob_text(&data, || format!("pair cache {store} on {node:?}"))?;
             // One record per line: newline bytes, plus an unterminated tail.
-            concat_records += data.iter().filter(|&&b| b == b'\n').count() as u64
+            concat_records += redoop_mapred::swar::count(&data, b'\n') as u64
                 + u64::from(data.last().is_some_and(|&b| b != b'\n'));
             out.push_str(text);
         }
@@ -361,7 +382,8 @@ where
         };
         self.cluster.create(&path, Bytes::from(out))?;
         let merge_startup = attempt_startup || matches!(ctx.mode, ExecMode::Proactive);
-        let placement = self.charge_reduce(node, ready, &work, "merge", merge_startup, metrics);
+        let placement =
+            self.charge_reduce(node, ready, &work, || "merge".into(), merge_startup, metrics);
         self.trace.emit(|| redoop_mapred::trace::TraceEvent::TaskSpan {
             phase: "merge",
             node: placement.node,

@@ -267,6 +267,15 @@ where
     /// Builds an executor for a **binary join** query (two sources with
     /// identical window constraints; the reduce function performs the
     /// join within each key group).
+    ///
+    /// **The equi-join contract.** The window output is the union of one
+    /// reduce per pane pair `(p, q)` — source 0's pane `p` against source
+    /// 1's pane `q` — so the reducer must emit nothing for a group whose
+    /// values all come from one input: such a group recurs in every pair
+    /// its pane is part of, and anything it emitted would be repeated
+    /// there, unlike the recomputed window. The executor relies on this
+    /// and calls the reducer only on the keys both pane inputs hold, with
+    /// source 0's values before source 1's.
     pub fn binary_join(
         cluster: &Cluster,
         sim: ClusterSim,

@@ -153,6 +153,21 @@ proptest! {
     }
 
     #[test]
+    fn csv_fields_is_splitn(line in "[ab,,,αé€😀 ]{0,40}") {
+        fn check<const N: usize>(line: &str) -> Result<(), proptest::test_runner::TestCaseError> {
+            let parts: Vec<&str> = line.splitn(N + 1, ',').collect();
+            let expect = (parts.len() == N + 1)
+                .then(|| (<[&str; N]>::try_from(&parts[..N]).unwrap(), parts[N]));
+            prop_assert_eq!(redoop_core::api::csv_fields::<N>(line), expect);
+            Ok(())
+        }
+        check::<0>(&line)?;
+        check::<1>(&line)?;
+        check::<3>(&line)?;
+        check::<4>(&line)?;
+    }
+
+    #[test]
     fn status_matrix_shift_never_forgets_incomplete_work(
         marks in proptest::collection::vec((0u64..12, 0u64..12), 0..80),
         window in 0u64..6

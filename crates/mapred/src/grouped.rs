@@ -552,6 +552,34 @@ pub fn for_each_merged_group<K: Ord, V: Clone>(
     }
 }
 
+/// Streams the groups whose key both strictly sorted runs hold to `f`,
+/// in key order, each with `left`'s values then `right`'s: the groups of
+/// [`for_each_merged_group`] over `[left, right]` whose key is in both
+/// runs, the same values in the same order. A key only one run holds is
+/// stepped over with one comparison, and never reaches `f`.
+pub fn for_each_shared_group<K: Ord, V: Clone>(
+    left: &Grouped<K, V>,
+    right: &Grouped<K, V>,
+    mut f: impl FnMut(&K, &[V]),
+) {
+    let mut gathered: Vec<V> = Vec::new();
+    let (mut i, mut j) = (0, 0);
+    while let (Some(l), Some(r)) = (left.runs.get(i), right.runs.get(j)) {
+        match l.0.cmp(&r.0) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                gathered.extend_from_slice(left.group_values(i));
+                gathered.extend_from_slice(right.group_values(j));
+                f(&l.0, &gathered);
+                gathered.clear();
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,10 +1,12 @@
 //! Word-at-a-time search for one delimiter byte.
 //!
 //! The record path finds `\n` in every pane file it indexes and `,` in
-//! every record it parses — text it touches exactly once, where a
-//! byte-at-a-time loop is the whole cost. [`try_each_position`] compares
-//! eight bytes per step instead. Searching UTF-8 text for an ASCII byte
-//! this way is exact: continuation and lead bytes are all `>= 0x80`.
+//! every record it parses, and the join counts the `\n` of every pair
+//! output it concatenates — text it touches exactly once, where a
+//! byte-at-a-time loop is the whole cost. [`try_each_position`] and
+//! [`count`] compare eight bytes per step instead. Searching UTF-8 text
+//! for an ASCII byte this way is exact: continuation and lead bytes are
+//! all `>= 0x80`.
 
 use std::ops::ControlFlow;
 
@@ -59,6 +61,20 @@ pub fn try_each_position<B>(
     None
 }
 
+/// Number of `needle` bytes in `haystack` — what
+/// `haystack.iter().filter(|&&b| b == needle).count()` returns — eight
+/// bytes per step.
+#[inline]
+pub fn count(haystack: &[u8], needle: u8) -> usize {
+    let mut words = haystack.chunks_exact(8);
+    let mut n = 0usize;
+    for word in words.by_ref() {
+        let word = u64::from_le_bytes(word.try_into().expect("chunks_exact(8) yields 8 bytes"));
+        n += eq_mask(word, needle).count_ones() as usize;
+    }
+    n + words.remainder().iter().filter(|&&b| b == needle).count()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,14 +96,25 @@ mod tests {
     #[test]
     fn every_lane_is_exact() {
         // Neighbours that differ from the needle in one bit, and 0x80
-        // twins, sit next to real matches in every lane.
+        // twins, sit next to real matches in every lane, for every
+        // length from 0 to 40 (five whole words and every tail).
         for needle in [b'\n', b',', 0x00, 0x7F, 0x80, 0xFF] {
             let near =
                 [needle, needle ^ 1, needle ^ 0x80, needle.wrapping_add(1), needle.wrapping_sub(1)];
-            for seed in 0..200usize {
+            for seed in 0..410usize {
                 let hay: Vec<u8> =
-                    (0..(seed % 27)).map(|i| near[(seed / (i + 1) + i) % near.len()]).collect();
-                assert_eq!(wordwise(&hay, needle), bytewise(&hay, needle), "{needle:#x} in {hay:?}");
+                    (0..(seed % 41)).map(|i| near[(seed / (i + 1) + i) % near.len()]).collect();
+                let expect = bytewise(&hay, needle);
+                assert_eq!(wordwise(&hay, needle), expect, "{needle:#x} in {hay:?}");
+                assert_eq!(count(&hay, needle), expect.len(), "{needle:#x} in {hay:?}");
+            }
+            // One match alone in each lane of each position.
+            for len in 0..=40 {
+                for at in 0..len {
+                    let mut hay = vec![needle ^ 0x80; len];
+                    hay[at] = needle;
+                    assert_eq!(count(&hay, needle), 1, "{needle:#x} at {at} of {len}");
+                }
             }
         }
     }

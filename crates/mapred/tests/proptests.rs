@@ -484,6 +484,27 @@ proptest! {
         prop_assert_eq!(streamed.into_pairs(), expected.into_pairs());
     }
 
+    /// The shared-key walk over two sorted runs hands over exactly the
+    /// groups of the streamed merge whose key both runs hold — same
+    /// order, same values in the same order — and nothing else.
+    #[test]
+    fn shared_key_walk_is_the_merge_restricted_to_shared_keys(
+        left in merge_run(), right in merge_run()
+    ) {
+        let runs = build_runs(&[(left.0, true), (right.0, true)]);
+        let (l, r) = (&runs[0], &runs[1]);
+        let both = |k: &u8| l.iter().any(|(x, _)| x == k) && r.iter().any(|(x, _)| x == k);
+        let mut expected = Vec::new();
+        exec::for_each_merged_group(&[l, r], |k, vs| {
+            if both(k) {
+                expected.push((*k, vs.to_vec()));
+            }
+        });
+        let mut walked = Vec::new();
+        redoop_mapred::grouped::for_each_shared_group(l, r, |k, vs| walked.push((*k, vs.to_vec())));
+        prop_assert_eq!(walked, expected);
+    }
+
     /// For the same emits, the text sink holds byte for byte the text
     /// encoding of what the collecting sink holds, and the same count.
     #[test]

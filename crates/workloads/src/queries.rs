@@ -15,8 +15,10 @@
 //! binary codecs identical to `String`, so outputs and simulated byte
 //! accounting are unchanged.
 
+use std::ops::ControlFlow;
+
 use redoop_mapred::writable::Pair;
-use redoop_mapred::{MapContext, Mapper, ReduceContext, Reducer, SmallKey, SmallKeyBuilder};
+use redoop_mapred::{swar, MapContext, Mapper, ReduceContext, Reducer, SmallKey, SmallKeyBuilder};
 
 use redoop_core::api::SumMerger;
 
@@ -92,12 +94,11 @@ impl Mapper for JoinMapper {
     type VOut = JoinValue;
 
     fn map(&self, line: &str, ctx: &mut MapContext<SmallKey, JoinValue>) {
-        let mut fields = line.splitn(4, ',');
-        let (ts, player, kind, rest) =
-            match (fields.next(), fields.next(), fields.next(), fields.next()) {
-                (Some(t), Some(p), Some(k), Some(r)) => (t, p, k, r),
-                _ => return, // malformed record: skip, like a Hadoop job would
-            };
+        // Fewer than four fields is a malformed record: skip it, like a
+        // Hadoop job would.
+        let Some(([ts, player, kind], rest)) = redoop_core::api::csv_fields::<3>(line) else {
+            return;
+        };
         let Ok(ts) = ts.parse::<u64>() else { return };
         let mut key = SmallKeyBuilder::new();
         key.push_str(player);
@@ -111,12 +112,14 @@ impl Mapper for JoinMapper {
                 // segment-wise into the inline key buffer — no
                 // intermediate `String`.
                 let mut payload = SmallKeyBuilder::new();
-                for (i, seg) in rest.split(',').enumerate() {
-                    if i > 0 {
-                        payload.push_char(';');
-                    }
-                    payload.push_str(seg);
-                }
+                let mut start = 0;
+                swar::try_each_position(rest.as_bytes(), b',', |comma| {
+                    payload.push_str(&rest[start..comma]);
+                    payload.push_char(';');
+                    start = comma + 1;
+                    ControlFlow::<()>::Continue(())
+                });
+                payload.push_str(&rest[start..]);
                 ctx.emit(key, Pair(TAG_POSITION, payload.finish()));
             }
             "spd" => ctx.emit(key, Pair(TAG_SPEED, SmallKey::from(rest))),
@@ -298,6 +301,68 @@ mod tests {
                 (redoop_mapred::io::encode_kv_block(&expected), expected.len() as u64)
             );
             assert_eq!(pairs.into_pairs(), expected);
+        }
+    }
+
+    /// `JoinMapper` as it parsed with `splitn(4, ',')` and `split(',')`:
+    /// the reference the word-at-a-time parse must reproduce.
+    fn split_join_map(line: &str, ctx: &mut MapContext<SmallKey, JoinValue>) {
+        let mut fields = line.splitn(4, ',');
+        let (Some(ts), Some(player), Some(kind), Some(rest)) =
+            (fields.next(), fields.next(), fields.next(), fields.next())
+        else {
+            return;
+        };
+        let Ok(ts) = ts.parse::<u64>() else { return };
+        let key = SmallKey::from(format!("{player}@{}", ts / JOIN_BUCKET_MS));
+        match kind {
+            "pos" => {
+                let payload = rest.split(',').collect::<Vec<_>>().join(";");
+                ctx.emit(key, Pair(TAG_POSITION, SmallKey::from(payload)));
+            }
+            "spd" => ctx.emit(key, Pair(TAG_SPEED, SmallKey::from(rest))),
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn join_mapper_emits_what_the_split_parse_did() {
+        use crate::ffg::{FfgGenerator, Stream};
+        use redoop_core::time::{EventTime, TimeRange};
+        let mut gen = FfgGenerator::new(2014, 16, 0.005);
+        let range = TimeRange::new(EventTime(0), EventTime(100_000));
+        let mut lines = gen.batch(Stream::Position, &range, 1.0);
+        lines.extend(gen.batch(Stream::Speed, &range, 1.0));
+        let long = "9".repeat(SmallKey::INLINE + 5);
+        let malformed = [
+            "",
+            ",",
+            ",,",
+            "5",
+            "5,p3",
+            "5,p3,pos",
+            ",p3,pos,1,2",
+            "5,,pos,1,2",
+            "5,p3,,1",
+            "5,p3,pos,",
+            "5,p3,pos,,",
+            "5,p3,pos,1,2,",
+            "5,p3,spd,",
+            "5,p3,spd,4,",
+            "5,p3,pos,1,,2",
+            "5,p3,pos,é€,😀,α",
+            "5,p€,spd,😀",
+            "x5,p3,spd,1",
+            "18446744073709551616,p3,spd,1",
+        ];
+        lines.extend(malformed.iter().map(|l| l.to_string()));
+        lines.push(format!("5,{long},pos,{long},{long}"));
+        assert!(lines.len() > 400);
+        for line in &lines {
+            let (mut got, mut want) = (MapContext::new(), MapContext::new());
+            JoinMapper.map(line, &mut got);
+            split_join_map(line, &mut want);
+            assert_eq!(got.into_pairs(), want.into_pairs(), "{line:?}");
         }
     }
 

@@ -12,7 +12,7 @@ use redoop_core::prelude::*;
 use redoop_mapred::SimTime;
 use redoop_workloads::arrival::ArrivalPlan;
 use redoop_workloads::ffg::Stream;
-use redoop_workloads::queries::{JoinMapper, JoinReducer};
+use redoop_workloads::queries::{JoinMapper, JoinReducer, JoinValue, TAG_POSITION, TAG_SPEED};
 
 const WINDOWS: u64 = 6;
 
@@ -261,5 +261,94 @@ fn proactive_join_matches_the_per_pair_decode_tree() {
         let (got_sim, got_digest) = run_proactive_join(overlap, fluctuating);
         assert_eq!(got_sim, sim, "overlap {overlap}, fluctuating {fluctuating}: sim series");
         assert_eq!(got_digest, digest, "overlap {overlap}, fluctuating {fluctuating}: outputs");
+    }
+}
+
+/// `JoinReducer` behind a tripwire: a group that lacks either stream
+/// panics. The pair stage must call it on the keys both pane inputs hold
+/// and no others; the recomputation, which sees every key, runs the
+/// plain reducer.
+struct SharedKeysOnly;
+
+impl redoop_mapred::Reducer for SharedKeysOnly {
+    type KIn = redoop_mapred::SmallKey;
+    type VIn = JoinValue;
+    type KOut = redoop_mapred::SmallKey;
+    type VOut = String;
+
+    fn reduce(
+        &self,
+        key: &redoop_mapred::SmallKey,
+        values: &[JoinValue],
+        ctx: &mut redoop_mapred::ReduceContext<redoop_mapred::SmallKey, String>,
+    ) {
+        for tag in [TAG_POSITION, TAG_SPEED] {
+            let has = values.iter().any(|v| v.0 == tag);
+            assert!(has, "group {key} reached the reducer without tag {tag}");
+        }
+        redoop_mapred::Reducer::reduce(&JoinReducer, key, values, ctx);
+    }
+}
+
+#[test]
+fn the_pair_stage_reduces_only_the_keys_both_inputs_hold() {
+    const WINDOWS: u64 = 4;
+    let spec = spec_with_overlap(0.75);
+    let plan = ArrivalPlan::new(spec, WINDOWS);
+    let pos = ffg_batches(&plan, Stream::Position, 91, 1.0);
+    let spd = ffg_batches(&plan, Stream::Speed, 92, 1.0);
+    for mode in [ExecMode::Batch, ExecMode::Proactive] {
+        let cluster = test_cluster();
+        let tag = format!("sharedkeys-{mode:?}");
+        let adaptive = match mode {
+            ExecMode::Batch => batch_adaptive(&cluster, &spec),
+            ExecMode::Proactive => proactive_adaptive(&cluster, &spec, 4),
+        };
+        let sources = ["pos", "spd"].map(|s| {
+            let root = redoop_dfs::DfsPath::new(format!("/panes/{tag}-{s}")).unwrap();
+            SourceConf::with_leading_ts(format!("ffg-{s}"), spec, root)
+        });
+        let out = redoop_dfs::DfsPath::new(format!("/out/{tag}")).unwrap();
+        let mut exec = RecurringExecutor::binary_join(
+            &cluster,
+            test_sim(&cluster),
+            QueryConf::new(&tag, 4, out).unwrap(),
+            sources,
+            Arc::new(JoinMapper),
+            Arc::new(SharedKeysOnly),
+            adaptive,
+        )
+        .unwrap();
+        let reports = run_windows_interleaved(&mut exec, &[&pos, &spd], WINDOWS);
+
+        let mut files = baseline_inputs(&cluster, &format!("/batches/{tag}-pos"), &pos);
+        files.extend(baseline_inputs(&cluster, &format!("/batches/{tag}-spd"), &spd));
+        let mut sim = test_sim(&cluster);
+        let out_root = redoop_dfs::DfsPath::new(format!("/out/{tag}-recomputed")).unwrap();
+        for (w, report) in (0..WINDOWS).zip(&reports) {
+            assert_eq!(report.mode, mode);
+            let recomputed = redoop_core::run_baseline_window(
+                &cluster,
+                &mut sim,
+                Arc::new(JoinMapper),
+                &JoinReducer,
+                leading_ts_fn(),
+                &spec,
+                w,
+                &files,
+                4,
+                &out_root,
+                None,
+            )
+            .unwrap();
+            let mut got: Vec<(String, String)> =
+                read_window_output(&cluster, &report.outputs).unwrap();
+            let mut want: Vec<(String, String)> =
+                read_window_output(&cluster, &recomputed.outputs).unwrap();
+            got.sort();
+            want.sort();
+            assert!(!want.is_empty(), "{mode:?} window {w}: the join should match something");
+            assert_eq!(got, want, "{mode:?} window {w}");
+        }
     }
 }
