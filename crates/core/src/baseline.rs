@@ -110,10 +110,10 @@ where
     );
     let conf = JobConf { num_reducers, ..Default::default() };
     // A batch is reusable iff the window covers its whole range.
-    let contained: std::collections::HashSet<DfsPath> = batches
+    let contained: std::collections::HashSet<&DfsPath> = batches
         .iter()
         .filter(|b| window.start <= b.range.start && b.range.end <= window.end)
-        .map(|b| b.path.clone())
+        .map(|b| &b.path)
         .collect();
     let reuse = |p: &DfsPath| contained.contains(p);
     let mut own = MapMemo::default();

@@ -5,15 +5,20 @@
 //! against: every recurrence re-reads, re-shuffles, and re-reduces the
 //! full window. Execution is two-layered:
 //!
-//! 1. **Real layer** — one path: each split is mapped into per-partition
-//!    run builders at emit, each builder is finished once into a run, and each
-//!    reduce streams the merge of its partition's runs through the
-//!    reducer into its part file — on host threads, producing actual
-//!    output files and per-task work statistics.
-//! 2. **Virtual layer** — each task is placed on the simulated cluster
-//!    by [`ClusterSim::place`] (Eq. 4: block locality for maps, load
-//!    alone for reduces) and charged a duration derived from its observed
-//!    work, including failed attempts injected by a [`FaultInjector`].
+//! 1. **Real layer** — one path: each input file's splits are mapped, in
+//!    order, into per-partition run builders at emit; each builder is
+//!    finished once into the file's run for that partition, and each
+//!    reduce streams the merge of its partition's runs — one per input
+//!    file — through the reducer into its part file. Every split still
+//!    closes at its own boundary ([`MapContext::end_split`]), so its
+//!    work, its shuffle bytes and its combiner fold are its own. All of
+//!    it runs on host threads, producing actual output files and per-task
+//!    work statistics.
+//! 2. **Virtual layer** — each split is a map task, placed on the
+//!    simulated cluster by [`ClusterSim::place`] (Eq. 4: block locality
+//!    for maps, load alone for reduces) under its job-wide index and
+//!    charged a duration derived from its observed work, including failed
+//!    attempts injected by a [`FaultInjector`].
 
 use std::any::Any;
 use std::collections::{HashMap, HashSet};
@@ -37,14 +42,16 @@ use crate::simtime::SimTime;
 use crate::split::{plan_splits, InputSplit, SplitPlans};
 use crate::task::{MapWork, ReduceWork, TaskKind};
 
-/// What one map task leaves for the reduces.
-struct MapOut<K, V> {
-    work: MapWork,
-    /// Text-equivalent bytes of each reduce partition's bucket: what the
-    /// shuffle is charged, whatever form the pairs are held in.
+/// What the map tasks of one input file leave for the reduces.
+struct FileOut<K, V> {
+    /// Each split's work, in split order: one map task apiece.
+    works: Vec<MapWork>,
+    /// Text-equivalent bytes of each reduce partition's share of the
+    /// file, summed over its splits: what the shuffle is charged,
+    /// whatever form the pairs are held in.
     text_bytes: Vec<u64>,
-    /// Each partition's bucket, sorted once; every reduce over this split
-    /// merges its run.
+    /// Each partition's run over every split of the file, sorted once;
+    /// every reduce merges one run per file.
     runs: Vec<Grouped<K, V>>,
 }
 
@@ -64,11 +71,10 @@ struct MapOut<K, V> {
 #[derive(Default)]
 pub struct MapMemo {
     plans: SplitPlans,
-    /// One entry per reusable split — its whole [`MapOut`], type-erased
+    /// One entry per reusable file — its whole [`FileOut`], type-erased
     /// (`MapMemo` is not generic over the job's key/value types) — keyed
-    /// by `(path, first line, num_reducers)`; the first line identifies
-    /// the split within its file.
-    splits: HashMap<(DfsPath, usize, usize), Arc<dyn Any + Send + Sync>>,
+    /// by `(path, num_reducers)`.
+    files: HashMap<(DfsPath, usize), Arc<dyn Any + Send + Sync>>,
 }
 
 /// Memo handle passed to [`JobRunner::run_memoized`]: the shared memo
@@ -143,41 +149,60 @@ where
         spec: &JobSpec,
         conf: &JobConf,
         submit_at: SimTime,
+        memo: MemoHandle<'_>,
+    ) -> Result<JobResult> {
+        self.run_with(sim, spec, conf, submit_at, memo, |plan, r| self.map_file(plan, r))
+    }
+
+    /// The whole job, with `map_file(plan, num_reducers)` as the map
+    /// stage of each input file the memo does not hold.
+    fn run_with(
+        &self,
+        sim: &mut ClusterSim,
+        spec: &JobSpec,
+        conf: &JobConf,
+        submit_at: SimTime,
         (memo, reuse): MemoHandle<'_>,
+        map_file: impl Fn(&[InputSplit], usize) -> Result<FileOut<M::KOut, M::VOut>>,
     ) -> Result<JobResult> {
         conf.validate()?;
         let num_reducers = conf.num_reducers;
-        let splits = plan_splits(self.cluster, &spec.inputs, &mut memo.plans)?;
+        let plans = plan_splits(self.cluster, &spec.inputs, &mut memo.plans)?;
 
         // ---- Real map execution (host parallelism) -------------------
-        // Splits fan out on host threads; memo hits resolve instantly.
-        let memo_key = |s: &InputSplit| (s.path.clone(), s.lines.start, num_reducers);
-        let reusable: Vec<bool> = splits.iter().map(|s| reuse(&s.path)).collect();
-        let remembered = &memo.splits;
-        let map_outs = exec::parallel_map(splits.len(), |i| {
-            let split = &splits[i];
-            match reusable[i].then(|| remembered.get(&memo_key(split))).flatten() {
-                Some(cached) => {
-                    cached.clone().downcast::<MapOut<M::KOut, M::VOut>>().map_err(|_| {
-                        MrError::InvalidConf(
-                            "MapMemo shared across jobs with different key/value types".into(),
-                        )
-                    })
+        // File by file, each fresh file's splits fanned out on host
+        // threads; memo hits resolve instantly.
+        let mut file_outs: Vec<Arc<FileOut<M::KOut, M::VOut>>> = Vec::with_capacity(plans.len());
+        for plan in &plans {
+            let key = (plan[0].path.clone(), num_reducers);
+            let reusable = reuse(&key.0);
+            let out = match memo.files.get(&key).filter(|_| reusable) {
+                Some(hit) => hit.clone().downcast().map_err(|_| {
+                    MrError::InvalidConf(
+                        "MapMemo shared across jobs with different key/value types".into(),
+                    )
+                })?,
+                None => {
+                    let out = Arc::new(map_file(plan, num_reducers)?);
+                    if reusable {
+                        memo.files.insert(key, out.clone());
+                    }
+                    out
                 }
-                None => Ok(Arc::new(self.execute_map(split, num_reducers))),
-            }
-        })?;
-        for (i, out) in map_outs.iter().enumerate() {
-            if reusable[i] {
-                memo.splits.entry(memo_key(&splits[i])).or_insert_with(|| out.clone());
-            }
+            };
+            file_outs.push(out);
         }
+        // Every split of every file, in job order: its index is its map
+        // task's, in labels and in the fault plan alike.
+        let tasks = || {
+            plans.iter().zip(&file_outs).flat_map(|(plan, out)| plan.iter().zip(&out.works))
+        };
 
         let mut metrics = JobMetrics { submitted_at: submit_at, ..Default::default() };
-        for mo in &map_outs {
-            metrics.counters.add(names::MAP_INPUT_RECORDS, mo.work.input_records);
-            metrics.counters.add(names::MAP_OUTPUT_RECORDS, mo.work.output_records);
-            metrics.counters.add(names::HDFS_BYTES_READ, mo.work.split_bytes);
+        for (_, work) in tasks() {
+            metrics.counters.add(names::MAP_INPUT_RECORDS, work.input_records);
+            metrics.counters.add(names::MAP_OUTPUT_RECORDS, work.output_records);
+            metrics.counters.add(names::HDFS_BYTES_READ, work.split_bytes);
         }
 
         // ---- Virtual map scheduling -----------------------------------
@@ -185,9 +210,8 @@ where
         // else pays one uniform remote-read penalty.
         let dead = self.cluster.dead_node_indexes();
         let cost = sim.cost().clone();
-        let mut map_ends: Vec<SimTime> = Vec::with_capacity(splits.len());
-        for (i, (split, mo)) in splits.iter().zip(&map_outs).enumerate() {
-            let work = &mo.work;
+        let mut map_ends: Vec<SimTime> = Vec::new();
+        for (i, (split, work)) in tasks().enumerate() {
             let remote_penalty = cost
                 .hdfs_read(work.split_bytes, false)
                 .saturating_sub(cost.hdfs_read(work.split_bytes, true));
@@ -213,7 +237,7 @@ where
 
         // ---- Real reduce execution -------------------------------------
         let reduce_outs =
-            exec::parallel_map(num_reducers, |r| self.execute_reduce(spec, &map_outs, r))?;
+            exec::parallel_map(num_reducers, |r| self.execute_reduce(spec, &file_outs, r))?;
         for work in &reduce_outs {
             metrics.counters.add(names::SHUFFLE_BYTES, work.shuffle_bytes);
             metrics.counters.add(names::REDUCE_INPUT_RECORDS, work.input_records);
@@ -252,54 +276,79 @@ where
         // did not read, no later job will.
         let inputs: HashSet<&DfsPath> = spec.inputs.iter().collect();
         memo.plans.retain(|path, _| inputs.contains(path));
-        memo.splits.retain(|(path, ..), _| inputs.contains(path));
+        memo.files.retain(|(path, _), _| inputs.contains(path));
 
         metrics.finished_at = finished_at;
         let outputs = (0..num_reducers).map(|r| spec.part_path(r)).collect();
         Ok(JobResult { outputs, metrics })
     }
 
-    /// Real execution of one map task. Pairs are bucketed and grouped by
-    /// partition *at emit time* and the combiner folds each bucket
-    /// independently ([`exec::map_split`], which also hands back the
-    /// text-equivalent bytes of each bucket — work is charged in those,
-    /// so simulated times do not depend on how pairs are held); each
-    /// bucket's builder is then finished into its run.
-    fn execute_map(&self, split: &InputSplit, num_reducers: usize) -> MapOut<M::KOut, M::VOut> {
-        let mut ctx = MapContext::partitioned(&HashPartitioner, exec::fresh_builders(num_reducers));
-        let (work, added) = exec::map_split(
-            self.mapper,
-            split.file.lines(split.lines.clone()),
-            split.bytes,
-            &mut ctx,
-            self.combiner,
-        );
-        MapOut {
-            work,
-            text_bytes: added.iter().map(|a| a.1).collect(),
-            runs: ctx.into_builders().into_iter().map(RunBuilder::into_run).collect(),
+    /// Real execution of one file's map tasks, `plan` being its splits.
+    /// Each split is mapped by [`exec::map_split`]: pairs are bucketed
+    /// and grouped by partition *at emit time*, and the split closes at
+    /// its own boundary, where the combiner folds its share of each
+    /// bucket and its text-equivalent bytes are measured — work is
+    /// charged in those, so simulated times do not depend on how pairs
+    /// are held. The splits fan out as one contiguous range per host
+    /// worker, each range into a sink of its own; the ranges' builders
+    /// are absorbed in range order — split order — and each partition's
+    /// builder is finished once into the file's run, the same run however
+    /// the splits were cut.
+    fn map_file(
+        &self,
+        plan: &[InputSplit],
+        num_reducers: usize,
+    ) -> Result<FileOut<M::KOut, M::VOut>> {
+        let ranges = exec::parallel_ranges(plan.len(), |range| {
+            let mut sink =
+                MapContext::partitioned(&HashPartitioner, exec::fresh_builders(num_reducers));
+            let splits: Vec<_> = plan[range]
+                .iter()
+                .map(|split| {
+                    let lines = split.file.lines(split.lines.clone());
+                    exec::map_split(self.mapper, lines, split.bytes, &mut sink, self.combiner)
+                })
+                .collect();
+            Ok((splits, sink.into_builders()))
+        })?;
+        let mut works = Vec::with_capacity(plan.len());
+        let mut text_bytes = vec![0u64; num_reducers];
+        let mut builders = exec::fresh_builders(num_reducers);
+        for (splits, part) in ranges {
+            for (work, added) in splits {
+                works.push(work);
+                for (bytes, (_, added)) in text_bytes.iter_mut().zip(added) {
+                    *bytes += added;
+                }
+            }
+            for (whole, part) in builders.iter_mut().zip(part) {
+                whole.absorb(part);
+            }
         }
+        let runs = builders.into_iter().map(RunBuilder::into_run).collect();
+        Ok(FileOut { works, text_bytes, runs })
     }
 
     /// Real execution of one reduce task: stream the merge of partition
-    /// `r`'s sorted runs — which reproduces the stable full sort of the
-    /// shuffled pairs exactly (see [`exec::for_each_merged_group`]) —
-    /// through the reducer straight into the text part file.
+    /// `r`'s sorted runs, one per input file — which reproduces the
+    /// stable full sort of the shuffled pairs exactly (see
+    /// [`exec::for_each_merged_group`]) — through the reducer straight
+    /// into the text part file.
     fn execute_reduce(
         &self,
         spec: &JobSpec,
-        map_outs: &[Arc<MapOut<M::KOut, M::VOut>>],
+        file_outs: &[Arc<FileOut<M::KOut, M::VOut>>],
         r: usize,
     ) -> Result<ReduceWork> {
         let runs: Vec<&Grouped<M::KOut, M::VOut>> =
-            map_outs.iter().map(|mo| &mo.runs[r]).collect();
+            file_outs.iter().map(|out| &out.runs[r]).collect();
         let mut ctx = ReduceContext::text();
         let input_records = exec::run_reducer(self.reducer, &runs, &mut ctx);
         let (text, output_records) = ctx.into_text();
         let output_bytes = text.len() as u64;
         self.cluster.create(&spec.part_path(r), bytes::Bytes::from(text))?;
         Ok(ReduceWork {
-            shuffle_bytes: map_outs.iter().map(|mo| mo.text_bytes[r]).sum(),
+            shuffle_bytes: file_outs.iter().map(|out| out.text_bytes[r]).sum(),
             cache_bytes: 0,
             input_records,
             merged_records: 0,
@@ -368,6 +417,7 @@ mod tests {
     use crate::mapper::ClosureMapper;
     use crate::reducer::ClosureReducer;
     use crate::simtime::CostModel;
+    use crate::trace::{TraceEvent, TraceSink};
     use bytes::Bytes;
     use redoop_dfs::{ClusterConfig, PlacementPolicy};
 
@@ -550,11 +600,219 @@ mod tests {
 
             let job_files: HashSet<&DfsPath> = inputs.iter().collect();
             assert_eq!(memo.plans.keys().collect::<HashSet<_>>(), job_files, "window {w}");
-            let remembered: HashSet<&DfsPath> = memo.splits.keys().map(|k| &k.0).collect();
+            let remembered: HashSet<&DfsPath> = memo.files.keys().map(|k| &k.0).collect();
             assert_eq!(remembered, job_files, "window {w}");
-            let splits: usize = memo.plans.values().map(|p| p.len()).sum();
-            assert!(splits > inputs.len(), "files span several splits");
-            assert_eq!(memo.splits.len(), splits, "one entry per split");
+            assert!(memo.plans.values().all(|p| p.len() > 1), "files span several splits");
+            assert_eq!(memo.files.len(), inputs.len(), "one entry per file, not per split");
+        }
+    }
+
+    impl<M, R> JobRunner<'_, M, R>
+    where
+        M: Mapper,
+        R: Reducer<KIn = M::KOut, VIn = M::VOut>,
+    {
+        /// The oracle: the per-split path `map_file` replaced. Each split
+        /// is mapped into a sink of its own and finished into runs of its
+        /// own, and a file's run per partition is their
+        /// `merge_sorted_groups`. Nothing is remembered.
+        fn run_per_split(
+            &self,
+            sim: &mut ClusterSim,
+            spec: &JobSpec,
+            conf: &JobConf,
+            submit_at: SimTime,
+        ) -> Result<JobResult> {
+            let map_file = |plan: &[InputSplit], r: usize| {
+                let mut out =
+                    FileOut { works: Vec::new(), text_bytes: vec![0; r], runs: Vec::new() };
+                let mut split_runs: Vec<Vec<Grouped<M::KOut, M::VOut>>> =
+                    (0..r).map(|_| Vec::new()).collect();
+                for split in plan {
+                    let mut ctx =
+                        MapContext::partitioned(&HashPartitioner, exec::fresh_builders(r));
+                    let lines = split.file.lines(split.lines.clone());
+                    let (work, added) =
+                        exec::map_split(self.mapper, lines, split.bytes, &mut ctx, self.combiner);
+                    out.works.push(work);
+                    for (bytes, (_, added)) in out.text_bytes.iter_mut().zip(added) {
+                        *bytes += added;
+                    }
+                    for (runs, builder) in split_runs.iter_mut().zip(ctx.into_builders()) {
+                        runs.push(builder.into_run());
+                    }
+                }
+                out.runs = split_runs.into_iter().map(exec::merge_sorted_groups).collect();
+                Ok(out)
+            };
+            let memo = &mut MapMemo::default();
+            self.run_with(sim, spec, conf, submit_at, (memo, &|_| false), map_file)
+        }
+    }
+
+    /// A traced run of `spec` on a fresh 4-node simulation — the oracle's
+    /// when `oracle` is set — and what it reports: its part files, its
+    /// metrics and its journal.
+    fn traced_run<M, R>(
+        runner: &JobRunner<'_, M, R>,
+        spec: &JobSpec,
+        conf: &JobConf,
+        oracle: bool,
+    ) -> (Vec<Bytes>, JobMetrics, Vec<TraceEvent>)
+    where
+        M: Mapper,
+        R: Reducer<KIn = M::KOut, VIn = M::VOut>,
+    {
+        let mut sim = ClusterSim::paper_testbed(4, CostModel::default());
+        let sink = TraceSink::with_capacity(1 << 16);
+        sim.set_trace_sink(sink.clone());
+        let result = if oracle {
+            runner.run_per_split(&mut sim, spec, conf, SimTime::ZERO)
+        } else {
+            runner.run(&mut sim, spec, conf, SimTime::ZERO)
+        };
+        let result = result.unwrap();
+        assert_eq!(sink.dropped(), 0);
+        let parts = result.outputs.iter().map(|p| runner.cluster.read(p).unwrap()).collect();
+        (parts, result.metrics, sink.events())
+    }
+
+    #[test]
+    fn a_failed_split_of_the_second_file_keeps_its_job_wide_index() {
+        // Split 0 of the second file is the job's map task `first`, the
+        // first file's split count: its failed attempt and its retry are
+        // both charged there, exactly as the per-split path charged them.
+        let (cluster, mapper, reducer) = word_count_fixture();
+        let inputs: Vec<DfsPath> = (0..2)
+            .map(|i| {
+                let path = DfsPath::new(format!("/in/f{i}")).unwrap();
+                cluster.create(&path, Bytes::from(format!("w{i} x y\n").repeat(30))).unwrap();
+                path
+            })
+            .collect();
+        let plans = plan_splits(&cluster, &inputs, &mut SplitPlans::new()).unwrap();
+        let first = plans[0].len();
+        assert!(first > 1 && plans[1].len() > 1, "both files span several splits");
+        let faults = FaultInjector::new();
+        faults.fail_first_attempts("faulty", TaskKind::Map, first, 1);
+        let conf = JobConf { num_reducers: 2, ..Default::default() };
+        let spec = |side: &str| {
+            JobSpec::new("faulty", inputs.clone(), DfsPath::new(format!("/out/{side}")).unwrap())
+        };
+
+        let runner = JobRunner::new(&cluster, &mapper, &reducer).with_faults(&faults);
+        let (parts, metrics, journal) = traced_run(&runner, &spec("new"), &conf, false);
+        let oracle = traced_run(&runner, &spec("oracle"), &conf, true);
+        assert_eq!(metrics.counters.get(names::FAILED_MAP_ATTEMPTS), 1);
+        assert_eq!(metrics.map_tasks, first + plans[1].len());
+        assert_eq!((&parts, &metrics, &journal), (&oracle.0, &oracle.1, &oracle.2));
+
+        let clean = JobRunner::new(&cluster, &mapper, &reducer);
+        let (clean_parts, ..) = traced_run(&clean, &spec("clean"), &conf, false);
+        assert_eq!(parts, clean_parts, "a retried map changes no output");
+        // Two map spans carry the failed task's label, the retry starting
+        // once the failed attempt ends; every other task has one.
+        let map_spans: Vec<(&str, SimTime, SimTime)> = journal
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::TaskSpan { phase: "map", label, start, end, .. } => {
+                    Some((label.as_str(), *start, *end))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(map_spans.len(), first + plans[1].len() + 1);
+        let failed = format!("faulty/{first}");
+        let retried: Vec<_> = map_spans.iter().filter(|s| s.0 == failed).collect();
+        assert_eq!(retried.len(), 2, "{retried:?}");
+        assert!(retried[1].1 >= retried[0].2, "the retry starts once the failure is seen");
+    }
+
+    /// Parses every token of a line as a number `n` and emits
+    /// `(n % 24, n)`: few keys, so splits and files share them.
+    fn numbers_mapper() -> ClosureMapper<u64, u64, impl Fn(&str, &mut MapContext<u64, u64>)> {
+        ClosureMapper::new(|line: &str, ctx: &mut MapContext<u64, u64>| {
+            for n in line.split_whitespace().filter_map(|t| t.parse::<u64>().ok()) {
+                ctx.emit(n % 24, n);
+            }
+        })
+    }
+
+    /// Emits a fold of each key's values that depends on their order, so
+    /// a part file tells every value order apart.
+    #[allow(clippy::type_complexity)]
+    fn ordered_fold_reducer(
+    ) -> ClosureReducer<u64, u64, u64, u64, impl Fn(&u64, &[u64], &mut ReduceContext<u64, u64>)> {
+        ClosureReducer::new(|k: &u64, vs: &[u64], ctx: &mut ReduceContext<u64, u64>| {
+            let fold = vs.iter().fold(vs.len() as u64, |a, v| a.wrapping_mul(31).wrapping_add(*v));
+            ctx.emit(*k, fold)
+        })
+    }
+
+    /// The proptests' uneven combiner: drops every third key, sums the
+    /// next, keeps first and last of the rest.
+    fn uneven_combiner() -> impl Combiner<u64, u64> {
+        crate::combiner::ClosureCombiner::new(|k: &u64, vs: &[u64]| match k % 3 {
+            0 => vec![],
+            1 => vec![vs.iter().fold(0u64, |a, v| a.wrapping_add(*v))],
+            _ => vec![vs[0], vs[vs.len() - 1]],
+        })
+    }
+
+    proptest::proptest! {
+        /// One run per (file, partition), however the file's splits are
+        /// cut across host workers, reports what the per-split runs and
+        /// their merge report: the same part files, metrics and journal,
+        /// with no combiner, a summing one and one that drops keys and
+        /// emits two values.
+        #[test]
+        fn per_file_runs_equal_the_per_split_oracle(
+            files in proptest::collection::vec(
+                proptest::collection::vec("[0-9 ]{0,12}", 0..40), 1..5),
+            block_size in 8usize..160,
+            num_reducers in 1usize..5
+        ) {
+            proptest::prop_assume!(files.iter().any(|lines| !lines.is_empty()));
+            let cluster = Cluster::new(ClusterConfig {
+                nodes: 4,
+                block_size,
+                replication: 2,
+                placement: PlacementPolicy::RoundRobin,
+            });
+            let inputs: Vec<DfsPath> = files
+                .iter()
+                .enumerate()
+                .map(|(i, lines)| {
+                    let path = DfsPath::new(format!("/in/f{i}")).unwrap();
+                    let text: String = lines.iter().map(|l| format!("{l}\n")).collect();
+                    cluster.create(&path, Bytes::from(text)).unwrap();
+                    path
+                })
+                .collect();
+            let (mapper, reducer) = (numbers_mapper(), ordered_fold_reducer());
+            let conf = JobConf { num_reducers, ..Default::default() };
+            let (sum, uneven) = (crate::combiner::SumCombiner, uneven_combiner());
+            let combiners: [Option<&dyn Combiner<u64, u64>>; 3] = [None, Some(&sum), Some(&uneven)];
+            for (c, combiner) in combiners.into_iter().enumerate() {
+                let mut runner = JobRunner::new(&cluster, &mapper, &reducer);
+                if let Some(combiner) = combiner {
+                    runner = runner.with_combiner(combiner);
+                }
+                let spec = |side: String| {
+                    let out = DfsPath::new(format!("/out/c{c}/{side}")).unwrap();
+                    JobSpec::new("job", inputs.clone(), out)
+                };
+                exec::set_host_parallelism(Some(1));
+                let expected = traced_run(&runner, &spec("oracle".into()), &conf, true);
+                for workers in [1, 3] {
+                    exec::set_host_parallelism(Some(workers));
+                    let got = traced_run(&runner, &spec(format!("w{workers}")), &conf, false);
+                    proptest::prop_assert!(
+                        got == expected,
+                        "combiner {c} on {workers} workers: {got:?}\n  oracle: {expected:?}"
+                    );
+                }
+            }
         }
     }
 

@@ -152,7 +152,8 @@ mod tests {
         let conf = JobConf { num_reducers: 30, ..Default::default() };
         JobRunner::new(&cluster, &mapper, &reducer).run(&mut sim, &spec, &conf, SimTime::ZERO).unwrap();
 
-        let splits = plan_splits(&cluster, &spec.inputs, &mut SplitPlans::new()).unwrap();
+        let plans = plan_splits(&cluster, &spec.inputs, &mut SplitPlans::new()).unwrap();
+        let splits = &plans[0];
         assert!(splits.len() > nodes, "more maps than nodes, so loads matter");
         let alive: Vec<bool> = (0..nodes).map(|i| NodeId(i as u32) != dead).collect();
         let mut loads = [vec![SimTime::ZERO; nodes], vec![SimTime::ZERO; nodes]];

@@ -42,15 +42,19 @@ impl InputSplit {
     }
 }
 
-/// Split plans by file, each planned once: files are immutable, so a
-/// recurring query's jobs share one table (see
-/// [`crate::runtime::MapMemo`]).
+/// Split plans by file, each planned once and shared: files are
+/// immutable, so a recurring query's jobs share one table (see
+/// [`crate::runtime::MapMemo`]), and a job holds each of its files' plans
+/// by reference — one `Arc` per file, never a copy of its splits. A plan
+/// lists the file's splits in file order; the job's map tasks are its
+/// files' plans laid end to end.
 pub type SplitPlans = HashMap<DfsPath, Arc<Vec<InputSplit>>>;
 
 /// Plans block-aligned splits for every input file, planning only the
-/// files `plans` does not hold yet.
+/// files `plans` does not hold yet, and returns each file's shared plan
+/// in input order.
 ///
-/// Empty files contribute no splits. Returns [`MrError::NoInput`] when no
+/// Empty files contribute no plan. Returns [`MrError::NoInput`] when no
 /// file yields any split (a job must have at least one record... Hadoop
 /// actually launches 0 maps; Redoop treats it as a planning error to catch
 /// misconfigured window paths early).
@@ -58,18 +62,25 @@ pub fn plan_splits(
     cluster: &Cluster,
     inputs: &[DfsPath],
     plans: &mut SplitPlans,
-) -> Result<Vec<InputSplit>> {
-    let mut splits = Vec::new();
+) -> Result<Vec<Arc<Vec<InputSplit>>>> {
+    let mut planned = Vec::with_capacity(inputs.len());
     for path in inputs {
-        if !plans.contains_key(path) {
-            plans.insert(path.clone(), Arc::new(plan_splits_file(cluster, path)?));
+        let plan = match plans.get(path) {
+            Some(plan) => plan.clone(),
+            None => {
+                let plan = Arc::new(plan_splits_file(cluster, path)?);
+                plans.insert(path.clone(), plan.clone());
+                plan
+            }
+        };
+        if !plan.is_empty() {
+            planned.push(plan);
         }
-        splits.extend(plans[path].iter().cloned());
     }
-    if splits.is_empty() {
+    if planned.is_empty() {
         return Err(MrError::NoInput);
     }
-    Ok(splits)
+    Ok(planned)
 }
 
 /// Plans the splits of a single file (empty for an empty file).
@@ -133,13 +144,19 @@ mod tests {
         DfsPath::new(s).unwrap()
     }
 
+    /// The job's splits: every planned file's, in input order.
+    fn splits_of(c: &Cluster, inputs: &[DfsPath]) -> Vec<InputSplit> {
+        let plans = plan_splits(c, inputs, &mut SplitPlans::new()).unwrap();
+        plans.iter().flat_map(|plan| plan.iter().cloned()).collect()
+    }
+
     #[test]
     fn one_split_per_block_covering_all_lines() {
         let c = cluster(10);
         // 4 lines x 6 bytes = 24 bytes -> 3 blocks of 10/10/4.
         let data = "aaaaa\nbbbbb\nccccc\nddddd\n";
         c.create(&p("/in"), Bytes::from(data.to_string())).unwrap();
-        let splits = plan_splits(&c, &[p("/in")], &mut SplitPlans::new()).unwrap();
+        let splits = splits_of(&c, &[p("/in")]);
         let total_lines: usize = splits.iter().map(|s| s.record_count()).sum();
         assert_eq!(total_lines, 4);
         let total_bytes: u64 = splits.iter().map(|s| s.bytes).sum();
@@ -162,7 +179,7 @@ mod tests {
         // into block 1; it must belong to the block-0 split.
         let data = "0123456789\nab\n";
         c.create(&p("/in"), Bytes::from(data.to_string())).unwrap();
-        let splits = plan_splits(&c, &[p("/in")], &mut SplitPlans::new()).unwrap();
+        let splits = splits_of(&c, &[p("/in")]);
         assert_eq!(splits[0].file.line(splits[0].lines.start), "0123456789");
         let total: usize = splits.iter().map(|s| s.record_count()).sum();
         assert_eq!(total, 2);
@@ -181,15 +198,20 @@ mod tests {
         let c = cluster(100);
         c.create(&p("/a"), Bytes::from_static(b"x\ny\n")).unwrap();
         c.create(&p("/b"), Bytes::from_static(b"z\n")).unwrap();
+        c.create(&p("/empty"), Bytes::new()).unwrap();
         let mut plans = SplitPlans::new();
-        let splits = plan_splits(&c, &[p("/a"), p("/b")], &mut plans).unwrap();
-        assert_eq!(splits.len(), 2);
-        assert_eq!(splits[0].record_count(), 2);
-        assert_eq!(splits[1].record_count(), 1);
-        // Each file was planned once, and a later job reuses the plan.
-        assert_eq!(plans.len(), 2);
-        let planned = plans[&p("/b")].clone();
-        plan_splits(&c, &[p("/b")], &mut plans).unwrap();
-        assert!(Arc::ptr_eq(&planned, &plans[&p("/b")]));
+        let planned = plan_splits(&c, &[p("/a"), p("/empty"), p("/b")], &mut plans).unwrap();
+        // One plan per file that has lines, in input order.
+        assert_eq!(planned.len(), 2);
+        assert_eq!((planned[0].len(), planned[1].len()), (1, 1));
+        assert_eq!(planned[0][0].record_count(), 2);
+        assert_eq!(planned[1][0].record_count(), 1);
+        assert_eq!(planned[1][0].path, p("/b"));
+        // Each file was planned once, and what a job holds is the table's
+        // plan itself, which a later job reuses.
+        assert_eq!(plans.len(), 3);
+        assert!(Arc::ptr_eq(&planned[1], &plans[&p("/b")]));
+        let again = plan_splits(&c, &[p("/b")], &mut plans).unwrap();
+        assert!(Arc::ptr_eq(&again[0], &planned[1]));
     }
 }

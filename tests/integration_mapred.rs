@@ -8,6 +8,8 @@ mod common;
 use bytes::Bytes;
 use common::test_cluster;
 use redoop_dfs::{DfsPath, NodeId};
+use redoop_mapred::combiner::SumCombiner;
+use redoop_mapred::exec::set_host_parallelism;
 use redoop_mapred::{
     ClosureMapper, ClosureReducer, ClusterSim, CostModel, JobConf, JobRunner, JobSpec,
     MapContext, MapMemo, ReduceContext, SimTime, TraceSink,
@@ -170,8 +172,9 @@ fn consecutive_jobs_share_the_simulated_cluster() {
 fn a_shared_memo_changes_nothing_a_job_reports() {
     // Five jobs sliding three files at a time over seven files, each side
     // on one ClusterSim of its own: `run` against `run_memoized` on a
-    // shared memo that may reuse every file. Part files, metrics and the
-    // journal must not tell the two apart.
+    // shared memo that may reuse every file, with and without a combiner,
+    // on one host worker and on three. Part files, metrics and the
+    // journal must not tell any of them apart.
     let cluster = test_cluster();
     let files: Vec<DfsPath> = (0..7)
         .map(|i| {
@@ -182,41 +185,50 @@ fn a_shared_memo_changes_nothing_a_job_reports() {
         })
         .collect();
     let (mapper, reducer) = word_count();
-    let runner = JobRunner::new(&cluster, &mapper, &reducer);
     let conf = JobConf { num_reducers: 3, ..Default::default() };
+    let sum = SumCombiner;
 
-    let run_side = |side: &str, mut memo: Option<&mut MapMemo>| {
-        let mut sim = ClusterSim::paper_testbed(8, CostModel::default());
-        let sink = TraceSink::with_capacity(1 << 14);
-        sim.set_trace_sink(sink.clone());
-        let results: Vec<_> = (0..5)
-            .map(|w| {
-                let spec = JobSpec::new(
-                    format!("slide-w{w}"),
-                    files[w..w + 3].to_vec(),
-                    DfsPath::new(format!("/memo/out-{side}/w{w}")).unwrap(),
-                );
-                let at = SimTime::from_secs(2 * w as u64);
-                match memo.as_deref_mut() {
-                    Some(m) => runner.run_memoized(&mut sim, &spec, &conf, at, (m, &|_| true)),
-                    None => runner.run(&mut sim, &spec, &conf, at),
-                }
-                .unwrap()
-            })
-            .collect();
-        assert_eq!(sink.dropped(), 0);
-        (results, sink.render_json())
-    };
-    let (plain, plain_journal) = run_side("plain", None);
-    let (shared, shared_journal) = run_side("shared", Some(&mut MapMemo::default()));
-
-    for (w, (p, s)) in plain.iter().zip(&shared).enumerate() {
-        assert_eq!(p.metrics, s.metrics, "window {w}");
-        assert_eq!(p.outputs.len(), 3);
-        for (a, b) in p.outputs.iter().zip(&s.outputs) {
-            assert_eq!(cluster.read(a).unwrap(), cluster.read(b).unwrap(), "window {w}: {a}");
+    for combined in [false, true] {
+        let mut runner = JobRunner::new(&cluster, &mapper, &reducer);
+        if combined {
+            runner = runner.with_combiner(&sum);
+        }
+        // Each window's metrics and part files, and the side's journal.
+        let run_side = |side: &str, mut memo: Option<&mut MapMemo>| {
+            let mut sim = ClusterSim::paper_testbed(8, CostModel::default());
+            let sink = TraceSink::with_capacity(1 << 14);
+            sim.set_trace_sink(sink.clone());
+            let windows: Vec<_> = (0..5)
+                .map(|w| {
+                    let spec = JobSpec::new(
+                        format!("slide-w{w}"),
+                        files[w..w + 3].to_vec(),
+                        DfsPath::new(format!("/memo/out-{combined}-{side}/w{w}")).unwrap(),
+                    );
+                    let at = SimTime::from_secs(2 * w as u64);
+                    let result = match memo.as_deref_mut() {
+                        Some(m) => runner.run_memoized(&mut sim, &spec, &conf, at, (m, &|_| true)),
+                        None => runner.run(&mut sim, &spec, &conf, at),
+                    }
+                    .unwrap();
+                    let parts: Vec<Bytes> =
+                        result.outputs.iter().map(|p| cluster.read(p).unwrap()).collect();
+                    (result.metrics, parts)
+                })
+                .collect();
+            assert_eq!(sink.dropped(), 0);
+            (windows, sink.render_json())
+        };
+        set_host_parallelism(Some(1));
+        let plain = run_side("plain", None);
+        assert!(plain.0[4].0.map_tasks > 3, "files span several splits");
+        assert!(plain.0.iter().all(|(_, parts)| parts.len() == 3));
+        for workers in [1, 3] {
+            set_host_parallelism(Some(workers));
+            let shared = run_side(&format!("shared{workers}"), Some(&mut MapMemo::default()));
+            assert!(shared == plain, "combined {combined}, {workers} workers, shared memo");
+            let fresh = run_side(&format!("plain{workers}"), None);
+            assert!(fresh == plain, "combined {combined}, {workers} workers");
         }
     }
-    assert!(plain[4].metrics.map_tasks > 3, "files span several splits");
-    assert_eq!(plain_journal, shared_journal);
 }
