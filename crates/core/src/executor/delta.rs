@@ -153,7 +153,7 @@ where
             (0..alive.len())
                 .map(|i| alive[(start + i) % alive.len()])
                 .min_by_key(|n| loads[n.index()])
-                .expect("cluster has at least one live node")
+                .expect("ingest checked that a node is alive")
         } else {
             self.pick_reduce_node(&caches, at, &format!("delta/home/r{r}"), None)
         };

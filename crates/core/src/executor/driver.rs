@@ -42,7 +42,7 @@
 //! HDFS-available) and the post-window expiry/purge sweep live here
 //! too: they are driver concerns — bookkeeping between plan executions.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use redoop_dfs::{DfsPath, NodeId};
 use redoop_mapred::counters::names as cnames;
@@ -198,12 +198,16 @@ pub(super) struct PartitionPrep {
     pub(super) node: NodeId,
     /// Missing pane products, in plan order.
     pub(super) missing: Vec<MissingPane>,
-    /// Set twin of `missing` for O(1) membership.
-    pub(super) missing_set: HashSet<(u32, u64)>,
     /// Missing pane pairs, in plan (left-major) order.
     pub(super) todo_pairs: Vec<(PaneId, PaneId)>,
-    /// Set twin of `todo_pairs`.
-    pub(super) todo_set: HashSet<(u64, u64)>,
+}
+
+impl PartitionPrep {
+    /// Whether `source`'s `pane` is one of the missing pane products. A
+    /// scan: the list holds at most one window's panes.
+    pub(super) fn is_missing(&self, source: u32, pane: PaneId) -> bool {
+        self.missing.iter().any(|m| m.source == source && m.pane == pane)
+    }
 }
 
 impl<M, R> RecurringExecutor<M, R>
@@ -265,10 +269,7 @@ where
         let label = format!("w{}/{kind_label}/r{r}", plan.recurrence);
         let node = self.pick_reduce_node(&names, ctx.fire, &label, producer);
 
-        let mut missing: Vec<MissingPane> = Vec::new();
-        let mut missing_set: HashSet<(u32, u64)> = HashSet::new();
-        let mut todo_pairs: Vec<(PaneId, PaneId)> = Vec::new();
-        let mut todo_set: HashSet<(u64, u64)> = HashSet::new();
+        let mut prep = PartitionPrep { node, missing: Vec::new(), todo_pairs: Vec::new() };
         for pnode in plan.partition_nodes(r) {
             let name = match pnode.task {
                 PlanTask::BuildPane { .. } | PlanTask::BuildPair { .. } => pnode.produces[0],
@@ -303,30 +304,29 @@ where
             }
             match pnode.task {
                 PlanTask::BuildPane { source, pane, .. } => {
-                    if missing_set.insert((source, pane.0)) {
-                        missing.push(MissingPane { source, pane, name });
+                    if !prep.is_missing(source, pane) {
+                        prep.missing.push(MissingPane { source, pane, name });
                     }
                 }
                 PlanTask::BuildPair { left, right, .. } => {
-                    if todo_set.insert((left.0, right.0)) {
-                        todo_pairs.push((left, right));
+                    if !prep.todo_pairs.contains(&(left, right)) {
+                        prep.todo_pairs.push((left, right));
                     }
                 }
                 _ => unreachable!(),
             }
         }
 
-        // Map stage for missing panes. Membership is a set probe, not a
-        // scan over the window's pane list.
-        for m in &missing {
+        // Map stage for missing panes.
+        for m in &prep.missing {
             self.lists.push_map(MapTaskEntry { source: m.source, pane: m.pane });
         }
         while let Some(entry) = self.lists.pop_map() {
-            if missing_set.contains(&(entry.source, entry.pane.0)) {
+            if prep.is_missing(entry.source, entry.pane) {
                 self.ensure_pane_mapped(entry.source, entry.pane, ctx.floor, mapped, metrics)?;
             }
         }
-        Ok(PartitionPrep { node, missing, missing_set, todo_pairs, todo_set })
+        Ok(prep)
     }
 
     // ------------------------------------------------------------------
@@ -530,16 +530,16 @@ where
         // combiner, partitioner); all virtual-time accounting happens in
         // the sequential apply loop below, in split order, so simulated
         // results are identical to a single-threaded run.
-        // Fetch each slice file once, up front — the read is what fails
-        // on a lost block, every window — and view it through the line
-        // index its manifest entry owns (built by the first read of the
-        // file, whichever window or query makes it).
+        // Fetch and line-index each slice file once, up front — the read
+        // is what fails on a lost block, every window. The index is not
+        // kept: a file is read again only to rebuild a lost or evicted
+        // product.
         let slice_files: Vec<Result<redoop_mapred::LineFile>> = {
             let cluster = &self.cluster;
             exec::parallel_map(slices.len(), |i| {
                 Ok(cluster
                     .read(&slices[i].path)
-                    .map(|data| slices[i].line_file(data).clone())
+                    .map(redoop_mapred::LineFile::new)
                     .map_err(RedoopError::from))
             })?
         };

@@ -226,7 +226,7 @@ where
                         ready = ready.max(sig.available_at);
                         // An old input's pre-sorted run is streamed once;
                         // the first pair that touches it pays the read.
-                        if !prep.missing_set.contains(&(s, pane.0))
+                        if !prep.is_missing(s, pane)
                             && old_seen.insert((s, pane.0))
                         {
                             cache_bytes += sig.bytes;
@@ -269,10 +269,10 @@ where
                 // incremental join is a linear merge).
                 let mut old_panes_touched: BTreeSet<(u32, u64)> = BTreeSet::new();
                 for &(p, q) in &prep.todo_pairs {
-                    if !prep.missing_set.contains(&(0, p.0)) {
+                    if !prep.is_missing(0, p) {
                         old_panes_touched.insert((0, p.0));
                     }
-                    if !prep.missing_set.contains(&(1, q.0)) {
+                    if !prep.is_missing(1, q) {
                         old_panes_touched.insert((1, q.0));
                     }
                 }
@@ -343,7 +343,7 @@ where
         for &p in panes {
             for &q in panes {
                 let name = pair_name(self.fp, p, q, r);
-                let fresh = prep.todo_set.contains(&(p.0, q.0));
+                let fresh = prep.todo_pairs.contains(&(p, q));
                 if let Some(sig) = self.controller.signature(&name) {
                     ready = ready.max(sig.available_at);
                     out_bytes += sig.bytes;

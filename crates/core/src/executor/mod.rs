@@ -51,7 +51,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use redoop_dfs::{Cluster, DfsPath, NodeId};
+use redoop_dfs::{Cluster, DfsError, DfsPath, NodeId};
 use redoop_mapred::counters::names as cnames;
 use redoop_mapred::trace::{TraceEvent, TraceSink, WindowTraceStats};
 use redoop_mapred::{
@@ -514,6 +514,11 @@ where
         range: &TimeRange,
     ) -> Result<()> {
         let sid = source as u32;
+        let delta_on = source == 0 && self.delta_enabled();
+        if delta_on {
+            // The fold places each partition's state on a live node.
+            self.require_live_node()?;
+        }
         let lines: Vec<&str> = lines.collect();
         let state = &mut self.sources[source];
         let mut packer = state.packer.lock();
@@ -521,7 +526,6 @@ where
         let outcome = packer.ingest_batch_indexed(&lines, range)?;
         let after = packer.manifest().max_sealed_pane().map(|p| p.0 + 1).unwrap_or(0);
         drop(packer);
-        let delta_on = source == 0 && self.delta_enabled();
         if delta_on {
             self.delta_fold_batch(&lines, &outcome, range)?;
         }
@@ -561,10 +565,20 @@ where
     // Window execution
     // ------------------------------------------------------------------
 
+    /// Fails typed when every node is dead: Eq. 4 has no candidate, so
+    /// no task of this query could be placed.
+    fn require_live_node(&self) -> Result<()> {
+        if self.cluster.dead_node_count() == self.cluster.node_count() {
+            return Err(DfsError::InsufficientNodes { requested: 1, alive: 0 }.into());
+        }
+        Ok(())
+    }
+
     /// Runs recurrence `rec`, returning its report: builds the window's
     /// [`plan::WindowPlan`] and hands it to the driver. Ingest must have
-    /// covered the window's event range first.
+    /// covered the window's event range first, and a node must be alive.
     pub fn run_window(&mut self, rec: u64) -> Result<WindowReport> {
+        self.require_live_node()?;
         let spec = self.sources[0].conf.spec;
         let fire = SimTime::from_millis(spec.fire_time(rec).as_millis());
         let mut metrics =
@@ -801,6 +815,78 @@ mod tests {
         .unwrap();
         let err = exec.run_window(0).unwrap_err();
         assert!(matches!(err, RedoopError::InvalidQuery(_)), "got {err:?}");
+    }
+
+    fn dead_cluster_error(err: &RedoopError) -> bool {
+        matches!(err, RedoopError::Dfs(DfsError::InsufficientNodes { requested: 1, alive: 0 }))
+    }
+
+    #[test]
+    fn a_window_on_an_all_dead_cluster_is_a_typed_error() {
+        let (cluster, sim, conf, source, adaptive, _) = fixture();
+        let mut exec = RecurringExecutor::aggregation(
+            &cluster,
+            sim,
+            conf,
+            source,
+            mapper(),
+            reducer(),
+            Arc::new(SumMerger),
+            adaptive,
+        )
+        .unwrap();
+        let range = TimeRange::new(crate::time::EventTime(0), crate::time::EventTime(200));
+        exec.ingest(0, ["10,a", "50,b", "150,a"].into_iter(), &range).unwrap();
+        for n in 0..4 {
+            cluster.kill_node(NodeId(n)).unwrap();
+        }
+        let err = exec.run_window(0).unwrap_err();
+        assert!(dead_cluster_error(&err), "got {err:?}");
+        // The failed window left nothing behind: with the nodes back (their
+        // blocks intact), the same window runs and counts every record once.
+        for n in 0..4 {
+            cluster.revive_node(NodeId(n)).unwrap();
+        }
+        let report = exec.run_window(0).unwrap();
+        let out: Vec<(String, u64)> = read_window_output(&cluster, &report.outputs).unwrap();
+        assert_eq!(out, vec![("a".to_string(), 2), ("b".to_string(), 1)]);
+    }
+
+    #[test]
+    fn a_delta_fold_on_an_all_dead_cluster_is_a_typed_error() {
+        let (cluster, sim, conf, source, adaptive, _) = fixture();
+        let mut exec = RecurringExecutor::aggregation(
+            &cluster,
+            sim,
+            conf,
+            source,
+            mapper(),
+            reducer(),
+            Arc::new(SumMerger),
+            adaptive,
+        )
+        .unwrap();
+        exec.set_combiner(Arc::new(redoop_mapred::combiner::SumCombiner));
+        assert!(exec.delta_enabled());
+        for n in 0..4 {
+            cluster.kill_node(NodeId(n)).unwrap();
+        }
+        // A batch that seals no pane writes nothing to the DFS, so only the
+        // fold's placement meets the dead cluster.
+        let early = TimeRange::new(crate::time::EventTime(0), crate::time::EventTime(50));
+        let err = exec.ingest(0, ["10,a"].into_iter(), &early).unwrap_err();
+        assert!(dead_cluster_error(&err), "got {err:?}");
+        // Nothing was ingested: with the nodes back, the same batch folds
+        // once and the window counts it once.
+        for n in 0..4 {
+            cluster.revive_node(NodeId(n)).unwrap();
+        }
+        exec.ingest(0, ["10,a"].into_iter(), &early).unwrap();
+        let rest = TimeRange::new(crate::time::EventTime(50), crate::time::EventTime(200));
+        exec.ingest(0, ["60,b", "150,a"].into_iter(), &rest).unwrap();
+        let report = exec.run_window(0).unwrap();
+        let out: Vec<(String, u64)> = read_window_output(&cluster, &report.outputs).unwrap();
+        assert_eq!(out, vec![("a".to_string(), 2), ("b".to_string(), 1)]);
     }
 
     #[test]

@@ -18,11 +18,11 @@
 
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use redoop_dfs::{Cluster, DfsPath};
-use redoop_mapred::{LineFile, SimTime};
+use redoop_mapred::SimTime;
 
 use crate::analyzer::{PartitionPlan, SourceStats};
 use crate::error::{RedoopError, Result};
@@ -50,35 +50,6 @@ pub struct PaneSlice {
     /// Virtual time at which this slice is sealed and processable
     /// (event-time close of the sub-pane; 1 event ms == 1 virtual ms).
     pub ready_at: SimTime,
-    /// Line index of `path`, one slot per file: slices of one multi-pane
-    /// file, and every clone of a slice, share it.
-    index: LineIndexSlot,
-}
-
-/// Write-once slot for a pane file's line index. Owned by the file's
-/// manifest entry, so the index lives exactly as long as the source that
-/// sealed the file — not in a process-wide table that outlives it.
-#[derive(Clone, Default)]
-struct LineIndexSlot(Arc<OnceLock<LineFile>>);
-
-impl std::fmt::Debug for LineIndexSlot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.0.get().is_some() { "indexed" } else { "unindexed" })
-    }
-}
-
-impl PaneSlice {
-    /// The line-indexed view of this slice's file. `data` is what
-    /// `Cluster::read(&self.path)` just returned; the first caller pays
-    /// for validating and indexing it, every later one — any window, any
-    /// executor attached to the source — gets the same index back. Sound
-    /// because the DFS is write-once: `create` rejects an existing path
-    /// and `read` hands back the created buffer, so a path's bytes never
-    /// change under its index. Nothing is indexed before a window reads
-    /// the file (ingestion never does).
-    pub fn line_file(&self, data: Bytes) -> &LineFile {
-        self.index.0.get_or_init(|| LineFile::new(data))
-    }
 }
 
 /// Pane → slices lookup for one source.
@@ -429,7 +400,6 @@ impl DynamicDataPacker {
                         bytes,
                         records,
                         ready_at: SimTime::from_millis(ready_ms),
-                        index: LineIndexSlot::default(),
                     });
                     written.push(path);
                 }
@@ -461,7 +431,6 @@ impl DynamicDataPacker {
             file_text.push('\n');
             file_text.push_str(&body);
             self.cluster.create(&path, Bytes::from(file_text))?;
-            let index = LineIndexSlot::default();
             for (p, lines, bytes, records) in per_pane {
                 self.manifest.push(PaneSlice {
                     pane: PaneId(p),
@@ -473,7 +442,6 @@ impl DynamicDataPacker {
                     // A shared file is only on disk once its last pane
                     // closes; every contained pane becomes readable then.
                     ready_at: SimTime::from_millis((hi + 1) * pane_ms),
-                    index: index.clone(),
                 });
             }
             written.push(path);
@@ -493,7 +461,6 @@ impl DynamicDataPacker {
                     bytes,
                     records,
                     ready_at: SimTime::from_millis((p + 1) * pane_ms),
-                    index: LineIndexSlot::default(),
                 });
                 written.push(path);
             }

@@ -509,6 +509,29 @@ mod tests {
     }
 
     #[test]
+    fn dead_node_counter_matches_a_liveness_scan() {
+        // The counter lets a healthy cluster answer `dead_node_indexes`
+        // without touching a node, so it must stay exact through any
+        // kill/revive sequence — killing a dead node and reviving a live
+        // one included — and an unknown id must leave it alone.
+        let nodes = 7u64;
+        let c = Cluster::with_nodes(nodes as usize);
+        let mut rng: u64 = 0x9e37_79b9_7f4a_7c15;
+        for step in 0..2_000 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let id = NodeId((rng % (nodes + 1)) as u32);
+            let result = if (rng >> 32) & 1 == 0 { c.kill_node(id) } else { c.revive_node(id) };
+            assert_eq!(result.is_err(), id.index() == nodes as usize, "step {step}");
+            let scan: Vec<usize> =
+                (0..nodes as usize).filter(|&i| !c.is_alive(NodeId(i as u32))).collect();
+            assert_eq!(c.dead_node_indexes(), scan, "step {step}");
+            assert_eq!(c.dead_node_count(), scan.len(), "step {step}");
+        }
+    }
+
+    #[test]
     fn io_totals_accumulate() {
         let c = small_cluster();
         c.create(&p("/f"), Bytes::from_static(b"abcdefgh")).unwrap();

@@ -47,174 +47,17 @@ fn kind_ix(kind: SlotKind) -> usize {
     }
 }
 
-/// A min segment tree over per-node values, padded to a power of two with
-/// `SimTime(u64::MAX)` sentinels so absent leaves never win a query.
-///
-/// This is the sublinear half of Eq. 4 placement at scale: the scheduler's
-/// "best uniformly-priced node" question (lowest id whose load clears a
-/// bound, else the leftmost least-loaded node) is answered by descending
-/// the tree left-first instead of scanning all nodes. Skip lists (cache
-/// holders, dead nodes) are small, so queries cost
-/// `O((|skip| + 1) log n)`.
-#[derive(Debug)]
-struct MinTree {
-    /// Number of leaves (power of two, >= node count).
-    size: usize,
-    /// 1-based heap layout; `tree[size + i]` is leaf `i`.
-    tree: Vec<SimTime>,
-}
-
-impl MinTree {
-    /// A tree whose first `n` leaves are `SimTime::ZERO`.
-    fn new_zeroed(n: usize) -> MinTree {
-        let size = n.next_power_of_two().max(1);
-        let mut tree = vec![SimTime(u64::MAX); 2 * size];
-        for leaf in tree.iter_mut().skip(size).take(n) {
-            *leaf = SimTime::ZERO;
-        }
-        for idx in (1..size).rev() {
-            tree[idx] = tree[2 * idx].min(tree[2 * idx + 1]);
-        }
-        MinTree { size, tree }
-    }
-
-    /// Point-updates leaf `i` to `v`.
-    fn update(&mut self, i: usize, v: SimTime) {
-        let mut idx = self.size + i;
-        self.tree[idx] = v;
-        while idx > 1 {
-            idx >>= 1;
-            self.tree[idx] = self.tree[2 * idx].min(self.tree[2 * idx + 1]);
-        }
-    }
-
-    /// Lowest leaf index `< n` with value `<= bound`, excluding the sorted
-    /// indexes in `skip`. Left-first descent; subtrees fully covered by
-    /// `skip` (or past `n`) are pruned without visiting their leaves.
-    fn leftmost_le_excluding(
-        &self,
-        n: usize,
-        bound: SimTime,
-        skip: &[usize],
-    ) -> Option<usize> {
-        self.descend_le(1, 0, self.size, n, bound, skip)
-    }
-
-    fn descend_le(
-        &self,
-        node: usize,
-        lo: usize,
-        hi: usize,
-        n: usize,
-        bound: SimTime,
-        skip: &[usize],
-    ) -> Option<usize> {
-        if lo >= n || self.tree[node] > bound {
-            return None;
-        }
-        let in_skip =
-            skip.partition_point(|&x| x < hi) - skip.partition_point(|&x| x < lo);
-        if in_skip == hi - lo {
-            return None;
-        }
-        if hi - lo == 1 {
-            return (in_skip == 0).then_some(lo);
-        }
-        let mid = (lo + hi) / 2;
-        self.descend_le(2 * node, lo, mid, n, bound, skip)
-            .or_else(|| self.descend_le(2 * node + 1, mid, hi, n, bound, skip))
-    }
-
-    /// Lexicographic minimum of `(value, index)` over leaves `0..n` not in
-    /// the sorted `skip` list — i.e. the leftmost least-loaded node.
-    /// Decomposes `0..n` into the gaps between skipped indexes and takes a
-    /// leftmost-preferring range-min over each.
-    fn min_excluding(&self, n: usize, skip: &[usize]) -> Option<(SimTime, usize)> {
-        let mut best: Option<(SimTime, usize)> = None;
-        let mut merge = |cand: Option<(SimTime, usize)>| {
-            if let Some(c) = cand {
-                // Gaps arrive in ascending index order, so a tie keeps the
-                // earlier (lower-id) winner.
-                if best.is_none_or(|b| c.0 < b.0) {
-                    best = Some(c);
-                }
-            }
-        };
-        let mut start = 0;
-        for &s in skip {
-            if s >= n {
-                break;
-            }
-            if s > start {
-                merge(self.min_in_range(1, 0, self.size, start, s));
-            }
-            start = s + 1;
-        }
-        if start < n {
-            merge(self.min_in_range(1, 0, self.size, start, n));
-        }
-        best
-    }
-
-    /// Leftmost-preferring range-min over leaves `[l, r)`.
-    fn min_in_range(
-        &self,
-        node: usize,
-        lo: usize,
-        hi: usize,
-        l: usize,
-        r: usize,
-    ) -> Option<(SimTime, usize)> {
-        if r <= lo || hi <= l {
-            return None;
-        }
-        if l <= lo && hi <= r {
-            return Some(self.leftmost_of(node, lo, hi));
-        }
-        let mid = (lo + hi) / 2;
-        let a = self.min_in_range(2 * node, lo, mid, l, r);
-        let b = self.min_in_range(2 * node + 1, mid, hi, l, r);
-        match (a, b) {
-            (Some(x), Some(y)) => Some(if x.0 <= y.0 { x } else { y }),
-            (x, y) => x.or(y),
-        }
-    }
-
-    /// Leftmost leaf attaining a fully-covered subtree's minimum.
-    fn leftmost_of(&self, mut node: usize, mut lo: usize, mut hi: usize) -> (SimTime, usize) {
-        let target = self.tree[node];
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if self.tree[2 * node] == target {
-                node *= 2;
-                hi = mid;
-            } else {
-                node = 2 * node + 1;
-                lo = mid;
-            }
-        }
-        (target, lo)
-    }
-}
-
-/// The shared slot-occupancy state behind a [`ClusterSim`] handle.
-///
-/// Alongside the raw per-slot free times, it maintains three derived
-/// structures incrementally (slots only ever change in `assign_dynamic`,
-/// which touches a single node):
-///
-/// * `min_free[kind][node]` — the node's earliest slot-free time, so
-///   `loads()` is a clone instead of an `O(nodes * slots)` scan;
-/// * `index[kind]` — a [`MinTree`] over `min_free` answering clamped
-///   argmin queries in logarithmic time;
-/// * `horizon` — the running max of every assigned end time.
+/// The shared slot-occupancy state behind a [`ClusterSim`] handle: each
+/// slot's next free time, plus one value derived from them and kept in
+/// step by `assign_dynamic` (the only writer, which touches one node):
+/// `min_free[kind][node]`, the node's earliest slot-free time, so a
+/// node's `Load_i` is a lookup and `loads()` a clone instead of an
+/// `O(nodes * slots)` scan.
 #[derive(Debug)]
 struct SlotState {
     map_slots: Vec<Vec<SimTime>>,
     reduce_slots: Vec<Vec<SimTime>>,
     min_free: [Vec<SimTime>; 2],
-    index: [MinTree; 2],
-    horizon: SimTime,
 }
 
 impl SlotState {
@@ -223,8 +66,6 @@ impl SlotState {
             map_slots: vec![vec![SimTime::ZERO; map_slots]; nodes],
             reduce_slots: vec![vec![SimTime::ZERO; reduce_slots]; nodes],
             min_free: [vec![SimTime::ZERO; nodes], vec![SimTime::ZERO; nodes]],
-            index: [MinTree::new_zeroed(nodes), MinTree::new_zeroed(nodes)],
-            horizon: SimTime::ZERO,
         }
     }
 
@@ -232,22 +73,6 @@ impl SlotState {
         match kind {
             TaskKind::Map => &mut self.map_slots,
             TaskKind::Reduce => &mut self.reduce_slots,
-        }
-    }
-
-    /// Re-derives one node's cached minimum after its slots changed.
-    fn refresh_node(&mut self, kind: SlotKind, node: usize) {
-        let ix = kind_ix(kind);
-        let min = *match kind {
-            TaskKind::Map => &self.map_slots,
-            TaskKind::Reduce => &self.reduce_slots,
-        }[node]
-            .iter()
-            .min()
-            .expect("slots non-empty");
-        if self.min_free[ix][node] != min {
-            self.min_free[ix][node] = min;
-            self.index[ix].update(node, min);
         }
     }
 }
@@ -323,9 +148,8 @@ impl ClusterSim {
     /// pays the *same* affinity cost and loads are clamped to `floor`:
     /// the lexicographic minimum of `(max(load, floor), node_id)` over
     /// nodes not listed in `skip` (sorted node indexes — cache holders
-    /// priced separately, dead nodes). Answered from the load index in
-    /// `O((|skip| + 1) log nodes)`; returns `None` if every node is
-    /// skipped.
+    /// priced separately, dead nodes), in one `O(nodes)` pass over the
+    /// per-node loads; returns `None` if every node is skipped.
     ///
     /// Nodes with `load <= floor` all clamp to the same score, so the
     /// lowest-id one wins if any exists; otherwise the leftmost
@@ -338,11 +162,14 @@ impl ClusterSim {
     ) -> Option<NodeId> {
         debug_assert!(skip.windows(2).all(|w| w[0] < w[1]), "skip must be sorted");
         let state = self.state.lock();
-        let tree = &state.index[kind_ix(kind)];
-        if let Some(i) = tree.leftmost_le_excluding(self.nodes, floor, skip) {
-            return Some(NodeId(i as u32));
-        }
-        tree.min_excluding(self.nodes, skip).map(|(_, i)| NodeId(i as u32))
+        let mut skip = skip.iter().copied().peekable();
+        state.min_free[kind_ix(kind)]
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| skip.next_if_eq(&i).is_none())
+            .map(|(i, &load)| (load.max(floor), i))
+            .min()
+            .map(|(_, i)| NodeId(i as u32))
     }
 
     /// The one Eq. 4 decision (paper §4.3) for a `kind` task ready at
@@ -356,8 +183,9 @@ impl ClusterSim {
     /// differ from the uniform price everyone else pays — cache holders
     /// for Redoop's reduces, block replicas for maps, nobody for plain
     /// Hadoop's cache-blind reduces — so the argmin is taken over them
-    /// plus the load index's best uniformly-priced node instead of
-    /// scanning the cluster; the winner is provably the full scan's (see
+    /// plus the best uniformly-priced node ([`Self::pick_min_clamped`])
+    /// instead of pricing every node; the winner is provably the full
+    /// scan's (see
     /// [`argmin_shortlist`]). The `Placement` journal event lists exactly
     /// the candidates compared, favored first, best other node last.
     pub fn place(
@@ -425,15 +253,17 @@ impl ClusterSim {
         let end = end_of(start);
         debug_assert!(end >= start);
         slots[slot_idx] = end;
-        state.refresh_node(kind, node.index());
-        state.horizon = state.horizon.max(end);
+        let min_free = *slots.iter().min().expect("slots non-empty");
+        state.min_free[kind_ix(kind)][node.index()] = min_free;
         Placement { node, start, end }
     }
 
     /// Latest completion time across all slots (cluster quiescent time).
-    /// Maintained incrementally as tasks are assigned.
+    /// A slot's free time only grows, so this is the latest end assigned.
     pub fn horizon(&self) -> SimTime {
-        self.state.lock().horizon
+        let state = self.state.lock();
+        let slots = state.map_slots.iter().chain(&state.reduce_slots).flatten();
+        slots.copied().max().unwrap_or(SimTime::ZERO)
     }
 }
 
@@ -540,7 +370,8 @@ mod tests {
 
     #[test]
     fn pick_min_clamped_matches_scan_argmin() {
-        // The index must return exactly the node a full clamped scan with
+        // `pick_min_clamped` must return exactly the node a full clamped
+        // scan with
         // lowest-id tie-breaking would return, for every floor and every
         // small skip set.
         let nodes = 9;

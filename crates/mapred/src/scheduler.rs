@@ -206,12 +206,14 @@ mod tests {
 
     #[test]
     fn place_matches_full_scan() {
-        // The real `ClusterSim::place` — load index, skip list, shortlist
-        // — must agree with `SchedulerCtx::argmin` over the clamped
-        // `loads()` for every load shape, floor, favoured set and dead
-        // set, whenever the nodes outside the favoured set pay one price.
+        // The real `ClusterSim::place` — skip list, `pick_min_clamped`'s
+        // scan, shortlist — must agree with `SchedulerCtx::argmin` over the
+        // clamped `loads()` for every load shape, floor, favoured set and
+        // dead set, whenever the nodes outside the favoured set pay one
+        // price: on one node, on the paper's eight, on an odd size and on
+        // the 200-node fleet.
         use crate::{ClusterSim, CostModel, TaskKind};
-        let nodes = 13u64;
+        use std::collections::{BTreeMap, BTreeSet};
         let mut rng: u64 = 0x2545_f491_4f6c_dd1d;
         let mut next = move || {
             rng ^= rng << 13;
@@ -219,31 +221,53 @@ mod tests {
             rng ^= rng << 17;
             rng
         };
-        for case in 0..300 {
-            let mut sim = ClusterSim::new(nodes as usize, 2, 1, CostModel::default());
-            let kind = if next() & 1 == 0 { TaskKind::Map } else { TaskKind::Reduce };
-            for _ in 0..next() % 40 {
-                let (node, ready) = (NodeId((next() % nodes) as u32), SimTime::from_millis(next() % 5_000));
-                sim.assign(kind, node, ready, SimTime::from_millis(1 + next() % 20_000));
-            }
-            // Up to four favoured nodes, each at its own price, and up to
-            // three dead ones (sorted, distinct; the sets may overlap).
-            let favored: std::collections::BTreeMap<NodeId, SimTime> = (0..next() % 5)
-                .map(|_| (NodeId((next() % nodes) as u32), SimTime::from_millis(next() % 12_000)))
-                .collect();
-            let dead: std::collections::BTreeSet<usize> =
-                (0..next() % 4).map(|_| (next() % nodes) as usize).collect();
-            let floor = SimTime::from_millis(next() % 30_000);
-            let uniform = SimTime::from_millis(next() % 10_000);
-            let affinity = |n: NodeId| *favored.get(&n).unwrap_or(&uniform);
+        for nodes in [1u64, 8, 13, 200] {
+            for case in 0..300 {
+                let mut sim = ClusterSim::new(nodes as usize, 2, 1, CostModel::default());
+                let kind = if next() & 1 == 0 { TaskKind::Map } else { TaskKind::Reduce };
+                for _ in 0..next() % 40 {
+                    let node = NodeId((next() % nodes) as u32);
+                    let ready = SimTime::from_millis(next() % 5_000);
+                    sim.assign(kind, node, ready, SimTime::from_millis(1 + next() % 20_000));
+                }
+                // Up to four favoured nodes, each at its own price, and up
+                // to three dead ones (the sets may overlap) — or, one case
+                // in ten each, every node favoured or every node dead.
+                let shape = next() % 10;
+                let favored: BTreeMap<NodeId, SimTime> = match shape {
+                    0 => (0..nodes)
+                        .map(|n| (NodeId(n as u32), SimTime::from_millis(next() % 12_000)))
+                        .collect(),
+                    _ => (0..next() % 5)
+                        .map(|_| {
+                            (NodeId((next() % nodes) as u32), SimTime::from_millis(next() % 12_000))
+                        })
+                        .collect(),
+                };
+                let dead: BTreeSet<usize> = match shape {
+                    1 => (0..nodes as usize).collect(),
+                    _ => (0..next() % 4).map(|_| (next() % nodes) as usize).collect(),
+                };
+                let floor = SimTime::from_millis(next() % 30_000);
+                let uniform = SimTime::from_millis(next() % 10_000);
+                let affinity = |n: NodeId| *favored.get(&n).unwrap_or(&uniform);
 
-            let clamped: Vec<SimTime> = sim.loads(kind).into_iter().map(|l| l.max(floor)).collect();
-            let alive: Vec<bool> = (0..nodes as usize).map(|i| !dead.contains(&i)).collect();
-            let full = SchedulerCtx { loads: &clamped, alive: &alive }.argmin(&affinity);
-            let (favored, dead): (Vec<NodeId>, Vec<usize>) =
-                (favored.keys().copied().collect(), dead.into_iter().collect());
-            let placed = sim.place(kind, &favored, &dead, floor, String::new, affinity);
-            assert_eq!(placed, full, "case {case}");
+                let clamped: Vec<SimTime> =
+                    sim.loads(kind).into_iter().map(|l| l.max(floor)).collect();
+                let alive: Vec<bool> = (0..nodes as usize).map(|i| !dead.contains(&i)).collect();
+                let (favored_ids, dead): (Vec<NodeId>, Vec<usize>) =
+                    (favored.keys().copied().collect(), dead.into_iter().collect());
+                if !alive.contains(&true) {
+                    // No candidate at all: the scan finds no other node,
+                    // so `place` would have none to choose (its callers
+                    // fail typed before asking).
+                    assert_eq!(sim.pick_min_clamped(kind, floor, &dead), None, "case {case}");
+                    continue;
+                }
+                let full = SchedulerCtx { loads: &clamped, alive: &alive }.argmin(&affinity);
+                let placed = sim.place(kind, &favored_ids, &dead, floor, String::new, affinity);
+                assert_eq!(placed, full, "{nodes} nodes, case {case}");
+            }
         }
     }
 
