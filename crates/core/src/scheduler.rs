@@ -27,7 +27,7 @@ use crate::cache::controller::CacheController;
 use crate::cache::CacheName;
 use crate::pane::PaneId;
 
-// Defined beside the load index it queries (`ClusterSim::place` is its
+// Defined beside the slot loads it reads (`ClusterSim::place` is its
 // caller); the benchmark harness pins this path.
 pub use redoop_mapred::scheduler::argmin_shortlist;
 
