@@ -49,7 +49,29 @@ impl SourceConf {
 
 /// Timestamp extractor for `"<millis>,rest..."` lines.
 pub fn leading_ts_fn() -> TsFn {
-    Arc::new(|line: &str| csv_field(line, 0).and_then(|f| f.parse::<u64>().ok()).map(EventTime))
+    Arc::new(|line: &str| leading_u64(line).map(EventTime))
+}
+
+/// The leading field of `line`, up to its first comma, as a `u64`: what
+/// `csv_field(line, 0)?.parse::<u64>().ok()` returns on every input — one
+/// optional `+`, then at least one ASCII digit, no overflow — read in one
+/// pass without first finding the comma.
+#[inline]
+fn leading_u64(line: &str) -> Option<u64> {
+    let bytes = line.as_bytes();
+    let start = usize::from(bytes.first() == Some(&b'+'));
+    let mut value = 0u64;
+    let mut end = start;
+    while let Some(&b) = bytes.get(end) {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            break;
+        }
+        value = value.checked_mul(10)?.checked_add(u64::from(digit))?;
+        end += 1;
+    }
+    let field_ends = matches!(bytes.get(end), None | Some(b','));
+    (end > start && field_ends).then_some(value)
 }
 
 /// Zero-copy CSV field extraction: equivalent to
@@ -243,6 +265,25 @@ mod tests {
         assert_eq!(f("123,abc"), Some(EventTime(123)));
         assert_eq!(f("xyz,abc"), None);
         assert_eq!(f(""), None);
+    }
+
+    #[test]
+    fn leading_ts_edge_table_matches_field_parse() {
+        let max = u64::MAX.to_string();
+        let over = "18446744073709551616"; // u64::MAX + 1
+        let cases = [
+            "", "+", "+,", "+7,", "++7,", "-1,", "-0", "007,", "7", "7,", ",7", "7a,", "7 ,",
+            " 7,", "0", &max, &format!("{max},x"), over, &format!("{over},x"),
+            &format!("000{max},x"), "٣,x", "7é,", "é", "12,αβ,γ",
+        ];
+        let f = leading_ts_fn();
+        for line in cases {
+            let expect = csv_field(line, 0).and_then(|t| t.parse::<u64>().ok()).map(EventTime);
+            assert_eq!(f(line), expect, "{line:?}");
+        }
+        assert_eq!(f("+7,"), Some(EventTime(7)));
+        assert_eq!(f(&max), Some(EventTime(u64::MAX)));
+        assert_eq!(f(over), None);
     }
 
     #[test]

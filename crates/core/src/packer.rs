@@ -16,6 +16,7 @@
 //! slices) that Redoop's executor uses to resolve window inputs, and
 //! observed arrival statistics for the Semantic Analyzer.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -121,9 +122,8 @@ pub fn decode_pane_header(line: &str) -> Result<Vec<(PaneId, usize, usize)>> {
 }
 
 /// Buffered records of one (pane, sub) awaiting seal: newline-terminated
-/// text plus the record count. Appending straight to one text buffer
-/// avoids a per-record `String` allocation and a second copy at seal
-/// time (`text` is already the file body).
+/// text plus the record count. `text` is already the file body, so a
+/// record is copied into it once and never again before the seal.
 #[derive(Debug, Default)]
 struct PaneBuffer {
     text: String,
@@ -135,6 +135,32 @@ impl PaneBuffer {
         self.text.push_str(line);
         self.text.push('\n');
         self.records += 1;
+    }
+}
+
+/// The one definition of a record's `(pane, sub)` key under a plan, with
+/// the plan's constants taken once instead of per record: one division
+/// per record, and a second only when the plan has sub-panes.
+#[derive(Debug, Clone, Copy)]
+struct Locator {
+    pane_ms: u64,
+    sub_ms: u64,
+    last_sub: u64,
+}
+
+impl Locator {
+    fn new(plan: &PartitionPlan) -> Self {
+        Locator { pane_ms: plan.pane_ms, sub_ms: plan.subpane_ms(), last_sub: plan.subpanes - 1 }
+    }
+
+    #[inline]
+    fn key(&self, ts: EventTime) -> (u64, u32) {
+        let pane = ts.0 / self.pane_ms;
+        if self.last_sub == 0 {
+            return (pane, 0);
+        }
+        let within = ts.0 % self.pane_ms;
+        (pane, (within / self.sub_ms).min(self.last_sub) as u32)
     }
 }
 
@@ -204,10 +230,11 @@ impl DynamicDataPacker {
         if plan.subpanes != self.plan.subpanes {
             let old = std::mem::take(&mut self.pending);
             self.plan = plan;
+            let locator = Locator::new(&self.plan);
             for buf in old.into_values() {
                 for line in buf.text.lines() {
-                    if let Some((key, _)) = self.locate(line) {
-                        self.pending.entry(key).or_default().push_line(line);
+                    if let Some(ts) = (self.ts_fn)(line) {
+                        self.pending.entry(locator.key(ts)).or_default().push_line(line);
                     }
                 }
             }
@@ -232,30 +259,6 @@ impl DynamicDataPacker {
             return SourceStats { bytes_per_ms: 0.0 };
         }
         SourceStats { bytes_per_ms: self.observed_bytes as f64 / self.observed_span_ms as f64 }
-    }
-
-    /// Folds a batch's per-key buffers into the pending map, preserving
-    /// per-key arrival order.
-    fn merge_pending(&mut self, local: Vec<((u64, u32), PaneBuffer)>) {
-        for (key, buf) in local {
-            match self.pending.entry(key) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(buf);
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    e.get_mut().text.push_str(&buf.text);
-                    e.get_mut().records += buf.records;
-                }
-            }
-        }
-    }
-
-    fn locate(&self, line: &str) -> Option<((u64, u32), EventTime)> {
-        let ts = (self.ts_fn)(line)?;
-        let pane = ts.0 / self.plan.pane_ms;
-        let within = ts.0 % self.plan.pane_ms;
-        let sub = (within / self.plan.subpane_ms()).min(self.plan.subpanes - 1) as u32;
-        Some(((pane, sub), ts))
     }
 
     /// Ingests one arriving batch covering `batch_range` (paper model:
@@ -284,46 +287,84 @@ impl DynamicDataPacker {
         lines: &[&str],
         batch_range: &TimeRange,
     ) -> Result<IngestOutcome> {
-        // A batch covers few (sub-)panes, so buffer per batch in a small
-        // list (linear key scan) and merge into `pending` once per key
-        // instead of paying a tree lookup per line. Per-key line order is
-        // arrival order either way.
+        // One pass locates, checks and copies each record while its line
+        // is in cache, into batch-local buffers: a rejected batch drops
+        // them and leaves the packer as it was, so its corrected retry is
+        // not duplicated. A new key's buffer reserves the bytes of the
+        // rest of the batch — all of them go to it in the common one-key
+        // batch, and in a time-ordered batch the rest up to the next key
+        // — and is shrunk to its length once a newer key appears or the
+        // batch ends, so nothing regrows and a pane file keeps no slack.
+        // A batch covers few keys: a linear scan from the last key hit
+        // beats a tree lookup.
+        let locator = Locator::new(&self.plan);
+        let mut remaining: usize = lines.iter().map(|l| l.len() + 1).sum();
         let mut local: Vec<((u64, u32), PaneBuffer)> = Vec::new();
         let mut pane_lines: Vec<(u64, Vec<u32>)> = Vec::new();
+        let (mut accepted_bytes, mut dropped) = (0u64, 0u64);
+        let (mut last, mut last_pane) = (0usize, 0usize);
         for (idx, &line) in lines.iter().enumerate() {
-            match self.locate(line) {
-                Some((key, ts)) => {
-                    if !batch_range.contains(ts) {
-                        self.merge_pending(local);
-                        return Err(RedoopError::BadRecord(format!(
-                            "record at {ts} outside batch range {batch_range}"
-                        )));
-                    }
-                    if self.sealed_through.is_some_and(|s| key.0 <= s) {
-                        self.merge_pending(local);
-                        return Err(RedoopError::BadRecord(format!(
-                            "late record at {ts}: pane {} already sealed",
-                            key.0
-                        )));
-                    }
-                    self.observed_bytes += line.len() as u64 + 1;
-                    match local.iter_mut().find(|(k, _)| *k == key) {
-                        Some((_, buf)) => buf.push_line(line),
-                        None => {
-                            let mut buf = PaneBuffer::default();
-                            buf.push_line(line);
-                            local.push((key, buf));
+            let size = line.len() + 1;
+            remaining -= size;
+            let Some(ts) = (self.ts_fn)(line) else {
+                dropped += 1;
+                continue;
+            };
+            if !batch_range.contains(ts) {
+                return Err(RedoopError::BadRecord(format!(
+                    "record at {ts} outside batch range {batch_range}"
+                )));
+            }
+            let key = locator.key(ts);
+            if self.sealed_through.is_some_and(|s| key.0 <= s) {
+                return Err(RedoopError::BadRecord(format!(
+                    "late record at {ts}: pane {} already sealed",
+                    key.0
+                )));
+            }
+            if local.get(last).is_none_or(|(k, _)| *k != key) {
+                last = match local.iter().position(|(k, _)| *k == key) {
+                    Some(at) => at,
+                    None => {
+                        // Only the newest key holds a reservation: the
+                        // others shrink to what they hold (and one that
+                        // is revisited grows as usual).
+                        for (_, buf) in &mut local {
+                            buf.text.shrink_to_fit();
                         }
+                        let text = String::with_capacity(size + remaining);
+                        local.push((key, PaneBuffer { text, records: 0 }));
+                        local.len() - 1
                     }
-                    match pane_lines.iter_mut().find(|(p, _)| *p == key.0) {
-                        Some((_, idxs)) => idxs.push(idx as u32),
-                        None => pane_lines.push((key.0, vec![idx as u32])),
+                };
+                last_pane = match pane_lines.iter().position(|(p, _)| *p == key.0) {
+                    Some(at) => at,
+                    None => {
+                        pane_lines.push((key.0, Vec::new()));
+                        pane_lines.len() - 1
                     }
+                };
+            }
+            local[last].1.push_line(line);
+            pane_lines[last_pane].1.push(idx as u32);
+            accepted_bytes += size as u64;
+        }
+        for (key, mut buf) in local {
+            match self.pending.entry(key) {
+                Entry::Vacant(e) => {
+                    buf.text.shrink_to_fit();
+                    e.insert(buf);
                 }
-                None => self.dropped_records += 1,
+                // A pane continued from an earlier batch.
+                Entry::Occupied(mut e) => {
+                    let pending = e.get_mut();
+                    pending.text.push_str(&buf.text);
+                    pending.records += buf.records;
+                }
             }
         }
-        self.merge_pending(local);
+        self.observed_bytes += accepted_bytes;
+        self.dropped_records += dropped;
         self.observed_span_ms = self.observed_span_ms.max(batch_range.end.0);
         let written = self.seal_until(batch_range.end)?;
         Ok(IngestOutcome { written, pane_lines })
@@ -413,7 +454,7 @@ impl DynamicDataPacker {
             };
             let path = self.root.join(&name)?;
             let mut header_entries = Vec::new();
-            let mut body = String::new();
+            let mut bufs = Vec::new();
             let mut per_pane: Vec<(u64, Range<usize>, u64, u64)> = Vec::new();
             let mut line_cursor = 0usize;
             for p in lo..=hi {
@@ -425,11 +466,16 @@ impl DynamicDataPacker {
                 let abs = line_cursor + 1;
                 per_pane.push((p, abs..abs + records as usize, bytes, records));
                 line_cursor += records as usize;
-                body.push_str(&buf.text);
+                bufs.push(buf.text);
             }
-            let mut file_text = encode_pane_header(&header_entries);
+            let header = encode_pane_header(&header_entries);
+            let body_len: usize = bufs.iter().map(String::len).sum();
+            let mut file_text = String::with_capacity(header.len() + 1 + body_len);
+            file_text.push_str(&header);
             file_text.push('\n');
-            file_text.push_str(&body);
+            for text in &bufs {
+                file_text.push_str(text);
+            }
             self.cluster.create(&path, Bytes::from(file_text))?;
             for (p, lines, bytes, records) in per_pane {
                 self.manifest.push(PaneSlice {
@@ -466,6 +512,72 @@ impl DynamicDataPacker {
             }
         }
         Ok(written)
+    }
+}
+
+/// The ingest the one above replaced, kept as the oracle its tests
+/// compare against: each record is located with the plan read per record
+/// and appended to a per-key buffer that grows as it fills. It drops a
+/// rejected batch whole, as the ingest above does.
+#[cfg(test)]
+impl DynamicDataPacker {
+    fn locate(&self, line: &str) -> Option<((u64, u32), EventTime)> {
+        let ts = (self.ts_fn)(line)?;
+        let pane = ts.0 / self.plan.pane_ms;
+        let within = ts.0 % self.plan.pane_ms;
+        let sub = (within / self.plan.subpane_ms()).min(self.plan.subpanes - 1) as u32;
+        Some(((pane, sub), ts))
+    }
+
+    fn ingest_batch_reference(
+        &mut self,
+        lines: &[&str],
+        batch_range: &TimeRange,
+    ) -> Result<IngestOutcome> {
+        let mut local: Vec<((u64, u32), PaneBuffer)> = Vec::new();
+        let mut pane_lines: Vec<(u64, Vec<u32>)> = Vec::new();
+        let (mut observed, mut dropped) = (0u64, 0u64);
+        for (idx, &line) in lines.iter().enumerate() {
+            match self.locate(line) {
+                Some((key, ts)) => {
+                    if !batch_range.contains(ts) {
+                        return Err(RedoopError::BadRecord(format!(
+                            "record at {ts} outside batch range {batch_range}"
+                        )));
+                    }
+                    if self.sealed_through.is_some_and(|s| key.0 <= s) {
+                        return Err(RedoopError::BadRecord(format!(
+                            "late record at {ts}: pane {} already sealed",
+                            key.0
+                        )));
+                    }
+                    observed += line.len() as u64 + 1;
+                    match local.iter_mut().find(|(k, _)| *k == key) {
+                        Some((_, buf)) => buf.push_line(line),
+                        None => {
+                            let mut buf = PaneBuffer::default();
+                            buf.push_line(line);
+                            local.push((key, buf));
+                        }
+                    }
+                    match pane_lines.iter_mut().find(|(p, _)| *p == key.0) {
+                        Some((_, idxs)) => idxs.push(idx as u32),
+                        None => pane_lines.push((key.0, vec![idx as u32])),
+                    }
+                }
+                None => dropped += 1,
+            }
+        }
+        for (key, buf) in local {
+            let pending = self.pending.entry(key).or_default();
+            pending.text.push_str(&buf.text);
+            pending.records += buf.records;
+        }
+        self.observed_bytes += observed;
+        self.dropped_records += dropped;
+        self.observed_span_ms = self.observed_span_ms.max(batch_range.end.0);
+        let written = self.seal_until(batch_range.end)?;
+        Ok(IngestOutcome { written, pane_lines })
     }
 }
 
@@ -603,6 +715,97 @@ mod tests {
             .ingest_batch(["5,late"].into_iter(), &TimeRange::new(EventTime(0), EventTime(20)))
             .unwrap_err();
         assert!(matches!(err, RedoopError::BadRecord(_)));
+    }
+
+    #[test]
+    fn a_rejected_batch_leaves_nothing_behind() {
+        let c = cluster();
+        let mut packer =
+            DynamicDataPacker::new(&c, 1, root(), PartitionPlan::simple(10), ts_fn());
+        let range = TimeRange::new(EventTime(0), EventTime(10));
+        let err = packer.ingest_batch_indexed(&["garbage", "3,a", "99,b"], &range).unwrap_err();
+        assert!(matches!(err, RedoopError::BadRecord(_)));
+        assert!(packer.pending.is_empty());
+        assert_eq!(packer.dropped_records(), 0);
+        assert_eq!(packer.observed_stats().bytes_per_ms, 0.0);
+        // The corrected retry is the batch's only copy.
+        packer.ingest_batch_indexed(&["3,a", "9,b"], &range).unwrap();
+        assert_eq!(packer.manifest().pane_records(PaneId(0)), 2);
+        let p0 = c.read(&root().join("S1P0").unwrap()).unwrap();
+        assert_eq!(&p0[..], b"3,a\n9,b\n");
+    }
+
+    /// Everything a caller or a later ingest can observe of a packer.
+    fn observable(packer: &DynamicDataPacker, c: &Cluster) -> String {
+        let pending: Vec<_> =
+            packer.pending.iter().map(|(k, b)| (*k, b.text.clone(), b.records)).collect();
+        let files: Vec<_> = packer
+            .manifest
+            .slices
+            .values()
+            .flatten()
+            .map(|s| (s.path.to_string(), c.read(&s.path).unwrap().to_vec()))
+            .collect();
+        format!(
+            "{pending:?} {:?} {files:?} {} {} {:?}",
+            packer.manifest,
+            packer.dropped_records,
+            packer.observed_stats().bytes_per_ms.to_bits(),
+            packer.sealed_through,
+        )
+    }
+
+    proptest::proptest! {
+        /// The ingest equals the reference batch by batch — outcome or error, files, manifest, `pane_lines`,
+        /// counters and pending state — over panes that cross batches,
+        /// sub-panes, multi-pane files, unparsable lines and rejected
+        /// batches (a record past the batch end, or a batch that starts
+        /// back inside a sealed pane), each retried the next step.
+        #[test]
+        fn ingest_equals_the_growing_buffer_reference(
+            plan in (1u64..25, 1u64..4, 1u64..5),
+            batches in proptest::collection::vec(
+                (1u64..40, 0u64..4, proptest::collection::vec((0u64..1_000, 0u8..12), 0..30)),
+                1..10,
+            ),
+        ) {
+            let (pane_ms, panes_per_file, subpanes) = plan;
+            let plan = PartitionPlan { pane_ms, panes_per_file, subpanes };
+            let (c_new, c_ref) = (cluster(), cluster());
+            let mut new = DynamicDataPacker::new(&c_new, 1, root(), plan, ts_fn());
+            let mut reference = DynamicDataPacker::new(&c_ref, 1, root(), plan, ts_fn());
+            let mut start = 0u64;
+            for (len, back, records) in batches {
+                // A batch that starts back inside a sealed pane is refused.
+                let lo = if back == 0 { start.saturating_sub(pane_ms) } else { start };
+                let range = TimeRange::new(EventTime(lo), EventTime(start + len));
+                let lines: Vec<String> = records
+                    .iter()
+                    .map(|&(r, kind)| match kind {
+                        0 => format!("x{r},garbage"),
+                        1 => format!("{},past the end", start + len + r % 3),
+                        _ => format!("{},r{r}", lo + r % (start + len - lo)),
+                    })
+                    .collect();
+                let lines: Vec<&str> = lines.iter().map(String::as_str).collect();
+                let got = new.ingest_batch_indexed(&lines, &range);
+                let want = reference.ingest_batch_reference(&lines, &range);
+                match (got, want) {
+                    (Ok(got), Ok(want)) => {
+                        proptest::prop_assert_eq!(got.written, want.written);
+                        proptest::prop_assert_eq!(got.pane_lines, want.pane_lines);
+                        start += len;
+                    }
+                    (Err(got), Err(want)) => {
+                        proptest::prop_assert_eq!(got.to_string(), want.to_string());
+                    }
+                    (got, want) => proptest::prop_assert!(false, "{got:?} vs {want:?}"),
+                }
+                proptest::prop_assert_eq!(observable(&new, &c_new), observable(&reference, &c_ref));
+            }
+            proptest::prop_assert_eq!(new.finish().unwrap(), reference.finish().unwrap());
+            proptest::prop_assert_eq!(observable(&new, &c_new), observable(&reference, &c_ref));
+        }
     }
 
     #[test]

@@ -168,6 +168,21 @@ proptest! {
     }
 
     #[test]
+    fn leading_ts_is_field_parse(
+        sign in "[+,-]{0,2}",
+        digits in "[0-9]{0,22}",
+        tail in "[0-9,a é٣+-]{0,6}",
+    ) {
+        // Signs, empty fields, runs long enough to overflow a u64, and
+        // non-digits (multi-byte ones included) around the first comma.
+        let line = format!("{sign}{digits}{tail}");
+        let expect = redoop_core::api::csv_field(&line, 0)
+            .and_then(|f| f.parse::<u64>().ok())
+            .map(EventTime);
+        prop_assert_eq!((redoop_core::api::leading_ts_fn())(&line), expect);
+    }
+
+    #[test]
     fn status_matrix_shift_never_forgets_incomplete_work(
         marks in proptest::collection::vec((0u64..12, 0u64..12), 0..80),
         window in 0u64..6

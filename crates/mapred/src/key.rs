@@ -29,12 +29,50 @@ use crate::writable::{read_varint, write_varint, Writable};
 /// the same size as `String` — with one byte for the tag/length.
 const INLINE: usize = 22;
 
+/// Invariants every constructor keeps, which equality relies on: `buf`
+/// is zero past `len`, so two inline keys are equal exactly when their
+/// `(len, buf)` are; and a key is inline exactly when it fits, so an
+/// inline key never equals a heap one.
 #[derive(Clone)]
 enum Repr {
     /// Up to [`INLINE`] bytes stored in place; `len` is the used prefix.
     Inline { len: u8, buf: [u8; INLINE] },
     /// Longer keys spill to the heap once, at construction.
     Heap(Box<str>),
+}
+
+/// Writes `s` (at most [`INLINE`] bytes) into the front of a zeroed
+/// inline buffer with fixed-size moves — two overlapping ones cover any
+/// length of a size class — instead of a variable-length `memcpy` call.
+/// It writes in place: a buffer built aside and then moved into the key
+/// is re-read at offsets its stores do not line up with.
+#[inline]
+fn copy_inline(buf: &mut [u8; INLINE], s: &[u8]) {
+    fn ends<const W: usize>(buf: &mut [u8; INLINE], s: &[u8]) {
+        let n = s.len();
+        buf[..W].copy_from_slice(&s[..W]);
+        buf[n - W..n].copy_from_slice(&s[n - W..]);
+    }
+    match s.len() {
+        0 => {}
+        n @ 1..=3 => {
+            buf[0] = s[0];
+            buf[n / 2] = s[n / 2];
+            buf[n - 1] = s[n - 1];
+        }
+        4..=7 => ends::<4>(buf, s),
+        8..=15 => ends::<8>(buf, s),
+        _ => ends::<16>(buf, s),
+    }
+}
+
+/// An inline buffer as two overlapping words, for a compare without a
+/// `memcmp` call.
+#[inline]
+fn words(buf: &[u8; INLINE]) -> (u128, u64) {
+    let lo = u128::from_ne_bytes(buf[..16].try_into().expect("16 bytes"));
+    let hi = u64::from_ne_bytes(buf[INLINE - 8..].try_into().expect("8 bytes"));
+    (lo, hi)
 }
 
 /// A compact intermediate key: inline up to 22 bytes, heap spill above,
@@ -55,9 +93,11 @@ impl SmallKey {
     #[inline]
     pub fn from_str_ref(s: &str) -> Self {
         if s.len() <= INLINE {
-            let mut buf = [0u8; INLINE];
-            buf[..s.len()].copy_from_slice(s.as_bytes());
-            SmallKey(Repr::Inline { len: s.len() as u8, buf })
+            let mut key = SmallKey(Repr::Inline { len: s.len() as u8, buf: [0; INLINE] });
+            if let Repr::Inline { buf, .. } = &mut key.0 {
+                copy_inline(buf, s.as_bytes());
+            }
+            key
         } else {
             SmallKey(Repr::Heap(s.into()))
         }
@@ -157,7 +197,13 @@ impl std::borrow::Borrow<str> for SmallKey {
 impl PartialEq for SmallKey {
     #[inline]
     fn eq(&self, other: &Self) -> bool {
-        self.as_str() == other.as_str()
+        match (&self.0, &other.0) {
+            // Sound by `Repr`'s zero padding.
+            (Repr::Inline { len: a, buf: x }, Repr::Inline { len: b, buf: y }) => {
+                a == b && words(x) == words(y)
+            }
+            _ => self.as_str() == other.as_str(),
+        }
     }
 }
 
@@ -386,6 +432,72 @@ mod tests {
         let k = SmallKey::from_fmt(format_args!("{}@{}", "p3", 42));
         assert!(k.is_inline());
         assert_eq!(k.as_str(), "p3@42");
+    }
+
+    /// `s` as a key, built each way a key can be: every one must behave
+    /// as the same key.
+    fn every_build(s: &str) -> Vec<SmallKey> {
+        let mut built = SmallKeyBuilder::new();
+        let cut = (0..=s.len() / 2).rev().find(|&i| s.is_char_boundary(i)).unwrap_or(0);
+        built.push_str(&s[..cut]);
+        built.push_str(&s[cut..]);
+        let mut wire = Vec::new();
+        s.to_string().write_bin(&mut wire);
+        let from_str = SmallKey::from(s);
+        vec![
+            from_str.clone(),
+            SmallKey::from(s.to_string()),
+            built.finish(),
+            SmallKey::read_bin(&wire).unwrap().0,
+            SmallKey::from(&from_str),
+        ]
+    }
+
+    /// Equality, `stable_hash` and order of every pair of keys built from
+    /// `words` agree with the same `String`s'.
+    fn agree_with_string(words: &[String]) {
+        let keys: Vec<(&String, SmallKey)> = words
+            .iter()
+            .flat_map(|w| every_build(w).into_iter().map(move |k| (w, k)))
+            .collect();
+        for (w, k) in &keys {
+            assert_eq!(k.as_str(), *w);
+            assert_eq!(k.is_inline(), w.len() <= SmallKey::INLINE, "{w:?}");
+            assert_eq!(stable_hash(k), stable_hash(*w), "{w:?}");
+        }
+        for (a, ka) in &keys {
+            for (b, kb) in &keys {
+                assert_eq!(ka == kb, a == b, "{a:?} == {b:?}");
+                assert_eq!(ka.cmp(kb), a.cmp(b), "{a:?} cmp {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_build_of_every_length_agrees_with_string() {
+        let alphabet = "abcdefghijklmnopqrstuvw";
+        let mut words = Vec::new();
+        for len in 0..=SmallKey::INLINE + 1 {
+            let base = &alphabet[..len];
+            words.push(base.to_string());
+            if len > 0 {
+                // Differs only in its last byte, or holds a NUL there —
+                // the byte the inline padding uses.
+                words.push(format!("{}z", &base[..len - 1]));
+                words.push(format!("{}\0", &base[..len - 1]));
+            }
+        }
+        agree_with_string(&words);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn keys_built_any_way_agree_with_string(
+            a in "[ab\0é]{0,24}",
+            b in "[ab\0é]{0,24}",
+        ) {
+            agree_with_string(&[a, b]);
+        }
     }
 
     #[test]

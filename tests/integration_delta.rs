@@ -579,3 +579,31 @@ fn two_owned_delta_queries_on_one_node_seal_every_pane() {
         assert_eq!(got, &expect);
     }
 }
+
+/// A batch the packer refuses (one record past its end) leaves nothing
+/// behind: the corrected retry is the only copy of its records, so with
+/// the delta fold on and off every window equals plain recomputation.
+#[test]
+fn a_refused_batch_retried_leaves_every_window_equal_to_recomputation() {
+    const WINDOWS: u64 = 4;
+    let spec = spec_with_overlap(0.5);
+    let batches = wcc_batches(&ArrivalPlan::new(spec, WINDOWS), 36, 1.0);
+    let expect = recomputed_windows(&test_cluster(), "refused", &batches, &spec, WINDOWS);
+    for delta_on in [true, false] {
+        let cluster = test_cluster();
+        let mut exec = delta_executor(&cluster, spec, &format!("refused-{delta_on}"), delta_on);
+        for (i, b) in batches.iter().enumerate() {
+            let lines = b.lines.iter().map(String::as_str);
+            if i == 1 {
+                let past_end = format!("{},c0,o0", b.range.end.0);
+                let refused = lines.clone().chain([past_end.as_str()]);
+                assert!(exec.ingest(0, refused, &b.range).is_err());
+            }
+            exec.ingest(0, lines, &b.range).unwrap();
+        }
+        let got: Vec<Vec<(String, u64)>> = (0..WINDOWS)
+            .map(|w| read_window_output(&cluster, &exec.run_window(w).unwrap().outputs).unwrap())
+            .collect();
+        assert_eq!(got, expect, "delta maintenance {delta_on}");
+    }
+}
