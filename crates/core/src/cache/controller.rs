@@ -3,13 +3,19 @@
 //! A master-side component holding one *cache signature* per cache file:
 //! which node stores it, its readiness (`0` not available, `1` HDFS
 //! available, `2` cache available), and a `doneQueryMask` with one bit per
-//! registered query. When every bit is set the cache is expired and a
-//! purge notification is issued to the owning node's Local Cache Registry.
+//! registered query. When every bit is set the cache is expired and its
+//! file is queued for the holding node's purge.
 //!
-//! The per-node index of materialized caches is the one record of what
-//! a node holds: the heartbeat audit ([`super::heartbeat`]) checks it
-//! against the node's store, and the node registries keep only the files
-//! the controller has let go of.
+//! The controller also keeps each node's Local Cache Registry (paper
+//! §4.1, Table 1): the live rows are the per-node index of materialized
+//! caches — the one record of what a node holds, which the heartbeat
+//! audit ([`super::heartbeat`]) checks against the node's store — and the
+//! expired rows are the node's purge queue, the files the controller has
+//! let go of that are still on the node. Every transition keeps the two
+//! in step: an admission cancels the name's pending purge on its node; a
+//! refusal, an eviction, an expiry and a torn blob the audit rolls back
+//! queue the file; [`CacheController::purge`] is the scan after every
+//! window (`PurgeCycle` = one slide, the paper's default).
 //!
 //! Capacity: the controller optionally enforces a per-node byte budget
 //! through a pluggable [`CachePolicy`] — every registration and adoption
@@ -19,17 +25,18 @@
 //! configuration (no budget, [`WindowLifespanPolicy`]) admits everything
 //! and evicts nothing — the paper's expire-only lifecycle.
 //!
-//! The name-sorted signature table is the record; the one index kept
-//! beside it is the per-node slice (`bytes_on` is read on every
-//! admission, `names_on` once per node per audit). What an expiry sweep
-//! asks — which panes are tracked, which names belong to one — is a
-//! filter over the table.
+//! The name-sorted signature table is the record; beside it are the
+//! per-node slice (`bytes_on` is read on every admission, `names_on`
+//! once per node per audit) and the purge queues, a vector indexed by
+//! node because the scan visits every node every window. What an expiry
+//! sweep asks — which panes are tracked, which names belong to one — is
+//! a filter over the table.
 //!
 //! [`WindowLifespanPolicy`]: super::policy::WindowLifespanPolicy
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use redoop_dfs::NodeId;
+use redoop_dfs::{Cluster, NodeId};
 use redoop_mapred::trace::{CacheAction, TraceEvent, TraceSink};
 use redoop_mapred::SimTime;
 
@@ -82,17 +89,6 @@ pub struct CacheSignature {
     pub last_used: SimTime,
 }
 
-/// Purge notification sent to a task node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PurgeNotification {
-    /// Node to purge on.
-    pub node: NodeId,
-    /// Cache to purge.
-    pub name: CacheName,
-    /// Size of its file.
-    pub bytes: u64,
-}
-
 /// Outcome of a capacity-checked registration or adoption.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Admission {
@@ -102,9 +98,9 @@ pub struct Admission {
     /// same-window readers but stays HDFS-available, so later windows
     /// see a miss.
     pub admitted: bool,
-    /// Residents evicted to make room, in eviction order. The caller
-    /// (driver) must reclaim them: queue them in their node registries so
-    /// the next purge scan deletes the files.
+    /// Residents evicted to make room, in eviction order. Their files
+    /// are already queued for the purge; the caller withdraws whatever
+    /// else advertises them.
     pub evicted: Vec<(NodeId, CacheName)>,
 }
 
@@ -127,6 +123,9 @@ pub struct CacheController {
     sigs: BTreeMap<CacheName, CacheSignature>,
     /// Materialized (`ready == CacheAvailable`) caches per holding node.
     by_node: HashMap<NodeId, NodeCaches>,
+    /// Purge queue per node, indexed by [`NodeId::index`]: name-sorted,
+    /// each file with its size. Grown on first queue to a node.
+    purges: Vec<BTreeMap<CacheName, u64>>,
     /// Per-node byte budget (`None` = unbounded, the default).
     capacity: Option<u64>,
     /// Admission/eviction arbiter consulted on every registration and
@@ -157,6 +156,7 @@ impl CacheController {
             full_mask,
             sigs: BTreeMap::new(),
             by_node: HashMap::new(),
+            purges: Vec::new(),
             capacity: None,
             policy: Box::new(WindowLifespanPolicy),
             trace: TraceSink::disabled(),
@@ -272,7 +272,7 @@ impl CacheController {
     /// (`admit_reject`). A refused cache keeps its metadata — readers of
     /// the window that built it still gate on `available_at` and the
     /// file exists until the next purge scan — but stays HDFS-available,
-    /// so later windows rebuild it.
+    /// so later windows rebuild it. Its file is queued for the purge.
     pub fn register_cache_with_rebuild(
         &mut self,
         name: CacheName,
@@ -293,7 +293,10 @@ impl CacheController {
                 });
                 Admission { admitted: true, evicted }
             }
-            None => self.reject(name, node, bytes, rebuild_bytes, at),
+            None => {
+                self.queue_file(node, name, bytes);
+                self.reject(name, node, bytes, rebuild_bytes, at)
+            }
         }
     }
 
@@ -307,7 +310,8 @@ impl CacheController {
     /// Capacity: adoption never evicts (the file already exists on the
     /// remote node; this query merely starts tracking it). If the bytes
     /// do not fit this controller's budget for `node`, the adoption is
-    /// refused (`admit_reject`) and the caller falls back to a miss.
+    /// refused (`admit_reject`) and the caller falls back to a miss; the
+    /// file, another query's, is not queued.
     pub fn adopt_remote(
         &mut self,
         name: CacheName,
@@ -349,7 +353,8 @@ impl CacheController {
         sig.last_used = at;
     }
 
-    /// Marks an admitted cache materialized on `node` and charges the
+    /// Marks an admitted cache materialized on `node`, cancels its
+    /// pending purge there (the file is live again), and charges the
     /// consumption to the policy.
     fn materialize(
         &mut self,
@@ -361,6 +366,9 @@ impl CacheController {
     ) {
         self.settle(name, Some(node), bytes, rebuild_bytes, at);
         self.index_holder(name, node, bytes);
+        if let Some(queue) = self.purges.get_mut(node.index()) {
+            queue.remove(&name);
+        }
         self.policy.charge(&name, at);
     }
 
@@ -463,7 +471,7 @@ impl CacheController {
     /// same miss path as a lost cache, minus any salvage credit), and an
     /// `evict` event is journaled. Metadata (bytes, availability) stays
     /// so same-window readers remain correctly gated; the file itself is
-    /// reclaimed by the holding node registry's next purge scan.
+    /// queued for the holding node's next purge scan.
     fn evict_holder(&mut self, name: &CacheName, at: SimTime) {
         let Some(sig) = self.sigs.get_mut(name) else { return };
         if sig.ready != Ready::CacheAvailable {
@@ -475,6 +483,9 @@ impl CacheController {
         sig.node = None;
         // The whole file is reclaimed; no frames survive to salvage.
         sig.salvaged = None;
+        if let Some(node) = node {
+            self.queue_file(node, *name, bytes);
+        }
         self.policy.forget(name);
         self.trace.emit(|| TraceEvent::Cache {
             at,
@@ -580,10 +591,10 @@ impl CacheController {
             .and_then(|s| s.node)
     }
 
-    /// Marks query `q` as finished with `name`. Returns a purge
-    /// notification when the mask fills (the cache is expired for every
-    /// query).
-    pub fn mark_query_done(&mut self, name: CacheName, q: usize) -> Result<Option<PurgeNotification>> {
+    /// Marks query `q` as finished with `name`. When the mask fills (the
+    /// cache is expired for every query) a materialized cache's file is
+    /// queued for its node's purge.
+    pub fn mark_query_done(&mut self, name: CacheName, q: usize) -> Result<()> {
         if q >= self.query_count {
             return Err(RedoopError::CacheInconsistency(format!(
                 "query index {q} out of range ({} registered)",
@@ -596,8 +607,8 @@ impl CacheController {
         let was_full = sig.done_query_mask == self.full_mask;
         sig.done_query_mask |= 1 << q;
         if sig.done_query_mask == self.full_mask {
+            let (node, bytes) = (sig.node, sig.bytes);
             if !was_full {
-                let (node, bytes) = (sig.node, sig.bytes);
                 self.trace.emit(|| TraceEvent::Cache {
                     at: self.trace.now(),
                     action: CacheAction::Expire,
@@ -606,11 +617,11 @@ impl CacheController {
                     bytes,
                 });
             }
-            if let (Ready::CacheAvailable, Some(node)) = (sig.ready, sig.node) {
-                return Ok(Some(PurgeNotification { node, name, bytes: sig.bytes }));
+            if let (Ready::CacheAvailable, Some(node)) = (sig.ready, node) {
+                self.queue_file(node, name, bytes);
             }
         }
-        Ok(None)
+        Ok(())
     }
 
     /// Whether every query has finished with `name`.
@@ -663,6 +674,58 @@ impl CacheController {
                 bytes: sig.bytes,
             });
         }
+    }
+
+    /// Queues `node`'s copy of `name` for the next purge scan, under the
+    /// size its signature records: a copy this controller no longer
+    /// tracks there (an owned query's migrated copy, the caching-off
+    /// ablation's drop). Registering the name on `node` again cancels it.
+    pub fn queue_purge(&mut self, node: NodeId, name: CacheName) {
+        let bytes = self.sigs.get(&name).map_or(0, |s| s.bytes);
+        self.queue_file(node, name, bytes);
+    }
+
+    fn queue_file(&mut self, node: NodeId, name: CacheName, bytes: u64) {
+        let i = node.index();
+        if self.purges.len() <= i {
+            self.purges.resize_with(i + 1, BTreeMap::new);
+        }
+        self.purges[i].insert(name, bytes);
+    }
+
+    /// The purge scan: on every live node, in node order, deletes each
+    /// queued file from the local store in name order, journaling one
+    /// `purge` per file and one periodic `purge_scan` per node. A dead
+    /// node's queue waits for it to rejoin. Returns the purged files.
+    pub fn purge(&mut self, cluster: &Cluster) -> Result<Vec<(NodeId, CacheName)>> {
+        let mut purged = Vec::new();
+        for i in 0..cluster.node_count() {
+            let node = NodeId(i as u32);
+            if !cluster.is_alive(node) {
+                continue;
+            }
+            let queue = self.purges.get_mut(i).map(std::mem::take).unwrap_or_default();
+            for (name, &bytes) in &queue {
+                // The file may already be gone (node crashed and
+                // rejoined); purging is idempotent.
+                cluster.delete_local(node, &name.store_name())?;
+                self.trace.emit(|| TraceEvent::Cache {
+                    at: self.trace.now(),
+                    action: CacheAction::Purge,
+                    name: name.store_name(),
+                    node: Some(node),
+                    bytes,
+                });
+            }
+            self.trace.emit(|| TraceEvent::PurgeScan {
+                at: self.trace.now(),
+                node,
+                trigger: "periodic",
+                purged: queue.len(),
+            });
+            purged.extend(queue.into_keys().map(|name| (node, name)));
+        }
+        Ok(purged)
     }
 
     /// Names of every tracked signature (any readiness) matching `pred` —
@@ -723,9 +786,19 @@ mod tests {
     use super::*;
     use crate::cache::CacheObject;
     use crate::pane::PaneId;
+    use bytes::Bytes;
 
     fn name(p: u64, r: usize) -> CacheName {
         CacheName::with_fp(CacheObject::PaneInput { source: 0, pane: PaneId(p), sub: 0 }, r, 0)
+    }
+
+    fn out_name(p: u64) -> CacheName {
+        CacheName::with_fp(CacheObject::PaneOutput { source: 0, pane: PaneId(p) }, 0, 0)
+    }
+
+    /// `node`'s purge queue: `(name, bytes)`, name-sorted.
+    fn queued(c: &CacheController, node: NodeId) -> Vec<(CacheName, u64)> {
+        c.purges.get(node.index()).map_or_else(Vec::new, |q| q.iter().map(|(n, b)| (*n, *b)).collect())
     }
 
     #[test]
@@ -749,13 +822,12 @@ mod tests {
         let mut c = CacheController::new(2);
         let n = name(1, 0);
         c.register_cache(n, NodeId(0), 10, SimTime::ZERO);
-        assert_eq!(c.mark_query_done(n, 0).unwrap(), None);
+        c.mark_query_done(n, 0).unwrap();
         assert!(!c.is_expired(&n));
-        let purge = c.mark_query_done(n, 1).unwrap().unwrap();
-        assert_eq!(purge.node, NodeId(0));
-        assert_eq!(purge.name, n);
-        assert_eq!(purge.bytes, 10);
+        assert!(queued(&c, NodeId(0)).is_empty(), "one query still needs it");
+        c.mark_query_done(n, 1).unwrap();
         assert!(c.is_expired(&n));
+        assert_eq!(queued(&c, NodeId(0)), vec![(n, 10)]);
         c.forget(&n);
         assert!(c.is_empty());
     }
@@ -886,9 +958,11 @@ mod tests {
         let n = name(0, 0);
         c.register_cache(n, NodeId(0), 1, SimTime::ZERO);
         for q in 0..63 {
-            assert_eq!(c.mark_query_done(n, q).unwrap(), None);
+            c.mark_query_done(n, q).unwrap();
+            assert!(queued(&c, NodeId(0)).is_empty());
         }
-        assert!(c.mark_query_done(n, 63).unwrap().is_some());
+        c.mark_query_done(n, 63).unwrap();
+        assert_eq!(queued(&c, NodeId(0)), vec![(n, 1)]);
     }
 
     fn cache_events(sink: &TraceSink, want: CacheAction) -> Vec<String> {
@@ -942,6 +1016,8 @@ mod tests {
         assert!(c.location(&name(1, 0)).is_none());
         assert_eq!(c.bytes_on(NodeId(0)), 90);
         assert_eq!(cache_events(&sink, CacheAction::Evict), vec![name(1, 0).store_name()]);
+        // Its file waits for the node's purge scan.
+        assert_eq!(queued(&c, NodeId(0)), vec![(name(1, 0), 50)]);
     }
 
     #[test]
@@ -1065,5 +1141,125 @@ mod tests {
         c.touch(&n, SimTime(4));
         c.touch(&n, SimTime(5));
         assert_eq!(c.signature(&n).unwrap().remaining_uses, 0);
+    }
+
+    #[test]
+    fn table1_semantics() {
+        // Table 1: S1P3 is an expired reduce-output cache, S2P4 a live
+        // reduce-input cache. The live row is the node index, the expired
+        // one the purge queue, and only the expired one is purged.
+        let cluster = Cluster::with_nodes(1);
+        let mut c = CacheController::new(1);
+        for n in [out_name(3), name(4, 0)] {
+            cluster.put_local(NodeId(0), n.store_name(), Bytes::from_static(b"x")).unwrap();
+            c.register_cache(n, NodeId(0), 10, SimTime::ZERO);
+        }
+        c.mark_query_done(out_name(3), 0).unwrap();
+        c.forget(&out_name(3));
+        assert_eq!(c.names_on(NodeId(0)), vec![name(4, 0)]);
+        assert_eq!(queued(&c, NodeId(0)), vec![(out_name(3), 10)]);
+        assert_eq!(c.purge(&cluster).unwrap(), vec![(NodeId(0), out_name(3))]);
+        assert!(!cluster.has_local(NodeId(0), &out_name(3).store_name()));
+        assert!(cluster.has_local(NodeId(0), &name(4, 0).store_name()));
+    }
+
+    #[test]
+    fn purge_deletes_queued_files_from_live_local_stores() {
+        let sink = TraceSink::enabled();
+        let cluster = Cluster::with_nodes(3);
+        let mut c = CacheController::new(1);
+        c.set_trace_sink(sink.clone());
+        let n = name(0, 0);
+        cluster.put_local(NodeId(1), n.store_name(), Bytes::from_static(b"data")).unwrap();
+        // Nothing queued: every live node is scanned and nothing purged.
+        assert!(c.purge(&cluster).unwrap().is_empty());
+        assert!(cluster.has_local(NodeId(1), &n.store_name()));
+        // Queued: the scan removes the file and empties the queue. A dead
+        // node is not scanned, and its queue waits for it.
+        c.register_cache(n, NodeId(1), 4, SimTime::ZERO);
+        c.queue_purge(NodeId(1), n);
+        c.queue_purge(NodeId(2), n);
+        cluster.kill_node(NodeId(2)).unwrap();
+        assert_eq!(c.purge(&cluster).unwrap(), vec![(NodeId(1), n)]);
+        assert!(!cluster.has_local(NodeId(1), &n.store_name()));
+        assert!(queued(&c, NodeId(1)).is_empty());
+        assert_eq!(queued(&c, NodeId(2)), vec![(n, 4)]);
+        let events: Vec<(&str, NodeId, usize)> = sink
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::PurgeScan { node, purged, trigger, .. } => Some((trigger, node, purged)),
+                TraceEvent::Cache { action: CacheAction::Purge, node, bytes, .. } => {
+                    Some(("purge", node.unwrap(), bytes as usize))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            events,
+            vec![
+                ("periodic", NodeId(0), 0),
+                ("periodic", NodeId(1), 0),
+                ("periodic", NodeId(2), 0),
+                ("periodic", NodeId(0), 0),
+                ("purge", NodeId(1), 4),
+                ("periodic", NodeId(1), 1),
+            ]
+        );
+    }
+
+    #[test]
+    fn the_purge_deletes_what_was_queued_and_not_cancelled() {
+        // Under arbitrary queue / register / refuse / purge interleavings
+        // on two nodes, the scan deletes exactly the files queued and not
+        // re-admitted on their node since the last scan, in node then
+        // name order — a refused registration queues its file, an
+        // admitted one cancels the name's purge on its node only.
+        let cluster = Cluster::with_nodes(2);
+        let mut c = CacheController::new(1);
+        c.set_capacity(Some(1000));
+        let mut model: BTreeMap<(NodeId, CacheName), u64> = BTreeMap::new();
+        let mut state = 2014u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..400 {
+            let n = name(next() % 6, 0);
+            let node = NodeId((next() % 2) as u32);
+            match next() % 10 {
+                0..=3 => {
+                    cluster.put_local(node, n.store_name(), Bytes::from_static(b"x")).unwrap();
+                    c.queue_purge(node, n);
+                    model.insert((node, n), c.signature(&n).map_or(0, |s| s.bytes));
+                }
+                4..=7 => {
+                    // The baseline policy never evicts: what does not
+                    // fit beside the node's residents is refused.
+                    let bytes = 1 + next() % 1200;
+                    cluster.put_local(node, n.store_name(), Bytes::from_static(b"x")).unwrap();
+                    if c.register_cache(n, node, bytes, SimTime::ZERO).admitted {
+                        model.remove(&(node, n));
+                    } else {
+                        model.insert((node, n), bytes);
+                    }
+                }
+                _ => {
+                    let want: Vec<(NodeId, CacheName)> = model.keys().copied().collect();
+                    assert_eq!(c.purge(&cluster).unwrap(), want);
+                    for (node, n) in &want {
+                        assert!(!cluster.has_local(*node, &n.store_name()));
+                    }
+                    model.clear();
+                }
+            }
+            for nd in [NodeId(0), NodeId(1)] {
+                let want: Vec<(CacheName, u64)> =
+                    model.iter().filter(|((m, _), _)| *m == nd).map(|((_, n), b)| (*n, *b)).collect();
+                assert_eq!(queued(&c, nd), want);
+            }
+        }
     }
 }

@@ -1,14 +1,12 @@
 //! Window-aware caching (paper §4): cache identities, the master-side
-//! Window-Aware Cache Controller (the one record of what each node
-//! holds) and its heartbeat audit, the per-node Local Cache Registry (the
-//! files waiting for the purge), the per-query cache status matrix,
-//! capacity policies ([`policy`]), and the cross-query signature
-//! directory ([`share`]).
+//! Window-Aware Cache Controller with each node's Local Cache Registry
+//! (what the node holds and the files waiting for its purge) and its
+//! heartbeat audit, the per-query cache status matrix, capacity policies
+//! ([`policy`]), and the cross-query signature directory ([`share`]).
 
 pub mod controller;
 pub mod heartbeat;
 pub mod policy;
-pub mod registry;
 pub mod share;
 pub mod status_matrix;
 
