@@ -247,21 +247,48 @@ fn assert_stores_match_the_controller(
     }
 }
 
+/// Tears every framed `ro/` cache on the cluster from 60 % of its length
+/// to its end, as a torn write would. Returns how many it tore.
+fn tear_framed_output_caches(cluster: &redoop_dfs::Cluster) -> usize {
+    let mut torn = 0;
+    for node in cluster.alive_nodes() {
+        for name in cluster.list_local(node).unwrap() {
+            let blob = cluster.peek_local(node, &name).unwrap();
+            if cache_class(&name) == "ro" && blob.starts_with(&redoop_mapred::frame::FRAME_MARKER) {
+                let len = blob.len();
+                assert!(cluster.corrupt_local(node, &name, len * 3 / 5, len).unwrap());
+                torn += 1;
+            }
+        }
+    }
+    torn
+}
+
 #[test]
 fn every_stored_file_is_a_listed_cache_with_caching_on_or_off() {
     let spec = spec_with_overlap(0.75);
     let plan = ArrivalPlan::new(spec, 6);
     let batches = wcc_batches(&plan, 29, 1.0);
-    for caching in [true, false] {
+    // Caching on, caching off, and caching on with every framed `ro/`
+    // cache torn after window 0: the audit rolls each torn cache back,
+    // and one that is not rebuilt where it lies — its pane left the
+    // window — must still be purged.
+    for (caching, tear) in [(true, false), (false, false), (true, true)] {
         let cluster = test_cluster();
-        let tag = format!("ledger-{caching}");
+        let tag = format!("ledger-{caching}-{tear}");
         let mut exec = agg_executor(&cluster, spec, &tag, batch_adaptive(&cluster, &spec));
         exec.set_options(ExecutorOptions { caching, ..Default::default() });
         ingest_all(&mut exec, 0, &batches);
         for w in 0..6 {
+            if tear && w == 1 {
+                assert!(tear_framed_output_caches(&cluster) > 0, "window 0 leaves framed caches");
+            }
             let report = exec.run_window(w).unwrap();
             if !caching {
                 assert_eq!(report.reused_caches, 0, "the ablation reuses nothing");
+            }
+            if tear && w == 1 {
+                assert!(report.trace.rollbacks > 0, "the audit rolls the torn caches back");
             }
             assert_stores_match_the_controller(&cluster, &exec, w);
         }
