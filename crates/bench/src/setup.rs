@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use redoop_core::prelude::*;
 use redoop_core::{AdaptiveController, PartitionPlan, SemanticAnalyzer};
-use redoop_dfs::{Cluster, ClusterConfig, DfsPath, PlacementPolicy};
+use redoop_dfs::{Cluster, ClusterConfig, DfsPath};
 use redoop_mapred::trace::TraceSink;
 use redoop_mapred::{ClusterSim, CostModel, SimTime};
 use redoop_workloads::arrival::{write_batches, ArrivalPlan, GeneratedBatch};
@@ -71,7 +71,6 @@ pub fn cluster_with_nodes(n: usize) -> Cluster {
         nodes: n,
         block_size: 16 * 1024,
         replication: 3,
-        placement: PlacementPolicy::RoundRobin,
     })
 }
 

@@ -39,4 +39,3 @@ pub use datanode::{DataNode, NodeId};
 pub use error::{DfsError, Result};
 pub use namenode::{FileMeta, NameNode};
 pub use path::DfsPath;
-pub use replication::PlacementPolicy;

@@ -1,40 +1,19 @@
-//! Replica placement policies.
+//! Replica placement: a deterministic rotation over the live nodes.
 
 use crate::datanode::NodeId;
 
-/// Chooses which datanodes receive the replicas of each new block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlacementPolicy {
-    /// Deterministic rotation over live nodes, offset by block id. Keeps
-    /// the cluster balanced and experiments reproducible.
-    RoundRobin,
-    /// Pseudo-random placement seeded by the block id (deterministic given
-    /// the same cluster state, but scatters replicas non-contiguously).
-    Hashed,
-}
-
-impl PlacementPolicy {
-    /// Selects `replication` distinct nodes from `alive` (assumed sorted)
-    /// for block number `block_seq`. Returns fewer nodes only if fewer are
-    /// alive; the caller decides whether that is acceptable.
-    pub fn place(&self, alive: &[NodeId], replication: usize, block_seq: u64) -> Vec<NodeId> {
-        if alive.is_empty() {
-            return Vec::new();
-        }
-        let n = alive.len();
-        let count = replication.min(n);
-        let start = match self {
-            PlacementPolicy::RoundRobin => (block_seq as usize) % n,
-            PlacementPolicy::Hashed => {
-                // SplitMix64 finalizer — deterministic, well-scattered.
-                let mut z = block_seq.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                ((z ^ (z >> 31)) as usize) % n
-            }
-        };
-        (0..count).map(|i| alive[(start + i) % n]).collect()
+/// Selects `replication` distinct nodes from `alive` (assumed sorted) for
+/// block number `block_seq`: consecutive live nodes starting at
+/// `block_seq mod alive.len()`, which keeps the cluster balanced and
+/// experiments reproducible. Returns fewer nodes only if fewer are alive;
+/// the caller decides whether that is acceptable.
+pub fn place(alive: &[NodeId], replication: usize, block_seq: u64) -> Vec<NodeId> {
+    if alive.is_empty() {
+        return Vec::new();
     }
+    let n = alive.len();
+    let start = (block_seq as usize) % n;
+    (0..replication.min(n)).map(|i| alive[(start + i) % n]).collect()
 }
 
 #[cfg(test)]
@@ -48,9 +27,8 @@ mod tests {
     #[test]
     fn round_robin_rotates_and_is_distinct() {
         let alive = nodes(4);
-        let p = PlacementPolicy::RoundRobin;
-        let r0 = p.place(&alive, 3, 0);
-        let r1 = p.place(&alive, 3, 1);
+        let r0 = place(&alive, 3, 0);
+        let r1 = place(&alive, 3, 1);
         assert_eq!(r0, vec![NodeId(0), NodeId(1), NodeId(2)]);
         assert_eq!(r1, vec![NodeId(1), NodeId(2), NodeId(3)]);
         for r in [r0, r1] {
@@ -64,21 +42,12 @@ mod tests {
     #[test]
     fn caps_at_alive_count() {
         let alive = nodes(2);
-        let placed = PlacementPolicy::RoundRobin.place(&alive, 3, 5);
+        let placed = place(&alive, 3, 5);
         assert_eq!(placed.len(), 2);
     }
 
     #[test]
-    fn hashed_is_deterministic() {
-        let alive = nodes(8);
-        let a = PlacementPolicy::Hashed.place(&alive, 3, 42);
-        let b = PlacementPolicy::Hashed.place(&alive, 3, 42);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 3);
-    }
-
-    #[test]
     fn empty_cluster_places_nothing() {
-        assert!(PlacementPolicy::RoundRobin.place(&[], 3, 0).is_empty());
+        assert!(place(&[], 3, 0).is_empty());
     }
 }

@@ -5,14 +5,13 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use redoop_dfs::{Cluster, ClusterConfig, DfsPath, NodeId, PlacementPolicy};
+use redoop_dfs::{Cluster, ClusterConfig, DfsPath, NodeId};
 
 fn cluster(nodes: usize, block_size: usize, replication: usize) -> Cluster {
     Cluster::new(ClusterConfig {
         nodes,
         block_size,
         replication,
-        placement: PlacementPolicy::RoundRobin,
     })
 }
 

@@ -129,14 +129,13 @@ fn plan_splits_file(cluster: &Cluster, path: &DfsPath) -> Result<Vec<InputSplit>
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use redoop_dfs::{ClusterConfig, PlacementPolicy};
+    use redoop_dfs::ClusterConfig;
 
     fn cluster(block_size: usize) -> Cluster {
         Cluster::new(ClusterConfig {
             nodes: 4,
             block_size,
             replication: 2,
-            placement: PlacementPolicy::RoundRobin,
         })
     }
 

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use redoop_core::prelude::*;
 use redoop_core::{AdaptiveController, PartitionPlan, SemanticAnalyzer};
-use redoop_dfs::{Cluster, ClusterConfig, DfsPath, PlacementPolicy};
+use redoop_dfs::{Cluster, ClusterConfig, DfsPath};
 use redoop_mapred::{ClusterSim, CostModel};
 use redoop_workloads::arrival::{write_batches, ArrivalPlan};
 use redoop_workloads::queries::{AggMapper, AggReducer};
@@ -29,7 +29,6 @@ fn main() {
         nodes: 8,
         block_size: 16 * 1024,
         replication: 3,
-        placement: PlacementPolicy::RoundRobin,
     });
     // Scaled cost model: one synthetic record stands for ~2000 real ones.
     let cost = CostModel::scaled(2_000.0);

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use redoop_core::prelude::*;
 use redoop_core::{AdaptiveController, PartitionPlan, SemanticAnalyzer};
-use redoop_dfs::{Cluster, ClusterConfig, DfsPath, PlacementPolicy};
+use redoop_dfs::{Cluster, ClusterConfig, DfsPath};
 use redoop_mapred::{ClusterSim, CostModel, SimTime};
 use redoop_workloads::arrival::{write_batches, ArrivalPlan, GeneratedBatch};
 use redoop_workloads::ffg::{FfgGenerator, Stream};
@@ -21,7 +21,6 @@ pub fn test_cluster() -> Cluster {
         nodes: 8,
         block_size: 16 * 1024,
         replication: 3,
-        placement: PlacementPolicy::RoundRobin,
     })
 }
 
