@@ -83,6 +83,44 @@ pub fn map_split<'a, M: Mapper>(
     (work, added)
 }
 
+/// Maps `n` splits into one [`RunBuilder`] per reduce partition:
+/// `split(i)` is split `i`'s lines and input bytes, each mapped by
+/// [`map_split`]. The splits fan out as one contiguous range per host
+/// worker ([`parallel_ranges`]), each range into a partitioned sink of its
+/// own, and the ranges' builders are absorbed in range order — split
+/// order — so the builders are the same however the splits were cut.
+/// Returns each split's [`map_split`] result, in split order, and the
+/// builders.
+#[allow(clippy::type_complexity)]
+pub fn map_splits<'a, M: Mapper, I: Iterator<Item = &'a str>>(
+    n: usize,
+    split: impl Fn(usize) -> (I, u64) + Send + Sync,
+    mapper: &M,
+    partitioner: &dyn Partitioner<M::KOut>,
+    num_reducers: usize,
+    combiner: Option<&dyn crate::combiner::Combiner<M::KOut, M::VOut>>,
+) -> Result<(Vec<(MapWork, Vec<(u64, u64)>)>, Vec<RunBuilder<M::KOut, M::VOut>>)> {
+    let ranges = parallel_ranges(n, |range| {
+        let mut sink = MapContext::partitioned(partitioner, fresh_builders(num_reducers));
+        let splits: Vec<_> = range
+            .map(|i| {
+                let (lines, bytes) = split(i);
+                map_split(mapper, lines, bytes, &mut sink, combiner)
+            })
+            .collect();
+        Ok((splits, sink.into_builders()))
+    })?;
+    let mut splits = Vec::with_capacity(n);
+    let mut builders = fresh_builders(num_reducers);
+    for (part_splits, part) in ranges {
+        splits.extend(part_splits);
+        for (whole, part) in builders.iter_mut().zip(part) {
+            whole.absorb(part);
+        }
+    }
+    Ok((splits, builders))
+}
+
 /// One split through a partitioned sink of its own, expanded back to a
 /// pair list per reduce partition. Off the fire path — which keeps the
 /// sink's builders and never holds pairs — and kept because the
