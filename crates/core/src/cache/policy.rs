@@ -1,7 +1,8 @@
 //! Pluggable cache lifecycle policies: capacity-aware admission and
-//! eviction behind the [`CachePolicy`] trait. Reclaimed bytes are
-//! physically deleted by the node registries' purge scan after every
-//! window (paper §4.1, `PurgeCycle` = one slide).
+//! eviction behind the [`CachePolicy`] trait. An evicted or refused
+//! cache's file is queued on its node by the controller and physically
+//! deleted by its purge scan after every window (paper §4.1,
+//! `PurgeCycle` = one slide).
 //!
 //! The paper's lifecycle is expire-only and assumes unbounded node-local
 //! storage. At production scale every node has a byte budget, so the

@@ -593,7 +593,7 @@ mod tests {
     }
 
     fn cluster() -> Cluster {
-        Cluster::new(ClusterConfig { nodes: 3, block_size: 1 << 20, replication: 2, ..Default::default() })
+        Cluster::new(ClusterConfig { nodes: 3, block_size: 1 << 20, replication: 2 })
     }
 
     fn root() -> DfsPath {

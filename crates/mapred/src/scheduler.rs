@@ -129,8 +129,7 @@ mod tests {
         use redoop_dfs::{Cluster, ClusterConfig, DfsPath};
 
         let nodes = 12;
-        let cluster =
-            Cluster::new(ClusterConfig { nodes, block_size: 256, replication: 2, ..Default::default() });
+        let cluster = Cluster::new(ClusterConfig { nodes, block_size: 256, replication: 2 });
         let input = DfsPath::new("/in/wide").unwrap();
         cluster.create(&input, bytes::Bytes::from("a b c d e f g h\n".repeat(400))).unwrap();
         // The idle dead node would win every load tie, were it a candidate.

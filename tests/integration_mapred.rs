@@ -137,7 +137,6 @@ fn consecutive_jobs_share_the_simulated_cluster() {
         nodes: 1,
         block_size: 16 * 1024,
         replication: 1,
-        ..Default::default()
     });
     cluster
         .create(&DfsPath::new("/in/f").unwrap(), Bytes::from("m n\n".repeat(50)))
