@@ -108,7 +108,7 @@ where
         inputs,
         output_root.join(&format!("w{rec}"))?,
     );
-    let conf = JobConf { num_reducers, ..Default::default() };
+    let conf = JobConf { num_reducers };
     // A batch is reusable iff the window covers its whole range.
     let contained: std::collections::HashSet<&DfsPath> = batches
         .iter()

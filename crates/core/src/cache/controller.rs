@@ -1,10 +1,17 @@
 //! The Window-Aware Cache Controller (paper §4.2, Table 2).
 //!
 //! A master-side component holding one *cache signature* per cache file:
-//! which node stores it, its readiness (`0` not available, `1` HDFS
-//! available, `2` cache available), and a `doneQueryMask` with one bit per
-//! registered query. When every bit is set the cache is expired and its
-//! file is queued for the holding node's purge.
+//! which node stores it and a `doneQueryMask` with one bit per registered
+//! query. When every bit is set the cache is expired and its file is
+//! queued for the holding node's purge.
+//!
+//! Table 2's `ready` column is the holder: a signature with a node is a
+//! materialized cache (`ready = 2`); one without is a cache that was
+//! built and then refused, evicted or lost (`1`: its source is in HDFS,
+//! so it is rebuilt on demand); a name with no signature was never
+//! materialized (`0`). A signature is created only by a
+//! registration or an adoption, admitted or refused, so every row stands
+//! for a cache that exists or existed.
 //!
 //! The controller also keeps each node's Local Cache Registry (paper
 //! §4.1, Table 1): the live rows are the per-node index of materialized
@@ -44,24 +51,12 @@ use super::policy::{CachePolicy, CacheStats, WindowLifespanPolicy};
 use super::{CacheName, CacheObject};
 use crate::error::{RedoopError, Result};
 
-/// Readiness of a cache (paper: the `ready` column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Ready {
-    /// Not available anywhere.
-    NotAvailable,
-    /// Source data available in HDFS; cache not built (or lost).
-    HdfsAvailable,
-    /// Cache materialized on a task node's local file system.
-    CacheAvailable,
-}
-
 /// One cache signature (paper Table 2 row).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheSignature {
-    /// Node holding the cache (meaningful when `ready == CacheAvailable`).
+    /// Node holding the materialized cache — Table 2's `ready` bit:
+    /// `Some` is `2`, `None` (evicted, refused, lost) is `1`.
     pub node: Option<NodeId>,
-    /// Readiness state.
-    pub ready: Ready,
     /// Bit `q` set when query `q` no longer needs this cache.
     pub done_query_mask: u64,
     /// Cached object size in bytes (for scheduling affinity estimates).
@@ -95,8 +90,8 @@ pub struct Admission {
     /// Whether the cache is now tracked as materialized on its node.
     /// `false` means the policy (or the raw budget) refused it: the
     /// signature keeps its metadata (bytes, availability time) for
-    /// same-window readers but stays HDFS-available, so later windows
-    /// see a miss.
+    /// same-window readers but has no holder, so later windows see a
+    /// miss.
     pub admitted: bool,
     /// Residents evicted to make room, in eviction order. Their files
     /// are already queued for the purge; the caller withdraws whatever
@@ -121,7 +116,7 @@ pub struct CacheController {
     query_count: usize,
     full_mask: u64,
     sigs: BTreeMap<CacheName, CacheSignature>,
-    /// Materialized (`ready == CacheAvailable`) caches per holding node.
+    /// Materialized caches (those with a holder) per holding node.
     by_node: HashMap<NodeId, NodeCaches>,
     /// Purge queue per node, indexed by [`NodeId::index`]: name-sorted,
     /// each file with its size. Grown on first queue to a node.
@@ -188,7 +183,6 @@ impl CacheController {
     fn sig_entry(&mut self, name: CacheName) -> &mut CacheSignature {
         self.sigs.entry(name).or_insert_with(|| CacheSignature {
             node: None,
-            ready: Ready::NotAvailable,
             done_query_mask: 0,
             bytes: 0,
             rebuild_bytes: 0,
@@ -200,15 +194,12 @@ impl CacheController {
     }
 
     /// Removes `name` from its holder's node index (no-op unless the
-    /// signature is currently materialized).
+    /// signature has a holder).
     fn unindex_holder(
         by_node: &mut HashMap<NodeId, NodeCaches>,
         name: &CacheName,
         sig: &CacheSignature,
     ) {
-        if sig.ready != Ready::CacheAvailable {
-            return;
-        }
         if let Some(node) = sig.node {
             if let Some(nc) = by_node.get_mut(&node) {
                 if nc.names.remove(name) {
@@ -241,17 +232,7 @@ impl CacheController {
         self.query_count
     }
 
-    /// Declares that `name`'s source data is loaded in HDFS (ready = 1).
-    /// New caches start with an all-clear mask; existing entries keep
-    /// their mask and only upgrade readiness if currently NotAvailable.
-    pub fn note_hdfs_available(&mut self, name: CacheName) {
-        let sig = self.sig_entry(name);
-        if sig.ready == Ready::NotAvailable {
-            sig.ready = Ready::HdfsAvailable;
-        }
-    }
-
-    /// Registers a materialized cache on `node` (ready = 2), available to
+    /// Registers a materialized cache on `node` (its holder), available to
     /// consumers from virtual time `at`. The heartbeat audit checks it
     /// against the node's store from then on.
     pub fn register_cache(
@@ -271,8 +252,8 @@ impl CacheController {
     /// evict residents (journaled as `evict`) or refuse the newcomer
     /// (`admit_reject`). A refused cache keeps its metadata — readers of
     /// the window that built it still gate on `available_at` and the
-    /// file exists until the next purge scan — but stays HDFS-available,
-    /// so later windows rebuild it. Its file is queued for the purge.
+    /// file exists until the next purge scan — but gets no holder, so
+    /// later windows rebuild it. Its file is queued for the purge.
     pub fn register_cache_with_rebuild(
         &mut self,
         name: CacheName,
@@ -302,7 +283,7 @@ impl CacheController {
 
     /// Adopts a cache built by *another* query's executor (discovered
     /// through the shared source's signature directory): the signature
-    /// becomes CacheAvailable exactly as after a registration, but no
+    /// gets its holder exactly as after a registration, but no
     /// `Register` trace event is emitted — the driver records the
     /// adoption as a `shared_hit` instead, so `Register` events in the
     /// journal count actual builds only.
@@ -330,8 +311,8 @@ impl CacheController {
     }
 
     /// Writes an admission's outcome over whatever `name`'s signature
-    /// held before: materialized on `holder` (ready = 2), or — refused,
-    /// no holder — HDFS-available under the fresh metadata.
+    /// held before: materialized on `holder`, or — refused — no holder,
+    /// under the fresh metadata.
     fn settle(
         &mut self,
         name: CacheName,
@@ -345,7 +326,6 @@ impl CacheController {
         }
         let sig = self.sig_entry(name);
         sig.node = holder;
-        sig.ready = if holder.is_some() { Ready::CacheAvailable } else { Ready::HdfsAvailable };
         sig.bytes = bytes;
         sig.rebuild_bytes = rebuild_bytes.max(bytes);
         sig.available_at = at;
@@ -378,7 +358,7 @@ impl CacheController {
     fn held_bytes(&self, name: &CacheName, node: NodeId) -> u64 {
         self.sigs
             .get(name)
-            .filter(|s| s.ready == Ready::CacheAvailable && s.node == Some(node))
+            .filter(|s| s.node == Some(node))
             .map_or(0, |s| s.bytes)
     }
 
@@ -466,39 +446,34 @@ impl CacheController {
         Some(plan.into_iter().map(|n| (node, n)).collect())
     }
 
-    /// Evicts a materialized cache: the holder is unindexed, readiness
-    /// drops to HDFS-available (later windows rebuild on demand — the
-    /// same miss path as a lost cache, minus any salvage credit), and an
-    /// `evict` event is journaled. Metadata (bytes, availability) stays
-    /// so same-window readers remain correctly gated; the file itself is
-    /// queued for the holding node's next purge scan.
+    /// Evicts a materialized cache: the holder is cleared and unindexed
+    /// (later windows rebuild on demand — the same miss path as a lost
+    /// cache, minus any salvage credit), and an `evict` event is
+    /// journaled. Metadata (bytes, availability) stays so same-window
+    /// readers remain correctly gated; the file itself is queued for the
+    /// holding node's next purge scan.
     fn evict_holder(&mut self, name: &CacheName, at: SimTime) {
         let Some(sig) = self.sigs.get_mut(name) else { return };
-        if sig.ready != Ready::CacheAvailable {
-            return;
-        }
-        let (node, bytes) = (sig.node, sig.bytes);
+        let Some(node) = sig.node else { return };
+        let bytes = sig.bytes;
         Self::unindex_holder(&mut self.by_node, name, sig);
-        sig.ready = Ready::HdfsAvailable;
         sig.node = None;
         // The whole file is reclaimed; no frames survive to salvage.
         sig.salvaged = None;
-        if let Some(node) = node {
-            self.queue_file(node, *name, bytes);
-        }
+        self.queue_file(node, *name, bytes);
         self.policy.forget(name);
         self.trace.emit(|| TraceEvent::Cache {
             at,
             action: CacheAction::Evict,
             name: name.store_name(),
-            node,
+            node: Some(node),
             bytes,
         });
     }
 
     /// Journals and applies an admission rejection: the signature keeps
     /// fresh metadata (readers of the building window gate on
-    /// `available_at`) but stays HDFS-available.
+    /// `available_at`) but has no holder.
     fn reject(
         &mut self,
         name: CacheName,
@@ -556,14 +531,13 @@ impl CacheController {
     }
 
     /// Invalidates a single cache whose file was found missing (targeted
-    /// failure rollback): ready drops to HDFS-available. Returns whether
-    /// the signature changed.
+    /// failure rollback): its holder is cleared. Returns whether the
+    /// signature changed.
     pub fn invalidate(&mut self, name: &CacheName) -> bool {
         match self.sigs.get_mut(name) {
-            Some(sig) if sig.ready == Ready::CacheAvailable => {
+            Some(sig) if sig.node.is_some() => {
                 let (node, bytes) = (sig.node, sig.bytes);
                 Self::unindex_holder(&mut self.by_node, name, sig);
-                sig.ready = Ready::HdfsAvailable;
                 sig.node = None;
                 self.trace.emit(|| TraceEvent::Cache {
                     at: self.trace.now(),
@@ -585,10 +559,7 @@ impl CacheController {
 
     /// The node holding a materialized cache, if any.
     pub fn location(&self, name: &CacheName) -> Option<NodeId> {
-        self.sigs
-            .get(name)
-            .filter(|s| s.ready == Ready::CacheAvailable)
-            .and_then(|s| s.node)
+        self.sigs.get(name).and_then(|s| s.node)
     }
 
     /// Marks query `q` as finished with `name`. When the mask fills (the
@@ -617,7 +588,7 @@ impl CacheController {
                     bytes,
                 });
             }
-            if let (Ready::CacheAvailable, Some(node)) = (sig.ready, node) {
+            if let Some(node) = node {
                 self.queue_file(node, name, bytes);
             }
         }
@@ -632,8 +603,8 @@ impl CacheController {
     }
 
     /// Failure rollback (paper §5): all caches on `node` are lost — their
-    /// ready bit drops back to HDFS-available so the scheduler rebuilds
-    /// them. Returns the affected cache names.
+    /// holder is cleared so the scheduler rebuilds them. Returns the
+    /// affected cache names.
     pub fn rollback_node(&mut self, node: NodeId) -> Vec<CacheName> {
         // The node index is name-sorted, so `lost` comes out in the same
         // order the old full-table scan produced.
@@ -646,7 +617,6 @@ impl CacheController {
         };
         for name in &lost {
             let sig = self.sigs.get_mut(name).expect("indexed cache has a signature");
-            sig.ready = Ready::HdfsAvailable;
             sig.node = None;
             // The crash wiped the node's disk, salvageable frames
             // included — any pending partial-recovery verdict is void.
@@ -728,9 +698,9 @@ impl CacheController {
         Ok(purged)
     }
 
-    /// Names of every tracked signature (any readiness) matching `pred` —
-    /// used by expiry sweeps that must catch sub-pane variants without
-    /// enumerating them.
+    /// Names of every tracked signature (held or not) matching `pred` —
+    /// used by expiry sweeps that must catch every partition's signature
+    /// without enumerating them.
     pub fn names_matching(&self, mut pred: impl FnMut(&CacheName) -> bool) -> Vec<CacheName> {
         self.sigs.keys().filter(|n| pred(n)).copied().collect()
     }
@@ -747,11 +717,7 @@ impl CacheController {
 
     /// Names of every currently materialized cache.
     pub fn all_cached(&self) -> Vec<CacheName> {
-        self.sigs
-            .iter()
-            .filter(|(_, s)| s.ready == Ready::CacheAvailable)
-            .map(|(n, _)| *n)
-            .collect()
+        self.sigs.iter().filter(|(_, s)| s.node.is_some()).map(|(n, _)| *n).collect()
     }
 
     /// Total bytes of materialized caches on `node` (capacity reporting).
@@ -767,14 +733,13 @@ impl CacheController {
         self.by_node.get(&node).map_or_else(Vec::new, |nc| nc.names.iter().copied().collect())
     }
 
-    /// Names of every tracked signature (any readiness) belonging to
-    /// `(source, pane)`, name-sorted — sub-pane inputs and every
-    /// partition included.
+    /// Names of every tracked signature (held or not) belonging to
+    /// `(source, pane)`, name-sorted — every class and partition.
     pub fn names_for_pane(&self, source: u32, pane: u64) -> Vec<CacheName> {
         self.names_matching(|n| pane_key(n) == Some((source, pane)))
     }
 
-    /// Every `(source, pane)` some tracked signature (any readiness)
+    /// Every `(source, pane)` some tracked signature (held or not)
     /// belongs to, sorted — the pane-expiry sweep's candidates.
     pub fn tracked_panes(&self) -> BTreeSet<(u32, u64)> {
         self.sigs.keys().filter_map(pane_key).collect()
@@ -789,7 +754,7 @@ mod tests {
     use bytes::Bytes;
 
     fn name(p: u64, r: usize) -> CacheName {
-        CacheName::with_fp(CacheObject::PaneInput { source: 0, pane: PaneId(p), sub: 0 }, r, 0)
+        CacheName::with_fp(CacheObject::PaneInput { source: 0, pane: PaneId(p) }, r, 0)
     }
 
     fn out_name(p: u64) -> CacheName {
@@ -803,18 +768,18 @@ mod tests {
 
     #[test]
     fn readiness_lifecycle() {
+        // Table 2's `ready`: no row (0), a holder (2), a row whose holder
+        // was cleared (1) — a miss that keeps the cache's metadata.
         let mut c = CacheController::new(1);
         let n = name(0, 0);
-        assert!(c.location(&n).is_none());
-        c.note_hdfs_available(n);
-        assert_eq!(c.signature(&n).unwrap().ready, Ready::HdfsAvailable);
-        assert!(c.location(&n).is_none(), "HDFS-available is not a cache hit");
+        assert!(c.signature(&n).is_none() && c.location(&n).is_none());
         c.register_cache(n, NodeId(3), 512, SimTime::ZERO);
         assert_eq!(c.location(&n), Some(NodeId(3)));
         assert_eq!(c.signature(&n).unwrap().bytes, 512);
-        // note_hdfs_available after materialization must not downgrade.
-        c.note_hdfs_available(n);
-        assert_eq!(c.location(&n), Some(NodeId(3)));
+        assert!(c.invalidate(&n));
+        assert!(c.location(&n).is_none(), "a cleared holder is not a cache hit");
+        assert_eq!(c.signature(&n).unwrap().bytes, 512);
+        assert!(!c.invalidate(&n), "nothing left to clear");
     }
 
     #[test]
@@ -848,7 +813,7 @@ mod tests {
         c.register_cache(name(2, 0), NodeId(0), 1, SimTime::ZERO);
         let lost = c.rollback_node(NodeId(0));
         assert_eq!(lost.len(), 2);
-        assert_eq!(c.signature(&name(0, 0)).unwrap().ready, Ready::HdfsAvailable);
+        assert_eq!(c.signature(&name(0, 0)).unwrap().node, None);
         assert_eq!(c.location(&name(1, 0)), Some(NodeId(1)));
     }
 
@@ -906,7 +871,7 @@ mod tests {
             let n = name(next() % 8, (next() % 3) as usize);
             let node = NodeId((next() % nodes as u64) as u32);
             match next() % 6 {
-                0 => c.note_hdfs_available(n),
+                0 => c.note_remaining_uses(n, 1),
                 1 => {
                     c.register_cache(n, node, 1 + next() % 999, SimTime::ZERO);
                 }
@@ -927,9 +892,7 @@ mod tests {
                 let expect: Vec<CacheName> = all
                     .iter()
                     .filter(|nm| {
-                        c.signature(nm).is_some_and(|s| {
-                            s.ready == Ready::CacheAvailable && s.node == Some(nd)
-                        })
+                        c.signature(nm).is_some_and(|s| s.node == Some(nd))
                     })
                     .copied()
                     .collect();
@@ -989,7 +952,7 @@ mod tests {
         // The rejected cache keeps its signature metadata (same-window
         // readers gate on availability) but is not materialized.
         let sig = c.signature(&name(1, 0)).unwrap();
-        assert_eq!(sig.ready, Ready::HdfsAvailable);
+        assert_eq!(sig.node, None);
         assert_eq!(sig.bytes, 40);
         assert!(c.location(&name(1, 0)).is_none());
         assert_eq!(cache_events(&sink, CacheAction::AdmitReject).len(), 1);
@@ -1010,9 +973,9 @@ mod tests {
         let adm = c.register_cache(name(2, 0), NodeId(0), 40, SimTime(4));
         assert!(adm.admitted);
         assert_eq!(adm.evicted, vec![(NodeId(0), name(1, 0))]);
-        // The victim drops to HDFS-available — the lost-cache miss path,
-        // minus salvage — and its bytes are released from the ledger.
-        assert_eq!(c.signature(&name(1, 0)).unwrap().ready, Ready::HdfsAvailable);
+        // The victim loses its holder — the lost-cache miss path, minus
+        // salvage — and its bytes are released from the ledger.
+        assert_eq!(c.signature(&name(1, 0)).unwrap().node, None);
         assert!(c.location(&name(1, 0)).is_none());
         assert_eq!(c.bytes_on(NodeId(0)), 90);
         assert_eq!(cache_events(&sink, CacheAction::Evict), vec![name(1, 0).store_name()]);

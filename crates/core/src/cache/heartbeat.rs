@@ -6,9 +6,8 @@
 //! Both halves run in one process, so the heartbeat is an audit of the
 //! controller's node index against the node's actual local store: every
 //! cache the controller lists on the node must exist there and, if
-//! framed, decode. A cache that fails is rolled back to HDFS-available —
-//! the paper's §5 recovery trigger — and a dead node loses everything it
-//! held. A damaged file is still on its node, so it is queued for the
+//! framed, decode. A cache that fails loses its holder — the paper's §5
+//! recovery trigger — and a dead node loses everything it held. A damaged file is still on its node, so it is queued for the
 //! purge like any other file the controller lets go of. Every audit
 //! reads every blob and checks it from scratch; nothing an earlier audit
 //! concluded is carried to the next.
@@ -25,7 +24,7 @@ impl CacheController {
     /// the node is looked up in its local store, the framed kinds (pane
     /// inputs and pane outputs) additionally decoded frame by frame
     /// against their checksums. Caches whose files vanished (crash,
-    /// manual purge) or failed the decode are invalidated (ready 2 → 1);
+    /// manual purge) or failed the decode are invalidated (holder cleared);
     /// a damaged blob with intact frames first records its salvage
     /// verdict, so the rebuild is charged only for the missing frame
     /// suffix, and every damaged blob is queued for the node's purge (a
@@ -98,7 +97,7 @@ mod tests {
     use redoop_mapred::SimTime;
 
     fn name(p: u64) -> CacheName {
-        CacheName::with_fp(CacheObject::PaneInput { source: 0, pane: PaneId(p), sub: 0 }, 0, 0)
+        CacheName::with_fp(CacheObject::PaneInput { source: 0, pane: PaneId(p) }, 0, 0)
     }
 
     /// The smallest blob a pane cache can hold: one empty, intact frame.
@@ -355,7 +354,6 @@ mod tests {
 
     #[test]
     fn evicted_entries_reconcile_like_lost_ones() {
-        use crate::cache::controller::Ready;
         use crate::cache::policy::LruPolicy;
 
         let sink = TraceSink::enabled();
@@ -380,7 +378,7 @@ mod tests {
         // nor reads as a second loss.
         assert!(ctl.audit_node(&cluster, NodeId(1)).is_empty());
         assert_eq!(heartbeats(&sink), vec![(NodeId(1), true, 1, 0)]);
-        assert_eq!(ctl.signature(&name(0)).unwrap().ready, Ready::HdfsAvailable);
+        assert_eq!(ctl.signature(&name(0)).unwrap().node, None);
         assert_eq!(ctl.location(&name(1)), Some(NodeId(1)));
         assert_eq!(ctl.purge(&cluster).unwrap(), vec![(NodeId(1), name(0))]);
 

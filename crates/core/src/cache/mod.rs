@@ -3,6 +3,10 @@
 //! (what the node holds and the files waiting for its purge) and its
 //! heartbeat audit, the per-query cache status matrix, capacity policies
 //! ([`policy`]), and the cross-query signature directory ([`share`]).
+//!
+//! A cache name reaches the controller only when something builds,
+//! adopts or refuses that cache: nothing is announced ahead of a build,
+//! so a controller row always stands for a cache that exists or existed.
 
 pub mod controller;
 pub mod heartbeat;
@@ -17,14 +21,13 @@ use crate::pane::PaneId;
 /// reduce *output* (per-pane aggregates or per-pane-pair join results).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CacheObject {
-    /// Reduce-input cache: the sorted shuffle partition of one (sub-)pane.
+    /// Reduce-input cache: the sorted shuffle partition of one pane
+    /// (however many sub-pane files the packer wrote it as).
     PaneInput {
         /// Source the pane belongs to (0-based).
         source: u32,
         /// The pane.
         pane: PaneId,
-        /// Sub-pane index (0 when undivided).
-        sub: u32,
     },
     /// Reduce-output cache of an aggregation: one pane's partial
     /// aggregates — built at fire time from the pane files, or folded
@@ -77,8 +80,8 @@ impl CacheName {
     pub fn store_name(&self) -> String {
         let (fp, r) = (self.fp, self.partition);
         match self.object {
-            CacheObject::PaneInput { source, pane, sub } => {
-                format!("q{fp:016x}/ri/s{source}p{}.{sub}/r{r}", pane.0)
+            CacheObject::PaneInput { source, pane } => {
+                format!("q{fp:016x}/ri/s{source}p{}/r{r}", pane.0)
             }
             CacheObject::PaneOutput { source, pane } => {
                 format!("q{fp:016x}/ro/s{source}p{}/r{r}", pane.0)
@@ -96,8 +99,8 @@ mod tests {
 
     #[test]
     fn store_names_follow_convention() {
-        let input = CacheName::with_fp(CacheObject::PaneInput { source: 1, pane: PaneId(4), sub: 0 }, 2, 0xabcd);
-        assert_eq!(input.store_name(), "q000000000000abcd/ri/s1p4.0/r2");
+        let input = CacheName::with_fp(CacheObject::PaneInput { source: 1, pane: PaneId(4) }, 2, 0xabcd);
+        assert_eq!(input.store_name(), "q000000000000abcd/ri/s1p4/r2");
 
         let out = CacheName::with_fp(CacheObject::PaneOutput { source: 0, pane: PaneId(7) }, 0, 0xabcd);
         assert_eq!(out.store_name(), "q000000000000abcd/ro/s0p7/r0");
@@ -111,7 +114,7 @@ mod tests {
         let name = |object, r| CacheName::with_fp(object, r, 7);
         let a = name(CacheObject::PaneOutput { source: 0, pane: PaneId(1) }, 0);
         let b = name(CacheObject::PaneOutput { source: 0, pane: PaneId(1) }, 1);
-        let c = name(CacheObject::PaneInput { source: 0, pane: PaneId(1), sub: 0 }, 0);
+        let c = name(CacheObject::PaneInput { source: 0, pane: PaneId(1) }, 0);
         assert_ne!(a.store_name(), b.store_name());
         assert_ne!(a.store_name(), c.store_name());
     }

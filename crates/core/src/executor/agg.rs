@@ -1,5 +1,5 @@
 //! Aggregation tasks: the pure per-pane partial-aggregate compute and the
-//! window merge (the plan's `BuildPane` / `MergePanes` nodes).
+//! window merge.
 //!
 //! Building the missing pane partials is the driver's cache-build step
 //! (`build_missing`, in batch or proactive mode), parameterised here
@@ -22,10 +22,10 @@ use redoop_mapred::{
 use crate::adaptive::ExecMode;
 use crate::cache::CacheName;
 use crate::error::Result;
+use crate::pane::PaneId;
 
 use super::driver::{BuiltCache, BuiltRun, MappedPanes, PartitionPrep, WindowCtx};
-use super::plan::{output_name, WindowPlan};
-use super::RecurringExecutor;
+use super::{output_name, RecurringExecutor};
 
 impl<M, R> RecurringExecutor<M, R>
 where
@@ -92,17 +92,17 @@ where
     /// (one individually-charged reduce task per pane in batch mode;
     /// per-sub-pane early tasks in proactive mode), then merge all pane
     /// outputs into the final part file.
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn dispatch_partition_agg(
         &mut self,
-        plan: &WindowPlan,
+        rec: u64,
+        panes: &[PaneId],
         r: usize,
         prep: &PartitionPrep,
         ctx: WindowCtx,
         mapped: &MappedPanes<M::KOut, M::VOut>,
         metrics: &mut JobMetrics,
     ) -> Result<DfsPath> {
-        let rec = plan.recurrence;
-        let panes = &plan.panes;
         let node = prep.node;
         // In batch mode the whole partition is one reduce attempt: its
         // first charged item (build or merge) pays the task start-up,
@@ -137,7 +137,7 @@ where
         let mut names: Vec<CacheName> = Vec::with_capacity(panes.len());
         let mut read_back: Vec<u64> = Vec::with_capacity(panes.len());
         for &p in panes {
-            let name = output_name(plan.fp, 0, p, r);
+            let name = output_name(self.fp, 0, p, r);
             let handed_over = partials.contains_key(&p.0);
             if let Some(sig) = self.controller.signature(&name) {
                 // Every pane partial gates readiness: fresh builds by

@@ -15,7 +15,7 @@
 //! Firing a window over sealed panes therefore costs only the linear
 //! k-way merge — O(panes × keys) — instead of the rebuild path's
 //! O(records) map/shuffle/sort/reduce. Nothing at fire time knows the
-//! difference: the plan's `BuildPane` nodes hit the sealed caches on the
+//! difference: the window's pane partials hit the sealed caches on the
 //! Eq. 4 anchor like any cache an earlier window left, and one that is
 //! missing (lost node, torn blob, combiner installed mid-pane) is rebuilt
 //! from the raw pane files like any other miss.
@@ -53,8 +53,7 @@ use crate::packer::IngestOutcome;
 use crate::pane::PaneId;
 use crate::time::TimeRange;
 
-use super::plan::output_name;
-use super::RecurringExecutor;
+use super::{output_name, RecurringExecutor};
 
 /// Unsealed, in-memory delta state of one pane: the combined records of
 /// every batch folded so far, per reduce partition.
@@ -254,8 +253,8 @@ where
     /// on the home node, register it with the controller, and charge the
     /// seal as a reduce task. Partitions whose home died mid-pane (the
     /// `.open` sentinel is gone) or whose fold is incomplete are
-    /// discarded — the window's `BuildPane` then misses and rebuilds that
-    /// pane partition from the raw pane files.
+    /// discarded — the window then misses that pane partial and rebuilds
+    /// it from the raw pane files.
     pub(super) fn delta_seal_panes(&mut self, before: u64, after: u64) -> Result<()> {
         for p in before..after {
             let Some(open) = self.delta.open.remove(&p) else { continue };

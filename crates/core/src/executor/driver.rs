@@ -1,17 +1,27 @@
-//! Driver layer: dispatches a [`WindowPlan`](super::plan::WindowPlan)
-//! onto the simulated cluster.
+//! Driver layer: dispatches one window onto the simulated cluster.
 //!
-//! The driver is the single place where plan tasks meet the Eq. 4
+//! A window's plan is the list of pane products it reads, in dispatch
+//! order (`window_products`): per in-window pane its partial aggregate
+//! for an aggregation; for a binary join source 0's pane inputs, then
+//! source 1's, then every pane pair's output, left-major. Each product
+//! appears once, and a partition's names are that list under its
+//! partition and the query's fingerprint. The list enumerates *every*
+//! in-window product — cache state is dispatch-time knowledge, and that
+//! includes *when* a cache was computed: a pane partial sealed at
+//! ingestion by the delta path carries the name the window reads, so it
+//! is found like any reused cache.
+//!
+//! The driver is the single place where products meet the Eq. 4
 //! scheduler and the virtual timeline. Per reduce partition it
 //!
-//! 1. anchors the partition with one Eq. 4 placement over the plan's
-//!    required-cache set (build tasks are deliberately co-located with
+//! 1. anchors the partition with one Eq. 4 placement over the
+//!    partition's names (build tasks are deliberately co-located with
 //!    their partition's finalization task — pane products must live on
 //!    the node that merges them) — or, when another query of the shared
 //!    source is building that whole set on one node right now, on that
 //!    node (`pick_reduce_node`: followers join the producer),
-//! 2. walks the partition's build nodes once for centralized cache
-//!    hit/miss accounting and trace emission,
+//! 2. walks the names once for centralized cache hit/miss accounting and
+//!    trace emission,
 //! 3. runs the map stage for missing panes, and
 //! 4. hands off to the agg/join dispatcher, which calls back into the
 //!    driver's cache-build step. **Each build task is charged
@@ -34,13 +44,13 @@
 //!
 //! Determinism contract: all real compute (mapping, sorting, reducing)
 //! may run on parallel host threads, but every `sim.assign` and every
-//! trace emission happens in this module's sequential loops, in plan
+//! trace emission happens in this module's sequential loops, in product
 //! order — so simulated results and trace journals are byte-identical
 //! across host worker counts.
 //!
-//! §5 recovery (the heartbeat audit rolling lost caches back to
-//! HDFS-available) and the post-window expiry/purge sweep live here
-//! too: they are driver concerns — bookkeeping between plan executions.
+//! §5 recovery (the heartbeat audit clearing the holder of every lost
+//! cache) and the post-window expiry/purge sweep live here too: they are
+//! driver concerns — bookkeeping between windows.
 
 use std::collections::HashMap;
 
@@ -59,7 +69,6 @@ use crate::error::{RedoopError, Result};
 use crate::pane::PaneId;
 use crate::scheduler::{cache_affinity, cache_holders, MapTaskEntry};
 
-use super::plan::{PlanKind, PlanTask, WindowPlan};
 use super::{DirHandle, RecurringExecutor};
 
 /// Per-map-task (per block split) statistics kept for proactive-mode
@@ -77,7 +86,7 @@ pub(super) struct SliceMapInfo {
 
 /// Per-sub-pane aggregate of [`SliceMapInfo`]: the unit of proactive
 /// reduce pipelining (one early micro-task per *sub-pane*, not per
-/// block — a whole pane is one unit when the plan has no subdivision).
+/// block — a whole pane is one unit when the packer did not subdivide it).
 struct SubpaneCharge {
     ready: SimTime,
     bytes: u64,
@@ -128,7 +137,7 @@ pub(super) type MappedPanes<K, V> = HashMap<(u32, u64), MappedPane<K, V>>;
 
 /// Pure real-side output of one cache build (pane output, input cache,
 /// or pair output), produced on a worker thread. `cache_text_bytes` is
-/// the text-equivalent size the cost model charges and the registry
+/// the text-equivalent size the cost model charges and the controller
 /// records, independent of the stored encoding; `output_records` is the
 /// reducer's output count (0 for input caches, which run no reducer),
 /// taken at build time so no charge re-parses the blob for it.
@@ -184,7 +193,7 @@ pub(super) struct WindowCtx {
 }
 
 /// One missing pane product of a partition: the pane it covers and the
-/// cache its rebuild materializes — the name the plan node `produces`.
+/// cache its rebuild materializes.
 pub(super) struct MissingPane {
     pub(super) source: u32,
     pub(super) pane: PaneId,
@@ -192,14 +201,30 @@ pub(super) struct MissingPane {
 }
 
 /// One partition's dispatch-time state: the Eq. 4 anchor node and which
-/// build tasks are cache misses (their panes are mapped by then).
+/// products are cache misses (their panes are mapped by then).
 pub(super) struct PartitionPrep {
     /// Node every task of this partition runs on.
     pub(super) node: NodeId,
-    /// Missing pane products, in plan order.
+    /// Missing pane products, in product order.
     pub(super) missing: Vec<MissingPane>,
-    /// Missing pane pairs, in plan (left-major) order.
+    /// Missing pane pairs, in product (left-major) order.
     pub(super) todo_pairs: Vec<(PaneId, PaneId)>,
+}
+
+/// The cache objects a window over `panes` reads, in dispatch order:
+/// an aggregation's (one source) pane partials; a binary join's pane
+/// inputs of source 0, then of source 1, then its pane pairs left-major.
+/// Each appears once.
+pub(super) fn window_products(sources: usize, panes: &[PaneId]) -> Vec<CacheObject> {
+    if sources == 1 {
+        return panes.iter().map(|&pane| CacheObject::PaneOutput { source: 0, pane }).collect();
+    }
+    let inputs = (0..2u32)
+        .flat_map(|source| panes.iter().map(move |&pane| CacheObject::PaneInput { source, pane }));
+    let pairs = panes
+        .iter()
+        .flat_map(|&left| panes.iter().map(move |&right| CacheObject::PairOutput { left, right }));
+    inputs.chain(pairs).collect()
 }
 
 impl PartitionPrep {
@@ -216,69 +241,63 @@ where
     R: Reducer<KIn = M::KOut, VIn = M::VOut>,
 {
     // ------------------------------------------------------------------
-    // Plan dispatch
+    // Window dispatch
     // ------------------------------------------------------------------
 
-    /// Dispatches one window plan: per partition, anchor + account +
-    /// map + build/finalize. Returns the output part files in partition
-    /// order.
+    /// Dispatches recurrence `rec` over `panes`: per partition, anchor +
+    /// account + map + build/finalize. Returns the output part files in
+    /// partition order.
     pub(super) fn drive(
         &mut self,
-        plan: &WindowPlan,
+        rec: u64,
+        panes: &[PaneId],
         ctx: WindowCtx,
         metrics: &mut JobMetrics,
     ) -> Result<Vec<DfsPath>> {
-        let mut outputs = Vec::with_capacity(plan.num_reducers);
+        let products = window_products(self.sources.len(), panes);
+        let mut outputs = Vec::with_capacity(self.conf.num_reducers);
         let mut mapped = MappedPanes::new();
-        for r in 0..plan.num_reducers {
-            let prep = self.prepare_partition(plan, r, ctx, &mut mapped, metrics)?;
-            let path = match plan.kind {
-                PlanKind::Aggregation => {
-                    self.dispatch_partition_agg(plan, r, &prep, ctx, &mapped, metrics)?
-                }
-                PlanKind::BinaryJoin => {
-                    self.dispatch_partition_join(plan, r, &prep, ctx, &mapped, metrics)?
-                }
+        for r in 0..self.conf.num_reducers {
+            let names: Vec<CacheName> =
+                products.iter().map(|&object| CacheName::with_fp(object, r, self.fp)).collect();
+            let prep = self.prepare_partition(rec, &names, r, ctx, &mut mapped, metrics)?;
+            let path = if self.sources.len() == 1 {
+                self.dispatch_partition_agg(rec, panes, r, &prep, ctx, &mapped, metrics)?
+            } else {
+                self.dispatch_partition_join(rec, panes, r, &prep, ctx, &mapped, metrics)?
             };
             outputs.push(path);
         }
         Ok(outputs)
     }
 
-    /// Partition prologue: Eq. 4 anchor placement, centralized hit/miss
-    /// accounting over the partition's build nodes, and the map stage
-    /// for missing panes.
+    /// Partition prologue over the partition's product `names`: Eq. 4
+    /// anchor placement, centralized hit/miss accounting, and the map
+    /// stage for missing panes.
     fn prepare_partition(
         &mut self,
-        plan: &WindowPlan,
+        rec: u64,
+        names: &[CacheName],
         r: usize,
         ctx: WindowCtx,
         mapped: &mut MappedPanes<M::KOut, M::VOut>,
         metrics: &mut JobMetrics,
     ) -> Result<PartitionPrep> {
-        let names = plan.required_caches(r);
         // Cross-query import: required caches another query already
         // built — or is building — under the same signature become local
         // hits *before* placement, and the producer of an in-flight one
         // is handed to the placement, which joins it when it can.
-        let producer = self.import_shared(&names, ctx.fire);
-        let kind_label = match plan.kind {
-            PlanKind::Aggregation => "agg",
-            PlanKind::BinaryJoin => "join",
-        };
-        let label = format!("w{}/{kind_label}/r{r}", plan.recurrence);
-        let node = self.pick_reduce_node(&names, ctx.fire, &label, producer);
+        let producer = self.import_shared(names, ctx.fire);
+        let kind_label = if self.sources.len() == 1 { "agg" } else { "join" };
+        let label = format!("w{rec}/{kind_label}/r{r}");
+        let node = self.pick_reduce_node(names, ctx.fire, &label, producer);
 
         let mut prep = PartitionPrep { node, missing: Vec::new(), todo_pairs: Vec::new() };
-        for pnode in plan.partition_nodes(r) {
-            let name = match pnode.task {
-                PlanTask::BuildPane { .. } | PlanTask::BuildPair { .. } => pnode.produces[0],
-                PlanTask::MergePanes { .. } | PlanTask::FinalReduce { .. } => continue,
-            };
-            // A product is a hit iff the cache it produces is on the
-            // anchor — whenever, and by whichever path, it was built.
-            let hit = match pnode.task {
-                PlanTask::BuildPair { left, right, .. } => {
+        for &name in names {
+            // A product is a hit iff its cache is on the anchor —
+            // whenever, and by whichever path, it was built.
+            let hit = match name.object {
+                CacheObject::PairOutput { left, right } => {
                     self.matrix.is_done(&[left, right]) && self.cached_on(&name, node)
                 }
                 _ => self.cached_on(&name, node),
@@ -302,18 +321,11 @@ where
             if self.held_elsewhere(&name, node) {
                 self.win_stats.off_holder_misses += 1;
             }
-            match pnode.task {
-                PlanTask::BuildPane { source, pane, .. } => {
-                    if !prep.is_missing(source, pane) {
-                        prep.missing.push(MissingPane { source, pane, name });
-                    }
+            match name.object {
+                CacheObject::PaneInput { source, pane } | CacheObject::PaneOutput { source, pane } => {
+                    prep.missing.push(MissingPane { source, pane, name })
                 }
-                PlanTask::BuildPair { left, right, .. } => {
-                    if !prep.todo_pairs.contains(&(left, right)) {
-                        prep.todo_pairs.push((left, right));
-                    }
-                }
-                _ => unreachable!(),
+                CacheObject::PairOutput { left, right } => prep.todo_pairs.push((left, right)),
             }
         }
 
@@ -621,7 +633,7 @@ where
     /// Every pane's shuffle bucket and mapped records go through
     /// `compute` on parallel host threads, and every result is checked
     /// before the first one is stored — a failed compute leaves no
-    /// partial state. The builds are then committed in plan order.
+    /// partial state. The builds are then committed in product order.
     ///
     /// In batch mode each build is **its own reduce task**, ready at
     /// fire ∨ its map completion. One reduce attempt per partition works
@@ -634,7 +646,7 @@ where
     /// sub-pane's map output exists, so only the final sub-pane's work
     /// lands after the window closes.
     ///
-    /// Returns, in plan order, when each product became available and the
+    /// Returns, in product order, when each product became available and the
     /// run it holds: the caller's finalization consumes fresh products
     /// from memory and `fetch_decoded`s only the caches whose read the
     /// cost model charges.
@@ -1011,9 +1023,9 @@ where
 
     /// Runs every node's heartbeat audit (paper §2.3): caches the
     /// Window-Aware Cache Controller lists on a node but missing or
-    /// damaged in its store, or held by a dead node, are rolled back to
-    /// HDFS-available (ready 2 → 1), so they get rebuilt on demand
-    /// (paper §5 failure recovery). Returns the number of lost caches.
+    /// damaged in its store, or held by a dead node, lose their holder,
+    /// so they get rebuilt on demand (paper §5 failure recovery). Returns
+    /// the number of lost caches.
     pub fn audit_caches(&mut self) -> usize {
         let mut lost = 0;
         let dir = self.share.as_ref().map(|s| s.dir.clone());
@@ -1093,8 +1105,7 @@ where
             if !self.matrix.pane_expired(source as usize, PaneId(p), rec) {
                 continue;
             }
-            // Every signature of the pane, adaptive sub-pane inputs
-            // (`sub >= 1`) included.
+            // Every signature of the pane, each partition's.
             for name in self.controller.names_for_pane(source, p) {
                 self.retire_cache(name)?;
             }

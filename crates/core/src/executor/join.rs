@@ -1,6 +1,5 @@
 //! Binary-join tasks: the pure reduce-input and pane-pair computes, the
-//! pair stage, and the window concatenation (the plan's `BuildPane` /
-//! `BuildPair` / `FinalReduce` nodes).
+//! pair stage, and the window concatenation.
 //!
 //! Building the missing reduce-input caches is the driver's cache-build
 //! step (`build_missing`, in batch or proactive mode), parameterised
@@ -47,8 +46,7 @@ use crate::error::Result;
 use crate::pane::PaneId;
 
 use super::driver::{BuiltCache, BuiltRun, MappedPanes, PartitionPrep, WindowCtx};
-use super::plan::{input_name, pair_name, WindowPlan};
-use super::RecurringExecutor;
+use super::{input_name, pair_name, RecurringExecutor};
 
 /// `block`'s run with its keys strictly increasing: borrowed when the
 /// stored run already is, re-sorted (stably) when it is not.
@@ -167,17 +165,17 @@ where
     /// outstanding pane pairs (each its own charged reduce task in batch
     /// mode), then concatenate all in-window pair outputs into the final
     /// part file.
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn dispatch_partition_join(
         &mut self,
-        plan: &WindowPlan,
+        rec: u64,
+        panes: &[PaneId],
         r: usize,
         prep: &PartitionPrep,
         ctx: WindowCtx,
         mapped: &MappedPanes<M::KOut, M::VOut>,
         metrics: &mut JobMetrics,
     ) -> Result<DfsPath> {
-        let rec = plan.recurrence;
-        let panes = &plan.panes;
         let node = prep.node;
         // Cache reads the final task still owes for old inputs (proactive
         // mode charges them at the concat, as before the split).

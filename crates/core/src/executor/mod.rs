@@ -1,11 +1,11 @@
-//! The Redoop recurring-query executor, split into three layers:
+//! The Redoop recurring-query executor, split into two layers:
 //!
-//! * **Plan** ([`plan`]): [`plan::WindowPlan`] — a typed task DAG
-//!   describing what one window recurrence needs (pane builds, pair
-//!   joins, finalization), annotated with required/produced cache names.
-//!   Pure data, unit-testable without a cluster.
-//! * **Driver** (the private `driver` module): the single dispatcher consuming
-//!   the DAG — Eq. 4 placement, centralized cache hit/miss accounting,
+//! * **Driver** (the private `driver` module): what one window recurrence
+//!   needs is the list of pane products it reads — each in-window pane's
+//!   partial aggregate for an aggregation; each pane's reduce input of
+//!   both sources, then every pane pair's join output, for a binary join
+//!   — and each reduce partition names that list once. The driver walks
+//!   the names: Eq. 4 placement, centralized cache hit/miss accounting,
 //!   the map stage, per-task virtual-time charging (independent
 //!   pane × partition builds overlap on the simulated timeline), trace
 //!   emission, the §5 recovery audit, and post-window expiry/purging.
@@ -39,8 +39,6 @@
 //! under the mapper's key type. Binary joins have two sources; the
 //! reduce function sees both sources' values per key and emits join
 //! results.
-
-pub mod plan;
 
 mod agg;
 mod delta;
@@ -137,6 +135,21 @@ impl std::fmt::Display for WindowReport {
             self.recurrence, self.response, self.mode, self.built_products, self.reused_caches
         )
     }
+}
+
+/// Cache name of one source pane's reduce-input cache (joins).
+fn input_name(fp: u64, source: u32, pane: PaneId, r: usize) -> CacheName {
+    CacheName::with_fp(CacheObject::PaneInput { source, pane }, r, fp)
+}
+
+/// Cache name of one pane's partial-aggregate cache (aggregations).
+fn output_name(fp: u64, source: u32, pane: PaneId, r: usize) -> CacheName {
+    CacheName::with_fp(CacheObject::PaneOutput { source, pane }, r, fp)
+}
+
+/// Cache name of one pane pair's join-output cache.
+fn pair_name(fp: u64, left: PaneId, right: PaneId, r: usize) -> CacheName {
+    CacheName::with_fp(CacheObject::PairOutput { left, right }, r, fp)
 }
 
 struct SourceState {
@@ -484,8 +497,8 @@ where
 
     /// Ingests one arriving batch into `source`'s packer (the packer
     /// piggybacks pane creation on loading, paper §2.3). Sealed panes are
-    /// announced to the cache controller (ready bit 1) and queued on the
-    /// map task list.
+    /// queued on the map task list; the cache controller hears of a pane
+    /// only when one of its caches is built.
     ///
     /// When the query carries an algebraically-safe combiner, the batch
     /// is additionally **folded** into per-(pane, partition) delta state
@@ -517,24 +530,6 @@ where
             self.delta_fold_batch(&lines, &outcome, range)?;
         }
         for p in before..after {
-            // Announce every sub-pane slice (adaptive plans write several
-            // per pane); the expiry sweep retires them all by pane.
-            let subs = self.sources[source]
-                .packer
-                .lock()
-                .manifest()
-                .slices_of(PaneId(p))
-                .len()
-                .max(1) as u32;
-            for r in 0..self.conf.num_reducers {
-                for sub in 0..subs {
-                    self.controller.note_hdfs_available(CacheName::with_fp(
-                        CacheObject::PaneInput { source: sid, pane: PaneId(p), sub },
-                        r,
-                        self.fp,
-                    ));
-                }
-            }
             self.lists.push_map(MapTaskEntry { source: sid, pane: PaneId(p) });
             self.trace.emit(|| TraceEvent::PaneSeal {
                 at: self.trace.now(),
@@ -561,9 +556,9 @@ where
         Ok(())
     }
 
-    /// Runs recurrence `rec`, returning its report: builds the window's
-    /// [`plan::WindowPlan`] and hands it to the driver. Ingest must have
-    /// covered the window's event range first, and a node must be alive.
+    /// Runs recurrence `rec`, returning its report: hands the window's
+    /// panes to the driver. Ingest must have covered the window's event
+    /// range first, and a node must be alive.
     pub fn run_window(&mut self, rec: u64) -> Result<WindowReport> {
         self.require_live_node()?;
         let spec = self.sources[0].conf.spec;
@@ -634,15 +629,10 @@ where
             }
         }
 
-        // Plan, then drive: the plan enumerates every task with its cache
-        // annotations; the driver decides hits vs rebuilds at dispatch.
-        let window_plan = if self.sources.len() == 1 {
-            plan::WindowPlan::aggregation(rec, panes, self.conf.num_reducers, self.fp)
-        } else {
-            plan::WindowPlan::binary_join(rec, panes, self.conf.num_reducers, self.fp)
-        };
+        // The driver names every product the window reads and decides
+        // hits vs rebuilds at dispatch.
         let ctx = driver::WindowCtx { fire, floor, mode: decision.mode };
-        let outputs = self.drive(&window_plan, ctx, &mut metrics)?;
+        let outputs = self.drive(rec, &panes, ctx, &mut metrics)?;
 
         // Post-window maintenance: expiration + purging.
         self.trace.set_now(metrics.finished_at);
@@ -999,6 +989,129 @@ mod tests {
             ("b".to_string(), vec![2]),
             ("c".to_string(), vec![1]),
         ]);
+    }
+
+    #[test]
+    fn ingest_leaves_the_controller_empty() {
+        // A controller row stands for a cache that was built, adopted or
+        // refused: sealing panes — of an aggregation's one source, of
+        // both a join's — introduces none.
+        let range = TimeRange::new(crate::time::EventTime(0), crate::time::EventTime(300));
+        let lines = ["10,a", "50,b", "150,a", "250,c"];
+        let (cluster, sim, conf, source, adaptive, _) = fixture();
+        let mut agg = RecurringExecutor::aggregation(
+            &cluster,
+            sim,
+            conf,
+            source,
+            mapper(),
+            reducer(),
+            Arc::new(SumMerger),
+            adaptive,
+        )
+        .unwrap();
+        agg.ingest(0, lines.into_iter(), &range).unwrap();
+        assert!(agg.controller().is_empty());
+
+        let (cluster, sim, conf, source, adaptive, _) = fixture();
+        let mut other = source.clone();
+        other.pane_root = DfsPath::new("/panes/t2").unwrap();
+        let mut join = RecurringExecutor::binary_join(
+            &cluster,
+            sim,
+            conf,
+            [source, other],
+            mapper(),
+            reducer(),
+            adaptive,
+        )
+        .unwrap();
+        for s in 0..2 {
+            join.ingest(s, lines.into_iter(), &range).unwrap();
+        }
+        assert!(join.controller().is_empty());
+    }
+
+    #[test]
+    fn join_products_are_inputs_then_pairs_left_major() {
+        let (p0, p1) = (PaneId(0), PaneId(1));
+        let input = |source, pane| CacheObject::PaneInput { source, pane };
+        let pair = |left, right| CacheObject::PairOutput { left, right };
+        assert_eq!(
+            driver::window_products(2, &[p0, p1]),
+            vec![
+                input(0, p0),
+                input(0, p1),
+                input(1, p0),
+                input(1, p1),
+                pair(p0, p0),
+                pair(p0, p1),
+                pair(p1, p0),
+                pair(p1, p1),
+            ]
+        );
+        assert_eq!(
+            driver::window_products(1, &[p0, p1]),
+            vec![
+                CacheObject::PaneOutput { source: 0, pane: p0 },
+                CacheObject::PaneOutput { source: 0, pane: p1 },
+            ]
+        );
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn window_products_cover_the_window_once(
+            win_panes in 1u64..40,
+            slide_panes in 1u64..40,
+            pane_scale in 1u64..50,
+            num_reducers in 1usize..6,
+            rec in 0u64..8,
+        ) {
+            // Random valid spec: slide <= win, both multiples of a random
+            // pane length so the geometry exercises non-trivial GCDs.
+            proptest::prop_assume!(slide_panes <= win_panes);
+            let pane = pane_scale * 100;
+            let spec = WindowSpec::new(win_panes * pane, slide_panes * pane).unwrap();
+            let geom = crate::pane::PaneGeometry::from_spec(&spec);
+            let panes: Vec<PaneId> = geom.window_panes(rec).map(PaneId).collect();
+            let n = panes.len();
+
+            // An aggregation reads each in-window pane's partial once.
+            let agg = driver::window_products(1, &panes);
+            let want: Vec<CacheObject> =
+                panes.iter().map(|&pane| CacheObject::PaneOutput { source: 0, pane }).collect();
+            proptest::prop_assert_eq!(&agg, &want);
+
+            // A join reads each pane's input once per source, then every
+            // pane pair once, left-major.
+            let join = driver::window_products(2, &panes);
+            proptest::prop_assert_eq!(join.len(), 2 * n + n * n);
+            for s in 0..2u32 {
+                let inputs: Vec<CacheObject> = panes
+                    .iter()
+                    .map(|&pane| CacheObject::PaneInput { source: s, pane })
+                    .collect();
+                let at = s as usize * n;
+                proptest::prop_assert_eq!(&join[at..at + n], &inputs[..]);
+            }
+            let pairs: Vec<CacheObject> = panes
+                .iter()
+                .flat_map(|&left| {
+                    panes.iter().map(move |&right| CacheObject::PairOutput { left, right })
+                })
+                .collect();
+            proptest::prop_assert_eq!(&join[2 * n..], &pairs[..]);
+
+            // Each partition names every product apart.
+            for r in 0..num_reducers {
+                let names: std::collections::HashSet<String> = join
+                    .iter()
+                    .map(|&object| CacheName::with_fp(object, r, 0xab).store_name())
+                    .collect();
+                proptest::prop_assert_eq!(names.len(), join.len());
+            }
+        }
     }
 
     #[test]

@@ -31,9 +31,9 @@
 //! * **Cache-aware task scheduling** ([`scheduler`]) — Eq. 4
 //!   (`argmin Load_i + C_task,i`) over map/reduce task lists
 //!   (Algorithm 2).
-//! * **The recurring executor** ([`executor`]) — the plan layer
-//!   ([`executor::plan`], the window's typed task DAG) plus driver
-//!   (Eq. 4 placement, cache hit/miss accounting, per-task charging),
+//! * **The recurring executor** ([`executor`]) — a driver walking the
+//!   list of pane products each window reads (Eq. 4 placement, cache
+//!   hit/miss accounting, per-task charging),
 //!   with finalization, expiration, purging, and failure recovery via
 //!   task re-execution (§5).
 //! * **Incremental pane maintenance** — aggregation queries with an

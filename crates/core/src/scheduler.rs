@@ -120,7 +120,7 @@ impl TaskLists {
         Self::default()
     }
 
-    /// Enqueues a map task (ready bit 1: data in HDFS).
+    /// Enqueues a map task (its pane's data is in HDFS).
     pub fn push_map(&mut self, entry: MapTaskEntry) {
         self.map_list.push_back(entry);
     }
@@ -138,7 +138,7 @@ mod tests {
     use redoop_mapred::SchedulerCtx;
 
     fn name(p: u64) -> CacheName {
-        CacheName::with_fp(CacheObject::PaneInput { source: 0, pane: PaneId(p), sub: 0 }, 0, 0)
+        CacheName::with_fp(CacheObject::PaneInput { source: 0, pane: PaneId(p) }, 0, 0)
     }
 
     #[test]

@@ -14,8 +14,6 @@ pub mod names {
     pub const CACHE_BYTES_READ: &str = "CACHE_BYTES_READ";
     pub const HDFS_BYTES_READ: &str = "HDFS_BYTES_READ";
     pub const HDFS_BYTES_WRITTEN: &str = "HDFS_BYTES_WRITTEN";
-    pub const FAILED_MAP_ATTEMPTS: &str = "FAILED_MAP_ATTEMPTS";
-    pub const FAILED_REDUCE_ATTEMPTS: &str = "FAILED_REDUCE_ATTEMPTS";
 }
 
 /// An ordered bag of named `u64` counters.

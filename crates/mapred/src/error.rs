@@ -16,8 +16,6 @@ pub enum MrError {
     Codec(String),
     /// The job was submitted without any input files.
     NoInput,
-    /// A task exhausted its retry budget.
-    TaskFailed { kind: &'static str, index: usize, attempts: u32 },
     /// Job configuration is invalid (e.g. zero reducers for a reduce job).
     InvalidConf(String),
 }
@@ -28,9 +26,6 @@ impl fmt::Display for MrError {
             MrError::Dfs(e) => write!(f, "dfs error: {e}"),
             MrError::Codec(msg) => write!(f, "codec error: {msg}"),
             MrError::NoInput => write!(f, "job has no input files"),
-            MrError::TaskFailed { kind, index, attempts } => {
-                write!(f, "{kind} task {index} failed after {attempts} attempts")
-            }
             MrError::InvalidConf(msg) => write!(f, "invalid job configuration: {msg}"),
         }
     }
@@ -60,11 +55,5 @@ mod tests {
         let e: MrError = DfsError::FileNotFound("/x".into()).into();
         assert!(matches!(e, MrError::Dfs(_)));
         assert!(e.to_string().contains("/x"));
-    }
-
-    #[test]
-    fn task_failed_display() {
-        let e = MrError::TaskFailed { kind: "map", index: 3, attempts: 4 };
-        assert_eq!(e.to_string(), "map task 3 failed after 4 attempts");
     }
 }

@@ -215,7 +215,7 @@ pub fn kv_block_text_bytes<K: Writable, V: Writable>(pairs: &[(K, V)]) -> u64 {
 }
 
 /// A decoded grouped block: a run-length [`Grouped`] run plus the
-/// bookkeeping the cost model and cache registry need.
+/// bookkeeping the cost model and cache controller need.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupedBlock<K, V> {
     /// Groups in stored order; consecutive equal keys were merged.

@@ -7,13 +7,11 @@ use redoop_dfs::DfsPath;
 pub struct JobConf {
     /// Number of reduce tasks / shuffle partitions.
     pub num_reducers: usize,
-    /// Maximum attempts per task before the job fails (Hadoop default 4).
-    pub max_task_attempts: u32,
 }
 
 impl Default for JobConf {
     fn default() -> Self {
-        JobConf { num_reducers: 4, max_task_attempts: 4 }
+        JobConf { num_reducers: 4 }
     }
 }
 
@@ -23,14 +21,11 @@ impl JobConf {
         if self.num_reducers == 0 {
             return Err(crate::MrError::InvalidConf("num_reducers must be > 0".into()));
         }
-        if self.max_task_attempts == 0 {
-            return Err(crate::MrError::InvalidConf("max_task_attempts must be > 0".into()));
-        }
         Ok(())
     }
 }
 
-/// One job submission: a name (for fault-injection addressing and logs),
+/// One job submission: a name (for task labels and logs),
 /// input files, and an output directory prefix.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
@@ -67,9 +62,7 @@ mod tests {
 
     #[test]
     fn zero_reducers_rejected() {
-        let conf = JobConf { num_reducers: 0, ..Default::default() };
-        assert!(conf.validate().is_err());
-        let conf = JobConf { max_task_attempts: 0, ..Default::default() };
+        let conf = JobConf { num_reducers: 0 };
         assert!(conf.validate().is_err());
     }
 

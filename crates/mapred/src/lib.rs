@@ -25,15 +25,16 @@
 //! * **Scheduling** — one Eq. 4 decision, [`ClusterSim::place`]: Hadoop's
 //!   default hands it data locality for maps and load alone for reduces;
 //!   Redoop's driver hands the same function a cache-affinity term.
-//! * **Fault tolerance** — deterministic task-failure injection with
-//!   bounded retries; failed attempts burn virtual time, exactly like a
-//!   re-executed Hadoop task attempt.
+//!
+//! Every task runs once: no figure, benchmark or oracle fails a task, so
+//! the runner has no attempt loop. Failures the reproduction does study —
+//! lost nodes, lost and torn cache files — live in the DFS and in
+//! Redoop's §5 recovery.
 
 pub mod combiner;
 pub mod counters;
 pub mod error;
 pub mod exec;
-pub mod fault;
 pub mod frame;
 pub mod grouped;
 pub mod hasher;
@@ -57,7 +58,6 @@ pub mod writable;
 pub use combiner::Combiner;
 pub use counters::CounterSet;
 pub use error::{MrError, Result};
-pub use fault::FaultInjector;
 pub use grouped::Grouped;
 pub use io::LineFile;
 pub use key::{SmallKey, SmallKeyBuilder};
@@ -71,6 +71,6 @@ pub use schedule::{ClusterSim, Placement, SlotKind};
 pub use scheduler::SchedulerCtx;
 pub use simtime::{CostModel, SimTime};
 pub use split::InputSplit;
-pub use task::{MapWork, ReduceWork, TaskId, TaskKind};
+pub use task::{MapWork, ReduceWork, TaskKind};
 pub use trace::{CacheAction, NodeScore, TraceEvent, TraceSink, WindowTraceStats};
 pub use writable::Writable;

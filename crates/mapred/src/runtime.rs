@@ -18,8 +18,7 @@
 //! 2. **Virtual layer** — each split is a map task, placed on the
 //!    simulated cluster by [`ClusterSim::place`] (Eq. 4: block locality
 //!    for maps, load alone for reduces) under its job-wide index and
-//!    charged a duration derived from its observed work, including failed
-//!    attempts injected by a [`FaultInjector`].
+//!    charged a duration derived from its observed work.
 
 use std::any::Any;
 use std::collections::{HashMap, HashSet};
@@ -31,7 +30,6 @@ use crate::combiner::Combiner;
 use crate::counters::names;
 use crate::error::{MrError, Result};
 use crate::exec;
-use crate::fault::FaultInjector;
 use crate::grouped::{Grouped, RunBuilder};
 use crate::job::{JobConf, JobSpec};
 use crate::mapper::Mapper;
@@ -101,7 +99,6 @@ where
     mapper: &'a M,
     reducer: &'a R,
     combiner: Option<&'a dyn Combiner<M::KOut, M::VOut>>,
-    fault: Option<&'a FaultInjector>,
 }
 
 impl<'a, M, R> JobRunner<'a, M, R>
@@ -110,20 +107,14 @@ where
     R: Reducer<KIn = M::KOut, VIn = M::VOut>,
 {
     /// A runner with Hadoop defaults (locality-then-load placement, hash
-    /// partitioner, no combiner, no fault injection).
+    /// partitioner, no combiner).
     pub fn new(cluster: &'a Cluster, mapper: &'a M, reducer: &'a R) -> Self {
-        JobRunner { cluster, mapper, reducer, combiner: None, fault: None }
+        JobRunner { cluster, mapper, reducer, combiner: None }
     }
 
     /// Installs a map-side combiner.
     pub fn with_combiner(mut self, combiner: &'a dyn Combiner<M::KOut, M::VOut>) -> Self {
         self.combiner = Some(combiner);
-        self
-    }
-
-    /// Installs a fault-injection plan.
-    pub fn with_faults(mut self, fault: &'a FaultInjector) -> Self {
-        self.fault = Some(fault);
         self
     }
 
@@ -194,7 +185,7 @@ where
             file_outs.push(out);
         }
         // Every split of every file, in job order: its index is its map
-        // task's, in labels and in the fault plan alike.
+        // task's in the task labels.
         let tasks = || {
             plans.iter().zip(&file_outs).flat_map(|(plan, out)| plan.iter().zip(&out.works))
         };
@@ -216,19 +207,16 @@ where
             let remote_penalty = cost
                 .hdfs_read(work.split_bytes, false)
                 .saturating_sub(cost.hdfs_read(work.split_bytes, true));
-            let placement = self.schedule_task(
+            let placement = Self::schedule_task(
                 sim,
                 &dead,
                 TaskKind::Map,
-                &spec.name,
-                i,
+                || format!("{}/{i}", spec.name),
                 submit_at,
-                conf.max_task_attempts,
-                &mut metrics,
                 &split.replicas,
                 |node| if split.is_local_to(node) { SimTime::ZERO } else { remote_penalty },
                 |node, start| start + work.duration(&cost, split.is_local_to(node)),
-            )?;
+            );
             metrics.phases.map += placement.duration();
             map_ends.push(placement.end);
             metrics.map_tasks += 1;
@@ -253,19 +241,16 @@ where
             let phases = work.phases(&cost);
             // Copy cannot complete before the last map output exists.
             let copy_done = |start: SimTime| (start + phases.copy).max(last_map_end);
-            let placement = self.schedule_task(
+            let placement = Self::schedule_task(
                 sim,
                 &dead,
                 TaskKind::Reduce,
-                &spec.name,
-                r,
+                || format!("{}/{r}", spec.name),
                 first_map_end,
-                conf.max_task_attempts,
-                &mut metrics,
                 &[],
                 |_| SimTime::ZERO,
                 |_node, start| copy_done(start) + phases.sort + phases.reduce,
-            )?;
+            );
             metrics.phases.shuffle += copy_done(placement.start) - placement.start;
             metrics.phases.sort += phases.sort;
             metrics.phases.reduce += phases.reduce;
@@ -348,55 +333,34 @@ where
         })
     }
 
-    /// Places one task with retry-on-injected-failure semantics.
-    /// `favored` and `affinity` are the task's Eq. 4 terms (see
-    /// [`ClusterSim::place`]); `end_of(node, start)` is when an attempt
-    /// started there finishes. Failed attempts burn their full duration
-    /// on the slot and retry from the failure time.
+    /// Places one task ready at `ready`, charges it and journals its
+    /// span under `label`. `favored` and `affinity` are the task's Eq. 4
+    /// terms (see [`ClusterSim::place`]); `end_of(node, start)` is when
+    /// the task finishes if started there.
     #[allow(clippy::too_many_arguments)]
     fn schedule_task(
-        &self,
         sim: &mut ClusterSim,
         dead: &[usize],
         kind: TaskKind,
-        job_name: &str,
-        index: usize,
-        ready_at: SimTime,
-        max_attempts: u32,
-        metrics: &mut JobMetrics,
+        label: impl Fn() -> String,
+        ready: SimTime,
         favored: &[NodeId],
         affinity: impl Fn(NodeId) -> SimTime,
         end_of: impl Fn(NodeId, SimTime) -> SimTime,
-    ) -> Result<Placement> {
-        let label = || format!("{job_name}/{index}");
-        let (phase, failed_attempts) = match kind {
-            TaskKind::Map => ("map", names::FAILED_MAP_ATTEMPTS),
-            TaskKind::Reduce => ("reduce", names::FAILED_REDUCE_ATTEMPTS),
-        };
-        let mut ready = ready_at;
-        for attempt in 1..=max_attempts {
-            let node = sim.place(kind, favored, dead, ready, label, &affinity);
-            let placement = sim.assign_dynamic(kind, node, ready, |start| end_of(node, start));
-            sim.trace().emit(|| crate::trace::TraceEvent::TaskSpan {
-                phase,
-                node: placement.node,
-                start: placement.start,
-                end: placement.end,
-                label: label(),
-            });
-            let failed = self
-                .fault
-                .map(|f| f.should_fail(job_name, kind, index, attempt))
-                .unwrap_or(false);
-            if !failed {
-                return Ok(placement);
-            }
-            metrics.counters.add(failed_attempts, 1);
-            // The wasted attempt still occupied the slot; retry once the
-            // failure is observed.
-            ready = placement.end;
-        }
-        Err(MrError::TaskFailed { kind: phase, index, attempts: max_attempts })
+    ) -> Placement {
+        let node = sim.place(kind, favored, dead, ready, &label, affinity);
+        let placement = sim.assign_dynamic(kind, node, ready, |start| end_of(node, start));
+        sim.trace().emit(|| crate::trace::TraceEvent::TaskSpan {
+            phase: match kind {
+                TaskKind::Map => "map",
+                TaskKind::Reduce => "reduce",
+            },
+            node: placement.node,
+            start: placement.start,
+            end: placement.end,
+            label: label(),
+        });
+        placement
     }
 }
 
@@ -456,7 +420,7 @@ mod tests {
         let runner = JobRunner::new(&cluster, &mapper, &reducer);
         let spec = JobSpec::new("wc", vec![input], DfsPath::new("/out/wc").unwrap());
         let result = runner
-            .run(&mut sim, &spec, &JobConf { num_reducers: 3, ..Default::default() }, SimTime::ZERO)
+            .run(&mut sim, &spec, &JobConf { num_reducers: 3 }, SimTime::ZERO)
             .unwrap();
 
         let all = read_all_outputs(&cluster, &result.outputs);
@@ -478,7 +442,7 @@ mod tests {
         let input = DfsPath::new("/in/f1").unwrap();
         let line = "x ".repeat(200);
         cluster.create(&input, Bytes::from(format!("{line}\n"))).unwrap();
-        let conf = JobConf { num_reducers: 2, ..Default::default() };
+        let conf = JobConf { num_reducers: 2 };
 
         let mut sim = ClusterSim::paper_testbed(4, CostModel::default());
         let plain = JobRunner::new(&cluster, &mapper, &reducer)
@@ -503,55 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_failures_retry_and_slow_the_job() {
-        let (cluster, mapper, reducer) = word_count_fixture();
-        let input = DfsPath::new("/in/f1").unwrap();
-        cluster.create(&input, Bytes::from_static(b"a b c\n")).unwrap();
-        let conf = JobConf { num_reducers: 1, ..Default::default() };
-
-        let mut sim = ClusterSim::paper_testbed(4, CostModel::default());
-        let clean = JobRunner::new(&cluster, &mapper, &reducer)
-            .run(&mut sim, &JobSpec::new("clean", vec![input.clone()], DfsPath::new("/out/clean").unwrap()), &conf, SimTime::ZERO)
-            .unwrap();
-
-        let faults = FaultInjector::new();
-        faults.fail_first_attempts("faulty", TaskKind::Map, 0, 2);
-        let mut sim2 = ClusterSim::paper_testbed(4, CostModel::default());
-        let faulty = JobRunner::new(&cluster, &mapper, &reducer)
-            .with_faults(&faults)
-            .run(&mut sim2, &JobSpec::new("faulty", vec![input], DfsPath::new("/out/faulty").unwrap()), &conf, SimTime::ZERO)
-            .unwrap();
-
-        assert_eq!(faulty.metrics.counters.get(names::FAILED_MAP_ATTEMPTS), 2);
-        assert!(faulty.metrics.response_time() > clean.metrics.response_time());
-        assert_eq!(
-            read_all_outputs(&cluster, &clean.outputs),
-            read_all_outputs(&cluster, &faulty.outputs),
-            "failures must not change results"
-        );
-    }
-
-    #[test]
-    fn exhausted_retries_fail_the_job() {
-        let (cluster, mapper, reducer) = word_count_fixture();
-        let input = DfsPath::new("/in/f1").unwrap();
-        cluster.create(&input, Bytes::from_static(b"a\n")).unwrap();
-        let faults = FaultInjector::new();
-        faults.fail_first_attempts("doomed", TaskKind::Map, 0, 99);
-        let mut sim = ClusterSim::paper_testbed(4, CostModel::default());
-        let err = JobRunner::new(&cluster, &mapper, &reducer)
-            .with_faults(&faults)
-            .run(
-                &mut sim,
-                &JobSpec::new("doomed", vec![input], DfsPath::new("/out/doomed").unwrap()),
-                &JobConf { num_reducers: 1, max_task_attempts: 4 },
-                SimTime::ZERO,
-            )
-            .unwrap_err();
-        assert!(matches!(err, MrError::TaskFailed { attempts: 4, .. }));
-    }
-
-    #[test]
     fn memo_holds_only_the_files_of_the_last_job() {
         // A sliding series over six multi-split files, three per job: the
         // memo must end every job holding exactly that job's files — what
@@ -566,7 +481,7 @@ mod tests {
                 path
             })
             .collect();
-        let conf = JobConf { num_reducers: 2, ..Default::default() };
+        let conf = JobConf { num_reducers: 2 };
         let runner = JobRunner::new(&cluster, &mapper, &reducer);
         let mut memo = MapMemo::default();
         let mut sims = [(); 2].map(|_| ClusterSim::paper_testbed(4, CostModel::default()));
@@ -666,10 +581,10 @@ mod tests {
     }
 
     #[test]
-    fn a_failed_split_of_the_second_file_keeps_its_job_wide_index() {
+    fn a_split_of_the_second_file_keeps_its_job_wide_index() {
         // Split 0 of the second file is the job's map task `first`, the
-        // first file's split count: its failed attempt and its retry are
-        // both charged there, exactly as the per-split path charged them.
+        // first file's split count: its span carries that index, exactly
+        // as the per-split path labelled it.
         let (cluster, mapper, reducer) = word_count_fixture();
         let inputs: Vec<DfsPath> = (0..2)
             .map(|i| {
@@ -681,39 +596,26 @@ mod tests {
         let plans = plan_splits(&cluster, &inputs, &mut SplitPlans::new()).unwrap();
         let first = plans[0].len();
         assert!(first > 1 && plans[1].len() > 1, "both files span several splits");
-        let faults = FaultInjector::new();
-        faults.fail_first_attempts("faulty", TaskKind::Map, first, 1);
-        let conf = JobConf { num_reducers: 2, ..Default::default() };
+        let conf = JobConf { num_reducers: 2 };
         let spec = |side: &str| {
-            JobSpec::new("faulty", inputs.clone(), DfsPath::new(format!("/out/{side}")).unwrap())
+            JobSpec::new("job", inputs.clone(), DfsPath::new(format!("/out/{side}")).unwrap())
         };
 
-        let runner = JobRunner::new(&cluster, &mapper, &reducer).with_faults(&faults);
+        let runner = JobRunner::new(&cluster, &mapper, &reducer);
         let (parts, metrics, journal) = traced_run(&runner, &spec("new"), &conf, false);
         let oracle = traced_run(&runner, &spec("oracle"), &conf, true);
-        assert_eq!(metrics.counters.get(names::FAILED_MAP_ATTEMPTS), 1);
         assert_eq!(metrics.map_tasks, first + plans[1].len());
         assert_eq!((&parts, &metrics, &journal), (&oracle.0, &oracle.1, &oracle.2));
-
-        let clean = JobRunner::new(&cluster, &mapper, &reducer);
-        let (clean_parts, ..) = traced_run(&clean, &spec("clean"), &conf, false);
-        assert_eq!(parts, clean_parts, "a retried map changes no output");
-        // Two map spans carry the failed task's label, the retry starting
-        // once the failed attempt ends; every other task has one.
-        let map_spans: Vec<(&str, SimTime, SimTime)> = journal
+        // One map span per task, labelled in job order.
+        let map_labels: Vec<&str> = journal
             .iter()
             .filter_map(|e| match e {
-                TraceEvent::TaskSpan { phase: "map", label, start, end, .. } => {
-                    Some((label.as_str(), *start, *end))
-                }
+                TraceEvent::TaskSpan { phase: "map", label, .. } => Some(label.as_str()),
                 _ => None,
             })
             .collect();
-        assert_eq!(map_spans.len(), first + plans[1].len() + 1);
-        let failed = format!("faulty/{first}");
-        let retried: Vec<_> = map_spans.iter().filter(|s| s.0 == failed).collect();
-        assert_eq!(retried.len(), 2, "{retried:?}");
-        assert!(retried[1].1 >= retried[0].2, "the retry starts once the failure is seen");
+        let expect: Vec<String> = (0..metrics.map_tasks).map(|i| format!("job/{i}")).collect();
+        assert_eq!(map_labels, expect);
     }
 
     /// Parses every token of a line as a number `n` and emits
@@ -777,7 +679,7 @@ mod tests {
                 })
                 .collect();
             let (mapper, reducer) = (numbers_mapper(), ordered_fold_reducer());
-            let conf = JobConf { num_reducers, ..Default::default() };
+            let conf = JobConf { num_reducers };
             let (sum, uneven) = (crate::combiner::SumCombiner, uneven_combiner());
             let combiners: [Option<&dyn Combiner<u64, u64>>; 3] = [None, Some(&sum), Some(&uneven)];
             for (c, combiner) in combiners.into_iter().enumerate() {
@@ -810,7 +712,7 @@ mod tests {
         let large = DfsPath::new("/in/large").unwrap();
         cluster.create(&small, Bytes::from("w1 w2\n".repeat(10))).unwrap();
         cluster.create(&large, Bytes::from("w1 w2\n".repeat(10_000))).unwrap();
-        let conf = JobConf { num_reducers: 2, ..Default::default() };
+        let conf = JobConf { num_reducers: 2 };
 
         let mut sim = ClusterSim::paper_testbed(8, CostModel::default());
         let r_small = JobRunner::new(&cluster, &mapper, &reducer)

@@ -148,7 +148,7 @@ mod tests {
         let sink = TraceSink::with_capacity(1 << 14);
         sim.set_trace_sink(sink.clone());
         let spec = JobSpec::new("wide", vec![input], DfsPath::new("/out/wide").unwrap());
-        let conf = JobConf { num_reducers: 30, ..Default::default() };
+        let conf = JobConf { num_reducers: 30 };
         JobRunner::new(&cluster, &mapper, &reducer).run(&mut sim, &spec, &conf, SimTime::ZERO).unwrap();
 
         let plans = plan_splits(&cluster, &spec.inputs, &mut SplitPlans::new()).unwrap();

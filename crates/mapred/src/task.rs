@@ -1,4 +1,4 @@
-//! Task identities and observed work statistics.
+//! Task kinds and observed work statistics.
 //!
 //! Tasks are *executed* first (real record processing) and *scheduled*
 //! second: the runtime collects each task's [`MapWork`] / [`ReduceWork`]
@@ -14,15 +14,6 @@ pub enum TaskKind {
     Map,
     /// A reduce task (consumes one shuffle partition).
     Reduce,
-}
-
-/// Identity of a task within a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TaskId {
-    /// Map or reduce.
-    pub kind: TaskKind,
-    /// Index among tasks of the same kind (split index / partition).
-    pub index: usize,
 }
 
 /// Observed work of one map task, independent of where it is placed.

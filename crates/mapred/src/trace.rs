@@ -27,7 +27,7 @@
 //!
 //! The sink is always threaded explicitly: a new simulator journals
 //! nowhere until `set_trace_sink` routes it, and an executor takes its
-//! simulator's sink for its controller and registries. Nothing is
+//! simulator's sink for its cache controller. Nothing is
 //! process-wide, so two runs in one process keep two journals. The
 //! `repro` binary hands its `--trace <path>` sink to every figure.
 
@@ -57,13 +57,14 @@ pub struct NodeScore {
 /// Cache lifecycle transition kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheAction {
-    /// Cache materialized on a node (controller ready 1 → 2).
+    /// Cache materialized on a node (the controller records its holder).
     Register,
     /// A window consumed the cache from its holder's local store.
     Hit,
     /// A window needed the cache but had to (re)build it.
     Miss,
-    /// Cache file lost; controller ready 2 → 1 (targeted rollback).
+    /// Cache file lost; the controller clears its holder (targeted
+    /// rollback).
     Invalidate,
     /// Expired signature dropped from the controller.
     Forget,
@@ -82,8 +83,8 @@ pub enum CacheAction {
     /// only its missing frame suffix instead of a full rebuild.
     PartialRebuild,
     /// Cache evicted by the capacity policy to make room on its node
-    /// (controller ready 2 → 1; the file is reclaimed at the next purge
-    /// scan). Distinct from `Invalidate`: nothing was lost, the policy
+    /// (the controller clears its holder; the file is reclaimed at the
+    /// next purge scan). Distinct from `Invalidate`: nothing was lost, the policy
     /// chose to give the bytes back.
     Evict,
     /// The capacity policy refused to admit a freshly built cache (it
@@ -153,7 +154,7 @@ pub enum TraceEvent {
         at: SimTime,
         /// Transition kind.
         action: CacheAction,
-        /// Cache store name (e.g. `ri/s0p3.0/r1`).
+        /// Cache store name (e.g. `q{fingerprint}/ri/s0p3/r1`).
         name: String,
         /// Node involved, when known.
         node: Option<NodeId>,
@@ -173,8 +174,7 @@ pub enum TraceEvent {
         /// Caches invalidated because the report lacked them.
         lost: usize,
     },
-    /// §5 failure rollback: every cache on a dead node dropped to
-    /// HDFS-available.
+    /// §5 failure rollback: every cache on a dead node loses its holder.
     Rollback {
         /// Virtual time of the rollback.
         at: SimTime,

@@ -386,7 +386,7 @@ fn input_torn_after_audit_fails_typed_before_any_pair_output() {
     // Partition 0's position-stream input of pane 4: the left input of
     // the *fourth* outstanding pair, so a per-pair reader would store
     // three pair outputs before tripping over it.
-    let victim = &store_name(exec.fingerprint(), "ri/s0p4.0/r0");
+    let victim = &store_name(exec.fingerprint(), "ri/s0p4/r0");
     let node = holder_of(&cluster, victim);
     let pair_outputs = |cluster: &Cluster| -> Vec<String> {
         cluster

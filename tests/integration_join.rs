@@ -198,7 +198,7 @@ fn a_join_window_reads_back_only_the_inputs_it_is_charged_for() {
     let fp = exec.fingerprint();
     let mut reused_input_bytes = 0u64;
     for (s, p, r) in (0..2).flat_map(|s| (1..=7).flat_map(move |p| (0..4).map(move |r| (s, p, r)))) {
-        let name = store_name(fp, &format!("ri/s{s}p{p}.0/r{r}"));
+        let name = store_name(fp, &format!("ri/s{s}p{p}/r{r}"));
         let holders: Vec<u64> = (0..cluster.node_count() as u32)
             .filter_map(|n| cluster.peek_local(redoop_dfs::NodeId(n), &name))
             .map(|blob| blob.len() as u64)

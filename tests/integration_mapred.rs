@@ -63,7 +63,7 @@ fn multi_file_word_count_over_dfs() {
         DfsPath::new("/out/wc").unwrap(),
     );
     let result = JobRunner::new(&cluster, &mapper, &reducer)
-        .run(&mut sim, &spec, &JobConf { num_reducers: 3, ..Default::default() }, SimTime::ZERO)
+        .run(&mut sim, &spec, &JobConf { num_reducers: 3 }, SimTime::ZERO)
         .unwrap();
     assert_eq!(
         read_counts(&cluster, &result.outputs),
@@ -143,7 +143,7 @@ fn consecutive_jobs_share_the_simulated_cluster() {
         .unwrap();
     let (mapper, reducer) = word_count();
     let mut sim = ClusterSim::paper_testbed(1, CostModel::default());
-    let conf = JobConf { num_reducers: 2, ..Default::default() };
+    let conf = JobConf { num_reducers: 2 };
     let r1 = JobRunner::new(&cluster, &mapper, &reducer)
         .run(
             &mut sim,
@@ -184,7 +184,7 @@ fn a_shared_memo_changes_nothing_a_job_reports() {
         })
         .collect();
     let (mapper, reducer) = word_count();
-    let conf = JobConf { num_reducers: 3, ..Default::default() };
+    let conf = JobConf { num_reducers: 3 };
     let sum = SumCombiner;
 
     for combined in [false, true] {

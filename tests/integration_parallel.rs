@@ -474,7 +474,7 @@ fn a_mapped_pair_is_hashed_exactly_once() {
         }
         let out = redoop_dfs::DfsPath::new(format!("/out/once-job-{with_combiner}")).unwrap();
         let spec = JobSpec::new("once", inputs.clone(), out);
-        let conf = JobConf { num_reducers: 4, ..Default::default() };
+        let conf = JobConf { num_reducers: 4 };
         take_counts();
         runner.run(&mut test_sim(&cluster), &spec, &conf, redoop_mapred::SimTime::ZERO).unwrap();
         let (hashed, emitted) = take_counts();

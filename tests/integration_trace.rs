@@ -2,8 +2,9 @@
 //! the paper's qualitative results (cache hit ratios track overlap,
 //! Fig. 6; rollbacks appear under failures, Fig. 9), the adaptive
 //! sub-pane expiry sweep must leave no out-of-window controller
-//! entries, and a join that lost a node mid-run must end with no stale
-//! signature and no stale cache file.
+//! entries, every journaled cache must be one a build, an adoption or a
+//! refusal introduced, and a join that lost a node mid-run must end with
+//! no stale signature and no stale cache file.
 
 #[path = "common/mod.rs"]
 mod common;
@@ -12,7 +13,7 @@ use common::*;
 use redoop_core::cache::{CacheName, CacheObject};
 use redoop_core::prelude::*;
 use redoop_dfs::NodeId;
-use redoop_mapred::trace::{TraceEvent, TraceSink};
+use redoop_mapred::trace::{CacheAction, TraceEvent, TraceSink};
 use redoop_workloads::arrival::ArrivalPlan;
 
 /// Runs the aggregation at `overlap` and returns the steady-state
@@ -235,11 +236,11 @@ fn pane_builds_overlap_across_partitions_but_chain_within_one() {
 
 #[test]
 fn subpane_caches_expire_with_their_pane() {
-    // Regression: the expiry sweep used to enumerate only the literal
-    // `sub: 0` input object, so adaptive sub-pane entries (`sub >= 1`)
-    // leaked in the controller forever. Force proactive mode with 4
-    // sub-panes per pane and require that, after the run, no controller
-    // entry refers to a pane that left the window.
+    // Regression: the expiry sweep used to enumerate only the first
+    // sub-pane's input object, so entries of the other sub-panes leaked
+    // in the controller forever. Force proactive mode with 4 sub-panes
+    // per pane and require that, after the run, no controller entry
+    // refers to a pane that left the window.
     let spec = spec_with_overlap(0.5);
     let windows = 6;
     let plan = ArrivalPlan::new(spec, windows);
@@ -262,6 +263,51 @@ fn subpane_caches_expire_with_their_pane() {
         stale.is_empty(),
         "controller must hold no out-of-window entries, found {stale:?}"
     );
+}
+
+#[test]
+fn every_journaled_cache_was_built_adopted_or_refused() {
+    // A controller row stands for a cache that exists or existed, so
+    // every cache event of an owned aggregation's journal — batch, and
+    // adaptive with sub-panes — names a cache some `register`,
+    // `shared_hit` or `admit_reject` of that journal introduced. Nothing
+    // announced at ingest is expired or forgotten unbuilt.
+    let spec = spec_with_overlap(0.5);
+    let windows = 5;
+    let plan = ArrivalPlan::new(spec, windows);
+    let batches = wcc_batches(&plan, 71, 1.0);
+    for (tag, subpanes) in [("trace-intro-batch", None), ("trace-intro-sub", Some(4))] {
+        let cluster = test_cluster();
+        let adaptive = match subpanes {
+            None => batch_adaptive(&cluster, &spec),
+            Some(n) => proactive_adaptive(&cluster, &spec, n),
+        };
+        let mut exec = agg_executor(&cluster, spec, tag, adaptive);
+        let sink = TraceSink::with_capacity(1 << 17);
+        exec.set_trace_sink(sink.clone());
+        assert_eq!(run_windows_interleaved(&mut exec, &[&batches], windows).len(), windows as usize);
+        assert_eq!(sink.dropped(), 0);
+        let events = sink.events();
+        let introduced: std::collections::HashSet<&str> = events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Cache {
+                    action: CacheAction::Register | CacheAction::SharedHit | CacheAction::AdmitReject,
+                    name,
+                    ..
+                } => Some(name.as_str()),
+                _ => None,
+            })
+            .collect();
+        let mut expired = 0;
+        for event in &events {
+            if let TraceEvent::Cache { action, name, .. } = event {
+                assert!(introduced.contains(name.as_str()), "{tag}: {action:?} of {name}, never introduced");
+                expired += usize::from(*action == CacheAction::Expire);
+            }
+        }
+        assert!(expired > 0, "{tag}: the run must expire caches");
+    }
 }
 
 #[test]
@@ -323,7 +369,7 @@ fn a_join_that_lost_a_node_leaves_no_stale_entries_or_files() {
         for p in (0..end).map(PaneId) {
             if geom.pane_out_of_window(p, last) {
                 for source in 0..2 {
-                    let object = CacheObject::PaneInput { source, pane: p, sub: 0 };
+                    let object = CacheObject::PaneInput { source, pane: p };
                     stale_files.push(CacheName::with_fp(object, r, exec.fingerprint()).store_name());
                 }
             }
