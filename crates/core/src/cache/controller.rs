@@ -25,12 +25,12 @@
 //! window (`PurgeCycle` = one slide, the paper's default).
 //!
 //! Capacity: the controller optionally enforces a per-node byte budget
-//! through a pluggable [`CachePolicy`] — every registration and adoption
-//! goes through the one admission path, which consults the policy and
-//! may evict residents (`evict` journal events) or refuse the newcomer
+//! under a [`CachePolicy`] — every registration and adoption goes
+//! through the one admission path, which may evict the residents the
+//! policy ranks (`evict` journal events) or refuse the newcomer
 //! (`admit_reject`). Nothing exceeds an absent budget, so the default
-//! configuration (no budget, [`WindowLifespanPolicy`]) admits everything
-//! and evicts nothing — the paper's expire-only lifecycle.
+//! configuration (no budget, [`CachePolicy::WindowLifespan`]) admits
+//! everything and evicts nothing — the paper's expire-only lifecycle.
 //!
 //! The name-sorted signature table is the record; beside it are the
 //! per-node slice (`bytes_on` is read on every admission, `names_on`
@@ -38,8 +38,6 @@
 //! node because the scan visits every node every window. What an expiry
 //! sweep asks — which panes are tracked, which names belong to one — is
 //! a filter over the table.
-//!
-//! [`WindowLifespanPolicy`]: super::policy::WindowLifespanPolicy
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -47,7 +45,7 @@ use redoop_dfs::{Cluster, NodeId};
 use redoop_mapred::trace::{CacheAction, TraceEvent, TraceSink};
 use redoop_mapred::SimTime;
 
-use super::policy::{CachePolicy, CacheStats, WindowLifespanPolicy};
+use super::policy::{CachePolicy, CacheStats};
 use super::{CacheName, CacheObject};
 use crate::error::{RedoopError, Result};
 
@@ -74,10 +72,10 @@ pub struct CacheSignature {
     /// is *partially recoverable* — only the missing frame suffix needs
     /// recomputation. Cleared when the cache is (re)registered.
     pub salvaged: Option<(u32, u32)>,
-    /// Window-lifespan estimate maintained by the executor: how many
-    /// future recurrences are expected to consume this cache (0 =
-    /// expires with the current window). Feeds the capacity policy's
-    /// remaining-use scoring; never affects correctness.
+    /// Window-lifespan estimate the executor passes at registration:
+    /// how many future recurrences are expected to consume this cache
+    /// (0 = expires with the current window). Feeds the capacity
+    /// policy's remaining-use scoring; never affects correctness.
     pub remaining_uses: u32,
     /// Last consumption (registration or hit) in virtual time — the
     /// recency signal for capacity policies.
@@ -123,9 +121,8 @@ pub struct CacheController {
     purges: Vec<BTreeMap<CacheName, u64>>,
     /// Per-node byte budget (`None` = unbounded, the default).
     capacity: Option<u64>,
-    /// Admission/eviction arbiter consulted on every registration and
-    /// adoption.
-    policy: Box<dyn CachePolicy>,
+    /// Ranks the eviction victims of an over-budget registration.
+    policy: CachePolicy,
     trace: TraceSink,
 }
 
@@ -153,13 +150,14 @@ impl CacheController {
             by_node: HashMap::new(),
             purges: Vec::new(),
             capacity: None,
-            policy: Box::new(WindowLifespanPolicy),
+            policy: CachePolicy::WindowLifespan,
             trace: TraceSink::disabled(),
         }
     }
 
-    /// Installs the capacity policy consulted on register/adopt.
-    pub fn set_policy(&mut self, policy: Box<dyn CachePolicy>) {
+    /// Installs the capacity policy that ranks the eviction victims of an
+    /// over-budget registration.
+    pub fn set_policy(&mut self, policy: CachePolicy) {
         self.policy = policy;
     }
 
@@ -233,8 +231,9 @@ impl CacheController {
     }
 
     /// Registers a materialized cache on `node` (its holder), available to
-    /// consumers from virtual time `at`. The heartbeat audit checks it
-    /// against the node's store from then on.
+    /// consumers from virtual time `at`, with no expected future uses.
+    /// The heartbeat audit checks it against the node's store from then
+    /// on.
     pub fn register_cache(
         &mut self,
         name: CacheName,
@@ -242,11 +241,13 @@ impl CacheController {
         bytes: u64,
         at: SimTime,
     ) -> Admission {
-        self.register_cache_with_rebuild(name, node, bytes, bytes, at)
+        self.register_cache_with_rebuild(name, node, bytes, bytes, 0, at)
     }
 
     /// Like [`CacheController::register_cache`], with an explicit
-    /// estimate of the source bytes a reconstruction would process.
+    /// estimate of the source bytes a reconstruction would process and
+    /// the window-lifespan estimate of its `remaining_uses`, which the
+    /// admission decision sees and the signature keeps.
     ///
     /// Capacity: when a per-node budget is set, the policy may first
     /// evict residents (journaled as `evict`) or refuse the newcomer
@@ -260,11 +261,13 @@ impl CacheController {
         node: NodeId,
         bytes: u64,
         rebuild_bytes: u64,
+        remaining_uses: u32,
         at: SimTime,
     ) -> Admission {
-        match self.make_room(&name, node, bytes, rebuild_bytes, at, true) {
+        let incoming = self.stats_for(name, bytes, rebuild_bytes, remaining_uses, at);
+        match self.make_room(&incoming, node, true) {
             Some(evicted) => {
-                self.materialize(name, node, bytes, rebuild_bytes, at);
+                self.materialize(&incoming, node);
                 self.trace.emit(|| TraceEvent::Cache {
                     at,
                     action: CacheAction::Register,
@@ -276,7 +279,7 @@ impl CacheController {
             }
             None => {
                 self.queue_file(node, name, bytes);
-                self.reject(name, node, bytes, rebuild_bytes, at)
+                self.reject(&incoming, node)
             }
         }
     }
@@ -292,7 +295,8 @@ impl CacheController {
     /// remote node; this query merely starts tracking it). If the bytes
     /// do not fit this controller's budget for `node`, the adoption is
     /// refused (`admit_reject`) and the caller falls back to a miss; the
-    /// file, another query's, is not queued.
+    /// file, another query's, is not queued. The use estimate is the
+    /// one `name`'s signature already holds (0 without one).
     pub fn adopt_remote(
         &mut self,
         name: CacheName,
@@ -301,55 +305,43 @@ impl CacheController {
         rebuild_bytes: u64,
         at: SimTime,
     ) -> Admission {
-        match self.make_room(&name, node, bytes, rebuild_bytes, at, false) {
+        let uses = self.sigs.get(&name).map_or(0, |s| s.remaining_uses);
+        let incoming = self.stats_for(name, bytes, rebuild_bytes, uses, at);
+        match self.make_room(&incoming, node, false) {
             Some(evicted) => {
-                self.materialize(name, node, bytes, rebuild_bytes, at);
+                self.materialize(&incoming, node);
                 Admission { admitted: true, evicted }
             }
-            None => self.reject(name, node, bytes, rebuild_bytes, at),
+            None => self.reject(&incoming, node),
         }
     }
 
-    /// Writes an admission's outcome over whatever `name`'s signature
-    /// held before: materialized on `holder`, or — refused — no holder,
-    /// under the fresh metadata.
-    fn settle(
-        &mut self,
-        name: CacheName,
-        holder: Option<NodeId>,
-        bytes: u64,
-        rebuild_bytes: u64,
-        at: SimTime,
-    ) {
-        if let Some(old) = self.sigs.get(&name) {
-            Self::unindex_holder(&mut self.by_node, &name, old);
+    /// Writes an admission's outcome over whatever the signature held
+    /// before: materialized on `holder`, or — refused — no holder, under
+    /// the incoming cache's metadata, available from the admission
+    /// instant `s.last_used`.
+    fn settle(&mut self, s: &CacheStats, holder: Option<NodeId>) {
+        if let Some(old) = self.sigs.get(&s.name) {
+            Self::unindex_holder(&mut self.by_node, &s.name, old);
         }
-        let sig = self.sig_entry(name);
+        let sig = self.sig_entry(s.name);
         sig.node = holder;
-        sig.bytes = bytes;
-        sig.rebuild_bytes = rebuild_bytes.max(bytes);
-        sig.available_at = at;
+        sig.bytes = s.bytes;
+        sig.rebuild_bytes = s.rebuild_bytes;
+        sig.available_at = s.last_used;
         sig.salvaged = None;
-        sig.last_used = at;
+        sig.remaining_uses = s.remaining_uses;
+        sig.last_used = s.last_used;
     }
 
-    /// Marks an admitted cache materialized on `node`, cancels its
-    /// pending purge there (the file is live again), and charges the
-    /// consumption to the policy.
-    fn materialize(
-        &mut self,
-        name: CacheName,
-        node: NodeId,
-        bytes: u64,
-        rebuild_bytes: u64,
-        at: SimTime,
-    ) {
-        self.settle(name, Some(node), bytes, rebuild_bytes, at);
-        self.index_holder(name, node, bytes);
+    /// Marks an admitted cache materialized on `node` and cancels its
+    /// pending purge there (the file is live again).
+    fn materialize(&mut self, s: &CacheStats, node: NodeId) {
+        self.settle(s, Some(node));
+        self.index_holder(s.name, node, s.bytes);
         if let Some(queue) = self.purges.get_mut(node.index()) {
-            queue.remove(&name);
+            queue.remove(&s.name);
         }
-        self.policy.charge(&name, at);
     }
 
     /// Bytes an existing same-node copy of `name` holds — freed by the
@@ -362,18 +354,26 @@ impl CacheController {
             .map_or(0, |s| s.bytes)
     }
 
-    /// Policy-visible snapshot of an incoming cache (existing signature
-    /// state merged with the incoming registration's fields).
-    fn stats_for(&self, name: &CacheName, bytes: u64, rebuild_bytes: u64, at: SimTime) -> CacheStats {
-        let (votes, uses) = self.sigs.get(name).map_or((self.query_count as u32, 0), |s| {
-            ((self.full_mask & !s.done_query_mask).count_ones(), s.remaining_uses)
+    /// Policy-visible snapshot of an incoming cache: the existing
+    /// signature's outstanding votes (every query's without one) and the
+    /// incoming registration's fields.
+    fn stats_for(
+        &self,
+        name: CacheName,
+        bytes: u64,
+        rebuild_bytes: u64,
+        remaining_uses: u32,
+        at: SimTime,
+    ) -> CacheStats {
+        let votes = self.sigs.get(&name).map_or(self.query_count as u32, |s| {
+            (self.full_mask & !s.done_query_mask).count_ones()
         });
         CacheStats {
-            name: *name,
+            name,
             bytes,
             rebuild_bytes: rebuild_bytes.max(bytes),
             remaining_votes: votes,
-            remaining_uses: uses,
+            remaining_uses,
             last_used: at,
         }
     }
@@ -391,7 +391,7 @@ impl CacheController {
         })
     }
 
-    /// The one admission path: decides whether `bytes` of `name` may
+    /// The one admission path: decides whether `incoming` may
     /// materialize on `node`, planning and applying the evictions that
     /// takes. `Some(victims)` = admitted after evicting `victims`
     /// (possibly none); `None` = rejected, nothing touched. With
@@ -402,18 +402,12 @@ impl CacheController {
     /// so a ranking too short leaves every resident in place.
     fn make_room(
         &mut self,
-        name: &CacheName,
+        incoming: &CacheStats,
         node: NodeId,
-        bytes: u64,
-        rebuild_bytes: u64,
-        at: SimTime,
         may_evict: bool,
     ) -> Option<Vec<(NodeId, CacheName)>> {
+        let (name, bytes) = (&incoming.name, incoming.bytes);
         if !self.fits(bytes) {
-            return None;
-        }
-        let incoming = self.stats_for(name, bytes, rebuild_bytes, at);
-        if !self.policy.admit(&incoming) {
             return None;
         }
         let mut used = self.bytes_on(node) - self.held_bytes(name, node);
@@ -430,7 +424,7 @@ impl CacheController {
             .filter_map(|n| self.stats_of(&n))
             .collect();
         let mut plan = Vec::new();
-        for i in self.policy.eviction_order(&candidates, &incoming) {
+        for i in self.policy.eviction_order(&candidates, incoming) {
             if self.fits(used + bytes) {
                 break;
             }
@@ -441,7 +435,7 @@ impl CacheController {
             return None;
         }
         for victim in &plan {
-            self.evict_holder(victim, at);
+            self.evict_holder(victim, incoming.last_used);
         }
         Some(plan.into_iter().map(|n| (node, n)).collect())
     }
@@ -461,7 +455,6 @@ impl CacheController {
         // The whole file is reclaimed; no frames survive to salvage.
         sig.salvaged = None;
         self.queue_file(node, *name, bytes);
-        self.policy.forget(name);
         self.trace.emit(|| TraceEvent::Cache {
             at,
             action: CacheAction::Evict,
@@ -474,21 +467,14 @@ impl CacheController {
     /// Journals and applies an admission rejection: the signature keeps
     /// fresh metadata (readers of the building window gate on
     /// `available_at`) but has no holder.
-    fn reject(
-        &mut self,
-        name: CacheName,
-        node: NodeId,
-        bytes: u64,
-        rebuild_bytes: u64,
-        at: SimTime,
-    ) -> Admission {
-        self.settle(name, None, bytes, rebuild_bytes, at);
+    fn reject(&mut self, s: &CacheStats, node: NodeId) -> Admission {
+        self.settle(s, None);
         self.trace.emit(|| TraceEvent::Cache {
-            at,
+            at: s.last_used,
             action: CacheAction::AdmitReject,
-            name: name.store_name(),
+            name: s.name.store_name(),
             node: Some(node),
-            bytes,
+            bytes: s.bytes,
         });
         Admission { admitted: false, evicted: Vec::new() }
     }
@@ -497,22 +483,12 @@ impl CacheController {
     /// hit): updates the signature's recency stamp, consumes one unit of
     /// the window-lifespan estimate (each window reads a cache at most
     /// once, so the remaining-use forecast decays by exactly the uses
-    /// that actually happened), and forwards the charge to the capacity
-    /// policy.
+    /// that actually happened).
     pub fn touch(&mut self, name: &CacheName, at: SimTime) {
         if let Some(sig) = self.sigs.get_mut(name) {
             sig.last_used = at;
             sig.remaining_uses = sig.remaining_uses.saturating_sub(1);
         }
-        self.policy.charge(name, at);
-    }
-
-    /// Sets the executor-maintained window-lifespan estimate for `name`
-    /// (how many future recurrences will consume it), creating the
-    /// signature if needed so the estimate is visible to the admission
-    /// decision of the registration that follows.
-    pub fn note_remaining_uses(&mut self, name: CacheName, uses: u32) {
-        self.sig_entry(name).remaining_uses = uses;
     }
 
     /// Records the salvage verdict of a damaged cache: `intact` of
@@ -855,9 +831,9 @@ mod tests {
         // Every node-index answer (names_on, bytes_on) must equal the
         // corresponding full-table scan — and names_for_pane list exactly
         // its pane's signatures, every partition — after any interleaving
-        // of registrations, adoptions, invalidations, rollbacks, and
-        // forgets, including re-registrations that move a cache between
-        // nodes.
+        // of registrations, refusals, adoptions, invalidations,
+        // rollbacks, and forgets, including re-registrations that move a
+        // cache between nodes.
         let mut c = CacheController::new(1);
         let mut rng: u64 = 0xdead_beef_cafe_f00d;
         let mut next = move || {
@@ -871,7 +847,13 @@ mod tests {
             let n = name(next() % 8, (next() % 3) as usize);
             let node = NodeId((next() % nodes as u64) as u32);
             match next() % 6 {
-                0 => c.note_remaining_uses(n, 1),
+                0 => {
+                    // A zero budget refuses the registration: a row with
+                    // no holder, which unindexes any earlier holder.
+                    c.set_capacity(Some(0));
+                    c.register_cache(n, node, 1 + next() % 999, SimTime::ZERO);
+                    c.set_capacity(None);
+                }
                 1 => {
                     c.register_cache(n, node, 1 + next() % 999, SimTime::ZERO);
                 }
@@ -961,11 +943,10 @@ mod tests {
 
     #[test]
     fn lru_evicts_the_stalest_resident_to_fit() {
-        use super::super::policy::LruPolicy;
         let sink = TraceSink::enabled();
         let mut c = CacheController::new(1);
         c.set_trace_sink(sink.clone());
-        c.set_policy(Box::new(LruPolicy));
+        c.set_policy(CachePolicy::Lru);
         c.set_capacity(Some(100));
         c.register_cache(name(0, 0), NodeId(0), 50, SimTime(1));
         c.register_cache(name(1, 0), NodeId(0), 50, SimTime(2));
@@ -985,8 +966,9 @@ mod tests {
 
     #[test]
     fn cost_based_admissions_evict_what_the_pick_one_loop_did() {
-        // Under churn — re-registrations, hits, a spent forecast, one of
-        // two queries done — every admission evicts exactly the plan the
+        // Under churn — re-registrations under random use estimates,
+        // refusals, hits, a spent forecast, one of two queries done —
+        // every admission evicts exactly the plan the
         // pick-one loop would have made over the same residents, and the
         // journal lists those `evict` events in that order.
         use super::super::policy::tests::oracle_plan;
@@ -1010,15 +992,15 @@ mod tests {
         for step in 0..1500u64 {
             let (n, at) = (name(next(24), next(2) as usize), SimTime(step));
             let node = NodeId(next(2) as u32);
-            match next(5) {
-                0 => c.note_remaining_uses(n, next(4) as u32),
-                1 => c.touch(&n, at),
-                2 => {
+            match next(4) {
+                0 => c.touch(&n, at),
+                1 => {
                     // Unknown names are an error; the churn ignores it.
                     let _ = c.mark_query_done(n, next(2) as usize);
                 }
                 _ => {
                     let bytes = sizes[next(sizes.len() as u64) as usize];
+                    let uses = next(4) as u32;
                     let used = c.bytes_on(node) - c.held_bytes(&n, node);
                     let expected = if bytes > cap {
                         None
@@ -1031,13 +1013,13 @@ mod tests {
                             .filter(|m| *m != n)
                             .filter_map(|m| c.stats_of(&m))
                             .collect();
-                        let incoming = c.stats_for(&n, bytes, bytes, at);
+                        let incoming = c.stats_for(n, bytes, bytes, uses, at);
                         let (plan, fits) =
                             oracle_plan(kind, &cost, &residents, &incoming, used + bytes - cap);
                         fits.then_some(plan)
                     };
                     let before = cache_events(&sink, CacheAction::Evict).len();
-                    let adm = c.register_cache(n, node, bytes, at);
+                    let adm = c.register_cache_with_rebuild(n, node, bytes, bytes, uses, at);
                     assert_eq!(adm.admitted, expected.is_some(), "step {step}");
                     let plan = expected.unwrap_or_default();
                     assert_eq!(adm.evicted, plan.iter().map(|&v| (node, v)).collect::<Vec<_>>());
@@ -1052,12 +1034,11 @@ mod tests {
 
     #[test]
     fn larger_than_whole_budget_is_refused_under_every_policy() {
-        use super::super::policy::{CachePolicyKind, LruPolicy};
         use redoop_mapred::CostModel;
-        let policies: [Box<dyn CachePolicy>; 3] = [
-            Box::new(WindowLifespanPolicy),
-            Box::new(LruPolicy),
-            CachePolicyKind::CostBased.build(&CostModel::default()),
+        let policies = [
+            CachePolicy::WindowLifespan,
+            CachePolicy::Lru,
+            CachePolicy::CostBased(CostModel::default()),
         ];
         for policy in policies {
             let mut c = CacheController::new(1);
@@ -1073,9 +1054,8 @@ mod tests {
 
     #[test]
     fn adoption_checks_admission_but_never_evicts() {
-        use super::super::policy::LruPolicy;
         let mut c = CacheController::new(2);
-        c.set_policy(Box::new(LruPolicy));
+        c.set_policy(CachePolicy::Lru);
         c.set_capacity(Some(100));
         c.register_cache(name(0, 0), NodeId(0), 80, SimTime(1));
         // Over budget: even the always-evicting policy must not displace
@@ -1095,8 +1075,8 @@ mod tests {
     fn window_hits_consume_the_remaining_use_forecast() {
         let mut c = CacheController::new(1);
         let n = name(0, 0);
-        c.note_remaining_uses(n, 3);
-        c.register_cache(n, NodeId(0), 10, SimTime(1));
+        c.register_cache_with_rebuild(n, NodeId(0), 10, 10, 3, SimTime(1));
+        assert_eq!(c.signature(&n).unwrap().remaining_uses, 3);
         c.touch(&n, SimTime(2));
         c.touch(&n, SimTime(3));
         assert_eq!(c.signature(&n).unwrap().remaining_uses, 1);

@@ -354,13 +354,12 @@ mod tests {
 
     #[test]
     fn evicted_entries_reconcile_like_lost_ones() {
-        use crate::cache::policy::LruPolicy;
 
         let sink = TraceSink::enabled();
         let cluster = Cluster::with_nodes(2);
         let mut ctl = CacheController::new(1);
         ctl.set_trace_sink(sink.clone());
-        ctl.set_policy(Box::new(LruPolicy));
+        ctl.set_policy(crate::cache::policy::CachePolicy::Lru);
         ctl.set_capacity(Some(100));
 
         // Materialize pane 0 on node 1.

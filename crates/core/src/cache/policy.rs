@@ -1,24 +1,17 @@
-//! Pluggable cache lifecycle policies: capacity-aware admission and
-//! eviction behind the [`CachePolicy`] trait. An evicted or refused
-//! cache's file is queued on its node by the controller and physically
-//! deleted by its purge scan after every window (paper §4.1,
-//! `PurgeCycle` = one slide).
+//! Cache lifecycle policies: capacity-aware eviction, one
+//! [`CachePolicy`] enum. An evicted or refused cache's file is queued on
+//! its node by the controller and physically deleted by its purge scan
+//! after every window (paper §4.1, `PurgeCycle` = one slide).
 //!
 //! The paper's lifecycle is expire-only and assumes unbounded node-local
 //! storage. At production scale every node has a byte budget, so the
-//! [`CacheController`] consults a policy whenever a cache is registered
-//! or adopted on a node whose tracked bytes would exceed the configured
-//! per-node capacity:
-//!
-//! * **admit** — a veto on the incoming cache before any resident is
-//!   displaced (a cache larger than the whole budget is always refused
-//!   by the controller itself);
-//! * **charge** — a consumption signal (register / hit) so recency-based
-//!   policies can rank residents;
-//! * **eviction order** — rank the residents the policy would evict to
-//!   make room, in the order it would evict them; residents it would
-//!   never displace for this newcomer are left out. `victim` is the
-//!   ranking's first element.
+//! [`CacheController`] ranks a node's residents whenever a registration
+//! would exceed the configured per-node capacity (an adoption never
+//! evicts, and a cache larger than the whole budget is refused by the
+//! controller itself). [`CachePolicy::eviction_order`] lists the
+//! residents the policy would evict to make room, in the order it would
+//! evict them; residents it would never displace for this newcomer are
+//! left out. `victim` is the ranking's first element.
 //!
 //! Victim selection is planned before it is applied: the controller ranks
 //! the residents once per admission, takes the shortest prefix of the
@@ -26,19 +19,21 @@
 //! ranking too short to fit rejects the newcomer without touching any
 //! resident. The ranking is exactly the sequence repeated `victim` calls
 //! over a shrinking candidate list would pick, so one admission costs
-//! one sort of the residents instead of one scoring pass per victim. All
-//! three stock policies are deterministic (score ties break on the cache
-//! name), so trace journals stay byte-identical across runs.
+//! one sort of the residents instead of one scoring pass per victim. No
+//! policy keeps state: a ranking depends only on the [`CacheStats`] the
+//! controller snapshots from its signature table, and every rank key
+//! ends in the cache name, so trace journals stay byte-identical across
+//! runs.
 //!
-//! Stock implementations:
+//! The three policies:
 //!
-//! * [`WindowLifespanPolicy`] — the paper baseline. Lifespans are
+//! * [`CachePolicy::WindowLifespan`] — the paper baseline. Lifespans are
 //!   governed purely by window expiry (§4); the policy never evicts a
 //!   live cache, and simply refuses admissions that do not fit. With an
 //!   unbounded budget this is bit-identical to the pre-policy lifecycle.
-//! * [`LruPolicy`] — classic least-recently-used eviction over the
+//! * [`CachePolicy::Lru`] — classic least-recently-used eviction over the
 //!   controller's consumption timestamps.
-//! * [`CostBasedPolicy`] — score = Eq. 4 rebuild cost × expected
+//! * [`CachePolicy::CostBased`] — score = Eq. 4 rebuild cost × expected
 //!   remaining uses (window-lifespan estimate × outstanding done-vote
 //!   balance). Evicts the lowest-scored resident, but only when it is
 //!   worth strictly less than the incoming cache — otherwise the
@@ -51,9 +46,8 @@ use redoop_mapred::{CostModel, SimTime};
 use super::CacheName;
 use crate::scheduler::rebuild_cost;
 
-/// Everything a policy may inspect about one cache when judging
-/// admission or ranking eviction victims. Snapshotted from the
-/// controller's signature table.
+/// Everything a policy may inspect about one cache when ranking eviction
+/// victims. Snapshotted from the controller's signature table.
 #[derive(Debug, Clone, Copy)]
 pub struct CacheStats {
     /// The cache's identity.
@@ -83,69 +77,32 @@ impl CacheStats {
 }
 
 /// Capacity-aware cache lifecycle policy. See the module docs for the
-/// contract; implementations must be deterministic — victim choice may
-/// depend only on the supplied stats, with ties broken on `name`.
-pub trait CachePolicy: std::fmt::Debug + Send {
-    /// Policy name for journals and benchmark series.
-    fn name(&self) -> &'static str;
-
-    /// Veto an incoming cache before any eviction is attempted. The
-    /// controller has already checked that `incoming` fits an empty
-    /// node; default: admit.
-    fn admit(&mut self, incoming: &CacheStats) -> bool {
-        let _ = incoming;
-        true
-    }
-
-    /// Record a consumption of `name` at virtual time `at` (register or
-    /// hit). Default: stateless.
-    fn charge(&mut self, name: &CacheName, at: SimTime) {
-        let _ = (name, at);
-    }
-
-    /// The residents this policy would evict to make room for
-    /// `incoming`, as indices into `residents` in eviction order: the
-    /// sequence repeated [`victim`](CachePolicy::victim) calls over a
-    /// shrinking candidate list would pick, ending where `victim` would
-    /// refuse. The controller evicts the shortest prefix that lets
-    /// `incoming` fit, and rejects `incoming` when the whole ranking
-    /// does not.
-    fn eviction_order(&mut self, residents: &[CacheStats], incoming: &CacheStats) -> Vec<usize>;
-
-    /// Pick which of `residents` (non-empty) to evict so `incoming`
-    /// fits, or `None` to refuse — the incoming cache is then rejected
-    /// and every resident stays. The first of
-    /// [`eviction_order`](CachePolicy::eviction_order).
-    fn victim(&mut self, residents: &[CacheStats], incoming: &CacheStats) -> Option<CacheName> {
-        self.eviction_order(residents, incoming).first().map(|&i| residents[i].name)
-    }
-
-    /// `name` left the signature table (expired, evicted, rolled back).
-    /// Default: stateless.
-    fn forget(&mut self, name: &CacheName) {
-        let _ = name;
-    }
-}
-
-/// Paper-baseline policy: cache lifespans are governed solely by window
-/// expiry (§4). Never evicts a live cache; an admission that does not
-/// fit the node budget is refused outright. With capacity unbounded
-/// this reproduces the pre-policy lifecycle bit for bit.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WindowLifespanPolicy;
-
-impl CachePolicy for WindowLifespanPolicy {
-    fn name(&self) -> &'static str {
-        "window-lifespan"
-    }
-
-    fn eviction_order(&mut self, _residents: &[CacheStats], _incoming: &CacheStats) -> Vec<usize> {
-        Vec::new()
-    }
+/// contract: victim choice depends only on the supplied stats, with ties
+/// broken on `name`.
+#[derive(Debug, Clone)]
+pub enum CachePolicy {
+    /// Paper baseline: cache lifespans are governed solely by window
+    /// expiry (§4). Never evicts a live cache; an admission that does
+    /// not fit the node budget is refused outright. With capacity
+    /// unbounded this reproduces the pre-policy lifecycle bit for bit.
+    WindowLifespan,
+    /// Least-recently-used eviction over the controller's consumption
+    /// timestamps. Always finds a victim (the stalest resident,
+    /// name-tie-broken).
+    Lru,
+    /// Cost-based eviction over the simulator's cost model (the same
+    /// Eq. 4 terms the scheduler charges for a rebuild): each cache is
+    /// valued at its Eq. 4 rebuild cost times its expected remaining
+    /// uses (window-lifespan estimate × outstanding done-vote balance).
+    /// Dead residents go first; a live one is displaced only by a
+    /// newcomer of a strictly higher per-window rebuild rate, so under
+    /// steady pressure a window's registrations do not evict the
+    /// previous window's before they produce a single hit.
+    CostBased(CostModel),
 }
 
 /// Indices of the `residents` that `key` ranks (`Some`), ascending by
-/// key. Every stock key ends in the cache name, so no two residents tie.
+/// key. Every rank key ends in the cache name, so no two residents tie.
 fn rank_by<K: Ord>(residents: &[CacheStats], key: impl Fn(&CacheStats) -> Option<K>) -> Vec<usize> {
     let mut keyed: Vec<(K, usize)> =
         residents.iter().enumerate().filter_map(|(i, s)| Some((key(s)?, i))).collect();
@@ -153,48 +110,10 @@ fn rank_by<K: Ord>(residents: &[CacheStats], key: impl Fn(&CacheStats) -> Option
     keyed.into_iter().map(|(_, i)| i).collect()
 }
 
-/// Least-recently-used eviction over the controller's consumption
-/// timestamps. Always admits; always finds a victim (the stalest
-/// resident, name-tie-broken).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LruPolicy;
-
-impl CachePolicy for LruPolicy {
-    fn name(&self) -> &'static str {
-        "lru"
-    }
-
-    fn eviction_order(&mut self, residents: &[CacheStats], _incoming: &CacheStats) -> Vec<usize> {
-        rank_by(residents, |s| Some((s.last_used, s.name)))
-    }
-}
-
-/// Cost-based eviction: each cache is valued at its Eq. 4 rebuild cost
-/// times its expected remaining uses (window-lifespan estimate ×
-/// outstanding done-vote balance). The lowest-valued resident is
-/// evicted, but only when the incoming cache is worth strictly more
-/// than the victim *plus one rebuild of the victim* — the victim's
-/// imminent next read. Without that hysteresis a fresh cache (full
-/// lifespan ahead) always outranks a half-consumed resident of the same
-/// shape, and under steady pressure each window's registrations would
-/// evict the previous window's before they produce a single hit.
-#[derive(Debug, Clone)]
-pub struct CostBasedPolicy {
-    cost: CostModel,
-}
-
-impl CostBasedPolicy {
-    /// Builds the policy over the simulator's cost model (the same
-    /// Eq. 4 terms the scheduler charges for a rebuild).
-    pub fn new(cost: CostModel) -> Self {
-        CostBasedPolicy { cost }
-    }
-
-    /// The Eq. 4 cost of one rebuild of `s` — what a single future read
-    /// of the cache is worth.
-    fn unit(&self, s: &CacheStats) -> u64 {
-        rebuild_cost(s.rebuild_bytes.max(s.bytes), &self.cost).0
-    }
+/// The Eq. 4 cost of one rebuild of `s` — what a single future read of
+/// the cache is worth.
+fn unit(cost: &CostModel, s: &CacheStats) -> u64 {
+    rebuild_cost(s.rebuild_bytes.max(s.bytes), cost).0
 }
 
 /// A rebuild cost bucketed to its log2 magnitude. Rebuild costs are
@@ -206,66 +125,88 @@ fn tier(unit: u64) -> u32 {
     u64::BITS - unit.leading_zeros()
 }
 
-impl CachePolicy for CostBasedPolicy {
-    fn name(&self) -> &'static str {
-        "cost-based"
+impl CachePolicy {
+    /// The residents this policy would evict to make room for
+    /// `incoming`, as indices into `residents` in eviction order: the
+    /// sequence repeated [`victim`](CachePolicy::victim) calls over a
+    /// shrinking candidate list would pick, ending where `victim` would
+    /// refuse. The controller evicts the shortest prefix that lets
+    /// `incoming` fit, and rejects `incoming` when the whole ranking
+    /// does not.
+    pub fn eviction_order(&self, residents: &[CacheStats], incoming: &CacheStats) -> Vec<usize> {
+        match self {
+            CachePolicy::WindowLifespan => Vec::new(),
+            CachePolicy::Lru => rank_by(residents, |s| Some((s.last_used, s.name))),
+            CachePolicy::CostBased(cost) => {
+                let incoming_tier = tier(unit(cost, incoming));
+                rank_by(residents, |s| {
+                    let unit = unit(cost, s);
+                    // A cache's retention value in cost-microseconds:
+                    // what evicting it is expected to cost the remaining
+                    // windows.
+                    let score = unit.saturating_mul(s.uses());
+                    // A dead resident — no expected future reads and no
+                    // sharing query still waiting on it — costs nothing
+                    // to displace; it merely expires a little early.
+                    // Dead ones go first, the cheapest first.
+                    if s.remaining_uses == 0 && s.remaining_votes <= 1 {
+                        return Some((false, 0, score, s.last_used, s.name));
+                    }
+                    // Every live cache is read once per window, so while
+                    // both stay resident the incoming and the victim each
+                    // save one rebuild per window: the comparison is
+                    // between per-window value *rates* (Eq. 4 unit
+                    // rebuild cost, log2-bucketed), not lifetime totals.
+                    // Comparing totals thrashes — a fresh cache's longer
+                    // forecast outbids a half-consumed resident of the
+                    // same shape every window, so each cohort evicts the
+                    // previous one before it produces a hit. A rate tie
+                    // favors the resident (the swap would convert its
+                    // next hit into a rebuild for zero gain), so only
+                    // lower tiers are ranked; remaining lifetime only
+                    // breaks the tie among equal-rate victims.
+                    let tier = tier(unit);
+                    (tier < incoming_tier).then_some((true, tier, score, s.last_used, s.name))
+                })
+            }
+        }
     }
 
-    fn eviction_order(&mut self, residents: &[CacheStats], incoming: &CacheStats) -> Vec<usize> {
-        let incoming_tier = tier(self.unit(incoming));
-        rank_by(residents, |s| {
-            let unit = self.unit(s);
-            // A cache's retention value in cost-microseconds: what
-            // evicting it is expected to cost the remaining windows.
-            let score = unit.saturating_mul(s.uses());
-            // A dead resident — no expected future reads and no sharing
-            // query still waiting on it — costs nothing to displace; it
-            // merely expires a little early. Dead ones go first, the
-            // cheapest first.
-            if s.remaining_uses == 0 && s.remaining_votes <= 1 {
-                return Some((false, 0, score, s.last_used, s.name));
-            }
-            // Every live cache is read once per window, so while both
-            // stay resident the incoming and the victim each save one
-            // rebuild per window: the comparison is between per-window
-            // value *rates* (Eq. 4 unit rebuild cost, log2-bucketed), not
-            // lifetime totals. Comparing totals thrashes — a fresh
-            // cache's longer forecast outbids a half-consumed resident of
-            // the same shape every window, so each cohort evicts the
-            // previous one before it produces a hit. A rate tie favors
-            // the resident (the swap would convert its next hit into a
-            // rebuild for zero gain), so only lower tiers are ranked;
-            // remaining lifetime only breaks the tie among equal-rate
-            // victims.
-            let tier = tier(unit);
-            (tier < incoming_tier).then_some((true, tier, score, s.last_used, s.name))
-        })
+    /// Pick which of `residents` to evict so `incoming` fits, or `None`
+    /// to refuse — the incoming cache is then rejected and every
+    /// resident stays. The first of
+    /// [`eviction_order`](CachePolicy::eviction_order). Takes `&mut self`
+    /// because the benchmark's victim probe pins this signature
+    /// (`perfbench/README.md`).
+    pub fn victim(&mut self, residents: &[CacheStats], incoming: &CacheStats) -> Option<CacheName> {
+        self.eviction_order(residents, incoming).first().map(|&i| residents[i].name)
     }
 }
 
-/// Which stock [`CachePolicy`] a deployment runs. Carried by
-/// [`CacheBudget`] so policy selection stays `Copy`-able configuration;
-/// the executor instantiates the trait object (the cost-based policy
-/// needs the simulator's [`CostModel`]).
+/// Which [`CachePolicy`] a deployment runs. Carried by [`CacheBudget`]
+/// so policy selection stays `Copy`-able configuration; the executor
+/// builds the policy (the cost-based one needs the simulator's
+/// [`CostModel`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CachePolicyKind {
-    /// [`WindowLifespanPolicy`] — the paper baseline, and the default.
+    /// [`CachePolicy::WindowLifespan`] — the paper baseline, and the
+    /// default.
     #[default]
     WindowLifespan,
-    /// [`LruPolicy`].
+    /// [`CachePolicy::Lru`].
     Lru,
-    /// [`CostBasedPolicy`].
+    /// [`CachePolicy::CostBased`].
     CostBased,
 }
 
 impl CachePolicyKind {
-    /// Instantiates the policy; `cost` feeds [`CostBasedPolicy`]'s
-    /// Eq. 4 scoring.
-    pub fn build(self, cost: &CostModel) -> Box<dyn CachePolicy> {
+    /// The policy this kind names; `cost` feeds
+    /// [`CachePolicy::CostBased`]'s Eq. 4 scoring.
+    pub fn build(self, cost: &CostModel) -> CachePolicy {
         match self {
-            CachePolicyKind::WindowLifespan => Box::new(WindowLifespanPolicy),
-            CachePolicyKind::Lru => Box::new(LruPolicy),
-            CachePolicyKind::CostBased => Box::new(CostBasedPolicy::new(cost.clone())),
+            CachePolicyKind::WindowLifespan => CachePolicy::WindowLifespan,
+            CachePolicyKind::Lru => CachePolicy::Lru,
+            CachePolicyKind::CostBased => CachePolicy::CostBased(cost.clone()),
         }
     }
 
@@ -334,8 +275,7 @@ pub(crate) mod tests {
                 residents.iter().min_by_key(|s| (s.last_used, s.name)).map(|s| s.name)
             }
             CachePolicyKind::CostBased => {
-                let p = CostBasedPolicy::new(cost.clone());
-                let score = |s: &CacheStats| p.unit(s).saturating_mul(s.uses());
+                let score = |s: &CacheStats| unit(cost, s).saturating_mul(s.uses());
                 let dead = residents
                     .iter()
                     .filter(|s| s.remaining_uses == 0 && s.remaining_votes <= 1)
@@ -345,8 +285,8 @@ pub(crate) mod tests {
                 }
                 let worst = residents
                     .iter()
-                    .min_by_key(|s| (tier(p.unit(s)), score(s), s.last_used, s.name))?;
-                (tier(p.unit(worst)) < tier(p.unit(incoming))).then_some(worst.name)
+                    .min_by_key(|s| (tier(unit(cost, s)), score(s), s.last_used, s.name))?;
+                (tier(unit(cost, worst)) < tier(unit(cost, incoming))).then_some(worst.name)
             }
         }
     }
@@ -444,14 +384,14 @@ pub(crate) mod tests {
 
     #[test]
     fn baseline_never_evicts() {
-        let mut p = WindowLifespanPolicy;
+        let mut p = CachePolicy::WindowLifespan;
         let residents = [stats(0, 100, 1, 0), stats(1, 100, 1, 5)];
         assert_eq!(p.victim(&residents, &stats(2, 50, 3, 9)), None);
     }
 
     #[test]
     fn lru_picks_the_stalest_resident_with_name_tiebreak() {
-        let mut p = LruPolicy;
+        let mut p = CachePolicy::Lru;
         let residents = [stats(3, 100, 1, 7), stats(1, 100, 1, 2), stats(2, 100, 1, 2)];
         // Panes 1 and 2 tie on last_used; the smaller name wins.
         assert_eq!(p.victim(&residents, &stats(9, 50, 1, 9)), Some(stats(1, 0, 0, 0).name));
@@ -459,8 +399,7 @@ pub(crate) mod tests {
 
     #[test]
     fn cost_based_prefers_cheap_short_lived_victims() {
-        let cost = CostModel::default();
-        let mut p = CostBasedPolicy::new(cost);
+        let mut p = CachePolicy::CostBased(CostModel::default());
         // Pane 0: cheap rebuild, one use left. Pane 1: same size but
         // many uses left. Incoming is far more expensive per window.
         // (Sizes are MBs so per-byte costs dominate the fixed task
@@ -474,8 +413,7 @@ pub(crate) mod tests {
 
     #[test]
     fn cost_based_refuses_to_displace_more_valuable_residents() {
-        let cost = CostModel::default();
-        let mut p = CostBasedPolicy::new(cost);
+        let mut p = CachePolicy::CostBased(CostModel::default());
         // Every resident is worth more than the tiny one-shot newcomer.
         let residents = [stats(0, 50_000, 4, 3), stats(1, 50_000, 6, 1)];
         assert_eq!(p.victim(&residents, &stats(2, 100, 1, 9)), None);
@@ -483,7 +421,7 @@ pub(crate) mod tests {
 
     #[test]
     fn cost_based_takes_dead_residents_first() {
-        let mut p = CostBasedPolicy::new(CostModel::default());
+        let mut p = CachePolicy::CostBased(CostModel::default());
         // Pane 1 is dead — no expected future reads — so it is the free
         // victim even though pane 0 is smaller and cheaper to rebuild.
         let residents = [stats(0, 100, 2, 5), stats(1, 50_000, 0, 9)];
@@ -492,7 +430,7 @@ pub(crate) mod tests {
 
     #[test]
     fn cost_based_rate_ties_favor_residents() {
-        let mut p = CostBasedPolicy::new(CostModel::default());
+        let mut p = CachePolicy::CostBased(CostModel::default());
         // Incoming has a much longer forecast than the half-consumed
         // residents, but the same per-window rebuild rate. Displacing a
         // resident would trade its next hit for a rebuild at zero gain
@@ -504,7 +442,7 @@ pub(crate) mod tests {
 
     #[test]
     fn cost_based_buckets_near_equal_rebuild_rates() {
-        let mut p = CostBasedPolicy::new(CostModel::default());
+        let mut p = CachePolicy::CostBased(CostModel::default());
         let residents = [stats(0, 50_000_000, 1, 3)];
         // A few percent of size difference is estimate noise, not a
         // different cost class: same log2 tier, newcomer refused.
@@ -519,9 +457,12 @@ pub(crate) mod tests {
     #[test]
     fn kind_builds_the_matching_policy() {
         let cost = CostModel::default();
-        assert_eq!(CachePolicyKind::WindowLifespan.build(&cost).name(), "window-lifespan");
-        assert_eq!(CachePolicyKind::Lru.build(&cost).name(), "lru");
-        assert_eq!(CachePolicyKind::CostBased.build(&cost).name(), "cost-based");
+        assert!(matches!(
+            CachePolicyKind::WindowLifespan.build(&cost),
+            CachePolicy::WindowLifespan
+        ));
+        assert!(matches!(CachePolicyKind::Lru.build(&cost), CachePolicy::Lru));
+        assert!(matches!(CachePolicyKind::CostBased.build(&cost), CachePolicy::CostBased(_)));
         assert_eq!(CachePolicyKind::default(), CachePolicyKind::WindowLifespan);
         assert_eq!(CacheBudget::default().per_node_bytes, None);
     }

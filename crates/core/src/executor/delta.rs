@@ -193,8 +193,7 @@ where
             // partition charge basis: the *incoming* pairs of this batch
             // (the work a live combiner performs inside the ingesting map
             // task), measured as they are emitted — before combining.
-            let mut sink =
-                MapContext::partitioned(&self.partitioner, std::mem::take(&mut open.parts));
+            let mut sink = MapContext::partitioned(std::mem::take(&mut open.parts));
             let batch_bytes: u64 =
                 idxs.iter().map(|&i| lines[i as usize].len() as u64 + 1).sum();
             let (batch, incoming) = exec::map_split(

@@ -296,12 +296,7 @@ where
         for &name in names {
             // A product is a hit iff its cache is on the anchor —
             // whenever, and by whichever path, it was built.
-            let hit = match name.object {
-                CacheObject::PairOutput { left, right } => {
-                    self.matrix.is_done(&[left, right]) && self.cached_on(&name, node)
-                }
-                _ => self.cached_on(&name, node),
-            };
+            let hit = self.cached_on(&name, node);
             let bytes = self.controller.signature(&name).map_or(0, |s| s.bytes);
             self.trace.emit(|| TraceEvent::Cache {
                 at: ctx.fire,
@@ -569,7 +564,6 @@ where
                 (slice_files[*slice_idx].lines(line_range.clone()), *split_bytes)
             },
             &*self.mapper,
-            &self.partitioner,
             num_reducers,
             self.combiner.as_deref(),
         )?;
@@ -929,8 +923,9 @@ where
         let rebuild = self.rebuild_bytes_of(&name);
         // Admission sees the window-lifespan use estimate; cost-based
         // policies weigh rebuild cost by it.
-        self.controller.note_remaining_uses(name, self.remaining_uses_of(&name));
-        let admission = self.controller.register_cache_with_rebuild(name, node, bytes, rebuild, at);
+        let uses = self.remaining_uses_of(&name);
+        let admission =
+            self.controller.register_cache_with_rebuild(name, node, bytes, rebuild, uses, at);
         self.apply_evictions(&admission.evicted);
         if !admission.admitted {
             // The build already wrote the file and same-window merges may

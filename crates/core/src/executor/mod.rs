@@ -182,7 +182,6 @@ where
     reducer: Arc<R>,
     merger: Option<Arc<dyn Merger<M::KOut, R::VOut>>>,
     combiner: Option<Arc<dyn redoop_mapred::Combiner<M::KOut, M::VOut>>>,
-    partitioner: HashPartitioner,
     sources: Vec<SourceState>,
     /// The query fingerprint every cache name of this executor carries
     /// (`fingerprint_of`).
@@ -391,7 +390,6 @@ where
             reducer,
             merger,
             combiner: None,
-            partitioner: HashPartitioner,
             sources: states,
             fp,
             controller,
@@ -453,7 +451,7 @@ where
 
     /// Selects the cache lifecycle policy and per-node capacity budget
     /// (paper §4 caching, this implementation's policy layer). The
-    /// controller consults the policy on every registration/adoption;
+    /// controller checks every registration/adoption against the budget;
     /// with the default budget — baseline window-lifespan policy,
     /// unbounded capacity — it admits everything, so execution is
     /// bit-identical to an executor that never called this. Under a
@@ -1111,6 +1109,77 @@ mod tests {
                     .collect();
                 proptest::prop_assert_eq!(names.len(), join.len());
             }
+        }
+    }
+
+    #[test]
+    fn every_held_pair_output_has_its_matrix_cell_done() {
+        // The hit rule reads only the holder: a pair output is a hit iff
+        // its cache is on the anchor. The status matrix agrees because a
+        // pair output gains a holder only in `commit_builds`, which marks
+        // the pair's cell first, and a cell once marked (or purged below
+        // the base) stays done. Under a budget that evicts and rebuilds
+        // pairs, in batch and in proactive mode, every held pair's cell
+        // reads done after every window.
+        const BUDGET: u64 = 500; // unbounded, the busiest node holds ~740
+
+        for proactive in [false, true] {
+            let (cluster, sim, conf, mut source, mut adaptive, _) = fixture();
+            source.spec = WindowSpec::new(400, 100).unwrap();
+            let mut other = source.clone();
+            other.pane_root = DfsPath::new("/panes/t2").unwrap();
+            if proactive {
+                adaptive = AdaptiveController::new(
+                    SemanticAnalyzer::new(1024),
+                    PartitionPlan { pane_ms: 100, panes_per_file: 1, subpanes: 4 },
+                );
+                adaptive.set_always_proactive(true);
+            }
+            let mut join = RecurringExecutor::binary_join(
+                &cluster,
+                sim,
+                conf,
+                [source, other],
+                mapper(),
+                reducer(),
+                adaptive,
+            )
+            .unwrap();
+            join.set_cache_policy(CacheBudget::bounded(
+                crate::cache::policy::CachePolicyKind::Lru,
+                BUDGET,
+            ));
+            let range = |lo: u64, hi: u64| {
+                TimeRange::new(crate::time::EventTime(lo), crate::time::EventTime(hi))
+            };
+            let lines = |lo: u64, hi: u64| -> Vec<String> {
+                (lo..hi).step_by(5).map(|t| format!("{t},k{}", t % 11)).collect()
+            };
+            let is_pair = |n: &CacheName| matches!(n.object, CacheObject::PairOutput { .. });
+            let (mut dropped, mut rebuilt) = (std::collections::BTreeSet::new(), 0);
+            let mut fed = 0;
+            for w in 0..10u64 {
+                let end = 400 + 100 * w;
+                for s in 0..2 {
+                    let batch = lines(fed, end);
+                    join.ingest(s, batch.iter().map(|l| l.as_str()), &range(fed, end)).unwrap();
+                }
+                fed = end;
+                let mode = join.run_window(w).unwrap().mode;
+                assert_eq!(mode, if proactive { ExecMode::Proactive } else { ExecMode::Batch });
+                let ctl = join.controller();
+                for name in ctl.all_cached() {
+                    let CacheObject::PairOutput { left, right } = name.object else { continue };
+                    assert!(
+                        join.matrix.is_done(&[left, right]),
+                        "proactive {proactive}, window {w}: {} is held, its cell is not done",
+                        name.store_name()
+                    );
+                    rebuilt += usize::from(dropped.remove(&name));
+                }
+                dropped.extend(ctl.names_matching(|n| is_pair(n) && ctl.location(n).is_none()));
+            }
+            assert!(rebuilt > 0, "proactive {proactive}: no pair was evicted and rebuilt");
         }
     }
 

@@ -154,9 +154,8 @@ mod tests {
 
     #[test]
     fn eviction_revokes_the_holder_affinity_credit() {
-        use crate::cache::policy::LruPolicy;
         let mut ctl = CacheController::new(1);
-        ctl.set_policy(Box::new(LruPolicy));
+        ctl.set_policy(crate::cache::policy::CachePolicy::Lru);
         ctl.set_capacity(Some(1_000_000));
         ctl.register_cache(name(0), NodeId(1), 800_000, SimTime::ZERO);
         let cost = CostModel::default();

@@ -23,8 +23,9 @@ pub use crate::grouped::{
     for_each_merged_group, group_consecutive, merge_sorted_groups, sort_group,
 };
 use crate::grouped::{Grouped, RunBuilder};
+use crate::hasher::stable_hash;
 use crate::mapper::{MapContext, Mapper};
-use crate::partitioner::Partitioner;
+use crate::partitioner::{index_of, HashPartitioner};
 use crate::reducer::{ReduceContext, Reducer};
 use crate::task::MapWork;
 
@@ -96,12 +97,11 @@ pub fn map_splits<'a, M: Mapper, I: Iterator<Item = &'a str>>(
     n: usize,
     split: impl Fn(usize) -> (I, u64) + Send + Sync,
     mapper: &M,
-    partitioner: &dyn Partitioner<M::KOut>,
     num_reducers: usize,
     combiner: Option<&dyn crate::combiner::Combiner<M::KOut, M::VOut>>,
 ) -> Result<(Vec<(MapWork, Vec<(u64, u64)>)>, Vec<RunBuilder<M::KOut, M::VOut>>)> {
     let ranges = parallel_ranges(n, |range| {
-        let mut sink = MapContext::partitioned(partitioner, fresh_builders(num_reducers));
+        let mut sink = MapContext::partitioned(fresh_builders(num_reducers));
         let splits: Vec<_> = range
             .map(|i| {
                 let (lines, bytes) = split(i);
@@ -124,17 +124,17 @@ pub fn map_splits<'a, M: Mapper, I: Iterator<Item = &'a str>>(
 /// One split through a partitioned sink of its own, expanded back to a
 /// pair list per reduce partition. Off the fire path — which keeps the
 /// sink's builders and never holds pairs — and kept because the
-/// benchmark pins this signature (`perfbench/README.md`); `_scratch` is
-/// unused.
+/// benchmark pins this signature (`perfbench/README.md`); `_partitioner`
+/// and `_scratch` are unused.
 #[allow(clippy::type_complexity)]
 pub fn run_mapper_partitioned<'a, M: Mapper>(
     mapper: &M,
     lines: impl Iterator<Item = &'a str>,
-    partitioner: &dyn Partitioner<M::KOut>,
+    _partitioner: &HashPartitioner,
     num_reducers: usize,
     _scratch: &mut MapContext<M::KOut, M::VOut>,
 ) -> (Vec<Vec<(M::KOut, M::VOut)>>, u64) {
-    let mut ctx = MapContext::partitioned(partitioner, fresh_builders(num_reducers));
+    let mut ctx = MapContext::partitioned(fresh_builders(num_reducers));
     let records = run_mapper_into(mapper, lines, &mut ctx);
     (ctx.into_builders().into_iter().map(RunBuilder::into_pairs).collect(), records)
 }
@@ -145,16 +145,15 @@ pub fn fresh_builders<K, V>(num_reducers: usize) -> Vec<RunBuilder<K, V>> {
     std::iter::repeat_with(RunBuilder::new).take(num_reducers).collect()
 }
 
-/// Splits pairs into `num_reducers` shuffle partitions.
-pub fn partition_pairs<K: 'static, V>(
+/// Splits pairs into `num_reducers` shuffle partitions by their keys'
+/// [`stable_hash`].
+pub fn partition_pairs<K: std::hash::Hash, V>(
     pairs: Vec<(K, V)>,
-    partitioner: &dyn Partitioner<K>,
     num_reducers: usize,
 ) -> Vec<Vec<(K, V)>> {
     let mut buckets: Vec<Vec<(K, V)>> = (0..num_reducers).map(|_| Vec::new()).collect();
     for (k, v) in pairs {
-        let p = partitioner.partition(&k, num_reducers);
-        buckets[p].push((k, v));
+        buckets[index_of(stable_hash(&k), num_reducers)].push((k, v));
     }
     buckets
 }
@@ -258,7 +257,6 @@ mod tests {
     use super::*;
     use crate::combiner::SumCombiner;
     use crate::mapper::ClosureMapper;
-    use crate::partitioner::HashPartitioner;
     use crate::reducer::ClosureReducer;
 
     #[test]
@@ -294,9 +292,9 @@ mod tests {
     #[test]
     fn partitioning_is_exhaustive_and_stable() {
         let pairs: Vec<(u64, u64)> = (0..100).map(|i| (i, i)).collect();
-        let buckets = partition_pairs(pairs.clone(), &HashPartitioner, 4);
+        let buckets = partition_pairs(pairs.clone(), 4);
         assert_eq!(buckets.iter().map(Vec::len).sum::<usize>(), 100);
-        let again = partition_pairs(pairs, &HashPartitioner, 4);
+        let again = partition_pairs(pairs, 4);
         assert_eq!(buckets, again);
     }
 
@@ -320,10 +318,10 @@ mod tests {
                 // The reference, split by split: map, partition, combine
                 // each bucket, and walk it for its bytes.
                 let mut reference: Vec<Vec<(String, u64)>> = vec![Vec::new(); r];
-                let mut sink = MapContext::partitioned(&HashPartitioner, fresh_builders(r));
+                let mut sink = MapContext::partitioned(fresh_builders(r));
                 for lines in splits {
                     let (flat, n1) = run_mapper(&words, lines.iter().copied());
-                    let mut buckets = partition_pairs(flat, &HashPartitioner, r);
+                    let mut buckets = partition_pairs(flat, r);
                     if let Some(c) = combiner {
                         for bucket in &mut buckets {
                             let run = sort_group(std::mem::take(bucket));
@@ -369,9 +367,9 @@ mod tests {
                 r,
                 &mut MapContext::new(),
             );
-            assert_eq!((pinned, n3), (partition_pairs(flat, &HashPartitioner, r), n1));
+            assert_eq!((pinned, n3), (partition_pairs(flat, r), n1));
 
-            let mut sink = MapContext::partitioned(&HashPartitioner, fresh_builders(r));
+            let mut sink = MapContext::partitioned(fresh_builders(r));
             let (work, added) = map_split(&silent, lines.iter().copied(), 0, &mut sink, None);
             assert_eq!((work.input_records, work.output_records, added), (3, 0, vec![(0, 0); r]));
             assert!(sink.into_builders().iter().all(RunBuilder::is_empty));

@@ -13,11 +13,11 @@
 //! Runs are built by one type, [`RunBuilder`]: a hash-group table that
 //! gives every distinct key a dense id as its pairs arrive, and a
 //! counting placement that lays the values out key by key. The
-//! partitioned map sink ([`crate::MapContext`]) feeds it the hash the
-//! partitioner computed to pick the pair's bucket, so on the fire path *a
-//! mapped pair is hashed once* — at `emit` — *and moved once per
-//! container it must live in*: into its bucket's builder, and from there
-//! into the run. [`sort_group`] is the same builder behind a pair list.
+//! partitioned map sink ([`crate::MapContext`]) feeds it the
+//! [`crate::hasher::stable_hash`] that picked the pair's bucket, so on
+//! the fire path *a mapped pair is hashed once* — at `emit` — *and moved
+//! once per container it must live in*: into its bucket's builder, and
+//! from there into the run. [`sort_group`] is the same builder behind a pair list.
 
 use std::hash::{BuildHasher, Hash};
 
@@ -163,8 +163,8 @@ impl<K, V> Grouped<K, V> {
 /// every builder [`absorb`](RunBuilder::absorb)ed into it — must come
 /// with the same pure function of its key as `hash`, or one key gets two
 /// ids and two runs. [`RunBuilder::push`] uses the internal Fx hash; the
-/// map sink uses [`crate::Partitioner::hash`]; a builder takes one or the
-/// other, never both.
+/// map sink uses the shuffle's [`crate::hasher::stable_hash`]; a builder
+/// takes one or the other, never both.
 #[derive(Debug, Clone)]
 pub struct RunBuilder<K, V> {
     /// Distinct keys in first-seen order; a key's index is its dense id.

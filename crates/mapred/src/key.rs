@@ -14,11 +14,10 @@
 //!   like `str`/`String`, so sorted runs and merges produce the same
 //!   order.
 //! * **Hashing** delegates to `str::hash`, so
-//!   [`crate::hasher::stable_hash`] and therefore
-//!   [`crate::partitioner::HashPartitioner`] assign the same partition
-//!   a `String` key would get — a hard requirement, since Redoop's
-//!   cache reuse depends on fixed partitioning (paper §4.3) and the
-//!   simulated per-partition byte accounting must not move.
+//!   [`crate::hasher::stable_hash`], the shuffle's one hash, assigns the
+//!   same partition a `String` key would get — a hard requirement, since
+//!   Redoop's cache reuse depends on fixed partitioning (paper §4.3) and
+//!   the simulated per-partition byte accounting must not move.
 //! * **Text codec** ([`Writable`]) writes the raw contents, so DFS
 //!   outputs, cache blocks, and `text_len` accounting are bit-identical.
 

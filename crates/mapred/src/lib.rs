@@ -5,7 +5,7 @@
 //! reproduces the architecture the paper relies on:
 //!
 //! * **Programming model** — [`Mapper`], [`Reducer`], optional
-//!   [`Combiner`], hash [`Partitioner`], text-line records and a
+//!   [`Combiner`], the one [`HashPartitioner`], text-line records and a
 //!   Hadoop-style [`Writable`] codec for keys/values.
 //! * **Job execution** — [`JobRunner`] splits DFS input files into
 //!   block-aligned input splits, runs map tasks, shuffles/sorts by key,
@@ -64,7 +64,7 @@ pub use key::{SmallKey, SmallKeyBuilder};
 pub use job::{JobConf, JobSpec};
 pub use mapper::{ClosureMapper, MapContext, Mapper};
 pub use metrics::{JobMetrics, PhaseTimes};
-pub use partitioner::{HashPartitioner, Partitioner};
+pub use partitioner::HashPartitioner;
 pub use reducer::{ClosureReducer, ReduceContext, Reducer};
 pub use runtime::{JobResult, JobRunner, MapMemo};
 pub use schedule::{ClusterSim, Placement, SlotKind};

@@ -3,8 +3,8 @@
 //! A [`MapContext`] is where a mapper's pairs land. The collecting sink
 //! keeps one flat pair list. The partitioned sink *is* the first half of
 //! the shuffle sort: `emit` hashes the key once
-//! ([`Partitioner::hash`]), that hash picks the reduce partition
-//! ([`partitioner::index_of`]) and is handed to the partition's
+//! ([`stable_hash`], the shuffle's one hash), that hash picks the reduce
+//! partition ([`partitioner::index_of`]) and is handed to the partition's
 //! [`RunBuilder`], which groups the pair under its key's dense id on the
 //! spot. What leaves the sink is one builder per partition, a
 //! [`RunBuilder::into_run`] away from the sorted run — no pair list in
@@ -16,7 +16,8 @@ use std::hash::Hash;
 
 use crate::combiner::Combiner;
 use crate::grouped::RunBuilder;
-use crate::partitioner::{self, Partitioner};
+use crate::hasher::stable_hash;
+use crate::partitioner;
 use crate::writable::Writable;
 
 /// One reduce partition of a partitioned sink.
@@ -32,11 +33,11 @@ struct Bucket<K, V> {
 }
 
 /// Where a [`MapContext`] puts what the mapper emits.
-enum Sink<'p, K, V> {
+enum Sink<K, V> {
     /// One flat list, in emit order.
     Pairs(Vec<(K, V)>),
     /// One run builder per reduce partition, each in emit order.
-    Partitioned { partitioner: &'p dyn Partitioner<K>, buckets: Vec<Bucket<K, V>> },
+    Partitioned(Vec<Bucket<K, V>>),
 }
 
 /// Collects key/value pairs emitted by a [`Mapper`].
@@ -48,11 +49,11 @@ enum Sink<'p, K, V> {
 /// straight into its reduce partition's [`RunBuilder`] — the same
 /// buckets, in the same in-bucket order, as
 /// [`crate::exec::partition_pairs`] makes of the flat list.
-pub struct MapContext<'p, K, V> {
-    sink: Sink<'p, K, V>,
+pub struct MapContext<K, V> {
+    sink: Sink<K, V>,
 }
 
-impl<'p, K, V> MapContext<'p, K, V> {
+impl<K, V> MapContext<K, V> {
     /// Fresh, empty collecting context.
     pub fn new() -> Self {
         MapContext { sink: Sink::Pairs(Vec::new()) }
@@ -66,19 +67,15 @@ impl<'p, K, V> MapContext<'p, K, V> {
     }
 
     /// Context routing every pair into one of `builders.len()` reduce
-    /// partitions chosen by `partitioner`. The builders may be fresh or
-    /// already hold records — pushed under `partitioner`'s hash, as
-    /// everything emitted here will be; the first split starts where they
-    /// end.
-    pub fn partitioned(
-        partitioner: &'p dyn Partitioner<K>,
-        builders: Vec<RunBuilder<K, V>>,
-    ) -> Self {
+    /// partitions by its key's [`stable_hash`]. The builders may be fresh
+    /// or already hold records — pushed under that hash, as everything
+    /// emitted here will be; the first split starts where they end.
+    pub fn partitioned(builders: Vec<RunBuilder<K, V>>) -> Self {
         let buckets = builders
             .into_iter()
             .map(|run| Bucket { mark: run.len(), run, text_bytes: 0 })
             .collect();
-        MapContext { sink: Sink::Partitioned { partitioner, buckets } }
+        MapContext { sink: Sink::Partitioned(buckets) }
     }
 
     /// Number of pairs held: everything emitted, less what a combiner
@@ -86,7 +83,7 @@ impl<'p, K, V> MapContext<'p, K, V> {
     pub fn emitted(&self) -> usize {
         match &self.sink {
             Sink::Pairs(out) => out.len(),
-            Sink::Partitioned { buckets, .. } => buckets.iter().map(|b| b.run.len()).sum(),
+            Sink::Partitioned(buckets) => buckets.iter().map(|b| b.run.len()).sum(),
         }
     }
 
@@ -97,7 +94,7 @@ impl<'p, K, V> MapContext<'p, K, V> {
     pub fn into_pairs(self) -> Vec<(K, V)> {
         match self.sink {
             Sink::Pairs(out) => out,
-            Sink::Partitioned { .. } => panic!("a partitioned MapContext keeps no flat pair list"),
+            Sink::Partitioned(_) => panic!("a partitioned MapContext keeps no flat pair list"),
         }
     }
 
@@ -108,22 +105,22 @@ impl<'p, K, V> MapContext<'p, K, V> {
     /// On a collecting context, which never chose partitions.
     pub fn into_builders(self) -> Vec<RunBuilder<K, V>> {
         match self.sink {
-            Sink::Partitioned { buckets, .. } => buckets.into_iter().map(|b| b.run).collect(),
+            Sink::Partitioned(buckets) => buckets.into_iter().map(|b| b.run).collect(),
             Sink::Pairs(_) => panic!("a collecting MapContext has no partitions"),
         }
     }
 }
 
-impl<K: Writable + Eq, V: Writable> MapContext<'_, K, V> {
+impl<K: Writable + Eq + Hash, V: Writable> MapContext<K, V> {
     /// Emits one intermediate pair.
     #[inline]
     pub fn emit(&mut self, key: K, value: V) {
         match &mut self.sink {
             Sink::Pairs(out) => out.push((key, value)),
-            Sink::Partitioned { partitioner, buckets } => {
+            Sink::Partitioned(buckets) => {
                 // The one hash of this pair: it picks the bucket, and the
                 // bucket's table groups by it.
-                let hash = partitioner.hash(&key);
+                let hash = stable_hash(&key);
                 let p = partitioner::index_of(hash, buckets.len());
                 let bucket = &mut buckets[p];
                 bucket.text_bytes += key.text_len() + 1 + value.text_len() + 1;
@@ -133,7 +130,7 @@ impl<K: Writable + Eq, V: Writable> MapContext<'_, K, V> {
     }
 }
 
-impl<K: Writable + Ord + Hash, V: Writable> MapContext<'_, K, V> {
+impl<K: Writable + Ord + Hash, V: Writable> MapContext<K, V> {
     /// Closes the open split of a partitioned context and returns, per
     /// reduce partition, the `(records, text-equivalent bytes)` the split
     /// added to it. A `combiner` first folds the split's share of each
@@ -144,7 +141,7 @@ impl<K: Writable + Ord + Hash, V: Writable> MapContext<'_, K, V> {
     /// # Panics
     /// On a collecting context, which has no partitions.
     pub fn end_split(&mut self, combiner: Option<&dyn Combiner<K, V>>) -> Vec<(u64, u64)> {
-        let Sink::Partitioned { buckets, .. } = &mut self.sink else {
+        let Sink::Partitioned(buckets) = &mut self.sink else {
             panic!("a collecting MapContext has no partitions")
         };
         buckets
@@ -163,17 +160,17 @@ impl<K: Writable + Ord + Hash, V: Writable> MapContext<'_, K, V> {
     }
 }
 
-impl<K, V> Default for MapContext<'_, K, V> {
+impl<K, V> Default for MapContext<K, V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K, V> std::fmt::Debug for MapContext<'_, K, V> {
+impl<K, V> std::fmt::Debug for MapContext<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let sink = match &self.sink {
             Sink::Pairs(_) => "pairs",
-            Sink::Partitioned { .. } => "partitioned",
+            Sink::Partitioned(_) => "partitioned",
         };
         f.debug_struct("MapContext").field("sink", &sink).field("emitted", &self.emitted()).finish()
     }

@@ -1,31 +1,16 @@
 //! Shuffle partitioning.
 //!
-//! A partitioner is one hash: [`Partitioner::hash`] is a pure function
-//! of the key, and the key's reduce partition is [`index_of`] that hash —
-//! `partition(key, R) == index_of(hash(key), R)`, always. The map sink
-//! relies on both halves: it calls `hash` once per emitted pair, picks
-//! the bucket with `index_of`, and hands the same hash to the bucket's
+//! Partitioning is one hash, fixed across query recurrences (paper §4.3)
+//! so cached reduce inputs stay valid: a key's reduce partition is
+//! [`index_of`] its [`stable_hash`] — `HashPartitioner.partition(key, R)
+//! == index_of(stable_hash(key), R)`, always. The map sink relies on
+//! both halves: it calls `stable_hash` once per emitted pair, picks the
+//! bucket with `index_of`, and hands the same hash to the bucket's
 //! [`crate::grouped::RunBuilder`] to group the pair by.
 
 use std::hash::Hash;
 
 use crate::hasher::stable_hash;
-
-/// Maps intermediate keys to reduce partitions.
-///
-/// Redoop requires partitioning to be *fixed across query recurrences*
-/// (paper §4.3) so cached reduce inputs stay valid; implementations must
-/// therefore be pure functions of the key.
-pub trait Partitioner<K>: Send + Sync + 'static {
-    /// The hash that places `key`: a pure function of the key alone,
-    /// equal for equal keys.
-    fn hash(&self, key: &K) -> u64;
-
-    /// Partition index in `0..num_reducers` for `key`.
-    fn partition(&self, key: &K, num_reducers: usize) -> usize {
-        index_of(self.hash(key), num_reducers)
-    }
-}
 
 /// The partition a key with this `hash` belongs to: `hash mod R`.
 #[inline]
@@ -37,14 +22,23 @@ pub fn index_of(hash: u64, num_reducers: usize) -> usize {
     (if n.is_power_of_two() { hash & (n - 1) } else { hash % n }) as usize
 }
 
-/// Hadoop's default: `hash(key) mod R`, with a process-stable hash.
+/// Hadoop's default, and the one partitioner: `hash(key) mod R`, with a
+/// process-stable hash. A query's cache fingerprint folds this type's
+/// name.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HashPartitioner;
 
-impl<K: Hash + Send + Sync + 'static> Partitioner<K> for HashPartitioner {
+impl HashPartitioner {
+    /// The hash that places `key`: [`stable_hash`], a pure function of
+    /// the key alone, equal for equal keys.
     #[inline]
-    fn hash(&self, key: &K) -> u64 {
+    pub fn hash<K: Hash + ?Sized>(&self, key: &K) -> u64 {
         stable_hash(key)
+    }
+
+    /// Partition index in `0..num_reducers` for `key`.
+    pub fn partition<K: Hash + ?Sized>(&self, key: &K, num_reducers: usize) -> usize {
+        index_of(self.hash(key), num_reducers)
     }
 }
 

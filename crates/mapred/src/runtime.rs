@@ -34,7 +34,6 @@ use crate::grouped::{Grouped, RunBuilder};
 use crate::job::{JobConf, JobSpec};
 use crate::mapper::Mapper;
 use crate::metrics::JobMetrics;
-use crate::partitioner::HashPartitioner;
 use crate::reducer::{ReduceContext, Reducer};
 use crate::schedule::{ClusterSim, Placement};
 use crate::simtime::SimTime;
@@ -287,7 +286,6 @@ where
             plan.len(),
             |i| (plan[i].file.lines(plan[i].lines.clone()), plan[i].bytes),
             self.mapper,
-            &HashPartitioner,
             num_reducers,
             self.combiner,
         )?;
@@ -532,8 +530,7 @@ mod tests {
                 let mut split_runs: Vec<Vec<Grouped<M::KOut, M::VOut>>> =
                     (0..r).map(|_| Vec::new()).collect();
                 for split in plan {
-                    let mut ctx =
-                        MapContext::partitioned(&HashPartitioner, exec::fresh_builders(r));
+                    let mut ctx = MapContext::partitioned(exec::fresh_builders(r));
                     let lines = split.file.lines(split.lines.clone());
                     let (work, added) =
                         exec::map_split(self.mapper, lines, split.bytes, &mut ctx, self.combiner);

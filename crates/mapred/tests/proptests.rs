@@ -89,11 +89,11 @@ proptest! {
         r in 1usize..9
     ) {
         let pairs: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k)).collect();
-        let buckets = exec::partition_pairs(pairs.clone(), &HashPartitioner, r);
+        let buckets = exec::partition_pairs(pairs.clone(), r);
         prop_assert_eq!(buckets.len(), r);
         prop_assert_eq!(buckets.iter().map(Vec::len).sum::<usize>(), keys.len());
         // Same key always lands in the same bucket.
-        let again = exec::partition_pairs(pairs, &HashPartitioner, r);
+        let again = exec::partition_pairs(pairs, r);
         prop_assert_eq!(buckets, again);
     }
 
@@ -104,7 +104,6 @@ proptest! {
         r in 1usize..70,
         shift in 0u32..20
     ) {
-        use redoop_mapred::Partitioner;
         // The mask a power-of-two `R` takes is the modulo every `R` is
         // defined by: the shortcut may never move a key.
         for r in [r, 1usize << shift] {
@@ -364,7 +363,7 @@ proptest! {
     #[test]
     fn small_key_is_representation_transparent(a in field(), b in field(), r in 1usize..9) {
         use redoop_mapred::hasher::stable_hash;
-        use redoop_mapred::{Partitioner, SmallKey};
+        use redoop_mapred::SmallKey;
         let (ka, kb) = (SmallKey::from(a.as_str()), SmallKey::from(b.as_str()));
         prop_assert_eq!(ka.to_text(), a.to_text());
         let mut bin_k = Vec::new();
@@ -566,7 +565,6 @@ proptest! {
         cuts in proptest::collection::vec(any::<usize>(), 0..6)
     ) {
         use redoop_mapred::grouped::RunBuilder;
-        use redoop_mapred::Partitioner;
         let pieces = cut_into_pieces(&pairs, &cuts);
         prop_assert!((1..=7).contains(&pieces.len()));
         let mut hashed: RunBuilder<u64, u64> = RunBuilder::new();
@@ -574,7 +572,7 @@ proptest! {
         for piece in pieces {
             let mut part = RunBuilder::new();
             for &(k, v) in piece {
-                part.push_hashed(Partitioner::hash(&HashPartitioner, &k), k, v);
+                part.push_hashed(HashPartitioner.hash(&k), k, v);
             }
             hashed.absorb(part);
             unhashed.absorb(piece.iter().copied().collect());
