@@ -42,7 +42,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use redoop_dfs::{Cluster, NodeId};
-use redoop_mapred::trace::{CacheAction, TraceEvent, TraceSink};
+use redoop_mapred::trace::{CacheAction, Counted, TraceEvent, TraceSink, WindowTraceStats};
 use redoop_mapred::SimTime;
 
 use super::policy::{CachePolicy, CacheStats};
@@ -123,7 +123,11 @@ pub struct CacheController {
     capacity: Option<u64>,
     /// Ranks the eviction victims of an over-budget registration.
     policy: CachePolicy,
-    trace: TraceSink,
+    pub(super) trace: TraceSink,
+    /// The executor's counts since its window started, folded here
+    /// because the controller journals three of the counted kinds
+    /// (evict, admit-reject, heartbeat).
+    pub(crate) stats: WindowTraceStats,
 }
 
 /// The `(source, pane)` key of a pane-scoped cache object (pair outputs
@@ -152,6 +156,7 @@ impl CacheController {
             capacity: None,
             policy: CachePolicy::WindowLifespan,
             trace: TraceSink::disabled(),
+            stats: WindowTraceStats::default(),
         }
     }
 
@@ -455,9 +460,10 @@ impl CacheController {
         // The whole file is reclaimed; no frames survive to salvage.
         sig.salvaged = None;
         self.queue_file(node, *name, bytes);
-        self.trace.emit(|| TraceEvent::Cache {
+        let action = CacheAction::Evict;
+        self.trace.emit_counted(&mut self.stats, Counted::Cache(action), || TraceEvent::Cache {
             at,
-            action: CacheAction::Evict,
+            action,
             name: name.store_name(),
             node: Some(node),
             bytes,
@@ -469,9 +475,10 @@ impl CacheController {
     /// `available_at`) but has no holder.
     fn reject(&mut self, s: &CacheStats, node: NodeId) -> Admission {
         self.settle(s, None);
-        self.trace.emit(|| TraceEvent::Cache {
+        let action = CacheAction::AdmitReject;
+        self.trace.emit_counted(&mut self.stats, Counted::Cache(action), || TraceEvent::Cache {
             at: s.last_used,
-            action: CacheAction::AdmitReject,
+            action,
             name: s.name.store_name(),
             node: Some(node),
             bytes: s.bytes,

@@ -14,7 +14,7 @@
 
 use redoop_dfs::{Cluster, NodeId};
 use redoop_mapred::frame;
-use redoop_mapred::trace::TraceEvent;
+use redoop_mapred::trace::{Counted, TraceEvent};
 
 use super::controller::CacheController;
 use super::{CacheName, CacheObject};
@@ -76,8 +76,8 @@ impl CacheController {
         } else {
             (0, self.rollback_node(node))
         };
-        let trace = self.trace();
-        trace.emit(|| TraceEvent::Heartbeat {
+        let trace = &self.trace;
+        trace.emit_counted(&mut self.stats, Counted::Lost(lost.len()), || TraceEvent::Heartbeat {
             at: trace.now(),
             node,
             alive,

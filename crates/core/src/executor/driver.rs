@@ -57,7 +57,7 @@ use std::collections::HashMap;
 use redoop_dfs::{DfsPath, NodeId};
 use redoop_mapred::counters::names as cnames;
 use redoop_mapred::grouped::RunBuilder;
-use redoop_mapred::trace::{CacheAction, NodeScore, TraceEvent};
+use redoop_mapred::trace::{CacheAction, Counted, MissCause, NodeScore, TraceEvent};
 use redoop_mapred::{
     exec, io as mrio, JobMetrics, MapWork, Mapper, MrError, Placement, ReduceWork,
     Reducer, SimTime, TaskKind, Writable,
@@ -298,23 +298,26 @@ where
             // whenever, and by whichever path, it was built.
             let hit = self.cached_on(&name, node);
             let bytes = self.controller.signature(&name).map_or(0, |s| s.bytes);
-            self.trace.emit(|| TraceEvent::Cache {
+            let action = if hit {
+                CacheAction::Hit
+            } else if self.held_elsewhere(&name, node) {
+                CacheAction::Miss(MissCause::OffHolder)
+            } else {
+                CacheAction::Miss(MissCause::Unattributed)
+            };
+            let fact = Counted::Cache(action);
+            self.trace.emit_counted(&mut self.controller.stats, fact, || TraceEvent::Cache {
                 at: ctx.fire,
-                action: if hit { CacheAction::Hit } else { CacheAction::Miss },
+                action,
                 name: name.store_name(),
-                node: if hit { Some(node) } else { None },
+                node: hit.then_some(node),
                 bytes,
             });
             if hit {
                 // Recency feedback for the eviction policy (no trace
                 // event, so journals are unchanged by the stamp).
                 self.controller.touch(&name, ctx.fire);
-                self.win_stats.cache_hits += 1;
                 continue;
-            }
-            self.win_stats.cache_misses += 1;
-            if self.held_elsewhere(&name, node) {
-                self.win_stats.off_holder_misses += 1;
             }
             match name.object {
                 CacheObject::PaneInput { source, pane } | CacheObject::PaneOutput { source, pane } => {
@@ -343,6 +346,8 @@ where
     /// The Eq. 4 decision for a `kind` task ready at `floor`:
     /// [`redoop_mapred::ClusterSim::place`] — the one definition, shared
     /// with the plain-Hadoop `JobRunner` — over this cluster's live nodes.
+    /// Returns the winner and whether it is favoured, for the caller to
+    /// fold.
     fn place(
         &self,
         kind: TaskKind,
@@ -350,7 +355,7 @@ where
         floor: SimTime,
         label: impl FnOnce() -> String,
         affinity: impl Fn(NodeId) -> SimTime,
-    ) -> NodeId {
+    ) -> (NodeId, bool) {
         self.sim.place(kind, favored, &self.cluster.dead_node_indexes(), floor, label, affinity)
     }
 
@@ -369,9 +374,10 @@ where
     /// are the same work differing only by `rebuild_cost`'s estimate
     /// error — one of them maps a whole pane again and moves the
     /// directory entry, the other does nothing. The decision is journaled
-    /// as a `placement` listing that one candidate. A required set split
-    /// over nodes stays with Eq. 4, so a wider window is never dragged
-    /// off the node that holds its older panes.
+    /// as a `placement` listing that one candidate, `local` because the
+    /// anchor holds every cache. A required set split over nodes stays
+    /// with Eq. 4, so a wider window is never dragged off the node that
+    /// holds its older panes.
     pub(super) fn pick_reduce_node(
         &mut self,
         caches: &[CacheName],
@@ -379,7 +385,7 @@ where
         label: &str,
         producer: Option<NodeId>,
     ) -> NodeId {
-        let node = if !self.options.cache_aware_scheduling {
+        let (node, local) = if !self.options.cache_aware_scheduling {
             self.place(TaskKind::Reduce, &[], floor, || label.to_string(), |_| SimTime::ZERO)
         } else if let Some(node) =
             producer.filter(|&p| caches.iter().all(|name| self.cached_on(name, p)))
@@ -389,13 +395,14 @@ where
                 kind: TaskKind::Reduce,
                 label: label.to_string(),
                 chosen: node,
+                local: true,
                 scores: vec![NodeScore {
                     node,
                     load: self.sim.node_load(TaskKind::Reduce, node).max(floor),
                     cost: cache_affinity(&self.controller, caches, node, self.sim.cost()),
                 }],
             });
-            node
+            (node, true)
         } else {
             let holders = cache_holders(&self.controller, caches);
             self.place(
@@ -406,10 +413,7 @@ where
                 |n| cache_affinity(&self.controller, caches, n, self.sim.cost()),
             )
         };
-        self.win_stats.placements_total += 1;
-        if caches.iter().any(|n| self.controller.location(n) == Some(node)) {
-            self.win_stats.placements_cache_local += 1;
-        }
+        self.controller.stats.fold(Counted::Placement(local));
         node
     }
 
@@ -593,12 +597,12 @@ where
             let task_ready = floor.max(slice.ready_at);
             let bytes = work.split_bytes;
             let label = || format!("map/s{source}p{}/{slice_idx}", pane.0);
-            let node = self.place(TaskKind::Map, replicas, task_ready, label, |n| {
+            let (node, local) = self.place(TaskKind::Map, replicas, task_ready, label, |n| {
                 let cost = self.sim.cost();
                 cost.hdfs_read(bytes, replicas.contains(&n))
                     .saturating_sub(cost.hdfs_read(bytes, true))
             });
-            let local = replicas.contains(&node);
+            self.controller.stats.fold(Counted::Placement(local));
             let placement = self.charge_map(node, task_ready, &work, local, metrics);
             self.trace.emit(|| TraceEvent::TaskSpan {
                 phase: "map",
@@ -607,10 +611,6 @@ where
                 end: placement.end,
                 label: label(),
             });
-            self.win_stats.placements_total += 1;
-            if local {
-                self.win_stats.placements_cache_local += 1;
-            }
             slice_infos.push(SliceMapInfo { slice_idx: *slice_idx, end: placement.end, buckets });
             ready = ready.max(placement.end);
         }
@@ -870,16 +870,16 @@ where
                 // Over-budget adoption: fall back to a plain miss. The
                 // remote file and its advertisement stay put — a query
                 // with headroom can still adopt it.
-                self.win_stats.admit_rejects += 1;
                 continue;
             }
-            self.win_stats.shared_hits += 1;
             if entry.available_at > at {
                 producer = Some(entry.node);
             }
-            self.trace.emit(|| TraceEvent::Cache {
+            let action = CacheAction::SharedHit;
+            let fact = Counted::Cache(action);
+            self.trace.emit_counted(&mut self.controller.stats, fact, || TraceEvent::Cache {
                 at,
-                action: CacheAction::SharedHit,
+                action,
                 name: store,
                 node: Some(entry.node),
                 bytes: entry.bytes,
@@ -930,7 +930,6 @@ where
         if !admission.admitted {
             // The build already wrote the file and same-window merges may
             // still read it; the controller queued it for the next purge.
-            self.win_stats.admit_rejects += 1;
             return;
         }
         if let Some(share) = &self.share {
@@ -946,17 +945,16 @@ where
         }
     }
 
-    /// Counts a policy eviction plan and withdraws each victim's
-    /// cross-query advertisement; the controller already queued the
-    /// victims' files for their nodes' purge, the queue lifespan expiry
-    /// fills. Peers that already adopted a victim reconcile through their
-    /// heartbeat audits once the file is gone, the same §5 path a lost
-    /// cache takes.
+    /// Withdraws each policy victim's cross-query advertisement; the
+    /// controller already journaled and counted the evictions and queued
+    /// the victims' files for their nodes' purge, the queue lifespan
+    /// expiry fills. Peers that already adopted a victim reconcile
+    /// through their heartbeat audits once the file is gone, the same §5
+    /// path a lost cache takes.
     fn apply_evictions(&mut self, evicted: &[(NodeId, CacheName)]) {
         if evicted.is_empty() {
             return;
         }
-        self.win_stats.evictions += evicted.len() as u64;
         if let Some(share) = &self.share {
             let mut dir = share.dir.lock();
             for (vnode, vname) in evicted {

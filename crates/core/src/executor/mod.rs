@@ -115,11 +115,12 @@ pub struct WindowReport {
     pub outputs: Vec<DfsPath>,
     /// Pane/pair products built (or rebuilt) this window.
     pub built_products: usize,
-    /// Cache hits this window.
+    /// Cache hits this window: a copy of `trace.cache_hits`, kept for the
+    /// benchmark, which reads it.
     pub reused_caches: usize,
-    /// Journal-derived per-window aggregates: cache hit/miss counts,
-    /// placement locality, rollbacks (always tracked, even when no trace
-    /// sink is installed — the counters are cheap integers).
+    /// The fold of the counted events this window journaled, from its
+    /// start through its purge (folded whether or not a sink is
+    /// installed): hits, misses, placements, rollbacks and the like.
     pub trace: WindowTraceStats,
 }
 
@@ -194,7 +195,6 @@ where
     delta: delta::DeltaMaintenance<M::KOut, M::VOut>,
     window_built: usize,
     trace: TraceSink,
-    win_stats: WindowTraceStats,
     reports: Vec<WindowReport>,
 }
 
@@ -400,7 +400,6 @@ where
             delta: delta::DeltaMaintenance::new(num_reducers),
             window_built: 0,
             trace,
-            win_stats: WindowTraceStats::default(),
             reports: Vec::new(),
         })
     }
@@ -564,11 +563,11 @@ where
         let mut metrics =
             JobMetrics { submitted_at: fire, finished_at: fire, ..Default::default() };
         self.window_built = 0;
-        self.win_stats = WindowTraceStats::default();
+        self.controller.stats = WindowTraceStats::default();
         self.trace.set_now(fire);
 
         // Recovery audit: caches claimed available must still exist.
-        self.win_stats.rollbacks = self.audit_caches() as u64;
+        self.audit_caches();
         if !self.options.caching {
             // The ablation reuses nothing: every cache is dropped, and
             // its file queued for the purge like any other retired copy
@@ -640,6 +639,7 @@ where
         let input_bytes = metrics.counters.get(cnames::HDFS_BYTES_READ);
         self.adaptive.record(response, input_bytes);
 
+        let trace = self.controller.stats;
         let report = WindowReport {
             recurrence: rec,
             fired_at: fire,
@@ -648,8 +648,8 @@ where
             metrics,
             outputs,
             built_products: self.window_built,
-            reused_caches: self.win_stats.cache_hits as usize,
-            trace: self.win_stats,
+            reused_caches: trace.cache_hits as usize,
+            trace,
         };
         self.reports.push(report.clone());
         Ok(report)
@@ -899,13 +899,35 @@ mod tests {
         assert!(!exec.controller().is_empty());
     }
 
+    /// Ingests `k{t % 7}` records every 2 ms and runs windows 0..6 of
+    /// the fixture's spec, each once the data it covers is in.
+    fn run_six_windows(exec: &mut RecurringExecutor<TestMapper, TestReducer>) {
+        let lines = |lo: u64, hi: u64| {
+            (lo..hi).step_by(2).map(|t| format!("{t},k{}", t % 7)).collect::<Vec<_>>()
+        };
+        let range = |lo: u64, hi: u64| {
+            crate::time::TimeRange::new(crate::time::EventTime(lo), crate::time::EventTime(hi))
+        };
+        exec.ingest(0, lines(0, 200).iter().map(|s| s.as_str()), &range(0, 200)).unwrap();
+        exec.run_window(0).unwrap();
+        for w in 1..6u64 {
+            let lo = 100 * w + 100;
+            exec.ingest(0, lines(lo, lo + 100).iter().map(|s| s.as_str()), &range(lo, lo + 100))
+                .unwrap();
+            exec.run_window(w).unwrap();
+        }
+    }
+
     #[test]
     fn traced_and_untraced_runs_pick_identical_schedules() {
         // A sink never changes a schedule: placement decides through the
         // same shortlist whether or not a journal records it, so every
         // virtual-time observable of a run — window responses and output
-        // contents — is bit-identical with the sink on and off.
-        let run = |sink: TraceSink| -> Vec<(SimTime, Vec<Vec<u8>>)> {
+        // contents — is bit-identical with the sink on and off. So are the
+        // reports' counts: every counted emit folds whether or not its
+        // event is built.
+        type Window = (SimTime, WindowTraceStats, Vec<Vec<u8>>);
+        let run = |sink: TraceSink| -> Vec<Window> {
             let (cluster, sim, conf, source, adaptive, _) = fixture();
             let mut exec = RecurringExecutor::aggregation(
                 &cluster,
@@ -919,20 +941,7 @@ mod tests {
             )
             .unwrap();
             exec.set_trace_sink(sink);
-            let lines = |lo: u64, hi: u64| {
-                (lo..hi).step_by(2).map(|t| format!("{t},k{}", t % 7)).collect::<Vec<_>>()
-            };
-            let range = |lo: u64, hi: u64| {
-                crate::time::TimeRange::new(crate::time::EventTime(lo), crate::time::EventTime(hi))
-            };
-            exec.ingest(0, lines(0, 200).iter().map(|s| s.as_str()), &range(0, 200)).unwrap();
-            exec.run_window(0).unwrap();
-            for w in 1..6u64 {
-                let lo = 100 * w + 100;
-                exec.ingest(0, lines(lo, lo + 100).iter().map(|s| s.as_str()), &range(lo, lo + 100))
-                    .unwrap();
-                exec.run_window(w).unwrap();
-            }
+            run_six_windows(&mut exec);
             exec.reports()
                 .iter()
                 .map(|r| {
@@ -941,7 +950,7 @@ mod tests {
                         .iter()
                         .map(|p| cluster.read(p).unwrap().to_vec())
                         .collect::<Vec<_>>();
-                    (r.fired_at + r.response, outs)
+                    (r.fired_at + r.response, r.trace, outs)
                 })
                 .collect()
         };
@@ -949,7 +958,8 @@ mod tests {
         let traced = run(sink.clone());
         let untraced = run(TraceSink::disabled());
         assert_eq!(traced.len(), 6);
-        assert_eq!(traced, untraced, "a trace sink must not change the schedule");
+        assert!(traced.iter().all(|(_, trace, _)| trace.placements_total > 0));
+        assert_eq!(traced, untraced, "a trace sink must not change the schedule or the counts");
         // What the journal records is the decision taken: the chosen node
         // is the `(load + cost, node)` minimum of the listed candidates.
         // (That the list is a shortlist, not a scan, needs more nodes than
@@ -963,6 +973,49 @@ mod tests {
             }
         }
         assert!(placements > 0);
+    }
+
+    #[test]
+    fn a_cache_blind_anchor_is_never_local() {
+        // A placement is local iff its winner is one of the nodes Eq. 4
+        // favoured. On one node with every pane sealed at ingest, each
+        // window's products are all hits on that node, blind or aware, so
+        // neither arm maps and both take one anchor per partition per
+        // window. Aware anchors favour the holder and read local; blind
+        // anchors favour nobody and never do, though their node holds
+        // every cache.
+        let run = |cache_aware_scheduling: bool| -> (u64, u64) {
+            let cluster = Cluster::new(redoop_dfs::ClusterConfig {
+                nodes: 1,
+                replication: 1,
+                ..Default::default()
+            });
+            let sim = ClusterSim::paper_testbed(1, CostModel::default());
+            let (_, _, conf, source, adaptive, _) = fixture();
+            let mut exec = RecurringExecutor::aggregation(
+                &cluster,
+                sim,
+                conf,
+                source,
+                mapper(),
+                reducer(),
+                Arc::new(SumMerger),
+                adaptive,
+            )
+            .unwrap();
+            exec.set_options(ExecutorOptions { cache_aware_scheduling, ..Default::default() });
+            exec.set_combiner(Arc::new(redoop_mapred::combiner::SumCombiner));
+            run_six_windows(&mut exec);
+            let reports = exec.reports();
+            assert!(reports.iter().all(|r| r.trace.cache_misses == 0), "a window mapped");
+            let sum = |count: fn(&WindowTraceStats) -> u64| reports.iter().map(|r| count(&r.trace)).sum();
+            (sum(|t| t.placements_total), sum(|t| t.placements_cache_local))
+        };
+        let ((blind_total, blind_local), (aware_total, aware_local)) = (run(false), run(true));
+        assert_eq!(blind_total, 6 * 2, "one anchor per partition per window");
+        assert_eq!(blind_total, aware_total);
+        assert_eq!(blind_local, 0);
+        assert_eq!(aware_local, aware_total);
     }
 
     #[test]

@@ -346,7 +346,7 @@ where
         affinity: impl Fn(NodeId) -> SimTime,
         end_of: impl Fn(NodeId, SimTime) -> SimTime,
     ) -> Placement {
-        let node = sim.place(kind, favored, dead, ready, &label, affinity);
+        let (node, _) = sim.place(kind, favored, dead, ready, &label, affinity);
         let placement = sim.assign_dynamic(kind, node, ready, |start| end_of(node, start));
         sim.trace().emit(|| crate::trace::TraceEvent::TaskSpan {
             phase: match kind {

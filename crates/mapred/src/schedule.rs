@@ -188,6 +188,9 @@ impl ClusterSim {
     /// scan's (see
     /// [`argmin_shortlist`]). The `Placement` journal event lists exactly
     /// the candidates compared, favored first, best other node last.
+    ///
+    /// Returns the winner and whether it is favoured — the event's
+    /// `local`: the one definition of a data-local placement.
     pub fn place(
         &self,
         kind: SlotKind,
@@ -196,7 +199,7 @@ impl ClusterSim {
         floor: SimTime,
         label: impl FnOnce() -> String,
         affinity: impl Fn(NodeId) -> SimTime,
-    ) -> NodeId {
+    ) -> (NodeId, bool) {
         let mut skip: Vec<usize> = favored.iter().map(|n| n.index()).collect();
         skip.extend_from_slice(dead);
         skip.sort_unstable();
@@ -205,11 +208,13 @@ impl ClusterSim {
         let alive = |n: NodeId| dead.binary_search(&n.index()).is_err();
         let load = |n: NodeId| self.node_load(kind, n).max(floor);
         let chosen = argmin_shortlist(favored, alive, best_other, |n| load(n) + affinity(n));
+        let local = favored.contains(&chosen);
         self.trace.emit(|| TraceEvent::Placement {
             at: floor,
             kind,
             label: label(),
             chosen,
+            local,
             scores: favored
                 .iter()
                 .chain(best_other.iter())
@@ -217,7 +222,7 @@ impl ClusterSim {
                 .map(|&n| NodeScore { node: n, load: load(n), cost: affinity(n) })
                 .collect(),
         });
-        chosen
+        (chosen, local)
     }
 
     /// Claims the earliest-free `kind` slot on `node` for a task that is

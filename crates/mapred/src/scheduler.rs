@@ -159,7 +159,7 @@ mod tests {
         let (mut maps, mut reduces, mut ties) = (0, 0, 0);
         for event in sink.events() {
             let (at, kind, label, chosen, scores) = match event {
-                TraceEvent::Placement { at, kind, label, chosen, scores } => {
+                TraceEvent::Placement { at, kind, label, chosen, scores, .. } => {
                     (at, kind, label, chosen, scores)
                 }
                 TraceEvent::TaskSpan { phase, node, end, .. } => {
@@ -265,7 +265,8 @@ mod tests {
                 }
                 let full = SchedulerCtx { loads: &clamped, alive: &alive }.argmin(&affinity);
                 let placed = sim.place(kind, &favored_ids, &dead, floor, String::new, affinity);
-                assert_eq!(placed, full, "{nodes} nodes, case {case}");
+                let local = favored_ids.contains(&full);
+                assert_eq!(placed, (full, local), "{nodes} nodes, case {case}");
             }
         }
     }

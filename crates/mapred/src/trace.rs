@@ -3,19 +3,23 @@
 //! A [`TraceSink`] records typed [`TraceEvent`]s with virtual timestamps:
 //! task placement decisions of both engines (including the
 //! `Load_i + C_task,i` score of every candidate the Eq. 4 argmin,
-//! `ClusterSim::place`, compared), cache lifecycle transitions
-//! (register/hit/miss/invalidate/forget/purge), heartbeat reconciliation
-//! and §5 rollbacks, pane seal/expire, incremental delta fold/seal, and
-//! per-phase task spans (map/shuffle/sort/reduce/merge/fold).
+//! `ClusterSim::place`, compared, and whether the winner was favoured),
+//! cache lifecycle transitions (register/hit/miss with its cause/
+//! invalidate/forget/purge), heartbeat reconciliation and §5 rollbacks,
+//! pane seal/expire, incremental delta fold/seal, and per-phase task
+//! spans (map/shuffle/sort/reduce/merge/fold). A window report's counts,
+//! [`WindowTraceStats`], are a fold of the [`Counted`] facts of its
+//! events.
 //!
 //! Design constraints:
 //!
 //! * **Zero-cost when disabled.** A disabled sink holds no allocation and
 //!   [`TraceSink::emit`] never invokes its closure, so event construction
-//!   (formatting names, collecting per-node scores) is skipped entirely.
-//!   `emit` is also the *only* way to reach a sink: there is no "is a
-//!   sink installed" query, so no component can take a different code
-//!   path — and so reach a different result — when traced.
+//!   (formatting names, collecting per-node scores) is skipped entirely;
+//!   [`TraceSink::emit_counted`] still folds its fact. Emitting is also
+//!   the *only* way to reach a sink: there is no "is a sink installed"
+//!   query, so no component can take a different code path — and so
+//!   reach a different result, or a different count — when traced.
 //! * **Deterministic.** Traces are derived state: emitters fire only from
 //!   the sequential apply sections of the simulator (never from host
 //!   worker threads), and rendered journals use integer microsecond
@@ -62,7 +66,7 @@ pub enum CacheAction {
     /// A window consumed the cache from its holder's local store.
     Hit,
     /// A window needed the cache but had to (re)build it.
-    Miss,
+    Miss(MissCause),
     /// Cache file lost; the controller clears its holder (targeted
     /// rollback).
     Invalidate,
@@ -94,12 +98,42 @@ pub enum CacheAction {
     AdmitReject,
 }
 
+/// Why a window rebuilt a cache it needed: a `miss` event's `cause`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MissCause {
+    /// A live node other than the anchor held or was building the cache.
+    OffHolder,
+    /// Any other miss (never built, expired, evicted, refused or lost).
+    Unattributed,
+}
+
+impl MissCause {
+    fn as_str(self) -> &'static str {
+        match self {
+            MissCause::OffHolder => "off_holder",
+            MissCause::Unattributed => "unattributed",
+        }
+    }
+}
+
+/// The fact of a journal event that a report counts: the input of
+/// [`WindowTraceStats::fold`]. Only three event kinds carry one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counted {
+    /// A `cache` event's action.
+    Cache(CacheAction),
+    /// A `placement` event's `local`.
+    Placement(bool),
+    /// A `heartbeat` event's `lost` count.
+    Lost(usize),
+}
+
 impl CacheAction {
     fn as_str(self) -> &'static str {
         match self {
             CacheAction::Register => "register",
             CacheAction::Hit => "hit",
-            CacheAction::Miss => "miss",
+            CacheAction::Miss(_) => "miss",
             CacheAction::Invalidate => "invalidate",
             CacheAction::Forget => "forget",
             CacheAction::Purge => "purge",
@@ -128,6 +162,9 @@ pub enum TraceEvent {
         label: String,
         /// Winning node.
         chosen: NodeId,
+        /// Whether the winner is a favoured node (a cache holder, a block
+        /// replica); `false` for a cache-blind placement.
+        local: bool,
         /// `Load_i + C_task,i` of exactly the candidates the argmin
         /// compared — the favoured nodes (cache holders / block
         /// replicas) that are alive, then the best uniformly-priced
@@ -283,12 +320,22 @@ fn kind_str(kind: TaskKind) -> &'static str {
 }
 
 impl TraceEvent {
+    /// The fact of this event a report counts, if any.
+    pub fn counted(&self) -> Option<Counted> {
+        match *self {
+            TraceEvent::Cache { action, .. } => Some(Counted::Cache(action)),
+            TraceEvent::Placement { local, .. } => Some(Counted::Placement(local)),
+            TraceEvent::Heartbeat { lost, .. } => Some(Counted::Lost(lost)),
+            _ => None,
+        }
+    }
+
     /// Appends this event as one JSON object. Timestamps are integer
     /// microseconds of virtual time (no floats — rendering is exact and
     /// byte-stable).
     fn write_json(&self, out: &mut String) {
         match self {
-            TraceEvent::Placement { at, kind, label, chosen, scores } => {
+            TraceEvent::Placement { at, kind, label, chosen, local, scores } => {
                 let _ = write!(
                     out,
                     "{{\"type\":\"placement\",\"at_us\":{},\"kind\":\"{}\",\"label\":\"",
@@ -296,7 +343,7 @@ impl TraceEvent {
                     kind_str(*kind)
                 );
                 escape_json(label, out);
-                let _ = write!(out, "\",\"chosen\":{},\"scores\":[", chosen.0);
+                let _ = write!(out, "\",\"chosen\":{},\"local\":{local},\"scores\":[", chosen.0);
                 for (i, s) in scores.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
@@ -321,10 +368,14 @@ impl TraceEvent {
             TraceEvent::Cache { at, action, name, node, bytes } => {
                 let _ = write!(
                     out,
-                    "{{\"type\":\"cache\",\"at_us\":{},\"action\":\"{}\",\"name\":\"",
+                    "{{\"type\":\"cache\",\"at_us\":{},\"action\":\"{}",
                     at.0,
                     action.as_str()
                 );
+                if let CacheAction::Miss(cause) = action {
+                    let _ = write!(out, "\",\"cause\":\"{}", cause.as_str());
+                }
+                out.push_str("\",\"name\":\"");
                 escape_json(name, out);
                 out.push('"');
                 match node {
@@ -475,6 +526,23 @@ impl TraceSink {
         }
     }
 
+    /// Folds `fact` into `stats`, then records the event it is the fact
+    /// of. The fold happens whether or not the sink is enabled, so the
+    /// counts never depend on tracing; the closure runs only when it is.
+    pub fn emit_counted(
+        &self,
+        stats: &mut WindowTraceStats,
+        fact: Counted,
+        build: impl FnOnce() -> TraceEvent,
+    ) {
+        stats.fold(fact);
+        self.emit(|| {
+            let event = build();
+            debug_assert_eq!(event.counted(), Some(fact), "a counted emit journals its fact");
+            event
+        });
+    }
+
     /// Advances the shared "current virtual time" used by emitters that
     /// have no timestamp of their own (controller invalidations, purge
     /// scans). Monotonic: earlier times are ignored.
@@ -545,39 +613,60 @@ impl TraceSink {
     }
 }
 
-/// Per-window aggregation of journal signals, folded into the executor's
-/// `WindowReport`. Integer counters only (ratios are derived on demand)
-/// so `Debug` output stays byte-stable across runs.
+/// Per-window counts, the executor's `WindowReport::trace`: a
+/// [`fold`](Self::fold) of the [`Counted`] facts of the events the
+/// window journaled, so folding a journal reproduces the sum of its
+/// reports. Integer counters only, so `Debug` output is byte-stable.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WindowTraceStats {
-    /// Caches consumed from a holder's local store this window.
+    /// `hit` events: caches consumed from a holder's local store.
     pub cache_hits: u64,
-    /// Caches that had to be (re)built this window.
+    /// `miss` events: caches that had to be (re)built.
     pub cache_misses: u64,
-    /// The `cache_misses` whose cache a live node held, or was building,
-    /// when the partition was anchored somewhere else: work whose result
-    /// already existed (the *off-holder* miss cause).
+    /// `miss` events of cause `off_holder`: the cache was on, or being
+    /// built on, a live node other than the anchor.
     pub off_holder_misses: u64,
-    /// Eq. 4 placement decisions taken this window.
+    /// `placement` events: Eq. 4 decisions.
     pub placements_total: u64,
-    /// Placements that landed on a node already holding needed data
-    /// (a requested cache, or a local HDFS replica for maps).
+    /// `placement` events with `local`: the winner held needed data (a
+    /// requested cache, or a replica of a map's split).
     pub placements_cache_local: u64,
-    /// Caches rolled back by heartbeat reconciliation this window (§5).
+    /// The heartbeats' `lost` counts: caches rolled back by the audit
+    /// (§5).
     pub rollbacks: u64,
-    /// Caches adopted from signature-equivalent entries built by other
-    /// queries (cross-query sharing) this window. These subsequently
-    /// count as `cache_hits` when the plan probes them, so
+    /// `shared_hit` events: caches adopted from signature-equivalent
+    /// entries built by other queries (cross-query sharing). These
+    /// subsequently count as `cache_hits` when the plan probes them, so
     /// `shared_hits` isolates the cross-query contribution.
     pub shared_hits: u64,
-    /// Caches evicted by the capacity policy this window.
+    /// `evict` events: caches the capacity policy evicted.
     pub evictions: u64,
-    /// Freshly built caches the capacity policy refused to admit this
-    /// window.
+    /// `admit_reject` events: builds and adoptions the capacity policy
+    /// refused.
     pub admit_rejects: u64,
 }
 
 impl WindowTraceStats {
+    /// Counts one event's fact: the only code that changes a count.
+    pub fn fold(&mut self, fact: Counted) {
+        match fact {
+            Counted::Cache(CacheAction::Hit) => self.cache_hits += 1,
+            Counted::Cache(CacheAction::Miss(cause)) => {
+                self.cache_misses += 1;
+                self.off_holder_misses += u64::from(cause == MissCause::OffHolder);
+            }
+            Counted::Cache(CacheAction::SharedHit) => self.shared_hits += 1,
+            Counted::Cache(CacheAction::Evict) => self.evictions += 1,
+            Counted::Cache(CacheAction::AdmitReject) => self.admit_rejects += 1,
+            Counted::Cache(_) => {}
+            Counted::Placement(local) => {
+                self.placements_total += 1;
+                self.placements_cache_local += u64::from(local);
+            }
+            Counted::Lost(lost) => self.rollbacks += lost as u64,
+        }
+    }
+
     /// Fraction of needed caches served locally (0 when nothing needed).
     pub fn cache_hit_ratio(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
@@ -585,15 +674,6 @@ impl WindowTraceStats {
             0.0
         } else {
             self.cache_hits as f64 / total as f64
-        }
-    }
-
-    /// Fraction of placements that were data-local (0 when none taken).
-    pub fn locality_ratio(&self) -> f64 {
-        if self.placements_total == 0 {
-            0.0
-        } else {
-            self.placements_cache_local as f64 / self.placements_total as f64
         }
     }
 }
@@ -606,8 +686,84 @@ mod tests {
     fn disabled_sink_never_builds_events() {
         let sink = TraceSink::disabled();
         sink.emit(|| panic!("closure must not run on a disabled sink"));
+        // A counted emit still counts: the report never depends on the
+        // sink.
+        let mut stats = WindowTraceStats::default();
+        sink.emit_counted(&mut stats, Counted::Cache(CacheAction::Hit), || {
+            panic!("closure must not run on a disabled sink")
+        });
+        assert_eq!(stats, WindowTraceStats { cache_hits: 1, ..Default::default() });
         assert!(sink.is_empty());
         assert_eq!(sink.render_json(), "{\"schema\":\"redoop-trace/1\",\"dropped\":0,\"events\":[]}");
+    }
+
+    #[test]
+    fn each_counted_fact_folds_once_into_its_field() {
+        let cache = |action| TraceEvent::Cache {
+            at: SimTime(1),
+            action,
+            name: "ro/s0p0/r0".into(),
+            node: None,
+            bytes: 0,
+        };
+        let placement = |local| TraceEvent::Placement {
+            at: SimTime(1),
+            kind: TaskKind::Map,
+            label: "m".into(),
+            chosen: NodeId(0),
+            local,
+            scores: Vec::new(),
+        };
+        let heartbeat = |lost| TraceEvent::Heartbeat { at: SimTime(1), node: NodeId(0), alive: true, held: 2, lost };
+        let one = WindowTraceStats::default();
+        let counted = [
+            (cache(CacheAction::Hit), WindowTraceStats { cache_hits: 1, ..one }),
+            (cache(CacheAction::Miss(MissCause::Unattributed)), WindowTraceStats { cache_misses: 1, ..one }),
+            (
+                cache(CacheAction::Miss(MissCause::OffHolder)),
+                WindowTraceStats { cache_misses: 1, off_holder_misses: 1, ..one },
+            ),
+            (cache(CacheAction::SharedHit), WindowTraceStats { shared_hits: 1, ..one }),
+            (cache(CacheAction::Evict), WindowTraceStats { evictions: 1, ..one }),
+            (cache(CacheAction::AdmitReject), WindowTraceStats { admit_rejects: 1, ..one }),
+            (placement(false), WindowTraceStats { placements_total: 1, ..one }),
+            (placement(true), WindowTraceStats { placements_total: 1, placements_cache_local: 1, ..one }),
+            (heartbeat(3), WindowTraceStats { rollbacks: 3, ..one }),
+        ];
+        let uncounted = [
+            cache(CacheAction::Register),
+            cache(CacheAction::Invalidate),
+            cache(CacheAction::Forget),
+            cache(CacheAction::Purge),
+            cache(CacheAction::Expire),
+            cache(CacheAction::ExpireDeferred),
+            cache(CacheAction::PartialRebuild),
+            heartbeat(0),
+            TraceEvent::TaskSpan { phase: "map", node: NodeId(0), start: SimTime(0), end: SimTime(1), label: "m".into() },
+            TraceEvent::Rollback { at: SimTime(1), node: NodeId(0), lost: vec!["ro/s0p0/r0".into()] },
+            TraceEvent::PaneSeal { at: SimTime(1), source: 0, pane: 0 },
+            TraceEvent::DeltaFold { at: SimTime(1), source: 0, pane: 0, records: 4, groups: 2 },
+            TraceEvent::DeltaSeal { at: SimTime(1), source: 0, pane: 0, partition: 0, node: NodeId(0), bytes: 8 },
+            TraceEvent::PaneExpire { at: SimTime(1), source: 0, pane: 0 },
+            TraceEvent::PurgeScan { at: SimTime(1), node: NodeId(0), trigger: "periodic", purged: 1 },
+            TraceEvent::Salvage { at: SimTime(1), name: "ro/s0p0/r0".into(), node: NodeId(0), intact: 1, total: 2 },
+        ];
+        let fold = |events: &[TraceEvent]| {
+            let mut stats = WindowTraceStats::default();
+            events.iter().filter_map(TraceEvent::counted).for_each(|f| stats.fold(f));
+            stats
+        };
+        for (event, want) in &counted {
+            assert_eq!(fold(std::slice::from_ref(event)), *want, "{event:?}");
+        }
+        assert_eq!(fold(&uncounted), WindowTraceStats::default());
+        // A counted emit folds what it journals.
+        let sink = TraceSink::with_capacity(16);
+        let mut stats = WindowTraceStats::default();
+        for (event, _) in &counted {
+            sink.emit_counted(&mut stats, event.counted().unwrap(), || event.clone());
+        }
+        assert_eq!(fold(&sink.events()), stats);
     }
 
     #[test]
@@ -644,6 +800,7 @@ mod tests {
             kind: TaskKind::Reduce,
             label: "w0/reduce".into(),
             chosen: NodeId(1),
+            local: true,
             scores: vec![
                 NodeScore { node: NodeId(0), load: SimTime(5), cost: SimTime(9) },
                 NodeScore { node: NodeId(1), load: SimTime(2), cost: SimTime(1) },
@@ -656,15 +813,24 @@ mod tests {
             node: Some(NodeId(2)),
             bytes: 512,
         });
+        sink.emit(|| TraceEvent::Cache {
+            at: SimTime(12),
+            action: CacheAction::Miss(MissCause::OffHolder),
+            name: "ro/s0p4/r1".into(),
+            node: None,
+            bytes: 0,
+        });
         let json = sink.render_json();
         assert_eq!(
             json,
             "{\"schema\":\"redoop-trace/1\",\"dropped\":0,\"events\":[\
              {\"type\":\"placement\",\"at_us\":10,\"kind\":\"reduce\",\"label\":\"w0/reduce\",\
-             \"chosen\":1,\"scores\":[{\"node\":0,\"load_us\":5,\"cost_us\":9},\
+             \"chosen\":1,\"local\":true,\"scores\":[{\"node\":0,\"load_us\":5,\"cost_us\":9},\
              {\"node\":1,\"load_us\":2,\"cost_us\":1}]},\
              {\"type\":\"cache\",\"at_us\":11,\"action\":\"register\",\"name\":\"ri/s0p3.0/r1\",\
-             \"node\":2,\"bytes\":512}]}"
+             \"node\":2,\"bytes\":512},\
+             {\"type\":\"cache\",\"at_us\":12,\"action\":\"miss\",\"cause\":\"off_holder\",\
+             \"name\":\"ro/s0p4/r1\",\"node\":null,\"bytes\":0}]}"
         );
     }
 
@@ -732,18 +898,8 @@ mod tests {
 
     #[test]
     fn window_stats_ratios() {
-        let s = WindowTraceStats {
-            cache_hits: 3,
-            cache_misses: 1,
-            placements_total: 4,
-            placements_cache_local: 2,
-            rollbacks: 0,
-            shared_hits: 1,
-            ..Default::default()
-        };
+        let s = WindowTraceStats { cache_hits: 3, cache_misses: 1, ..Default::default() };
         assert_eq!(s.cache_hit_ratio(), 0.75);
-        assert_eq!(s.locality_ratio(), 0.5);
         assert_eq!(WindowTraceStats::default().cache_hit_ratio(), 0.0);
-        assert_eq!(WindowTraceStats::default().locality_ratio(), 0.0);
     }
 }

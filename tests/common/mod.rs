@@ -309,3 +309,147 @@ pub fn store_name(fp: u64, object: &str) -> String {
 pub fn cache_class(name: &str) -> &str {
     name.split('/').nth(1).unwrap_or_default()
 }
+
+/// One query of a shared fleet.
+#[derive(Clone, Copy)]
+pub struct FleetQuery {
+    pub spec: WindowSpec,
+    pub windows: u64,
+    pub options: ExecutorOptions,
+    pub budget: Option<CacheBudget>,
+}
+
+impl FleetQuery {
+    pub fn plain(spec: WindowSpec, windows: u64) -> Self {
+        FleetQuery { spec, windows, options: ExecutorOptions::default(), budget: None }
+    }
+}
+
+/// What a fleet run leaves behind: per query its window reports and
+/// decoded window outputs, and the one journal all queries wrote.
+pub struct FleetRun {
+    pub reports: Vec<Vec<WindowReport>>,
+    pub outputs: Vec<Vec<Vec<(String, u64)>>>,
+    pub sink: redoop_mapred::trace::TraceSink,
+}
+
+impl FleetRun {
+    pub fn sum(&self, f: impl Fn(&WindowReport) -> u64) -> u64 {
+        self.reports.iter().flatten().map(f).sum()
+    }
+
+    /// How often each `ro/` cache was registered — physically built.
+    pub fn ro_registers(&self) -> std::collections::BTreeMap<String, usize> {
+        use redoop_mapred::trace::{CacheAction, TraceEvent};
+        let mut built = std::collections::BTreeMap::new();
+        for e in self.sink.events() {
+            if let TraceEvent::Cache { action: CacheAction::Register, name, .. } = e {
+                if name.contains("/ro/") {
+                    *built.entry(name).or_insert(0) += 1;
+                }
+            }
+        }
+        built
+    }
+}
+
+/// Attaches `queries`, in order, to one shared source of `batches` on one
+/// simulated clock and steps the deployment until every window has run.
+pub fn run_fleet(
+    cluster: &redoop_dfs::Cluster,
+    tag: &str,
+    batches: &[redoop_workloads::arrival::GeneratedBatch],
+    queries: &[FleetQuery],
+) -> FleetRun {
+    run_fleet_with(cluster, tag, batches, queries, |_, _| ())
+}
+
+/// [`run_fleet`], calling `before_step` with the clock and every query's
+/// reports so far ahead of each deployment step.
+pub fn run_fleet_with(
+    cluster: &redoop_dfs::Cluster,
+    tag: &str,
+    batches: &[redoop_workloads::arrival::GeneratedBatch],
+    queries: &[FleetQuery],
+    mut before_step: impl FnMut(&mut redoop_mapred::ClusterSim, &[Vec<WindowReport>]),
+) -> FleetRun {
+    let specs: Vec<WindowSpec> = queries.iter().map(|q| q.spec).collect();
+    let shared = redoop_core::SharedSource::new(
+        cluster,
+        0,
+        "wcc",
+        DfsPath::new(format!("/panes/{tag}")).unwrap(),
+        &specs,
+        leading_ts_fn(),
+    )
+    .unwrap();
+    let clock = test_sim(cluster);
+    let sink = redoop_mapred::trace::TraceSink::with_capacity(1 << 20);
+    let mut execs: Vec<RecurringExecutor<AggMapper, AggReducer>> = queries
+        .iter()
+        .enumerate()
+        .map(|(i, q)| {
+            let mut e =
+                shared_agg_executor(cluster, clock.clone(), &shared, q.spec, &format!("{tag}-q{i}"));
+            e.set_options(q.options);
+            if let Some(budget) = q.budget {
+                e.set_cache_policy(budget);
+            }
+            e.set_trace_sink(sink.clone());
+            e
+        })
+        .collect();
+    let mut deployment = RecurringDeployment::new(clock.clone());
+    let src = deployment.add_shared_source(shared.clone(), batches.iter().map(arrival).collect());
+    for (e, q) in execs.iter_mut().zip(queries) {
+        deployment.add_query(e, &[src], q.windows).unwrap();
+    }
+    let mut reports = vec![Vec::new(); queries.len()];
+    let mut outputs = vec![Vec::new(); queries.len()];
+    let mut clock = clock;
+    loop {
+        before_step(&mut clock, &reports);
+        let Some(fired) = deployment.step().unwrap() else { break };
+        outputs[fired.query].push(read_window_output(cluster, &fired.report.outputs).unwrap());
+        reports[fired.query].push(fired.report);
+    }
+    assert_eq!(sink.dropped(), 0, "the journal ring must hold the whole run");
+    FleetRun { reports, outputs, sink }
+}
+
+/// Two signature-equal queries on one 1000 s slide: a narrow one, 2
+/// panes wide over 7 windows, that leads and places cache-blind, and a
+/// wide one, 4 panes wide over 5 windows.
+pub fn narrow_and_wide() -> [FleetQuery; 2] {
+    let blind = ExecutorOptions { cache_aware_scheduling: false, ..Default::default() };
+    [
+        FleetQuery { options: blind, ..FleetQuery::plain(WindowSpec::new(2_000_000, 1_000_000).unwrap(), 7) },
+        FleetQuery::plain(WindowSpec::new(4_000_000, 1_000_000).unwrap(), 5),
+    ]
+}
+
+/// Runs [`narrow_and_wide`] as a fleet. As each narrow window fires, the
+/// cluster's lower or upper half (alternately) is busy for a
+/// millisecond, so the blind narrow query's anchors move every window.
+pub fn run_narrow_and_wide(cluster: &Cluster, tag: &str, batches: &[GeneratedBatch]) -> FleetRun {
+    let [narrow, wide] = narrow_and_wide();
+    run_fleet_with(cluster, tag, batches, &[narrow, wide], |clock, reports| {
+        let (n, m) = (reports[0].len() as u64, reports[1].len() as u64);
+        // Once per narrow window, when it is the next to fire (it
+        // registered first, so it fires first on a tie).
+        if n == narrow.windows || (m < wide.windows && wide.spec.fire_time(m) < narrow.spec.fire_time(n)) {
+            return;
+        }
+        let fire = SimTime::from_millis(narrow.spec.fire_time(n).0);
+        for node in 0..4 * (n as u32 % 2) {
+            for _slot in 0..2 {
+                clock.assign(
+                    redoop_mapred::TaskKind::Reduce,
+                    redoop_dfs::NodeId(node),
+                    fire,
+                    SimTime::from_millis(1),
+                );
+            }
+        }
+    })
+}

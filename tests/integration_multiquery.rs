@@ -14,7 +14,7 @@ use redoop_core::prelude::*;
 use redoop_core::{RecurringExecutor, SharedSource};
 use redoop_dfs::DfsPath;
 use redoop_mapred::trace::TraceSink;
-use redoop_mapred::{MapContext, Mapper, ReduceContext, Reducer, SimTime, SmallKey};
+use redoop_mapred::{MapContext, Mapper, ReduceContext, Reducer, SmallKey};
 use redoop_workloads::arrival::ArrivalPlan;
 use redoop_workloads::queries::{AggMapper, AggReducer};
 use redoop_workloads::wcc::WccGenerator;
@@ -499,113 +499,6 @@ fn distinct_share_tags_keep_disjoint_files() {
 // being built — never race them with a rebuild of its own.
 // ---------------------------------------------------------------------
 
-/// One query of a shared fleet.
-#[derive(Clone, Copy)]
-struct FleetQuery {
-    spec: WindowSpec,
-    windows: u64,
-    options: ExecutorOptions,
-    budget: Option<CacheBudget>,
-}
-
-impl FleetQuery {
-    fn plain(spec: WindowSpec, windows: u64) -> Self {
-        FleetQuery { spec, windows, options: ExecutorOptions::default(), budget: None }
-    }
-}
-
-/// What a fleet run leaves behind: per query its window reports and
-/// decoded window outputs, and the one journal all queries wrote.
-struct FleetRun {
-    reports: Vec<Vec<WindowReport>>,
-    outputs: Vec<Vec<Vec<(String, u64)>>>,
-    sink: redoop_mapred::trace::TraceSink,
-}
-
-impl FleetRun {
-    fn sum(&self, f: impl Fn(&WindowReport) -> u64) -> u64 {
-        self.reports.iter().flatten().map(f).sum()
-    }
-
-    /// How often each `ro/` cache was registered — physically built.
-    fn ro_registers(&self) -> std::collections::BTreeMap<String, usize> {
-        use redoop_mapred::trace::{CacheAction, TraceEvent};
-        let mut built = std::collections::BTreeMap::new();
-        for e in self.sink.events() {
-            if let TraceEvent::Cache { action: CacheAction::Register, name, .. } = e {
-                if name.contains("/ro/") {
-                    *built.entry(name).or_insert(0) += 1;
-                }
-            }
-        }
-        built
-    }
-}
-
-/// Attaches `queries`, in order, to one shared source of `batches` on one
-/// simulated clock and steps the deployment until every window has run.
-fn run_fleet(
-    cluster: &redoop_dfs::Cluster,
-    tag: &str,
-    batches: &[redoop_workloads::arrival::GeneratedBatch],
-    queries: &[FleetQuery],
-) -> FleetRun {
-    run_fleet_with(cluster, tag, batches, queries, |_, _| ())
-}
-
-/// [`run_fleet`], calling `before_step` with the clock and every query's
-/// reports so far ahead of each deployment step.
-fn run_fleet_with(
-    cluster: &redoop_dfs::Cluster,
-    tag: &str,
-    batches: &[redoop_workloads::arrival::GeneratedBatch],
-    queries: &[FleetQuery],
-    mut before_step: impl FnMut(&mut redoop_mapred::ClusterSim, &[Vec<WindowReport>]),
-) -> FleetRun {
-    let specs: Vec<WindowSpec> = queries.iter().map(|q| q.spec).collect();
-    let shared = SharedSource::new(
-        cluster,
-        0,
-        "wcc",
-        DfsPath::new(format!("/panes/{tag}")).unwrap(),
-        &specs,
-        leading_ts_fn(),
-    )
-    .unwrap();
-    let clock = test_sim(cluster);
-    let sink = redoop_mapred::trace::TraceSink::with_capacity(1 << 20);
-    let mut execs: Vec<RecurringExecutor<AggMapper, AggReducer>> = queries
-        .iter()
-        .enumerate()
-        .map(|(i, q)| {
-            let mut e =
-                shared_agg_executor(cluster, clock.clone(), &shared, q.spec, &format!("{tag}-q{i}"));
-            e.set_options(q.options);
-            if let Some(budget) = q.budget {
-                e.set_cache_policy(budget);
-            }
-            e.set_trace_sink(sink.clone());
-            e
-        })
-        .collect();
-    let mut deployment = RecurringDeployment::new(clock.clone());
-    let src = deployment.add_shared_source(shared.clone(), batches.iter().map(arrival).collect());
-    for (e, q) in execs.iter_mut().zip(queries) {
-        deployment.add_query(e, &[src], q.windows).unwrap();
-    }
-    let mut reports = vec![Vec::new(); queries.len()];
-    let mut outputs = vec![Vec::new(); queries.len()];
-    let mut clock = clock;
-    loop {
-        before_step(&mut clock, &reports);
-        let Some(fired) = deployment.step().unwrap() else { break };
-        outputs[fired.query].push(read_window_output(cluster, &fired.report.outputs).unwrap());
-        reports[fired.query].push(fired.report);
-    }
-    assert_eq!(sink.dropped(), 0, "the journal ring must hold the whole run");
-    FleetRun { reports, outputs, sink }
-}
-
 #[test]
 fn a_fleet_builds_each_shared_product_once_at_scale() {
     // The `repro scale` fixture — bursty, diurnal, skew-drifting arrivals
@@ -667,49 +560,21 @@ fn a_fleet_builds_each_shared_product_once_at_scale() {
 
 #[test]
 fn a_wider_window_is_not_dragged_to_the_producer() {
-    // Two signature-equal queries on one slide, 2 and 4 panes wide. The
-    // narrow one leads and places cache-blind — on the least-loaded node —
-    // and as each of its windows fires, the cluster's lower or upper half
-    // (alternately) is busy for a millisecond, so its anchors move every
-    // window — as plain Hadoop's heartbeat-order reduces do. Each fresh
+    // Two signature-equal queries on one slide, 2 and 4 panes wide
+    // (`narrow_and_wide`). The narrow one leads and places cache-blind —
+    // on the least-loaded node — and its anchors move every window, as
+    // plain Hadoop's heartbeat-order reduces do. Each fresh
     // pane is in flight on a node that holds nothing else the wide query
     // needs, while the wide query's three older panes sit on its own
     // anchor. The producer is not a complete holder, so Eq. 4 decides —
     // and keeps the wide query where its panes are, building the one
     // fresh pane there. Joining the producer regardless would rebuild the
     // three older panes beside it every window.
-    use redoop_mapred::TaskKind;
     const R: usize = 4;
-    let narrow = WindowSpec::new(2_000_000, 1_000_000).unwrap();
-    let wide = WindowSpec::new(4_000_000, 1_000_000).unwrap();
-    let (narrow_windows, wide_windows) = (7, 5);
-    let plan = ArrivalPlan::new(wide, wide_windows);
-    let batches = wcc_batches(&plan, 91, 1.0);
+    let [narrow, wide] = narrow_and_wide();
+    let batches = wcc_batches(&ArrivalPlan::new(wide.spec, wide.windows), 91, 1.0);
     let cluster = test_cluster();
-    let blind = ExecutorOptions { cache_aware_scheduling: false, ..Default::default() };
-    let run = run_fleet_with(
-        &cluster,
-        "wide",
-        &batches,
-        &[
-            FleetQuery { options: blind, ..FleetQuery::plain(narrow, narrow_windows) },
-            FleetQuery::plain(wide, wide_windows),
-        ],
-        |clock, reports| {
-            let (n, m) = (reports[0].len() as u64, reports[1].len() as u64);
-            // Once per narrow window, when it is the next to fire (it
-            // registered first, so it fires first on a tie).
-            if n == narrow_windows || (m < wide_windows && wide.fire_time(m) < narrow.fire_time(n)) {
-                return;
-            }
-            let fire = SimTime::from_millis(narrow.fire_time(n).0);
-            for node in 0..4 * (n as u32 % 2) {
-                for _slot in 0..2 {
-                    clock.assign(TaskKind::Reduce, redoop_dfs::NodeId(node), fire, SimTime::from_millis(1));
-                }
-            }
-        },
-    );
+    let run = run_narrow_and_wide(&cluster, "wide", &batches);
     let wide_reports = &run.reports[1];
     assert!(wide_reports.iter().all(|r| r.trace.shared_hits > 0), "the wide query imports");
     // The split required set is met every steady window: what the wide
@@ -725,8 +590,8 @@ fn a_wider_window_is_not_dragged_to_the_producer() {
     let built: Vec<usize> = wide_reports.iter().map(|r| r.built_products).collect();
     assert_eq!(built, [6, 3, 1, 3, 1], "the wide query was dragged off its panes");
     assert!(wide_reports.iter().all(|r| r.built_products + r.reused_caches == 4 * R));
-    assert_eq!(run.outputs[0], recomputed_windows(&cluster, "wide-n", &batches, &narrow, narrow_windows));
-    assert_eq!(run.outputs[1], recomputed_windows(&cluster, "wide-w", &batches, &wide, wide_windows));
+    assert_eq!(run.outputs[0], recomputed_windows(&cluster, "wide-n", &batches, &narrow.spec, narrow.windows));
+    assert_eq!(run.outputs[1], recomputed_windows(&cluster, "wide-w", &batches, &wide.spec, wide.windows));
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Trace-journal integration tests: per-window trace stats must mirror
 //! the paper's qualitative results (cache hit ratios track overlap,
-//! Fig. 6; rollbacks appear under failures, Fig. 9), the adaptive
+//! Fig. 6; rollbacks appear under failures, Fig. 9) and be a fold of
+//! the journal, the adaptive
 //! sub-pane expiry sweep must leave no out-of-window controller
 //! entries, every journaled cache must be one a build, an adoption or a
 //! refusal introduced, and a join that lost a node mid-run must end with
@@ -13,7 +14,7 @@ use common::*;
 use redoop_core::cache::{CacheName, CacheObject};
 use redoop_core::prelude::*;
 use redoop_dfs::NodeId;
-use redoop_mapred::trace::{CacheAction, TraceEvent, TraceSink};
+use redoop_mapred::trace::{CacheAction, TraceEvent, TraceSink, WindowTraceStats};
 use redoop_workloads::arrival::ArrivalPlan;
 
 /// Runs the aggregation at `overlap` and returns the steady-state
@@ -381,4 +382,132 @@ fn a_join_that_lost_a_node_leaves_no_stale_entries_or_files() {
     }
     stale_files.retain(|f| files.contains(f));
     assert!(stale_files.is_empty(), "live nodes must hold no stale cache file: {stale_files:?}");
+}
+
+/// A report's counts, field by field.
+fn counts(t: &WindowTraceStats) -> [u64; 9] {
+    [
+        t.cache_hits,
+        t.cache_misses,
+        t.off_holder_misses,
+        t.placements_total,
+        t.placements_cache_local,
+        t.rollbacks,
+        t.shared_hits,
+        t.evictions,
+        t.admit_rejects,
+    ]
+}
+
+/// Asserts that folding every event of `sink`'s journal gives the
+/// field-by-field sum of `reports`' counts, and returns that fold.
+fn assert_reports_fold_the_journal<'r>(
+    what: &str,
+    sink: &TraceSink,
+    reports: impl IntoIterator<Item = &'r WindowReport>,
+) -> WindowTraceStats {
+    assert_eq!(sink.dropped(), 0, "{what}: the ring must hold the whole run");
+    let mut journal = WindowTraceStats::default();
+    sink.events().iter().filter_map(TraceEvent::counted).for_each(|fact| journal.fold(fact));
+    let mut summed = [0; 9];
+    for r in reports {
+        for (sum, n) in summed.iter_mut().zip(counts(&r.trace)) {
+            *sum += n;
+        }
+    }
+    assert_eq!(counts(&journal), summed, "{what}: reports are not a fold of the journal");
+    journal
+}
+
+#[test]
+fn report_counts_are_a_fold_of_the_journal() {
+    // A report counts exactly what its window journaled: one fold over
+    // the counted facts of the events, with no second path beside it.
+    // Every scenario installs one sink before ingest, and none runs
+    // anything whose counted events fall outside a window.
+
+    // An aggregation losing caches both ways: a holder dies and the next
+    // window's audit rolls its caches back; every node then crashes and
+    // rejoins empty, and the audit after invalidates what the live nodes
+    // no longer hold.
+    let spec = spec_with_overlap(0.5);
+    let batches = wcc_batches(&ArrivalPlan::new(spec, 4), 31, 1.0);
+    let cluster = test_cluster();
+    let mut exec = agg_executor(&cluster, spec, "fold-fault", batch_adaptive(&cluster, &spec));
+    let sink = TraceSink::with_capacity(1 << 17);
+    exec.set_trace_sink(sink.clone());
+    ingest_all(&mut exec, 0, &batches);
+    exec.run_window(0).unwrap();
+    let victim = exec.controller().all_cached().iter().find_map(|n| exec.controller().location(n));
+    let victim = victim.expect("window 0 holds caches");
+    cluster.kill_node(victim).unwrap();
+    exec.run_window(1).unwrap();
+    cluster.revive_node(victim).unwrap();
+    for n in 0..cluster.node_count() as u32 {
+        cluster.kill_node(NodeId(n)).unwrap();
+        cluster.revive_node(NodeId(n)).unwrap();
+    }
+    exec.run_window(2).unwrap();
+    exec.run_window(3).unwrap();
+    let folded = assert_reports_fold_the_journal("fault", &sink, exec.reports());
+    let events = sink.events();
+    assert!(events.iter().any(|e| matches!(e, TraceEvent::Rollback { .. })));
+    assert!(events.iter().any(|e| matches!(e, TraceEvent::Cache { action: CacheAction::Invalidate, .. })));
+    assert!(folded.rollbacks > 0);
+
+    // A join under a tight budget, batch and always proactive: evictions
+    // and refused builds.
+    let spec = spec_with_overlap(0.75);
+    let plan = ArrivalPlan::new(spec, 5);
+    let pos = ffg_batches(&plan, redoop_workloads::ffg::Stream::Position, 61, 0.5);
+    let spd = ffg_batches(&plan, redoop_workloads::ffg::Stream::Speed, 62, 0.5);
+    let run_join = |tag: &str, proactive: bool, budget: Option<u64>| {
+        let cluster = test_cluster();
+        let adaptive = if proactive {
+            proactive_adaptive(&cluster, &spec, 4)
+        } else {
+            batch_adaptive(&cluster, &spec)
+        };
+        let mut exec = join_executor(&cluster, spec, tag, adaptive);
+        if let Some(bytes) = budget {
+            exec.set_cache_policy(CacheBudget::bounded(CachePolicyKind::CostBased, bytes));
+        }
+        let sink = TraceSink::with_capacity(1 << 18);
+        exec.set_trace_sink(sink.clone());
+        run_windows_interleaved(&mut exec, &[&pos, &spd], 5);
+        let held = cluster.alive_nodes().into_iter().map(|n| exec.controller().bytes_on(n)).max();
+        (sink, exec.reports().to_vec(), held.unwrap())
+    };
+    for proactive in [false, true] {
+        let tag = if proactive { "fold-join-pro" } else { "fold-join" };
+        let (_, _, held) = run_join(tag, proactive, None);
+        let (sink, reports, _) = run_join(tag, proactive, Some(held / 4));
+        let folded = assert_reports_fold_the_journal(tag, &sink, &reports);
+        assert!(folded.evictions > 0 && folded.admit_rejects > 0, "{tag}: {folded:?}");
+    }
+
+    // The wide/narrow shared fleet: off-holder misses, shared hits, and
+    // followers joining their producer.
+    let [_, wide] = narrow_and_wide();
+    let batches = wcc_batches(&ArrivalPlan::new(wide.spec, wide.windows), 91, 1.0);
+    let run = run_narrow_and_wide(&test_cluster(), "fold-wide", &batches);
+    let folded = assert_reports_fold_the_journal("wide", &run.sink, run.reports.iter().flatten());
+    assert!(folded.off_holder_misses > 0 && folded.shared_hits > 0, "{folded:?}");
+    let joined = run.sink.events().into_iter().any(|e| {
+        matches!(e, TraceEvent::Placement { local: true, ref scores, .. } if scores.len() == 1)
+    });
+    assert!(joined, "a follower joins its producer");
+
+    // A budgeted follower whose adoptions are all refused.
+    let spec = spec_with_overlap(0.5);
+    let batches = wcc_batches(&ArrivalPlan::new(spec, 4), 92, 1.0);
+    let tiny = CacheBudget::bounded(CachePolicyKind::CostBased, 1);
+    let run = run_fleet(
+        &test_cluster(),
+        "fold-refused",
+        &batches,
+        &[FleetQuery::plain(spec, 4), FleetQuery { budget: Some(tiny), ..FleetQuery::plain(spec, 4) }],
+    );
+    let folded = assert_reports_fold_the_journal("refused", &run.sink, run.reports.iter().flatten());
+    assert!(folded.admit_rejects > 0);
 }
