@@ -8,7 +8,8 @@
 
 use std::sync::Arc;
 
-use redoop_dfs::DfsPath;
+use redoop_dfs::{DfsPath, SegmentTag};
+use redoop_mapred::job::PART_FILE;
 use redoop_mapred::Writable;
 
 use crate::error::{RedoopError, Result};
@@ -240,20 +241,20 @@ impl QueryConf {
     }
 
     /// `GetOutputPaths` (paper §5): the unique output directory of
-    /// recurrence `i`.
+    /// recurrence `i`, `<root>/w{i}`.
     pub fn output_dir(&self, recurrence: u64) -> DfsPath {
-        self.output_root
-            .join(&format!("w{recurrence}"))
-            .expect("recurrence segment is always valid")
+        self.output_root.join_numbered([(WINDOW_DIR, recurrence, 0)])
     }
 
-    /// Output part file of recurrence `i`, partition `r`.
+    /// Output part file of recurrence `i`, partition `r`:
+    /// `<root>/w{i}/part-r-{r:05}`.
     pub fn output_part(&self, recurrence: u64, r: usize) -> DfsPath {
-        self.output_dir(recurrence)
-            .join(&format!("part-r-{r:05}"))
-            .expect("part segment is always valid")
+        self.output_root.join_numbered([(WINDOW_DIR, recurrence, 0), (PART_FILE, r as u64, 5)])
     }
 }
+
+/// Directory of one recurrence's output: `w{i}`.
+pub const WINDOW_DIR: SegmentTag = SegmentTag::new("w");
 
 #[cfg(test)]
 mod tests {
@@ -316,6 +317,31 @@ mod tests {
         assert_eq!(q.output_dir(3).as_str(), "/out/agg/w3");
         assert_eq!(q.output_part(3, 1).as_str(), "/out/agg/w3/part-r-00001");
         assert!(QueryConf::new("bad", 0, DfsPath::new("/x").unwrap()).is_err());
+    }
+
+    /// [`QueryConf::output_part`] as `format!` spells it.
+    fn output_part_reference(
+        root: &DfsPath,
+        recurrence: u64,
+        r: usize,
+    ) -> redoop_dfs::Result<DfsPath> {
+        DfsPath::new(format!("{root}/w{recurrence}/part-r-{r:05}"))
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn output_parts_equal_the_format_reference(
+            recurrence in proptest::any::<u64>(),
+            shift in 0u32..64,
+            r in 0usize..1_000_001,
+        ) {
+            let recurrence = recurrence >> shift;
+            let q = QueryConf::new("agg", 4, DfsPath::new("/out/agg").unwrap()).unwrap();
+            let part = q.output_part(recurrence, r);
+            let reference = output_part_reference(&q.output_root, recurrence, r);
+            proptest::prop_assert_eq!(Ok(part.clone()), reference);
+            proptest::prop_assert!(part.as_str().starts_with(q.output_dir(recurrence).as_str()));
+        }
     }
 
     #[test]

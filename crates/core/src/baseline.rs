@@ -14,6 +14,7 @@ use redoop_mapred::{
     ClusterSim, JobConf, JobResult, JobRunner, MapContext, MapMemo, Mapper, Reducer, SimTime,
 };
 
+use crate::api::WINDOW_DIR;
 use crate::error::Result;
 use crate::packer::TsFn;
 use crate::query::WindowSpec;
@@ -106,7 +107,7 @@ where
     let spec_job = redoop_mapred::JobSpec::new(
         format!("baseline-w{rec}"),
         inputs,
-        output_root.join(&format!("w{rec}"))?,
+        output_root.join_numbered([(WINDOW_DIR, rec, 0)]),
     );
     let conf = JobConf { num_reducers };
     // A batch is reusable iff the window covers its whole range.

@@ -33,13 +33,14 @@
 //! everything and evicts nothing — the paper's expire-only lifecycle.
 //!
 //! The name-sorted signature table is the record; beside it are the
-//! per-node slice (`bytes_on` is read on every admission, `names_on`
-//! once per node per audit) and the purge queues, a vector indexed by
-//! node because the scan visits every node every window. What an expiry
+//! per-node slices (`bytes_on` is read on every admission, each node's
+//! names once per audit) and the purge queues, both vectors indexed by
+//! node because the audit and the purge scan visit every node every
+//! window. What an expiry
 //! sweep asks — which panes are tracked, which names belong to one — is
 //! a filter over the table.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use redoop_dfs::{Cluster, NodeId};
 use redoop_mapred::trace::{CacheAction, Counted, TraceEvent, TraceSink, WindowTraceStats};
@@ -114,8 +115,9 @@ pub struct CacheController {
     query_count: usize,
     full_mask: u64,
     sigs: BTreeMap<CacheName, CacheSignature>,
-    /// Materialized caches (those with a holder) per holding node.
-    by_node: HashMap<NodeId, NodeCaches>,
+    /// Materialized caches (those with a holder) per node, indexed by
+    /// [`NodeId::index`]. Grown on first index to a node.
+    by_node: Vec<NodeCaches>,
     /// Purge queue per node, indexed by [`NodeId::index`]: name-sorted,
     /// each file with its size. Grown on first queue to a node.
     purges: Vec<BTreeMap<CacheName, u64>>,
@@ -151,7 +153,7 @@ impl CacheController {
             query_count,
             full_mask,
             sigs: BTreeMap::new(),
-            by_node: HashMap::new(),
+            by_node: Vec::new(),
             purges: Vec::new(),
             capacity: None,
             policy: CachePolicy::WindowLifespan,
@@ -199,12 +201,12 @@ impl CacheController {
     /// Removes `name` from its holder's node index (no-op unless the
     /// signature has a holder).
     fn unindex_holder(
-        by_node: &mut HashMap<NodeId, NodeCaches>,
+        by_node: &mut [NodeCaches],
         name: &CacheName,
         sig: &CacheSignature,
     ) {
         if let Some(node) = sig.node {
-            if let Some(nc) = by_node.get_mut(&node) {
+            if let Some(nc) = by_node.get_mut(node.index()) {
                 if nc.names.remove(name) {
                     nc.bytes -= sig.bytes;
                 }
@@ -214,7 +216,11 @@ impl CacheController {
 
     /// Records `name` as materialized on `node` in the node index.
     fn index_holder(&mut self, name: CacheName, node: NodeId, bytes: u64) {
-        let nc = self.by_node.entry(node).or_default();
+        let i = node.index();
+        if self.by_node.len() <= i {
+            self.by_node.resize_with(i + 1, NodeCaches::default);
+        }
+        let nc = &mut self.by_node[i];
         if nc.names.insert(name) {
             nc.bytes += bytes;
         }
@@ -591,7 +597,7 @@ impl CacheController {
     pub fn rollback_node(&mut self, node: NodeId) -> Vec<CacheName> {
         // The node index is name-sorted, so `lost` comes out in the same
         // order the old full-table scan produced.
-        let lost: Vec<CacheName> = match self.by_node.get_mut(&node) {
+        let lost: Vec<CacheName> = match self.by_node.get_mut(node.index()) {
             Some(nc) => {
                 nc.bytes = 0;
                 std::mem::take(&mut nc.names).into_iter().collect()
@@ -706,14 +712,20 @@ impl CacheController {
     /// Total bytes of materialized caches on `node` (capacity reporting).
     /// Served from the node index — O(1).
     pub fn bytes_on(&self, node: NodeId) -> u64 {
-        self.by_node.get(&node).map_or(0, |nc| nc.bytes)
+        self.by_node.get(node.index()).map_or(0, |nc| nc.bytes)
     }
 
     /// Names of every materialized cache on `node`, name-sorted — the
     /// heartbeat reconciler's working set, from the node index instead of
     /// a full signature scan.
     pub fn names_on(&self, node: NodeId) -> Vec<CacheName> {
-        self.by_node.get(&node).map_or_else(Vec::new, |nc| nc.names.iter().copied().collect())
+        self.held_on(node).collect()
+    }
+
+    /// [`CacheController::names_on`] without collecting it: nothing is
+    /// allocated, and a node holding nothing yields nothing.
+    pub(super) fn held_on(&self, node: NodeId) -> impl Iterator<Item = CacheName> + '_ {
+        self.by_node.get(node.index()).into_iter().flat_map(|nc| nc.names.iter().copied())
     }
 
     /// Names of every tracked signature (held or not) belonging to

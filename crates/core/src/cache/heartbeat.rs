@@ -36,7 +36,11 @@ impl CacheController {
         let (held, lost) = if alive {
             let mut held = 0;
             let mut lost = Vec::new();
-            for name in self.names_on(node) {
+            // Damaged blobs and their salvage verdicts: recording them
+            // mutates the controller, so they wait until the walk, which
+            // borrows the node index, is done.
+            let mut damaged = Vec::new();
+            for name in self.held_on(node) {
                 let Some(blob) = cluster.peek_local(node, &name.store_name()) else {
                     lost.push(name);
                     continue;
@@ -52,8 +56,8 @@ impl CacheController {
                 if framed && frame::decode_frames(&blob).is_err() {
                     let scan = frame::salvage_scan(&blob);
                     let (intact, total) = (scan.intact_count(), scan.total);
-                    if intact > 0 {
-                        self.note_salvage(&name, intact, total);
+                    let verdict = (intact > 0).then_some((intact, total));
+                    if verdict.is_some() {
                         let trace = self.trace();
                         trace.emit(|| TraceEvent::Salvage {
                             at: trace.now(),
@@ -63,11 +67,17 @@ impl CacheController {
                             total,
                         });
                     }
-                    self.queue_purge(node, name);
+                    damaged.push((name, verdict));
                     lost.push(name);
                     continue;
                 }
                 held += 1;
+            }
+            for (name, verdict) in damaged {
+                if let Some((intact, total)) = verdict {
+                    self.note_salvage(&name, intact, total);
+                }
+                self.queue_purge(node, name);
             }
             for name in &lost {
                 self.invalidate(name);

@@ -14,6 +14,8 @@ pub mod policy;
 pub mod share;
 pub mod status_matrix;
 
+use redoop_dfs::Decimal;
+
 use crate::pane::PaneId;
 
 /// What a cached object holds. Redoop caches at two stages of a job
@@ -76,10 +78,44 @@ impl CacheName {
 
     /// Node-local store name, the on-disk identity of the cache file:
     /// `q{fp:016x}/` then the class segment (`ri`, `ro` or `po`), then the
-    /// object within its partition.
+    /// object within its partition — appended into one string sized to
+    /// fit, with no `core::fmt` pass.
     pub fn store_name(&self) -> String {
-        let (fp, r) = (self.fp, self.partition);
-        match self.object {
+        let (class, first, sep, second) = match self.object {
+            CacheObject::PaneInput { source, pane } => ("/ri/s", u64::from(source), 'p', pane.0),
+            CacheObject::PaneOutput { source, pane } => ("/ro/s", u64::from(source), 'p', pane.0),
+            CacheObject::PairOutput { left, right } => ("/po/p", left.0, 'x', right.0),
+        };
+        let (first, second, r) =
+            (Decimal::new(first), Decimal::new(second), Decimal::new(self.partition as u64));
+        let (first, second, r) = (first.as_str(), second.as_str(), r.as_str());
+        // `q`, 16 hex digits, the class, the separator and `/r`.
+        let mut out = String::with_capacity(25 + first.len() + second.len() + r.len());
+        out.push('q');
+        for nibble in (0..16).rev() {
+            out.push(HEX[(self.fp >> (4 * nibble)) as usize & 0xf] as char);
+        }
+        out.push_str(class);
+        out.push_str(first);
+        out.push(sep);
+        out.push_str(second);
+        out.push_str("/r");
+        out.push_str(r);
+        out
+    }
+}
+
+/// Lowercase hex digits, by value.
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// [`CacheName::store_name`] as `format!` spells it.
+    fn store_name_reference(name: &CacheName) -> String {
+        let (fp, r) = (name.fp, name.partition);
+        match name.object {
             CacheObject::PaneInput { source, pane } => {
                 format!("q{fp:016x}/ri/s{source}p{}/r{r}", pane.0)
             }
@@ -91,11 +127,36 @@ impl CacheName {
             }
         }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// Integers of every magnitude: a random word shifted right by a
+    /// random amount, so one- and twenty-digit values are both common.
+    fn any_width() -> impl proptest::Strategy<Value = u64> {
+        use proptest::Strategy as _;
+        (proptest::any::<u64>(), 0u32..64).prop_map(|(v, shift)| v >> shift)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn store_names_equal_the_format_reference(
+            fp in any_width(),
+            source in any_width(),
+            panes in (any_width(), any_width()),
+            partition in any_width(),
+        ) {
+            let (source, partition) = (source as u32, partition as usize);
+            let (a, b) = (PaneId(panes.0), PaneId(panes.1));
+            for object in [
+                CacheObject::PaneInput { source, pane: a },
+                CacheObject::PaneOutput { source, pane: a },
+                CacheObject::PairOutput { left: a, right: b },
+            ] {
+                let name = CacheName::with_fp(object, partition, fp);
+                let got = name.store_name();
+                proptest::prop_assert_eq!(&got, &store_name_reference(&name));
+                proptest::prop_assert!(got.len() == got.capacity(), "{got:?} is not sized to fit");
+            }
+        }
+    }
 
     #[test]
     fn store_names_follow_convention() {

@@ -25,7 +25,7 @@ use crate::error::Result;
 use crate::pane::PaneId;
 
 use super::driver::{BuiltCache, BuiltRun, MappedPanes, PartitionPrep, WindowCtx};
-use super::{output_name, RecurringExecutor};
+use super::RecurringExecutor;
 
 impl<M, R> RecurringExecutor<M, R>
 where
@@ -91,12 +91,14 @@ where
     /// One aggregation window, one partition: build missing pane outputs
     /// (one individually-charged reduce task per pane in batch mode;
     /// per-sub-pane early tasks in proactive mode), then merge all pane
-    /// outputs into the final part file.
+    /// outputs into the final part file. `names` are the partition's
+    /// pane partials, in `panes` order.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn dispatch_partition_agg(
         &mut self,
         rec: u64,
         panes: &[PaneId],
+        names: &[CacheName],
         r: usize,
         prep: &PartitionPrep,
         ctx: WindowCtx,
@@ -134,10 +136,9 @@ where
         let mut ready = ctx.fire;
         let mut cache_bytes = 0u64;
         // The caches to read back: exactly the ones whose read is charged.
-        let mut names: Vec<CacheName> = Vec::with_capacity(panes.len());
+        let mut fetched: Vec<CacheName> = Vec::with_capacity(panes.len());
         let mut read_back: Vec<u64> = Vec::with_capacity(panes.len());
-        for &p in panes {
-            let name = output_name(self.fp, 0, p, r);
+        for (&p, &name) in panes.iter().zip(names) {
             let handed_over = partials.contains_key(&p.0);
             if let Some(sig) = self.controller.signature(&name) {
                 // Every pane partial gates readiness: fresh builds by
@@ -151,11 +152,11 @@ where
                 }
             }
             if !handed_over {
-                names.push(name);
+                fetched.push(name);
                 read_back.push(p.0);
             }
         }
-        partials.extend(read_back.into_iter().zip(self.fetch_decoded::<R::VOut>(node, &names)?));
+        partials.extend(read_back.into_iter().zip(self.fetch_decoded::<R::VOut>(node, &fetched)?));
         let mut partial_records = 0u64;
         let mut runs: Vec<redoop_mapred::Grouped<M::KOut, R::VOut>> =
             Vec::with_capacity(panes.len());

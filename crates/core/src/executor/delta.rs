@@ -154,7 +154,7 @@ where
                 .min_by_key(|n| loads[n.index()])
                 .expect("ingest checked that a node is alive")
         } else {
-            self.pick_reduce_node(&caches, at, &format!("delta/home/r{r}"), None)
+            self.pick_reduce_node(&caches, at, || format!("delta/home/r{r}"), None)
         };
         self.delta.homes[r] = Some(node);
         node

@@ -262,9 +262,9 @@ where
                 products.iter().map(|&object| CacheName::with_fp(object, r, self.fp)).collect();
             let prep = self.prepare_partition(rec, &names, r, ctx, &mut mapped, metrics)?;
             let path = if self.sources.len() == 1 {
-                self.dispatch_partition_agg(rec, panes, r, &prep, ctx, &mapped, metrics)?
+                self.dispatch_partition_agg(rec, panes, &names, r, &prep, ctx, &mapped, metrics)?
             } else {
-                self.dispatch_partition_join(rec, panes, r, &prep, ctx, &mapped, metrics)?
+                self.dispatch_partition_join(rec, panes, &names, r, &prep, ctx, &mapped, metrics)?
             };
             outputs.push(path);
         }
@@ -289,8 +289,8 @@ where
         // is handed to the placement, which joins it when it can.
         let producer = self.import_shared(names, ctx.fire);
         let kind_label = if self.sources.len() == 1 { "agg" } else { "join" };
-        let label = format!("w{rec}/{kind_label}/r{r}");
-        let node = self.pick_reduce_node(names, ctx.fire, &label, producer);
+        let label = || format!("w{rec}/{kind_label}/r{r}");
+        let node = self.pick_reduce_node(names, ctx.fire, label, producer);
 
         let mut prep = PartitionPrep { node, missing: Vec::new(), todo_pairs: Vec::new() };
         for &name in names {
@@ -362,7 +362,8 @@ where
     /// Picks the node for a reduce-side task ready at `floor`: Eq. 4 with
     /// the cache-affinity term over `caches`, or — with cache-aware
     /// scheduling off — Eq. 4 with no affinity at all, the load-only
-    /// placement of the plain-Hadoop baseline's reduces.
+    /// placement of the plain-Hadoop baseline's reduces. `label` names
+    /// the decision in the journal and is built only when it is journaled.
     ///
     /// **Followers join the producer.** `producer` is the node of a cache
     /// `import_shared` just adopted while it is still being built
@@ -382,18 +383,18 @@ where
         &mut self,
         caches: &[CacheName],
         floor: SimTime,
-        label: &str,
+        label: impl FnOnce() -> String,
         producer: Option<NodeId>,
     ) -> NodeId {
         let (node, local) = if !self.options.cache_aware_scheduling {
-            self.place(TaskKind::Reduce, &[], floor, || label.to_string(), |_| SimTime::ZERO)
+            self.place(TaskKind::Reduce, &[], floor, label, |_| SimTime::ZERO)
         } else if let Some(node) =
             producer.filter(|&p| caches.iter().all(|name| self.cached_on(name, p)))
         {
             self.trace.emit(|| TraceEvent::Placement {
                 at: floor,
                 kind: TaskKind::Reduce,
-                label: label.to_string(),
+                label: label(),
                 chosen: node,
                 local: true,
                 scores: vec![NodeScore {
@@ -409,7 +410,7 @@ where
                 TaskKind::Reduce,
                 &holders,
                 floor,
-                || label.to_string(),
+                label,
                 |n| cache_affinity(&self.controller, caches, n, self.sim.cost()),
             )
         };
@@ -1021,7 +1022,7 @@ where
     /// the number of lost caches.
     pub fn audit_caches(&mut self) -> usize {
         let mut lost = 0;
-        let dir = self.share.as_ref().map(|s| s.dir.clone());
+        let dir = self.share.as_ref().map(|s| &s.dir);
         for i in 0..self.cluster.node_count() as u32 {
             let node = NodeId(i);
             let lost_names = self.controller.audit_node(&self.cluster, node);
@@ -1030,8 +1031,9 @@ where
             // importers to files that no longer exist (they re-verify, but
             // dropping the entry here saves every one of them the probe).
             // An entry a peer has since re-published from another node is
-            // the peer's, and stays.
-            if let Some(dir) = &dir {
+            // the peer's, and stays. A node that lost nothing leaves the
+            // directory unlocked.
+            if let Some(dir) = dir.filter(|_| !lost_names.is_empty()) {
                 let mut d = dir.lock();
                 for n in &lost_names {
                     d.remove(n, node);

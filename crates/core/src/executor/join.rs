@@ -41,12 +41,12 @@ use redoop_mapred::{
 };
 
 use crate::adaptive::ExecMode;
-use crate::cache::CacheName;
+use crate::cache::{CacheName, CacheObject};
 use crate::error::Result;
 use crate::pane::PaneId;
 
 use super::driver::{BuiltCache, BuiltRun, MappedPanes, PartitionPrep, WindowCtx};
-use super::{input_name, pair_name, RecurringExecutor};
+use super::RecurringExecutor;
 
 /// `block`'s run with its keys strictly increasing: borrowed when the
 /// stored run already is, re-sorted (stably) when it is not.
@@ -65,6 +65,41 @@ where
 /// One partition-window's decoded reduce-input runs, keyed by
 /// `(source, pane)`: at most the two sources' in-window panes.
 type DecodedInputs<K, V> = HashMap<(u32, u64), mrio::GroupedBlock<K, V>>;
+
+/// A join partition's product names as `drive` mapped them, in
+/// `window_products` order: source 0's pane inputs, source 1's, then the
+/// pane pairs left-major.
+struct JoinNames<'a> {
+    panes: &'a [PaneId],
+    names: &'a [CacheName],
+}
+
+impl JoinNames<'_> {
+    /// Offset of `pane` in the window, whose panes are a contiguous range.
+    fn at(&self, pane: PaneId) -> usize {
+        (pane.0 - self.panes[0].0) as usize
+    }
+
+    /// The reduce-input cache of `source`'s `pane`.
+    fn input(&self, source: u32, pane: PaneId) -> CacheName {
+        let name = self.names[source as usize * self.panes.len() + self.at(pane)];
+        debug_assert_eq!(name.object, CacheObject::PaneInput { source, pane });
+        name
+    }
+
+    /// The join-output cache of the pane pair `(left, right)`.
+    fn pair(&self, left: PaneId, right: PaneId) -> CacheName {
+        let k = self.panes.len();
+        let name = self.pairs()[self.at(left) * k + self.at(right)];
+        debug_assert_eq!(name.object, CacheObject::PairOutput { left, right });
+        name
+    }
+
+    /// Every pane pair's join-output cache, left-major.
+    fn pairs(&self) -> &[CacheName] {
+        &self.names[2 * self.panes.len()..]
+    }
+}
 
 impl<M, R> RecurringExecutor<M, R>
 where
@@ -106,7 +141,7 @@ where
     /// fetched and strictly decoded once each, in first-touch order.
     fn decode_pair_inputs(
         &mut self,
-        r: usize,
+        names: &JoinNames,
         prep: &PartitionPrep,
         fresh: impl Iterator<Item = mrio::GroupedBlock<M::KOut, M::VOut>>,
     ) -> Result<DecodedInputs<M::KOut, M::VOut>> {
@@ -122,9 +157,9 @@ where
                 }
             }
         }
-        let names: Vec<CacheName> =
-            reused.iter().map(|&(s, pane)| input_name(self.fp, s, PaneId(pane), r)).collect();
-        let decoded = self.fetch_decoded::<M::VOut>(prep.node, &names)?;
+        let fetched: Vec<CacheName> =
+            reused.iter().map(|&(s, pane)| names.input(s, PaneId(pane))).collect();
+        let decoded = self.fetch_decoded::<M::VOut>(prep.node, &fetched)?;
         inputs.extend(reused.into_iter().zip(decoded));
         Ok(inputs)
     }
@@ -164,12 +199,14 @@ where
     /// One join window, one partition: build missing input caches and
     /// outstanding pane pairs (each its own charged reduce task in batch
     /// mode), then concatenate all in-window pair outputs into the final
-    /// part file.
+    /// part file. `names` are the partition's products in
+    /// `window_products` order.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn dispatch_partition_join(
         &mut self,
         rec: u64,
         panes: &[PaneId],
+        names: &[CacheName],
         r: usize,
         prep: &PartitionPrep,
         ctx: WindowCtx,
@@ -177,6 +214,7 @@ where
         metrics: &mut JobMetrics,
     ) -> Result<DfsPath> {
         let node = prep.node;
+        let names = JoinNames { panes, names };
         // Cache reads the final task still owes for old inputs (proactive
         // mode charges them at the concat, as before the split).
         let mut concat_old_input_reads = 0u64;
@@ -199,7 +237,7 @@ where
                 // outstanding pane pairs over the runs in parallel,
                 // charge each pair as its own task gated on both inputs.
                 let inputs =
-                    self.decode_pair_inputs(r, prep, built.into_iter().map(|(_, run)| run))?;
+                    self.decode_pair_inputs(&names, prep, built.into_iter().map(|(_, run)| run))?;
                 let computed: Vec<BuiltCache> = {
                     let reducer = &*self.reducer;
                     let inputs = &inputs;
@@ -219,7 +257,7 @@ where
                     for (s, pane) in [(0u32, p), (1u32, q)] {
                         let sig = self
                             .controller
-                            .signature(&input_name(self.fp, s, pane, r))
+                            .signature(&names.input(s, pane))
                             .expect("pair inputs exist before the join");
                         ready = ready.max(sig.available_at);
                         // An old input's pre-sorted run is streamed once;
@@ -238,7 +276,7 @@ where
                     };
                     prev_end = self.commit_builds(
                         node,
-                        &[(pair_name(self.fp, p, q, r), built)],
+                        &[(names.pair(p, q), built)],
                         &[(ready, work)],
                         || format!("build/w{rec}/p{}x{}/r{r}", p.0, q.0),
                         attempt_startup,
@@ -254,7 +292,7 @@ where
                 let mut input_avail: HashMap<(u32, u64), SimTime> = HashMap::new();
                 for s in 0..2u32 {
                     for &p in panes {
-                        let name = input_name(self.fp, s, p, r);
+                        let name = names.input(s, p);
                         if self.cached_on(&name, node) {
                             let at =
                                 self.controller.signature(&name).expect("cached").available_at;
@@ -276,7 +314,7 @@ where
                 }
                 for &(src, p) in &old_panes_touched {
                     if let Some(sig) =
-                        self.controller.signature(&input_name(self.fp, src, PaneId(p), r))
+                        self.controller.signature(&names.input(src, PaneId(p)))
                     {
                         concat_old_input_reads += sig.bytes;
                     }
@@ -292,7 +330,7 @@ where
                 // later-available input — over the same decoded-inputs
                 // table as batch mode.
                 let inputs =
-                    self.decode_pair_inputs(r, prep, built.into_iter().map(|(_, run)| run))?;
+                    self.decode_pair_inputs(&names, prep, built.into_iter().map(|(_, run)| run))?;
                 let mut pair_groups: HashMap<u64, Vec<(PaneId, PaneId)>> = HashMap::new();
                 for &(p, q) in &prep.todo_pairs {
                     let tp = input_avail.get(&(0, p.0)).copied().unwrap_or(ctx.floor);
@@ -310,7 +348,7 @@ where
                                 &inputs[&(1, q.0)],
                                 &*self.reducer,
                             );
-                            (pair_name(self.fp, p, q, r), pair)
+                            (names.pair(p, q), pair)
                         })
                         .collect();
                     let work = ReduceWork {
@@ -337,26 +375,22 @@ where
         let mut ready = ctx.fire;
         let mut reused_cache_bytes = 0u64;
         let mut out_bytes = 0u64;
-        let mut names: Vec<CacheName> = Vec::with_capacity(panes.len() * panes.len());
-        for &p in panes {
-            for &q in panes {
-                let name = pair_name(self.fp, p, q, r);
-                let fresh = prep.todo_pairs.contains(&(p, q));
-                if let Some(sig) = self.controller.signature(&name) {
-                    ready = ready.max(sig.available_at);
-                    out_bytes += sig.bytes;
-                    if !fresh {
-                        reused_cache_bytes += sig.bytes;
-                    }
+        for (i, name) in names.pairs().iter().enumerate() {
+            let (p, q) = (panes[i / panes.len()], panes[i % panes.len()]);
+            let fresh = prep.todo_pairs.contains(&(p, q));
+            if let Some(sig) = self.controller.signature(name) {
+                ready = ready.max(sig.available_at);
+                out_bytes += sig.bytes;
+                if !fresh {
+                    reused_cache_bytes += sig.bytes;
                 }
-                names.push(name);
             }
         }
         // Presized from the pair signatures (a pair's registered bytes are
         // its text length), so the copy below never regrows the buffer.
         let mut out = String::with_capacity(out_bytes as usize);
         let mut concat_records = 0u64;
-        for name in &names {
+        for name in names.pairs() {
             let store = name.store_name();
             let data = self.cluster.get_local(node, &store)?;
             let text = super::blob_text(&data, || format!("pair cache {store} on {node:?}"))?;

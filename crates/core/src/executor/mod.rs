@@ -138,19 +138,9 @@ impl std::fmt::Display for WindowReport {
     }
 }
 
-/// Cache name of one source pane's reduce-input cache (joins).
-fn input_name(fp: u64, source: u32, pane: PaneId, r: usize) -> CacheName {
-    CacheName::with_fp(CacheObject::PaneInput { source, pane }, r, fp)
-}
-
 /// Cache name of one pane's partial-aggregate cache (aggregations).
 fn output_name(fp: u64, source: u32, pane: PaneId, r: usize) -> CacheName {
     CacheName::with_fp(CacheObject::PaneOutput { source, pane }, r, fp)
-}
-
-/// Cache name of one pane pair's join-output cache.
-fn pair_name(fp: u64, left: PaneId, right: PaneId, r: usize) -> CacheName {
-    CacheName::with_fp(CacheObject::PairOutput { left, right }, r, fp)
 }
 
 struct SourceState {

@@ -9,7 +9,6 @@ use crate::datanode::{DataNode, IoSnapshot, NodeId};
 use crate::error::{DfsError, Result};
 use crate::namenode::{FileMeta, NameNode};
 use crate::path::DfsPath;
-use crate::replication;
 
 /// Static configuration of a simulated DFS cluster.
 #[derive(Debug, Clone)]
@@ -113,34 +112,46 @@ impl Cluster {
 
     /// Writes a complete write-once file, splitting it into blocks and
     /// replicating each block onto consecutive live nodes
-    /// ([`replication::place`]).
+    /// ([`place`](crate::replication::place) over
+    /// [`Cluster::alive_nodes`], picked without collecting that list).
+    /// The namespace is searched once.
     pub fn create(&self, path: &DfsPath, data: Bytes) -> Result<()> {
-        let alive = self.alive_nodes();
-        if alive.len() < self.inner.config.replication.min(1) || alive.is_empty() {
+        let alive = self.inner.nodes.iter().filter(|n| n.is_alive()).count();
+        if alive == 0 {
             return Err(DfsError::InsufficientNodes {
                 requested: self.inner.config.replication,
-                alive: alive.len(),
+                alive,
             });
         }
-        if self.inner.namenode.exists(path) {
-            return Err(DfsError::FileExists(path.as_str().to_string()));
-        }
-        let block_size = self.inner.config.block_size;
-        let mut blocks = Vec::with_capacity(data.len() / block_size + 1);
-        let mut offset = 0usize;
-        // Zero-length files still get zero blocks but a valid entry.
-        while offset < data.len() {
-            let end = (offset + block_size).min(data.len());
-            let chunk = data.slice(offset..end);
-            let id = self.inner.namenode.allocate_block();
-            let replicas = replication::place(&alive, self.inner.config.replication, id.0);
-            for &node in &replicas {
-                self.node(node)?.store_block(id, chunk.clone())?;
+        self.inner.namenode.create_file(path, || {
+            let block_size = self.inner.config.block_size;
+            let mut blocks = Vec::with_capacity(data.len() / block_size + 1);
+            let mut offset = 0usize;
+            // Zero-length files still get zero blocks but a valid entry.
+            while offset < data.len() {
+                let end = (offset + block_size).min(data.len());
+                let chunk = data.slice(offset..end);
+                let id = self.inner.namenode.allocate_block();
+                let replicas = self.replicas(alive, id.0);
+                for &node in &replicas {
+                    self.node(node)?.store_block(id, chunk.clone())?;
+                }
+                blocks.push(BlockInfo { id, len: chunk.len(), replicas });
+                offset = end;
             }
-            blocks.push(BlockInfo { id, len: chunk.len(), replicas });
-            offset = end;
-        }
-        self.inner.namenode.commit_file(path.clone(), FileMeta { blocks, len: data.len(), data })
+            Ok(FileMeta { blocks, len: data.len(), data })
+        })
+    }
+
+    /// `replication::place(&self.alive_nodes(), replication, block_seq)`
+    /// for a cluster with `alive` live nodes: the same rotation, walked
+    /// over the node table instead of a collected list.
+    fn replicas(&self, alive: usize, block_seq: u64) -> Vec<NodeId> {
+        let live = self.inner.nodes.iter().filter(|n| n.is_alive()).map(DataNode::id);
+        live.cycle()
+            .skip(block_seq as usize % alive)
+            .take(self.inner.config.replication.min(alive))
+            .collect()
     }
 
     /// Reads a whole file.
@@ -478,6 +489,55 @@ mod tests {
             c.create(&p("/f"), Bytes::from_static(b"b")),
             Err(DfsError::FileExists(_))
         ));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn create_places_replicas_like_place_over_the_alive_list(
+            nodes in 1usize..201,
+            replication in 1usize..5,
+            block_size in 1usize..64,
+            seed in proptest::any::<u64>(),
+        ) {
+            let c = Cluster::new(ClusterConfig { nodes, block_size, replication });
+            let mut rng = seed | 1;
+            let mut next = move || {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng
+            };
+            for f in 0..4 {
+                // A fresh dead set per file: each node dies with one
+                // chance in `odds` — every node when `odds` is 1.
+                let odds = 1 + next() % 4;
+                for i in 0..nodes as u32 {
+                    let node = NodeId(i);
+                    let flip =
+                        if next() % odds == 0 { c.kill_node(node) } else { c.revive_node(node) };
+                    proptest::prop_assert!(flip.is_ok());
+                }
+                let path = p(&format!("/f{f}"));
+                let data = Bytes::from(vec![b'x'; (next() % 256) as usize]);
+                let alive = c.alive_nodes();
+                let created = c.create(&path, data);
+                if alive.is_empty() {
+                    let refused =
+                        matches!(created, Err(DfsError::InsufficientNodes { alive: 0, .. }));
+                    proptest::prop_assert!(refused, "{created:?}");
+                    continue;
+                }
+                proptest::prop_assert!(created.is_ok(), "{created:?}");
+                let replicas = c.namenode().with_file(&path, |meta| {
+                    meta.blocks.iter().map(|b| (b.id.0, b.replicas.clone())).collect::<Vec<_>>()
+                });
+                proptest::prop_assert!(replicas.is_ok());
+                for (seq, replicas) in replicas.unwrap_or_default() {
+                    let placed = crate::replication::place(&alive, replication, seq);
+                    proptest::prop_assert_eq!(replicas, placed);
+                }
+            }
+        }
     }
 
     #[test]

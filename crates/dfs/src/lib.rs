@@ -27,6 +27,7 @@
 pub mod block;
 pub mod cluster;
 pub mod datanode;
+pub mod decimal;
 pub mod error;
 pub mod failure;
 pub mod namenode;
@@ -36,6 +37,7 @@ pub mod replication;
 pub use block::{BlockId, BlockInfo};
 pub use cluster::{Cluster, ClusterConfig};
 pub use datanode::{DataNode, NodeId};
+pub use decimal::Decimal;
 pub use error::{DfsError, Result};
 pub use namenode::{FileMeta, NameNode};
-pub use path::DfsPath;
+pub use path::{DfsPath, SegmentTag};

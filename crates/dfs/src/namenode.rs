@@ -1,5 +1,6 @@
 //! The namenode: path → file metadata → blocks → replica locations.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -52,14 +53,23 @@ impl NameNode {
         BlockId(self.next_block.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Registers a complete file. Fails if the path exists (write-once).
-    pub fn commit_file(&self, path: DfsPath, meta: FileMeta) -> Result<()> {
-        let mut files = self.files.write();
-        if files.contains_key(&path) {
-            return Err(DfsError::FileExists(path.as_str().to_string()));
+    /// Registers the file `build` makes at `path`, searching the file
+    /// table once. Fails — without calling `build` — if the path exists
+    /// (write-once), and registers nothing if `build` fails. `build` runs
+    /// under the table's write lock, so it must not call back into the
+    /// namenode other than [`NameNode::allocate_block`].
+    pub fn create_file(
+        &self,
+        path: &DfsPath,
+        build: impl FnOnce() -> Result<FileMeta>,
+    ) -> Result<()> {
+        match self.files.write().entry(path.clone()) {
+            Entry::Occupied(_) => Err(DfsError::FileExists(path.as_str().to_string())),
+            Entry::Vacant(slot) => {
+                slot.insert(build()?);
+                Ok(())
+            }
         }
-        files.insert(path, meta);
-        Ok(())
     }
 
     /// Looks up file metadata.
@@ -148,7 +158,7 @@ mod tests {
     fn commit_get_remove_roundtrip() {
         let nn = NameNode::new();
         let p = DfsPath::new("/a/f1").unwrap();
-        nn.commit_file(p.clone(), meta(10)).unwrap();
+        nn.create_file(&p, || Ok(meta(10))).unwrap();
         assert!(nn.exists(&p));
         assert_eq!(nn.get_file(&p).unwrap().len, 10);
         assert_eq!(nn.remove_file(&p).unwrap().len, 10);
@@ -160,15 +170,22 @@ mod tests {
     fn write_once_semantics() {
         let nn = NameNode::new();
         let p = DfsPath::new("/a/f1").unwrap();
-        nn.commit_file(p.clone(), meta(1)).unwrap();
-        assert!(matches!(nn.commit_file(p, meta(2)), Err(DfsError::FileExists(_))));
+        nn.create_file(&p, || Ok(meta(1))).unwrap();
+        let mut built = false;
+        let again = nn.create_file(&p, || {
+            built = true;
+            Ok(meta(2))
+        });
+        assert!(matches!(again, Err(DfsError::FileExists(_))));
+        assert!(!built, "a taken path builds nothing");
+        assert_eq!(nn.get_file(&p).map(|meta| meta.len), Ok(1));
     }
 
     #[test]
     fn listing_is_sorted_and_prefix_scoped() {
         let nn = NameNode::new();
         for name in ["/src1/P2", "/src1/P10", "/src2/P1", "/src1/P1"] {
-            nn.commit_file(DfsPath::new(name).unwrap(), meta(1)).unwrap();
+            nn.create_file(&DfsPath::new(name).unwrap(), || Ok(meta(1))).unwrap();
         }
         let listed: Vec<String> =
             nn.list("/src1").iter().map(|p| p.as_str().to_string()).collect();

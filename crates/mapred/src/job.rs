@@ -1,6 +1,6 @@
 //! Job configuration and specification.
 
-use redoop_dfs::DfsPath;
+use redoop_dfs::{DfsPath, SegmentTag};
 
 /// Tunable knobs of a MapReduce job.
 #[derive(Debug, Clone)]
@@ -45,11 +45,12 @@ impl JobSpec {
 
     /// The output path of reduce partition `r`.
     pub fn part_path(&self, r: usize) -> DfsPath {
-        self.output
-            .join(&format!("part-r-{r:05}"))
-            .expect("part file name is always a valid segment")
+        self.output.join_numbered([(PART_FILE, r as u64, 5)])
     }
 }
+
+/// One reduce partition's output file: `part-r-{r:05}`.
+pub const PART_FILE: SegmentTag = SegmentTag::new("part-r-");
 
 #[cfg(test)]
 mod tests {

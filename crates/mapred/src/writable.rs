@@ -13,6 +13,8 @@
 //! still charges the **text-equivalent** byte count ([`Writable::text_len`])
 //! so virtual-time results are independent of the on-host codec.
 
+use redoop_dfs::Decimal;
+
 use crate::error::{MrError, Result};
 
 /// Appends `v` as a LEB128 varint.
@@ -145,8 +147,7 @@ macro_rules! impl_writable_uint {
     ($($t:ty),*) => {$(
         impl Writable for $t {
             fn write(&self, out: &mut String) {
-                use std::fmt::Write as _;
-                let _ = write!(out, "{self}");
+                out.push_str(Decimal::new(*self as u64).as_str());
             }
             fn read(s: &str) -> Result<Self> {
                 s.parse::<$t>().or_else(|_| parse_err(stringify!($t), s))
@@ -173,8 +174,11 @@ macro_rules! impl_writable_int {
     ($($t:ty),*) => {$(
         impl Writable for $t {
             fn write(&self, out: &mut String) {
-                use std::fmt::Write as _;
-                let _ = write!(out, "{self}");
+                let v = *self as i64;
+                if v < 0 {
+                    out.push('-');
+                }
+                out.push_str(Decimal::new(v.unsigned_abs()).as_str());
             }
             fn read(s: &str) -> Result<Self> {
                 s.parse::<$t>().or_else(|_| parse_err(stringify!($t), s))
@@ -369,6 +373,32 @@ mod tests {
         roundtrip_bin(false);
         roundtrip_bin(Pair(String::from("k"), 7u64));
         roundtrip_bin(Pair(Pair(1u32, 2u32), String::from("v")));
+    }
+
+    /// The integer `write` before [`Decimal`]: `core::fmt`'s rendering.
+    fn write_reference(v: &impl std::fmt::Display, out: &mut String) {
+        use std::fmt::Write as _;
+        let _ = write!(out, "{v}");
+    }
+
+    /// Every integer type's `write` appends what [`write_reference`]
+    /// does, at the type's edges and at `v` cast (and negated) into it.
+    macro_rules! ints_write_like_fmt {
+        ($v:expr; $($t:ty),*) => {$(
+            for x in [0, 9, 10, <$t>::MAX, <$t>::MIN, $v as $t, ($v as $t).wrapping_neg()] {
+                let (mut out, mut reference) = (String::from("k\t"), String::from("k\t"));
+                x.write(&mut out);
+                write_reference(&x, &mut reference);
+                proptest::prop_assert_eq!(out, reference);
+            }
+        )*};
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn int_writes_equal_the_fmt_reference(v in proptest::any::<u64>()) {
+            ints_write_like_fmt!(v; u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+        }
     }
 
     #[test]

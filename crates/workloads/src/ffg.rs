@@ -15,8 +15,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use redoop_core::time::TimeRange;
-
-use crate::wcc::push_u64;
+use redoop_dfs::Decimal;
 
 /// Which of the two sensor streams to generate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,22 +62,22 @@ impl FfgGenerator {
             let ts = range.start.0 + self.rng.random_range(0..span.max(1));
             let player = self.rng.random_range(0..self.players);
             let mut line = String::with_capacity(32);
-            push_u64(&mut line, ts);
+            line.push_str(Decimal::new(ts).as_str());
             line.push_str(",p");
-            push_u64(&mut line, player as u64);
+            line.push_str(Decimal::new(player as u64).as_str());
             match stream {
                 Stream::Position => {
                     let x: u32 = self.rng.random_range(0..10_500); // cm
                     let y: u32 = self.rng.random_range(0..6_800);
                     line.push_str(",pos,");
-                    push_u64(&mut line, x as u64);
+                    line.push_str(Decimal::new(x as u64).as_str());
                     line.push(',');
-                    push_u64(&mut line, y as u64);
+                    line.push_str(Decimal::new(y as u64).as_str());
                 }
                 Stream::Speed => {
                     let v: u32 = self.rng.random_range(0..1_200); // cm/s
                     line.push_str(",spd,");
-                    push_u64(&mut line, v as u64);
+                    line.push_str(Decimal::new(v as u64).as_str());
                 }
             }
             lines.push(line);

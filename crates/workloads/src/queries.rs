@@ -17,6 +17,7 @@
 
 use std::ops::ControlFlow;
 
+use redoop_dfs::Decimal;
 use redoop_mapred::writable::Pair;
 use redoop_mapred::{swar, MapContext, Mapper, ReduceContext, Reducer, SmallKey, SmallKeyBuilder};
 
@@ -68,22 +69,6 @@ impl Reducer for AggReducer {
     }
 }
 
-/// Appends `v` in decimal — what `{v}` renders, without the `fmt`
-/// machinery the mapper would otherwise pay per record.
-fn push_decimal(out: &mut SmallKeyBuilder, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
-}
-
 /// Mapper of the join query: self-describing FFG lines from either
 /// stream → `(player, (tag, payload))`.
 #[derive(Debug, Clone, Copy, Default)]
@@ -103,7 +88,7 @@ impl Mapper for JoinMapper {
         let mut key = SmallKeyBuilder::new();
         key.push_str(player);
         key.push_char('@');
-        push_decimal(&mut key, ts / JOIN_BUCKET_MS);
+        key.push_str(Decimal::new(ts / JOIN_BUCKET_MS).as_str());
         let key = key.finish();
         match kind {
             "pos" => {

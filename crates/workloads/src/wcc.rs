@@ -11,6 +11,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use redoop_core::time::TimeRange;
+use redoop_dfs::Decimal;
 
 /// Zipf sampler over ranks `0..n` with exponent `theta`, via a
 /// precomputed CDF, a guide table, and binary search within the guide
@@ -75,23 +76,6 @@ pub struct WccGenerator {
 
 const REGIONS: [&str; 4] = ["europe", "usa", "asia", "samerica"];
 
-/// Appends `v` in decimal without going through `core::fmt` (the
-/// formatting machinery dominates generation cost at benchmark rates).
-pub(crate) fn push_u64(out: &mut String, v: u64) {
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    let mut v = v;
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&buf[i..]).unwrap());
-}
-
 impl WccGenerator {
     /// Generator with `num_objects` distinct objects (Zipf 0.9 skew) and
     /// an average arrival rate of `records_per_ms`.
@@ -154,15 +138,15 @@ impl WccGenerator {
             let region = REGIONS[rng.random_range(0..REGIONS.len())];
             let bytes: u32 = rng.random_range(200..20_000);
             let mut line = String::with_capacity(40);
-            push_u64(&mut line, ts);
+            line.push_str(Decimal::new(ts).as_str());
             line.push_str(",c");
-            push_u64(&mut line, client);
+            line.push_str(Decimal::new(client).as_str());
             line.push_str(",obj");
-            push_u64(&mut line, obj as u64);
+            line.push_str(Decimal::new(obj as u64).as_str());
             line.push(',');
             line.push_str(region);
             line.push(',');
-            push_u64(&mut line, bytes as u64);
+            line.push_str(Decimal::new(bytes as u64).as_str());
             lines.push(line);
         }
         lines
