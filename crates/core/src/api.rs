@@ -60,9 +60,41 @@ pub fn leading_ts_fn() -> TsFn {
 #[inline]
 fn leading_u64(line: &str) -> Option<u64> {
     let bytes = line.as_bytes();
+    let (value, end) = leading_digits(bytes)?;
+    matches!(bytes.get(end), None | Some(b',')).then_some(value)
+}
+
+/// What `s.parse::<u64>().ok()` returns on every input — one optional
+/// `+`, then only ASCII digits, at least one, no overflow — with the
+/// first eight digits read as one word, as the leading timestamp of
+/// [`leading_ts_fn`] is.
+#[inline]
+pub fn parse_u64(s: &str) -> Option<u64> {
+    let (value, end) = leading_digits(s.as_bytes())?;
+    (end == s.len()).then_some(value)
+}
+
+/// The run of ASCII digits at the start of `bytes`, after one optional
+/// `+`: its value and the index one past its last digit, or `None` when
+/// the run is empty or its value overflows a `u64`. When eight bytes
+/// follow the sign, up to eight digits are read as one little-endian
+/// word; the digits after the eighth go one at a time, checked.
+#[inline]
+fn leading_digits(bytes: &[u8]) -> Option<(u64, usize)> {
     let start = usize::from(bytes.first() == Some(&b'+'));
-    let mut value = 0u64;
-    let mut end = start;
+    let (mut value, mut end) = (0u64, start);
+    if let Some(word) = bytes[start..].first_chunk::<8>() {
+        let word = u64::from_le_bytes(*word);
+        let digits = leading_digit_lanes(word);
+        if digits == 0 {
+            return None;
+        }
+        value = lanes_value(word, digits);
+        end += digits;
+        if digits < 8 {
+            return Some((value, end));
+        }
+    }
     while let Some(&b) = bytes.get(end) {
         let digit = b.wrapping_sub(b'0');
         if digit > 9 {
@@ -71,36 +103,69 @@ fn leading_u64(line: &str) -> Option<u64> {
         value = value.checked_mul(10)?.checked_add(u64::from(digit))?;
         end += 1;
     }
-    let field_ends = matches!(bytes.get(end), None | Some(b','));
-    (end > start && field_ends).then_some(value)
+    (end > start).then_some((value, end))
+}
+
+const LOW_NIBBLES: u64 = 0x0F0F_0F0F_0F0F_0F0F;
+const HIGH_NIBBLES: u64 = !LOW_NIBBLES;
+
+/// How many of `word`'s lanes, from byte 0 up, hold an ASCII digit
+/// (0 to 8). A byte is a digit iff its high nibble is 3 and its low
+/// nibble at most 9, i.e. adding 6 to the low nibble leaves the high
+/// nibble clear; that sum is at most `0x15`, so no lane carries into the
+/// next and every lane is tested on its own.
+#[inline]
+fn leading_digit_lanes(word: u64) -> usize {
+    let too_big = (word & LOW_NIBBLES) + 0x0606_0606_0606_0606;
+    let not_digit = (too_big | (word ^ 0x3030_3030_3030_3030)) & HIGH_NIBBLES;
+    (not_digit.trailing_zeros() / 8) as usize
+}
+
+/// The value of the `digits` (1 to 8) digit lanes at the bottom of
+/// `word`, byte 0 the most significant. Shifted to the top of the word,
+/// the lanes below them read as leading zeros; then three multiplies
+/// fold neighbouring lanes pairwise — 2 digits per 8 bits, 4 per 16, 8
+/// per 32 — none of which overflows its lane.
+#[inline]
+fn lanes_value(word: u64, digits: usize) -> u64 {
+    let v = (word & LOW_NIBBLES) << (8 * (8 - digits));
+    let v = (v * 10 + (v >> 8)) & 0x00FF_00FF_00FF_00FF;
+    let v = (v * 100 + (v >> 16)) & 0x0000_FFFF_0000_FFFF;
+    (v * 10_000 + (v >> 32)) & 0xFFFF_FFFF
 }
 
 /// Zero-copy CSV field extraction: equivalent to
-/// `line.split(',').nth(idx)` but finds the commas a word at a time
+/// `line.split(',').nth(idx)` but finds the commas a chunk at a time
 /// ([`redoop_mapred::swar`]) instead of running the generic char-pattern
 /// searcher. A `,` byte in UTF-8 is always a real comma (continuation
 /// bytes are >= 0x80), so the two agree on every input. This sits on the
-/// per-record map path and is the ingest timestamp parse.
+/// per-record map path.
 #[inline]
 pub fn csv_field(line: &str, idx: usize) -> Option<&str> {
     use std::ops::ControlFlow;
-    // Field `idx` starts after comma number `idx` (at 0 for the first
-    // field) and runs to the next comma or the end of the line.
-    let (mut start, mut seen) = (0usize, 0usize);
-    let end = redoop_mapred::swar::try_each_position(line.as_bytes(), b',', |comma| {
-        if seen == idx {
-            return ControlFlow::Break(comma);
+    // Field `idx` starts after comma number `idx - 1` (at 0 for the first
+    // field) and runs to comma number `idx` or the end of the line. The
+    // commas are selected from each chunk's mask: its lowest set bits are
+    // cleared until `idx` commas are behind, the last one cleared is where
+    // the field starts, and the lowest bit left is where it ends.
+    let (mut start, mut left) = (0usize, idx);
+    let end = redoop_mapred::swar::try_each_mask(line.as_bytes(), b',', |base, mut mask| {
+        while left > 0 && mask != 0 {
+            left -= 1;
+            if left == 0 {
+                start = base + mask.trailing_zeros() as usize + 1;
+            }
+            mask &= mask - 1;
         }
-        seen += 1;
-        if seen == idx {
-            start = comma + 1;
+        if mask == 0 {
+            return ControlFlow::Continue(());
         }
-        ControlFlow::Continue(())
+        ControlFlow::Break(base + mask.trailing_zeros() as usize)
     });
     match end {
         Some(comma) => Some(&line[start..comma]),
         // Out of commas: the last field, if `idx` names it.
-        None => (seen == idx).then(|| &line[start..]),
+        None => (left == 0).then(|| &line[start..]),
     }
 }
 
@@ -108,8 +173,9 @@ pub fn csv_field(line: &str, idx: usize) -> Option<&str> {
 /// of [`csv_field`]: the first `N` fields and the rest of the line after
 /// comma `N` — what `line.splitn(N + 1, ',')` yields when it yields all
 /// `N + 1` parts — or `None` when the line holds fewer than `N` commas.
-/// The commas are found a word at a time, so it agrees with `splitn` on
-/// every input for the same reason [`csv_field`] agrees with `split`.
+/// The commas are taken from the chunks' masks lowest bit first, so it
+/// agrees with `splitn` on every input for the same reason [`csv_field`]
+/// agrees with `split`.
 #[inline]
 pub fn csv_fields<const N: usize>(line: &str) -> Option<([&str; N], &str)> {
     use std::ops::ControlFlow;
@@ -118,15 +184,18 @@ pub fn csv_fields<const N: usize>(line: &str) -> Option<([&str; N], &str)> {
         return Some((fields, line));
     }
     let (mut start, mut seen) = (0usize, 0usize);
-    let rest = redoop_mapred::swar::try_each_position(line.as_bytes(), b',', |comma| {
-        fields[seen] = &line[start..comma];
-        seen += 1;
-        start = comma + 1;
-        if seen == N {
-            ControlFlow::Break(start)
-        } else {
-            ControlFlow::Continue(())
+    let rest = redoop_mapred::swar::try_each_mask(line.as_bytes(), b',', |base, mut mask| {
+        while mask != 0 {
+            let comma = base + mask.trailing_zeros() as usize;
+            fields[seen] = &line[start..comma];
+            seen += 1;
+            start = comma + 1;
+            if seen == N {
+                return ControlFlow::Break(start);
+            }
+            mask &= mask - 1;
         }
+        ControlFlow::Continue(())
     })?;
     Some((fields, &line[rest..]))
 }
@@ -285,6 +354,67 @@ mod tests {
         assert_eq!(f("+7,"), Some(EventTime(7)));
         assert_eq!(f(&max), Some(EventTime(u64::MAX)));
         assert_eq!(f(over), None);
+    }
+
+    #[test]
+    fn digit_runs_equal_the_str_parse_with_a_neighbour_in_every_lane() {
+        // Runs of 0 to 22 digits, each with one byte that sits next to
+        // the digit range (`/`, `:`, 0xB0–0xB9 share a nibble with the
+        // digits) or far from it, in every lane; signs in front.
+        // `leading_digits` works on bytes, so the lone high bytes are
+        // tested too; through `&str`, `°`..`¹` carry them.
+        let mut intruders = vec![b'/', b':', b',', b'+', b'-', 0x00, 0x20, 0x7F, 0xFF];
+        intruders.extend(0xB0..=0xB9);
+        for len in 0..=22usize {
+            let digits: Vec<u8> = (0..len).map(|i| b'0' + ((i * 7 + 3) % 10) as u8).collect();
+            for sign in [&b""[..], b"+", b"-", b"++"] {
+                let mut cases = vec![digits.clone()];
+                for at in 0..=len {
+                    for &intruder in &intruders {
+                        let mut raw = digits.clone();
+                        raw.insert(at, intruder);
+                        cases.push(raw);
+                    }
+                }
+                for case in cases {
+                    let raw = [sign, &case[..]].concat();
+                    let start = usize::from(raw.first() == Some(&b'+'));
+                    let run = raw[start..].iter().take_while(|b| b.is_ascii_digit()).count();
+                    let expect = std::str::from_utf8(&raw[start..start + run])
+                        .ok()
+                        .filter(|run| !run.is_empty())
+                        .and_then(|run| run.parse::<u64>().ok())
+                        .map(|value| (value, start + run));
+                    assert_eq!(leading_digits(&raw), expect, "{raw:?}");
+                    if let Ok(text) = std::str::from_utf8(&raw) {
+                        assert_eq!(parse_u64(text), text.parse::<u64>().ok(), "{text:?}");
+                        let field = csv_field(text, 0).and_then(|t| t.parse::<u64>().ok());
+                        assert_eq!(leading_u64(text), field, "{text:?}");
+                    }
+                }
+            }
+        }
+        for intruder in '°'..='¹' {
+            for at in 0..=12 {
+                let mut text = "123456789012".to_string();
+                text.insert(at, intruder);
+                assert_eq!(parse_u64(&text), text.parse::<u64>().ok(), "{text:?}");
+                assert_eq!(leading_u64(&text), None, "{text:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn parse_u64_edge_table_matches_str_parse() {
+        let max = u64::MAX.to_string();
+        for s in [
+            "", "+", "-", "+0", "-0", "0", "00000000", "000000000", "12345678", "123456789",
+            "99999999", "+99999999", "1234567,", "1234567 ", " 12345678", &max,
+            &format!("0000{max}"), "18446744073709551616", "99999999999999999999",
+            "٣", "12345678é", "1234567é",
+        ] {
+            assert_eq!(parse_u64(s), s.parse::<u64>().ok(), "{s:?}");
+        }
     }
 
     #[test]

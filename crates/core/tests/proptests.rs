@@ -146,14 +146,15 @@ proptest! {
     }
 
     #[test]
-    fn csv_field_is_split_nth(line in "[ab,,,αé€😀 ]{0,40}", idx in 0usize..9) {
+    fn csv_field_is_split_nth(line in "[ab,,,αé€😀 ]{0,100}", idx in 0usize..12) {
         // Arbitrary UTF-8 with empty fields and multi-byte characters on
-        // both sides of commas, across word boundaries.
+        // both sides of commas, across word and 16-byte chunk boundaries,
+        // past four chunks.
         prop_assert_eq!(redoop_core::api::csv_field(&line, idx), line.split(',').nth(idx));
     }
 
     #[test]
-    fn csv_fields_is_splitn(line in "[ab,,,αé€😀 ]{0,40}") {
+    fn csv_fields_is_splitn(line in "[ab,,,αé€😀 ]{0,100}") {
         fn check<const N: usize>(line: &str) -> Result<(), proptest::test_runner::TestCaseError> {
             let parts: Vec<&str> = line.splitn(N + 1, ',').collect();
             let expect = (parts.len() == N + 1)
@@ -165,21 +166,39 @@ proptest! {
         check::<1>(&line)?;
         check::<3>(&line)?;
         check::<4>(&line)?;
+        check::<20>(&line)?;
     }
 
     #[test]
     fn leading_ts_is_field_parse(
         sign in "[+,-]{0,2}",
         digits in "[0-9]{0,22}",
+        intruder in "[/:°-¹,+]{0,1}",
+        at in 0usize..23,
         tail in "[0-9,a é٣+-]{0,6}",
     ) {
         // Signs, empty fields, runs long enough to overflow a u64, and
-        // non-digits (multi-byte ones included) around the first comma.
-        let line = format!("{sign}{digits}{tail}");
+        // non-digits (multi-byte ones included) around the first comma;
+        // one byte next to the digit range (`/`, `:`, and `°`..`¹`,
+        // whose second byte is 0xB0–0xB9) dropped into any lane.
+        let at = at.min(digits.len());
+        let line = format!("{sign}{}{intruder}{}{tail}", &digits[..at], &digits[at..]);
         let expect = redoop_core::api::csv_field(&line, 0)
             .and_then(|f| f.parse::<u64>().ok())
             .map(EventTime);
         prop_assert_eq!((redoop_core::api::leading_ts_fn())(&line), expect);
+    }
+
+    #[test]
+    fn parse_u64_is_str_parse(
+        sign in "[+-]{0,2}",
+        digits in "[0-9]{0,22}",
+        intruder in "[/:°-¹,+ ]{0,1}",
+        at in 0usize..23,
+    ) {
+        let at = at.min(digits.len());
+        let text = format!("{sign}{}{intruder}{}", &digits[..at], &digits[at..]);
+        prop_assert_eq!(redoop_core::api::parse_u64(&text), text.parse::<u64>().ok());
     }
 
     #[test]

@@ -48,14 +48,12 @@ impl DfsPath {
 
     /// Appends a child segment (or several, `/`-separated), producing a
     /// new path. Only `segment` is checked — this path already is valid —
-    /// and its trailing slashes are stripped, so an empty or all-slash
-    /// segment leaves the path as it is.
+    /// and its trailing slashes are stripped. An empty or all-slash
+    /// segment names no child, so it is an [`DfsError::InvalidPath`]
+    /// like any other empty segment.
     pub fn join(&self, segment: &str) -> Result<Self> {
         let tail = segment.trim_end_matches('/');
-        if tail.is_empty() {
-            return Ok(self.clone());
-        }
-        if has_bad_segment(tail) {
+        if tail.is_empty() || has_bad_segment(tail) {
             return Err(DfsError::InvalidPath(format!("{}/{segment}", self.0)));
         }
         let mut path = String::with_capacity(self.0.len() + 1 + tail.len());
@@ -156,10 +154,16 @@ mod tests {
         assert_eq!(p.join("hdr").unwrap().as_str(), "/redoop/wcc/S1P4/hdr");
     }
 
-    /// [`DfsPath::join`] as it was: format the whole path, then parse
-    /// it again with [`DfsPath::new`].
+    /// [`DfsPath::join`] spelled out: format the whole path and parse it
+    /// again with [`DfsPath::new`] — except that a segment that is empty
+    /// once its trailing slashes go names no child and is refused, where
+    /// the re-parse would strip the slash and return the base itself.
     fn join_reference(base: &DfsPath, segment: &str) -> Result<DfsPath> {
-        DfsPath::new(format!("{}/{}", base.0, segment))
+        let joined = format!("{}/{}", base.0, segment);
+        if segment.trim_end_matches('/').is_empty() {
+            return Err(DfsError::InvalidPath(joined));
+        }
+        DfsPath::new(joined)
     }
 
     #[test]
@@ -169,7 +173,9 @@ mod tests {
         for segment in segments {
             assert_eq!(base.join(segment), join_reference(&base, segment), "{segment:?}");
         }
-        assert_eq!(base.join("")?, base);
+        for empty in ["", "/", "//"] {
+            assert!(matches!(base.join(empty), Err(DfsError::InvalidPath(_))), "{empty:?}");
+        }
         assert_eq!(base.join("a/")?.as_str(), "/out/q/a");
         assert!(base.join("a//b").is_err());
         Ok(())
@@ -185,7 +191,7 @@ mod tests {
             let joined = base.join(&segment);
             proptest::prop_assert_eq!(&joined, &join_reference(&base, &segment));
             if let Ok(path) = joined {
-                proptest::prop_assert!(path.0.len() == path.0.capacity() || path == base);
+                proptest::prop_assert!(path.0.len() == path.0.capacity());
             }
         }
     }

@@ -49,21 +49,26 @@ fn sanitize_utf8(bytes: &[u8]) -> (Vec<u8>, u64) {
     (out, replaced)
 }
 
-/// Start offset of every line of `bytes`: 0 for a non-empty file, then
-/// the byte after each `\n` that is not the file's last byte. Newlines
-/// are found a word at a time ([`crate::swar`]).
-fn line_offsets(bytes: &[u8]) -> Vec<u32> {
+/// Start offset of every line of `bytes` — 0 for a non-empty file, then
+/// the byte after each `\n` that is not the file's last byte — and
+/// whether every byte is ASCII, from one pass that finds the newlines a
+/// chunk at a time ([`crate::swar`]).
+fn line_offsets(bytes: &[u8]) -> (Vec<u32>, bool) {
     let mut offsets = Vec::with_capacity(bytes.len() / 32 + 1);
     if !bytes.is_empty() {
         offsets.push(0);
     }
-    crate::swar::try_each_position(bytes, b'\n', |newline| {
-        if newline + 1 < bytes.len() {
-            offsets.push((newline + 1) as u32);
+    let ascii = crate::swar::each_mask_is_ascii(bytes, b'\n', |base, mut mask| {
+        while mask != 0 {
+            offsets.push((base + mask.trailing_zeros() as usize + 1) as u32);
+            mask &= mask - 1;
         }
-        std::ops::ControlFlow::<()>::Continue(())
     });
-    offsets
+    // A final newline ends the last line; it starts none.
+    if offsets.last() == Some(&(bytes.len() as u32)) {
+        offsets.pop();
+    }
+    (offsets, ascii)
 }
 
 impl LineFile {
@@ -74,18 +79,20 @@ impl LineFile {
     /// sequence becomes U+FFFD and is counted in
     /// [`LineFile::invalid_sequences`], so corruption surfaces in the
     /// decoded records (which fail parsing loudly) instead of being
-    /// silently masked as empty lines. Valid files — the always case
-    /// outside failure injection — take the zero-copy path.
+    /// silently masked as empty lines. The pass that finds the newlines
+    /// also tells a pure-ASCII file — every file our workloads write — and
+    /// only a file with a byte `>= 0x80` is validated as UTF-8; valid
+    /// files take the zero-copy path.
     pub fn new(data: Bytes) -> Self {
-        let (data, invalid_sequences) = match std::str::from_utf8(&data) {
-            Ok(_) => (data, 0),
-            Err(_) => {
-                let (sanitized, replaced) = sanitize_utf8(&data);
-                (Bytes::from(sanitized), replaced)
-            }
+        let (offsets, ascii) = line_offsets(&data);
+        let (data, offsets, invalid_sequences) = if ascii || std::str::from_utf8(&data).is_ok() {
+            (data, offsets, 0)
+        } else {
+            let (sanitized, replaced) = sanitize_utf8(&data);
+            let (offsets, _) = line_offsets(&sanitized);
+            (Bytes::from(sanitized), offsets, replaced)
         };
         assert!(data.len() < u32::MAX as usize, "LineFile capped at 4 GiB");
-        let offsets = line_offsets(&data);
         LineFile { data: Arc::new(data), offsets: Arc::new(offsets), invalid_sequences }
     }
 
@@ -123,11 +130,11 @@ impl LineFile {
                 }
             });
         let bytes = &self.data[start..end];
-        // SAFETY: the whole file was validated as (or sanitized to)
-        // UTF-8 in `new` and `data` is immutable. `start` is 0 or the
-        // byte after a `\n`, `end` is the byte of a `\n` or end-of-file;
-        // `\n` is a single-byte char, so both are char boundaries and
-        // the slice is valid UTF-8.
+        // SAFETY: `new` found every byte of the file ASCII, or validated
+        // it as (or sanitized it to) UTF-8, and `data` is immutable.
+        // `start` is 0 or the byte after a `\n`, `end` is the byte of a
+        // `\n` or end-of-file; `\n` is a single-byte char, so both are
+        // char boundaries and the slice is valid UTF-8.
         unsafe { std::str::from_utf8_unchecked(bytes) }
     }
 
@@ -520,6 +527,71 @@ mod tests {
             assert_eq!(file.invalid_sequences(), replaced);
             assert_eq!(file.byte_len(), sanitized.len());
             assert_indexed_like_reference(&file, &sanitized);
+        }
+    }
+
+    /// What `LineFile::new` must hold for `raw`: the file's bytes when
+    /// `from_utf8` accepts them, else `sanitize_utf8`'s, cut at the
+    /// byte-loop offsets — offsets, replacement count and lines alike.
+    fn assert_like_the_sanitizing_reference(raw: &[u8]) {
+        let (sanitized, replaced) = match std::str::from_utf8(raw) {
+            Ok(_) => (raw.to_vec(), 0),
+            Err(_) => sanitize_utf8(raw),
+        };
+        let file = LineFile::new(Bytes::copy_from_slice(raw));
+        assert_eq!(file.invalid_sequences(), replaced, "{raw:?}");
+        assert_eq!(&file.data[..], &sanitized[..], "{raw:?}");
+        assert_indexed_like_reference(&file, &sanitized);
+    }
+
+    #[test]
+    fn one_multibyte_char_or_invalid_sequence_at_every_offset() {
+        // Valid chars of every width, lone continuation and lead bytes
+        // (0x8A is '\n' with bit 7 set), truncated sequences, a UTF-16
+        // surrogate and an overlong encoding, each at every offset of an
+        // ASCII file with lines of every phase, 0 to 80 bytes long: the
+        // ASCII check must see a high byte in any lane of any chunk.
+        let inserts: [&[u8]; 10] = [
+            "é".as_bytes(),
+            "€".as_bytes(),
+            "😀".as_bytes(),
+            &[0xFF],
+            &[0x8A],
+            &[0xC3],
+            &[0xE2, 0x82],
+            &[0xF0, 0x9F, 0x98],
+            &[0xED, 0xA0, 0x80],
+            &[0xC0, 0x8A],
+        ];
+        for len in 0..=80usize {
+            let ascii: Vec<u8> =
+                (0..len).map(|i| if i % 9 == 8 { b'\n' } else { b'a' + (i % 23) as u8 }).collect();
+            assert_like_the_sanitizing_reference(&ascii);
+            for insert in inserts.iter().filter(|insert| insert.len() <= len) {
+                for at in 0..=len - insert.len() {
+                    let mut raw = ascii.clone();
+                    raw[at..at + insert.len()].copy_from_slice(insert);
+                    assert_like_the_sanitizing_reference(&raw);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn line_file_equals_the_sanitizing_reference(
+            text in "[ab,\n\n\né€😀]{0,120}",
+            bad in proptest::collection::vec((0usize..160, proptest::prelude::any::<u8>()), 0..3),
+        ) {
+            // Mostly valid text, with up to two bytes overwritten by
+            // arbitrary ones.
+            let mut raw = text.into_bytes();
+            for (at, byte) in bad {
+                if let Some(slot) = raw.get_mut(at) {
+                    *slot = byte;
+                }
+            }
+            assert_like_the_sanitizing_reference(&raw);
         }
     }
 

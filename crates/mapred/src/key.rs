@@ -118,7 +118,11 @@ impl SmallKey {
     pub fn as_str(&self) -> &str {
         match &self.0 {
             Repr::Inline { len, buf } => {
-                // Constructed only from valid UTF-8 prefixes.
+                // SAFETY: an inline key is built only by `from_str_ref`,
+                // which copies all `len` bytes of one `&str`, or by
+                // `SmallKeyBuilder::finish`, whose first `len` bytes are
+                // whole `&str`s appended end to end; either way
+                // `buf[..len]` is valid UTF-8, and it is never mutated.
                 unsafe { std::str::from_utf8_unchecked(&buf[..*len as usize]) }
             }
             Repr::Heap(s) => s,
@@ -309,7 +313,9 @@ impl SmallKeyBuilder {
                     self.len += s.len();
                 } else {
                     let mut heap = String::with_capacity(self.len + s.len());
-                    // Inline prefix is a valid UTF-8 string by construction.
+                    // SAFETY: `buf[..len]` holds only whole `&str`s
+                    // appended end to end by this method, so it is valid
+                    // UTF-8.
                     heap.push_str(unsafe {
                         std::str::from_utf8_unchecked(&self.buf[..self.len])
                     });

@@ -84,7 +84,7 @@ impl Mapper for JoinMapper {
         let Some(([ts, player, kind], rest)) = redoop_core::api::csv_fields::<3>(line) else {
             return;
         };
-        let Ok(ts) = ts.parse::<u64>() else { return };
+        let Some(ts) = redoop_core::api::parse_u64(ts) else { return };
         let mut key = SmallKeyBuilder::new();
         key.push_str(player);
         key.push_char('@');
@@ -339,6 +339,11 @@ mod tests {
             "5,p€,spd,😀",
             "x5,p3,spd,1",
             "18446744073709551616,p3,spd,1",
+            "+5,p3,spd,1",
+            "1234567890123,p3,spd,4",
+            "12345678:,p3,spd,1",
+            "1234/5678,p3,spd,1",
+            "12345°,p3,spd,1",
         ];
         lines.extend(malformed.iter().map(|l| l.to_string()));
         lines.push(format!("5,{long},pos,{long},{long}"));
