@@ -7,10 +7,15 @@
 //! controller's node index against the node's actual local store: every
 //! cache the controller lists on the node must exist there and, if
 //! framed, decode. A cache that fails loses its holder — the paper's §5
-//! recovery trigger — and a dead node loses everything it held. A damaged file is still on its node, so it is queued for the
-//! purge like any other file the controller lets go of. Every audit
-//! reads every blob and checks it from scratch; nothing an earlier audit
-//! concluded is carried to the next.
+//! recovery trigger — and a dead node loses everything it held. A
+//! damaged file is still on its node, so it is queued for the purge like
+//! any other file the controller lets go of. Every audit reads every
+//! blob and checks it from scratch; nothing an earlier audit concluded
+//! is carried to the next. The check is the strict frame walk
+//! ([`frame::walk_frames`]), which verifies every checksum and collects
+//! nothing. A node the controller lists nothing on, alive or dead, costs
+//! one check and journals its `heartbeat {held: 0, lost: 0}` all the
+//! same.
 
 use redoop_dfs::{Cluster, NodeId};
 use redoop_mapred::frame;
@@ -32,8 +37,13 @@ impl CacheController {
     /// arrives: all it held is rolled back. Returns the invalidated
     /// names, name-sorted, so the scheduler can queue rebuilds.
     pub fn audit_node(&mut self, cluster: &Cluster, node: NodeId) -> Vec<CacheName> {
-        let alive = cluster.is_alive(node);
-        let (held, lost) = if alive {
+        let (held, lost) = if self.holds_nothing(node) {
+            // Most nodes of a large fleet hold nothing of this query's, so
+            // their heartbeat is this one check: alive or dead, such a node
+            // has nothing to verify or roll back. Only the journal asks
+            // whether it is alive.
+            (0, Vec::new())
+        } else if cluster.is_alive(node) {
             let mut held = 0;
             let mut lost = Vec::new();
             // Damaged blobs and their salvage verdicts: recording them
@@ -53,7 +63,7 @@ impl CacheController {
                 // embedded checksums: for them existence is the whole
                 // audit.
                 let framed = !matches!(name.object, CacheObject::PairOutput { .. });
-                if framed && frame::decode_frames(&blob).is_err() {
+                if framed && frame::walk_frames(&blob, |_| ()).is_err() {
                     let scan = frame::salvage_scan(&blob);
                     let (intact, total) = (scan.intact_count(), scan.total);
                     let verdict = (intact > 0).then_some((intact, total));
@@ -90,7 +100,7 @@ impl CacheController {
         trace.emit_counted(&mut self.stats, Counted::Lost(lost.len()), || TraceEvent::Heartbeat {
             at: trace.now(),
             node,
-            alive,
+            alive: cluster.is_alive(node),
             held,
             lost: lost.len(),
         });

@@ -8,18 +8,19 @@
 //! and fresh builds alike) and merges the pre-grouped sorted runs in one
 //! linear pass: the partials whose cache read it is charged for are
 //! fetched and strictly decoded by the driver's `fetch_decoded`, the
-//! ones a batch build just handed over are merged from memory.
-
-use std::collections::HashMap;
+//! ones a batch build just handed over are merged from memory. The merge
+//! streams: each merged group goes to the merger and the part file's
+//! text as the k-way pass yields it, and the merged run is never built.
 
 use bytes::Bytes;
 use redoop_dfs::DfsPath;
-use redoop_mapred::grouped::RunBuilder;
+use redoop_mapred::grouped::{Grouped, RunBuilder};
 use redoop_mapred::{
     exec, io as mrio, JobMetrics, Mapper, ReduceContext, ReduceWork, Reducer, Writable,
 };
 
 use crate::adaptive::ExecMode;
+use crate::api::Merger;
 use crate::cache::CacheName;
 use crate::error::Result;
 use crate::pane::PaneId;
@@ -116,17 +117,20 @@ where
         };
         let built =
             self.build_missing(rec, r, prep, ctx, mapped, &compute, &mut attempt_startup, metrics)?;
-        // The pane partials to merge, by pane. Batch builds just handed
-        // their output to this window's merge (their write was charged in
-        // the build task); proactive builds may be long done, so the merge
-        // pays their cache read — mirroring the pre-split accounting — and
-        // reads them back like any reused cache.
-        let mut partials: HashMap<u64, mrio::GroupedBlock<M::KOut, R::VOut>> = match ctx.mode {
-            ExecMode::Batch => {
-                prep.missing.iter().map(|m| m.pane.0).zip(built.into_iter().map(|b| b.1)).collect()
+        // The pane partials to merge, by pane position. Batch builds just
+        // handed their output to this window's merge (their write was
+        // charged in the build task); proactive builds may be long done,
+        // so the merge pays their cache read — mirroring the pre-split
+        // accounting — and reads them back like any reused cache.
+        let mut partials: Vec<Option<mrio::GroupedBlock<M::KOut, R::VOut>>> =
+            panes.iter().map(|_| None).collect();
+        if matches!(ctx.mode, ExecMode::Batch) {
+            for (m, (_, block)) in prep.missing.iter().zip(built) {
+                if let Some(i) = panes.iter().position(|&p| p == m.pane) {
+                    partials[i] = Some(block);
+                }
             }
-            ExecMode::Proactive => HashMap::new(),
-        };
+        }
 
         // Merge every pane output (cache reads for reused panes) into the
         // window result. Cached partials are pre-grouped sorted runs, so
@@ -137,9 +141,8 @@ where
         let mut cache_bytes = 0u64;
         // The caches to read back: exactly the ones whose read is charged.
         let mut fetched: Vec<CacheName> = Vec::with_capacity(panes.len());
-        let mut read_back: Vec<u64> = Vec::with_capacity(panes.len());
-        for (&p, &name) in panes.iter().zip(names) {
-            let handed_over = partials.contains_key(&p.0);
+        for (slot, &name) in partials.iter().zip(names) {
+            let handed_over = slot.is_some();
             if let Some(sig) = self.controller.signature(&name) {
                 // Every pane partial gates readiness: fresh builds by
                 // their (last) build task's end, reused caches by their
@@ -153,19 +156,11 @@ where
             }
             if !handed_over {
                 fetched.push(name);
-                read_back.push(p.0);
             }
         }
-        partials.extend(read_back.into_iter().zip(self.fetch_decoded::<R::VOut>(node, &fetched)?));
-        let mut partial_records = 0u64;
-        let mut runs: Vec<redoop_mapred::Grouped<M::KOut, R::VOut>> =
-            Vec::with_capacity(panes.len());
-        let mut all_sorted = true;
-        for p in panes {
-            let block = partials.remove(&p.0).expect("every pane partial was built or fetched");
-            partial_records += block.records;
-            all_sorted &= block.sorted;
-            runs.push(block.grouped);
+        let read_back = self.fetch_decoded::<R::VOut>(node, &fetched)?;
+        for (slot, block) in partials.iter_mut().filter(|s| s.is_none()).zip(read_back) {
+            *slot = Some(block);
         }
         if r == self.conf.num_reducers - 1 {
             // The one rule for a pane partial's lifecycle bookkeeping:
@@ -177,35 +172,16 @@ where
                 self.matrix.mark_done(&[p]);
             }
         }
-        let groups = if all_sorted {
-            exec::merge_sorted_groups(runs)
-        } else {
-            let mut flat: Vec<(M::KOut, R::VOut)> = Vec::new();
-            for run in runs {
-                flat.extend(run.into_pairs());
-            }
-            exec::sort_group(flat)
-        };
-        let merger = self.merger.as_ref().expect("aggregation has a merger").clone();
-        let mut out = String::new();
-        let mut output_records = 0u64;
-        for (k, vs) in groups.iter() {
-            let merged = merger.merge(k, vs);
-            k.write(&mut out);
-            out.push('\t');
-            merged.write(&mut out);
-            out.push('\n');
-            output_records += 1;
-        }
+        let merger = self.merger.as_deref().expect("aggregation has a merger");
+        let (out, aggregate_records) =
+            merge_window(partials.into_iter().flatten().collect(), merger);
         let path = self.conf.output_part(rec, r);
         let work = ReduceWork {
             shuffle_bytes: 0,
             cache_bytes,
             input_records: 0,
             merged_records: 0,
-            // Pane partials and the merged window totals are aggregate
-            // records: "pane-based rather than tuple-based" (paper §6.2.1).
-            aggregate_records: partial_records + output_records,
+            aggregate_records,
             output_records: 0,
             hdfs_output_bytes: out.len() as u64,
             local_output_bytes: 0,
@@ -226,5 +202,130 @@ where
             label: format!("w{rec}/r{r}"),
         });
         Ok(path)
+    }
+}
+
+/// The window merge of `partials`, in pane order: every key's partial
+/// values through `merger`, rendered as the part file's `key\tvalue`
+/// lines in key order. Returns the text and the aggregate records the
+/// merge handles — the partials it reads plus the totals it writes, since
+/// "pane-based rather than tuple-based" (paper §6.2.1).
+///
+/// Sorted partials (the normal case) stream: each group of the k-way
+/// merge goes to the merger and the text as the pass yields it, and the
+/// merged run is never built. A partial a reducer emitted out of key
+/// order is flagged unsorted, and then every partial is flattened and
+/// regrouped.
+fn merge_window<K, V>(
+    partials: Vec<mrio::GroupedBlock<K, V>>,
+    merger: &dyn Merger<K, V>,
+) -> (String, u64)
+where
+    K: Writable + Ord + std::hash::Hash,
+    V: Writable,
+{
+    let partial_records: u64 = partials.iter().map(|b| b.records).sum();
+    let mut out = String::new();
+    let mut output_records = 0u64;
+    let mut write_group = |k: &K, vs: &[V]| {
+        let merged = merger.merge(k, vs);
+        k.write(&mut out);
+        out.push('\t');
+        merged.write(&mut out);
+        out.push('\n');
+        output_records += 1;
+    };
+    if partials.iter().all(|b| b.sorted) {
+        let runs: Vec<&Grouped<K, V>> = partials.iter().map(|b| &b.grouped).collect();
+        exec::for_each_merged_group(&runs, &mut write_group);
+    } else {
+        let mut flat: Vec<(K, V)> = Vec::new();
+        for block in partials {
+            flat.extend(block.grouped.into_pairs());
+        }
+        for (k, vs) in exec::sort_group(flat).iter() {
+            write_group(k, vs);
+        }
+    }
+    (out, partial_records + output_records)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::api::ClosureMerger;
+
+    /// The window merge before it streamed: materialise the merged run
+    /// with `merge_sorted_groups`, then iterate it — the reference
+    /// `merge_window` is held to.
+    fn merge_window_materialised(
+        partials: Vec<mrio::GroupedBlock<String, u64>>,
+        merger: &dyn Merger<String, u64>,
+    ) -> (String, u64) {
+        let mut partial_records = 0u64;
+        let mut runs = Vec::new();
+        let mut all_sorted = true;
+        for block in partials {
+            partial_records += block.records;
+            all_sorted &= block.sorted;
+            runs.push(block.grouped);
+        }
+        let groups = if all_sorted {
+            exec::merge_sorted_groups(runs)
+        } else {
+            let mut flat: Vec<(String, u64)> = Vec::new();
+            for run in runs {
+                flat.extend(run.into_pairs());
+            }
+            exec::sort_group(flat)
+        };
+        let mut out = String::new();
+        let mut output_records = 0u64;
+        for (k, vs) in groups.iter() {
+            let merged = merger.merge(k, vs);
+            k.write(&mut out);
+            out.push('\t');
+            merged.write(&mut out);
+            out.push('\n');
+            output_records += 1;
+        }
+        (out, partial_records + output_records)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn the_streamed_merge_writes_what_the_materialised_one_did(
+            panes in proptest::collection::vec(
+                (
+                    proptest::collection::vec(("[a-f]{0,2}", 0u64..1000), 0..30),
+                    proptest::prelude::any::<bool>(),
+                ),
+                0..6,
+            ),
+        ) {
+            // The merger folds the values in order, so a value out of
+            // place changes the text.
+            let merger = ClosureMerger::new(|_: &String, vs: &[u64]| {
+                vs.iter().fold(7u64, |h, v| h.wrapping_mul(31).wrapping_add(*v))
+            });
+            // A pane whose flag is off holds its pairs as they came, the
+            // run of a reducer that emitted out of key order.
+            let partials: Vec<mrio::GroupedBlock<String, u64>> = panes
+                .into_iter()
+                .map(|(pairs, sorted)| {
+                    let run = if sorted {
+                        exec::sort_group(pairs)
+                    } else {
+                        exec::group_consecutive(pairs)
+                    };
+                    let text_bytes = run.text_bytes();
+                    mrio::GroupedBlock::of_run(run, text_bytes)
+                })
+                .collect();
+            proptest::prop_assert_eq!(
+                merge_window(partials.clone(), &merger),
+                merge_window_materialised(partials, &merger)
+            );
+        }
     }
 }

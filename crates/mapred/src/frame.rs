@@ -129,14 +129,21 @@ impl FrameHeader {
         b
     }
 
-    fn from_bytes(b: &[u8]) -> FrameHeader {
-        FrameHeader {
-            pane: u64::from_le_bytes(b[0..8].try_into().unwrap()),
-            partition: u32::from_le_bytes(b[8..12].try_into().unwrap()),
-            seq: u32::from_le_bytes(b[12..16].try_into().unwrap()),
-            total: u32::from_le_bytes(b[16..20].try_into().unwrap()),
-            payload_len: u32::from_le_bytes(b[20..24].try_into().unwrap()),
-        }
+    /// The header at the front of `b`, or `None` if `b` is shorter than
+    /// one.
+    fn from_bytes(b: &[u8]) -> Option<FrameHeader> {
+        let (pane, b) = b.split_first_chunk::<8>()?;
+        let (partition, b) = b.split_first_chunk::<4>()?;
+        let (seq, b) = b.split_first_chunk::<4>()?;
+        let (total, b) = b.split_first_chunk::<4>()?;
+        let payload_len = b.first_chunk::<4>()?;
+        Some(FrameHeader {
+            pane: u64::from_le_bytes(*pane),
+            partition: u32::from_le_bytes(*partition),
+            seq: u32::from_le_bytes(*seq),
+            total: u32::from_le_bytes(*total),
+            payload_len: u32::from_le_bytes(*payload_len),
+        })
     }
 }
 
@@ -172,54 +179,63 @@ pub fn write_frame(
 /// payload fits the remaining bytes, and a matching checksum. Returns
 /// the frame and its encoded length, or `None` if anything disagrees.
 fn frame_at(buf: &[u8], pos: usize) -> Option<(FrameRef<'_>, usize)> {
-    let rest = &buf[pos..];
+    let rest = buf.get(pos..)?;
     if rest.len() < FRAME_OVERHEAD || rest[..4] != FRAME_MARKER {
         return None;
     }
-    let header = FrameHeader::from_bytes(&rest[4..4 + FRAME_HEADER_LEN]);
+    let header = FrameHeader::from_bytes(&rest[4..])?;
     let frame_len = FRAME_OVERHEAD.checked_add(header.payload_len as usize)?;
-    if rest.len() < frame_len {
-        return None;
-    }
-    let body = &rest[4..4 + FRAME_HEADER_LEN + header.payload_len as usize];
-    let stored = u32::from_le_bytes(rest[frame_len - 4..frame_len].try_into().unwrap());
-    if crc_step(!0, body) ^ !0 != stored {
+    // Header and payload, then the checksum stored over them.
+    let (body, stored) = rest.get(4..frame_len)?.split_last_chunk::<4>()?;
+    if crc_step(!0, body) ^ !0 != u32::from_le_bytes(*stored) {
         return None;
     }
     Some((FrameRef { header, payload: &body[FRAME_HEADER_LEN..] }, frame_len))
 }
 
-/// Strictly decodes a whole frame stream: frames must sit back-to-back
-/// from offset 0, in sequence order `0..total`, all intact and agreeing
-/// on `total`, with no trailing bytes. Any damage is a codec error —
-/// use [`salvage_frames`] to recover the intact subset instead.
-pub fn decode_frames(buf: &[u8]) -> Result<Vec<FrameRef<'_>>> {
-    let mut frames = Vec::new();
+/// The strict walk: hands each frame of `buf` to `visit`, in blob order,
+/// and checks the stream the way [`decode_frames`] does — frames
+/// back-to-back from offset 0, in sequence order `0..total`, all intact
+/// and agreeing on `total`, no trailing bytes — without collecting
+/// anything. Frames before the damage have already been visited when it
+/// is found, so a caller keeps what it built only on `Ok`.
+pub fn walk_frames<'a>(buf: &'a [u8], mut visit: impl FnMut(FrameRef<'a>)) -> Result<()> {
+    let mut count = 0u32;
+    // The first header's `total`, and whether every header so far agrees.
+    let mut claimed: Option<u32> = None;
+    let mut agree = true;
     let mut pos = 0usize;
     while pos < buf.len() {
         let Some((frame, len)) = frame_at(buf, pos) else {
             return Err(MrError::Codec(format!("damaged frame at offset {pos}")));
         };
-        if frame.header.seq != frames.len() as u32 {
+        if frame.header.seq != count {
             return Err(MrError::Codec(format!(
-                "frame out of sequence at offset {pos}: seq {}, expected {}",
+                "frame out of sequence at offset {pos}: seq {}, expected {count}",
                 frame.header.seq,
-                frames.len()
             )));
         }
-        frames.push(frame);
+        agree &= *claimed.get_or_insert(frame.header.total) == frame.header.total;
+        visit(frame);
+        count += 1;
         pos += len;
     }
-    match frames.first().map(|f| f.header.total) {
+    match claimed {
         None => Err(MrError::Codec("empty frame stream".into())),
-        Some(t) if frames.len() as u32 != t || frames.iter().any(|f| f.header.total != t) => {
-            Err(MrError::Codec(format!(
-                "frame stream has {} frames, headers claim {t}",
-                frames.len()
-            )))
+        Some(t) if count != t || !agree => {
+            Err(MrError::Codec(format!("frame stream has {count} frames, headers claim {t}")))
         }
-        Some(_) => Ok(frames),
+        Some(_) => Ok(()),
     }
+}
+
+/// Strictly decodes a whole frame stream: [`walk_frames`], collected.
+/// Any damage is a codec error — use [`salvage_frames`] to recover the
+/// intact subset instead.
+pub fn decode_frames(buf: &[u8]) -> Result<Vec<FrameRef<'_>>> {
+    let mut frames = Vec::new();
+    walk_frames(buf, |f| frames.push(f))?;
+    Ok(frames)
 }
 
 /// Salvage scan: slides over a (possibly damaged) blob, resynchronizing
@@ -302,7 +318,80 @@ mod tests {
         s
     }
 
+    /// `decode_frames` before the walk: collect every frame, then check
+    /// the count and every header's `total` — the reference the walk is
+    /// held to.
+    fn decode_frames_collecting(buf: &[u8]) -> Result<Vec<FrameRef<'_>>> {
+        let mut frames = Vec::new();
+        let mut pos = 0usize;
+        while pos < buf.len() {
+            let Some((frame, len)) = frame_at(buf, pos) else {
+                return Err(MrError::Codec(format!("damaged frame at offset {pos}")));
+            };
+            if frame.header.seq != frames.len() as u32 {
+                return Err(MrError::Codec(format!(
+                    "frame out of sequence at offset {pos}: seq {}, expected {}",
+                    frame.header.seq,
+                    frames.len()
+                )));
+            }
+            frames.push(frame);
+            pos += len;
+        }
+        match frames.first().map(|f| f.header.total) {
+            None => Err(MrError::Codec("empty frame stream".into())),
+            Some(t) if frames.len() as u32 != t || frames.iter().any(|f| f.header.total != t) => {
+                Err(MrError::Codec(format!(
+                    "frame stream has {} frames, headers claim {t}",
+                    frames.len()
+                )))
+            }
+            Some(_) => Ok(frames),
+        }
+    }
+
     proptest::proptest! {
+        #[test]
+        fn the_walk_equals_the_collecting_reference(
+            payloads in proptest::collection::vec(
+                proptest::collection::vec(proptest::prelude::any::<u8>(), 0..24),
+                0..5,
+            ),
+            // Per frame: a `seq` and a `total` that are usually right.
+            skew in proptest::collection::vec((0u32..8, 0u32..8), 5..6),
+            damage in proptest::collection::vec(
+                (0usize..200, proptest::prelude::any::<u8>()),
+                0..2,
+            ),
+            cut in 0usize..560,
+        ) {
+            let n = payloads.len() as u32;
+            let mut buf = Vec::new();
+            for (i, p) in payloads.iter().enumerate() {
+                let (ds, dt) = skew[i];
+                let seq = if ds == 0 { i as u32 + 1 } else { i as u32 };
+                let total = if dt == 0 { n + 1 } else if dt == 1 { n.saturating_sub(1) } else { n };
+                write_frame(&mut buf, 4, 1, seq, total, p);
+            }
+            for (at, x) in damage {
+                if let Some(b) = buf.get_mut(at) {
+                    *b ^= x;
+                }
+            }
+            buf.truncate(cut);
+            let mut walked = Vec::new();
+            let walk = walk_frames(&buf, |f| walked.push(f));
+            let reference = decode_frames_collecting(&buf);
+            proptest::prop_assert_eq!(
+                format!("{:?}", walk.map(|()| &walked)),
+                format!("{:?}", reference.as_ref())
+            );
+            proptest::prop_assert_eq!(
+                format!("{:?}", decode_frames(&buf)),
+                format!("{:?}", reference)
+            );
+        }
+
         #[test]
         fn slice_by_8_matches_bytewise_reference_at_every_alignment(
             buf in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..4105)

@@ -517,23 +517,22 @@ pub fn for_each_merged_group<K: Ord, V: Clone>(
     let mut gathered: Vec<V> = Vec::new();
     loop {
         // Earliest run wins ties, preserving stable-sort value order.
-        let mut first: Option<usize> = None;
+        let mut first: Option<(usize, &K)> = None;
         for (i, g) in runs.iter().enumerate() {
             let Some((k, _, _)) = g.runs.get(pos[i]) else { continue };
-            first = match first {
-                Some(m) if runs[m].runs[pos[m]].0 <= *k => Some(m),
-                _ => Some(i),
-            };
+            if first.is_none_or(|(_, min)| k < min) {
+                first = Some((i, k));
+            }
         }
-        let Some(first) = first else { break };
+        let Some((first, key)) = first else { break };
         let head = pos[first];
-        let key = &runs[first].runs[head].0;
         pos[first] += 1;
         // Drain equal keys in index order, exactly as the owned merge
         // does (one run may hold several consecutive equal-key groups
-        // when its input was grouped-but-unsorted).
+        // when its input was grouped-but-unsorted). A run before `first`
+        // cannot hold `key`: it would have won the scan.
         let mut shared = false;
-        for (i, g) in runs.iter().enumerate() {
+        for (i, g) in runs.iter().enumerate().skip(first) {
             while g.runs.get(pos[i]).is_some_and(|(k, _, _)| k == key) {
                 if !shared {
                     gathered.extend_from_slice(runs[first].group_values(head));

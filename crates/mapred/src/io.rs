@@ -138,9 +138,26 @@ impl LineFile {
         unsafe { std::str::from_utf8_unchecked(bytes) }
     }
 
-    /// Iterates lines in `range`.
+    /// Iterates lines in `range`: [`LineFile::line`] of each index, from
+    /// one walk over consecutive offsets. A line ends one byte before the
+    /// next one starts; the file's last line ends at the file's end, less
+    /// a final newline, which is tested once per call rather than per
+    /// line. Panics if a non-empty `range` runs past the last line.
     pub fn lines(&self, range: std::ops::Range<usize>) -> impl Iterator<Item = &str> + '_ {
-        range.map(move |i| self.line(i))
+        let data: &[u8] = &self.data;
+        let (starts, next): (&[u32], &[u32]) = if range.is_empty() {
+            (&[], &[])
+        } else {
+            (&self.offsets[range.clone()], &self.offsets[range.start + 1..])
+        };
+        let last_end = data.len() - usize::from(data.last() == Some(&b'\n'));
+        let ends = next.iter().map(|&o| o as usize - 1).chain(std::iter::once(last_end));
+        starts.iter().zip(ends).map(move |(&start, end)| {
+            // SAFETY: as in `line` — `start` is 0 or the byte after a
+            // `\n`, `end` the byte of a `\n` or end-of-file, both char
+            // boundaries of bytes `new` checked to be UTF-8.
+            unsafe { std::str::from_utf8_unchecked(&data[start as usize..end]) }
+        })
     }
 
     /// Byte offset at which line `i` starts.
@@ -274,9 +291,14 @@ fn encode_grouped_body<'g, K: Writable + 'g, V: Writable + 'g>(
 }
 
 /// Decodes one grouped-block body (a frame's payload) strictly to the
-/// end of `buf`, straight into the run-length form: one values vector
-/// sized from the record count, no per-group allocation.
-fn decode_grouped_body<K: Writable, V: Writable>(buf: &[u8]) -> Result<GroupedBlock<K, V>> {
+/// end of `buf`, appending its groups to `block`'s run (offsets past
+/// the values already there) and adding its counts to `block`'s: one
+/// values vector for the whole blob, grown by what each header claims,
+/// no per-frame block. On an error `block` holds part of the body.
+fn decode_grouped_body_into<K: Writable, V: Writable>(
+    buf: &[u8],
+    block: &mut GroupedBlock<K, V>,
+) -> Result<()> {
     let (&sorted_byte, mut rest) = buf
         .split_first()
         .ok_or_else(|| MrError::Codec("grouped block truncated at flags".into()))?;
@@ -288,15 +310,15 @@ fn decode_grouped_body<K: Writable, V: Writable>(buf: &[u8]) -> Result<GroupedBl
     let records = varint(&mut rest)?;
     let text_bytes = varint(&mut rest)?;
     let group_count = varint(&mut rest)?;
+    let grouped = &mut block.grouped;
     // `records` and `group_count` are untrusted input: clamp the
-    // pre-reservation to what the remaining bytes could possibly encode
+    // reservation to what the remaining bytes could possibly encode
     // (a group is at least a 1-byte key plus a 1-byte value count, a
     // value at least 1 byte), so a corrupt header fails the decode loop
     // below instead of triggering a huge up-front allocation.
-    let mut grouped: Grouped<K, V> = Grouped {
-        runs: Vec::with_capacity((group_count as usize).min(rest.len() / 2)),
-        values: Vec::with_capacity((records as usize).min(rest.len())),
-    };
+    grouped.runs.reserve((group_count as usize).min(rest.len() / 2));
+    grouped.values.reserve((records as usize).min(rest.len()));
+    let base = grouped.values.len();
     for _ in 0..group_count {
         let (k, used) = K::read_bin(rest)?;
         rest = &rest[used..];
@@ -319,13 +341,16 @@ fn decode_grouped_body<K: Writable, V: Writable>(buf: &[u8]) -> Result<GroupedBl
     if !rest.is_empty() {
         return Err(MrError::Codec(format!("{} trailing bytes after grouped block", rest.len())));
     }
-    if grouped.records() != records {
+    let decoded = (grouped.values.len() - base) as u64;
+    if decoded != records {
         return Err(MrError::Codec(format!(
-            "grouped block header claims {records} records, decoded {}",
-            grouped.records()
+            "grouped block header claims {records} records, decoded {decoded}"
         )));
     }
-    Ok(GroupedBlock { grouped, sorted: sorted_byte != 0, records, text_bytes })
+    block.sorted &= sorted_byte != 0;
+    block.records += records;
+    block.text_bytes += text_bytes;
+    Ok(())
 }
 
 // ---- Crash-safe framed grouped blocks ---------------------------------
@@ -391,30 +416,29 @@ pub fn encode_framed_grouped_block<K: Writable + Ord, V: Writable>(
 /// Decodes a framed grouped block strictly: every frame must be intact,
 /// in sequence, and agree on (pane, partition); any damage is a codec
 /// error (use [`crate::frame::salvage_frames`] to recover what
-/// survives).
+/// survives). One pass: the strict walk hands each frame's body to
+/// `decode_grouped_body_into` as it verifies it. The errors are those
+/// of a walk followed by a decode: damage to the stream itself first,
+/// then the first frame whose ids or body are wrong.
 pub fn decode_framed_grouped_block<K: Writable, V: Writable>(
     buf: &[u8],
 ) -> Result<GroupedBlock<K, V>> {
-    let frames = crate::frame::decode_frames(buf)?;
-    let (pane, partition) = (frames[0].header.pane, frames[0].header.partition);
     let mut block: GroupedBlock<K, V> =
         GroupedBlock { grouped: Grouped::new(), sorted: true, records: 0, text_bytes: 0 };
-    for f in &frames {
-        if (f.header.pane, f.header.partition) != (pane, partition) {
-            return Err(MrError::Codec("framed grouped block mixes (pane, partition) ids".into()));
+    let mut ids = None;
+    let mut decoded: Result<()> = Ok(());
+    crate::frame::walk_frames(buf, |f| {
+        if decoded.is_err() {
+            return;
         }
-        let seg: GroupedBlock<K, V> = decode_grouped_body(f.payload)?;
-        let base = block.grouped.values.len() as u32;
-        block
-            .grouped
-            .runs
-            .extend(seg.grouped.runs.into_iter().map(|(k, off, len)| (k, off + base, len)));
-        block.grouped.values.extend(seg.grouped.values);
-        block.sorted &= seg.sorted;
-        block.records += seg.records;
-        block.text_bytes += seg.text_bytes;
-    }
-    Ok(block)
+        let id = (f.header.pane, f.header.partition);
+        decoded = if *ids.get_or_insert(id) != id {
+            Err(MrError::Codec("framed grouped block mixes (pane, partition) ids".into()))
+        } else {
+            decode_grouped_body_into(f.payload, &mut block)
+        };
+    })?;
+    decoded.map(|()| block)
 }
 
 #[cfg(test)]
@@ -596,6 +620,30 @@ mod tests {
     }
 
     #[test]
+    fn lines_of_a_range_are_its_lines_one_by_one() {
+        for text in [
+            "a\nbb\n\nccc\n",
+            "a\nbb\n\nccc",
+            "\n",
+            "\n\n\n",
+            "single",
+            "single\n",
+            "",
+            "é\n\n€x\n😀",
+        ] {
+            let f = LineFile::new(Bytes::from(text.to_string()));
+            let n = f.line_count();
+            for a in 0..=n + 1 {
+                for b in 0..=n {
+                    let walked: Vec<&str> = f.lines(a..b).collect();
+                    let one_by_one: Vec<&str> = (a..b).map(|i| f.line(i)).collect();
+                    assert_eq!(walked, one_by_one, "{text:?} {a}..{b}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn byte_len_of_ranges() {
         let f = LineFile::new(Bytes::from_static(b"a\nbb\nccc\n"));
         assert_eq!(f.byte_len_of(0..1), 2); // "a\n"
@@ -730,6 +778,166 @@ mod tests {
             crate::writable::write_varint(&mut body, nvals);
             let err = decode_framed_grouped_block::<String, u64>(&framed(&body)).unwrap_err();
             assert!(matches!(err, MrError::Codec(_)), "nvals={nvals}: {err:?}");
+        }
+    }
+
+    /// One grouped-block body decoded into a block of its own: the
+    /// per-frame step of the reference below.
+    fn decode_grouped_body<K: Writable, V: Writable>(buf: &[u8]) -> Result<GroupedBlock<K, V>> {
+        let (&sorted_byte, mut rest) = buf
+            .split_first()
+            .ok_or_else(|| MrError::Codec("grouped block truncated at flags".into()))?;
+        let varint = |rest: &mut &[u8]| -> Result<u64> {
+            let (v, used) = crate::writable::read_varint(rest)?;
+            *rest = &rest[used..];
+            Ok(v)
+        };
+        let records = varint(&mut rest)?;
+        let text_bytes = varint(&mut rest)?;
+        let group_count = varint(&mut rest)?;
+        let mut grouped: Grouped<K, V> = Grouped {
+            runs: Vec::with_capacity((group_count as usize).min(rest.len() / 2)),
+            values: Vec::with_capacity((records as usize).min(rest.len())),
+        };
+        for _ in 0..group_count {
+            let (k, used) = K::read_bin(rest)?;
+            rest = &rest[used..];
+            let nvals = u32::try_from(varint(&mut rest)?)
+                .ok()
+                .filter(|&n| n > 0)
+                .ok_or_else(|| MrError::Codec("grouped block group has no or too many values".into()))?;
+            let off = grouped.values.len() as u32;
+            for _ in 0..nvals {
+                let (v, used) = V::read_bin(rest)?;
+                rest = &rest[used..];
+                grouped.values.push(v);
+            }
+            grouped.runs.push((k, off, nvals));
+        }
+        if !rest.is_empty() {
+            return Err(MrError::Codec(format!("{} trailing bytes after grouped block", rest.len())));
+        }
+        if grouped.records() != records {
+            return Err(MrError::Codec(format!(
+                "grouped block header claims {records} records, decoded {}",
+                grouped.records()
+            )));
+        }
+        Ok(GroupedBlock { grouped, sorted: sorted_byte != 0, records, text_bytes })
+    }
+
+    /// The two-pass decode: collect the frames, then decode each body
+    /// into a block of its own and copy it onto the result — the
+    /// reference the one-pass decode is held to, errors included.
+    fn decode_framed_grouped_block_per_frame<K: Writable, V: Writable>(
+        buf: &[u8],
+    ) -> Result<GroupedBlock<K, V>> {
+        let frames = crate::frame::decode_frames(buf)?;
+        let (pane, partition) = (frames[0].header.pane, frames[0].header.partition);
+        let mut block: GroupedBlock<K, V> =
+            GroupedBlock { grouped: Grouped::new(), sorted: true, records: 0, text_bytes: 0 };
+        for f in &frames {
+            if (f.header.pane, f.header.partition) != (pane, partition) {
+                return Err(MrError::Codec("framed grouped block mixes (pane, partition) ids".into()));
+            }
+            let seg: GroupedBlock<K, V> = decode_grouped_body(f.payload)?;
+            let base = block.grouped.values.len() as u32;
+            block
+                .grouped
+                .runs
+                .extend(seg.grouped.runs.into_iter().map(|(k, off, len)| (k, off + base, len)));
+            block.grouped.values.extend(seg.grouped.values);
+            block.sorted &= seg.sorted;
+            block.records += seg.records;
+            block.text_bytes += seg.text_bytes;
+        }
+        Ok(block)
+    }
+
+    /// Both decoders' results for `buf`, rendered for comparison.
+    fn both_decodes(buf: &[u8]) -> (String, String) {
+        (
+            format!("{:?}", decode_framed_grouped_block::<String, u64>(buf)),
+            format!("{:?}", decode_framed_grouped_block_per_frame::<String, u64>(buf)),
+        )
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn one_pass_decode_equals_the_per_frame_reference(
+            pairs in proptest::collection::vec(("[a-e]{0,3}", 0u64..300), 0..90),
+            sorted in proptest::prelude::any::<bool>(),
+            // Frames whose body is replaced by junk under a valid
+            // checksum, or whose (pane, partition) differs.
+            junk in proptest::collection::vec(
+                (0usize..8, proptest::collection::vec(proptest::prelude::any::<u8>(), 0..12)),
+                0..2,
+            ),
+            moved in proptest::collection::vec(0usize..8, 0..2),
+            flip in (0usize..2000, proptest::prelude::any::<u8>()),
+            cut in 0usize..4000,
+        ) {
+            let groups = if sorted {
+                crate::grouped::sort_group(pairs)
+            } else {
+                crate::grouped::group_consecutive(pairs)
+            };
+            let clean = encode_framed_grouped_block(&groups, 7, 3);
+            // The clean blob decodes to its run, by both decoders.
+            let block = decode_framed_grouped_block::<String, u64>(&clean);
+            proptest::prop_assert_eq!(block.map(|b| b.grouped), Ok(groups));
+            let (one, two) = both_decodes(&clean);
+            proptest::prop_assert_eq!(one, two);
+
+            // Re-frame with junk bodies and foreign ids: checksums hold,
+            // so the body decoder and the id check meet them.
+            let frames = crate::frame::salvage_frames(&clean);
+            let total = frames.len() as u32;
+            let mut reframed = Vec::new();
+            for (i, f) in frames.iter().enumerate() {
+                let body = junk.iter().find(|(at, _)| *at == i).map_or(f.payload, |(_, j)| &j[..]);
+                let pane = if moved.contains(&i) { 8 } else { 7 };
+                crate::frame::write_frame(&mut reframed, pane, 3, i as u32, total, body);
+            }
+            let (one, two) = both_decodes(&reframed);
+            proptest::prop_assert_eq!(one, two);
+            // Cut as well: the stream's own damage is reported before a
+            // bad body that comes earlier in it.
+            let (one, two) = both_decodes(&reframed[..cut.min(reframed.len())]);
+            proptest::prop_assert_eq!(one, two);
+
+            // One flipped byte, or a cut: both decoders refuse it alike.
+            let mut damaged = clean.clone();
+            let (at, x) = flip;
+            if let Some(b) = damaged.get_mut(at) {
+                *b ^= x;
+            }
+            damaged.truncate(cut);
+            let (one, two) = both_decodes(&damaged);
+            if damaged != clean {
+                proptest::prop_assert!(one.starts_with("Err(Codec("), "{one}");
+            }
+            proptest::prop_assert_eq!(one, two);
+        }
+    }
+
+    #[test]
+    fn every_flip_and_cut_of_a_multi_frame_blob_is_a_codec_error() {
+        let buf = encode_framed_grouped_block(&sample_groups(100), 1, 0);
+        assert!(crate::frame::salvage_scan(&buf).total >= 3);
+        for at in 0..buf.len() {
+            for x in [0x01, 0x80, 0xFF] {
+                let mut flipped = buf.clone();
+                flipped[at] ^= x;
+                let (one, two) = both_decodes(&flipped);
+                assert!(one.starts_with("Err(Codec("), "flip {x:#x} at {at}: {one}");
+                assert_eq!(one, two, "flip {x:#x} at {at}");
+            }
+        }
+        for cut in 0..buf.len() {
+            let (one, two) = both_decodes(&buf[..cut]);
+            assert!(one.starts_with("Err(Codec("), "cut at {cut}: {one}");
+            assert_eq!(one, two, "cut at {cut}");
         }
     }
 

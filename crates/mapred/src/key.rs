@@ -273,15 +273,18 @@ impl Writable for SmallKey {
         write_varint(out, self.len() as u64);
         out.extend_from_slice(self.as_str().as_bytes());
     }
+    #[inline]
     fn read_bin(buf: &[u8]) -> Result<(Self, usize)> {
         let (len, header) = read_varint(buf)?;
-        let total = header + len as usize;
-        let body = buf.get(header..total).ok_or_else(|| {
-            crate::error::MrError::Codec("binary key truncated".into())
-        })?;
+        // `header` bytes were read from `buf`; a length no buffer could
+        // hold is a truncation, not an overflow.
+        let body = usize::try_from(len)
+            .ok()
+            .and_then(|len| buf[header..].get(..len))
+            .ok_or_else(|| crate::error::MrError::Codec("binary key truncated".into()))?;
         let s = std::str::from_utf8(body)
             .map_err(|_| crate::error::MrError::Codec("binary key is not UTF-8".into()))?;
-        Ok((SmallKey::from_str_ref(s), total))
+        Ok((SmallKey::from_str_ref(s), header + body.len()))
     }
     fn text_len(&self) -> u64 {
         self.len() as u64
@@ -410,6 +413,15 @@ mod tests {
             let (back, used) = SmallKey::read_bin(&kb).unwrap();
             assert_eq!((back.as_str(), used), (s, kb.len()));
             assert_eq!(SmallKey::read(&k.to_text()).unwrap(), k);
+        }
+        // A length past the bytes, up to the largest a varint holds, is a
+        // codec error under both key types — never an overflow.
+        for len in [4, u32::MAX as u64, u64::MAX - 9, u64::MAX] {
+            let mut wire = Vec::new();
+            crate::writable::write_varint(&mut wire, len);
+            wire.extend_from_slice(b"abc");
+            assert!(matches!(SmallKey::read_bin(&wire), Err(crate::error::MrError::Codec(_))), "{len}");
+            assert!(matches!(String::read_bin(&wire), Err(crate::error::MrError::Codec(_))), "{len}");
         }
     }
 

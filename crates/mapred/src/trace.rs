@@ -511,6 +511,12 @@ impl TraceSink {
         }
     }
 
+    /// Whether events are recorded: for an emitter whose event needs a
+    /// check the disabled path can skip.
+    pub fn is_enabled(&self) -> bool {
+        self.inner.is_some()
+    }
+
     /// Records one event. The closure only runs when the sink is enabled,
     /// so building the event (formatting, score collection) costs nothing
     /// on the disabled path.
@@ -648,6 +654,7 @@ pub struct WindowTraceStats {
 
 impl WindowTraceStats {
     /// Counts one event's fact: the only code that changes a count.
+    #[inline]
     pub fn fold(&mut self, fact: Counted) {
         match fact {
             Counted::Cache(CacheAction::Hit) => self.cache_hits += 1,

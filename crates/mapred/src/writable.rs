@@ -37,7 +37,16 @@ pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
 /// continue past it. Without this check, payload bits shifted past bit
 /// 63 were silently dropped and a corrupt varint decoded to a wrong
 /// value instead of erroring.
+#[inline]
 pub fn read_varint(buf: &[u8]) -> Result<(u64, usize)> {
+    // One byte, the common case: a length or count below 128.
+    match buf.first() {
+        Some(&byte) if byte & 0x80 == 0 => Ok((byte as u64, 1)),
+        _ => read_varint_long(buf),
+    }
+}
+
+fn read_varint_long(buf: &[u8]) -> Result<(u64, usize)> {
     let mut v = 0u64;
     let mut shift = 0u32;
     for (i, &byte) in buf.iter().enumerate() {
@@ -155,6 +164,7 @@ macro_rules! impl_writable_uint {
             fn write_bin(&self, out: &mut Vec<u8>) {
                 write_varint(out, *self as u64);
             }
+            #[inline]
             fn read_bin(buf: &[u8]) -> Result<(Self, usize)> {
                 let (v, used) = read_varint(buf)?;
                 let v = <$t>::try_from(v)
