@@ -149,7 +149,7 @@ impl CacheController {
     /// journaling nowhere until [`CacheController::set_trace_sink`]
     /// routes it.
     pub fn new(query_count: usize) -> Self {
-        assert!((1..=64).contains(&query_count));
+        assert!((1..=64).contains(&query_count), "the done mask is one u64: 1..=64 queries");
         let full_mask = if query_count == 64 { u64::MAX } else { (1u64 << query_count) - 1 };
         CacheController {
             query_count,
@@ -773,10 +773,6 @@ mod tests {
         CacheName::with_fp(CacheObject::PaneInput { source: 0, pane: PaneId(p) }, r, 0)
     }
 
-    fn out_name(p: u64) -> CacheName {
-        CacheName::with_fp(CacheObject::PaneOutput { source: 0, pane: PaneId(p) }, 0, 0)
-    }
-
     /// `node`'s purge queue: `(name, bytes)`, name-sorted.
     fn queued(c: &CacheController, node: NodeId) -> Vec<(CacheName, u64)> {
         c.purges.get(node.index()).map_or_else(Vec::new, |q| q.iter().map(|(n, b)| (*n, *b)).collect())
@@ -1124,26 +1120,6 @@ mod tests {
         c.touch(&n, SimTime(4));
         c.touch(&n, SimTime(5));
         assert_eq!(c.signature(&n).unwrap().remaining_uses, 0);
-    }
-
-    #[test]
-    fn table1_semantics() {
-        // Table 1: S1P3 is an expired reduce-output cache, S2P4 a live
-        // reduce-input cache. The live row is the node index, the expired
-        // one the purge queue, and only the expired one is purged.
-        let cluster = Cluster::with_nodes(1);
-        let mut c = CacheController::new(1);
-        for n in [out_name(3), name(4, 0)] {
-            cluster.put_local(NodeId(0), n.store_name(), Bytes::from_static(b"x")).unwrap();
-            c.register_cache(n, NodeId(0), 10, SimTime::ZERO);
-        }
-        c.mark_query_done(out_name(3), 0).unwrap();
-        c.forget(&out_name(3));
-        assert_eq!(c.names_on(NodeId(0)), vec![name(4, 0)]);
-        assert_eq!(queued(&c, NodeId(0)), vec![(out_name(3), 10)]);
-        assert_eq!(c.purge(&cluster).unwrap(), vec![(NodeId(0), out_name(3))]);
-        assert!(!cluster.has_local(NodeId(0), &out_name(3).store_name()));
-        assert!(cluster.has_local(NodeId(0), &name(4, 0).store_name()));
     }
 
     #[test]

@@ -258,28 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn a_torn_cache_is_purged_unless_rebuilt_where_it_lies() {
-        let cluster = Cluster::with_nodes(1);
-        let mut ctl = CacheController::new(1);
-        let blob = multi_frame_blob();
-        let len = blob.len();
-        for p in 0..2 {
-            cluster.put_local(NodeId(0), name(p).store_name(), blob.clone().into()).unwrap();
-            ctl.register_cache(name(p), NodeId(0), len as u64, SimTime::ZERO);
-            assert!(cluster.corrupt_local(NodeId(0), &name(p).store_name(), len - 8, 8).unwrap());
-        }
-        assert_eq!(ctl.audit_node(&cluster, NodeId(0)), vec![name(0), name(1)]);
-        // Pane 1 is rebuilt on the node, over its torn file; pane 0 is not,
-        // and its file is purged rather than left on the node untracked.
-        cluster.put_local(NodeId(0), name(1).store_name(), blob.clone().into()).unwrap();
-        ctl.register_cache(name(1), NodeId(0), len as u64, SimTime(1));
-        assert_eq!(ctl.purge(&cluster).unwrap(), vec![(NodeId(0), name(0))]);
-        assert!(!cluster.has_local(NodeId(0), &name(0).store_name()));
-        assert!(ctl.audit_node(&cluster, NodeId(0)).is_empty());
-        assert_eq!(ctl.names_on(NodeId(0)), vec![name(1)]);
-    }
-
-    #[test]
     fn large_reconciliation_invalidates_exactly_the_missing_names() {
         // 1000 caches on one node; only the even panes' files exist.
         // The audit must invalidate the odd ones, precisely.

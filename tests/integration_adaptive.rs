@@ -34,7 +34,7 @@ fn run_fluctuating(
         batch_adaptive(&cluster, &spec)
     };
     let mut exec = agg_executor(&cluster, spec, &tag, controller);
-    let reports = run_windows_interleaved(&mut exec, &[&batches], WINDOWS);
+    let reports = run_windows_interleaved(&cluster, &mut exec, &[&batches], WINDOWS);
     let responses = reports.iter().map(|r| r.response).collect();
     let modes = reports.iter().map(|r| r.mode).collect();
     let outputs = reports
@@ -93,7 +93,7 @@ fn proactive_subpanes_hide_arrival_latency() {
             batch_adaptive(&cluster, &spec)
         };
         let mut exec = agg_executor(&cluster, spec, tag, controller);
-        let reports = run_windows_interleaved(&mut exec, &[&batches], 4);
+        let reports = run_windows_interleaved(&cluster, &mut exec, &[&batches], 4);
         let times: Vec<SimTime> = reports.iter().map(|r| r.response).collect();
         let outs: Vec<Vec<(String, u64)>> = reports
             .iter()
@@ -133,7 +133,7 @@ fn proactive_join_is_correct_and_faster() {
             batch_adaptive(&cluster, &spec)
         };
         let mut exec = join_executor(&cluster, spec, tag, controller);
-        let reports = run_windows_interleaved(&mut exec, &[&pos, &spd], 3);
+        let reports = run_windows_interleaved(&cluster, &mut exec, &[&pos, &spd], 3);
         let times: Vec<SimTime> = reports.iter().map(|r| r.response).collect();
         let outs: Vec<Vec<(String, String)>> = reports
             .iter()

@@ -50,7 +50,7 @@ fn run_and_collect(
     batches: &[GeneratedBatch],
     windows: u64,
 ) -> Vec<(Vec<Vec<u8>>, WindowReport)> {
-    run_windows_interleaved(exec, &[batches], windows)
+    run_windows_interleaved(cluster, exec, &[batches], windows)
         .into_iter()
         .map(|report| {
             let parts = report

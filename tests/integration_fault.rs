@@ -28,6 +28,7 @@ fn run_redoop(failures: Option<FailurePlan>, seed: u64) -> (Vec<SimTime>, Vec<Si
     let cluster = test_cluster();
     let tag = if failures.is_some() { "fault-f" } else { "fault-clean" };
     let mut exec = agg_executor(&cluster, spec, tag, batch_adaptive(&cluster, &spec));
+    let mut model = model_of(&cluster, &mut exec);
     ingest_all(&mut exec, 0, &batches);
     let files = baseline_inputs(&cluster, &format!("/batches/{tag}"), &batches);
 
@@ -41,7 +42,7 @@ fn run_redoop(failures: Option<FailurePlan>, seed: u64) -> (Vec<SimTime>, Vec<Si
         if let Some(f) = &failures {
             f.apply(w as usize, &cluster).unwrap();
         }
-        let report = exec.run_window(w).unwrap();
+        let report = run_modelled(&mut model, &mut exec, w);
         let baseline = redoop_core::run_baseline_window(
             &cluster,
             &mut sim,
@@ -132,8 +133,9 @@ fn run_salvage_scenario(
     let batches = wcc_batches(&plan, seed, 1.0);
     let cluster = test_cluster();
     let mut exec = agg_executor(&cluster, spec, "salvage", batch_adaptive(&cluster, &spec));
+    let mut model = model_of(&cluster, &mut exec);
     ingest_all(&mut exec, 0, &batches);
-    exec.run_window(0).unwrap();
+    run_modelled(&mut model, &mut exec, 0);
     let mut scans = Vec::new();
     if let Some(evs) = events {
         let mut fplan = FailurePlan::none();
@@ -149,7 +151,7 @@ fn run_salvage_scenario(
             }
         }
     }
-    let report = exec.run_window(1).unwrap();
+    let report = run_modelled(&mut model, &mut exec, 1);
     let out = read_window_output(&cluster, &report.outputs).unwrap();
     (report.response, out, scans)
 }

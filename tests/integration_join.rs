@@ -30,6 +30,7 @@ fn run_both(overlap: f64, seed: u64) -> JoinRun {
     let cluster = test_cluster();
     let tag = format!("join{}s{seed}", (overlap * 100.0) as u32);
     let mut exec = join_executor(&cluster, spec, &tag, batch_adaptive(&cluster, &spec));
+    let mut model = model_of(&cluster, &mut exec);
     ingest_all(&mut exec, 0, &pos);
     ingest_all(&mut exec, 1, &spd);
 
@@ -44,7 +45,7 @@ fn run_both(overlap: f64, seed: u64) -> JoinRun {
 
     let mut run = JoinRun { redoop: Vec::new(), hadoop: Vec::new() };
     for w in 0..WINDOWS {
-        let report = exec.run_window(w).unwrap();
+        let report = run_modelled(&mut model, &mut exec, w);
         let baseline = redoop_core::run_baseline_window(
             &cluster,
             &mut sim,
@@ -233,7 +234,7 @@ fn run_proactive_join(overlap: f64, fluctuating: bool) -> (Vec<u64>, u64) {
     let cluster = test_cluster();
     let mut exec =
         join_executor(&cluster, spec, "jgold", proactive_adaptive(&cluster, &spec, 8));
-    let reports = run_windows_interleaved(&mut exec, &[&pos, &spd], WINDOWS);
+    let reports = run_windows_interleaved(&cluster, &mut exec, &[&pos, &spd], WINDOWS);
     assert!(reports.iter().all(|r| r.mode == ExecMode::Proactive));
     let sim = reports.iter().map(|r| r.response.0).collect();
     let parts: Vec<Vec<u8>> = reports
@@ -319,7 +320,7 @@ fn the_pair_stage_reduces_only_the_keys_both_inputs_hold() {
             adaptive,
         )
         .unwrap();
-        let reports = run_windows_interleaved(&mut exec, &[&pos, &spd], WINDOWS);
+        let reports = run_windows_interleaved(&cluster, &mut exec, &[&pos, &spd], WINDOWS);
 
         let mut files = baseline_inputs(&cluster, &format!("/batches/{tag}-pos"), &pos);
         files.extend(baseline_inputs(&cluster, &format!("/batches/{tag}-spd"), &spd));

@@ -551,6 +551,7 @@ fn a_fleet_builds_each_shared_product_once_at_scale() {
     assert!(registers.values().all(|&n| n == 1), "re-registered: {registers:?}");
     assert_eq!(one.sum(|r| r.trace.off_holder_misses), 0);
     assert_eq!(one.sum(|r| r.trace.cache_misses), panes * R, "only the leader misses");
+    assert_eq!(one.strays, 0, "every shared product has one copy, listed by the queries that hold it");
 
     let expect = recomputed_windows(&cluster_one, "once", &batches, &spec, WINDOWS);
     for (q, outputs) in one.outputs.iter().enumerate() {

@@ -33,6 +33,7 @@ fn run_both(overlap: f64, seed: u64) -> AggRun {
     let cluster = test_cluster();
     let tag = format!("agg{}s{seed}", (overlap * 100.0) as u32);
     let mut exec = agg_executor(&cluster, spec, &tag, batch_adaptive(&cluster, &spec));
+    let mut model = model_of(&cluster, &mut exec);
     ingest_all(&mut exec, 0, &batches);
     let files = baseline_inputs(&cluster, &format!("/batches/{tag}"), &batches);
 
@@ -47,7 +48,7 @@ fn run_both(overlap: f64, seed: u64) -> AggRun {
         reused: Vec::new(),
     };
     for w in 0..WINDOWS {
-        let report = exec.run_window(w).unwrap();
+        let report = run_modelled(&mut model, &mut exec, w);
         let baseline = redoop_core::run_baseline_window(
             &cluster,
             &mut sim,
@@ -230,23 +231,6 @@ fn the_merge_reads_back_only_the_partials_it_is_charged_for() {
     assert_eq!(served(), reused_partial_bytes, "each reused partial is decoded once");
 }
 
-/// Every file in a live node's local store is a cache the controller
-/// lists on that node: what a node holds is the controller's index, and
-/// whatever the controller lets go of is purged by the window's scan.
-fn assert_stores_match_the_controller(
-    cluster: &redoop_dfs::Cluster,
-    exec: &RecurringExecutor<AggMapper, AggReducer>,
-    w: u64,
-) {
-    for node in cluster.alive_nodes() {
-        let listed: std::collections::BTreeSet<String> =
-            exec.controller().names_on(node).iter().map(|n| n.store_name()).collect();
-        for file in cluster.list_local(node).unwrap() {
-            assert!(listed.contains(&file), "window {w}: {file} on {node:?} is not listed");
-        }
-    }
-}
-
 /// Tears every framed `ro/` cache on the cluster from 60 % of its length
 /// to its end, as a torn write would. Returns how many it tore.
 fn tear_framed_output_caches(cluster: &redoop_dfs::Cluster) -> usize {
@@ -272,25 +256,26 @@ fn every_stored_file_is_a_listed_cache_with_caching_on_or_off() {
     // Caching on, caching off, and caching on with every framed `ro/`
     // cache torn after window 0: the audit rolls each torn cache back,
     // and one that is not rebuilt where it lies — its pane left the
-    // window — must still be purged.
+    // window — must still be purged. The cache model checks every file
+    // on a live node against the controller after each window.
     for (caching, tear) in [(true, false), (false, false), (true, true)] {
         let cluster = test_cluster();
         let tag = format!("ledger-{caching}-{tear}");
         let mut exec = agg_executor(&cluster, spec, &tag, batch_adaptive(&cluster, &spec));
         exec.set_options(ExecutorOptions { caching, ..Default::default() });
+        let mut model = model_of(&cluster, &mut exec);
         ingest_all(&mut exec, 0, &batches);
         for w in 0..6 {
             if tear && w == 1 {
                 assert!(tear_framed_output_caches(&cluster) > 0, "window 0 leaves framed caches");
             }
-            let report = exec.run_window(w).unwrap();
+            let report = run_modelled(&mut model, &mut exec, w);
             if !caching {
                 assert_eq!(report.reused_caches, 0, "the ablation reuses nothing");
             }
             if tear && w == 1 {
                 assert!(report.trace.rollbacks > 0, "the audit rolls the torn caches back");
             }
-            assert_stores_match_the_controller(&cluster, &exec, w);
         }
     }
 }
@@ -319,7 +304,7 @@ fn a_name_rebuilt_where_it_was_dropped_survives_the_purge() {
         }
         let sink = TraceSink::enabled();
         exec.set_trace_sink(sink.clone());
-        run_windows_interleaved(&mut exec, &[&batches], windows);
+        run_windows_interleaved(&cluster, &mut exec, &[&batches], windows);
         let held = cluster.alive_nodes().into_iter().map(|n| exec.controller().bytes_on(n)).max();
         (sink, held.unwrap())
     };

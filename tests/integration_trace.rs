@@ -11,7 +11,6 @@
 mod common;
 
 use common::*;
-use redoop_core::cache::{CacheName, CacheObject};
 use redoop_core::prelude::*;
 use redoop_dfs::NodeId;
 use redoop_mapred::trace::{CacheAction, TraceEvent, TraceSink, WindowTraceStats};
@@ -239,31 +238,18 @@ fn pane_builds_overlap_across_partitions_but_chain_within_one() {
 fn subpane_caches_expire_with_their_pane() {
     // Regression: the expiry sweep used to enumerate only the first
     // sub-pane's input object, so entries of the other sub-panes leaked
-    // in the controller forever. Force proactive mode with 4 sub-panes
-    // per pane and require that, after the run, no controller entry
-    // refers to a pane that left the window.
+    // in the controller forever. Forced proactive with 4 sub-panes per
+    // pane, the cache model checks every window: each pane's caches
+    // expire in the window its lifespan ends, and no controller row
+    // outlives its expiry.
     let spec = spec_with_overlap(0.5);
     let windows = 6;
-    let plan = ArrivalPlan::new(spec, windows);
-    let batches = wcc_batches(&plan, 41, 1.0);
+    let batches = wcc_batches(&ArrivalPlan::new(spec, windows), 41, 1.0);
     let cluster = test_cluster();
     let mut exec =
         agg_executor(&cluster, spec, "trace-sub", proactive_adaptive(&cluster, &spec, 4));
-    let reports = run_windows_interleaved(&mut exec, &[&batches], windows);
+    let reports = run_windows_interleaved(&cluster, &mut exec, &[&batches], windows);
     assert_eq!(reports.len(), windows as usize);
-
-    let geom = PaneGeometry::from_spec(&spec);
-    let last = windows - 1;
-    let stale = exec.controller().names_matching(|n| match n.object {
-        CacheObject::PaneInput { pane, .. } | CacheObject::PaneOutput { pane, .. } => {
-            geom.pane_out_of_window(pane, last)
-        }
-        CacheObject::PairOutput { .. } => false,
-    });
-    assert!(
-        stale.is_empty(),
-        "controller must hold no out-of-window entries, found {stale:?}"
-    );
 }
 
 #[test]
@@ -271,12 +257,12 @@ fn every_journaled_cache_was_built_adopted_or_refused() {
     // A controller row stands for a cache that exists or existed, so
     // every cache event of an owned aggregation's journal — batch, and
     // adaptive with sub-panes — names a cache some `register`,
-    // `shared_hit` or `admit_reject` of that journal introduced. Nothing
-    // announced at ingest is expired or forgotten unbuilt.
+    // `shared_hit` or `admit_reject` of that journal introduced; the
+    // cache model asserts it of every window. Nothing announced at
+    // ingest is expired or forgotten unbuilt.
     let spec = spec_with_overlap(0.5);
     let windows = 5;
-    let plan = ArrivalPlan::new(spec, windows);
-    let batches = wcc_batches(&plan, 71, 1.0);
+    let batches = wcc_batches(&ArrivalPlan::new(spec, windows), 71, 1.0);
     for (tag, subpanes) in [("trace-intro-batch", None), ("trace-intro-sub", Some(4))] {
         let cluster = test_cluster();
         let adaptive = match subpanes {
@@ -284,104 +270,55 @@ fn every_journaled_cache_was_built_adopted_or_refused() {
             Some(n) => proactive_adaptive(&cluster, &spec, n),
         };
         let mut exec = agg_executor(&cluster, spec, tag, adaptive);
-        let sink = TraceSink::with_capacity(1 << 17);
-        exec.set_trace_sink(sink.clone());
-        assert_eq!(run_windows_interleaved(&mut exec, &[&batches], windows).len(), windows as usize);
-        assert_eq!(sink.dropped(), 0);
-        let events = sink.events();
-        let introduced: std::collections::HashSet<&str> = events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Cache {
-                    action: CacheAction::Register | CacheAction::SharedHit | CacheAction::AdmitReject,
-                    name,
-                    ..
-                } => Some(name.as_str()),
-                _ => None,
-            })
-            .collect();
-        let mut expired = 0;
-        for event in &events {
-            if let TraceEvent::Cache { action, name, .. } = event {
-                assert!(introduced.contains(name.as_str()), "{tag}: {action:?} of {name}, never introduced");
-                expired += usize::from(*action == CacheAction::Expire);
-            }
+        let mut model = model_of(&cluster, &mut exec);
+        ingest_all(&mut exec, 0, &batches);
+        for w in 0..windows {
+            run_modelled(&mut model, &mut exec, w);
         }
-        assert!(expired > 0, "{tag}: the run must expire caches");
+        assert!(model.expired() > 0, "{tag}: the run must expire caches");
     }
 }
 
 #[test]
 fn a_join_that_lost_a_node_leaves_no_stale_entries_or_files() {
-    // The expiry sweep asks the controller what exists, so whatever a
-    // run went through — here a cache-holding node dying after window 1
-    // and rejoining empty after window 3 — the last window's purge must
-    // leave no signature and no file of a pane that left the window, nor
-    // of a pair whose last common window has run.
-    let spec = spec_with_overlap(0.75);
+    // A join whose cache-holding node dies after window 1 and rejoins
+    // empty after window 3, at overlap .75 and on paper Fig. 4's geometry
+    // (win 30, slide 20: panes of 10, three per window, two per slide).
+    // The cache model holds every window to Tables 1-3: each pane expires
+    // once the pair cells of its lifespan are done and it left the
+    // window, each pair once its last common window ran, the controller
+    // holds exactly the live caches and keeps no row past its expiry, and
+    // no live node keeps a file the controller does not list.
     let windows = 7;
-    let plan = ArrivalPlan::new(spec, windows);
-    let pos = ffg_batches(&plan, redoop_workloads::ffg::Stream::Position, 61, 0.5);
-    let spd = ffg_batches(&plan, redoop_workloads::ffg::Stream::Speed, 62, 0.5);
-    let cluster = test_cluster();
-    let mut exec = join_executor(&cluster, spec, "trace-jexp", batch_adaptive(&cluster, &spec));
-    ingest_all(&mut exec, 0, &pos);
-    ingest_all(&mut exec, 1, &spd);
-    let mut victim = None;
-    for w in 0..windows {
-        exec.run_window(w).unwrap();
-        if w == 1 {
-            let holder = exec
-                .controller()
-                .all_cached()
-                .iter()
-                .find_map(|n| exec.controller().location(n))
-                .expect("two windows must have materialized caches");
-            cluster.kill_node(holder).unwrap();
-            victim = Some(holder);
+    for spec in [spec_with_overlap(0.75), WindowSpec::new(3_000_000, 2_000_000).unwrap()] {
+        let plan = ArrivalPlan::new(spec, windows);
+        let pos = ffg_batches(&plan, redoop_workloads::ffg::Stream::Position, 61, 0.5);
+        let spd = ffg_batches(&plan, redoop_workloads::ffg::Stream::Speed, 62, 0.5);
+        let cluster = test_cluster();
+        let mut exec = join_executor(&cluster, spec, "trace-jexp", batch_adaptive(&cluster, &spec));
+        let mut model = model_of(&cluster, &mut exec);
+        if spec.slide == 2_000_000 {
+            // Fig. 4, 0-based: pane 0 pairs with panes 0..3, pane 1 (the
+            // paper's S2P2) with 3 panes, pane 2 (S2P3) with 5.
+            assert_eq!([0, 1, 2].map(|p| model.lifespan(0, p)), [0..3, 0..3, 0..5]);
         }
-        if w == 3 {
-            cluster.revive_node(victim.unwrap()).unwrap();
-        }
-    }
-
-    let geom = PaneGeometry::from_spec(&spec);
-    let last = windows - 1;
-    let pair_stale = |left: PaneId, right: PaneId| {
-        geom.windows_containing(left).end.min(geom.windows_containing(right).end) <= last + 1
-    };
-    let stale = exec.controller().names_matching(|n| match n.object {
-        CacheObject::PaneInput { pane, .. } | CacheObject::PaneOutput { pane, .. } => {
-            geom.pane_out_of_window(pane, last)
-        }
-        CacheObject::PairOutput { left, right } => pair_stale(left, right),
-    });
-    assert!(stale.is_empty(), "controller must hold no stale entries, found {stale:?}");
-
-    let files: std::collections::BTreeSet<String> = cluster
-        .alive_nodes()
-        .into_iter()
-        .flat_map(|n| cluster.list_local(n).unwrap())
-        .collect();
-    assert!(!files.is_empty(), "the last window's own caches are still there");
-    let end = geom.window_panes(last).end;
-    let mut stale_files = Vec::new();
-    for r in 0..4 {
-        for p in (0..end).map(PaneId) {
-            if geom.pane_out_of_window(p, last) {
-                for source in 0..2 {
-                    let object = CacheObject::PaneInput { source, pane: p };
-                    stale_files.push(CacheName::with_fp(object, r, exec.fingerprint()).store_name());
-                }
+        ingest_all(&mut exec, 0, &pos);
+        ingest_all(&mut exec, 1, &spd);
+        let mut victim = None;
+        for w in 0..windows {
+            run_modelled(&mut model, &mut exec, w);
+            if w == 1 {
+                let held = exec.controller().all_cached();
+                let holder = held.iter().find_map(|n| exec.controller().location(n));
+                victim = Some(holder.expect("two windows must have materialized caches"));
+                cluster.kill_node(victim.unwrap()).unwrap();
             }
-            for q in (0..end).map(PaneId).filter(|&q| pair_stale(p, q)) {
-                let object = CacheObject::PairOutput { left: p, right: q };
-                stale_files.push(CacheName::with_fp(object, r, exec.fingerprint()).store_name());
+            if w == 3 {
+                cluster.revive_node(victim.unwrap()).unwrap();
             }
         }
+        assert!(model.expired() > 0 && !model.live().is_empty(), "{spec:?}");
     }
-    stale_files.retain(|f| files.contains(f));
-    assert!(stale_files.is_empty(), "live nodes must hold no stale cache file: {stale_files:?}");
 }
 
 /// A report's counts, field by field.
@@ -461,7 +398,7 @@ fn report_counts_are_a_fold_of_the_journal() {
     let plan = ArrivalPlan::new(spec, 5);
     let pos = ffg_batches(&plan, redoop_workloads::ffg::Stream::Position, 61, 0.5);
     let spd = ffg_batches(&plan, redoop_workloads::ffg::Stream::Speed, 62, 0.5);
-    let run_join = |tag: &str, proactive: bool, budget: Option<u64>| {
+    let run_join = |tag: &str, proactive: bool, budget: Option<(CachePolicyKind, u64)>| {
         let cluster = test_cluster();
         let adaptive = if proactive {
             proactive_adaptive(&cluster, &spec, 4)
@@ -469,21 +406,24 @@ fn report_counts_are_a_fold_of_the_journal() {
             batch_adaptive(&cluster, &spec)
         };
         let mut exec = join_executor(&cluster, spec, tag, adaptive);
-        if let Some(bytes) = budget {
-            exec.set_cache_policy(CacheBudget::bounded(CachePolicyKind::CostBased, bytes));
+        if let Some((kind, bytes)) = budget {
+            exec.set_cache_policy(CacheBudget::bounded(kind, bytes));
         }
         let sink = TraceSink::with_capacity(1 << 18);
         exec.set_trace_sink(sink.clone());
-        run_windows_interleaved(&mut exec, &[&pos, &spd], 5);
+        run_windows_interleaved(&cluster, &mut exec, &[&pos, &spd], 5);
         let held = cluster.alive_nodes().into_iter().map(|n| exec.controller().bytes_on(n)).max();
         (sink, exec.reports().to_vec(), held.unwrap())
     };
-    for proactive in [false, true] {
-        let tag = if proactive { "fold-join-pro" } else { "fold-join" };
+    for (proactive, kind) in
+        [(false, CachePolicyKind::CostBased), (true, CachePolicyKind::CostBased), (false, CachePolicyKind::Lru)]
+    {
+        let tag = &format!("fold-join-{proactive}-{kind:?}");
         let (_, _, held) = run_join(tag, proactive, None);
-        let (sink, reports, _) = run_join(tag, proactive, Some(held / 4));
+        let (sink, reports, _) = run_join(tag, proactive, Some((kind, held / 4)));
         let folded = assert_reports_fold_the_journal(tag, &sink, &reports);
-        assert!(folded.evictions > 0 && folded.admit_rejects > 0, "{tag}: {folded:?}");
+        let refused = kind == CachePolicyKind::Lru || folded.admit_rejects > 0;
+        assert!(folded.evictions > 0 && refused, "{tag}: {folded:?}");
     }
 
     // The wide/narrow shared fleet: off-holder misses, shared hits, and
