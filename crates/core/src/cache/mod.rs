@@ -1,12 +1,14 @@
 //! Window-aware caching (paper §4): cache identities, the master-side
-//! Window-Aware Cache Controller with each node's Local Cache Registry
-//! (what the node holds and the files waiting for its purge) and its
-//! heartbeat audit, the per-query cache status matrix, capacity policies
-//! ([`policy`]), and the cross-query signature directory ([`share`]).
+//! Window-Aware Cache Controller — one cache plane per owned query or
+//! shared source, with each node's Local Cache Registry (what the node
+//! holds and the files waiting for its purge) and its heartbeat audit —
+//! the per-query cache status matrix, capacity policies ([`policy`]), and
+//! a signature directory the benchmark's probe alone still calls
+//! ([`share`]).
 //!
-//! A cache name reaches the controller only when something builds,
-//! adopts or refuses that cache: nothing is announced ahead of a build,
-//! so a controller row always stands for a cache that exists or existed.
+//! A cache name reaches the controller only when something builds or
+//! refuses that cache: nothing is announced ahead of a build, so a
+//! controller row always stands for a cache that exists or existed.
 
 pub mod controller;
 pub mod heartbeat;

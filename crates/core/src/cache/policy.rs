@@ -6,9 +6,8 @@
 //! The paper's lifecycle is expire-only and assumes unbounded node-local
 //! storage. At production scale every node has a byte budget, so the
 //! [`CacheController`] ranks a node's residents whenever a registration
-//! would exceed the configured per-node capacity (an adoption never
-//! evicts, and a cache larger than the whole budget is refused by the
-//! controller itself). [`CachePolicy::eviction_order`] lists the
+//! would exceed the configured per-node capacity (a cache larger than
+//! the whole budget is refused by the controller itself). [`CachePolicy::eviction_order`] lists the
 //! residents the policy would evict to make room, in the order it would
 //! evict them; residents it would never displace for this newcomer are
 //! left out. `victim` is the ranking's first element.

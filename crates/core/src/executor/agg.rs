@@ -141,9 +141,10 @@ where
         let mut cache_bytes = 0u64;
         // The caches to read back: exactly the ones whose read is charged.
         let mut fetched: Vec<CacheName> = Vec::with_capacity(panes.len());
+        let plane = self.controller.lock();
         for (slot, &name) in partials.iter().zip(names) {
             let handed_over = slot.is_some();
-            if let Some(sig) = self.controller.signature(&name) {
+            if let Some(sig) = plane.signature(&name) {
                 // Every pane partial gates readiness: fresh builds by
                 // their (last) build task's end, reused caches by their
                 // original registration (which can stall the merge when a
@@ -158,6 +159,7 @@ where
                 fetched.push(name);
             }
         }
+        drop(plane);
         let read_back = self.fetch_decoded::<R::VOut>(node, &fetched)?;
         for (slot, block) in partials.iter_mut().filter(|s| s.is_none()).zip(read_back) {
             *slot = Some(block);
@@ -166,7 +168,7 @@ where
             // The one rule for a pane partial's lifecycle bookkeeping:
             // the window's last partition merging a pane marks it done —
             // whether each partition's cache was a hit (built by an
-            // earlier window, sealed at ingestion, imported from another
+            // earlier window, sealed at ingestion, built by another
             // query) or built just now.
             for &p in panes {
                 self.matrix.mark_done(&[p]);

@@ -121,7 +121,7 @@ where
             && self.combiner.is_some()
             && self.merger.is_some()
             && self.sources.len() == 1
-            && self.share.is_none()
+            && !self.shared_source
     }
 
     /// Home node of partition `r`'s delta state: the last pick if still
@@ -134,9 +134,10 @@ where
                 return n;
             }
         }
-        let caches = self
-            .controller
-            .names_matching(|n| n.partition == r && matches!(n.object, CacheObject::PaneOutput { .. }));
+        let ctl = self.controller.clone();
+        let mut plane = ctl.lock();
+        let caches =
+            plane.names_matching(|n| n.partition == r && matches!(n.object, CacheObject::PaneOutput { .. }));
         let node = if caches.is_empty() {
             // First fold with no delta affinity yet: every partition asks
             // at the same arrival instant with identical reduce loads, so
@@ -154,7 +155,7 @@ where
                 .min_by_key(|n| loads[n.index()])
                 .expect("ingest checked that a node is alive")
         } else {
-            self.pick_reduce_node(&caches, at, || format!("delta/home/r{r}"), None)
+            self.pick_reduce_node(&mut plane, &caches, at, || format!("delta/home/r{r}"), None)
         };
         self.delta.homes[r] = Some(node);
         node

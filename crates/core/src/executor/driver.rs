@@ -19,9 +19,10 @@
 //!    their partition's finalization task — pane products must live on
 //!    the node that merges them) — or, when another query of the shared
 //!    source is building that whole set on one node right now, on that
-//!    node (`pick_reduce_node`: followers join the producer),
+//!    node (`pick_reduce_node`: followers join the producer, whose
+//!    in-flight builds the shared cache plane lists),
 //! 2. walks the names once for centralized cache hit/miss accounting and
-//!    trace emission,
+//!    trace emission, under one lock of the cache plane,
 //! 3. runs the map stage for missing panes, and
 //! 4. hands off to the agg/join dispatcher, which calls back into the
 //!    driver's cache-build step. **Each build task is charged
@@ -50,7 +51,8 @@
 //!
 //! §5 recovery (the heartbeat audit clearing the holder of every lost
 //! cache) and the post-window expiry/purge sweep live here too: they are
-//! driver concerns — bookkeeping between windows.
+//! driver concerns — bookkeeping between windows, each one lock of the
+//! plane.
 
 use std::collections::HashMap;
 
@@ -64,12 +66,13 @@ use redoop_mapred::{
 };
 
 use crate::adaptive::ExecMode;
+use crate::cache::controller::CachePlane;
 use crate::cache::{CacheName, CacheObject};
 use crate::error::{RedoopError, Result};
 use crate::pane::PaneId;
-use crate::scheduler::{cache_affinity, cache_holders, MapTaskEntry};
+use crate::scheduler::{affinity, holders, MapTaskEntry};
 
-use super::{DirHandle, RecurringExecutor};
+use super::RecurringExecutor;
 
 /// Per-map-task (per block split) statistics kept for proactive-mode
 /// pipelining, grouped by the sub-pane file the split came from.
@@ -283,30 +286,34 @@ where
         mapped: &mut MappedPanes<M::KOut, M::VOut>,
         metrics: &mut JobMetrics,
     ) -> Result<PartitionPrep> {
-        // Cross-query import: required caches another query already
-        // built — or is building — under the same signature become local
-        // hits *before* placement, and the producer of an in-flight one
-        // is handed to the placement, which joins it when it can.
-        let producer = self.import_shared(names, ctx.fire);
+        let ctl = self.controller.clone();
+        let mut plane = ctl.lock();
+        // Cross-query reads: required caches another query of the shared
+        // source already built — or is building — are this query's from
+        // its first read, and the producer of an in-flight one is handed
+        // to the placement, which joins it when it can.
+        let producer = self.take_peer_copies(&mut plane, names, ctx.fire);
         let kind_label = if self.sources.len() == 1 { "agg" } else { "join" };
         let label = || format!("w{rec}/{kind_label}/r{r}");
-        let node = self.pick_reduce_node(names, ctx.fire, label, producer);
+        let node = self.pick_reduce_node(&mut plane, names, ctx.fire, label, producer);
 
         let mut prep = PartitionPrep { node, missing: Vec::new(), todo_pairs: Vec::new() };
         for &name in names {
             // A product is a hit iff its cache is on the anchor —
-            // whenever, and by whichever path, it was built.
-            let hit = self.cached_on(&name, node);
-            let bytes = self.controller.signature(&name).map_or(0, |s| s.bytes);
+            // whenever, by whichever path and by whichever query of the
+            // plane it was built. A miss on a cache held elsewhere
+            // rebuilds work whose result exists.
+            let (holder, bytes) = plane.signature(&name).map_or((None, 0), |s| (s.node, s.bytes));
+            let hit = holder == Some(node);
             let action = if hit {
                 CacheAction::Hit
-            } else if self.held_elsewhere(&name, node) {
+            } else if holder.is_some() {
                 CacheAction::Miss(MissCause::OffHolder)
             } else {
                 CacheAction::Miss(MissCause::Unattributed)
             };
             let fact = Counted::Cache(action);
-            self.trace.emit_counted(&mut self.controller.stats, fact, || TraceEvent::Cache {
+            self.trace.emit_counted(&mut plane.stats, fact, || TraceEvent::Cache {
                 at: ctx.fire,
                 action,
                 name: name.store_name(),
@@ -316,7 +323,7 @@ where
             if hit {
                 // Recency feedback for the eviction policy (no trace
                 // event, so journals are unchanged by the stamp).
-                self.controller.touch(&name, ctx.fire);
+                plane.touch(&name, ctx.fire);
                 continue;
             }
             match name.object {
@@ -326,6 +333,7 @@ where
                 CacheObject::PairOutput { left, right } => prep.todo_pairs.push((left, right)),
             }
         }
+        drop(plane);
 
         // Map stage for missing panes.
         for m in &prep.missing {
@@ -366,21 +374,23 @@ where
     /// the decision in the journal and is built only when it is journaled.
     ///
     /// **Followers join the producer.** `producer` is the node of a cache
-    /// `import_shared` just adopted while it is still being built
-    /// (`available_at` past `floor`). When that node holds or is building
-    /// *every* cache of `caches`, the task is anchored there and Eq. 4 is
-    /// not asked: nodes are homogeneous, so a rebuild that starts now
-    /// cannot finish before a build of the same cache that started at or
-    /// before now, and on a complete holder "wait" and "rebuild elsewhere"
-    /// are the same work differing only by `rebuild_cost`'s estimate
-    /// error — one of them maps a whole pane again and moves the
-    /// directory entry, the other does nothing. The decision is journaled
-    /// as a `placement` listing that one candidate, `local` because the
-    /// anchor holds every cache. A required set split over nodes stays
-    /// with Eq. 4, so a wider window is never dragged off the node that
-    /// holds its older panes.
+    /// another query of the plane is still building (`available_at` past
+    /// `floor`) that this query just read for the first time
+    /// (`take_peer_copies`). When that node holds or is building *every*
+    /// cache of `caches`, the task is anchored there and Eq. 4 is not
+    /// asked: nodes are homogeneous, so a rebuild that starts now cannot
+    /// finish before a build of the same cache that started at or before
+    /// now, and on a complete holder "wait" and "rebuild elsewhere" are
+    /// the same work differing only by `rebuild_cost`'s estimate error —
+    /// one of them maps a whole pane again and moves the plane's copy,
+    /// the other does nothing. The decision is journaled as a `placement`
+    /// listing that one candidate, `local` because the anchor holds every
+    /// cache. A required set split over nodes stays with Eq. 4, so a
+    /// wider window is never dragged off the node that holds its older
+    /// panes.
     pub(super) fn pick_reduce_node(
         &mut self,
+        plane: &mut CachePlane,
         caches: &[CacheName],
         floor: SimTime,
         label: impl FnOnce() -> String,
@@ -389,7 +399,7 @@ where
         let (node, local) = if !self.options.cache_aware_scheduling {
             self.place(TaskKind::Reduce, &[], floor, label, |_| SimTime::ZERO)
         } else if let Some(node) =
-            producer.filter(|&p| caches.iter().all(|name| self.cached_on(name, p)))
+            producer.filter(|&p| caches.iter().all(|name| plane.location(name) == Some(p)))
         {
             self.trace.emit(|| TraceEvent::Placement {
                 at: floor,
@@ -400,21 +410,21 @@ where
                 scores: vec![NodeScore {
                     node,
                     load: self.sim.node_load(TaskKind::Reduce, node).max(floor),
-                    cost: cache_affinity(&self.controller, caches, node, self.sim.cost()),
+                    cost: affinity(plane, caches, node, self.sim.cost()),
                 }],
             });
             (node, true)
         } else {
-            let holders = cache_holders(&self.controller, caches);
+            let holders = holders(plane, caches);
             self.place(
                 TaskKind::Reduce,
                 &holders,
                 floor,
                 label,
-                |n| cache_affinity(&self.controller, caches, n, self.sim.cost()),
+                |n| affinity(plane, caches, n, self.sim.cost()),
             )
         };
-        self.controller.stats.fold(Counted::Placement(local));
+        plane.stats.fold(Counted::Placement(local));
         node
     }
 
@@ -590,6 +600,8 @@ where
             })
             .collect();
         let mut slice_infos: Vec<SliceMapInfo> = Vec::with_capacity(tasks.len());
+        let ctl = self.controller.clone();
+        let mut plane = ctl.lock();
         for ((slice_idx, ..), (work, buckets)) in tasks.iter().zip(computed) {
             let (slice, replicas) = (&slices[*slice_idx], &slice_replicas[*slice_idx]);
             // Virtual: place on a map slot with HDFS locality affinity —
@@ -603,7 +615,7 @@ where
                 cost.hdfs_read(bytes, replicas.contains(&n))
                     .saturating_sub(cost.hdfs_read(bytes, true))
             });
-            self.controller.stats.fold(Counted::Placement(local));
+            plane.stats.fold(Counted::Placement(local));
             let placement = self.charge_map(node, task_ready, &work, local, metrics);
             self.trace.emit(|| TraceEvent::TaskSpan {
                 phase: "map",
@@ -682,7 +694,7 @@ where
                     // frames on disk: the §5 rollback classifies it as
                     // partially recoverable and this rebuild pays only
                     // the missing frame suffix.
-                    let salvage = self.controller.salvaged(&m.name);
+                    let salvage = self.controller.lock().salvaged(&m.name);
                     let prev_end = done.last().map_or(SimTime::ZERO, |(end, _)| *end);
                     let ready = ctx.fire.max(prev_end).max(mp.ready);
                     // The fresh-pane share of the partition's work:
@@ -827,97 +839,43 @@ where
     // Cache registration
     // ------------------------------------------------------------------
 
-    /// Whether `name` is materialized on `node` specifically.
-    pub(super) fn cached_on(&self, name: &CacheName, node: NodeId) -> bool {
-        self.controller.location(name) == Some(node)
-    }
-
-    /// Cross-query cache import: for every fingerprinted required cache
-    /// this query does not hold, ask the shared source's signature
-    /// directory whether *another* query already built an equivalent
-    /// entry, verify the file still exists on its node, and adopt it
-    /// into this query's controller. Adopted entries are
-    /// silent registrations (no `Register` trace event), so `Register`
-    /// events keep counting physical builds; the import itself is
-    /// journaled as a `shared_hit`. Directory entries whose backing file
-    /// vanished (node loss racing the heartbeat audit) are dropped here
-    /// — import-time verification is the §5 rollback backstop.
+    /// Cross-query reads: for every required cache the plane holds that
+    /// another query built and this query reads for the first time
+    /// ([`CachePlane::take_peer_copy`]), journals a `shared_hit` — so
+    /// `register` events count physical builds and `shared_hit` events the
+    /// other queries' first reads of them. Nothing is read while caching
+    /// is off.
     ///
-    /// Returns the **producer**: the node of an adopted entry that is
-    /// still in flight (`available_at` past `at` — published by a query
-    /// that fired at this instant, or whose window outlasted the slide),
-    /// for `pick_reduce_node` to join.
-    fn import_shared(&mut self, names: &[CacheName], at: SimTime) -> Option<NodeId> {
-        let dir = self.shared_dir()?.clone();
+    /// Returns the **producer**: the node of such a cache that is still in
+    /// flight (`available_at` past `at` — built by a query that fired at
+    /// this instant, or whose window outlasted the slide), for
+    /// `pick_reduce_node` to join.
+    fn take_peer_copies(&self, plane: &mut CachePlane, names: &[CacheName], at: SimTime) -> Option<NodeId> {
+        if !self.options.caching {
+            return None;
+        }
         let mut producer = None;
         for name in names {
-            if self.controller.location(name).is_some() {
-                continue;
-            }
-            let Some(entry) = dir.lock().lookup(name) else { continue };
-            let store = name.store_name();
-            if !self.cluster.is_alive(entry.node) || !self.cluster.has_local(entry.node, &store) {
-                dir.lock().remove(name, entry.node);
-                continue;
-            }
-            let admission = self.controller.adopt_remote(
-                *name,
-                entry.node,
-                entry.bytes,
-                entry.rebuild_bytes,
-                entry.available_at,
-            );
-            if !admission.admitted {
-                // Over-budget adoption: fall back to a plain miss. The
-                // remote file and its advertisement stay put — a query
-                // with headroom can still adopt it.
-                continue;
-            }
-            if entry.available_at > at {
-                producer = Some(entry.node);
+            let Some(sig) = plane.take_peer_copy(name, self.query) else { continue };
+            if sig.available_at > at {
+                producer = sig.node;
             }
             let action = CacheAction::SharedHit;
-            let fact = Counted::Cache(action);
-            self.trace.emit_counted(&mut self.controller.stats, fact, || TraceEvent::Cache {
+            self.trace.emit_counted(&mut plane.stats, Counted::Cache(action), || TraceEvent::Cache {
                 at,
                 action,
-                name: store,
-                node: Some(entry.node),
-                bytes: entry.bytes,
+                name: name.store_name(),
+                node: sig.node,
+                bytes: sig.bytes,
             });
         }
         producer
     }
 
-    /// The signature directory this executor imports from: its shared
-    /// source's, while caching is on.
-    fn shared_dir(&self) -> Option<&DirHandle> {
-        self.share.as_ref().filter(|_| self.options.caching).map(|s| &s.dir)
-    }
-
-    /// Whether a live node other than `anchor` holds or is building
-    /// `name`: this query's own controller places it there, or the
-    /// directory advertises it (an adoption the budget refused leaves the
-    /// entry where it was). A miss it is true of rebuilds work whose
-    /// result exists.
-    fn held_elsewhere(&self, name: &CacheName, anchor: NodeId) -> bool {
-        self.controller.location(name).is_some_and(|n| n != anchor)
-            || self.shared_dir().is_some_and(|dir| {
-                dir.lock()
-                    .lookup(name)
-                    .is_some_and(|e| e.node != anchor && self.cluster.is_alive(e.node))
-            })
-    }
-
+    /// Registers a cache this query built on `node`, available from `at`,
+    /// with its rebuild and use estimates. A refused one keeps its file
+    /// until the next purge, which same-window merges may still read.
     pub(super) fn register(&mut self, name: CacheName, node: NodeId, bytes: u64, at: SimTime) {
-        // An owned query's copy migrates: the stale file on the old node
-        // is garbage. A shared source's may still serve other queries
-        // through the signature directory, so it stays.
-        if let Some(old) = self.controller.location(&name) {
-            if old != node && self.share.is_none() {
-                self.controller.queue_purge(old, name);
-            }
-        }
         // Estimate the reconstruction cost as the source pane bytes (per
         // partition): losing a small aggregate cache still forces a full
         // pane re-read/re-map/re-shuffle.
@@ -925,43 +883,7 @@ where
         // Admission sees the window-lifespan use estimate; cost-based
         // policies weigh rebuild cost by it.
         let uses = self.remaining_uses_of(&name);
-        let admission =
-            self.controller.register_cache_with_rebuild(name, node, bytes, rebuild, uses, at);
-        self.apply_evictions(&admission.evicted);
-        if !admission.admitted {
-            // The build already wrote the file and same-window merges may
-            // still read it; the controller queued it for the next purge.
-            return;
-        }
-        if let Some(share) = &self.share {
-            share.dir.lock().publish(
-                name,
-                crate::cache::share::SharedCacheEntry {
-                    node,
-                    bytes,
-                    rebuild_bytes: rebuild,
-                    available_at: at,
-                },
-            );
-        }
-    }
-
-    /// Withdraws each policy victim's cross-query advertisement; the
-    /// controller already journaled and counted the evictions and queued
-    /// the victims' files for their nodes' purge, the queue lifespan
-    /// expiry fills. Peers that already adopted a victim reconcile
-    /// through their heartbeat audits once the file is gone, the same §5
-    /// path a lost cache takes.
-    fn apply_evictions(&mut self, evicted: &[(NodeId, CacheName)]) {
-        if evicted.is_empty() {
-            return;
-        }
-        if let Some(share) = &self.share {
-            let mut dir = share.dir.lock();
-            for (vnode, vname) in evicted {
-                dir.remove(vname, *vnode);
-            }
-        }
+        self.controller.lock().register_cache_with_rebuild(name, node, bytes, rebuild, uses, at, self.query);
     }
 
     /// Window-lifespan estimate of a cache's future uses: how many
@@ -1018,91 +940,49 @@ where
     /// Runs every node's heartbeat audit (paper §2.3): caches the
     /// Window-Aware Cache Controller lists on a node but missing or
     /// damaged in its store, or held by a dead node, lose their holder,
-    /// so they get rebuilt on demand (paper §5 failure recovery). Returns
-    /// the number of lost caches.
+    /// so they get rebuilt on demand (paper §5 failure recovery) — for
+    /// every query of the plane. Returns the number of lost caches.
     pub fn audit_caches(&mut self) -> usize {
-        let mut lost = 0;
-        let dir = self.share.as_ref().map(|s| &s.dir);
-        for i in 0..self.cluster.node_count() as u32 {
-            let node = NodeId(i);
-            let lost_names = self.controller.audit_node(&self.cluster, node);
-            // Keep the cross-query directory honest: advertisements of
-            // this node's copies this audit just rolled back would send
-            // importers to files that no longer exist (they re-verify, but
-            // dropping the entry here saves every one of them the probe).
-            // An entry a peer has since re-published from another node is
-            // the peer's, and stays. A node that lost nothing leaves the
-            // directory unlocked.
-            if let Some(dir) = dir.filter(|_| !lost_names.is_empty()) {
-                let mut d = dir.lock();
-                for n in &lost_names {
-                    d.remove(n, node);
-                }
-            }
-            lost += lost_names.len();
-        }
-        lost
+        let mut plane = self.controller.lock();
+        (0..self.cluster.node_count() as u32)
+            .map(|i| plane.audit_node(&self.cluster, NodeId(i)).len())
+            .sum()
     }
 
-    /// Consults the signature directory before expiring a fingerprinted
-    /// cache. Returns `true` when the expiry must be deferred: some
-    /// *other* query sharing the signature has not finished with the
-    /// pane yet, so this query releases only its own controller entry and
-    /// leaves the file alive; the last consumer's sweep takes the normal
-    /// notify-and-purge path.
-    fn defer_shared_expiry(&mut self, name: &CacheName) -> bool {
-        use crate::cache::share::SharedExpiry;
-        let Some(share) = &self.share else { return false };
-        let verdict = share.dir.lock().mark_done(name, share.consumer);
-        match verdict {
-            SharedExpiry::Deferred => {
-                self.controller.forget(name);
-                self.trace.emit(|| TraceEvent::Cache {
-                    at: self.trace.now(),
-                    action: CacheAction::ExpireDeferred,
-                    name: name.store_name(),
-                    node: None,
-                    bytes: 0,
-                });
-                true
-            }
-            SharedExpiry::LastConsumer | SharedExpiry::Untracked => false,
+    /// Casts this query's done-vote on one cache at the end of its
+    /// lifespan — which, once every consumer of its fingerprint has
+    /// voted, expires it and queues the holding node's file for the
+    /// purge — and drops an expired cache's signature. Both expiry
+    /// triggers, the pane sweep and the pair sweep, funnel through here.
+    fn retire_cache(&self, plane: &mut CachePlane, name: CacheName) -> Result<()> {
+        plane.mark_query_done(name, self.query)?;
+        if plane.is_expired(&name) {
+            plane.forget(&name);
         }
-    }
-
-    /// Retires one cache identity at end-of-lifespan. Every expiry
-    /// trigger — pane sweep, pair sweep, shared-signature deferral —
-    /// funnels through here: consult the cross-query directory first (a
-    /// deferred expiry releases only this query's bookkeeping and keeps
-    /// the file alive), otherwise cast this query's done-vote — which
-    /// queues the holding node's file for the purge, if any — and drop
-    /// the master-side signature. One lifecycle path, three triggers.
-    fn retire_cache(&mut self, name: CacheName) -> Result<()> {
-        if self.defer_shared_expiry(&name) {
-            return Ok(());
-        }
-        self.controller.mark_query_done(name, 0)?;
-        self.controller.forget(&name);
         Ok(())
     }
 
     /// Expiration + purging after recurrence `rec` (paper §4.1/§4.2):
     /// panes and pairs that left the window and exhausted their lifespans
-    /// get their `doneQueryMask` bits set, which queues their files for
-    /// the purge, and the controller's purge scan visits every alive node
-    /// (`PurgeCycle` = one slide).
+    /// get this query's `doneQueryMask` bit, which expires those every
+    /// consumer is done with and queues their files for the purge, and
+    /// the plane's purge scan visits every alive node (`PurgeCycle` = one
+    /// slide).
     pub(super) fn expire_and_purge(&mut self, rec: u64) -> Result<()> {
-        // The controller's table is the record of what exists: every
-        // pane it tracks a signature for — sealed, built, adopted — is a
-        // candidate, expired once it left the window and its lifespan's
-        // cells are all done.
-        for (source, p) in self.controller.tracked_panes() {
+        let ctl = self.controller.clone();
+        let mut plane = ctl.lock();
+        // The plane's table is the record of what exists: every pane of
+        // this query's fingerprint it tracks a signature for — sealed or
+        // built, by this query or a peer — that this query has not voted
+        // on is a candidate, voted once it left the window and its
+        // lifespan's cells are all done.
+        for (source, p) in plane.tracked_panes(self.fp, self.query) {
             if !self.matrix.pane_expired(source as usize, PaneId(p), rec) {
                 continue;
             }
             // Every signature of the pane, each partition's.
-            for name in self.controller.names_for_pane(source, p) {
-                self.retire_cache(name)?;
+            for name in plane.names_for_pane(source, p, self.fp, self.query) {
+                self.retire_cache(&mut plane, name)?;
             }
             self.trace.emit(|| TraceEvent::PaneExpire {
                 at: self.trace.now(),
@@ -1113,15 +993,16 @@ where
 
         // A pair output is stale once the last window containing both of
         // its panes has run.
-        let stale_pairs = self.controller.names_matching(|n| {
+        let stale_pairs = plane.undone_by(self.fp, self.query, |n| {
             matches!(n.object, CacheObject::PairOutput { .. })
                 && self.lifespan_end(&n.object) <= rec + 1
         });
         for name in stale_pairs {
-            self.retire_cache(name)?;
+            self.retire_cache(&mut plane, name)?;
         }
 
-        self.controller.purge(&self.cluster)?;
+        plane.purge(&self.cluster)?;
+        drop(plane);
         self.matrix.shift(rec);
         Ok(())
     }

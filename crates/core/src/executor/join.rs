@@ -290,13 +290,12 @@ where
                 // from reused caches, then updated as missing inputs are
                 // built sub-pane by sub-pane.
                 let mut input_avail: HashMap<(u32, u64), SimTime> = HashMap::new();
+                let plane = self.controller.lock();
                 for s in 0..2u32 {
                     for &p in panes {
-                        let name = names.input(s, p);
-                        if self.cached_on(&name, node) {
-                            let at =
-                                self.controller.signature(&name).expect("cached").available_at;
-                            input_avail.insert((s, p.0), at);
+                        let sig = plane.signature(&names.input(s, p));
+                        if let Some(sig) = sig.filter(|sig| sig.node == Some(node)) {
+                            input_avail.insert((s, p.0), sig.available_at);
                         }
                     }
                 }
@@ -313,12 +312,11 @@ where
                     }
                 }
                 for &(src, p) in &old_panes_touched {
-                    if let Some(sig) =
-                        self.controller.signature(&names.input(src, PaneId(p)))
-                    {
+                    if let Some(sig) = plane.signature(&names.input(src, PaneId(p))) {
                         concat_old_input_reads += sig.bytes;
                     }
                 }
+                drop(plane);
                 // Build each missing input as its sub-panes arrive
                 // (pipelined per map split).
                 let built =
@@ -375,10 +373,11 @@ where
         let mut ready = ctx.fire;
         let mut reused_cache_bytes = 0u64;
         let mut out_bytes = 0u64;
+        let plane = self.controller.lock();
         for (i, name) in names.pairs().iter().enumerate() {
             let (p, q) = (panes[i / panes.len()], panes[i % panes.len()]);
             let fresh = prep.todo_pairs.contains(&(p, q));
-            if let Some(sig) = self.controller.signature(name) {
+            if let Some(sig) = plane.signature(name) {
                 ready = ready.max(sig.available_at);
                 out_bytes += sig.bytes;
                 if !fresh {
@@ -386,6 +385,7 @@ where
                 }
             }
         }
+        drop(plane);
         // Presized from the pair signatures (a pair's registered bytes are
         // its text length), so the copy below never regrows the buffer.
         let mut out = String::with_capacity(out_bytes as usize);

@@ -61,7 +61,6 @@ use crate::adaptive::{AdaptiveController, ExecMode};
 use crate::api::{Merger, QueryConf, SourceConf};
 use crate::cache::controller::CacheController;
 use crate::cache::policy::CacheBudget;
-use crate::cache::share::SignatureDirectory;
 use crate::cache::status_matrix::CacheStatusMatrix;
 use crate::cache::{CacheName, CacheObject};
 use crate::error::{RedoopError, Result};
@@ -149,16 +148,6 @@ struct SourceState {
     packer: PackerHandle,
 }
 
-/// The signature directory of a shared source.
-type DirHandle = Arc<Mutex<SignatureDirectory>>;
-
-/// This executor's attachment to a shared source's signature directory:
-/// the directory and the consumer id its lifespan votes are cast under.
-struct ShareBinding {
-    dir: DirHandle,
-    consumer: usize,
-}
-
 /// The recurring-query executor. See module docs.
 pub struct RecurringExecutor<M, R>
 where
@@ -177,11 +166,15 @@ where
     /// The query fingerprint every cache name of this executor carries
     /// (`fingerprint_of`).
     fp: u64,
+    /// The cache plane: this query's own, or its shared source's.
     controller: CacheController,
+    /// This query's `doneQueryMask` bit in the plane.
+    query: usize,
+    /// Whether the source is a [`crate::shared::SharedSource`].
+    shared_source: bool,
     matrix: CacheStatusMatrix,
     lists: TaskLists,
     adaptive: AdaptiveController,
-    share: Option<ShareBinding>,
     delta: delta::DeltaMaintenance<M::KOut, M::VOut>,
     window_built: usize,
     trace: TraceSink,
@@ -227,9 +220,9 @@ where
     /// to the source. The executor must not re-plan a shared packer, so
     /// shared deployments should use a non-adaptive controller.
     ///
-    /// Attaching registers the executor as a consumer of its fingerprint
-    /// in the source's signature directory. Every query of the source
-    /// reads the same pane files, so queries with equal operators,
+    /// Attaching gives the executor a handle on the source's cache plane
+    /// and a `doneQueryMask` bit under its fingerprint. Every query of the
+    /// source reads the same pane files, so queries with equal operators,
     /// reducer count and [`QueryConf::share_tag`] compute one fingerprint
     /// and name — and therefore share — the same pane caches; a distinct
     /// tag is how a query opts out. **Caveat:** type identity cannot see
@@ -256,7 +249,7 @@ where
             conf,
             vec![(source, Some(shared.packer_handle()))],
             Some(shared.pane_ms()),
-            Some(shared.directory()),
+            Some(shared.controller()),
             mapper,
             reducer,
             Some(merger),
@@ -307,7 +300,7 @@ where
         conf: QueryConf,
         sources: Vec<(SourceConf, Option<PackerHandle>)>,
         pane_override_ms: Option<u64>,
-        directory: Option<DirHandle>,
+        plane: Option<CacheController>,
         mapper: Arc<M>,
         reducer: Arc<R>,
         merger: Option<Arc<dyn Merger<M::KOut, R::VOut>>>,
@@ -362,15 +355,21 @@ where
         }
         let dims = states.len();
         let fp = Self::fingerprint_of(&conf, &states);
-        let share = directory.map(|dir| {
-            let consumer = dir.lock().register_consumer(fp);
-            ShareBinding { dir, consumer }
-        });
+        let shared_source = plane.is_some();
+        // An owned query's plane is its own, and its one query consumes
+        // every cache of it; a shared source's query attaches under its
+        // fingerprint.
+        let (controller, query) = match plane {
+            Some(controller) => {
+                let query = controller.lock().attach(fp)?;
+                (controller, query)
+            }
+            None => (CacheController::new(1), 0),
+        };
         // One journal for the whole executor: the sim's sink is
-        // propagated to the controller.
+        // propagated to the plane.
         let trace = sim.trace().clone();
-        let mut controller = CacheController::new(1);
-        controller.set_trace_sink(trace.clone());
+        controller.lock().set_trace_sink(trace.clone());
         Ok(RecurringExecutor {
             cluster: cluster.clone(),
             sim,
@@ -383,10 +382,11 @@ where
             sources: states,
             fp,
             controller,
+            query,
+            shared_source,
             matrix: CacheStatusMatrix::new(dims, geom),
             lists: TaskLists::new(),
             adaptive,
-            share,
             delta: delta::DeltaMaintenance::new(num_reducers),
             window_built: 0,
             trace,
@@ -395,10 +395,11 @@ where
     }
 
     /// Routes the whole executor's journal — simulator and cache
-    /// controller — to an explicit sink.
+    /// plane — to an explicit sink. A shared source's plane journals to
+    /// the sink its last attached query routed it to.
     pub fn set_trace_sink(&mut self, sink: TraceSink) {
         self.sim.set_trace_sink(sink.clone());
-        self.controller.set_trace_sink(sink.clone());
+        self.controller.lock().set_trace_sink(sink.clone());
         self.trace = sink;
     }
 
@@ -439,15 +440,18 @@ where
     }
 
     /// Selects the cache lifecycle policy and per-node capacity budget
-    /// (paper §4 caching, this implementation's policy layer). The
-    /// controller checks every registration/adoption against the budget;
-    /// with the default budget — baseline window-lifespan policy,
-    /// unbounded capacity — it admits everything, so execution is
-    /// bit-identical to an executor that never called this. Under a
-    /// bounded budget it journals `evict` / `admit_reject` decisions.
+    /// (paper §4 caching, this implementation's policy layer) of the
+    /// query's cache plane — for a shared source, of every query attached
+    /// to it: the budget bounds what they hold on a node together. The
+    /// plane checks every registration against the budget; with the
+    /// default budget — baseline window-lifespan policy, unbounded
+    /// capacity — it admits everything, so execution is bit-identical to
+    /// an executor that never called this. Under a bounded budget it
+    /// journals `evict` / `admit_reject` decisions.
     pub fn set_cache_policy(&mut self, budget: CacheBudget) {
-        self.controller.set_policy(budget.policy.build(self.sim.cost()));
-        self.controller.set_capacity(budget.per_node_bytes);
+        let mut plane = self.controller.lock();
+        plane.set_policy(budget.policy.build(self.sim.cost()));
+        plane.set_capacity(budget.per_node_bytes);
     }
 
     /// Installs a map-side combiner: map output is pre-aggregated per key
@@ -471,7 +475,8 @@ where
         &self.sim
     }
 
-    /// The cache controller (inspection in tests/benches).
+    /// The handle on the query's cache plane (inspection in
+    /// tests/benches; shared by every query of a shared source).
     pub fn controller(&self) -> &CacheController {
         &self.controller
     }
@@ -553,20 +558,21 @@ where
         let mut metrics =
             JobMetrics { submitted_at: fire, finished_at: fire, ..Default::default() };
         self.window_built = 0;
-        self.controller.stats = WindowTraceStats::default();
+        self.controller.lock().stats = WindowTraceStats::default();
         self.trace.set_now(fire);
 
         // Recovery audit: caches claimed available must still exist.
         self.audit_caches();
         if !self.options.caching {
-            // The ablation reuses nothing: every cache is dropped, and
-            // its file queued for the purge like any other retired copy
-            // (a rebuild on the same node cancels that).
-            for name in self.controller.all_cached() {
-                if let Some(node) = self.controller.location(&name) {
-                    self.controller.queue_purge(node, name);
+            // The ablation reuses nothing: every cache of its fingerprint
+            // is dropped, and its file queued for the purge like any other
+            // retired copy (a rebuild on the same node cancels that).
+            let mut plane = self.controller.lock();
+            for name in plane.all_cached().into_iter().filter(|n| n.fp == self.fp) {
+                if let Some(node) = plane.location(&name) {
+                    plane.queue_purge(node, name);
                 }
-                self.controller.invalidate(&name);
+                plane.invalidate(&name);
             }
         }
 
@@ -629,7 +635,7 @@ where
         let input_bytes = metrics.counters.get(cnames::HDFS_BYTES_READ);
         self.adaptive.record(response, input_bytes);
 
-        let trace = self.controller.stats;
+        let trace = self.controller.lock().stats;
         let report = WindowReport {
             recurrence: rec,
             fired_at: fire,
@@ -886,7 +892,7 @@ mod tests {
         assert_eq!(out, vec![("a".to_string(), 2), ("b".to_string(), 1)]);
         assert_eq!(exec.reports().len(), 1);
         // Caches were registered for both panes.
-        assert!(!exec.controller().is_empty());
+        assert!(!exec.controller().lock().is_empty());
     }
 
     /// Ingests `k{t % 7}` records every 2 ms and runs windows 0..6 of
@@ -1034,7 +1040,7 @@ mod tests {
 
     #[test]
     fn ingest_leaves_the_controller_empty() {
-        // A controller row stands for a cache that was built, adopted or
+        // A controller row stands for a cache that was built or
         // refused: sealing panes — of an aggregation's one source, of
         // both a join's — introduces none.
         let range = TimeRange::new(crate::time::EventTime(0), crate::time::EventTime(300));
@@ -1052,7 +1058,7 @@ mod tests {
         )
         .unwrap();
         agg.ingest(0, lines.into_iter(), &range).unwrap();
-        assert!(agg.controller().is_empty());
+        assert!(agg.controller().lock().is_empty());
 
         let (cluster, sim, conf, source, adaptive, _) = fixture();
         let mut other = source.clone();
@@ -1070,7 +1076,7 @@ mod tests {
         for s in 0..2 {
             join.ingest(s, lines.into_iter(), &range).unwrap();
         }
-        assert!(join.controller().is_empty());
+        assert!(join.controller().lock().is_empty());
     }
 
     #[test]
@@ -1210,7 +1216,7 @@ mod tests {
                 fed = end;
                 let mode = join.run_window(w).unwrap().mode;
                 assert_eq!(mode, if proactive { ExecMode::Proactive } else { ExecMode::Batch });
-                let ctl = join.controller();
+                let ctl = join.controller().lock();
                 for name in ctl.all_cached() {
                     let CacheObject::PairOutput { left, right } = name.object else { continue };
                     assert!(

@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 use redoop_dfs::NodeId;
 use redoop_mapred::{CostModel, SimTime};
 
-use crate::cache::controller::CacheController;
+use crate::cache::controller::{CacheController, CachePlane};
 use crate::cache::CacheName;
 use crate::pane::PaneId;
 
@@ -35,18 +35,13 @@ pub use redoop_mapred::scheduler::argmin_shortlist;
 /// resident on `node` (a local-disk read), and the estimated rebuild
 /// cost — remote HDFS read, shuffle transfer, and re-sort — for caches
 /// that would have to be reconstructed there.
-pub fn cache_affinity(
-    controller: &CacheController,
-    caches: &[CacheName],
-    node: NodeId,
-    cost: &CostModel,
-) -> SimTime {
+pub fn affinity(plane: &CachePlane, caches: &[CacheName], node: NodeId, cost: &CostModel) -> SimTime {
     let mut total = SimTime::ZERO;
     for name in caches {
-        let Some(sig) = controller.signature(name) else {
+        let Some(sig) = plane.signature(name) else {
             continue;
         };
-        if controller.location(name) == Some(node) {
+        if sig.node == Some(node) {
             total += cost.local_read(sig.bytes);
         } else {
             total += rebuild_cost(sig.rebuild_bytes.max(sig.bytes), cost);
@@ -59,12 +54,28 @@ pub fn cache_affinity(
 /// These are the only nodes whose Eq. 4 affinity differs from the
 /// uniform rebuild cost, so they form the candidate shortlist for
 /// [`argmin_shortlist`].
-pub fn cache_holders(controller: &CacheController, caches: &[CacheName]) -> Vec<NodeId> {
-    let mut holders: Vec<NodeId> =
-        caches.iter().filter_map(|name| controller.location(name)).collect();
+pub fn holders(plane: &CachePlane, caches: &[CacheName]) -> Vec<NodeId> {
+    let mut holders: Vec<NodeId> = caches.iter().filter_map(|name| plane.location(name)).collect();
     holders.sort_unstable();
     holders.dedup();
     holders
+}
+
+/// [`affinity`] through a controller handle, locking its plane for the
+/// call.
+pub fn cache_affinity(
+    controller: &CacheController,
+    caches: &[CacheName],
+    node: NodeId,
+    cost: &CostModel,
+) -> SimTime {
+    affinity(&controller.lock(), caches, node, cost)
+}
+
+/// [`holders`] through a controller handle, locking its plane for the
+/// call.
+pub fn cache_holders(controller: &CacheController, caches: &[CacheName]) -> Vec<NodeId> {
+    holders(&controller.lock(), caches)
 }
 
 /// Average bytes per synthetic input record, used to estimate the record
@@ -143,8 +154,9 @@ mod tests {
 
     #[test]
     fn affinity_prefers_cache_holder() {
-        let mut ctl = CacheController::new(1);
-        ctl.register_cache(name(0), NodeId(1), 1_000_000, SimTime::ZERO);
+        // Through the handle, as callers without the plane locked ask.
+        let ctl = CacheController::new(1);
+        ctl.lock().register_cache(name(0), NodeId(1), 1_000_000, SimTime::ZERO);
         let cost = CostModel::default();
         let on_holder = cache_affinity(&ctl, &[name(0)], NodeId(1), &cost);
         let elsewhere = cache_affinity(&ctl, &[name(0)], NodeId(0), &cost);
@@ -154,23 +166,23 @@ mod tests {
 
     #[test]
     fn eviction_revokes_the_holder_affinity_credit() {
-        let mut ctl = CacheController::new(1);
+        let mut ctl = CachePlane::new(1);
         ctl.set_policy(crate::cache::policy::CachePolicy::Lru);
         ctl.set_capacity(Some(1_000_000));
         ctl.register_cache(name(0), NodeId(1), 800_000, SimTime::ZERO);
         let cost = CostModel::default();
         assert!(
-            cache_affinity(&ctl, &[name(0)], NodeId(1), &cost)
-                < cache_affinity(&ctl, &[name(0)], NodeId(0), &cost),
+            affinity(&ctl, &[name(0)], NodeId(1), &cost)
+                < affinity(&ctl, &[name(0)], NodeId(0), &cost),
             "the holder earns the Eq. 4 credit while the cache is resident"
         );
         // A bigger registration on the same node evicts pane 0.
-        let adm = ctl.register_cache(name(1), NodeId(1), 900_000, SimTime(1));
-        assert_eq!(adm.evicted, vec![(NodeId(1), name(0))]);
+        assert!(ctl.register_cache(name(1), NodeId(1), 900_000, SimTime(1)));
+        assert_eq!(ctl.location(&name(0)), None);
         // Eq. 4 stops crediting the old holder: every node now pays the
         // same rebuild cost for the evicted cache.
-        let on_old_holder = cache_affinity(&ctl, &[name(0)], NodeId(1), &cost);
-        assert_eq!(on_old_holder, cache_affinity(&ctl, &[name(0)], NodeId(0), &cost));
+        let on_old_holder = affinity(&ctl, &[name(0)], NodeId(1), &cost);
+        assert_eq!(on_old_holder, affinity(&ctl, &[name(0)], NodeId(0), &cost));
         assert!(on_old_holder >= rebuild_cost(800_000, &cost));
     }
 
@@ -182,19 +194,19 @@ mod tests {
         // as toward any pane-output holder — they are the same thing.
         let delta =
             CacheName::with_fp(CacheObject::PaneOutput { source: 0, pane: PaneId(3) }, 2, 0);
-        let mut ctl = CacheController::new(1);
+        let mut ctl = CachePlane::new(1);
         ctl.register_cache(delta, NodeId(4), 500_000, SimTime::ZERO);
         let cost = CostModel::default();
-        let on_home = cache_affinity(&ctl, &[delta], NodeId(4), &cost);
-        let elsewhere = cache_affinity(&ctl, &[delta], NodeId(0), &cost);
+        let on_home = affinity(&ctl, &[delta], NodeId(4), &cost);
+        let elsewhere = affinity(&ctl, &[delta], NodeId(0), &cost);
         assert!(on_home < elsewhere, "delta home must win the affinity term");
     }
 
     #[test]
     fn unknown_caches_cost_nothing_extra() {
-        let ctl = CacheController::new(1);
+        let ctl = CachePlane::new(1);
         let cost = CostModel::default();
-        assert_eq!(cache_affinity(&ctl, &[name(9)], NodeId(0), &cost), SimTime::ZERO);
+        assert_eq!(affinity(&ctl, &[name(9)], NodeId(0), &cost), SimTime::ZERO);
     }
 
     #[test]
@@ -202,11 +214,11 @@ mod tests {
         // Paper: "if all task slots of a node have been taken ... the
         //  scheduler assigns the new task to a different node even if a
         //  fully loaded node has the desired cache available".
-        let mut ctl = CacheController::new(1);
+        let mut ctl = CachePlane::new(1);
         ctl.register_cache(name(0), NodeId(0), 10_000, SimTime::ZERO); // small cache
         let cost = CostModel::default();
         let caches = [name(0)];
-        let affinity = |n: NodeId| cache_affinity(&ctl, &caches, n, &cost);
+        let affinity = |n: NodeId| affinity(&ctl, &caches, n, &cost);
 
         // Node 0 holds the cache but is loaded far beyond the rebuild cost.
         let heavy = rebuild_cost(10_000, &cost) + SimTime::from_secs(60);
@@ -225,21 +237,23 @@ mod tests {
 
     #[test]
     fn adopted_remote_caches_earn_the_eq4_reuse_credit() {
-        // Cross-query sharing: a fingerprinted cache another query built
-        // is adopted (silently registered) rather than self-built. The
-        // affinity term must credit the remote holder exactly like a
-        // self-built cache, so the Eq. 4 argmin anchors this query's
-        // partition on the node that already holds the shared pane.
+        // Cross-query sharing: on a shared source's plane a fingerprinted
+        // cache one query built is the cache every query of the
+        // fingerprint reads, taken by each at its first read. The affinity term credits its holder for the
+        // other query's task exactly like a self-built cache, so the Eq. 4
+        // argmin anchors that partition on the node that holds the pane.
         let shared = CacheName::with_fp(
             CacheObject::PaneOutput { source: 0, pane: PaneId(2) },
             1,
             0xabcd,
         );
-        let mut ctl = CacheController::new(1);
-        ctl.adopt_remote(shared, NodeId(3), 200_000, 800_000, SimTime::ZERO);
+        let mut ctl = CachePlane::new(0);
+        let (builder, reader) = (ctl.attach(0xabcd).unwrap(), ctl.attach(0xabcd).unwrap());
+        ctl.register_cache_with_rebuild(shared, NodeId(3), 200_000, 800_000, 0, SimTime::ZERO, builder);
+        assert!(ctl.take_peer_copy(&shared, reader).is_some());
         let cost = CostModel::default();
         let caches = [shared];
-        let affinity = |n: NodeId| cache_affinity(&ctl, &caches, n, &cost);
+        let affinity = |n: NodeId| affinity(&ctl, &caches, n, &cost);
         assert!(
             affinity(NodeId(3)) < affinity(NodeId(0)),
             "the sharing holder must win the rebuild-cost term"
@@ -266,7 +280,7 @@ mod tests {
             rng
         };
         for case in 0..300 {
-            let mut ctl = CacheController::new(1);
+            let mut ctl = CachePlane::new(1);
             let caches: Vec<CacheName> = (0..next() % 4)
                 .map(|p| {
                     let n = name(p);
@@ -290,12 +304,12 @@ mod tests {
             }
             let floor = SimTime::from_millis(next() % 30_000);
             let clamped: Vec<SimTime> = loads.iter().map(|&l| l.max(floor)).collect();
-            let affinity = |n: NodeId| cache_affinity(&ctl, &caches, n, &cost);
+            let affinity = |n: NodeId| affinity(&ctl, &caches, n, &cost);
 
             let ctx = SchedulerCtx { loads: &clamped, alive: &alive };
             let full = ctx.argmin(&affinity);
 
-            let holders = cache_holders(&ctl, &caches);
+            let holders = holders(&ctl, &caches);
             // Brute-force stand-in for `ClusterSim::pick_min_clamped`:
             // lexicographic (clamped load, id) min over live non-holders.
             let best_other = (0..nodes)
@@ -341,10 +355,10 @@ mod tests {
             "map CPU and sort must be charged on top of the I/O terms"
         );
 
-        let mut ctl = CacheController::new(1);
+        let mut ctl = CachePlane::new(1);
         ctl.register_cache(name(0), NodeId(0), bytes, SimTime::ZERO);
         let caches = [name(0)];
-        let affinity = |n: NodeId| cache_affinity(&ctl, &caches, n, &cost);
+        let affinity = |n: NodeId| affinity(&ctl, &caches, n, &cost);
 
         // Holder busy slightly longer than the old rebuild estimate.
         let holder_load = old_estimate + SimTime::from_millis(1);

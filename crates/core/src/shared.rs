@@ -12,6 +12,13 @@
 //! `gcd(win, slide)` equals the shared pane length (checked at attach
 //! time); their windows are then exact pane unions and every query can
 //! resolve its windows from the shared manifest.
+//!
+//! The source also owns the one cache plane its queries share (paper §4's
+//! single Window-Aware Cache Controller): every executor attached through
+//! [`crate::RecurringExecutor::aggregation_shared`] gets a handle on it
+//! and a `doneQueryMask` bit under its fingerprint, so a pane product one
+//! query builds is the cache every query of that fingerprint reads, and
+//! it expires once all of them are done with it.
 
 use std::sync::Arc;
 
@@ -21,7 +28,7 @@ use redoop_dfs::{Cluster, DfsPath};
 
 use crate::analyzer::PartitionPlan;
 use crate::api::SourceConf;
-use crate::cache::share::SignatureDirectory;
+use crate::cache::controller::CacheController;
 use crate::error::{RedoopError, Result};
 use crate::packer::{DynamicDataPacker, PaneManifest, TsFn};
 use crate::pane::PaneGeometry;
@@ -29,8 +36,7 @@ use crate::query::WindowSpec;
 use crate::time::TimeRange;
 
 /// Shared handle to one data source's packer (pane files + manifest)
-/// and the signature directory its attached queries share caches
-/// through.
+/// and the cache plane its attached queries share.
 #[derive(Clone)]
 pub struct SharedSource {
     name: String,
@@ -38,7 +44,7 @@ pub struct SharedSource {
     pane_root: DfsPath,
     ts_fn: TsFn,
     packer: Arc<Mutex<DynamicDataPacker>>,
-    directory: Arc<Mutex<SignatureDirectory>>,
+    controller: CacheController,
 }
 
 impl std::fmt::Debug for SharedSource {
@@ -79,7 +85,7 @@ impl SharedSource {
             pane_root,
             ts_fn,
             packer: Arc::new(Mutex::new(packer)),
-            directory: Arc::new(Mutex::new(SignatureDirectory::new())),
+            controller: CacheController::new(0),
         })
     }
 
@@ -113,10 +119,16 @@ impl SharedSource {
         self.packer.clone()
     }
 
-    /// The cross-query signature directory every executor attached to
-    /// this source publishes to / imports from.
-    pub fn directory(&self) -> Arc<Mutex<SignatureDirectory>> {
-        self.directory.clone()
+    /// The cache plane every executor attached to this source shares.
+    pub(crate) fn controller(&self) -> CacheController {
+        self.controller.clone()
+    }
+
+    /// An empty signature directory, for the benchmark's
+    /// `share.lookup_ns` probe alone: the source's queries share its
+    /// cache plane, and nothing publishes to a directory.
+    pub fn directory(&self) -> Arc<Mutex<crate::cache::share::SignatureDirectory>> {
+        Arc::new(Mutex::new(crate::cache::share::SignatureDirectory::new()))
     }
 
     /// Builds the [`SourceConf`] a query uses to attach to this source.

@@ -76,13 +76,10 @@ pub enum CacheAction {
     Purge,
     /// Cache marked done by every query (doneQueryMask full).
     Expire,
-    /// A window adopted a signature-equivalent cache built by *another*
-    /// query (cross-query sharing) instead of rebuilding it.
+    /// A window's first read of a signature-equivalent cache *another*
+    /// query of its cache plane built (cross-query sharing), instead of
+    /// rebuilding it.
     SharedHit,
-    /// This query is done with a shared cache but other consumers still
-    /// need it: local bookkeeping dropped, file retained (lifespan
-    /// extended to the last sharing consumer).
-    ExpireDeferred,
     /// A salvaged (partially damaged) cache was rebuilt at the cost of
     /// only its missing frame suffix instead of a full rebuild.
     PartialRebuild,
@@ -139,7 +136,6 @@ impl CacheAction {
             CacheAction::Purge => "purge",
             CacheAction::Expire => "expire",
             CacheAction::SharedHit => "shared_hit",
-            CacheAction::ExpireDeferred => "expire_deferred",
             CacheAction::PartialRebuild => "partial_rebuild",
             CacheAction::Evict => "evict",
             CacheAction::AdmitReject => "admit_reject",
@@ -640,15 +636,14 @@ pub struct WindowTraceStats {
     /// The heartbeats' `lost` counts: caches rolled back by the audit
     /// (§5).
     pub rollbacks: u64,
-    /// `shared_hit` events: caches adopted from signature-equivalent
-    /// entries built by other queries (cross-query sharing). These
+    /// `shared_hit` events: first reads of signature-equivalent caches
+    /// other queries built (cross-query sharing). These
     /// subsequently count as `cache_hits` when the plan probes them, so
     /// `shared_hits` isolates the cross-query contribution.
     pub shared_hits: u64,
     /// `evict` events: caches the capacity policy evicted.
     pub evictions: u64,
-    /// `admit_reject` events: builds and adoptions the capacity policy
-    /// refused.
+    /// `admit_reject` events: builds the capacity policy refused.
     pub admit_rejects: u64,
 }
 
@@ -743,7 +738,6 @@ mod tests {
             cache(CacheAction::Forget),
             cache(CacheAction::Purge),
             cache(CacheAction::Expire),
-            cache(CacheAction::ExpireDeferred),
             cache(CacheAction::PartialRebuild),
             heartbeat(0),
             TraceEvent::TaskSpan { phase: "map", node: NodeId(0), start: SimTime(0), end: SimTime(1), label: "m".into() },

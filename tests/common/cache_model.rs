@@ -16,24 +16,18 @@
 //! evicted or rolled-back copy was live, a hit reads a live copy, and a
 //! purge deletes none.
 //!
-//! After every window and every deployment step it asserts:
-//! - (a) with no budget, the caches held — the union of what the
-//!   controllers list, each with its holder — are exactly the model's
-//!   live set, on the nodes the model says;
-//! - (b) under any budget, everything held is model-live and each
-//!   controller's `bytes_on(node)` is within its budget;
+//! After every window and every deployment step it asserts, against the
+//! one cache plane every query of the run shares:
+//! - (a) with no budget, the caches held — what the plane lists, each
+//!   with its holder — are exactly the model's live set, on the nodes the
+//!   model says;
+//! - (b) under any budget, everything held is model-live and on every
+//!   node the caches held, whichever query built them, fit the budget
+//!   together;
 //! - (c) every expiry happens in the window the model predicts, no row
-//!   outlives it, and every file on a live node is a cache some
-//!   controller lists there (or the delta fold's `.open` marker of a pane
-//!   not sealed yet).
-//!
-//! Today each query of a shared fingerprint keeps a plane of its own, and
-//! a shared source's signature directory holds a cache that one query let
-//! go of while another still needs it. So for a shared fingerprint the
-//! model also reads that directory, and it reports — instead of failing —
-//! a copy the paper's one plane would not keep: a second copy another
-//! query listed or built elsewhere, or a file no one lists. Those are the
-//! [`CacheModel::strays`]; for any other fingerprint they are defects.
+//!   outlives it, and every file on a live node is a cache the plane
+//!   lists there (or the delta fold's `.open` marker of a pane not sealed
+//!   yet).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
@@ -44,24 +38,24 @@ use redoop_core::pane::PaneId;
 use redoop_dfs::{Cluster, NodeId};
 use redoop_mapred::trace::{CacheAction, TraceEvent, TraceSink};
 
-/// What one controller lists, as the checks read it.
+/// What the cache plane lists, as the checks read it.
 pub struct Plane {
     rows: Vec<CacheName>,
-    held: Vec<(CacheName, NodeId)>,
-    bytes: Vec<u64>,
+    /// Each held cache: its holder and its size.
+    held: Vec<(CacheName, NodeId, u64)>,
     budget: Option<u64>,
 }
 
 impl Plane {
-    /// Reads `controller` on a cluster of `nodes` nodes.
-    pub fn of(controller: &CacheController, nodes: usize) -> Plane {
-        let rows = controller.names_matching(|_| true);
-        Plane {
-            held: rows.iter().filter_map(|n| Some((*n, controller.location(n)?))).collect(),
-            rows,
-            bytes: (0..nodes as u32).map(|i| controller.bytes_on(NodeId(i))).collect(),
-            budget: controller.capacity(),
-        }
+    /// Reads the plane behind `controller`.
+    pub fn of(controller: &CacheController) -> Plane {
+        let plane = controller.lock();
+        let rows = plane.names_matching(|_| true);
+        let held = rows.iter().filter_map(|n| {
+            let sig = plane.signature(n)?;
+            Some((*n, sig.node?, sig.bytes))
+        });
+        Plane { held: held.collect(), rows, budget: plane.capacity() }
     }
 }
 
@@ -143,14 +137,11 @@ pub struct CacheModel {
     /// Every cache introduced and not expired, with its ready bit:
     /// `Some(holder)` is 2, `None` is 1.
     caches: BTreeMap<CacheName, Option<NodeId>>,
-    /// Live copies of shared caches besides the holder's: a query that
-    /// rebuilt a cache elsewhere leaves its peers' copy in place.
-    second: BTreeSet<(CacheName, NodeId)>,
-    /// Every cache a build, an adoption or a refusal introduced.
+    /// Every cache a build, a first read of a peer's build or a refusal
+    /// introduced.
     introduced: BTreeSet<CacheName>,
     /// The status matrices: done `(fp, left, right)` pair cells.
     cells: BTreeSet<(u64, u64, u64)>,
-    strays: BTreeSet<(CacheName, NodeId)>,
     expired: usize,
     /// Panes whose input is sealed.
     sealed: BTreeSet<u64>,
@@ -165,10 +156,8 @@ impl CacheModel {
             seen: 0,
             queries: Vec::new(),
             caches: BTreeMap::new(),
-            second: BTreeSet::new(),
             introduced: BTreeSet::new(),
             cells: BTreeSet::new(),
-            strays: BTreeSet::new(),
             expired: 0,
             sealed: BTreeSet::new(),
         }
@@ -194,12 +183,6 @@ impl CacheModel {
         self.queries[q].lifespan(p)
     }
 
-    /// Every copy of a shared cache the paper's one plane would not keep,
-    /// found so far.
-    pub fn strays(&self) -> &BTreeSet<(CacheName, NodeId)> {
-        &self.strays
-    }
-
     /// How many caches have expired so far.
     pub fn expired(&self) -> usize {
         self.expired
@@ -210,24 +193,13 @@ impl CacheModel {
         self.caches.iter().filter_map(|(n, holder)| Some((*n, (*holder)?))).collect()
     }
 
-    fn shared(&self, fp: u64) -> bool {
-        self.queries.iter().filter(|q| q.fp == fp).count() > 1
-    }
-
     /// Reads the journal since the last check — `fired` is the
     /// `(query, window)` that ran since, if one did — and asserts
-    /// (a)–(c) against `planes`, one per query in mask-bit order.
-    /// `directory` is where a shared source's signature directory
-    /// advertises a cache.
-    pub fn check(
-        &mut self,
-        fired: Option<(usize, u64)>,
-        planes: &[&Plane],
-        directory: impl Fn(&CacheName) -> Option<NodeId>,
-    ) {
+    /// (a)–(c) against `plane`.
+    pub fn check(&mut self, fired: Option<(usize, u64)>, plane: &Plane) {
         assert_eq!(self.sink.dropped(), 0, "the model reads the whole journal");
         let at = format!("after {fired:?}");
-        let (mut named, mut expired, mut deferred) = (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
+        let (mut named, mut expired) = (BTreeSet::new(), BTreeSet::new());
         let events = self.sink.events();
         for event in &events[self.seen..] {
             match event {
@@ -241,9 +213,6 @@ impl CacheModel {
                             let gone = node.is_some_and(|n| !self.is_live(&name, n));
                             assert!(!gone, "{at}: {name:?} expires held on {node:?}, where it is not live");
                             expired.insert(name);
-                        }
-                        CacheAction::ExpireDeferred => {
-                            deferred.insert(name);
                         }
                         _ => self.apply(*action, name, node.unwrap_or(NodeId(u32::MAX)), &expired, &at),
                     }
@@ -259,7 +228,7 @@ impl CacheModel {
         }
         self.seen = events.len();
         let unknown: Vec<_> = named.difference(&self.introduced).collect();
-        assert!(unknown.is_empty(), "{at}: journaled, never built, adopted or refused: {unknown:?}");
+        assert!(unknown.is_empty(), "{at}: journaled, never built, read or refused: {unknown:?}");
 
         // The fired query votes on each cache of its fingerprint it is
         // done with; those whose every consumer voted expire now.
@@ -277,19 +246,15 @@ impl CacheModel {
                     due.insert(*name);
                 }
             }
-            assert!(deferred.iter().all(|n| voted.contains(n) && !due.contains(n)), "{at}: deferred {deferred:?}");
         }
         assert_eq!(expired, due, "{at}: (c) the journal's expiries are not the model's");
         self.expired += due.len();
         self.caches.retain(|n, _| !due.contains(n));
-        self.second.retain(|(n, _)| !due.contains(n));
-        self.assert_planes(fired, planes, directory, &at);
+        self.assert_plane(fired, plane, &at);
     }
 
     /// Folds one cache event into the ready bits.
     fn apply(&mut self, action: CacheAction, name: CacheName, node: NodeId, expired: &BTreeSet<CacheName>, at: &str) {
-        let holder = self.caches.get(&name).copied().flatten();
-        let shared = self.shared(name.fp);
         if matches!(action, CacheAction::Register | CacheAction::SharedHit | CacheAction::AdmitReject) {
             self.introduced.insert(name);
             if let CacheObject::PairOutput { left, right } = name.object {
@@ -297,16 +262,10 @@ impl CacheModel {
             }
         }
         match action {
+            // One copy per cache: a build moves it, a refused one has none.
             CacheAction::Register => {
-                if let Some(old) = holder.filter(|&old| shared && old != node) {
-                    self.second.insert((name, old));
-                }
-                self.second.remove(&(name, node));
                 self.caches.insert(name, Some(node));
             }
-            // A refused adoption leaves the holder's copy live, and so
-            // does a refused build while a peer holds a copy elsewhere.
-            CacheAction::AdmitReject if holder == Some(node) || (shared && holder.is_some()) => {}
             CacheAction::AdmitReject => {
                 self.caches.insert(name, None);
             }
@@ -323,16 +282,13 @@ impl CacheModel {
     }
 
     fn is_live(&self, name: &CacheName, node: NodeId) -> bool {
-        self.caches.get(name) == Some(&Some(node)) || self.second.contains(&(*name, node))
+        self.caches.get(name) == Some(&Some(node))
     }
 
     /// The copy of `name` on `node` was lost, evicted or rolled back.
     fn lose(&mut self, name: CacheName, node: NodeId, at: &str) {
-        if self.caches.get(&name) == Some(&Some(node)) {
-            self.caches.insert(name, None);
-        } else {
-            assert!(self.second.remove(&(name, node)), "{at}: {name:?} lost from {node:?}, where it was not live");
-        }
+        assert!(self.is_live(&name, node), "{at}: {name:?} lost from {node:?}, where it was not live");
+        self.caches.insert(name, None);
     }
 
     /// A join's pane expires only once every pair cell of its lifespan
@@ -351,49 +307,31 @@ impl CacheModel {
         }
     }
 
-    /// Checks (a), (b) and the rows and files of (c) against the planes.
-    fn assert_planes(
-        &mut self,
-        fired: Option<(usize, u64)>,
-        planes: &[&Plane],
-        directory: impl Fn(&CacheName) -> Option<NodeId>,
-        at: &str,
-    ) {
+    /// Checks (a), (b) and the rows and files of (c) against the plane.
+    fn assert_plane(&self, fired: Option<(usize, u64)>, plane: &Plane, at: &str) {
         let live = self.live();
-        let mut copies: BTreeMap<CacheName, BTreeSet<NodeId>> = BTreeMap::new();
-        for &(name, node) in planes.iter().flat_map(|p| &p.held) {
-            copies.entry(name).or_default().insert(node);
-        }
-        for (name, node) in live.keys().filter_map(|n| Some((*n, directory(n)?))) {
-            copies.entry(name).or_default().insert(node);
-        }
         let mut held = BTreeMap::new();
-        for (name, nodes) in &copies {
-            let node = *live.get(name).filter(|n| nodes.contains(n)).unwrap_or_else(|| nodes.first().unwrap());
-            held.insert(*name, node);
-            for &other in nodes.iter().filter(|&&n| n != node) {
-                assert!(self.shared(name.fp), "{at}: {name:?} listed on {node:?} and {other:?}");
-                self.strays.insert((*name, other));
-            }
+        let mut bytes = vec![0u64; self.nodes()];
+        for &(name, node, size) in &plane.held {
+            held.insert(name, node);
+            bytes[node.index()] += size;
         }
-        if planes.iter().all(|p| p.budget.is_none()) {
-            let differ: Vec<_> = live.keys().chain(held.keys()).filter(|n| live.get(n) != held.get(n)).collect();
-            let differ: Vec<_> = differ.into_iter().map(|n| (n, held.get(n), live.get(n))).collect();
-            assert!(differ.is_empty(), "{at}: (a) (name, held, model-live): {differ:?}");
-        } else {
+        if let Some(budget) = plane.budget {
             for (name, node) in &held {
                 assert_eq!(live.get(name), Some(node), "{at}: (b) {name:?} is held but not model-live");
             }
-            for plane in planes {
-                let over = plane.bytes.iter().any(|&b| plane.budget.is_some_and(|budget| b > budget));
-                assert!(!over, "{at}: (b) over the budget {:?}: {:?}", plane.budget, plane.bytes);
-            }
+            let over: Vec<_> = bytes.iter().enumerate().filter(|(_, b)| **b > budget).collect();
+            assert!(over.is_empty(), "{at}: (b) (node, bytes held) over the budget {budget}: {over:?}");
+        } else {
+            let differ: Vec<_> = live.keys().chain(held.keys()).filter(|n| live.get(n) != held.get(n)).collect();
+            let differ: Vec<_> = differ.into_iter().map(|n| (n, held.get(n), live.get(n))).collect();
+            assert!(differ.is_empty(), "{at}: (a) (name, held, model-live): {differ:?}");
         }
-        let stale = planes.iter().flat_map(|p| &p.rows).find(|n| !self.caches.contains_key(n));
+        let stale = plane.rows.iter().find(|n| !self.caches.contains_key(n));
         assert!(stale.is_none(), "{at}: (c) {stale:?} has a row past its expiry");
         // The fired query's audit rolled back all it listed on a dead node.
-        if let Some((q, _)) = fired {
-            let dead = planes[q].held.iter().find(|(_, node)| !self.cluster.is_alive(*node));
+        if fired.is_some() {
+            let dead = held.iter().find(|(_, node)| !self.cluster.is_alive(**node));
             assert!(dead.is_none(), "{at}: {dead:?} is listed on a dead node");
         }
         for node in self.cluster.alive_nodes() {
@@ -405,9 +343,8 @@ impl CacheModel {
                 let name = name.unwrap_or_else(|| panic!("{at}: (c) {file} on {node:?} is no cache of this run"));
                 if let (Some(_), CacheObject::PaneOutput { pane, .. }) = (open, name.object) {
                     assert!(!self.sealed.contains(&pane.0), "{at}: (c) {file} outlived its pane's seal");
-                } else if !copies.get(&name).is_some_and(|n| n.contains(&node)) {
-                    assert!(self.shared(name.fp), "{at}: (c) {file} on {node:?} is listed by no controller");
-                    self.strays.insert((name, node));
+                } else {
+                    assert_eq!(held.get(&name), Some(&node), "{at}: (c) {file} on {node:?} is not the plane's copy");
                 }
             }
         }

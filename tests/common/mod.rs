@@ -6,8 +6,6 @@
 
 pub mod cache_model;
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use cache_model::{CacheModel, Plane};
@@ -279,89 +277,32 @@ where
     M: redoop_mapred::Mapper,
     R: redoop_mapred::Reducer<KIn = M::KOut, VIn = M::VOut>,
 {
-    if !exec.controller().trace().is_enabled() {
+    if !exec.controller().lock().trace().is_enabled() {
         exec.set_trace_sink(redoop_mapred::trace::TraceSink::with_capacity(1 << 20));
     }
-    let mut model = CacheModel::new(cluster, exec.controller().trace());
+    let sink = exec.controller().lock().trace().clone();
+    let mut model = CacheModel::new(cluster, &sink);
     let spec = exec.window_spec();
     model_query(&mut model, exec, cache_model::pane_of(spec.win, spec.slide));
     model
 }
 
 /// Runs window `w` of the query `model` was built over, then checks the
-/// model against its controller.
+/// model against its cache plane.
 pub fn run_modelled<M, R>(model: &mut CacheModel, exec: &mut RecurringExecutor<M, R>, w: u64) -> WindowReport
 where
     M: redoop_mapred::Mapper,
     R: redoop_mapred::Reducer<KIn = M::KOut, VIn = M::VOut>,
 {
     let report = exec.run_window(w).unwrap();
-    model.check(Some((0, w)), &[&Plane::of(exec.controller(), model.nodes())], |_| None);
+    model.check(Some((0, w)), &Plane::of(exec.controller()));
     report
 }
 
-/// A deployed executor that leaves its controller's [`Plane`] behind
-/// after everything it does, so the model can read every query's plane
-/// between deployment steps.
-struct Modelled<'e, M, R>
-where
-    M: redoop_mapred::Mapper,
-    R: redoop_mapred::Reducer<KIn = M::KOut, VIn = M::VOut>,
-{
-    exec: &'e mut RecurringExecutor<M, R>,
-    plane: Rc<RefCell<Plane>>,
-    nodes: usize,
-}
-
-impl<'e, M, R> Modelled<'e, M, R>
-where
-    M: redoop_mapred::Mapper,
-    R: redoop_mapred::Reducer<KIn = M::KOut, VIn = M::VOut>,
-{
-    fn new(exec: &'e mut RecurringExecutor<M, R>, nodes: usize) -> (Self, Rc<RefCell<Plane>>) {
-        let plane = Rc::new(RefCell::new(Plane::of(exec.controller(), nodes)));
-        (Modelled { exec, plane: plane.clone(), nodes }, plane)
-    }
-
-    fn snapshot<T>(&mut self, result: redoop_core::Result<T>) -> redoop_core::Result<T> {
-        *self.plane.borrow_mut() = Plane::of(self.exec.controller(), self.nodes);
-        result
-    }
-}
-
-impl<M, R> redoop_core::DeployedQuery for Modelled<'_, M, R>
-where
-    M: redoop_mapred::Mapper,
-    R: redoop_mapred::Reducer<KIn = M::KOut, VIn = M::VOut>,
-{
-    fn window_spec(&self) -> WindowSpec {
-        self.exec.window_spec()
-    }
-
-    fn ingest_lines(&mut self, source: usize, lines: &[String], range: &TimeRange) -> redoop_core::Result<()> {
-        let result = self.exec.ingest(source, lines.iter().map(String::as_str), range);
-        self.snapshot(result)
-    }
-
-    fn run_window(&mut self, rec: u64) -> redoop_core::Result<WindowReport> {
-        let result = self.exec.run_window(rec);
-        self.snapshot(result)
-    }
-}
-
-/// Checks `model` against every query's plane, and a shared source's
-/// `directory`, after deployment step `f`.
-fn check_step(
-    model: &mut CacheModel,
-    planes: &[Rc<RefCell<Plane>>],
-    directory: Option<&redoop_core::SharedSource>,
-    f: &FiredWindow,
-) {
-    let planes: Vec<std::cell::Ref<Plane>> = planes.iter().map(|p| p.borrow()).collect();
-    let directory = directory.map(redoop_core::SharedSource::directory);
-    model.check(Some((f.query, f.recurrence)), &planes.iter().map(|p| &**p).collect::<Vec<_>>(), |name| {
-        Some(directory.as_ref()?.lock().lookup(name)?.node)
-    });
+/// Checks `model` against the cache plane behind `controller` after
+/// deployment step `f`.
+fn check_step(model: &mut CacheModel, controller: &redoop_core::cache::controller::CacheController, f: &FiredWindow) {
+    model.check(Some((f.query, f.recurrence)), &Plane::of(controller));
 }
 
 /// Interleaved driver over the deployment layer: before each window
@@ -379,16 +320,16 @@ where
     R: redoop_mapred::Reducer<KIn = M::KOut, VIn = M::VOut>,
 {
     let mut model = model_of(cluster, exec);
+    let controller = exec.controller().clone();
     let mut deployment = RecurringDeployment::new(exec.sim().clone());
     let sources: Vec<usize> = per_source
         .iter()
         .map(|batches| deployment.add_source(batches.iter().map(arrival).collect()))
         .collect();
-    let (modelled, plane) = Modelled::new(exec, cluster.node_count());
-    deployment.add_query(modelled, &sources, windows).unwrap();
+    deployment.add_query(exec, &sources, windows).unwrap();
     let mut reports = Vec::new();
     while let Some(f) = deployment.step().unwrap() {
-        check_step(&mut model, std::slice::from_ref(&plane), None, &f);
+        check_step(&mut model, &controller, &f);
         reports.push(f.report);
     }
     reports
@@ -428,30 +369,29 @@ pub fn cache_class(name: &str) -> &str {
     name.split('/').nth(1).unwrap_or_default()
 }
 
-/// One query of a shared fleet.
+/// One query of a shared fleet: the WCC aggregation under `spec`, with
+/// the share tag `share_tag` (none: the fleet's one fingerprint).
 #[derive(Clone, Copy)]
 pub struct FleetQuery {
     pub spec: WindowSpec,
     pub windows: u64,
     pub options: ExecutorOptions,
     pub budget: Option<CacheBudget>,
+    pub share_tag: Option<&'static str>,
 }
 
 impl FleetQuery {
     pub fn plain(spec: WindowSpec, windows: u64) -> Self {
-        FleetQuery { spec, windows, options: ExecutorOptions::default(), budget: None }
+        FleetQuery { spec, windows, options: ExecutorOptions::default(), budget: None, share_tag: None }
     }
 }
 
 /// What a fleet run leaves behind: per query its window reports and
-/// decoded window outputs, the one journal all queries wrote, and how
-/// many cache copies the cache model found that one plane would not keep
-/// ([`CacheModel::strays`]).
+/// decoded window outputs, and the one journal all queries wrote.
 pub struct FleetRun {
     pub reports: Vec<Vec<WindowReport>>,
     pub outputs: Vec<Vec<Vec<(String, u64)>>>,
     pub sink: redoop_mapred::trace::TraceSink,
-    pub strays: usize,
 }
 
 impl FleetRun {
@@ -486,7 +426,8 @@ pub fn run_fleet(
 }
 
 /// [`run_fleet`], calling `before_step` with the clock and every query's
-/// reports so far ahead of each deployment step.
+/// reports so far ahead of each deployment step. Every step is checked
+/// against the cache model.
 pub fn run_fleet_with(
     cluster: &redoop_dfs::Cluster,
     tag: &str,
@@ -510,8 +451,24 @@ pub fn run_fleet_with(
         .iter()
         .enumerate()
         .map(|(i, q)| {
-            let mut e =
-                shared_agg_executor(cluster, clock.clone(), &shared, q.spec, &format!("{tag}-q{i}"));
+            let name = format!("{tag}-q{i}");
+            let conf = QueryConf::new(&name, 4, DfsPath::new(format!("/out/{name}")).unwrap()).unwrap();
+            let conf = match q.share_tag {
+                Some(share_tag) => conf.with_share_tag(share_tag),
+                None => conf,
+            };
+            let mut e = RecurringExecutor::aggregation_shared(
+                cluster,
+                clock.clone(),
+                conf,
+                &shared,
+                q.spec,
+                Arc::new(AggMapper),
+                Arc::new(AggReducer),
+                Arc::new(SumMerger),
+                batch_adaptive(cluster, &q.spec),
+            )
+            .unwrap();
             e.set_options(q.options);
             if let Some(budget) = q.budget {
                 e.set_cache_policy(budget);
@@ -524,13 +481,11 @@ pub fn run_fleet_with(
     for e in &execs {
         model_query(&mut model, e, shared.pane_ms());
     }
+    let controller = execs[0].controller().clone();
     let mut deployment = RecurringDeployment::new(clock.clone());
     let src = deployment.add_shared_source(shared.clone(), batches.iter().map(arrival).collect());
-    let mut planes = Vec::new();
     for (e, q) in execs.iter_mut().zip(queries) {
-        let (modelled, plane) = Modelled::new(e, cluster.node_count());
-        deployment.add_query(modelled, &[src], q.windows).unwrap();
-        planes.push(plane);
+        deployment.add_query(e, &[src], q.windows).unwrap();
     }
     let mut reports = vec![Vec::new(); queries.len()];
     let mut outputs = vec![Vec::new(); queries.len()];
@@ -538,11 +493,11 @@ pub fn run_fleet_with(
     loop {
         before_step(&mut clock, &reports);
         let Some(f) = deployment.step().unwrap() else { break };
-        check_step(&mut model, &planes, Some(&shared), &f);
+        check_step(&mut model, &controller, &f);
         outputs[f.query].push(read_window_output(cluster, &f.report.outputs).unwrap());
         reports[f.query].push(f.report);
     }
-    FleetRun { reports, outputs, sink, strays: model.strays().len() }
+    FleetRun { reports, outputs, sink }
 }
 
 /// Two signature-equal queries on one 1000 s slide: a narrow one, 2

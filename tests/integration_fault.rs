@@ -598,10 +598,10 @@ fn a_window_after_a_failed_one_maps_and_charges_again() {
 #[test]
 fn a_follower_whose_producer_died_falls_back_to_eq4() {
     // Three identical queries on one shared source and one clock. The
-    // leader builds window 0 and its nodes die before the first follower
-    // fires: the advertisements it left are stale, so the follower drops
-    // them at import, has no producer to join for those partitions and
-    // lets Eq. 4 place their rebuild — which makes *it* the producer the
+    // leader builds window 0 and one of its nodes dies before the first
+    // follower fires: the follower's audit rolls the dead node's copies
+    // back, so it has no producer to join for those partitions and lets
+    // Eq. 4 place their rebuild — which makes *it* the producer the
     // second follower joins.
     use redoop_mapred::trace::{CacheAction, TraceEvent, TraceSink};
     const WINDOWS: u64 = 3;
@@ -672,7 +672,7 @@ fn a_follower_whose_producer_died_falls_back_to_eq4() {
     );
     assert!(rebuilt.iter().all(|(_, n)| *n != victim && cluster.is_alive(*n)));
 
-    // Second follower: everything is advertised again and in flight —
+    // Second follower: everything is held again and in flight —
     // nothing to build, and the lost partitions are joined where the
     // first follower is rebuilding them.
     let mark = sink.len();
@@ -693,8 +693,8 @@ fn a_follower_whose_producer_died_falls_back_to_eq4() {
     assert_eq!(anchors.len(), R);
     assert!(rebuilt.iter().all(|(_, n)| anchors.contains(n)), "{anchors:?} vs {rebuilt:?}");
 
-    // The rest of the run: the leader's audit rolls its dead caches back
-    // and every window of every query still equals recomputation.
+    // The rest of the run: every window of every query still equals
+    // recomputation.
     let mut outputs = vec![Vec::new(); 3];
     for fired in [leader, first, second] {
         outputs[fired.query].push(read_window_output(&cluster, &fired.report.outputs).unwrap());
@@ -710,13 +710,14 @@ fn a_follower_whose_producer_died_falls_back_to_eq4() {
 
 #[test]
 fn an_audit_leaves_a_peers_advertisement_in_place() {
-    // Three identical queries on one shared source and one clock. One of
-    // the leader's nodes dies after its window 0; the first follower
-    // rebuilds the lost products and advertises them from live nodes. The
-    // leader's next audit finds its own copies gone and withdraws the
-    // advertisements it made for the dead node — not the follower's, which
-    // now name a live one: the leader imports the rebuilt products like any
-    // follower, and no lost product is built a third time.
+    // Three identical queries on one shared source, one clock and one
+    // cache plane. One of the leader's nodes dies after its window 0. The
+    // first follower's audit rolls the dead node's copies back — for
+    // every query of the plane — and the follower rebuilds them on live
+    // nodes. The leader's next audit finds nothing left to roll back and
+    // leaves the follower's copies where they are: it reads the rebuilt
+    // products like any follower, and no lost product is built a third
+    // time.
     use redoop_mapred::trace::{CacheAction, TraceEvent, TraceSink};
     const WINDOWS: u64 = 3;
     let spec = spec_with_overlap(0.5);
@@ -773,23 +774,24 @@ fn an_audit_leaves_a_peers_advertisement_in_place() {
     // joins it.
     let mark = sink.len();
     fired.push(deployment.step().unwrap().unwrap());
+    assert!(fired[1].report.trace.rollbacks > 0, "the follower's audit finds the dead node's copies");
     fired.push(deployment.step().unwrap().unwrap());
     let rebuilt = ro_events(mark, CacheAction::Register);
     assert_eq!(rebuilt.iter().map(|(name, _)| name.clone()).collect::<Vec<_>>(), lost);
 
-    // The leader's window 1: its audit rolls its dead copies back, and the
-    // products the window still reads (pane 1's) are imported from where
-    // the follower rebuilt them.
+    // The leader's window 1: the plane was rolled back already, and the
+    // products the window still reads (pane 1's) are read where the
+    // follower rebuilt them.
     let mark = sink.len();
     let next = deployment.step().unwrap().unwrap();
     assert_eq!((next.query, next.recurrence), (0, 1));
-    assert!(next.report.trace.rollbacks > 0, "the audit finds the dead node's copies");
+    assert_eq!(next.report.trace.rollbacks, 0, "the dead node's copies were rolled back once");
     let imported = ro_events(mark, CacheAction::SharedHit);
     let still_read: Vec<&(String, NodeId)> =
         rebuilt.iter().filter(|(name, _)| name.contains("/ro/s0p1/")).collect();
     assert!(!still_read.is_empty());
     for entry in still_read {
-        assert!(imported.contains(entry), "the leader's audit withdrew {entry:?}");
+        assert!(imported.contains(entry), "the leader did not read {entry:?}");
     }
     fired.push(next);
     while let Some(f) = deployment.step().unwrap() {

@@ -97,33 +97,41 @@ fn two_queries_share_one_sources_pane_files() {
     assert!(exec2.reports()[1..].iter().all(|r| r.reused_caches > 0));
 }
 
-/// Materialized caches and their doneQueryMask bits, sorted by store
-/// name — the controller-state fingerprint compared across drivers.
-fn mask_snapshot(exec: &RecurringExecutor<AggMapper, AggReducer>) -> Vec<(String, u64)> {
-    let mut v: Vec<(String, u64)> = exec
-        .controller()
-        .all_cached()
-        .into_iter()
-        .map(|n| {
-            (n.store_name(), exec.controller().signature(&n).unwrap().done_query_mask)
-        })
-        .collect();
-    v.sort();
-    v
+/// Checks query bit `q`'s votes after `exec`'s window `w` on a shared
+/// source of `pane_ms` panes: every cache of its fingerprint the one
+/// cache plane still holds carries the bit iff its pane was out of the
+/// query's window `w` — the query votes once the first window without
+/// the pane ran — whichever query built it, and however the two queries'
+/// windows interleaved. Returns how many it checked.
+fn assert_votes_follow_the_window(
+    exec: &RecurringExecutor<AggMapper, AggReducer>,
+    q: usize,
+    w: u64,
+    pane_ms: u64,
+) -> usize {
+    let first = w * exec.window_spec().slide / pane_ms;
+    let mut checked = 0;
+    for name in exec.controller().all_cached() {
+        let redoop_core::cache::CacheObject::PaneOutput { pane, .. } = name.object else { continue };
+        if name.fp != exec.fingerprint() {
+            continue;
+        }
+        let voted = exec.controller().signature(&name).unwrap().done_query_mask & (1 << q) != 0;
+        assert_eq!(voted, pane.0 < first, "query {q} after window {w}: {}", name.store_name());
+        checked += 1;
+    }
+    checked
 }
 
-/// Per-window controller fingerprints, shared between a probe and the
-/// assertion site.
-type MaskLog = std::rc::Rc<std::cell::RefCell<Vec<Vec<(String, u64)>>>>;
-
-/// Wraps an executor so the deployment's interleaved run logs the same
-/// per-window controller fingerprints the sequential oracle records.
-struct MaskProbe<'a> {
+/// Wraps an executor so the deployment's interleaved run checks each
+/// window's votes as the sequential oracle does.
+struct VoteProbe<'a> {
     exec: &'a mut RecurringExecutor<AggMapper, AggReducer>,
-    log: MaskLog,
+    q: usize,
+    pane_ms: u64,
 }
 
-impl redoop_core::DeployedQuery for MaskProbe<'_> {
+impl redoop_core::DeployedQuery for VoteProbe<'_> {
     fn window_spec(&self) -> WindowSpec {
         self.exec.window_spec()
     }
@@ -139,7 +147,7 @@ impl redoop_core::DeployedQuery for MaskProbe<'_> {
 
     fn run_window(&mut self, rec: u64) -> redoop_core::Result<WindowReport> {
         let report = self.exec.run_window(rec)?;
-        self.log.borrow_mut().push(mask_snapshot(self.exec));
+        assert!(assert_votes_follow_the_window(self.exec, self.q, rec, self.pane_ms) > 0);
         Ok(report)
     }
 }
@@ -150,8 +158,9 @@ fn deployment_matches_the_sequential_multiquery_oracle() {
     // (all data up front, each query runs its windows back-to-back —
     // the pre-deployment harness) and through RecurringDeployment
     // (arrivals fed batch-by-batch, windows interleaved in fire-time
-    // order). Outputs and each query's doneQueryMask progression must
-    // be identical.
+    // order). Outputs must be identical, and under both drivers each
+    // query's doneQueryMask bit follows its own windows on the one plane
+    // the two queries share.
     let q1 = WindowSpec::new(2_000_000, 1_000_000).unwrap();
     let q2 = WindowSpec::new(4_000_000, 1_000_000).unwrap();
     let plan = ArrivalPlan::new(q2, 3);
@@ -176,18 +185,18 @@ fn deployment_matches_the_sequential_multiquery_oracle() {
     }
     let mut seq1 = shared_executor(&seq_cluster, &shared, q1, "dep-mq-q1");
     let mut seq2 = shared_executor(&seq_cluster, &shared, q2, "dep-mq-q2");
-    let run_seq = |exec: &mut RecurringExecutor<AggMapper, AggReducer>, windows: u64| {
+    let pane_ms = shared.pane_ms();
+    let run_seq = |exec: &mut RecurringExecutor<AggMapper, AggReducer>, q: usize, windows: u64| {
         let mut outs = Vec::new();
-        let mut masks = Vec::new();
         for w in 0..windows {
             let r = exec.run_window(w).unwrap();
             outs.push(read_window_output::<String, u64>(&seq_cluster, &r.outputs).unwrap());
-            masks.push(mask_snapshot(exec));
+            assert!(assert_votes_follow_the_window(exec, q, w, pane_ms) > 0);
         }
-        (outs, masks)
+        outs
     };
-    let (seq_outs1, seq_masks1) = run_seq(&mut seq1, Q1_WINDOWS);
-    let (seq_outs2, seq_masks2) = run_seq(&mut seq2, Q2_WINDOWS);
+    let seq_outs1 = run_seq(&mut seq1, 0, Q1_WINDOWS);
+    let seq_outs2 = run_seq(&mut seq2, 1, Q2_WINDOWS);
 
     // Deployment-driven run on a fresh cluster: one shared arrival
     // stream, two probed executors on one simulator clock.
@@ -203,8 +212,6 @@ fn deployment_matches_the_sequential_multiquery_oracle() {
     .unwrap();
     let mut dep1 = shared_executor(&cluster, &shared, q1, "dep-mq-q1");
     let mut dep2 = shared_executor(&cluster, &shared, q2, "dep-mq-q2");
-    let log1 = MaskLog::default();
-    let log2 = MaskLog::default();
     let sim = dep1.sim().clone();
     let mut deployment = RecurringDeployment::new(sim);
     let src = deployment.add_shared_source(
@@ -212,10 +219,10 @@ fn deployment_matches_the_sequential_multiquery_oracle() {
         batches.iter().map(|b| ArrivalBatch::new(b.lines.clone(), b.range.clone())).collect(),
     );
     let d1 = deployment
-        .add_query(MaskProbe { exec: &mut dep1, log: log1.clone() }, &[src], Q1_WINDOWS)
+        .add_query(VoteProbe { exec: &mut dep1, q: 0, pane_ms }, &[src], Q1_WINDOWS)
         .unwrap();
     let d2 = deployment
-        .add_query(MaskProbe { exec: &mut dep2, log: log2.clone() }, &[src], Q2_WINDOWS)
+        .add_query(VoteProbe { exec: &mut dep2, q: 1, pane_ms }, &[src], Q2_WINDOWS)
         .unwrap();
     let fired = deployment.run().unwrap();
 
@@ -240,10 +247,6 @@ fn deployment_matches_the_sequential_multiquery_oracle() {
             read_window_output(&cluster, &deployment.reports(d2)[w].outputs).unwrap();
         assert_eq!(&got, expect, "q2 window {w} outputs");
     }
-
-    // Same doneQueryMask progression after each recurrence.
-    assert_eq!(*log1.borrow(), seq_masks1, "q1 doneQueryMask progression");
-    assert_eq!(*log2.borrow(), seq_masks2, "q2 doneQueryMask progression");
 }
 
 #[test]
@@ -421,8 +424,8 @@ fn cross_query_sharing_is_exact_and_builds_each_pane_once() {
     assert_eq!(shared_outs, private_outs, "sharing must not change any query's output bytes");
 
     // Journal: every reduce-output registration is a physical build
-    // (imports are silent adoptions), so each shared (pane, partition)
-    // must register exactly once across the whole fleet.
+    // (the other queries' first reads are `shared_hit`s), so each shared
+    // (pane, partition) must register exactly once across the whole fleet.
     let mut ro_registers: Vec<String> = shared_events
         .iter()
         .filter_map(|e| match e {
@@ -442,21 +445,22 @@ fn cross_query_sharing_is_exact_and_builds_each_pane_once() {
     // fixture runs 4 reduce partitions.
     assert_eq!(total, 4 * 4, "expected one build per (pane, partition)");
 
-    // And the other N-1 queries imported instead of rebuilding.
+    // And the other N-1 queries read the build instead of rebuilding.
     let shared_hits = shared_events
         .iter()
         .filter(|e| matches!(e, TraceEvent::Cache { action: CacheAction::SharedHit, .. }))
         .count();
-    assert!(shared_hits > 0, "journal must show cross-query imports");
+    assert!(shared_hits > 0, "journal must show cross-query reads");
     // Each of the 16 builds serves the other two queries exactly once.
-    assert_eq!(shared_hits, (N - 1) * total, "every non-builder must import every pane");
+    assert_eq!(shared_hits, (N - 1) * total, "every non-builder must read every pane");
 
-    // Deferred expiry kept files alive until the last consumer was done.
-    let deferred = shared_events
-        .iter()
-        .filter(|e| matches!(e, TraceEvent::Cache { action: CacheAction::ExpireDeferred, .. }))
-        .count();
-    assert!(deferred > 0, "non-final consumers must defer, not delete");
+    // One plane: each shared cache expires once, when the last of the
+    // three queries is done with it, and is forgotten then.
+    let count = |want: CacheAction| {
+        shared_events.iter().filter(|e| matches!(e, TraceEvent::Cache { action, .. } if *action == want)).count()
+    };
+    assert!(count(CacheAction::Expire) > 0, "panes that left every window expire");
+    assert_eq!(count(CacheAction::Forget), count(CacheAction::Expire), "one row per cache, forgotten once");
 }
 
 #[test]
@@ -551,7 +555,6 @@ fn a_fleet_builds_each_shared_product_once_at_scale() {
     assert!(registers.values().all(|&n| n == 1), "re-registered: {registers:?}");
     assert_eq!(one.sum(|r| r.trace.off_holder_misses), 0);
     assert_eq!(one.sum(|r| r.trace.cache_misses), panes * R, "only the leader misses");
-    assert_eq!(one.strays, 0, "every shared product has one copy, listed by the queries that hold it");
 
     let expect = recomputed_windows(&cluster_one, "once", &batches, &spec, WINDOWS);
     for (q, outputs) in one.outputs.iter().enumerate() {
@@ -566,64 +569,115 @@ fn a_wider_window_is_not_dragged_to_the_producer() {
     // on the least-loaded node — and its anchors move every window, as
     // plain Hadoop's heartbeat-order reduces do. Each fresh
     // pane is in flight on a node that holds nothing else the wide query
-    // needs, while the wide query's three older panes sit on its own
-    // anchor. The producer is not a complete holder, so Eq. 4 decides —
-    // and keeps the wide query where its panes are, building the one
-    // fresh pane there. Joining the producer regardless would rebuild the
-    // three older panes beside it every window.
+    // needs, while the wide query's older panes sit on its own anchor.
+    // The producer is not a complete holder, so Eq. 4 decides — and keeps
+    // the wide query where its panes are. Joining the producer regardless
+    // would rebuild the older panes beside it every window.
     const R: usize = 4;
     let [narrow, wide] = narrow_and_wide();
     let batches = wcc_batches(&ArrivalPlan::new(wide.spec, wide.windows), 91, 1.0);
     let cluster = test_cluster();
     let run = run_narrow_and_wide(&cluster, "wide", &batches);
     let wide_reports = &run.reports[1];
-    assert!(wide_reports.iter().all(|r| r.trace.shared_hits > 0), "the wide query imports");
+    assert!(wide_reports.iter().all(|r| r.trace.shared_hits > 0), "the wide query reads the narrow one's builds");
     // The split required set is met every steady window: what the wide
-    // query builds is the fresh pane, in flight on the producer while the
-    // wide query is anchored on its older panes.
+    // query builds is held elsewhere — in flight on the producer, or moved
+    // there — while the wide query is anchored on its older panes.
     assert!(wide_reports[1..]
         .iter()
         .all(|r| r.built_products > 0 && r.trace.off_holder_misses == r.built_products as u64));
-    // Exactly what Eq. 4 alone builds (the numbers before the rule): a
-    // steady window builds at most the fresh pane of each partition — none
-    // where the blind producer happens to be the wide query's own anchor,
-    // a complete holder, joined. Dragged along, it builds 4, 12, 12, 12, 12.
+    // Exactly what Eq. 4 alone builds, never joining: a steady window
+    // builds the fresh pane of a partition and, where the blind narrow
+    // query just rebuilt the pane before it on its own anchor, that pane
+    // too — one cache plane keeps one copy of each cache, so the narrow
+    // query's rebuild moved it off the wide query's anchor.
     let built: Vec<usize> = wide_reports.iter().map(|r| r.built_products).collect();
-    assert_eq!(built, [6, 3, 1, 3, 1], "the wide query was dragged off its panes");
+    assert_eq!(built, [6, 6, 2, 6, 2], "the wide query was dragged off its panes");
     assert!(wide_reports.iter().all(|r| r.built_products + r.reused_caches == 4 * R));
     assert_eq!(run.outputs[0], recomputed_windows(&cluster, "wide-n", &batches, &narrow.spec, narrow.windows));
     assert_eq!(run.outputs[1], recomputed_windows(&cluster, "wide-w", &batches, &wide.spec, wide.windows));
 }
 
 #[test]
-fn a_refused_adoption_is_a_plain_miss() {
-    // The follower's cost-based budget is too small to adopt anything:
-    // every import is refused, nothing is joined, Eq. 4 places as it
-    // always did and the follower builds for itself.
+fn budgeted_queries_share_one_budget_per_node() {
+    // Two budgeted queries on one shared source, each under a share tag
+    // of its own so that neither reads the other's caches, on one node:
+    // the per-node budget bounds what they hold there together — after
+    // every window, whichever query ran it — not what each holds alone.
     const WINDOWS: u64 = 4;
     let spec = spec_with_overlap(0.5);
-    let plan = ArrivalPlan::new(spec, WINDOWS);
-    let batches = wcc_batches(&plan, 92, 1.0);
-    let cluster = test_cluster();
-    let tiny = CacheBudget::bounded(CachePolicyKind::CostBased, 1);
-    let run = run_fleet(
+    let batches = wcc_batches(&ArrivalPlan::new(spec, WINDOWS), 92, 1.0);
+    let cluster = one_node_cluster();
+    let shared = SharedSource::new(
         &cluster,
-        "refused",
-        &batches,
-        &[
-            FleetQuery::plain(spec, WINDOWS),
-            FleetQuery { budget: Some(tiny), ..FleetQuery::plain(spec, WINDOWS) },
-        ],
-    );
-    let (leader, follower) = (&run.reports[0], &run.reports[1]);
-    for (l, f) in leader.iter().zip(follower) {
-        assert_eq!(l.trace.admit_rejects, 0);
-        assert!(f.trace.admit_rejects > 0, "window {}: adoptions must be refused", f.recurrence);
-        assert_eq!(f.trace.shared_hits, 0, "window {}: nothing adopted, nothing joined", f.recurrence);
-        assert_eq!(f.reused_caches, 0);
-        assert!(f.built_products >= l.built_products);
+        0,
+        "wcc",
+        DfsPath::new("/panes/budget").unwrap(),
+        &[spec],
+        leading_ts_fn(),
+    )
+    .unwrap();
+    for b in &batches {
+        shared.ingest_batch(b.lines.iter().map(String::as_str), &b.range).unwrap();
     }
-    let expect = recomputed_windows(&cluster, "refused", &batches, &spec, WINDOWS);
+    // Unbounded, the two queries hold about 4.4 kB on the node at their
+    // peak, each about half of it: each fits alone, not both together.
+    const BUDGET: u64 = 3_000;
+    let budget = CacheBudget::bounded(CachePolicyKind::CostBased, BUDGET);
+    let mut execs: Vec<RecurringExecutor<AggMapper, AggReducer>> = ["a", "b"]
+        .iter()
+        .map(|tag| {
+            let name = format!("budget-{tag}");
+            let conf = QueryConf::new(&name, 4, DfsPath::new(format!("/out/{name}")).unwrap())
+                .unwrap()
+                .with_share_tag(*tag);
+            let mut e = RecurringExecutor::aggregation_shared(
+                &cluster,
+                test_sim(&cluster),
+                conf,
+                &shared,
+                spec,
+                Arc::new(AggMapper),
+                Arc::new(AggReducer),
+                Arc::new(SumMerger),
+                batch_adaptive(&cluster, &spec),
+            )
+            .unwrap();
+            e.set_cache_policy(budget);
+            e
+        })
+        .collect();
+    let expect = recomputed_windows(&cluster, "budget", &batches, &spec, WINDOWS);
+    let node = redoop_dfs::NodeId(0);
+    let (mut refused, mut peak) = (0, 0);
+    for w in 0..WINDOWS {
+        for i in 0..execs.len() {
+            let report = execs[i].run_window(w).unwrap();
+            refused += report.trace.admit_rejects + report.trace.evictions;
+            assert_eq!(read_window_output::<String, u64>(&cluster, &report.outputs).unwrap(), expect[w as usize]);
+            // What every query's plane holds on the node, each cache once.
+            let mut held = std::collections::BTreeMap::new();
+            for e in &execs {
+                for name in e.controller().names_on(node) {
+                    held.insert(name, e.controller().signature(&name).map_or(0, |s| s.bytes));
+                }
+            }
+            let total: u64 = held.values().sum();
+            peak = peak.max(total);
+            assert!(total <= BUDGET, "window {w}: the two queries hold {total} B on one node, over {BUDGET}");
+        }
+    }
+    assert!(refused > 0 && peak > BUDGET / 2, "the budget must bind: {refused} refused or evicted, peak {peak}");
+
+    // The same fleet under the cache model, which checks (b) per node
+    // across the queries after every deployment step.
+    let cluster = one_node_cluster();
+    let fleet = [
+        FleetQuery { budget: Some(budget), share_tag: Some("a"), ..FleetQuery::plain(spec, WINDOWS) },
+        FleetQuery { budget: Some(budget), share_tag: Some("b"), ..FleetQuery::plain(spec, WINDOWS) },
+    ];
+    let run = run_fleet(&cluster, "budget-model", &batches, &fleet);
+    let expect = recomputed_windows(&cluster, "budget-model", &batches, &spec, WINDOWS);
     assert_eq!(run.outputs[0], expect);
     assert_eq!(run.outputs[1], expect);
 }

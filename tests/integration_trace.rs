@@ -3,8 +3,8 @@
 //! Fig. 6; rollbacks appear under failures, Fig. 9) and be a fold of
 //! the journal, the adaptive
 //! sub-pane expiry sweep must leave no out-of-window controller
-//! entries, every journaled cache must be one a build, an adoption or a
-//! refusal introduced, and a join that lost a node mid-run must end with
+//! entries, every journaled cache must be one a build, a first read of a
+//! peer's build or a refusal introduced, and a join that lost a node mid-run must end with
 //! no stale signature and no stale cache file.
 
 #[path = "common/mod.rs"]
@@ -438,7 +438,7 @@ fn report_counts_are_a_fold_of_the_journal() {
     });
     assert!(joined, "a follower joins its producer");
 
-    // A budgeted follower whose adoptions are all refused.
+    // A shared fleet whose one budget refuses every cache.
     let spec = spec_with_overlap(0.5);
     let batches = wcc_batches(&ArrivalPlan::new(spec, 4), 92, 1.0);
     let tiny = CacheBudget::bounded(CachePolicyKind::CostBased, 1);
