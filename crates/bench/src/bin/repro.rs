@@ -35,14 +35,14 @@
 //!
 //! Besides the human-readable tables, every run writes
 //! `BENCH_repro.json` to the working directory: the per-figure
-//! virtual-time series plus the host wall-clock each figure took, in a
-//! stable hand-rolled JSON shape (no serde in the workspace).
+//! virtual-time series plus the host wall-clock each figure took,
+//! rendered through `redoop_mapred::json` in its pretty form.
 
 use std::time::Instant;
 
 use redoop_bench::experiments;
-use redoop_bench::json::Json;
 use redoop_bench::setup::{self, RunConf};
+use redoop_mapred::json::Json;
 use redoop_mapred::trace::TraceSink;
 use redoop_mapred::SimTime;
 
@@ -495,26 +495,23 @@ fn ablations(cfg: &RunConf) -> Json {
 
 /// Runs one figure, timing its host wall-clock, and appends the
 /// `{series, wall_clock_secs}` entry under `name`.
-fn run_figure(figures: &mut Vec<(String, Json)>, name: &str, f: impl FnOnce() -> Json) {
+fn run_figure(figures: &mut Vec<(&'static str, Json)>, name: &'static str, f: impl FnOnce() -> Json) {
     let start = Instant::now();
     let series = f();
     let wall = start.elapsed().as_secs_f64();
-    figures.push((
-        name.to_string(),
-        Json::obj(vec![("wall_clock_secs", Json::Num(wall)), ("series", series)]),
-    ));
+    figures.push((name, Json::obj(vec![("wall_clock_secs", Json::Num(wall)), ("series", series)])));
 }
 
-fn write_report(path: &str, command: &str, figures: Vec<(String, Json)>) {
+fn write_report(path: &str, command: &str, figures: Vec<(&'static str, Json)>) {
     let report = Json::obj(vec![
         ("schema", Json::str("redoop-repro/1")),
         ("command", Json::str(command)),
         ("windows", Json::Num(WINDOWS as f64)),
         ("seed", Json::Num(SEED as f64)),
         ("simulated_times_note", Json::str("series values are simulated seconds; wall_clock_secs is host time")),
-        ("figures", Json::Obj(figures)),
+        ("figures", Json::obj(figures)),
     ]);
-    match std::fs::write(path, report.render()) {
+    match std::fs::write(path, report.render_pretty()) {
         Ok(()) => println!("\nwrote {path}"),
         Err(e) => eprintln!("warning: could not write {path}: {e}"),
     }
@@ -593,7 +590,7 @@ fn main() {
     // worker counts to prove it), only how many host threads the pure
     // compute stages fan out over.
     redoop_mapred::exec::set_host_parallelism(workers);
-    let mut figures: Vec<(String, Json)> = Vec::new();
+    let mut figures: Vec<(&'static str, Json)> = Vec::new();
     match arg.as_str() {
         "fig3" => run_figure(&mut figures, "fig3", fig3),
         "fig6" => run_figure(&mut figures, "fig6", || fig6(&cfg)),

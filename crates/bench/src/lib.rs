@@ -19,7 +19,6 @@
 //! window outputs against the plain-recomputation baseline.
 
 pub mod experiments;
-pub mod json;
 pub mod setup;
 
 pub use experiments::{

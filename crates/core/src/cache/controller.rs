@@ -685,11 +685,24 @@ impl CachePlane {
         }
     }
 
+    /// Drops every held cache of fingerprint `fp`, name by name: its file
+    /// is queued for its node's purge and its row invalidated — the
+    /// caching-off ablation, which reuses nothing. A rebuild on the same
+    /// node cancels the purge.
+    pub fn drop_caches_of(&mut self, fp: u64) {
+        let held: Vec<(CacheName, NodeId)> =
+            self.sigs.iter().filter(|(n, _)| n.fp == fp).filter_map(|(n, s)| Some((*n, s.node?))).collect();
+        for (name, node) in held {
+            self.queue_purge(node, name);
+            self.invalidate(&name);
+        }
+    }
+
     /// Queues `node`'s copy of `name` for the next purge scan, under the
     /// size its signature records: a copy the plane no longer tracks
     /// there (the caching-off ablation's drop, a torn blob the audit let
     /// go of). Registering the name on `node` again cancels it.
-    pub fn queue_purge(&mut self, node: NodeId, name: CacheName) {
+    pub(super) fn queue_purge(&mut self, node: NodeId, name: CacheName) {
         let bytes = self.sigs.get(&name).map_or(0, |s| s.bytes);
         self.queue_file(node, name, bytes);
     }
@@ -874,18 +887,6 @@ mod tests {
         assert!(c.mark_query_done(name(0, 0), 0).is_err(), "unknown cache");
         c.register_cache(name(0, 0), NodeId(0), 1, SimTime::ZERO);
         assert!(c.mark_query_done(name(0, 0), 5).is_err(), "query out of range");
-    }
-
-    #[test]
-    fn rollback_downgrades_only_the_failed_node() {
-        let mut c = CachePlane::new(1);
-        c.register_cache(name(0, 0), NodeId(0), 1, SimTime::ZERO);
-        c.register_cache(name(1, 0), NodeId(1), 1, SimTime::ZERO);
-        c.register_cache(name(2, 0), NodeId(0), 1, SimTime::ZERO);
-        let lost = c.rollback_node(NodeId(0));
-        assert_eq!(lost.len(), 2);
-        assert_eq!(c.signature(&name(0, 0)).unwrap().node, None);
-        assert_eq!(c.location(&name(1, 0)), Some(NodeId(1)));
     }
 
     #[test]

@@ -164,6 +164,8 @@ mod tests {
         assert_eq!(heartbeats(&sink), vec![(NodeId(1), true, 1, 1)]);
         // The phantom is gone from the index; the real file stays listed.
         assert_eq!(ctl.names_on(NodeId(1)), vec![name(0)]);
+        // A file that is gone leaves nothing to purge.
+        assert!(ctl.purge(&cluster).unwrap().is_empty());
     }
 
     #[test]
@@ -226,35 +228,6 @@ mod tests {
         assert_eq!(heartbeats(&old_sink).last(), heartbeats(&new_sink).last());
         assert_eq!(old.salvaged(&name(1)), new.salvaged(&name(1)));
         assert!(old.salvaged(&name(1)).is_some());
-    }
-
-    #[test]
-    fn dead_node_heartbeat_rolls_back_everything() {
-        let sink = TraceSink::enabled();
-        let cluster = Cluster::with_nodes(2);
-        let mut ctl = CachePlane::new(1);
-        ctl.set_trace_sink(sink.clone());
-        cluster.put_local(NodeId(0), name(0).store_name(), intact_blob()).unwrap();
-        ctl.register_cache(name(0), NodeId(0), 1, SimTime::ZERO);
-        cluster.kill_node(NodeId(0)).unwrap();
-        assert_eq!(ctl.audit_node(&cluster, NodeId(0)), vec![name(0)]);
-        assert!(ctl.location(&name(0)).is_none());
-        assert_eq!(heartbeats(&sink), vec![(NodeId(0), false, 0, 1)]);
-    }
-
-    #[test]
-    fn controller_invalidates_missing_caches_on_live_nodes() {
-        let cluster = Cluster::with_nodes(2);
-        let mut ctl = CachePlane::new(1);
-        // Two caches registered; only one file survives.
-        cluster.put_local(NodeId(1), name(0).store_name(), intact_blob()).unwrap();
-        ctl.register_cache(name(0), NodeId(1), 1, SimTime::ZERO);
-        ctl.register_cache(name(1), NodeId(1), 1, SimTime::ZERO);
-        assert_eq!(ctl.audit_node(&cluster, NodeId(1)), vec![name(1)]);
-        assert_eq!(ctl.location(&name(0)), Some(NodeId(1)));
-        assert!(ctl.location(&name(1)).is_none());
-        // A file that is gone leaves nothing to purge.
-        assert!(ctl.purge(&cluster).unwrap().is_empty());
     }
 
     #[test]
@@ -383,5 +356,6 @@ mod tests {
         cluster.kill_node(NodeId(1)).unwrap();
         assert_eq!(ctl.audit_node(&cluster, NodeId(1)), vec![name(1)]);
         assert_eq!(ctl.bytes_on(NodeId(1)), 0);
+        assert_eq!(heartbeats(&sink).last(), Some(&(NodeId(1), false, 0, 1)));
     }
 }

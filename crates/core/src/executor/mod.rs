@@ -565,15 +565,8 @@ where
         self.audit_caches();
         if !self.options.caching {
             // The ablation reuses nothing: every cache of its fingerprint
-            // is dropped, and its file queued for the purge like any other
-            // retired copy (a rebuild on the same node cancels that).
-            let mut plane = self.controller.lock();
-            for name in plane.all_cached().into_iter().filter(|n| n.fp == self.fp) {
-                if let Some(node) = plane.location(&name) {
-                    plane.queue_purge(node, name);
-                }
-                plane.invalidate(&name);
-            }
+            // is dropped, its file queued for the purge.
+            self.controller.lock().drop_caches_of(self.fp);
         }
 
         // Feed the fresh-volume signal, then take the adaptive decision.

@@ -3,8 +3,9 @@
 /// `v` in decimal — the digits `{v}` prints — rendered into a stack
 /// buffer without the `core::fmt` machinery. The workspace's one
 /// integer-to-text routine: numbered paths, the integer `Writable`s of
-/// `redoop-mapred`, cache names and the workload generators all render
-/// through it.
+/// `redoop-mapred`, cache names, the workload generators and the JSON
+/// module of `redoop-mapred` — so the trace journal and every
+/// `BENCH_*.json` — all render through it.
 #[derive(Debug, Clone, Copy)]
 pub struct Decimal {
     digits: [u8; 20],

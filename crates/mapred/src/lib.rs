@@ -39,6 +39,7 @@ pub mod frame;
 pub mod grouped;
 pub mod hasher;
 pub mod io;
+pub mod json;
 pub mod key;
 pub mod job;
 pub mod mapper;

@@ -37,12 +37,12 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use redoop_dfs::NodeId;
 
+use crate::json::{self, Json};
 use crate::simtime::SimTime;
 use crate::task::TaskKind;
 
@@ -292,27 +292,19 @@ pub enum TraceEvent {
     },
 }
 
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 fn kind_str(kind: TaskKind) -> &'static str {
     match kind {
         TaskKind::Map => "map",
         TaskKind::Reduce => "reduce",
     }
+}
+
+/// A journal event as one JSON object: its `type`, then each
+/// `key => value` member in order, the value converted by `Json::from`.
+macro_rules! event {
+    ($kind:literal $(, $key:literal => $value:expr)* $(,)?) => {
+        Json::obj(vec![("type", Json::str($kind)) $(, ($key, Json::from($value)))*])
+    };
 }
 
 impl TraceEvent {
@@ -326,128 +318,61 @@ impl TraceEvent {
         }
     }
 
-    /// Appends this event as one JSON object. Timestamps are integer
-    /// microseconds of virtual time (no floats — rendering is exact and
-    /// byte-stable).
-    fn write_json(&self, out: &mut String) {
+    /// This event as one JSON object. Timestamps are integer
+    /// microseconds of virtual time and every count an exact integer (no
+    /// floats — rendering is exact and byte-stable).
+    fn to_json(&self) -> Json {
         match self {
             TraceEvent::Placement { at, kind, label, chosen, local, scores } => {
-                let _ = write!(
-                    out,
-                    "{{\"type\":\"placement\",\"at_us\":{},\"kind\":\"{}\",\"label\":\"",
-                    at.0,
-                    kind_str(*kind)
-                );
-                escape_json(label, out);
-                let _ = write!(out, "\",\"chosen\":{},\"local\":{local},\"scores\":[", chosen.0);
-                for (i, s) in scores.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(
-                        out,
-                        "{{\"node\":{},\"load_us\":{},\"cost_us\":{}}}",
-                        s.node.0, s.load.0, s.cost.0
-                    );
-                }
-                out.push_str("]}");
+                let score = |s: &NodeScore| {
+                    let (load, cost) = (s.load.0.into(), s.cost.0.into());
+                    Json::obj(vec![("node", s.node.0.into()), ("load_us", load), ("cost_us", cost)])
+                };
+                let scores = Json::Arr(scores.iter().map(score).collect());
+                event!("placement", "at_us" => at.0, "kind" => kind_str(*kind), "label" => label,
+                    "chosen" => chosen.0, "local" => *local, "scores" => scores)
             }
             TraceEvent::TaskSpan { phase, node, start, end, label } => {
-                let _ = write!(
-                    out,
-                    "{{\"type\":\"span\",\"phase\":\"{}\",\"node\":{},\"start_us\":{},\"end_us\":{},\"label\":\"",
-                    phase, node.0, start.0, end.0
-                );
-                escape_json(label, out);
-                out.push_str("\"}");
+                event!("span", "phase" => *phase, "node" => node.0, "start_us" => start.0, "end_us" => end.0,
+                    "label" => label)
             }
             TraceEvent::Cache { at, action, name, node, bytes } => {
-                let _ = write!(
-                    out,
-                    "{{\"type\":\"cache\",\"at_us\":{},\"action\":\"{}",
-                    at.0,
-                    action.as_str()
-                );
-                if let CacheAction::Miss(cause) = action {
-                    let _ = write!(out, "\",\"cause\":\"{}", cause.as_str());
+                let node = node.map_or(Json::Null, |n| n.0.into());
+                match action {
+                    CacheAction::Miss(cause) => event!("cache", "at_us" => at.0, "action" => "miss",
+                        "cause" => cause.as_str(), "name" => name, "node" => node, "bytes" => *bytes),
+                    _ => event!("cache", "at_us" => at.0, "action" => action.as_str(), "name" => name,
+                        "node" => node, "bytes" => *bytes),
                 }
-                out.push_str("\",\"name\":\"");
-                escape_json(name, out);
-                out.push('"');
-                match node {
-                    Some(n) => {
-                        let _ = write!(out, ",\"node\":{}", n.0);
-                    }
-                    None => out.push_str(",\"node\":null"),
-                }
-                let _ = write!(out, ",\"bytes\":{bytes}}}");
             }
             TraceEvent::Heartbeat { at, node, alive, held, lost } => {
-                let _ = write!(
-                    out,
-                    "{{\"type\":\"heartbeat\",\"at_us\":{},\"node\":{},\"alive\":{},\"held\":{},\"lost\":{}}}",
-                    at.0, node.0, alive, held, lost
-                );
+                event!("heartbeat", "at_us" => at.0, "node" => node.0, "alive" => *alive, "held" => *held,
+                    "lost" => *lost)
             }
             TraceEvent::Rollback { at, node, lost } => {
-                let _ = write!(
-                    out,
-                    "{{\"type\":\"rollback\",\"at_us\":{},\"node\":{},\"lost\":[",
-                    at.0, node.0
-                );
-                for (i, name) in lost.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    escape_json(name, out);
-                    out.push('"');
-                }
-                out.push_str("]}");
+                let lost = Json::Arr(lost.iter().map(Json::from).collect());
+                event!("rollback", "at_us" => at.0, "node" => node.0, "lost" => lost)
             }
             TraceEvent::PaneSeal { at, source, pane } => {
-                let _ = write!(
-                    out,
-                    "{{\"type\":\"pane_seal\",\"at_us\":{},\"source\":{},\"pane\":{}}}",
-                    at.0, source, pane
-                );
+                event!("pane_seal", "at_us" => at.0, "source" => *source, "pane" => *pane)
             }
             TraceEvent::DeltaFold { at, source, pane, records, groups } => {
-                let _ = write!(
-                    out,
-                    "{{\"type\":\"delta_fold\",\"at_us\":{},\"source\":{},\"pane\":{},\"records\":{},\"groups\":{}}}",
-                    at.0, source, pane, records, groups
-                );
+                event!("delta_fold", "at_us" => at.0, "source" => *source, "pane" => *pane,
+                    "records" => *records, "groups" => *groups)
             }
             TraceEvent::DeltaSeal { at, source, pane, partition, node, bytes } => {
-                let _ = write!(
-                    out,
-                    "{{\"type\":\"delta_seal\",\"at_us\":{},\"source\":{},\"pane\":{},\"partition\":{},\"node\":{},\"bytes\":{}}}",
-                    at.0, source, pane, partition, node.0, bytes
-                );
+                event!("delta_seal", "at_us" => at.0, "source" => *source, "pane" => *pane,
+                    "partition" => *partition, "node" => node.0, "bytes" => *bytes)
             }
             TraceEvent::PaneExpire { at, source, pane } => {
-                let _ = write!(
-                    out,
-                    "{{\"type\":\"pane_expire\",\"at_us\":{},\"source\":{},\"pane\":{}}}",
-                    at.0, source, pane
-                );
+                event!("pane_expire", "at_us" => at.0, "source" => *source, "pane" => *pane)
             }
             TraceEvent::PurgeScan { at, node, trigger, purged } => {
-                let _ = write!(
-                    out,
-                    "{{\"type\":\"purge_scan\",\"at_us\":{},\"node\":{},\"trigger\":\"{}\",\"purged\":{}}}",
-                    at.0, node.0, trigger, purged
-                );
+                event!("purge_scan", "at_us" => at.0, "node" => node.0, "trigger" => *trigger, "purged" => *purged)
             }
             TraceEvent::Salvage { at, name, node, intact, total } => {
-                let _ = write!(out, "{{\"type\":\"salvage\",\"at_us\":{},\"name\":\"", at.0);
-                escape_json(name, out);
-                let _ = write!(
-                    out,
-                    "\",\"node\":{},\"intact_frames\":{},\"total_frames\":{}}}",
-                    node.0, intact, total
-                );
+                event!("salvage", "at_us" => at.0, "name" => name, "node" => node.0,
+                    "intact_frames" => *intact, "total_frames" => *total)
             }
         }
     }
@@ -592,25 +517,16 @@ impl TraceSink {
         }
     }
 
-    /// Renders the whole journal as one JSON document. Deterministic:
-    /// identical event sequences render to byte-identical strings.
+    /// Renders the whole journal as one JSON document, in compact form.
+    /// Deterministic: identical event sequences render to byte-identical
+    /// strings. Events are rendered one at a time, never as one tree.
     pub fn render_json(&self) -> String {
+        let state = self.inner.as_ref().map(|inner| inner.lock());
+        let dropped = state.as_ref().map_or(0, |s| s.dropped);
+        let head = [("schema", Json::str("redoop-trace/1")), ("dropped", Json::Int(dropped))];
+        let events = state.iter().flat_map(|s| s.events.iter().map(TraceEvent::to_json));
         let mut out = String::new();
-        out.push_str("{\"schema\":\"redoop-trace/1\"");
-        match &self.inner {
-            Some(inner) => {
-                let s = inner.lock();
-                let _ = write!(out, ",\"dropped\":{},\"events\":[", s.dropped);
-                for (i, e) in s.events.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    e.write_json(&mut out);
-                }
-                out.push_str("]}");
-            }
-            None => out.push_str(",\"dropped\":0,\"events\":[]}"),
-        }
+        json::write_compact_streamed(&mut out, &head, "events", events);
         out
     }
 }
@@ -892,9 +808,9 @@ mod tests {
 
     #[test]
     fn string_escaping() {
-        let mut out = String::new();
-        escape_json("a\"b\\c\nd\u{1}", &mut out);
-        assert_eq!(out, "a\\\"b\\\\c\\nd\\u0001");
+        let sink = TraceSink::with_capacity(1);
+        sink.emit(|| TraceEvent::Rollback { at: SimTime(1), node: NodeId(0), lost: vec!["a\"b\\c\nd\u{1}".into()] });
+        assert!(sink.render_json().ends_with("\"lost\":[\"a\\\"b\\\\c\\nd\\u0001\"]}]}"));
     }
 
     #[test]

@@ -3,9 +3,12 @@
 //! the cluster slot simulation.
 
 use proptest::prelude::*;
+use std::fmt::Write as _;
 
 use bytes::Bytes;
 use redoop_dfs::NodeId;
+use redoop_mapred::json::Json;
+use redoop_mapred::trace::{CacheAction, MissCause, NodeScore, TraceEvent, TraceSink};
 use redoop_mapred::writable::Pair;
 use redoop_mapred::{exec, io, ClusterSim, CostModel, HashPartitioner, LineFile, SimTime,
     TaskKind, Writable};
@@ -619,5 +622,416 @@ proptest! {
         prop_assert!(run.runs.iter().all(|(k, _, len)| *len > 0 && k % 3 != 0));
         let stored = io::encode_framed_grouped_block(&run, 0, 0);
         prop_assert_eq!(io::decode_framed_grouped_block::<u64, u64>(&stored).unwrap().grouped, run);
+    }
+}
+
+// ---- The one JSON module: the journal against the hand-written
+// renderer it replaced, and the reader against the renderer ----------
+
+
+// The journal renderer `trace.rs` had before `redoop_mapred::json`, kept
+// verbatim as the reference: its string escape, its task-kind and
+// cache-action spellings, and its per-event format strings.
+
+fn escape_json(s: &str, out: &mut String) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+}
+
+fn kind_str(kind: TaskKind) -> &'static str {
+    match kind {
+        TaskKind::Map => "map",
+        TaskKind::Reduce => "reduce",
+    }
+}
+
+fn cause_str(cause: MissCause) -> &'static str {
+    match cause {
+        MissCause::OffHolder => "off_holder",
+        MissCause::Unattributed => "unattributed",
+    }
+}
+
+fn action_str(action: CacheAction) -> &'static str {
+    match action {
+        CacheAction::Register => "register",
+        CacheAction::Hit => "hit",
+        CacheAction::Miss(_) => "miss",
+        CacheAction::Invalidate => "invalidate",
+        CacheAction::Forget => "forget",
+        CacheAction::Purge => "purge",
+        CacheAction::Expire => "expire",
+        CacheAction::SharedHit => "shared_hit",
+        CacheAction::PartialRebuild => "partial_rebuild",
+        CacheAction::Evict => "evict",
+        CacheAction::AdmitReject => "admit_reject",
+    }
+}
+
+fn old_write_json(event: &TraceEvent, out: &mut String) {
+    match event {
+        TraceEvent::Placement { at, kind, label, chosen, local, scores } => {
+            let _ = write!(
+                out,
+                "{{\"type\":\"placement\",\"at_us\":{},\"kind\":\"{}\",\"label\":\"",
+                at.0,
+                kind_str(*kind)
+            );
+            escape_json(label, out);
+            let _ = write!(out, "\",\"chosen\":{},\"local\":{local},\"scores\":[", chosen.0);
+            for (i, s) in scores.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                let _ = write!(
+                    out,
+                    "{{\"node\":{},\"load_us\":{},\"cost_us\":{}}}",
+                    s.node.0, s.load.0, s.cost.0
+                );
+            }
+            out.push_str("]}");
+        }
+        TraceEvent::TaskSpan { phase, node, start, end, label } => {
+            let _ = write!(
+                out,
+                "{{\"type\":\"span\",\"phase\":\"{}\",\"node\":{},\"start_us\":{},\"end_us\":{},\"label\":\"",
+                phase, node.0, start.0, end.0
+            );
+            escape_json(label, out);
+            out.push_str("\"}");
+        }
+        TraceEvent::Cache { at, action, name, node, bytes } => {
+            let _ = write!(
+                out,
+                "{{\"type\":\"cache\",\"at_us\":{},\"action\":\"{}",
+                at.0,
+                action_str(*action)
+            );
+            if let CacheAction::Miss(cause) = action {
+                let _ = write!(out, "\",\"cause\":\"{}", cause_str(*cause));
+            }
+            out.push_str("\",\"name\":\"");
+            escape_json(name, out);
+            out.push('"');
+            match node {
+                Some(n) => {
+                    let _ = write!(out, ",\"node\":{}", n.0);
+                }
+                None => out.push_str(",\"node\":null"),
+            }
+            let _ = write!(out, ",\"bytes\":{bytes}}}");
+        }
+        TraceEvent::Heartbeat { at, node, alive, held, lost } => {
+            let _ = write!(
+                out,
+                "{{\"type\":\"heartbeat\",\"at_us\":{},\"node\":{},\"alive\":{},\"held\":{},\"lost\":{}}}",
+                at.0, node.0, alive, held, lost
+            );
+        }
+        TraceEvent::Rollback { at, node, lost } => {
+            let _ = write!(
+                out,
+                "{{\"type\":\"rollback\",\"at_us\":{},\"node\":{},\"lost\":[",
+                at.0, node.0
+            );
+            for (i, name) in lost.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push('"');
+                escape_json(name, out);
+                out.push('"');
+            }
+            out.push_str("]}");
+        }
+        TraceEvent::PaneSeal { at, source, pane } => {
+            let _ = write!(
+                out,
+                "{{\"type\":\"pane_seal\",\"at_us\":{},\"source\":{},\"pane\":{}}}",
+                at.0, source, pane
+            );
+        }
+        TraceEvent::DeltaFold { at, source, pane, records, groups } => {
+            let _ = write!(
+                out,
+                "{{\"type\":\"delta_fold\",\"at_us\":{},\"source\":{},\"pane\":{},\"records\":{},\"groups\":{}}}",
+                at.0, source, pane, records, groups
+            );
+        }
+        TraceEvent::DeltaSeal { at, source, pane, partition, node, bytes } => {
+            let _ = write!(
+                out,
+                "{{\"type\":\"delta_seal\",\"at_us\":{},\"source\":{},\"pane\":{},\"partition\":{},\"node\":{},\"bytes\":{}}}",
+                at.0, source, pane, partition, node.0, bytes
+            );
+        }
+        TraceEvent::PaneExpire { at, source, pane } => {
+            let _ = write!(
+                out,
+                "{{\"type\":\"pane_expire\",\"at_us\":{},\"source\":{},\"pane\":{}}}",
+                at.0, source, pane
+            );
+        }
+        TraceEvent::PurgeScan { at, node, trigger, purged } => {
+            let _ = write!(
+                out,
+                "{{\"type\":\"purge_scan\",\"at_us\":{},\"node\":{},\"trigger\":\"{}\",\"purged\":{}}}",
+                at.0, node.0, trigger, purged
+            );
+        }
+        TraceEvent::Salvage { at, name, node, intact, total } => {
+            let _ = write!(out, "{{\"type\":\"salvage\",\"at_us\":{},\"name\":\"", at.0);
+            escape_json(name, out);
+            let _ = write!(
+                out,
+                "\",\"node\":{},\"intact_frames\":{},\"total_frames\":{}}}",
+                node.0, intact, total
+            );
+        }
+    }
+}
+
+/// The old `TraceSink::render_json` over `events`.
+fn old_render_json(dropped: u64, events: &[TraceEvent]) -> String {
+    let mut out = String::new();
+    out.push_str("{\"schema\":\"redoop-trace/1\"");
+    let _ = write!(out, ",\"dropped\":{},\"events\":[", dropped);
+    for (i, e) in events.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        old_write_json(e, &mut out);
+    }
+    out.push_str("]}");
+    out
+}
+
+/// Draws from one seed: the vendored proptest has no recursive or
+/// enum strategies, so the journal and tree generators below draw their
+/// shapes from a `TestRng` of their own.
+struct Draw(proptest::TestRng);
+
+impl Draw {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0.next_u64() % n
+    }
+
+    /// Integers over the whole `u64` range, the edges often.
+    fn int(&mut self) -> u64 {
+        match self.below(4) {
+            0 => [0, 1, u64::MAX, u64::MAX - 1, 1 << 53, (1 << 53) + 1][self.below(6) as usize],
+            1 => self.0.next_u64(),
+            _ => self.below(100_000),
+        }
+    }
+
+    fn small(&mut self) -> u32 {
+        self.int() as u32
+    }
+
+    /// Text with quotes, backslashes, control characters and non-ASCII.
+    fn text(&mut self) -> String {
+        const CHARS: [char; 16] =
+            ['a', 'z', '0', '/', ' ', '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}', '\u{7f}', 'é', '中', '😀'];
+        (0..self.below(12)).map(|_| CHARS[self.below(CHARS.len() as u64) as usize]).collect()
+    }
+
+    fn time(&mut self) -> SimTime {
+        SimTime(self.int())
+    }
+
+    fn event(&mut self) -> TraceEvent {
+        const PHASES: [&str; 6] = ["map", "shuffle", "sort", "reduce", "merge", "fold"];
+        match self.below(11) {
+            0 => TraceEvent::Placement {
+                at: self.time(),
+                kind: if self.below(2) == 0 { TaskKind::Map } else { TaskKind::Reduce },
+                label: self.text(),
+                chosen: NodeId(self.small()),
+                local: self.below(2) == 0,
+                scores: (0..self.below(4))
+                    .map(|_| NodeScore { node: NodeId(self.small()), load: self.time(), cost: self.time() })
+                    .collect(),
+            },
+            1 => TraceEvent::TaskSpan {
+                phase: PHASES[self.below(6) as usize],
+                node: NodeId(self.small()),
+                start: self.time(),
+                end: self.time(),
+                label: self.text(),
+            },
+            2 => {
+                let actions = [
+                    CacheAction::Register,
+                    CacheAction::Hit,
+                    CacheAction::Miss(MissCause::OffHolder),
+                    CacheAction::Miss(MissCause::Unattributed),
+                    CacheAction::Invalidate,
+                    CacheAction::Forget,
+                    CacheAction::Purge,
+                    CacheAction::Expire,
+                    CacheAction::SharedHit,
+                    CacheAction::PartialRebuild,
+                    CacheAction::Evict,
+                    CacheAction::AdmitReject,
+                ];
+                TraceEvent::Cache {
+                    at: self.time(),
+                    action: actions[self.below(actions.len() as u64) as usize],
+                    name: self.text(),
+                    node: (self.below(3) > 0).then(|| NodeId(self.small())),
+                    bytes: self.int(),
+                }
+            }
+            3 => TraceEvent::Heartbeat {
+                at: self.time(),
+                node: NodeId(self.small()),
+                alive: self.below(2) == 0,
+                held: self.int() as usize,
+                lost: self.int() as usize,
+            },
+            4 => TraceEvent::Rollback {
+                at: self.time(),
+                node: NodeId(self.small()),
+                lost: (0..self.below(4)).map(|_| self.text()).collect(),
+            },
+            5 => TraceEvent::PaneSeal { at: self.time(), source: self.small(), pane: self.int() },
+            6 => TraceEvent::DeltaFold {
+                at: self.time(),
+                source: self.small(),
+                pane: self.int(),
+                records: self.int(),
+                groups: self.int(),
+            },
+            7 => TraceEvent::DeltaSeal {
+                at: self.time(),
+                source: self.small(),
+                pane: self.int(),
+                partition: self.small(),
+                node: NodeId(self.small()),
+                bytes: self.int(),
+            },
+            8 => TraceEvent::PaneExpire { at: self.time(), source: self.small(), pane: self.int() },
+            9 => TraceEvent::PurgeScan {
+                at: self.time(),
+                node: NodeId(self.small()),
+                trigger: "periodic",
+                purged: self.int() as usize,
+            },
+            _ => TraceEvent::Salvage {
+                at: self.time(),
+                name: self.text(),
+                node: NodeId(self.small()),
+                intact: self.small(),
+                total: self.small(),
+            },
+        }
+    }
+
+    /// A finite `f64`; `canonical` ones are those the reader returns as
+    /// `Num` (not zero, and not a whole number in `u64`'s range, which
+    /// read back as `Int`).
+    fn num(&mut self, canonical: bool) -> f64 {
+        loop {
+            let n = match self.below(4) {
+                0 => f64::from_bits(self.0.next_u64()),
+                1 => (self.0.next_f64() - 0.5) * 2e6,
+                2 => -(self.below(1 << 20) as f64),
+                _ => self.int() as f64 * [1.0, 0.5, 1e-3, 1e20][self.below(4) as usize],
+            };
+            let reads_as_int = n.fract() == 0.0 && (n == 0.0 || (n > 0.0 && n < 18446744073709551616.0));
+            if n.is_finite() && !(canonical && reads_as_int) {
+                return n;
+            }
+        }
+    }
+
+    fn tree(&mut self, depth: u32, canonical: bool) -> Json {
+        match self.below(if depth == 0 { 5 } else { 7 }) {
+            0 => Json::Null,
+            1 => Json::Bool(self.below(2) == 0),
+            2 => Json::Int(self.int()),
+            3 => Json::Num(self.num(canonical)),
+            4 => Json::Str(self.text()),
+            5 => Json::Arr((0..self.below(4)).map(|_| self.tree(depth - 1, canonical)).collect()),
+            _ => Json::Obj((0..self.below(4)).map(|_| (self.text(), self.tree(depth - 1, canonical))).collect()),
+        }
+    }
+}
+
+proptest! {
+    /// The journal renders exactly what the hand-written renderer did,
+    /// event by event and as a whole, on events drawn over every kind,
+    /// with labels and names full of characters that need escaping and
+    /// integers up to `u64::MAX`.
+    #[test]
+    fn journal_renders_like_the_hand_written_renderer(seed in any::<u64>()) {
+        let mut draw = Draw(proptest::TestRng::from_seed(seed));
+        let events: Vec<TraceEvent> = (0..draw.below(8)).map(|_| draw.event()).collect();
+        let capacity = 1 + draw.below(8) as usize;
+        let sink = TraceSink::with_capacity(capacity);
+        for event in &events {
+            sink.emit(|| event.clone());
+        }
+        let kept = &events[events.len().saturating_sub(capacity)..];
+        prop_assert_eq!(sink.render_json(), old_render_json(sink.dropped(), kept));
+    }
+
+    /// The reader inverts the renderer: a canonical tree reads back as
+    /// itself from both forms, and any finite tree's text reads back
+    /// into a tree that renders the same text.
+    #[test]
+    fn parse_inverts_render_on_finite_trees(seed in any::<u64>()) {
+        let mut draw = Draw(proptest::TestRng::from_seed(seed));
+        let canonical = draw.tree(4, true);
+        prop_assert_eq!(Json::parse(&canonical.render_compact()), Ok(canonical.clone()));
+        prop_assert_eq!(Json::parse(&canonical.render_pretty()), Ok(canonical));
+        let any = draw.tree(4, false);
+        for (text, pretty) in [(any.render_compact(), false), (any.render_pretty(), true)] {
+            let read = Json::parse(&text).map(|read| if pretty { read.render_pretty() } else { read.render_compact() });
+            prop_assert_eq!(read, Ok(text));
+        }
+    }
+
+    /// Input from outside never panics the reader: arbitrary bytes (drawn
+    /// mostly from JSON's own alphabet) give an error or a tree that
+    /// round-trips, and every truncation of a document gives an error.
+    #[test]
+    fn arbitrary_bytes_and_truncations_never_panic(
+        bytes in proptest::collection::vec(any::<u8>(), 0..48),
+        seed in any::<u64>()
+    ) {
+        const ALPHABET: &[u8] = b"{}[]\",:\\/u0123456789abcdefABCDEF-+.eEtrulsn \t\n\r\x01\xc3\xa9";
+        let mut draw = Draw(proptest::TestRng::from_seed(seed));
+        for mapped in [false, true] {
+            let bytes: Vec<u8> = if mapped {
+                bytes.iter().map(|b| ALPHABET[*b as usize % ALPHABET.len()]).collect()
+            } else {
+                bytes.clone()
+            };
+            let text = String::from_utf8_lossy(&bytes);
+            if let Ok(tree) = Json::parse(&text) {
+                prop_assert_eq!(Json::parse(&tree.render_compact()), Ok(tree));
+            }
+        }
+        let document = Json::Arr(vec![draw.tree(3, false)]);
+        for text in [document.render_compact(), document.render_pretty()] {
+            let body = text.trim_end().len();
+            for cut in (0..body).filter(|&cut| text.is_char_boundary(cut)) {
+                let read = Json::parse(&text[..cut]);
+                prop_assert!(read.is_err(), "{:?} read as {:?}", &text[..cut], read);
+            }
+        }
     }
 }
