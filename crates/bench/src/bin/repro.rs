@@ -113,8 +113,8 @@ fn fig3() -> Json {
         println!(" {label:<22} | {pane_min:>10} | {ppf:>14}");
         rows.push(Json::obj(vec![
             ("source", Json::str(label)),
-            ("pane_minutes", Json::Num(pane_min as f64)),
-            ("panes_per_file", Json::Num(ppf as f64)),
+            ("pane_minutes", Json::from(pane_min)),
+            ("panes_per_file", Json::from(ppf)),
         ]));
     }
     Json::obj(vec![("plans", Json::Arr(rows))])
@@ -259,7 +259,7 @@ fn delta(cfg: &RunConf) -> Json {
     );
     Json::obj(vec![
         ("rates", Json::nums(s.rates.clone())),
-        ("records", Json::nums(s.records.iter().map(|&r| r as f64))),
+        ("records", Json::ints(s.records.iter().copied())),
         ("rebuild_secs", Json::nums(s.rebuild_secs.clone())),
         ("delta_secs", Json::nums(s.delta_secs.clone())),
         ("speedup_at_top", Json::Num(s.speedup_at_top())),
@@ -293,7 +293,7 @@ fn share(cfg: &RunConf) -> Json {
         s.hit_ratio[s.queries.iter().position(|&n| n == summary_n).unwrap()]
     );
     Json::obj(vec![
-        ("queries", Json::nums(s.queries.iter().map(|&n| n as f64))),
+        ("queries", Json::ints(s.queries.iter().map(|&n| n as u64))),
         ("private_secs", Json::nums(s.private_secs.clone())),
         ("shared_secs", Json::nums(s.shared_secs.clone())),
         ("hit_ratio", Json::nums(s.hit_ratio.clone())),
@@ -349,25 +349,25 @@ fn scale(cfg: &RunConf) -> Json {
         .iter()
         .map(|p| {
             Json::obj(vec![
-                ("nodes", Json::Num(p.nodes as f64)),
-                ("queries", Json::Num(p.queries as f64)),
+                ("nodes", Json::from(p.nodes)),
+                ("queries", Json::from(p.queries)),
                 ("makespan_secs", Json::Num(p.makespan_secs)),
                 ("hit_ratio", Json::Num(p.hit_ratio)),
-                ("built_products", Json::Num(p.built_products as f64)),
-                ("off_holder_misses", Json::Num(p.off_holder_misses as f64)),
-                ("map_input_records", Json::Num(p.map_input_records as f64)),
+                ("built_products", Json::from(p.built_products)),
+                ("off_holder_misses", Json::from(p.off_holder_misses)),
+                ("map_input_records", Json::from(p.map_input_records)),
                 ("outputs_consistent", Json::Bool(p.outputs_consistent)),
                 ("wall_clock_secs", Json::Num(p.wall_clock_secs)),
             ])
         })
         .collect();
     Json::obj(vec![
-        ("max_nodes", Json::Num(max_nodes as f64)),
-        ("max_queries", Json::Num(max_queries as f64)),
-        ("windows", Json::Num(windows as f64)),
+        ("max_nodes", Json::from(max_nodes)),
+        ("max_queries", Json::from(max_queries)),
+        ("windows", Json::from(windows)),
         ("points", Json::Arr(points)),
         ("headline_wall_clock_secs", Json::Num(head.wall_clock_secs)),
-        ("headline_repeats", Json::Num(s.headline_repeats as f64)),
+        ("headline_repeats", Json::from(s.headline_repeats)),
         (
             "unoptimized_baseline_wall_clock_secs",
             baseline.map_or(Json::Null, Json::Num),
@@ -401,9 +401,9 @@ fn salvage(cfg: &RunConf) -> Json {
         "partial recovery must beat full rebuild: {s:?}"
     );
     Json::obj(vec![
-        ("caches_damaged", Json::Num(s.caches as f64)),
-        ("frames_total", Json::Num(s.frames_total as f64)),
-        ("frames_salvaged", Json::Num(s.frames_salvaged as f64)),
+        ("caches_damaged", Json::from(s.caches)),
+        ("frames_total", Json::from(s.frames_total)),
+        ("frames_salvaged", Json::from(s.frames_salvaged)),
         ("clean_secs", Json::Num(s.clean_secs)),
         ("partial_secs", Json::Num(s.partial_secs)),
         ("full_secs", Json::Num(s.full_secs)),
@@ -447,19 +447,19 @@ fn capacity(cfg: &RunConf) -> Json {
     );
     let grid = |g: &[Vec<f64>]| Json::Arr(g.iter().map(|row| Json::nums(row.clone())).collect());
     let ugrid = |g: &[Vec<u64>]| {
-        Json::Arr(g.iter().map(|row| Json::nums(row.iter().map(|&v| v as f64))).collect())
+        Json::Arr(g.iter().map(|row| Json::ints(row.iter().copied())).collect())
     };
     Json::obj(vec![
         ("policies", Json::Arr(s.policies.iter().map(|p| Json::str(*p)).collect())),
-        ("capacity_bytes", Json::nums(s.capacity_bytes.iter().map(|&c| c as f64))),
-        ("peak_bytes", Json::Num(s.peak_bytes as f64)),
+        ("capacity_bytes", Json::ints(s.capacity_bytes.iter().copied())),
+        ("peak_bytes", Json::from(s.peak_bytes)),
         ("hit_ratio", grid(&s.hit_ratio)),
         ("makespan_secs", grid(&s.makespan_secs)),
         ("evictions", ugrid(&s.evictions)),
         ("admit_rejects", ugrid(&s.admit_rejects)),
         ("uncapped_hit_ratio", Json::Num(s.uncapped_hit_ratio)),
         ("uncapped_makespan_secs", Json::Num(s.uncapped_makespan_secs)),
-        ("cost_beats_lru_points", Json::Num(cost_wins as f64)),
+        ("cost_beats_lru_points", Json::from(cost_wins)),
         ("hit_monotone", Json::Bool(s.hit_monotone)),
         ("outputs_match", Json::Bool(s.outputs_match)),
         ("journal_identical", Json::Bool(s.journal_identical)),
@@ -506,8 +506,8 @@ fn write_report(path: &str, command: &str, figures: Vec<(&'static str, Json)>) {
     let report = Json::obj(vec![
         ("schema", Json::str("redoop-repro/1")),
         ("command", Json::str(command)),
-        ("windows", Json::Num(WINDOWS as f64)),
-        ("seed", Json::Num(SEED as f64)),
+        ("windows", Json::from(WINDOWS)),
+        ("seed", Json::from(SEED)),
         ("simulated_times_note", Json::str("series values are simulated seconds; wall_clock_secs is host time")),
         ("figures", Json::obj(figures)),
     ]);

@@ -5,11 +5,12 @@
 //! query. When every bit of the cache's consumers is set the cache is
 //! expired and its file is queued for the holding node's purge.
 //!
-//! One plane serves every query that can name a cache of it: an owned
-//! query's plane is its own ([`CacheController::new`] with one query),
-//! and a shared source's plane is created once by the source and shared
-//! by every query attached to it ([`CachePlane::attach`], which gives the
-//! query its mask bit under its fingerprint). [`CacheController`] is the
+//! One plane serves every query that can name a cache of it, and every
+//! query reaches it the same way: [`CachePlane::attach`] gives the query
+//! its mask bit under its fingerprint. A plane starts with no query; an
+//! owned query's plane is a fresh one it attaches to alone, and a shared
+//! source's is created once by the source and attached to by each of its
+//! queries. [`CacheController`] is the
 //! handle — clones share the one [`CachePlane`] behind a lock, in the
 //! `ClusterSim` idiom — and a caller takes the lock once per phase of its
 //! work ([`CacheController::lock`]). So each cache has one row and one
@@ -118,13 +119,12 @@ struct NodeCaches {
 
 /// The master-side registry of every cache its queries name: the state
 /// behind a [`CacheController`] handle.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CachePlane {
     /// Queries attached so far: bit `q` of a done mask is query `q`'s.
     queries: usize,
     /// Bits of the queries attached under each fingerprint: a cache of
-    /// `fp` expires once they have voted — or, when no query was
-    /// attached under `fp`, once every query has.
+    /// `fp` expires once they have voted.
     consumers: BTreeMap<u64, u64>,
     sigs: BTreeMap<CacheName, CacheSignature>,
     /// Materialized caches (those with a holder) per node, indexed by
@@ -140,7 +140,7 @@ pub struct CachePlane {
     pub(super) trace: TraceSink,
     /// The counts of the window the plane is serving, from its start —
     /// one query's window runs at a time — folded here because the plane
-    /// journals three of the counted kinds (evict, admit-reject,
+    /// journals four of the counted kinds (register, evict, admit-reject,
     /// heartbeat).
     pub(crate) stats: WindowTraceStats,
 }
@@ -148,16 +148,15 @@ pub struct CachePlane {
 /// A handle on one [`CachePlane`]: clones share it, so every query of a
 /// shared source reads and writes one plane. Lock it once per phase of
 /// work; the read methods here lock for their one call.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CacheController {
     plane: Arc<Mutex<CachePlane>>,
 }
 
 impl CacheController {
-    /// A handle on a fresh plane whose `query_count` queries (0..=64)
-    /// consume every cache — see [`CachePlane::new`].
-    pub fn new(query_count: usize) -> Self {
-        CacheController { plane: Arc::new(Mutex::new(CachePlane::new(query_count))) }
+    /// A handle on a fresh plane with no query attached.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Locks the plane for a phase of work.
@@ -202,24 +201,11 @@ fn pane_key(name: &CacheName) -> Option<(u32, u64)> {
 }
 
 impl CachePlane {
-    /// A plane for `query_count` queries (0..=64) attached under no
-    /// fingerprint, so each consumes every cache — an owned query's plane
-    /// is `new(1)` — journaling nowhere until
-    /// [`CachePlane::set_trace_sink`] routes it. A shared source's plane
-    /// starts with none and attaches each query under its fingerprint.
-    pub fn new(query_count: usize) -> Self {
-        assert!(query_count <= 64, "the done mask is one u64: at most 64 queries");
-        CachePlane {
-            queries: query_count,
-            consumers: BTreeMap::new(),
-            sigs: BTreeMap::new(),
-            by_node: Vec::new(),
-            purges: Vec::new(),
-            capacity: None,
-            policy: CachePolicy::WindowLifespan,
-            trace: TraceSink::disabled(),
-            stats: WindowTraceStats::default(),
-        }
+    /// A plane with no query attached, no budget and the
+    /// [`CachePolicy::WindowLifespan`] policy, journaling nowhere until
+    /// [`CachePlane::set_trace_sink`] routes it.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Attaches one more query, whose caches carry fingerprint `fp`:
@@ -239,8 +225,7 @@ impl CachePlane {
 
     /// The bits whose votes a cache of fingerprint `fp` waits for.
     fn required(&self, fp: u64) -> u64 {
-        let every_query = u64::MAX.checked_shr(64 - self.queries as u32).unwrap_or(0);
-        self.consumers.get(&fp).copied().unwrap_or(every_query)
+        self.consumers.get(&fp).copied().unwrap_or(0)
     }
 
     /// Installs the capacity policy that ranks the eviction victims of an
@@ -318,26 +303,16 @@ impl CachePlane {
         &self.trace
     }
 
-    /// Registers a cache query 0 materialized on `node` (its holder),
-    /// available to consumers from virtual time `at`, with no expected
-    /// future uses. The heartbeat audit checks it against the node's
-    /// store from then on.
-    pub fn register_cache(
-        &mut self,
-        name: CacheName,
-        node: NodeId,
-        bytes: u64,
-        at: SimTime,
-    ) -> bool {
-        self.register_cache_with_rebuild(name, node, bytes, bytes, 0, at, 0)
-    }
-
-    /// Registers a cache query `q` materialized on `node`, with an
-    /// explicit estimate of the source bytes a reconstruction would
-    /// process and the window-lifespan estimate of its `remaining_uses`,
-    /// which the admission decision sees and the signature keeps. Returns
-    /// whether it was admitted. A copy registered on another node before
-    /// is queued for that node's purge: the plane keeps one copy.
+    /// Registers a cache query `q` materialized on `node` (its holder),
+    /// available to consumers from virtual time `at`, with an estimate of
+    /// the source bytes a reconstruction would process and the
+    /// window-lifespan estimate of its `remaining_uses`, which the
+    /// admission decision sees and the signature keeps. Returns whether
+    /// it was admitted; the heartbeat audit checks an admitted cache
+    /// against the node's store from then on. A copy registered on
+    /// another node before is queued for that node's purge: the plane
+    /// keeps one copy. Either outcome is a build, counted once: as a
+    /// `register` or as an `admit_reject`.
     ///
     /// Capacity: when a per-node budget is set, the policy may first
     /// evict residents (journaled as `evict`) or refuse the newcomer
@@ -346,7 +321,7 @@ impl CachePlane {
     /// file exists until the next purge scan — but gets no holder, so
     /// later windows rebuild it. Its file is queued for the purge.
     #[allow(clippy::too_many_arguments)]
-    pub fn register_cache_with_rebuild(
+    pub fn register_cache(
         &mut self,
         name: CacheName,
         node: NodeId,
@@ -359,9 +334,10 @@ impl CachePlane {
         let incoming = self.stats_for(name, bytes, rebuild_bytes, remaining_uses, at);
         if self.make_room(&incoming, node) {
             self.materialize(&incoming, node, q);
-            self.trace.emit(|| TraceEvent::Cache {
+            let action = CacheAction::Register;
+            self.trace.emit_counted(&mut self.stats, Counted::Cache(action), || TraceEvent::Cache {
                 at,
-                action: CacheAction::Register,
+                action,
                 name: name.store_name(),
                 node: Some(node),
                 bytes,
@@ -845,56 +821,35 @@ mod tests {
         CacheName::with_fp(CacheObject::PaneInput { source: 0, pane: PaneId(p) }, r, 0)
     }
 
+    /// A plane with `queries` queries attached under fingerprint 0,
+    /// [`name`]'s.
+    fn attached(queries: usize) -> CachePlane {
+        let mut c = CachePlane::new();
+        for _ in 0..queries {
+            c.attach(0).unwrap();
+        }
+        c
+    }
+
     /// `node`'s purge queue: `(name, bytes)`, name-sorted.
     fn queued(c: &CachePlane, node: NodeId) -> Vec<(CacheName, u64)> {
         c.purges.get(node.index()).map_or_else(Vec::new, |q| q.iter().map(|(n, b)| (*n, *b)).collect())
     }
 
     #[test]
-    fn readiness_lifecycle() {
-        // Table 2's `ready`: no row (0), a holder (2), a row whose holder
-        // was cleared (1) — a miss that keeps the cache's metadata.
-        let mut c = CachePlane::new(1);
-        let n = name(0, 0);
-        assert!(c.signature(&n).is_none() && c.location(&n).is_none());
-        c.register_cache(n, NodeId(3), 512, SimTime::ZERO);
-        assert_eq!(c.location(&n), Some(NodeId(3)));
-        assert_eq!(c.signature(&n).unwrap().bytes, 512);
-        assert!(c.invalidate(&n));
-        assert!(c.location(&n).is_none(), "a cleared holder is not a cache hit");
-        assert_eq!(c.signature(&n).unwrap().bytes, 512);
-        assert!(!c.invalidate(&n), "nothing left to clear");
-    }
-
-    #[test]
-    fn done_mask_fills_then_purges() {
-        let mut c = CachePlane::new(2);
-        let n = name(1, 0);
-        c.register_cache(n, NodeId(0), 10, SimTime::ZERO);
-        c.mark_query_done(n, 0).unwrap();
-        assert!(!c.is_expired(&n));
-        assert!(queued(&c, NodeId(0)).is_empty(), "one query still needs it");
-        c.mark_query_done(n, 1).unwrap();
-        assert!(c.is_expired(&n));
-        assert_eq!(queued(&c, NodeId(0)), vec![(n, 10)]);
-        c.forget(&n);
-        assert!(c.is_empty());
-    }
-
-    #[test]
     fn mark_done_errors_are_reported() {
-        let mut c = CachePlane::new(1);
+        let mut c = attached(1);
         assert!(c.mark_query_done(name(0, 0), 0).is_err(), "unknown cache");
-        c.register_cache(name(0, 0), NodeId(0), 1, SimTime::ZERO);
+        c.register_cache(name(0, 0), NodeId(0), 1, 1, 0, SimTime::ZERO, 0);
         assert!(c.mark_query_done(name(0, 0), 5).is_err(), "query out of range");
     }
 
     #[test]
     fn bytes_on_tracks_node_usage() {
-        let mut c = CachePlane::new(1);
-        c.register_cache(name(0, 0), NodeId(2), 100, SimTime::ZERO);
-        c.register_cache(name(0, 1), NodeId(2), 50, SimTime::ZERO);
-        c.register_cache(name(1, 0), NodeId(3), 7, SimTime::ZERO);
+        let mut c = attached(1);
+        c.register_cache(name(0, 0), NodeId(2), 100, 100, 0, SimTime::ZERO, 0);
+        c.register_cache(name(0, 1), NodeId(2), 50, 50, 0, SimTime::ZERO, 0);
+        c.register_cache(name(1, 0), NodeId(3), 7, 7, 0, SimTime::ZERO, 0);
         assert_eq!(c.bytes_on(NodeId(2)), 150);
         assert_eq!(c.bytes_on(NodeId(3)), 7);
         c.rollback_node(NodeId(2));
@@ -909,7 +864,7 @@ mod tests {
         // of registrations, refusals, invalidations, rollbacks, and
         // forgets, including re-registrations that move a cache between
         // nodes.
-        let mut c = CachePlane::new(1);
+        let mut c = attached(1);
         let mut rng: u64 = 0xdead_beef_cafe_f00d;
         let mut next = move || {
             rng ^= rng << 13;
@@ -926,15 +881,17 @@ mod tests {
                     // A zero budget refuses the registration: a row with
                     // no holder, which unindexes any earlier holder.
                     c.set_capacity(Some(0));
-                    c.register_cache(n, node, 1 + next() % 999, SimTime::ZERO);
+                    let bytes = 1 + next() % 999;
+                    c.register_cache(n, node, bytes, bytes, 0, SimTime::ZERO, 0);
                     c.set_capacity(None);
                 }
                 1 => {
-                    c.register_cache(n, node, 1 + next() % 999, SimTime::ZERO);
+                    let bytes = 1 + next() % 999;
+                    c.register_cache(n, node, bytes, bytes, 0, SimTime::ZERO, 0);
                 }
                 2 => {
                     let bytes = 1 + next() % 999;
-                    c.register_cache_with_rebuild(n, node, bytes, next() % 4000, 0, SimTime::ZERO, 0);
+                    c.register_cache(n, node, bytes, next() % 4000, 0, SimTime::ZERO, 0);
                 }
                 3 => {
                     c.invalidate(&n);
@@ -975,9 +932,9 @@ mod tests {
 
     #[test]
     fn full_64_query_mask() {
-        let mut c = CachePlane::new(64);
+        let mut c = attached(64);
         let n = name(0, 0);
-        c.register_cache(n, NodeId(0), 1, SimTime::ZERO);
+        c.register_cache(n, NodeId(0), 1, 1, 0, SimTime::ZERO, 0);
         for q in 0..63 {
             c.mark_query_done(n, q).unwrap();
             assert!(queued(&c, NodeId(0)).is_empty());
@@ -999,11 +956,11 @@ mod tests {
     #[test]
     fn baseline_rejects_over_budget_without_evicting() {
         let sink = TraceSink::enabled();
-        let mut c = CachePlane::new(1);
+        let mut c = attached(1);
         c.set_trace_sink(sink.clone());
         c.set_capacity(Some(100));
-        assert!(c.register_cache(name(0, 0), NodeId(0), 80, SimTime(1)));
-        assert!(!c.register_cache(name(1, 0), NodeId(0), 40, SimTime(2)));
+        assert!(c.register_cache(name(0, 0), NodeId(0), 80, 80, 0, SimTime(1), 0));
+        assert!(!c.register_cache(name(1, 0), NodeId(0), 40, 40, 0, SimTime(2), 0));
         assert_eq!(c.bytes_on(NodeId(0)), 80, "the resident stays charged");
         // The rejected cache keeps its signature metadata (same-window
         // readers gate on availability) but is not materialized.
@@ -1018,14 +975,14 @@ mod tests {
     #[test]
     fn lru_evicts_the_stalest_resident_to_fit() {
         let sink = TraceSink::enabled();
-        let mut c = CachePlane::new(1);
+        let mut c = attached(1);
         c.set_trace_sink(sink.clone());
         c.set_policy(CachePolicy::Lru);
         c.set_capacity(Some(100));
-        c.register_cache(name(0, 0), NodeId(0), 50, SimTime(1));
-        c.register_cache(name(1, 0), NodeId(0), 50, SimTime(2));
+        c.register_cache(name(0, 0), NodeId(0), 50, 50, 0, SimTime(1), 0);
+        c.register_cache(name(1, 0), NodeId(0), 50, 50, 0, SimTime(2), 0);
         c.touch(&name(0, 0), SimTime(3)); // pane 1 is now the stalest
-        assert!(c.register_cache(name(2, 0), NodeId(0), 40, SimTime(4)));
+        assert!(c.register_cache(name(2, 0), NodeId(0), 40, 40, 0, SimTime(4), 0));
         // The victim loses its holder — the lost-cache miss path, minus
         // salvage — and its bytes are released from the ledger.
         assert_eq!(c.signature(&name(1, 0)).unwrap().node, None);
@@ -1048,7 +1005,7 @@ mod tests {
         use redoop_mapred::CostModel;
         let (kind, cost, cap) = (CachePolicyKind::CostBased, CostModel::default(), 400_000_000);
         let sink = TraceSink::enabled();
-        let mut c = CachePlane::new(2);
+        let mut c = attached(2);
         c.set_trace_sink(sink.clone());
         c.set_policy(kind.build(&cost));
         c.set_capacity(Some(cap));
@@ -1091,7 +1048,7 @@ mod tests {
                         fits.then_some(plan)
                     };
                     let before = cache_events(&sink, CacheAction::Evict).len();
-                    let admitted = c.register_cache_with_rebuild(n, node, bytes, bytes, uses, at, 0);
+                    let admitted = c.register_cache(n, node, bytes, bytes, uses, at, 0);
                     assert_eq!(admitted, expected.is_some(), "step {step}");
                     let plan = expected.unwrap_or_default();
                     let journaled = cache_events(&sink, CacheAction::Evict).split_off(before);
@@ -1112,11 +1069,11 @@ mod tests {
             CachePolicy::CostBased(CostModel::default()),
         ];
         for policy in policies {
-            let mut c = CachePlane::new(1);
+            let mut c = attached(1);
             c.set_policy(policy);
             c.set_capacity(Some(100));
-            c.register_cache(name(0, 0), NodeId(0), 60, SimTime(1));
-            let admitted = c.register_cache(name(1, 0), NodeId(0), 101, SimTime(2));
+            c.register_cache(name(0, 0), NodeId(0), 60, 60, 0, SimTime(1), 0);
+            let admitted = c.register_cache(name(1, 0), NodeId(0), 101, 101, 0, SimTime(2), 0);
             assert!(!admitted, "a cache bigger than the node budget never fits");
             assert_eq!(c.location(&name(0, 0)), Some(NodeId(0)), "and must not displace anything trying");
         }
@@ -1127,14 +1084,14 @@ mod tests {
         // One shared plane: two queries attached under one fingerprint,
         // a third under another. A cache waits for the votes of its own
         // fingerprint's queries only, and whoever votes last queues it.
-        let mut c = CachePlane::new(0);
+        let mut c = CachePlane::new();
         let shared = |p| CacheName::with_fp(CacheObject::PaneOutput { source: 0, pane: PaneId(p) }, 0, 7);
         let (a, b) = (c.attach(7).unwrap(), c.attach(7).unwrap());
         let other = c.attach(9).unwrap();
         assert_eq!((a, b, other), (0, 1, 2));
         let mine = CacheName::with_fp(CacheObject::PaneOutput { source: 0, pane: PaneId(0) }, 0, 9);
-        c.register_cache_with_rebuild(shared(0), NodeId(0), 10, 10, 0, SimTime::ZERO, a);
-        c.register_cache_with_rebuild(mine, NodeId(1), 5, 5, 0, SimTime::ZERO, other);
+        c.register_cache(shared(0), NodeId(0), 10, 10, 0, SimTime::ZERO, a);
+        c.register_cache(mine, NodeId(1), 5, 5, 0, SimTime::ZERO, other);
         c.mark_query_done(shared(0), b).unwrap();
         assert!(!c.is_expired(&shared(0)) && queued(&c, NodeId(0)).is_empty());
         assert_eq!(c.undone_by(7, b, |_| true), Vec::<CacheName>::new(), "b voted");
@@ -1152,11 +1109,11 @@ mod tests {
         // takes it once, and journals nothing here — the driver records
         // it as a `shared_hit` — so `register` events count builds only.
         let sink = TraceSink::enabled();
-        let mut c = CachePlane::new(2);
+        let mut c = attached(2);
         c.set_trace_sink(sink.clone());
         let n = name(0, 0);
         assert!(c.take_peer_copy(&n, 1).is_none(), "nothing is held");
-        c.register_cache_with_rebuild(n, NodeId(3), 64, 256, 0, SimTime(9), 0);
+        c.register_cache(n, NodeId(3), 64, 256, 0, SimTime(9), 0);
         assert!(c.take_peer_copy(&n, 0).is_none(), "the builder holds its own copy");
         let sig = c.take_peer_copy(&n, 1).expect("the first read of a peer's copy");
         assert_eq!((sig.node, sig.bytes, sig.available_at), (Some(NodeId(3)), 64, SimTime(9)));
@@ -1164,7 +1121,7 @@ mod tests {
         assert_eq!(cache_events(&sink, CacheAction::Register), vec![n.store_name()]);
         assert_eq!(sink.events().len(), 1, "a read forges no event");
         // A rebuild is a new copy, which the other query takes afresh.
-        c.register_cache_with_rebuild(n, NodeId(3), 64, 256, 0, SimTime(20), 1);
+        c.register_cache(n, NodeId(3), 64, 256, 0, SimTime(20), 1);
         assert!(c.take_peer_copy(&n, 0).is_some());
         c.invalidate(&n);
         assert!(c.take_peer_copy(&n, 0).is_none(), "a lost copy is no read");
@@ -1175,26 +1132,26 @@ mod tests {
         // One copy per cache: registering a name on a new node queues the
         // old node's file, admitted or refused; a same-node rebuild does
         // not. The done votes already cast survive the move.
-        let mut c = CachePlane::new(2);
+        let mut c = attached(2);
         let n = name(0, 0);
-        c.register_cache(n, NodeId(0), 10, SimTime::ZERO);
+        c.register_cache(n, NodeId(0), 10, 10, 0, SimTime::ZERO, 0);
         c.mark_query_done(n, 1).unwrap();
-        c.register_cache(n, NodeId(0), 12, SimTime::ZERO);
+        c.register_cache(n, NodeId(0), 12, 12, 0, SimTime::ZERO, 0);
         assert!(queued(&c, NodeId(0)).is_empty());
-        c.register_cache(n, NodeId(1), 14, SimTime::ZERO);
+        c.register_cache(n, NodeId(1), 14, 14, 0, SimTime::ZERO, 0);
         assert_eq!(queued(&c, NodeId(0)), vec![(n, 12)]);
         assert_eq!(c.signature(&n).unwrap().done_query_mask, 0b10, "query 1's vote stands");
         c.set_capacity(Some(1));
-        assert!(!c.register_cache(n, NodeId(2), 16, SimTime::ZERO));
+        assert!(!c.register_cache(n, NodeId(2), 16, 16, 0, SimTime::ZERO, 0));
         assert_eq!(queued(&c, NodeId(1)), vec![(n, 14)]);
         assert_eq!(queued(&c, NodeId(2)), vec![(n, 16)]);
     }
 
     #[test]
     fn window_hits_consume_the_remaining_use_forecast() {
-        let mut c = CachePlane::new(1);
+        let mut c = attached(1);
         let n = name(0, 0);
-        c.register_cache_with_rebuild(n, NodeId(0), 10, 10, 3, SimTime(1), 0);
+        c.register_cache(n, NodeId(0), 10, 10, 3, SimTime(1), 0);
         assert_eq!(c.signature(&n).unwrap().remaining_uses, 3);
         c.touch(&n, SimTime(2));
         c.touch(&n, SimTime(3));
@@ -1209,7 +1166,7 @@ mod tests {
     fn purge_deletes_queued_files_from_live_local_stores() {
         let sink = TraceSink::enabled();
         let cluster = Cluster::with_nodes(3);
-        let mut c = CachePlane::new(1);
+        let mut c = attached(1);
         c.set_trace_sink(sink.clone());
         let n = name(0, 0);
         cluster.put_local(NodeId(1), n.store_name(), Bytes::from_static(b"data")).unwrap();
@@ -1218,7 +1175,7 @@ mod tests {
         assert!(cluster.has_local(NodeId(1), &n.store_name()));
         // Queued: the scan removes the file and empties the queue. A dead
         // node is not scanned, and its queue waits for it.
-        c.register_cache(n, NodeId(1), 4, SimTime::ZERO);
+        c.register_cache(n, NodeId(1), 4, 4, 0, SimTime::ZERO, 0);
         c.queue_purge(NodeId(1), n);
         c.queue_purge(NodeId(2), n);
         cluster.kill_node(NodeId(2)).unwrap();
@@ -1361,7 +1318,7 @@ mod tests {
     ) -> redoop_dfs::Result<(Cluster, CachePlane, TraceSink)> {
         let cluster = Cluster::with_nodes(nodes as usize);
         let sink = TraceSink::enabled();
-        let mut c = CachePlane::new(1);
+        let mut c = attached(1);
         c.set_trace_sink(sink.clone());
         let mut groups: redoop_mapred::Grouped<String, u64> = Default::default();
         for g in 0..40u64 {
@@ -1392,7 +1349,7 @@ mod tests {
             if let Some(file) = file {
                 cluster.put_local(node, cache.store_name(), file)?;
             }
-            c.register_cache(cache, node, blob.len() as u64, SimTime::ZERO);
+            c.register_cache(cache, node, blob.len() as u64, blob.len() as u64, 0, SimTime::ZERO, 0);
         }
         for &(p, n) in queued {
             let node = NodeId(n % nodes);
@@ -1444,7 +1401,7 @@ mod tests {
         // admitted one cancels the name's purge on its node only, and
         // either queues the copy it moved away from.
         let cluster = Cluster::with_nodes(2);
-        let mut c = CachePlane::new(1);
+        let mut c = attached(1);
         c.set_capacity(Some(1000));
         let mut model: BTreeMap<(NodeId, CacheName), u64> = BTreeMap::new();
         let mut state = 2014u64;
@@ -1471,7 +1428,7 @@ mod tests {
                     if let Some(old) = c.signature(&n).filter(|s| s.node.is_some_and(|m| m != node)) {
                         model.insert((old.node.unwrap(), n), old.bytes);
                     }
-                    if c.register_cache(n, node, bytes, SimTime::ZERO) {
+                    if c.register_cache(n, node, bytes, bytes, 0, SimTime::ZERO, 0) {
                         model.remove(&(node, n));
                     } else {
                         model.insert((node, n), bytes);

@@ -155,11 +155,12 @@ mod tests {
     fn heartbeat_reports_only_real_files() {
         let sink = TraceSink::enabled();
         let cluster = Cluster::with_nodes(2);
-        let mut ctl = CachePlane::new(1);
+        let mut ctl = CachePlane::new();
+        ctl.attach(0).unwrap();
         ctl.set_trace_sink(sink.clone());
         cluster.put_local(NodeId(1), name(0).store_name(), intact_blob()).unwrap();
-        ctl.register_cache(name(0), NodeId(1), 1, SimTime::ZERO);
-        ctl.register_cache(name(1), NodeId(1), 1, SimTime::ZERO); // store lacks it
+        ctl.register_cache(name(0), NodeId(1), 1, 1, 0, SimTime::ZERO, 0);
+        ctl.register_cache(name(1), NodeId(1), 1, 1, 0, SimTime::ZERO, 0); // store lacks it
         assert_eq!(ctl.audit_node(&cluster, NodeId(1)), vec![name(1)]);
         assert_eq!(heartbeats(&sink), vec![(NodeId(1), true, 1, 1)]);
         // The phantom is gone from the index; the real file stays listed.
@@ -171,12 +172,13 @@ mod tests {
     #[test]
     fn a_cache_rebuilt_under_a_purged_name_is_audited_like_a_new_one() {
         let cluster = Cluster::with_nodes(1);
-        let mut ctl = CachePlane::new(1);
+        let mut ctl = CachePlane::new();
+        ctl.attach(0).unwrap();
         let blob = multi_frame_blob();
         let total = frame::salvage_scan(&blob).total;
         let n = name(0);
         cluster.put_local(NodeId(0), n.store_name(), blob.clone().into()).unwrap();
-        ctl.register_cache(n, NodeId(0), blob.len() as u64, SimTime::ZERO);
+        ctl.register_cache(n, NodeId(0), blob.len() as u64, blob.len() as u64, 0, SimTime::ZERO, 0);
         assert!(ctl.audit_node(&cluster, NodeId(0)).is_empty());
         // Expired and purged: the signature and the file are gone.
         ctl.mark_query_done(n, 0).unwrap();
@@ -187,7 +189,7 @@ mod tests {
         // gets no credit for the clean audit of its predecessor.
         cluster.put_local(NodeId(0), n.store_name(), blob.clone().into()).unwrap();
         assert!(cluster.corrupt_local(NodeId(0), &n.store_name(), blob.len() - 8, 8).unwrap());
-        ctl.register_cache(n, NodeId(0), blob.len() as u64, SimTime::ZERO);
+        ctl.register_cache(n, NodeId(0), blob.len() as u64, blob.len() as u64, 0, SimTime::ZERO, 0);
         assert_eq!(ctl.audit_node(&cluster, NodeId(0)), vec![n]);
         assert_eq!(ctl.salvaged(&n), Some((total - 1, total)));
         assert!(ctl.location(&n).is_none(), "the damaged cache is rolled back");
@@ -201,10 +203,11 @@ mod tests {
             cluster.put_local(NodeId(0), name(p).store_name(), blob.clone().into()).unwrap();
         }
         let with_index = |sink: &TraceSink| {
-            let mut ctl = CachePlane::new(1);
+            let mut ctl = CachePlane::new();
+            ctl.attach(0).unwrap();
             ctl.set_trace_sink(sink.clone());
             for p in 0..2 {
-                ctl.register_cache(name(p), NodeId(0), blob.len() as u64, SimTime::ZERO);
+                ctl.register_cache(name(p), NodeId(0), blob.len() as u64, blob.len() as u64, 0, SimTime::ZERO, 0);
             }
             ctl
         };
@@ -235,10 +238,11 @@ mod tests {
         // 1000 caches on one node; only the even panes' files exist.
         // The audit must invalidate the odd ones, precisely.
         let cluster = Cluster::with_nodes(1);
-        let mut ctl = CachePlane::new(1);
+        let mut ctl = CachePlane::new();
+        ctl.attach(0).unwrap();
         let mut expected_lost = Vec::new();
         for p in 0..1000u64 {
-            ctl.register_cache(name(p), NodeId(0), 1, SimTime::ZERO);
+            ctl.register_cache(name(p), NodeId(0), 1, 1, 0, SimTime::ZERO, 0);
             if p % 2 == 0 {
                 cluster.put_local(NodeId(0), name(p).store_name(), intact_blob()).unwrap();
             } else {
@@ -259,7 +263,8 @@ mod tests {
     fn damaged_framed_cache_is_salvaged_not_just_lost() {
         let sink = TraceSink::enabled();
         let cluster = Cluster::with_nodes(2);
-        let mut ctl = CachePlane::new(1);
+        let mut ctl = CachePlane::new();
+        ctl.attach(0).unwrap();
         ctl.set_trace_sink(sink.clone());
 
         // A framed cache with several frames, a pane cache holding
@@ -271,7 +276,7 @@ mod tests {
         cluster.put_local(NodeId(1), name(8).store_name(), Bytes::from_static(b"legacy")).unwrap();
         cluster.put_local(NodeId(1), pair.store_name(), Bytes::from_static(b"k\tv\n")).unwrap();
         for n in [name(7), name(8), pair] {
-            ctl.register_cache(n, NodeId(1), 1, SimTime::ZERO);
+            ctl.register_cache(n, NodeId(1), 1, 1, 0, SimTime::ZERO, 0);
         }
 
         // First audit: the intact framed cache and the text pair output
@@ -304,20 +309,21 @@ mod tests {
         let mut head = blob.clone();
         head[0] ^= 0xFF;
         cluster.put_local(NodeId(1), name(7).store_name(), head.into()).unwrap();
-        ctl.register_cache(name(7), NodeId(1), 1, SimTime::ZERO);
+        ctl.register_cache(name(7), NodeId(1), 1, 1, 0, SimTime::ZERO, 0);
         assert_eq!(ctl.audit_node(&cluster, NodeId(1)), vec![name(7)]);
         assert_eq!(ctl.salvaged(&name(7)), Some((total - 1, total)));
 
         // Re-registering the rebuilt cache clears the verdict.
-        ctl.register_cache(name(7), NodeId(1), 1, SimTime::ZERO);
+        ctl.register_cache(name(7), NodeId(1), 1, 1, 0, SimTime::ZERO, 0);
         assert_eq!(ctl.salvaged(&name(7)), None);
     }
 
     #[test]
     fn heartbeats_ignore_other_nodes_caches() {
         let cluster = Cluster::with_nodes(3);
-        let mut ctl = CachePlane::new(1);
-        ctl.register_cache(name(5), NodeId(0), 1, SimTime::ZERO);
+        let mut ctl = CachePlane::new();
+        ctl.attach(0).unwrap();
+        ctl.register_cache(name(5), NodeId(0), 1, 1, 0, SimTime::ZERO, 0);
         // Node 2 holds nothing; node 0's cache is not its business.
         assert!(ctl.audit_node(&cluster, NodeId(2)).is_empty());
         assert_eq!(ctl.location(&name(5)), Some(NodeId(0)));
@@ -328,19 +334,20 @@ mod tests {
 
         let sink = TraceSink::enabled();
         let cluster = Cluster::with_nodes(2);
-        let mut ctl = CachePlane::new(1);
+        let mut ctl = CachePlane::new();
+        ctl.attach(0).unwrap();
         ctl.set_trace_sink(sink.clone());
         ctl.set_policy(crate::cache::policy::CachePolicy::Lru);
         ctl.set_capacity(Some(100));
 
         // Materialize pane 0 on node 1.
         cluster.put_local(NodeId(1), name(0).store_name(), intact_blob()).unwrap();
-        ctl.register_cache(name(0), NodeId(1), 80, SimTime(1));
+        ctl.register_cache(name(0), NodeId(1), 80, 80, 0, SimTime(1), 0);
 
         // A bigger registration evicts it. The eviction queues the file
         // for the purge; it stays on the store until then.
         cluster.put_local(NodeId(1), name(1).store_name(), intact_blob()).unwrap();
-        assert!(ctl.register_cache(name(1), NodeId(1), 90, SimTime(2)));
+        assert!(ctl.register_cache(name(1), NodeId(1), 90, 90, 0, SimTime(2), 0));
 
         // The next audit is a no-op: the controller no longer lists the
         // evicted cache, so its still-present file neither resurrects it

@@ -78,12 +78,13 @@ impl CacheStats {
 /// Capacity-aware cache lifecycle policy. See the module docs for the
 /// contract: victim choice depends only on the supplied stats, with ties
 /// broken on `name`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub enum CachePolicy {
     /// Paper baseline: cache lifespans are governed solely by window
     /// expiry (§4). Never evicts a live cache; an admission that does
     /// not fit the node budget is refused outright. With capacity
     /// unbounded this reproduces the pre-policy lifecycle bit for bit.
+    #[default]
     WindowLifespan,
     /// Least-recently-used eviction over the controller's consumption
     /// timestamps. Always finds a victim (the stalest resident,

@@ -1,8 +1,9 @@
 //! The cache status matrix (paper §4.2, Table 3, Fig. 4).
 //!
 //! One matrix per registered query tracks which pane combinations the
-//! query has processed. Each dimension is one data source's pane series;
-//! each cell is a done flag. The matrix supports the paper's four
+//! query has processed. Each dimension is one data source's pane series
+//! — one for an aggregation, two for a binary join, all a query can
+//! have; each cell is a done flag. The matrix supports the paper's four
 //! operations: initialization, update, expiration checking via pane
 //! *lifespans*, and periodic shifting that purges fully-processed leading
 //! panes to keep the structure compact.
@@ -11,18 +12,8 @@ use std::collections::BTreeSet;
 
 use crate::pane::{PaneGeometry, PaneId};
 
-/// Maximum join arity tracked by one matrix.
-pub const MAX_DIMS: usize = 4;
-
-type Coord = [u64; MAX_DIMS];
-
-fn coord_of(panes: &[PaneId]) -> Coord {
-    let mut c = [0u64; MAX_DIMS];
-    for (i, p) in panes.iter().enumerate() {
-        c[i] = p.0;
-    }
-    c
-}
+/// A cell: one pane per dimension, the second `0` for an aggregation.
+type Coord = [u64; 2];
 
 /// Per-query done-flags over pane combinations.
 #[derive(Debug, Clone)]
@@ -31,7 +22,7 @@ pub struct CacheStatusMatrix {
     geom: PaneGeometry,
     /// First unpurged pane per dimension (the matrix "origin" after
     /// shifting, Fig. 4c).
-    base: Vec<u64>,
+    base: Coord,
     done: BTreeSet<Coord>,
 }
 
@@ -41,8 +32,8 @@ impl CacheStatusMatrix {
     /// window constraints per source; the analyzer guarantees a common
     /// pane via the GCD).
     pub fn new(dims: usize, geom: PaneGeometry) -> Self {
-        assert!((1..=MAX_DIMS).contains(&dims), "dims must be in 1..={MAX_DIMS}");
-        CacheStatusMatrix { dims, geom, base: vec![0; dims], done: BTreeSet::new() }
+        assert!((1..=2).contains(&dims), "dims must be 1 or 2");
+        CacheStatusMatrix { dims, geom, base: [0; 2], done: BTreeSet::new() }
     }
 
     /// First unpurged pane of dimension `d`.
@@ -50,64 +41,47 @@ impl CacheStatusMatrix {
         PaneId(self.base[d])
     }
 
-    /// Cells currently stored (done flags only; zeros are implicit).
-    pub fn stored_cells(&self) -> usize {
-        self.done.len()
+    /// The cell of `panes`, or `None` when a pane lies below its purged
+    /// base (such a cell is known done).
+    fn cell(&self, panes: &[PaneId]) -> Option<Coord> {
+        assert_eq!(panes.len(), self.dims, "a cell names one pane per matrix dimension");
+        let mut c = [0; 2];
+        for (d, p) in panes.iter().enumerate() {
+            if p.0 < self.base[d] {
+                return None;
+            }
+            c[d] = p.0;
+        }
+        Some(c)
     }
 
     /// Update operation: marks the task over `panes` (one per dimension)
     /// complete. Marks below the purged base are ignored (already known
     /// done).
     pub fn mark_done(&mut self, panes: &[PaneId]) {
-        assert_eq!(panes.len(), self.dims, "a cell names one pane per matrix dimension");
-        if panes.iter().enumerate().any(|(d, p)| p.0 < self.base[d]) {
-            return;
+        if let Some(c) = self.cell(panes) {
+            self.done.insert(c);
         }
-        self.done.insert(coord_of(panes));
     }
 
     /// Whether the cell for `panes` is done. Purged cells count as done.
     pub fn is_done(&self, panes: &[PaneId]) -> bool {
-        assert_eq!(panes.len(), self.dims, "a cell names one pane per matrix dimension");
-        if panes.iter().enumerate().any(|(d, p)| p.0 < self.base[d]) {
-            return true;
-        }
-        self.done.contains(&coord_of(panes))
+        self.cell(panes).is_none_or(|c| self.done.contains(&c))
     }
 
     /// Expiration check: pane `p` of dimension `d` is fully processed if
-    /// every cell within its lifespan (over all other dimensions) is done.
+    /// every cell pairing it with a pane of the partner source's lifespan
+    /// of `p` is done (an aggregation's one cell is `p`'s own).
     pub fn pane_fully_processed(&self, d: usize, p: PaneId) -> bool {
         assert!(d < self.dims, "a pane's dimension is one of the matrix's sources");
         if self.dims == 1 {
             return self.is_done(&[p]);
         }
-        let span = self.geom.lifespan(p);
-        let mut coord = vec![PaneId(0); self.dims];
-        coord[d] = p;
-        self.all_done_rec(d, &mut coord, 0, &span)
-    }
-
-    fn all_done_rec(
-        &self,
-        fixed: usize,
-        coord: &mut [PaneId],
-        dim: usize,
-        span: &std::ops::Range<u64>,
-    ) -> bool {
-        if dim == self.dims {
-            return self.is_done(coord);
-        }
-        if dim == fixed {
-            return self.all_done_rec(fixed, coord, dim + 1, span);
-        }
-        for q in span.clone() {
-            coord[dim] = PaneId(q);
-            if !self.all_done_rec(fixed, coord, dim + 1, span) {
-                return false;
-            }
-        }
-        true
+        self.geom.lifespan(p).all(|q| {
+            let mut cell = [p, p];
+            cell[1 - d] = PaneId(q);
+            self.is_done(&cell)
+        })
     }
 
     /// Full expiration predicate (paper Fig. 4 discussion): a pane is
@@ -130,8 +104,8 @@ impl CacheStatusMatrix {
             }
         }
         if !purged.is_empty() {
-            let base = self.base.clone();
-            self.done.retain(|c| (0..self.dims).all(|d| c[d] >= base[d]));
+            let base = self.base;
+            self.done.retain(|c| c[0] >= base[0] && c[1] >= base[1]);
         }
         purged
     }
@@ -149,50 +123,17 @@ mod tests {
     }
 
     #[test]
-    fn init_is_all_zeros() {
-        let m = CacheStatusMatrix::new(2, fig4_geom());
-        assert!(!m.is_done(&[PaneId(0), PaneId(0)]));
-        assert_eq!(m.stored_cells(), 0);
-        assert_eq!(m.base(0), PaneId(0));
-    }
-
-    #[test]
     fn update_sets_single_cell() {
         // Paper: "assuming that the reduce task joining S1P3 with S2P2 is
         //  completed ... the value of the element status[3][2] is updated
         //  to 1".
         let mut m = CacheStatusMatrix::new(2, fig4_geom());
         m.mark_done(&[PaneId(3), PaneId(2)]);
-        assert!(m.is_done(&[PaneId(3), PaneId(2)]));
-        assert!(!m.is_done(&[PaneId(2), PaneId(3)]));
-        assert_eq!(m.stored_cells(), 1);
-    }
-
-    #[test]
-    fn expiration_requires_full_lifespan() {
-        let g = fig4_geom();
-        let mut m = CacheStatusMatrix::new(2, g);
-        // Pane 0's lifespan partners are 0..3.
-        m.mark_done(&[PaneId(0), PaneId(0)]);
-        m.mark_done(&[PaneId(0), PaneId(1)]);
-        assert!(!m.pane_fully_processed(0, PaneId(0)));
-        m.mark_done(&[PaneId(0), PaneId(2)]);
-        assert!(m.pane_fully_processed(0, PaneId(0)));
-        // Expired only once it also left the window: pane 0 is only in
-        // window 0, so it expires after window 1 begins... i.e. checking
-        // with completed window 1.
-        assert!(!m.pane_expired(0, PaneId(0), 0));
-        assert!(m.pane_expired(0, PaneId(0), 1));
-    }
-
-    #[test]
-    fn one_dimensional_aggregation_case() {
-        let g = fig4_geom();
-        let mut m = CacheStatusMatrix::new(1, g);
-        assert!(!m.pane_fully_processed(0, PaneId(0)));
-        m.mark_done(&[PaneId(0)]);
-        assert!(m.pane_fully_processed(0, PaneId(0)));
-        assert!(m.pane_expired(0, PaneId(0), 1));
+        for a in 0..6 {
+            for b in 0..6 {
+                assert_eq!(m.is_done(&[PaneId(a), PaneId(b)]), (a, b) == (3, 2), "status[{a}][{b}]");
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Deployment layer: N recurring queries over shared arrival streams on
 //! one virtual clock.
 //!
-//! A [`RecurringDeployment`] owns the arrival streams (plain per-query
-//! streams or multi-query [`SharedSource`]s) and a set of deployed
-//! queries, and interleaves ingestion with window firings in **fire-time
+//! A [`RecurringDeployment`] owns the arrival streams (per-query
+//! streams, each feeding the one query input that owns its packer, or
+//! multi-query [`SharedSource`]s) and a set of deployed queries, and
+//! interleaves ingestion with window firings in **fire-time
 //! order**: at every [`RecurringDeployment::step`] the query whose next
 //! recurrence fires earliest (ties broken by registration order) first
 //! receives every arrival batch due by its fire time, then runs that
@@ -60,6 +61,11 @@ pub trait DeployedQuery {
         -> Result<()>;
     /// Runs recurrence `rec` and reports it.
     fn run_window(&mut self, rec: u64) -> Result<WindowReport>;
+    /// Whether input `source` may be bound to a deployment source: one
+    /// ingested once into `shared`'s packer (`Some`), which the input
+    /// must read, or one delivered through the query's own ingest
+    /// (`None`), which needs an input that owns its packer.
+    fn binds_to(&self, source: usize, shared: Option<&SharedSource>) -> bool;
     /// Selects the query's cache lifecycle policy and per-node capacity
     /// budget. Defaults to a no-op so wrappers without a cache layer
     /// (e.g. recomputation baselines) satisfy the trait unchanged.
@@ -85,6 +91,10 @@ impl<Q: DeployedQuery + ?Sized> DeployedQuery for &mut Q {
 
     fn run_window(&mut self, rec: u64) -> Result<WindowReport> {
         (**self).run_window(rec)
+    }
+
+    fn binds_to(&self, source: usize, shared: Option<&SharedSource>) -> bool {
+        (**self).binds_to(source, shared)
     }
 
     fn set_cache_policy(&mut self, budget: CacheBudget) {
@@ -114,15 +124,21 @@ where
         RecurringExecutor::run_window(self, rec)
     }
 
+    fn binds_to(&self, source: usize, shared: Option<&SharedSource>) -> bool {
+        self.input_reads(source, shared)
+    }
+
     fn set_cache_policy(&mut self, budget: CacheBudget) {
         RecurringExecutor::set_cache_policy(self, budget)
     }
 }
 
-/// How a deployment source reaches its consumers.
+/// How a deployment source reaches its consumers. This and the
+/// executor's `shared_source` flag are what is left of the owned/shared
+/// fork (ROADMAP item 9).
 enum SourceKind {
-    /// Batches are delivered through each bound query's own `ingest`
-    /// (every query owns its packer).
+    /// Batches are delivered through the one bound query input's own
+    /// `ingest` (the input owns its packer).
     PerQuery,
     /// Batches are ingested once into a multi-query [`SharedSource`];
     /// bound queries read the shared pane files and are never fed
@@ -133,22 +149,15 @@ enum SourceKind {
 struct SourceFeed {
     kind: SourceKind,
     batches: Vec<ArrivalBatch>,
-    /// Delivery cursor for [`SourceKind::Shared`] (per-query sources
-    /// track their cursor per binding, since bound queries fire on
-    /// different schedules).
-    fed: usize,
-}
-
-/// Binds one query input slot to a deployment source.
-struct Binding {
-    source: usize,
-    /// Delivery cursor (used for [`SourceKind::PerQuery`] sources).
+    /// Batches delivered so far: a source feeds its shared packer, or
+    /// its one bound query input, so it has one cursor.
     fed: usize,
 }
 
 struct QuerySlot<'a> {
     query: Box<dyn DeployedQuery + 'a>,
-    bindings: Vec<Binding>,
+    /// The deployment source bound to each of the query's inputs.
+    bindings: Vec<usize>,
     windows: u64,
     next: u64,
     reports: Vec<WindowReport>,
@@ -187,8 +196,8 @@ impl<'a> RecurringDeployment<'a> {
         &self.sim
     }
 
-    /// Registers an arrival stream delivered through each bound query's
-    /// own ingest. Returns the source id to use in
+    /// Registers an arrival stream delivered through the ingest of the
+    /// one query input bound to it. Returns the source id to use in
     /// [`RecurringDeployment::add_query`] bindings.
     pub fn add_source(&mut self, batches: Vec<ArrivalBatch>) -> usize {
         self.sources.push(SourceFeed { kind: SourceKind::PerQuery, batches, fed: 0 });
@@ -214,11 +223,11 @@ impl<'a> RecurringDeployment<'a> {
     /// query's source `i`). Returns the query id.
     ///
     /// Fails with [`RedoopError::InvalidQuery`] when a binding names an
-    /// unregistered source, or when the query attaches to a
-    /// [`SharedSource`] whose pane length does not divide the query's
-    /// `win` and `slide` — such a query's windows would not be unions of
-    /// the shared panes, so it can neither read the shared manifest nor
-    /// participate in cross-query cache sharing.
+    /// unregistered source or breaks the binding rule
+    /// ([`DeployedQuery::binds_to`]): a [`SharedSource`] binds only an
+    /// input that reads its packer, and a per-query source only an input
+    /// that owns its packer — one input, once, since the source has one
+    /// delivery cursor.
     ///
     /// [`RedoopError::InvalidQuery`]: crate::error::RedoopError::InvalidQuery
     pub fn add_query(
@@ -227,31 +236,30 @@ impl<'a> RecurringDeployment<'a> {
         bindings: &[usize],
         windows: u64,
     ) -> Result<usize> {
-        let spec = query.window_spec();
-        for &src in bindings {
+        for (input, &src) in bindings.iter().enumerate() {
+            let invalid = |why: String| Err(crate::error::RedoopError::InvalidQuery(why));
             let Some(feed) = self.sources.get(src) else {
-                return Err(crate::error::RedoopError::InvalidQuery(format!(
-                    "query binds to unregistered deployment source {src} \
-                     ({} registered)",
+                return invalid(format!(
+                    "query binds to unregistered deployment source {src} ({} registered)",
                     self.sources.len()
-                )));
+                ));
             };
-            if let SourceKind::Shared(shared) = &feed.kind {
-                if crate::pane::PaneGeometry::with_pane(&spec, shared.pane_ms()).is_none() {
-                    return Err(crate::error::RedoopError::InvalidQuery(format!(
-                        "query window (win {} / slide {}) is incompatible with shared \
-                         source {src}: its pane length {}ms must divide both, or the \
-                         query's windows are not unions of the shared panes",
-                        spec.win,
-                        spec.slide,
-                        shared.pane_ms()
-                    )));
-                }
+            let shared = match &feed.kind {
+                SourceKind::Shared(shared) => Some(shared),
+                SourceKind::PerQuery => None,
+            };
+            if !query.binds_to(input, shared) {
+                let want = if shared.is_some() { "read its shared packer" } else { "own its packer" };
+                return invalid(format!("query input {input} does not {want}: it cannot bind source {src}"));
+            }
+            let mut bound = self.queries.iter().flat_map(|q| &q.bindings).chain(&bindings[..input]);
+            if shared.is_none() && bound.any(|&b| b == src) {
+                return invalid(format!("per-query source {src} already feeds a query input"));
             }
         }
         self.queries.push(QuerySlot {
             query: Box::new(query),
-            bindings: bindings.iter().map(|&source| Binding { source, fed: 0 }).collect(),
+            bindings: bindings.to_vec(),
             windows,
             next: 0,
             reports: Vec::new(),
@@ -277,44 +285,25 @@ impl<'a> RecurringDeployment<'a> {
     }
 
     /// Runs the next due window: delivers every arrival batch due by its
-    /// fire time (shared sources once, per-query sources through the
-    /// query), then fires it. Returns `None` when all queries have
-    /// completed their window budgets.
+    /// fire time (shared sources once, into the shared packer; per-query
+    /// sources through the query), then fires it. A batch straddling the
+    /// fire time must arrive before the run. Returns `None` when all
+    /// queries have completed their window budgets.
     pub fn step(&mut self) -> Result<Option<FiredWindow>> {
         let Some((fire, qi)) = self.next_due() else { return Ok(None) };
-
-        // Shared sources bound to this query: advance the stream cursor
-        // once, into the shared packer.
-        for bi in 0..self.queries[qi].bindings.len() {
-            let src = self.queries[qi].bindings[bi].source;
-            let feed = &mut self.sources[src];
-            if let SourceKind::Shared(shared) = &feed.kind {
-                while feed.fed < feed.batches.len()
-                    && feed.batches[feed.fed].range.start < fire
-                {
-                    let b = &feed.batches[feed.fed];
-                    shared.ingest_batch(b.lines.iter().map(String::as_str), &b.range)?;
-                    feed.fed += 1;
-                }
-            }
-        }
-
-        // Per-query sources: deliver through the query's own ingest. A
-        // batch straddling the fire time must arrive before the run.
         let slot = &mut self.queries[qi];
-        for (slot_idx, binding) in slot.bindings.iter_mut().enumerate() {
-            let feed = &self.sources[binding.source];
-            if matches!(feed.kind, SourceKind::PerQuery) {
-                while binding.fed < feed.batches.len()
-                    && feed.batches[binding.fed].range.start < fire
-                {
-                    let b = &feed.batches[binding.fed];
-                    slot.query.ingest_lines(slot_idx, &b.lines, &b.range)?;
-                    binding.fed += 1;
+        for (input, &src) in slot.bindings.iter().enumerate() {
+            let feed = &mut self.sources[src];
+            while let Some(b) = feed.batches.get(feed.fed).filter(|b| b.range.start < fire) {
+                match &feed.kind {
+                    SourceKind::Shared(shared) => {
+                        shared.ingest_batch(b.lines.iter().map(String::as_str), &b.range)?;
+                    }
+                    SourceKind::PerQuery => slot.query.ingest_lines(input, &b.lines, &b.range)?,
                 }
+                feed.fed += 1;
             }
         }
-
         let rec = slot.next;
         let report = slot.query.run_window(rec)?;
         slot.reports.push(report.clone());
@@ -347,11 +336,6 @@ impl<'a> RecurringDeployment<'a> {
     /// Reports of one query's completed recurrences, in firing order.
     pub fn reports(&self, query: usize) -> &[WindowReport] {
         &self.queries[query].reports
-    }
-
-    /// Number of deployed queries.
-    pub fn num_queries(&self) -> usize {
-        self.queries.len()
     }
 }
 
@@ -675,33 +659,55 @@ mod tests {
     }
 
     #[test]
-    fn add_query_rejects_incompatible_shared_geometry() {
+    fn add_query_binds_a_source_only_to_an_input_that_reads_its_packer() {
         let cluster = Cluster::with_nodes(4);
         let sim = ClusterSim::paper_testbed(4, CostModel::default());
-        // Shared pane 100ms (from a 200/100 spec).
-        let good = WindowSpec::new(200, 100).unwrap();
-        let shared = crate::shared::SharedSource::new(
-            &cluster,
-            0,
-            "shared-geom",
-            DfsPath::new("/panes/shared-geom").unwrap(),
-            &[good],
-            leading_ts_fn(),
-        )
-        .unwrap();
+        let spec = WindowSpec::new(200, 100).unwrap();
+        let shared = |name: &str| {
+            let root = DfsPath::new(format!("/panes/{name}")).unwrap();
+            crate::shared::SharedSource::new(&cluster, 0, name, root, &[spec], leading_ts_fn()).unwrap()
+        };
+        let reader = |shared: &crate::shared::SharedSource, name: &str| {
+            let conf = QueryConf::new(name, 2, DfsPath::new(format!("/out/{name}")).unwrap()).unwrap();
+            let adaptive = AdaptiveController::disabled(SemanticAnalyzer::new(1024), PartitionPlan::simple(100));
+            RecurringExecutor::aggregation_shared(
+                &cluster,
+                sim.clone(),
+                conf,
+                shared,
+                spec,
+                mapper(),
+                reducer(),
+                Arc::new(SumMerger),
+                adaptive,
+            )
+            .unwrap()
+        };
+        let (logs, other) = (shared("bind-logs"), shared("bind-other"));
         let mut dep = RecurringDeployment::new(sim.clone());
-        let src = dep.add_shared_source(shared, batches());
-        // win 210 / slide 70: pane 100 divides neither.
-        let bad_spec = WindowSpec::new(210, 70).unwrap();
-        let bad = executor(&cluster, sim.clone(), bad_spec, "dep-geom-bad");
-        let err = dep.add_query(bad, &[src], 1).unwrap_err();
-        assert!(
-            matches!(&err, crate::error::RedoopError::InvalidQuery(m)
-                if m.contains("incompatible with shared source")),
-            "unexpected error: {err}"
-        );
-        // A compatible query attaches fine.
-        let ok = executor(&cluster, sim, good, "dep-geom-ok");
-        assert!(dep.add_query(ok, &[src], 1).is_ok());
+        let s = dep.add_shared_source(logs.clone(), batches());
+        let p = dep.add_source(batches());
+        let refused = |err: crate::error::RedoopError, want: &str| {
+            assert!(
+                matches!(&err, crate::error::RedoopError::InvalidQuery(m) if m.contains(want)),
+                "expected \"{want}\", got: {err}"
+            );
+        };
+        // An owned query on a shared source would never be fed: its first
+        // window would find its own packer empty.
+        let owned = executor(&cluster, sim.clone(), spec, "bind-owned");
+        refused(dep.add_query(owned, &[s], 1).unwrap_err(), "does not read its shared packer");
+        refused(dep.add_query(reader(&other, "bind-q0"), &[s], 1).unwrap_err(), "does not read its shared packer");
+        refused(dep.add_query(reader(&logs, "bind-q1"), &[p], 1).unwrap_err(), "does not own its packer");
+        let (one_input, p2) = (executor(&cluster, sim.clone(), spec, "bind-one"), dep.add_source(batches()));
+        refused(dep.add_query(one_input, &[p, p2], 1).unwrap_err(), "input 1");
+        // What the rule admits: the shared source's own readers, and one
+        // owned input per per-query source.
+        dep.add_query(reader(&logs, "bind-q2"), &[s], 2).unwrap();
+        dep.add_query(reader(&logs, "bind-q3"), &[s], 2).unwrap();
+        dep.add_query(executor(&cluster, sim.clone(), spec, "bind-p"), &[p], 2).unwrap();
+        let again = executor(&cluster, sim.clone(), spec, "bind-again");
+        refused(dep.add_query(again, &[p], 1).unwrap_err(), "already feeds a query input");
+        assert_eq!(dep.run().unwrap().len(), 6);
     }
 }

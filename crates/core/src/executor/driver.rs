@@ -795,7 +795,6 @@ where
             if let CacheObject::PairOutput { left, right } = name.object {
                 self.matrix.mark_done(&[left, right]);
             }
-            self.window_built += 1;
         }
         let mut done = SimTime::ZERO;
         for (ready, work) in charges {
@@ -883,7 +882,7 @@ where
         // Admission sees the window-lifespan use estimate; cost-based
         // policies weigh rebuild cost by it.
         let uses = self.remaining_uses_of(&name);
-        self.controller.lock().register_cache_with_rebuild(name, node, bytes, rebuild, uses, at, self.query);
+        self.controller.lock().register_cache(name, node, bytes, rebuild, uses, at, self.query);
     }
 
     /// Window-lifespan estimate of a cache's future uses: how many

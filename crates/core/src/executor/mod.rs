@@ -112,7 +112,9 @@ pub struct WindowReport {
     pub metrics: JobMetrics,
     /// Output part files.
     pub outputs: Vec<DfsPath>,
-    /// Pane/pair products built (or rebuilt) this window.
+    /// Pane/pair products built (or rebuilt) this window, admitted or
+    /// refused: a copy of `trace.builds`, kept for the benchmark, which
+    /// reads it.
     pub built_products: usize,
     /// Cache hits this window: a copy of `trace.cache_hits`, kept for the
     /// benchmark, which reads it.
@@ -123,8 +125,8 @@ pub struct WindowReport {
     pub trace: WindowTraceStats,
 }
 
-/// Shared or owned packer handle: multi-query deployments attach several
-/// executors to one packer via [`crate::shared::SharedSource`].
+/// A query source's packer handle: its own, or one a
+/// [`crate::shared::SharedSource`] shares among its queries.
 type PackerHandle = Arc<Mutex<DynamicDataPacker>>;
 
 impl std::fmt::Display for WindowReport {
@@ -170,13 +172,15 @@ where
     controller: CacheController,
     /// This query's `doneQueryMask` bit in the plane.
     query: usize,
-    /// Whether the source is a [`crate::shared::SharedSource`].
+    /// Whether the source is a [`crate::shared::SharedSource`]: what is
+    /// left of the owned/shared fork, deciding delta eligibility
+    /// (`delta_enabled`) until a shared source is folded at ingest
+    /// (ROADMAP item 9).
     shared_source: bool,
     matrix: CacheStatusMatrix,
     lists: TaskLists,
     adaptive: AdaptiveController,
     delta: delta::DeltaMaintenance<M::KOut, M::VOut>,
-    window_built: usize,
     trace: TraceSink,
     reports: Vec<WindowReport>,
 }
@@ -200,25 +204,18 @@ where
         merger: Arc<dyn Merger<M::KOut, R::VOut>>,
         adaptive: AdaptiveController,
     ) -> Result<Self> {
-        Self::build(
-            cluster,
-            sim,
-            conf,
-            vec![(source, None)],
-            None,
-            None,
-            mapper,
-            reducer,
-            Some(merger),
-            adaptive,
-        )
+        let sources = vec![Self::owned_packer(cluster, 0, source, &adaptive)];
+        let plane = CacheController::new();
+        Self::build(cluster, sim, conf, sources, plane, false, mapper, reducer, Some(merger), adaptive)
     }
 
     /// Like [`RecurringExecutor::aggregation`], attaching to a
     /// [`crate::shared::SharedSource`] instead of owning its packer: the
     /// pane files are ingested once and consumed by every query attached
     /// to the source. The executor must not re-plan a shared packer, so
-    /// shared deployments should use a non-adaptive controller.
+    /// shared deployments should use a non-adaptive controller. Fails
+    /// unless the shared pane divides the query's `win` and `slide` —
+    /// otherwise its windows would not be unions of shared panes.
     ///
     /// Attaching gives the executor a handle on the source's cache plane
     /// and a `doneQueryMask` bit under its fingerprint. Every query of the
@@ -242,19 +239,9 @@ where
         merger: Arc<dyn Merger<M::KOut, R::VOut>>,
         adaptive: AdaptiveController,
     ) -> Result<Self> {
-        let source = shared.conf_for(spec)?;
-        Self::build(
-            cluster,
-            sim,
-            conf,
-            vec![(source, Some(shared.packer_handle()))],
-            Some(shared.pane_ms()),
-            Some(shared.controller()),
-            mapper,
-            reducer,
-            Some(merger),
-            adaptive,
-        )
+        let sources = vec![(shared.conf_for(spec), shared.packer_handle())];
+        let plane = shared.controller();
+        Self::build(cluster, sim, conf, sources, plane, true, mapper, reducer, Some(merger), adaptive)
     }
 
     /// Builds an executor for a **binary join** query (two sources with
@@ -279,28 +266,41 @@ where
         adaptive: AdaptiveController,
     ) -> Result<Self> {
         let [a, b] = sources;
-        Self::build(
-            cluster,
-            sim,
-            conf,
-            vec![(a, None), (b, None)],
-            None,
-            None,
-            mapper,
-            reducer,
-            None,
-            adaptive,
-        )
+        let sources =
+            vec![Self::owned_packer(cluster, 0, a, &adaptive), Self::owned_packer(cluster, 1, b, &adaptive)];
+        let plane = CacheController::new();
+        Self::build(cluster, sim, conf, sources, plane, false, mapper, reducer, None, adaptive)
     }
 
+    /// A fresh packer of source `sid` for one query alone, on the
+    /// adaptive base plan with the pane length of the source's window
+    /// constraints.
+    fn owned_packer(
+        cluster: &Cluster,
+        sid: u32,
+        src: SourceConf,
+        adaptive: &AdaptiveController,
+    ) -> (SourceConf, PackerHandle) {
+        let mut plan = adaptive.base_plan();
+        plan.pane_ms = crate::pane::PaneGeometry::from_spec(&src.spec).pane_ms;
+        let packer = DynamicDataPacker::new(cluster, sid, src.pane_root.clone(), plan, src.ts_fn.clone());
+        (src, Arc::new(Mutex::new(packer)))
+    }
+
+    /// The one construction path: each source with the packer it reads,
+    /// and the cache plane the query attaches to under its fingerprint.
+    /// Each source's pane geometry is its packer's pane length over its
+    /// window constraints. `shared_source` says the packer is a
+    /// [`crate::shared::SharedSource`]'s, ingested outside this query —
+    /// which rules out delta maintenance (ROADMAP item 9).
     #[allow(clippy::too_many_arguments)]
     fn build(
         cluster: &Cluster,
         sim: ClusterSim,
         conf: QueryConf,
-        sources: Vec<(SourceConf, Option<PackerHandle>)>,
-        pane_override_ms: Option<u64>,
-        plane: Option<CacheController>,
+        sources: Vec<(SourceConf, PackerHandle)>,
+        controller: CacheController,
+        shared_source: bool,
         mapper: Arc<M>,
         reducer: Arc<R>,
         merger: Option<Arc<dyn Merger<M::KOut, R::VOut>>>,
@@ -322,50 +322,22 @@ where
                 "all sources of a query must share the same window constraints".into(),
             ));
         }
-        let geom_of = |spec: &WindowSpec| -> Result<crate::pane::PaneGeometry> {
-            match pane_override_ms {
-                None => Ok(crate::pane::PaneGeometry::from_spec(spec)),
-                Some(p) => crate::pane::PaneGeometry::with_pane(spec, p).ok_or_else(|| {
-                    RedoopError::InvalidQuery(format!(
-                        "pane {p}ms must divide win {} and slide {}",
-                        spec.win, spec.slide
-                    ))
-                }),
-            }
-        };
-        let geom = geom_of(&spec0)?;
         let mut states = Vec::with_capacity(sources.len());
-        for (sid, (src, shared)) in sources.into_iter().enumerate() {
-            let src_geom = geom_of(&src.spec)?;
-            let packer = match shared {
-                Some(handle) => handle,
-                None => {
-                    let mut plan = adaptive.base_plan();
-                    plan.pane_ms = src_geom.pane_ms;
-                    Arc::new(Mutex::new(DynamicDataPacker::new(
-                        cluster,
-                        sid as u32,
-                        src.pane_root.clone(),
-                        plan,
-                        src.ts_fn.clone(),
-                    )))
-                }
-            };
-            states.push(SourceState { geom: src_geom, conf: src, packer });
+        for (conf, packer) in sources {
+            let pane_ms = packer.lock().plan().pane_ms;
+            let geom = crate::pane::PaneGeometry::with_pane(&conf.spec, pane_ms).ok_or_else(|| {
+                RedoopError::InvalidQuery(format!(
+                    "pane {pane_ms}ms of source {:?} does not divide win {} / slide {} \
+                     (windows must be unions of its panes)",
+                    conf.name, conf.spec.win, conf.spec.slide
+                ))
+            })?;
+            states.push(SourceState { conf, geom, packer });
         }
         let dims = states.len();
+        let geom = states[0].geom;
         let fp = Self::fingerprint_of(&conf, &states);
-        let shared_source = plane.is_some();
-        // An owned query's plane is its own, and its one query consumes
-        // every cache of it; a shared source's query attaches under its
-        // fingerprint.
-        let (controller, query) = match plane {
-            Some(controller) => {
-                let query = controller.lock().attach(fp)?;
-                (controller, query)
-            }
-            None => (CacheController::new(1), 0),
-        };
+        let query = controller.lock().attach(fp)?;
         // One journal for the whole executor: the sim's sink is
         // propagated to the plane.
         let trace = sim.trace().clone();
@@ -388,7 +360,6 @@ where
             lists: TaskLists::new(),
             adaptive,
             delta: delta::DeltaMaintenance::new(num_reducers),
-            window_built: 0,
             trace,
             reports: Vec::new(),
         })
@@ -481,6 +452,15 @@ where
         &self.controller
     }
 
+    /// Whether input `source` reads `shared`'s packer (`Some`), or owns
+    /// its packer (`None`): the deployment's binding rule.
+    pub(crate) fn input_reads(&self, source: usize, shared: Option<&crate::shared::SharedSource>) -> bool {
+        self.sources.get(source).is_some_and(|s| match shared {
+            Some(shared) => Arc::ptr_eq(&s.packer, &shared.packer_handle()),
+            None => !self.shared_source,
+        })
+    }
+
     /// The query's window constraints (identical across all sources —
     /// validated at construction).
     pub fn window_spec(&self) -> WindowSpec {
@@ -557,7 +537,6 @@ where
         let fire = SimTime::from_millis(spec.fire_time(rec).as_millis());
         let mut metrics =
             JobMetrics { submitted_at: fire, finished_at: fire, ..Default::default() };
-        self.window_built = 0;
         self.controller.lock().stats = WindowTraceStats::default();
         self.trace.set_now(fire);
 
@@ -636,7 +615,7 @@ where
             mode: decision.mode,
             metrics,
             outputs,
-            built_products: self.window_built,
+            built_products: trace.builds as usize,
             reused_caches: trace.cache_hits as usize,
             trace,
         };

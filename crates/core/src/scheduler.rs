@@ -155,8 +155,9 @@ mod tests {
     #[test]
     fn affinity_prefers_cache_holder() {
         // Through the handle, as callers without the plane locked ask.
-        let ctl = CacheController::new(1);
-        ctl.lock().register_cache(name(0), NodeId(1), 1_000_000, SimTime::ZERO);
+        let ctl = CacheController::new();
+        ctl.lock().attach(0).unwrap();
+        ctl.lock().register_cache(name(0), NodeId(1), 1_000_000, 1_000_000, 0, SimTime::ZERO, 0);
         let cost = CostModel::default();
         let on_holder = cache_affinity(&ctl, &[name(0)], NodeId(1), &cost);
         let elsewhere = cache_affinity(&ctl, &[name(0)], NodeId(0), &cost);
@@ -166,10 +167,11 @@ mod tests {
 
     #[test]
     fn eviction_revokes_the_holder_affinity_credit() {
-        let mut ctl = CachePlane::new(1);
+        let mut ctl = CachePlane::new();
+        ctl.attach(0).unwrap();
         ctl.set_policy(crate::cache::policy::CachePolicy::Lru);
         ctl.set_capacity(Some(1_000_000));
-        ctl.register_cache(name(0), NodeId(1), 800_000, SimTime::ZERO);
+        ctl.register_cache(name(0), NodeId(1), 800_000, 800_000, 0, SimTime::ZERO, 0);
         let cost = CostModel::default();
         assert!(
             affinity(&ctl, &[name(0)], NodeId(1), &cost)
@@ -177,7 +179,7 @@ mod tests {
             "the holder earns the Eq. 4 credit while the cache is resident"
         );
         // A bigger registration on the same node evicts pane 0.
-        assert!(ctl.register_cache(name(1), NodeId(1), 900_000, SimTime(1)));
+        assert!(ctl.register_cache(name(1), NodeId(1), 900_000, 900_000, 0, SimTime(1), 0));
         assert_eq!(ctl.location(&name(0)), None);
         // Eq. 4 stops crediting the old holder: every node now pays the
         // same rebuild cost for the evicted cache.
@@ -194,8 +196,9 @@ mod tests {
         // as toward any pane-output holder — they are the same thing.
         let delta =
             CacheName::with_fp(CacheObject::PaneOutput { source: 0, pane: PaneId(3) }, 2, 0);
-        let mut ctl = CachePlane::new(1);
-        ctl.register_cache(delta, NodeId(4), 500_000, SimTime::ZERO);
+        let mut ctl = CachePlane::new();
+        ctl.attach(0).unwrap();
+        ctl.register_cache(delta, NodeId(4), 500_000, 500_000, 0, SimTime::ZERO, 0);
         let cost = CostModel::default();
         let on_home = affinity(&ctl, &[delta], NodeId(4), &cost);
         let elsewhere = affinity(&ctl, &[delta], NodeId(0), &cost);
@@ -204,7 +207,8 @@ mod tests {
 
     #[test]
     fn unknown_caches_cost_nothing_extra() {
-        let ctl = CachePlane::new(1);
+        let mut ctl = CachePlane::new();
+        ctl.attach(0).unwrap();
         let cost = CostModel::default();
         assert_eq!(affinity(&ctl, &[name(9)], NodeId(0), &cost), SimTime::ZERO);
     }
@@ -214,8 +218,9 @@ mod tests {
         // Paper: "if all task slots of a node have been taken ... the
         //  scheduler assigns the new task to a different node even if a
         //  fully loaded node has the desired cache available".
-        let mut ctl = CachePlane::new(1);
-        ctl.register_cache(name(0), NodeId(0), 10_000, SimTime::ZERO); // small cache
+        let mut ctl = CachePlane::new();
+        ctl.attach(0).unwrap();
+        ctl.register_cache(name(0), NodeId(0), 10_000, 10_000, 0, SimTime::ZERO, 0); // small cache
         let cost = CostModel::default();
         let caches = [name(0)];
         let affinity = |n: NodeId| affinity(&ctl, &caches, n, &cost);
@@ -247,9 +252,9 @@ mod tests {
             1,
             0xabcd,
         );
-        let mut ctl = CachePlane::new(0);
+        let mut ctl = CachePlane::new();
         let (builder, reader) = (ctl.attach(0xabcd).unwrap(), ctl.attach(0xabcd).unwrap());
-        ctl.register_cache_with_rebuild(shared, NodeId(3), 200_000, 800_000, 0, SimTime::ZERO, builder);
+        ctl.register_cache(shared, NodeId(3), 200_000, 800_000, 0, SimTime::ZERO, builder);
         assert!(ctl.take_peer_copy(&shared, reader).is_some());
         let cost = CostModel::default();
         let caches = [shared];
@@ -280,16 +285,13 @@ mod tests {
             rng
         };
         for case in 0..300 {
-            let mut ctl = CachePlane::new(1);
+            let mut ctl = CachePlane::new();
+            ctl.attach(0).unwrap();
             let caches: Vec<CacheName> = (0..next() % 4)
                 .map(|p| {
                     let n = name(p);
-                    ctl.register_cache(
-                        n,
-                        NodeId((next() % nodes as u64) as u32),
-                        10_000 + next() % 2_000_000,
-                        SimTime::ZERO,
-                    );
+                    let (node, bytes) = (NodeId((next() % nodes as u64) as u32), 10_000 + next() % 2_000_000);
+                    ctl.register_cache(n, node, bytes, bytes, 0, SimTime::ZERO, 0);
                     n
                 })
                 .collect();
@@ -355,8 +357,9 @@ mod tests {
             "map CPU and sort must be charged on top of the I/O terms"
         );
 
-        let mut ctl = CachePlane::new(1);
-        ctl.register_cache(name(0), NodeId(0), bytes, SimTime::ZERO);
+        let mut ctl = CachePlane::new();
+        ctl.attach(0).unwrap();
+        ctl.register_cache(name(0), NodeId(0), bytes, bytes, 0, SimTime::ZERO, 0);
         let caches = [name(0)];
         let affinity = |n: NodeId| affinity(&ctl, &caches, n, &cost);
 

@@ -8,17 +8,19 @@
 //! [`crate::RecurringExecutor`]s, so the cluster ingests and stores each
 //! source once no matter how many recurring queries read it.
 //!
-//! Queries sharing a source must have window constraints whose
-//! `gcd(win, slide)` equals the shared pane length (checked at attach
-//! time); their windows are then exact pane unions and every query can
-//! resolve its windows from the shared manifest.
+//! Queries sharing a source must have window constraints that the shared
+//! pane length divides (checked when the executor is built, as for every
+//! query: its pane geometry is its packer's pane over its window); their
+//! windows are then exact pane unions and every query can resolve its
+//! windows from the shared manifest.
 //!
 //! The source also owns the one cache plane its queries share (paper §4's
 //! single Window-Aware Cache Controller): every executor attached through
 //! [`crate::RecurringExecutor::aggregation_shared`] gets a handle on it
 //! and a `doneQueryMask` bit under its fingerprint, so a pane product one
 //! query builds is the cache every query of that fingerprint reads, and
-//! it expires once all of them are done with it.
+//! it expires once all of them are done with it. An owned query attaches
+//! the same way, alone, to a fresh plane of its own.
 
 use std::sync::Arc;
 
@@ -85,7 +87,7 @@ impl SharedSource {
             pane_root,
             ts_fn,
             packer: Arc::new(Mutex::new(packer)),
-            controller: CacheController::new(0),
+            controller: CacheController::new(),
         })
     }
 
@@ -131,25 +133,15 @@ impl SharedSource {
         Arc::new(Mutex::new(crate::cache::share::SignatureDirectory::new()))
     }
 
-    /// Builds the [`SourceConf`] a query uses to attach to this source.
-    /// Fails unless the shared pane divides the query's `win` and
-    /// `slide` — otherwise its windows would not be unions of shared
-    /// panes. (The shared pane is the GCD across the declared queries, so
-    /// every declared query passes by construction.)
-    pub fn conf_for(&self, spec: WindowSpec) -> Result<SourceConf> {
-        if PaneGeometry::with_pane(&spec, self.pane_ms).is_none() {
-            return Err(RedoopError::InvalidQuery(format!(
-                "shared pane {}ms of source {:?} does not divide win {} / slide {} \
-                 (windows must be unions of shared panes)",
-                self.pane_ms, self.name, spec.win, spec.slide
-            )));
-        }
-        Ok(SourceConf {
+    /// The [`SourceConf`] of a query with window constraints `spec`
+    /// reading this source.
+    pub fn conf_for(&self, spec: WindowSpec) -> SourceConf {
+        SourceConf {
             name: self.name.clone(),
             spec,
             pane_root: self.pane_root.clone(),
             ts_fn: self.ts_fn.clone(),
-        })
+        }
     }
 }
 
@@ -181,21 +173,47 @@ mod tests {
     }
 
     #[test]
-    fn conf_for_rejects_incompatible_queries() {
+    fn aggregation_shared_rejects_incompatible_queries() {
+        use crate::adaptive::AdaptiveController;
+        use crate::analyzer::SemanticAnalyzer;
+        use crate::api::{QueryConf, SumMerger};
+        use crate::error::RedoopError;
+        use crate::RecurringExecutor;
+        use redoop_mapred::{ClosureMapper, ClosureReducer, ClusterSim, CostModel, MapContext, ReduceContext};
+
+        fn map(line: &str, ctx: &mut MapContext<String, u64>) {
+            ctx.emit(line.to_string(), 1);
+        }
+        #[allow(clippy::ptr_arg)]
+        fn reduce(k: &String, vs: &[u64], ctx: &mut ReduceContext<String, u64>) {
+            ctx.emit(k.clone(), vs.iter().sum());
+        }
+        let c = cluster();
         let q1 = WindowSpec::new(2_000, 1_000).unwrap();
-        let s = SharedSource::new(
-            &cluster(),
-            0,
-            "logs",
-            DfsPath::new("/shared").unwrap(),
-            &[q1],
-            leading_ts_fn(),
-        )
-        .unwrap();
-        assert!(s.conf_for(q1).is_ok());
-        // pane 700 is not the shared 1000.
-        let bad = WindowSpec::new(2_100, 700).unwrap();
-        assert!(s.conf_for(bad).is_err());
+        let s = SharedSource::new(&c, 0, "logs", DfsPath::new("/shared").unwrap(), &[q1], leading_ts_fn())
+            .unwrap();
+        let attach = |spec: WindowSpec| {
+            RecurringExecutor::aggregation_shared(
+                &c,
+                ClusterSim::paper_testbed(3, CostModel::default()),
+                QueryConf::new("q", 2, DfsPath::new("/out/q").unwrap()).unwrap(),
+                &s,
+                spec,
+                Arc::new(ClosureMapper::new(map as fn(&str, &mut MapContext<String, u64>))),
+                Arc::new(ClosureReducer::new(
+                    reduce as fn(&String, &[u64], &mut ReduceContext<String, u64>),
+                )),
+                Arc::new(SumMerger),
+                AdaptiveController::disabled(SemanticAnalyzer::new(1024), PartitionPlan::simple(1_000)),
+            )
+        };
+        assert!(attach(q1).is_ok());
+        // The shared pane 1000 divides neither 2100 nor 700.
+        let err = attach(WindowSpec::new(2_100, 700).unwrap()).err().expect("pane 1000 must be refused");
+        assert!(
+            matches!(&err, RedoopError::InvalidQuery(m) if m.contains("pane 1000ms of source \"logs\"")),
+            "unexpected error: {err}"
+        );
     }
 
     #[test]

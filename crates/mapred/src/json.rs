@@ -41,6 +41,11 @@ impl Json {
         Json::Arr(values.into_iter().map(Json::Num).collect())
     }
 
+    /// Array of exact integers from any iterator of `u64`s.
+    pub fn ints(values: impl IntoIterator<Item = u64>) -> Json {
+        Json::Arr(values.into_iter().map(Json::Int).collect())
+    }
+
     /// String value.
     pub fn str(s: impl Into<String>) -> Json {
         Json::Str(s.into())

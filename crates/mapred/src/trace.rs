@@ -561,6 +561,9 @@ pub struct WindowTraceStats {
     pub evictions: u64,
     /// `admit_reject` events: builds the capacity policy refused.
     pub admit_rejects: u64,
+    /// `register` and `admit_reject` events: pane and pair products
+    /// built, admitted or refused.
+    pub builds: u64,
 }
 
 impl WindowTraceStats {
@@ -575,7 +578,11 @@ impl WindowTraceStats {
             }
             Counted::Cache(CacheAction::SharedHit) => self.shared_hits += 1,
             Counted::Cache(CacheAction::Evict) => self.evictions += 1,
-            Counted::Cache(CacheAction::AdmitReject) => self.admit_rejects += 1,
+            Counted::Cache(CacheAction::Register) => self.builds += 1,
+            Counted::Cache(CacheAction::AdmitReject) => {
+                self.admit_rejects += 1;
+                self.builds += 1;
+            }
             Counted::Cache(_) => {}
             Counted::Placement(local) => {
                 self.placements_total += 1;
@@ -643,13 +650,13 @@ mod tests {
             ),
             (cache(CacheAction::SharedHit), WindowTraceStats { shared_hits: 1, ..one }),
             (cache(CacheAction::Evict), WindowTraceStats { evictions: 1, ..one }),
-            (cache(CacheAction::AdmitReject), WindowTraceStats { admit_rejects: 1, ..one }),
+            (cache(CacheAction::AdmitReject), WindowTraceStats { admit_rejects: 1, builds: 1, ..one }),
+            (cache(CacheAction::Register), WindowTraceStats { builds: 1, ..one }),
             (placement(false), WindowTraceStats { placements_total: 1, ..one }),
             (placement(true), WindowTraceStats { placements_total: 1, placements_cache_local: 1, ..one }),
             (heartbeat(3), WindowTraceStats { rollbacks: 3, ..one }),
         ];
         let uncounted = [
-            cache(CacheAction::Register),
             cache(CacheAction::Invalidate),
             cache(CacheAction::Forget),
             cache(CacheAction::Purge),

@@ -150,6 +150,10 @@ impl redoop_core::DeployedQuery for VoteProbe<'_> {
         assert!(assert_votes_follow_the_window(self.exec, self.q, rec, self.pane_ms) > 0);
         Ok(report)
     }
+
+    fn binds_to(&self, source: usize, shared: Option<&SharedSource>) -> bool {
+        redoop_core::DeployedQuery::binds_to(&*self.exec, source, shared)
+    }
 }
 
 #[test]
@@ -732,12 +736,14 @@ fn registered_names(sink: &TraceSink) -> std::collections::BTreeSet<String> {
         .collect()
 }
 
-/// Steps `deployment` to the end; per query, its decoded window outputs.
+/// Steps `deployment`'s `queries` queries to the end; per query, its
+/// decoded window outputs.
 fn run_to_end(
     cluster: &redoop_dfs::Cluster,
     mut deployment: RecurringDeployment<'_>,
+    queries: usize,
 ) -> Vec<Vec<Vec<(String, u64)>>> {
-    let mut outputs = vec![Vec::new(); deployment.num_queries()];
+    let mut outputs = vec![Vec::new(); queries];
     while let Some(fired) = deployment.step().unwrap() {
         outputs[fired.query].push(read_window_output(cluster, &fired.report.outputs).unwrap());
     }
@@ -792,7 +798,7 @@ fn owned_queries_on_one_cluster_never_share_a_file() {
     deployment.add_query(&mut count, &[src], WINDOWS).unwrap();
     let src = deployment.add_source(batches.iter().map(arrival).collect());
     deployment.add_query(&mut max, &[src], WINDOWS).unwrap();
-    let outputs = run_to_end(&cluster, deployment);
+    let outputs = run_to_end(&cluster, deployment, 2);
 
     let names = sinks.each_ref().map(registered_names);
     assert!(!names[0].is_empty() && !names[1].is_empty());
@@ -832,7 +838,7 @@ fn two_shared_sources_never_alias() {
         let src = deployment.add_shared_source(shared.clone(), batches.iter().map(arrival).collect());
         deployment.add_query(exec, &[src], WINDOWS).unwrap();
     }
-    let outputs = run_to_end(&cluster, deployment);
+    let outputs = run_to_end(&cluster, deployment, 2);
 
     let names = sinks.each_ref().map(registered_names);
     assert!(!names[0].is_empty() && !names[1].is_empty());

@@ -322,7 +322,7 @@ fn a_join_that_lost_a_node_leaves_no_stale_entries_or_files() {
 }
 
 /// A report's counts, field by field.
-fn counts(t: &WindowTraceStats) -> [u64; 9] {
+fn counts(t: &WindowTraceStats) -> [u64; 10] {
     [
         t.cache_hits,
         t.cache_misses,
@@ -333,6 +333,7 @@ fn counts(t: &WindowTraceStats) -> [u64; 9] {
         t.shared_hits,
         t.evictions,
         t.admit_rejects,
+        t.builds,
     ]
 }
 
@@ -346,8 +347,9 @@ fn assert_reports_fold_the_journal<'r>(
     assert_eq!(sink.dropped(), 0, "{what}: the ring must hold the whole run");
     let mut journal = WindowTraceStats::default();
     sink.events().iter().filter_map(TraceEvent::counted).for_each(|fact| journal.fold(fact));
-    let mut summed = [0; 9];
+    let mut summed = [0; 10];
     for r in reports {
+        assert_eq!(r.built_products as u64, r.trace.builds, "{what}: window {}", r.recurrence);
         for (sum, n) in summed.iter_mut().zip(counts(&r.trace)) {
             *sum += n;
         }
