@@ -20,13 +20,16 @@
 //! as its own at its first read ([`CachePlane::take_peer_copy`]; the
 //! driver journals that read as a `shared_hit`).
 //!
-//! Table 2's `ready` column is the holder: a signature with a node is a
-//! materialized cache (`ready = 2`); one without is a cache that was
-//! built and then refused, evicted or lost (`1`: its source is in HDFS,
-//! so it is rebuilt on demand); a name with no signature was never
-//! materialized (`0`). A signature is created only by a registration,
-//! admitted or refused, so every row stands for a cache that exists or
-//! existed.
+//! Table 2's `ready` column is one field of the signature, [`Ready`]: a
+//! copy on a holder is `2`; a cache that was built and is held nowhere
+//! now is `1` — its source is in HDFS, so it is rebuilt on demand — and
+//! says why ([`Loss`]: refused, evicted, its node lost, torn with a
+//! salvage verdict, gone, dropped); a name with no signature was never
+//! materialized, or was forgotten at its expiry (`0`). A signature is
+//! created only by a registration, admitted or refused, so every row
+//! stands for a cache that exists or existed, and a held copy leaves its
+//! holder one way, `CachePlane::lose`. A window's miss reads its cause
+//! from the row ([`Ready::miss_cause`]).
 //!
 //! The plane also keeps each node's Local Cache Registry (paper §4.1,
 //! Table 1): the live rows are the per-node index of materialized
@@ -54,27 +57,76 @@
 //! node. The audit and the purge scan journal one event per node every
 //! window, but a node with no listed cache or no queued file costs them
 //! one check: on a 200-node fleet nearly every node is such a node. What
-//! an expiry sweep asks — which panes a query has not voted on, which
-//! names belong to one — is a filter over the table.
+//! an expiry sweep asks — which names a query has not voted on — is one
+//! filter over the table.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, MutexGuard};
 
 use parking_lot::Mutex;
 use redoop_dfs::{Cluster, NodeId};
-use redoop_mapred::trace::{CacheAction, Counted, TraceEvent, TraceSink, WindowTraceStats};
+use redoop_mapred::trace::{CacheAction, Counted, MissCause, TraceEvent, TraceSink, WindowTraceStats};
 use redoop_mapred::SimTime;
 
 use super::policy::{CachePolicy, CacheStats};
-use super::{CacheName, CacheObject};
+use super::CacheName;
 use crate::error::{RedoopError, Result};
+
+/// Table 2's `ready` bit of a signature (a name without one is `0`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ready {
+    /// `2`: materialized on this node.
+    Held(NodeId),
+    /// `1`: built, held nowhere now — rebuilt on demand — for this cause.
+    Lost(Loss),
+}
+
+/// Why a signature holds no copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Loss {
+    /// The capacity policy refused the copy at its registration.
+    Refused,
+    /// The capacity policy evicted the copy to make room.
+    Evicted,
+    /// The holder died; the audit rolled back all it held.
+    NodeLost,
+    /// The audit found the blob damaged with `intact` (> 0) of `total`
+    /// frames intact — its salvage verdict: only the missing frame suffix
+    /// needs recomputation.
+    Torn {
+        /// Frames that passed their checksums.
+        intact: u32,
+        /// Frames the blob held.
+        total: u32,
+    },
+    /// The audit found the file gone, or damaged with no intact frame.
+    Gone,
+    /// The caching-off ablation dropped the copy.
+    Dropped,
+}
+
+impl Ready {
+    /// The cause a window journals for a miss on this row: a copy held on
+    /// another node than the anchor, or the loss.
+    pub fn miss_cause(self) -> MissCause {
+        match self {
+            Ready::Held(_) => MissCause::OffHolder,
+            Ready::Lost(Loss::Refused) => MissCause::Refused,
+            Ready::Lost(Loss::Evicted) => MissCause::Evicted,
+            Ready::Lost(Loss::NodeLost) => MissCause::NodeLost,
+            Ready::Lost(Loss::Torn { .. }) => MissCause::Torn,
+            Ready::Lost(Loss::Gone) => MissCause::Lost,
+            Ready::Lost(Loss::Dropped) => MissCause::Dropped,
+        }
+    }
+}
 
 /// One cache signature (paper Table 2 row).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheSignature {
-    /// Node holding the materialized cache — Table 2's `ready` bit:
-    /// `Some` is `2`, `None` (evicted, refused, lost) is `1`.
-    pub node: Option<NodeId>,
+    /// Table 2's `ready` bit: held on a node (`2`), or lost and why
+    /// (`1`).
+    pub ready: Ready,
     /// Bit `q` set when query `q` no longer needs this cache.
     pub done_query_mask: u64,
     /// Bit `q` set once query `q` has taken the current copy as its own:
@@ -91,11 +143,6 @@ pub struct CacheSignature {
     /// Virtual time at which the cache became available (readers cannot
     /// consume it earlier).
     pub available_at: SimTime,
-    /// Salvage verdict from the last heartbeat audit that found this
-    /// cache's blob damaged: `(intact frames, total frames)`. The cache
-    /// is *partially recoverable* — only the missing frame suffix needs
-    /// recomputation. Cleared when the cache is (re)registered.
-    pub salvaged: Option<(u32, u32)>,
     /// Window-lifespan estimate the executor passes at registration:
     /// how many future recurrences are expected to consume this cache
     /// (0 = expires with the current window). Feeds the capacity
@@ -104,6 +151,16 @@ pub struct CacheSignature {
     /// Last consumption (registration or hit) in virtual time — the
     /// recency signal for capacity policies.
     pub last_used: SimTime,
+}
+
+impl CacheSignature {
+    /// The node holding the copy (`ready = 2`), if any.
+    pub fn holder(&self) -> Option<NodeId> {
+        match self.ready {
+            Ready::Held(node) => Some(node),
+            Ready::Lost(_) => None,
+        }
+    }
 }
 
 /// Per-node slice of the plane's index: the materialized caches a node
@@ -190,16 +247,6 @@ impl CacheController {
     }
 }
 
-/// The `(source, pane)` key of a pane-scoped cache object (pair outputs
-/// are not pane-keyed).
-fn pane_key(name: &CacheName) -> Option<(u32, u64)> {
-    match name.object {
-        CacheObject::PaneInput { source, pane, .. } => Some((source, pane.0)),
-        CacheObject::PaneOutput { source, pane } => Some((source, pane.0)),
-        CacheObject::PairOutput { .. } => None,
-    }
-}
-
 impl CachePlane {
     /// A plane with no query attached, no budget and the
     /// [`CachePolicy::WindowLifespan`] policy, journaling nowhere until
@@ -249,35 +296,12 @@ impl CachePlane {
         self.capacity.is_none_or(|cap| bytes <= cap)
     }
 
-    /// Fetches (creating if absent) `name`'s signature. All entry
-    /// creation funnels through here.
-    fn sig_entry(&mut self, name: CacheName) -> &mut CacheSignature {
-        self.sigs.entry(name).or_insert_with(|| CacheSignature {
-            node: None,
-            done_query_mask: 0,
-            readers: 0,
-            bytes: 0,
-            rebuild_bytes: 0,
-            available_at: SimTime::ZERO,
-            salvaged: None,
-            remaining_uses: 0,
-            last_used: SimTime::ZERO,
-        })
-    }
-
     /// Removes `name` from its holder's node index (no-op unless the
     /// signature has a holder).
-    fn unindex_holder(
-        by_node: &mut [NodeCaches],
-        name: &CacheName,
-        sig: &CacheSignature,
-    ) {
-        if let Some(node) = sig.node {
-            if let Some(nc) = by_node.get_mut(node.index()) {
-                if nc.names.remove(name) {
-                    nc.bytes -= sig.bytes;
-                }
-            }
+    fn unindex_holder(by_node: &mut [NodeCaches], name: &CacheName, sig: &CacheSignature) {
+        let Some(nc) = sig.holder().and_then(|node| by_node.get_mut(node.index())) else { return };
+        if nc.names.remove(name) {
+            nc.bytes -= sig.bytes;
         }
     }
 
@@ -350,32 +374,37 @@ impl CachePlane {
     }
 
     /// Writes a registration's outcome over whatever the signature held
-    /// before: materialized on `holder`, or — refused — no holder, under
-    /// the incoming cache's metadata, available from the admission
-    /// instant `s.last_used`, taken by query `q` alone. An earlier copy
-    /// on a node other than `node` is queued for that node's purge.
-    fn settle(&mut self, s: &CacheStats, node: NodeId, holder: Option<NodeId>, q: usize) {
+    /// before, keeping only its done votes: `ready` — held on `node`, or
+    /// refused — under the incoming cache's metadata, available from the
+    /// admission instant `s.last_used`, taken by query `q` alone. An
+    /// earlier copy on a node other than `node` is queued for that node's
+    /// purge.
+    fn settle(&mut self, s: &CacheStats, node: NodeId, ready: Ready, q: usize) {
+        let mut done_query_mask = 0;
         if let Some(old) = self.sigs.get(&s.name) {
             Self::unindex_holder(&mut self.by_node, &s.name, old);
-            if let Some(moved) = old.node.filter(|&n| n != node) {
+            done_query_mask = old.done_query_mask;
+            if let Some(moved) = old.holder().filter(|&n| n != node) {
                 self.queue_file(moved, s.name, old.bytes);
             }
         }
-        let sig = self.sig_entry(s.name);
-        sig.node = holder;
-        sig.readers = 1 << q;
-        sig.bytes = s.bytes;
-        sig.rebuild_bytes = s.rebuild_bytes;
-        sig.available_at = s.last_used;
-        sig.salvaged = None;
-        sig.remaining_uses = s.remaining_uses;
-        sig.last_used = s.last_used;
+        let sig = CacheSignature {
+            ready,
+            done_query_mask,
+            readers: 1 << q,
+            bytes: s.bytes,
+            rebuild_bytes: s.rebuild_bytes,
+            available_at: s.last_used,
+            remaining_uses: s.remaining_uses,
+            last_used: s.last_used,
+        };
+        self.sigs.insert(s.name, sig);
     }
 
     /// Marks an admitted cache materialized on `node` and cancels its
     /// pending purge there (the file is live again).
     fn materialize(&mut self, s: &CacheStats, node: NodeId, q: usize) {
-        self.settle(s, node, Some(node), q);
+        self.settle(s, node, Ready::Held(node), q);
         self.index_holder(s.name, node, s.bytes);
         if let Some(queue) = self.purges.get_mut(node.index()) {
             queue.remove(&s.name);
@@ -388,7 +417,7 @@ impl CachePlane {
     fn held_bytes(&self, name: &CacheName, node: NodeId) -> u64 {
         self.sigs
             .get(name)
-            .filter(|s| s.node == Some(node))
+            .filter(|s| s.ready == Ready::Held(node))
             .map_or(0, |s| s.bytes)
     }
 
@@ -466,20 +495,13 @@ impl CachePlane {
         true
     }
 
-    /// Evicts a materialized cache: the holder is cleared and unindexed
-    /// (later windows rebuild on demand — the same miss path as a lost
-    /// cache, minus any salvage credit), and an `evict` event is
-    /// journaled. Metadata (bytes, availability) stays so same-window
-    /// readers remain correctly gated; the file itself is queued for the
-    /// holding node's next purge scan.
+    /// Evicts a materialized cache: it is lost as `evicted` (later
+    /// windows rebuild on demand), and an `evict` event is journaled.
+    /// Metadata (bytes, availability) stays so same-window readers remain
+    /// correctly gated; the file itself is queued for the holding node's
+    /// next purge scan.
     fn evict_holder(&mut self, name: &CacheName, at: SimTime) {
-        let Some(sig) = self.sigs.get_mut(name) else { return };
-        let Some(node) = sig.node else { return };
-        let bytes = sig.bytes;
-        Self::unindex_holder(&mut self.by_node, name, sig);
-        sig.node = None;
-        // The whole file is reclaimed; no frames survive to salvage.
-        sig.salvaged = None;
+        let Some((node, bytes)) = self.lose(name, Loss::Evicted) else { return };
         self.queue_file(node, *name, bytes);
         let action = CacheAction::Evict;
         self.trace.emit_counted(&mut self.stats, Counted::Cache(action), || TraceEvent::Cache {
@@ -493,9 +515,9 @@ impl CachePlane {
 
     /// Journals and applies an admission rejection: the signature keeps
     /// fresh metadata (readers of the building window gate on
-    /// `available_at`) but has no holder, and the file is queued.
+    /// `available_at`) but is lost as `refused`, and the file is queued.
     fn reject(&mut self, s: &CacheStats, node: NodeId, q: usize) {
-        self.settle(s, node, None, q);
+        self.settle(s, node, Ready::Lost(Loss::Refused), q);
         self.queue_file(node, s.name, s.bytes);
         let action = CacheAction::AdmitReject;
         self.trace.emit_counted(&mut self.stats, Counted::Cache(action), || TraceEvent::Cache {
@@ -512,7 +534,7 @@ impl CachePlane {
     /// its signature, for the caller to journal as a `shared_hit`. `None`
     /// when `name` is not held or `q` already took this copy.
     pub fn take_peer_copy(&mut self, name: &CacheName, q: usize) -> Option<CacheSignature> {
-        let sig = self.sigs.get_mut(name).filter(|s| s.node.is_some() && s.readers & (1 << q) == 0)?;
+        let sig = self.sigs.get_mut(name).filter(|s| s.holder().is_some() && s.readers & (1 << q) == 0)?;
         sig.readers |= 1 << q;
         Some(*sig)
     }
@@ -529,41 +551,39 @@ impl CachePlane {
         }
     }
 
-    /// Records the salvage verdict of a damaged cache: `intact` of
-    /// `total` frames survived the blob's checksum audit. The next
-    /// rebuild of `name` may recompute only the missing suffix.
-    pub fn note_salvage(&mut self, name: &CacheName, intact: u32, total: u32) {
-        if let Some(sig) = self.sigs.get_mut(name) {
-            sig.salvaged = Some((intact, total));
-        }
-    }
-
-    /// The salvage verdict recorded for `name`, if its last loss was a
-    /// partially recoverable blob rather than a wholesale disappearance.
+    /// The salvage verdict `(intact, total)` of `name`, if it is lost as
+    /// torn: the next rebuild recomputes only the missing frame suffix.
     pub fn salvaged(&self, name: &CacheName) -> Option<(u32, u32)> {
-        self.sigs.get(name).and_then(|s| s.salvaged)
+        match self.sigs.get(name)?.ready {
+            Ready::Lost(Loss::Torn { intact, total }) => Some((intact, total)),
+            _ => None,
+        }
     }
 
-    /// Invalidates a single cache whose file was found missing (targeted
-    /// failure rollback): its holder is cleared. Returns whether the
-    /// signature changed.
-    pub fn invalidate(&mut self, name: &CacheName) -> bool {
-        match self.sigs.get_mut(name) {
-            Some(sig) if sig.node.is_some() => {
-                let (node, bytes) = (sig.node, sig.bytes);
-                Self::unindex_holder(&mut self.by_node, name, sig);
-                sig.node = None;
-                self.trace.emit(|| TraceEvent::Cache {
-                    at: self.trace.now(),
-                    action: CacheAction::Invalidate,
-                    name: name.store_name(),
-                    node,
-                    bytes,
-                });
-                true
-            }
-            _ => false,
-        }
+    /// Takes `name`'s held copy away for `loss` — the one way a row goes
+    /// from `ready = 2` to `1`: the holder is unindexed, and the copy's
+    /// `(node, bytes)` returned for a caller that queues its file. `None`,
+    /// with nothing changed, when the row holds no copy.
+    fn lose(&mut self, name: &CacheName, loss: Loss) -> Option<(NodeId, u64)> {
+        let sig = self.sigs.get_mut(name)?;
+        let node = sig.holder()?;
+        Self::unindex_holder(&mut self.by_node, name, sig);
+        sig.ready = Ready::Lost(loss);
+        Some((node, sig.bytes))
+    }
+
+    /// [`CachePlane::lose`] journaled as an `invalidate`: a copy the audit
+    /// found gone or damaged, or the caching-off ablation dropped.
+    pub(super) fn invalidate(&mut self, name: &CacheName, loss: Loss) -> Option<(NodeId, u64)> {
+        let (node, bytes) = self.lose(name, loss)?;
+        self.trace.emit(|| TraceEvent::Cache {
+            at: self.trace.now(),
+            action: CacheAction::Invalidate,
+            name: name.store_name(),
+            node: Some(node),
+            bytes,
+        });
+        Some((node, bytes))
     }
 
     /// Current signature of `name`.
@@ -573,7 +593,7 @@ impl CachePlane {
 
     /// The node holding a materialized cache, if any.
     pub fn location(&self, name: &CacheName) -> Option<NodeId> {
-        self.sigs.get(name).and_then(|s| s.node)
+        self.sigs.get(name).and_then(CacheSignature::holder)
     }
 
     /// Marks query `q` as finished with `name`. When the votes of every
@@ -593,7 +613,7 @@ impl CachePlane {
         let was_full = sig.done_query_mask & required == required;
         sig.done_query_mask |= 1 << q;
         if sig.done_query_mask & required == required {
-            let (node, bytes) = (sig.node, sig.bytes);
+            let (node, bytes) = (sig.holder(), sig.bytes);
             if !was_full {
                 self.trace.emit(|| TraceEvent::Cache {
                     at: self.trace.now(),
@@ -617,25 +637,13 @@ impl CachePlane {
         self.sigs.get(name).is_some_and(|s| s.done_query_mask & required == required)
     }
 
-    /// Failure rollback (paper §5): all caches on `node` are lost — their
-    /// holder is cleared so the scheduler rebuilds them. Returns the
-    /// affected cache names.
+    /// Failure rollback (paper §5): all caches on `node` are lost as
+    /// `node_lost`, so the scheduler rebuilds them. Returns the affected
+    /// cache names, name-sorted.
     pub fn rollback_node(&mut self, node: NodeId) -> Vec<CacheName> {
-        // The node index is name-sorted, so `lost` comes out in the same
-        // order the old full-table scan produced.
-        let lost: Vec<CacheName> = match self.by_node.get_mut(node.index()) {
-            Some(nc) => {
-                nc.bytes = 0;
-                std::mem::take(&mut nc.names).into_iter().collect()
-            }
-            None => Vec::new(),
-        };
+        let lost = self.names_on(node);
         for name in &lost {
-            let sig = self.sigs.get_mut(name).expect("indexed cache has a signature");
-            sig.node = None;
-            // The crash wiped the node's disk, salvageable frames
-            // included — any pending partial-recovery verdict is void.
-            sig.salvaged = None;
+            self.lose(name, Loss::NodeLost);
         }
         if !lost.is_empty() {
             self.trace.emit(|| TraceEvent::Rollback {
@@ -655,35 +663,27 @@ impl CachePlane {
                 at: self.trace.now(),
                 action: CacheAction::Forget,
                 name: name.store_name(),
-                node: sig.node,
+                node: sig.holder(),
                 bytes: sig.bytes,
             });
         }
     }
 
-    /// Drops every held cache of fingerprint `fp`, name by name: its file
-    /// is queued for its node's purge and its row invalidated — the
-    /// caching-off ablation, which reuses nothing. A rebuild on the same
-    /// node cancels the purge.
+    /// Drops every held cache of fingerprint `fp`, name by name: its row
+    /// is invalidated as `dropped` and its file queued for its node's
+    /// purge — the caching-off ablation, which reuses nothing. A rebuild
+    /// on the same node cancels the purge.
     pub fn drop_caches_of(&mut self, fp: u64) {
-        let held: Vec<(CacheName, NodeId)> =
-            self.sigs.iter().filter(|(n, _)| n.fp == fp).filter_map(|(n, s)| Some((*n, s.node?))).collect();
-        for (name, node) in held {
-            self.queue_purge(node, name);
-            self.invalidate(&name);
+        for name in self.names_matching(|n| n.fp == fp) {
+            if let Some((node, bytes)) = self.invalidate(&name, Loss::Dropped) {
+                self.queue_file(node, name, bytes);
+            }
         }
     }
 
-    /// Queues `node`'s copy of `name` for the next purge scan, under the
-    /// size its signature records: a copy the plane no longer tracks
-    /// there (the caching-off ablation's drop, a torn blob the audit let
-    /// go of). Registering the name on `node` again cancels it.
-    pub(super) fn queue_purge(&mut self, node: NodeId, name: CacheName) {
-        let bytes = self.sigs.get(&name).map_or(0, |s| s.bytes);
-        self.queue_file(node, name, bytes);
-    }
-
-    fn queue_file(&mut self, node: NodeId, name: CacheName, bytes: u64) {
+    /// Queues `node`'s copy of `name`, of `bytes`, for the next purge
+    /// scan. Registering the name on `node` again cancels it.
+    pub(super) fn queue_file(&mut self, node: NodeId, name: CacheName, bytes: u64) {
         let i = node.index();
         if self.purges.len() <= i {
             self.purges.resize_with(i + 1, BTreeMap::new);
@@ -746,11 +746,6 @@ impl CachePlane {
         self.sigs.keys().filter(|n| pred(n)).copied().collect()
     }
 
-    /// Number of tracked signatures.
-    pub fn len(&self) -> usize {
-        self.sigs.len()
-    }
-
     /// Whether no caches are tracked.
     pub fn is_empty(&self) -> bool {
         self.sigs.is_empty()
@@ -758,7 +753,7 @@ impl CachePlane {
 
     /// Names of every currently materialized cache.
     pub fn all_cached(&self) -> Vec<CacheName> {
-        self.sigs.iter().filter(|(_, s)| s.node.is_some()).map(|(n, _)| *n).collect()
+        self.sigs.iter().filter(|(_, s)| s.holder().is_some()).map(|(n, _)| *n).collect()
     }
 
     /// Total bytes of materialized caches on `node` (capacity reporting).
@@ -795,18 +790,6 @@ impl CachePlane {
             .filter(|(n, s)| n.fp == fp && s.done_query_mask & (1 << q) == 0 && pred(n))
             .map(|(n, _)| *n)
             .collect()
-    }
-
-    /// Every `(source, pane)` of the signatures [`CachePlane::undone_by`]
-    /// lists, sorted — the pane-expiry sweep's candidates.
-    pub fn tracked_panes(&self, fp: u64, q: usize) -> BTreeSet<(u32, u64)> {
-        self.undone_by(fp, q, |_| true).iter().filter_map(pane_key).collect()
-    }
-
-    /// The signatures of `(source, pane)` [`CachePlane::undone_by`]
-    /// lists — every class and partition.
-    pub fn names_for_pane(&self, source: u32, pane: u64, fp: u64, q: usize) -> Vec<CacheName> {
-        self.undone_by(fp, q, |n| pane_key(n) == Some((source, pane)))
     }
 }
 
@@ -859,11 +842,11 @@ mod tests {
     #[test]
     fn indexes_mirror_the_signature_table_under_random_churn() {
         // Every node-index answer (names_on, bytes_on) must equal the
-        // corresponding full-table scan — and names_for_pane list exactly
-        // its pane's signatures, every partition — after any interleaving
-        // of registrations, refusals, invalidations, rollbacks, and
-        // forgets, including re-registrations that move a cache between
-        // nodes.
+        // corresponding full-table scan — and undone_by list every
+        // signature, each pane's partitions together, as the expiry
+        // sweep walks them — after any interleaving of registrations,
+        // refusals, invalidations, rollbacks, and forgets, including
+        // re-registrations that move a cache between nodes.
         let mut c = attached(1);
         let mut rng: u64 = 0xdead_beef_cafe_f00d;
         let mut next = move || {
@@ -894,7 +877,7 @@ mod tests {
                     c.register_cache(n, node, bytes, next() % 4000, 0, SimTime::ZERO, 0);
                 }
                 3 => {
-                    c.invalidate(&n);
+                    c.invalidate(&n, Loss::Gone);
                 }
                 4 => {
                     c.rollback_node(node);
@@ -907,7 +890,7 @@ mod tests {
                 let expect: Vec<CacheName> = all
                     .iter()
                     .filter(|nm| {
-                        c.signature(nm).is_some_and(|s| s.node == Some(nd))
+                        c.signature(nm).is_some_and(|s| s.holder() == Some(nd))
                     })
                     .copied()
                     .collect();
@@ -916,17 +899,12 @@ mod tests {
                     expect.iter().map(|nm| c.signature(nm).unwrap().bytes).sum();
                 assert_eq!(c.bytes_on(nd), bytes);
             }
-            for p in 0..8u64 {
-                let expect: Vec<CacheName> = all
-                    .iter()
-                    .filter(|nm| matches!(
-                        nm.object,
-                        CacheObject::PaneInput { source: 0, pane, .. } if pane.0 == p
-                    ))
-                    .copied()
-                    .collect();
-                assert_eq!(c.names_for_pane(0, p, 0, 0), expect);
-            }
+            let undone = c.undone_by(0, 0, |_| true);
+            assert_eq!(undone, all, "nothing is voted");
+            let mut panes: Vec<CacheObject> = undone.iter().map(|nm| nm.object).collect();
+            panes.dedup();
+            let distinct: BTreeSet<CacheObject> = panes.iter().copied().collect();
+            assert_eq!(panes.len(), distinct.len(), "a pane's names are contiguous");
         }
     }
 
@@ -941,6 +919,41 @@ mod tests {
         }
         c.mark_query_done(n, 63).unwrap();
         assert_eq!(queued(&c, NodeId(0)), vec![(n, 1)]);
+    }
+
+    #[test]
+    fn each_loss_path_leaves_its_cause_on_the_row() {
+        // The rows a window's misses read their causes from: a refusal,
+        // an eviction, a rollback and the caching-off drop (the cache
+        // model sees no caching-off run), beside a copy held elsewhere.
+        let sink = TraceSink::enabled();
+        let mut c = attached(1);
+        c.set_trace_sink(sink.clone());
+        c.set_policy(CachePolicy::Lru);
+        c.set_capacity(Some(100));
+        let other = CacheName::with_fp(CacheObject::PaneInput { source: 0, pane: PaneId(0) }, 0, 1);
+        c.register_cache(name(0, 0), NodeId(0), 60, 60, 0, SimTime(1), 0);
+        c.register_cache(name(1, 0), NodeId(0), 60, 60, 0, SimTime(2), 0);
+        assert!(!c.register_cache(name(2, 0), NodeId(1), 101, 101, 0, SimTime(3), 0));
+        c.register_cache(name(3, 0), NodeId(2), 10, 10, 0, SimTime(4), 0);
+        c.register_cache(name(4, 0), NodeId(3), 10, 10, 0, SimTime(5), 0);
+        c.register_cache(other, NodeId(3), 10, 10, 0, SimTime(5), 0);
+        c.rollback_node(NodeId(2));
+        c.drop_caches_of(0);
+        let cause = |n: CacheName| c.signature(&n).map(|s| s.ready.miss_cause());
+        assert_eq!(cause(name(0, 0)), Some(MissCause::Evicted));
+        assert_eq!(cause(name(1, 0)), Some(MissCause::Dropped), "held until the drop");
+        assert_eq!(cause(name(2, 0)), Some(MissCause::Refused), "a row holding nothing drops nothing");
+        assert_eq!(cause(name(3, 0)), Some(MissCause::NodeLost), "lost before the drop");
+        assert_eq!(cause(name(4, 0)), Some(MissCause::Dropped));
+        assert_eq!(cause(other), Some(MissCause::OffHolder), "another fingerprint's copy stays");
+        assert_eq!(cause(name(5, 0)), None, "no row: cold");
+        // The drop journals an `invalidate` per held copy, name-sorted,
+        // and queues its file.
+        let dropped = vec![name(1, 0).store_name(), name(4, 0).store_name()];
+        assert_eq!(cache_events(&sink, CacheAction::Invalidate), dropped);
+        assert_eq!(queued(&c, NodeId(3)), vec![(name(4, 0), 10)]);
+        assert!(c.all_cached() == vec![other] && c.bytes_on(NodeId(0)) == 0);
     }
 
     fn cache_events(sink: &TraceSink, want: CacheAction) -> Vec<String> {
@@ -965,7 +978,7 @@ mod tests {
         // The rejected cache keeps its signature metadata (same-window
         // readers gate on availability) but is not materialized.
         let sig = c.signature(&name(1, 0)).unwrap();
-        assert_eq!(sig.node, None);
+        assert_eq!(sig.ready, Ready::Lost(Loss::Refused));
         assert_eq!(sig.bytes, 40);
         assert!(c.location(&name(1, 0)).is_none());
         assert_eq!(cache_events(&sink, CacheAction::AdmitReject).len(), 1);
@@ -983,9 +996,9 @@ mod tests {
         c.register_cache(name(1, 0), NodeId(0), 50, 50, 0, SimTime(2), 0);
         c.touch(&name(0, 0), SimTime(3)); // pane 1 is now the stalest
         assert!(c.register_cache(name(2, 0), NodeId(0), 40, 40, 0, SimTime(4), 0));
-        // The victim loses its holder — the lost-cache miss path, minus
-        // salvage — and its bytes are released from the ledger.
-        assert_eq!(c.signature(&name(1, 0)).unwrap().node, None);
+        // The victim is lost as evicted, and its bytes are released from
+        // the ledger.
+        assert_eq!(c.signature(&name(1, 0)).unwrap().ready, Ready::Lost(Loss::Evicted));
         assert!(c.location(&name(1, 0)).is_none());
         assert_eq!(c.bytes_on(NodeId(0)), 90);
         assert_eq!(cache_events(&sink, CacheAction::Evict), vec![name(1, 0).store_name()]);
@@ -1116,14 +1129,14 @@ mod tests {
         c.register_cache(n, NodeId(3), 64, 256, 0, SimTime(9), 0);
         assert!(c.take_peer_copy(&n, 0).is_none(), "the builder holds its own copy");
         let sig = c.take_peer_copy(&n, 1).expect("the first read of a peer's copy");
-        assert_eq!((sig.node, sig.bytes, sig.available_at), (Some(NodeId(3)), 64, SimTime(9)));
+        assert_eq!((sig.holder(), sig.bytes, sig.available_at), (Some(NodeId(3)), 64, SimTime(9)));
         assert!(c.take_peer_copy(&n, 1).is_none(), "taken once");
         assert_eq!(cache_events(&sink, CacheAction::Register), vec![n.store_name()]);
         assert_eq!(sink.events().len(), 1, "a read forges no event");
         // A rebuild is a new copy, which the other query takes afresh.
         c.register_cache(n, NodeId(3), 64, 256, 0, SimTime(20), 1);
         assert!(c.take_peer_copy(&n, 0).is_some());
-        c.invalidate(&n);
+        c.invalidate(&n, Loss::Gone);
         assert!(c.take_peer_copy(&n, 0).is_none(), "a lost copy is no read");
     }
 
@@ -1176,8 +1189,8 @@ mod tests {
         // Queued: the scan removes the file and empties the queue. A dead
         // node is not scanned, and its queue waits for it.
         c.register_cache(n, NodeId(1), 4, 4, 0, SimTime::ZERO, 0);
-        c.queue_purge(NodeId(1), n);
-        c.queue_purge(NodeId(2), n);
+        c.queue_file(NodeId(1), n, 4);
+        c.queue_file(NodeId(2), n, 4);
         cluster.kill_node(NodeId(2)).unwrap();
         assert_eq!(c.purge(&cluster).unwrap(), vec![(NodeId(1), n)]);
         assert!(!cluster.has_local(NodeId(1), &n.store_name()));
@@ -1220,18 +1233,17 @@ mod tests {
         let (held, lost) = if alive {
             let mut held = 0;
             let mut lost = Vec::new();
-            let mut damaged = Vec::new();
             for name in c.held_on(node) {
                 let Some(blob) = cluster.peek_local(node, &name.store_name()) else {
-                    lost.push(name);
+                    lost.push((name, Loss::Gone, false));
                     continue;
                 };
                 let framed = !matches!(name.object, CacheObject::PairOutput { .. });
                 if framed && frame::decode_frames(&blob).is_err() {
                     let scan = frame::salvage_scan(&blob);
                     let (intact, total) = (scan.intact_count(), scan.total);
-                    let verdict = (intact > 0).then_some((intact, total));
-                    if verdict.is_some() {
+                    let loss = if intact > 0 { Loss::Torn { intact, total } } else { Loss::Gone };
+                    if intact > 0 {
                         let trace = c.trace();
                         trace.emit(|| TraceEvent::Salvage {
                             at: trace.now(),
@@ -1241,22 +1253,18 @@ mod tests {
                             total,
                         });
                     }
-                    damaged.push((name, verdict));
-                    lost.push(name);
+                    lost.push((name, loss, true));
                     continue;
                 }
                 held += 1;
             }
-            for (name, verdict) in damaged {
-                if let Some((intact, total)) = verdict {
-                    c.note_salvage(&name, intact, total);
+            for &(name, loss, on_disk) in &lost {
+                let (node, bytes) = c.invalidate(&name, loss).expect("the walk lists held copies");
+                if on_disk {
+                    c.queue_file(node, name, bytes);
                 }
-                c.queue_purge(node, name);
             }
-            for name in &lost {
-                c.invalidate(name);
-            }
-            (held, lost)
+            (held, lost.into_iter().map(|(name, ..)| name).collect())
         } else {
             (0, c.rollback_node(node))
         };
@@ -1354,7 +1362,7 @@ mod tests {
         for &(p, n) in queued {
             let node = NodeId(n % nodes);
             cluster.put_local(node, name(p, 1).store_name(), Bytes::from_static(b"x"))?;
-            c.queue_purge(node, name(p, 1));
+            c.queue_file(node, name(p, 1), 0);
         }
         for &n in dead {
             cluster.kill_node(NodeId(n % nodes))?;
@@ -1417,16 +1425,17 @@ mod tests {
             match next() % 10 {
                 0..=3 => {
                     cluster.put_local(node, n.store_name(), Bytes::from_static(b"x")).unwrap();
-                    c.queue_purge(node, n);
-                    model.insert((node, n), c.signature(&n).map_or(0, |s| s.bytes));
+                    let bytes = c.signature(&n).map_or(0, |s| s.bytes);
+                    c.queue_file(node, n, bytes);
+                    model.insert((node, n), bytes);
                 }
                 4..=7 => {
                     // The baseline policy never evicts: what does not
                     // fit beside the node's residents is refused.
                     let bytes = 1 + next() % 1200;
                     cluster.put_local(node, n.store_name(), Bytes::from_static(b"x")).unwrap();
-                    if let Some(old) = c.signature(&n).filter(|s| s.node.is_some_and(|m| m != node)) {
-                        model.insert((old.node.unwrap(), n), old.bytes);
+                    if let Some(old) = c.signature(&n).filter(|s| s.holder().is_some_and(|m| m != node)) {
+                        model.insert((old.holder().unwrap(), n), old.bytes);
                     }
                     if c.register_cache(n, node, bytes, bytes, 0, SimTime::ZERO, 0) {
                         model.remove(&(node, n));

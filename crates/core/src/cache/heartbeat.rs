@@ -6,10 +6,11 @@
 //! Both halves run in one process, so the heartbeat is an audit of the
 //! controller's node index against the node's actual local store: every
 //! cache the controller lists on the node must exist there and, if
-//! framed, decode. A cache that fails loses its holder — the paper's §5
-//! recovery trigger — and a dead node loses everything it held. A
-//! damaged file is still on its node, so it is queued for the purge like
-//! any other file the controller lets go of. Every audit reads every
+//! framed, decode. A cache that fails is lost — as `torn` when frames
+//! survive, as `gone` when none do or the file vanished — the paper's §5
+//! recovery trigger, and a dead node loses everything it held. A damaged
+//! file is still on its node, so it is queued for the purge like any
+//! other file the controller lets go of. Every audit reads every
 //! blob and checks it from scratch; nothing an earlier audit concluded
 //! is carried to the next. The check is the strict frame walk
 //! ([`frame::walk_frames`]), which verifies every checksum and collects
@@ -21,7 +22,7 @@ use redoop_dfs::{Cluster, NodeId};
 use redoop_mapred::frame;
 use redoop_mapred::trace::{Counted, TraceEvent};
 
-use super::controller::CachePlane;
+use super::controller::{CachePlane, Loss};
 use super::{CacheName, CacheObject};
 
 impl CachePlane {
@@ -29,10 +30,10 @@ impl CachePlane {
     /// the node is looked up in its local store, the framed kinds (pane
     /// inputs and pane outputs) additionally decoded frame by frame
     /// against their checksums. Caches whose files vanished (crash,
-    /// manual purge) or failed the decode are invalidated (holder cleared);
-    /// a damaged blob with intact frames first records its salvage
-    /// verdict, so the rebuild is charged only for the missing frame
-    /// suffix, and every damaged blob is queued for the node's purge (a
+    /// manual purge) or failed the decode are invalidated: a damaged blob
+    /// with intact frames is lost as torn under its salvage verdict, so
+    /// the rebuild is charged only for the missing frame suffix, any other
+    /// as gone, and every damaged blob is queued for the node's purge (a
     /// rebuild on the node cancels that). A dead node's heartbeat never
     /// arrives: all it held is rolled back. Returns the invalidated
     /// names, name-sorted, so the scheduler can queue rebuilds.
@@ -45,14 +46,13 @@ impl CachePlane {
             (0, Vec::new())
         } else if cluster.is_alive(node) {
             let mut held = 0;
+            // Each lost copy, its loss and whether its file is still on
+            // the node: losing it mutates the plane, so it waits until the
+            // walk, which borrows the node index, is done.
             let mut lost = Vec::new();
-            // Damaged blobs and their salvage verdicts: recording them
-            // mutates the controller, so they wait until the walk, which
-            // borrows the node index, is done.
-            let mut damaged = Vec::new();
             for name in self.held_on(node) {
                 let Some(blob) = cluster.peek_local(node, &name.store_name()) else {
-                    lost.push(name);
+                    lost.push((name, Loss::Gone, false));
                     continue;
                 };
                 // Pane caches are framed by construction, so one that
@@ -66,8 +66,8 @@ impl CachePlane {
                 if framed && frame::walk_frames(&blob, |_| ()).is_err() {
                     let scan = frame::salvage_scan(&blob);
                     let (intact, total) = (scan.intact_count(), scan.total);
-                    let verdict = (intact > 0).then_some((intact, total));
-                    if verdict.is_some() {
+                    let mut loss = Loss::Gone;
+                    if intact > 0 {
                         let trace = self.trace();
                         trace.emit(|| TraceEvent::Salvage {
                             at: trace.now(),
@@ -76,23 +76,20 @@ impl CachePlane {
                             intact,
                             total,
                         });
+                        loss = Loss::Torn { intact, total };
                     }
-                    damaged.push((name, verdict));
-                    lost.push(name);
+                    lost.push((name, loss, true));
                     continue;
                 }
                 held += 1;
             }
-            for (name, verdict) in damaged {
-                if let Some((intact, total)) = verdict {
-                    self.note_salvage(&name, intact, total);
+            for &(name, loss, on_disk) in &lost {
+                let copy = self.invalidate(&name, loss);
+                if let Some((node, bytes)) = copy.filter(|_| on_disk) {
+                    self.queue_file(node, name, bytes);
                 }
-                self.queue_purge(node, name);
             }
-            for name in &lost {
-                self.invalidate(name);
-            }
-            (held, lost)
+            (held, lost.into_iter().map(|(name, ..)| name).collect())
         } else {
             (0, self.rollback_node(node))
         };
@@ -111,6 +108,7 @@ impl CachePlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::controller::Ready;
     use crate::pane::PaneId;
     use bytes::Bytes;
     use redoop_mapred::trace::TraceSink;
@@ -283,7 +281,7 @@ mod tests {
         // are held. The pane cache without a single recoverable frame is
         // plainly lost — no salvage verdict.
         assert_eq!(ctl.audit_node(&cluster, NodeId(1)), vec![name(8)]);
-        assert_eq!(ctl.salvaged(&name(8)), None);
+        assert_eq!(ctl.signature(&name(8)).unwrap().ready, Ready::Lost(Loss::Gone));
         assert_eq!(heartbeats(&sink).last(), Some(&(NodeId(1), true, 2, 1)));
 
         // Corrupt the tail of the framed blob. The audit journals the
@@ -292,7 +290,8 @@ mod tests {
         assert!(cluster.corrupt_local(NodeId(1), &name(7).store_name(), blob.len() - 8, 8).unwrap());
         assert_eq!(ctl.audit_node(&cluster, NodeId(1)), vec![name(7)]);
         // Only the last frame is damaged.
-        assert_eq!(ctl.salvaged(&name(7)), Some((total - 1, total)));
+        let torn = Ready::Lost(Loss::Torn { intact: total - 1, total });
+        assert_eq!(ctl.signature(&name(7)).unwrap().ready, torn);
         assert_eq!(ctl.names_on(NodeId(1)), vec![pair]);
         let salvages: Vec<(String, u32, u32)> = sink
             .events()
@@ -354,7 +353,7 @@ mod tests {
         // nor reads as a second loss.
         assert!(ctl.audit_node(&cluster, NodeId(1)).is_empty());
         assert_eq!(heartbeats(&sink), vec![(NodeId(1), true, 1, 0)]);
-        assert_eq!(ctl.signature(&name(0)).unwrap().node, None);
+        assert_eq!(ctl.signature(&name(0)).unwrap().ready, Ready::Lost(Loss::Evicted));
         assert_eq!(ctl.location(&name(1)), Some(NodeId(1)));
         assert_eq!(ctl.purge(&cluster).unwrap(), vec![(NodeId(1), name(0))]);
 

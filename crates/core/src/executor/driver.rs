@@ -301,16 +301,16 @@ where
         for &name in names {
             // A product is a hit iff its cache is on the anchor —
             // whenever, by whichever path and by whichever query of the
-            // plane it was built. A miss on a cache held elsewhere
-            // rebuilds work whose result exists.
-            let (holder, bytes) = plane.signature(&name).map_or((None, 0), |s| (s.node, s.bytes));
-            let hit = holder == Some(node);
+            // plane it was built. A miss takes its cause from the row: a
+            // copy held elsewhere (work whose result exists is redone),
+            // the loss of the last copy, or no row at all.
+            let sig = plane.signature(&name).copied();
+            let bytes = sig.map_or(0, |s| s.bytes);
+            let hit = sig.and_then(|s| s.holder()) == Some(node);
             let action = if hit {
                 CacheAction::Hit
-            } else if holder.is_some() {
-                CacheAction::Miss(MissCause::OffHolder)
             } else {
-                CacheAction::Miss(MissCause::Unattributed)
+                CacheAction::Miss(sig.map_or(MissCause::Cold, |s| s.ready.miss_cause()))
             };
             let fact = Counted::Cache(action);
             self.trace.emit_counted(&mut plane.stats, fact, || TraceEvent::Cache {
@@ -857,14 +857,14 @@ where
         for name in names {
             let Some(sig) = plane.take_peer_copy(name, self.query) else { continue };
             if sig.available_at > at {
-                producer = sig.node;
+                producer = sig.holder();
             }
             let action = CacheAction::SharedHit;
             self.trace.emit_counted(&mut plane.stats, Counted::Cache(action), || TraceEvent::Cache {
                 at,
                 action,
                 name: name.store_name(),
-                node: sig.node,
+                node: sig.holder(),
                 bytes: sig.bytes,
             });
         }
@@ -970,34 +970,38 @@ where
     pub(super) fn expire_and_purge(&mut self, rec: u64) -> Result<()> {
         let ctl = self.controller.clone();
         let mut plane = ctl.lock();
-        // The plane's table is the record of what exists: every pane of
+        // The plane's table is the record of what exists: every cache of
         // this query's fingerprint it tracks a signature for — sealed or
         // built, by this query or a peer — that this query has not voted
-        // on is a candidate, voted once it left the window and its
-        // lifespan's cells are all done.
-        for (source, p) in plane.tracked_panes(self.fp, self.query) {
-            if !self.matrix.pane_expired(source as usize, PaneId(p), rec) {
+        // on is a candidate. Name-sorted, the list holds each pane's
+        // names (every partition's) together, panes in `(source, pane)`
+        // order, and the pair outputs last: a fingerprint's panes are all
+        // pane inputs or all pane outputs.
+        let mut names = plane.undone_by(self.fp, self.query, |_| true).into_iter().peekable();
+        while let Some(name) = names.next() {
+            let (CacheObject::PaneInput { source, pane } | CacheObject::PaneOutput { source, pane }) =
+                name.object
+            else {
+                // A pair output is stale once the last window containing
+                // both of its panes has run.
+                if self.lifespan_end(&name.object) <= rec + 1 {
+                    self.retire_cache(&mut plane, name)?;
+                }
+                continue;
+            };
+            // A pane is voted once it left the window and its lifespan's
+            // cells are all done, and expires with its last name.
+            if !self.matrix.pane_expired(source as usize, pane, rec) {
                 continue;
             }
-            // Every signature of the pane, each partition's.
-            for name in plane.names_for_pane(source, p, self.fp, self.query) {
-                self.retire_cache(&mut plane, name)?;
-            }
-            self.trace.emit(|| TraceEvent::PaneExpire {
-                at: self.trace.now(),
-                source,
-                pane: p,
-            });
-        }
-
-        // A pair output is stale once the last window containing both of
-        // its panes has run.
-        let stale_pairs = plane.undone_by(self.fp, self.query, |n| {
-            matches!(n.object, CacheObject::PairOutput { .. })
-                && self.lifespan_end(&n.object) <= rec + 1
-        });
-        for name in stale_pairs {
             self.retire_cache(&mut plane, name)?;
+            if names.peek().is_none_or(|n| n.object != name.object) {
+                self.trace.emit(|| TraceEvent::PaneExpire {
+                    at: self.trace.now(),
+                    source,
+                    pane: pane.0,
+                });
+            }
         }
 
         plane.purge(&self.cluster)?;

@@ -294,7 +294,7 @@ where
                 for s in 0..2u32 {
                     for &p in panes {
                         let sig = plane.signature(&names.input(s, p));
-                        if let Some(sig) = sig.filter(|sig| sig.node == Some(node)) {
+                        if let Some(sig) = sig.filter(|sig| sig.holder() == Some(node)) {
                             input_avail.insert((s, p.0), sig.available_at);
                         }
                     }

@@ -423,12 +423,17 @@ impl DynamicDataPacker {
     fn seal_group(&mut self, lo: u64, hi: u64, pane_ms: u64, sub_ms: u64) -> Result<Vec<DfsPath>> {
         let sid = self.source_id;
         let mut written = Vec::new();
-        if self.plan.subpanes > 1 {
-            // Sub-pane files: one file per (pane, sub).
+        if self.plan.subpanes > 1 || self.plan.panes_per_file <= 1 {
+            // One file per (pane, sub): a whole pane's, named `S{sid}P{p}`,
+            // when the plan does not subdivide.
             for p in lo..=hi {
                 for sub in 0..self.plan.subpanes as u32 {
                     let buf = self.pending.remove(&(p, sub)).unwrap_or_default();
-                    let name = format!("S{sid}P{p}s{sub}");
+                    let name = if self.plan.subpanes > 1 {
+                        format!("S{sid}P{p}s{sub}")
+                    } else {
+                        format!("S{sid}P{p}")
+                    };
                     let path = self.root.join(&name)?;
                     let (bytes, records) = (buf.text.len() as u64, buf.records);
                     self.cluster.create(&path, Bytes::from(buf.text))?;
@@ -445,7 +450,7 @@ impl DynamicDataPacker {
                     written.push(path);
                 }
             }
-        } else if self.plan.panes_per_file > 1 {
+        } else {
             // Undersized: one file for panes lo..=hi with a header.
             let name = if lo == hi {
                 format!("S{sid}P{lo}")
@@ -491,25 +496,6 @@ impl DynamicDataPacker {
                 });
             }
             written.push(path);
-        } else {
-            // Oversize: one pane per file.
-            for p in lo..=hi {
-                let buf = self.pending.remove(&(p, 0)).unwrap_or_default();
-                let name = format!("S{sid}P{p}");
-                let path = self.root.join(&name)?;
-                let (bytes, records) = (buf.text.len() as u64, buf.records);
-                self.cluster.create(&path, Bytes::from(buf.text))?;
-                self.manifest.push(PaneSlice {
-                    pane: PaneId(p),
-                    sub: 0,
-                    path: path.clone(),
-                    lines: 0..records as usize,
-                    bytes,
-                    records,
-                    ready_at: SimTime::from_millis((p + 1) * pane_ms),
-                });
-                written.push(path);
-            }
         }
         Ok(written)
     }

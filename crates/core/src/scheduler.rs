@@ -41,7 +41,7 @@ pub fn affinity(plane: &CachePlane, caches: &[CacheName], node: NodeId, cost: &C
         let Some(sig) = plane.signature(name) else {
             continue;
         };
-        if sig.node == Some(node) {
+        if sig.holder() == Some(node) {
             total += cost.local_read(sig.bytes);
         } else {
             total += rebuild_cost(sig.rebuild_bytes.max(sig.bytes), cost);

@@ -95,20 +95,39 @@ pub enum CacheAction {
     AdmitReject,
 }
 
-/// Why a window rebuilt a cache it needed: a `miss` event's `cause`.
+/// Why a window rebuilt a cache it needed: a `miss` event's `cause`,
+/// read from the cache plane's row (paper Table 2's `ready`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MissCause {
+    /// No row: never built.
+    Cold,
     /// A live node other than the anchor held or was building the cache.
     OffHolder,
-    /// Any other miss (never built, expired, evicted, refused or lost).
-    Unattributed,
+    /// The capacity policy refused the copy at its registration.
+    Refused,
+    /// The capacity policy evicted the copy.
+    Evicted,
+    /// The holder died and the audit rolled its caches back.
+    NodeLost,
+    /// The audit found the blob damaged, some frames intact (a `salvage`).
+    Torn,
+    /// The audit found the file gone, or damaged with no intact frame.
+    Lost,
+    /// The caching-off ablation dropped the copy.
+    Dropped,
 }
 
 impl MissCause {
     fn as_str(self) -> &'static str {
         match self {
+            MissCause::Cold => "cold",
             MissCause::OffHolder => "off_holder",
-            MissCause::Unattributed => "unattributed",
+            MissCause::Refused => "refused",
+            MissCause::Evicted => "evicted",
+            MissCause::NodeLost => "node_lost",
+            MissCause::Torn => "torn",
+            MissCause::Lost => "lost",
+            MissCause::Dropped => "dropped",
         }
     }
 }
@@ -643,7 +662,7 @@ mod tests {
         let one = WindowTraceStats::default();
         let counted = [
             (cache(CacheAction::Hit), WindowTraceStats { cache_hits: 1, ..one }),
-            (cache(CacheAction::Miss(MissCause::Unattributed)), WindowTraceStats { cache_misses: 1, ..one }),
+            (cache(CacheAction::Miss(MissCause::Cold)), WindowTraceStats { cache_misses: 1, ..one }),
             (
                 cache(CacheAction::Miss(MissCause::OffHolder)),
                 WindowTraceStats { cache_misses: 1, off_holder_misses: 1, ..one },

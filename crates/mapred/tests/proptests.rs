@@ -658,8 +658,14 @@ fn kind_str(kind: TaskKind) -> &'static str {
 
 fn cause_str(cause: MissCause) -> &'static str {
     match cause {
+        MissCause::Cold => "cold",
         MissCause::OffHolder => "off_holder",
-        MissCause::Unattributed => "unattributed",
+        MissCause::Refused => "refused",
+        MissCause::Evicted => "evicted",
+        MissCause::NodeLost => "node_lost",
+        MissCause::Torn => "torn",
+        MissCause::Lost => "lost",
+        MissCause::Dropped => "dropped",
     }
 }
 
@@ -875,8 +881,14 @@ impl Draw {
                 let actions = [
                     CacheAction::Register,
                     CacheAction::Hit,
+                    CacheAction::Miss(MissCause::Cold),
                     CacheAction::Miss(MissCause::OffHolder),
-                    CacheAction::Miss(MissCause::Unattributed),
+                    CacheAction::Miss(MissCause::Refused),
+                    CacheAction::Miss(MissCause::Evicted),
+                    CacheAction::Miss(MissCause::NodeLost),
+                    CacheAction::Miss(MissCause::Torn),
+                    CacheAction::Miss(MissCause::Lost),
+                    CacheAction::Miss(MissCause::Dropped),
                     CacheAction::Invalidate,
                     CacheAction::Forget,
                     CacheAction::Purge,

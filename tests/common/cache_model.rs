@@ -14,7 +14,13 @@
 //! consumer (a query of its fingerprint) votes. The purge every
 //! `PurgeCycle` and §5's rollback reach it through the journal: a lost,
 //! evicted or rolled-back copy was live, a hit reads a live copy, and a
-//! purge deletes none.
+//! purge deletes none. Each 1 keeps the event that made it, which names
+//! the cause a later miss of the cache journals: `admit_reject` is
+//! `refused`, `evict` `evicted`, `rollback` `node_lost`, an `invalidate`
+//! after a `salvage` of the cache `torn`, one after the window's audit
+//! (past the last node's `heartbeat`) — the caching-off ablation's drop
+//! — `dropped`, and any other `invalidate` `lost`; a miss with no row is
+//! `cold`, one of a copy held elsewhere `off_holder`.
 //!
 //! After every window and every deployment step it asserts, against the
 //! one cache plane every query of the run shares:
@@ -27,7 +33,9 @@
 //! - (c) every expiry happens in the window the model predicts, no row
 //!   outlives it, and every file on a live node is a cache the plane
 //!   lists there (or the delta fold's `.open` marker of a pane not sealed
-//!   yet).
+//!   yet);
+//! - (d) every miss journaled since the last check has the cause its
+//!   cache's ready bit predicts.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
@@ -36,7 +44,7 @@ use redoop_core::cache::controller::CacheController;
 use redoop_core::cache::{CacheName, CacheObject};
 use redoop_core::pane::PaneId;
 use redoop_dfs::{Cluster, NodeId};
-use redoop_mapred::trace::{CacheAction, TraceEvent, TraceSink};
+use redoop_mapred::trace::{CacheAction, MissCause, TraceEvent, TraceSink};
 
 /// What the cache plane lists, as the checks read it.
 pub struct Plane {
@@ -53,7 +61,7 @@ impl Plane {
         let rows = plane.names_matching(|_| true);
         let held = rows.iter().filter_map(|n| {
             let sig = plane.signature(n)?;
-            Some((*n, sig.node?, sig.bytes))
+            Some((*n, sig.holder()?, sig.bytes))
         });
         Plane { held: held.collect(), rows, budget: plane.capacity() }
     }
@@ -127,6 +135,14 @@ fn parse_store_name(store: &str) -> Option<CacheName> {
     parts.next().is_none().then_some(CacheName::with_fp(object, partition, fp))
 }
 
+/// Table 2's ready bit of a cache the model knows: `2` on its holder, or
+/// `1` with the cause its event gives a later miss.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Ready {
+    Held(NodeId),
+    Lost(MissCause),
+}
+
 /// The model. Feed it every window through [`CacheModel::check`].
 pub struct CacheModel {
     cluster: Cluster,
@@ -134,9 +150,13 @@ pub struct CacheModel {
     /// Journal events already read.
     seen: usize,
     queries: Vec<Query>,
-    /// Every cache introduced and not expired, with its ready bit:
-    /// `Some(holder)` is 2, `None` is 1.
-    caches: BTreeMap<CacheName, Option<NodeId>>,
+    /// Every cache introduced and not expired, with its ready bit.
+    caches: BTreeMap<CacheName, Ready>,
+    /// Caches whose `salvage` was journaled and whose `invalidate` has
+    /// not been read yet.
+    salvaged: BTreeSet<CacheName>,
+    /// Whether the window being read has finished its audit.
+    audited: bool,
     /// Every cache a build, a first read of a peer's build or a refusal
     /// introduced.
     introduced: BTreeSet<CacheName>,
@@ -156,6 +176,8 @@ impl CacheModel {
             seen: 0,
             queries: Vec::new(),
             caches: BTreeMap::new(),
+            salvaged: BTreeSet::new(),
+            audited: false,
             introduced: BTreeSet::new(),
             cells: BTreeSet::new(),
             expired: 0,
@@ -190,7 +212,13 @@ impl CacheModel {
 
     /// The model's live set: each ready-2 cache on its holder.
     pub fn live(&self) -> BTreeMap<CacheName, NodeId> {
-        self.caches.iter().filter_map(|(n, holder)| Some((*n, (*holder)?))).collect()
+        self.caches
+            .iter()
+            .filter_map(|(n, ready)| match ready {
+                Ready::Held(node) => Some((*n, *node)),
+                Ready::Lost(_) => None,
+            })
+            .collect()
     }
 
     /// Reads the journal since the last check — `fired` is the
@@ -201,6 +229,7 @@ impl CacheModel {
         let at = format!("after {fired:?}");
         let (mut named, mut expired) = (BTreeSet::new(), BTreeSet::new());
         let events = self.sink.events();
+        self.audited = false;
         for event in &events[self.seen..] {
             match event {
                 TraceEvent::Cache { action, name, node, .. } => {
@@ -221,8 +250,14 @@ impl CacheModel {
                     self.sealed.insert(*pane);
                 }
                 TraceEvent::Rollback { node, lost, .. } => {
-                    lost.iter().for_each(|n| self.lose(parse_store_name(n).expect("a cache"), *node, &at));
+                    for n in lost {
+                        self.lose(parse_store_name(n).expect("a cache"), *node, MissCause::NodeLost, &at);
+                    }
                 }
+                TraceEvent::Salvage { name, .. } => {
+                    self.salvaged.insert(parse_store_name(name).expect("a cache"));
+                }
+                TraceEvent::Heartbeat { node, .. } => self.audited = node.index() + 1 == self.nodes(),
                 _ => {}
             }
         }
@@ -264,15 +299,33 @@ impl CacheModel {
         match action {
             // One copy per cache: a build moves it, a refused one has none.
             CacheAction::Register => {
-                self.caches.insert(name, Some(node));
+                self.caches.insert(name, Ready::Held(node));
             }
             CacheAction::AdmitReject => {
-                self.caches.insert(name, None);
+                self.caches.insert(name, Ready::Lost(MissCause::Refused));
             }
             CacheAction::SharedHit | CacheAction::Hit => {
                 assert!(self.is_live(&name, node), "{at}: {action:?} of {name:?} on {node:?}, no live copy");
             }
-            CacheAction::Evict | CacheAction::Invalidate => self.lose(name, node, at),
+            CacheAction::Miss(cause) => {
+                let predicted = match self.caches.get(&name) {
+                    None => MissCause::Cold,
+                    Some(Ready::Held(_)) => MissCause::OffHolder,
+                    Some(Ready::Lost(cause)) => *cause,
+                };
+                assert_eq!(cause, predicted, "{at}: the miss of {name:?} has the wrong cause");
+            }
+            CacheAction::Evict => self.lose(name, node, MissCause::Evicted, at),
+            CacheAction::Invalidate => {
+                let cause = if self.salvaged.remove(&name) {
+                    MissCause::Torn
+                } else if self.audited {
+                    MissCause::Dropped
+                } else {
+                    MissCause::Lost
+                };
+                self.lose(name, node, cause, at);
+            }
             CacheAction::Purge => {
                 let live = self.is_live(&name, node) && !expired.contains(&name);
                 assert!(!live, "{at}: purged the live copy of {name:?} on {node:?}");
@@ -282,13 +335,14 @@ impl CacheModel {
     }
 
     fn is_live(&self, name: &CacheName, node: NodeId) -> bool {
-        self.caches.get(name) == Some(&Some(node))
+        self.caches.get(name) == Some(&Ready::Held(node))
     }
 
-    /// The copy of `name` on `node` was lost, evicted or rolled back.
-    fn lose(&mut self, name: CacheName, node: NodeId, at: &str) {
+    /// The copy of `name` on `node` was lost, evicted or rolled back: a
+    /// later miss of `name` has `cause`.
+    fn lose(&mut self, name: CacheName, node: NodeId, cause: MissCause, at: &str) {
         assert!(self.is_live(&name, node), "{at}: {name:?} lost from {node:?}, where it was not live");
-        self.caches.insert(name, None);
+        self.caches.insert(name, Ready::Lost(cause));
     }
 
     /// A join's pane expires only once every pair cell of its lifespan

@@ -10,6 +10,8 @@
 #[path = "common/mod.rs"]
 mod common;
 
+use std::collections::BTreeMap;
+
 use common::*;
 use redoop_core::prelude::*;
 use redoop_dfs::NodeId;
@@ -338,24 +340,54 @@ fn counts(t: &WindowTraceStats) -> [u64; 10] {
 }
 
 /// Asserts that folding every event of `sink`'s journal gives the
-/// field-by-field sum of `reports`' counts, and returns that fold.
+/// field-by-field sum of `reports`' counts, and window by window each
+/// report's counts, with the window's misses folded by cause summing to
+/// its `cache_misses`. Returns the whole fold and the misses per cause.
 fn assert_reports_fold_the_journal<'r>(
     what: &str,
     sink: &TraceSink,
     reports: impl IntoIterator<Item = &'r WindowReport>,
-) -> WindowTraceStats {
+) -> (WindowTraceStats, BTreeMap<String, u64>) {
     assert_eq!(sink.dropped(), 0, "{what}: the ring must hold the whole run");
     let mut journal = WindowTraceStats::default();
-    sink.events().iter().filter_map(TraceEvent::counted).for_each(|fact| journal.fold(fact));
+    let mut causes = BTreeMap::new();
+    // A window's events start at its audit's first heartbeat, node 0's.
+    let mut windows: Vec<(WindowTraceStats, BTreeMap<String, u64>)> = Vec::new();
+    for event in sink.events() {
+        if matches!(event, TraceEvent::Heartbeat { node: NodeId(0), .. }) {
+            windows.push(Default::default());
+        }
+        if let TraceEvent::Cache { action: CacheAction::Miss(cause), .. } = event {
+            let window = &mut windows.last_mut().expect("a miss falls in a window").1;
+            for by_cause in [&mut causes, window] {
+                *by_cause.entry(format!("{cause:?}")).or_insert(0) += 1;
+            }
+        }
+        if let Some(fact) = event.counted() {
+            journal.fold(fact);
+            windows.last_mut().expect("a counted fact falls in a window").0.fold(fact);
+        }
+    }
     let mut summed = [0; 10];
+    let mut reported = Vec::new();
     for r in reports {
         assert_eq!(r.built_products as u64, r.trace.builds, "{what}: window {}", r.recurrence);
         for (sum, n) in summed.iter_mut().zip(counts(&r.trace)) {
             *sum += n;
         }
+        reported.push(counts(&r.trace));
     }
     assert_eq!(counts(&journal), summed, "{what}: reports are not a fold of the journal");
-    journal
+    for (w, (stats, by_cause)) in windows.iter().enumerate() {
+        assert_eq!(by_cause.values().sum::<u64>(), stats.cache_misses, "{what}: window {w}'s misses by cause");
+    }
+    // A fleet's reports are listed per query, its windows in fire order:
+    // compare the two as multisets.
+    let mut journaled: Vec<[u64; 10]> = windows.iter().map(|(stats, _)| counts(stats)).collect();
+    journaled.sort_unstable();
+    reported.sort_unstable();
+    assert_eq!(journaled, reported, "{what}: a window's report is not the fold of its events");
+    (journal, causes)
 }
 
 #[test]
@@ -388,7 +420,8 @@ fn report_counts_are_a_fold_of_the_journal() {
     }
     exec.run_window(2).unwrap();
     exec.run_window(3).unwrap();
-    let folded = assert_reports_fold_the_journal("fault", &sink, exec.reports());
+    let (folded, causes) = assert_reports_fold_the_journal("fault", &sink, exec.reports());
+    assert!(causes.contains_key("NodeLost") && causes.contains_key("Lost"), "{causes:?}");
     let events = sink.events();
     assert!(events.iter().any(|e| matches!(e, TraceEvent::Rollback { .. })));
     assert!(events.iter().any(|e| matches!(e, TraceEvent::Cache { action: CacheAction::Invalidate, .. })));
@@ -423,9 +456,10 @@ fn report_counts_are_a_fold_of_the_journal() {
         let tag = &format!("fold-join-{proactive}-{kind:?}");
         let (_, _, held) = run_join(tag, proactive, None);
         let (sink, reports, _) = run_join(tag, proactive, Some((kind, held / 4)));
-        let folded = assert_reports_fold_the_journal(tag, &sink, &reports);
+        let (folded, causes) = assert_reports_fold_the_journal(tag, &sink, &reports);
         let refused = kind == CachePolicyKind::Lru || folded.admit_rejects > 0;
         assert!(folded.evictions > 0 && refused, "{tag}: {folded:?}");
+        assert!(causes.contains_key("Evicted"), "{tag}: {causes:?}");
     }
 
     // The wide/narrow shared fleet: off-holder misses, shared hits, and
@@ -433,7 +467,7 @@ fn report_counts_are_a_fold_of_the_journal() {
     let [_, wide] = narrow_and_wide();
     let batches = wcc_batches(&ArrivalPlan::new(wide.spec, wide.windows), 91, 1.0);
     let run = run_narrow_and_wide(&test_cluster(), "fold-wide", &batches);
-    let folded = assert_reports_fold_the_journal("wide", &run.sink, run.reports.iter().flatten());
+    let (folded, _) = assert_reports_fold_the_journal("wide", &run.sink, run.reports.iter().flatten());
     assert!(folded.off_holder_misses > 0 && folded.shared_hits > 0, "{folded:?}");
     let joined = run.sink.events().into_iter().any(|e| {
         matches!(e, TraceEvent::Placement { local: true, ref scores, .. } if scores.len() == 1)
@@ -450,6 +484,6 @@ fn report_counts_are_a_fold_of_the_journal() {
         &batches,
         &[FleetQuery::plain(spec, 4), FleetQuery { budget: Some(tiny), ..FleetQuery::plain(spec, 4) }],
     );
-    let folded = assert_reports_fold_the_journal("refused", &run.sink, run.reports.iter().flatten());
-    assert!(folded.admit_rejects > 0);
+    let (folded, causes) = assert_reports_fold_the_journal("refused", &run.sink, run.reports.iter().flatten());
+    assert!(folded.admit_rejects > 0 && causes.contains_key("Refused"), "{causes:?}");
 }
